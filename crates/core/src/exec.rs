@@ -386,14 +386,23 @@ impl StealPool {
 
     /// Blocks until a job is acquirable or the pool closes empty. Returns
     /// `None` to terminate the worker. The number of failed full sweeps is
-    /// added to `misses`.
-    fn acquire(&self, w: usize, misses: &mut u64) -> Option<(Job, Source)> {
+    /// added to `misses`; `before_wait` runs after each of them, before
+    /// the worker may sleep (workers hand over their held completions
+    /// there, so the control loop is never waiting on a sleeping worker's
+    /// batch).
+    fn acquire(
+        &self,
+        w: usize,
+        misses: &mut u64,
+        mut before_wait: impl FnMut(),
+    ) -> Option<(Job, Source)> {
         loop {
             if let Some(got) = self.sweep(w) {
                 relock(self.sync.lock()).0 -= 1;
                 return Some(got);
             }
             *misses += 1;
+            before_wait();
             let mut st = relock(self.sync.lock());
             loop {
                 if st.0 > 0 {
@@ -419,6 +428,26 @@ struct ExecMsg<T> {
     acquired: Instant,
     started: Instant,
     elapsed: Duration,
+}
+
+/// Most completions a worker holds before handing them to the control
+/// loop. Every hand-over wakes the control thread, which on a small box
+/// preempts a worker (~20 µs of worker time each); at SPAM's finest
+/// decomposition a task is about as long as that, so workers report in
+/// batches. A batch also goes early whenever waiting could matter: on a
+/// failed attempt (its retry must re-enter the pool now) and before the
+/// worker sleeps. Small enough that live telemetry and the SLO clock,
+/// which advance per completion on the control side, lag by well under a
+/// millisecond of fine-grained work.
+const COMPLETION_BATCH: usize = 32;
+
+/// Sends a worker's held completions, if any, to the control loop as one
+/// message. The receiver outlives the worker scope, so the send cannot
+/// fail while a worker runs.
+fn hand_over<T>(tx: &mpsc::Sender<Vec<ExecMsg<T>>>, held: &mut Vec<ExecMsg<T>>) {
+    if !held.is_empty() {
+        let _ = tx.send(std::mem::take(held));
+    }
 }
 
 /// Why the last attempt of a task failed.
@@ -552,7 +581,7 @@ pub fn execute_observed<T: Send>(
         }
     }
 
-    let (tx, rx) = mpsc::channel::<ExecMsg<T>>();
+    let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
     let stats: Vec<Mutex<WorkerStats>> = (0..n_workers)
         .map(|_| Mutex::new(WorkerStats::default()))
         .collect();
@@ -588,7 +617,11 @@ pub fn execute_observed<T: Send>(
                     *relock(spawn_ready[w].lock()) = phase_start.elapsed().as_secs_f64();
                     let mut my = WorkerStats::default();
                     let mut queued = Instant::now();
-                    while let Some(((i, attempt), source)) = pool.acquire(w, &mut my.steal_misses) {
+                    // Completions not yet handed to the control loop.
+                    let mut held: Vec<ExecMsg<T>> = Vec::new();
+                    while let Some(((i, attempt), source)) =
+                        pool.acquire(w, &mut my.steal_misses, || hand_over(&tx, &mut held))
+                    {
                         let acquired = Instant::now();
                         match source {
                             Source::Own => {}
@@ -682,7 +715,11 @@ pub fn execute_observed<T: Send>(
                         }
                         my.executed += 1;
                         my.busy_s += elapsed.as_secs_f64();
-                        let msg = ExecMsg {
+                        // What the control loop will rule a failure: its
+                        // retry (or dead letter) must not wait for the
+                        // batch to fill.
+                        let failed = result.is_err() || cfg.deadline.is_some_and(|d| elapsed > d);
+                        held.push(ExecMsg {
                             task: i,
                             attempt,
                             worker: w,
@@ -692,9 +729,9 @@ pub fn execute_observed<T: Send>(
                             acquired,
                             started: start,
                             elapsed,
-                        };
-                        if tx.send(msg).is_err() {
-                            break;
+                        });
+                        if failed || held.len() >= COMPLETION_BATCH {
+                            hand_over(&tx, &mut held);
                         }
                         queued = Instant::now();
                     }
@@ -709,8 +746,16 @@ pub fn execute_observed<T: Send>(
         // backoff delays the *re-enqueue* on a timer thread — a worker
         // sleeping through the backoff would stall a pool slot that
         // could be running other queued work.
+        // Workers report completions in batches (`COMPLETION_BATCH`).
+        let mut inbox = Vec::new().into_iter();
         while remaining > 0 {
-            let msg = rx.recv().expect("workers alive while tasks outstanding");
+            let Some(msg) = inbox.next() else {
+                inbox = rx
+                    .recv()
+                    .expect("workers alive while tasks outstanding")
+                    .into_iter();
+                continue;
+            };
             let i = msg.task;
             if msg.attempt == 0 {
                 first_start[i] = Some(msg.started);
@@ -990,6 +1035,151 @@ mod tests {
     }
 
     #[test]
+    fn phases_around_the_batch_bound_terminate() {
+        // One worker, so every completion of the phase goes through one
+        // held batch: a single task (handed over before the worker
+        // sleeps), exactly one full batch, and one more than that.
+        let one = ExecConfig {
+            workers: 1,
+            ..cfg1()
+        };
+        for n in [1, COMPLETION_BATCH, COMPLETION_BATCH + 1] {
+            let (slots, report, exec) = execute(
+                &one,
+                labels(n),
+                &SupervisorConfig::default(),
+                &FaultPlan::none(),
+                |i| i,
+            )
+            .unwrap();
+            assert!(report.is_clean());
+            assert_eq!(slots.into_iter().flatten().count(), n);
+            assert_eq!(exec.attempts.len(), n);
+            assert_eq!(exec.workers[0].executed, n as u64);
+        }
+    }
+
+    #[test]
+    fn batched_completions_conserve_attempts_and_close_the_books() {
+        // Far more tiny tasks per worker than the batch bound, a third of
+        // first attempts failing: every attempt must still be reported
+        // exactly once, and the schedule must still add up.
+        let plan = FaultPlan::seeded(11).with_task_panic_rate(0.3);
+        let cfg = SupervisorConfig::default().with_retries(3);
+        let n = 600;
+        let (slots, report, exec) = execute(
+            &ExecConfig {
+                workers: 2,
+                chunk_target: 8,
+                deque_capacity: 64,
+            },
+            labels(n),
+            &cfg,
+            &plan,
+            |i| i,
+        )
+        .unwrap();
+        let retries = report.total_retries() as u64;
+        assert!(retries > 0, "the plan must make some attempts fail");
+        let executed: u64 = exec.workers.iter().map(|w| w.executed).sum();
+        let dead = report.dead_letters().len();
+        // Every task's last attempt is either its success or its dead
+        // letter; every earlier one is a retry.
+        assert_eq!(executed, n as u64 + retries);
+        assert_eq!(exec.attempts.len() as u64, executed);
+        assert_eq!(exec.attempts.iter().filter(|a| a.ok).count(), n - dead);
+        assert_eq!(slots.iter().flatten().count(), n - dead);
+        assert_eq!(exec.lost_tasks as usize, dead);
+        let mut seen: Vec<(usize, u32)> =
+            exec.attempts.iter().map(|a| (a.task, a.attempt)).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len() as u64, executed, "no attempt reported twice");
+        // busy + fork + queue wait + dequeue + idle = workers × makespan.
+        let sim = exec.to_sim_result();
+        let attr = crate::attribution::GapAttribution::attribute(
+            sim.makespan,
+            &sim,
+            sim.busy.len() as u32,
+        );
+        let gaps: f64 = attr.components().iter().map(|c| c.1).sum();
+        assert!(
+            (gaps + attr.busy - attr.capacity()).abs() < attr.capacity().max(1e-9) * 1e-6,
+            "busy {} + gap components {gaps} must sum to capacity {}",
+            attr.busy,
+            attr.capacity()
+        );
+        assert!(exec.timeline("batched").coverage() > 0.999);
+    }
+
+    #[test]
+    fn a_failure_inside_a_batch_is_reported_at_once_and_retried_via_overflow() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // One worker pops its deque from the back: t5, t4, t3, ... With
+        // six tasks the batch bound is never reached, so without the
+        // early hand-over nothing would reach the control loop before the
+        // worker runs dry. t3's first attempt panics; t2, which runs
+        // next on the same worker, waits until the control loop has
+        // processed t5's completion — which travels in the batch the
+        // failure pushed out.
+        let first_reported = AtomicBool::new(false);
+        let waited_in_vain = AtomicBool::new(false);
+        let plan = FaultPlan::none().with_task_panic(3, 1);
+        let cfg = SupervisorConfig::default().with_retries(1);
+        let (slots, report, exec) = execute_observed(
+            &ExecConfig {
+                workers: 1,
+                ..cfg1()
+            },
+            labels(6),
+            &[],
+            &cfg,
+            &plan,
+            &Recorder::off(),
+            &Live::off(),
+            None,
+            None,
+            |i, _: &usize| {
+                if i == 5 {
+                    first_reported.store(true, Ordering::SeqCst);
+                }
+            },
+            |a: TaskAttempt| {
+                if a.task == 2 {
+                    let give_up = Instant::now() + Duration::from_secs(20);
+                    while !first_reported.load(Ordering::SeqCst) {
+                        if Instant::now() > give_up {
+                            waited_in_vain.store(true, Ordering::SeqCst);
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+                a.task
+            },
+        )
+        .unwrap();
+        assert!(
+            !waited_in_vain.load(Ordering::SeqCst),
+            "the failed attempt must hand its batch over without waiting for the bound"
+        );
+        assert_eq!(slots.iter().flatten().count(), 6);
+        assert_eq!(report.outcomes[3].status, TaskStatus::Retried(1));
+        let retry = exec
+            .attempts
+            .iter()
+            .find(|a| a.task == 3 && a.attempt == 1)
+            .expect("the retry ran");
+        assert!(retry.ok);
+        assert_eq!(
+            exec.overflow_taken(),
+            1,
+            "the retry re-entered via overflow"
+        );
+        assert_eq!(exec.attempts.len(), 7);
+    }
+
+    #[test]
     fn chunking_respects_the_target() {
         // Uniform unit estimates, target 4: chunks of 4 tasks.
         let chunks = chunk_tasks(&[1; 10], 4);
@@ -1026,7 +1216,7 @@ mod tests {
                 let consumed = &consumed;
                 s.spawn(move || {
                     let mut misses = 0u64;
-                    while pool.acquire(w, &mut misses).is_some() {
+                    while pool.acquire(w, &mut misses, || {}).is_some() {
                         consumed.fetch_add(1, Ordering::Relaxed);
                     }
                 });

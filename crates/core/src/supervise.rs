@@ -161,9 +161,12 @@ enum FailKind {
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index. The spam phase runners satisfy this
-/// by building a fresh engine per attempt from shared immutable inputs
-/// (that is also what makes `AssertUnwindSafe` sound here — a poisoned
-/// half-updated state cannot leak across attempts).
+/// by running every attempt on an engine in its just-built state — new,
+/// or reset and out of its thread's slot while the attempt runs, so an
+/// attempt that unwinds drops it (`spam::lcc`'s task-engine lifecycle,
+/// DESIGN.md §21) — over shared immutable inputs. That is also what makes
+/// `AssertUnwindSafe` sound here: a half-updated state cannot leak across
+/// attempts.
 pub fn supervise<T: Send>(
     n_workers: usize,
     labels: Vec<String>,

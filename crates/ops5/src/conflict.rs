@@ -136,6 +136,13 @@ impl ConflictSet {
         Self::default()
     }
 
+    /// Empties the set, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.rank.clear();
+        self.by_wme.clear();
+    }
+
     /// Number of instantiations present.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -9,6 +9,7 @@ use crate::program::Program;
 use crate::rete::compile::{compile_production, CompiledProduction, VarSource};
 use crate::rete::{MatchEvent, Rete, ReteConfig};
 use crate::rhs::eval_expr;
+use crate::static_sym;
 use crate::symbol::{sym, Symbol};
 use crate::value::Value;
 use crate::wme::{TimeTag, WmStore, Wme, WmeId};
@@ -79,8 +80,9 @@ pub struct Engine {
     /// Named counters behind stateful external functions (id allocators),
     /// registered via [`Engine::external_counter`]. They are engine state in
     /// disguise — snapshots carry their values so a restored run allocates
-    /// the same ids the uninterrupted run would have.
-    ext_counters: Vec<(String, Arc<AtomicI64>)>,
+    /// the same ids the uninterrupted run would have. Each keeps its `init`
+    /// so [`Engine::reset`] can rewind it.
+    ext_counters: Vec<(String, i64, Arc<AtomicI64>)>,
     /// Counter values stashed by [`Engine::restore`]; consumed when the
     /// external environment re-registers its counters (restore necessarily
     /// runs before the caller can re-attach external functions).
@@ -296,13 +298,53 @@ impl Engine {
     /// intermediate working memory (and match work) would diverge from the
     /// uninterrupted run's.
     pub fn external_counter(&mut self, name: &str, init: i64) -> Arc<AtomicI64> {
-        if let Some((_, c)) = self.ext_counters.iter().find(|(n, _)| n == name) {
+        if let Some((_, _, c)) = self.ext_counters.iter().find(|(n, _, _)| n == name) {
             return Arc::clone(c);
         }
         let start = self.restored_counters.remove(name).unwrap_or(init);
         let c = Arc::new(AtomicI64::new(start));
-        self.ext_counters.push((name.to_string(), Arc::clone(&c)));
+        self.ext_counters
+            .push((name.to_string(), init, Arc::clone(&c)));
         c
+    }
+
+    /// Returns the engine to the state [`Engine::with_matcher`] left it in,
+    /// keeping what was expensive to build: the compiled network and its
+    /// allocations (via [`Matcher::reset`]), the registered external
+    /// functions, and the strategy override.
+    ///
+    /// Everything a run can observe starts over — working memory (ids and
+    /// time tags count from the beginning again), the conflict set, work
+    /// counters, `gensym`, output, the halt flag — and every named external
+    /// counter rewinds to the `init` it was registered with, so a replay on
+    /// a reset engine is indistinguishable from the same replay on a new
+    /// one: same firing sequence, [`Engine::work`], [`Engine::net_stats`],
+    /// cycle log and final working memory. The cycle log and the
+    /// obs/live/trace/profile attachments belong to one run and are
+    /// detached; callers re-attach what the next run wants.
+    ///
+    /// This is how a task process serves many tasks with one engine (one
+    /// OPS5 instance per task process, as in the paper) instead of building
+    /// a network per task.
+    pub fn reset(&mut self) {
+        self.matcher.reset();
+        self.wm.clear();
+        self.conflict.clear();
+        self.time = 0;
+        self.base_work = WorkCounters::default();
+        for (_, init, c) in &self.ext_counters {
+            c.store(*init, Ordering::Relaxed);
+        }
+        self.restored_counters.clear();
+        self.halted = false;
+        self.output.clear();
+        self.cycle_log = None;
+        self.log_snapshot = WorkCounters::default();
+        self.gensym = 0;
+        self.obs = None;
+        self.live = None;
+        self.trace = None;
+        self.profile = None;
     }
 
     /// Overrides the program's conflict-resolution strategy.
@@ -733,7 +775,7 @@ impl Engine {
                     vals[*var as usize] = v;
                 }
                 Action::Write { parts } => {
-                    let crlf = sym("crlf");
+                    let crlf = static_sym!("crlf");
                     let mut first = true;
                     let mut line = String::new();
                     for p in parts {
@@ -832,7 +874,7 @@ impl Engine {
             counters: self
                 .ext_counters
                 .iter()
-                .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
+                .map(|(n, _, c)| (n.clone(), c.load(Ordering::Relaxed)))
                 .chain(self.restored_counters.iter().map(|(n, v)| (n.clone(), *v)))
                 .collect(),
         }
@@ -910,7 +952,7 @@ impl Engine {
 
     fn call_external(&mut self, name: Symbol, args: &[Value]) -> Result<Value> {
         // Builtin: genatom — a fresh unique symbol.
-        if name == sym("genatom") {
+        if name == static_sym!("genatom") {
             self.gensym += 1;
             return Ok(Value::Sym(sym(&format!("g#{}", self.gensym))));
         }

@@ -32,6 +32,12 @@ pub trait Matcher: Send {
     fn take_chunks(&mut self) -> u32;
     /// Accumulated match work.
     fn work(&self) -> WorkCounters;
+    /// Forgets every WME seen so far: memories, pending events, work, chunk
+    /// and run statistics return to their just-built values and profiling
+    /// is detached, while the compiled network (and its allocations) stays.
+    /// After it the backend must answer any WME stream exactly as a newly
+    /// built one would — [`crate::Engine::reset`] relies on that.
+    fn reset(&mut self);
     /// Overwrites the accumulated match-work counters. Snapshot restore
     /// rebuilds the network from the restored WM — re-doing match work the
     /// original run already paid for — then resets the counters to the
@@ -75,6 +81,9 @@ impl Matcher for Rete {
     }
     fn work(&self) -> WorkCounters {
         self.work
+    }
+    fn reset(&mut self) {
+        Rete::reset(self)
     }
     fn set_work(&mut self, work: WorkCounters) {
         self.work = work;
@@ -170,6 +179,12 @@ impl Matcher for NaiveMatcher {
 
     fn work(&self) -> WorkCounters {
         self.work
+    }
+
+    fn reset(&mut self) {
+        self.prev.clear();
+        self.dirty = false;
+        self.work = WorkCounters::default();
     }
 
     fn set_work(&mut self, work: WorkCounters) {

@@ -195,6 +195,22 @@ impl AlphaNetwork {
             .map_or(&[], Vec::as_slice)
     }
 
+    /// Empties every memory and index bucket and zeroes the run counters,
+    /// keeping the memories, tests, successors and declared indexes. The
+    /// test memo needs no clearing: its entries are stamped with the
+    /// classification pass that wrote them, and the pass counter only moves
+    /// forward, so a stale entry is never read.
+    pub fn reset(&mut self) {
+        for mem in &mut self.mems {
+            mem.wmes.clear();
+            for ix in &mut mem.indexes {
+                ix.buckets.clear();
+            }
+        }
+        self.shared_test_hits = 0;
+        self.profile = None;
+    }
+
     /// Classifies a new WME into its memories, returning the activated
     /// memory ids and accumulating the match cost in `work_units`.
     pub fn classify_add(&mut self, id: WmeId, wme: &Wme, work_units: &mut u64) -> Vec<AlphaMemId> {
@@ -434,5 +450,12 @@ mod tests {
         w.set(0, Value::Int(7));
         net.classify_remove(WmeId(0), &w, &mut units);
         assert_eq!(net.probe(m, 0, key7), &[WmeId(1)]);
+
+        // Reset empties the memory and its buckets but keeps the index.
+        net.reset();
+        assert!(net.mem(m).wmes.is_empty());
+        assert_eq!(net.probe(m, 0, key7), &[] as &[WmeId]);
+        net.classify_add(WmeId(0), &w, &mut units);
+        assert_eq!(net.probe(m, 0, key7), &[WmeId(0)]);
     }
 }

@@ -327,6 +327,35 @@ impl Rete {
         s
     }
 
+    /// Empties the network without rebuilding it: every token, memory,
+    /// index bucket, blocker list and pending event goes, the work, chunk
+    /// and per-run [`NetStats`] counters return to zero and profiling is
+    /// detached; nodes, tests, successor lists, declared indexes and the
+    /// containers' allocations stay. Token ids restart at 0 and nothing
+    /// here iterates a hash map, so the network then answers any WME
+    /// stream exactly as [`Rete::from_compiled_with`] on the same chains
+    /// would — same events in the same order, same work, same statistics.
+    pub fn reset(&mut self) {
+        self.alpha.reset();
+        for n in &mut self.nodes {
+            n.tokens.clear();
+            n.right_index.clear();
+            n.blocked_by.clear();
+        }
+        self.tokens.clear();
+        self.free.clear();
+        self.wme_tokens.clear();
+        self.events.clear();
+        self.work = WorkCounters::default();
+        self.chunks = 0;
+        self.stats = NetStats {
+            beta_nodes: self.stats.beta_nodes,
+            unshared_beta_nodes: self.stats.unshared_beta_nodes,
+            ..NetStats::default()
+        };
+        self.profile = None;
+    }
+
     /// Drains the pending conflict-set events.
     pub fn drain_events(&mut self) -> Vec<MatchEvent> {
         std::mem::take(&mut self.events)
@@ -1263,6 +1292,49 @@ mod tests {
             "sharing+indexing may not cost more work ({} vs {})",
             s.rete.work.match_units,
             u.rete.work.match_units
+        );
+    }
+
+    #[test]
+    fn reset_empties_every_memory_and_keeps_the_network() {
+        // p2's negated (c) holds blocked tokens, the (b) and (c) joins are
+        // indexed, and one `a` is removed again so the free list is in use.
+        let src = "
+            (literalize a x)
+            (literalize b y)
+            (literalize c z)
+            (p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
+            (p p2 (a ^x <v>) (b ^y <v>) -(c ^z <v>) --> (halt))
+        ";
+        let mut f = Fix::new(src);
+        let fresh_stats = f.rete.net_stats();
+        let (nodes, alpha_mems) = (f.rete.beta_nodes(), f.rete.alpha_memories());
+        for v in [1, 2, 1] {
+            f.add("a", &[(0, Value::Int(v))]);
+            f.add("b", &[(0, Value::Int(v))]);
+            f.add("c", &[(0, Value::Int(v))]);
+        }
+        let gone = f.add("a", &[(0, Value::Int(2))]);
+        f.remove(gone);
+        assert!(f.rete.nodes.iter().any(|n| !n.blocked_by.is_empty()));
+        assert!(f.rete.nodes.iter().any(|n| !n.right_index.is_empty()));
+        assert!(!f.rete.free.is_empty() && !f.rete.events.is_empty());
+
+        f.rete.reset();
+        for n in &f.rete.nodes {
+            assert!(n.tokens.is_empty() && n.right_index.is_empty() && n.blocked_by.is_empty());
+        }
+        assert!(f.rete.tokens.is_empty() && f.rete.free.is_empty());
+        assert!(f.rete.wme_tokens.is_empty() && f.rete.events.is_empty());
+        for m in 0..alpha_mems {
+            assert!(f.rete.alpha.mem(m as AlphaMemId).wmes.is_empty());
+        }
+        assert_eq!(f.rete.work, WorkCounters::default());
+        assert_eq!(f.rete.take_chunks(), 0);
+        assert_eq!(f.rete.net_stats(), fresh_stats);
+        assert_eq!(
+            (f.rete.beta_nodes(), f.rete.alpha_memories()),
+            (nodes, alpha_mems)
         );
     }
 

@@ -93,6 +93,12 @@ impl WmStore {
         Self::default()
     }
 
+    /// Empties the store, keeping its allocation; ids restart at 0.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.live = 0;
+    }
+
     /// Adds a WME, returning its id.
     pub fn add(&mut self, wme: Wme) -> WmeId {
         let id = WmeId(self.slots.len() as u32);

@@ -504,3 +504,175 @@ fn rete_beats_naive_at_scale() {
         "expected a large Rete advantage at scale, got {ratio:.2}x"
     );
 }
+
+/// A program that touches everything `Engine::reset` must rewind beyond
+/// the network: a named external counter (`next-id`), `genatom`, `write`
+/// output and `halt`.
+const STATEFUL_PROGRAM: &str = "
+    (literalize item kind count)
+    (literalize tagged id name)
+    (p tag (item ^kind <k> ^count { <n> > 0 })
+       -->
+       (make tagged ^id (call next-id) ^name (call genatom))
+       (write |tagged| <k> (crlf))
+       (remove 1))
+    (p stop (item ^kind <k> ^count 0) --> (halt))";
+
+/// Blockers come and go: `unblock` removes the WMEs that block `lone`'s
+/// negated element, so a stale blocker→token entry would be consulted.
+const BLOCKER_PROGRAM: &str = "
+    (literalize a x y)
+    (literalize b x y)
+    (p unblock (a ^x <v>) (b ^x <v> ^y > 0) --> (remove 2))
+    (p lone (a ^x <v>) -(b ^x <v>) --> (remove 1))";
+
+/// One engine-level WM mutation of a replay script.
+#[derive(Clone, Debug)]
+enum ScriptOp {
+    Make { class: u8, x: i8, y: i8 },
+    Remove(u8),
+}
+
+fn script_strategy() -> impl Strategy<Value = Vec<ScriptOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => (0u8..3, 0i8..4, 0i8..4).prop_map(|(class, x, y)| ScriptOp::Make { class, x, y }),
+            1 => (0u8..32).prop_map(ScriptOp::Remove),
+        ],
+        1..14,
+    )
+}
+
+/// Everything a run can show: firing sequence and per-cycle costs (the
+/// cycle log), final WM with ids and time tags, merged work, network
+/// statistics, output, how the run ended, what is left in the conflict
+/// set.
+type Observed = (
+    Vec<ops5::CycleStats>,
+    Vec<(WmeId, String)>,
+    ops5::WorkCounters,
+    ops5::NetStats,
+    String,
+    ops5::RunOutcome,
+    usize,
+);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The contract task-engine reuse rests on: after `reset()`, replaying
+    /// a script on the used engine is indistinguishable from replaying it
+    /// on a new one — whatever the engine did before (any program, any
+    /// first script, stopped anywhere from "never ran" to quiescence, with
+    /// or without profiling and a flight recorder attached), on the shared
+    /// and the unshared network and on the naive matcher.
+    #[test]
+    fn reset_then_replay_equals_a_new_engine(
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 2),
+        backend in 0u8..3,
+        first in script_strategy(),
+        first_steps in 0u64..12,
+        observed_first in (0u8..2).prop_map(|b| b == 1),
+        second in script_strategy(),
+    ) {
+        let src = if prog_idx < SHARING_PROGRAMS.len() {
+            SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
+        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+            STATEFUL_PROGRAM.to_string()
+        } else {
+            BLOCKER_PROGRAM.to_string()
+        };
+        let program = Arc::new(Program::parse(&src).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let build = || {
+            let mut e = match backend {
+                0 => Engine::with_compiled_config(
+                    Arc::clone(&program), Arc::clone(&compiled), ReteConfig::shared()),
+                1 => Engine::with_compiled_config(
+                    Arc::clone(&program), Arc::clone(&compiled), ReteConfig::unshared()),
+                _ => Engine::new_naive(Arc::clone(&program)),
+            };
+            let next = e.external_counter("next-id", 100);
+            e.register_external(
+                "next-id",
+                Arc::new(move |_, eff: &mut ops5::Effects| {
+                    eff.cost = 7;
+                    Some(Value::Int(next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)))
+                }),
+            );
+            e
+        };
+        // Scripts address whatever classes the program declares, by its
+        // first two attributes.
+        let mut classes: Vec<(String, Vec<String>)> = program
+            .classes()
+            .map(|c| (c.name.to_string(), c.attrs.iter().map(|a| a.to_string()).collect()))
+            .collect();
+        classes.sort();
+        let load = |e: &mut Engine, script: &[ScriptOp]| {
+            let mut made: Vec<WmeId> = Vec::new();
+            for op in script {
+                match *op {
+                    ScriptOp::Make { class, x, y } => {
+                        let (name, attrs) = &classes[class as usize % classes.len()];
+                        let vals = [Value::Int(x as i64), Value::Int(y as i64)];
+                        let sets: Vec<(&str, Value)> =
+                            attrs.iter().map(String::as_str).zip(vals).collect();
+                        made.push(e.make_wme(name, &sets).unwrap());
+                    }
+                    ScriptOp::Remove(k) => {
+                        if !made.is_empty() {
+                            let id = made.swap_remove(k as usize % made.len());
+                            e.remove_wme_id(id);
+                        }
+                    }
+                }
+            }
+        };
+        let replay = |e: &mut Engine| -> Observed {
+            e.enable_cycle_log();
+            load(e, &second);
+            let out = e.run(200);
+            let wm = e.wm().iter().map(|(id, w)| (id, w.to_string())).collect();
+            (
+                e.take_cycle_log(),
+                wm,
+                e.work(),
+                e.net_stats(),
+                e.output.clone(),
+                out,
+                e.conflict_len(),
+            )
+        };
+
+        let mut fresh = build();
+        let want = replay(&mut fresh);
+        prop_assert!(want.5.error.is_none(), "{:?}", want.5);
+
+        let mut used = build();
+        let rec = tlp_obs::Recorder::new(tlp_obs::ObsLevel::Full);
+        if observed_first {
+            used.enable_profile();
+            used.set_obs(rec.sink("first-run"));
+        }
+        used.enable_cycle_log();
+        load(&mut used, &first);
+        used.run(first_steps);
+        used.reset();
+        prop_assert_eq!(used.wm().len(), 0);
+        prop_assert_eq!(used.conflict_len(), 0);
+        prop_assert_eq!(used.work(), ops5::WorkCounters::default());
+        prop_assert!(used.take_profile().is_none(), "profiling is detached");
+        prop_assert!(used.take_obs().is_none(), "the recorder sink is detached");
+        let events_after_reset = rec.len();
+        let got = replay(&mut used);
+        prop_assert_eq!(rec.len(), events_after_reset, "nothing reaches the old sink");
+        prop_assert_eq!(&got, &want);
+
+        // And again: reuse is not a one-shot.
+        used.reset();
+        prop_assert_eq!(&replay(&mut used), &want);
+    }
+}

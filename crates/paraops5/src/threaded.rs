@@ -56,6 +56,8 @@ enum Req {
     Add(WmeId, Arc<Wme>),
     Remove(WmeId),
     Flush,
+    /// Forget every WME: empty the replica store and `Rete::reset`.
+    Reset,
 }
 
 struct Resp {
@@ -596,6 +598,28 @@ impl Matcher for ThreadedMatcher {
         self.work
     }
 
+    /// Every live replica (thread or control-inlined) forgets its WMEs and
+    /// the replay log empties with them, so a worker found dead later is
+    /// rebuilt from the deltas sent *after* the reset only. What the pool
+    /// has survived stays: retired slots stay retired, a failed pool stays
+    /// failed, and [`ThreadedMatcher::report`] keeps its history.
+    fn reset(&mut self) {
+        self.log.clear();
+        for slot in &mut self.slots {
+            slot.delivered.clear();
+            if slot.state == SlotState::Live && slot.tx.send(Req::Reset).is_err() {
+                // Hung up; recovery happens at the flush barrier.
+                slot.state = SlotState::Dead;
+            }
+        }
+        for iw in &mut self.inline {
+            iw.rete.reset();
+            iw.wm.clear();
+        }
+        self.work = WorkCounters::default();
+        self.chunks = 0;
+    }
+
     fn failure(&self) -> Option<String> {
         self.failure.clone()
     }
@@ -639,6 +663,10 @@ fn worker_loop(
                     rete.remove_wme(id, &wm);
                     wm.remove(id);
                 }
+            }
+            Req::Reset => {
+                rete.reset();
+                wm.clear();
             }
             Req::Flush => {
                 let resp = Resp {
@@ -718,6 +746,33 @@ mod tests {
             assert_eq!(par_firings, seq_firings, "workers={n}");
             assert_eq!(par_wm, seq_wm, "workers={n}");
         }
+    }
+
+    #[test]
+    fn reset_pool_replays_like_a_new_one() {
+        // One engine over a pool that degrades (worker 0 dies after its
+        // second flush and is folded into the control thread): run, reset,
+        // run again. The second run must equal a sequential engine's, with
+        // the inline replica and the replay log reset along with the
+        // threads.
+        let program = Arc::new(Program::parse(SRC).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let opts = MatchPoolOptions {
+            fault_plan: FaultPlan::none().with_worker_death(0, 2),
+            recovery: RecoveryPolicy::Degrade,
+            ..MatchPoolOptions::default()
+        };
+        let m = ThreadedMatcher::with_options(&program, &compiled, 3, opts).unwrap();
+        let mut e = Engine::with_matcher(Arc::clone(&program), compiled, Box::new(m));
+        let first = drive(&mut e);
+        let first_work = e.work();
+        e.reset();
+        assert_eq!(e.wm().len(), 0);
+        assert_eq!(e.work(), WorkCounters::default());
+        let second = drive(&mut e);
+        assert_eq!(second, first);
+        assert_eq!(second, run_with(None));
+        assert_eq!(e.work(), first_work, "no work carried over the reset");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! function ([`crate::externals`]).
 
 use crate::fragments::FragmentKind::{self, *};
+use ops5::{sym, Symbol};
+use std::sync::OnceLock;
 
 /// A spatial relation testable between two fragments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -31,6 +33,16 @@ pub enum Relation {
 }
 
 impl Relation {
+    /// Every relation.
+    pub const ALL: [Relation; 6] = [
+        Relation::Intersects,
+        Relation::AdjacentTo,
+        Relation::Near,
+        Relation::FarFrom,
+        Relation::ParallelTo,
+        Relation::AlignedWith,
+    ];
+
     /// Stable rule/WM name.
     pub fn name(self) -> &'static str {
         match self {
@@ -45,17 +57,29 @@ impl Relation {
 
     /// Parses from the WM name.
     pub fn from_name(s: &str) -> Option<Relation> {
-        [
-            Relation::Intersects,
-            Relation::AdjacentTo,
-            Relation::Near,
-            Relation::FarFrom,
-            Relation::ParallelTo,
-            Relation::AlignedWith,
-        ]
-        .into_iter()
-        .find(|r| r.name() == s)
+        Relation::ALL.into_iter().find(|r| r.name() == s)
     }
+
+    /// The WM symbol naming this relation. Interned once per process, so
+    /// the per-record paths (constraint loading, the consistency external,
+    /// harvesting) compare and copy ids instead of going through names.
+    pub fn symbol(self) -> Symbol {
+        relation_symbols()[self as usize]
+    }
+
+    /// The relation a WM symbol names.
+    pub fn from_symbol(s: Symbol) -> Option<Relation> {
+        let symbols = relation_symbols();
+        Relation::ALL
+            .into_iter()
+            .find(|&r| symbols[r as usize] == s)
+    }
+}
+
+/// `Relation::ALL`'s symbols, in declaration (= discriminant) order.
+fn relation_symbols() -> &'static [Symbol; 6] {
+    static SYMBOLS: OnceLock<[Symbol; 6]> = OnceLock::new();
+    SYMBOLS.get_or_init(|| Relation::ALL.map(|r| sym(r.name())))
 }
 
 /// One consistency constraint: *subject kind* REL *object kind* (param).

@@ -12,7 +12,7 @@
 use crate::constraints::{Relation, CONSTRAINTS};
 use crate::fragments::{FragmentHypothesis, FragmentKind};
 use crate::scene::Scene;
-use ops5::{sym, Effects, Engine, Value};
+use ops5::{static_sym, Effects, Engine, Value};
 use spam_geometry::{aligned, collinearity, Obb, ADJACENCY_GAP};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -172,14 +172,15 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                 let cid = int(&args[0]) as usize;
                 let f = int(&args[1]);
                 let g = int(&args[2]);
+                let no = Value::Sym(static_sym!("no"));
                 let Some(constraint) = CONSTRAINTS.get(cid) else {
                     eff.cost = cost::CALL;
-                    return Some(Value::symbol("no"));
+                    return Some(no);
                 };
                 let (Some(fa), Some(fb)) = (fragments.get(f as usize), fragments.get(g as usize))
                 else {
                     eff.cost = cost::CALL;
-                    return Some(Value::symbol("no"));
+                    return Some(no);
                 };
                 let pa = &scene.regions[fa.region as usize].polygon;
                 let pb = &scene.regions[fb.region as usize].polygon;
@@ -190,23 +191,24 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                 // independent of the task decomposition level.
                 if pa.bbox().distance_to(&pb.bbox()) > relation_radius(constraint) {
                     eff.cost = cost::CALL;
-                    return Some(Value::symbol("no"));
+                    return Some(no);
                 }
                 let (holds, geom_cost) =
                     eval_relation(constraint.relation, constraint.param, pa, pb);
                 eff.cost = cost::CALL + geom_cost;
-                if holds {
-                    eff.makes.push((
-                        sym("consistent"),
-                        vec![
-                            (sym("a"), Value::Int(f)),
-                            (sym("b"), Value::Int(g)),
-                            (sym("rel"), Value::symbol(constraint.relation.name())),
-                            (sym("weight"), Value::Int(constraint.weight)),
-                        ],
-                    ));
+                if !holds {
+                    return Some(no);
                 }
-                Some(Value::symbol(if holds { "yes" } else { "no" }))
+                eff.makes.push((
+                    static_sym!("consistent"),
+                    vec![
+                        (static_sym!("a"), Value::Int(f)),
+                        (static_sym!("b"), Value::Int(g)),
+                        (static_sym!("rel"), Value::Sym(constraint.relation.symbol())),
+                        (static_sym!("weight"), Value::Int(constraint.weight)),
+                    ],
+                ));
+                Some(Value::Sym(static_sym!("yes")))
             }),
         );
     }

@@ -20,7 +20,8 @@ use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
 use crate::rules::SpamProgram;
 use crate::scene::Scene;
-use ops5::{sym, CycleStats, MatchProfile, Value, WorkCounters};
+use ops5::{static_sym, CycleStats, MatchProfile, Symbol, Value, WorkCounters};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tlp_fault::TaskReport;
@@ -117,7 +118,7 @@ pub struct ConsistentRec {
 }
 
 /// Result of executing one LCC task.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LccUnitResult {
     /// Consistency records produced.
     pub consistents: Vec<ConsistentRec>,
@@ -219,7 +220,7 @@ fn constraint_fields(c: &Constraint) -> Vec<(&'static str, Value)> {
         ("id", Value::Int(c.id as i64)),
         ("subject", c.subject.value()),
         ("object", c.object.value()),
-        ("rel", Value::symbol(c.relation.name())),
+        ("rel", Value::Sym(c.relation.symbol())),
         ("param", Value::Float(c.param)),
         ("weight", Value::Int(c.weight)),
     ]
@@ -258,17 +259,21 @@ pub fn load_unit_wm(
         LccUnit::Pair { frag, .. } => vec![*frag],
     };
 
-    // Working-memory distribution: subjects + their spatial neighbourhoods.
+    // Working-memory distribution: subjects + their spatial neighbourhoods
+    // (computed once per subject; the "near" elements below reuse them).
+    let nbhs: Vec<Vec<u32>> = match unit {
+        LccUnit::Pair { .. } => Vec::new(),
+        _ => subjects
+            .iter()
+            .map(|&s| neighbourhood(scene, fragments, &fragments[s as usize]))
+            .collect(),
+    };
     let mut wm_frags: BTreeSet<u32> = subjects.iter().copied().collect();
     match unit {
         LccUnit::Pair { other, .. } => {
             wm_frags.insert(*other);
         }
-        _ => {
-            for &s in &subjects {
-                wm_frags.extend(neighbourhood(scene, fragments, &fragments[s as usize]));
-            }
-        }
+        _ => wm_frags.extend(nbhs.iter().flatten()),
     }
     for &fid in &wm_frags {
         e.make_wme("fragment", &fragment_fields(&fragments[fid as usize]))
@@ -292,8 +297,8 @@ pub fn load_unit_wm(
             .expect("near");
         }
         _ => {
-            for &s in &subjects {
-                for g in neighbourhood(scene, fragments, &fragments[s as usize]) {
+            for (&s, nbh) in subjects.iter().zip(&nbhs) {
+                for &g in nbh {
                     e.make_wme(
                         "near",
                         &[
@@ -364,14 +369,16 @@ pub fn load_unit_wm(
     }
 }
 
-/// Executes one LCC task in a fresh, independent engine.
+/// Executes one LCC task on this thread's task engine — kept between
+/// units and reset, not rebuilt (DESIGN.md §21); the result is that of a
+/// fresh, independent engine.
 pub fn run_lcc_unit(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> LccUnitResult {
-    run_lcc_unit_inner(sp, scene, fragments, unit, false).0
+    run_unit(sp, scene, fragments, unit, Attach::default()).0
 }
 
 /// Executes one LCC task like [`run_lcc_unit`], mirroring the engine's
@@ -405,26 +412,12 @@ pub fn run_lcc_unit_traced(
     live: &Arc<tlp_obs::Live>,
     trace: Option<tlp_obs::SpanSink>,
 ) -> LccUnitResult {
-    let mut e = lcc_engine(sp, scene, fragments);
-    e.set_live(live.handle());
-    if let Some(sink) = trace {
-        e.set_trace(sink);
-    }
-    e.enable_cycle_log();
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("lcc")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
-    load_unit_wm(&mut e, scene, fragments, unit);
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
-    e.publish_live();
-    e.publish_trace();
-    harvest_lcc_unit(&mut e, out.firings)
+    let attach = Attach {
+        live: Some(live),
+        trace,
+        profile: false,
+    };
+    run_unit(sp, scene, fragments, unit, attach).0
 }
 
 /// Executes one LCC task with match-level profiling enabled, returning the
@@ -437,7 +430,117 @@ pub fn run_lcc_unit_profiled(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> (LccUnitResult, Option<MatchProfile>) {
-    run_lcc_unit_inner(sp, scene, fragments, unit, true)
+    let attach = Attach {
+        profile: true,
+        ..Attach::default()
+    };
+    run_unit(sp, scene, fragments, unit, attach)
+}
+
+/// What a runner variant attaches to the task engine for one unit.
+#[derive(Default)]
+struct Attach<'a> {
+    live: Option<&'a Arc<tlp_obs::Live>>,
+    trace: Option<tlp_obs::SpanSink>,
+    profile: bool,
+}
+
+/// The engine a thread keeps between LCC units, with the inputs it was
+/// built for. Holding the `Arc`s (not bare addresses) is what makes the
+/// pointer comparison in [`TaskEngine::serves`] sound: an address cannot be
+/// reused for other inputs while the slot still owns the old ones.
+struct TaskEngine {
+    compiled: Arc<Vec<ops5::rete::compile::CompiledProduction>>,
+    config: ops5::ReteConfig,
+    scene: Arc<Scene>,
+    fragments: Arc<Vec<FragmentHypothesis>>,
+    engine: ops5::Engine,
+}
+
+impl TaskEngine {
+    fn serves(
+        &self,
+        sp: &SpamProgram,
+        scene: &Arc<Scene>,
+        fragments: &Arc<Vec<FragmentHypothesis>>,
+    ) -> bool {
+        Arc::ptr_eq(&self.compiled, &sp.compiled)
+            && self.config == sp.config
+            && Arc::ptr_eq(&self.scene, scene)
+            && Arc::ptr_eq(&self.fragments, fragments)
+    }
+}
+
+thread_local! {
+    /// One task engine per thread — the paper's task process owns one OPS5
+    /// instance and draws tasks from the queue. Empty while a unit runs.
+    static TASK_ENGINE: RefCell<Option<TaskEngine>> = const { RefCell::new(None) };
+}
+
+/// Runs one LCC unit on this thread's task engine: the single path behind
+/// every `run_lcc_unit*` variant and [`run_lcc`]'s loop.
+///
+/// The engine is *taken out* of the thread's slot, [`ops5::Engine::reset`]
+/// if it was built for these very inputs (else replaced by a new
+/// [`lcc_engine`]), loaded, run, harvested, and only then put back. A unit
+/// that panics — tasks run under `catch_unwind` with injected faults —
+/// therefore unwinds through an empty slot and drops its half-run engine;
+/// the thread's next unit builds a new one. There is no state a failed
+/// task can leave behind for the next, and nothing to poison.
+fn run_unit(
+    sp: &SpamProgram,
+    scene: &Arc<Scene>,
+    fragments: &Arc<Vec<FragmentHypothesis>>,
+    unit: &LccUnit,
+    attach: Attach<'_>,
+) -> (LccUnitResult, Option<MatchProfile>) {
+    let kept = TASK_ENGINE.with(|slot| slot.borrow_mut().take());
+    let mut te = match kept {
+        Some(mut te) if te.serves(sp, scene, fragments) => {
+            te.engine.reset();
+            te
+        }
+        _ => TaskEngine {
+            compiled: Arc::clone(&sp.compiled),
+            config: sp.config,
+            scene: Arc::clone(scene),
+            fragments: Arc::clone(fragments),
+            engine: lcc_engine(sp, scene, fragments),
+        },
+    };
+    let e = &mut te.engine;
+    if let Some(live) = attach.live {
+        e.set_live(live.handle());
+    }
+    if let Some(sink) = attach.trace {
+        e.set_trace(sink);
+    }
+    e.enable_cycle_log();
+    if attach.profile {
+        e.enable_profile();
+    }
+    e.make_wme(
+        "control",
+        &[
+            ("phase", Value::Sym(static_sym!("lcc"))),
+            ("status", Value::Sym(static_sym!("running"))),
+        ],
+    )
+    .expect("control");
+    load_unit_wm(e, scene, fragments, unit);
+
+    let out = e.run(1_000_000);
+    debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
+    e.publish_live();
+    e.publish_trace();
+    let prof = if attach.profile {
+        e.take_profile()
+    } else {
+        None
+    };
+    let result = harvest_lcc_unit(e, out.firings);
+    TASK_ENGINE.with(|slot| *slot.borrow_mut() = Some(te));
+    (result, prof)
 }
 
 /// Creates a fresh engine wired for LCC task execution: the SPAM program
@@ -494,15 +597,17 @@ pub fn restore_lcc_engine(
 /// ([`ops5::RunOutcome::firings`], or [`ops5::Engine::work`]`.firings` for
 /// a stepped or restored engine).
 pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
+    // Class and attribute names are interned once per process (on the
+    // first harvest, not in `SpamProgram::build()`); slots are resolved
+    // against this engine's program, by id.
     let program = e.program();
-    let cons_class = sym("consistent");
-    let slot =
-        |class: &str, attr: &str| program.slot_of(sym(class), sym(attr)).expect("slot") as usize;
+    let slot = |class: Symbol, attr: Symbol| program.slot_of(class, attr).expect("slot") as usize;
+    let cons_class = static_sym!("consistent");
     let (ca, cb, crel, cw) = (
-        slot("consistent", "a"),
-        slot("consistent", "b"),
-        slot("consistent", "rel"),
-        slot("consistent", "weight"),
+        slot(cons_class, static_sym!("a")),
+        slot(cons_class, static_sym!("b")),
+        slot(cons_class, static_sym!("rel")),
+        slot(cons_class, static_sym!("weight")),
     );
     let consistents: Vec<ConsistentRec> = e
         .wm()
@@ -514,14 +619,17 @@ pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
             rel: w
                 .get(crel)
                 .as_sym()
-                .and_then(|s| Relation::from_name(&s.name()))
+                .and_then(Relation::from_symbol)
                 .unwrap_or(Relation::Near),
             weight: w.get(cw).as_int().unwrap_or(0),
         })
         .collect();
 
-    let frag_class = sym("fragment");
-    let (fid, fsup) = (slot("fragment", "id"), slot("fragment", "support"));
+    let frag_class = static_sym!("fragment");
+    let (fid, fsup) = (
+        slot(frag_class, static_sym!("id")),
+        slot(frag_class, static_sym!("support")),
+    );
     let supports: Vec<(u32, i64)> = e
         .wm()
         .iter()
@@ -545,35 +653,6 @@ pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
         firings,
         cycle_log: e.take_cycle_log(),
     }
-}
-
-fn run_lcc_unit_inner(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-    profile: bool,
-) -> (LccUnitResult, Option<MatchProfile>) {
-    let mut e = lcc_engine(sp, scene, fragments);
-    e.enable_cycle_log();
-    if profile {
-        e.enable_profile();
-    }
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("lcc")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
-    load_unit_wm(&mut e, scene, fragments, unit);
-
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
-
-    let prof = if profile { e.take_profile() } else { None };
-    (harvest_lcc_unit(&mut e, out.firings), prof)
 }
 
 /// Runs the whole LCC phase at `level`, sequentially (the Table 8 BASELINE
@@ -615,7 +694,11 @@ fn run_lcc_inner(
     let mut supports = vec![0i64; fragments.len()];
     let mut merged: Option<MatchProfile> = None;
     for u in &units {
-        let (r, prof) = run_lcc_unit_inner(sp, scene, fragments, u, profile);
+        let attach = Attach {
+            profile,
+            ..Attach::default()
+        };
+        let (r, prof) = run_unit(sp, scene, fragments, u, attach);
         if let Some(p) = prof {
             match &mut merged {
                 Some(m) => m.merge(&p),
@@ -630,6 +713,12 @@ fn run_lcc_inner(
         }
         results.push(r);
     }
+    // The phase is over: release this thread's engine, as a pool worker's
+    // is released when its thread ends. Kept past the phase it would only
+    // pin its share of the heap (measured: +13 % peak RSS at Level 4)
+    // until the next phase, which brings its own fragment table and so
+    // could not reuse it anyway.
+    TASK_ENGINE.with(|slot| slot.borrow_mut().take());
     let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
     for f in &mut updated {
         f.support = supports[f.id as usize];
@@ -649,8 +738,10 @@ fn run_lcc_inner(
 }
 
 // The parallel runner executes LCC units under `std::panic::catch_unwind`;
-// that is only sound because a unit builds its entire engine from shared
-// *immutable* state. Keep these types unwind-safe.
+// that is only sound because a unit's engine is built from shared
+// *immutable* state and, when kept for the next unit, is out of its
+// thread's slot for as long as the unit runs (`run_unit`). Keep these
+// types unwind-safe.
 const _: () = {
     const fn assert_ref_unwind_safe<T: std::panic::RefUnwindSafe>() {}
     assert_ref_unwind_safe::<SpamProgram>();
@@ -732,6 +823,46 @@ mod tests {
         let silent = run_lcc_unit_live(&sp, &scene, &frags, &unit, &off);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());
+    }
+
+    #[test]
+    fn a_unit_that_panics_mid_run_leaves_no_engine_behind() {
+        let (sp, scene, frags) = setup();
+        // A pair the rules will hand to `lcc-check-pair`, and a copy of the
+        // fragment table in which the partner points at a region the scene
+        // does not have: loading the pair's WM never looks the region up,
+        // the external does — it panics inside `Engine::run`, mid-task.
+        let pairs = decompose(&scene, &frags, Level::L1);
+        let LccUnit::Pair { other: bad, .. } = pairs[0] else {
+            panic!("Level 1 decomposes into pairs");
+        };
+        let good = pairs
+            .iter()
+            .find(
+                |u| matches!(u, LccUnit::Pair { frag, other, .. } if *frag != bad && *other != bad),
+            )
+            .expect("a pair not involving the damaged fragment");
+        let mut damaged = frags.as_ref().clone();
+        damaged[bad as usize].region = u32::MAX;
+        let damaged = Arc::new(damaged);
+        let slot_is_empty = || TASK_ENGINE.with(|slot| slot.borrow().is_none());
+
+        // The thread's engine is built for the damaged table and kept.
+        let before = run_lcc_unit(&sp, &scene, &damaged, good);
+        assert!(!slot_is_empty(), "a finished unit puts its engine back");
+
+        // The same engine, reset, runs the poisoned pair and unwinds.
+        let crashed = std::panic::catch_unwind(|| run_lcc_unit(&sp, &scene, &damaged, &pairs[0]));
+        assert!(crashed.is_err(), "the external indexes a missing region");
+        assert!(slot_is_empty(), "the half-run engine was dropped, not kept");
+
+        // The next unit on this thread builds a new engine and is unaffected.
+        let after = run_lcc_unit(&sp, &scene, &damaged, good);
+        assert_eq!(after, before);
+        assert!(after.firings > 0 && !slot_is_empty());
+        // ... and equals the unit on the undamaged inputs (the damaged
+        // fragment is not in its working memory).
+        assert_eq!(after, run_lcc_unit(&sp, &scene, &frags, good));
     }
 
     #[test]

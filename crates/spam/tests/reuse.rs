@@ -1,0 +1,186 @@
+//! Task-engine reuse ≡ a fresh engine per task.
+//!
+//! Every `run_lcc_unit*` variant runs on the calling thread's kept engine,
+//! reset between units. The reference here builds a new engine for each
+//! unit from the public pieces (`lcc_engine` → control element →
+//! `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any sequence
+//! of units — any levels, any order, any observers attached along the
+//! way, alternating between inputs so the kept engine is also replaced —
+//! must give the same `LccUnitResult`s: consistents, supports, work,
+//! firings, RHS actions and the whole cycle log.
+
+use ops5::Value;
+use proptest::prelude::*;
+use spam::fragments::FragmentHypothesis;
+use spam::lcc::{
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc_unit, run_lcc_unit_live,
+    run_lcc_unit_profiled, run_lcc_unit_traced, LccUnit, LccUnitResult, Level,
+};
+use spam::rules::SpamProgram;
+use spam::scene::Scene;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// One (program, scene, fragments) triple a kept engine is keyed on.
+struct Inputs {
+    sp: SpamProgram,
+    scene: Arc<Scene>,
+    frags: Arc<Vec<FragmentHypothesis>>,
+}
+
+struct Fixture {
+    /// `[0]` DC on the shared network; `[1]` the same `compiled` chains and
+    /// scene under `ReteConfig::unshared()` (only the config differs, and
+    /// so does the match work); `[2]` MOFF.
+    inputs: [Inputs; 3],
+    /// Per input, the Level 4, 3, 2 and 1 queues.
+    units: [[Vec<LccUnit>; 4]; 3],
+    /// Fresh-engine results by `(input, level, unit)`, computed on first use.
+    fresh: Mutex<HashMap<(usize, usize, usize), LccUnitResult>>,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let sp = SpamProgram::build();
+        let load = |sp: &SpamProgram, d: spam::datasets::Dataset| {
+            let scene = Arc::new(spam::generate_scene(&d.spec));
+            let frags = Arc::new(spam::rtf::run_rtf(sp, &scene).fragments);
+            (scene, frags)
+        };
+        let (dc, dc_frags) = load(&sp, spam::datasets::dc());
+        let (moff, moff_frags) = load(&sp, spam::datasets::moff());
+        let inputs = [
+            Inputs {
+                sp: sp.clone(),
+                scene: Arc::clone(&dc),
+                frags: Arc::clone(&dc_frags),
+            },
+            Inputs {
+                sp: sp.clone().with_config(ops5::ReteConfig::unshared()),
+                scene: dc,
+                frags: dc_frags,
+            },
+            Inputs {
+                sp,
+                scene: moff,
+                frags: moff_frags,
+            },
+        ];
+        let units = [0, 1, 2].map(|i| {
+            [Level::L4, Level::L3, Level::L2, Level::L1]
+                .map(|l| decompose(&inputs[i].scene, &inputs[i].frags, l))
+        });
+        Fixture {
+            inputs,
+            units,
+            fresh: Mutex::new(HashMap::new()),
+        }
+    })
+}
+
+/// The reference: one unit on an engine built for it and dropped after.
+fn fresh_unit(i: &Inputs, unit: &LccUnit) -> LccUnitResult {
+    let mut e = lcc_engine(&i.sp, &i.scene, &i.frags);
+    e.enable_cycle_log();
+    e.make_wme(
+        "control",
+        &[
+            ("phase", Value::symbol("lcc")),
+            ("status", Value::symbol("running")),
+        ],
+    )
+    .expect("control");
+    load_unit_wm(&mut e, &i.scene, &i.frags, unit);
+    let out = e.run(1_000_000);
+    assert!(out.quiescent(), "{out:?}");
+    harvest_lcc_unit(&mut e, out.firings)
+}
+
+fn fresh(input: usize, level: usize, unit: usize) -> LccUnitResult {
+    let f = fixture();
+    let mut cache = f.fresh.lock().unwrap();
+    cache
+        .entry((input, level, unit))
+        .or_insert_with(|| fresh_unit(&f.inputs[input], &f.units[input][level][unit]))
+        .clone()
+}
+
+/// How a unit of the sequence is run.
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    Plain,
+    Live,
+    Traced,
+    Profiled,
+}
+
+/// `(input, level, unit pick, mode)`.
+fn step() -> impl Strategy<Value = (usize, usize, usize, Mode)> {
+    (0usize..6, 0usize..4, 0usize..100_000, 0usize..6).prop_map(|(input, level, pick, mode)| {
+        (
+            // Mostly the first input, so runs of units share one engine.
+            input.saturating_sub(3),
+            level,
+            pick,
+            [Mode::Plain, Mode::Live, Mode::Traced, Mode::Profiled][mode.saturating_sub(2)],
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn any_unit_sequence_on_a_reused_engine_equals_fresh_engines(
+        steps in prop::collection::vec(step(), 1..10),
+    ) {
+        let f = fixture();
+        let live = tlp_obs::Live::new(8);
+        let tracing = tlp_obs::Tracing::new(tlp_obs::SamplerConfig::default());
+        let span = tracing.start_scene(7, "reuse");
+        for (n, &(input, level, pick, mode)) in steps.iter().enumerate() {
+            let i = &f.inputs[input];
+            let unit_idx = pick % f.units[input][level].len();
+            let unit = &f.units[input][level][unit_idx];
+            let got = match mode {
+                Mode::Plain => run_lcc_unit(&i.sp, &i.scene, &i.frags, unit),
+                Mode::Live => run_lcc_unit_live(&i.sp, &i.scene, &i.frags, unit, &live),
+                Mode::Traced => {
+                    let sink = span.sink_under(span.root());
+                    run_lcc_unit_traced(&i.sp, &i.scene, &i.frags, unit, &live, Some(sink))
+                }
+                Mode::Profiled => {
+                    let (r, prof) = run_lcc_unit_profiled(&i.sp, &i.scene, &i.frags, unit);
+                    let prof = prof.expect("profiler feature is on in tests");
+                    // The profile is this unit's alone, not the engine's
+                    // lifetime: its totals are the unit's totals.
+                    prop_assert_eq!(prof.cycles, r.firings);
+                    prop_assert_eq!(prof.work, r.work);
+                    r
+                }
+            };
+            prop_assert_eq!(
+                &got, &fresh(input, level, unit_idx),
+                "step {} ({:?} on input {}): {:?}", n, mode, input, unit
+            );
+        }
+    }
+}
+
+/// A whole phase on one engine: `run_lcc` keeps the main thread's engine
+/// across its loop, and its per-unit results are the fresh ones at every
+/// level (Level 4's class tasks leave the most behind to reset).
+#[test]
+fn run_lcc_units_equal_fresh_engines_at_every_level() {
+    let f = fixture();
+    let i = &f.inputs[0];
+    for level in [Level::L4, Level::L3, Level::L2] {
+        let phase = spam::lcc::run_lcc(&i.sp, &i.scene, &i.frags, level);
+        let units = decompose(&i.scene, &i.frags, level);
+        assert_eq!(phase.units.len(), units.len());
+        for (got, unit) in phase.units.iter().zip(&units) {
+            assert_eq!(got, &fresh_unit(i, unit), "{level:?} {unit:?}");
+        }
+    }
+}
