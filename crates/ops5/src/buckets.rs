@@ -1,0 +1,203 @@
+//! Hash-bucketed lists for the match path: a multiplicative hasher and a
+//! key → list map that recycles its lists.
+//!
+//! Every map on the match path ([`crate::rete`]'s token and WME indexes, the
+//! conflict set's key index) is probed by key and never iterated to produce
+//! a result, so neither the hash function nor the table layout can reach an
+//! event order, a work counter or a firing sequence — only how long a probe
+//! takes. That is what makes it safe to trade SipHash for one multiply: the
+//! keys are [`crate::Value::hash_key`]s, WME ids and symbols the engine
+//! made itself, not strings an adversary chose.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Fibonacci hashing: one multiply per word. A multiply only carries
+/// information upwards, and the keys come both ways round — small integers
+/// in the low bits, `f64`s of whole numbers in the top sixteen — so each
+/// word is folded onto its low half before the multiply and
+/// [`Hasher::finish`] folds the product's well-mixed high half back down
+/// onto the bits the table takes its bucket index from.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MulHasher(u64);
+
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x ^ (x >> 32)).wrapping_mul(GOLDEN);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// [`MulHasher`] over a sequence of words, for a key that is not one value.
+pub(crate) fn hash_words(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = MulHasher::default();
+    words.into_iter().for_each(|w| h.write_u32(w));
+    h.finish()
+}
+
+/// A `HashMap` on [`MulHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// Spare lists shared by the [`Buckets`] of one owner (and its scratch
+/// snapshots): a list that empties goes back here with its capacity, and
+/// the next key that needs one takes it.
+pub(crate) type Pool<T> = Vec<Vec<T>>;
+
+/// Takes a spare list, or a new empty one.
+#[inline]
+pub(crate) fn take_list<T>(pool: &mut Pool<T>) -> Vec<T> {
+    pool.pop().unwrap_or_default()
+}
+
+/// Returns `list` to the pool, emptied (one that never allocated is just
+/// dropped: the pool holds capacity, not place-holders).
+#[inline]
+pub(crate) fn give_list<T>(pool: &mut Pool<T>, mut list: Vec<T>) {
+    if list.capacity() > 0 {
+        list.clear();
+        pool.push(list);
+    }
+}
+
+/// Key → list of items in arrival order. A key exists exactly while its
+/// list is non-empty. There is deliberately no way to iterate the keys.
+#[derive(Clone, Debug)]
+pub(crate) struct Buckets<K, T> {
+    map: FastMap<K, Vec<T>>,
+}
+
+impl<K, T> Default for Buckets<K, T> {
+    fn default() -> Self {
+        Buckets {
+            map: FastMap::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq + Copy, T: Copy + PartialEq> Buckets<K, T> {
+    /// The items under `key`, oldest first (empty when absent).
+    #[inline]
+    pub(crate) fn get(&self, key: K) -> &[T] {
+        self.map.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// True when no key holds an item.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Appends `item` under `key`.
+    #[inline]
+    pub(crate) fn push(&mut self, key: K, item: T, pool: &mut Pool<T>) {
+        self.map
+            .entry(key)
+            .or_insert_with(|| take_list(pool))
+            .push(item);
+    }
+
+    /// Removes the first `item` under `key`, keeping the others in order
+    /// (scans over what is left must cost what they would after a snapshot
+    /// restore re-inserted the survivors in arrival order).
+    pub(crate) fn remove_item(&mut self, key: K, item: T, pool: &mut Pool<T>) {
+        let Some(list) = self.map.get_mut(&key) else {
+            return;
+        };
+        if let Some(pos) = list.iter().position(|x| *x == item) {
+            list.remove(pos);
+        }
+        if list.is_empty() {
+            if let Some(list) = self.map.remove(&key) {
+                give_list(pool, list);
+            }
+        }
+    }
+
+    /// Removes `key` and hands its list to the caller (who gives it back
+    /// to the pool when done).
+    pub(crate) fn take(&mut self, key: K) -> Option<Vec<T>> {
+        self.map.remove(&key)
+    }
+
+    /// Empties the map into `pool`. The one place the table is walked: the
+    /// walk order decides only which spare list the pool hands out next.
+    pub(crate) fn clear_into(&mut self, pool: &mut Pool<T>) {
+        for (_, list) in self.map.drain() {
+            give_list(pool, list);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn every_kind_of_key_spreads_over_both_ends_of_the_hash() {
+        // The table indexes with the low bits and tags with the top seven.
+        // `3.0f64.to_bits()` has 51 trailing zeros: a bare multiply would
+        // leave every whole-number float in bucket 0.
+        let floats = (1..=64u64).map(|i| (i as f64).to_bits());
+        let ints = 1..=64u64;
+        let symbols = (1..=64u64).map(|i| 0x8000_0000_0000_0000 | i);
+        for (kind, keys) in [
+            ("float", floats.collect::<Vec<_>>()),
+            ("int", ints.collect()),
+            ("symbol", symbols.collect()),
+        ] {
+            let hashes = keys.iter().map(|&k| {
+                let mut h = MulHasher::default();
+                h.write_u64(k);
+                h.finish()
+            });
+            let (low, high): (BTreeSet<u64>, BTreeSet<u64>) =
+                hashes.map(|h| (h & 0x3f, h >> 57)).unzip();
+            assert!(low.len() > 32, "{kind}: {} of 64 low patterns", low.len());
+            assert!(high.len() > 32, "{kind}: {} high patterns", high.len());
+        }
+    }
+
+    #[test]
+    fn buckets_keep_arrival_order_and_recycle_lists() {
+        let mut pool: Pool<u32> = Vec::new();
+        let mut b: Buckets<u64, u32> = Buckets::default();
+        for t in [5, 6, 7] {
+            b.push(1, t, &mut pool);
+        }
+        b.push(2, 9, &mut pool);
+        b.remove_item(1, 6, &mut pool);
+        assert_eq!(b.get(1), &[5, 7]);
+        b.remove_item(1, 8, &mut pool); // absent item: no-op
+        b.remove_item(3, 8, &mut pool); // absent key: no-op
+        b.remove_item(2, 9, &mut pool);
+        assert_eq!(b.get(2), &[] as &[u32]);
+        assert_eq!(pool.len(), 1, "the emptied list was recycled");
+        let cap = pool[0].capacity();
+        b.push(4, 1, &mut pool);
+        assert!(pool.is_empty() && cap > 0, "and reused by the next key");
+        assert_eq!(b.take(4), Some(vec![1]));
+        b.clear_into(&mut pool);
+        assert!(b.is_empty());
+        assert_eq!(pool.len(), 1, "key 1's list");
+    }
+}

@@ -7,16 +7,18 @@
 //! resolution serialises the cycle boundary. SPAM/PSM escapes it by running
 //! many independent engines, each with its own conflict set.
 //!
-//! The set is indexed rather than scanned: each instantiation caches its
-//! descending time-tag key at construction, a `BTreeSet` of rank keys keeps
-//! the entries ordered under the active strategy (so `select`/`peek` are a
-//! tree lookup, not a full scan with per-comparison allocation), and a
-//! WME→keys map makes `retract_wme` touch only the affected entries.
+//! The set is indexed rather than scanned, and an instantiation is stored
+//! once: entries live in a slab whose slots keep their buffers when reused,
+//! a list of slot numbers kept sorted by [`compare`] under the active
+//! strategy makes `select`/`peek` a pop of its last element, and a hash of
+//! `(production, wmes)` finds the slot to retract. In OPS5 the newest
+//! instantiation usually dominates, so insertions land at or near the end
+//! of the sorted list.
 
-use crate::ast::Production;
+use crate::buckets::{hash_words, Buckets, Pool};
 use crate::wme::{TimeTag, WmeId};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Conflict-resolution strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -32,47 +34,34 @@ pub enum Strategy {
 /// An instantiation: a production plus the WMEs matching its positive
 /// condition elements, in condition-element order.
 ///
-/// Construct through [`Instantiation::new`] (or
-/// [`make_instantiation`]), which caches the descending time-tag key the
-/// resolution order compares — the cache is what keeps `select` free of
-/// per-comparison sorting and allocation.
+/// The two lists are shared, not copied: a Rete token that reaches several
+/// terminals emits them all, and later their retractions, from one pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Instantiation {
     /// Index of the production in the program.
     pub production: u32,
     /// Matched WMEs (positive condition elements, in order).
-    pub wmes: Box<[WmeId]>,
+    pub wmes: Arc<[WmeId]>,
     /// Time tags of `wmes`, same order.
-    pub time_tags: Box<[TimeTag]>,
+    pub time_tags: Arc<[TimeTag]>,
     /// The production's specificity (number of LHS tests).
     pub specificity: u32,
-    /// `time_tags` sorted descending — the LEX recency key, cached at
-    /// construction so comparisons are slice compares.
-    sorted_tags: Box<[TimeTag]>,
 }
 
 impl Instantiation {
-    /// Builds an instantiation, caching its descending-tag recency key.
+    /// Builds an instantiation.
     pub fn new(
         production: u32,
-        wmes: Box<[WmeId]>,
-        time_tags: Box<[TimeTag]>,
+        wmes: Arc<[WmeId]>,
+        time_tags: Arc<[TimeTag]>,
         specificity: u32,
     ) -> Instantiation {
-        let mut sorted_tags = time_tags.clone();
-        sorted_tags.sort_unstable_by(|a, b| b.cmp(a));
         Instantiation {
             production,
             wmes,
             time_tags,
             specificity,
-            sorted_tags,
         }
-    }
-
-    /// Time tags sorted descending (the LEX comparison key).
-    pub fn sorted_tags(&self) -> &[TimeTag] {
-        &self.sorted_tags
     }
 
     /// The MEA dominance key: the time tag of the WME matching the first
@@ -88,46 +77,48 @@ impl Instantiation {
     }
 }
 
-/// Entry key: production index plus matched WMEs.
-type Key = (u32, Box<[WmeId]>);
-
-/// Rank-index key. Field order mirrors [`compare`]: MEA first-CE tag (0
-/// under LEX), descending time tags (slice order = lexicographic, then
-/// length — exactly the LEX recency rule), specificity, then the
-/// deterministic tie-breaks (lower production index, then `wmes`) inverted
-/// so the *maximum* rank key is the dominant instantiation.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct RankKey {
-    mea: TimeTag,
-    tags: Box<[TimeTag]>,
-    specificity: u32,
-    production: Reverse<u32>,
-    wmes: Reverse<Box<[WmeId]>>,
+/// One slab slot. A free slot has no instantiation; its `recency` buffer
+/// stays for the next occupant.
+#[derive(Clone, Debug, Default)]
+struct Entry {
+    inst: Option<Instantiation>,
+    /// The occupant's time tags sorted descending — the LEX recency key,
+    /// computed once on insertion so comparisons are slice compares.
+    recency: Vec<TimeTag>,
 }
 
-fn rank_key(strategy: Strategy, inst: &Instantiation) -> RankKey {
-    RankKey {
-        mea: match strategy {
-            Strategy::Mea => inst.mea_tag(),
-            Strategy::Lex => 0,
-        },
-        tags: inst.sorted_tags.clone(),
-        specificity: inst.specificity,
-        production: Reverse(inst.production),
-        wmes: Reverse(inst.wmes.clone()),
+impl Entry {
+    fn fill(&mut self, inst: Instantiation) {
+        self.recency.clear();
+        self.recency.extend_from_slice(&inst.time_tags);
+        self.recency.sort_unstable_by(|a, b| b.cmp(a));
+        self.inst = Some(inst);
+    }
+
+    fn inst(&self) -> &Instantiation {
+        self.inst.as_ref().expect("ranked slot is occupied")
     }
 }
 
 /// The conflict set: all currently satisfied, unfired instantiations.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictSet {
-    entries: HashMap<Key, Instantiation>,
-    /// Rank index under `rank_strategy`; rebuilt lazily when a different
-    /// strategy is requested (engines use one strategy for a whole run).
-    rank: BTreeSet<RankKey>,
+    slab: Vec<Entry>,
+    free: Vec<u32>,
+    /// Occupied slots, ascending under [`compare`] with `rank_strategy`:
+    /// the last one is the dominant instantiation. Re-sorted when a
+    /// different strategy is requested (engines use one for a whole run).
+    rank: Vec<u32>,
     rank_strategy: Strategy,
-    /// WME → keys of the entries whose match includes it.
-    by_wme: HashMap<WmeId, Vec<Key>>,
+    /// [`key_hash`] → the slots whose key hashes there (one, but for
+    /// collisions, which the lookup resolves against the slab).
+    by_key: Buckets<u64, u32>,
+    pool: Pool<u32>,
+}
+
+/// Hash of an entry key, `(production, wmes)`.
+fn key_hash(production: u32, wmes: &[WmeId]) -> u64 {
+    hash_words(std::iter::once(production).chain(wmes.iter().map(|w| w.0)))
 }
 
 impl ConflictSet {
@@ -138,187 +129,153 @@ impl ConflictSet {
 
     /// Empties the set, keeping its allocations.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        for e in &mut self.slab {
+            e.inst = None;
+        }
+        // Slot numbers are handed out lowest first, as in a new set.
+        self.free.clear();
+        self.free.extend((0..self.slab.len() as u32).rev());
         self.rank.clear();
-        self.by_wme.clear();
+        self.by_key.clear_into(&mut self.pool);
     }
 
     /// Number of instantiations present.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rank.len()
     }
 
     /// True when no instantiation is present (quiescence).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rank.is_empty()
+    }
+
+    fn find(&self, production: u32, wmes: &[WmeId]) -> Option<u32> {
+        let slots = self.by_key.get(key_hash(production, wmes));
+        slots.iter().copied().find(|&s| {
+            let i = self.slab[s as usize].inst();
+            i.production == production && *i.wmes == *wmes
+        })
+    }
+
+    /// Where `slot` sits (or belongs) in `rank`: the order is total —
+    /// `(production, wmes)` is the last tie-break and the set's key — so
+    /// the partition point is the entry itself when it is ranked.
+    fn rank_position(&self, slot: u32) -> usize {
+        let e = &self.slab[slot as usize];
+        self.rank.partition_point(|&s| {
+            compare(self.rank_strategy, &self.slab[s as usize], e) == Ordering::Less
+        })
+    }
+
+    /// Vacates `slot`, returning its instantiation; the caller has already
+    /// taken it out of `rank`.
+    fn release(&mut self, slot: u32) -> Instantiation {
+        let inst = self.slab[slot as usize]
+            .inst
+            .take()
+            .expect("ranked slot is occupied");
+        let hash = key_hash(inst.production, &inst.wmes);
+        self.by_key.remove_item(hash, slot, &mut self.pool);
+        self.free.push(slot);
+        inst
     }
 
     /// Adds an instantiation (idempotent for identical keys).
     pub fn insert(&mut self, inst: Instantiation) {
-        let key = (inst.production, inst.wmes.clone());
-        if let Some(old) = self.entries.remove(&key) {
-            self.unlink(&key, &old);
-        }
-        self.rank.insert(rank_key(self.rank_strategy, &inst));
-        for (i, &w) in inst.wmes.iter().enumerate() {
-            // Register each WME once even when it matches several CEs.
-            if !inst.wmes[..i].contains(&w) {
-                self.by_wme.entry(w).or_default().push(key.clone());
-            }
-        }
-        self.entries.insert(key, inst);
+        self.remove(inst.production, &inst.wmes);
+        let hash = key_hash(inst.production, &inst.wmes);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Entry::default());
+            (self.slab.len() - 1) as u32
+        });
+        self.slab[slot as usize].fill(inst);
+        self.by_key.push(hash, slot, &mut self.pool);
+        let at = self.rank_position(slot);
+        self.rank.insert(at, slot);
     }
 
     /// Removes an instantiation by key; returns true when present.
     pub fn remove(&mut self, production: u32, wmes: &[WmeId]) -> bool {
-        let key: Key = (production, wmes.into());
-        match self.entries.remove(&key) {
-            Some(inst) => {
-                self.unlink(&key, &inst);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes every instantiation whose match includes `wme` (via the
-    /// WME→keys index — only the affected entries are touched).
-    pub fn retract_wme(&mut self, wme: WmeId) {
-        let Some(keys) = self.by_wme.remove(&wme) else {
-            return;
+        let Some(slot) = self.find(production, wmes) else {
+            return false;
         };
-        for key in keys {
-            if let Some(inst) = self.entries.remove(&key) {
-                self.rank.remove(&rank_key(self.rank_strategy, &inst));
-                for (i, &w) in inst.wmes.iter().enumerate() {
-                    if w != wme && !inst.wmes[..i].contains(&w) {
-                        unindex(&mut self.by_wme, w, &key);
-                    }
-                }
-            }
-        }
+        let at = self.rank_position(slot);
+        debug_assert_eq!(self.rank[at], slot);
+        self.rank.remove(at);
+        self.release(slot);
+        true
     }
 
     /// Iterates over the instantiations (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
-        self.entries.values()
+        self.slab.iter().filter_map(|e| e.inst.as_ref())
     }
 
     /// Selects the dominant instantiation under `strategy` and removes it
     /// from the set (OPS5 refraction). Returns `None` at quiescence.
     pub fn select(&mut self, strategy: Strategy) -> Option<Instantiation> {
-        self.ensure_rank(strategy);
-        let top = self.rank.pop_last()?;
-        let key: Key = (top.production.0, top.wmes.0);
-        let inst = self
-            .entries
-            .remove(&key)
-            .expect("rank index entry has a backing instantiation");
-        for (i, &w) in inst.wmes.iter().enumerate() {
-            if !inst.wmes[..i].contains(&w) {
-                unindex(&mut self.by_wme, w, &key);
-            }
+        if strategy != self.rank_strategy {
+            self.rank_strategy = strategy;
+            let slab = &self.slab;
+            self.rank
+                .sort_unstable_by(|&a, &b| compare(strategy, &slab[a as usize], &slab[b as usize]));
         }
-        Some(inst)
+        let slot = self.rank.pop()?;
+        Some(self.release(slot))
     }
 
     /// Like [`select`](Self::select) but leaves the instantiation in place.
-    /// When `strategy` differs from the one the rank index currently uses,
-    /// this falls back to a linear maximum (still allocation-free thanks to
-    /// the cached tag keys); `select` re-keys the index instead.
+    /// When `strategy` differs from the one the set is currently ranked
+    /// by, this falls back to a linear maximum under [`compare`]; `select`
+    /// re-ranks instead.
     pub fn peek(&self, strategy: Strategy) -> Option<&Instantiation> {
-        if strategy == self.rank_strategy && self.rank.len() == self.entries.len() {
-            let top = self.rank.last()?;
-            let key: Key = (top.production.0, top.wmes.0.clone());
-            return self.entries.get(&key);
-        }
-        self.entries.values().max_by(|a, b| compare(strategy, a, b))
-    }
-
-    /// Drops an entry's rank-index and WME-index records.
-    fn unlink(&mut self, key: &Key, inst: &Instantiation) {
-        self.rank.remove(&rank_key(self.rank_strategy, inst));
-        for (i, &w) in inst.wmes.iter().enumerate() {
-            if !inst.wmes[..i].contains(&w) {
-                unindex(&mut self.by_wme, w, key);
-            }
-        }
-    }
-
-    /// Rebuilds the rank index when the requested strategy changed.
-    fn ensure_rank(&mut self, strategy: Strategy) {
-        if strategy == self.rank_strategy {
-            return;
-        }
-        self.rank_strategy = strategy;
-        self.rank = self
-            .entries
-            .values()
-            .map(|i| rank_key(strategy, i))
-            .collect();
+        let top = if strategy == self.rank_strategy {
+            self.rank.last().map(|&s| &self.slab[s as usize])
+        } else {
+            self.slab
+                .iter()
+                .filter(|e| e.inst.is_some())
+                .max_by(|a, b| compare(strategy, a, b))
+        };
+        top.map(Entry::inst)
     }
 }
 
-fn unindex(by_wme: &mut HashMap<WmeId, Vec<Key>>, w: WmeId, key: &Key) {
-    if let Some(keys) = by_wme.get_mut(&w) {
-        if let Some(pos) = keys.iter().position(|k| k == key) {
-            keys.swap_remove(pos);
-        }
-        if keys.is_empty() {
-            by_wme.remove(&w);
-        }
-    }
-}
-
-/// Total order used for resolution; `Greater` means "dominates". The rank
-/// index orders identically (asserted by the tests); this function remains
-/// the executable specification and serves strategy-mismatched `peek`s.
-fn compare(strategy: Strategy, a: &Instantiation, b: &Instantiation) -> Ordering {
+/// Total order used for resolution; `Greater` means "dominates". The
+/// executable specification: the ranking is kept with it, and
+/// strategy-mismatched `peek`s scan with it.
+fn compare(strategy: Strategy, a: &Entry, b: &Entry) -> Ordering {
+    let (ia, ib) = (a.inst(), b.inst());
     if strategy == Strategy::Mea {
-        match a.mea_tag().cmp(&b.mea_tag()) {
+        match ia.mea_tag().cmp(&ib.mea_tag()) {
             Ordering::Equal => {}
             other => return other,
         }
     }
-    // LEX recency: compare the cached sorted-descending tag slices. Slice
+    // LEX recency: compare the sorted-descending tag slices. Slice
     // ordering is lexicographic with length as the final criterion, which
     // is exactly the LEX rule (an equal prefix with more tags dominates).
-    match a.sorted_tags().cmp(b.sorted_tags()) {
+    match a.recency.cmp(&b.recency) {
         Ordering::Equal => {}
         other => return other,
     }
-    match a.specificity.cmp(&b.specificity) {
+    match ia.specificity.cmp(&ib.specificity) {
         Ordering::Equal => {}
         other => return other,
     }
     // Deterministic final tie-break: lower production index, then wmes.
-    match b.production.cmp(&a.production) {
+    match ib.production.cmp(&ia.production) {
         Ordering::Equal => {}
         other => return other,
     }
-    b.wmes.cmp(&a.wmes)
-}
-
-/// Builds an instantiation given the matched WME ids + tags and production
-/// metadata (convenience for the matchers).
-pub fn make_instantiation(
-    production: u32,
-    prod: &Production,
-    wmes: Vec<WmeId>,
-    tags: Vec<TimeTag>,
-) -> Instantiation {
-    debug_assert_eq!(wmes.len(), prod.n_positive());
-    Instantiation::new(
-        production,
-        wmes.into_boxed_slice(),
-        tags.into_boxed_slice(),
-        prod.specificity,
-    )
+    ib.wmes.cmp(&ia.wmes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert_eq, prop_oneof, proptest};
+    use proptest::Strategy as Generator;
 
     fn inst(prod: u32, tags: &[TimeTag], spec: u32) -> Instantiation {
         Instantiation::new(
@@ -385,29 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_wme_removes_matching_instantiations() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[1, 2], 1));
-        cs.insert(inst(1, &[3, 4], 1));
-        cs.retract_wme(WmeId(2));
-        assert_eq!(cs.len(), 1);
-        assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
-    }
-
-    #[test]
-    fn retract_wme_handles_duplicate_wmes_in_one_instantiation() {
-        // A WME matching two CEs appears twice in `wmes`; the WME index must
-        // register it once and retracting it must drop the entry cleanly.
-        let i = Instantiation::new(0, Box::new([WmeId(7), WmeId(7)]), Box::new([3, 3]), 2);
-        let mut cs = ConflictSet::new();
-        cs.insert(i);
-        assert_eq!(cs.len(), 1);
-        cs.retract_wme(WmeId(7));
-        assert_eq!(cs.len(), 0);
-        assert!(cs.select(Strategy::Lex).is_none());
-    }
-
-    #[test]
     fn selection_is_deterministic_under_full_ties() {
         let mut cs = ConflictSet::new();
         cs.insert(inst(2, &[5, 3], 4));
@@ -440,37 +374,100 @@ mod tests {
         assert!(cs.is_empty());
     }
 
-    /// The rank index must order exactly like `compare` — drain via
-    /// `select` and check each winner against a linear max over the rest.
     #[test]
-    fn rank_index_agrees_with_linear_compare() {
-        for strategy in [Strategy::Lex, Strategy::Mea] {
-            // A mix of lengths, duplicate tags, ties and tagless entries.
-            let pool = [
-                inst(0, &[4, 9], 3),
-                inst(1, &[9, 4], 3),
-                inst(2, &[9], 1),
-                inst(3, &[9, 4, 1], 3),
-                inst(4, &[], 7),
-                inst(5, &[4, 9], 3),
-                inst(6, &[2, 100], 2),
-                inst(7, &[100, 2], 2),
-            ];
-            let mut cs = ConflictSet::new();
-            let mut model: Vec<Instantiation> = pool.to_vec();
-            for i in pool {
-                cs.insert(i);
+    fn clear_keeps_the_slots_and_hands_them_out_from_the_start() {
+        let mut cs = ConflictSet::new();
+        cs.insert(inst(0, &[1, 2], 1));
+        cs.insert(inst(1, &[3], 1));
+        cs.select(Strategy::Mea);
+        cs.clear();
+        assert!(cs.is_empty() && cs.iter().next().is_none());
+        assert_eq!(cs.peek(Strategy::Mea), None);
+        assert_eq!(cs.slab.len(), 2);
+        cs.insert(inst(2, &[7], 1));
+        assert!(cs.slab[0].inst.is_some(), "slot 0 first, as in a new set");
+        assert!(!cs.remove(0, &[WmeId(1), WmeId(2)]), "old keys are gone");
+        assert_eq!(cs.select(Strategy::Lex).unwrap().production, 2);
+    }
+
+    /// One step of a random conflict-set history.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(Instantiation),
+        /// Remove the key of the `n`-th instantiation inserted so far
+        /// (present or not).
+        Remove(usize),
+        Select(Strategy),
+    }
+
+    fn op() -> impl Generator<Value = Op> {
+        // Few distinct WMEs, tags and productions, so histories are full of
+        // ties, re-inserted keys, equal tag multisets in different orders
+        // and one WME matching several condition elements.
+        let inst = (0u32..4, prop::collection::vec(1u64..6, 0..4), 0u32..3).prop_map(
+            |(production, tags, specificity)| {
+                let wmes: Vec<WmeId> = tags.iter().map(|&t| WmeId((t % 4) as u32)).collect();
+                Instantiation::new(production, wmes.into(), tags.into(), specificity)
+            },
+        );
+        let strategy = (0usize..2).prop_map(|m| [Strategy::Lex, Strategy::Mea][m]);
+        prop_oneof![
+            5 => inst.prop_map(Op::Insert),
+            2 => (0usize..64).prop_map(Op::Remove),
+            2 => strategy.prop_map(Op::Select),
+        ]
+    }
+
+    proptest! {
+        /// The order proof: the set against a plain list searched with
+        /// `compare`. Whatever the history — re-inserted keys, removals of
+        /// absent keys, the strategy switching between selections — both
+        /// hold the same instantiations and name the same winner.
+        #[test]
+        fn ranking_agrees_with_a_linear_scan_under_compare(
+            ops in prop::collection::vec(op(), 1..48),
+        ) {
+            let best = |model: &[Entry], s| {
+                (0..model.len()).max_by(|&a, &b| compare(s, &model[a], &model[b]))
+            };
+            let drop_key = |model: &mut Vec<Entry>, k: &Instantiation| {
+                let before = model.len();
+                model.retain(|e| (e.inst().production, &e.inst().wmes) != (k.production, &k.wmes));
+                model.len() < before
+            };
+            let key = |i: &Instantiation| (i.production, i.wmes.to_vec());
+            let (mut cs, mut model, mut seen) = (ConflictSet::new(), Vec::new(), Vec::new());
+            for op in ops {
+                match op {
+                    Op::Insert(i) => {
+                        drop_key(&mut model, &i);
+                        model.push(Entry::default());
+                        model.last_mut().unwrap().fill(i.clone());
+                        seen.push(i.clone());
+                        cs.insert(i);
+                    }
+                    Op::Remove(n) if !seen.is_empty() => {
+                        let k: &Instantiation = &seen[n % seen.len()];
+                        prop_assert_eq!(cs.remove(k.production, &k.wmes), drop_key(&mut model, k));
+                    }
+                    Op::Remove(_) => {}
+                    Op::Select(s) => {
+                        let want = best(&model, s).map(|at| model.swap_remove(at));
+                        let got = cs.select(s);
+                        prop_assert_eq!(got.as_ref(), want.as_ref().map(Entry::inst));
+                    }
+                }
+                // One of the two is the ranked strategy, the other scans.
+                for s in [Strategy::Lex, Strategy::Mea] {
+                    prop_assert_eq!(cs.peek(s), best(&model, s).map(|at| model[at].inst()));
+                }
+                let mut have: Vec<_> = cs.iter().map(key).collect();
+                let mut want: Vec<_> = model.iter().map(|e| key(e.inst())).collect();
+                have.sort();
+                want.sort();
+                prop_assert_eq!(have, want);
+                prop_assert_eq!(cs.len(), model.len());
             }
-            while let Some(winner) = cs.select(strategy) {
-                let (best_at, _) = model
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| compare(strategy, a, b))
-                    .unwrap();
-                let expect = model.swap_remove(best_at);
-                assert_eq!(winner, expect, "strategy {strategy:?}");
-            }
-            assert!(model.is_empty());
         }
     }
 }

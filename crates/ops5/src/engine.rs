@@ -1,6 +1,6 @@
 //! The OPS5 interpreter: working memory + Rete + recognize–act cycle.
 
-use crate::ast::{Action, Expr};
+use crate::ast::{Action, Expr, SlotIdx};
 use crate::conflict::{ConflictSet, Instantiation, Strategy};
 use crate::instrument::{cost, CycleStats, WorkCounters};
 use crate::matcher::{Matcher, NaiveMatcher};
@@ -25,17 +25,54 @@ use tlp_obs::{Category, ObsLevel, ThreadSink};
 /// processes originally, C function calls in the ported baseline). External
 /// functions in this engine mirror that: they receive argument values and
 /// may report simulated cost, queue WMEs to create, produce output, or halt.
+///
+/// The engine owns one and hands it, emptied, to every call.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Work units the external computation consumed (task-related cost,
     /// counted separately from match cost — the paper's key distinction).
     pub cost: u64,
-    /// WMEs to create after the call returns: `(class, [(attr, value)])`.
-    pub makes: Vec<(Symbol, Vec<(Symbol, Value)>)>,
+    /// Queued WMEs: `(class, number of its entries in `sets`)`.
+    makes: Vec<(Symbol, usize)>,
+    /// The slot assignments of the queued WMEs, back to back.
+    sets: Vec<(SlotIdx, Value)>,
     /// Text to append to the engine output.
     pub output: String,
     /// Halt the engine after this firing.
     pub halt: bool,
+}
+
+impl Effects {
+    /// Queues a WME to create after the call returns, as
+    /// [`Engine::make_wme_slots`] would create it.
+    pub fn make(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) {
+        self.makes.push((class, sets.len()));
+        self.sets.extend_from_slice(sets);
+    }
+
+    fn clear(&mut self) {
+        self.cost = 0;
+        self.makes.clear();
+        self.sets.clear();
+        self.output.clear();
+        self.halt = false;
+    }
+}
+
+/// Buffers the recognize–act cycle fills on every firing, kept between
+/// firings (and over [`Engine::reset`]) so a firing allocates only what it
+/// leaves behind in working memory and the conflict set.
+#[derive(Default)]
+struct Scratch {
+    /// The matcher's pending conflict-set changes.
+    events: Vec<MatchEvent>,
+    /// Variable bindings of the firing instantiation.
+    vals: Vec<Value>,
+    /// Evaluated call arguments; nested calls stack theirs on top.
+    argv: Vec<Value>,
+    /// Evaluated `modify` assignments / resolved `make_wme` slots.
+    sets: Vec<(SlotIdx, Value)>,
+    effects: Effects,
 }
 
 /// An external (RHS) function.
@@ -114,6 +151,7 @@ pub struct Engine {
     /// it only reads the deterministic counters — work totals are identical
     /// with profiling on or off.
     profile: Option<EngineProfile>,
+    scratch: Scratch,
 }
 
 /// Publish the live mirror every this many recognize–act cycles (and once
@@ -259,6 +297,7 @@ impl Engine {
             live: None,
             trace: None,
             profile: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -510,31 +549,56 @@ impl Engine {
         self.halted
     }
 
-    /// Creates a WME by class and attribute names.
+    /// Creates a WME by class and attribute names: resolves them and calls
+    /// [`Engine::make_wme_slots`].
     pub fn make_wme(&mut self, class: &str, sets: &[(&str, Value)]) -> Result<WmeId> {
         let class_sym = sym(class);
-        let n = self
-            .program
-            .n_slots(class_sym)
-            .ok_or_else(|| Error::Runtime(format!("make: unknown class '{class}'")))?;
-        let mut fields = vec![Value::Nil; n];
+        if self.program.class(class_sym).is_none() {
+            return Err(Error::Runtime(format!("make: unknown class '{class}'")));
+        }
+        let mut slots = std::mem::take(&mut self.scratch.sets);
+        slots.clear();
         for (attr, v) in sets {
             let slot = self.program.slot_of(class_sym, sym(attr)).ok_or_else(|| {
                 Error::Runtime(format!("class '{class}' has no attribute '{attr}'"))
             })?;
-            fields[slot as usize] = *v;
+            slots.push((slot, *v));
         }
-        Ok(self.insert_fields(class_sym, fields))
+        let made = self.make_wme_slots(class_sym, &slots);
+        self.scratch.sets = slots;
+        made
+    }
+
+    /// Creates a WME from a class symbol and slot indices resolved ahead of
+    /// time ([`Program::slot_of`]) — what a caller that makes many WMEs of
+    /// the same few classes should hold on to instead of their names. Slots
+    /// not mentioned are nil; a later assignment to a slot wins.
+    pub fn make_wme_slots(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) -> Result<WmeId> {
+        let n = self
+            .program
+            .n_slots(class)
+            .ok_or_else(|| Error::Runtime(format!("make: unknown class '{class}'")))?;
+        let mut fields = vec![Value::Nil; n].into_boxed_slice();
+        for &(slot, v) in sets {
+            *fields.get_mut(slot as usize).ok_or_else(|| {
+                Error::Runtime(format!("class '{class}' has no slot {slot} (of {n})"))
+            })? = v;
+        }
+        Ok(self.insert_wme(class, fields))
     }
 
     /// Inserts a WME from raw slot values (working-memory distribution path:
     /// the PSM control process copies WMEs into task engines this way).
     /// A fresh local time tag is assigned.
     pub fn insert_fields(&mut self, class: Symbol, fields: Vec<Value>) -> WmeId {
+        self.insert_wme(class, fields.into_boxed_slice())
+    }
+
+    fn insert_wme(&mut self, class: Symbol, fields: Box<[Value]>) -> WmeId {
         self.time += 1;
         let wme = Wme {
             class,
-            fields: fields.into_boxed_slice(),
+            fields,
             time_tag: self.time,
         };
         let id = self.wm.add(wme);
@@ -546,17 +610,23 @@ impl Engine {
 
     /// Removes a WME by id (no-op on dead ids).
     pub fn remove_wme_id(&mut self, id: WmeId) {
-        if self.wm.get(id).is_none() {
-            return;
-        }
+        self.take_wme(id);
+    }
+
+    /// Removes a WME by id and returns it (`None` for a dead id).
+    fn take_wme(&mut self, id: WmeId) -> Option<Wme> {
+        self.wm.get(id)?;
         self.matcher.remove_wme(id, &self.wm);
-        self.wm.remove(id);
+        let wme = self.wm.remove(id);
         self.base_work.wme_removes += 1;
         self.sync_conflict();
+        wme
     }
 
     fn sync_conflict(&mut self) {
-        for e in self.matcher.drain_events(&self.wm) {
+        let mut events = std::mem::take(&mut self.scratch.events);
+        self.matcher.drain_events(&self.wm, &mut events);
+        for e in events.drain(..) {
             match e {
                 MatchEvent::Insert(i) => self.conflict.insert(i),
                 MatchEvent::Retract { production, wmes } => {
@@ -564,6 +634,7 @@ impl Engine {
                 }
             }
         }
+        self.scratch.events = events;
     }
 
     /// Runs the recognize–act cycle for at most `limit` firings.
@@ -705,23 +776,39 @@ impl Engine {
         Ok(Some(prod_idx))
     }
 
-    /// Executes the RHS of `inst`.
+    /// Executes the RHS of `inst`, with the engine's scratch buffers taken
+    /// out for the duration (an error leaves them emptied, not lost).
     fn fire(&mut self, inst: &Instantiation) -> Result<()> {
-        let cp = Arc::clone(&self.compiled);
-        let cp = &cp[inst.production as usize];
-        let prod = &Arc::clone(&self.program).productions[inst.production as usize];
+        let mut vals = std::mem::take(&mut self.scratch.vals);
+        let mut argv = std::mem::take(&mut self.scratch.argv);
+        let mut sets = std::mem::take(&mut self.scratch.sets);
+        argv.clear();
+        let fired = self.fire_with(inst, &mut vals, &mut argv, &mut sets);
+        self.scratch.vals = vals;
+        self.scratch.argv = argv;
+        self.scratch.sets = sets;
+        fired
+    }
+
+    fn fire_with(
+        &mut self,
+        inst: &Instantiation,
+        vals: &mut Vec<Value>,
+        argv: &mut Vec<Value>,
+        sets: &mut Vec<(SlotIdx, Value)>,
+    ) -> Result<()> {
+        let compiled = Arc::clone(&self.compiled);
+        let cp = &compiled[inst.production as usize];
+        let program = Arc::clone(&self.program);
+        let prod = &program.productions[inst.production as usize];
 
         // Extract variable bindings from the matched WMEs.
-        let mut vals = vec![Value::Nil; prod.n_vars as usize];
-        for (vid, src) in cp.var_sources.iter().enumerate() {
-            if let VarSource::Lhs { level, slot } = src {
-                let pos = cp
-                    .positive_levels
-                    .iter()
-                    .position(|l| l == level)
-                    .expect("binding level is positive");
-                if let Some(w) = self.wm.get(inst.wmes[pos]) {
-                    vals[vid] = w.get(*slot as usize);
+        vals.clear();
+        vals.resize(prod.n_vars as usize, Value::Nil);
+        for (val, src) in vals.iter_mut().zip(&cp.var_sources) {
+            if let VarSource::Lhs { slot, pos, .. } = *src {
+                if let Some(w) = self.wm.get(inst.wmes[pos as usize]) {
+                    *val = w.get(slot as usize);
                 }
             }
         }
@@ -730,40 +817,37 @@ impl Engine {
             self.base_work.rhs_actions += 1;
             self.base_work.act_units += cost::RHS_ACTION;
             match action {
-                Action::Make { class, sets } => {
-                    let n = self
-                        .program
-                        .n_slots(*class)
-                        .expect("make class checked at parse time");
-                    let mut fields = vec![Value::Nil; n];
-                    for (slot, e) in sets {
-                        fields[*slot as usize] = self.eval(e, &vals)?;
+                Action::Make { class, sets: exprs } => {
+                    sets.clear();
+                    for (slot, e) in exprs {
+                        sets.push((*slot, self.eval(e, vals, argv)?));
                     }
-                    self.insert_fields(*class, fields);
+                    self.make_wme_slots(*class, sets)?;
                 }
-                Action::Modify { ce, sets } => {
+                Action::Modify { ce, sets: exprs } => {
                     let pos = cp.ce_to_positive[(*ce - 1) as usize]
                         .expect("modify target is positive") as usize;
                     let id = inst.wmes[pos];
-                    // OPS5 modify = remove + make with changed slots.
-                    let Some(old) = self.wm.get(id) else {
+                    if self.wm.get(id).is_none() {
                         // Already removed earlier in this RHS; OPS5 would
                         // signal an error — we skip, deterministically.
                         continue;
-                    };
-                    let class = old.class;
-                    let mut fields: Vec<Value> = old.fields.to_vec();
+                    }
                     // Evaluate first (expressions may read the old values
                     // via variables), then swap.
-                    let mut newvals = Vec::with_capacity(sets.len());
-                    for (slot, e) in sets {
-                        newvals.push((*slot, self.eval(e, &vals)?));
+                    sets.clear();
+                    for (slot, e) in exprs {
+                        sets.push((*slot, self.eval(e, vals, argv)?));
                     }
-                    for (slot, v) in newvals {
-                        fields[slot as usize] = v;
+                    // OPS5 modify = remove + make with changed slots; the
+                    // new element moves into the old one's field storage.
+                    let mut wme = self
+                        .take_wme(id)
+                        .expect("live above, and evaluation only adds WMEs");
+                    for &(slot, v) in sets.iter() {
+                        wme.fields[slot as usize] = v;
                     }
-                    self.remove_wme_id(id);
-                    self.insert_fields(class, fields);
+                    self.insert_wme(wme.class, wme.fields);
                 }
                 Action::Remove { ce } => {
                     let pos = cp.ce_to_positive[(*ce - 1) as usize]
@@ -771,7 +855,7 @@ impl Engine {
                     self.remove_wme_id(inst.wmes[pos]);
                 }
                 Action::Bind { var, expr } => {
-                    let v = self.eval(expr, &vals)?;
+                    let v = self.eval(expr, vals, argv)?;
                     vals[*var as usize] = v;
                 }
                 Action::Write { parts } => {
@@ -779,7 +863,7 @@ impl Engine {
                     let mut first = true;
                     let mut line = String::new();
                     for p in parts {
-                        let v = self.eval(p, &vals)?;
+                        let v = self.eval(p, vals, argv)?;
                         if v.as_sym() == Some(crlf) {
                             line.push('\n');
                             first = true;
@@ -794,11 +878,7 @@ impl Engine {
                     self.output.push_str(&line);
                 }
                 Action::Call { name, args } => {
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in args {
-                        argv.push(self.eval(a, &vals)?);
-                    }
-                    self.call_external(*name, &argv)?;
+                    self.eval_call(*name, args, vals, argv)?;
                 }
                 Action::Halt => {
                     self.halted = true;
@@ -808,22 +888,35 @@ impl Engine {
         Ok(())
     }
 
+    /// Evaluates `args` onto the top of the `argv` stack, calls external
+    /// `name` with them, and pops them.
+    fn eval_call(
+        &mut self,
+        name: Symbol,
+        args: &[Expr],
+        vals: &[Value],
+        argv: &mut Vec<Value>,
+    ) -> Result<Value> {
+        let base = argv.len();
+        for a in args {
+            let v = self.eval(a, vals, argv)?;
+            argv.push(v);
+        }
+        let ret = self.call_external(name, &argv[base..]);
+        argv.truncate(base);
+        ret
+    }
+
     /// Evaluates an RHS expression, dispatching `(call ...)` sub-expressions
     /// to the external registry.
-    fn eval(&mut self, expr: &Expr, vals: &[Value]) -> Result<Value> {
+    fn eval(&mut self, expr: &Expr, vals: &[Value], argv: &mut Vec<Value>) -> Result<Value> {
         self.base_work.act_units += cost::RHS_EXPR;
         match expr {
-            Expr::Call(name, args) => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, vals)?);
-                }
-                self.call_external(*name, &argv)
-            }
+            Expr::Call(name, args) => self.eval_call(*name, args, vals, argv),
             Expr::Compute(first, rest) => {
-                let mut acc = self.eval(first, vals)?;
+                let mut acc = self.eval(first, vals, argv)?;
                 for (op, e) in rest {
-                    let rhs = self.eval(e, vals)?;
+                    let rhs = self.eval(e, vals, argv)?;
                     acc = crate::rhs::arith(*op, acc, rhs)?;
                 }
                 Ok(acc)
@@ -855,7 +948,7 @@ impl Engine {
         let conflict = self
             .conflict
             .iter()
-            .map(|i| (i.production, i.wmes.clone()))
+            .map(|i| (i.production, Box::from(&*i.wmes)))
             .collect();
         crate::snapshot::EngineImage {
             fingerprint: crate::snapshot::program_fingerprint(&self.program),
@@ -923,12 +1016,13 @@ impl Engine {
         e.sync_conflict();
         // Refraction pruning: drop rebuilt entries the snapshot no longer
         // held (they fired before the snapshot was taken).
-        let keep: HashSet<(u32, Box<[WmeId]>)> = img.conflict.iter().cloned().collect();
-        let fired: Vec<(u32, Box<[WmeId]>)> = e
+        let keep: HashSet<(u32, &[WmeId])> =
+            img.conflict.iter().map(|(p, w)| (*p, &w[..])).collect();
+        let fired: Vec<(u32, Arc<[WmeId]>)> = e
             .conflict
             .iter()
-            .filter(|i| !keep.contains(&(i.production, i.wmes.clone())))
-            .map(|i| (i.production, i.wmes.clone()))
+            .filter(|i| !keep.contains(&(i.production, &i.wmes[..])))
+            .map(|i| (i.production, Arc::clone(&i.wmes)))
             .collect();
         for (production, wmes) in fired {
             e.conflict.remove(production, &wmes);
@@ -961,30 +1055,26 @@ impl Engine {
                 "unknown external function '{name}'"
             )));
         };
-        let mut eff = Effects::default();
+        let mut eff = std::mem::take(&mut self.scratch.effects);
+        eff.clear();
         let ret = f(args, &mut eff);
         self.base_work.external_units += eff.cost;
-        if !eff.output.is_empty() {
-            self.output.push_str(&eff.output);
-        }
-        for (class, sets) in eff.makes {
-            let n = self
-                .program
-                .n_slots(class)
-                .ok_or_else(|| Error::Runtime(format!("external make: unknown class '{class}'")))?;
-            let mut fields = vec![Value::Nil; n];
-            for (attr, v) in sets {
-                let slot = self.program.slot_of(class, attr).ok_or_else(|| {
-                    Error::Runtime(format!("external make: no attribute '{attr}' on '{class}'"))
-                })?;
-                fields[slot as usize] = v;
+        self.output.push_str(&eff.output);
+        let mut made = Ok(());
+        let mut sets = &eff.sets[..];
+        for &(class, n) in &eff.makes {
+            let (mine, rest) = sets.split_at(n);
+            sets = rest;
+            if let Err(e) = self.make_wme_slots(class, mine) {
+                made = Err(e);
+                break;
             }
-            self.insert_fields(class, fields);
         }
         if eff.halt {
             self.halted = true;
         }
-        Ok(ret.unwrap_or(Value::Nil))
+        self.scratch.effects = eff;
+        made.map(|()| ret.unwrap_or(Value::Nil))
     }
 }
 
@@ -1095,8 +1185,7 @@ mod tests {
         e.register_external(
             "emit",
             Arc::new(|_, eff| {
-                eff.makes
-                    .push((sym("result"), vec![(sym("v"), Value::Int(42))]));
+                eff.make(sym("result"), &[(0, Value::Int(42))]);
                 None
             }),
         );

@@ -64,6 +64,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
+mod buckets;
 pub mod conflict;
 pub mod engine;
 pub mod instrument;

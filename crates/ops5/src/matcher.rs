@@ -25,8 +25,9 @@ pub trait Matcher: Send {
     /// Processes a WME removal (`id` is still live in `wm`; the store drops
     /// it afterwards).
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore);
-    /// Returns conflict-set changes accumulated since the last call.
-    fn drain_events(&mut self, wm: &WmStore) -> Vec<MatchEvent>;
+    /// Appends the conflict-set changes accumulated since the last call to
+    /// `out` (the caller's buffer, so a cycle's events cost no allocation).
+    fn drain_events(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>);
     /// Number of independently schedulable match activations since the last
     /// call (the ParaOPS5 subtask count).
     fn take_chunks(&mut self) -> u32;
@@ -73,8 +74,8 @@ impl Matcher for Rete {
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
         Rete::remove_wme(self, id, wm)
     }
-    fn drain_events(&mut self, _wm: &WmStore) -> Vec<MatchEvent> {
-        Rete::drain_events(self)
+    fn drain_events(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        Rete::drain_events_into(self, out)
     }
     fn take_chunks(&mut self) -> u32 {
         Rete::take_chunks(self)
@@ -106,7 +107,7 @@ impl Matcher for Rete {
 pub struct NaiveMatcher {
     program: Arc<Program>,
     compiled: Arc<Vec<CompiledProduction>>,
-    prev: HashMap<(u32, Box<[WmeId]>), Instantiation>,
+    prev: HashMap<(u32, Arc<[WmeId]>), Instantiation>,
     dirty: bool,
     work: WorkCounters,
 }
@@ -133,9 +134,9 @@ impl Matcher for NaiveMatcher {
         self.dirty = true;
     }
 
-    fn drain_events(&mut self, wm: &WmStore) -> Vec<MatchEvent> {
+    fn drain_events(&mut self, wm: &WmStore, events: &mut Vec<MatchEvent>) {
         if !self.dirty {
-            return Vec::new();
+            return;
         }
         self.dirty = false;
         let matches = match_all(
@@ -144,11 +145,10 @@ impl Matcher for NaiveMatcher {
             wm,
             &mut self.work.match_units,
         );
-        let mut next: HashMap<(u32, Box<[WmeId]>), Instantiation> = HashMap::new();
+        let mut next: HashMap<(u32, Arc<[WmeId]>), Instantiation> = HashMap::new();
         for i in matches {
             next.insert((i.production, i.wmes.clone()), i);
         }
-        let mut events = Vec::new();
         // Deterministic order for reproducibility of any downstream logs.
         let mut removed: Vec<_> = self
             .prev
@@ -170,7 +170,6 @@ impl Matcher for NaiveMatcher {
             events.push(MatchEvent::Insert(next[&k].clone()));
         }
         self.prev = next;
-        events
     }
 
     fn take_chunks(&mut self) -> u32 {
@@ -217,23 +216,28 @@ mod tests {
         w1.set(0, Value::Int(1));
         let id1 = wm.add(w1);
         m.add_wme(id1, &wm);
-        assert!(m.drain_events(&wm).is_empty(), "no join partner yet");
+        let drain = |m: &mut NaiveMatcher, wm: &WmStore| {
+            let mut ev = Vec::new();
+            m.drain_events(wm, &mut ev);
+            ev
+        };
+        assert!(drain(&mut m, &wm).is_empty(), "no join partner yet");
 
         let mut w2 = Wme::new(sym("b"), 1, 2);
         w2.set(0, Value::Int(1));
         let id2 = wm.add(w2);
         m.add_wme(id2, &wm);
-        let ev = m.drain_events(&wm);
+        let ev = drain(&mut m, &wm);
         assert_eq!(ev.len(), 1);
         assert!(matches!(ev[0], MatchEvent::Insert(_)));
 
         m.remove_wme(id1, &wm);
         wm.remove(id1);
-        let ev = m.drain_events(&wm);
+        let ev = drain(&mut m, &wm);
         assert_eq!(ev.len(), 1);
         assert!(matches!(ev[0], MatchEvent::Retract { .. }));
 
         // No change → no events.
-        assert!(m.drain_events(&wm).is_empty());
+        assert!(drain(&mut m, &wm).is_empty());
     }
 }

@@ -76,8 +76,8 @@ fn backtrack(
         let tags: Vec<u64> = wmes.iter().map(|&w| wm.time_tag(w)).collect();
         out.push(Instantiation::new(
             cp.prod,
-            wmes.into_boxed_slice(),
-            tags.into_boxed_slice(),
+            wmes.into(),
+            tags.into(),
             prod.specificity,
         ));
         return;

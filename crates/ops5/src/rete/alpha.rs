@@ -12,11 +12,11 @@
 
 use super::compile::{eval_alpha, AlphaTest};
 use crate::ast::SlotIdx;
+use crate::buckets::{Buckets, FastMap, Pool};
 use crate::instrument::cost;
 use crate::profile::AlphaMemCounters;
 use crate::symbol::Symbol;
 use crate::wme::{Wme, WmeId};
-use std::collections::HashMap;
 
 /// Identifier of an alpha memory.
 pub type AlphaMemId = u32;
@@ -35,7 +35,7 @@ pub struct Successor {
 #[derive(Clone, Debug)]
 struct SlotIndex {
     slot: SlotIdx,
-    buckets: HashMap<u64, Vec<WmeId>>,
+    buckets: Buckets<u64, WmeId>,
 }
 
 /// One alpha memory: a constant-test pattern plus the set of WMEs passing it.
@@ -60,7 +60,9 @@ pub struct AlphaMemory {
 #[derive(Clone, Debug)]
 pub struct AlphaNetwork {
     mems: Vec<AlphaMemory>,
-    by_class: HashMap<Symbol, Vec<AlphaMemId>>,
+    by_class: FastMap<Symbol, Vec<AlphaMemId>>,
+    /// Spare bucket lists of the slot indexes.
+    pool: Pool<WmeId>,
     /// Every distinct constant test in the program, shared across memories.
     test_registry: Vec<AlphaTest>,
     /// When true, classification memoises each registry test per WME and
@@ -98,7 +100,8 @@ impl AlphaNetwork {
     pub fn with_sharing(share_tests: bool) -> Self {
         AlphaNetwork {
             mems: Vec::new(),
-            by_class: HashMap::new(),
+            by_class: FastMap::default(),
+            pool: Vec::new(),
             test_registry: Vec::new(),
             share_tests,
             memo: Vec::new(),
@@ -178,7 +181,7 @@ impl AlphaNetwork {
         if !mem.indexes.iter().any(|ix| ix.slot == slot) {
             mem.indexes.push(SlotIndex {
                 slot,
-                buckets: HashMap::new(),
+                buckets: Buckets::default(),
             });
         }
     }
@@ -191,12 +194,12 @@ impl AlphaNetwork {
             .indexes
             .iter()
             .find(|ix| ix.slot == slot)
-            .and_then(|ix| ix.buckets.get(&key))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], |ix| ix.buckets.get(key))
     }
 
     /// Empties every memory and index bucket and zeroes the run counters,
-    /// keeping the memories, tests, successors and declared indexes. The
+    /// keeping the memories, tests, successors, declared indexes and every
+    /// list's capacity (buckets go back to the pool). The
     /// test memo needs no clearing: its entries are stamped with the
     /// classification pass that wrote them, and the pass counter only moves
     /// forward, so a stale entry is never read.
@@ -204,20 +207,25 @@ impl AlphaNetwork {
         for mem in &mut self.mems {
             mem.wmes.clear();
             for ix in &mut mem.indexes {
-                ix.buckets.clear();
+                ix.buckets.clear_into(&mut self.pool);
             }
         }
         self.shared_test_hits = 0;
         self.profile = None;
     }
 
-    /// Classifies a new WME into its memories, returning the activated
-    /// memory ids and accumulating the match cost in `work_units`.
-    pub fn classify_add(&mut self, id: WmeId, wme: &Wme, work_units: &mut u64) -> Vec<AlphaMemId> {
-        let mut hit = Vec::new();
+    /// Classifies a new WME into its memories, appending the activated
+    /// memory ids to `hit` and accumulating the match cost in `work_units`.
+    pub fn classify_add(
+        &mut self,
+        id: WmeId,
+        wme: &Wme,
+        work_units: &mut u64,
+        hit: &mut Vec<AlphaMemId>,
+    ) {
         self.generation += 1;
         let Some(ids) = self.by_class.get(&wme.class) else {
-            return hit;
+            return;
         };
         for &m in ids {
             let mem = &mut self.mems[m as usize];
@@ -251,7 +259,7 @@ impl AlphaNetwork {
                 mem.wmes.push(id);
                 for ix in &mut mem.indexes {
                     let key = wme.get(ix.slot as usize).hash_key();
-                    ix.buckets.entry(key).or_default().push(id);
+                    ix.buckets.push(key, id, &mut self.pool);
                 }
                 hit.push(m);
             }
@@ -265,18 +273,17 @@ impl AlphaNetwork {
                 }
             }
         }
-        hit
     }
 
-    /// Removes a WME from every memory containing it, returning the memory
-    /// ids it was removed from.
+    /// Removes a WME from every memory containing it, appending the ids of
+    /// the memories it was removed from to `hit`.
     pub fn classify_remove(
         &mut self,
         id: WmeId,
         wme: &Wme,
         work_units: &mut u64,
-    ) -> Vec<AlphaMemId> {
-        let mut hit = Vec::new();
+        hit: &mut Vec<AlphaMemId>,
+    ) {
         if let Some(ids) = self.by_class.get(&wme.class) {
             for &m in ids {
                 let mem = &mut self.mems[m as usize];
@@ -288,14 +295,7 @@ impl AlphaNetwork {
                     mem.wmes.remove(pos);
                     for ix in &mut mem.indexes {
                         let key = wme.get(ix.slot as usize).hash_key();
-                        if let Some(bucket) = ix.buckets.get_mut(&key) {
-                            if let Some(p) = bucket.iter().position(|&w| w == id) {
-                                bucket.remove(p);
-                            }
-                            if bucket.is_empty() {
-                                ix.buckets.remove(&key);
-                            }
-                        }
+                        ix.buckets.remove_item(key, id, &mut self.pool);
                     }
                     hit.push(m);
                     if let Some(p) = &mut self.profile {
@@ -304,7 +304,6 @@ impl AlphaNetwork {
                 }
             }
         }
-        hit
     }
 
     /// Starts collecting per-memory profiling counters (resetting any
@@ -331,6 +330,12 @@ mod tests {
     use crate::rete::compile::AlphaArg;
     use crate::symbol::sym;
     use crate::value::Value;
+
+    fn added(net: &mut AlphaNetwork, id: WmeId, w: &Wme, units: &mut u64) -> Vec<AlphaMemId> {
+        let mut hit = Vec::new();
+        net.classify_add(id, w, units, &mut hit);
+        hit
+    }
 
     fn test_gt(slot: u16, v: i64) -> AlphaTest {
         AlphaTest {
@@ -366,16 +371,17 @@ mod tests {
         let mut w = Wme::new(c, 1, 1);
         w.set(0, Value::Int(500));
         let mut units = 0;
-        let hit = net.classify_add(WmeId(0), &w, &mut units);
+        let hit = added(&mut net, WmeId(0), &w, &mut units);
         assert_eq!(hit, vec![big, any]);
         assert!(units > 0);
 
         let mut small = Wme::new(c, 1, 2);
         small.set(0, Value::Int(5));
-        let hit = net.classify_add(WmeId(1), &small, &mut units);
+        let hit = added(&mut net, WmeId(1), &small, &mut units);
         assert_eq!(hit, vec![any]);
 
-        let removed = net.classify_remove(WmeId(0), &w, &mut units);
+        let mut removed = Vec::new();
+        net.classify_remove(WmeId(0), &w, &mut units, &mut removed);
         assert_eq!(removed, vec![big, any]);
         assert_eq!(net.mem(big).wmes.len(), 0);
         assert_eq!(net.mem(any).wmes, vec![WmeId(1)]);
@@ -388,7 +394,7 @@ mod tests {
         net.get_or_create(sym("region"), &[], succ);
         let w = Wme::new(sym("fragment"), 1, 1);
         let mut units = 0;
-        assert!(net.classify_add(WmeId(0), &w, &mut units).is_empty());
+        assert!(added(&mut net, WmeId(0), &w, &mut units).is_empty());
     }
 
     #[test]
@@ -410,8 +416,8 @@ mod tests {
         w.set(1, Value::Int(9));
         let (mut su, mut uu) = (0u64, 0u64);
         assert_eq!(
-            shared.classify_add(WmeId(0), &w, &mut su),
-            unshared.classify_add(WmeId(0), &w, &mut uu),
+            added(&mut shared, WmeId(0), &w, &mut su),
+            added(&mut unshared, WmeId(0), &w, &mut uu),
             "sharing never changes classification"
         );
         assert_eq!(shared.shared_test_hits, 1, "`>5` memoised for memory 2");
@@ -421,8 +427,8 @@ mod tests {
         let mut w2 = Wme::new(c, 2, 2);
         w2.set(0, Value::Int(1));
         let (mut su2, mut uu2) = (0u64, 0u64);
-        assert!(shared.classify_add(WmeId(1), &w2, &mut su2).is_empty());
-        assert!(unshared.classify_add(WmeId(1), &w2, &mut uu2).is_empty());
+        assert!(added(&mut shared, WmeId(1), &w2, &mut su2).is_empty());
+        assert!(added(&mut unshared, WmeId(1), &w2, &mut uu2).is_empty());
         assert_eq!(su2, uu2 - cost::ALPHA_TEST);
     }
 
@@ -438,7 +444,7 @@ mod tests {
         for (i, v) in [(0u32, 7i64), (1, 7), (2, 8)] {
             let mut w = Wme::new(c, 1, i as u64 + 1);
             w.set(0, Value::Int(v));
-            net.classify_add(WmeId(i), &w, &mut units);
+            added(&mut net, WmeId(i), &w, &mut units);
         }
         let key7 = Value::Int(7).hash_key();
         assert_eq!(net.probe(m, 0, key7), &[WmeId(0), WmeId(1)]);
@@ -448,14 +454,14 @@ mod tests {
 
         let mut w = Wme::new(c, 1, 1);
         w.set(0, Value::Int(7));
-        net.classify_remove(WmeId(0), &w, &mut units);
+        net.classify_remove(WmeId(0), &w, &mut units, &mut Vec::new());
         assert_eq!(net.probe(m, 0, key7), &[WmeId(1)]);
 
         // Reset empties the memory and its buckets but keeps the index.
         net.reset();
         assert!(net.mem(m).wmes.is_empty());
         assert_eq!(net.probe(m, 0, key7), &[] as &[WmeId]);
-        net.classify_add(WmeId(0), &w, &mut units);
+        added(&mut net, WmeId(0), &w, &mut units);
         assert_eq!(net.probe(m, 0, key7), &[WmeId(0)]);
     }
 }

@@ -52,6 +52,9 @@ pub enum VarSource {
         level: u16,
         /// Slot index.
         slot: SlotIdx,
+        /// Index of that element among the positive ones — where its WME
+        /// sits in an instantiation's `wmes`.
+        pos: u16,
     },
     /// Bound on the RHS by `bind` (or local to a negated element; such
     /// variables are not usable at instantiation time).
@@ -85,8 +88,6 @@ pub struct CompiledProduction {
     /// Maps 1-based condition-element index → index among positive elements
     /// (`None` for negated elements).
     pub ce_to_positive: Vec<Option<u16>>,
-    /// Chain levels of the positive condition elements, in order.
-    pub positive_levels: Vec<u16>,
 }
 
 /// Compiles a production (at index `prod` in the program) to a chain spec.
@@ -94,7 +95,6 @@ pub fn compile_production(prod: u32, p: &Production) -> Result<CompiledProductio
     let mut var_sources = vec![VarSource::Rhs; p.n_vars as usize];
     let mut nodes = Vec::with_capacity(p.ces.len());
     let mut ce_to_positive = Vec::with_capacity(p.ces.len());
-    let mut positive_levels = Vec::new();
     let mut n_pos: u16 = 0;
 
     for (level, ce) in p.ces.iter().enumerate() {
@@ -112,7 +112,11 @@ pub fn compile_production(prod: u32, p: &Production) -> Result<CompiledProductio
         if !ce.negated {
             for &(slot, var) in &ce.bindings {
                 if matches!(var_sources[var as usize], VarSource::Rhs) {
-                    var_sources[var as usize] = VarSource::Lhs { level, slot };
+                    var_sources[var as usize] = VarSource::Lhs {
+                        level,
+                        slot,
+                        pos: n_pos,
+                    };
                 }
             }
         }
@@ -141,7 +145,7 @@ pub fn compile_production(prod: u32, p: &Production) -> Result<CompiledProductio
                         });
                     } else {
                         match var_sources[*v as usize] {
-                            VarSource::Lhs { level: l, slot } => join_tests.push(JoinTest {
+                            VarSource::Lhs { level: l, slot, .. } => join_tests.push(JoinTest {
                                 my_slot: t.slot,
                                 predicate: t.predicate,
                                 their_level: l,
@@ -169,7 +173,6 @@ pub fn compile_production(prod: u32, p: &Production) -> Result<CompiledProductio
         } else {
             let idx = n_pos;
             n_pos += 1;
-            positive_levels.push(level);
             Some(idx)
         });
 
@@ -186,7 +189,6 @@ pub fn compile_production(prod: u32, p: &Production) -> Result<CompiledProductio
         nodes,
         var_sources,
         ce_to_positive,
-        positive_levels,
     })
 }
 
@@ -254,7 +256,6 @@ mod tests {
              (p r (a ^x <v>) -(b ^y <v>) (a ^x 1) --> (halt))",
         );
         assert_eq!(c.ce_to_positive, vec![Some(0), None, Some(1)]);
-        assert_eq!(c.positive_levels, vec![0, 2]);
     }
 
     #[test]
@@ -264,14 +265,35 @@ mod tests {
              (p r (a ^x <v> ^y <w>) --> (make a ^x <w>))",
         );
         assert_eq!(c.var_sources.len(), 2);
-        assert!(matches!(
-            c.var_sources[0],
-            VarSource::Lhs { level: 0, slot: 0 }
-        ));
-        assert!(matches!(
+        assert_eq!(
+            c.var_sources,
+            vec![
+                VarSource::Lhs {
+                    level: 0,
+                    slot: 0,
+                    pos: 0
+                },
+                VarSource::Lhs {
+                    level: 0,
+                    slot: 1,
+                    pos: 0
+                },
+            ]
+        );
+        // A negated element in between: the level counts it, the position
+        // among the positive elements does not.
+        let c = compile_first(
+            "(literalize a x) (literalize b y)
+             (p r (a ^x <v>) -(b ^y <v>) (a ^x <w>) --> (make a ^x <w>))",
+        );
+        assert_eq!(
             c.var_sources[1],
-            VarSource::Lhs { level: 0, slot: 1 }
-        ));
+            VarSource::Lhs {
+                level: 2,
+                slot: 0,
+                pos: 1
+            }
+        );
     }
 
     #[test]

@@ -32,13 +32,13 @@
 use super::alpha::{AlphaMemId, AlphaNetwork, Successor};
 use super::compile::{compile_production, ChainNodeSpec, CompiledProduction, JoinTest};
 use crate::ast::Predicate;
+use crate::buckets::{give_list, take_list, Buckets, Pool};
 use crate::conflict::Instantiation;
 use crate::instrument::{cost, WorkCounters};
 use crate::profile::{AlphaMemProfile, ChainCounters, MatchProfile, NetStats, ProductionProfile};
 use crate::program::Program;
-use crate::wme::{WmStore, WmeId};
+use crate::wme::{TimeTag, WmStore, WmeId};
 use crate::Result;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const DUMMY: u32 = u32::MAX;
@@ -95,29 +95,35 @@ pub enum MatchEvent {
     Retract {
         /// Production index.
         production: u32,
-        /// The WMEs of the retracted instantiation.
-        wmes: Box<[WmeId]>,
+        /// The WMEs of the retracted instantiation (the list its
+        /// [`MatchEvent::Insert`] carried, shared).
+        wmes: Arc<[WmeId]>,
     },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct TokenData {
     parent: u32,
     wme: Option<WmeId>,
     /// Beta node the token is resident at.
     node: u32,
-    /// Chain level of `node` (cached for `ancestors`).
+    /// Chain level of `node` (cached for `load_chain`).
     level: u16,
     children: Vec<u32>,
     /// For tokens resident at a negative node: WMEs currently blocking.
     neg_results: Vec<WmeId>,
     /// Right-index registrations `(node, key)` to undo on deletion.
     index_keys: Vec<(u32, u64)>,
-    emitted: bool,
+    /// The WME list of the instantiations this token has in the conflict
+    /// set, kept so their retraction re-sends it instead of rebuilding it.
+    emitted: Option<Arc<[WmeId]>>,
     alive: bool,
 }
 
-/// One beta node of the (possibly shared) network trie.
+/// One beta node of the (possibly shared) network trie: what the build
+/// fixes. Activations read it through a shared borrow that outlives their
+/// `&mut` of the node's memory ([`NodeMemory`]), so none of it is ever
+/// copied.
 #[derive(Clone, Debug)]
 struct BetaNode {
     negated: bool,
@@ -136,15 +142,20 @@ struct BetaNode {
     n_prods: u32,
     /// Lowest production index through this node (profile attribution).
     rep_prod: u32,
+}
+
+/// What a run changes at one beta node.
+#[derive(Clone, Debug, Default)]
+struct NodeMemory {
     /// Tokens resident at this node (for negative nodes, including blocked).
     tokens: Vec<u32>,
     /// Hash index over the token population this node's *right* activations
     /// pair against (the parent's residents for positive nodes, this node's
     /// own residents for negative nodes), keyed by the token-side value of
     /// `join_tests[key_test]`.
-    right_index: HashMap<u64, Vec<u32>>,
+    right_index: Buckets<u64, u32>,
     /// For negative nodes: blocker WME → tokens it currently blocks.
-    blocked_by: HashMap<WmeId, Vec<u32>>,
+    blocked_by: Buckets<WmeId, u32>,
 }
 
 /// The Rete network of one engine instance.
@@ -156,18 +167,42 @@ pub struct Rete {
     /// Level-0 nodes (children of the virtual root).
     roots: Vec<u32>,
     n_productions: usize,
-    tokens: Vec<TokenData>,
-    free: Vec<u32>,
-    wme_tokens: HashMap<WmeId, Vec<u32>>,
-    events: Vec<MatchEvent>,
     /// Accumulated match work.
     pub work: WorkCounters,
+    beta: BetaState,
+    /// Scratch: the alpha memories one WME change touched.
+    touched: Vec<AlphaMemId>,
+}
+
+/// Everything on the beta side that a run changes, apart from `work`:
+/// token memories, the pending events, run statistics, and the scratch
+/// buffers activations borrow. All of it keeps its capacity over
+/// [`Rete::reset`].
+#[derive(Clone, Debug, Default)]
+struct BetaState {
+    /// Parallel to `Rete::nodes`.
+    mems: Vec<NodeMemory>,
+    tokens: Vec<TokenData>,
+    free: Vec<u32>,
+    /// WME → the tokens whose own WME it is.
+    wme_tokens: Buckets<WmeId, u32>,
+    events: Vec<MatchEvent>,
     chunks: u32,
     /// Always-on sharing/indexing statistics (not part of the work model).
     stats: NetStats,
     /// Per-node profiling counters plus token totals; `Some` only while
     /// profiling. Hooks read `work` deltas — they never write counters.
     profile: Option<ReteProfile>,
+    /// The WMEs of the token chain an activation is working under, by node
+    /// level (`None` at negative-node levels); one entry per level of the
+    /// deepest chain. See [`Activation::load_chain`].
+    chain: Vec<Option<WmeId>>,
+    /// Spare token lists: index buckets, blocker lists, `wme_tokens`
+    /// entries and the snapshots activations iterate.
+    pool: Pool<u32>,
+    /// Scratch for assembling an instantiation's lists.
+    inst_wmes: Vec<WmeId>,
+    inst_tags: Vec<TimeTag>,
 }
 
 /// Collection state for match-level profiling of one Rete instance.
@@ -213,14 +248,9 @@ impl Rete {
                 .map(|s| s.prod as usize + 1)
                 .max()
                 .unwrap_or(0),
-            tokens: Vec::new(),
-            free: Vec::new(),
-            wme_tokens: HashMap::new(),
-            events: Vec::new(),
             work: WorkCounters::default(),
-            chunks: 0,
-            stats: NetStats::default(),
-            profile: None,
+            beta: BetaState::default(),
+            touched: Vec::new(),
         };
         for spec in compiled.iter() {
             let specificity = program.productions[spec.prod as usize].specificity;
@@ -234,14 +264,17 @@ impl Rete {
                 .terminals
                 .push((spec.prod, specificity));
         }
-        rete.stats.beta_nodes = rete.nodes.len() as u32;
+        rete.beta.stats.beta_nodes = rete.nodes.len() as u32;
+        rete.beta.mems = vec![NodeMemory::default(); rete.nodes.len()];
+        let depth = rete.nodes.iter().map(|n| n.level as usize + 1).max();
+        rete.beta.chain = vec![None; depth.unwrap_or(0)];
         rete
     }
 
     /// Finds a shareable sibling matching `spec` under `parent`, or builds a
     /// new node there, registering it with the alpha network.
     fn get_or_build_node(&mut self, parent: Option<u32>, spec: &ChainNodeSpec, prod: u32) -> u32 {
-        self.stats.unshared_beta_nodes += 1;
+        self.beta.stats.unshared_beta_nodes += 1;
         if self.config.share {
             let siblings = match parent {
                 Some(p) => &self.nodes[p as usize].children,
@@ -285,9 +318,6 @@ impl Rete {
             terminals: Vec::new(),
             n_prods: 1,
             rep_prod: prod,
-            tokens: Vec::new(),
-            right_index: HashMap::new(),
-            blocked_by: HashMap::new(),
         });
         let am = self
             .alpha
@@ -322,7 +352,7 @@ impl Rete {
     /// unconditionally (no profiler needed) and outside the work-unit
     /// model, so work totals are unaffected.
     pub fn net_stats(&self) -> NetStats {
-        let mut s = self.stats;
+        let mut s = self.beta.stats;
         s.shared_test_hits = self.alpha.shared_test_hits;
         s
     }
@@ -330,41 +360,58 @@ impl Rete {
     /// Empties the network without rebuilding it: every token, memory,
     /// index bucket, blocker list and pending event goes, the work, chunk
     /// and per-run [`NetStats`] counters return to zero and profiling is
-    /// detached; nodes, tests, successor lists, declared indexes and the
-    /// containers' allocations stay. Token ids restart at 0 and nothing
-    /// here iterates a hash map, so the network then answers any WME
+    /// detached; nodes, tests, successor lists, declared indexes and every
+    /// buffer's capacity stay (token slots keep their lists, buckets go
+    /// back to the pool). Token ids restart at 0 and no result is read out
+    /// of a hash map's order, so the network then answers any WME
     /// stream exactly as [`Rete::from_compiled_with`] on the same chains
     /// would — same events in the same order, same work, same statistics.
     pub fn reset(&mut self) {
         self.alpha.reset();
-        for n in &mut self.nodes {
-            n.tokens.clear();
-            n.right_index.clear();
-            n.blocked_by.clear();
+        let b = &mut self.beta;
+        for m in &mut b.mems {
+            m.tokens.clear();
+            m.right_index.clear_into(&mut b.pool);
+            m.blocked_by.clear_into(&mut b.pool);
         }
-        self.tokens.clear();
-        self.free.clear();
-        self.wme_tokens.clear();
-        self.events.clear();
+        for t in &mut b.tokens {
+            t.children.clear();
+            t.neg_results.clear();
+            t.index_keys.clear();
+            t.emitted = None;
+            t.alive = false;
+        }
+        // Every slot is free, lowest id on top: ids are handed out as a
+        // new network would.
+        b.free.clear();
+        b.free.extend((0..b.tokens.len() as u32).rev());
+        b.wme_tokens.clear_into(&mut b.pool);
+        b.events.clear();
         self.work = WorkCounters::default();
-        self.chunks = 0;
-        self.stats = NetStats {
-            beta_nodes: self.stats.beta_nodes,
-            unshared_beta_nodes: self.stats.unshared_beta_nodes,
+        b.chunks = 0;
+        b.stats = NetStats {
+            beta_nodes: b.stats.beta_nodes,
+            unshared_beta_nodes: b.stats.unshared_beta_nodes,
             ..NetStats::default()
         };
-        self.profile = None;
+        b.profile = None;
     }
 
     /// Drains the pending conflict-set events.
     pub fn drain_events(&mut self) -> Vec<MatchEvent> {
-        std::mem::take(&mut self.events)
+        std::mem::take(&mut self.beta.events)
+    }
+
+    /// Moves the pending conflict-set events onto the end of `out`; both
+    /// buffers keep their capacity.
+    pub fn drain_events_into(&mut self, out: &mut Vec<MatchEvent>) {
+        out.append(&mut self.beta.events);
     }
 
     /// Number of independently schedulable match activations since the last
     /// call (feeds the ParaOPS5 match-parallelism cost model).
     pub fn take_chunks(&mut self) -> u32 {
-        std::mem::take(&mut self.chunks)
+        std::mem::take(&mut self.beta.chunks)
     }
 
     /// Starts collecting a match-level profile (per-node cost attribution,
@@ -374,7 +421,7 @@ impl Rete {
         #[cfg(feature = "profiler")]
         {
             self.alpha.enable_profile();
-            self.profile = Some(ReteProfile {
+            self.beta.profile = Some(ReteProfile {
                 nodes: vec![ChainCounters::default(); self.nodes.len()],
                 ..Default::default()
             });
@@ -388,8 +435,8 @@ impl Rete {
     /// [`NetStats::shared_node_hits`] counter records how much activation
     /// traffic ran on shared nodes). Alpha memories receive their labels.
     pub fn take_profile(&mut self) -> Option<MatchProfile> {
-        let p = self.profile.take()?;
-        self.profile = Some(ReteProfile {
+        let p = self.beta.profile.take()?;
+        self.beta.profile = Some(ReteProfile {
             nodes: vec![ChainCounters::default(); self.nodes.len()],
             ..Default::default()
         });
@@ -425,483 +472,511 @@ impl Rete {
         })
     }
 
+    /// The split borrows of one WME change (after its alpha classification).
+    fn activation<'a>(&'a mut self, wm: &'a WmStore) -> Activation<'a> {
+        Activation {
+            nodes: &self.nodes,
+            alpha: &self.alpha,
+            wm,
+            indexed: self.config.index,
+            work: &mut self.work,
+            beta: &mut self.beta,
+        }
+    }
+
     /// Processes a WME addition. `id` must already be live in `wm`.
     pub fn add_wme(&mut self, id: WmeId, wm: &WmStore) {
         let wme = wm.get(id).expect("add_wme: wme must be live");
-        self.chunks += 1;
-        let mems = self.alpha.classify_add(id, wme, &mut self.work.match_units);
-        for m in mems {
-            let succs = self.alpha.mem(m).successors.clone();
-            for s in succs {
-                let before = self.work.match_units;
-                self.right_activate_add(s.node, id, wm);
-                if let Some(p) = &mut self.profile {
-                    p.nodes[s.node as usize].match_units += self.work.match_units - before;
-                }
+        self.beta.chunks += 1;
+        let mut touched = std::mem::take(&mut self.touched);
+        self.alpha
+            .classify_add(id, wme, &mut self.work.match_units, &mut touched);
+        let mut act = self.activation(wm);
+        let alpha = act.alpha;
+        for &m in &touched {
+            for s in &alpha.mem(m).successors {
+                let before = act.work.match_units;
+                act.right_activate_add(s.node, id);
+                act.charge_node(s.node, before);
             }
         }
+        touched.clear();
+        self.touched = touched;
     }
 
     /// Processes a WME removal. Must be called while `id` is still live in
     /// `wm` (the engine removes it from the store afterwards).
     pub fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
         let wme = wm.get(id).expect("remove_wme: wme must still be live");
-        self.chunks += 1;
-        let mems = self
-            .alpha
-            .classify_remove(id, wme, &mut self.work.match_units);
+        self.beta.chunks += 1;
+        let mut touched = std::mem::take(&mut self.touched);
+        self.alpha
+            .classify_remove(id, wme, &mut self.work.match_units, &mut touched);
+        let mut act = self.activation(wm);
+        let alpha = act.alpha;
         // Negative nodes first: unblock tokens whose blocker disappeared
         // (found through the blocker→tokens map, not a token scan).
-        for m in mems {
-            let succs = self.alpha.mem(m).successors.clone();
-            for s in succs {
-                if !self.nodes[s.node as usize].negated {
-                    continue;
-                }
-                self.chunks += 1;
-                let before = self.work.match_units;
-                if let Some(p) = &mut self.profile {
-                    p.nodes[s.node as usize].activations += 1;
-                }
-                let toks = self.nodes[s.node as usize]
-                    .blocked_by
-                    .remove(&id)
-                    .unwrap_or_default();
-                for t in toks {
-                    if !self.tokens[t as usize].alive {
-                        continue;
-                    }
-                    let nr = &mut self.tokens[t as usize].neg_results;
-                    if let Some(pos) = nr.iter().position(|&w| w == id) {
-                        nr.remove(pos);
-                        self.work.match_units += cost::TOKEN_OP;
-                        if self.tokens[t as usize].neg_results.is_empty() {
-                            self.propagate(s.node, t, wm);
-                        }
-                    }
-                }
-                if let Some(p) = &mut self.profile {
-                    p.nodes[s.node as usize].match_units += self.work.match_units - before;
+        for &m in &touched {
+            for s in &alpha.mem(m).successors {
+                if act.nodes[s.node as usize].negated {
+                    let before = act.work.match_units;
+                    act.right_activate_remove(s.node, id);
+                    act.charge_node(s.node, before);
                 }
             }
         }
         // Then delete every token whose own WME is the removed one.
-        if let Some(toks) = self.wme_tokens.remove(&id) {
-            for t in toks {
-                let node = self.tokens[t as usize].node;
-                let before = self.work.match_units;
-                self.delete_token(t);
-                if let Some(p) = &mut self.profile {
-                    p.nodes[node as usize].match_units += self.work.match_units - before;
-                }
-            }
+        act.delete_tokens_of(id);
+        touched.clear();
+        self.touched = touched;
+    }
+}
+
+/// One WME change working its way through the beta network. The borrows are
+/// split so that what the build fixed (`nodes`, and `alpha` once the WME is
+/// classified) is shared for the whole activation while `beta` and `work`
+/// are exclusive: join tests, child and terminal lists, successor lists and
+/// alpha-memory candidate lists are read in place — the borrow checker, not
+/// a copy, is what guarantees nothing changes them under a loop.
+struct Activation<'a> {
+    nodes: &'a [BetaNode],
+    alpha: &'a AlphaNetwork,
+    wm: &'a WmStore,
+    indexed: bool,
+    work: &'a mut WorkCounters,
+    beta: &'a mut BetaState,
+}
+
+impl<'a> Activation<'a> {
+    /// Attributes the match work done since `before` to node `n`.
+    fn charge_node(&mut self, n: u32, before: u64) {
+        if let Some(p) = &mut self.beta.profile {
+            p.nodes[n as usize].match_units += self.work.match_units - before;
         }
     }
 
-    // -- internals ---------------------------------------------------------
+    /// Counts one activation of node `n`.
+    fn count_activation(&mut self, n: u32) {
+        self.beta.chunks += 1;
+        if let Some(p) = &mut self.beta.profile {
+            p.nodes[n as usize].activations += 1;
+        }
+    }
 
-    /// The token population a right activation of `n` pairs against: the
-    /// parent's residents for positive nodes, `n`'s own for negative nodes.
-    /// Returns indexed candidates (charging the probe) when `n` has a key
-    /// test, else a linear clone of the population (counted as a scan).
-    fn right_candidates(&mut self, n: u32, w: WmeId, wm: &WmStore) -> Vec<u32> {
-        let node = &self.nodes[n as usize];
-        let population = if node.negated {
-            &node.tokens
-        } else {
-            match node.parent {
-                Some(p) => &self.nodes[p as usize].tokens,
-                None => return Vec::new(),
+    /// Writes the WMEs of token `t`'s chain into `beta.chain[..=level]`.
+    ///
+    /// One buffer serves nested activations because the recursion only
+    /// descends: while a loop works under token `t` at level `L`, every
+    /// chain loaded beneath it belongs to a descendant of `t`, whose first
+    /// `L + 1` entries *are* `t`'s chain — so they are rewritten with the
+    /// values they already hold, and only deeper entries change.
+    fn load_chain(&mut self, t: u32) {
+        let mut cur = t;
+        loop {
+            let td = &self.beta.tokens[cur as usize];
+            self.beta.chain[td.level as usize] = td.wme;
+            if td.parent == DUMMY {
+                break;
             }
+            cur = td.parent;
+        }
+    }
+
+    /// A snapshot of the token population a right activation of `n` pairs
+    /// against: the parent's residents for positive nodes, `n`'s own for
+    /// negative nodes — the indexed candidates (charging the probe) when
+    /// `n` has a key test, else the whole population (counted as a scan).
+    /// The caller gives the list back to the pool.
+    fn right_candidates(&mut self, n: u32, w: WmeId) -> Vec<u32> {
+        let node = &self.nodes[n as usize];
+        let mut out = take_list(&mut self.beta.pool);
+        let resident_at = if node.negated { Some(n) } else { node.parent };
+        let Some(resident_at) = resident_at else {
+            return out;
         };
+        let population = &self.beta.mems[resident_at as usize].tokens;
         if let (Some(kt), true) = (node.key_test, population.len() >= INDEX_MIN_POPULATION) {
             let my_slot = node.join_tests[kt].my_slot;
-            let key = wm
+            let key = self
+                .wm
                 .get(w)
                 .map(|wme| wme.get(my_slot as usize).hash_key())
                 .unwrap_or_default();
             self.work.match_units += cost::INDEX_PROBE;
-            self.stats.index_probes += 1;
-            return self.nodes[n as usize]
-                .right_index
-                .get(&key)
-                .cloned()
-                .unwrap_or_default();
+            self.beta.stats.index_probes += 1;
+            out.extend_from_slice(self.beta.mems[n as usize].right_index.get(key));
+            return out;
         }
-        self.stats.linear_scans += 1;
-        population.clone()
+        self.beta.stats.linear_scans += 1;
+        out.extend_from_slice(population);
+        out
     }
 
-    /// Candidate WMEs for pairing token `t` (ancestry `anc`) against node
-    /// `n`'s alpha memory: an indexed probe when possible, else the full
-    /// memory (counted as a scan).
-    fn left_candidates(&mut self, n: u32, anc: &[Option<WmeId>], wm: &WmStore) -> Vec<WmeId> {
+    /// Candidate WMEs for pairing the loaded chain (of a token at level
+    /// `chain_len - 1`) against node `n`'s alpha memory: an indexed probe
+    /// when possible, else the full memory (counted as a scan). Borrowed
+    /// from the alpha network, which no beta activation can change.
+    fn left_candidates(&mut self, n: u32, chain_len: usize) -> &'a [WmeId] {
         let node = &self.nodes[n as usize];
-        let population = self.alpha.mem(node.alpha_mem).wmes.len();
+        let alpha = self.alpha;
+        let mem = alpha.mem(node.alpha_mem);
         if let Some(kt) = node.key_test {
-            if population >= INDEX_MIN_POPULATION {
+            if mem.wmes.len() >= INDEX_MIN_POPULATION {
                 let test = node.join_tests[kt];
                 self.work.match_units += cost::INDEX_PROBE;
-                self.stats.index_probes += 1;
-                return match token_side_key(anc, &test, wm) {
-                    Some(key) => self.alpha.probe(node.alpha_mem, test.my_slot, key).to_vec(),
+                self.beta.stats.index_probes += 1;
+                return match token_side_key(&self.beta.chain[..chain_len], &test, self.wm) {
+                    Some(key) => alpha.probe(node.alpha_mem, test.my_slot, key),
                     // The referenced ancestor is gone; no candidate could
                     // pass the full tests either.
-                    None => Vec::new(),
+                    None => &[],
                 };
             }
         }
-        self.stats.linear_scans += 1;
-        self.alpha.mem(node.alpha_mem).wmes.clone()
+        self.beta.stats.linear_scans += 1;
+        &mem.wmes
     }
 
-    fn right_activate_add(&mut self, n: u32, w: WmeId, wm: &WmStore) {
-        self.chunks += 1;
-        if self.nodes[n as usize].n_prods > 1 {
-            self.stats.shared_node_hits += 1;
+    fn right_activate_add(&mut self, n: u32, w: WmeId) {
+        let node = &self.nodes[n as usize];
+        self.count_activation(n);
+        if node.n_prods > 1 {
+            self.beta.stats.shared_node_hits += 1;
         }
-        if let Some(p) = &mut self.profile {
-            p.nodes[n as usize].activations += 1;
-        }
-        let negated = self.nodes[n as usize].negated;
-        let tests = self.nodes[n as usize].join_tests.clone();
-        if negated {
-            let toks = self.right_candidates(n, w, wm);
-            for t in toks {
-                if !self.tokens[t as usize].alive {
+        let tests = &node.join_tests[..];
+        let chain_len = node.level as usize + usize::from(node.negated);
+        if node.negated {
+            // The blocked tokens' descendants go, but they live at deeper
+            // nodes: `n`'s own population is what the snapshot says.
+            let toks = self.right_candidates(n, w);
+            for &t in &toks {
+                if !self.beta.tokens[t as usize].alive {
                     continue;
                 }
-                let anc = self.ancestors(t);
+                self.load_chain(t);
                 self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
-                if eval_tests(&tests, &anc, w, wm) {
-                    let nr = &mut self.tokens[t as usize].neg_results;
+                if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
+                    let nr = &mut self.beta.tokens[t as usize].neg_results;
                     // The token may already hold `w` when it was created
                     // during this very addition (its initial blocker scan
                     // saw the memory with `w` inside); blockers are a set.
                     if !nr.contains(&w) {
                         nr.push(w);
                         let first = nr.len() == 1;
-                        self.nodes[n as usize]
-                            .blocked_by
-                            .entry(w)
-                            .or_default()
-                            .push(t);
+                        let b = &mut *self.beta;
+                        b.mems[n as usize].blocked_by.push(w, t, &mut b.pool);
                         if first {
                             self.block_token(t);
                         }
                     }
                 }
             }
-        } else if self.nodes[n as usize].level == 0 {
+            give_list(&mut self.beta.pool, toks);
+        } else if node.level == 0 {
             debug_assert!(tests.is_empty(), "first node has no join tests");
-            self.new_token(n, DUMMY, Some(w), wm);
+            self.new_token(n, DUMMY, Some(w));
         } else {
-            let parent_negated = self.nodes[n as usize]
-                .parent
-                .map(|p| self.nodes[p as usize].negated)
-                .unwrap_or(false);
-            let parents = self.right_candidates(n, w, wm);
-            for t in parents {
-                if !self.tokens[t as usize].alive {
+            let parent_negated = node.parent.is_some_and(|p| self.nodes[p as usize].negated);
+            let parents = self.right_candidates(n, w);
+            for &t in &parents {
+                let td = &self.beta.tokens[t as usize];
+                if !td.alive {
                     continue;
                 }
-                if parent_negated && !self.tokens[t as usize].neg_results.is_empty() {
+                if parent_negated && !td.neg_results.is_empty() {
                     continue; // blocked parents have no output
                 }
-                let anc = self.ancestors(t);
+                self.load_chain(t);
                 self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
-                if eval_tests(&tests, &anc, w, wm) {
-                    self.new_token(n, t, Some(w), wm);
+                if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
+                    self.new_token(n, t, Some(w));
+                }
+            }
+            give_list(&mut self.beta.pool, parents);
+        }
+    }
+
+    /// WME `w` left negative node `n`'s alpha memory: unblock the tokens it
+    /// was blocking.
+    fn right_activate_remove(&mut self, n: u32, w: WmeId) {
+        self.count_activation(n);
+        let Some(toks) = self.beta.mems[n as usize].blocked_by.take(w) else {
+            return;
+        };
+        for &t in &toks {
+            let td = &mut self.beta.tokens[t as usize];
+            if !td.alive {
+                continue;
+            }
+            if let Some(pos) = td.neg_results.iter().position(|&b| b == w) {
+                td.neg_results.remove(pos);
+                self.work.match_units += cost::TOKEN_OP;
+                if self.beta.tokens[t as usize].neg_results.is_empty() {
+                    self.load_chain(t);
+                    self.propagate(n, t);
                 }
             }
         }
+        give_list(&mut self.beta.pool, toks);
+    }
+
+    /// Deletes every token whose own WME is `w`, which is leaving working
+    /// memory.
+    fn delete_tokens_of(&mut self, w: WmeId) {
+        // Taken out first: each deleted token looks for itself under `w`
+        // and finds the key gone, so the list is not edited under the loop.
+        let Some(toks) = self.beta.wme_tokens.take(w) else {
+            return;
+        };
+        for &t in &toks {
+            let node = self.beta.tokens[t as usize].node;
+            let before = self.work.match_units;
+            self.delete_token(t);
+            self.charge_node(node, before);
+        }
+        give_list(&mut self.beta.pool, toks);
     }
 
     /// Creates a token at node `n` and, when it is active (positive, or
     /// negative with no blockers), propagates it down the trie.
-    fn new_token(&mut self, n: u32, parent: u32, wme: Option<WmeId>, wm: &WmStore) {
+    fn new_token(&mut self, n: u32, parent: u32, wme: Option<WmeId>) {
+        let node = &self.nodes[n as usize];
         let id = self.alloc_token(n, parent, wme);
         self.work.match_units += cost::TOKEN_OP;
-        if let Some(p) = &mut self.profile {
+        let b = &mut *self.beta;
+        if let Some(p) = &mut b.profile {
             p.tokens_created += 1;
             p.nodes[n as usize].tokens += 1;
         }
-        self.nodes[n as usize].tokens.push(id);
+        b.mems[n as usize].tokens.push(id);
         if let Some(w) = wme {
-            self.wme_tokens.entry(w).or_default().push(id);
+            b.wme_tokens.push(w, id, &mut b.pool);
         }
         if parent != DUMMY {
-            self.tokens[parent as usize].children.push(id);
+            b.tokens[parent as usize].children.push(id);
         }
-        let anc = self.ancestors(id);
-        if self.config.index {
-            self.register_token_indexes(id, n, &anc, wm);
+        self.load_chain(id);
+        let chain_len = node.level as usize + 1;
+        if self.indexed {
+            self.register_token_indexes(id, n);
         }
-        if self.nodes[n as usize].negated {
-            // Compute the initial blocker set.
-            let tests = self.nodes[n as usize].join_tests.clone();
-            let cands = if self.nodes[n as usize].key_test.is_some() {
-                self.left_candidates(n, &anc, wm)
-            } else {
-                self.stats.linear_scans += 1;
-                self.alpha
-                    .mem(self.nodes[n as usize].alpha_mem)
-                    .wmes
-                    .clone()
-            };
+        if node.negated {
+            // Compute the initial blocker set, straight into the token.
+            let tests = &node.join_tests[..];
+            let cands = self.left_candidates(n, chain_len);
             self.work.match_units += (cands.len() * tests.len().max(1)) as u64 * cost::JOIN_TEST;
-            let mut blockers = Vec::new();
-            for w in cands {
-                if eval_tests(&tests, &anc, w, wm) {
+            let b = &mut *self.beta;
+            let mut blockers = std::mem::take(&mut b.tokens[id as usize].neg_results);
+            for &w in cands {
+                if eval_tests(tests, &b.chain[..chain_len], w, self.wm) {
                     blockers.push(w);
+                    b.mems[n as usize].blocked_by.push(w, id, &mut b.pool);
                 }
             }
             let blocked = !blockers.is_empty();
-            for &w in &blockers {
-                self.nodes[n as usize]
-                    .blocked_by
-                    .entry(w)
-                    .or_default()
-                    .push(id);
-            }
-            self.tokens[id as usize].neg_results = blockers;
+            b.tokens[id as usize].neg_results = blockers;
             if blocked {
                 return;
             }
         }
-        self.propagate(n, id, wm);
+        self.propagate(n, id);
     }
 
-    /// Registers a fresh token at `n` into the right-activation hash
-    /// indexes that cover `n`'s resident population: `n`'s own index when
-    /// `n` is negative, and the index of every positive keyed child.
-    fn register_token_indexes(&mut self, id: u32, n: u32, anc: &[Option<WmeId>], wm: &WmStore) {
-        let mut regs: Vec<(u32, u64)> = Vec::new();
-        {
-            let node = &self.nodes[n as usize];
-            if node.negated {
-                if let Some(kt) = node.key_test {
-                    if let Some(key) = token_side_key(anc, &node.join_tests[kt], wm) {
-                        regs.push((n, key));
-                    }
-                }
-            }
-            for &c in &node.children {
-                let cn = &self.nodes[c as usize];
-                if !cn.negated {
-                    if let Some(kt) = cn.key_test {
-                        if let Some(key) = token_side_key(anc, &cn.join_tests[kt], wm) {
-                            regs.push((c, key));
-                        }
-                    }
-                }
+    /// Registers a fresh token at `n`, whose chain is loaded, into the
+    /// right-activation hash indexes that cover `n`'s resident population:
+    /// `n`'s own index when `n` is negative, and the index of every
+    /// positive keyed child.
+    fn register_token_indexes(&mut self, id: u32, n: u32) {
+        let node = &self.nodes[n as usize];
+        let chain_len = node.level as usize + 1;
+        let nodes = self.nodes;
+        let own = node.negated.then_some(n);
+        let positive_children = node
+            .children
+            .iter()
+            .copied()
+            .filter(|&c| !nodes[c as usize].negated);
+        for nd in own.into_iter().chain(positive_children) {
+            let keyed = &nodes[nd as usize];
+            let Some(kt) = keyed.key_test else { continue };
+            let b = &mut *self.beta;
+            if let Some(key) = token_side_key(&b.chain[..chain_len], &keyed.join_tests[kt], self.wm)
+            {
+                b.mems[nd as usize].right_index.push(key, id, &mut b.pool);
+                b.tokens[id as usize].index_keys.push((nd, key));
             }
         }
-        for &(nd, key) in &regs {
-            self.nodes[nd as usize]
-                .right_index
-                .entry(key)
-                .or_default()
-                .push(id);
-        }
-        self.tokens[id as usize].index_keys = regs;
     }
 
-    /// Token `t` is active at node `n`: emit its terminals and feed the
-    /// children. (A shared node can be terminal for one production *and*
-    /// a prefix of another's chain.)
-    fn propagate(&mut self, n: u32, t: u32, wm: &WmStore) {
-        if !self.nodes[n as usize].terminals.is_empty() {
-            self.emit_insert(n, t, wm);
+    /// Token `t`, whose chain is loaded, is active at node `n`: emit its
+    /// terminals and feed the children. (A shared node can be terminal for
+    /// one production *and* a prefix of another's chain.)
+    fn propagate(&mut self, n: u32, t: u32) {
+        let node = &self.nodes[n as usize];
+        let chain_len = node.level as usize + 1;
+        if !node.terminals.is_empty() {
+            self.emit_insert(n, t);
         }
-        let children = self.nodes[n as usize].children.clone();
-        for c in children {
-            self.chunks += 1;
-            if self.nodes[c as usize].n_prods > 1 {
-                self.stats.shared_node_hits += 1;
+        for &c in &node.children {
+            let child = &self.nodes[c as usize];
+            self.count_activation(c);
+            if child.n_prods > 1 {
+                self.beta.stats.shared_node_hits += 1;
             }
-            if let Some(p) = &mut self.profile {
-                p.nodes[c as usize].activations += 1;
-            }
-            if self.nodes[c as usize].negated {
-                self.new_token(c, t, None, wm);
+            if child.negated {
+                self.new_token(c, t, None);
             } else {
-                let tests = self.nodes[c as usize].join_tests.clone();
-                let anc = self.ancestors(t);
-                let cands = self.left_candidates(c, &anc, wm);
-                for w in cands {
+                let tests = &child.join_tests[..];
+                for &w in self.left_candidates(c, chain_len) {
                     self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
-                    if eval_tests(&tests, &anc, w, wm) {
-                        self.new_token(c, t, Some(w), wm);
+                    if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
+                        self.new_token(c, t, Some(w));
                     }
                 }
             }
         }
+    }
+
+    /// Deletes the descendants of `t` (leaving `t`'s child list empty, with
+    /// its capacity).
+    fn delete_children(&mut self, t: u32) {
+        // Each child looks for itself in this list to unlink; taken, it
+        // finds nothing, and the list is emptied wholesale below.
+        let mut children = std::mem::take(&mut self.beta.tokens[t as usize].children);
+        for &ch in &children {
+            self.delete_token(ch);
+        }
+        children.clear();
+        self.beta.tokens[t as usize].children = children;
     }
 
     /// A negative token became blocked: delete its descendants and retract
     /// its instantiations if it reached a terminal.
     fn block_token(&mut self, t: u32) {
-        let children = std::mem::take(&mut self.tokens[t as usize].children);
-        for ch in children {
-            self.delete_token(ch);
-        }
-        if self.tokens[t as usize].emitted {
-            self.tokens[t as usize].emitted = false;
-            self.emit_retract(t);
-        }
+        self.delete_children(t);
+        self.emit_retract(t);
     }
 
     fn delete_token(&mut self, t: u32) {
-        if !self.tokens[t as usize].alive {
+        if !self.beta.tokens[t as usize].alive {
             return;
         }
-        self.tokens[t as usize].alive = false;
-        if let Some(p) = &mut self.profile {
+        self.beta.tokens[t as usize].alive = false;
+        if let Some(p) = &mut self.beta.profile {
             p.tokens_deleted += 1;
         }
-        let children = std::mem::take(&mut self.tokens[t as usize].children);
-        for ch in children {
-            self.delete_token(ch);
-        }
-        if self.tokens[t as usize].emitted {
-            self.tokens[t as usize].emitted = false;
-            self.emit_retract(t);
-        }
-        let n = self.tokens[t as usize].node;
+        self.delete_children(t);
+        self.emit_retract(t);
+        let b = &mut *self.beta;
+        let td = &mut b.tokens[t as usize];
+        let n = td.node as usize;
         // Removals here (and in every memory below) must preserve order:
         // snapshot restore rebuilds the network by re-inserting live WMEs
         // in id order, so surviving entries have to sit in arrival order or
         // order-sensitive scans would cost different match work after a
         // crash recovery than in the uninterrupted run.
-        let toks = &mut self.nodes[n as usize].tokens;
+        let toks = &mut b.mems[n].tokens;
         if let Some(pos) = toks.iter().position(|&x| x == t) {
             toks.remove(pos);
         }
         // Undo index and blocker registrations.
-        let regs = std::mem::take(&mut self.tokens[t as usize].index_keys);
-        for (nd, key) in regs {
-            if let Some(bucket) = self.nodes[nd as usize].right_index.get_mut(&key) {
-                if let Some(pos) = bucket.iter().position(|&x| x == t) {
-                    bucket.remove(pos);
-                }
-                if bucket.is_empty() {
-                    self.nodes[nd as usize].right_index.remove(&key);
-                }
-            }
+        for (nd, key) in td.index_keys.drain(..) {
+            b.mems[nd as usize]
+                .right_index
+                .remove_item(key, t, &mut b.pool);
         }
-        let blockers = std::mem::take(&mut self.tokens[t as usize].neg_results);
-        for w in blockers {
-            if let Some(bucket) = self.nodes[n as usize].blocked_by.get_mut(&w) {
-                if let Some(pos) = bucket.iter().position(|&x| x == t) {
-                    bucket.remove(pos);
-                }
-                if bucket.is_empty() {
-                    self.nodes[n as usize].blocked_by.remove(&w);
-                }
-            }
+        for w in td.neg_results.drain(..) {
+            b.mems[n].blocked_by.remove_item(w, t, &mut b.pool);
         }
-        if let Some(w) = self.tokens[t as usize].wme {
-            if let Some(v) = self.wme_tokens.get_mut(&w) {
-                if let Some(pos) = v.iter().position(|&x| x == t) {
-                    v.remove(pos);
-                }
-            }
+        if let Some(w) = td.wme {
+            b.wme_tokens.remove_item(w, t, &mut b.pool);
         }
-        let p = self.tokens[t as usize].parent;
-        if p != DUMMY && self.tokens[p as usize].alive {
-            let pc = &mut self.tokens[p as usize].children;
+        let p = td.parent;
+        if p != DUMMY && b.tokens[p as usize].alive {
+            let pc = &mut b.tokens[p as usize].children;
             if let Some(pos) = pc.iter().position(|&x| x == t) {
                 pc.remove(pos);
             }
         }
         self.work.match_units += cost::TOKEN_OP;
-        self.free.push(t);
+        b.free.push(t);
     }
 
+    /// Takes a token slot for node `n`. A reused slot keeps the capacity of
+    /// its lists, which deletion (and [`Rete::reset`]) left empty.
     fn alloc_token(&mut self, n: u32, parent: u32, wme: Option<WmeId>) -> u32 {
-        let td = TokenData {
-            parent,
-            wme,
-            node: n,
-            level: self.nodes[n as usize].level,
-            children: Vec::new(),
-            neg_results: Vec::new(),
-            index_keys: Vec::new(),
-            emitted: false,
-            alive: true,
-        };
-        if let Some(id) = self.free.pop() {
-            self.tokens[id as usize] = td;
-            id
-        } else {
-            self.tokens.push(td);
-            (self.tokens.len() - 1) as u32
-        }
+        let b = &mut *self.beta;
+        let id = b.free.pop().unwrap_or_else(|| {
+            b.tokens.push(TokenData::default());
+            (b.tokens.len() - 1) as u32
+        });
+        let td = &mut b.tokens[id as usize];
+        debug_assert!(td.children.is_empty() && td.neg_results.is_empty());
+        debug_assert!(td.index_keys.is_empty() && td.emitted.is_none());
+        td.parent = parent;
+        td.wme = wme;
+        td.node = n;
+        td.level = self.nodes[n as usize].level;
+        td.alive = true;
+        id
     }
 
-    /// WME ids of the token's chain, indexed by node level (`None` at
-    /// negative-node levels).
-    fn ancestors(&self, t: u32) -> Vec<Option<WmeId>> {
-        let mut anc = vec![None; self.tokens[t as usize].level as usize + 1];
-        let mut cur = t;
-        loop {
-            let td = &self.tokens[cur as usize];
-            anc[td.level as usize] = td.wme;
-            if td.parent == DUMMY {
-                break;
-            }
-            cur = td.parent;
-        }
-        anc
-    }
-
-    fn emit_insert(&mut self, n: u32, t: u32, wm: &WmStore) {
-        self.tokens[t as usize].emitted = true;
-        let anc = self.ancestors(t);
-        let wmes: Vec<WmeId> = anc.into_iter().flatten().collect();
-        let time_tags: Vec<u64> = wmes.iter().map(|&w| wm.time_tag(w)).collect();
-        let terminals = self.nodes[n as usize].terminals.clone();
-        for (prod, specificity) in terminals {
+    /// Token `t`, whose chain is loaded, satisfies the productions ending
+    /// at node `n`.
+    fn emit_insert(&mut self, n: u32, t: u32) {
+        let node = &self.nodes[n as usize];
+        let b = &mut *self.beta;
+        b.inst_wmes.clear();
+        b.inst_wmes
+            .extend(b.chain[..=node.level as usize].iter().flatten());
+        b.inst_tags.clear();
+        b.inst_tags
+            .extend(b.inst_wmes.iter().map(|&w| self.wm.time_tag(w)));
+        let wmes: Arc<[WmeId]> = Arc::from(&b.inst_wmes[..]);
+        let time_tags: Arc<[TimeTag]> = Arc::from(&b.inst_tags[..]);
+        for &(prod, specificity) in &node.terminals {
             self.work.match_units += cost::CONFLICT_OP;
-            self.events.push(MatchEvent::Insert(Instantiation::new(
+            b.events.push(MatchEvent::Insert(Instantiation::new(
                 prod,
-                wmes.clone().into_boxed_slice(),
-                time_tags.clone().into_boxed_slice(),
+                Arc::clone(&wmes),
+                Arc::clone(&time_tags),
                 specificity,
             )));
         }
+        b.tokens[t as usize].emitted = Some(wmes);
     }
 
+    /// Retracts what token `t` has in the conflict set, if anything.
     fn emit_retract(&mut self, t: u32) {
-        let anc = self.ancestors(t);
-        let wmes: Vec<WmeId> = anc.into_iter().flatten().collect();
-        let n = self.tokens[t as usize].node;
-        let terminals = self.nodes[n as usize].terminals.clone();
-        for (prod, _) in terminals {
+        let td = &mut self.beta.tokens[t as usize];
+        let Some(wmes) = td.emitted.take() else {
+            return;
+        };
+        let n = td.node;
+        for &(production, _) in &self.nodes[n as usize].terminals {
             self.work.match_units += cost::CONFLICT_OP;
-            self.events.push(MatchEvent::Retract {
-                production: prod,
-                wmes: wmes.clone().into_boxed_slice(),
+            self.beta.events.push(MatchEvent::Retract {
+                production,
+                wmes: Arc::clone(&wmes),
             });
         }
     }
 }
 
 /// The token-side index key for `test`: the hash key of the value at
-/// `(their_level, their_slot)` in the token's ancestry. `None` when the
+/// `(their_level, their_slot)` in the token's chain. `None` when the
 /// referenced ancestor is unavailable (the full tests would reject every
 /// candidate anyway).
-fn token_side_key(anc: &[Option<WmeId>], test: &JoinTest, wm: &WmStore) -> Option<u64> {
-    let their = anc.get(test.their_level as usize).copied().flatten()?;
+fn token_side_key(chain: &[Option<WmeId>], test: &JoinTest, wm: &WmStore) -> Option<u64> {
+    let their = chain.get(test.their_level as usize).copied().flatten()?;
     let wme = wm.get(their)?;
     Some(wme.get(test.their_slot as usize).hash_key())
 }
 
-fn eval_tests(tests: &[JoinTest], anc: &[Option<WmeId>], w: WmeId, wm: &WmStore) -> bool {
+fn eval_tests(tests: &[JoinTest], chain: &[Option<WmeId>], w: WmeId, wm: &WmStore) -> bool {
     let Some(wme) = wm.get(w) else { return false };
     for t in tests {
-        let their = anc.get(t.their_level as usize).copied().flatten();
+        let their = chain.get(t.their_level as usize).copied().flatten();
         let Some(their_wme) = their.and_then(|id| wm.get(id)) else {
             return false;
         };
@@ -1316,16 +1391,22 @@ mod tests {
         }
         let gone = f.add("a", &[(0, Value::Int(2))]);
         f.remove(gone);
-        assert!(f.rete.nodes.iter().any(|n| !n.blocked_by.is_empty()));
-        assert!(f.rete.nodes.iter().any(|n| !n.right_index.is_empty()));
-        assert!(!f.rete.free.is_empty() && !f.rete.events.is_empty());
+        let b = &f.rete.beta;
+        assert!(b.mems.iter().any(|m| !m.blocked_by.is_empty()));
+        assert!(b.mems.iter().any(|m| !m.right_index.is_empty()));
+        assert!(!b.free.is_empty() && !b.events.is_empty());
+        let slots = b.tokens.len();
 
         f.rete.reset();
-        for n in &f.rete.nodes {
-            assert!(n.tokens.is_empty() && n.right_index.is_empty() && n.blocked_by.is_empty());
+        let b = &f.rete.beta;
+        for m in &b.mems {
+            assert!(m.tokens.is_empty() && m.right_index.is_empty() && m.blocked_by.is_empty());
         }
-        assert!(f.rete.tokens.is_empty() && f.rete.free.is_empty());
-        assert!(f.rete.wme_tokens.is_empty() && f.rete.events.is_empty());
+        // Token slots stay, every one free and the lowest id next.
+        assert!(b.tokens.iter().all(|t| !t.alive && t.emitted.is_none()));
+        assert_eq!((b.tokens.len(), b.free.len()), (slots, slots));
+        assert_eq!(b.free.last(), Some(&0));
+        assert!(b.wme_tokens.is_empty() && b.events.is_empty());
         for m in 0..alpha_mems {
             assert!(f.rete.alpha.mem(m as AlphaMemId).wmes.is_empty());
         }

@@ -1,0 +1,216 @@
+//! The recognize–act cycle's allocation budget, counted by this binary's
+//! own global allocator on an LCC-shaped program: modify-heavy, two negated
+//! condition elements in one production, an external that makes a WME.
+//!
+//! A firing may allocate what it leaves behind — a made WME's fields, the
+//! two shared lists of a new instantiation — and nothing else: no copy of a
+//! node's tests or children, no candidate list, no event or scratch vector.
+//! Whatever buffers a run grew, `reset()` keeps, so replays settle.
+
+use ops5::{CycleStats, Engine, NetStats, Program, Value, WorkCounters};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread (the test harness's own
+/// threads allocate too; they do not count here).
+struct Counting;
+
+fn count_one() {
+    // A thread being torn down has no counter left; nothing is measured
+    // there.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; counting touches only a `const`-initialised
+// thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Tasks open, check their items through an external that records each
+/// result as a new WME, total the results up and close — LCC's
+/// task → check → pair → support shape.
+const SRC: &str = "
+    (literalize control phase)
+    (literalize task id status)
+    (literalize item id task value status)
+    (literalize result task item value counted)
+    (literalize sum task total)
+    (p open
+       (control ^phase run)
+       (task ^id <t> ^status pending)
+       -->
+       (modify 2 ^status open))
+    (p check
+       (control ^phase run)
+       (task ^id <t> ^status open)
+       (item ^id <i> ^task <t> ^value <v> ^status pending)
+       -(result ^task <t> ^item <i>)
+       -->
+       (call record <t> <i> (compute <v> * 2))
+       (modify 3 ^status done))
+    (p total
+       (control ^phase run)
+       (result ^task <t> ^value <v> ^counted nil)
+       (sum ^task <t> ^total <s>)
+       -->
+       (modify 2 ^counted yes)
+       (modify 3 ^total (compute <s> + <v>)))
+    (p close
+       (control ^phase run)
+       (task ^id <t> ^status open)
+       -(item ^task <t> ^status pending)
+       -(result ^task <t> ^counted nil)
+       -->
+       (modify 2 ^status done))";
+
+const TASKS: i64 = 8;
+const ITEMS: i64 = 12;
+
+fn engine() -> Engine {
+    let program = Arc::new(Program::parse(SRC).unwrap());
+    let result = ops5::sym("result");
+    let slots = ["task", "item", "value"].map(|a| program.slot_of(result, ops5::sym(a)).unwrap());
+    let mut e = Engine::new(program);
+    e.register_external(
+        "record",
+        Arc::new(move |args, eff| {
+            eff.cost = 40;
+            eff.make(result, &[0, 1, 2].map(|i| (slots[i], args[i])));
+            None
+        }),
+    );
+    e
+}
+
+/// What a replay shows, and what it allocated while loading and running.
+struct Replay {
+    firings: u64,
+    work: WorkCounters,
+    net: NetStats,
+    log: Vec<CycleStats>,
+    load_allocations: u64,
+    run_allocations: u64,
+}
+
+fn replay(e: &mut Engine) -> Replay {
+    e.enable_cycle_log();
+    let pending = Value::symbol("pending");
+    let start = allocations();
+    e.make_wme("control", &[("phase", Value::symbol("run"))])
+        .unwrap();
+    for t in 0..TASKS {
+        e.make_wme("task", &[("id", t.into()), ("status", pending)])
+            .unwrap();
+        e.make_wme("sum", &[("task", t.into()), ("total", 0.into())])
+            .unwrap();
+        for i in 0..ITEMS {
+            let sets = [
+                ("id", i.into()),
+                ("task", t.into()),
+                ("value", (t + i).into()),
+                ("status", pending),
+            ];
+            e.make_wme("item", &sets).unwrap();
+        }
+    }
+    let loaded = allocations();
+    let out = e.run(10_000);
+    let ran = allocations();
+    assert!(out.quiescent(), "{out:?}");
+    Replay {
+        firings: out.firings,
+        work: e.work(),
+        net: e.net_stats(),
+        log: e.take_cycle_log(),
+        load_allocations: loaded - start,
+        run_allocations: ran - loaded,
+    }
+}
+
+#[test]
+fn a_firing_allocates_only_what_it_leaves_behind() {
+    let mut e = engine();
+    let warm_up = replay(&mut e);
+    // open + close per task, check + total per item.
+    assert_eq!(warm_up.firings as i64, 2 * TASKS + 2 * TASKS * ITEMS);
+
+    e.reset();
+    let second = replay(&mut e);
+    e.reset();
+    let third = replay(&mut e);
+
+    // (a) Per firing: a `result` made every other firing, about one new
+    // instantiation (two lists), the cycle log's doublings — 2.5 here. (8
+    // is the ceiling for SPAM's LCC, whose firings make more; it was 74.)
+    // One copied test list per node activation alone adds 1.8.
+    let per_firing = second.run_allocations as f64 / second.firings as f64;
+    assert!(
+        per_firing <= 3.0,
+        "{} allocations over {} firings = {per_firing:.1} per firing",
+        second.run_allocations,
+        second.firings
+    );
+    // Loading is the same cycle without the RHS: per WME, its fields and
+    // the instantiations it completes (1.2 here).
+    let wmes = (1 + TASKS * (2 + ITEMS)) as f64;
+    assert!(
+        second.load_allocations as f64 <= 2.0 * wmes,
+        "{} allocations loading {wmes} WMEs",
+        second.load_allocations
+    );
+
+    // (b) Retained capacity reaches a fixed point: a replay never needs
+    // more than the one before it.
+    let total = |r: &Replay| r.load_allocations + r.run_allocations;
+    assert!(total(&second) <= total(&warm_up));
+    assert!(
+        total(&third) <= total(&second),
+        "third replay allocated {}, second {}",
+        total(&third),
+        total(&second)
+    );
+
+    // (c) None of which a run can see.
+    let fresh = replay(&mut engine());
+    for (name, r) in [
+        ("warm-up", &warm_up),
+        ("second", &second),
+        ("third", &third),
+    ] {
+        assert_eq!(r.firings, fresh.firings, "{name}");
+        assert_eq!(r.work, fresh.work, "{name}");
+        assert_eq!(r.net, fresh.net, "{name}");
+        assert_eq!(r.log, fresh.log, "{name}");
+    }
+}

@@ -117,7 +117,7 @@ pub struct MatchPoolReport {
 }
 
 /// Net match state: the fold of a worker's delivered events.
-type NetState = HashMap<(u32, Box<[WmeId]>), Instantiation>;
+type NetState = HashMap<(u32, Arc<[WmeId]>), Instantiation>;
 
 fn fold_events(net: &mut NetState, events: &[MatchEvent]) {
     for e in events {
@@ -470,16 +470,18 @@ impl ThreadedMatcher {
         }
     }
 
-    fn flush(&mut self) -> Vec<MatchEvent> {
+    /// The flush barrier: appends every replica's pending events to
+    /// `events`. A pool that has failed (or fails here) appends nothing.
+    fn flush(&mut self, events: &mut Vec<MatchEvent>) {
         if self.failure.is_some() {
-            return Vec::new();
+            return;
         }
+        let start = events.len();
         for slot in &mut self.slots {
             if slot.state == SlotState::Live && slot.tx.send(Req::Flush).is_err() {
                 slot.state = SlotState::Dead;
             }
         }
-        let mut events = Vec::new();
         let mut total = WorkCounters::default();
         for slot in &mut self.slots {
             if slot.state != SlotState::Live {
@@ -501,12 +503,13 @@ impl ThreadedMatcher {
                 let recovered = self.recover(idx);
                 events.extend(recovered);
                 if self.failure.is_some() {
-                    return Vec::new();
+                    events.truncate(start);
+                    return;
                 }
             }
         }
         for iw in &mut self.inline {
-            events.extend(iw.rete.drain_events());
+            iw.rete.drain_events_into(events);
             total.add(&iw.rete.work);
             self.chunks = self.chunks.saturating_add(u64::from(iw.rete.take_chunks()));
         }
@@ -522,12 +525,11 @@ impl ThreadedMatcher {
                 Category::Match,
                 "match.flush",
                 vec![
-                    ("events", (events.len() as u64).into()),
+                    ("events", ((events.len() - start) as u64).into()),
                     ("workers", (live as u64).into()),
                 ],
             );
         }
-        events
     }
 }
 
@@ -582,8 +584,8 @@ impl Matcher for ThreadedMatcher {
         self.broadcast(Delta::Remove(id));
     }
 
-    fn drain_events(&mut self, _wm: &WmStore) -> Vec<MatchEvent> {
-        self.flush()
+    fn drain_events(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        self.flush(out)
     }
 
     fn take_chunks(&mut self) -> u32 {
@@ -938,7 +940,7 @@ mod tests {
         for tag in 1..=3u64 {
             let id = wm.add(Wme::new(class, n_slots, tag));
             m.add_wme(id, &wm);
-            let _ = m.drain_events(&wm);
+            m.drain_events(&wm, &mut Vec::new());
         }
         assert_eq!(m.report().deaths, 2);
         // Flush 2: worker 1's failed respawn degrades without charging the
@@ -968,14 +970,14 @@ mod tests {
         let n_slots = program.n_slots(class).unwrap();
         let id = wm.add(Wme::new(class, n_slots, 1));
         m.add_wme(id, &wm);
-        let _ = m.drain_events(&wm);
+        m.drain_events(&wm, &mut Vec::new());
         assert!(m.chunks > 0, "matching a WME must produce chunks");
         // Pretend a long streaming run already drove the total to the top:
         // the next flush's aggregation must saturate, not wrap or panic.
         m.chunks = u64::MAX;
         let id2 = wm.add(Wme::new(class, n_slots, 2));
         m.add_wme(id2, &wm);
-        let _ = m.drain_events(&wm);
+        m.drain_events(&wm, &mut Vec::new());
         assert_eq!(m.chunks, u64::MAX);
         assert_eq!(m.take_chunks(), u32::MAX, "trait boundary clamps");
         assert_eq!(m.chunks, 0, "take_chunks drains the counter");
@@ -1001,10 +1003,10 @@ mod tests {
         // flush 1 and dies; flush 2 detects and respawns it.
         let id = wm.add(Wme::new(class, n_slots, 1));
         m.add_wme(id, &wm);
-        let _ = m.drain_events(&wm);
+        m.drain_events(&wm, &mut Vec::new());
         let id2 = wm.add(Wme::new(class, n_slots, 2));
         m.add_wme(id2, &wm);
-        let _ = m.drain_events(&wm);
+        m.drain_events(&wm, &mut Vec::new());
         assert_eq!(m.report().deaths, 1);
         assert_eq!(m.report().respawns, 1);
         assert!(!m.report().warnings.is_empty());

@@ -11,6 +11,7 @@
 
 use crate::constraints::{Relation, CONSTRAINTS};
 use crate::fragments::{FragmentHypothesis, FragmentKind};
+use crate::rules::lcc_schema;
 use crate::scene::Scene;
 use ops5::{static_sym, Effects, Engine, Value};
 use spam_geometry::{aligned, collinearity, Obb, ADJACENCY_GAP};
@@ -166,6 +167,7 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
     {
         let scene = Arc::clone(&ctx.scene);
         let fragments = Arc::clone(&ctx.fragments);
+        let consistent = lcc_schema().consistent;
         engine.register_external(
             "lcc-check-pair",
             Arc::new(move |args, eff| {
@@ -199,15 +201,15 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                 if !holds {
                     return Some(no);
                 }
-                eff.makes.push((
-                    static_sym!("consistent"),
-                    vec![
-                        (static_sym!("a"), Value::Int(f)),
-                        (static_sym!("b"), Value::Int(g)),
-                        (static_sym!("rel"), Value::Sym(constraint.relation.symbol())),
-                        (static_sym!("weight"), Value::Int(constraint.weight)),
-                    ],
-                ));
+                eff.make(
+                    consistent.class,
+                    &consistent.sets([
+                        Value::Int(f),
+                        Value::Int(g),
+                        Value::Sym(constraint.relation.symbol()),
+                        Value::Int(constraint.weight),
+                    ]),
+                );
                 Some(Value::Sym(static_sym!("yes")))
             }),
         );

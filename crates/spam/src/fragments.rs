@@ -2,6 +2,7 @@
 
 use ops5::{sym, Symbol, Value};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The airport-domain fragment classes SPAM hypothesises (§2.2: "SPAM has
 /// been applied in two task areas: airport and suburban house scene
@@ -65,9 +66,12 @@ pub const ALL_KINDS: [FragmentKind; 16] = [
 ];
 
 impl FragmentKind {
-    /// The OPS5 symbol naming this kind.
+    /// The OPS5 symbol naming this kind. Interned once per process: every
+    /// fragment, `near` and constraint element a task loads carries one.
     pub fn symbol(self) -> Symbol {
-        sym(self.name())
+        static SYMBOLS: OnceLock<[Symbol; 16]> = OnceLock::new();
+        // `ALL_KINDS` is in declaration (= discriminant) order.
+        SYMBOLS.get_or_init(|| ALL_KINDS.map(|k| sym(k.name())))[self as usize]
     }
 
     /// The OPS5 value naming this kind.
@@ -144,6 +148,11 @@ mod tests {
             sym("terminal-building")
         );
         assert_eq!(FragmentKind::Runway.value(), Value::symbol("runway"));
+        // The cached table is indexed by discriminant: every kind, not
+        // just the first few.
+        for k in ALL_KINDS {
+            assert_eq!(k.symbol(), sym(k.name()), "{k}");
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@
 use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
-use crate::rules::SpamProgram;
+use crate::rules::{lcc_schema, LccSchema, SpamProgram};
 use crate::scene::Scene;
-use ops5::{static_sym, CycleStats, MatchProfile, Symbol, Value, WorkCounters};
+use ops5::ast::SlotIdx;
+use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -215,26 +216,26 @@ pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) 
     }
 }
 
-fn constraint_fields(c: &Constraint) -> Vec<(&'static str, Value)> {
-    vec![
-        ("id", Value::Int(c.id as i64)),
-        ("subject", c.subject.value()),
-        ("object", c.object.value()),
-        ("rel", Value::Sym(c.relation.symbol())),
-        ("param", Value::Float(c.param)),
-        ("weight", Value::Int(c.weight)),
-    ]
+fn constraint_fields(s: &LccSchema, c: &Constraint) -> [(SlotIdx, Value); 6] {
+    s.constraint.sets([
+        Value::Int(c.id as i64),
+        c.subject.value(),
+        c.object.value(),
+        Value::Sym(c.relation.symbol()),
+        Value::Float(c.param),
+        Value::Int(c.weight),
+    ])
 }
 
-fn fragment_fields(f: &FragmentHypothesis) -> Vec<(&'static str, Value)> {
-    vec![
-        ("id", Value::Int(f.id as i64)),
-        ("region", Value::Int(f.region as i64)),
-        ("kind", f.kind.value()),
-        ("conf", Value::Float(f.confidence)),
-        ("support", Value::Int(0)),
-        ("status", Value::symbol("hypothesised")),
-    ]
+fn fragment_fields(s: &LccSchema, f: &FragmentHypothesis) -> [(SlotIdx, Value); 6] {
+    s.fragment.sets([
+        Value::Int(f.id as i64),
+        Value::Int(f.region as i64),
+        f.kind.value(),
+        Value::Float(f.confidence),
+        Value::Int(0),
+        Value::Sym(static_sym!("hypothesised")),
+    ])
 }
 
 /// Loads one task's working memory into an engine (working-memory
@@ -275,39 +276,33 @@ pub fn load_unit_wm(
         }
         _ => wm_frags.extend(nbhs.iter().flatten()),
     }
+    let s = lcc_schema();
+    let pending = Value::Sym(static_sym!("pending"));
     for &fid in &wm_frags {
-        e.make_wme("fragment", &fragment_fields(&fragments[fid as usize]))
-            .expect("fragment");
+        e.make_wme_slots(
+            s.fragment.class,
+            &fragment_fields(s, &fragments[fid as usize]),
+        )
+        .expect("fragment");
     }
 
     // Spatial windows: the control process precomputes which partners lie
     // in each subject's neighbourhood ("near" elements), so pair generation
     // stays local no matter how many subjects share the task's WM (this is
     // what bounds the Level-4 class tasks).
+    let mut near = |a: u32, b: u32| {
+        let kind = fragments[b as usize].kind.value();
+        let sets = s
+            .near
+            .sets([Value::Int(a as i64), Value::Int(b as i64), kind]);
+        e.make_wme_slots(s.near.class, &sets).expect("near");
+    };
     match unit {
-        LccUnit::Pair { frag, other, .. } => {
-            e.make_wme(
-                "near",
-                &[
-                    ("a", Value::Int(*frag as i64)),
-                    ("b", Value::Int(*other as i64)),
-                    ("kind", fragments[*other as usize].kind.value()),
-                ],
-            )
-            .expect("near");
-        }
+        LccUnit::Pair { frag, other, .. } => near(*frag, *other),
         _ => {
-            for (&s, nbh) in subjects.iter().zip(&nbhs) {
+            for (&subject, nbh) in subjects.iter().zip(&nbhs) {
                 for &g in nbh {
-                    e.make_wme(
-                        "near",
-                        &[
-                            ("a", Value::Int(s as i64)),
-                            ("b", Value::Int(g as i64)),
-                            ("kind", fragments[g as usize].kind.value()),
-                        ],
-                    )
-                    .expect("near");
+                    near(subject, g);
                 }
             }
         }
@@ -317,54 +312,42 @@ pub fn load_unit_wm(
     match unit {
         LccUnit::Class(_) | LccUnit::Object(_) => {
             for c in CONSTRAINTS {
-                e.make_wme("constraint", &constraint_fields(c))
+                e.make_wme_slots(s.constraint.class, &constraint_fields(s, c))
                     .expect("constraint");
             }
-            for &s in &subjects {
-                e.make_wme(
-                    "lcc-task",
-                    &[
-                        ("id", Value::Int(s as i64)),
-                        ("frag", Value::Int(s as i64)),
-                        ("kind", fragments[s as usize].kind.value()),
-                        ("status", Value::symbol("pending")),
-                    ],
-                )
-                .expect("lcc-task");
+            for &f in &subjects {
+                let id = Value::Int(f as i64);
+                let kind = fragments[f as usize].kind.value();
+                e.make_wme_slots(s.task.class, &s.task.sets([id, id, kind, pending]))
+                    .expect("lcc-task");
             }
         }
         LccUnit::ObjectConstraint(f, c) => {
             let con = &CONSTRAINTS[*c as usize];
-            e.make_wme("constraint", &constraint_fields(con))
+            e.make_wme_slots(s.constraint.class, &constraint_fields(s, con))
                 .expect("constraint");
-            e.make_wme(
-                "lcc-check",
-                &[
-                    ("id", Value::Int(((*f as i64) << 8) | *c as i64)),
-                    ("task", Value::Int(-1)),
-                    ("frag", Value::Int(*f as i64)),
-                    ("constraint", Value::Int(*c as i64)),
-                    ("status", Value::symbol("pending")),
-                ],
-            )
-            .expect("lcc-check");
+            let sets = s.check.sets([
+                Value::Int(((*f as i64) << 8) | *c as i64),
+                Value::Int(-1),
+                Value::Int(*f as i64),
+                Value::Int(*c as i64),
+                pending,
+            ]);
+            e.make_wme_slots(s.check.class, &sets).expect("lcc-check");
         }
         LccUnit::Pair {
             frag,
             constraint,
             other,
         } => {
-            e.make_wme(
-                "lcc-pair",
-                &[
-                    ("check", Value::Int(-1)),
-                    ("frag", Value::Int(*frag as i64)),
-                    ("other", Value::Int(*other as i64)),
-                    ("constraint", Value::Int(*constraint as i64)),
-                    ("status", Value::symbol("pending")),
-                ],
-            )
-            .expect("lcc-pair");
+            let sets = s.pair.sets([
+                Value::Int(-1),
+                Value::Int(*frag as i64),
+                Value::Int(*other as i64),
+                Value::Int(*constraint as i64),
+                pending,
+            ]);
+            e.make_wme_slots(s.pair.class, &sets).expect("lcc-pair");
         }
     }
 }
@@ -519,14 +502,13 @@ fn run_unit(
     if attach.profile {
         e.enable_profile();
     }
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::Sym(static_sym!("lcc"))),
-            ("status", Value::Sym(static_sym!("running"))),
-        ],
-    )
-    .expect("control");
+    let control = lcc_schema().control;
+    let phase = [
+        Value::Sym(static_sym!("lcc")),
+        Value::Sym(static_sym!("running")),
+    ];
+    e.make_wme_slots(control.class, &control.sets(phase))
+        .expect("control");
     load_unit_wm(e, scene, fragments, unit);
 
     let out = e.run(1_000_000);
@@ -597,18 +579,9 @@ pub fn restore_lcc_engine(
 /// ([`ops5::RunOutcome::firings`], or [`ops5::Engine::work`]`.firings` for
 /// a stepped or restored engine).
 pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
-    // Class and attribute names are interned once per process (on the
-    // first harvest, not in `SpamProgram::build()`); slots are resolved
-    // against this engine's program, by id.
-    let program = e.program();
-    let slot = |class: Symbol, attr: Symbol| program.slot_of(class, attr).expect("slot") as usize;
-    let cons_class = static_sym!("consistent");
-    let (ca, cb, crel, cw) = (
-        slot(cons_class, static_sym!("a")),
-        slot(cons_class, static_sym!("b")),
-        slot(cons_class, static_sym!("rel")),
-        slot(cons_class, static_sym!("weight")),
-    );
+    let s = lcc_schema();
+    let cons_class = s.consistent.class;
+    let [ca, cb, crel, cw] = s.consistent.slots.map(usize::from);
     let consistents: Vec<ConsistentRec> = e
         .wm()
         .iter()
@@ -625,11 +598,8 @@ pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
         })
         .collect();
 
-    let frag_class = static_sym!("fragment");
-    let (fid, fsup) = (
-        slot(frag_class, static_sym!("id")),
-        slot(frag_class, static_sym!("support")),
-    );
+    let frag_class = s.fragment.class;
+    let [fid, _, _, _, fsup, _] = s.fragment.slots.map(usize::from);
     let supports: Vec<(u32, i64)> = e
         .wm()
         .iter()

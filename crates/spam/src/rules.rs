@@ -19,7 +19,10 @@
 //! * `model` / `model-area` — scene-model assembly.
 
 use crate::constraints::CONSTRAINTS;
+use ops5::ast::SlotIdx;
+use ops5::{sym, Symbol, Value};
 use std::fmt::Write;
+use std::sync::OnceLock;
 
 /// The working-memory class declarations.
 pub fn declarations() -> String {
@@ -41,6 +44,89 @@ pub fn declarations() -> String {
 (literalize model-area area verified)
 "
     .to_owned()
+}
+
+/// A working-memory class resolved for [`ops5::Engine::make_wme_slots`]:
+/// its symbol and the slot indices of `N` of its attributes, in the order
+/// the holder names them.
+#[derive(Clone, Copy, Debug)]
+pub struct ClassSlots<const N: usize> {
+    /// The class symbol.
+    pub class: Symbol,
+    /// Slot index of each named attribute.
+    pub slots: [SlotIdx; N],
+}
+
+impl<const N: usize> ClassSlots<N> {
+    fn resolve(program: &ops5::Program, class: &str, attrs: [&str; N]) -> ClassSlots<N> {
+        let class = sym(class);
+        let slots = attrs.map(|a| program.slot_of(class, sym(a)).expect("declared attribute"));
+        ClassSlots { class, slots }
+    }
+
+    /// `values`, one per named attribute, as slot assignments.
+    pub fn sets(&self, values: [Value; N]) -> [(SlotIdx, Value); N] {
+        std::array::from_fn(|i| (self.slots[i], values[i]))
+    }
+}
+
+/// The classes an LCC task's working memory is loaded with and harvested
+/// from, each with its attributes in the order listed here.
+#[derive(Clone, Copy, Debug)]
+pub struct LccSchema {
+    /// `control`: phase, status.
+    pub control: ClassSlots<2>,
+    /// `fragment`: id, region, kind, conf, support, status.
+    pub fragment: ClassSlots<6>,
+    /// `near`: a, b, kind.
+    pub near: ClassSlots<3>,
+    /// `constraint`: id, subject, object, rel, param, weight.
+    pub constraint: ClassSlots<6>,
+    /// `lcc-task`: id, frag, kind, status.
+    pub task: ClassSlots<4>,
+    /// `lcc-check`: id, task, frag, constraint, status.
+    pub check: ClassSlots<5>,
+    /// `lcc-pair`: check, frag, other, constraint, status.
+    pub pair: ClassSlots<5>,
+    /// `consistent`: a, b, rel, weight.
+    pub consistent: ClassSlots<4>,
+}
+
+/// The LCC schema of [`declarations`], resolved once per process — on the
+/// first [`SpamProgram::build`], so no task pays for it. The declarations
+/// are a constant of this crate, which is what lets every engine built
+/// from them share one resolution.
+pub fn lcc_schema() -> &'static LccSchema {
+    static SCHEMA: OnceLock<LccSchema> = OnceLock::new();
+    SCHEMA.get_or_init(|| {
+        let p = ops5::Program::parse(&declarations()).expect("declarations parse");
+        LccSchema {
+            control: ClassSlots::resolve(&p, "control", ["phase", "status"]),
+            fragment: ClassSlots::resolve(
+                &p,
+                "fragment",
+                ["id", "region", "kind", "conf", "support", "status"],
+            ),
+            near: ClassSlots::resolve(&p, "near", ["a", "b", "kind"]),
+            constraint: ClassSlots::resolve(
+                &p,
+                "constraint",
+                ["id", "subject", "object", "rel", "param", "weight"],
+            ),
+            task: ClassSlots::resolve(&p, "lcc-task", ["id", "frag", "kind", "status"]),
+            check: ClassSlots::resolve(
+                &p,
+                "lcc-check",
+                ["id", "task", "frag", "constraint", "status"],
+            ),
+            pair: ClassSlots::resolve(
+                &p,
+                "lcc-pair",
+                ["check", "frag", "other", "constraint", "status"],
+            ),
+            consistent: ClassSlots::resolve(&p, "consistent", ["a", "b", "rel", "weight"]),
+        }
+    })
 }
 
 /// One RTF classification prototype: the fragment kind it hypothesises and
@@ -568,6 +654,7 @@ impl SpamProgram {
         let program =
             std::sync::Arc::new(ops5::Program::parse(&spam_source()).expect("SPAM rules parse"));
         let compiled = ops5::Engine::compile(&program).expect("SPAM rules compile");
+        lcc_schema();
         SpamProgram {
             program,
             compiled,
@@ -624,6 +711,18 @@ mod tests {
             let name = format!("lcc-eval-c{}", c.id);
             assert!(p.production(ops5::sym(&name)).is_some(), "missing {name}");
         }
+    }
+
+    #[test]
+    fn lcc_schema_agrees_with_the_built_program() {
+        let sp = SpamProgram::build();
+        let s = lcc_schema();
+        let slot = |class, attr| sp.program.slot_of(class, sym(attr)).unwrap();
+        assert_eq!(s.fragment.slots[4], slot(s.fragment.class, "support"));
+        assert_eq!(s.pair.slots[2], slot(sym("lcc-pair"), "other"));
+        assert_eq!(s.consistent.slots[3], slot(sym("consistent"), "weight"));
+        let [a, b] = s.control.sets([Value::Int(1), Value::Int(2)]);
+        assert_eq!((a, b), ((0, Value::Int(1)), (1, Value::Int(2))));
     }
 
     #[test]

@@ -1,0 +1,64 @@
+//! The exact counts of the benchmark's inputs, pinned.
+//!
+//! Every optimisation of the match path promises the same thing: a change
+//! to how fast the engine goes, none to what it does. These are the work
+//! totals of the LCC phase over SF+DC+MOFF (seed 0) at the two
+//! decomposition levels `benchmarks/e2e` runs them at (`coarse_l4`,
+//! `level3`), as recorded in `benchmarks/e2e/baseline.md` — one firing
+//! more or one join test fewer anywhere in 24 111 firings moves them.
+
+use ops5::{NetStats, WorkCounters};
+use spam::datasets::{dc, moff, sf};
+use spam::lcc::{run_lcc_profiled, Level};
+use spam::rules::SpamProgram;
+use std::sync::Arc;
+
+/// LCC totals over the three airports at `level`.
+fn totals(level: Level) -> (WorkCounters, NetStats, usize) {
+    let sp = SpamProgram::build();
+    let mut work = WorkCounters::default();
+    let mut net = NetStats::default();
+    let mut tasks = 0;
+    for dataset in [sf(), dc(), moff()] {
+        let scene = Arc::new(spam::generate_scene(&dataset.spec));
+        let frags = Arc::new(spam::rtf::run_rtf(&sp, &scene).fragments);
+        let (phase, profile) = run_lcc_profiled(&sp, &scene, &frags, level);
+        assert_eq!(phase.work.firings, phase.firings);
+        work.add(&phase.work);
+        net.merge(&profile.expect("profiler feature is on in tests").net);
+        tasks += phase.units.len();
+    }
+    (work, net, tasks)
+}
+
+#[test]
+fn level_4_counts_are_exact() {
+    let (work, net, tasks) = totals(Level::L4);
+    assert_eq!(tasks, 30);
+    assert_eq!(work.firings, 24_111);
+    assert_eq!(work.match_units, 15_120_426);
+    assert_eq!(work.resolve_units, 1_129_310);
+    assert_eq!(work.act_units, 3_222_666);
+    assert_eq!(work.external_units, 19_429_490);
+    assert_eq!(work.wme_adds, 37_859);
+    assert_eq!(net.index_probes, 36_873);
+    assert_eq!(net.linear_scans, 148_308);
+    assert_eq!(net.shared_node_hits, 2_934);
+}
+
+#[test]
+fn level_3_counts_are_exact() {
+    let (work, net, tasks) = totals(Level::L3);
+    assert_eq!(tasks, 630);
+    // The decomposition changes who does the work, not the work: the RHS
+    // side is Level 4's to the unit.
+    assert_eq!(work.firings, 24_111);
+    assert_eq!(work.act_units, 3_222_666);
+    assert_eq!(work.external_units, 19_429_490);
+    assert_eq!(work.match_units, 15_710_932);
+    assert_eq!(work.resolve_units, 739_770);
+    assert_eq!(work.wme_adds, 78_087);
+    assert_eq!(net.index_probes, 31_681);
+    assert_eq!(net.linear_scans, 391_922);
+    assert_eq!(net.shared_node_hits, 4_734);
+}
