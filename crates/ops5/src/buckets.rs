@@ -1,5 +1,6 @@
-//! Hash-bucketed lists for the match path: a multiplicative hasher and a
-//! key → list map that recycles its lists.
+//! Hash-bucketed lists for the match path: a multiplicative hasher, a
+//! key → list map that recycles its lists, and the slot cursor of the
+//! arenas that are reset between tasks.
 //!
 //! Every map on the match path ([`crate::rete`]'s token and WME indexes, the
 //! conflict set's key index) is probed by key and never iterated to produce
@@ -78,6 +79,51 @@ pub(crate) fn give_list<T>(pool: &mut Pool<T>, mut list: Vec<T>) {
     }
 }
 
+/// Slot numbers for an arena that is emptied and refilled many times (token
+/// slots, conflict-set slots): the last slot given back is handed out
+/// first, else the next never-used one. A new arena allocates slot `len`
+/// when nothing is free; the `fresh` cursor plays that length, so after
+/// [`restart`](Self::restart) the numbers come exactly as from a new arena
+/// — 0, 1, 2, … with given-back slots reused last-in first-out — while the
+/// arena keeps every slot it ever grew, and nothing is re-listed: a restart
+/// costs nothing, and only slots below [`high_water`](Self::high_water) can
+/// hold anything.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SlotCursor {
+    free: Vec<u32>,
+    fresh: u32,
+}
+
+impl SlotCursor {
+    /// The next slot. When it equals the arena's length the caller grows
+    /// the arena by one.
+    #[inline]
+    pub(crate) fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.fresh += 1;
+            self.fresh - 1
+        })
+    }
+
+    /// Gives `slot` back.
+    #[inline]
+    pub(crate) fn give(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// One past the highest slot handed out since the last restart.
+    #[inline]
+    pub(crate) fn high_water(&self) -> usize {
+        self.fresh as usize
+    }
+
+    /// Starts over as for a new arena.
+    pub(crate) fn restart(&mut self) {
+        self.free.clear();
+        self.fresh = 0;
+    }
+}
+
 /// Key → list of items in arrival order. A key exists exactly while its
 /// list is non-empty. There is deliberately no way to iterate the keys.
 #[derive(Clone, Debug)]
@@ -140,7 +186,12 @@ impl<K: Hash + Eq + Copy, T: Copy + PartialEq> Buckets<K, T> {
 
     /// Empties the map into `pool`. The one place the table is walked: the
     /// walk order decides only which spare list the pool hands out next.
+    /// A map with no key costs nothing — draining one walks its whole
+    /// capacity, which a reset would pay per memory per task.
     pub(crate) fn clear_into(&mut self, pool: &mut Pool<T>) {
+        if self.map.is_empty() {
+            return;
+        }
         for (_, list) in self.map.drain() {
             give_list(pool, list);
         }
@@ -175,6 +226,24 @@ mod tests {
             assert!(low.len() > 32, "{kind}: {} of 64 low patterns", low.len());
             assert!(high.len() > 32, "{kind}: {} high patterns", high.len());
         }
+    }
+
+    #[test]
+    fn slot_cursor_restarts_like_a_new_arena() {
+        let mut c = SlotCursor::default();
+        assert_eq!([c.take(), c.take(), c.take()], [0, 1, 2]);
+        c.give(0);
+        c.give(2);
+        assert_eq!(
+            [c.take(), c.take(), c.take()],
+            [2, 0, 3],
+            "last given back first"
+        );
+        assert_eq!(c.high_water(), 4);
+        c.give(1);
+        c.restart();
+        assert_eq!(c, SlotCursor::default());
+        assert_eq!([c.take(), c.take()], [0, 1]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! instantiation usually dominates, so insertions land at or near the end
 //! of the sorted list.
 
-use crate::buckets::{hash_words, Buckets, Pool};
+use crate::buckets::{hash_words, Buckets, Pool, SlotCursor};
 use crate::wme::{TimeTag, WmeId};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -103,8 +103,11 @@ impl Entry {
 /// The conflict set: all currently satisfied, unfired instantiations.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictSet {
+    /// Slots below `slots.high_water()` have been handed out since the set
+    /// was created or last cleared; those above keep an earlier run's
+    /// buffers.
     slab: Vec<Entry>,
-    free: Vec<u32>,
+    slots: SlotCursor,
     /// Occupied slots, ascending under [`compare`] with `rank_strategy`:
     /// the last one is the dominant instantiation. Re-sorted when a
     /// different strategy is requested (engines use one for a whole run).
@@ -127,14 +130,14 @@ impl ConflictSet {
         Self::default()
     }
 
-    /// Empties the set, keeping its allocations.
+    /// Empties the set, keeping its allocations, at the cost of the slots
+    /// handed out since the last clear. Slot numbers start over as in a new
+    /// set ([`SlotCursor`]).
     pub fn clear(&mut self) {
-        for e in &mut self.slab {
+        for e in &mut self.slab[..self.slots.high_water()] {
             e.inst = None;
         }
-        // Slot numbers are handed out lowest first, as in a new set.
-        self.free.clear();
-        self.free.extend((0..self.slab.len() as u32).rev());
+        self.slots.restart();
         self.rank.clear();
         self.by_key.clear_into(&mut self.pool);
     }
@@ -176,7 +179,7 @@ impl ConflictSet {
             .expect("ranked slot is occupied");
         let hash = key_hash(inst.production, &inst.wmes);
         self.by_key.remove_item(hash, slot, &mut self.pool);
-        self.free.push(slot);
+        self.slots.give(slot);
         inst
     }
 
@@ -184,10 +187,10 @@ impl ConflictSet {
     pub fn insert(&mut self, inst: Instantiation) {
         self.remove(inst.production, &inst.wmes);
         let hash = key_hash(inst.production, &inst.wmes);
-        let slot = self.free.pop().unwrap_or_else(|| {
+        let slot = self.slots.take();
+        if slot as usize == self.slab.len() {
             self.slab.push(Entry::default());
-            (self.slab.len() - 1) as u32
-        });
+        }
         self.slab[slot as usize].fill(inst);
         self.by_key.push(hash, slot, &mut self.pool);
         let at = self.rank_position(slot);
@@ -208,7 +211,9 @@ impl ConflictSet {
 
     /// Iterates over the instantiations (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
-        self.slab.iter().filter_map(|e| e.inst.as_ref())
+        self.slab[..self.slots.high_water()]
+            .iter()
+            .filter_map(|e| e.inst.as_ref())
     }
 
     /// Selects the dominant instantiation under `strategy` and removes it
@@ -232,7 +237,7 @@ impl ConflictSet {
         let top = if strategy == self.rank_strategy {
             self.rank.last().map(|&s| &self.slab[s as usize])
         } else {
-            self.slab
+            self.slab[..self.slots.high_water()]
                 .iter()
                 .filter(|e| e.inst.is_some())
                 .max_by(|a, b| compare(strategy, a, b))

@@ -254,7 +254,7 @@ impl MatchProfile {
 
 /// Mutable per-alpha-memory counters owned by the alpha network while
 /// profiling is enabled (internal collection state behind [`MatchProfile`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct AlphaMemCounters {
     pub(crate) activations: u64,
     pub(crate) match_units: u64,

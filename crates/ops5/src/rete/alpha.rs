@@ -9,14 +9,26 @@
 //! class guard with it. Memories can also carry hash indexes over selected
 //! slots, so the beta network's equality joins probe candidates by value
 //! instead of scanning the whole memory.
+//!
+//! Classification is *discriminated*: a class whose memories mostly open
+//! with `^slot = constant` on one slot (SPAM's `lcc-pair` has one memory
+//! per constraint id) keeps those memories in a table keyed by the
+//! constant, and a WME visits only the bucket of its own slot value plus
+//! the memories that could not be keyed ([`AlphaNetwork::build_dispatch`]).
+//! The work-unit model is unchanged by it: the modelled machine still walks
+//! its constant-test chain, and the failing first tests of the memories the
+//! table skips are charged in closed form — same units, same
+//! `shared_test_hits`, same per-memory profile as visiting every one.
 
-use super::compile::{eval_alpha, AlphaTest};
-use crate::ast::SlotIdx;
+use super::compile::{eval_alpha, AlphaArg, AlphaTest};
+use crate::ast::{Predicate, SlotIdx};
 use crate::buckets::{Buckets, FastMap, Pool};
 use crate::instrument::cost;
 use crate::profile::AlphaMemCounters;
 use crate::symbol::Symbol;
+use crate::value::Value;
 use crate::wme::{Wme, WmeId};
+use std::cmp::Reverse;
 
 /// Identifier of an alpha memory.
 pub type AlphaMemId = u32;
@@ -54,13 +66,100 @@ pub struct AlphaMemory {
     pub successors: Vec<Successor>,
     /// Slot indexes requested by equality-join successors.
     indexes: Vec<SlotIndex>,
+    /// True once a WME has entered since the last reset: the memory is then
+    /// on [`AlphaNetwork::touched`].
+    touched: bool,
+}
+
+/// One entry of a class's dispatch table: a memory reached by the constant
+/// its first test compares against.
+#[derive(Clone, Copy, Debug)]
+struct Keyed {
+    /// [`Value::hash_key`] of that constant.
+    key: u64,
+    mem: AlphaMemId,
+    /// True for the first memory, in walk order, guarding with this first
+    /// test: with test sharing on it is the one a full walk charges for the
+    /// evaluation (the later ones read the memo).
+    pays: bool,
+}
+
+/// The fewest memories of one class opening with an equality test on one
+/// slot for which a dispatch table is built: a lone memory has nothing to
+/// be told apart from, and visiting it costs the one test a probe saves.
+const DISPATCH_MIN_MEMORIES: usize = 2;
+
+/// The memories of one class and how a WME of the class reaches them.
+/// Until [`AlphaNetwork::build_dispatch`] runs every memory is in `always`.
+#[derive(Clone, Debug, Default)]
+struct ClassDispatch {
+    /// The memories every WME of the class visits, in creation order —
+    /// ascending ids, the order a walk over the whole class takes.
+    always: Vec<AlphaMemId>,
+    /// The slot whose value selects a bucket of `table`.
+    slot: SlotIdx,
+    /// The keyed memories sorted by `(key, mem)`: the memories of one key —
+    /// a *bucket* — are a run found by binary search, ascending like
+    /// `always`. (A sorted list, not a hash map: an engine is built per
+    /// worker per phase, and this costs one sort to build and one free to
+    /// drop.)
+    table: Vec<Keyed>,
+    /// Distinct first tests among the keyed memories.
+    distinct_keyed_tests: u32,
+}
+
+/// The always-list and one bucket, both ascending, as one ascending walk:
+/// the memories a WME can be in, in the order a walk over the whole class
+/// would come to them.
+struct Merged<'a>(&'a [AlphaMemId], &'a [Keyed]);
+
+impl Iterator for Merged<'_> {
+    type Item = AlphaMemId;
+
+    #[inline]
+    fn next(&mut self) -> Option<AlphaMemId> {
+        match (self.0.split_first(), self.1.split_first()) {
+            (Some((&a, rest)), Some((b, _))) if a < b.mem => {
+                self.0 = rest;
+                Some(a)
+            }
+            (_, Some((b, rest))) => {
+                self.1 = rest;
+                Some(b.mem)
+            }
+            (Some((&a, rest)), None) => {
+                self.0 = rest;
+                Some(a)
+            }
+            (None, None) => None,
+        }
+    }
+}
+
+impl ClassDispatch {
+    /// The key a WME with `fields` selects its bucket by, and the bucket
+    /// (empty when no keyed memory has a constant of that key).
+    #[inline]
+    fn bucket(&self, fields: &[Value]) -> (u64, &[Keyed]) {
+        let v = fields.get(self.slot as usize).copied();
+        let key = v.unwrap_or(Value::Nil).hash_key();
+        let from = self.table.partition_point(|k| k.key < key);
+        let len = self.table[from..]
+            .iter()
+            .take_while(|k| k.key == key)
+            .count();
+        (key, &self.table[from..from + len])
+    }
 }
 
 /// The alpha network.
 #[derive(Clone, Debug)]
 pub struct AlphaNetwork {
     mems: Vec<AlphaMemory>,
-    by_class: FastMap<Symbol, Vec<AlphaMemId>>,
+    by_class: FastMap<Symbol, ClassDispatch>,
+    /// The memories a WME has entered since the last reset — what
+    /// [`reset`](Self::reset) has to empty.
+    touched: Vec<AlphaMemId>,
     /// Spare bucket lists of the slot indexes.
     pool: Pool<WmeId>,
     /// Every distinct constant test in the program, shared across memories.
@@ -101,6 +200,7 @@ impl AlphaNetwork {
         AlphaNetwork {
             mems: Vec::new(),
             by_class: FastMap::default(),
+            touched: Vec::new(),
             pool: Vec::new(),
             test_registry: Vec::new(),
             share_tests,
@@ -126,6 +226,20 @@ impl AlphaNetwork {
         self.test_registry.len()
     }
 
+    /// How many memories `class` has, and the most one WME of the class
+    /// visits (the always-list plus the fullest bucket of the dispatch
+    /// table); `None` for a class no condition element names.
+    pub fn class_fanout(&self, class: Symbol) -> Option<(usize, usize)> {
+        let d = self.by_class.get(&class)?;
+        let fullest = d
+            .table
+            .chunk_by(|a, b| a.key == b.key)
+            .map(<[_]>::len)
+            .max();
+        let visited = d.always.len() + fullest.unwrap_or(0);
+        Some((d.always.len() + d.table.len(), visited))
+    }
+
     /// Borrow a memory.
     pub fn mem(&self, id: AlphaMemId) -> &AlphaMemory {
         &self.mems[id as usize]
@@ -139,8 +253,9 @@ impl AlphaNetwork {
         tests: &[AlphaTest],
         successor: Successor,
     ) -> AlphaMemId {
-        let ids = self.by_class.entry(class).or_default();
-        for &id in ids.iter() {
+        let dispatch = self.by_class.entry(class).or_default();
+        debug_assert!(dispatch.table.is_empty(), "memories precede build_dispatch");
+        for &id in &dispatch.always {
             if self.mems[id as usize].tests == tests {
                 self.mems[id as usize].successors.push(successor);
                 return id;
@@ -165,9 +280,94 @@ impl AlphaNetwork {
             wmes: Vec::new(),
             successors: vec![successor],
             indexes: Vec::new(),
+            touched: false,
         });
-        self.by_class.entry(class).or_default().push(id);
+        self.by_class.entry(class).or_default().always.push(id);
         id
+    }
+
+    /// Builds the per-class dispatch tables; call once, when every memory
+    /// exists. Per class it picks the slot on which the most memories open
+    /// with an `=`-against-constant test and keys those memories by
+    /// [`Value::hash_key`] of their constant; the rest stay in the class's
+    /// always-list. A WME whose slot value has a different key cannot pass
+    /// such a memory's first test (`ops_eq` implies equal keys), so
+    /// classification skips it and charges the failed test in closed form.
+    ///
+    /// A memory whose first test is also a *later* test of some memory of
+    /// the class is not keyed: in a full walk that test's memo entry (who
+    /// evaluates it first, who reads it) depends on how far the other
+    /// memory gets, which no closed form knows. Everything else about a
+    /// skipped memory is fixed — its first test fails, is charged once per
+    /// distinct test (or once per memory without test sharing) and touches
+    /// no memo entry anyone else reads.
+    pub fn build_dispatch(&mut self) {
+        // Scratch lists, one set for all classes (an engine is built per
+        // worker per phase: the build is on the clock).
+        let mut later_tests: Vec<u32> = Vec::new();
+        // `(slot, constant's key, memory, first test id)`.
+        let mut keyable: Vec<(SlotIdx, u64, AlphaMemId, u32)> = Vec::new();
+        let mut per_slot: Vec<(SlotIdx, usize)> = Vec::new();
+        // Classes are independent of one another, so the order the map
+        // yields them in reaches nothing.
+        for dispatch in self.by_class.values_mut() {
+            if dispatch.always.len() < DISPATCH_MIN_MEMORIES {
+                continue;
+            }
+            let mems = &self.mems;
+            later_tests.clear();
+            for &m in &dispatch.always {
+                for tid in mems[m as usize].test_ids.iter().skip(1) {
+                    if !later_tests.contains(tid) {
+                        later_tests.push(*tid);
+                    }
+                }
+            }
+            // The memories that open with `^slot = constant`, a test no
+            // other memory of the class runs later.
+            keyable.clear();
+            for &m in &dispatch.always {
+                let mem = &mems[m as usize];
+                let (Some(t), Some(&tid)) = (mem.tests.first(), mem.test_ids.first()) else {
+                    continue;
+                };
+                if let (Predicate::Eq, AlphaArg::Const(c)) = (t.predicate, &t.arg) {
+                    if !later_tests.contains(&tid) {
+                        keyable.push((t.slot, c.hash_key(), m, tid));
+                    }
+                }
+            }
+            // The most popular slot, the lowest among equals.
+            per_slot.clear();
+            for k in &keyable {
+                match per_slot.iter_mut().find(|(slot, _)| *slot == k.0) {
+                    Some((_, n)) => *n += 1,
+                    None => per_slot.push((k.0, 1)),
+                }
+            }
+            let most = per_slot.iter().max_by_key(|&&(slot, n)| (n, Reverse(slot)));
+            let Some(&(slot, n)) = most else {
+                continue;
+            };
+            if n < DISPATCH_MIN_MEMORIES {
+                continue;
+            }
+            keyable.retain(|k| k.0 == slot);
+            dispatch.slot = slot;
+            // Both lists ascend by memory: one pass takes the keyed out.
+            let mut taken = keyable.iter().map(|k| k.2).peekable();
+            dispatch.always.retain(|&m| taken.next_if_eq(&m).is_none());
+            keyable.sort_unstable_by_key(|k| (k.1, k.2));
+            dispatch.table.reserve_exact(keyable.len());
+            for (i, &(_, key, mem, tid)) in keyable.iter().enumerate() {
+                // One test has one constant, so one key: an earlier memory
+                // with the same first test is in this same bucket.
+                let bucket = keyable[..i].iter().rev().take_while(|k| k.1 == key);
+                let pays = !bucket.into_iter().any(|k| k.3 == tid);
+                dispatch.distinct_keyed_tests += u32::from(pays);
+                dispatch.table.push(Keyed { key, mem, pays });
+            }
+        }
     }
 
     /// Ensures memory `id` maintains a hash index over `slot`. Must be
@@ -203,8 +403,13 @@ impl AlphaNetwork {
     /// test memo needs no clearing: its entries are stamped with the
     /// classification pass that wrote them, and the pass counter only moves
     /// forward, so a stale entry is never read.
+    ///
+    /// Costs what the run left behind: only the memories a WME entered are
+    /// visited.
     pub fn reset(&mut self) {
-        for mem in &mut self.mems {
+        for m in self.touched.drain(..) {
+            let mem = &mut self.mems[m as usize];
+            mem.touched = false;
             mem.wmes.clear();
             for ix in &mut mem.indexes {
                 ix.buckets.clear_into(&mut self.pool);
@@ -215,7 +420,10 @@ impl AlphaNetwork {
     }
 
     /// Classifies a new WME into its memories, appending the activated
-    /// memory ids to `hit` and accumulating the match cost in `work_units`.
+    /// memory ids to `hit` (in ascending order — the order a walk over the
+    /// whole class would find them in) and accumulating the match cost in
+    /// `work_units`. Ids must arrive in ascending order, as a
+    /// [`WmStore`](crate::wme::WmStore) hands them out.
     pub fn classify_add(
         &mut self,
         id: WmeId,
@@ -224,10 +432,32 @@ impl AlphaNetwork {
         hit: &mut Vec<AlphaMemId>,
     ) {
         self.generation += 1;
-        let Some(ids) = self.by_class.get(&wme.class) else {
+        let Some(dispatch) = self.by_class.get(&wme.class) else {
             return;
         };
-        for &m in ids {
+        let (key, bucket) = dispatch.bucket(&wme.fields);
+        // The keyed memories outside the bucket: a walk over the whole
+        // class would have evaluated the first test of each and failed it.
+        let skipped = (dispatch.table.len() - bucket.len()) as u64;
+        if skipped > 0 {
+            let evaluated = if self.share_tests {
+                let in_bucket = bucket.iter().filter(|k| k.pays).count() as u64;
+                let distinct = u64::from(dispatch.distinct_keyed_tests) - in_bucket;
+                self.shared_test_hits += skipped - distinct;
+                distinct
+            } else {
+                skipped
+            };
+            *work_units += evaluated * cost::ALPHA_TEST;
+            if let Some(p) = &mut self.profile {
+                for k in &dispatch.table {
+                    if k.key != key && (k.pays || !self.share_tests) {
+                        p[k.mem as usize].match_units += cost::ALPHA_TEST;
+                    }
+                }
+            }
+        }
+        for m in Merged(&dispatch.always, bucket) {
             let mem = &mut self.mems[m as usize];
             let mut pass = true;
             let mut mem_units = 0u64;
@@ -256,6 +486,11 @@ impl AlphaNetwork {
             }
             if pass {
                 mem_units += cost::ALPHA_MEM_OP;
+                debug_assert!(mem.wmes.last().is_none_or(|&last| last < id));
+                if !mem.touched {
+                    mem.touched = true;
+                    self.touched.push(m);
+                }
                 mem.wmes.push(id);
                 for ix in &mut mem.indexes {
                     let key = wme.get(ix.slot as usize).hash_key();
@@ -276,7 +511,10 @@ impl AlphaNetwork {
     }
 
     /// Removes a WME from every memory containing it, appending the ids of
-    /// the memories it was removed from to `hit`.
+    /// the memories it was removed from to `hit` (ascending). Only the
+    /// memories its addition visited are looked at — the others failed it
+    /// on their first test — and within one the WME is found by binary
+    /// search: ids are never reused and a memory keeps arrival order.
     pub fn classify_remove(
         &mut self,
         id: WmeId,
@@ -284,23 +522,25 @@ impl AlphaNetwork {
         work_units: &mut u64,
         hit: &mut Vec<AlphaMemId>,
     ) {
-        if let Some(ids) = self.by_class.get(&wme.class) {
-            for &m in ids {
-                let mem = &mut self.mems[m as usize];
-                if let Some(pos) = mem.wmes.iter().position(|&w| w == id) {
-                    *work_units += cost::ALPHA_MEM_OP;
-                    // Order-preserving on purpose: snapshot restore rebuilds
-                    // memories by re-inserting live WMEs in id order, and
-                    // scan costs must not change across a crash recovery.
-                    mem.wmes.remove(pos);
-                    for ix in &mut mem.indexes {
-                        let key = wme.get(ix.slot as usize).hash_key();
-                        ix.buckets.remove_item(key, id, &mut self.pool);
-                    }
-                    hit.push(m);
-                    if let Some(p) = &mut self.profile {
-                        p[m as usize].match_units += cost::ALPHA_MEM_OP;
-                    }
+        let Some(dispatch) = self.by_class.get(&wme.class) else {
+            return;
+        };
+        let (_, bucket) = dispatch.bucket(&wme.fields);
+        for m in Merged(&dispatch.always, bucket) {
+            let mem = &mut self.mems[m as usize];
+            if let Ok(pos) = mem.wmes.binary_search(&id) {
+                *work_units += cost::ALPHA_MEM_OP;
+                // Order-preserving on purpose: snapshot restore rebuilds
+                // memories by re-inserting live WMEs in id order, and
+                // scan costs must not change across a crash recovery.
+                mem.wmes.remove(pos);
+                for ix in &mut mem.indexes {
+                    let key = wme.get(ix.slot as usize).hash_key();
+                    ix.buckets.remove_item(key, id, &mut self.pool);
+                }
+                hit.push(m);
+                if let Some(p) = &mut self.profile {
+                    p[m as usize].match_units += cost::ALPHA_MEM_OP;
                 }
             }
         }
@@ -326,10 +566,8 @@ impl AlphaNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Predicate;
-    use crate::rete::compile::AlphaArg;
     use crate::symbol::sym;
-    use crate::value::Value;
+    use proptest::prelude::{prop, prop_assert, prop_oneof, proptest, ProptestConfig, Strategy};
 
     fn added(net: &mut AlphaNetwork, id: WmeId, w: &Wme, units: &mut u64) -> Vec<AlphaMemId> {
         let mut hit = Vec::new();
@@ -463,5 +701,360 @@ mod tests {
         assert_eq!(net.probe(m, 0, key7), &[] as &[WmeId]);
         added(&mut net, WmeId(0), &w, &mut units);
         assert_eq!(net.probe(m, 0, key7), &[WmeId(0)]);
+    }
+
+    // -- dispatch ------------------------------------------------------------
+
+    fn test_on(slot: u16, predicate: Predicate, v: Value) -> AlphaTest {
+        AlphaTest {
+            slot,
+            predicate,
+            arg: AlphaArg::Const(v),
+        }
+    }
+
+    fn eq(slot: u16, v: Value) -> AlphaTest {
+        test_on(slot, Predicate::Eq, v)
+    }
+
+    /// The executable specification of classification: every memory of the
+    /// class walked in creation order, every test list run until it fails,
+    /// every evaluation charged (once per distinct test per WME with
+    /// sharing) — the network before it had a dispatch table, kept on
+    /// plain lists of its own.
+    struct LinearWalk {
+        share: bool,
+        /// `(class, tests, ids of the tests in `registry`)`.
+        mems: Vec<(Symbol, Vec<AlphaTest>, Vec<usize>)>,
+        wmes: Vec<Vec<WmeId>>,
+        registry: Vec<AlphaTest>,
+        memo: Vec<Option<bool>>,
+        units: u64,
+        shared_test_hits: u64,
+        profile: Vec<AlphaMemCounters>,
+    }
+
+    impl LinearWalk {
+        fn new(share: bool) -> LinearWalk {
+            LinearWalk {
+                share,
+                mems: Vec::new(),
+                wmes: Vec::new(),
+                registry: Vec::new(),
+                memo: Vec::new(),
+                units: 0,
+                shared_test_hits: 0,
+                profile: Vec::new(),
+            }
+        }
+
+        fn create(&mut self, class: Symbol, tests: &[AlphaTest]) {
+            let ids = tests
+                .iter()
+                .map(|t| {
+                    self.registry
+                        .iter()
+                        .position(|r| r == t)
+                        .unwrap_or_else(|| {
+                            self.registry.push(t.clone());
+                            self.registry.len() - 1
+                        })
+                })
+                .collect();
+            self.mems.push((class, tests.to_vec(), ids));
+            self.wmes.push(Vec::new());
+            self.profile.push(AlphaMemCounters::default());
+        }
+
+        fn add(&mut self, id: WmeId, wme: &Wme) -> Vec<AlphaMemId> {
+            self.memo.clear();
+            self.memo.resize(self.registry.len(), None);
+            let mut hit = Vec::new();
+            for (m, (class, tests, ids)) in self.mems.iter().enumerate() {
+                if *class != wme.class {
+                    continue;
+                }
+                let mut units = 0;
+                let mut pass = true;
+                for (t, &tid) in tests.iter().zip(ids) {
+                    let ok = match self.memo[tid] {
+                        Some(r) if self.share => {
+                            self.shared_test_hits += 1;
+                            r
+                        }
+                        _ => {
+                            units += cost::ALPHA_TEST;
+                            let r = eval_alpha(t, &wme.fields);
+                            self.memo[tid] = Some(r);
+                            r
+                        }
+                    };
+                    if !ok {
+                        pass = false;
+                        break;
+                    }
+                }
+                let c = &mut self.profile[m];
+                if pass {
+                    units += cost::ALPHA_MEM_OP;
+                    self.wmes[m].push(id);
+                    hit.push(m as AlphaMemId);
+                    c.activations += 1;
+                    c.peak_wmes = c.peak_wmes.max(self.wmes[m].len() as u32);
+                }
+                c.match_units += units;
+                self.units += units;
+            }
+            hit
+        }
+
+        fn remove(&mut self, id: WmeId) -> Vec<AlphaMemId> {
+            let mut hit = Vec::new();
+            for (m, wmes) in self.wmes.iter_mut().enumerate() {
+                if let Some(pos) = wmes.iter().position(|&w| w == id) {
+                    wmes.remove(pos);
+                    self.units += cost::ALPHA_MEM_OP;
+                    self.profile[m].match_units += cost::ALPHA_MEM_OP;
+                    hit.push(m as AlphaMemId);
+                }
+            }
+            hit
+        }
+    }
+
+    /// A dispatching network beside its specification.
+    struct Pair {
+        net: AlphaNetwork,
+        spec: LinearWalk,
+        units: u64,
+    }
+
+    impl Pair {
+        fn build(share: bool, mems: &[(Symbol, Vec<AlphaTest>)]) -> Pair {
+            let mut net = AlphaNetwork::with_sharing(share);
+            let mut spec = LinearWalk::new(share);
+            for (class, tests) in mems {
+                let id = net.get_or_create(*class, tests, Successor { node: 0 });
+                if id as usize == spec.mems.len() {
+                    spec.create(*class, tests);
+                }
+            }
+            net.build_dispatch();
+            net.enable_profile();
+            Pair {
+                net,
+                spec,
+                units: 0,
+            }
+        }
+
+        /// Classifies an addition on both sides; `Err` names what differs.
+        fn add(&mut self, id: WmeId, wme: &Wme) -> Result<Vec<AlphaMemId>, String> {
+            let mut hit = Vec::new();
+            self.net.classify_add(id, wme, &mut self.units, &mut hit);
+            let want = self.spec.add(id, wme);
+            self.agree(hit, want, &format!("add {wme}"))
+        }
+
+        fn remove(&mut self, id: WmeId, wme: &Wme) -> Result<Vec<AlphaMemId>, String> {
+            let mut hit = Vec::new();
+            self.net.classify_remove(id, wme, &mut self.units, &mut hit);
+            let want = self.spec.remove(id);
+            self.agree(hit, want, &format!("remove {wme}"))
+        }
+
+        fn agree(
+            &self,
+            hit: Vec<AlphaMemId>,
+            want: Vec<AlphaMemId>,
+            what: &str,
+        ) -> Result<Vec<AlphaMemId>, String> {
+            let (net, spec) = (&self.net, &self.spec);
+            if hit != want {
+                return Err(format!("{what}: hit {hit:?}, a full walk hits {want:?}"));
+            }
+            if self.units != spec.units {
+                let (got, want) = (self.units, spec.units);
+                return Err(format!("{what}: {got} units, a full walk costs {want}"));
+            }
+            if net.shared_test_hits != spec.shared_test_hits {
+                let (got, want) = (net.shared_test_hits, spec.shared_test_hits);
+                return Err(format!("{what}: {got} memo hits, a full walk has {want}"));
+            }
+            if net.profile.as_ref() != Some(&spec.profile) {
+                let (got, want) = (&net.profile, &spec.profile);
+                return Err(format!("{what}: profile {got:?}, a full walk's {want:?}"));
+            }
+            for (m, want) in spec.wmes.iter().enumerate() {
+                if net.mems[m].wmes != *want {
+                    return Err(format!("{what}: memory {m} holds {:?}", net.mems[m].wmes));
+                }
+            }
+            Ok(hit)
+        }
+    }
+
+    fn wme_of(class: Symbol, fields: &[Value], tag: u64) -> Wme {
+        let mut w = Wme::new(class, fields.len(), tag);
+        for (i, &v) in fields.iter().enumerate() {
+            w.set(i, v);
+        }
+        w
+    }
+
+    #[test]
+    fn dispatch_keys_what_it_can_and_leaves_the_rest() {
+        let (c, s) = (0u16, 1u16);
+        let p = Value::symbol("pending");
+        let pair = sym("dispatch-pair");
+        let plain = sym("dispatch-plain");
+        let mems: Vec<(Symbol, Vec<AlphaTest>)> = vec![
+            // Keyed on slot c, three under one key: `3` twice (one first
+            // test, two memories) and `3.0` (another test, same key).
+            (pair, vec![eq(c, Value::Int(3)), eq(s, p)]),
+            (
+                pair,
+                vec![eq(c, Value::Int(3)), test_on(s, Predicate::Ne, p)],
+            ),
+            (pair, vec![eq(c, Value::Float(3.0))]),
+            (pair, vec![eq(c, Value::Int(4)), eq(s, p)]),
+            // `c = 1` opens this memory and comes second in the next: its
+            // memo entry depends on the walk, so neither is keyed.
+            (pair, vec![eq(c, Value::Int(1)), eq(s, p)]),
+            (pair, vec![eq(s, p), eq(c, Value::Int(1))]),
+            // Not an equality, not a constant, no test at all.
+            (pair, vec![test_on(c, Predicate::Gt, Value::Int(2))]),
+            (pair, vec![]),
+            // A class with nothing to discriminate on.
+            (plain, vec![test_on(c, Predicate::Ne, Value::Int(1))]),
+            (plain, vec![eq(s, p)]),
+        ];
+        for share in [true, false] {
+            let mut both = Pair::build(share, &mems);
+            let dispatch = &both.net.by_class[&pair];
+            assert_eq!(dispatch.always, [4, 5, 6, 7]);
+            let mut keyed: Vec<_> = dispatch.table.iter().map(|k| (k.mem, k.pays)).collect();
+            keyed.sort_unstable();
+            assert_eq!(keyed, [(0, true), (1, false), (2, true), (3, true)]);
+            assert!(both.net.by_class[&plain].table.is_empty());
+            assert_eq!(both.net.class_fanout(pair), Some((8, 4 + 3)));
+            assert_eq!(both.net.class_fanout(plain), Some((2, 2)));
+
+            let mut next = 0u32..;
+            let mut add = |class, fields: &[Value]| {
+                let id = WmeId(next.next().unwrap());
+                let wme = wme_of(class, fields, u64::from(id.0) + 1);
+                (id, both.add(id, &wme).unwrap(), wme)
+            };
+            // The bucket's memories come between the always-list's, by id.
+            let (id3, hit, w3) = add(pair, &[Value::Float(3.0), p]);
+            assert_eq!(hit, [0, 2, 6, 7]);
+            assert_eq!(add(pair, &[Value::Int(4), p]).1, [3, 6, 7]);
+            assert_eq!(add(pair, &[Value::Int(1), p]).1, [4, 5, 7]);
+            // No bucket at all: every keyed memory is charged, none walked.
+            assert_eq!(add(pair, &[Value::Nil, Value::Nil]).1, [7]);
+            assert_eq!(add(plain, &[Value::Int(3), p]).1, [8, 9]);
+            assert_eq!(both.remove(id3, &w3).unwrap(), [0, 2, 6, 7]);
+        }
+    }
+
+    /// A constant from a pool small enough for tests and WMEs to collide:
+    /// `3` beside `3.0`, both zeros, two symbols, nil.
+    fn constant() -> impl Strategy<Value = Value> {
+        (0usize..9).prop_map(|i| {
+            [
+                Value::Int(1),
+                Value::Int(2),
+                Value::Int(3),
+                Value::Float(3.0),
+                Value::Int(0),
+                Value::Float(-0.0),
+                Value::Sym(Symbol(1)),
+                Value::Sym(Symbol(2)),
+                Value::Nil,
+            ][i]
+        })
+    }
+
+    const SLOTS: u16 = 3;
+
+    fn alpha_test() -> impl Strategy<Value = AlphaTest> {
+        let predicate = prop_oneof![
+            6 => (0u8..1).prop_map(|_| Predicate::Eq),
+            1 => (0u8..1).prop_map(|_| Predicate::Ne),
+            1 => (0u8..1).prop_map(|_| Predicate::Gt),
+        ];
+        let arg = prop_oneof![
+            6 => constant().prop_map(AlphaArg::Const),
+            1 => prop::collection::vec(constant(), 1..3).prop_map(AlphaArg::Disj),
+            1 => (0..SLOTS).prop_map(AlphaArg::OtherSlot),
+        ];
+        (0..SLOTS, predicate, arg).prop_map(|(slot, predicate, arg)| AlphaTest {
+            slot,
+            predicate,
+            arg,
+        })
+    }
+
+    /// One step of a random WME stream.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Add(usize, Vec<Value>),
+        /// Remove the `n`-th live WME (modulo how many there are).
+        Remove(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => (0usize..2, prop::collection::vec(constant(), 3..4))
+                .prop_map(|(class, fields)| Op::Add(class, fields)),
+            1 => (0usize..64).prop_map(Op::Remove),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The order-and-accounting proof of the dispatch: whatever the
+        /// memories and the stream, the table reaches the memories a full
+        /// walk would activate, in the walk's order, and the closed-form
+        /// charge leaves units, memo hits and per-memory counters where
+        /// the walk would — with test sharing and without.
+        #[test]
+        fn dispatch_agrees_with_a_linear_walk(
+            mems in prop::collection::vec(
+                (0usize..2, prop::collection::vec(alpha_test(), 0..4)),
+                1..14,
+            ),
+            ops in prop::collection::vec(op(), 1..40),
+        ) {
+            let classes = [sym("dispatch-c0"), sym("dispatch-c1")];
+            let mems: Vec<_> = mems.into_iter().map(|(c, tests)| (classes[c], tests)).collect();
+            for share in [true, false] {
+                let mut both = Pair::build(share, &mems);
+                let mut live: Vec<(WmeId, Wme)> = Vec::new();
+                let mut next = 0u32;
+                for op in &ops {
+                    let outcome = match op {
+                        Op::Add(class, fields) => {
+                            let id = WmeId(next);
+                            next += 1;
+                            let wme = wme_of(classes[*class], fields, u64::from(next));
+                            let outcome = both.add(id, &wme);
+                            live.push((id, wme));
+                            outcome
+                        }
+                        Op::Remove(_) if live.is_empty() => continue,
+                        Op::Remove(n) => {
+                            let (id, wme) = live.remove(n % live.len());
+                            both.remove(id, &wme)
+                        }
+                    };
+                    if let Err(why) = outcome {
+                        prop_assert!(false, "test sharing {}: {}", share, why);
+                    }
+                }
+            }
+        }
     }
 }

@@ -32,7 +32,7 @@
 use super::alpha::{AlphaMemId, AlphaNetwork, Successor};
 use super::compile::{compile_production, ChainNodeSpec, CompiledProduction, JoinTest};
 use crate::ast::Predicate;
-use crate::buckets::{give_list, take_list, Buckets, Pool};
+use crate::buckets::{give_list, take_list, Buckets, Pool, SlotCursor};
 use crate::conflict::Instantiation;
 use crate::instrument::{cost, WorkCounters};
 use crate::profile::{AlphaMemProfile, ChainCounters, MatchProfile, NetStats, ProductionProfile};
@@ -156,6 +156,21 @@ struct NodeMemory {
     right_index: Buckets<u64, u32>,
     /// For negative nodes: blocker WME → tokens it currently blocks.
     blocked_by: Buckets<WmeId, u32>,
+    /// True once something has been put in this memory since the last
+    /// reset: the node is then on [`BetaState::touched`].
+    touched: bool,
+}
+
+/// Node `n`'s memory, for putting something in it: the node is noted for
+/// [`Rete::reset`], which empties the noted memories and looks at no other.
+#[inline]
+fn touch<'a>(mems: &'a mut [NodeMemory], touched: &mut Vec<u32>, n: u32) -> &'a mut NodeMemory {
+    let m = &mut mems[n as usize];
+    if !m.touched {
+        m.touched = true;
+        touched.push(n);
+    }
+    m
 }
 
 /// The Rete network of one engine instance.
@@ -182,8 +197,13 @@ pub struct Rete {
 struct BetaState {
     /// Parallel to `Rete::nodes`.
     mems: Vec<NodeMemory>,
+    /// The nodes whose memory may hold something (see [`touch`]).
+    touched: Vec<u32>,
+    /// Token slots. Those below `slots.high_water()` have been handed out
+    /// since the network was built or last reset; those above keep, empty,
+    /// the lists an earlier run grew.
     tokens: Vec<TokenData>,
-    free: Vec<u32>,
+    slots: SlotCursor,
     /// WME → the tokens whose own WME it is.
     wme_tokens: Buckets<WmeId, u32>,
     events: Vec<MatchEvent>,
@@ -264,6 +284,7 @@ impl Rete {
                 .terminals
                 .push((spec.prod, specificity));
         }
+        rete.alpha.build_dispatch();
         rete.beta.stats.beta_nodes = rete.nodes.len() as u32;
         rete.beta.mems = vec![NodeMemory::default(); rete.nodes.len()];
         let depth = rete.nodes.iter().map(|n| n.level as usize + 1).max();
@@ -343,6 +364,12 @@ impl Rete {
         self.alpha.len()
     }
 
+    /// Alpha memories of `class`, and the most of them one WME of the class
+    /// visits (see [`AlphaNetwork::class_fanout`]).
+    pub fn alpha_fanout(&self, class: crate::Symbol) -> Option<(usize, usize)> {
+        self.alpha.class_fanout(class)
+    }
+
     /// Number of beta nodes after prefix sharing.
     pub fn beta_nodes(&self) -> usize {
         self.nodes.len()
@@ -366,25 +393,33 @@ impl Rete {
     /// of a hash map's order, so the network then answers any WME
     /// stream exactly as [`Rete::from_compiled_with`] on the same chains
     /// would — same events in the same order, same work, same statistics.
+    ///
+    /// The cost follows what the last run left behind, not the size of the
+    /// network: only the node and alpha memories the run put something in
+    /// and the token slots it handed out are visited; token ids then
+    /// start over as in a new network ([`SlotCursor`]).
     pub fn reset(&mut self) {
         self.alpha.reset();
         let b = &mut self.beta;
-        for m in &mut b.mems {
+        for n in b.touched.drain(..) {
+            let m = &mut b.mems[n as usize];
+            m.touched = false;
             m.tokens.clear();
             m.right_index.clear_into(&mut b.pool);
             m.blocked_by.clear_into(&mut b.pool);
         }
-        for t in &mut b.tokens {
+        // Deletion leaves a slot clean; these are the tokens still alive.
+        for t in b.tokens[..b.slots.high_water()]
+            .iter_mut()
+            .filter(|t| t.alive)
+        {
             t.children.clear();
             t.neg_results.clear();
             t.index_keys.clear();
             t.emitted = None;
             t.alive = false;
         }
-        // Every slot is free, lowest id on top: ids are handed out as a
-        // new network would.
-        b.free.clear();
-        b.free.extend((0..b.tokens.len() as u32).rev());
+        b.slots.restart();
         b.wme_tokens.clear_into(&mut b.pool);
         b.events.clear();
         self.work = WorkCounters::default();
@@ -664,7 +699,9 @@ impl<'a> Activation<'a> {
                         nr.push(w);
                         let first = nr.len() == 1;
                         let b = &mut *self.beta;
-                        b.mems[n as usize].blocked_by.push(w, t, &mut b.pool);
+                        touch(&mut b.mems, &mut b.touched, n)
+                            .blocked_by
+                            .push(w, t, &mut b.pool);
                         if first {
                             self.block_token(t);
                         }
@@ -748,7 +785,7 @@ impl<'a> Activation<'a> {
             p.tokens_created += 1;
             p.nodes[n as usize].tokens += 1;
         }
-        b.mems[n as usize].tokens.push(id);
+        touch(&mut b.mems, &mut b.touched, n).tokens.push(id);
         if let Some(w) = wme {
             b.wme_tokens.push(w, id, &mut b.pool);
         }
@@ -770,7 +807,9 @@ impl<'a> Activation<'a> {
             for &w in cands {
                 if eval_tests(tests, &b.chain[..chain_len], w, self.wm) {
                     blockers.push(w);
-                    b.mems[n as usize].blocked_by.push(w, id, &mut b.pool);
+                    touch(&mut b.mems, &mut b.touched, n)
+                        .blocked_by
+                        .push(w, id, &mut b.pool);
                 }
             }
             let blocked = !blockers.is_empty();
@@ -802,7 +841,9 @@ impl<'a> Activation<'a> {
             let b = &mut *self.beta;
             if let Some(key) = token_side_key(&b.chain[..chain_len], &keyed.join_tests[kt], self.wm)
             {
-                b.mems[nd as usize].right_index.push(key, id, &mut b.pool);
+                touch(&mut b.mems, &mut b.touched, nd)
+                    .right_index
+                    .push(key, id, &mut b.pool);
                 b.tokens[id as usize].index_keys.push((nd, key));
             }
         }
@@ -899,17 +940,17 @@ impl<'a> Activation<'a> {
             }
         }
         self.work.match_units += cost::TOKEN_OP;
-        b.free.push(t);
+        b.slots.give(t);
     }
 
     /// Takes a token slot for node `n`. A reused slot keeps the capacity of
     /// its lists, which deletion (and [`Rete::reset`]) left empty.
     fn alloc_token(&mut self, n: u32, parent: u32, wme: Option<WmeId>) -> u32 {
         let b = &mut *self.beta;
-        let id = b.free.pop().unwrap_or_else(|| {
+        let id = b.slots.take();
+        if id as usize == b.tokens.len() {
             b.tokens.push(TokenData::default());
-            (b.tokens.len() - 1) as u32
-        });
+        }
         let td = &mut b.tokens[id as usize];
         debug_assert!(td.children.is_empty() && td.neg_results.is_empty());
         debug_assert!(td.index_keys.is_empty() && td.emitted.is_none());
@@ -1303,15 +1344,7 @@ mod tests {
     /// as sorted multisets. The engine's conflict resolution is
     /// insertion-order independent, so firing sequences are unaffected.
     fn canon(events: Vec<MatchEvent>) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
-        let mut v: Vec<_> = events
-            .into_iter()
-            .map(|e| match e {
-                MatchEvent::Insert(i) => (0, i.production, i.wmes.to_vec(), i.time_tags.to_vec()),
-                MatchEvent::Retract { production, wmes } => {
-                    (1, production, wmes.to_vec(), Vec::new())
-                }
-            })
-            .collect();
+        let mut v = in_order(events);
         v.sort();
         v
     }
@@ -1394,18 +1427,26 @@ mod tests {
         let b = &f.rete.beta;
         assert!(b.mems.iter().any(|m| !m.blocked_by.is_empty()));
         assert!(b.mems.iter().any(|m| !m.right_index.is_empty()));
-        assert!(!b.free.is_empty() && !b.events.is_empty());
+        assert!(b.slots != SlotCursor::default() && !b.events.is_empty());
         let slots = b.tokens.len();
 
         f.rete.reset();
         let b = &f.rete.beta;
+        // Every memory, not just the ones reset was told about.
         for m in &b.mems {
             assert!(m.tokens.is_empty() && m.right_index.is_empty() && m.blocked_by.is_empty());
+            assert!(!m.touched);
         }
-        // Token slots stay, every one free and the lowest id next.
-        assert!(b.tokens.iter().all(|t| !t.alive && t.emitted.is_none()));
-        assert_eq!((b.tokens.len(), b.free.len()), (slots, slots));
-        assert_eq!(b.free.last(), Some(&0));
+        assert!(b.touched.is_empty());
+        // Token slots stay, clean; none is handed out or listed free, so
+        // the next token takes slot 0 as in a new network.
+        assert!(b.tokens.iter().all(|t| {
+            let lists_empty =
+                t.children.is_empty() && t.neg_results.is_empty() && t.index_keys.is_empty();
+            !t.alive && t.emitted.is_none() && lists_empty
+        }));
+        assert_eq!(b.tokens.len(), slots);
+        assert_eq!(b.slots, SlotCursor::default());
         assert!(b.wme_tokens.is_empty() && b.events.is_empty());
         for m in 0..alpha_mems {
             assert!(f.rete.alpha.mem(m as AlphaMemId).wmes.is_empty());
@@ -1417,6 +1458,73 @@ mod tests {
             (f.rete.beta_nodes(), f.rete.alpha_memories()),
             (nodes, alpha_mems)
         );
+    }
+
+    /// One operation's events as they were emitted, in order.
+    fn in_order(events: Vec<MatchEvent>) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
+        events
+            .into_iter()
+            .map(|e| match e {
+                MatchEvent::Insert(i) => (0, i.production, i.wmes.to_vec(), i.time_tags.to_vec()),
+                MatchEvent::Retract { production, wmes } => {
+                    (1, production, wmes.to_vec(), Vec::new())
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_small_task_after_a_large_one_replays_like_a_new_network() {
+        let src = "
+            (literalize a x)
+            (literalize b y)
+            (literalize c z)
+            (p p0 (a ^x 1) --> (halt))
+            (p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
+            (p p2 (a ^x <v>) (b ^y <v>) -(c ^z <v>) --> (halt))
+        ";
+        for config in [ReteConfig::shared(), ReteConfig::unshared()] {
+            // The large task: hundreds of tokens, blockers, index buckets,
+            // and removals that leave the free list in use.
+            let mut f = Fix::with_config(src, config);
+            let mut ids = Vec::new();
+            for v in 0..100 {
+                ids.push(f.add("a", &[(0, Value::Int(v % 7))]));
+                ids.push(f.add("b", &[(0, Value::Int(v % 5))]));
+                ids.push(f.add("c", &[(0, Value::Int(v % 3))]));
+            }
+            for id in ids.into_iter().step_by(4) {
+                f.remove(id);
+            }
+            assert!(f.rete.beta.slots.high_water() > 100);
+            f.rete.reset();
+            f.wm = WmStore::new();
+            f.tag = 0;
+
+            // The one-WME task (then two more, so joins and the negation
+            // run on recycled slots too), against a network built for it.
+            let mut new = Fix::with_config(src, config);
+            let steps = [("a", 1), ("b", 1), ("c", 1)];
+            for (class, v) in steps {
+                for fix in [&mut f, &mut new] {
+                    fix.add(class, &[(0, Value::Int(v))]);
+                }
+                assert_eq!(
+                    in_order(f.rete.drain_events()),
+                    in_order(new.rete.drain_events()),
+                    "{class} {v}"
+                );
+                assert_eq!(f.rete.work, new.rete.work);
+                assert_eq!(f.rete.net_stats(), new.rete.net_stats());
+                let token_ids = |fix: &Fix| -> Vec<Vec<u32>> {
+                    let mems = &fix.rete.beta.mems;
+                    mems.iter().map(|m| m.tokens.clone()).collect()
+                };
+                assert_eq!(token_ids(&f), token_ids(&new));
+                assert_eq!(f.rete.beta.slots, new.rete.beta.slots);
+            }
+            assert_eq!(f.rete.take_chunks(), new.rete.take_chunks());
+        }
     }
 
     #[test]

@@ -99,15 +99,22 @@ impl Value {
         )
     }
 
-    /// A stable hash key for use in alpha-memory indexing. Numbers hash by
-    /// their `f64` bit pattern of the widened value so `3` and `3.0` collide
-    /// (as `ops_eq` demands).
+    /// A stable hash key for use in alpha-memory indexing and alpha
+    /// discrimination. The contract both rely on is *no false negatives*:
+    /// `a.ops_eq(b)` implies `a.hash_key() == b.hash_key()`. Numbers hash by
+    /// the `f64` bit pattern of the widened value so `3` and `3.0` collide,
+    /// with the zero sign normalised (`0 = -0.0` numerically, but the two
+    /// zeros differ in their sign bit). NaN never `ops_eq`s anything, itself
+    /// included, so whichever key it gets is only ever a wasted probe.
+    /// Unequal values may share a key; probers re-verify.
     #[inline]
     pub fn hash_key(&self) -> u64 {
         match self {
             Value::Nil => 0x6e696c,
             Value::Sym(s) => 0x8000_0000_0000_0000 | s.0 as u64,
-            v => v.as_f64().map(|f| f.to_bits()).unwrap_or(1),
+            Value::Int(i) => (*i as f64).to_bits(),
+            Value::Float(f) if *f == 0.0 => 0.0f64.to_bits(),
+            Value::Float(f) => f.to_bits(),
         }
     }
 }
@@ -168,6 +175,7 @@ impl From<&str> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop_assert_eq, prop_oneof, proptest, ProptestConfig, Strategy};
 
     #[test]
     fn numeric_equality_mixes_int_float() {
@@ -207,6 +215,75 @@ mod tests {
         assert_eq!(Value::Int(3).hash_key(), Value::Float(3.0).hash_key());
         assert_ne!(Value::Int(3).hash_key(), Value::Int(4).hash_key());
         assert_ne!(Value::symbol("x").hash_key(), Value::Nil.hash_key());
+    }
+
+    #[test]
+    fn hash_key_ignores_the_sign_of_zero() {
+        let zeros = [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)];
+        for a in zeros {
+            for b in zeros {
+                assert!(a.ops_eq(&b));
+                assert_eq!(a.hash_key(), b.hash_key(), "{a:?} vs {b:?}");
+            }
+        }
+        assert_ne!(
+            Value::Float(-0.0).hash_key(),
+            Value::Sym(Symbol(0)).hash_key(),
+            "-0.0's bit pattern is symbol 0's key"
+        );
+    }
+
+    /// Values drawn from small pools around the places `ops_eq` coerces:
+    /// both zeros, whole-number floats beside the same ints, the 2^53
+    /// neighbourhood where distinct ints widen to one float, NaN, symbols
+    /// and nil — so equal pairs of different representation are common.
+    fn value() -> impl Strategy<Value = Value> {
+        const TWO_53: i64 = 1 << 53;
+        const FLOATS: [f64; 7] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        let int = prop_oneof![
+            -3i64..4,
+            (TWO_53 - 2)..(TWO_53 + 3),
+            (-TWO_53 - 2)..(-TWO_53 + 3),
+            (0i64..2).prop_map(|i| [i64::MIN, i64::MAX][i as usize]),
+        ];
+        let float = prop_oneof![
+            (0usize..FLOATS.len()).prop_map(|i| FLOATS[i]),
+            (-3i64..4).prop_map(|i| i as f64),
+            (-6i64..7).prop_map(|i| i as f64 / 2.0),
+            ((TWO_53 - 2)..(TWO_53 + 3)).prop_map(|i| i as f64),
+            // Negative subnormals: their bit patterns are symbol keys.
+            (1u64..4).prop_map(|b| f64::from_bits(0x8000_0000_0000_0000 | b)),
+        ];
+        const ZEROS: [Value; 3] = [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)];
+        prop_oneof![
+            1 => (0u8..1).prop_map(|_| Value::Nil),
+            2 => (0u32..4).prop_map(|s| Value::Sym(Symbol(s))),
+            3 => (0usize..ZEROS.len()).prop_map(|i| ZEROS[i]),
+            4 => int.prop_map(Value::Int),
+            4 => float.prop_map(Value::Float),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// No false negatives: whatever `ops_eq` calls equal shares a key,
+        /// so a hashed probe (an indexed join, the alpha dispatch) finds
+        /// everything a scan with `ops_eq` would.
+        #[test]
+        fn hash_key_has_no_false_negatives(a in value(), b in value()) {
+            if a.ops_eq(&b) {
+                prop_assert_eq!(a.hash_key(), b.hash_key(), "{:?} = {:?}", a, b);
+            }
+        }
     }
 
     #[test]

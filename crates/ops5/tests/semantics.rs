@@ -1,6 +1,6 @@
 //! OPS5 semantic corner cases, exercised end to end through the engine.
 
-use ops5::{Engine, Program, Strategy, Value};
+use ops5::{Engine, Program, ReteConfig, Strategy, Value};
 use std::sync::Arc;
 
 fn engine(src: &str) -> Engine {
@@ -151,6 +151,30 @@ fn disjunction_matches_mixed_types() {
     e.make_wme("a", &[("v", 3.into())]).unwrap(); // no match
     let out = e.run(100);
     assert_eq!(out.firings, 4);
+}
+
+#[test]
+fn negative_zero_joins_with_zero_on_the_indexed_path_too() {
+    // `0 = -0.0` numerically. The two `a`s put the join's memory above the
+    // population at which it probes its hash index instead of scanning, so
+    // the index key of `-0.0` has to be `0`'s — it used not to be, and the
+    // default network missed the match the scanning one finds.
+    let src = "
+        (literalize a x)
+        (literalize b y)
+        (p join (a ^x <v>) (b ^y <v>) --> (write matched <v>))
+    ";
+    for config in [ReteConfig::shared(), ReteConfig::unshared()] {
+        let program = Arc::new(Program::parse(src).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let mut e = Engine::with_compiled_config(program, compiled, config);
+        e.make_wme("a", &[("x", 0.into())]).unwrap();
+        e.make_wme("a", &[("x", 7.into())]).unwrap();
+        e.make_wme("b", &[("y", Value::Float(-0.0))]).unwrap();
+        let out = e.run(10);
+        assert_eq!(out.firings, 1, "{config:?}");
+        assert!(out.quiescent());
+    }
 }
 
 #[test]

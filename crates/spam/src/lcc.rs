@@ -24,7 +24,7 @@ use ops5::ast::SlotIdx;
 use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tlp_fault::TaskReport;
 
 /// Candidate-search radius (metres): partners beyond this bounding-box
@@ -37,11 +37,24 @@ pub const NEIGHBOURHOOD_RADIUS: f64 = 700.0;
 /// ([`crate::externals::relation_radius`]), or `None` when no constraint
 /// relates the two kinds (such partners never enter the task's working
 /// memory).
+///
+/// Tabulated once per process: [`neighbourhood`] asks for every candidate
+/// fragment of every subject, and the answer is a property of the
+/// constraint table alone.
 pub fn kind_radius(subject: FragmentKind, object: FragmentKind) -> Option<f64> {
-    constraints_for(subject)
-        .filter(|c| c.object == object)
-        .map(crate::externals::relation_radius)
-        .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
+    static RADII: OnceLock<[[Option<f64>; 16]; 16]> = OnceLock::new();
+    // `ALL_KINDS` is in declaration (= discriminant) order.
+    let radii = RADII.get_or_init(|| {
+        ALL_KINDS.map(|s| {
+            ALL_KINDS.map(|o| {
+                constraints_for(s)
+                    .filter(|c| c.object == o)
+                    .map(crate::externals::relation_radius)
+                    .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
+            })
+        })
+    });
+    radii[subject as usize][object as usize]
 }
 
 /// A decomposition level.
@@ -165,13 +178,13 @@ pub fn neighbourhood(
     f: &FragmentHypothesis,
 ) -> Vec<u32> {
     let bb = scene.region(f.region).polygon.bbox();
-    let near_regions: BTreeSet<u32> = scene
-        .neighbours(f.region, NEIGHBOURHOOD_RADIUS)
-        .into_iter()
-        .collect();
+    let mut near_regions = scene.neighbours(f.region, NEIGHBOURHOOD_RADIUS);
+    near_regions.sort_unstable();
     fragments
         .iter()
-        .filter(|g| g.id != f.id && (near_regions.contains(&g.region) || g.region == f.region))
+        .filter(|g| {
+            g.id != f.id && (g.region == f.region || near_regions.binary_search(&g.region).is_ok())
+        })
         .filter(|g| {
             kind_radius(f.kind, g.kind).is_some()
                 && scene.region(g.region).polygon.bbox().distance_to(&bb) <= NEIGHBOURHOOD_RADIUS

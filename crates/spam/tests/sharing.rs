@@ -86,3 +86,20 @@ fn sharing_cuts_lcc_match_work() {
         u.work.match_units
     );
 }
+
+#[test]
+fn lcc_pair_memories_are_reached_by_constraint_id() {
+    // One `^constraint N ^status pending` memory per `lcc-eval-cN`
+    // production: a pair element must find its own by N, not by walking
+    // all of them. If a rule edit reorders those tests so that the class no
+    // longer opens on one slot, match slows by a third and nothing else
+    // would say so — work units are charged as for the full walk.
+    for sp in [programs().0, programs().1] {
+        let rete = ops5::rete::Rete::from_compiled_with(&sp.compiled, &sp.program, sp.config);
+        let (memories, visited) = rete
+            .alpha_fanout(spam::rules::lcc_schema().pair.class)
+            .expect("lcc-pair is matched");
+        assert!(memories > 50, "{memories} lcc-pair memories");
+        assert!(visited <= 3, "a pair visits {visited} of {memories}");
+    }
+}

@@ -5,21 +5,33 @@
 //! totals of the LCC phase over SF+DC+MOFF (seed 0) at the two
 //! decomposition levels `benchmarks/e2e` runs them at (`coarse_l4`,
 //! `level3`), as recorded in `benchmarks/e2e/baseline.md` — one firing
-//! more or one join test fewer anywhere in 24 111 firings moves them.
+//! more or one join test fewer anywhere in 24 111 firings moves them —
+//! and of DC alone at Level 1 (`fine_l1`), where 1 282 tasks of a firing
+//! or so each make the per-task paths (reset, load) the whole phase.
+//!
+//! `shared_test_hits` is pinned beside the work units because the alpha
+//! network charges the constant tests of the memories its dispatch table
+//! skips in closed form: units and memo hits both have to come out as if
+//! every memory of the class had been walked.
 
 use ops5::{NetStats, WorkCounters};
-use spam::datasets::{dc, moff, sf};
+use spam::datasets::{dc, moff, sf, Dataset};
 use spam::lcc::{run_lcc_profiled, Level};
 use spam::rules::SpamProgram;
 use std::sync::Arc;
 
 /// LCC totals over the three airports at `level`.
 fn totals(level: Level) -> (WorkCounters, NetStats, usize) {
+    totals_over(&[sf(), dc(), moff()], level)
+}
+
+/// LCC totals over `datasets` at `level`.
+fn totals_over(datasets: &[Dataset], level: Level) -> (WorkCounters, NetStats, usize) {
     let sp = SpamProgram::build();
     let mut work = WorkCounters::default();
     let mut net = NetStats::default();
     let mut tasks = 0;
-    for dataset in [sf(), dc(), moff()] {
+    for dataset in datasets {
         let scene = Arc::new(spam::generate_scene(&dataset.spec));
         let frags = Arc::new(spam::rtf::run_rtf(&sp, &scene).fragments);
         let (phase, profile) = run_lcc_profiled(&sp, &scene, &frags, level);
@@ -44,6 +56,7 @@ fn level_4_counts_are_exact() {
     assert_eq!(net.index_probes, 36_873);
     assert_eq!(net.linear_scans, 148_308);
     assert_eq!(net.shared_node_hits, 2_934);
+    assert_eq!(net.shared_test_hits, 16_303);
 }
 
 #[test]
@@ -61,4 +74,21 @@ fn level_3_counts_are_exact() {
     assert_eq!(net.index_probes, 31_681);
     assert_eq!(net.linear_scans, 391_922);
     assert_eq!(net.shared_node_hits, 4_734);
+    assert_eq!(net.shared_test_hits, 18_556);
+}
+
+#[test]
+fn level_1_counts_on_dc_are_exact() {
+    let (work, net, tasks) = totals_over(&[dc()], Level::L1);
+    assert_eq!(tasks, 1_282);
+    assert_eq!(work.firings, 1_536);
+    assert_eq!(work.match_units, 1_069_938);
+    assert_eq!(work.resolve_units, 43_540);
+    assert_eq!(work.act_units, 256_524);
+    assert_eq!(work.external_units, 1_399_440);
+    assert_eq!(work.wme_adds, 8_454);
+    assert_eq!(net.index_probes, 254);
+    assert_eq!(net.linear_scans, 154_522);
+    assert_eq!(net.shared_node_hits, 3_846);
+    assert_eq!(net.shared_test_hits, 4_699);
 }
