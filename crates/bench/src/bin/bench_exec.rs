@@ -20,13 +20,11 @@
 //! ```
 
 use spam::lcc::Level;
-use spam_psm::exec::ExecConfig;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use std::process::ExitCode;
 use std::time::Instant;
 use tlp_bench::{header, Prepared};
-use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::json::Json;
-use tlp_obs::{Live, Recorder};
 
 /// Worker counts swept; the first is the speed-up baseline.
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -48,18 +46,13 @@ fn median(xs: &[f64]) -> f64 {
 /// One executor run at `workers`; returns the phase identity tuple and the
 /// measured report.
 fn one_run(p: &Prepared, workers: usize) -> ((u64, u64, usize), spam_psm::exec::ExecReport) {
-    let (phase, measured) = spam_psm::tlp::run_parallel_lcc_exec(
+    let exec = ExecConfig::with_cost_model(workers, &paraops5::CostModel::default());
+    let (phase, measured) = spam_psm::run_parallel_lcc(
         &p.sp,
         &p.scene,
         &p.fragments,
         Level::L3,
-        &ExecConfig::with_cost_model(workers, &paraops5::CostModel::default()),
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-        &Recorder::off(),
-        &Live::off(),
-        None,
-        None,
+        &PhaseRun::new(exec),
     )
     .expect("exec LCC");
     (

@@ -22,13 +22,13 @@
 //! ```
 
 use spam::lcc::Level;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use tlp_bench::{header, Prepared};
-use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::json::Json;
-use tlp_obs::{Live, LiveValue, Recorder, SloConfig, SloMonitor};
+use tlp_obs::{Live, LiveValue, SloConfig, SloMonitor};
 
 const WORKERS: usize = 4;
 
@@ -67,19 +67,11 @@ const INNER: usize = 5;
 /// One un-timed LCC run; returns (firings, total work units) plus the
 /// final snapshot when the registry was live.
 fn one_run(p: &Prepared, live: &Arc<Live>, slo: Option<&Arc<SloMonitor>>) -> (u64, u64) {
-    let phase = spam_psm::tlp::run_parallel_lcc_live(
-        &p.sp,
-        &p.scene,
-        &p.fragments,
-        Level::L4,
-        WORKERS,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-        &Recorder::off(),
-        live,
-        slo,
-    )
-    .expect("supervised LCC");
+    let mut how = PhaseRun::new(ExecConfig::central_queue(WORKERS));
+    how.obs.live = Arc::clone(live);
+    how.obs.slo = slo.cloned();
+    let (phase, _) = spam_psm::run_parallel_lcc(&p.sp, &p.scene, &p.fragments, Level::L4, &how)
+        .expect("supervised LCC");
     (phase.firings, phase.work.total_units())
 }
 

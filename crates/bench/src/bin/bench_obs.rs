@@ -9,9 +9,10 @@
 //! ```
 
 use spam::lcc::Level;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use spam_psm::trace::{lcc_trace, record_phase_metrics, record_sim_metrics};
+use std::sync::Arc;
 use tlp_bench::{header, Prepared};
-use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::{Metric, MetricsRegistry, ObsLevel, Recorder};
 
 fn main() {
@@ -22,17 +23,10 @@ fn main() {
     let p = Prepared::new(spam::datasets::dc());
 
     let rec = Recorder::new(ObsLevel::Full);
-    let phase = spam_psm::tlp::run_parallel_lcc_traced(
-        &p.sp,
-        &p.scene,
-        &p.fragments,
-        Level::L3,
-        4,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-        &rec,
-    )
-    .expect("supervised LCC");
+    let mut how = PhaseRun::new(ExecConfig::central_queue(4));
+    how.obs.rec = Arc::clone(&rec);
+    let (phase, _) = spam_psm::run_parallel_lcc(&p.sp, &p.scene, &p.fragments, Level::L3, &how)
+        .expect("supervised LCC");
     let trace = lcc_trace(&phase);
 
     let reg = MetricsRegistry::new();

@@ -23,11 +23,11 @@ use std::time::{Duration, Instant};
 
 use spam::lcc::{run_lcc, Level};
 use spam::rules::SpamProgram;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use spam_psm::{run_parallel_lcc_recoverable, CheckpointConfig};
 use tlp_bench::header;
 use tlp_fault::SupervisorConfig;
 use tlp_obs::json::Json;
-use tlp_obs::Recorder;
 
 const SEED: u64 = 42;
 const KILLS: u32 = 3;
@@ -74,15 +74,17 @@ fn main() -> ExitCode {
             .collect();
         let scratch_cost: u64 = victims.iter().map(|&t| task_cycles[t]).sum();
         let start = Instant::now();
+        let how = PhaseRun {
+            cfg: cfg.clone(),
+            plan: plan.clone(),
+            ..PhaseRun::new(ExecConfig::central_queue(WORKERS))
+        };
         let (par, recovery) = run_parallel_lcc_recoverable(
             &sp,
             &scene,
             &frags,
             Level::L3,
-            WORKERS,
-            &cfg,
-            &plan,
-            &Recorder::off(),
+            &how,
             &CheckpointConfig::every(interval),
             None,
         )

@@ -23,13 +23,13 @@
 //! ```
 
 use spam::lcc::Level;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use tlp_bench::{header, Prepared};
-use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::json::Json;
-use tlp_obs::{Live, Recorder, RetainedTrace, SamplerConfig, SpanKind, Tracing};
+use tlp_obs::{RetainedTrace, SamplerConfig, SpanKind, Tracing};
 
 const WORKERS: usize = 4;
 const SEED: u64 = 0;
@@ -61,20 +61,10 @@ const INNER: usize = 5;
 /// a traced request (the tail-sampling verdict included).
 fn one_run(p: &Prepared, tracing: Option<&Arc<Tracing>>) -> (u64, u64) {
     let span = tracing.map(|tr| tr.start_scene(SEED, "dc"));
-    let phase = spam_psm::tlp::run_parallel_lcc_scene(
-        &p.sp,
-        &p.scene,
-        &p.fragments,
-        Level::L4,
-        WORKERS,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-        &Recorder::off(),
-        &Live::off(),
-        None,
-        span.as_ref(),
-    )
-    .expect("supervised LCC");
+    let mut how = PhaseRun::new(ExecConfig::central_queue(WORKERS));
+    how.obs.span = span.as_ref();
+    let (phase, _) = spam_psm::run_parallel_lcc(&p.sp, &p.scene, &p.fragments, Level::L4, &how)
+        .expect("supervised LCC");
     if let Some(s) = span {
         s.finish();
     }
@@ -194,20 +184,9 @@ fn main() -> ExitCode {
     // trace's recorded per-task service table and compare against the
     // chain computed directly from the measured phase. The two must agree
     // within 1 % — this is the contract `spamctl trace` relies on.
-    let phase = spam_psm::tlp::run_parallel_lcc_scene(
-        &p.sp,
-        &p.scene,
-        &p.fragments,
-        Level::L4,
-        WORKERS,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-        &Recorder::off(),
-        &Live::off(),
-        None,
-        None,
-    )
-    .expect("supervised LCC");
+    let how = PhaseRun::new(ExecConfig::central_queue(WORKERS));
+    let (phase, _) = spam_psm::run_parallel_lcc(&p.sp, &p.scene, &p.fragments, Level::L4, &how)
+        .expect("supervised LCC");
     let cfg = multimax_sim::SimConfig::encore(WORKERS as u32);
     let direct = spam_psm::attribution::critical_path(&spam_psm::trace::lcc_trace(&phase), &cfg);
     let from_trace: Vec<multimax_sim::Task> = trace

@@ -16,6 +16,7 @@
 //!         [--json F] [--trace-out F] [--check-loss LO:HI]
 //! spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N]
 //!         [--kills K] [--interval C] [--workers N] [--retries K]
+//!         [--exec real|sim]
 //! spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
 //!         [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match]
 //!         [--scale PCT] [--top N] [--json F] [--unshared]
@@ -61,7 +62,7 @@
 //!   exactly while replaying strictly fewer cycles than from-scratch
 //!   retries. Exits non-zero (and prints the replayable fault plan) on any
 //!   divergence; `--seed N` / `--kills K` / `--interval C` pick the
-//!   schedule and checkpoint cadence;
+//!   schedule and checkpoint cadence, `--exec` the placement (below);
 //! * `--machines 2` makes `run` replay the measured trace on the
 //!   dual-Encore SVM platform instead of one Encore: the Gantt chart
 //!   (at `--obs full`) becomes a two-machine chart, the Chrome trace
@@ -74,14 +75,16 @@
 //!   is the reference);
 //! * `--level` selects the LCC decomposition level (default 3);
 //! * `--workers N` runs LCC with N real task-process threads (SPAM/PSM);
-//! * `--exec real|sim` picks the LCC execution substrate (default `sim`):
-//!   `real` runs the units on the work-stealing executor (`spam_psm::exec`
-//!   — per-worker deques, cost-model-sized chunks, idle workers stealing)
-//!   and prints the measured wall-clock schedule: per-worker utilization,
-//!   steal and overflow counters. Scene results are bit-identical to
-//!   `sim` and to the sequential run; only the measured report differs.
-//!   With `--obs full` the Gantt and Chrome trace additionally carry the
-//!   measured (wall-clock) timeline next to the simulated one;
+//! * `--exec real|sim` picks where the one phase runner (`spam_psm::exec`)
+//!   places the LCC units (default `sim`): `sim` is the paper's central
+//!   FIFO task queue, reported through the simulated Encore; `real` deals
+//!   cost-model-sized chunks to per-worker deques, lets idle workers
+//!   steal, and prints the measured wall-clock schedule: per-worker
+//!   utilization, steal and overflow counters. Scene results are
+//!   bit-identical between the two and to the sequential run; only the
+//!   measured report differs. With `--obs full` the Gantt and Chrome trace
+//!   additionally carry the measured (wall-clock) timeline next to the
+//!   simulated one;
 //! * `--retries K` allows K supervised retries per LCC task;
 //! * `--deadline-ms MS` sets a soft per-task deadline;
 //! * `--fault-seed S` + `--task-panic-rate P` inject deterministic task
@@ -159,6 +162,7 @@ use spam::rtf::run_rtf;
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use spam::topdown::run_topdown;
+use spam_psm::exec::{ExecConfig, Observer, PhaseRun};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -835,6 +839,17 @@ fn run_svm_report(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Where `--exec` places a phase's tasks: `real` is the chunked deques (by
+/// the ParaOPS5 cost model's subtask granularity, idle workers stealing),
+/// `sim` the paper's central queue.
+fn placement(o: &Opts, workers: usize) -> ExecConfig {
+    if o.exec_mode == "real" {
+        ExecConfig::with_cost_model(workers, &paraops5::costmodel::CostModel::default())
+    } else {
+        ExecConfig::central_queue(workers)
+    }
+}
+
 /// The `chaos` subcommand: a seeded crash-recovery acceptance run. A
 /// fault-free sequential LCC run fixes the expected results and the
 /// per-task cycle counts; `chaos_schedule` then derives a kill plan
@@ -880,15 +895,17 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
     let cfg = SupervisorConfig::default()
         .with_retries(retries)
         .with_backoff(Duration::from_millis(1));
+    let how = PhaseRun {
+        cfg,
+        plan: plan.clone(),
+        ..PhaseRun::new(placement(o, workers))
+    };
     let (par, recovery) = match spam_psm::run_parallel_lcc_recoverable(
         sp,
         scene,
         &fragments,
         o.level,
-        workers,
-        &cfg,
-        &plan,
-        &Recorder::off(),
+        &how,
         &spam_psm::CheckpointConfig::every(o.ckpt_interval),
         None,
     ) {
@@ -1219,8 +1236,6 @@ fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
         slowest_n: 2,
         ..SamplerConfig::default()
     });
-    let rec = Recorder::new(ObsLevel::Off);
-    let live = Live::off();
     println!(
         "spamctl slow: {} scene submissions, LCC at {}, {workers} worker(s), fault seed {}",
         datasets.len(),
@@ -1240,20 +1255,17 @@ fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
         let rtf = run_rtf(sp, &scene);
         let fragments = Arc::new(rtf.fragments.clone());
         let span = tracing.start_scene(o.fault_seed, name);
-        let lcc = match spam_psm::tlp::run_parallel_lcc_scene(
-            sp,
-            &scene,
-            &fragments,
-            o.level,
-            workers,
-            &cfg,
-            &plan,
-            &rec,
-            &live,
-            None,
-            Some(&span),
-        ) {
-            Ok(l) => l,
+        let how = PhaseRun {
+            cfg: cfg.clone(),
+            plan: plan.clone(),
+            obs: Observer {
+                span: Some(&span),
+                ..Observer::off()
+            },
+            ..PhaseRun::new(ExecConfig::central_queue(workers))
+        };
+        let lcc = match spam_psm::run_parallel_lcc(sp, &scene, &fragments, o.level, &how) {
+            Ok((l, _)) => l,
             Err(e) => {
                 eprintln!("slow: {name}: supervision error: {e}");
                 return ExitCode::FAILURE;
@@ -1719,51 +1731,24 @@ fn main() -> ExitCode {
         if o.task_panic_rate > 0.0 {
             plan = plan.with_task_panic_rate(o.task_panic_rate);
         }
-        if exec_real {
-            // Real cores: the work-stealing executor, chunked by the
-            // ParaOPS5 cost model's subtask granularity.
-            let exec_cfg = spam_psm::exec::ExecConfig::with_cost_model(
-                workers,
-                &paraops5::costmodel::CostModel::default(),
-            );
-            match spam_psm::tlp::run_parallel_lcc_exec(
-                &sp,
-                &scene,
-                &fragments,
-                o.level,
-                &exec_cfg,
-                &cfg,
-                &plan,
-                &rec,
-                &live,
-                slo.as_ref(),
-                scene_span.as_ref(),
-            ) {
-                Ok((lcc, m)) => (lcc, Some(m)),
-                Err(e) => {
-                    eprintln!("LCC supervision error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            match spam_psm::tlp::run_parallel_lcc_scene(
-                &sp,
-                &scene,
-                &fragments,
-                o.level,
-                workers,
-                &cfg,
-                &plan,
-                &rec,
-                &live,
-                slo.as_ref(),
-                scene_span.as_ref(),
-            ) {
-                Ok(lcc) => (lcc, None),
-                Err(e) => {
-                    eprintln!("LCC supervision error: {e}");
-                    return ExitCode::FAILURE;
-                }
+        let how = PhaseRun {
+            exec: placement(&o, workers),
+            cfg,
+            plan,
+            obs: Observer {
+                rec: Arc::clone(&rec),
+                live: Arc::clone(&live),
+                slo: slo.clone(),
+                span: scene_span.as_ref(),
+            },
+        };
+        match spam_psm::run_parallel_lcc(&sp, &scene, &fragments, o.level, &how) {
+            // The measured schedule is `--exec real`'s report; `sim` keeps
+            // to the simulated one.
+            Ok((lcc, m)) => (lcc, exec_real.then_some(m)),
+            Err(e) => {
+                eprintln!("LCC supervision error: {e}");
+                return ExitCode::FAILURE;
             }
         }
     } else {

@@ -1,50 +1,71 @@
-//! The real work-stealing task executor — "Multimax on real cores".
+//! The supervised phase runner — the paper's execution model (§5.1) on
+//! real threads: a control process (the calling thread), a task queue, and
+//! `n` task processes (workers), each running whole OPS5 engine tasks.
 //!
-//! Every TLP number the repo reports elsewhere comes from the Multimax
-//! cost-model simulator ([`multimax_sim`]): simulated seconds on a
-//! simulated Encore. This module runs the same task set on *real* worker
-//! threads and measures wall-clock nanoseconds, so the paper's central
-//! claim — near-linear task-level speed-up for hundreds of independent
-//! OPS5 engines — can be checked against hardware, not just the model.
+//! There is one runner, [`execute`], and it is the only place in the crate
+//! that spawns task workers, catches a task's panic, or decides a retry.
+//! Everything above it (`tlp`, `recover`, `spamctl`, the benches) describes
+//! *how* a phase is to be run with one [`PhaseRun`] value — where tasks are
+//! placed, the supervision policy, the fault plan, the observers — and
+//! supplies the task closure.
 //!
-//! # Scheduling
+//! # Placement: central FIFO vs chunked deques
 //!
-//! The seed architecture (and [`crate::supervise`]) uses one shared FIFO
-//! queue: every dequeue contends on one lock, which is exactly the
-//! task-queue bottleneck §6.2 budgets. Here each worker owns a
-//! *deque* in the Chase–Lev discipline — the owner pushes and pops at the
-//! back (LIFO, cache-warm), thieves steal from the front (FIFO, the
-//! oldest and typically largest chunks) — plus one shared overflow queue
-//! (the *injector*) fed by bounded-deque spill-over at distribution time
-//! and by the supervisor's retries. The deques are `Mutex<VecDeque>`
-//! rather than the lock-free original: this crate forbids `unsafe`, and
-//! at SPAM's task granularity (whole OPS5 engine runs, ~milliseconds) a
-//! per-deque lock is uncontended noise while preserving the Chase–Lev
+//! The pool is per-worker *deques* in the Chase–Lev discipline — the owner
+//! pops at the back (LIFO, cache-warm), thieves steal from the front (FIFO,
+//! the oldest and typically largest chunks) — plus one shared overflow FIFO
+//! (the *injector*) that every worker drains front-first before it steals.
+//! Tasks that do not fit a deque at distribution time spill to the
+//! overflow queue in task order, and every retry re-enters at its back.
+//!
+//! * **Chunked deques** ([`ExecConfig::new`] / [`ExecConfig::with_cost_model`]):
+//!   tasks are grouped into contiguous chunks whose estimated work reaches
+//!   the cost model's scheduler granularity
+//!   ([`paraops5::CostModel::granularity`]) — OpenMP `schedule(dynamic,k)`
+//!   applied to SPAM's highly skewed task sizes (Tables 5–8) — and dealt
+//!   round-robin across the deques, so each worker's initial working set
+//!   arrives in batches.
+//! * **Central queue** ([`ExecConfig::central_queue`]): the same pool with
+//!   zero-capacity deques. Every task spills, so the overflow FIFO *is* the
+//!   paper's single task queue: workers take tasks in task order, a retry
+//!   goes to the back, nothing is ever stolen. It is a placement, not a
+//!   second implementation — §6.2's task-queue bottleneck on one lock.
+//!
+//! The deques are `Mutex<VecDeque>` rather than the lock-free original:
+//! this crate forbids `unsafe`, and at SPAM's task granularity (whole OPS5
+//! engine runs) a per-deque lock is uncontended noise while preserving the
 //! access pattern that matters for distribution and steal accounting.
 //!
-//! Initial placement is *dynamically chunked*: tasks are grouped into
-//! contiguous chunks whose estimated work reaches the cost model's
-//! scheduler granularity ([`paraops5::CostModel::granularity`], via
-//! [`ExecConfig::with_cost_model`]) — the OpenMP `schedule(dynamic,k)`
-//! idea applied to SPAM's highly skewed task sizes (Tables 5–8). Chunks
-//! are dealt round-robin across the worker deques, so each worker's
-//! initial working-set of WMEs arrives in batches rather than one task at
-//! a time.
+//! # Supervision
 //!
-//! # Supervision, observability, attribution
+//! The paper's runs simply died when a task process did. Here the control
+//! process is a *supervisor*:
 //!
-//! Nothing is lost relative to the simulator path. Every attempt runs
-//! under `catch_unwind` with the same retry/deadline/dead-letter policy
-//! as [`crate::supervise::supervise_observed`]; the flight recorder sees
-//! `task.exec` spans plus `task.steal` instants; live telemetry gets the
-//! per-worker busy/task series plus steal and overflow counters; scene
-//! traces get the same derived `task.exec` span ids. The measured
-//! schedule is returned as an [`ExecReport`] which converts to a
-//! [`multimax_sim::SimResult`] ([`ExecReport::to_sim_result`]) — so the
-//! gap accountant ([`crate::attribution::GapAttribution`]) and the Gantt
-//! timeline work on measured traces exactly as on simulated ones.
+//! * every attempt runs under [`std::panic::catch_unwind`], so a panicking
+//!   task is isolated — the phase completes with the surviving results;
+//! * a failed attempt is retried up to [`SupervisorConfig::max_retries`]
+//!   times with linear backoff. The backoff delays the *re-enqueue* on the
+//!   control side; no worker ever sleeps through it, so it reads as queue
+//!   time, never as a stalled pool slot. Tasks that exhaust their budget go
+//!   to the dead-letter list in the [`TaskReport`];
+//! * an optional *soft* deadline is enforced post-hoc: task threads cannot
+//!   be preempted, so an attempt that returns after the deadline has its
+//!   result discarded and is treated as a failure;
+//! * a [`FaultPlan`] can fate specific `(task, attempt)` pairs to panic,
+//!   making the whole retry machinery reproducible under test.
+//!
+//! # Observability, attribution
+//!
+//! The flight recorder sees one `exec.phase` span, `task.exec` spans on
+//! each worker's track, `task.steal` instants and every control decision;
+//! live telemetry gets task/queue health and per-worker series; scene
+//! traces get derived `task.exec` span ids (see [`Observer`]). The measured
+//! schedule comes back as an [`ExecReport`], which converts to a
+//! [`multimax_sim::SimResult`] ([`ExecReport::to_sim_result`]) — so the gap
+//! accountant ([`crate::attribution::GapAttribution`]) and the Gantt
+//! timeline work on measured runs exactly as on simulated ones.
 
-use crate::supervise::{install_quiet_hook, TaskAttempt, WORKER_NAME};
+use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +82,7 @@ use tlp_obs::{
 /// `chunk_units` (ParaOPS5's ~100-instruction granularity).
 pub const ESTIMATE_UNITS_PER_WME: u64 = 10;
 
-/// Work-stealing executor configuration.
+/// Where a phase's tasks are placed: worker count, chunking, deque bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads (capped at the task count when spawning).
@@ -90,6 +111,101 @@ impl ExecConfig {
             workers,
             chunk_target: model.granularity(),
             deque_capacity: 64,
+        }
+    }
+
+    /// The paper's central task queue (§5.1) as a placement: no task is
+    /// dealt to a worker, every task spills in task order to the shared
+    /// overflow FIFO, and `workers` threads drain it front-first (module
+    /// docs, "Placement"). Each task is its own chunk.
+    pub fn central_queue(workers: usize) -> ExecConfig {
+        ExecConfig {
+            workers,
+            chunk_target: 1,
+            deque_capacity: 0,
+        }
+    }
+}
+
+/// What watches a phase while it runs. Every observer only reads: results
+/// are bit-identical with any of them attached, disabled or absent, and a
+/// disabled one costs a branch per emit.
+///
+/// * `rec` — the flight recorder. The control process registers an
+///   `executor` sink and every worker its own `psm-task-{w}` sink; at
+///   `Summary` level the phase is one `exec.phase` span, at `Full` level
+///   each attempt is a `task.exec` span on its worker's track and every
+///   control decision (spill, steal, retry, deadline rejection, dead
+///   letter, completion) is an instant event.
+/// * `live` — the sliding-window registry. The control process publishes
+///   `spam_live_tasks_completed` / `spam_live_task_retries` /
+///   `spam_live_dead_letters`, the `spam_live_task_latency_seconds`
+///   histogram of successful attempts and the `spam_live_queue_depth`
+///   gauge of tasks still outstanding; each worker publishes
+///   `spam_live_worker_{busy_us,tasks,steals,overflow}{worker="w"}` from
+///   its own shard. Logical time advances one epoch per *terminal* task
+///   (success or dead letter), so window widths read as "the last N
+///   finished tasks".
+/// * `slo` — advanced on the same clock; a dead-lettered task is charged
+///   to it as a breach (failed work burns error budget even though no
+///   latency sample exists for it).
+/// * `span` — an enabled [`SceneSpan`] makes each attempt a `task.exec`
+///   span under the scene root (recorded by the worker that ran it, so
+///   worker hops are visible), retries and dead letters marker spans
+///   recorded by the control thread, and hands the task closure a
+///   [`tlp_obs::SpanSink`] parented under its attempt
+///   ([`TaskAttempt::trace`]). Span ids are derived from
+///   `(trace, task, attempt)`, so both sides of the channel agree on them
+///   without coordination.
+#[derive(Clone)]
+pub struct Observer<'a> {
+    /// Flight recorder.
+    pub rec: Arc<Recorder>,
+    /// Live telemetry registry.
+    pub live: Arc<Live>,
+    /// SLO monitor driven by the phase's logical clock.
+    pub slo: Option<Arc<SloMonitor>>,
+    /// Scene-scoped trace the phase's attempts record under.
+    pub span: Option<&'a SceneSpan>,
+}
+
+impl Observer<'static> {
+    /// Nothing attached: a disabled recorder and registry, no SLO, no span.
+    pub fn off() -> Observer<'static> {
+        Observer {
+            rec: Recorder::off(),
+            live: Live::off(),
+            slo: None,
+            span: None,
+        }
+    }
+}
+
+/// How one phase is run: the single value every runner above [`execute`]
+/// takes instead of re-threading placement, policy, plan and observers.
+/// Build it with [`PhaseRun::new`] and struct-update what differs.
+#[derive(Clone)]
+pub struct PhaseRun<'a> {
+    /// Task placement.
+    pub exec: ExecConfig,
+    /// Supervision policy (retries, backoff, soft deadline).
+    pub cfg: SupervisorConfig,
+    /// Deterministic fault injection.
+    pub plan: FaultPlan,
+    /// What watches the phase.
+    pub obs: Observer<'a>,
+}
+
+impl PhaseRun<'static> {
+    /// `exec`'s placement under the default policy (no deadline, no
+    /// retries), no injected faults, nothing observing. A panicking task is
+    /// still isolated and reported rather than tearing the phase down.
+    pub fn new(exec: ExecConfig) -> PhaseRun<'static> {
+        PhaseRun {
+            exec,
+            cfg: SupervisorConfig::default(),
+            plan: FaultPlan::none(),
+            obs: Observer::off(),
         }
     }
 }
@@ -302,8 +418,12 @@ enum Source {
 /// The work-stealing pool: per-worker deques (owner back, thieves
 /// front), a shared overflow/injector queue, and a parking lot.
 ///
-/// Like the supervisor's `JobQueue`, every lock recovers from poisoning:
-/// queue state is a plain collection with no half-updatable invariant.
+/// Every lock recovers from poisoning ([`relock`]): queue state is a plain
+/// collection with no invariant a panicking holder could leave
+/// half-updated, so a panic *outside* `catch_unwind` while holding one
+/// (an allocation failure, a chaos fault in the push path) must not turn
+/// every later push/pop into a panic and deadlock the control process
+/// behind a dead queue.
 /// The `pending` count under the `sync` lock tracks jobs enqueued
 /// anywhere; it rises *before* the job becomes visible in its queue, so
 /// a worker that pops a job always decrements a count that already
@@ -324,6 +444,11 @@ fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
     r.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A worker's final cell value, whatever its thread did while holding it.
+fn unlock<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl StealPool {
@@ -457,62 +582,79 @@ enum FailKind {
     Deadline,
 }
 
-/// Runs `labels.len()` tasks on the work-stealing pool without
-/// observability attached. See [`execute_observed`].
-pub fn execute<T: Send>(
-    exec: &ExecConfig,
-    labels: Vec<String>,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    task: impl Fn(usize) -> T + Sync,
-) -> Result<(Vec<Option<T>>, TaskReport, ExecReport), SuperviseError> {
-    execute_observed(
-        exec,
-        labels,
-        &[],
-        cfg,
-        plan,
-        &Recorder::off(),
-        &Live::off(),
-        None,
-        None,
-        |_, _| {},
-        |a: TaskAttempt| task(a.task),
-    )
+/// Records a control-side marker span (a retry or dead-letter decision
+/// on `task`'s `attempt`) under the scene root. `kind` names the decision
+/// and seeds the span id; `detail` is appended to the span's name.
+fn control_marker(
+    sc: &SceneSpan,
+    kind: &str,
+    (task, attempt): Job,
+    detail: &str,
+    error: Option<String>,
+) {
+    let now = sc.now_us();
+    sc.record_span(SpanRecord {
+        id: SpanId::derive(sc.trace_id(), kind, task as u64, u64::from(attempt)),
+        parent: Some(sc.root()),
+        kind: SpanKind::Aux,
+        name: format!("{kind} t{task}{detail}"),
+        worker: "psm-control".into(),
+        start_us: now,
+        end_us: now,
+        error,
+    });
 }
 
-/// Runs `labels.len()` tasks as real jobs on the work-stealing pool, with
-/// the full supervision and observability contract of
-/// [`crate::supervise::supervise_observed`] — same retry/deadline/
-/// dead-letter policy, same fault injection, same recorder/live/SLO/scene
-/// wiring, same derived `task.exec` span ids — plus the measured
-/// [`ExecReport`].
+/// Runs `labels.len()` tasks as supervised jobs on the pool `how`
+/// describes (module docs: placement, supervision, observers).
+///
+/// Returns one `Option<T>` slot per task (in task order; `None` marks a
+/// dead-lettered task), the [`TaskReport`], and the measured
+/// [`ExecReport`]. Fails fast with [`SuperviseError::NoWorkers`] when
+/// `how.exec.workers` is zero.
 ///
 /// `estimates` gives each task's a-priori work estimate for dynamic
 /// chunking (WME counts scaled by [`ESTIMATE_UNITS_PER_WME`], or any
-/// consistent unit); empty means uniform. Results are deterministic —
-/// identical to the sequential run regardless of worker count, steal
-/// order, or scheduling noise — because every result lands in its task's
-/// slot and merging is slot-ordered; only the *schedule* in the
-/// [`ExecReport`] is machine-dependent.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_observed<T: Send>(
-    exec: &ExecConfig,
+/// consistent unit); empty means uniform. `on_complete` runs on the control
+/// thread once per successful task, before the task's epoch closes —
+/// callers mirror task results (work counters, SLO latency observations)
+/// into the observers from there.
+///
+/// `task` must be pure with respect to retries: attempt `k+1` re-runs the
+/// same closure with the same index (the [`TaskAttempt`] carries the
+/// attempt number, which is what the recovery runner needs to decide
+/// whether to restore from a checkpoint). The spam phase runners satisfy
+/// this by running every attempt on an engine in its just-built state —
+/// new, or reset and out of its thread's slot while the attempt runs, so
+/// an attempt that unwinds drops it (`spam::lcc`'s task-engine lifecycle,
+/// DESIGN.md §21) — over shared immutable inputs. That is also what makes
+/// `AssertUnwindSafe` sound here: a half-updated state cannot leak across
+/// attempts.
+///
+/// Results are deterministic — identical to the sequential run regardless
+/// of placement, worker count, steal order or scheduling noise — because
+/// every result lands in its task's slot and merging is slot-ordered; only
+/// the *schedule* in the [`ExecReport`] is machine-dependent.
+pub fn execute<T: Send>(
+    how: &PhaseRun<'_>,
     labels: Vec<String>,
     estimates: &[u64],
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-    live: &Arc<Live>,
-    slo: Option<&Arc<SloMonitor>>,
-    scene: Option<&SceneSpan>,
     on_complete: impl Fn(usize, &T),
     task: impl Fn(TaskAttempt) -> T + Sync,
 ) -> Result<(Vec<Option<T>>, TaskReport, ExecReport), SuperviseError> {
+    let PhaseRun {
+        exec,
+        cfg,
+        plan,
+        obs,
+    } = how;
+    let (rec, live, slo) = (&obs.rec, &obs.live, obs.slo.as_ref());
     if exec.workers == 0 {
         return Err(SuperviseError::NoWorkers);
     }
-    let scene = scene.filter(|sc| sc.enabled());
+    // A disabled scene handle records nothing; drop it so the hot path
+    // sees one branch.
+    let scene = obs.span.filter(|sc| sc.enabled());
     install_quiet_hook();
     let phase_start = Instant::now();
     let n_tasks = labels.len();
@@ -538,7 +680,7 @@ pub fn execute_observed<T: Send>(
 
     // Dynamic chunking + round-robin distribution: contiguous chunks of
     // tasks (batched WME arrival) dealt across the bounded deques; spill
-    // goes to the shared overflow queue.
+    // goes to the shared overflow queue, in task order.
     let uniform = vec![1u64; n_tasks];
     let est = if estimates.len() == n_tasks {
         estimates
@@ -591,6 +733,13 @@ pub fn execute_observed<T: Send>(
     let mut remaining = n_tasks;
     let mut attempts_log: Vec<ExecAttempt> = Vec::with_capacity(n_tasks);
     let ctl_live = live.handle();
+    // A terminal decision (success or dead letter) closes the task's epoch.
+    let close_epoch = || {
+        let epoch = live.advance_epoch();
+        if let Some(slo) = slo {
+            slo.advance(epoch);
+        }
+    };
 
     std::thread::scope(|s| {
         for w in 0..n_workers {
@@ -599,21 +748,28 @@ pub fn execute_observed<T: Send>(
             let task = &task;
             let stats = &stats;
             let spawn_ready = &spawn_ready;
-            let wlive = Arc::clone(live);
+            let name = format!("{WORKER_NAME}-{w}");
             std::thread::Builder::new()
-                .name(format!("{WORKER_NAME}-ws-{w}"))
+                .name(name.clone())
                 .spawn_scoped(s, move || {
-                    let mut sink = rec.sink(format!("{WORKER_NAME}-ws-{w}"));
+                    // Each worker owns a private sink; it flushes on drop
+                    // when the pool closes and the thread exits.
+                    let mut sink = rec.sink(name.as_str());
                     if let Some(sc) = scene {
+                        // Tag recorder events with the scene's trace id so
+                        // flight-recorder output joins against the retained
+                        // span trees.
                         sink.set_trace(sc.trace_id());
                     }
-                    let wh = wlive.handle();
+                    // And a private live shard, with its series keys built
+                    // once — the per-attempt emits must not allocate.
+                    let wh = live.handle();
                     let worker = w.to_string();
-                    let busy_key = series_key("spam_live_worker_busy_us", &[("worker", &worker)]);
-                    let tasks_key = series_key("spam_live_worker_tasks", &[("worker", &worker)]);
-                    let steals_key = series_key("spam_live_worker_steals", &[("worker", &worker)]);
-                    let overflow_key =
-                        series_key("spam_live_worker_overflow", &[("worker", &worker)]);
+                    let key = |family: &str| series_key(family, &[("worker", &worker)]);
+                    let busy_key = key("spam_live_worker_busy_us");
+                    let tasks_key = key("spam_live_worker_tasks");
+                    let steals_key = key("spam_live_worker_steals");
+                    let overflow_key = key("spam_live_worker_overflow");
                     *relock(spawn_ready[w].lock()) = phase_start.elapsed().as_secs_f64();
                     let mut my = WorkerStats::default();
                     let mut queued = Instant::now();
@@ -663,6 +819,10 @@ pub fn execute_observed<T: Send>(
                                 ],
                             );
                         }
+                        // Derive this attempt's span id up front: the sink
+                        // handed to the task parents engine/recovery spans
+                        // under it, and the span itself is recorded below
+                        // once the outcome is known.
                         let attempt_span = scene.map(|sc| {
                             (
                                 SpanId::derive(
@@ -688,7 +848,7 @@ pub fn execute_observed<T: Send>(
                             }
                             task(invocation)
                         }))
-                        .map_err(crate::supervise::payload_to_string);
+                        .map_err(payload_to_string);
                         if sink.enabled(ObsLevel::Full) {
                             sink.end(
                                 Category::Task,
@@ -703,7 +863,7 @@ pub fn execute_observed<T: Send>(
                                 parent: Some(sc.root()),
                                 kind: SpanKind::Task,
                                 name: format!("task.exec t{i} a{attempt}"),
-                                worker: format!("{WORKER_NAME}-ws-{w}"),
+                                worker: name.clone(),
                                 start_us,
                                 end_us: sc.now_us(),
                                 error: result.as_ref().err().cloned(),
@@ -737,16 +897,12 @@ pub fn execute_observed<T: Send>(
                     }
                     *relock(stats[w].lock()) = my;
                 })
-                .expect("spawn executor worker");
+                .expect("spawn task worker");
         }
         drop(tx);
 
-        // Control process: same decision loop as the supervisor; retries
-        // go to the shared overflow queue (cold by definition). Linear
-        // backoff delays the *re-enqueue* on a timer thread — a worker
-        // sleeping through the backoff would stall a pool slot that
-        // could be running other queued work.
-        // Workers report completions in batches (`COMPLETION_BATCH`).
+        // Control process: collect attempts (workers report them in
+        // batches, `COMPLETION_BATCH`), decide retries, fill slots.
         let mut inbox = Vec::new().into_iter();
         while remaining > 0 {
             let Some(msg) = inbox.next() else {
@@ -808,11 +964,11 @@ pub fn execute_observed<T: Send>(
                             ctl_live
                                 .observe(tlp_obs::TASK_LATENCY_FAMILY, msg.elapsed.as_secs_f64());
                         }
+                        // Mirror the task's result before its epoch closes,
+                        // so caller-side series land in the window of the
+                        // task that produced them.
                         on_complete(i, &value);
-                        let epoch = live.advance_epoch();
-                        if let Some(slo) = slo {
-                            slo.advance(epoch);
-                        }
+                        close_epoch();
                         slots[i] = Some(value);
                         o.status = if msg.attempt == 0 {
                             TaskStatus::Ok
@@ -840,6 +996,11 @@ pub fn execute_observed<T: Send>(
             if let Some(err) = failure {
                 o.error = Some(err);
                 if msg.attempt < cfg.max_retries {
+                    // The retry re-enters at the back of the shared
+                    // overflow queue (cold by definition). Linear backoff
+                    // delays the *re-enqueue* on a timer thread — a worker
+                    // sleeping through it would stall a pool slot that
+                    // could be running other queued work.
                     let next = msg.attempt + 1;
                     let delay = cfg.backoff * next;
                     if delay.is_zero() {
@@ -854,22 +1015,8 @@ pub fn execute_observed<T: Send>(
                     ctl_live.inc("spam_live_task_retries", 1);
                     if let Some(sc) = scene {
                         sc.tracing().note_retry(sc.trace_id());
-                        let now = sc.now_us();
-                        sc.record_span(SpanRecord {
-                            id: SpanId::derive(
-                                sc.trace_id(),
-                                "supervisor.retry",
-                                i as u64,
-                                u64::from(msg.attempt),
-                            ),
-                            parent: Some(sc.root()),
-                            kind: SpanKind::Aux,
-                            name: format!("supervisor.retry t{i} a{}", msg.attempt + 1),
-                            worker: "psm-control".into(),
-                            start_us: now,
-                            end_us: now,
-                            error: None,
-                        });
+                        let to = format!(" a{next}");
+                        control_marker(sc, "supervisor.retry", (i, msg.attempt), &to, None);
                     }
                     if ctl.enabled(ObsLevel::Full) {
                         ctl.instant(
@@ -877,7 +1024,7 @@ pub fn execute_observed<T: Send>(
                             "supervisor.retry",
                             vec![
                                 ("task", (i as u64).into()),
-                                ("next_attempt", ((msg.attempt + 1) as u64).into()),
+                                ("next_attempt", (next as u64).into()),
                             ],
                         );
                     }
@@ -889,30 +1036,15 @@ pub fn execute_observed<T: Send>(
                     ctl_live.inc("spam_live_dead_letters", 1);
                     if let Some(sc) = scene {
                         sc.tracing().note_dead_letter(sc.trace_id());
-                        let now = sc.now_us();
-                        sc.record_span(SpanRecord {
-                            id: SpanId::derive(
-                                sc.trace_id(),
-                                "supervisor.dead_letter",
-                                i as u64,
-                                u64::from(msg.attempt),
-                            ),
-                            parent: Some(sc.root()),
-                            kind: SpanKind::Aux,
-                            name: format!("supervisor.dead_letter t{i}"),
-                            worker: "psm-control".into(),
-                            start_us: now,
-                            end_us: now,
-                            error: o.error.clone(),
-                        });
+                        let (job, error) = ((i, msg.attempt), o.error.clone());
+                        control_marker(sc, "supervisor.dead_letter", job, "", error);
                     }
                     if let Some(slo) = slo {
+                        // A dead letter is a breach: the work never
+                        // completed, so it burns error budget.
                         slo.observe(msg.elapsed.as_secs_f64(), false);
                     }
-                    let epoch = live.advance_epoch();
-                    if let Some(slo) = slo {
-                        slo.advance(epoch);
-                    }
+                    close_epoch();
                     remaining -= 1;
                     if ctl.enabled(ObsLevel::Full) {
                         ctl.instant(
@@ -931,21 +1063,12 @@ pub fn execute_observed<T: Send>(
         pool.close();
     });
 
-    let wall_s = phase_start.elapsed().as_secs_f64();
-    let worker_stats: Vec<WorkerStats> = stats
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    let spawn_ready_s: Vec<f64> = spawn_ready
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
     let report = ExecReport {
-        workers: worker_stats,
-        spawn_ready_s,
+        workers: stats.into_iter().map(unlock).collect(),
+        spawn_ready_s: spawn_ready.into_iter().map(unlock).collect(),
         chunks: chunks.len() as u64,
         overflowed,
-        wall_s,
+        wall_s: phase_start.elapsed().as_secs_f64(),
         lost_tasks: outcomes.iter().filter(|o| !o.status.succeeded()).count() as u32,
         attempts: attempts_log,
     };
@@ -969,69 +1092,494 @@ pub fn execute_observed<T: Send>(
     Ok((slots, TaskReport { outcomes }, report))
 }
 
+/// Both placements at `workers` threads, named, for tests that hold the
+/// runner's contract on each.
+#[cfg(test)]
+pub(crate) fn placements(workers: usize) -> [(&'static str, ExecConfig); 2] {
+    [
+        ("central queue", ExecConfig::central_queue(workers)),
+        ("chunked deques", ExecConfig::new(workers)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
+    //! One contract, two placements: every supervision and observability
+    //! test runs on the central queue and on the chunked deques. Tests of
+    //! the pool's own mechanics (chunking, batching, stealing, poisoning)
+    //! follow.
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use tlp_obs::{Health, LiveValue, SloConfig};
 
     fn labels(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("t{i}")).collect()
     }
 
-    fn cfg1() -> ExecConfig {
-        ExecConfig::new(3)
+    /// `exec`'s placement under `cfg` and `plan`, nothing observing.
+    fn under(exec: ExecConfig, cfg: SupervisorConfig, plan: FaultPlan) -> PhaseRun<'static> {
+        PhaseRun {
+            cfg,
+            plan,
+            ..PhaseRun::new(exec)
+        }
+    }
+
+    /// Retries allowed, with a backoff short enough not to slow the suite.
+    fn retries(k: u32) -> SupervisorConfig {
+        SupervisorConfig::default()
+            .with_retries(k)
+            .with_backoff(Duration::from_millis(1))
+    }
+
+    type Ran<T> = (Vec<Option<T>>, TaskReport, ExecReport);
+
+    /// `n` tasks under `how`, the task a function of its index alone.
+    fn run<T: Send>(how: &PhaseRun<'_>, n: usize, task: impl Fn(usize) -> T + Sync) -> Ran<T> {
+        execute(how, labels(n), &[], |_, _| {}, |a| task(a.task)).unwrap()
+    }
+
+    fn executed(exec: &ExecReport) -> u64 {
+        exec.workers.iter().map(|w| w.executed).sum()
+    }
+
+    fn counter(snap: &tlp_obs::LiveSnapshot, name: &str) -> u64 {
+        match snap.series.get(name) {
+            Some(LiveValue::Counter { total, .. }) => *total,
+            other => panic!("{name}: expected counter, got {other:?}"),
+        }
     }
 
     #[test]
     fn all_tasks_succeed_in_slot_order() {
-        let (slots, report, exec) = execute(
-            &cfg1(),
-            labels(20),
-            &SupervisorConfig::default(),
-            &FaultPlan::none(),
-            |i| i * 2,
-        )
-        .unwrap();
-        assert!(report.is_clean());
-        assert_eq!(
-            slots.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
-            (0..20).map(|i| i * 2).collect::<Vec<_>>()
-        );
-        let executed: u64 = exec.workers.iter().map(|w| w.executed).sum();
-        assert_eq!(executed, 20, "every task attempted exactly once");
-        assert_eq!(exec.attempts.len(), 20);
-        assert!(exec.chunks >= 1);
-        assert_eq!(exec.lost_tasks, 0);
-    }
-
-    #[test]
-    fn zero_workers_rejected() {
-        let exec = ExecConfig {
-            workers: 0,
-            ..cfg1()
-        };
-        let r = execute(
-            &exec,
-            labels(3),
-            &SupervisorConfig::default(),
-            &FaultPlan::none(),
-            |i| i,
-        );
-        assert_eq!(r.err(), Some(SuperviseError::NoWorkers));
+        for (name, exec) in placements(3) {
+            let (slots, report, exec) = run(&PhaseRun::new(exec), 20, |i| i * 2);
+            assert!(report.is_clean(), "{name}");
+            assert_eq!(
+                slots.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
+                (0..20).map(|i| i * 2).collect::<Vec<_>>(),
+                "{name}"
+            );
+            assert_eq!(executed(&exec), 20, "{name}: every task attempted once");
+            assert_eq!(exec.attempts.len(), 20, "{name}");
+            assert!(exec.chunks >= 1, "{name}");
+            assert_eq!(exec.lost_tasks, 0, "{name}");
+        }
     }
 
     #[test]
     fn empty_task_list_is_fine() {
-        let (slots, report, exec) = execute(
-            &cfg1(),
-            labels(0),
-            &SupervisorConfig::default(),
-            &FaultPlan::none(),
-            |i| i,
-        )
-        .unwrap();
-        assert!(slots.is_empty());
-        assert!(report.outcomes.is_empty());
-        assert!(exec.attempts.is_empty());
+        for (name, exec) in placements(3) {
+            let (slots, report, exec) = run(&PhaseRun::new(exec), 0, |i| i);
+            assert!(slots.is_empty(), "{name}");
+            assert!(report.outcomes.is_empty() && report.is_clean(), "{name}");
+            assert!(exec.attempts.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn zero_workers_rejected() {
+        for (name, exec) in placements(0) {
+            let r = execute(&PhaseRun::new(exec), labels(3), &[], |_, _| {}, |a| a.task);
+            assert_eq!(r.err(), Some(SuperviseError::NoWorkers), "{name}");
+        }
+    }
+
+    #[test]
+    fn more_workers_than_tasks_is_fine() {
+        for (name, exec) in placements(16) {
+            let (slots, report, exec) = run(&PhaseRun::new(exec), 3, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 3, "{name}");
+            assert!(report.is_clean(), "{name}");
+            assert_eq!(exec.workers.len(), 3, "{name}: one thread per task at most");
+        }
+    }
+
+    #[test]
+    fn panicking_task_is_dead_lettered_and_others_complete() {
+        for (name, exec) in placements(2) {
+            let plan = FaultPlan::none().with_task_panic(3, u32::MAX);
+            let how = under(exec, SupervisorConfig::default(), plan);
+            let (slots, report, exec) = run(&how, 8, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 7, "{name}");
+            assert!(slots[3].is_none(), "{name}");
+            assert_eq!(report.succeeded(), 7, "{name}");
+            let dead = report.dead_letters();
+            assert_eq!(dead.len(), 1, "{name}");
+            assert_eq!(dead[0].task, 3, "{name}");
+            assert_eq!(dead[0].status, TaskStatus::Panicked, "{name}");
+            assert!(dead[0].error.as_deref().unwrap().contains("injected fault"));
+            assert_eq!(exec.lost_tasks, 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn retry_recovers_and_dead_letters_are_reported() {
+        for (name, exec) in placements(3) {
+            // Task 5 panics only on attempt 0: one retry fully recovers it.
+            // Task 2 panics on every attempt.
+            let plan = FaultPlan::none()
+                .with_task_panic(5, 1)
+                .with_task_panic(2, u32::MAX);
+            let (slots, report, exec) = run(&under(exec, retries(1), plan), 10, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 9, "{name}");
+            assert!(slots[2].is_none(), "{name}");
+            assert_eq!(report.outcomes[5].status, TaskStatus::Retried(1), "{name}");
+            assert_eq!(report.outcomes[5].attempts, 2, "{name}");
+            assert_eq!(report.total_retries(), 2, "{name}");
+            assert_eq!(report.dead_letters().len(), 1, "{name}");
+            assert_eq!(exec.lost_tasks, 1, "{name}");
+            // 10 first attempts + t5 retry + t2 retry.
+            assert_eq!(exec.attempts.len(), 12, "{name}");
+            assert_eq!(executed(&exec), 12, "{name}");
+        }
+    }
+
+    #[test]
+    fn retry_budget_is_bounded() {
+        for (name, exec) in placements(2) {
+            let plan = FaultPlan::none().with_task_panic(0, u32::MAX);
+            let (slots, report, _) = run(&under(exec, retries(2), plan), 2, |i| i);
+            assert!(slots[0].is_none(), "{name}");
+            assert_eq!(report.outcomes[0].status, TaskStatus::Panicked, "{name}");
+            assert_eq!(report.outcomes[0].attempts, 3, "{name}: initial + 2");
+        }
+    }
+
+    #[test]
+    fn soft_deadline_times_out_slow_tasks() {
+        for (name, exec) in placements(2) {
+            let cfg = SupervisorConfig::default().with_deadline(Duration::from_millis(20));
+            let (slots, report, _) = run(&under(exec, cfg, FaultPlan::none()), 4, |i| {
+                if i == 2 {
+                    std::thread::sleep(Duration::from_millis(80));
+                }
+                i
+            });
+            assert!(slots[2].is_none(), "{name}: late result must be discarded");
+            assert_eq!(report.outcomes[2].status, TaskStatus::TimedOut, "{name}");
+            assert_eq!(slots.iter().flatten().count(), 3, "{name}");
+        }
+    }
+
+    #[test]
+    fn queue_wait_and_retry_latency_are_recorded() {
+        for (name, exec) in placements(2) {
+            let plan = FaultPlan::none().with_task_panic(1, 1);
+            let cfg = retries(1).with_backoff(Duration::from_millis(5));
+            let (_, report, _) = run(&under(exec, cfg, plan), 3, |i| {
+                std::thread::sleep(Duration::from_millis(2));
+                i
+            });
+            for o in &report.outcomes {
+                // queue_wait is measured from phase start, so it is always
+                // well-defined (and tiny for the first tasks grabbed).
+                assert!(o.queue_wait < Duration::from_secs(5), "{name}: {o:?}");
+            }
+            // The retried task's retry latency spans its first attempt plus
+            // the backoff (5 ms); the clean tasks report zero.
+            assert!(report.outcomes[1].retry_latency >= Duration::from_millis(5));
+            assert_eq!(report.outcomes[0].retry_latency, Duration::ZERO, "{name}");
+            let text = report.display(true).to_string();
+            assert!(text.contains("queue-wait"), "{name}: {text}");
+        }
+    }
+
+    #[test]
+    fn dead_letter_details_survive_death_during_retry() {
+        for (name, exec) in placements(2) {
+            // Task 2 dies on the first attempt AND again on its only retry.
+            // The dead-letter entry must still carry the full post-mortem:
+            // the final error string, the true attempt count, and a
+            // non-zero retry latency — details recorded across the retry
+            // boundary, not just from the first failure.
+            let plan = FaultPlan::none().with_task_panic(2, 2);
+            let cfg = retries(1).with_backoff(Duration::from_millis(5));
+            let (slots, report, _) = run(&under(exec, cfg, plan), 5, |i| i);
+            assert!(slots[2].is_none(), "{name}");
+            assert_eq!(slots.iter().flatten().count(), 4, "{name}");
+            let dead = report.dead_letters();
+            assert_eq!(dead.len(), 1, "{name}");
+            let o = dead[0];
+            assert_eq!(o.task, 2, "{name}");
+            assert_eq!(o.status, TaskStatus::Panicked, "{name}");
+            assert_eq!(o.attempts, 2, "{name}: initial attempt + the fatal retry");
+            // The error must be the *retry's* panic payload (attempt 1),
+            // not a stale copy from attempt 0.
+            assert_eq!(o.error.as_deref(), Some("injected fault: task 2 attempt 1"));
+            // retry_latency spans first-attempt start → retry start, which
+            // includes the 5 ms backoff.
+            assert!(
+                o.retry_latency >= Duration::from_millis(5),
+                "{name}: retry latency must be recorded for dead letters too: {:?}",
+                o.retry_latency
+            );
+            // And the report renders those details.
+            let text = report.display(true).to_string();
+            assert!(text.contains("task 2 [t2] after 2 attempts"), "{text}");
+            assert!(text.contains("attempt 1"), "{text}");
+            assert!(text.contains("retry-latency"), "{text}");
+        }
+    }
+
+    #[test]
+    fn retry_backoff_delays_the_reenqueue_not_a_worker() {
+        // Regression, once per placement: the backoff used to be slept by
+        // the worker after popping the retry, stalling a pool slot for the
+        // whole delay while other tasks were queued. The control loop
+        // delays the re-enqueue instead, so the backoff is queue time
+        // (queued→acquired), not dequeue time (acquired→started).
+        for (name, exec) in placements(3) {
+            let plan = FaultPlan::none().with_task_panic(0, 1);
+            let cfg = retries(1).with_backoff(Duration::from_millis(40));
+            let (slots, report, exec) = run(&under(exec, cfg, plan), 1, |i| i);
+            assert_eq!(slots[0], Some(0), "{name}");
+            assert!(report.outcomes[0].retry_latency >= Duration::from_millis(40));
+            let retry = (exec.attempts.iter())
+                .find(|a| a.attempt == 1)
+                .expect("retry attempt recorded");
+            assert!(
+                retry.acquired_s - retry.queued_s >= 0.035,
+                "{name}: backoff must surface as queue wait, got {:.4}s",
+                retry.acquired_s - retry.queued_s
+            );
+            assert!(
+                retry.started_s - retry.acquired_s < 0.020,
+                "{name}: no worker may sleep through the backoff, got {:.4}s",
+                retry.started_s - retry.acquired_s
+            );
+        }
+    }
+
+    #[test]
+    fn rate_driven_faults_are_deterministic() {
+        let plan = FaultPlan::seeded(99).with_task_panic_rate(0.4);
+        let run_on = |exec: ExecConfig| {
+            let (slots, report, _) = run(&under(exec, retries(2), plan.clone()), 24, |i| i);
+            let ok: Vec<usize> = slots.into_iter().flatten().collect();
+            let st: Vec<TaskStatus> = report.outcomes.iter().map(|o| o.status.clone()).collect();
+            (ok, st)
+        };
+        let [(_, central), (_, deques)] = placements(4);
+        let a = run_on(central);
+        assert_eq!(
+            a,
+            run_on(central),
+            "plan-determined, not schedule-determined"
+        );
+        assert_eq!(a, run_on(deques), "and not placement-determined either");
+        assert!(a.1.iter().any(|s| !matches!(s, TaskStatus::Ok)));
+    }
+
+    #[test]
+    fn the_recorder_sees_the_phase_its_tasks_and_every_decision() {
+        use tlp_obs::EventKind;
+        for (name, exec) in placements(2) {
+            let rec = Recorder::new(ObsLevel::Full);
+            let plan = FaultPlan::none()
+                .with_task_panic(1, 1)
+                .with_task_panic(2, u32::MAX);
+            let mut how = under(exec, retries(1), plan);
+            how.obs.rec = Arc::clone(&rec);
+            let (slots, report, _) = run(&how, 4, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 3, "{name}");
+            assert_eq!(report.dead_letters().len(), 1, "{name}");
+            let events = rec.events();
+            let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+            for expected in [
+                "exec.phase",
+                "task.complete",
+                "supervisor.retry",
+                "supervisor.dead_letter",
+            ] {
+                assert!(names.contains(&expected), "{name}: {expected} in {names:?}");
+            }
+            // One enqueue instant per task that went to the shared queue:
+            // all of them on the central queue, none of these four on the
+            // deques.
+            let spilled = names.iter().filter(|n| **n == "exec.overflow").count();
+            assert_eq!(spilled, if exec.deque_capacity == 0 { 4 } else { 0 });
+            // One exec span pair per attempt: 4 first attempts + 1 retry of
+            // task 1 + 1 retry of task 2.
+            let spans = |kind: EventKind| {
+                (events.iter())
+                    .filter(|e| e.kind == kind && e.name.starts_with("task.exec"))
+                    .count()
+            };
+            assert_eq!(spans(EventKind::SpanBegin), 6, "{name}");
+            assert_eq!(spans(EventKind::SpanEnd), 6, "{name}");
+            let threads = rec.threads();
+            assert!(threads.iter().any(|t| t == "executor"), "{threads:?}");
+            assert!(threads.iter().any(|t| t == "psm-task-0"), "{threads:?}");
+        }
+    }
+
+    #[test]
+    fn an_off_recorder_and_a_disabled_registry_see_nothing() {
+        for (name, exec) in placements(2) {
+            let how = PhaseRun::new(exec);
+            let (slots, report, _) = run(&how, 4, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 4, "{name}");
+            assert!(report.is_clean(), "{name}");
+            assert!(how.obs.rec.is_empty(), "{name}");
+            assert!(how.obs.live.snapshot().series.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn live_series_are_published() {
+        for (name, exec) in placements(2) {
+            let live = Live::new(8);
+            let plan = FaultPlan::none()
+                .with_task_panic(1, 1)
+                .with_task_panic(2, u32::MAX);
+            let mut how = under(exec, retries(1), plan);
+            how.obs.live = Arc::clone(&live);
+            let completed = AtomicUsize::new(0);
+            let on_complete = |_, _: &usize| {
+                completed.fetch_add(1, Ordering::Relaxed);
+            };
+            let (slots, report, _) =
+                execute(&how, labels(5), &[], on_complete, |a| a.task).unwrap();
+            assert_eq!(slots.iter().flatten().count(), 4, "{name}");
+            assert_eq!(report.dead_letters().len(), 1, "{name}");
+            assert_eq!(completed.load(Ordering::Relaxed), 4, "{name}");
+            // Logical time: one epoch per terminal task, dead letters included.
+            assert_eq!(live.epoch(), 5, "{name}");
+            let snap = live.snapshot();
+            assert_eq!(counter(&snap, "spam_live_tasks_completed"), 4, "{name}");
+            assert_eq!(counter(&snap, "spam_live_task_retries"), 2, "{name}");
+            assert_eq!(counter(&snap, "spam_live_dead_letters"), 1, "{name}");
+            assert_eq!(
+                snap.series.get("spam_live_queue_depth"),
+                Some(&LiveValue::Gauge(0.0)),
+                "{name}: phase ended with nothing outstanding"
+            );
+            // Worker shards published busy time and per-attempt counts;
+            // total attempts = 5 first attempts + 2 retries.
+            assert!((snap.series.keys()).any(|k| k.starts_with("spam_live_worker_busy_us{")));
+            let attempts: u64 = (snap.series.keys())
+                .filter(|k| k.starts_with("spam_live_worker_tasks{"))
+                .map(|k| counter(&snap, k))
+                .sum();
+            assert_eq!(attempts, 7, "{name}");
+            match snap.series.get("spam_live_task_latency_seconds") {
+                Some(LiveValue::Histogram(h)) => assert_eq!(h.count(), 4, "{name}"),
+                other => panic!("{name}: latency histogram missing: {other:?}"),
+            }
+        }
+    }
+
+    fn slo_on(live: &Arc<Live>) -> Arc<SloMonitor> {
+        let cfg = SloConfig::for_scene("test").with_target(10.0);
+        Arc::new(SloMonitor::new(cfg, live.handle()))
+    }
+
+    #[test]
+    fn the_slo_clock_is_driven_by_completions() {
+        for (name, exec) in placements(2) {
+            let live = Live::new(8);
+            let slo = slo_on(&live);
+            let mut how = PhaseRun::new(exec);
+            how.obs.live = Arc::clone(&live);
+            how.obs.slo = Some(Arc::clone(&slo));
+            let on_complete = |_, _: &usize| slo.observe(0.5, true);
+            let (slots, _, _) = execute(&how, labels(6), &[], on_complete, |a| a.task).unwrap();
+            assert_eq!(slots.iter().flatten().count(), 6, "{name}");
+            assert_eq!(slo.health(), Health::Healthy, "{name}");
+            let snap = live.snapshot();
+            assert!(snap.series.contains_key("spam_slo_burn_rate_fast"));
+            assert!((snap.series).contains_key("spam_slo_error_budget_remaining_ratio"));
+        }
+    }
+
+    #[test]
+    fn dead_letters_burn_slo_budget() {
+        for (name, exec) in placements(4) {
+            let live = Live::new(8);
+            let slo = slo_on(&live);
+            let plan = (0..40).fold(FaultPlan::none(), |p, i| p.with_task_panic(i, u32::MAX));
+            let mut how = under(exec, retries(0), plan);
+            how.obs.live = Arc::clone(&live);
+            how.obs.slo = Some(Arc::clone(&slo));
+            let (slots, report, _) = run(&how, 40, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 0, "{name}");
+            assert_eq!(report.dead_letters().len(), 40, "{name}");
+            assert_eq!(live.epoch(), 40, "{name}: dead letters advance the clock");
+            assert_eq!(
+                slo.health(),
+                Health::Degraded,
+                "{name}: a phase of pure failures must trip the burn-rate alert"
+            );
+            let (_, ok) = slo.healthz_json();
+            assert!(!ok, "{name}: healthz reports not-ok while degraded");
+        }
+    }
+
+    #[test]
+    fn a_scene_span_yields_a_wellformed_span_tree() {
+        use tlp_obs::{validate_span_tree, RetainReason, SampleVerdict, SamplerConfig, Tracing};
+        for (name, exec) in placements(2) {
+            let tracing = Tracing::new(SamplerConfig::default());
+            let scene = tracing.start_scene(42, "dc");
+            // Task 1 fails once and recovers; task 2 dies for good.
+            let plan = FaultPlan::none()
+                .with_task_panic(1, 1)
+                .with_task_panic(2, u32::MAX);
+            let mut how = under(exec, retries(1), plan);
+            how.obs.span = Some(&scene);
+            let (slots, report, _) = execute(
+                &how,
+                labels(4),
+                &[],
+                |_, _| {},
+                |a| {
+                    // Stand-in for the engine's cycle mirror: record one
+                    // aux span through the handed sink.
+                    if let Some(mut tr) = a.trace {
+                        let t0 = tr.now_us();
+                        tr.record_aux("engine.cycles x1", t0, tr.now_us(), None);
+                    }
+                    a.task
+                },
+            )
+            .unwrap();
+            assert_eq!(slots.iter().flatten().count(), 3, "{name}");
+            assert_eq!(report.dead_letters().len(), 1, "{name}");
+            assert_eq!(
+                scene.finish(),
+                SampleVerdict::Retained(RetainReason::Errored),
+                "{name}: a scene with retries and dead letters must be retained"
+            );
+            let retained = tracing.retained();
+            assert_eq!(retained.len(), 1, "{name}");
+            let t = &retained[0];
+            assert_eq!(t.retries, 2, "t1's recovery retry + t2's doomed retry");
+            assert_eq!(t.dead_letters, 1, "{name}");
+            // One task.exec span per attempt (4 first + 1 retry of t1 + 1
+            // retry of t2), one retry marker per re-enqueue, one
+            // dead-letter marker, plus the root and the per-attempt engine
+            // aux spans.
+            let named =
+                |prefix: &'static str| t.spans.iter().filter(move |s| s.name.starts_with(prefix));
+            assert_eq!(named("task.exec").count(), 6, "{name}");
+            assert_eq!(named("supervisor.retry").count(), 2, "{name}");
+            assert_eq!(named("supervisor.dead_letter").count(), 1, "{name}");
+            // Injected panics fire before the task body runs, so only the
+            // successful attempts reach the engine stand-in.
+            assert_eq!(named("engine.cycles").count(), 3, "{name}");
+            // Failed attempts carry their panic payload: t1 a0, t2 a0, t2 a1.
+            assert_eq!(named("task.exec").filter(|s| s.error.is_some()).count(), 3);
+            assert!(named("task.exec").all(|s| s.worker.starts_with("psm-task-")
+                && s.worker["psm-task-".len()..].parse::<usize>().is_ok()));
+            // The whole tree validates: unique ids, one root, parents
+            // exist, intervals nest.
+            let doc = t.to_json().write();
+            validate_span_tree(&doc).expect("retained trace must be a well-formed span tree");
+            // Deterministic ids: a rerun of the same seed + scene yields
+            // the same trace id.
+            assert_eq!(t.trace, tlp_obs::TraceId::derive(42, "dc"), "{name}");
+        }
     }
 
     #[test]
@@ -1039,23 +1587,14 @@ mod tests {
         // One worker, so every completion of the phase goes through one
         // held batch: a single task (handed over before the worker
         // sleeps), exactly one full batch, and one more than that.
-        let one = ExecConfig {
-            workers: 1,
-            ..cfg1()
-        };
-        for n in [1, COMPLETION_BATCH, COMPLETION_BATCH + 1] {
-            let (slots, report, exec) = execute(
-                &one,
-                labels(n),
-                &SupervisorConfig::default(),
-                &FaultPlan::none(),
-                |i| i,
-            )
-            .unwrap();
-            assert!(report.is_clean());
-            assert_eq!(slots.into_iter().flatten().count(), n);
-            assert_eq!(exec.attempts.len(), n);
-            assert_eq!(exec.workers[0].executed, n as u64);
+        for (name, exec) in placements(1) {
+            for n in [1, COMPLETION_BATCH, COMPLETION_BATCH + 1] {
+                let (slots, report, exec) = run(&PhaseRun::new(exec), n, |i| i);
+                assert!(report.is_clean(), "{name}");
+                assert_eq!(slots.into_iter().flatten().count(), n, "{name}");
+                assert_eq!(exec.attempts.len(), n, "{name}");
+                assert_eq!(exec.workers[0].executed, n as u64, "{name}");
+            }
         }
     }
 
@@ -1064,38 +1603,39 @@ mod tests {
         // Far more tiny tasks per worker than the batch bound, a third of
         // first attempts failing: every attempt must still be reported
         // exactly once, and the schedule must still add up.
-        let plan = FaultPlan::seeded(11).with_task_panic_rate(0.3);
-        let cfg = SupervisorConfig::default().with_retries(3);
-        let n = 600;
-        let (slots, report, exec) = execute(
-            &ExecConfig {
-                workers: 2,
-                chunk_target: 8,
-                deque_capacity: 64,
-            },
-            labels(n),
-            &cfg,
-            &plan,
-            |i| i,
-        )
-        .unwrap();
-        let retries = report.total_retries() as u64;
-        assert!(retries > 0, "the plan must make some attempts fail");
-        let executed: u64 = exec.workers.iter().map(|w| w.executed).sum();
-        let dead = report.dead_letters().len();
-        // Every task's last attempt is either its success or its dead
-        // letter; every earlier one is a retry.
-        assert_eq!(executed, n as u64 + retries);
-        assert_eq!(exec.attempts.len() as u64, executed);
-        assert_eq!(exec.attempts.iter().filter(|a| a.ok).count(), n - dead);
-        assert_eq!(slots.iter().flatten().count(), n - dead);
-        assert_eq!(exec.lost_tasks as usize, dead);
-        let mut seen: Vec<(usize, u32)> =
-            exec.attempts.iter().map(|a| (a.task, a.attempt)).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len() as u64, executed, "no attempt reported twice");
-        // busy + fork + queue wait + dequeue + idle = workers × makespan.
+        let deques = ExecConfig {
+            workers: 2,
+            chunk_target: 8,
+            deque_capacity: 64,
+        };
+        for exec in [ExecConfig::central_queue(2), deques] {
+            let plan = FaultPlan::seeded(11).with_task_panic_rate(0.3);
+            let cfg = SupervisorConfig::default().with_retries(3);
+            let n = 600;
+            let (slots, report, exec) = run(&under(exec, cfg, plan), n, |i| i);
+            let retries = report.total_retries() as u64;
+            assert!(retries > 0, "the plan must make some attempts fail");
+            let dead = report.dead_letters().len();
+            // Every task's last attempt is either its success or its dead
+            // letter; every earlier one is a retry.
+            assert_eq!(executed(&exec), n as u64 + retries);
+            assert_eq!(exec.attempts.len() as u64, executed(&exec));
+            assert_eq!(exec.attempts.iter().filter(|a| a.ok).count(), n - dead);
+            assert_eq!(slots.iter().flatten().count(), n - dead);
+            assert_eq!(exec.lost_tasks as usize, dead);
+            let mut seen: Vec<(usize, u32)> =
+                exec.attempts.iter().map(|a| (a.task, a.attempt)).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len() as u64, executed(&exec), "no attempt twice");
+            assert_books_close(&exec);
+            assert!(exec.timeline("batched").coverage() > 0.999);
+        }
+    }
+
+    /// busy + fork + queue wait + dequeue + idle = workers × makespan: the
+    /// gap accountant closes its books on the measured run.
+    fn assert_books_close(exec: &ExecReport) {
         let sim = exec.to_sim_result();
         let attr = crate::attribution::GapAttribution::attribute(
             sim.makespan,
@@ -1103,18 +1643,78 @@ mod tests {
             sim.busy.len() as u32,
         );
         let gaps: f64 = attr.components().iter().map(|c| c.1).sum();
+        let eps = attr.capacity().max(1e-9) * 1e-6;
         assert!(
-            (gaps + attr.busy - attr.capacity()).abs() < attr.capacity().max(1e-9) * 1e-6,
+            (gaps + attr.busy - attr.capacity()).abs() < eps,
             "busy {} + gap components {gaps} must sum to capacity {}",
             attr.busy,
             attr.capacity()
         );
-        assert!(exec.timeline("batched").coverage() > 0.999);
+        assert!(
+            (gaps - attr.gap()).abs() < eps,
+            "components {gaps} must sum to the gap {}",
+            attr.gap()
+        );
+    }
+
+    #[test]
+    fn measured_report_converts_to_a_covered_sim_result() {
+        // Bounded deques (capacity 2/worker, 40 singleton-ish chunks) must
+        // spill to the overflow queue; the central queue spills everything.
+        let bounded = ExecConfig {
+            workers: 4,
+            chunk_target: 2,
+            deque_capacity: 2,
+        };
+        for exec in [ExecConfig::central_queue(4), bounded] {
+            let (_, _, exec) = run(&PhaseRun::new(exec), 40, |i| {
+                // A little real work so spans have width.
+                (0..((i as u64 % 7) + 1) * 1000).fold(0u64, u64::wrapping_add)
+            });
+            assert!(exec.overflowed > 0, "distribution must overflow");
+            assert_eq!(executed(&exec), 40);
+            let sim = exec.to_sim_result();
+            assert_eq!(sim.executions.len(), 40);
+            assert_eq!(sim.completions.len(), 40);
+            assert_eq!(sim.tasks_executed.iter().sum::<u32>(), 40);
+            assert!((sim.makespan - exec.wall_s).abs() < 1e-12);
+            // The measured timeline covers every instant on every worker —
+            // the same invariant the simulator's timeline holds.
+            let tl = exec.timeline("exec-real");
+            assert!(
+                tl.coverage() > 0.999,
+                "measured Gantt must be gap-free: {}",
+                tl.coverage()
+            );
+            assert_books_close(&exec);
+        }
+    }
+
+    #[test]
+    fn the_central_queue_is_fifo_and_retries_reenter_at_the_back() {
+        // One worker on the central placement takes tasks in task order;
+        // t1's first attempt fails and its retry — re-enqueued at once, no
+        // backoff — still runs after every first attempt, because those
+        // were all queued before it.
+        let plan = FaultPlan::none().with_task_panic(1, 1);
+        let cfg = retries(1).with_backoff(Duration::ZERO);
+        let how = under(ExecConfig::central_queue(1), cfg, plan);
+        let (slots, report, exec) = run(&how, 5, |i| i);
+        assert_eq!(slots.iter().flatten().count(), 5);
+        assert_eq!(report.outcomes[1].status, TaskStatus::Retried(1));
+        let mut ran = exec.attempts.clone();
+        ran.sort_by(|a, b| a.started_s.total_cmp(&b.started_s));
+        let order: Vec<(usize, u32)> = ran.iter().map(|a| (a.task, a.attempt)).collect();
+        assert_eq!(order, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (1, 1)]);
+        assert_eq!(exec.overflowed, 5, "every task spilled");
+        assert_eq!(exec.chunks, 5, "each its own chunk");
+        assert_eq!(exec.overflow_taken(), 6, "and so did the retry");
+        assert_eq!(exec.steals(), 0, "there is nothing to steal");
     }
 
     #[test]
     fn a_failure_inside_a_batch_is_reported_at_once_and_retried_via_overflow() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::AtomicBool;
         // One worker pops its deque from the back: t5, t4, t3, ... With
         // six tasks the batch bound is never reached, so without the
         // early hand-over nothing would reach the control loop before the
@@ -1126,25 +1726,16 @@ mod tests {
         let waited_in_vain = AtomicBool::new(false);
         let plan = FaultPlan::none().with_task_panic(3, 1);
         let cfg = SupervisorConfig::default().with_retries(1);
-        let (slots, report, exec) = execute_observed(
-            &ExecConfig {
-                workers: 1,
-                ..cfg1()
-            },
+        let (slots, report, exec) = execute(
+            &under(ExecConfig::new(1), cfg, plan),
             labels(6),
             &[],
-            &cfg,
-            &plan,
-            &Recorder::off(),
-            &Live::off(),
-            None,
-            None,
             |i, _: &usize| {
                 if i == 5 {
                     first_reported.store(true, Ordering::SeqCst);
                 }
             },
-            |a: TaskAttempt| {
+            |a| {
                 if a.task == 2 {
                     let give_up = Instant::now() + Duration::from_secs(20);
                     while !first_reported.load(Ordering::SeqCst) {
@@ -1165,9 +1756,7 @@ mod tests {
         );
         assert_eq!(slots.iter().flatten().count(), 6);
         assert_eq!(report.outcomes[3].status, TaskStatus::Retried(1));
-        let retry = exec
-            .attempts
-            .iter()
+        let retry = (exec.attempts.iter())
             .find(|a| a.task == 3 && a.attempt == 1)
             .expect("the retry ran");
         assert!(retry.ok);
@@ -1205,7 +1794,7 @@ mod tests {
         // panic in debug, transient u64::MAX in release). Hammer
         // concurrent pushes against spinning consumers — under the buggy
         // ordering this trips the debug overflow check almost instantly.
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::atomic::AtomicU64;
         const PUSHERS: usize = 2;
         const JOBS: usize = 2000;
         let pool = StealPool::new(2);
@@ -1239,220 +1828,87 @@ mod tests {
         assert_eq!(consumed.load(Ordering::Relaxed), (PUSHERS * JOBS) as u64);
     }
 
-    #[test]
-    fn retry_backoff_delays_the_reenqueue_not_a_worker() {
-        // Regression: the backoff used to be slept by the worker after
-        // popping the retry, stalling a pool slot for the whole delay.
-        // Now the control loop delays the re-enqueue, so the backoff is
-        // queue time (queued→acquired), not dequeue time
-        // (acquired→started).
-        let plan = FaultPlan::none().with_task_panic(0, 1);
-        let cfg = SupervisorConfig::default()
-            .with_retries(1)
-            .with_backoff(Duration::from_millis(40));
-        let (slots, report, exec) = execute(&cfg1(), labels(1), &cfg, &plan, |i| i).unwrap();
-        assert_eq!(slots[0], Some(0));
-        assert!(report.outcomes[0].retry_latency >= Duration::from_millis(40));
-        let retry = exec
-            .attempts
-            .iter()
-            .find(|a| a.attempt == 1)
-            .expect("retry attempt recorded");
-        assert!(
-            retry.acquired_s - retry.queued_s >= 0.035,
-            "backoff must surface as queue wait, got {:.4}s",
-            retry.acquired_s - retry.queued_s
-        );
-        assert!(
-            retry.started_s - retry.acquired_s < 0.020,
-            "no worker may sleep through the backoff, got {:.4}s",
-            retry.started_s - retry.acquired_s
-        );
+    /// Runs a `psm-task-*` thread (the quiet hook keeps its panic out of
+    /// the test output) that panics while holding `lock`.
+    fn die_holding<T: Send + 'static>(pool: &Arc<StealPool>, lock: fn(&StealPool) -> &Mutex<T>) {
+        install_quiet_hook();
+        let pool = Arc::clone(pool);
+        let died = std::thread::Builder::new()
+            .name(format!("{WORKER_NAME}-poisoner"))
+            .spawn(move || {
+                let _guard = lock(&pool).lock().unwrap();
+                panic!("injected: die while holding a pool lock");
+            })
+            .unwrap()
+            .join();
+        assert!(died.is_err());
     }
 
     #[test]
-    fn retry_recovers_and_dead_letters_are_reported() {
-        let plan = FaultPlan::none()
-            .with_task_panic(5, 1)
-            .with_task_panic(2, u32::MAX);
-        let cfg = SupervisorConfig::default()
-            .with_retries(1)
-            .with_backoff(Duration::from_millis(1));
-        let (slots, report, exec) = execute(&cfg1(), labels(10), &cfg, &plan, |i| i).unwrap();
-        assert_eq!(slots.iter().flatten().count(), 9);
-        assert!(slots[2].is_none());
-        assert_eq!(report.outcomes[5].status, TaskStatus::Retried(1));
-        assert_eq!(report.dead_letters().len(), 1);
-        assert_eq!(exec.lost_tasks, 1);
-        // 10 first attempts + t5 retry + t2 retry.
-        assert_eq!(exec.attempts.len(), 12);
-    }
+    fn the_pool_survives_poisoned_locks() {
+        // Regression (from the central queue this pool replaced): a panic
+        // while holding a queue mutex used to poison it, after which every
+        // push/pop/close unwrapped a PoisonError and the control process
+        // deadlocked behind a dead queue. Every pool lock — the overflow
+        // FIFO, a worker's deque, the pending/closed pair — must recover
+        // the guard and keep serving jobs.
+        let pool = Arc::new(StealPool::new(2));
+        die_holding(&pool, |p| &p.overflow);
+        die_holding(&pool, |p| &p.deques[0]);
+        die_holding(&pool, |p| &p.sync);
+        assert!(pool.overflow.is_poisoned(), "setup must actually poison");
+        assert!(pool.deques[0].is_poisoned(), "setup must actually poison");
+        assert!(pool.sync.is_poisoned(), "setup must actually poison");
 
-    #[test]
-    fn deterministic_results_under_seeded_faults() {
-        let plan = FaultPlan::seeded(7).with_task_panic_rate(0.3);
-        let cfg = SupervisorConfig::default()
-            .with_retries(2)
-            .with_backoff(Duration::from_millis(1));
-        let run = || {
-            let (slots, report, _) = execute(&cfg1(), labels(24), &cfg, &plan, |i| i).unwrap();
-            let ok: Vec<usize> = slots.into_iter().flatten().collect();
-            let st: Vec<TaskStatus> = report.outcomes.iter().map(|o| o.status.clone()).collect();
-            (ok, st)
+        pool.seed_local(0, (1, 0));
+        pool.push_overflow((7, 2));
+        pool.push_overflow((8, 0));
+        let mut misses = 0;
+        // Worker 1 owns nothing: the shared queue front-first, then a steal.
+        let took = |m: &mut u64| {
+            pool.acquire(1, m, || {})
+                .map(|(job, src)| (job, src == Source::Overflow))
         };
-        let a = run();
-        let b = run();
-        assert_eq!(
-            a, b,
-            "results must be plan-determined, not schedule-determined"
-        );
+        assert_eq!(took(&mut misses), Some(((7, 2), true)));
+        assert_eq!(took(&mut misses), Some(((8, 0), true)));
+        assert_eq!(took(&mut misses), Some(((1, 0), false)), "stolen from 0");
+        // A worker asleep on the (poisoned) condition pair still wakes for
+        // a late push, and for the close.
+        std::thread::scope(|s| {
+            let sleeper = s.spawn(|| {
+                let mut misses = 0;
+                let got = pool.acquire(0, &mut misses, || {}).map(|(job, _)| job);
+                (got, pool.acquire(0, &mut misses, || {}).is_none(), misses)
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            pool.push_overflow((9, 1));
+            std::thread::sleep(Duration::from_millis(20));
+            pool.close();
+            let (got, drained, misses) = sleeper.join().unwrap();
+            assert_eq!(got, Some((9, 1)));
+            assert!(drained, "a closed empty pool still drains");
+            assert!(misses >= 1, "it slept at least once");
+        });
+        assert_eq!(misses, 0);
     }
 
     #[test]
-    fn measured_report_converts_to_a_covered_sim_result() {
-        let (_, _, exec) = execute(
-            &ExecConfig {
-                workers: 4,
-                chunk_target: 2,
-                deque_capacity: 2,
-            },
-            labels(40),
-            &SupervisorConfig::default(),
-            &FaultPlan::none(),
-            |i| {
-                // A little real work so spans have width.
-                let mut acc = 0u64;
-                for k in 0..((i as u64 % 7) + 1) * 1000 {
-                    acc = acc.wrapping_add(k);
-                }
-                acc
-            },
-        )
-        .unwrap();
-        // Bounded deques (capacity 2/worker, 40 singleton-ish chunks)
-        // must have spilled to the overflow queue.
-        assert!(exec.overflowed > 0, "distribution must overflow");
-        let conservation: u64 = exec.workers.iter().map(|w| w.executed).sum();
-        assert_eq!(conservation, 40);
-        let sim = exec.to_sim_result();
-        assert_eq!(sim.executions.len(), 40);
-        assert_eq!(sim.completions.len(), 40);
-        assert_eq!(sim.tasks_executed.iter().sum::<u32>(), 40);
-        assert!((sim.makespan - exec.wall_s).abs() < 1e-12);
-        // The measured timeline covers every instant on every worker —
-        // the same invariant the simulator's timeline holds.
-        let tl = exec.timeline("exec-real");
-        assert!(
-            tl.coverage() > 0.999,
-            "measured Gantt must be gap-free: {}",
-            tl.coverage()
-        );
-        // And the gap accountant closes its books on the measured run.
-        let attr = crate::attribution::GapAttribution::attribute(
-            sim.makespan,
-            &sim,
-            sim.busy.len() as u32,
-        );
-        let total: f64 = attr.components().iter().map(|c| c.1).sum();
-        assert!(
-            (total + attr.busy - attr.capacity()).abs() < attr.capacity().max(1e-9) * 1e-6,
-            "busy {} + gap components {total} must sum to capacity {}",
-            attr.busy,
-            attr.capacity()
-        );
-        assert!(
-            (total - attr.gap()).abs() < attr.capacity().max(1e-9) * 1e-6,
-            "components {total} must sum to the gap {}",
-            attr.gap()
-        );
-    }
-
-    #[test]
-    fn live_and_recorder_wiring_matches_the_supervisor_contract() {
-        use tlp_obs::LiveValue;
-        let live = Live::new(8);
-        let rec = Recorder::new(ObsLevel::Full);
-        let plan = FaultPlan::none().with_task_panic(1, 1);
-        let cfg = SupervisorConfig::default()
-            .with_retries(1)
-            .with_backoff(Duration::from_millis(1));
-        let (slots, report, _) = execute_observed(
-            &ExecConfig {
-                workers: 2,
-                chunk_target: 1,
-                deque_capacity: 64,
-            },
-            labels(6),
-            &[],
-            &cfg,
-            &plan,
-            &rec,
-            &live,
-            None,
-            None,
-            |_, _| {},
-            |a: TaskAttempt| a.task,
-        )
-        .unwrap();
-        assert_eq!(slots.iter().flatten().count(), 6);
-        assert_eq!(report.total_retries(), 1);
-        assert_eq!(live.epoch(), 6);
-        let snap = live.snapshot();
-        let total = |name: &str| match snap.series.get(name) {
-            Some(LiveValue::Counter { total, .. }) => *total,
-            other => panic!("{name}: expected counter, got {other:?}"),
-        };
-        assert_eq!(total("spam_live_tasks_completed"), 6);
-        assert_eq!(total("spam_live_task_retries"), 1);
-        assert!(snap
-            .series
-            .keys()
-            .any(|k| k.starts_with("spam_live_worker_busy_us{")));
-        let names: Vec<String> = rec.events().into_iter().map(|e| e.name).collect();
-        assert!(names.iter().any(|n| n == "exec.phase"), "{names:?}");
-        assert!(
-            names.iter().any(|n| n.starts_with("task.exec")),
-            "{names:?}"
-        );
-        assert!(names.iter().any(|n| n == "supervisor.retry"), "{names:?}");
-    }
-
-    #[test]
-    fn scene_traced_execution_builds_a_wellformed_span_tree() {
-        use tlp_obs::{validate_span_tree, SamplerConfig, Tracing};
-        let tracing = Tracing::new(SamplerConfig::default());
-        let scene = tracing.start_scene(42, "dc");
-        let plan = FaultPlan::none().with_task_panic(1, 1);
-        let cfg = SupervisorConfig::default()
-            .with_retries(1)
-            .with_backoff(Duration::from_millis(1));
-        let live = Live::off();
-        let (slots, _, _) = execute_observed(
-            &cfg1(),
-            labels(4),
-            &[],
-            &cfg,
-            &plan,
-            &Recorder::off(),
-            &live,
-            None,
-            Some(&scene),
-            |_, _| {},
-            |a: TaskAttempt| a.task,
-        )
-        .unwrap();
-        assert_eq!(slots.iter().flatten().count(), 4);
-        scene.finish();
-        let retained = tracing.retained();
-        assert_eq!(retained.len(), 1);
-        let t = &retained[0];
-        let execs = t
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("task.exec"))
-            .count();
-        assert_eq!(execs, 5, "4 first attempts + 1 retry");
-        let doc = t.to_json().write();
-        validate_span_tree(&doc).expect("executor trace must be a well-formed span tree");
+    fn a_phase_proceeds_after_pool_poisoning() {
+        // End-to-end flavour of the regression above. The pool of a
+        // running phase is private to it, so instead: a phase that retries
+        // (which pushes from the control loop) and dead-letters, right
+        // after the unit-level poisoning ran in this process, still works —
+        // the quiet hook and the lock recovery carry no state between
+        // pools.
+        the_pool_survives_poisoned_locks();
+        for (name, exec) in placements(2) {
+            let plan = FaultPlan::none()
+                .with_task_panic(1, 1)
+                .with_task_panic(3, u32::MAX);
+            let (slots, report, _) = run(&under(exec, retries(1), plan), 4, |i| i);
+            assert_eq!(slots.iter().flatten().count(), 3, "{name}");
+            assert_eq!(report.outcomes[1].status, TaskStatus::Retried(1), "{name}");
+            assert_eq!(report.dead_letters().len(), 1, "{name}");
+        }
     }
 }

@@ -21,10 +21,10 @@
 //! * [`measure`] — the decomposition-selection methodology of §4: per-level
 //!   mean/σ/CV/task-count rows (Tables 5–7) and the baseline rows of
 //!   Table 8;
-//! * [`tlp`] — task-level parallelism itself: a real multi-threaded runner
-//!   (control process + worker task processes around a shared queue,
-//!   verified equivalent to the sequential run) and simulated speed-up
-//!   curves at arbitrary processor counts (Figures 6 and 8);
+//! * [`tlp`] — task-level parallelism itself: the LCC and RTF phases on
+//!   real task-process threads (verified equivalent to the sequential run)
+//!   and simulated speed-up curves at arbitrary processor counts
+//!   (Figures 6 and 8);
 //! * [`combined`] — TLP × match-parallelism combination and the
 //!   multiplicative-speed-up prediction of Table 9;
 //! * [`attribution`] — the "speedup doctor": Amdahl decomposition from
@@ -36,12 +36,16 @@
 //!   component, or the whole match phase), re-simulated to predict the new
 //!   makespan/critical chain, and ranked into the "optimize this next"
 //!   report behind `spamctl whatif` / `bench_whatif`;
-//! * [`exec`] — the real work-stealing executor ("Multimax on real
-//!   cores"): per-worker Chase–Lev-style deques plus a shared overflow
-//!   queue run the task set as actual threads with cost-model-driven
-//!   dynamic chunking, measuring wall-clock schedules that convert into
-//!   the simulator's result shape for gap attribution and Gantt
-//!   timelines;
+//! * [`exec`] — the one supervised phase runner ("Multimax on real
+//!   cores"): control process + worker task processes around a pool whose
+//!   placement is either the paper's central FIFO queue or per-worker
+//!   Chase–Lev-style deques with cost-model-driven dynamic chunking;
+//!   panic isolation, retry, soft deadline and dead letters; measured
+//!   wall-clock schedules that convert into the simulator's result shape
+//!   for gap attribution and Gantt timelines;
+//! * [`supervise`] — the vocabulary that runner shares with its callers
+//!   (the [`TaskAttempt`] a task receives, the supervision-overhead
+//!   summary);
 //! * [`baseline`] — the §6 unoptimised-baseline comparison (the 10–20×
 //!   Lisp→C/ParaOPS5 port factor), via the engine's naive-match backend;
 //! * [`recover`] — crash-consistent checkpoints and deterministic replay
@@ -72,21 +76,17 @@ pub use attribution::{
 };
 pub use combined::{combined_grid, CombinedCell};
 pub use exec::{
-    chunk_tasks, execute, execute_observed, ExecAttempt, ExecConfig, ExecReport, WorkerStats,
+    chunk_tasks, execute, ExecAttempt, ExecConfig, ExecReport, Observer, PhaseRun, WorkerStats,
 };
 pub use measure::{level_rows, profiled_lcc, table8_row, LevelRowMeasured, Table8Row};
 pub use recover::{
-    run_lcc_unit_checkpointed, run_parallel_lcc_recoverable, run_parallel_lcc_recoverable_live,
-    CheckpointConfig, CheckpointStore, RecoveryInfo, RecoveryReport,
+    run_lcc_unit_checkpointed, run_parallel_lcc_recoverable, CheckpointConfig, CheckpointStore,
+    RecoveryInfo, RecoveryReport,
 };
-pub use supervise::{
-    supervise, supervise_observed, supervise_traced, supervision_overhead, SupervisionOverhead,
-    TaskAttempt,
-};
+pub use supervise::{supervision_overhead, SupervisionOverhead, TaskAttempt};
 pub use tlp::{
-    attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_live,
-    run_parallel_lcc_scene, run_parallel_lcc_supervised, run_parallel_lcc_traced, run_parallel_rtf,
-    run_parallel_rtf_supervised, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,
+    attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_scene,
+    run_parallel_rtf, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,
 };
 pub use trace::{lcc_trace, record_phase_metrics, record_sim_metrics, rtf_trace, PhaseTrace};
 pub use whatif::{

@@ -34,12 +34,13 @@
 //!   one, the tear means the crash happened before the run loop started,
 //!   so a from-scratch rebuild loses nothing.
 
-use crate::supervise::{supervise_observed, TaskAttempt};
+use crate::exec::{execute, PhaseRun};
+use crate::tlp::{lcc_task_list, observe_unit};
 use ops5::snapshot::apply_record;
-use ops5::{Value, Wal, WalOp, WalRecord, WorkCounters};
+use ops5::{Value, Wal, WalOp, WalRecord};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, restore_lcc_engine, ConsistentRec,
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, merge_lcc_units, restore_lcc_engine,
     LccPhaseResult, LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
@@ -47,10 +48,8 @@ use spam::scene::Scene;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
-use tlp_obs::{
-    Category, Live, MetricsRegistry, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanSink,
-};
+use tlp_fault::{FaultPlan, SuperviseError};
+use tlp_obs::{Category, MetricsRegistry, ObsLevel, Recorder, SpanSink};
 
 /// Checkpoint policy for a recoverable phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -487,103 +486,53 @@ pub fn run_lcc_unit_checkpointed(
 }
 
 /// Runs the LCC phase in parallel under the checkpoint/recovery protocol:
-/// [`run_parallel_lcc_traced`](crate::tlp::run_parallel_lcc_traced) where a
-/// retried task *resumes from its last checkpoint* instead of starting
-/// over. Returns the phase result plus the recovery accounting.
+/// [`run_parallel_lcc`](crate::tlp::run_parallel_lcc) — same placement,
+/// policy, plan and observers in `how`, same merge — where a retried task
+/// *resumes from its last checkpoint* instead of starting over. It differs
+/// only in its task closure ([`run_lcc_unit_checkpointed`] against a
+/// phase-wide [`CheckpointStore`]) and in what a completion reports.
+/// Returns the phase result plus the recovery accounting.
 ///
 /// The phase's results are identical to the fault-free sequential run for
 /// every plan the retry budget can absorb — including chaos plans that
 /// kill workers mid-cycle, kill them while they hold the checkpoint-store
 /// lock, and tear WAL tails.
-#[allow(clippy::too_many_arguments)]
+///
+/// With live telemetry attached, every successful attempt that recovered
+/// a previously crashed task publishes `spam_live_recoveries` and a
+/// `spam_live_recovery_latency_seconds` sample (the recovering attempt's
+/// wall time: restore + replay + remaining cycles), and an attached SLO
+/// monitor is told about each recovery ([`tlp_obs::SloMonitor::on_recovery`]
+/// pins the health ladder at *recovering* until enough clean epochs pass).
 pub fn run_parallel_lcc_recoverable(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
+    how: &PhaseRun<'_>,
     ckpt: &CheckpointConfig,
     metrics: Option<&MetricsRegistry>,
-) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
-    run_parallel_lcc_recoverable_live(
-        sp,
-        scene,
-        fragments,
-        level,
-        n_workers,
-        cfg,
-        plan,
-        rec,
-        ckpt,
-        metrics,
-        &Live::off(),
-        None,
-        None,
-    )
-}
-
-/// [`run_parallel_lcc_recoverable`] with live telemetry attached: on top of
-/// the supervisor's task/queue series (see
-/// [`crate::supervise::supervise_observed`]), every successful attempt that
-/// recovered a previously crashed task publishes `spam_live_recoveries` and
-/// a `spam_live_recovery_latency_seconds` sample (the recovering attempt's
-/// wall time: restore + replay + remaining cycles). When an [`SloMonitor`]
-/// is attached it is told about each recovery ([`SloMonitor::on_recovery`]
-/// pins the health ladder at *recovering* until enough clean epochs pass)
-/// and fed each completed unit's simulated latency. Results are identical
-/// at every telemetry setting.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_lcc_recoverable_live(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-    ckpt: &CheckpointConfig,
-    metrics: Option<&MetricsRegistry>,
-    live: &Arc<Live>,
-    slo: Option<&Arc<SloMonitor>>,
-    span: Option<&SceneSpan>,
 ) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
     let units = decompose(scene, fragments, level);
-    let labels: Vec<String> = units.iter().map(|u| u.label()).collect();
+    let (labels, estimates) = lcc_task_list(&units, fragments);
     let store = CheckpointStore::new();
-    let lh = live.handle();
-    let (slots, report) = supervise_observed(
-        n_workers,
+    let obs = &how.obs;
+    let lh = obs.live.handle();
+    let (slots, report, _) = execute(
+        how,
         labels,
-        cfg,
-        plan,
-        rec,
-        live,
-        slo,
-        span,
+        &estimates,
         |i, (r, info, attempt_s): &(LccUnitResult, RecoveryInfo, f64)| {
             if info.attempt > 0 {
                 lh.inc("spam_live_recoveries", 1);
                 lh.observe("spam_live_recovery_latency_seconds", *attempt_s);
-                if let Some(slo) = slo {
+                if let Some(slo) = &obs.slo {
                     slo.on_recovery();
                 }
             }
-            if let Some(slo) = slo {
-                slo.observe(r.work.seconds_at(spam::phases::MIPS), true);
-            }
-            if let Some(span) = span {
-                span.record_service(
-                    i as u32,
-                    r.work.seconds_at(spam::phases::MIPS),
-                    r.work.match_fraction(),
-                );
-            }
+            observe_unit(obs, i, &r.work);
         },
-        |a: TaskAttempt| {
+        |a| {
             let t0 = Instant::now();
             let (r, info) = run_lcc_unit_checkpointed(
                 sp,
@@ -594,8 +543,8 @@ pub fn run_parallel_lcc_recoverable_live(
                 a.attempt,
                 &store,
                 ckpt,
-                plan,
-                rec,
+                &how.plan,
+                &obs.rec,
                 metrics,
                 a.trace,
             );
@@ -604,58 +553,35 @@ pub fn run_parallel_lcc_recoverable_live(
     )?;
 
     let mut recovery = RecoveryReport::default();
-    let mut results: Vec<LccUnitResult> = Vec::new();
-    for (r, info, _) in slots.into_iter().flatten() {
+    let results = slots.into_iter().map(|slot| {
+        let (r, info, _) = slot?;
         if info.attempt > 0 {
             recovery.add(info);
         }
-        results.push(r);
-    }
-    let phase = merge_lcc_results(level, fragments, results, report);
+        Some(r)
+    });
+    let phase = merge_lcc_units(level, fragments, results, report);
     Ok((phase, recovery))
-}
-
-/// Merges per-unit results into a phase result (the same accumulation the
-/// plain parallel runner performs).
-fn merge_lcc_results(
-    level: Level,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    results: Vec<LccUnitResult>,
-    report: TaskReport,
-) -> LccPhaseResult {
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents: Vec<ConsistentRec> = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
-    for r in &results {
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, sup) in &r.supports {
-            supports[f as usize] += sup;
-        }
-    }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
-    for f in &mut updated {
-        f.support = supports[f.id as usize];
-    }
-    LccPhaseResult {
-        level,
-        fragments: updated,
-        consistents,
-        units: results,
-        work,
-        firings,
-        report,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spam::lcc::run_lcc;
+    use crate::exec::ExecConfig;
+    use spam::lcc::{run_lcc, ConsistentRec};
     use spam::rtf::run_rtf;
     use std::time::Duration;
+    use tlp_fault::SupervisorConfig;
+    use tlp_obs::{Live, SloMonitor};
+
+    /// The central queue at `workers` threads under `cfg` and `plan`.
+    fn central(workers: usize, cfg: SupervisorConfig, plan: FaultPlan) -> PhaseRun<'static> {
+        PhaseRun {
+            cfg,
+            plan,
+            ..PhaseRun::new(ExecConfig::central_queue(workers))
+        }
+    }
 
     fn setup() -> (SpamProgram, Arc<Scene>, Arc<Vec<FragmentHypothesis>>) {
         let sp = SpamProgram::build();
@@ -691,10 +617,7 @@ mod tests {
             &scene,
             &frags,
             Level::L3,
-            3,
-            &SupervisorConfig::default(),
-            &FaultPlan::none(),
-            &Recorder::off(),
+            &central(3, SupervisorConfig::default(), FaultPlan::none()),
             &CheckpointConfig::every(4),
             None,
         )
@@ -729,10 +652,7 @@ mod tests {
             &scene,
             &frags,
             Level::L3,
-            3,
-            &cfg,
-            &plan,
-            &Recorder::off(),
+            &central(3, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(2),
             Some(&metrics),
         )
@@ -782,19 +702,16 @@ mod tests {
             .with_backoff(Duration::from_millis(1));
         let live = Live::new(8);
         let slo = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
-        let (par, recovery) = run_parallel_lcc_recoverable_live(
+        let mut how = central(3, cfg, plan);
+        how.obs.live = Arc::clone(&live);
+        how.obs.slo = Some(Arc::clone(&slo));
+        let (par, recovery) = run_parallel_lcc_recoverable(
             &sp,
             &scene,
             &frags,
             Level::L3,
-            3,
-            &cfg,
-            &plan,
-            &Recorder::off(),
+            &how,
             &CheckpointConfig::every(2),
-            None,
-            &live,
-            Some(&slo),
             None,
         )
         .unwrap();
@@ -835,15 +752,14 @@ mod tests {
             .with_retries(2)
             .with_backoff(Duration::from_millis(1));
         let rec = Recorder::new(ObsLevel::Full);
+        let mut how = central(2, cfg, plan);
+        how.obs.rec = Arc::clone(&rec);
         let (par, _) = run_parallel_lcc_recoverable(
             &sp,
             &scene,
             &frags,
             Level::L3,
-            2,
-            &cfg,
-            &plan,
-            &rec,
+            &how,
             &CheckpointConfig::every(2),
             None,
         )
@@ -877,10 +793,7 @@ mod tests {
             &scene,
             &frags,
             Level::L3,
-            2,
-            &cfg,
-            &plan,
-            &Recorder::off(),
+            &central(2, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(1_000_000),
             None,
         )
@@ -911,10 +824,7 @@ mod tests {
             &scene,
             &frags,
             Level::L3,
-            2,
-            &cfg,
-            &plan,
-            &Recorder::off(),
+            &central(2, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(1_000_000),
             None,
         )
@@ -955,10 +865,7 @@ mod tests {
             &scene,
             &frags,
             Level::L3,
-            2,
-            &cfg,
-            &plan,
-            &Recorder::off(),
+            &central(2, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(2),
             None,
         )
@@ -1020,38 +927,43 @@ mod tests {
         let cfg = SupervisorConfig::default()
             .with_retries(3)
             .with_backoff(Duration::from_millis(1));
-        let (par, recovery) = run_parallel_lcc_recoverable(
-            &sp,
-            &scene,
-            &frags,
-            Level::L3,
-            3,
-            &cfg,
-            &plan,
-            &Recorder::off(),
-            &CheckpointConfig::every(interval),
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            par.report.dead_letters().len(),
-            0,
-            "no scene may be lost\n{}",
-            plan.describe()
-        );
-        assert_phase_equal(&par, &seq);
-        assert_eq!(recovery.recovered_tasks(), 3, "{}", plan.describe());
-        let scratch_cost: u64 = victims.iter().map(|&t| task_cycles[t]).sum();
-        assert!(
-            recovery.cycles_replayed < scratch_cost,
-            "recovery must replay strictly fewer cycles ({}) than from-scratch \
-             retries ({scratch_cost})\n{}",
-            recovery.cycles_replayed,
-            plan.describe()
-        );
-        assert_eq!(
-            recovery.cycles_saved + recovery.cycles_replayed,
-            scratch_cost
-        );
+        // On both placements: recovery is the task closure's business, not
+        // the queue's.
+        for (name, exec) in crate::exec::placements(3) {
+            let how = PhaseRun {
+                exec,
+                ..central(3, cfg.clone(), plan.clone())
+            };
+            let (par, recovery) = run_parallel_lcc_recoverable(
+                &sp,
+                &scene,
+                &frags,
+                Level::L3,
+                &how,
+                &CheckpointConfig::every(interval),
+                None,
+            )
+            .unwrap();
+            assert_eq!(
+                par.report.dead_letters().len(),
+                0,
+                "{name}: no scene may be lost\n{}",
+                plan.describe()
+            );
+            assert_phase_equal(&par, &seq);
+            assert_eq!(recovery.recovered_tasks(), 3, "{name}\n{}", plan.describe());
+            let scratch_cost: u64 = victims.iter().map(|&t| task_cycles[t]).sum();
+            assert!(
+                recovery.cycles_replayed < scratch_cost,
+                "recovery must replay strictly fewer cycles ({}) than from-scratch \
+                 retries ({scratch_cost})\n{}",
+                recovery.cycles_replayed,
+                plan.describe()
+            );
+            assert_eq!(
+                recovery.cycles_saved + recovery.cycles_replayed,
+                scratch_cost
+            );
+        }
     }
 }

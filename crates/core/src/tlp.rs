@@ -1,24 +1,26 @@
 //! Task-level parallelism: the SPAM/PSM execution model.
 //!
-//! Two runners:
-//!
-//! * [`run_parallel_lcc`] — the real thing (§5.1): a control process (the
-//!   calling thread) builds the task queue; `n` task processes (threads),
-//!   each a complete independent OPS5 engine, pull tasks and fire
-//!   asynchronously; the control process collects the results. Verified to
-//!   produce exactly the sequential results at any worker count.
+//! * [`run_parallel_lcc`] / [`run_parallel_rtf`] — the real thing (§5.1):
+//!   a control process (the calling thread) builds the task queue; `n` task
+//!   processes (threads), each a complete independent OPS5 engine, pull
+//!   tasks and fire asynchronously; the control process collects the
+//!   results. Both are one call into the supervised phase runner
+//!   ([`crate::exec::execute`]) with the phase's task closure; a
+//!   [`PhaseRun`] says where tasks are placed, under which policy, and who
+//!   watches. Verified to produce exactly the sequential results on either
+//!   placement at any worker count.
 //! * [`simulated_tlp_curve`] — replays a measured trace on the simulated
-//!   Encore Multimax at 1..=14 task processes (Figure 6 / Figure 8),
-//!   since the container running this reproduction has a single core.
+//!   Encore Multimax at 1..=14 task processes (Figure 6 / Figure 8): the
+//!   paper's machine and processor counts, whatever the host has.
 
 use crate::attribution::GapAttribution;
-use crate::supervise::{supervise, supervise_observed, TaskAttempt};
+use crate::exec::{execute, ExecConfig, ExecReport, Observer, PhaseRun, ESTIMATE_UNITS_PER_WME};
 use crate::trace::PhaseTrace;
 use multimax_sim::{simulate, Schedule, SimConfig};
 use ops5::WorkCounters;
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, run_lcc_unit, run_lcc_unit_traced, ConsistentRec, LccPhaseResult, Level,
+    decompose, merge_lcc_units, run_lcc_unit_traced, LccPhaseResult, LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
@@ -35,120 +37,91 @@ pub struct RtfParallelResult {
     pub fragments: Vec<FragmentHypothesis>,
     /// Per-batch supervision outcomes.
     pub report: TaskReport,
+    /// The measured schedule.
+    pub measured: ExecReport,
 }
 
-/// Runs the LCC phase with `n_workers` real task-process threads pulling
-/// from a shared central queue (asynchronous firing: no coordination beyond
-/// the queue itself). Unsupervised policy: no deadline, no retries, no
-/// fault injection — but a panicking task is still isolated and reported
-/// rather than tearing the phase down.
+/// The labels and a-priori work estimates of an LCC task list, for
+/// [`execute`]. Estimates are in cost-model units and steer the dynamic
+/// chunker: class units match every fragment of their kind (the level-4
+/// "big task"); finer levels shrink toward a single candidate pair. The
+/// absolute scale does not matter — only the ratios move chunk boundaries.
+pub(crate) fn lcc_task_list(
+    units: &[LccUnit],
+    fragments: &[FragmentHypothesis],
+) -> (Vec<String>, Vec<u64>) {
+    let estimate = |unit: &LccUnit| {
+        let wmes = match unit {
+            LccUnit::Class(kind) => fragments.iter().filter(|f| f.kind == *kind).count() as u64 + 1,
+            LccUnit::Object(_) => 4,
+            LccUnit::ObjectConstraint(..) => 2,
+            LccUnit::Pair { .. } => 1,
+        };
+        wmes * ESTIMATE_UNITS_PER_WME
+    };
+    (
+        units.iter().map(LccUnit::label).collect(),
+        units.iter().map(estimate).collect(),
+    )
+}
+
+/// What a completed LCC unit tells the observers, from the control thread:
+/// its *simulated* latency (work units at the paper's 1.5 MIPS — the SLO
+/// clock stays deterministic across hosts) is judged against the scene's
+/// latency objective, and the same service time plus the unit's match
+/// fraction land in the scene trace's service table — the model `lcc_trace`
+/// feeds the simulator, keyed by task index — so `spamctl trace` can
+/// rebuild the phase's critical path.
+pub(crate) fn observe_unit(obs: &Observer<'_>, task: usize, work: &WorkCounters) {
+    let sim_s = work.seconds_at(spam::phases::MIPS);
+    if let Some(slo) = &obs.slo {
+        slo.observe(sim_s, true);
+    }
+    if let Some(span) = obs.span {
+        span.record_service(task as u32, sim_s, work.match_fraction());
+    }
+}
+
+/// Runs the LCC phase at `level` as `how` describes: real task-process
+/// threads on the central queue or the chunked deques, under `how`'s
+/// supervision policy and fault plan, with `how`'s observers attached —
+/// worker engines mirror their counters into the live registry and group
+/// their recognize–act cycles into `engine.cycles` spans under their
+/// attempt ([`run_lcc_unit_traced`]); completed units feed the SLO monitor
+/// and the scene trace ([`observe_unit`]).
+///
+/// The phase completes with partial results: units whose every attempt
+/// failed are dead-lettered in the returned report and contribute no
+/// consistency records or support. Otherwise the merged result is
+/// bit-identical to the sequential run, whatever the placement, because
+/// results merge in unit order ([`merge_lcc_units`]). The
+/// [`ExecReport`] is the measured wall-clock schedule (per-worker
+/// utilization, steal and overflow counters; convertible to a simulator
+/// result for gap attribution).
 pub fn run_parallel_lcc(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
-    n_workers: usize,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_supervised(
-        sp,
-        scene,
-        fragments,
-        level,
-        n_workers,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-    )
+    how: &PhaseRun<'_>,
+) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
+    let units = decompose(scene, fragments, level);
+    let (labels, estimates) = lcc_task_list(&units, fragments);
+    let obs = &how.obs;
+    let (slots, report, measured) = execute(
+        how,
+        labels,
+        &estimates,
+        |i, r: &LccUnitResult| observe_unit(obs, i, &r.work),
+        |a| run_lcc_unit_traced(sp, scene, fragments, &units[a.task], &obs.live, a.trace),
+    )?;
+    Ok((merge_lcc_units(level, fragments, slots, report), measured))
 }
 
-/// [`run_parallel_lcc`] under an explicit supervision policy and fault
-/// plan. The phase completes with partial results: units whose every
-/// attempt failed are dead-lettered in the returned report and contribute
-/// no consistency records or support.
-pub fn run_parallel_lcc_supervised(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_traced(
-        sp,
-        scene,
-        fragments,
-        level,
-        n_workers,
-        cfg,
-        plan,
-        &Recorder::off(),
-    )
-}
-
-/// [`run_parallel_lcc_supervised`] with a flight recorder attached: the
-/// supervised phase emits task/supervisor events through `rec` (see
-/// [`crate::supervise::supervise_traced`]). Results are identical at every
-/// recording level.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_lcc_traced(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_live(
-        sp,
-        scene,
-        fragments,
-        level,
-        n_workers,
-        cfg,
-        plan,
-        rec,
-        &Live::off(),
-        None,
-    )
-}
-
-/// [`run_parallel_lcc_traced`] with live telemetry attached: worker engines
-/// mirror their counters into `live` as they run (see
-/// [`spam::lcc::run_lcc_unit_live`]), the supervisor publishes task/queue
-/// health (see [`crate::supervise::supervise_observed`]), and — when an
-/// [`SloMonitor`] is attached — each completed unit's *simulated* latency
-/// (work units at the paper's 1.5 MIPS) is judged against the scene's
-/// latency objective, keeping the SLO clock deterministic across hosts.
-/// Results are identical at every telemetry setting.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_lcc_live(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
-    rec: &Arc<Recorder>,
-    live: &Arc<Live>,
-    slo: Option<&Arc<SloMonitor>>,
-) -> Result<LccPhaseResult, SuperviseError> {
-    run_parallel_lcc_scene(
-        sp, scene, fragments, level, n_workers, cfg, plan, rec, live, slo, None,
-    )
-}
-
-/// [`run_parallel_lcc_live`] inside a scene-scoped trace: when a
-/// [`SceneSpan`] is attached, the supervisor records one `task.exec` span
-/// per attempt (parented under the scene's root), retry and dead-letter
-/// decisions become aux marker spans, worker engines group their
-/// recognize–act cycles into `engine.cycles` aux spans under their attempt,
-/// and each completed unit's simulated service time + match fraction land
-/// in the trace's service table so `spamctl trace` can rebuild the phase's
-/// critical path. Trace-only: results are bit-identical with the span
-/// attached, disabled, or absent.
+/// [`run_parallel_lcc`] on the central queue, argument by argument.
+/// **Pinned by `benchmarks/e2e`**, which is frozen and calls exactly this
+/// signature; it goes when a `benchmark` PR moves that call to
+/// [`run_parallel_lcc`]. Nothing else should call it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_lcc_scene(
     sp: &SpamProgram,
@@ -163,210 +136,70 @@ pub fn run_parallel_lcc_scene(
     slo: Option<&Arc<SloMonitor>>,
     span: Option<&SceneSpan>,
 ) -> Result<LccPhaseResult, SuperviseError> {
-    let units = decompose(scene, fragments, level);
-    let labels: Vec<String> = units.iter().map(|u| u.label()).collect();
-    let (slots, report) = supervise_observed(
-        n_workers,
-        labels,
-        cfg,
-        plan,
-        rec,
-        live,
-        slo,
-        span,
-        |i, r: &spam::lcc::LccUnitResult| {
-            if let Some(slo) = slo {
-                slo.observe(r.work.seconds_at(spam::phases::MIPS), true);
-            }
-            if let Some(span) = span {
-                // The same service model `lcc_trace` feeds the simulator:
-                // work units at the paper's 1.5 MIPS plus the unit's match
-                // fraction, keyed by task index.
-                span.record_service(
-                    i as u32,
-                    r.work.seconds_at(spam::phases::MIPS),
-                    r.work.match_fraction(),
-                );
-            }
-        },
-        |a: TaskAttempt| {
-            if live.is_enabled() || a.trace.is_some() {
-                run_lcc_unit_traced(sp, scene, fragments, &units[a.task], live, a.trace)
-            } else {
-                run_lcc_unit(sp, scene, fragments, &units[a.task])
-            }
-        },
-    )?;
-    let results: Vec<spam::lcc::LccUnitResult> = slots.into_iter().flatten().collect();
-
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents: Vec<ConsistentRec> = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
-    for r in &results {
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, sup) in &r.supports {
-            supports[f as usize] += sup;
-        }
-    }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
-    for f in &mut updated {
-        f.support = supports[f.id as usize];
-    }
-    Ok(LccPhaseResult {
-        level,
-        fragments: updated,
-        consistents,
-        units: results,
-        work,
-        firings,
-        report,
-    })
+    let exec = ExecConfig::central_queue(n_workers);
+    run_parallel_lcc_exec(
+        sp, scene, fragments, level, &exec, cfg, plan, rec, live, slo, span,
+    )
+    .map(|(phase, _)| phase)
 }
 
-/// A-priori work estimate for one LCC unit, in cost-model units, used by
-/// the work-stealing executor's dynamic chunker. Class units match every
-/// fragment of their kind (the level-4 "big task"); finer levels shrink
-/// toward a single candidate pair. The absolute scale does not matter —
-/// only the ratios steer chunk boundaries.
-fn unit_estimate(unit: &spam::lcc::LccUnit, fragments: &[FragmentHypothesis]) -> u64 {
-    use spam::lcc::LccUnit;
-    let wmes = match unit {
-        LccUnit::Class(kind) => fragments.iter().filter(|f| f.kind == *kind).count() as u64 + 1,
-        LccUnit::Object(_) => 4,
-        LccUnit::ObjectConstraint(..) => 2,
-        LccUnit::Pair { .. } => 1,
-    };
-    wmes * crate::exec::ESTIMATE_UNITS_PER_WME
-}
-
-/// Runs the LCC phase on the **real work-stealing executor**
-/// ([`crate::exec`]) instead of the central shared queue: per-worker
-/// deques seeded with cost-model-sized chunks of units, idle workers
-/// stealing from victims, every observability hook of
-/// [`run_parallel_lcc_scene`] attached identically. Returns the merged
-/// phase result — bit-identical to the sequential and central-queue runs,
-/// because results merge in unit order — plus the measured
-/// [`crate::exec::ExecReport`] (the wall-clock schedule, per-worker
-/// utilization and steal counters; convertible to a simulator result for
-/// gap attribution).
+/// [`run_parallel_lcc`] on `exec`'s placement, argument by argument.
+/// **Pinned by `benchmarks/e2e`**, which is frozen and calls exactly this
+/// signature; it goes when a `benchmark` PR moves that call to
+/// [`run_parallel_lcc`]. Nothing else should call it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_lcc_exec(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
-    exec: &crate::exec::ExecConfig,
+    exec: &ExecConfig,
     cfg: &SupervisorConfig,
     plan: &FaultPlan,
     rec: &Arc<Recorder>,
     live: &Arc<Live>,
     slo: Option<&Arc<SloMonitor>>,
     span: Option<&SceneSpan>,
-) -> Result<(LccPhaseResult, crate::exec::ExecReport), SuperviseError> {
-    let units = decompose(scene, fragments, level);
-    let labels: Vec<String> = units.iter().map(|u| u.label()).collect();
-    let estimates: Vec<u64> = units.iter().map(|u| unit_estimate(u, fragments)).collect();
-    let (slots, report, measured) = crate::exec::execute_observed(
-        exec,
-        labels,
-        &estimates,
-        cfg,
-        plan,
-        rec,
-        live,
-        slo,
+) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
+    let obs = Observer {
+        rec: Arc::clone(rec),
+        live: Arc::clone(live),
+        slo: slo.cloned(),
         span,
-        |i, r: &spam::lcc::LccUnitResult| {
-            if let Some(slo) = slo {
-                slo.observe(r.work.seconds_at(spam::phases::MIPS), true);
-            }
-            if let Some(span) = span {
-                span.record_service(
-                    i as u32,
-                    r.work.seconds_at(spam::phases::MIPS),
-                    r.work.match_fraction(),
-                );
-            }
-        },
-        |a: TaskAttempt| {
-            if live.is_enabled() || a.trace.is_some() {
-                run_lcc_unit_traced(sp, scene, fragments, &units[a.task], live, a.trace)
-            } else {
-                run_lcc_unit(sp, scene, fragments, &units[a.task])
-            }
-        },
-    )?;
-    let results: Vec<spam::lcc::LccUnitResult> = slots.into_iter().flatten().collect();
-
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents: Vec<ConsistentRec> = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
-    for r in &results {
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, sup) in &r.supports {
-            supports[f as usize] += sup;
-        }
-    }
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
-    for f in &mut updated {
-        f.support = supports[f.id as usize];
-    }
-    Ok((
-        LccPhaseResult {
-            level,
-            fragments: updated,
-            consistents,
-            units: results,
-            work,
-            firings,
-            report,
-        },
-        measured,
-    ))
+    };
+    let how = PhaseRun {
+        exec: *exec,
+        cfg: cfg.clone(),
+        plan: plan.clone(),
+        obs,
+    };
+    run_parallel_lcc(sp, scene, fragments, level, &how)
 }
 
-/// Runs the RTF phase with `n_workers` real task-process threads over
-/// region batches (the paper's RTF decomposition: 60–100 tasks, §4).
-/// Fragment ids are renumbered densely in batch order, exactly as the
-/// sequential [`spam::rtf::run_rtf_tasks`] does.
+/// Runs the RTF phase as `how` describes over region batches (the paper's
+/// RTF decomposition: 60–100 tasks, §4). Fragment ids are renumbered
+/// densely in batch order, exactly as the sequential
+/// [`spam::rtf::run_rtf_tasks`] does.
 pub fn run_parallel_rtf(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     batches: &[Vec<u32>],
-    n_workers: usize,
-) -> Result<RtfParallelResult, SuperviseError> {
-    run_parallel_rtf_supervised(
-        sp,
-        scene,
-        batches,
-        n_workers,
-        &SupervisorConfig::default(),
-        &FaultPlan::none(),
-    )
-}
-
-/// [`run_parallel_rtf`] under an explicit supervision policy and fault
-/// plan.
-pub fn run_parallel_rtf_supervised(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    batches: &[Vec<u32>],
-    n_workers: usize,
-    cfg: &SupervisorConfig,
-    plan: &FaultPlan,
+    how: &PhaseRun<'_>,
 ) -> Result<RtfParallelResult, SuperviseError> {
     let labels: Vec<String> = (0..batches.len())
         .map(|i| format!("rtf batch {i} ({} regions)", batches[i].len()))
         .collect();
-    let (slots, report) = supervise(n_workers, labels, cfg, plan, |i| {
-        spam::rtf::run_rtf_task(sp, scene, &batches[i], (i as i64) << 20).fragments
-    })?;
+    // One region is one WME of the batch's working memory.
+    let estimates: Vec<u64> = (batches.iter())
+        .map(|b| b.len() as u64 * ESTIMATE_UNITS_PER_WME)
+        .collect();
+    let (slots, report, measured) = execute(
+        how,
+        labels,
+        &estimates,
+        |_, _| {},
+        |a| spam::rtf::run_rtf_task(sp, scene, &batches[a.task], (a.task as i64) << 20).fragments,
+    )?;
     let mut merged = Vec::new();
     for s in slots.into_iter().flatten() {
         for mut f in s {
@@ -377,6 +210,7 @@ pub fn run_parallel_rtf_supervised(
     Ok(RtfParallelResult {
         fragments: merged,
         report,
+        measured,
     })
 }
 
@@ -449,8 +283,9 @@ pub fn asynchronous_makespan(trace: &PhaseTrace, n: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::placements;
     use crate::trace::lcc_trace;
-    use spam::lcc::run_lcc;
+    use spam::lcc::{run_lcc, ConsistentRec};
     use spam::rtf::run_rtf;
 
     fn setup() -> (SpamProgram, Arc<Scene>, Arc<Vec<FragmentHypothesis>>) {
@@ -467,23 +302,43 @@ mod tests {
         v
     }
 
+    /// Acceptance scenario: either placement produces the sequential
+    /// results bit-for-bit at every worker count, while the measured report
+    /// stays internally consistent (task conservation, utilization in
+    /// range, a gap-free Gantt).
     #[test]
     fn parallel_equals_sequential_at_any_worker_count() {
         let (sp, scene, frags) = setup();
         let seq = run_lcc(&sp, &scene, &frags, Level::L3);
         for n in [1, 2, 4] {
-            let par = run_parallel_lcc(&sp, &scene, &frags, Level::L3, n).unwrap();
-            assert!(par.report.is_clean(), "workers={n}");
-            assert_eq!(par.firings, seq.firings, "workers={n}");
-            assert_eq!(
-                canonical(&par.consistents),
-                canonical(&seq.consistents),
-                "workers={n}"
-            );
-            let seq_sup: Vec<i64> = seq.fragments.iter().map(|f| f.support).collect();
-            let par_sup: Vec<i64> = par.fragments.iter().map(|f| f.support).collect();
-            assert_eq!(seq_sup, par_sup, "workers={n}");
-            assert_eq!(par.work, seq.work, "total work is schedule-independent");
+            for (name, exec) in placements(n) {
+                let how = PhaseRun::new(exec);
+                let (par, measured) =
+                    run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how).unwrap();
+                let at = format!("{name}, workers={n}");
+                assert!(par.report.is_clean(), "{at}");
+                assert_eq!(par.firings, seq.firings, "{at}");
+                assert_eq!(
+                    canonical(&par.consistents),
+                    canonical(&seq.consistents),
+                    "{at}"
+                );
+                assert_eq!(par.fragments, seq.fragments, "{at}: supports");
+                assert_eq!(
+                    par.work, seq.work,
+                    "{at}: total work is schedule-independent"
+                );
+                assert_eq!(par.units, seq.units, "{at}: unit results, in unit order");
+                // Measured-schedule sanity.
+                let executed: u64 = measured.workers.iter().map(|w| w.executed).sum();
+                assert_eq!(executed, seq.units.len() as u64, "{at}: task conservation");
+                let u = measured.utilization();
+                assert!(u > 0.0 && u <= 1.0 + 1e-9, "{at}: utilization {u}");
+                assert!(
+                    measured.timeline("lcc-exec").coverage() > 0.999,
+                    "{at}: measured Gantt must be gap-free"
+                );
+            }
         }
     }
 
@@ -523,25 +378,32 @@ mod tests {
         let batches = spam::rtf::rtf_task_batches(&scene, 9);
         let (seq, _) = spam::rtf::run_rtf_tasks(&sp, &scene, &batches);
         for n in [1, 3] {
-            let par = run_parallel_rtf(&sp, &scene, &batches, n).unwrap();
-            assert!(par.report.is_clean(), "workers={n}");
-            assert_eq!(seq, par.fragments, "workers={n}");
+            for (name, exec) in placements(n) {
+                let par = run_parallel_rtf(&sp, &scene, &batches, &PhaseRun::new(exec)).unwrap();
+                assert!(par.report.is_clean(), "{name}, workers={n}");
+                assert_eq!(seq, par.fragments, "{name}, workers={n}");
+                assert_eq!(par.measured.attempts.len(), batches.len());
+            }
         }
     }
 
     #[test]
     fn zero_workers_rejected_without_panicking() {
         let (sp, scene, frags) = setup();
-        let err = match run_parallel_lcc(&sp, &scene, &frags, Level::L3, 0) {
-            Ok(_) => panic!("zero workers must be a typed error"),
-            Err(e) => e,
-        };
-        assert_eq!(err, tlp_fault::SuperviseError::NoWorkers);
         let batches = spam::rtf::rtf_task_batches(&scene, 9);
-        assert_eq!(
-            run_parallel_rtf(&sp, &scene, &batches, 0).err(),
-            Some(tlp_fault::SuperviseError::NoWorkers)
-        );
+        for (name, exec) in placements(0) {
+            let how = PhaseRun::new(exec);
+            let err = match run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how) {
+                Ok(_) => panic!("{name}: zero workers must be a typed error"),
+                Err(e) => e,
+            };
+            assert_eq!(err, SuperviseError::NoWorkers, "{name}");
+            assert_eq!(
+                run_parallel_rtf(&sp, &scene, &batches, &how).err(),
+                Some(SuperviseError::NoWorkers),
+                "{name}"
+            );
+        }
     }
 
     /// Acceptance scenario: inject a panic into one LCC task of N; the
@@ -554,25 +416,26 @@ mod tests {
         let n_units = seq.units.len();
         assert!(n_units > 2, "need a few units for the scenario");
         let victim = 1usize;
-        let plan = FaultPlan::none().with_task_panic(victim, u32::MAX);
-        let par = run_parallel_lcc_supervised(
-            &sp,
-            &scene,
-            &frags,
-            Level::L3,
-            3,
-            &SupervisorConfig::default(),
-            &plan,
-        )
-        .unwrap();
-        assert_eq!(par.units.len(), n_units - 1, "partial results expected");
-        let dead = par.report.dead_letters();
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].task, victim);
-        assert_eq!(dead[0].label, seq.report.outcomes[victim].label);
-        assert!(dead[0].error.as_deref().unwrap().contains("injected fault"));
-        // The surviving units carry less (or equal) total support/firings.
-        assert!(par.firings < seq.firings);
+        for (name, exec) in placements(3) {
+            let how = PhaseRun {
+                plan: FaultPlan::none().with_task_panic(victim, u32::MAX),
+                ..PhaseRun::new(exec)
+            };
+            let (par, measured) = run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how).unwrap();
+            assert_eq!(par.units.len(), n_units - 1, "{name}: partial results");
+            let dead = par.report.dead_letters();
+            assert_eq!(dead.len(), 1, "{name}");
+            assert_eq!(dead[0].task, victim, "{name}");
+            assert_eq!(dead[0].label, seq.report.outcomes[victim].label, "{name}");
+            assert!(dead[0].error.as_deref().unwrap().contains("injected fault"));
+            assert_eq!(measured.lost_tasks, 1, "{name}");
+            // Exactly the victim's share is missing.
+            assert_eq!(
+                par.firings,
+                seq.firings - seq.units[victim].firings,
+                "{name}"
+            );
+        }
     }
 
     /// Acceptance scenario: the same single-task fault with one retry
@@ -582,166 +445,156 @@ mod tests {
     fn retry_recovers_injected_fault_deterministically() {
         let (sp, scene, frags) = setup();
         let seq = run_lcc(&sp, &scene, &frags, Level::L3);
-        let plan = FaultPlan::seeded(42).with_task_panic(1, 1);
-        let cfg = SupervisorConfig::default()
-            .with_retries(1)
-            .with_backoff(std::time::Duration::from_millis(1));
-        let run =
-            || run_parallel_lcc_supervised(&sp, &scene, &frags, Level::L3, 3, &cfg, &plan).unwrap();
-        let a = run();
-        assert_eq!(a.firings, seq.firings);
-        assert_eq!(canonical(&a.consistents), canonical(&seq.consistents));
-        assert_eq!(a.report.dead_letters().len(), 0);
-        assert_eq!(a.report.total_retries(), 1);
-        assert_eq!(
-            a.report.outcomes[1].status,
-            tlp_fault::TaskStatus::Retried(1)
-        );
-        let b = run();
-        let statuses = |r: &LccPhaseResult| {
-            r.report
-                .outcomes
-                .iter()
-                .map(|o| (o.task, o.status.clone(), o.attempts))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(statuses(&a), statuses(&b), "fixed plan must replay");
-        assert_eq!(canonical(&a.consistents), canonical(&b.consistents));
+        for (name, exec) in placements(3) {
+            let how = PhaseRun {
+                cfg: SupervisorConfig::default()
+                    .with_retries(1)
+                    .with_backoff(std::time::Duration::from_millis(1)),
+                plan: FaultPlan::seeded(42).with_task_panic(1, 1),
+                ..PhaseRun::new(exec)
+            };
+            let run = || {
+                run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how)
+                    .unwrap()
+                    .0
+            };
+            let a = run();
+            assert_eq!(a.firings, seq.firings, "{name}");
+            assert_eq!(
+                canonical(&a.consistents),
+                canonical(&seq.consistents),
+                "{name}"
+            );
+            assert_eq!(a.report.dead_letters().len(), 0, "{name}");
+            assert_eq!(a.report.total_retries(), 1, "{name}");
+            assert_eq!(
+                a.report.outcomes[1].status,
+                tlp_fault::TaskStatus::Retried(1),
+                "{name}"
+            );
+            let b = run();
+            let statuses = |r: &LccPhaseResult| {
+                r.report
+                    .outcomes
+                    .iter()
+                    .map(|o| (o.task, o.status.clone(), o.attempts))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(statuses(&a), statuses(&b), "{name}: fixed plan must replay");
+            assert_eq!(
+                canonical(&a.consistents),
+                canonical(&b.consistents),
+                "{name}"
+            );
+        }
     }
 
-    /// Acceptance scenario: the live-telemetry runner produces exactly the
-    /// sequential results while publishing the full series set — engine
-    /// mirrors, supervisor counters, and SLO health — into one registry.
+    /// Acceptance scenario: with live telemetry attached the runner
+    /// produces exactly the sequential results while publishing the full
+    /// series set — engine mirrors, supervisor counters, and SLO health —
+    /// into one registry.
     #[test]
     fn live_runner_matches_sequential_and_publishes_everything() {
-        use tlp_obs::{Health, Live, LiveValue, SloConfig, SloMonitor};
+        use tlp_obs::{Health, LiveValue, SloConfig};
         let (sp, scene, frags) = setup();
         let seq = run_lcc(&sp, &scene, &frags, Level::L3);
-        let live = Live::new(8);
-        let slo = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
-        let par = run_parallel_lcc_live(
-            &sp,
-            &scene,
-            &frags,
-            Level::L3,
-            3,
-            &SupervisorConfig::default(),
-            &FaultPlan::none(),
-            &Recorder::off(),
-            &live,
-            Some(&slo),
-        )
-        .unwrap();
-        assert!(par.report.is_clean());
-        assert_eq!(par.firings, seq.firings);
-        assert_eq!(canonical(&par.consistents), canonical(&seq.consistents));
-        assert_eq!(par.work, seq.work, "telemetry must not change work");
-        assert_eq!(live.epoch(), par.units.len() as u64);
-
-        let snap = live.snapshot();
-        let total = |name: &str| match snap.series.get(name) {
-            Some(LiveValue::Counter { total, .. }) => *total,
-            other => panic!("{name}: expected counter, got {other:?}"),
-        };
-        // Engine mirrors add up to the phase totals.
-        assert_eq!(total("spam_live_match_units"), par.work.match_units);
-        assert_eq!(total("spam_live_firings"), par.firings);
-        assert_eq!(total("spam_live_rhs_actions"), par.work.rhs_actions);
-        // Supervisor counters.
-        assert_eq!(total("spam_live_tasks_completed"), par.units.len() as u64);
-        assert!(snap.series.contains_key("spam_live_queue_depth"));
-        assert!(snap
-            .series
-            .keys()
-            .any(|k| k.starts_with("spam_live_worker_busy_us{")));
-        // SLO series, fed with simulated latencies.
-        match snap.series.get("spam_slo_latency_seconds") {
-            Some(LiveValue::Histogram(h)) => {
-                // Windowed: holds the last `window` epochs' observations.
-                assert!(h.count() >= 1);
-                assert!(h.count() <= par.units.len() as u64);
-                assert!(h.sum() > 0.0, "simulated latencies are positive");
-            }
-            other => panic!("slo latency histogram missing: {other:?}"),
-        }
-        assert_eq!(slo.health(), Health::Healthy, "DC L3 meets its objective");
-    }
-
-    /// Acceptance scenario: the real work-stealing executor produces the
-    /// sequential results bit-for-bit at every worker count, while the
-    /// measured report stays internally consistent (task conservation,
-    /// utilization in range, a gap-free Gantt).
-    #[test]
-    fn exec_runner_equals_sequential_at_any_worker_count() {
-        let (sp, scene, frags) = setup();
-        let seq = run_lcc(&sp, &scene, &frags, Level::L3);
-        for n in [1, 2, 4] {
-            let (par, measured) = run_parallel_lcc_exec(
-                &sp,
-                &scene,
-                &frags,
-                Level::L3,
-                &crate::exec::ExecConfig::new(n),
-                &SupervisorConfig::default(),
-                &FaultPlan::none(),
-                &Recorder::off(),
-                &Live::off(),
-                None,
-                None,
-            )
-            .unwrap();
-            assert!(par.report.is_clean(), "workers={n}");
-            assert_eq!(par.firings, seq.firings, "workers={n}");
+        for (name, exec) in placements(3) {
+            let live = Live::new(8);
+            let slo = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
+            let mut how = PhaseRun::new(exec);
+            how.obs.live = Arc::clone(&live);
+            how.obs.slo = Some(Arc::clone(&slo));
+            let (par, _) = run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how).unwrap();
+            assert!(par.report.is_clean(), "{name}");
+            assert_eq!(par.firings, seq.firings, "{name}");
             assert_eq!(
                 canonical(&par.consistents),
                 canonical(&seq.consistents),
-                "workers={n}"
+                "{name}"
             );
-            let seq_sup: Vec<i64> = seq.fragments.iter().map(|f| f.support).collect();
-            let par_sup: Vec<i64> = par.fragments.iter().map(|f| f.support).collect();
-            assert_eq!(seq_sup, par_sup, "workers={n}");
-            assert_eq!(par.work, seq.work, "total work is schedule-independent");
-            // Measured-schedule sanity.
-            let executed: u64 = measured.workers.iter().map(|w| w.executed).sum();
-            assert_eq!(executed, seq.units.len() as u64, "task conservation");
-            let u = measured.utilization();
-            assert!(u > 0.0 && u <= 1.0 + 1e-9, "utilization {u} out of range");
-            assert!(
-                measured.timeline("lcc-exec").coverage() > 0.999,
-                "measured Gantt must be gap-free"
-            );
+            assert_eq!(par.work, seq.work, "{name}: telemetry must not change work");
+            assert_eq!(live.epoch(), par.units.len() as u64, "{name}");
+
+            let snap = live.snapshot();
+            let total = |name: &str| match snap.series.get(name) {
+                Some(LiveValue::Counter { total, .. }) => *total,
+                other => panic!("{name}: expected counter, got {other:?}"),
+            };
+            // Engine mirrors add up to the phase totals.
+            assert_eq!(total("spam_live_match_units"), par.work.match_units);
+            assert_eq!(total("spam_live_firings"), par.firings);
+            assert_eq!(total("spam_live_rhs_actions"), par.work.rhs_actions);
+            // Supervisor counters.
+            assert_eq!(total("spam_live_tasks_completed"), par.units.len() as u64);
+            assert!(snap.series.contains_key("spam_live_queue_depth"));
+            assert!((snap.series.keys()).any(|k| k.starts_with("spam_live_worker_busy_us{")));
+            // SLO series, fed with simulated latencies.
+            match snap.series.get("spam_slo_latency_seconds") {
+                Some(LiveValue::Histogram(h)) => {
+                    // Windowed: holds the last `window` epochs' observations.
+                    assert!(h.count() >= 1);
+                    assert!(h.count() <= par.units.len() as u64);
+                    assert!(h.sum() > 0.0, "simulated latencies are positive");
+                }
+                other => panic!("{name}: slo latency histogram missing: {other:?}"),
+            }
+            assert_eq!(slo.health(), Health::Healthy, "DC L3 meets its objective");
         }
     }
 
-    /// Acceptance scenario: a killed unit on the real executor retries and
-    /// the phase still equals the sequential run — the recovery path is
-    /// schedule-independent too.
+    /// The two benchmark-pinned shims are `run_parallel_lcc` and nothing
+    /// else: same phase, the scene shim on the central placement.
     #[test]
-    fn exec_runner_recovers_injected_fault() {
+    fn the_pinned_shims_are_run_parallel_lcc() {
         let (sp, scene, frags) = setup();
-        let seq = run_lcc(&sp, &scene, &frags, Level::L3);
-        let plan = FaultPlan::seeded(42).with_task_panic(1, 1);
-        let cfg = SupervisorConfig::default()
-            .with_retries(1)
-            .with_backoff(std::time::Duration::from_millis(1));
-        let (par, _) = run_parallel_lcc_exec(
+        let (cfg, plan) = (SupervisorConfig::default(), FaultPlan::none());
+        let (rec, live) = (Recorder::new(tlp_obs::ObsLevel::Full), Live::off());
+        let direct = PhaseRun::new(ExecConfig::central_queue(2));
+        let (want, _) = run_parallel_lcc(&sp, &scene, &frags, Level::L4, &direct).unwrap();
+        let got = run_parallel_lcc_scene(
             &sp,
             &scene,
             &frags,
-            Level::L3,
-            &crate::exec::ExecConfig::new(3),
+            Level::L4,
+            2,
             &cfg,
             &plan,
-            &Recorder::off(),
-            &Live::off(),
+            &rec,
+            &live,
             None,
             None,
         )
         .unwrap();
-        assert_eq!(par.firings, seq.firings);
-        assert_eq!(canonical(&par.consistents), canonical(&seq.consistents));
-        assert_eq!(par.report.dead_letters().len(), 0);
-        assert_eq!(par.report.total_retries(), 1);
+        assert_eq!(got.units, want.units);
+        assert_eq!(got.fragments, want.fragments);
+        let spilled = |rec: &Arc<Recorder>| {
+            let events = rec.events();
+            events.iter().filter(|e| e.name == "exec.overflow").count()
+        };
+        assert_eq!(
+            spilled(&rec),
+            want.units.len(),
+            "central: every task spills"
+        );
+        let rec = Recorder::new(tlp_obs::ObsLevel::Full);
+        let exec = ExecConfig::new(2);
+        let (got, measured) = run_parallel_lcc_exec(
+            &sp,
+            &scene,
+            &frags,
+            Level::L4,
+            &exec,
+            &cfg,
+            &plan,
+            &rec,
+            &live,
+            None,
+            None,
+        )
+        .unwrap();
+        assert_eq!(got.units, want.units);
+        assert_eq!(spilled(&rec), 0, "deques: ten class tasks fit");
+        assert_eq!(measured.overflowed, 0);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use ops5::{sym, Engine, Program, Value, WorkCounters};
 use paraops5::threaded::{MatchPoolOptions, RecoveryPolicy, ThreadedMatcher};
 use proptest::prelude::*;
-use spam_psm::exec::ExecConfig;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use spam_psm::TaskAttempt;
 use std::sync::Arc;
 use tlp_fault::{FaultPlan, SupervisorConfig};
-use tlp_obs::{Live, Recorder};
 
 /// Quiescing programs over a common `(item kind count)` seed class, so one
 /// seed strategy drives them all. Each exercises a different control shape:
@@ -148,16 +147,10 @@ proptest! {
                 .with_retries(1)
                 .with_backoff(std::time::Duration::from_millis(1));
         }
-        let (slots, report, measured) = spam_psm::exec::execute_observed(
-            &ExecConfig::new(workers),
+        let (slots, report, measured) = spam_psm::exec::execute(
+            &PhaseRun { cfg, plan, ..PhaseRun::new(ExecConfig::new(workers)) },
             labels,
             &[],
-            &cfg,
-            &plan,
-            &Recorder::off(),
-            &Live::off(),
-            None,
-            None,
             |_, _| {},
             |a: TaskAttempt| run_arm(src, &groups[a.task], Arm::Sequential),
         )

@@ -149,7 +149,7 @@ pub struct LccUnitResult {
 }
 
 /// Result of a whole LCC phase run at one decomposition level.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LccPhaseResult {
     /// The decomposition level used.
     pub level: Level,
@@ -377,29 +377,19 @@ pub fn run_lcc_unit(
     run_unit(sp, scene, fragments, unit, Attach::default()).0
 }
 
-/// Executes one LCC task like [`run_lcc_unit`], mirroring the engine's
-/// counters into the live sliding-window registry while the task runs
-/// (every few recognize–act cycles, plus a final flush): match units,
-/// firings and RHS actions as counters, conflict-set depth and WM size as
-/// gauges. The mirror only reads the deterministic counters — results are
-/// bit-identical to [`run_lcc_unit`], and with a disabled registry the
-/// mirror costs one branch per cycle.
-pub fn run_lcc_unit_live(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-    live: &Arc<tlp_obs::Live>,
-) -> LccUnitResult {
-    run_lcc_unit_traced(sp, scene, fragments, unit, live, None)
-}
-
-/// [`run_lcc_unit_live`] with a scene-trace span sink attached: the engine
-/// additionally groups its recognize–act cycles into `engine.cycles` aux
-/// spans parented under the owning task-attempt span (see
-/// [`ops5::Engine::set_trace`]), so a retained trace shows where inside the
-/// task the engine spent wall time. Trace-only: results are bit-identical
-/// to [`run_lcc_unit`] with the sink attached, disabled, or absent.
+/// Executes one LCC task like [`run_lcc_unit`] with observers attached.
+///
+/// `live`: the engine's counters are mirrored into the sliding-window
+/// registry while the task runs (every few recognize–act cycles, plus a
+/// final flush): match units, firings and RHS actions as counters,
+/// conflict-set depth and WM size as gauges. `trace`: the engine groups its
+/// recognize–act cycles into `engine.cycles` aux spans parented under the
+/// owning task-attempt span (see [`ops5::Engine::set_trace`]), so a retained
+/// trace shows where inside the task the engine spent wall time.
+///
+/// Both only read the deterministic counters: results are bit-identical to
+/// [`run_lcc_unit`], and a disabled registry or an absent sink costs one
+/// branch per task.
 pub fn run_lcc_unit_traced(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -505,7 +495,7 @@ fn run_unit(
         },
     };
     let e = &mut te.engine;
-    if let Some(live) = attach.live {
+    if let Some(live) = attach.live.filter(|l| l.is_enabled()) {
         e.set_live(live.handle());
     }
     if let Some(sink) = attach.trace {
@@ -670,13 +660,10 @@ fn run_lcc_inner(
     profile: bool,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
     let units = decompose(scene, fragments, level);
-    let mut results = Vec::with_capacity(units.len());
-    let mut work = WorkCounters::default();
-    let mut firings = 0;
-    let mut consistents = Vec::new();
-    let mut supports = vec![0i64; fragments.len()];
     let mut merged: Option<MatchProfile> = None;
-    for u in &units {
+    // The merge pulls the units through one at a time, so each result is
+    // folded in while it is still warm and stored once.
+    let results = units.iter().map(|u| {
         let attach = Attach {
             profile,
             ..Attach::default()
@@ -688,36 +675,58 @@ fn run_lcc_inner(
                 None => merged = Some(p),
             }
         }
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(f, s) in &r.supports {
-            supports[f as usize] += s;
-        }
-        results.push(r);
-    }
+        Some(r)
+    });
+    let report = TaskReport::all_ok(units.iter().map(|u| u.label()));
+    let phase = merge_lcc_units(level, fragments, results, report);
     // The phase is over: release this thread's engine, as a pool worker's
     // is released when its thread ends. Kept past the phase it would only
     // pin its share of the heap (measured: +13 % peak RSS at Level 4)
     // until the next phase, which brings its own fragment table and so
     // could not reuse it anyway.
     TASK_ENGINE.with(|slot| slot.borrow_mut().take());
-    let mut updated: Vec<FragmentHypothesis> = fragments.as_ref().clone();
+    (phase, merged)
+}
+
+/// Merges per-unit results, in unit order, into the phase result: the one
+/// aggregation behind [`run_lcc`] and every parallel runner. A `None` slot
+/// is a unit that never completed (dead-lettered under supervision); it
+/// contributes no records, support, work or firings, and no entry in
+/// [`LccPhaseResult::units`] — `report` is where it is named.
+pub fn merge_lcc_units(
+    level: Level,
+    fragments: &[FragmentHypothesis],
+    slots: impl IntoIterator<Item = Option<LccUnitResult>>,
+    report: TaskReport,
+) -> LccPhaseResult {
+    let slots = slots.into_iter();
+    let mut units = Vec::with_capacity(slots.size_hint().0);
+    let mut work = WorkCounters::default();
+    let mut firings = 0;
+    let mut consistents = Vec::new();
+    let mut supports = vec![0i64; fragments.len()];
+    for r in slots.flatten() {
+        work.add(&r.work);
+        firings += r.firings;
+        consistents.extend(r.consistents.iter().copied());
+        for &(f, s) in &r.supports {
+            supports[f as usize] += s;
+        }
+        units.push(r);
+    }
+    let mut updated = fragments.to_vec();
     for f in &mut updated {
         f.support = supports[f.id as usize];
     }
-    (
-        LccPhaseResult {
-            level,
-            fragments: updated,
-            consistents,
-            units: results,
-            work,
-            firings,
-            report: TaskReport::all_ok(units.iter().map(|u| u.label())),
-        },
-        merged,
-    )
+    LccPhaseResult {
+        level,
+        fragments: updated,
+        consistents,
+        units,
+        work,
+        firings,
+        report,
+    }
 }
 
 // The parallel runner executes LCC units under `std::panic::catch_unwind`;
@@ -785,7 +794,7 @@ mod tests {
         let unit = LccUnit::Object(frags[0].id);
         let plain = run_lcc_unit(&sp, &scene, &frags, &unit);
         let live = Live::new(8);
-        let mirrored = run_lcc_unit_live(&sp, &scene, &frags, &unit, &live);
+        let mirrored = run_lcc_unit_traced(&sp, &scene, &frags, &unit, &live, None);
         assert_eq!(plain.consistents, mirrored.consistents);
         assert_eq!(plain.supports, mirrored.supports);
         assert_eq!(plain.work, mirrored.work, "mirror must not change work");
@@ -803,7 +812,7 @@ mod tests {
         // With a disabled registry the live runner publishes nothing and
         // still computes the same results.
         let off = Live::off();
-        let silent = run_lcc_unit_live(&sp, &scene, &frags, &unit, &off);
+        let silent = run_lcc_unit_traced(&sp, &scene, &frags, &unit, &off, None);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());
     }
@@ -881,6 +890,64 @@ mod tests {
                 .sum();
             assert_eq!(f.support, expected, "fragment {}", f.id);
         }
+    }
+
+    #[test]
+    fn merging_every_unit_is_run_lcc_field_for_field() {
+        let (sp, scene, frags) = setup();
+        for level in [Level::L4, Level::L3] {
+            let seq = run_lcc(&sp, &scene, &frags, level);
+            let slots = seq.units.iter().cloned().map(Some);
+            let merged = merge_lcc_units(level, &frags, slots, seq.report.clone());
+            assert_eq!(merged, seq, "{}", level.name());
+        }
+    }
+
+    #[test]
+    fn merge_is_the_sequential_phase_minus_its_dead_lettered_units() {
+        let (sp, scene, frags) = setup();
+        let seq = run_lcc(&sp, &scene, &frags, Level::L3);
+        let n = seq.units.len();
+        // Level 3: unit i is fragment i, and every record it produces has
+        // that fragment as its subject.
+        let dead = [1usize, n / 2, n - 1];
+        let slots =
+            (seq.units.iter().cloned().enumerate()).map(|(i, u)| (!dead.contains(&i)).then_some(u));
+        let part = merge_lcc_units(Level::L3, &frags, slots, seq.report.clone());
+
+        let survivors: Vec<LccUnitResult> = (seq.units.iter().enumerate())
+            .filter(|(i, _)| !dead.contains(i))
+            .map(|(_, u)| u.clone())
+            .collect();
+        assert_eq!(part.units, survivors, "unit order is kept, holes closed");
+        let lost =
+            |f: fn(&LccUnitResult) -> u64| dead.iter().map(|&i| f(&seq.units[i])).sum::<u64>();
+        assert_eq!(part.firings, seq.firings - lost(|u| u.firings));
+        assert_eq!(
+            part.work.total_units(),
+            seq.work.total_units() - lost(|u| u.work.total_units())
+        );
+        assert_eq!(
+            part.work.match_units,
+            seq.work.match_units - lost(|u| u.work.match_units)
+        );
+        let kept: Vec<ConsistentRec> = (seq.consistents.iter().copied())
+            .filter(|c| !dead.contains(&(c.a as usize)))
+            .collect();
+        assert!(
+            kept.len() < seq.consistents.len(),
+            "the victims had records"
+        );
+        assert_eq!(part.consistents, kept);
+        for (f, g) in part.fragments.iter().zip(&seq.fragments) {
+            let expected = if dead.contains(&(f.id as usize)) {
+                0
+            } else {
+                g.support
+            };
+            assert_eq!(f.support, expected, "fragment {}", f.id);
+        }
+        assert_eq!(part.report, seq.report, "the report passes through");
     }
 
     #[test]

@@ -13,8 +13,8 @@ use ops5::Value;
 use proptest::prelude::*;
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc_unit, run_lcc_unit_live,
-    run_lcc_unit_profiled, run_lcc_unit_traced, LccUnit, LccUnitResult, Level,
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc_unit, run_lcc_unit_profiled,
+    run_lcc_unit_traced, LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
@@ -145,7 +145,7 @@ proptest! {
             let unit = &f.units[input][level][unit_idx];
             let got = match mode {
                 Mode::Plain => run_lcc_unit(&i.sp, &i.scene, &i.frags, unit),
-                Mode::Live => run_lcc_unit_live(&i.sp, &i.scene, &i.frags, unit, &live),
+                Mode::Live => run_lcc_unit_traced(&i.sp, &i.scene, &i.frags, unit, &live, None),
                 Mode::Traced => {
                     let sink = span.sink_under(span.root());
                     run_lcc_unit_traced(&i.sp, &i.scene, &i.frags, unit, &live, Some(sink))

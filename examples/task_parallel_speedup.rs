@@ -9,6 +9,7 @@
 use spam::lcc::{run_lcc, Level};
 use spam::rtf::run_rtf;
 use spam::rules::SpamProgram;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use spam_psm::tlp::{run_parallel_lcc, simulated_tlp_curve};
 use spam_psm::trace::lcc_trace;
 use std::sync::Arc;
@@ -33,7 +34,8 @@ fn main() {
     let seq = run_lcc(&sp, &scene, &fragments, Level::L3);
     let t_seq = t0.elapsed();
     let t0 = Instant::now();
-    let par = run_parallel_lcc(&sp, &scene, &fragments, Level::L3, 4).unwrap();
+    let how = PhaseRun::new(ExecConfig::central_queue(4));
+    let (par, _) = run_parallel_lcc(&sp, &scene, &fragments, Level::L3, &how).unwrap();
     let t_par = t0.elapsed();
     assert_eq!(seq.firings, par.firings);
     assert_eq!(

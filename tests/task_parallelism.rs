@@ -4,6 +4,7 @@
 use spam::lcc::{run_lcc, Level};
 use spam::rtf::run_rtf;
 use spam::rules::SpamProgram;
+use spam_psm::exec::{ExecConfig, PhaseRun};
 use spam_psm::tlp::{run_parallel_lcc, simulated_tlp_curve};
 use spam_psm::trace::lcc_trace;
 use std::sync::Arc;
@@ -27,7 +28,8 @@ fn threaded_psm_equals_sequential_on_both_chosen_levels() {
     let (sp, scene, frags) = prepared(spam::datasets::dc());
     for level in [Level::L3, Level::L2] {
         let seq = run_lcc(&sp, &scene, &frags, level);
-        let par = run_parallel_lcc(&sp, &scene, &frags, level, 3).unwrap();
+        let how = PhaseRun::new(ExecConfig::central_queue(3));
+        let (par, _) = run_parallel_lcc(&sp, &scene, &frags, level, &how).unwrap();
         assert_eq!(seq.firings, par.firings, "{level:?}");
         let key = |c: &spam::lcc::ConsistentRec| (c.a, c.b, c.rel.name().to_owned());
         let mut s: Vec<_> = seq.consistents.iter().map(key).collect();
@@ -77,7 +79,8 @@ fn figure_6_shape_on_the_largest_dataset() {
 fn total_work_is_independent_of_decomposition_and_schedule() {
     let (sp, scene, frags) = prepared(spam::datasets::dc());
     let l3 = run_lcc(&sp, &scene, &frags, Level::L3);
-    let par = run_parallel_lcc(&sp, &scene, &frags, Level::L3, 2).unwrap();
+    let how = PhaseRun::new(ExecConfig::central_queue(2));
+    let (par, _) = run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how).unwrap();
     assert_eq!(l3.work, par.work);
     // And the simulator conserves it.
     let trace = lcc_trace(&l3);
