@@ -6,11 +6,13 @@
 //!
 //! The JSON splits into two sections so the CI gate can be precise:
 //!
-//! * `"wall"` — per-worker-count median wall milliseconds, measured
-//!   speed-up over the one-worker arm, pool utilization, and steal /
-//!   overflow counters. Machine-dependent (steal counts are scheduling
-//!   noise, and this container has one core, so the measured curve is
-//!   flat here); `benchdiff --ignore wall` skips it.
+//! * `"wall"` — the host's `nproc`, and per worker count the median wall
+//!   milliseconds, measured speed-up over the one-worker arm, pool
+//!   utilization, `fork_ms` (the workers' summed pick-up latency per
+//!   phase, `ExecReport::spawn_ready_s`), and steal / overflow counters.
+//!   Machine-dependent (steal counts are scheduling noise, and a curve
+//!   recorded on fewer cores than workers is flat); `benchdiff --ignore
+//!   wall` skips it.
 //! * `"exec"` — the deterministic shape: task and chunk counts, phase
 //!   firings and total work units, and the simulated Encore speed-up at
 //!   the matched worker counts. Any drift is a code change.
@@ -112,6 +114,7 @@ fn main() -> ExitCode {
     // (thermal, scheduler) spreads across all arms.
     let _ = one_run(&p, SWEEP[0]);
     let mut wall_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); SWEEP.len()];
+    let mut fork_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(reps * INNER); SWEEP.len()];
     let mut last_report: Vec<Option<spam_psm::exec::ExecReport>> = vec![None; SWEEP.len()];
     for rep in 0..reps {
         for (i, &w) in SWEEP.iter().enumerate() {
@@ -122,6 +125,7 @@ fn main() -> ExitCode {
                     got, reference,
                     "results drifted at {w} workers; the executor must be schedule-independent"
                 );
+                fork_ms[i].push(measured.spawn_ready_s.iter().sum::<f64>() * 1e3);
                 last_report[i] = Some(measured);
             }
             wall_ms[i].push(t0.elapsed().as_secs_f64() * 1e3 / INNER as f64);
@@ -156,13 +160,16 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    println!("\n  workers   measured-ms  speedup  util  steals  overflow | simulated");
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("\n  host: {nproc} processor(s), {reps} rep(s) of {INNER} phases per worker count");
+    println!("  workers   measured-ms  speedup  util  fork-ms  steals  overflow | simulated");
     let mut wall_rows = Vec::new();
     for (i, &w) in SWEEP.iter().enumerate() {
         let m = &reports[i];
         let speedup = base / medians[i];
+        let fork = median(&fork_ms[i]);
         println!(
-            "  {w:>7}   {:>11.1}  {speedup:>7.2}  {:>3.0}%  {:>6}  {:>8} | {:>9.2}",
+            "  {w:>7}   {:>11.1}  {speedup:>7.2}  {:>3.0}%  {fork:>7.3}  {:>6}  {:>8} | {:>9.2}",
             medians[i],
             100.0 * m.utilization(),
             m.steals(),
@@ -174,6 +181,7 @@ fn main() -> ExitCode {
             ("median_ms", Json::Num(medians[i])),
             ("speedup", Json::Num(speedup)),
             ("utilization", Json::Num(m.utilization())),
+            ("fork_ms", Json::Num(fork)),
             ("steals", Json::Num(m.steals() as f64)),
             ("overflow", Json::Num(m.overflow_taken() as f64)),
         ]));
@@ -192,7 +200,14 @@ fn main() -> ExitCode {
         ("dataset", Json::str("DC")),
         ("phase", Json::str("LCC Level 3")),
         ("reps", Json::Num(reps as f64)),
-        ("wall", Json::Arr(wall_rows)),
+        (
+            "wall",
+            Json::obj(vec![
+                ("nproc", Json::Num(nproc as f64)),
+                ("phases_per_rep", Json::Num(INNER as f64)),
+                ("by_workers", Json::Arr(wall_rows)),
+            ]),
+        ),
         (
             "exec",
             Json::obj(vec![

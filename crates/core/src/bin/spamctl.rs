@@ -1776,7 +1776,7 @@ fn main() -> ExitCode {
     if let Some(m) = &measured {
         println!(
             "exec   : real work-stealing pool, {} worker(s): wall {:.1} ms, \
-             utilization {:.0}%, {} steal(s), {} overflow chunk(s) drained, {} chunk(s) of {}",
+             utilization {:.0}%, {} task(s) stolen, {} taken from overflow, {} chunk(s) of {} task(s)",
             m.workers.len(),
             m.wall_s * 1e3,
             100.0 * m.utilization(),

@@ -3,11 +3,31 @@
 //! `n` task processes (workers), each running whole OPS5 engine tasks.
 //!
 //! There is one runner, [`execute`], and it is the only place in the crate
-//! that spawns task workers, catches a task's panic, or decides a retry.
+//! that forks task workers, catches a task's panic, or decides a retry.
 //! Everything above it (`tlp`, `recover`, `spamctl`, the benches) describes
 //! *how* a phase is to be run with one [`PhaseRun`] value — where tasks are
 //! placed, the supervision policy, the fault plan, the observers — and
 //! supplies the task closure.
+//!
+//! # Task processes are resident
+//!
+//! The paper forks its task processes once, outside the measured region.
+//! So does this module: `psm-task-*` threads live in a process-wide
+//! registry, parked between phases, and [`execute`] *leases* as many as the
+//! phase has workers. The registry grows on demand to the largest
+//! concurrent lease and is sized by nothing else. A lease hands a parked
+//! thread the whole phase as one type-erased `Arc` — which is why the task
+//! closure and its result are `'static`: a resident thread outlives every
+//! caller's stack frame, and this crate forbids the `unsafe` that would let
+//! it borrow from one. The control process wakes its workers *before* it
+//! deals the tasks (their wake-up overlaps the deal), and when the phase is
+//! over waits on a completion latch rather than joining threads: a worker
+//! flushes its recorder sink, writes its statistics, parks itself in the
+//! registry and only then counts the latch down — so back-to-back phases
+//! reuse the same threads — and drops its thread's task engine after that,
+//! off the control process's critical path (no engine is kept for the next
+//! phase). A resident thread that died (a panic outside `catch_unwind`) is
+//! replaced at the next lease; the phase it died in fails loudly.
 //!
 //! # Placement: central FIFO vs chunked deques
 //!
@@ -15,7 +35,7 @@
 //! pops at the back (LIFO, cache-warm), thieves steal from the front (FIFO,
 //! the oldest and typically largest chunks) — plus one shared overflow FIFO
 //! (the *injector*) that every worker drains front-first before it steals.
-//! Tasks that do not fit a deque at distribution time spill to the
+//! Chunks that do not fit a deque at distribution time spill to the
 //! overflow queue in task order, and every retry re-enters at its back.
 //!
 //! * **Chunked deques** ([`ExecConfig::new`] / [`ExecConfig::with_cost_model`]):
@@ -23,18 +43,27 @@
 //!   the cost model's scheduler granularity
 //!   ([`paraops5::CostModel::granularity`]) — OpenMP `schedule(dynamic,k)`
 //!   applied to SPAM's highly skewed task sizes (Tables 5–8) — and dealt
-//!   round-robin across the deques, so each worker's initial working set
-//!   arrives in batches.
+//!   round-robin across the deques.
 //! * **Central queue** ([`ExecConfig::central_queue`]): the same pool with
-//!   zero-capacity deques. Every task spills, so the overflow FIFO *is* the
-//!   paper's single task queue: workers take tasks in task order, a retry
-//!   goes to the back, nothing is ever stolen. It is a placement, not a
-//!   second implementation — §6.2's task-queue bottleneck on one lock.
+//!   zero-capacity deques and one task per chunk. Every task spills, so the
+//!   overflow FIFO *is* the paper's single task queue: workers take tasks
+//!   in task order, a retry goes to the back, nothing is ever stolen. It is
+//!   a placement, not a second implementation — §6.2's task-queue
+//!   bottleneck on one lock.
+//!
+//! **The chunk is the job.** A chunk is dealt, spilled, popped and stolen
+//! whole; a worker that acquires one runs its tasks in order. Dynamic
+//! scheduling pays only while the unit of work *and its dispatch* are
+//! cheap, and at SPAM's finest decomposition a task is a few microseconds:
+//! lock round-trips, the `pending` count and wake-ups are therefore paid
+//! per chunk, never per task; the control process deals privately and
+//! publishes the whole distribution at once, with one wake-up. A retry is
+//! a job of one task. Counters still count tasks.
 //!
 //! The deques are `Mutex<VecDeque>` rather than the lock-free original:
-//! this crate forbids `unsafe`, and at SPAM's task granularity (whole OPS5
-//! engine runs) a per-deque lock is uncontended noise while preserving the
-//! access pattern that matters for distribution and steal accounting.
+//! this crate forbids `unsafe`, and at chunk granularity a per-deque lock
+//! is uncontended noise while preserving the access pattern that matters
+//! for distribution and steal accounting.
 //!
 //! # Supervision
 //!
@@ -44,10 +73,12 @@
 //! * every attempt runs under [`std::panic::catch_unwind`], so a panicking
 //!   task is isolated — the phase completes with the surviving results;
 //! * a failed attempt is retried up to [`SupervisorConfig::max_retries`]
-//!   times with linear backoff. The backoff delays the *re-enqueue* on the
-//!   control side; no worker ever sleeps through it, so it reads as queue
-//!   time, never as a stalled pool slot. Tasks that exhaust their budget go
-//!   to the dead-letter list in the [`TaskReport`];
+//!   times with linear backoff. The backoff delays the *re-enqueue*: the
+//!   control loop keeps the retries that are not yet due and never waits
+//!   for a completion past the earliest of them. No worker ever sleeps
+//!   through a backoff, so it reads as queue time, never as a stalled pool
+//!   slot. Tasks that exhaust their budget go to the dead-letter list in
+//!   the [`TaskReport`];
 //! * an optional *soft* deadline is enforced post-hoc: task threads cannot
 //!   be preempted, so an attempt that returns after the deadline has its
 //!   result discarded and is treated as a failure;
@@ -59,16 +90,23 @@
 //! The flight recorder sees one `exec.phase` span, `task.exec` spans on
 //! each worker's track, `task.steal` instants and every control decision;
 //! live telemetry gets task/queue health and per-worker series; scene
-//! traces get derived `task.exec` span ids (see [`Observer`]). The measured
-//! schedule comes back as an [`ExecReport`], which converts to a
-//! [`multimax_sim::SimResult`] ([`ExecReport::to_sim_result`]) — so the gap
-//! accountant ([`crate::attribution::GapAttribution`]) and the Gantt
-//! timeline work on measured runs exactly as on simulated ones.
+//! traces get derived `task.exec` span ids (see [`Observer`]). Sinks and
+//! live shards are per phase, not per thread: nothing a worker recorded in
+//! one phase can surface in the next. The measured schedule comes back as
+//! an [`ExecReport`], which converts to a [`multimax_sim::SimResult`]
+//! ([`ExecReport::to_sim_result`]) — so the gap accountant
+//! ([`crate::attribution::GapAttribution`]) and the Gantt timeline work on
+//! measured runs exactly as on simulated ones. A worker reads the clock at
+//! task boundaries only: a task's finish instant is the next one's
+//! `queued` (and, inside a chunk, its `acquired`).
 
 use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskOutcome, TaskReport, TaskStatus};
@@ -85,14 +123,15 @@ pub const ESTIMATE_UNITS_PER_WME: u64 = 10;
 /// Where a phase's tasks are placed: worker count, chunking, deque bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads (capped at the task count when spawning).
+    /// Task processes leased for the phase (capped at the task count).
     pub workers: usize,
     /// Estimated work units per scheduling chunk: consecutive tasks are
     /// batched until their summed estimate reaches this target. Zero
     /// reads as one (the [`paraops5::CostModel::granularity`] guard).
     pub chunk_target: u64,
-    /// Bound on each worker deque at distribution time; chunks beyond it
-    /// spill to the shared overflow queue (and are counted).
+    /// Bound on each worker deque at distribution time, in tasks: a deque
+    /// with room takes its next chunk whole, a chunk dealt to a full one
+    /// spills to the shared overflow queue (and its tasks are counted).
     pub deque_capacity: usize,
 }
 
@@ -224,6 +263,10 @@ pub struct WorkerStats {
     pub steal_misses: u64,
     /// Seconds spent executing task bodies.
     pub busy_s: f64,
+    /// Clock reads this worker made (the budget is two per task plus one
+    /// per acquired job; see `the_clock_is_read_at_task_boundaries_only`).
+    #[cfg(test)]
+    pub(crate) clock_reads: u64,
 }
 
 /// One measured task attempt: the four schedule timestamps (seconds from
@@ -237,13 +280,14 @@ pub struct ExecAttempt {
     pub attempt: u32,
     /// Worker that ran it.
     pub worker: usize,
-    /// Whether the job was stolen from another worker's deque.
+    /// Whether the task's chunk was stolen from another worker's deque.
     pub stolen: bool,
-    /// When the worker began looking for this job (its previous job's
-    /// finish, or its spawn).
+    /// When the worker became free for this task: its previous task's
+    /// finish, or its pick-up of the phase.
     pub queued_s: f64,
-    /// When the job was acquired (popped, stolen, or taken from
-    /// overflow).
+    /// When the task's job was acquired (popped, stolen, or taken from
+    /// overflow); for a task inside a chunk, the finish of the one before
+    /// it — the chunk was already in hand.
     pub acquired_s: f64,
     /// When the task body started (immediately after acquisition; retry
     /// backoff delays the re-enqueue, so it shows up in the
@@ -262,15 +306,17 @@ pub struct ExecAttempt {
 pub struct ExecReport {
     /// Per-worker scheduling statistics, indexed by worker.
     pub workers: Vec<WorkerStats>,
-    /// When each worker's thread entered its scheduling loop (seconds
-    /// from phase start) — the measured fork overhead.
+    /// Seconds from phase start until worker *w* picked the phase up: the
+    /// wake-up latency of a parked task process (or, for the first phase
+    /// that needs it, its fork). The workers are woken before the tasks
+    /// are dealt, so none of the distribution is charged here.
     pub spawn_ready_s: Vec<f64>,
     /// Scheduling chunks formed at distribution.
     pub chunks: u64,
-    /// Jobs that spilled to the shared overflow queue at distribution
+    /// Tasks that spilled to the shared overflow queue at distribution
     /// (bounded deques were full).
     pub overflowed: u64,
-    /// Phase wall-clock seconds (spawn to last terminal decision).
+    /// Phase wall-clock seconds (lease to the last worker counted out).
     pub wall_s: f64,
     /// Every attempt, in completion order.
     pub attempts: Vec<ExecAttempt>,
@@ -303,13 +349,15 @@ impl ExecReport {
     /// with wall-clock seconds where the simulator has simulated seconds:
     /// the gap accountant ([`crate::attribution::GapAttribution`]) and
     /// [`multimax_sim::SimResult::timeline`] then work on measured runs
-    /// unchanged. Queue-wait is the workers' job-search time (incl. steal
-    /// sweeps, idle parking between jobs, and retry backoff — the
-    /// re-enqueue is delayed, so the backoff is queue time on otherwise
-    /// idle workers, never a stalled pool slot), dequeue is
-    /// acquisition-to-start (span bookkeeping only), so the identity
-    /// `busy + fork + queue_wait + dequeue + idle = capacity` holds
-    /// exactly as it does for simulated results.
+    /// unchanged. Fork is each worker's pick-up latency
+    /// ([`ExecReport::spawn_ready_s`]: waking a parked task process, not
+    /// creating one, and none of the distribution). Queue-wait is the
+    /// workers' job-search time (incl. steal sweeps, idle parking between
+    /// jobs, and retry backoff — the re-enqueue is delayed, so the backoff
+    /// is queue time on otherwise idle workers, never a stalled pool
+    /// slot), dequeue is acquisition-to-start (span bookkeeping only), so
+    /// the identity `busy + fork + queue_wait + dequeue + idle = capacity`
+    /// holds exactly as it does for simulated results.
     pub fn to_sim_result(&self) -> SimResult {
         let n_workers = self.workers.len();
         let mut executions: Vec<TaskExec> = self
@@ -404,8 +452,23 @@ pub fn chunk_tasks(estimates: &[u64], chunk_target: u64) -> Vec<std::ops::Range<
     chunks
 }
 
-/// A scheduled job: `(task, attempt)`.
-type Job = (usize, u32);
+/// A scheduled job — what the pool deals, spills, pops and steals, always
+/// whole: a chunk of first attempts (what [`chunk_tasks`] formed), or a
+/// single retry (`attempt > 0`, one task).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Job {
+    tasks: Range<usize>,
+    attempt: u32,
+}
+
+impl Job {
+    fn retry(task: usize, attempt: u32) -> Job {
+        Job {
+            tasks: task..task + 1,
+            attempt,
+        }
+    }
+}
 
 /// How a worker acquired a job — drives the steal/overflow counters.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -428,11 +491,10 @@ enum Source {
 /// anywhere; it rises *before* the job becomes visible in its queue, so
 /// a worker that pops a job always decrements a count that already
 /// includes it — the counter can never underflow, even when a sweep
-/// races a `push_overflow` from the control loop mid-phase. The price
-/// is a brief window where `pending > 0` with the job not yet visible:
-/// a worker that sweeps empty during the window re-reads the count
-/// under the sync lock and retries the sweep instead of sleeping, so no
-/// job is ever missed.
+/// races a push from the control loop mid-phase. The price is a brief
+/// window where `pending > 0` with the job not yet visible: a worker that
+/// sweeps empty during the window re-reads the count under the sync lock
+/// and retries the sweep instead of sleeping, so no job is ever missed.
 struct StealPool {
     deques: Vec<Mutex<VecDeque<Job>>>,
     overflow: Mutex<VecDeque<Job>>,
@@ -444,11 +506,6 @@ fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A worker's final cell value, whatever its thread did while holding it.
-fn unlock<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl StealPool {
@@ -463,24 +520,28 @@ impl StealPool {
         }
     }
 
-    /// Raises `pending` *before* the caller makes the job visible
-    /// (count-then-push is what keeps the decrement in [`Self::acquire`]
-    /// underflow-proof; see the struct doc).
-    fn announce(&self) {
-        relock(self.sync.lock()).0 += 1;
+    /// Publishes a whole distribution — one queue per worker deque and the
+    /// spill for the shared overflow queue, dealt privately by the control
+    /// process — and wakes every sleeping worker, once. A worker that is
+    /// already awake sees none of the deal or all of its own queue, never a
+    /// deal in progress: on a small box a worker that found the first
+    /// chunks would run them on the dealer's processor. `pending` rises
+    /// before any job becomes visible (count-then-push is what keeps the
+    /// decrement in [`Self::acquire`] underflow-proof; see the struct doc).
+    fn publish(&self, dealt: Vec<VecDeque<Job>>, spilled: VecDeque<Job>) {
+        let jobs = dealt.iter().map(VecDeque::len).sum::<usize>() + spilled.len();
+        relock(self.sync.lock()).0 += jobs as u64;
+        for (deque, mut queue) in self.deques.iter().zip(dealt) {
+            relock(deque.lock()).append(&mut queue);
+        }
+        relock(self.overflow.lock()).extend(spilled);
+        self.cv.notify_all();
     }
 
-    /// Seeds worker `w`'s deque (distribution time, before workers run).
-    fn seed_local(&self, w: usize, job: Job) {
-        self.announce();
-        relock(self.deques[w].lock()).push_back(job);
-        self.cv.notify_one();
-    }
-
-    /// Pushes a job to the shared overflow queue (distribution spill or a
-    /// supervisor retry).
+    /// Pushes one job to the shared overflow queue mid-phase (a supervisor
+    /// retry) and wakes a worker for it.
     fn push_overflow(&self, job: Job) {
-        self.announce();
+        relock(self.sync.lock()).0 += 1;
         relock(self.overflow.lock()).push_back(job);
         self.cv.notify_one();
     }
@@ -552,7 +613,7 @@ struct ExecMsg<T> {
     queued: Instant,
     acquired: Instant,
     started: Instant,
-    elapsed: Duration,
+    finished: Instant,
 }
 
 /// Most completions a worker holds before handing them to the control
@@ -567,11 +628,334 @@ struct ExecMsg<T> {
 const COMPLETION_BATCH: usize = 32;
 
 /// Sends a worker's held completions, if any, to the control loop as one
-/// message. The receiver outlives the worker scope, so the send cannot
-/// fail while a worker runs.
+/// message. The control process keeps the receiver until every worker has
+/// counted the latch down, so the send cannot fail while a worker runs.
 fn hand_over<T>(tx: &mpsc::Sender<Vec<ExecMsg<T>>>, held: &mut Vec<ExecMsg<T>>) {
     if !held.is_empty() {
         let _ = tx.send(std::mem::take(held));
+    }
+}
+
+/// Counts a phase's workers out: the control process waits here, where
+/// `thread::scope` used to join. `died` remembers a worker that unwound
+/// out of its loop instead of finishing it.
+struct Latch {
+    left: Mutex<(usize, bool)>,
+    cv: Condvar,
+}
+
+impl Latch {
+    fn new(workers: usize) -> Latch {
+        Latch {
+            left: Mutex::new((workers, false)),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn count_down(&self, died: bool) {
+        let mut st = relock(self.left.lock());
+        st.0 -= 1;
+        st.1 |= died;
+        if st.0 == 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Blocks until every worker has counted down; whether one died.
+    fn wait(&self) -> bool {
+        let mut st = relock(self.left.lock());
+        while st.0 > 0 {
+            st = relock(self.cv.wait(st));
+        }
+        st.1
+    }
+}
+
+/// A running phase as a resident task process sees it, type-erased.
+trait PhaseWork: Send + Sync {
+    /// Worker `w`'s whole share of the phase: acquire jobs until the pool
+    /// closes empty, then flush and file the worker's statistics.
+    fn work(&self, w: usize);
+    /// Counts the worker out; `died` if it is unwinding.
+    fn done(&self, died: bool);
+}
+
+/// What a lease hands a parked task process: the phase and the worker
+/// index it is to be in it.
+type Lease = (Arc<dyn PhaseWork>, usize);
+
+/// The parked task processes, each by the sender of its private channel.
+/// Grown by [`lease`] when it runs short, never shrunk: its size is the
+/// largest number of workers ever leased at once.
+static PARKED: Mutex<Vec<mpsc::Sender<Lease>>> = Mutex::new(Vec::new());
+
+/// Task processes forked so far (names them).
+static FORKED: AtomicUsize = AtomicUsize::new(0);
+
+/// Leases `n` task processes to `phase`, waking each with its worker
+/// index. Parked threads are taken first and the shortfall is forked —
+/// which is also how a thread that died is replaced: it never parked
+/// again ([`resident`]).
+fn lease(phase: &Arc<dyn PhaseWork>, n: usize) {
+    let mut parked = {
+        let mut all = relock(PARKED.lock());
+        let keep = all.len().saturating_sub(n);
+        all.split_off(keep)
+    };
+    for w in 0..n {
+        let process = parked.pop().unwrap_or_else(fork);
+        let sent = process.send((Arc::clone(phase), w));
+        assert!(sent.is_ok(), "a parked task process is alive");
+    }
+}
+
+/// Forks one resident task process and returns the sender it is leased
+/// through. The thread is detached on purpose — it lives as long as the
+/// process does; a phase observes its death through the [`Latch`].
+fn fork() -> mpsc::Sender<Lease> {
+    let (tx, rx) = mpsc::channel::<Lease>();
+    let me = tx.clone();
+    let k = FORKED.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    let alive = census::Alive::enter();
+    std::thread::Builder::new()
+        .name(format!("{WORKER_NAME}-{k}"))
+        .spawn(move || {
+            #[cfg(test)]
+            let _alive = alive;
+            resident(&rx, &me);
+        })
+        .expect("spawn task process");
+    tx
+}
+
+/// The life of a resident task process: wait for a lease, work the phase,
+/// park, count out, tidy up, wait again. A panic that escapes
+/// [`PhaseWork::work`] ends the thread before it parks (whatever state it
+/// left in its thread-locals goes with it); [`CountOut`] still releases
+/// the control process, and the next lease that runs short forks a
+/// replacement. Once parked a thread can be leased at any moment, so
+/// nothing after that point may end it: a lease sent to a dying thread
+/// would be lost, and its phase would wait for that worker forever.
+fn resident(leases: &mpsc::Receiver<Lease>, me: &mpsc::Sender<Lease>) {
+    while let Ok((phase, w)) = leases.recv() {
+        {
+            let _count_out = CountOut(&*phase);
+            phase.work(w);
+            // Parked *before* the latch opens, so the control process's
+            // next phase finds this thread instead of forking another.
+            relock(PARKED.lock()).push(me.clone());
+        }
+        // After the latch, off the control process's critical path: this
+        // thread's share of the phase goes, and so does the engine it kept
+        // between the phase's units — kept for the next phase it could
+        // not serve it, and would pin its share of the heap.
+        let _ = catch_unwind(AssertUnwindSafe(move || {
+            drop(phase);
+            spam::lcc::release_task_engine();
+        }));
+    }
+}
+
+/// Counts a worker out of its phase when dropped — also while unwinding.
+struct CountOut<'a>(&'a dyn PhaseWork);
+
+impl Drop for CountOut<'_> {
+    fn drop(&mut self) {
+        self.0.done(std::thread::panicking());
+    }
+}
+
+/// One running phase: everything its workers need, owned rather than
+/// borrowed, so a resident thread can hold it (module docs).
+struct Phase<T, F> {
+    task: F,
+    pool: StealPool,
+    tx: mpsc::Sender<Vec<ExecMsg<T>>>,
+    plan: FaultPlan,
+    deadline: Option<Duration>,
+    rec: Arc<Recorder>,
+    live: Arc<Live>,
+    scene: Option<SceneSpan>,
+    start: Instant,
+    /// Per worker: seconds until it picked the phase up, and its final
+    /// statistics. Written once, before the worker counts out.
+    filed: Vec<Mutex<(f64, WorkerStats)>>,
+    latch: Latch,
+}
+
+impl<T, F> PhaseWork for Phase<T, F>
+where
+    T: Send + 'static,
+    F: Fn(TaskAttempt) -> T + Send + Sync + 'static,
+{
+    fn work(&self, w: usize) {
+        // The worker's clock. Read at task boundaries only: twice per task
+        // (start, finish) and once per acquired job.
+        #[cfg(test)]
+        let reads = std::cell::Cell::new(0u64);
+        let now = || {
+            #[cfg(test)]
+            reads.set(reads.get() + 1);
+            Instant::now()
+        };
+        let picked_up = now();
+        let scene = self.scene.as_ref();
+        // The worker is `psm-task-{w}` to every observer, whichever
+        // resident thread it runs on. Its sink is private to the phase and
+        // flushes on drop, before the worker counts out.
+        let name = format!("{WORKER_NAME}-{w}");
+        let mut sink = self.rec.sink(name.as_str());
+        if let Some(sc) = scene {
+            // Tag recorder events with the scene's trace id so
+            // flight-recorder output joins against the retained span trees.
+            sink.set_trace(sc.trace_id());
+        }
+        // And a private live shard, with its series keys built once — the
+        // per-attempt emits must not allocate.
+        let wh = self.live.handle();
+        let worker = w.to_string();
+        let key = |family: &str| series_key(family, &[("worker", &worker)]);
+        let busy_key = key("spam_live_worker_busy_us");
+        let tasks_key = key("spam_live_worker_tasks");
+        let steals_key = key("spam_live_worker_steals");
+        let overflow_key = key("spam_live_worker_overflow");
+        let mut my = WorkerStats::default();
+        // When this worker last became free: the next task's `queued`.
+        let mut free = picked_up;
+        // Completions not yet handed to the control loop.
+        let mut held: Vec<ExecMsg<T>> = Vec::new();
+        while let Some((job, source)) = self
+            .pool
+            .acquire(w, &mut my.steal_misses, || hand_over(&self.tx, &mut held))
+        {
+            // Inside a chunk, a task's `acquired` is the previous finish.
+            let mut acquired = now();
+            let n = job.tasks.len() as u64;
+            let attempt = job.attempt;
+            let stolen_from = match source {
+                Source::Own => None,
+                Source::Overflow => {
+                    my.overflow_taken += n;
+                    if wh.enabled() {
+                        wh.inc(&overflow_key, n);
+                    }
+                    None
+                }
+                Source::Stolen(victim) => {
+                    my.stolen += n;
+                    if wh.enabled() {
+                        wh.inc(&steals_key, n);
+                    }
+                    Some(victim)
+                }
+            };
+            for i in job.tasks {
+                if let Some(victim) = stolen_from.filter(|_| sink.enabled(ObsLevel::Full)) {
+                    sink.instant(
+                        Category::Task,
+                        "task.steal",
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("victim", (victim as u64).into()),
+                            ("thief", (w as u64).into()),
+                        ],
+                    );
+                }
+                if sink.enabled(ObsLevel::Full) {
+                    sink.begin(
+                        Category::Task,
+                        format!("task.exec t{i}"),
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("attempt", (attempt as u64).into()),
+                            ("stolen", u64::from(stolen_from.is_some()).into()),
+                        ],
+                    );
+                }
+                // Derive this attempt's span id up front: the sink handed
+                // to the task parents engine/recovery spans under it, and
+                // the span itself is recorded below once the outcome is
+                // known.
+                let attempt_span = scene.map(|sc| {
+                    (
+                        SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt)),
+                        sc.now_us(),
+                    )
+                });
+                let invocation = TaskAttempt {
+                    task: i,
+                    attempt,
+                    trace: scene
+                        .zip(attempt_span)
+                        .map(|(sc, (span, _))| sc.sink_under(span)),
+                };
+                let started = now();
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    if self.plan.task_panics(i, attempt) {
+                        panic!("injected fault: task {i} attempt {attempt}");
+                    }
+                    (self.task)(invocation)
+                }))
+                .map_err(payload_to_string);
+                let finished = now();
+                let elapsed = finished.duration_since(started);
+                if sink.enabled(ObsLevel::Full) {
+                    sink.end(
+                        Category::Task,
+                        format!("task.exec t{i}"),
+                        vec![("ok", u64::from(result.is_ok()).into())],
+                    );
+                }
+                if let (Some(sc), Some((span, start_us))) = (scene, attempt_span) {
+                    sc.record_span(SpanRecord {
+                        id: span,
+                        parent: Some(sc.root()),
+                        kind: SpanKind::Task,
+                        name: format!("task.exec t{i} a{attempt}"),
+                        worker: name.clone(),
+                        start_us,
+                        end_us: sc.now_us(),
+                        error: result.as_ref().err().cloned(),
+                    });
+                }
+                if wh.enabled() {
+                    wh.inc(&busy_key, elapsed.as_micros() as u64);
+                    wh.inc(&tasks_key, 1);
+                }
+                my.executed += 1;
+                my.busy_s += elapsed.as_secs_f64();
+                // What the control loop will rule a failure: its retry (or
+                // dead letter) must not wait for the batch to fill.
+                let failed = result.is_err() || self.deadline.is_some_and(|d| elapsed > d);
+                held.push(ExecMsg {
+                    task: i,
+                    attempt,
+                    worker: w,
+                    stolen: stolen_from.is_some(),
+                    result,
+                    queued: free,
+                    acquired,
+                    started,
+                    finished,
+                });
+                if failed || held.len() >= COMPLETION_BATCH {
+                    hand_over(&self.tx, &mut held);
+                }
+                free = finished;
+                acquired = finished;
+            }
+        }
+        #[cfg(test)]
+        {
+            my.clock_reads = reads.get();
+        }
+        let ready_s = picked_up.duration_since(self.start).as_secs_f64();
+        *relock(self.filed[w].lock()) = (ready_s, my);
+    }
+
+    fn done(&self, died: bool) {
+        self.latch.count_down(died);
     }
 }
 
@@ -588,7 +972,7 @@ enum FailKind {
 fn control_marker(
     sc: &SceneSpan,
     kind: &str,
-    (task, attempt): Job,
+    (task, attempt): (usize, u32),
     detail: &str,
     error: Option<String>,
 ) {
@@ -606,7 +990,8 @@ fn control_marker(
 }
 
 /// Runs `labels.len()` tasks as supervised jobs on the pool `how`
-/// describes (module docs: placement, supervision, observers).
+/// describes (module docs: resident task processes, placement,
+/// supervision, observers).
 ///
 /// Returns one `Option<T>` slot per task (in task order; `None` marks a
 /// dead-lettered task), the [`TaskReport`], and the measured
@@ -619,6 +1004,10 @@ fn control_marker(
 /// thread once per successful task, before the task's epoch closes —
 /// callers mirror task results (work counters, SLO latency observations)
 /// into the observers from there.
+///
+/// `task` and its result are `'static` because the workers are resident
+/// threads, not scoped ones: a caller shares its inputs by `Arc` (every
+/// SPAM input already is one) instead of lending them.
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index (the [`TaskAttempt`] carries the
@@ -635,12 +1024,12 @@ fn control_marker(
 /// of placement, worker count, steal order or scheduling noise — because
 /// every result lands in its task's slot and merging is slot-ordered; only
 /// the *schedule* in the [`ExecReport`] is machine-dependent.
-pub fn execute<T: Send>(
+pub fn execute<T: Send + 'static>(
     how: &PhaseRun<'_>,
     labels: Vec<String>,
     estimates: &[u64],
     on_complete: impl Fn(usize, &T),
-    task: impl Fn(TaskAttempt) -> T + Sync,
+    task: impl Fn(TaskAttempt) -> T + Send + Sync + 'static,
 ) -> Result<(Vec<Option<T>>, TaskReport, ExecReport), SuperviseError> {
     let PhaseRun {
         exec,
@@ -652,12 +1041,95 @@ pub fn execute<T: Send>(
     if exec.workers == 0 {
         return Err(SuperviseError::NoWorkers);
     }
+    let n_tasks = labels.len();
+    if n_tasks == 0 {
+        let report = TaskReport { outcomes: vec![] };
+        return Ok((Vec::new(), report, ExecReport::default()));
+    }
     // A disabled scene handle records nothing; drop it so the hot path
     // sees one branch.
     let scene = obs.span.filter(|sc| sc.enabled());
     install_quiet_hook();
     let phase_start = Instant::now();
-    let n_tasks = labels.len();
+    let n_workers = exec.workers.min(n_tasks);
+    #[cfg(test)]
+    let _demand = census::Demand::enter(n_workers);
+
+    // The control process registers with the recorder first, then wakes
+    // the task processes: their wake-up (or fork) overlaps the chunking and
+    // the deal below.
+    let mut ctl = rec.sink("executor");
+    let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
+    let phase = Arc::new(Phase {
+        task,
+        pool: StealPool::new(n_workers),
+        tx,
+        plan: plan.clone(),
+        deadline: cfg.deadline,
+        rec: Arc::clone(rec),
+        live: Arc::clone(live),
+        scene: scene.cloned(),
+        start: phase_start,
+        filed: (0..n_workers).map(|_| Mutex::default()).collect(),
+        latch: Latch::new(n_workers),
+    });
+    lease(&(Arc::clone(&phase) as Arc<dyn PhaseWork>), n_workers);
+    let pool = &phase.pool;
+
+    // Dynamic chunking + round-robin distribution: contiguous chunks of
+    // tasks dealt whole across the bounded deques; spill goes to the
+    // shared overflow queue, in task order. The deal is private until it
+    // is published, with one wake-up.
+    let uniform;
+    let est = if estimates.len() == n_tasks {
+        estimates
+    } else {
+        uniform = vec![1u64; n_tasks];
+        &uniform
+    };
+    let chunks = chunk_tasks(est, exec.chunk_target);
+    let n_chunks = chunks.len() as u64;
+    let mut dealt = vec![VecDeque::new(); n_workers];
+    let mut spilled = VecDeque::new();
+    let mut deque_fill = vec![0usize; n_workers];
+    let mut overflowed = 0u64;
+    if ctl.enabled(ObsLevel::Summary) {
+        ctl.begin(
+            Category::Supervisor,
+            "exec.phase",
+            vec![
+                ("tasks", (n_tasks as u64).into()),
+                ("workers", (n_workers as u64).into()),
+                ("chunks", n_chunks.into()),
+            ],
+        );
+    }
+    for (c, chunk) in chunks.into_iter().enumerate() {
+        let w = c % n_workers;
+        let queue = if deque_fill[w] < exec.deque_capacity {
+            deque_fill[w] += chunk.len();
+            &mut dealt[w]
+        } else {
+            overflowed += chunk.len() as u64;
+            if ctl.enabled(ObsLevel::Full) {
+                for i in chunk.clone() {
+                    ctl.instant(
+                        Category::Task,
+                        "exec.overflow",
+                        vec![("task", (i as u64).into())],
+                    );
+                }
+            }
+            &mut spilled
+        };
+        queue.push_back(Job {
+            tasks: chunk,
+            attempt: 0,
+        });
+    }
+    pool.publish(dealt, spilled);
+
+    // The control process's own books, set up while the workers start.
     let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
     let mut outcomes: Vec<TaskOutcome> = labels
         .into_iter()
@@ -673,65 +1145,12 @@ pub fn execute<T: Send>(
             error: None,
         })
         .collect();
-    if n_tasks == 0 {
-        return Ok((slots, TaskReport { outcomes }, ExecReport::default()));
-    }
-    let n_workers = exec.workers.min(n_tasks);
-
-    // Dynamic chunking + round-robin distribution: contiguous chunks of
-    // tasks (batched WME arrival) dealt across the bounded deques; spill
-    // goes to the shared overflow queue, in task order.
-    let uniform = vec![1u64; n_tasks];
-    let est = if estimates.len() == n_tasks {
-        estimates
-    } else {
-        &uniform
-    };
-    let chunks = chunk_tasks(est, exec.chunk_target);
-    let pool = StealPool::new(n_workers);
-    let mut deque_fill = vec![0usize; n_workers];
-    let mut overflowed = 0u64;
-    let mut ctl = rec.sink("executor");
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.begin(
-            Category::Supervisor,
-            "exec.phase",
-            vec![
-                ("tasks", (n_tasks as u64).into()),
-                ("workers", (n_workers as u64).into()),
-                ("chunks", (chunks.len() as u64).into()),
-            ],
-        );
-    }
-    for (c, chunk) in chunks.iter().enumerate() {
-        let w = c % n_workers;
-        for i in chunk.clone() {
-            if deque_fill[w] < exec.deque_capacity {
-                pool.seed_local(w, (i, 0));
-                deque_fill[w] += 1;
-            } else {
-                pool.push_overflow((i, 0));
-                overflowed += 1;
-                if ctl.enabled(ObsLevel::Full) {
-                    ctl.instant(
-                        Category::Task,
-                        "exec.overflow",
-                        vec![("task", (i as u64).into())],
-                    );
-                }
-            }
-        }
-    }
-
-    let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
-    let stats: Vec<Mutex<WorkerStats>> = (0..n_workers)
-        .map(|_| Mutex::new(WorkerStats::default()))
-        .collect();
-    let spawn_ready: Vec<Mutex<f64>> = (0..n_workers).map(|_| Mutex::new(0.0)).collect();
     let mut last_fail: Vec<Option<FailKind>> = vec![None; n_tasks];
     let mut first_start: Vec<Option<Instant>> = vec![None; n_tasks];
     let mut remaining = n_tasks;
     let mut attempts_log: Vec<ExecAttempt> = Vec::with_capacity(n_tasks);
+    // Retries whose backoff is not over yet, earliest due first.
+    let mut backing_off: BinaryHeap<Reverse<(Instant, usize, u32)>> = BinaryHeap::new();
     let ctl_live = live.handle();
     // A terminal decision (success or dead letter) closes the task's epoch.
     let close_epoch = || {
@@ -741,332 +1160,190 @@ pub fn execute<T: Send>(
         }
     };
 
-    std::thread::scope(|s| {
-        for w in 0..n_workers {
-            let tx = tx.clone();
-            let pool = &pool;
-            let task = &task;
-            let stats = &stats;
-            let spawn_ready = &spawn_ready;
-            let name = format!("{WORKER_NAME}-{w}");
-            std::thread::Builder::new()
-                .name(name.clone())
-                .spawn_scoped(s, move || {
-                    // Each worker owns a private sink; it flushes on drop
-                    // when the pool closes and the thread exits.
-                    let mut sink = rec.sink(name.as_str());
-                    if let Some(sc) = scene {
-                        // Tag recorder events with the scene's trace id so
-                        // flight-recorder output joins against the retained
-                        // span trees.
-                        sink.set_trace(sc.trace_id());
+    // Control process: collect attempts (workers report them in batches,
+    // `COMPLETION_BATCH`), decide retries, fill slots.
+    let mut inbox = Vec::new().into_iter();
+    while remaining > 0 {
+        let Some(msg) = inbox.next() else {
+            // Between batches: re-enqueue the retries that are due, then
+            // wait for the next batch — no longer than until the next
+            // retry is. The phase holds a sender, so the channel cannot
+            // disconnect under the wait.
+            let batch = if backing_off.is_empty() {
+                rx.recv().ok()
+            } else {
+                let now = Instant::now();
+                while let Some(&Reverse((due, i, next))) = backing_off.peek() {
+                    if due > now {
+                        break;
                     }
-                    // And a private live shard, with its series keys built
-                    // once — the per-attempt emits must not allocate.
-                    let wh = live.handle();
-                    let worker = w.to_string();
-                    let key = |family: &str| series_key(family, &[("worker", &worker)]);
-                    let busy_key = key("spam_live_worker_busy_us");
-                    let tasks_key = key("spam_live_worker_tasks");
-                    let steals_key = key("spam_live_worker_steals");
-                    let overflow_key = key("spam_live_worker_overflow");
-                    *relock(spawn_ready[w].lock()) = phase_start.elapsed().as_secs_f64();
-                    let mut my = WorkerStats::default();
-                    let mut queued = Instant::now();
-                    // Completions not yet handed to the control loop.
-                    let mut held: Vec<ExecMsg<T>> = Vec::new();
-                    while let Some(((i, attempt), source)) =
-                        pool.acquire(w, &mut my.steal_misses, || hand_over(&tx, &mut held))
-                    {
-                        let acquired = Instant::now();
-                        match source {
-                            Source::Own => {}
-                            Source::Overflow => {
-                                my.overflow_taken += 1;
-                                if wh.enabled() {
-                                    wh.inc(&overflow_key, 1);
-                                }
-                            }
-                            Source::Stolen(victim) => {
-                                my.stolen += 1;
-                                if wh.enabled() {
-                                    wh.inc(&steals_key, 1);
-                                }
-                                if sink.enabled(ObsLevel::Full) {
-                                    sink.instant(
-                                        Category::Task,
-                                        "task.steal",
-                                        vec![
-                                            ("task", (i as u64).into()),
-                                            ("victim", (victim as u64).into()),
-                                            ("thief", (w as u64).into()),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                        if sink.enabled(ObsLevel::Full) {
-                            sink.begin(
-                                Category::Task,
-                                format!("task.exec t{i}"),
-                                vec![
-                                    ("task", (i as u64).into()),
-                                    ("attempt", (attempt as u64).into()),
-                                    (
-                                        "stolen",
-                                        u64::from(matches!(source, Source::Stolen(_))).into(),
-                                    ),
-                                ],
-                            );
-                        }
-                        // Derive this attempt's span id up front: the sink
-                        // handed to the task parents engine/recovery spans
-                        // under it, and the span itself is recorded below
-                        // once the outcome is known.
-                        let attempt_span = scene.map(|sc| {
-                            (
-                                SpanId::derive(
-                                    sc.trace_id(),
-                                    "task.exec",
-                                    i as u64,
-                                    u64::from(attempt),
-                                ),
-                                sc.now_us(),
-                            )
-                        });
-                        let invocation = TaskAttempt {
-                            task: i,
-                            attempt,
-                            trace: scene
-                                .zip(attempt_span)
-                                .map(|(sc, (span, _))| sc.sink_under(span)),
-                        };
-                        let start = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if plan.task_panics(i, attempt) {
-                                panic!("injected fault: task {i} attempt {attempt}");
-                            }
-                            task(invocation)
-                        }))
-                        .map_err(payload_to_string);
-                        if sink.enabled(ObsLevel::Full) {
-                            sink.end(
-                                Category::Task,
-                                format!("task.exec t{i}"),
-                                vec![("ok", u64::from(result.is_ok()).into())],
-                            );
-                        }
-                        let elapsed = start.elapsed();
-                        if let (Some(sc), Some((span, start_us))) = (scene, attempt_span) {
-                            sc.record_span(SpanRecord {
-                                id: span,
-                                parent: Some(sc.root()),
-                                kind: SpanKind::Task,
-                                name: format!("task.exec t{i} a{attempt}"),
-                                worker: name.clone(),
-                                start_us,
-                                end_us: sc.now_us(),
-                                error: result.as_ref().err().cloned(),
-                            });
-                        }
-                        if wh.enabled() {
-                            wh.inc(&busy_key, elapsed.as_micros() as u64);
-                            wh.inc(&tasks_key, 1);
-                        }
-                        my.executed += 1;
-                        my.busy_s += elapsed.as_secs_f64();
-                        // What the control loop will rule a failure: its
-                        // retry (or dead letter) must not wait for the
-                        // batch to fill.
-                        let failed = result.is_err() || cfg.deadline.is_some_and(|d| elapsed > d);
-                        held.push(ExecMsg {
-                            task: i,
-                            attempt,
-                            worker: w,
-                            stolen: matches!(source, Source::Stolen(_)),
-                            result,
-                            queued,
-                            acquired,
-                            started: start,
-                            elapsed,
-                        });
-                        if failed || held.len() >= COMPLETION_BATCH {
-                            hand_over(&tx, &mut held);
-                        }
-                        queued = Instant::now();
-                    }
-                    *relock(stats[w].lock()) = my;
-                })
-                .expect("spawn task worker");
-        }
-        drop(tx);
-
-        // Control process: collect attempts (workers report them in
-        // batches, `COMPLETION_BATCH`), decide retries, fill slots.
-        let mut inbox = Vec::new().into_iter();
-        while remaining > 0 {
-            let Some(msg) = inbox.next() else {
-                inbox = rx
-                    .recv()
-                    .expect("workers alive while tasks outstanding")
-                    .into_iter();
-                continue;
-            };
-            let i = msg.task;
-            if msg.attempt == 0 {
-                first_start[i] = Some(msg.started);
-                outcomes[i].queue_wait = msg.started.duration_since(phase_start);
-            } else if let Some(first) = first_start[i] {
-                outcomes[i].retry_latency = msg.started.duration_since(first);
-            }
-            let off = |t: Instant| t.duration_since(phase_start).as_secs_f64();
-            let mut attempt_rec = ExecAttempt {
-                task: i,
-                attempt: msg.attempt,
-                worker: msg.worker,
-                stolen: msg.stolen,
-                queued_s: off(msg.queued),
-                acquired_s: off(msg.acquired),
-                started_s: off(msg.started),
-                finished_s: off(msg.started) + msg.elapsed.as_secs_f64(),
-                ok: false,
-            };
-            let o = &mut outcomes[i];
-            o.attempts = msg.attempt + 1;
-            o.elapsed = msg.elapsed;
-            let failure = match msg.result {
-                Err(err) => {
-                    last_fail[i] = Some(FailKind::Panic);
-                    Some(err)
+                    backing_off.pop();
+                    pool.push_overflow(Job::retry(i, next));
                 }
-                Ok(value) => match cfg.deadline {
-                    Some(d) if msg.elapsed > d => {
-                        last_fail[i] = Some(FailKind::Deadline);
-                        if ctl.enabled(ObsLevel::Full) {
-                            ctl.instant(
-                                Category::Supervisor,
-                                "task.deadline",
-                                vec![
-                                    ("task", (i as u64).into()),
-                                    ("attempt", (msg.attempt as u64).into()),
-                                    ("elapsed_s", msg.elapsed.as_secs_f64().into()),
-                                ],
-                            );
-                        }
-                        Some(format!(
-                            "deadline exceeded: {:.1?} > {:.1?}; result discarded",
-                            msg.elapsed, d
-                        ))
-                    }
-                    _ => {
-                        if ctl_live.enabled() {
-                            ctl_live.inc("spam_live_tasks_completed", 1);
-                            ctl_live
-                                .observe(tlp_obs::TASK_LATENCY_FAMILY, msg.elapsed.as_secs_f64());
-                        }
-                        // Mirror the task's result before its epoch closes,
-                        // so caller-side series land in the window of the
-                        // task that produced them.
-                        on_complete(i, &value);
-                        close_epoch();
-                        slots[i] = Some(value);
-                        o.status = if msg.attempt == 0 {
-                            TaskStatus::Ok
-                        } else {
-                            TaskStatus::Retried(msg.attempt)
-                        };
-                        o.error = None;
-                        remaining -= 1;
-                        if ctl.enabled(ObsLevel::Full) {
-                            ctl.instant(
-                                Category::Task,
-                                "task.complete",
-                                vec![
-                                    ("task", (i as u64).into()),
-                                    ("attempts", ((msg.attempt + 1) as u64).into()),
-                                ],
-                            );
-                        }
-                        None
-                    }
-                },
+                match backing_off.peek() {
+                    Some(&Reverse((due, ..))) => rx.recv_timeout(due - now).ok(),
+                    None => rx.recv().ok(),
+                }
             };
-            attempt_rec.ok = failure.is_none();
-            attempts_log.push(attempt_rec);
-            if let Some(err) = failure {
-                o.error = Some(err);
-                if msg.attempt < cfg.max_retries {
-                    // The retry re-enters at the back of the shared
-                    // overflow queue (cold by definition). Linear backoff
-                    // delays the *re-enqueue* on a timer thread — a worker
-                    // sleeping through it would stall a pool slot that
-                    // could be running other queued work.
-                    let next = msg.attempt + 1;
-                    let delay = cfg.backoff * next;
-                    if delay.is_zero() {
-                        pool.push_overflow((i, next));
-                    } else {
-                        let pool = &pool;
-                        s.spawn(move || {
-                            std::thread::sleep(delay);
-                            pool.push_overflow((i, next));
-                        });
-                    }
-                    ctl_live.inc("spam_live_task_retries", 1);
-                    if let Some(sc) = scene {
-                        sc.tracing().note_retry(sc.trace_id());
-                        let to = format!(" a{next}");
-                        control_marker(sc, "supervisor.retry", (i, msg.attempt), &to, None);
-                    }
+            inbox = batch.unwrap_or_default().into_iter();
+            continue;
+        };
+        let i = msg.task;
+        let elapsed = msg.finished.duration_since(msg.started);
+        if msg.attempt == 0 {
+            first_start[i] = Some(msg.started);
+            outcomes[i].queue_wait = msg.started.duration_since(phase_start);
+        } else if let Some(first) = first_start[i] {
+            outcomes[i].retry_latency = msg.started.duration_since(first);
+        }
+        let off = |t: Instant| t.duration_since(phase_start).as_secs_f64();
+        let mut attempt_rec = ExecAttempt {
+            task: i,
+            attempt: msg.attempt,
+            worker: msg.worker,
+            stolen: msg.stolen,
+            queued_s: off(msg.queued),
+            acquired_s: off(msg.acquired),
+            started_s: off(msg.started),
+            finished_s: off(msg.finished),
+            ok: false,
+        };
+        let o = &mut outcomes[i];
+        o.attempts = msg.attempt + 1;
+        o.elapsed = elapsed;
+        let failure = match msg.result {
+            Err(err) => {
+                last_fail[i] = Some(FailKind::Panic);
+                Some(err)
+            }
+            Ok(value) => match cfg.deadline {
+                Some(d) if elapsed > d => {
+                    last_fail[i] = Some(FailKind::Deadline);
                     if ctl.enabled(ObsLevel::Full) {
                         ctl.instant(
                             Category::Supervisor,
-                            "supervisor.retry",
+                            "task.deadline",
                             vec![
                                 ("task", (i as u64).into()),
-                                ("next_attempt", (next as u64).into()),
+                                ("attempt", (msg.attempt as u64).into()),
+                                ("elapsed_s", elapsed.as_secs_f64().into()),
                             ],
                         );
                     }
-                } else {
-                    o.status = match last_fail[i] {
-                        Some(FailKind::Deadline) => TaskStatus::TimedOut,
-                        _ => TaskStatus::Panicked,
-                    };
-                    ctl_live.inc("spam_live_dead_letters", 1);
-                    if let Some(sc) = scene {
-                        sc.tracing().note_dead_letter(sc.trace_id());
-                        let (job, error) = ((i, msg.attempt), o.error.clone());
-                        control_marker(sc, "supervisor.dead_letter", job, "", error);
+                    Some(format!(
+                        "deadline exceeded: {elapsed:.1?} > {d:.1?}; result discarded"
+                    ))
+                }
+                _ => {
+                    if ctl_live.enabled() {
+                        ctl_live.inc("spam_live_tasks_completed", 1);
+                        ctl_live.observe(tlp_obs::TASK_LATENCY_FAMILY, elapsed.as_secs_f64());
                     }
-                    if let Some(slo) = slo {
-                        // A dead letter is a breach: the work never
-                        // completed, so it burns error budget.
-                        slo.observe(msg.elapsed.as_secs_f64(), false);
-                    }
+                    // Mirror the task's result before its epoch closes,
+                    // so caller-side series land in the window of the
+                    // task that produced them.
+                    on_complete(i, &value);
                     close_epoch();
+                    slots[i] = Some(value);
+                    o.status = if msg.attempt == 0 {
+                        TaskStatus::Ok
+                    } else {
+                        TaskStatus::Retried(msg.attempt)
+                    };
+                    o.error = None;
                     remaining -= 1;
                     if ctl.enabled(ObsLevel::Full) {
                         ctl.instant(
-                            Category::Supervisor,
-                            "supervisor.dead_letter",
+                            Category::Task,
+                            "task.complete",
                             vec![
                                 ("task", (i as u64).into()),
                                 ("attempts", ((msg.attempt + 1) as u64).into()),
                             ],
                         );
                     }
+                    None
+                }
+            },
+        };
+        attempt_rec.ok = failure.is_none();
+        attempts_log.push(attempt_rec);
+        if let Some(err) = failure {
+            o.error = Some(err);
+            if msg.attempt < cfg.max_retries {
+                // The retry re-enters at the back of the shared overflow
+                // queue (cold by definition) once its linear backoff is
+                // over. The control loop holds it until then — a worker
+                // sleeping through the delay would stall a pool slot that
+                // could be running other queued work.
+                let next = msg.attempt + 1;
+                let delay = cfg.backoff * next;
+                if delay.is_zero() {
+                    pool.push_overflow(Job::retry(i, next));
+                } else {
+                    backing_off.push(Reverse((Instant::now() + delay, i, next)));
+                }
+                ctl_live.inc("spam_live_task_retries", 1);
+                if let Some(sc) = scene {
+                    sc.tracing().note_retry(sc.trace_id());
+                    let to = format!(" a{next}");
+                    control_marker(sc, "supervisor.retry", (i, msg.attempt), &to, None);
+                }
+                if ctl.enabled(ObsLevel::Full) {
+                    ctl.instant(
+                        Category::Supervisor,
+                        "supervisor.retry",
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("next_attempt", (next as u64).into()),
+                        ],
+                    );
+                }
+            } else {
+                o.status = match last_fail[i] {
+                    Some(FailKind::Deadline) => TaskStatus::TimedOut,
+                    _ => TaskStatus::Panicked,
+                };
+                ctl_live.inc("spam_live_dead_letters", 1);
+                if let Some(sc) = scene {
+                    sc.tracing().note_dead_letter(sc.trace_id());
+                    let (job, error) = ((i, msg.attempt), o.error.clone());
+                    control_marker(sc, "supervisor.dead_letter", job, "", error);
+                }
+                if let Some(slo) = slo {
+                    // A dead letter is a breach: the work never
+                    // completed, so it burns error budget.
+                    slo.observe(elapsed.as_secs_f64(), false);
+                }
+                close_epoch();
+                remaining -= 1;
+                if ctl.enabled(ObsLevel::Full) {
+                    ctl.instant(
+                        Category::Supervisor,
+                        "supervisor.dead_letter",
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("attempts", ((msg.attempt + 1) as u64).into()),
+                        ],
+                    );
                 }
             }
-            ctl_live.gauge("spam_live_queue_depth", remaining as f64);
         }
-        pool.close();
-    });
+        ctl_live.gauge("spam_live_queue_depth", remaining as f64);
+    }
+    pool.close();
+    // Every worker has flushed its sink and filed its statistics once the
+    // latch opens — what joining the scoped threads used to guarantee.
+    let died = phase.latch.wait();
+    assert!(!died, "a task process died outside supervision");
 
+    let (spawn_ready_s, workers) = (phase.filed.iter())
+        .map(|cell| *relock(cell.lock()))
+        .unzip();
     let report = ExecReport {
-        workers: stats.into_iter().map(unlock).collect(),
-        spawn_ready_s: spawn_ready.into_iter().map(unlock).collect(),
-        chunks: chunks.len() as u64,
+        workers,
+        spawn_ready_s,
+        chunks: n_chunks,
         overflowed,
         wall_s: phase_start.elapsed().as_secs_f64(),
         lost_tasks: outcomes.iter().filter(|o| !o.status.succeeded()).count() as u32,
@@ -1092,6 +1369,59 @@ pub fn execute<T: Send>(
     Ok((slots, TaskReport { outcomes }, report))
 }
 
+/// Test-only census of the registry: how many resident threads are alive,
+/// and the most workers any set of concurrent [`execute`] calls has asked
+/// for — the bound the registry must never outgrow.
+#[cfg(test)]
+mod census {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static ALIVE: AtomicUsize = AtomicUsize::new(0);
+    static DEMAND: AtomicUsize = AtomicUsize::new(0);
+    static PEAK_DEMAND: AtomicUsize = AtomicUsize::new(0);
+
+    pub(super) fn resident_threads() -> usize {
+        ALIVE.load(Ordering::SeqCst)
+    }
+
+    pub(super) fn peak_demand() -> usize {
+        PEAK_DEMAND.load(Ordering::SeqCst)
+    }
+
+    /// A resident thread, from fork to exit (also by panic).
+    pub(super) struct Alive;
+
+    impl Alive {
+        pub(super) fn enter() -> Alive {
+            ALIVE.fetch_add(1, Ordering::SeqCst);
+            Alive
+        }
+    }
+
+    impl Drop for Alive {
+        fn drop(&mut self) {
+            ALIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// One phase's workers, from before its lease until after its latch.
+    pub(super) struct Demand(usize);
+
+    impl Demand {
+        pub(super) fn enter(n: usize) -> Demand {
+            let now = DEMAND.fetch_add(n, Ordering::SeqCst) + n;
+            PEAK_DEMAND.fetch_max(now, Ordering::SeqCst);
+            Demand(n)
+        }
+    }
+
+    impl Drop for Demand {
+        fn drop(&mut self) {
+            DEMAND.fetch_sub(self.0, Ordering::SeqCst);
+        }
+    }
+}
+
 /// Both placements at `workers` threads, named, for tests that hold the
 /// runner's contract on each.
 #[cfg(test)]
@@ -1107,9 +1437,9 @@ mod tests {
     //! One contract, two placements: every supervision and observability
     //! test runs on the central queue and on the chunked deques. Tests of
     //! the pool's own mechanics (chunking, batching, stealing, poisoning)
-    //! follow.
+    //! and of the resident registry's phase-boundary protocol follow.
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicBool;
     use tlp_obs::{Health, LiveValue, SloConfig};
 
     fn labels(n: usize) -> Vec<String> {
@@ -1135,8 +1465,12 @@ mod tests {
     type Ran<T> = (Vec<Option<T>>, TaskReport, ExecReport);
 
     /// `n` tasks under `how`, the task a function of its index alone.
-    fn run<T: Send>(how: &PhaseRun<'_>, n: usize, task: impl Fn(usize) -> T + Sync) -> Ran<T> {
-        execute(how, labels(n), &[], |_, _| {}, |a| task(a.task)).unwrap()
+    fn run<T: Send + 'static>(
+        how: &PhaseRun<'_>,
+        n: usize,
+        task: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> Ran<T> {
+        execute(how, labels(n), &[], |_, _| {}, move |a| task(a.task)).unwrap()
     }
 
     fn executed(exec: &ExecReport) -> u64 {
@@ -1280,6 +1614,10 @@ mod tests {
             // the backoff (5 ms); the clean tasks report zero.
             assert!(report.outcomes[1].retry_latency >= Duration::from_millis(5));
             assert_eq!(report.outcomes[0].retry_latency, Duration::ZERO, "{name}");
+            // The report's totals: one retry, nothing lost.
+            assert_eq!(report.total_retries(), 1, "{name}");
+            assert_eq!(report.succeeded(), 3, "{name}");
+            assert!(report.dead_letters().is_empty(), "{name}");
             let text = report.display(true).to_string();
             assert!(text.contains("queue-wait"), "{name}: {text}");
         }
@@ -1324,30 +1662,44 @@ mod tests {
 
     #[test]
     fn retry_backoff_delays_the_reenqueue_not_a_worker() {
-        // Regression, once per placement: the backoff used to be slept by
-        // the worker after popping the retry, stalling a pool slot for the
-        // whole delay while other tasks were queued. The control loop
-        // delays the re-enqueue instead, so the backoff is queue time
-        // (queued→acquired), not dequeue time (acquired→started).
-        for (name, exec) in placements(3) {
-            let plan = FaultPlan::none().with_task_panic(0, 1);
-            let cfg = retries(1).with_backoff(Duration::from_millis(40));
-            let (slots, report, exec) = run(&under(exec, cfg, plan), 1, |i| i);
-            assert_eq!(slots[0], Some(0), "{name}");
-            assert!(report.outcomes[0].retry_latency >= Duration::from_millis(40));
-            let retry = (exec.attempts.iter())
-                .find(|a| a.attempt == 1)
-                .expect("retry attempt recorded");
-            assert!(
-                retry.acquired_s - retry.queued_s >= 0.035,
-                "{name}: backoff must surface as queue wait, got {:.4}s",
-                retry.acquired_s - retry.queued_s
-            );
-            assert!(
-                retry.started_s - retry.acquired_s < 0.020,
-                "{name}: no worker may sleep through the backoff, got {:.4}s",
-                retry.started_s - retry.acquired_s
-            );
+        // Regression, per placement and with one worker or several: the
+        // backoff used to be slept by the worker after popping the retry,
+        // stalling a pool slot for the whole delay while other tasks were
+        // queued. The control loop holds the retry until it is due instead
+        // (no timer thread either), so the backoff is queue time
+        // (queued→acquired), not dequeue time (acquired→started), and the
+        // rest of the phase does not wait for it.
+        for workers in [1, 3] {
+            for (name, exec) in placements(workers) {
+                let plan = FaultPlan::none().with_task_panic(0, 1);
+                let cfg = retries(1).with_backoff(Duration::from_millis(40));
+                let (slots, report, exec) = run(&under(exec, cfg, plan), 4, |i| i);
+                assert_eq!(slots, [Some(0), Some(1), Some(2), Some(3)], "{name}");
+                assert!(report.outcomes[0].retry_latency >= Duration::from_millis(40));
+                let attempt_of_t0 = |k: u32| {
+                    (exec.attempts.iter())
+                        .find(|a| a.task == 0 && a.attempt == k)
+                        .expect("attempt recorded")
+                };
+                let (first, retry) = (attempt_of_t0(0), attempt_of_t0(1));
+                assert!(
+                    retry.acquired_s - first.finished_s >= 0.040,
+                    "{name}: the retry re-entered {:.4}s after its failure, before its delay",
+                    retry.acquired_s - first.finished_s
+                );
+                assert!(
+                    retry.started_s - retry.acquired_s < 0.020,
+                    "{name}: no worker may sleep through the backoff, got {:.4}s",
+                    retry.started_s - retry.acquired_s
+                );
+                for a in exec.attempts.iter().filter(|a| a.task != 0) {
+                    assert!(
+                        a.finished_s < retry.acquired_s,
+                        "{name}: t{} waited for the backoff",
+                        a.task
+                    );
+                }
+            }
         }
     }
 
@@ -1628,8 +1980,44 @@ mod tests {
             seen.sort_unstable();
             seen.dedup();
             assert_eq!(seen.len() as u64, executed(&exec), "no attempt twice");
+            assert_attempts_are_ordered(&exec);
             assert_books_close(&exec);
             assert!(exec.timeline("batched").coverage() > 0.999);
+            // The shared clock's budget: two reads per attempt, one per
+            // acquired job (a chunk, or a retry), one per worker's pick-up.
+            let reads: u64 = exec.workers.iter().map(|w| w.clock_reads).sum();
+            let jobs = exec.chunks + retries;
+            let workers = exec.workers.len() as u64;
+            assert_eq!(reads, 2 * executed(&exec) + jobs + workers);
+        }
+    }
+
+    /// On every worker: `queued ≤ acquired ≤ started ≤ finished` for each
+    /// attempt, and no attempt is queued before the one before it finished
+    /// — a worker's timeline is a sequence, with every instant of it read
+    /// from the clock once.
+    fn assert_attempts_are_ordered(exec: &ExecReport) {
+        for w in 0..exec.workers.len() {
+            let mut mine: Vec<&ExecAttempt> =
+                exec.attempts.iter().filter(|a| a.worker == w).collect();
+            mine.sort_by(|a, b| a.started_s.total_cmp(&b.started_s));
+            for a in &mine {
+                assert!(
+                    a.queued_s <= a.acquired_s
+                        && a.acquired_s <= a.started_s
+                        && a.started_s <= a.finished_s,
+                    "{a:?}"
+                );
+            }
+            assert!(exec.spawn_ready_s[w] <= mine.first().map_or(f64::MAX, |a| a.queued_s));
+            for pair in mine.windows(2) {
+                assert!(
+                    pair[0].finished_s <= pair[1].queued_s,
+                    "worker {w}: {:?} overlaps {:?}",
+                    pair[0],
+                    pair[1]
+                );
+            }
         }
     }
 
@@ -1714,33 +2102,32 @@ mod tests {
 
     #[test]
     fn a_failure_inside_a_batch_is_reported_at_once_and_retried_via_overflow() {
-        use std::sync::atomic::AtomicBool;
-        // One worker pops its deque from the back: t5, t4, t3, ... With
-        // six tasks the batch bound is never reached, so without the
-        // early hand-over nothing would reach the control loop before the
-        // worker runs dry. t3's first attempt panics; t2, which runs
-        // next on the same worker, waits until the control loop has
-        // processed t5's completion — which travels in the batch the
-        // failure pushed out.
-        let first_reported = AtomicBool::new(false);
-        let waited_in_vain = AtomicBool::new(false);
-        let plan = FaultPlan::none().with_task_panic(3, 1);
+        // One worker, six tasks in one chunk: it runs them in order. The
+        // batch bound is never reached, so without the early hand-over
+        // nothing would reach the control loop before the worker runs dry.
+        // t2's first attempt panics; t3, which runs next on the same
+        // worker, waits until the control loop has processed t0's
+        // completion — which travels in the batch the failure pushed out.
+        let first_reported = Arc::new(AtomicBool::new(false));
+        let waited_in_vain = Arc::new(AtomicBool::new(false));
+        let plan = FaultPlan::none().with_task_panic(2, 1);
         let cfg = SupervisorConfig::default().with_retries(1);
+        let (reported, in_vain) = (Arc::clone(&first_reported), Arc::clone(&waited_in_vain));
         let (slots, report, exec) = execute(
             &under(ExecConfig::new(1), cfg, plan),
             labels(6),
             &[],
             |i, _: &usize| {
-                if i == 5 {
+                if i == 0 {
                     first_reported.store(true, Ordering::SeqCst);
                 }
             },
-            |a| {
-                if a.task == 2 {
+            move |a| {
+                if a.task == 3 {
                     let give_up = Instant::now() + Duration::from_secs(20);
-                    while !first_reported.load(Ordering::SeqCst) {
+                    while !reported.load(Ordering::SeqCst) {
                         if Instant::now() > give_up {
-                            waited_in_vain.store(true, Ordering::SeqCst);
+                            in_vain.store(true, Ordering::SeqCst);
                             break;
                         }
                         std::thread::yield_now();
@@ -1754,10 +2141,11 @@ mod tests {
             !waited_in_vain.load(Ordering::SeqCst),
             "the failed attempt must hand its batch over without waiting for the bound"
         );
+        assert_eq!(exec.chunks, 1, "six unit estimates make one chunk");
         assert_eq!(slots.iter().flatten().count(), 6);
-        assert_eq!(report.outcomes[3].status, TaskStatus::Retried(1));
+        assert_eq!(report.outcomes[2].status, TaskStatus::Retried(1));
         let retry = (exec.attempts.iter())
-            .find(|a| a.task == 3 && a.attempt == 1)
+            .find(|a| a.task == 2 && a.attempt == 1)
             .expect("the retry ran");
         assert!(retry.ok);
         assert_eq!(
@@ -1766,6 +2154,56 @@ mod tests {
             "the retry re-entered via overflow"
         );
         assert_eq!(exec.attempts.len(), 7);
+    }
+
+    #[test]
+    fn a_steal_moves_a_whole_chunk() {
+        // Twelve tasks in three chunks of four, two workers: chunks 0 and
+        // 2 are dealt to worker 0, chunk 1 to worker 1. A task of chunk 0
+        // refuses to finish before chunk 2 has started, and the other way
+        // round — so worker 0, whichever of its two chunks it takes first,
+        // is stuck in it until a thief has started the other. Worker 1
+        // must steal one of them, and it takes the chunk whole.
+        let exec = ExecConfig {
+            workers: 2,
+            chunk_target: 4,
+            deque_capacity: 64,
+        };
+        let started = Arc::new([const { AtomicBool::new(false) }; 3]);
+        let (slots, report, exec) = run(&PhaseRun::new(exec), 12, move |i| {
+            let chunk = i / 4;
+            started[chunk].store(true, Ordering::SeqCst);
+            let give_up = Instant::now() + Duration::from_secs(20);
+            while chunk != 1 && !started[2 - chunk].load(Ordering::SeqCst) {
+                assert!(Instant::now() < give_up, "nobody stole chunk {}", 2 - chunk);
+                std::thread::yield_now();
+            }
+            i
+        });
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(slots.iter().flatten().count(), 12);
+        assert_eq!(exec.chunks, 3);
+        // Every chunk ran on one worker and was stolen whole or not at all.
+        let of = |task: usize| exec.attempts.iter().find(|a| a.task == task).unwrap();
+        let ran = |chunk: usize| {
+            let first = of(4 * chunk);
+            for task in 4 * chunk..4 * chunk + 4 {
+                assert_eq!(
+                    of(task).worker,
+                    first.worker,
+                    "t{task}: a chunk is not split"
+                );
+                assert_eq!(of(task).stolen, first.stolen, "t{task} rode with its chunk");
+            }
+            (first.worker, first.stolen)
+        };
+        let (c0, c1, c2) = (ran(0), ran(1), ran(2));
+        assert_ne!(c0.0, c2.0, "worker 0's two chunks ran side by side");
+        assert_ne!(c0.1, c2.1, "exactly one of them was stolen");
+        // The counter counts the tasks that rode along.
+        let stolen_chunks = [c0, c1, c2].iter().filter(|c| c.1).count() as u64;
+        assert_eq!(exec.steals(), 4 * stolen_chunks);
+        assert_attempts_are_ordered(&exec);
     }
 
     #[test]
@@ -1815,7 +2253,7 @@ mod tests {
                     let pool = &pool;
                     s.spawn(move || {
                         for j in 0..JOBS {
-                            pool.push_overflow((p * JOBS + j, 0));
+                            pool.push_overflow(Job::retry(p * JOBS + j, 1));
                         }
                     })
                 })
@@ -1860,18 +2298,25 @@ mod tests {
         assert!(pool.deques[0].is_poisoned(), "setup must actually poison");
         assert!(pool.sync.is_poisoned(), "setup must actually poison");
 
-        pool.seed_local(0, (1, 0));
-        pool.push_overflow((7, 2));
-        pool.push_overflow((8, 0));
+        let chunk = Job {
+            tasks: 1..4,
+            attempt: 0,
+        };
+        pool.publish(
+            vec![VecDeque::from([chunk.clone()]), VecDeque::new()],
+            VecDeque::new(),
+        );
+        pool.push_overflow(Job::retry(7, 2));
+        pool.push_overflow(Job::retry(8, 1));
         let mut misses = 0;
         // Worker 1 owns nothing: the shared queue front-first, then a steal.
         let took = |m: &mut u64| {
             pool.acquire(1, m, || {})
                 .map(|(job, src)| (job, src == Source::Overflow))
         };
-        assert_eq!(took(&mut misses), Some(((7, 2), true)));
-        assert_eq!(took(&mut misses), Some(((8, 0), true)));
-        assert_eq!(took(&mut misses), Some(((1, 0), false)), "stolen from 0");
+        assert_eq!(took(&mut misses), Some((Job::retry(7, 2), true)));
+        assert_eq!(took(&mut misses), Some((Job::retry(8, 1), true)));
+        assert_eq!(took(&mut misses), Some((chunk, false)), "stolen from 0");
         // A worker asleep on the (poisoned) condition pair still wakes for
         // a late push, and for the close.
         std::thread::scope(|s| {
@@ -1881,15 +2326,161 @@ mod tests {
                 (got, pool.acquire(0, &mut misses, || {}).is_none(), misses)
             });
             std::thread::sleep(Duration::from_millis(20));
-            pool.push_overflow((9, 1));
+            pool.push_overflow(Job::retry(9, 1));
             std::thread::sleep(Duration::from_millis(20));
             pool.close();
             let (got, drained, misses) = sleeper.join().unwrap();
-            assert_eq!(got, Some((9, 1)));
+            assert_eq!(got, Some(Job::retry(9, 1)));
             assert!(drained, "a closed empty pool still drains");
             assert!(misses >= 1, "it slept at least once");
         });
         assert_eq!(misses, 0);
+    }
+
+    /// A phase that is not one: whatever `work` does, on whichever
+    /// resident thread the registry leases it.
+    struct Stunt<W: Fn() + Send + Sync> {
+        work: W,
+        latch: Arc<Latch>,
+    }
+
+    impl<W: Fn() + Send + Sync> PhaseWork for Stunt<W> {
+        fn work(&self, _: usize) {
+            (self.work)();
+        }
+        fn done(&self, died: bool) {
+            self.latch.count_down(died);
+        }
+    }
+
+    /// Leases one task process to `work` and waits for it to count out;
+    /// whether it died.
+    fn lease_one(work: impl Fn() + Send + Sync + 'static) -> bool {
+        let _demand = census::Demand::enter(1);
+        let latch = Arc::new(Latch::new(1));
+        // The leased thread holds the only reference to the stunt.
+        let stunt: Arc<dyn PhaseWork> = Arc::new(Stunt {
+            work,
+            latch: Arc::clone(&latch),
+        });
+        lease(&stunt, 1);
+        drop(stunt);
+        latch.wait()
+    }
+
+    #[test]
+    fn back_to_back_phases_reuse_the_resident_task_processes() {
+        // The phase-boundary protocol under churn: two thousand tiny
+        // phases back to back, cycling worker counts over both placements,
+        // one in seven with a retry — while two more threads run phases
+        // of their own. Every slot is filled, every attempt accounted for,
+        // and the registry never holds more threads than the most workers
+        // the process has wanted at once: a worker is parked again before
+        // its phase's latch opens, so the next lease finds it.
+        fn churn(phases: usize) {
+            for k in 0..phases {
+                let exec = placements(1 + k % 5)[k % 2].1;
+                let retry = k % 7 == 0;
+                let plan = FaultPlan::none().with_task_panic(1, u32::from(retry));
+                let cfg = retries(1).with_backoff(Duration::ZERO);
+                let (slots, report, exec) = run(&under(exec, cfg, plan), 3, move |i| i + k);
+                assert_eq!(slots, [Some(k), Some(k + 1), Some(k + 2)], "phase {k}");
+                assert_eq!(report.total_retries(), u32::from(retry), "phase {k}");
+                assert_eq!(executed(&exec), 3 + u64::from(retry), "phase {k}");
+                assert_eq!(exec.workers.len(), (1 + k % 5).min(3), "phase {k}");
+            }
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| churn(300));
+            s.spawn(|| churn(300));
+            churn(2000);
+        });
+        let (threads, wanted) = (census::resident_threads(), census::peak_demand());
+        assert!(wanted >= 3, "this test alone wants three workers at once");
+        assert!(
+            threads <= wanted,
+            "{threads} resident task processes, but never more than {wanted} wanted at once"
+        );
+    }
+
+    #[test]
+    fn a_dead_task_process_is_replaced_at_the_next_lease() {
+        install_quiet_hook();
+        // Killed in the middle of a phase, outside `catch_unwind`: the
+        // thread unwinds, still counts out (reporting its death), and
+        // never parks again.
+        let died = lease_one(|| panic!("injected: a task process dies outside supervision"));
+        assert!(died, "the latch must open, and say why");
+        // A panic while tidying up after the latch (here: the thread's
+        // reference to the phase, its last, panics on drop) must not end a
+        // thread that is already parked — a lease could be on its way.
+        struct PanicsOnDrop;
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                let here = std::thread::current();
+                assert!(here.name().is_some_and(|n| n.starts_with(WORKER_NAME)));
+                panic!("injected: tidying up after the phase panics");
+            }
+        }
+        let cargo = PanicsOnDrop;
+        let died = lease_one(move || {
+            let _dropped_with_the_phase = &cargo;
+        });
+        assert!(!died, "it had counted out");
+        // Either way the next phases complete, on every worker they ask
+        // for: the lease forks what the registry cannot supply.
+        for _ in 0..4 {
+            for (name, exec) in placements(4) {
+                let (slots, report, exec) = run(&PhaseRun::new(exec), 8, |i| i);
+                assert!(report.is_clean(), "{name}");
+                assert_eq!(slots.iter().flatten().count(), 8, "{name}");
+                assert_eq!(exec.workers.len(), 4, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_phases_worker_events_stay_in_its_own_recorder() {
+        // Worker sinks and live shards belong to the phase, not to the
+        // resident thread: what phase k's workers recorded is all in phase
+        // k's recorder when `execute` returns, and none of it can surface
+        // in phase k+1's.
+        for (name, exec) in placements(2) {
+            let recorders: Vec<Arc<Recorder>> =
+                (0..3).map(|_| Recorder::new(ObsLevel::Full)).collect();
+            let mut counts = Vec::new();
+            for (k, rec) in recorders.iter().enumerate() {
+                let mut how = PhaseRun::new(exec);
+                how.obs.rec = Arc::clone(rec);
+                // Phase k runs tasks whose names no other phase uses.
+                let n = 2 + k;
+                let (slots, _, _) = run(&how, n, |i| i);
+                assert_eq!(slots.iter().flatten().count(), n, "{name}");
+                counts.push(rec.len());
+            }
+            for (k, rec) in recorders.iter().enumerate() {
+                assert_eq!(
+                    rec.len(),
+                    counts[k],
+                    "{name}: phase {k} grew after it ended"
+                );
+                let events = rec.events();
+                let execs = |task: usize| {
+                    let span = format!("task.exec t{task}");
+                    events.iter().filter(|e| e.name == span).count()
+                };
+                for task in 0..2 + k {
+                    assert_eq!(execs(task), 2, "{name}: phase {k} t{task} begin + end");
+                }
+                assert_eq!(
+                    execs(2 + k),
+                    0,
+                    "{name}: phase {k} saw a later phase's task"
+                );
+                let completed = events.iter().filter(|e| e.name == "task.complete");
+                assert_eq!(completed.count(), 2 + k, "{name}: phase {k}");
+            }
+        }
     }
 
     #[test]

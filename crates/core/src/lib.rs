@@ -83,7 +83,7 @@ pub use recover::{
     run_lcc_unit_checkpointed, run_parallel_lcc_recoverable, CheckpointConfig, CheckpointStore,
     RecoveryInfo, RecoveryReport,
 };
-pub use supervise::{supervision_overhead, SupervisionOverhead, TaskAttempt};
+pub use supervise::TaskAttempt;
 pub use tlp::{
     attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_scene,
     run_parallel_rtf, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,

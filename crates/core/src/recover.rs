@@ -86,7 +86,7 @@ struct TaskState {
 
 /// The durable store checkpoints and WALs survive worker death in.
 ///
-/// Lives on the control process, *outside* the workers'
+/// Owned by the phase's task closure, *outside* the workers'
 /// `catch_unwind` boundary, so a dead attempt's last checkpoint is intact
 /// when the supervisor schedules the retry. Every lock acquisition
 /// recovers from poisoning: the stored state is a plain value that is
@@ -511,13 +511,17 @@ pub fn run_parallel_lcc_recoverable(
     level: Level,
     how: &PhaseRun<'_>,
     ckpt: &CheckpointConfig,
-    metrics: Option<&MetricsRegistry>,
+    metrics: Option<&Arc<MetricsRegistry>>,
 ) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
     let units = decompose(scene, fragments, level);
     let (labels, estimates) = lcc_task_list(&units, fragments);
     let store = CheckpointStore::new();
     let obs = &how.obs;
     let lh = obs.live.handle();
+    // What the task closure owns: the workers are resident threads.
+    let (sp, scene, frags) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
+    let (ckpt, plan, rec) = (*ckpt, how.plan.clone(), Arc::clone(&obs.rec));
+    let metrics = metrics.cloned();
     let (slots, report, _) = execute(
         how,
         labels,
@@ -532,20 +536,20 @@ pub fn run_parallel_lcc_recoverable(
             }
             observe_unit(obs, i, &r.work);
         },
-        |a| {
+        move |a| {
             let t0 = Instant::now();
             let (r, info) = run_lcc_unit_checkpointed(
-                sp,
-                scene,
-                fragments,
+                &sp,
+                &scene,
+                &frags,
                 &units[a.task],
                 a.task,
                 a.attempt,
                 &store,
-                ckpt,
-                &how.plan,
-                &obs.rec,
-                metrics,
+                &ckpt,
+                &plan,
+                &rec,
+                metrics.as_deref(),
                 a.trace,
             );
             (r, info, t0.elapsed().as_secs_f64())
@@ -646,7 +650,7 @@ mod tests {
         let cfg = SupervisorConfig::default()
             .with_retries(2)
             .with_backoff(Duration::from_millis(1));
-        let metrics = MetricsRegistry::new();
+        let metrics = Arc::new(MetricsRegistry::new());
         let (par, recovery) = run_parallel_lcc_recoverable(
             &sp,
             &scene,

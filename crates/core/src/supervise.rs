@@ -1,13 +1,11 @@
 //! The supervision vocabulary shared by the phase runner
 //! ([`crate::exec::execute`]) and the runners above it: the
-//! [`TaskAttempt`] a task closure receives, the quiet panic hook that keeps
-//! caught worker panics out of stderr, and the [`SupervisionOverhead`]
-//! summary of a [`TaskReport`]. The supervised loop itself — workers,
-//! `catch_unwind`, retry, deadline, dead letter — lives in `exec` and
-//! nowhere else.
+//! [`TaskAttempt`] a task closure receives and the quiet panic hook that
+//! keeps caught worker panics out of stderr. The supervised loop itself —
+//! workers, `catch_unwind`, retry, deadline, dead letter — lives in `exec`
+//! and nowhere else.
 
 use std::sync::Once;
-use tlp_fault::TaskReport;
 use tlp_obs::SpanSink;
 
 /// Name prefix of task worker threads (`psm-task-{w}`); the quiet panic
@@ -16,8 +14,8 @@ pub(crate) const WORKER_NAME: &str = "psm-task";
 
 /// Installs (once) a panic hook that suppresses default printing for
 /// panics on supervised worker threads — those panics are caught and
-/// reported through the [`TaskReport`], so the default stderr dump is
-/// noise. Other threads keep the previous hook behaviour.
+/// reported through the [`tlp_fault::TaskReport`], so the default stderr
+/// dump is noise. Other threads keep the previous hook behaviour.
 pub(crate) fn install_quiet_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -56,72 +54,4 @@ pub struct TaskAttempt {
     pub attempt: u32,
     /// Aux-span sink parented under this attempt's span, when tracing.
     pub trace: Option<SpanSink>,
-}
-
-/// Aggregate supervision overhead of one supervised phase — the
-/// wall-clock cost of fault tolerance, summarised for the speed-up doctor
-/// (`spamctl profile` folds these into its attribution narrative: retry
-/// latency and dead letters explain measured-vs-simulated divergence that
-/// the fault-free simulator cannot).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SupervisionOverhead {
-    /// Tasks in the phase.
-    pub tasks: usize,
-    /// Total seconds tasks spent enqueued before their first attempt.
-    pub queue_wait_s: f64,
-    /// Total seconds of extra latency from retried attempts.
-    pub retry_latency_s: f64,
-    /// Total retry attempts across all tasks.
-    pub retries: u32,
-    /// Tasks that exhausted every attempt.
-    pub dead_letters: usize,
-}
-
-/// Summarises a [`TaskReport`] into its supervision overhead totals.
-pub fn supervision_overhead(report: &TaskReport) -> SupervisionOverhead {
-    SupervisionOverhead {
-        tasks: report.outcomes.len(),
-        queue_wait_s: report
-            .outcomes
-            .iter()
-            .map(|o| o.queue_wait.as_secs_f64())
-            .sum(),
-        retry_latency_s: report
-            .outcomes
-            .iter()
-            .map(|o| o.retry_latency.as_secs_f64())
-            .sum(),
-        retries: report.total_retries(),
-        dead_letters: report.dead_letters().len(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exec::{execute, ExecConfig, PhaseRun};
-    use tlp_fault::{FaultPlan, SupervisorConfig};
-
-    #[test]
-    fn overhead_summary_totals_match_the_report() {
-        let how = PhaseRun {
-            cfg: SupervisorConfig::default().with_retries(2),
-            plan: FaultPlan::none().with_task_panic(2, 1),
-            ..PhaseRun::new(ExecConfig::central_queue(2))
-        };
-        let labels = (0..6).map(|i| format!("t{i}")).collect();
-        let (_, report, _) = execute(&how, labels, &[], |_, _| {}, |a| a.task).unwrap();
-        let oh = supervision_overhead(&report);
-        assert_eq!(oh.tasks, 6);
-        assert_eq!(oh.retries, report.total_retries());
-        assert_eq!(oh.retries, 1);
-        assert_eq!(oh.dead_letters, 0);
-        let qw: f64 = report
-            .outcomes
-            .iter()
-            .map(|o| o.queue_wait.as_secs_f64())
-            .sum();
-        assert!((oh.queue_wait_s - qw).abs() < 1e-12);
-        assert!(oh.retry_latency_s >= 0.0);
-    }
 }

@@ -2,13 +2,15 @@
 //!
 //! * [`run_parallel_lcc`] / [`run_parallel_rtf`] — the real thing (§5.1):
 //!   a control process (the calling thread) builds the task queue; `n` task
-//!   processes (threads), each a complete independent OPS5 engine, pull
-//!   tasks and fire asynchronously; the control process collects the
-//!   results. Both are one call into the supervised phase runner
-//!   ([`crate::exec::execute`]) with the phase's task closure; a
-//!   [`PhaseRun`] says where tasks are placed, under which policy, and who
-//!   watches. Verified to produce exactly the sequential results on either
-//!   placement at any worker count.
+//!   processes (resident threads, forked once and leased per phase), each
+//!   a complete independent OPS5 engine, pull chunks of tasks and fire
+//!   asynchronously; the control process collects the results. Both are
+//!   one call into the supervised phase runner ([`crate::exec::execute`])
+//!   with the phase's task closure — which owns `Arc` clones of its inputs,
+//!   because a resident thread cannot borrow them; a [`PhaseRun`] says
+//!   where tasks are placed, under which policy, and who watches. Verified
+//!   to produce exactly the sequential results on either placement at any
+//!   worker count.
 //! * [`simulated_tlp_curve`] — replays a measured trace on the simulated
 //!   Encore Multimax at 1..=14 task processes (Figure 6 / Figure 8): the
 //!   paper's machine and processor counts, whatever the host has.
@@ -108,12 +110,18 @@ pub fn run_parallel_lcc(
     let units = decompose(scene, fragments, level);
     let (labels, estimates) = lcc_task_list(&units, fragments);
     let obs = &how.obs;
+    let (sp, scene, frags, live) = (
+        sp.clone(),
+        Arc::clone(scene),
+        Arc::clone(fragments),
+        Arc::clone(&obs.live),
+    );
     let (slots, report, measured) = execute(
         how,
         labels,
         &estimates,
         |i, r: &LccUnitResult| observe_unit(obs, i, &r.work),
-        |a| run_lcc_unit_traced(sp, scene, fragments, &units[a.task], &obs.live, a.trace),
+        move |a| run_lcc_unit_traced(&sp, &scene, &frags, &units[a.task], &live, a.trace),
     )?;
     Ok((merge_lcc_units(level, fragments, slots, report), measured))
 }
@@ -193,12 +201,16 @@ pub fn run_parallel_rtf(
     let estimates: Vec<u64> = (batches.iter())
         .map(|b| b.len() as u64 * ESTIMATE_UNITS_PER_WME)
         .collect();
+    let (sp, scene, batches) = (sp.clone(), Arc::clone(scene), batches.to_vec());
     let (slots, report, measured) = execute(
         how,
         labels,
         &estimates,
         |_, _| {},
-        |a| spam::rtf::run_rtf_task(sp, scene, &batches[a.task], (a.task as i64) << 20).fragments,
+        move |a| {
+            let id_base = (a.task as i64) << 20;
+            spam::rtf::run_rtf_task(&sp, &scene, &batches[a.task], id_base).fragments
+        },
     )?;
     let mut merged = Vec::new();
     for s in slots.into_iter().flatten() {

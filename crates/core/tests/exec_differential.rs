@@ -132,7 +132,9 @@ proptest! {
     ) {
         let kill_task = (do_kill == 1).then_some(kill_sel);
         let src = PROGRAMS[prog_idx];
-        let groups: Vec<Vec<(u8, i8)>> = seeds.chunks(3).map(<[_]>::to_vec).collect();
+        // Shared, not lent: the executor's workers are resident threads.
+        let groups: Arc<Vec<Vec<(u8, i8)>>> =
+            Arc::new(seeds.chunks(3).map(<[_]>::to_vec).collect());
         let reference: Vec<_> = groups
             .iter()
             .map(|g| run_arm(src, g, Arm::Sequential))
@@ -147,12 +149,15 @@ proptest! {
                 .with_retries(1)
                 .with_backoff(std::time::Duration::from_millis(1));
         }
+        // One group per chunk, so groups are stolen one at a time.
+        let exec = ExecConfig { chunk_target: 1, ..ExecConfig::new(workers) };
+        let shared = Arc::clone(&groups);
         let (slots, report, measured) = spam_psm::exec::execute(
-            &PhaseRun { cfg, plan, ..PhaseRun::new(ExecConfig::new(workers)) },
+            &PhaseRun { cfg, plan, ..PhaseRun::new(exec) },
             labels,
             &[],
             |_, _| {},
-            |a: TaskAttempt| run_arm(src, &groups[a.task], Arm::Sequential),
+            move |a: TaskAttempt| run_arm(src, &shared[a.task], Arm::Sequential),
         )
         .unwrap();
         prop_assert_eq!(report.dead_letters().len(), 0);

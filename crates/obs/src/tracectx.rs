@@ -765,9 +765,11 @@ fn push_bounded<T>(dq: &mut VecDeque<T>, v: T, cap: usize) {
     dq.push_back(v);
 }
 
-/// Handle for one open scene: the root of the trace. Shared by reference
-/// into the supervisor while the scene runs; call
-/// [`SceneSpan::finish`] once the scene completes.
+/// Handle for one open scene: the root of the trace. Lent to the
+/// supervisor while the scene runs — which clones it for its resident
+/// workers; a clone is the same open scene (one `Arc` and two ids), not a
+/// new one. Call [`SceneSpan::finish`] once, when the scene completes.
+#[derive(Clone)]
 pub struct SceneSpan {
     tracing: Arc<Tracing>,
     trace: TraceId,

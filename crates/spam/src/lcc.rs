@@ -679,13 +679,18 @@ fn run_lcc_inner(
     });
     let report = TaskReport::all_ok(units.iter().map(|u| u.label()));
     let phase = merge_lcc_units(level, fragments, results, report);
-    // The phase is over: release this thread's engine, as a pool worker's
-    // is released when its thread ends. Kept past the phase it would only
-    // pin its share of the heap (measured: +13 % peak RSS at Level 4)
-    // until the next phase, which brings its own fragment table and so
-    // could not reuse it anyway.
-    TASK_ENGINE.with(|slot| slot.borrow_mut().take());
+    release_task_engine();
     (phase, merged)
+}
+
+/// Drops the engine this thread kept between LCC units, if any. Called
+/// when a phase is over — by [`run_lcc`] on its own thread, by a resident
+/// pool worker after it has counted out of the phase. Kept past the phase
+/// the engine would only pin its share of the heap (measured: +13 % peak
+/// RSS at Level 4) until the next phase, which brings its own fragment
+/// table and so could not reuse it anyway.
+pub fn release_task_engine() {
+    TASK_ENGINE.with(|slot| slot.borrow_mut().take());
 }
 
 /// Merges per-unit results, in unit order, into the phase result: the one
