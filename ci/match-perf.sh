@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# CI job `match-perf`: the match path may change how fast the engine goes,
+# never what it does. Artefacts: ci-out/.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export CARGO_NET_OFFLINE=true
+out=ci-out && mkdir -p $out && bin=target/release
+
+cargo build --release -p spam-psm -p tlp-bench --bin spamctl --bin bench_rete --bin benchdiff
+
+# Rete bench (shared vs unshared, LCC Level 4 DC, reduction >= 25%).
+$bin/bench_rete $out/BENCH_rete.json --check-reduction 25
+$bin/benchdiff crates/bench/baselines/BENCH_rete.json \
+  $out/BENCH_rete.json --threshold 5 \
+  --ignore shared.wall_ms --ignore unshared.wall_ms
+# As the benchmark builds them (release: no debug assertions, wrapping
+# arithmetic): the allocation budget of the recognize-act cycle, the exact LCC
+# work totals of the benchmark inputs, alpha dispatch vs a linear walk and
+# hash_key vs ops_eq.
+cargo test --release -p ops5 --test alloc_budget
+cargo test --release -p spam --test work_pins
+cargo test --release -p ops5 --lib -- \
+  dispatch_agrees_with_a_linear_walk hash_key_has_no_false_negatives
+# Speedup doctor (DC Level 2, match-fraction band gate).
+$bin/spamctl profile dc --level 2 --check-band 0.30:0.50 --json $out/profile.json

@@ -25,25 +25,14 @@ use spam::lcc::Level;
 use spam_psm::exec::{ExecConfig, PhaseRun};
 use std::process::ExitCode;
 use std::time::Instant;
-use tlp_bench::{header, Prepared};
+use tlp_bench::{header, median, Prepared};
 use tlp_obs::json::Json;
 
 /// Worker counts swept; the first is the speed-up baseline.
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// LCC runs per timed measurement (same block size as `bench_trace`).
+/// LCC runs per timed measurement.
 const INNER: usize = 3;
-
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = s.len();
-    if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        0.5 * (s[n / 2 - 1] + s[n / 2])
-    }
-}
 
 /// One executor run at `workers`; returns the phase identity tuple and the
 /// measured report.

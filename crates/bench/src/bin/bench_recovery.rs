@@ -86,7 +86,6 @@ fn main() -> ExitCode {
             Level::L3,
             &how,
             &CheckpointConfig::every(interval),
-            None,
         )
         .expect("chaos run completes");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -74,4 +74,21 @@ pub fn curve_line(curve: &[(u32, f64)]) -> String {
         .join("  ")
 }
 
+/// The `q`-quantile (`0 <= q <= 1`) of a sample, interpolating linearly
+/// between order statistics — so `quantile(xs, 0.5)` of an even-sized
+/// sample is the mean of its two middle values. Sorts a copy: the input
+/// order is usually the measurement order. `xs` must not be empty.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = q.clamp(0.0, 1.0) * (s.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    s[lo] + (s[hi] - s[lo]) * (at - lo as f64)
+}
+
+/// Median of a sample ([`quantile`] at 0.5).
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}
+
 pub mod plot;

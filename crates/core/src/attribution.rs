@@ -4,14 +4,14 @@
 //! task-management time, the tail-end effect, and the serial match/RHS
 //! fraction that Amdahl's law turns into a ceiling. This module makes that
 //! explanation executable: given a measured phase trace, a match-level
-//! profile (from the ops5 `profiler` feature) and simulated runs, it
+//! profile (`ops5::Engine::enable_profile`) and simulated runs, it
 //! decomposes the ideal-vs-measured speed-up gap into named components that
 //! **sum exactly to the gap by construction**, predicts the combined
 //! TLP × match speed-up from the profiler's measured match fraction, and
 //! identifies the critical task chain bounding the makespan.
 //!
 //! The output is a [`ProfileReport`] — rendered as text by `spamctl
-//! profile` and as JSON by `bench_profile`.
+//! profile` and as JSON by its `--json`.
 
 use crate::combined::{combined_cell, match_axis_speedup, CombinedCell};
 use crate::trace::PhaseTrace;
@@ -385,8 +385,8 @@ pub fn pure_tlp_config(svm_sim: &SimConfig, n: u32) -> SimConfig {
     }
 }
 
-/// The full SVM accountant report behind `spamctl svm-report` and
-/// `bench_svm`: gap decomposition, coherence traffic, clock-stitch fit, and
+/// The full SVM accountant report behind `spamctl svm-report`: gap
+/// decomposition, coherence traffic, clock-stitch fit, and
 /// the headline effective-processors-lost figure. `Display` renders the
 /// text report; [`SvmReport::to_json`] the machine-readable one.
 #[derive(Clone, Debug)]
@@ -461,8 +461,8 @@ pub fn build_svm_report(
 }
 
 impl SvmReport {
-    /// The machine-readable report (written by `bench_svm` as
-    /// `BENCH_svm.json` and by `spamctl svm-report --json`).
+    /// The machine-readable report (`spamctl svm-report --json`; CI keeps
+    /// one as `BENCH_svm.json`).
     pub fn to_json(&self) -> Json {
         let a = &self.attribution;
         let comps: Vec<Json> = a
@@ -826,8 +826,7 @@ impl ProfileReport {
         self.profile.match_fraction()
     }
 
-    /// The machine-readable report (written by `bench_profile` as
-    /// `BENCH_profile.json` and by `spamctl profile --json`).
+    /// The machine-readable report (`spamctl profile --json`).
     pub fn to_json(&self) -> Json {
         let prods: Vec<Json> = self
             .profile
@@ -1235,10 +1234,7 @@ mod tests {
     #[test]
     fn report_builds_and_predictions_track_measured() {
         let (trace, profile) = setup();
-        let Some(profile) = profile else {
-            // profiler feature disabled: nothing to check.
-            return;
-        };
+        let profile = profile.expect("the phase has tasks");
         let report = build_report(
             "DC",
             "LCC L2",

@@ -3,16 +3,16 @@
 //! ```sh
 //! spamctl [run] [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
 //!         [--exec real|sim]
-//!         [--machines 1|2] [--svm tuned|naive] [--skew-ms X] [--drift-ppm X]
-//!         [--retries K] [--deadline-ms MS] [--fault-seed S]
+//!         [--machines 1|2] [--svm tuned|naive]
+//!         [--retries K] [--fault-seed S]
 //!         [--task-panic-rate P] [--topdown] [--sweep] [--quiet]
 //!         [--obs off|summary|full] [--trace-out F] [--metrics-out F]
-//!         [--live] [--serve ADDR] [--serve-linger-ms MS]
-//!         [--metrics-snapshot F]
+//!         [--serve ADDR] [--serve-linger-ms MS]
+//!         [--metrics-snapshot F] [--traces-out F]
 //! spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K]
 //!         [--json F] [--check-band LO:HI]
 //! spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
-//!         [--svm tuned|naive] [--skew-ms X] [--drift-ppm X] [--top K]
+//!         [--svm tuned|naive] [--top K]
 //!         [--json F] [--trace-out F] [--check-loss LO:HI]
 //! spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N]
 //!         [--kills K] [--interval C] [--workers N] [--retries K]
@@ -20,7 +20,7 @@
 //! spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
 //!         [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match]
 //!         [--scale PCT] [--top N] [--json F] [--unshared]
-//! spamctl top [--url http://HOST:PORT] [--interval-ms MS] [--iters N]
+//! spamctl top [--url http://HOST:PORT] [--iters N]
 //! spamctl slow [--level 1|2|3|4] [--workers N] [--retries K]
 //!         [--fault-seed S] [--task-panic-rate P] [--unshared]
 //! spamctl trace <id> (--from F | --url http://HOST:PORT)
@@ -69,10 +69,9 @@
 //!   carries one `pid` lane per machine (clock domains stitched from the
 //!   page-fault exchanges), and coherence/stitch summaries are printed;
 //! * `--svm` picks the netmemory cost model (`tuned`, the paper's final
-//!   system, or `naive`, the pre-layout-fix one; default `tuned`);
-//! * `--skew-ms` / `--drift-ppm` set the remote machine's clock error
-//!   (defaults −3.5 ms, 80 ppm — exercises the stitcher; the home clock
-//!   is the reference);
+//!   system, or `naive`, the pre-layout-fix one; default `tuned`). The
+//!   remote machine's clock runs −3.5 ms / 80 ppm off the home clock, which
+//!   exercises the stitcher;
 //! * `--level` selects the LCC decomposition level (default 3);
 //! * `--workers N` runs LCC with N real task-process threads (SPAM/PSM);
 //! * `--exec real|sim` picks where the one phase runner (`spam_psm::exec`)
@@ -86,7 +85,6 @@
 //!   additionally carry the measured (wall-clock) timeline next to the
 //!   simulated one;
 //! * `--retries K` allows K supervised retries per LCC task;
-//! * `--deadline-ms MS` sets a soft per-task deadline;
 //! * `--fault-seed S` + `--task-panic-rate P` inject deterministic task
 //!   panics (demonstrates fault isolation — the run completes partially
 //!   and prints the task report);
@@ -97,36 +95,40 @@
 //! * `--trace-out F` writes a Chrome `trace_event` file (open in
 //!   `chrome://tracing` or Perfetto) with the recorded events plus the
 //!   simulated Encore timeline of the LCC phase;
-//! * `--metrics-out F` writes the metrics-registry snapshot (service-time,
-//!   queue-wait, match-fraction histograms; counters; gauges) as JSON.
-//! * `--live` turns on the always-on live telemetry registry
-//!   (`tlp-obs::live`): the supervisor, the per-worker engines, and the
-//!   SLO monitor publish `spam_live_*` / `spam_slo_*` sliding-window
-//!   series while the run executes. Results are bit-identical with the
-//!   telemetry on or off;
-//! * `--serve ADDR` (implies `--live`) starts the blocking HTTP
-//!   exposition endpoint on `ADDR` (e.g. `127.0.0.1:9184`; port 0 picks a
-//!   free port) with routes `/metrics` (OpenMetrics text), `/healthz`
-//!   (SLO health JSON, HTTP 503 when degraded) and `/snapshot` (windowed
-//!   JSON for `spamctl top`);
+//! * `--metrics-out F`, `--metrics-snapshot F` and `--serve ADDR` each turn
+//!   on the metrics registry (`tlp-obs::live`): the supervisor, the
+//!   per-worker engines, and the SLO monitor publish `spam_live_*` /
+//!   `spam_slo_*` sliding-window series while the run executes. Results
+//!   are bit-identical with it on or off;
+//! * `--metrics-out F` writes the run's final registry snapshot as JSON
+//!   (the `/snapshot` wire format), after adding the finished LCC phase's
+//!   per-task distributions to it (`spam_phase_*`: service-time,
+//!   queue-wait, match-fraction histograms, totals) and those of its
+//!   simulated replay (`spam_sim_*`);
+//! * `--serve ADDR` starts the blocking HTTP exposition endpoint on `ADDR`
+//!   (e.g. `127.0.0.1:9184`; port 0 picks a free port) with routes
+//!   `/metrics` (OpenMetrics text), `/healthz` (SLO health JSON, HTTP 503
+//!   when degraded), `/snapshot` (windowed JSON for `spamctl top`),
+//!   `/traces` and `/trace/<id>`;
 //! * `--serve-linger-ms MS` keeps the endpoint up for `MS` milliseconds
 //!   after the pipeline finishes, so a scraper or `spamctl top` can
 //!   observe the final state (default 0: shut down immediately);
-//! * `--metrics-snapshot F` (implies `--live`) writes the final
-//!   OpenMetrics exposition to `F` — the same bytes `/metrics` would
-//!   serve — so CI can validate the exposition without scraping a port;
+//! * `--metrics-snapshot F` writes the final OpenMetrics exposition to
+//!   `F` — the same bytes `/metrics` serves once the run has finished,
+//!   exemplars included — so CI can validate the exposition without
+//!   scraping a port;
 //! * `top`: a live terminal dashboard. Polls `/snapshot` on a serving
 //!   `spamctl run --serve ...` process and renders per-worker utilization
 //!   bars, queue/conflict-set/WM depths, match-units and task throughput,
 //!   retry/recovery counters, and the SLO burn-rate gauges. `--iters N`
-//!   stops after N frames (default 0 = poll until the endpoint goes
-//!   away); `--interval-ms` sets the poll cadence (default 1000).
+//!   stops after N frames (default 0 = poll once a second until the
+//!   endpoint goes away).
 //! * `--unshared` (any subcommand) runs every engine on the historical
 //!   one-chain-per-production, linear-scan Rete instead of the shared +
 //!   indexed network — the baseline for the sharing experiments. Results
 //!   are identical; only the match work (and anything derived from it)
 //!   changes.
-//! * `--trace-sample` turns on scene-scoped request tracing
+//! * `--traces-out F` and `--serve` turn on scene-scoped request tracing
 //!   (`tlp-obs::tracectx`): the scene submission mints a deterministic
 //!   trace id (from `--fault-seed` + the dataset name) and a root span,
 //!   and the supervisor propagates the trace context through task spawn,
@@ -137,7 +139,7 @@
 //!   `/trace/<id>`, and the task-latency histogram carries OpenMetrics
 //!   exemplars linking its tail bucket to a retained trace. Results are
 //!   bit-identical with tracing on or off;
-//! * `--traces-out F` (implies `--trace-sample`) writes the retained
+//! * `--traces-out F` writes the retained
 //!   traces as a `{"traces": […]}` JSON document (feed to
 //!   `tracecheck --spans` or `spamctl trace <id> --from F`);
 //! * `slow`: "why was this scene slow?" in one command — runs all four
@@ -193,10 +195,7 @@ struct Opts {
     exec_mode: String,
     machines: u32,
     svm_mode: String,
-    skew_ms: f64,
-    drift_ppm: f64,
     retries: u32,
-    deadline_ms: Option<u64>,
     fault_seed: u64,
     task_panic_rate: f64,
     topdown: bool,
@@ -206,15 +205,12 @@ struct Opts {
     obs: ObsLevel,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    live: bool,
     serve: Option<String>,
     serve_linger_ms: u64,
     metrics_snapshot: Option<String>,
     top_cmd: bool,
     top_url: String,
-    top_interval_ms: u64,
     top_iters: u64,
-    trace_sample: bool,
     traces_out: Option<String>,
     slow_cmd: bool,
     trace_cmd: Option<String>,
@@ -242,10 +238,7 @@ fn parse_args() -> Result<Opts, String> {
         exec_mode: "sim".into(),
         machines: 1,
         svm_mode: "tuned".into(),
-        skew_ms: -3.5,
-        drift_ppm: 80.0,
         retries: 0,
-        deadline_ms: None,
         fault_seed: 0,
         task_panic_rate: 0.0,
         topdown: false,
@@ -255,15 +248,12 @@ fn parse_args() -> Result<Opts, String> {
         obs: ObsLevel::Off,
         trace_out: None,
         metrics_out: None,
-        live: false,
         serve: None,
         serve_linger_ms: 0,
         metrics_snapshot: None,
         top_cmd: false,
         top_url: "http://127.0.0.1:9184".into(),
-        top_interval_ms: 1000,
         top_iters: 0,
-        trace_sample: false,
         traces_out: None,
         slow_cmd: false,
         trace_cmd: None,
@@ -282,14 +272,12 @@ fn parse_args() -> Result<Opts, String> {
             "trace" => {
                 o.trace_cmd = Some(args.next().ok_or("trace needs a trace id (hex)")?);
             }
-            "--trace-sample" => o.trace_sample = true,
             "--traces-out" => {
                 o.traces_out = Some(args.next().ok_or("--traces-out needs a path")?);
             }
             "--from" => {
                 o.trace_from = Some(args.next().ok_or("--from needs a path")?);
             }
-            "--live" => o.live = true,
             "--serve" => {
                 o.serve = Some(args.next().ok_or("--serve needs HOST:PORT")?);
             }
@@ -309,16 +297,6 @@ fn parse_args() -> Result<Opts, String> {
                     return Err(format!("bad --url '{v}' (want http://HOST:PORT)"));
                 }
                 o.top_url = v;
-            }
-            "--interval-ms" => {
-                o.top_interval_ms = args
-                    .next()
-                    .ok_or("--interval-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --interval-ms: {e}"))?;
-                if o.top_interval_ms == 0 {
-                    return Err("--interval-ms must be >= 1".into());
-                }
             }
             "--iters" => {
                 o.top_iters = args
@@ -404,23 +382,6 @@ fn parse_args() -> Result<Opts, String> {
                 }
                 o.svm_mode = v;
             }
-            "--skew-ms" => {
-                o.skew_ms = args
-                    .next()
-                    .ok_or("--skew-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --skew-ms: {e}"))?;
-                if o.skew_ms.abs() > 1_000.0 {
-                    return Err("--skew-ms must be within +/-1000".into());
-                }
-            }
-            "--drift-ppm" => {
-                o.drift_ppm = args
-                    .next()
-                    .ok_or("--drift-ppm needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --drift-ppm: {e}"))?;
-            }
             "--check-loss" => {
                 let v = args.next().ok_or("--check-loss needs LO:HI")?;
                 let (lo, hi) = v
@@ -467,14 +428,6 @@ fn parse_args() -> Result<Opts, String> {
                     .parse()
                     .map_err(|e| format!("bad --retries: {e}"))?;
             }
-            "--deadline-ms" => {
-                o.deadline_ms = Some(
-                    args.next()
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                );
-            }
             "--fault-seed" => {
                 o.fault_seed = args
                     .next()
@@ -510,23 +463,23 @@ fn parse_args() -> Result<Opts, String> {
                 return Err(
                     "usage: spamctl [run] [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N] \
                      [--exec real|sim] \
-                     [--machines 1|2] [--svm tuned|naive] [--skew-ms X] [--drift-ppm X] \
-                     [--retries K] [--deadline-ms MS] [--fault-seed S] \
+                     [--machines 1|2] [--svm tuned|naive] \
+                     [--retries K] [--fault-seed S] \
                      [--task-panic-rate P] [--topdown] [--sweep] [--quiet] [--unshared] \
                      [--obs off|summary|full] [--trace-out F] [--metrics-out F] \
-                     [--live] [--serve ADDR] [--serve-linger-ms MS] [--metrics-snapshot F] \
-                     [--trace-sample] [--traces-out F]\n\
+                     [--serve ADDR] [--serve-linger-ms MS] [--metrics-snapshot F] \
+                     [--traces-out F]\n\
                      \x20      spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K] \
                      [--json F] [--check-band LO:HI]\n\
                      \x20      spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] \
-                     [--workers N] [--svm tuned|naive] [--skew-ms X] [--drift-ppm X] [--top K] \
+                     [--workers N] [--svm tuned|naive] [--top K] \
                      [--json F] [--trace-out F] [--check-loss LO:HI]\n\
                      \x20      spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N] \
                      [--kills K] [--interval C] [--workers N] [--retries K]\n\
                      \x20      spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N] \
                      [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match] \
                      [--scale PCT] [--top N] [--json F] [--unshared]\n\
-                     \x20      spamctl top [--url http://HOST:PORT] [--interval-ms MS] [--iters N]\n\
+                     \x20      spamctl top [--url http://HOST:PORT] [--iters N]\n\
                      \x20      spamctl slow [--level 1|2|3|4] [--workers N] [--retries K] \
                      [--fault-seed S] [--task-panic-rate P] [--unshared]\n\
                      \x20      spamctl trace <id> (--from F | --url http://HOST:PORT)"
@@ -566,12 +519,8 @@ fn run_profile(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
         row.tasks, row.prods_fired, row.total_seconds
     );
     let Some(profile) = profile else {
-        eprintln!("profile: ops5 built without the `profiler` feature; no report");
-        return if o.check_band.is_some() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+        eprintln!("profile: the scene has no LCC tasks to profile");
+        return ExitCode::FAILURE;
     };
     let net = profile.net;
     println!(
@@ -652,9 +601,6 @@ fn run_whatif(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
         "LCC    : {} tasks, {} firings, {:.0} simulated s",
         row.tasks, row.prods_fired, row.total_seconds
     );
-    if profile.is_none() {
-        println!("profile: ops5 built without the `profiler` feature; prod: targets unavailable");
-    }
     let trace = spam_psm::trace::lcc_trace(&phase);
     let cfg = multimax_sim::SimConfig::encore(workers);
     let level_label = format!("LCC {}", o.level.name());
@@ -726,12 +672,13 @@ fn svm_model(mode: &str) -> multimax_sim::SvmConfig {
     }
 }
 
-/// The two-machine simulation configuration for the CLI's clock flags.
+/// The two-machine simulation configuration: `--svm`'s netmemory, and a
+/// remote clock −3.5 ms / 80 ppm off the home one (the reference) — large
+/// against the page-exchange latencies, so the stitcher has work to do.
 fn svm_sim_config(o: &Opts, workers: u32) -> multimax_sim::SvmSimConfig {
     let mut cfg = multimax_sim::SvmSimConfig::dual_encore(workers);
     cfg.sim.svm = svm_model(&o.svm_mode);
-    cfg.remote_clock =
-        multimax_sim::ClockDomain::new((o.skew_ms * 1e3).round() as i64, o.drift_ppm);
+    cfg.remote_clock = multimax_sim::ClockDomain::new(-3_500, 80.0);
     cfg
 }
 
@@ -907,7 +854,6 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
         o.level,
         &how,
         &spam_psm::CheckpointConfig::every(o.ckpt_interval),
-        None,
     ) {
         Ok(r) => r,
         Err(e) => {
@@ -1164,7 +1110,7 @@ fn run_top(o: &Opts) -> ExitCode {
         if o.top_iters != 0 && frames >= o.top_iters {
             return ExitCode::SUCCESS;
         }
-        std::thread::sleep(Duration::from_millis(o.top_interval_ms));
+        std::thread::sleep(Duration::from_secs(1));
     }
 }
 
@@ -1242,10 +1188,7 @@ fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
         o.level.name(),
         o.fault_seed
     );
-    let mut cfg = SupervisorConfig::default().with_retries(o.retries);
-    if let Some(ms) = o.deadline_ms {
-        cfg = cfg.with_deadline(Duration::from_millis(ms));
-    }
+    let cfg = SupervisorConfig::default().with_retries(o.retries);
     let mut plan = FaultPlan::seeded(o.fault_seed);
     if o.task_panic_rate > 0.0 {
         plan = plan.with_task_panic_rate(o.task_panic_rate);
@@ -1630,10 +1573,8 @@ fn main() -> ExitCode {
         o.obs
     );
 
-    // An output file with the level left at `off` records at `full`; an
-    // explicit `--obs off` (the default) records nothing.
-    let obs_level = if o.obs == ObsLevel::Off && (o.trace_out.is_some() || o.metrics_out.is_some())
-    {
+    // A trace file with the level left at `off` records at `full`.
+    let obs_level = if o.obs == ObsLevel::Off && o.trace_out.is_some() {
         ObsLevel::Full
     } else {
         o.obs
@@ -1641,9 +1582,9 @@ fn main() -> ExitCode {
     let rec = Recorder::new(obs_level);
     let mut ctl = rec.sink("control");
 
-    // Live telemetry: `--serve` and `--metrics-snapshot` imply `--live`.
-    // With none of the three, `Live::off()` keeps every emitter inert.
-    let live_on = o.live || o.serve.is_some() || o.metrics_snapshot.is_some();
+    // The metrics registry is on for whichever output needs it; with none
+    // of the three, `Live::off()` keeps every emitter inert.
+    let live_on = o.serve.is_some() || o.metrics_snapshot.is_some() || o.metrics_out.is_some();
     let live = if live_on {
         Live::new(tlp_obs::DEFAULT_WINDOW)
     } else {
@@ -1655,10 +1596,10 @@ fn main() -> ExitCode {
             live.handle(),
         ))
     });
-    // Scene tracing: `--traces-out` implies `--trace-sample`, and `--serve`
-    // turns it on too so `/traces`, `/trace/<id>`, and the histogram
-    // exemplars are live. Results are bit-identical either way.
-    let trace_on = o.trace_sample || o.traces_out.is_some() || o.serve.is_some();
+    // Scene tracing is on for `--traces-out`, and for `--serve` so that
+    // `/traces`, `/trace/<id>`, and the histogram exemplars are live.
+    // Results are bit-identical either way.
+    let trace_on = o.traces_out.is_some() || o.serve.is_some();
     let tracing = if trace_on {
         Tracing::new(SamplerConfig::default())
     } else {
@@ -1666,7 +1607,7 @@ fn main() -> ExitCode {
     };
     let mut server = None;
     if let Some(addr) = &o.serve {
-        match tlp_obs::serve_traced(
+        match tlp_obs::serve(
             addr,
             Arc::clone(&live),
             slo.clone(),
@@ -1710,7 +1651,6 @@ fn main() -> ExitCode {
     let exec_real = o.exec_mode == "real";
     let supervised = workers > 1
         || o.retries > 0
-        || o.deadline_ms.is_some()
         || o.task_panic_rate > 0.0
         || rec.enabled(ObsLevel::Summary)
         || live_on
@@ -1723,10 +1663,7 @@ fn main() -> ExitCode {
     // span just before the LCC fan-out and close it right after.
     let scene_span = trace_on.then(|| tracing.start_scene(o.fault_seed, dataset));
     let (lcc, measured) = if supervised {
-        let mut cfg = SupervisorConfig::default().with_retries(o.retries);
-        if let Some(ms) = o.deadline_ms {
-            cfg = cfg.with_deadline(Duration::from_millis(ms));
-        }
+        let cfg = SupervisorConfig::default().with_retries(o.retries);
         let mut plan = FaultPlan::seeded(o.fault_seed);
         if o.task_panic_rate > 0.0 {
             plan = plan.with_task_panic_rate(o.task_panic_rate);
@@ -1988,15 +1925,12 @@ fn main() -> ExitCode {
         }
 
         if let Some(path) = &o.metrics_out {
-            let reg = tlp_obs::MetricsRegistry::new();
-            spam_psm::trace::record_phase_metrics(
-                &reg,
-                "lcc",
-                &trace,
-                supervised.then_some(&lcc.report),
-            );
+            // A finished phase's metrics are the registry's last snapshot:
+            // add the phase's own distributions, then write that.
+            let reg = live.handle();
+            spam_psm::trace::record_phase_metrics(&reg, "lcc", &trace, Some(&lcc.report));
             spam_psm::trace::record_sim_metrics(&reg, "lcc", &sim);
-            if let Err(e) = std::fs::write(path, reg.to_json().write()) {
+            if let Err(e) = std::fs::write(path, live.snapshot().to_json().write()) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -2016,7 +1950,7 @@ fn main() -> ExitCode {
             snap.series.len()
         );
         if let Some(path) = &o.metrics_snapshot {
-            let text = tlp_obs::openmetrics(&snap);
+            let text = tlp_obs::openmetrics(&snap, Some(&tracing));
             match tlp_obs::validate_openmetrics(&text) {
                 Ok(summary) => {
                     if let Err(e) = std::fs::write(path, &text) {

@@ -1,7 +1,7 @@
 //! `tracecheck` — validate flight-recorder exports.
 //!
 //! ```sh
-//! tracecheck trace.json [--min-coverage 0.99] [--jsonl events.jsonl]
+//! tracecheck trace.json [--min-coverage 0.99]
 //! tracecheck --spans traces.json
 //! ```
 //!
@@ -11,11 +11,8 @@
 //! by name and never ends before it begins, `X` durations are
 //! non-negative — timestamps must be non-decreasing per `(pid, tid)`, and
 //! the union of spans must cover at least `--min-coverage` of each
-//! declared simulated makespan (default 0.99). With `--jsonl`,
-//! additionally validates a JSONL event log: header first, every line
-//! parses, each thread's logical clock is strictly monotone and its wall
-//! clock never regresses. Exits non-zero on any violation, so CI can gate
-//! on it.
+//! declared simulated makespan (default 0.99). Exits non-zero on any
+//! violation, so CI can gate on it.
 //!
 //! `--spans` switches to scene-trace mode: the file is a retained-trace
 //! document (from `/trace/<id>` or `spamctl … --traces-out`) or a
@@ -24,19 +21,17 @@
 //! trace, and every child interval nested inside its parent's.
 
 use std::process::ExitCode;
-use tlp_obs::{validate_chrome_trace, validate_jsonl, validate_span_tree};
+use tlp_obs::{validate_chrome_trace, validate_span_tree};
 
 struct Opts {
     trace: String,
     min_coverage: f64,
-    jsonl: Option<String>,
     spans: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut trace = None;
     let mut min_coverage = 0.99;
-    let mut jsonl = None;
     let mut spans = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -52,13 +47,10 @@ fn parse_args() -> Result<Opts, String> {
                     return Err("--min-coverage must be in [0, 1]".into());
                 }
             }
-            "--jsonl" => jsonl = Some(args.next().ok_or("--jsonl needs a path")?),
             "--help" | "-h" => {
-                return Err(
-                    "usage: tracecheck <trace.json> [--min-coverage C] [--jsonl events.jsonl]\n\
+                return Err("usage: tracecheck <trace.json> [--min-coverage C]\n\
                      \x20      tracecheck --spans <traces.json>"
-                        .into(),
-                )
+                    .into())
             }
             other if other.starts_with('-') => return Err(format!("unknown argument '{other}'")),
             _ => {
@@ -69,9 +61,8 @@ fn parse_args() -> Result<Opts, String> {
         }
     }
     Ok(Opts {
-        trace: trace.ok_or("usage: tracecheck <trace.json> [--min-coverage C] [--jsonl F]")?,
+        trace: trace.ok_or("usage: tracecheck <trace.json> [--min-coverage C]")?,
         min_coverage,
-        jsonl,
         spans,
     })
 }
@@ -133,22 +124,6 @@ fn main() -> ExitCode {
         Some(_) => {}
     }
 
-    if let Some(path) = &o.jsonl {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tracecheck: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match validate_jsonl(&text) {
-            Ok(s) => println!("tracecheck: {path}: {s}"),
-            Err(e) => {
-                eprintln!("tracecheck: {path}: INVALID: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     println!("tracecheck: OK");
     ExitCode::SUCCESS
 }

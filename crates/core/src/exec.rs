@@ -98,7 +98,11 @@
 //! ([`crate::attribution::GapAttribution`]) and the Gantt timeline work on
 //! measured runs exactly as on simulated ones. A worker reads the clock at
 //! task boundaries only: a task's finish instant is the next one's
-//! `queued` (and, inside a chunk, its `acquired`).
+//! `queued` (and, inside a chunk, its `acquired`). And it reads *one*
+//! clock: the recorder's `task.exec` span, the scene trace's, the live
+//! busy counter and the [`ExecAttempt`] are all stamped from the attempt's
+//! own start and finish instants, so the four accounts of a run's busy
+//! time agree (`tests/cross_source_agreement.rs` holds them within 1 %).
 
 use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
@@ -111,8 +115,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskOutcome, TaskReport, TaskStatus};
 use tlp_obs::{
-    series_key, Category, Live, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanId, SpanKind,
-    SpanRecord, Timeline,
+    series_key, Category, EventKind, Live, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanId,
+    SpanKind, SpanRecord, Timeline,
 };
 
 /// Nominal work units per WME a task loads, used to put caller-side task
@@ -182,7 +186,9 @@ impl ExecConfig {
 ///   histogram of successful attempts and the `spam_live_queue_depth`
 ///   gauge of tasks still outstanding; each worker publishes
 ///   `spam_live_worker_{busy_us,tasks,steals,overflow}{worker="w"}` from
-///   its own shard. Logical time advances one epoch per *terminal* task
+///   its own shard, once per job (busy time is kept in nanoseconds and
+///   published in whole microseconds, so nothing is rounded away per
+///   task). Logical time advances one epoch per *terminal* task
 ///   (success or dead letter), so window widths read as "the last N
 ///   finished tasks".
 /// * `slo` — advanced on the same clock; a dead-lettered task is charged
@@ -821,6 +827,9 @@ where
         let steals_key = key("spam_live_worker_steals");
         let overflow_key = key("spam_live_worker_overflow");
         let mut my = WorkerStats::default();
+        // Busy nanoseconds the live counter has not been told of yet: it
+        // gets the whole microseconds once per job, the rest carries over.
+        let mut unpublished_ns = 0u64;
         // When this worker last became free: the next task's `queued`.
         let mut free = picked_up;
         // Completions not yet handed to the control loop.
@@ -851,44 +860,19 @@ where
                 }
             };
             for i in job.tasks {
-                if let Some(victim) = stolen_from.filter(|_| sink.enabled(ObsLevel::Full)) {
-                    sink.instant(
-                        Category::Task,
-                        "task.steal",
-                        vec![
-                            ("task", (i as u64).into()),
-                            ("victim", (victim as u64).into()),
-                            ("thief", (w as u64).into()),
-                        ],
-                    );
-                }
-                if sink.enabled(ObsLevel::Full) {
-                    sink.begin(
-                        Category::Task,
-                        format!("task.exec t{i}"),
-                        vec![
-                            ("task", (i as u64).into()),
-                            ("attempt", (attempt as u64).into()),
-                            ("stolen", u64::from(stolen_from.is_some()).into()),
-                        ],
-                    );
-                }
                 // Derive this attempt's span id up front: the sink handed
                 // to the task parents engine/recovery spans under it, and
                 // the span itself is recorded below once the outcome is
                 // known.
                 let attempt_span = scene.map(|sc| {
-                    (
-                        SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt)),
-                        sc.now_us(),
-                    )
+                    SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt))
                 });
                 let invocation = TaskAttempt {
                     task: i,
                     attempt,
                     trace: scene
                         .zip(attempt_span)
-                        .map(|(sc, (span, _))| sc.sink_under(span)),
+                        .map(|(sc, span)| sc.sink_under(span)),
                 };
                 let started = now();
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -900,31 +884,61 @@ where
                 .map_err(payload_to_string);
                 let finished = now();
                 let elapsed = finished.duration_since(started);
+                // One clock per attempt: every record of it — the recorder's
+                // span, the scene trace's, the live busy counter, the
+                // `ExecAttempt` — is stamped from `started` / `finished` /
+                // `acquired`, never from a clock read of its own, so no two
+                // of them can disagree about how long the task ran.
                 if sink.enabled(ObsLevel::Full) {
-                    sink.end(
+                    let rec = &self.rec;
+                    if let Some(victim) = stolen_from {
+                        sink.emit_at(
+                            rec.us_at(acquired),
+                            Category::Task,
+                            "task.steal",
+                            EventKind::Instant,
+                            vec![
+                                ("task", (i as u64).into()),
+                                ("victim", (victim as u64).into()),
+                                ("thief", (w as u64).into()),
+                            ],
+                        );
+                    }
+                    let exec_span = format!("task.exec t{i}");
+                    sink.emit_at(
+                        rec.us_at(started),
                         Category::Task,
-                        format!("task.exec t{i}"),
+                        exec_span.as_str(),
+                        EventKind::SpanBegin,
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("attempt", (attempt as u64).into()),
+                            ("stolen", u64::from(stolen_from.is_some()).into()),
+                        ],
+                    );
+                    sink.emit_at(
+                        rec.us_at(finished),
+                        Category::Task,
+                        exec_span,
+                        EventKind::SpanEnd,
                         vec![("ok", u64::from(result.is_ok()).into())],
                     );
                 }
-                if let (Some(sc), Some((span, start_us))) = (scene, attempt_span) {
+                if let (Some(sc), Some(span)) = (scene, attempt_span) {
                     sc.record_span(SpanRecord {
                         id: span,
                         parent: Some(sc.root()),
                         kind: SpanKind::Task,
                         name: format!("task.exec t{i} a{attempt}"),
                         worker: name.clone(),
-                        start_us,
-                        end_us: sc.now_us(),
+                        start_us: sc.us_at(started),
+                        end_us: sc.us_at(finished),
                         error: result.as_ref().err().cloned(),
                     });
                 }
-                if wh.enabled() {
-                    wh.inc(&busy_key, elapsed.as_micros() as u64);
-                    wh.inc(&tasks_key, 1);
-                }
                 my.executed += 1;
                 my.busy_s += elapsed.as_secs_f64();
+                unpublished_ns += elapsed.as_nanos() as u64;
                 // What the control loop will rule a failure: its retry (or
                 // dead letter) must not wait for the batch to fill.
                 let failed = result.is_err() || self.deadline.is_some_and(|d| elapsed > d);
@@ -944,6 +958,11 @@ where
                 }
                 free = finished;
                 acquired = finished;
+            }
+            if wh.enabled() {
+                wh.inc(&busy_key, unpublished_ns / 1_000);
+                unpublished_ns %= 1_000;
+                wh.inc(&tasks_key, n);
             }
         }
         #[cfg(test)]
@@ -2358,13 +2377,20 @@ mod tests {
     fn lease_one(work: impl Fn() + Send + Sync + 'static) -> bool {
         let _demand = census::Demand::enter(1);
         let latch = Arc::new(Latch::new(1));
-        // The leased thread holds the only reference to the stunt.
+        // The leased thread holds the last reference to the stunt: it does
+        // not start on it before this thread has let go of its own.
+        let (let_go, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
         let stunt: Arc<dyn PhaseWork> = Arc::new(Stunt {
-            work,
+            work: move || {
+                let _ = relock(gate.lock()).recv();
+                work()
+            },
             latch: Arc::clone(&latch),
         });
         lease(&stunt, 1);
         drop(stunt);
+        drop(let_go);
         latch.wait()
     }
 

@@ -30,7 +30,7 @@
 //! * [`attribution`] — the "speedup doctor": Amdahl decomposition from
 //!   profiler counters, exact ideal-vs-measured gap attribution, critical
 //!   task chain, and the predicted-vs-measured Table 9 checks behind
-//!   `spamctl profile` / `bench_profile`;
+//!   `spamctl profile`;
 //! * [`whatif`] — the causal what-if profiler: virtual speedups applied to
 //!   a recorded trace (a production, a task, a level, a cost-model
 //!   component, or the whole match phase), re-simulated to predict the new

@@ -84,8 +84,8 @@ pub fn table8_row(
 
 /// Runs the LCC phase at `level` with match-level profiling enabled and
 /// returns the Table 8 row, the merged per-production/per-node profile
-/// (`None` when the ops5 `profiler` feature is off), and the raw phase
-/// result (for trace building). The profiled run performs byte-identical
+/// (`None` when the phase has no tasks), and the raw phase result (for
+/// trace building). The profiled run performs byte-identical
 /// work to [`table8_row`]'s — the profiler only reads the deterministic
 /// counters — so the row is interchangeable with the unprofiled one.
 pub fn profiled_lcc(
@@ -214,11 +214,10 @@ mod tests {
         assert_eq!(row.rhs_actions, plain.rhs_actions);
         assert!((row.total_seconds - plain.total_seconds).abs() < 1e-12);
         assert_eq!(phase.units.len(), row.tasks);
-        if let Some(p) = profile {
-            // Profiler firings reconcile with the row.
-            let fired: u64 = p.productions.iter().map(|x| x.firings).sum();
-            assert_eq!(fired, row.prods_fired);
-        }
+        // Profiler firings reconcile with the row.
+        let profile = profile.expect("the phase has tasks");
+        let fired: u64 = profile.productions.iter().map(|x| x.firings).sum();
+        assert_eq!(fired, row.prods_fired);
     }
 
     #[test]

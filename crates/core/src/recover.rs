@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tlp_fault::{FaultPlan, SuperviseError};
-use tlp_obs::{Category, MetricsRegistry, ObsLevel, Recorder, SpanSink};
+use tlp_obs::{Category, ObsLevel, Recorder, SpanSink};
 
 /// Checkpoint policy for a recoverable phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -297,7 +297,6 @@ pub fn run_lcc_unit_checkpointed(
     ckpt: &CheckpointConfig,
     plan: &FaultPlan,
     rec: &Arc<Recorder>,
-    metrics: Option<&MetricsRegistry>,
     mut trace: Option<SpanSink>,
 ) -> (LccUnitResult, RecoveryInfo) {
     let mut sink = rec.sink(format!("recover-t{task}"));
@@ -311,7 +310,6 @@ pub fn run_lcc_unit_checkpointed(
     let restore_start_us = trace.as_ref().map(|t| t.now_us());
     let (mut e, start_cycle) = match saved {
         Some((mut wal_bytes, checkpoint)) => {
-            let t0 = Instant::now();
             if sink.enabled(ObsLevel::Summary) {
                 sink.begin(
                     Category::Recovery,
@@ -373,9 +371,6 @@ pub fn run_lcc_unit_checkpointed(
                     0,
                 ),
             };
-            if let Some(m) = metrics {
-                m.record("lcc.recovery_latency_ms", t0.elapsed().as_secs_f64() * 1e3);
-            }
             if sink.enabled(ObsLevel::Summary) {
                 sink.end(
                     Category::Recovery,
@@ -463,22 +458,16 @@ pub fn run_lcc_unit_checkpointed(
 
     let firings = e.work().firings;
     info.cycles_replayed = firings - start_cycle;
-    if attempt > 0 {
-        if sink.enabled(ObsLevel::Summary) {
-            sink.instant(
-                Category::Recovery,
-                "recover.complete",
-                vec![
-                    ("task", (task as u64).into()),
-                    ("cycles_replayed", info.cycles_replayed.into()),
-                    ("cycles_saved", info.cycles_saved.into()),
-                ],
-            );
-        }
-        if let Some(m) = metrics {
-            m.count("lcc.recover.cycles_replayed", info.cycles_replayed);
-            m.count("lcc.recover.cycles_saved", info.cycles_saved);
-        }
+    if attempt > 0 && sink.enabled(ObsLevel::Summary) {
+        sink.instant(
+            Category::Recovery,
+            "recover.complete",
+            vec![
+                ("task", (task as u64).into()),
+                ("cycles_replayed", info.cycles_replayed.into()),
+                ("cycles_saved", info.cycles_saved.into()),
+            ],
+        );
     }
     sink.flush();
     e.publish_trace();
@@ -511,7 +500,6 @@ pub fn run_parallel_lcc_recoverable(
     level: Level,
     how: &PhaseRun<'_>,
     ckpt: &CheckpointConfig,
-    metrics: Option<&Arc<MetricsRegistry>>,
 ) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
     let units = decompose(scene, fragments, level);
     let (labels, estimates) = lcc_task_list(&units, fragments);
@@ -521,7 +509,6 @@ pub fn run_parallel_lcc_recoverable(
     // What the task closure owns: the workers are resident threads.
     let (sp, scene, frags) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
     let (ckpt, plan, rec) = (*ckpt, how.plan.clone(), Arc::clone(&obs.rec));
-    let metrics = metrics.cloned();
     let (slots, report, _) = execute(
         how,
         labels,
@@ -549,7 +536,6 @@ pub fn run_parallel_lcc_recoverable(
                 &ckpt,
                 &plan,
                 &rec,
-                metrics.as_deref(),
                 a.trace,
             );
             (r, info, t0.elapsed().as_secs_f64())
@@ -623,7 +609,6 @@ mod tests {
             Level::L3,
             &central(3, SupervisorConfig::default(), FaultPlan::none()),
             &CheckpointConfig::every(4),
-            None,
         )
         .unwrap();
         assert!(par.report.is_clean());
@@ -650,7 +635,6 @@ mod tests {
         let cfg = SupervisorConfig::default()
             .with_retries(2)
             .with_backoff(Duration::from_millis(1));
-        let metrics = Arc::new(MetricsRegistry::new());
         let (par, recovery) = run_parallel_lcc_recoverable(
             &sp,
             &scene,
@@ -658,7 +642,6 @@ mod tests {
             Level::L3,
             &central(3, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(2),
-            Some(&metrics),
         )
         .unwrap();
         // Every scene unit completed, with results equal to fault-free.
@@ -676,15 +659,6 @@ mod tests {
             "resume must replay fewer than the full {span} cycles: {info:?}"
         );
         assert_eq!(info.cycles_saved + info.cycles_replayed, span);
-        // The recovery latency metric was recorded.
-        let snap = metrics.snapshot();
-        assert!(
-            matches!(
-                snap.get("lcc.recovery_latency_ms"),
-                Some(tlp_obs::Metric::Histogram(h)) if h.count() == 1
-            ),
-            "recovery_latency_ms must be recorded once"
-        );
     }
 
     #[test]
@@ -716,7 +690,6 @@ mod tests {
             Level::L3,
             &how,
             &CheckpointConfig::every(2),
-            None,
         )
         .unwrap();
         assert_phase_equal(&par, &seq);
@@ -765,7 +738,6 @@ mod tests {
             Level::L3,
             &how,
             &CheckpointConfig::every(2),
-            None,
         )
         .unwrap();
         assert_phase_equal(&par, &seq);
@@ -799,7 +771,6 @@ mod tests {
             Level::L3,
             &central(2, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(1_000_000),
-            None,
         )
         .unwrap();
         assert_eq!(par.report.dead_letters().len(), 0);
@@ -830,7 +801,6 @@ mod tests {
             Level::L3,
             &central(2, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(1_000_000),
-            None,
         )
         .unwrap();
         assert_phase_equal(&par, &seq);
@@ -871,7 +841,6 @@ mod tests {
             Level::L3,
             &central(2, cfg.clone(), plan.clone()),
             &CheckpointConfig::every(2),
-            None,
         )
         .unwrap();
         assert_eq!(par.report.dead_letters().len(), 0);
@@ -945,7 +914,6 @@ mod tests {
                 Level::L3,
                 &how,
                 &CheckpointConfig::every(interval),
-                None,
             )
             .unwrap();
             assert_eq!(

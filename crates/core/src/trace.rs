@@ -10,7 +10,7 @@ use spam::lcc::LccPhaseResult;
 use spam::phases::MIPS;
 use spam::rtf::RtfResult;
 use tlp_fault::TaskReport;
-use tlp_obs::MetricsRegistry;
+use tlp_obs::{series_key, LiveHandle};
 
 /// A phase execution converted to a simulator workload.
 #[derive(Clone, Debug)]
@@ -60,65 +60,54 @@ pub fn rtf_trace(results: &[RtfResult]) -> PhaseTrace {
     }
 }
 
-/// Records a phase's per-task distributions into `reg`, prefixed with
-/// `phase` (e.g. `lcc.service_time_s`). This is the metrics-registry view
-/// of a measured trace: service-time and match-fraction histograms plus
-/// task/firing totals, and — when a supervision [`TaskReport`] is supplied
-/// — queue-wait/retry-latency histograms and the retry counter.
+/// Publishes a finished phase's per-task distributions into the run's
+/// registry as `spam_phase_*{phase="…"}` series: simulated service-time and
+/// match-fraction histograms plus task/firing totals, and — when a
+/// supervision [`TaskReport`] is supplied — wall-clock queue-wait and
+/// retry-latency histograms and the retry and dead-letter counters. Emitted
+/// in one epoch after the phase, so the registry's next snapshot holds all
+/// of it whatever the window.
 pub fn record_phase_metrics(
-    reg: &MetricsRegistry,
+    reg: &LiveHandle,
     phase: &str,
     trace: &PhaseTrace,
     report: Option<&TaskReport>,
 ) {
+    let key = |name: &str| series_key(&format!("spam_phase_{name}"), &[("phase", phase)]);
+    let (service, match_fraction) = (key("service_time_seconds"), key("match_fraction_ratio"));
     for t in &trace.tasks.tasks {
-        reg.record(&format!("{phase}.service_time_s"), t.service);
-        reg.record(&format!("{phase}.match_fraction"), t.match_fraction);
+        reg.observe(&service, t.service);
+        reg.observe(&match_fraction, t.match_fraction);
     }
-    reg.count(&format!("{phase}.tasks"), trace.tasks.len() as u64);
-    reg.count(&format!("{phase}.firings"), trace.firings);
-    reg.count(&format!("{phase}.rhs_actions"), trace.rhs_actions);
+    reg.inc(&key("tasks"), trace.tasks.len() as u64);
+    reg.inc(&key("firings"), trace.firings);
+    reg.inc(&key("rhs_actions"), trace.rhs_actions);
     if let Some(report) = report {
+        let (wait, retry) = (key("queue_wait_seconds"), key("retry_latency_seconds"));
         for o in &report.outcomes {
-            reg.record(&format!("{phase}.queue_wait_s"), o.queue_wait.as_secs_f64());
+            reg.observe(&wait, o.queue_wait.as_secs_f64());
             if o.attempts > 1 {
-                reg.record(
-                    &format!("{phase}.retry_latency_s"),
-                    o.retry_latency.as_secs_f64(),
-                );
+                reg.observe(&retry, o.retry_latency.as_secs_f64());
             }
         }
-        reg.count(
-            &format!("{phase}.retries"),
-            u64::from(report.total_retries()),
-        );
-        reg.count(
-            &format!("{phase}.dead_letters"),
-            report.dead_letters().len() as u64,
-        );
+        reg.inc(&key("retries"), u64::from(report.total_retries()));
+        reg.inc(&key("dead_letters"), report.dead_letters().len() as u64);
     }
 }
 
-/// Records a simulated run's queueing behaviour into `reg`: per-task
-/// simulated queue-wait and service-time histograms plus makespan and
-/// worker-utilization gauges.
-pub fn record_sim_metrics(reg: &MetricsRegistry, phase: &str, result: &SimResult) {
+/// Publishes a simulated run's queueing behaviour as `spam_sim_*{phase="…"}`
+/// series: per-task simulated queue-wait and service-time histograms plus
+/// makespan and worker-utilization gauges.
+pub fn record_sim_metrics(reg: &LiveHandle, phase: &str, result: &SimResult) {
+    let key = |name: &str| series_key(&format!("spam_sim_{name}"), &[("phase", phase)]);
+    let (wait, service) = (key("queue_wait_seconds"), key("service_time_seconds"));
     for x in &result.executions {
-        reg.record(
-            &format!("{phase}.sim_queue_wait_s"),
-            x.acquired - x.queued_at,
-        );
-        reg.record(
-            &format!("{phase}.sim_service_time_s"),
-            x.finished - x.started,
-        );
+        reg.observe(&wait, x.acquired - x.queued_at);
+        reg.observe(&service, x.finished - x.started);
     }
-    reg.gauge(&format!("{phase}.sim_makespan_s"), result.makespan);
-    reg.gauge(&format!("{phase}.sim_utilization"), result.utilization());
-    reg.count(
-        &format!("{phase}.sim_task_retries"),
-        u64::from(result.task_retries),
-    );
+    reg.gauge(&key("makespan_seconds"), result.makespan);
+    reg.gauge(&key("utilization_ratio"), result.utilization());
+    reg.inc(&key("task_retries"), u64::from(result.task_retries));
 }
 
 #[cfg(test)]
@@ -156,33 +145,45 @@ mod tests {
     #[test]
     fn phase_and_sim_metrics_snapshot() {
         use multimax_sim::{simulate, SimConfig};
-        use tlp_obs::Metric;
+        use tlp_obs::{Live, LiveValue};
         let sp = SpamProgram::build();
         let scene = Arc::new(spam::generate_scene(&spam::datasets::dc().spec));
         let rtf = run_rtf(&sp, &scene);
         let frags = Arc::new(rtf.fragments);
         let lcc = run_lcc(&sp, &scene, &frags, Level::L3);
         let trace = lcc_trace(&lcc);
-        let reg = MetricsRegistry::new();
-        record_phase_metrics(&reg, "lcc", &trace, Some(&lcc.report));
+        // A window of one epoch: the snapshot must still hold every task.
+        let live = Live::new(1);
+        record_phase_metrics(&live.handle(), "lcc", &trace, Some(&lcc.report));
         let result = simulate(&SimConfig::encore(8), &trace.tasks.tasks);
-        record_sim_metrics(&reg, "lcc", &result);
-        let snap = reg.snapshot();
-        match snap.get("lcc.service_time_s") {
-            Some(Metric::Histogram(h)) => {
+        record_sim_metrics(&live.handle(), "lcc", &result);
+        let snap = live.snapshot();
+        match snap
+            .series
+            .get("spam_phase_service_time_seconds{phase=\"lcc\"}")
+        {
+            Some(LiveValue::Histogram(h)) => {
                 assert_eq!(h.count(), trace.tasks.len() as u64);
                 assert!((h.sum() - trace.tasks.total_service()).abs() < 1e-6);
             }
             other => panic!("expected histogram, got {other:?}"),
         }
-        match snap.get("lcc.sim_queue_wait_s") {
-            Some(Metric::Histogram(h)) => assert_eq!(h.count(), trace.tasks.len() as u64),
+        match snap
+            .series
+            .get("spam_sim_queue_wait_seconds{phase=\"lcc\"}")
+        {
+            Some(LiveValue::Histogram(h)) => assert_eq!(h.count(), trace.tasks.len() as u64),
             other => panic!("expected histogram, got {other:?}"),
         }
         assert!(matches!(
-            snap.get("lcc.sim_utilization"),
-            Some(Metric::Gauge(_))
+            snap.series.get("spam_sim_utilization_ratio{phase=\"lcc\"}"),
+            Some(LiveValue::Gauge(_))
         ));
-        assert!(matches!(snap.get("lcc.firings"), Some(Metric::Counter(_))));
+        assert!(matches!(
+            snap.series.get("spam_phase_firings{phase=\"lcc\"}"),
+            Some(LiveValue::Counter { total, .. }) if *total == lcc.firings
+        ));
+        // Legal OpenMetrics: the file `--metrics-snapshot` writes validates.
+        tlp_obs::validate_openmetrics(&tlp_obs::openmetrics(&snap, None)).unwrap();
     }
 }

@@ -178,9 +178,7 @@ pub fn apply_virtual_speedup(
     let (tasks, cfg) = match target {
         Target::Match => (tasks.iter().map(|t| scale_match(t, s)).collect(), *cfg),
         Target::Production(name) => {
-            let profile = profile.ok_or(
-                "prod: targets need a match profile (build ops5 with the `profiler` feature)",
-            )?;
+            let profile = profile.ok_or("prod: targets need a match profile")?;
             let idx = profile
                 .find_production(name)
                 .ok_or_else(|| format!("no production named '{name}' in the profile"))?;

@@ -31,7 +31,7 @@
 //! [`simulate_with_faults`] event loop; events and counters are derived
 //! from it afterwards and flow through level-gated `tlp-obs` sinks. Work
 //! totals, makespan, and the coherence counters are therefore bit-identical
-//! whether the recorder is off, on, or compiled out.
+//! whether the recorder is off or on.
 
 use crate::sim::{simulate_with_faults, SimConfig, SimResult};
 use crate::task::Task;
@@ -729,7 +729,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "recorder")]
     fn event_logs_are_well_formed_and_stitchable_under_skew() {
         use tlp_obs::stitch::stitch;
         let tasks = uniform_tasks(160, 2.0);
@@ -756,7 +755,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "recorder")]
     fn stitched_chrome_trace_validates_with_high_coverage() {
         use tlp_obs::stitch::stitch;
         use tlp_obs::{validate_chrome_trace, TraceDoc};

@@ -33,7 +33,7 @@ pub enum Category {
 }
 
 impl Category {
-    /// Stable lowercase name (used in JSONL and Chrome `cat` fields).
+    /// Stable lowercase name (the Chrome `cat` field).
     pub fn name(&self) -> &'static str {
         match self {
             Category::Task => "task",

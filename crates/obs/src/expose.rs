@@ -18,14 +18,22 @@
 //! * gauges → `gauge` families;
 //! * windowed histograms → `summary` families (q50/q90/q99 quantile
 //!   samples plus `_count`/`_sum`), which keeps the exposition compact
-//!   instead of shipping all 258 log-scale buckets.
+//!   instead of shipping all 258 log-scale buckets — except a family the
+//!   tail sampler holds exemplars for, which is a real `histogram` with a
+//!   few cumulative `le` buckets for the exemplars to hang off.
 //!
 //! The HTTP listener is deliberately tiny: one blocking accept loop on a
-//! [`std::net::TcpListener`], `Connection: close`, three routes —
+//! [`std::net::TcpListener`], `Connection: close`, five routes —
 //! `/metrics` (OpenMetrics text), `/healthz` (SLO health JSON, HTTP 503
-//! when degraded), `/snapshot` (windowed JSON consumed by `spamctl top`).
-//! `--metrics-snapshot` file mode writes the same `/metrics` body to disk
-//! so CI can validate the exposition without scraping a port.
+//! when degraded), `/snapshot` (windowed JSON consumed by `spamctl top`),
+//! `/traces` and `/trace/<id>` (retained scene traces). It serves one
+//! connection at a time, so every connection gets `CONN_DEADLINE` (2 s) for
+//! its whole exchange — request read *and* response written — and is
+//! dropped when that is up: a client that trickles its request, or never
+//! reads its response, costs the next scraper (and `shutdown`) at most
+//! that long. `--metrics-snapshot` file mode writes the same `/metrics`
+//! body to disk ([`openmetrics`] of the same snapshot and tracer) so CI
+//! can validate the exposition without scraping a port.
 
 use crate::live::{Live, LiveSnapshot, LiveValue};
 use crate::slo::SloMonitor;
@@ -36,7 +44,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Rendering
@@ -135,17 +143,12 @@ fn exemplar_suffix(out: &mut String, ex: &Exemplar) {
 /// resolution to hang exemplars off the tail.
 const EXPO_BUCKETS: usize = 8;
 
-/// Renders a snapshot as OpenMetrics text (terminated by `# EOF`).
-pub fn openmetrics(snap: &LiveSnapshot) -> String {
-    openmetrics_traced(snap, None)
-}
-
-/// Renders a snapshot as OpenMetrics text, attaching exemplars from the
-/// tail sampler where available. A histogram family with at least one
-/// exemplar is rendered as a real OpenMetrics `histogram` (cumulative
-/// `le` buckets, exemplar-annotated); families without exemplars keep the
-/// compact `summary` rendering.
-pub fn openmetrics_traced(snap: &LiveSnapshot, tracing: Option<&Tracing>) -> String {
+/// Renders a snapshot as OpenMetrics text (terminated by `# EOF`),
+/// attaching exemplars from the tail sampler where `tracing` has any. A
+/// histogram family with at least one exemplar is rendered as a real
+/// OpenMetrics `histogram` (cumulative `le` buckets, exemplar-annotated);
+/// families without exemplars keep the compact `summary` rendering.
+pub fn openmetrics(snap: &LiveSnapshot, tracing: Option<&Tracing>) -> String {
     let exemplars = tracing.map(Tracing::exemplars).unwrap_or_default();
     // Group series by family so labeled variants stay contiguous.
     let mut families: BTreeMap<String, Vec<(String, &LiveValue)>> = BTreeMap::new();
@@ -735,20 +738,11 @@ pub struct MetricsServer {
 
 /// Starts the blocking HTTP listener on `addr` (use port 0 to let the OS
 /// pick — [`MetricsServer::addr`] reports the bound address). Routes:
-/// `/metrics`, `/healthz`, `/snapshot`.
+/// `/metrics`, `/healthz`, `/snapshot`, and — answering 404 without a
+/// tracer — `/traces` (retained-trace listing) and `/trace/<id>` (full
+/// span tree for a retained trace, by id or unique prefix). With a tracer
+/// `/metrics` carries the tail sampler's exemplars.
 pub fn serve(
-    addr: &str,
-    live: Arc<Live>,
-    slo: Option<Arc<SloMonitor>>,
-) -> io::Result<MetricsServer> {
-    serve_traced(addr, live, slo, None)
-}
-
-/// [`serve`] plus the tracing routes: `/traces` (retained-trace listing)
-/// and `/trace/<id>` (full span tree for a retained trace, by id or
-/// unique prefix), and `/metrics` exemplars sourced from the tail
-/// sampler.
-pub fn serve_traced(
     addr: &str,
     live: Arc<Live>,
     slo: Option<Arc<SloMonitor>>,
@@ -811,16 +805,29 @@ fn json_error(error: &str, path: &str) -> String {
     body
 }
 
+/// What one connection gets for its whole exchange (module docs).
+const CONN_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Time until `deadline`, as a socket timeout; `TimedOut` once it is past
+/// (a zero socket timeout would mean "none").
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    match deadline.checked_duration_since(Instant::now()) {
+        Some(left) if !left.is_zero() => Ok(left),
+        _ => Err(io::ErrorKind::TimedOut.into()),
+    }
+}
+
 fn handle_conn(
     mut stream: TcpStream,
     live: &Arc<Live>,
     slo: Option<&SloMonitor>,
     tracing: Option<&Tracing>,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + CONN_DEADLINE;
     let mut buf = [0u8; 4096];
     let mut req = Vec::new();
     loop {
+        stream.set_read_timeout(Some(time_left(deadline)?))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -848,7 +855,7 @@ fn handle_conn(
             "/metrics" => (
                 200,
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
-                openmetrics_traced(&live.snapshot(), tracing),
+                openmetrics(&live.snapshot(), tracing),
             ),
             "/healthz" => match slo {
                 Some(mon) => {
@@ -916,7 +923,15 @@ fn handle_conn(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\n{allow}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(resp.as_bytes())
+    let mut unsent = resp.as_bytes();
+    while !unsent.is_empty() {
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
+        match stream.write(unsent)? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => unsent = &unsent[n..],
+        }
+    }
+    Ok(())
 }
 
 /// A tiny blocking HTTP GET (the `spamctl top` client and the tests'
@@ -982,7 +997,7 @@ mod tests {
 
     #[test]
     fn rendered_exposition_validates() {
-        let text = openmetrics(&sample_snapshot());
+        let text = openmetrics(&sample_snapshot(), None);
         let summary = validate_openmetrics(&text).expect(&text);
         assert_eq!(summary.families, 4);
         assert!(text.ends_with("# EOF\n"));
@@ -1096,14 +1111,14 @@ mod tests {
         h.observe("spam_live_task_latency_seconds", 0.25);
         h.observe("spam_live_task_latency_seconds", 0.01);
         h.observe("spam_live_task_latency_seconds", 2.0);
-        let text = openmetrics_traced(&live.snapshot(), Some(&tr));
+        let text = openmetrics(&live.snapshot(), Some(&tr));
         validate_openmetrics(&text).expect(&text);
         assert!(text.contains("# TYPE spam_live_task_latency_seconds histogram"));
         assert!(text.contains("spam_live_task_latency_seconds_bucket"));
         let want = format!("# {{trace_id=\"{}\"}} 0.25", tr.retained()[0].trace);
         assert!(text.contains(&want), "missing exemplar in:\n{text}");
         // Without a tracer the family renders as a summary, as before.
-        let plain = openmetrics(&live.snapshot());
+        let plain = openmetrics(&live.snapshot(), None);
         assert!(plain.contains("# TYPE spam_live_task_latency_seconds summary"));
         validate_openmetrics(&plain).unwrap();
     }
@@ -1169,7 +1184,7 @@ mod tests {
     #[test]
     fn non_get_methods_are_405_with_allow_header() {
         let live = Live::new(4);
-        let server = serve("127.0.0.1:0", Arc::clone(&live), None).unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&live), None, None).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")
@@ -1190,7 +1205,7 @@ mod tests {
     #[test]
     fn unknown_path_returns_json_error_body() {
         let live = Live::new(4);
-        let server = serve("127.0.0.1:0", Arc::clone(&live), None).unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&live), None, None).unwrap();
         let (status, body) = http_get(
             &format!("http://{}/definitely-not-a-route", server.addr()),
             Duration::from_secs(5),
@@ -1209,13 +1224,7 @@ mod tests {
     fn trace_routes_serve_retained_traces() {
         let tr = retained_tracer();
         let live = Live::new(4);
-        let server = serve_traced(
-            "127.0.0.1:0",
-            Arc::clone(&live),
-            None,
-            Some(Arc::clone(&tr)),
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&live), None, Some(tr)).unwrap();
         let base = format!("http://{}", server.addr());
         let t = Duration::from_secs(5);
 
@@ -1242,7 +1251,7 @@ mod tests {
         assert!(Json::parse(&body).is_ok());
 
         // Without tracing, /traces is a JSON 404.
-        let plain = serve("127.0.0.1:0", Arc::clone(&live), None).unwrap();
+        let plain = serve("127.0.0.1:0", Arc::clone(&live), None, None).unwrap();
         let (status, body) = http_get(&format!("http://{}/traces", plain.addr()), t).unwrap();
         assert_eq!(status, 404);
         assert!(body.contains("tracing is not enabled"));
@@ -1256,7 +1265,13 @@ mod tests {
         let mon = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
         mon.observe(1.0, true);
         mon.advance(live.advance_epoch());
-        let server = serve("127.0.0.1:0", Arc::clone(&live), Some(Arc::clone(&mon))).unwrap();
+        let server = serve(
+            "127.0.0.1:0",
+            Arc::clone(&live),
+            Some(Arc::clone(&mon)),
+            None,
+        )
+        .unwrap();
         let base = format!("http://{}", server.addr());
         let t = Duration::from_secs(5);
 
@@ -1297,7 +1312,7 @@ mod tests {
             mon.observe(100.0, true);
             mon.advance(live.advance_epoch());
         }
-        let server = serve("127.0.0.1:0", Arc::clone(&live), Some(mon)).unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&live), Some(mon), None).unwrap();
         let (status, body) = http_get(
             &format!("http://{}/healthz", server.addr()),
             Duration::from_secs(5),
@@ -1305,5 +1320,54 @@ mod tests {
         .unwrap();
         assert_eq!(status, 503);
         assert!(body.contains("degraded"));
+    }
+
+    /// A 200 from `/healthz` inside one deadline (plus slack for a loaded
+    /// box), then a `shutdown` that returns: what a wedged accept loop
+    /// cannot give.
+    fn assert_listener_is_free(server: &mut MetricsServer) {
+        let t0 = Instant::now();
+        let url = format!("http://{}/healthz", server.addr());
+        let (status, _) = http_get(&url, 3 * CONN_DEADLINE).expect("the next client is served");
+        assert_eq!(status, 200);
+        server.shutdown();
+        let held = t0.elapsed();
+        assert!(held < 2 * CONN_DEADLINE, "listener held for {held:?}");
+    }
+
+    #[test]
+    fn a_trickled_request_is_dropped_at_the_connection_deadline() {
+        let live = Live::new(4);
+        let mut server = serve("127.0.0.1:0", live, None, None).unwrap();
+        // Connected (and so accepted) first; then a byte every 300 ms, each
+        // well inside any per-read timeout, for four deadlines.
+        let mut slow = TcpStream::connect(server.addr()).unwrap();
+        slow.write_all(b"G").unwrap();
+        let trickle = thread::spawn(move || {
+            let t0 = Instant::now();
+            while t0.elapsed() < 4 * CONN_DEADLINE && slow.write_all(b"E").is_ok() {
+                thread::sleep(Duration::from_millis(300));
+            }
+        });
+        assert_listener_is_free(&mut server);
+        trickle.join().unwrap();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_dropped_at_the_connection_deadline() {
+        // A `/metrics` body several times what loopback sockets buffer
+        // (4 MB of send buffer at most), so the write must block.
+        let live = Live::new(4);
+        let h = live.handle();
+        let pad = "x".repeat(4096);
+        for i in 0..4096 {
+            let v = format!("{pad}{i}");
+            h.inc(&crate::live::series_key("big", &[("pad", &v)]), 1);
+        }
+        let mut server = serve("127.0.0.1:0", live, None, None).unwrap();
+        let mut deaf = TcpStream::connect(server.addr()).unwrap();
+        deaf.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        assert_listener_is_free(&mut server);
+        drop(deaf);
     }
 }

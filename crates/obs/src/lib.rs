@@ -1,38 +1,51 @@
-//! # tlp-obs — the flight recorder
+//! # tlp-obs — the reproduction's instrument
 //!
 //! The paper's whole argument is built from *measurement*: Tables 5–8 and
 //! the §5.2 speed-up curves come from instrumented task timings, queue
 //! waits, and match fractions. This crate is the reproduction's measurement
 //! substrate — a structured, low-overhead observability layer shared by the
 //! OPS5 engine, the SPAM/PSM supervisor, the threaded matcher, and the
-//! Multimax simulator:
+//! Multimax simulator. Every artefact has one producer, one format and one
+//! checker:
 //!
-//! * [`Recorder`] — a lock-light event sink. Each emitting thread owns a
-//!   [`ThreadSink`] with a private buffer and a deterministic per-thread
-//!   logical clock; buffers flush into the shared recorder only at flush
-//!   points (or drop), so the hot path never takes a lock. Every event
-//!   carries the logical clock *and* wall time.
-//! * [`MetricsRegistry`] — named counters, gauges, and log-scale
-//!   [`Histogram`]s with per-phase snapshots (queue wait, service time,
-//!   match fraction, retries, utilization).
-//! * Exporters ([`export`]) — a JSONL event log, Chrome `trace_event` JSON
-//!   (loadable in `chrome://tracing` / Perfetto), and an ASCII per-processor
-//!   Gantt chart ([`Timeline::gantt`]).
-//! * A dependency-free JSON [`json`] parser/writer used by the exporters,
-//!   the `tracecheck` validator, and the round-trip tests.
+//! * **Events** — [`Recorder`], a lock-light event sink. Each emitting
+//!   thread owns a [`ThreadSink`] with a private buffer and a deterministic
+//!   per-thread logical clock; buffers flush into the shared recorder only
+//!   at flush points (or drop), so the hot path never takes a lock. Every
+//!   event carries the logical clock *and* wall time. Written as Chrome
+//!   `trace_event` JSON ([`TraceDoc`], next to simulated [`Timeline`]s),
+//!   checked by [`validate_chrome_trace`] (`tracecheck`).
+//! * **Metrics** — [`Live`], the one registry: counters, gauges and
+//!   windowed log-scale [`Histogram`]s in per-thread shards, rotated on a
+//!   logical epoch. A phase's final metrics are its last snapshot
+//!   ([`LiveSnapshot::to_json`]); the same snapshot renders as OpenMetrics
+//!   text ([`openmetrics`]) to a file or over the [`serve`] listener,
+//!   checked by [`validate_openmetrics`] (`expocheck`). [`SloMonitor`]
+//!   publishes its burn-rate decisions into it.
+//! * **Scene traces** — [`Tracing`], a span tree per scene submission with
+//!   tail-based retention and exemplars into the latency histogram;
+//!   written as JSON ([`RetainedTrace::to_json`]), checked by
+//!   [`validate_span_tree`] (`tracecheck --spans`).
+//! * A dependency-free JSON [`json`] parser/writer used by all of the
+//!   above and by the round-trip tests.
 //!
 //! ## Cost model
 //!
-//! Observability must never distort what it observes. Three tiers:
+//! Observability must never distort what it observes:
 //!
-//! 1. **Feature-gated**: building without the `recorder` feature turns
-//!    [`ThreadSink::enabled`] into a constant `false`, so every emit site
-//!    downstream compiles away entirely.
-//! 2. **Runtime level**: with the feature on, [`ObsLevel::Off`] reduces an
-//!    emit to one relaxed atomic load and a branch.
+//! 1. **Runtime level**: [`ObsLevel::Off`] reduces an emit site to one
+//!    relaxed atomic load and a branch; a disabled [`Live`] or [`Tracing`]
+//!    to a branch on a plain bool.
+//! 2. **One clock**: an emitter that has timed something stamps its events
+//!    and spans with the instants it already holds ([`Recorder::us_at`],
+//!    [`Tracing::us_at`]) — two records of one interval never read two
+//!    clocks, so they cannot disagree.
 //! 3. **Deterministic accounting is separate**: the engine's work-unit
 //!    counters (`ops5::instrument`) never flow through the recorder, so
 //!    work totals are bit-identical at any level.
+//!
+//! What the rest costs end to end is measured, not assumed:
+//! `bench_overhead` runs every observer as an arm against `off`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,18 +63,12 @@ pub mod timeline;
 pub mod tracectx;
 
 pub use event::{ArgValue, Category, Event, EventKind};
-pub use export::{
-    events_to_jsonl, machines_to_jsonl, validate_chrome_trace, validate_jsonl, TraceDoc,
-    TraceSummary,
-};
-pub use expose::{
-    http_get, openmetrics, openmetrics_traced, serve, serve_traced, validate_openmetrics,
-    ExpoSummary, MetricsServer,
-};
+pub use export::{validate_chrome_trace, TraceDoc, TraceSummary};
+pub use expose::{http_get, openmetrics, serve, validate_openmetrics, ExpoSummary, MetricsServer};
 pub use live::{
     series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW, TASK_LATENCY_FAMILY,
 };
-pub use metrics::{Histogram, Metric, MetricsRegistry, Snapshot};
+pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};
 pub use slo::{Health, SloConfig, SloMonitor};
 pub use stitch::{stitch, MachineLog, StitchReport, Stitched};

@@ -1,8 +1,12 @@
-//! Always-on live telemetry: lock-light sliding-window aggregators.
+//! The metrics registry: lock-light sliding-window aggregators.
 //!
 //! The flight recorder ([`crate::Recorder`]) answers *what happened* after a
 //! run exits; this module answers *what is happening now* while a
-//! long-running engine process is still working. Emitting threads own
+//! long-running engine process is still working — and, because a phase's
+//! final metrics are simply its last snapshot, *how much overall* once it
+//! has (`spamctl --metrics-out`). It is the only registry: every counter,
+//! gauge and histogram the workspace publishes is a series here. Emitting
+//! threads own
 //! private shards (one mutex per shard, never contended on the hot path
 //! because only the owning thread and the occasional snapshotter touch it),
 //! and every windowed series is a ring of `N` fixed buckets rotated on a
@@ -14,21 +18,22 @@
 //!   rate derived from it.
 //! * **Gauges** — last-write-wins across all shards (ordered by a global
 //!   sequence, not wall time).
-//! * **Windowed histograms** — a ring of [`Histogram`]s (the same log-scale
-//!   buckets as [`crate::MetricsRegistry`]), merged bucket-wise on demand,
-//!   so windowed quantile bounds carry the exact same ±one-bucket guarantee
-//!   as the unwindowed math (property-tested in `tests/live_props.rs`).
+//! * **Windowed histograms** — a ring of log-scale [`Histogram`]s, merged
+//!   bucket-wise on demand, so windowed quantile bounds carry the exact same
+//!   ±one-bucket guarantee as the unwindowed math (property-tested in
+//!   `tests/live_props.rs`).
 //!
 //! Series names follow the OpenMetrics convention used by [`crate::expose`]:
 //! `spam_live_*` for engine/supervisor series, `spam_slo_*` for the SLO
-//! monitor, with an optional label set encoded in the key itself
+//! monitor, `spam_phase_*` / `spam_sim_*` for a finished phase's per-task
+//! distributions, with an optional label set encoded in the key itself
 //! (`spam_live_worker_busy_us{worker="3"}`, built by [`series_key`]).
 //!
 //! Cost model: a disabled registry ([`Live::off`]) reduces every emit to one
 //! branch on a plain bool. An enabled emit is one uncontended mutex lock and
 //! a map lookup; emitters batch (e.g. the LCC unit runner mirrors engine
-//! counters once every few cycles), and `bench_live` gates the end-to-end
-//! overhead under 2 %.
+//! counters once every few cycles), and `bench_overhead`'s `live` arm holds
+//! the end-to-end overhead to its 2 % budget.
 
 use crate::json::Json;
 use crate::metrics::Histogram;
@@ -44,7 +49,7 @@ pub const DEFAULT_WINDOW: usize = 8;
 /// place because three layers must agree on it: the supervisor observes
 /// into it, the tail sampler ties its exemplars to it
 /// ([`crate::tracectx::Tracing`]), and the exposition layer renders those
-/// exemplars onto its buckets ([`crate::expose::openmetrics_traced`]).
+/// exemplars onto its buckets ([`crate::expose::openmetrics`]).
 pub const TASK_LATENCY_FAMILY: &str = "spam_live_task_latency_seconds";
 
 /// Builds a series key with an encoded OpenMetrics label set:

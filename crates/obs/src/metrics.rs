@@ -1,20 +1,14 @@
-//! The metrics registry: counters, gauges, and log-scale histograms.
+//! The log-scale histogram every metric distribution in the crate is made of.
 //!
-//! Metrics are cheap aggregates kept alongside the event log: the event log
-//! answers *what happened when*, the registry answers *how much overall*.
-//! Names are flat strings with a `phase/metric` convention
-//! (`lcc/queue_wait_s`, `rtf/service_s`), which is what "per-phase
-//! snapshots" means — one registry, phase-prefixed families.
-//!
-//! [`Histogram`] uses logarithmic buckets (4 per octave, covering
-//! `[2^-30, 2^34)`), so a single shape serves microsecond queue waits and
-//! kilosecond makespans with bounded error: any quantile estimate brackets
-//! the true sample quantile within one bucket (≈ ±9 %), a property the
-//! crate's proptests pin down.
+//! There is one metrics registry, [`crate::Live`]; this module is the
+//! sample shape it (and the SLO monitor) stores. [`Histogram`] uses
+//! logarithmic buckets (4 per octave, covering `[2^-30, 2^34)`), so a
+//! single shape serves microsecond queue waits and kilosecond makespans
+//! with bounded error: any quantile estimate brackets the true sample
+//! quantile within one bucket (≈ ±9 %), a property the crate's proptests
+//! pin down.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Buckets per powers-of-two octave.
 const BUCKETS_PER_OCTAVE: i32 = 4;
@@ -216,181 +210,9 @@ impl Histogram {
     }
 }
 
-/// One named metric.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Metric {
-    /// Monotone event count.
-    Counter(u64),
-    /// Last-write-wins sampled value.
-    Gauge(f64),
-    /// Distribution of samples.
-    Histogram(Histogram),
-}
-
-/// A point-in-time copy of the registry.
-pub type Snapshot = BTreeMap<String, Metric>;
-
-/// The human name of a metric's kind (for merge-conflict errors).
-fn kind_name(m: &Metric) -> &'static str {
-    match m {
-        Metric::Counter(_) => "counter",
-        Metric::Gauge(_) => "gauge",
-        Metric::Histogram(_) => "histogram",
-    }
-}
-
-/// A shared, thread-safe registry of named metrics.
-///
-/// Lookups take the registry mutex; callers on hot paths should aggregate
-/// locally (e.g. in `WorkCounters`) and record once per task, which is how
-/// the supervisor and simulator use it.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Snapshot>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `n` to counter `name` (creating it at zero).
-    pub fn count(&self, name: &str, n: u64) {
-        let mut m = self.inner.lock().unwrap();
-        match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(c) => *c += n,
-            other => *other = Metric::Counter(n),
-        }
-    }
-
-    /// Sets gauge `name` to `v`.
-    pub fn gauge(&self, name: &str, v: f64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Metric::Gauge(v));
-    }
-
-    /// Records `v` into histogram `name` (creating it empty).
-    pub fn record(&self, name: &str, v: f64) {
-        let mut m = self.inner.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.record(v),
-            other => {
-                let mut h = Histogram::new();
-                h.record(v);
-                *other = Metric::Histogram(h);
-            }
-        }
-    }
-
-    /// Copies the current metric values.
-    pub fn snapshot(&self) -> Snapshot {
-        self.inner.lock().unwrap().clone()
-    }
-
-    /// Merges a snapshot into this registry — the cross-thread aggregation
-    /// path: each worker records into a private registry, the control
-    /// process merges the snapshots. Counters add, gauges take the
-    /// incoming value (last write wins, in merge order), histograms merge
-    /// bucket-wise (so merged quantile bounds still bracket the pooled
-    /// sample quantiles). A name collision between *different* metric
-    /// kinds (a counter on one thread, a histogram on another) is a
-    /// programming error, not something to paper over — it is rejected,
-    /// and any entries merged before the offending name stay merged (the
-    /// registry mutex makes the partial merge itself atomic).
-    pub fn merge_snapshot(&self, other: &Snapshot) -> Result<(), String> {
-        let mut m = self.inner.lock().unwrap();
-        for (name, incoming) in other {
-            match (m.get_mut(name), incoming) {
-                (Some(Metric::Counter(a)), Metric::Counter(b)) => *a += b,
-                (Some(Metric::Histogram(a)), Metric::Histogram(b)) => a.merge(b),
-                (Some(g @ Metric::Gauge(_)), Metric::Gauge(_)) => *g = incoming.clone(),
-                (Some(resident), _) => {
-                    return Err(format!(
-                        "metric {name:?} merged as {} into {}",
-                        kind_name(incoming),
-                        kind_name(resident),
-                    ));
-                }
-                (None, _) => {
-                    m.insert(name.clone(), incoming.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merges another registry's current contents into this one (see
-    /// [`MetricsRegistry::merge_snapshot`]).
-    pub fn merge(&self, other: &MetricsRegistry) -> Result<(), String> {
-        self.merge_snapshot(&other.snapshot())
-    }
-
-    /// Renders the registry as a JSON object keyed by metric name.
-    pub fn to_json(&self) -> Json {
-        let snap = self.snapshot();
-        Json::Obj(
-            snap.into_iter()
-                .map(|(name, m)| {
-                    let v = match m {
-                        Metric::Counter(c) => Json::obj(vec![
-                            ("type", Json::str("counter")),
-                            ("value", Json::Num(c as f64)),
-                        ]),
-                        Metric::Gauge(g) => {
-                            Json::obj(vec![("type", Json::str("gauge")), ("value", Json::Num(g))])
-                        }
-                        Metric::Histogram(h) => {
-                            let mut o = vec![("type", Json::str("histogram"))];
-                            if let Json::Obj(fields) = h.to_json() {
-                                return (
-                                    name,
-                                    Json::Obj(
-                                        o.drain(..)
-                                            .map(|(k, v)| (k.to_string(), v))
-                                            .chain(fields)
-                                            .collect(),
-                                    ),
-                                );
-                            }
-                            unreachable!("histogram json is an object")
-                        }
-                    };
-                    (name, v)
-                })
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_gauges_histograms() {
-        let reg = MetricsRegistry::new();
-        reg.count("lcc/retries", 2);
-        reg.count("lcc/retries", 3);
-        reg.gauge("lcc/utilization", 0.85);
-        reg.record("lcc/queue_wait_s", 0.5);
-        reg.record("lcc/queue_wait_s", 2.0);
-        let snap = reg.snapshot();
-        assert_eq!(snap["lcc/retries"], Metric::Counter(5));
-        assert_eq!(snap["lcc/utilization"], Metric::Gauge(0.85));
-        match &snap["lcc/queue_wait_s"] {
-            Metric::Histogram(h) => {
-                assert_eq!(h.count(), 2);
-                assert!((h.sum() - 2.5).abs() < 1e-12);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
 
     #[test]
     fn histogram_quantiles_bracket_samples() {
@@ -433,67 +255,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.max(), Some(16.0));
         assert!((a.sum() - 21.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registry_merge_aggregates_across_threads() {
-        let a = MetricsRegistry::new();
-        a.count("lcc/retries", 2);
-        a.gauge("lcc/utilization", 0.5);
-        a.record("lcc/queue_wait_s", 1.0);
-        a.record("lcc/queue_wait_s", 2.0);
-
-        let b = MetricsRegistry::new();
-        b.count("lcc/retries", 3);
-        b.count("lcc/dead_letters", 1);
-        b.gauge("lcc/utilization", 0.9);
-        b.record("lcc/queue_wait_s", 8.0);
-
-        a.merge(&b).unwrap();
-        let snap = a.snapshot();
-        assert_eq!(snap["lcc/retries"], Metric::Counter(5));
-        assert_eq!(snap["lcc/dead_letters"], Metric::Counter(1));
-        // Gauges: incoming value wins.
-        assert_eq!(snap["lcc/utilization"], Metric::Gauge(0.9));
-        match &snap["lcc/queue_wait_s"] {
-            Metric::Histogram(h) => {
-                assert_eq!(h.count(), 3);
-                assert!((h.sum() - 11.0).abs() < 1e-12);
-                assert_eq!(h.max(), Some(8.0));
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn registry_merge_type_conflict_is_error() {
-        let a = MetricsRegistry::new();
-        a.count("x", 7);
-        let b = MetricsRegistry::new();
-        b.gauge("x", 1.5);
-        let err = a.merge(&b).unwrap_err();
-        assert!(err.contains("\"x\""), "error names the metric: {err}");
-        assert!(
-            err.contains("gauge") && err.contains("counter"),
-            "error names both kinds: {err}"
-        );
-        // The resident metric is untouched by the rejected merge.
-        assert_eq!(a.snapshot()["x"], Metric::Counter(7));
-
-        // Histogram-vs-counter under the same name is just as illegal.
-        let c = MetricsRegistry::new();
-        c.record("x", 0.5);
-        assert!(a.merge(&c).unwrap_err().contains("histogram"));
-    }
-
-    #[test]
-    fn registry_merge_into_empty_is_identity() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        b.count("n", 4);
-        b.record("h", 2.0);
-        a.merge(&b).unwrap();
-        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]

@@ -64,25 +64,11 @@ impl Recorder {
         }
     }
 
-    /// Changes the recording level mid-run.
-    pub fn set_level(&self, level: ObsLevel) {
-        self.level.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// True when events at `at` (or coarser) should be recorded. With the
-    /// `recorder` feature off this is a constant `false` and every guarded
-    /// emit site folds away.
+    /// True when events at `at` (or coarser) should be recorded: one
+    /// relaxed load and a compare.
     #[inline]
     pub fn enabled(&self, at: ObsLevel) -> bool {
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = at;
-            false
-        }
-        #[cfg(feature = "recorder")]
-        {
-            self.level.load(Ordering::Relaxed) >= at as u8
-        }
+        self.level.load(Ordering::Relaxed) >= at as u8
     }
 
     /// Registers an emitting thread, returning its private sink. Thread
@@ -104,7 +90,15 @@ impl Recorder {
 
     /// Microseconds since the recorder epoch.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.us_at(Instant::now())
+    }
+
+    /// `t` on this recorder's clock: microseconds since its epoch. An
+    /// emitter that has already read the clock (a task attempt's start and
+    /// finish) stamps its events with this and [`ThreadSink::emit_at`]
+    /// instead of reading it again.
+    pub fn us_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     /// Snapshot of all flushed events (sinks must be flushed/dropped first
@@ -168,17 +162,12 @@ impl ThreadSink {
     }
 
     /// Sets the sticky scene-trace annotation: every subsequent event from
-    /// this sink carries a `trace_id` argument until
-    /// [`ThreadSink::clear_trace`]. Workers set this when they start
-    /// executing inside a traced scene, so recorder events and retained
-    /// span trees share a join key.
+    /// this sink carries a `trace_id` argument. Workers set this when they
+    /// start executing inside a traced scene (their sink lives as long as
+    /// the phase), so recorder events and retained span trees share a join
+    /// key.
     pub fn set_trace(&mut self, trace: TraceId) {
         self.trace = Some(trace);
-    }
-
-    /// Clears the sticky scene-trace annotation.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
     }
 
     /// Emits one event (unconditionally — call [`ThreadSink::enabled`]
@@ -190,21 +179,16 @@ impl ThreadSink {
         kind: EventKind,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (cat, name.into(), kind, args);
-        }
-        #[cfg(feature = "recorder")]
-        {
-            let at = self.rec.now_us();
-            self.emit_at(at, cat, name, kind, args);
-        }
+        let at = self.rec.now_us();
+        self.emit_at(at, cat, name, kind, args);
     }
 
-    /// Emits one event with an explicit timestamp instead of the recorder's
-    /// wall clock. This is how simulated clock domains (the two-machine SVM
-    /// simulation) write machine-local time stamps: the caller owns the
-    /// clock, the sink still owns the logical clock and the level gate.
+    /// Emits one event with an explicit timestamp instead of a fresh read
+    /// of the recorder's wall clock: the caller owns the clock, the sink
+    /// still owns the logical clock and the level gate. Simulated clock
+    /// domains (the two-machine SVM simulation) write machine-local stamps
+    /// this way, and the phase runner stamps `task.exec` with the instants
+    /// it measured the attempt by ([`Recorder::us_at`]).
     pub fn emit_at(
         &mut self,
         wall_us: u64,
@@ -213,42 +197,23 @@ impl ThreadSink {
         kind: EventKind,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (wall_us, cat, name.into(), kind, args);
+        if !self.rec.enabled(ObsLevel::Summary) {
+            return;
         }
-        #[cfg(feature = "recorder")]
-        {
-            if !self.rec.enabled(ObsLevel::Summary) {
-                return;
-            }
-            let mut args = args;
-            if let Some(trace) = self.trace {
-                args.push(("trace_id", ArgValue::Str(trace.to_string())));
-            }
-            self.seq += 1;
-            self.buf.push(Event {
-                thread: self.thread,
-                seq: self.seq,
-                wall_us,
-                cat,
-                name: name.into(),
-                kind,
-                args,
-            });
+        let mut args = args;
+        if let Some(trace) = self.trace {
+            args.push(("trace_id", ArgValue::Str(trace.to_string())));
         }
-    }
-
-    /// Emits an instant event with an explicit timestamp (see
-    /// [`ThreadSink::emit_at`]).
-    pub fn instant_at(
-        &mut self,
-        wall_us: u64,
-        cat: Category,
-        name: impl Into<String>,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        self.emit_at(wall_us, cat, name, EventKind::Instant, args);
+        self.seq += 1;
+        self.buf.push(Event {
+            thread: self.thread,
+            seq: self.seq,
+            wall_us,
+            cat,
+            name: name.into(),
+            kind,
+            args,
+        });
     }
 
     /// Emits an instant event.
@@ -342,7 +307,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "recorder")]
     fn summary_level_drops_nothing_it_accepted() {
         let rec = Recorder::new(ObsLevel::Summary);
         let mut sink = rec.sink("control");
@@ -357,30 +321,12 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "recorder")]
-    fn level_can_change_mid_run() {
-        let rec = Recorder::new(ObsLevel::Off);
-        let mut sink = rec.sink("t");
-        sink.instant(Category::Task, "dropped", vec![]);
-        rec.set_level(ObsLevel::Full);
-        assert!(rec.enabled(ObsLevel::Full));
-        sink.instant(Category::Task, "kept", vec![]);
-        sink.flush();
-        let evs = rec.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "kept");
-    }
-
-    #[test]
-    #[cfg(feature = "recorder")]
     fn sticky_trace_annotation_tags_events() {
         let rec = Recorder::new(ObsLevel::Full);
         let mut sink = rec.sink("worker");
         sink.instant(Category::Task, "before", vec![]);
         sink.set_trace(TraceId::derive(7, "dc"));
         sink.instant(Category::Task, "during", vec![("task", 3u64.into())]);
-        sink.clear_trace();
-        sink.instant(Category::Task, "after", vec![]);
         sink.flush();
         let evs = rec.events();
         let tagged: Vec<&Event> = evs

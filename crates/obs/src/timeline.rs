@@ -106,48 +106,13 @@ impl Timeline {
         }
     }
 
-    /// Total span time across all tracks (busy + idle as recorded).
-    pub fn span_seconds(&self) -> f64 {
-        self.tracks
-            .iter()
-            .flat_map(|t| &t.spans)
-            .map(Span::dur)
-            .sum()
-    }
-
     /// Fraction of `[0, makespan]` covered by the union of all spans on all
     /// tracks. 1.0 means every simulated instant is attributed to some
     /// span somewhere; this is the quantity the acceptance check holds
     /// above 0.99.
     pub fn coverage(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 1.0;
-        }
-        let mut ivals: Vec<(f64, f64)> = self
-            .tracks
-            .iter()
-            .flat_map(|t| &t.spans)
-            .map(|s| (s.start.max(0.0), s.end.min(self.makespan)))
-            .filter(|(a, b)| b > a)
-            .collect();
-        ivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut covered = 0.0;
-        let mut cur: Option<(f64, f64)> = None;
-        for (a, b) in ivals {
-            match &mut cur {
-                Some((_, ce)) if a <= *ce => *ce = ce.max(b),
-                _ => {
-                    if let Some((cs, ce)) = cur.take() {
-                        covered += ce - cs;
-                    }
-                    cur = Some((a, b));
-                }
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            covered += ce - cs;
-        }
-        (covered / self.makespan).min(1.0)
+        let spans = self.tracks.iter().flat_map(|t| &t.spans);
+        union_coverage(spans.map(|s| (s.start, s.end)), self.makespan)
     }
 
     /// Renders an ASCII per-processor Gantt chart, `width` columns of
@@ -197,35 +162,43 @@ impl Timeline {
         ));
         out
     }
+}
 
-    /// Returns a copy with every span and counter sample mapped through
-    /// `t ↦ t * scale + offset` (and the makespan endpoint likewise). This
-    /// is how a remote machine's simulated-time timeline is carried into
-    /// the home clock domain once the stitcher has fitted the relation.
-    pub fn map_affine(&self, scale: f64, offset: f64) -> Timeline {
-        let f = |t: f64| t * scale + offset;
-        let mut out = self.clone();
-        out.makespan = f(self.makespan);
-        for track in &mut out.tracks {
-            for span in &mut track.spans {
-                span.start = f(span.start);
-                span.end = f(span.end);
-            }
-        }
-        for series in &mut out.counters {
-            for s in &mut series.samples {
-                s.0 = f(s.0);
-            }
-        }
-        out
+/// Fraction of `[0, horizon]` covered by the union of `spans` (`(start,
+/// end)` pairs in the horizon's unit); 1.0 for an empty horizon.
+pub(crate) fn union_coverage(spans: impl Iterator<Item = (f64, f64)>, horizon: f64) -> f64 {
+    if horizon <= 0.0 {
+        return 1.0;
     }
+    let mut ivals: Vec<(f64, f64)> = spans
+        .map(|(a, b)| (a.max(0.0), b.min(horizon)))
+        .filter(|(a, b)| b > a)
+        .collect();
+    ivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut covered = 0.0;
+    let mut cur: Option<(f64, f64)> = None;
+    for (a, b) in ivals {
+        match &mut cur {
+            Some((_, ce)) if a <= *ce => *ce = ce.max(b),
+            _ => {
+                if let Some((cs, ce)) = cur.take() {
+                    covered += ce - cs;
+                }
+                cur = Some((a, b));
+            }
+        }
+    }
+    if let Some((cs, ce)) = cur {
+        covered += ce - cs;
+    }
+    (covered / horizon).min(1.0)
 }
 
 /// Renders several machines' timelines as one Gantt chart sharing a single
 /// time axis: all tracks are scaled to the *longest* makespan so columns
 /// line up across machines, with a machine-name rule between sections.
-/// Call after stitching (each timeline already mapped into the common
-/// clock domain, e.g. via [`Timeline::map_affine`]).
+/// Call after stitching (each timeline already in the common clock
+/// domain).
 pub fn multi_gantt(machines: &[(&str, &Timeline)], width: usize) -> String {
     let width = width.max(8);
     let horizon = machines
@@ -322,22 +295,6 @@ mod tests {
         );
         assert_eq!(Span::new("warmup", Category::Svm, 0.0, 1.0).glyph, 'w');
         assert_eq!(Span::new("other", Category::Sim, 0.0, 1.0).glyph, '*');
-    }
-
-    #[test]
-    fn map_affine_moves_spans_counters_and_makespan() {
-        let mut tl = demo();
-        tl.counters.push(CounterSeries {
-            name: "queue".into(),
-            samples: vec![(0.0, 1.0), (5.0, 3.0)],
-        });
-        let mapped = tl.map_affine(2.0, 1.0);
-        assert!((mapped.makespan - 21.0).abs() < 1e-12);
-        assert!((mapped.tracks[0].spans[0].start - 1.0).abs() < 1e-12);
-        assert!((mapped.tracks[0].spans[0].end - 2.0).abs() < 1e-12);
-        assert!((mapped.counters[0].samples[1].0 - 11.0).abs() < 1e-12);
-        // Original untouched.
-        assert!((tl.makespan - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -453,7 +453,14 @@ impl Tracing {
 
     /// Microseconds since this tracer's epoch.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.us_at(Instant::now())
+    }
+
+    /// `t` on this tracer's clock: microseconds since its epoch. A span
+    /// whose endpoints were already read from the clock is stamped with
+    /// this instead of reading it again.
+    pub fn us_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -808,6 +815,11 @@ impl SceneSpan {
     /// Microseconds since the tracer's epoch.
     pub fn now_us(&self) -> u64 {
         self.tracing.now_us()
+    }
+
+    /// `t` on the tracer's clock ([`Tracing::us_at`]).
+    pub fn us_at(&self, t: Instant) -> u64 {
+        self.tracing.us_at(t)
     }
 
     /// Records a completed span into this scene's trace.

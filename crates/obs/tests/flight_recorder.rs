@@ -1,19 +1,15 @@
 //! Integration tests for the flight recorder: event ordering under
 //! concurrent emitters, the disabled path, and Chrome-trace round-trips.
 
-#![cfg_attr(not(feature = "recorder"), allow(unused_imports))]
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tlp_obs::{
-    events_to_jsonl, validate_chrome_trace, validate_jsonl, Category, ObsLevel, Recorder, Span,
-    Timeline, TraceDoc, Track,
+    validate_chrome_trace, Category, ObsLevel, Recorder, Span, Timeline, TraceDoc, Track,
 };
 
 const THREADS: usize = 8;
 const EVENTS_PER_THREAD: u64 = 500;
 
-#[cfg(feature = "recorder")]
 #[test]
 fn concurrent_emitters_keep_per_thread_clocks_monotone() {
     let rec = Recorder::new(ObsLevel::Full);
@@ -53,11 +49,16 @@ fn concurrent_emitters_keep_per_thread_clocks_monotone() {
         assert_eq!(seq, EVENTS_PER_THREAD, "thread {thread}");
     }
 
-    // The JSONL validator agrees.
-    let text = events_to_jsonl(&events, &rec.threads());
-    let sum = validate_jsonl(&text).expect("log validates");
-    assert_eq!(sum.events, events.len());
-    assert_eq!(sum.processes, THREADS);
+    // The exporter keeps them apart, one Chrome thread per sink, and the
+    // validator agrees.
+    let mut doc = TraceDoc::new();
+    doc.add_recorder("emitters", &rec);
+    let sum = validate_chrome_trace(&doc.write()).expect("trace validates");
+    assert_eq!(
+        sum.events,
+        events.len() + 1 + THREADS,
+        "events + name metadata"
+    );
 }
 
 #[test]
@@ -81,7 +82,6 @@ fn disabled_recorder_emits_nothing_and_advances_no_clocks() {
     assert_eq!(rec.events().len(), 0);
 }
 
-#[cfg(feature = "recorder")]
 #[test]
 fn chrome_trace_round_trips_through_json_parse() {
     use tlp_obs::json::Json;

@@ -2,7 +2,7 @@
 //! sample quantile.
 
 use proptest::prelude::*;
-use tlp_obs::{Histogram, Metric, MetricsRegistry};
+use tlp_obs::Histogram;
 
 /// The true q-quantile under the histogram's rank definition: the
 /// `ceil(q n)`-th smallest sample (1-based), clamped to rank >= 1.
@@ -73,40 +73,5 @@ proptest! {
         let (lo, hi) = ha.quantile_bounds(q).unwrap();
         prop_assert!(lo <= truth && truth <= hi);
         prop_assert_eq!(ha.count(), pooled.len() as u64);
-    }
-
-    #[test]
-    fn registry_merge_preserves_quantile_bracketing(
-        a in samples_strategy(),
-        b in samples_strategy(),
-        na in 0u64..1000,
-        nb in 0u64..1000,
-        q in 0.05f64..1.0,
-    ) {
-        // Two per-thread registries, merged by the control process — the
-        // cross-thread aggregation path used by the supervised runners.
-        let ra = MetricsRegistry::new();
-        for &s in &a { ra.record("lcc/queue_wait_s", s); }
-        ra.count("lcc/tasks", na);
-        let rb = MetricsRegistry::new();
-        for &s in &b { rb.record("lcc/queue_wait_s", s); }
-        rb.count("lcc/tasks", nb);
-
-        ra.merge(&rb).expect("kinds agree");
-        let snap = ra.snapshot();
-        prop_assert_eq!(snap.get("lcc/tasks"), Some(&Metric::Counter(na + nb)));
-        let Some(Metric::Histogram(h)) = snap.get("lcc/queue_wait_s") else {
-            return Err(TestCaseError::fail("merged histogram missing"));
-        };
-
-        let mut pooled = a.clone();
-        pooled.extend_from_slice(&b);
-        prop_assert_eq!(h.count(), pooled.len() as u64);
-        let truth = true_quantile(&pooled, q);
-        let (lo, hi) = h.quantile_bounds(q).expect("pooled samples non-empty");
-        prop_assert!(
-            lo <= truth && truth <= hi,
-            "merged q={} truth={} not in [{}, {}]", q, truth, lo, hi
-        );
     }
 }

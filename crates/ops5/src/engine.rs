@@ -461,24 +461,20 @@ impl Engine {
 
     /// Starts match-level profiling: per-production match cost and firing
     /// counts, alpha-memory heat, token totals, and conflict-set sizes.
-    /// A no-op when the `profiler` feature is compiled out. The profiler
-    /// only *reads* the deterministic work counters, so work-unit totals
-    /// are bit-identical with profiling enabled, disabled, or compiled out.
+    /// The profiler only *reads* the deterministic work counters, so
+    /// work-unit totals are bit-identical with profiling enabled or not.
     pub fn enable_profile(&mut self) {
-        #[cfg(feature = "profiler")]
-        {
-            self.matcher.enable_profile();
-            self.profile = Some(EngineProfile {
-                per_prod: vec![(0, 0, 0); self.program.productions.len()],
-                ..Default::default()
-            });
-        }
+        self.matcher.enable_profile();
+        self.profile = Some(EngineProfile {
+            per_prod: vec![(0, 0, 0); self.program.productions.len()],
+            ..Default::default()
+        });
     }
 
     /// Takes the accumulated match profile (profiling continues with fresh
-    /// counters). `None` unless [`Engine::enable_profile`] was called and
-    /// the `profiler` feature is compiled in. Production names are resolved
-    /// from the program; `work` carries the engine's merged counters.
+    /// counters). `None` unless [`Engine::enable_profile`] was called.
+    /// Production names are resolved from the program; `work` carries the
+    /// engine's merged counters.
     pub fn take_profile(&mut self) -> Option<MatchProfile> {
         let eng = self.profile.take()?;
         self.profile = Some(EngineProfile {
@@ -1396,7 +1392,6 @@ mod tests {
         assert!(live.snapshot().series.is_empty());
     }
 
-    #[cfg(feature = "profiler")]
     #[test]
     fn profiler_never_touches_work_counters() {
         let src = "(literalize count n)
@@ -1433,7 +1428,6 @@ mod tests {
         assert!(p.beta_units() + p.alpha_units() <= p.work.match_units);
     }
 
-    #[cfg(feature = "profiler")]
     #[test]
     fn take_profile_without_enable_is_none() {
         let mut e = engine(
@@ -1445,7 +1439,6 @@ mod tests {
         assert!(e.take_profile().is_none());
     }
 
-    #[cfg(feature = "profiler")]
     #[test]
     fn profile_attributes_cost_to_hot_productions() {
         // `busy` joins two classes and fires repeatedly; `quiet` never can.

@@ -31,9 +31,9 @@
 //!   a differential-testing oracle for the Rete and as the stand-in for the
 //!   unoptimised Lisp OPS5 baseline that the paper reports a 10–20× port
 //!   speedup over.
-//! * **Profiling** ([`profile`]): match-level attribution behind the
-//!   `profiler` feature — per-production match cost and firings, alpha
-//!   memory heat, token and conflict-set statistics — feeding the
+//! * **Profiling** ([`profile`]): match-level attribution, armed per
+//!   engine by `enable_profile` — per-production match cost and firings,
+//!   alpha memory heat, token and conflict-set statistics — feeding the
 //!   speed-up-attribution report in the downstream crates.
 //! * **Instrumentation** ([`instrument`]): deterministic work counters
 //!   (match / RHS / external cost in abstract "work units") and per-cycle

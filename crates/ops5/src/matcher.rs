@@ -58,7 +58,7 @@ pub trait Matcher: Send {
         crate::profile::NetStats::default()
     }
     /// Starts match-level profiling. Backends without profiling support
-    /// (and builds without the `profiler` feature) treat this as a no-op.
+    /// treat this as a no-op.
     fn enable_profile(&mut self) {}
     /// Takes the accumulated match profile; `None` for backends that do not
     /// collect one (or when profiling was never enabled).

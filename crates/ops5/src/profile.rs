@@ -7,21 +7,19 @@
 //! parallelism via Amdahl's law (§3.1 of the paper) — decomposes per
 //! production.
 //!
-//! The types here are always compiled so downstream crates build with any
-//! feature set; the *collection hooks* in the Rete and the engine are only
-//! active behind the `profiler` feature **and** after
-//! [`crate::Engine::enable_profile`] is called. The profiler exclusively
-//! reads the deterministic work counters — it never adds cost of its own —
-//! so work-unit totals are bit-identical whether profiling is on, off, or
-//! compiled out.
+//! The *collection hooks* in the Rete and the engine branch at run time on
+//! whether [`crate::Engine::enable_profile`] was called. The profiler
+//! exclusively reads the deterministic work counters — it never adds cost
+//! of its own — so work-unit totals are bit-identical whether profiling is
+//! on or off.
 
 use crate::instrument::WorkCounters;
 
 /// Structural and indexing statistics of one Rete network. Unlike the
 /// profile hooks these are counted *unconditionally* — they are plain
 /// counters outside the work-unit model, so they cost nothing to the
-/// deterministic accounting and are available even with the `profiler`
-/// feature compiled out (via `Rete::net_stats`).
+/// deterministic accounting and are available without a profile (via
+/// `Rete::net_stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Beta nodes actually built (after prefix sharing).

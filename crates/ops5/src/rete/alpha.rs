@@ -547,9 +547,7 @@ impl AlphaNetwork {
     }
 
     /// Starts collecting per-memory profiling counters (resetting any
-    /// previous collection). The only caller is compiled out with the
-    /// `profiler` feature off.
-    #[cfg_attr(not(feature = "profiler"), allow(dead_code))]
+    /// previous collection).
     pub(crate) fn enable_profile(&mut self) {
         self.profile = Some(vec![AlphaMemCounters::default(); self.mems.len()]);
     }

@@ -451,16 +451,12 @@ impl Rete {
 
     /// Starts collecting a match-level profile (per-node cost attribution,
     /// alpha-memory heat, token totals), resetting any previous collection.
-    /// A no-op when the `profiler` feature is compiled out.
     pub fn enable_profile(&mut self) {
-        #[cfg(feature = "profiler")]
-        {
-            self.alpha.enable_profile();
-            self.beta.profile = Some(ReteProfile {
-                nodes: vec![ChainCounters::default(); self.nodes.len()],
-                ..Default::default()
-            });
-        }
+        self.alpha.enable_profile();
+        self.beta.profile = Some(ReteProfile {
+            nodes: vec![ChainCounters::default(); self.nodes.len()],
+            ..Default::default()
+        });
     }
 
     /// Takes the collected profile, if profiling was enabled; collection

@@ -407,9 +407,8 @@ pub fn run_lcc_unit_traced(
 }
 
 /// Executes one LCC task with match-level profiling enabled, returning the
-/// task's [`MatchProfile`] alongside its result. `None` when the ops5
-/// `profiler` feature is compiled out. Work counters are bit-identical to
-/// [`run_lcc_unit`] — the profiler only reads them.
+/// task's [`MatchProfile`] alongside its result. Work counters are
+/// bit-identical to [`run_lcc_unit`] — the profiler only reads them.
 pub fn run_lcc_unit_profiled(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -642,7 +641,7 @@ pub fn run_lcc(
 /// Runs the whole LCC phase at `level` sequentially with match-level
 /// profiling, merging every task's profile into one phase-wide
 /// [`MatchProfile`] (tasks share the compiled program, so profiles are
-/// index-aligned). `None` when the ops5 `profiler` feature is compiled out.
+/// index-aligned). `None` when the phase has no tasks.
 pub fn run_lcc_profiled(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -964,7 +963,7 @@ mod tests {
         assert_eq!(plain.work, profiled.work);
         assert_eq!(plain.firings, profiled.firings);
 
-        let p = prof.expect("profiler feature is on in tests");
+        let p = prof.expect("the phase has tasks");
         assert_eq!(p.cycles, profiled.firings);
         assert_eq!(p.work.total_units(), profiled.work.total_units());
         assert!(

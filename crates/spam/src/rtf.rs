@@ -125,18 +125,6 @@ pub fn run_rtf(sp: &SpamProgram, scene: &Arc<Scene>) -> RtfResult {
     run_rtf_task(sp, scene, &regions, 0)
 }
 
-/// Runs the complete RTF phase with match-level profiling enabled,
-/// returning the phase [`MatchProfile`] alongside the result. `None` when
-/// the ops5 `profiler` feature is compiled out. Work counters are
-/// bit-identical to [`run_rtf`] — the profiler only reads them.
-pub fn run_rtf_profiled(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-) -> (RtfResult, Option<ops5::MatchProfile>) {
-    let regions: Vec<u32> = (0..scene.len() as u32).collect();
-    run_rtf_task_inner(sp, scene, &regions, 0, true)
-}
-
 /// Runs RTF over a subset of regions — one RTF task of the task-level
 /// decomposition (§4: "a decomposition level providing approximately 60-100
 /// tasks ... at roughly the same granularity as Level 2 of the LCC phase").
@@ -147,36 +135,19 @@ pub fn run_rtf_task(
     regions: &[u32],
     id_base: i64,
 ) -> RtfResult {
-    run_rtf_task_inner(sp, scene, regions, id_base, false).0
-}
-
-fn run_rtf_task_inner(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    regions: &[u32],
-    id_base: i64,
-    profile: bool,
-) -> (RtfResult, Option<ops5::MatchProfile>) {
     let mut e = fresh_engine(sp, scene, id_base);
-    if profile {
-        e.enable_profile();
-    }
     for &rid in regions {
         let fields = region_fields(&scene.regions[rid as usize]);
         e.make_wme("region", &fields).expect("region class");
     }
     let out = e.run(1_000_000);
     debug_assert!(out.quiescent(), "RTF must reach quiescence: {out:?}");
-    let prof = if profile { e.take_profile() } else { None };
-    (
-        RtfResult {
-            fragments: collect_fragments(&e),
-            work: e.work(),
-            firings: out.firings,
-            cycle_log: e.take_cycle_log(),
-        },
-        prof,
-    )
+    RtfResult {
+        fragments: collect_fragments(&e),
+        work: e.work(),
+        firings: out.firings,
+        cycle_log: e.take_cycle_log(),
+    }
 }
 
 /// Splits the scene's regions into RTF task batches of `batch` regions.

@@ -152,7 +152,7 @@ proptest! {
                 }
                 Mode::Profiled => {
                     let (r, prof) = run_lcc_unit_profiled(&i.sp, &i.scene, &i.frags, unit);
-                    let prof = prof.expect("profiler feature is on in tests");
+                    let prof = prof.expect("profiling was enabled");
                     // The profile is this unit's alone, not the engine's
                     // lifetime: its totals are the unit's totals.
                     prop_assert_eq!(prof.cycles, r.firings);

@@ -37,7 +37,7 @@ fn totals_over(datasets: &[Dataset], level: Level) -> (WorkCounters, NetStats, u
         let (phase, profile) = run_lcc_profiled(&sp, &scene, &frags, level);
         assert_eq!(phase.work.firings, phase.firings);
         work.add(&phase.work);
-        net.merge(&profile.expect("profiler feature is on in tests").net);
+        net.merge(&profile.expect("the phase has tasks").net);
         tasks += phase.units.len();
     }
     (work, net, tasks)
