@@ -991,12 +991,15 @@ impl fmt::Display for ProfileReport {
 
         writeln!(
             f,
-            "match statistics: {} cycles, {} tokens created / {} deleted, conflict set mean {:.1} max {}",
+            "match statistics: {} cycles, {} tokens created / {} deleted, conflict set mean {:.1} max {}, \
+             {} instantiations emitted / {} netted before the cycle's feed",
             self.profile.cycles,
             self.profile.tokens_created,
             self.profile.tokens_deleted,
             self.profile.mean_conflict_size(),
             self.profile.max_conflict_size(),
+            self.profile.net.instantiations_emitted,
+            self.profile.net.instantiations_netted,
         )?;
         writeln!(f)?;
 

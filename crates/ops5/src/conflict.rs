@@ -7,6 +7,13 @@
 //! resolution serialises the cycle boundary. SPAM/PSM escapes it by running
 //! many independent engines, each with its own conflict set.
 //!
+//! That boundary is the only place the set is written from the match: the
+//! engine feeds it once per firing, when the RHS has run, with the matcher's
+//! net changes ([`crate::matcher::Matcher::drain_events`]) — an
+//! instantiation that came and went inside one RHS is never inserted, so
+//! everything ranked here was in the match when a resolve step could have
+//! picked it.
+//!
 //! The set is indexed rather than scanned, and an instantiation is stored
 //! once: entries live in a slab whose slots keep their buffers when reused,
 //! a list of slot numbers kept sorted by [`compare`] under the active

@@ -1,4 +1,12 @@
 //! The OPS5 interpreter: working memory + Rete + recognize–act cycle.
+//!
+//! The cycle is match → resolve → act with one synchronisation: every WME
+//! change of a firing's RHS goes through the matcher as it is made, and the
+//! conflict set is fed once, from one [`Matcher::drain_events`], when the
+//! RHS has run — so an instantiation that a `modify`'s remove satisfies and
+//! its add blocks again is never built or ranked. WM changes made from
+//! outside a firing (task set-up, WAL replay) each feed before they return:
+//! between calls the conflict set is always that of the current WM.
 
 use crate::ast::{Action, Expr, SlotIdx};
 use crate::conflict::{ConflictSet, Instantiation, Strategy};
@@ -554,13 +562,14 @@ impl Engine {
         }
         let mut slots = std::mem::take(&mut self.scratch.sets);
         slots.clear();
-        for (attr, v) in sets {
+        let resolved = sets.iter().try_for_each(|(attr, v)| {
             let slot = self.program.slot_of(class_sym, sym(attr)).ok_or_else(|| {
                 Error::Runtime(format!("class '{class}' has no attribute '{attr}'"))
             })?;
             slots.push((slot, *v));
-        }
-        let made = self.make_wme_slots(class_sym, &slots);
+            Ok(())
+        });
+        let made = resolved.and_then(|()| self.make_wme_slots(class_sym, &slots));
         self.scratch.sets = slots;
         made
     }
@@ -570,6 +579,14 @@ impl Engine {
     /// the same few classes should hold on to instead of their names. Slots
     /// not mentioned are nil; a later assignment to a slot wins.
     pub fn make_wme_slots(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) -> Result<WmeId> {
+        let made = self.make_slots(class, sets);
+        self.sync_conflict();
+        made
+    }
+
+    /// [`Engine::make_wme_slots`] without the conflict-set feed, for WMEs
+    /// made inside a firing.
+    fn make_slots(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) -> Result<WmeId> {
         let n = self
             .program
             .n_slots(class)
@@ -587,9 +604,13 @@ impl Engine {
     /// the PSM control process copies WMEs into task engines this way).
     /// A fresh local time tag is assigned.
     pub fn insert_fields(&mut self, class: Symbol, fields: Vec<Value>) -> WmeId {
-        self.insert_wme(class, fields.into_boxed_slice())
+        let id = self.insert_wme(class, fields.into_boxed_slice());
+        self.sync_conflict();
+        id
     }
 
+    /// Adds a WME to the store and the matcher; the conflict set hears of
+    /// it at the next [`Engine::sync_conflict`].
     fn insert_wme(&mut self, class: Symbol, fields: Box<[Value]>) -> WmeId {
         self.time += 1;
         let wme = Wme {
@@ -600,25 +621,29 @@ impl Engine {
         let id = self.wm.add(wme);
         self.base_work.wme_adds += 1;
         self.matcher.add_wme(id, &self.wm);
-        self.sync_conflict();
         id
     }
 
     /// Removes a WME by id (no-op on dead ids).
     pub fn remove_wme_id(&mut self, id: WmeId) {
-        self.take_wme(id);
+        if self.take_wme(id).is_some() {
+            self.sync_conflict();
+        }
     }
 
-    /// Removes a WME by id and returns it (`None` for a dead id).
+    /// Removes a WME by id from the store and the matcher and returns it
+    /// (`None` for a dead id); the conflict set hears of it at the next
+    /// [`Engine::sync_conflict`].
     fn take_wme(&mut self, id: WmeId) -> Option<Wme> {
         self.wm.get(id)?;
         self.matcher.remove_wme(id, &self.wm);
         let wme = self.wm.remove(id);
         self.base_work.wme_removes += 1;
-        self.sync_conflict();
         wme
     }
 
+    /// The cycle's one synchronisation with the matcher: drains its net
+    /// changes since the last call into the conflict set.
     fn sync_conflict(&mut self) {
         let mut events = std::mem::take(&mut self.scratch.events);
         self.matcher.drain_events(&self.wm, &mut events);
@@ -773,7 +798,9 @@ impl Engine {
     }
 
     /// Executes the RHS of `inst`, with the engine's scratch buffers taken
-    /// out for the duration (an error leaves them emptied, not lost).
+    /// out for the duration (an error leaves them emptied, not lost), then
+    /// feeds the conflict set what the RHS's WME changes — all of them, or
+    /// those made before an error — amount to.
     fn fire(&mut self, inst: &Instantiation) -> Result<()> {
         let mut vals = std::mem::take(&mut self.scratch.vals);
         let mut argv = std::mem::take(&mut self.scratch.argv);
@@ -783,6 +810,7 @@ impl Engine {
         self.scratch.vals = vals;
         self.scratch.argv = argv;
         self.scratch.sets = sets;
+        self.sync_conflict();
         fired
     }
 
@@ -818,7 +846,7 @@ impl Engine {
                     for (slot, e) in exprs {
                         sets.push((*slot, self.eval(e, vals, argv)?));
                     }
-                    self.make_wme_slots(*class, sets)?;
+                    self.make_slots(*class, sets)?;
                 }
                 Action::Modify { ce, sets: exprs } => {
                     let pos = cp.ce_to_positive[(*ce - 1) as usize]
@@ -848,7 +876,7 @@ impl Engine {
                 Action::Remove { ce } => {
                     let pos = cp.ce_to_positive[(*ce - 1) as usize]
                         .expect("remove target is positive") as usize;
-                    self.remove_wme_id(inst.wmes[pos]);
+                    self.take_wme(inst.wmes[pos]);
                 }
                 Action::Bind { var, expr } => {
                     let v = self.eval(expr, vals, argv)?;
@@ -1061,7 +1089,7 @@ impl Engine {
         for &(class, n) in &eff.makes {
             let (mine, rest) = sets.split_at(n);
             sets = rest;
-            if let Err(e) = self.make_wme_slots(class, mine) {
+            if let Err(e) = self.make_slots(class, mine) {
                 made = Err(e);
                 break;
             }

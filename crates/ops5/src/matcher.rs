@@ -5,10 +5,17 @@
 //! parallel Rete with dedicated match processes. This trait is that seam:
 //! the engine drives any matcher through WME deltas and reads back
 //! conflict-set change events.
+//!
+//! The cycle synchronises in one place: [`Matcher::drain_events`]. The
+//! engine sends every WME change of a firing through `add_wme` /
+//! `remove_wme` and drains once, when the RHS has run — ParaOPS5's one
+//! barrier per cycle, at the resolve step (§3.1). A backend is free to do
+//! its matching at the change or at the drain; what it hands over is the
+//! *net* change since the previous drain.
 
 use crate::conflict::Instantiation;
 use crate::instrument::WorkCounters;
-use crate::naive::match_all;
+use crate::naive::match_all_except;
 use crate::profile::MatchProfile;
 use crate::program::Program;
 use crate::rete::compile::CompiledProduction;
@@ -27,6 +34,8 @@ pub trait Matcher: Send {
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore);
     /// Appends the conflict-set changes accumulated since the last call to
     /// `out` (the caller's buffer, so a cycle's events cost no allocation).
+    /// `wm` holds the changes sent since then. An instantiation that became
+    /// satisfied and stopped being so between two calls need not appear.
     fn drain_events(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>);
     /// Number of independently schedulable match activations since the last
     /// call (the ParaOPS5 subtask count).
@@ -74,8 +83,8 @@ impl Matcher for Rete {
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
         Rete::remove_wme(self, id, wm)
     }
-    fn drain_events(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
-        Rete::drain_events_into(self, out)
+    fn drain_events(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        Rete::drain_events_into(self, wm, out)
     }
     fn take_chunks(&mut self) -> u32 {
         Rete::take_chunks(self)
@@ -100,17 +109,22 @@ impl Matcher for Rete {
     }
 }
 
-/// The naive matcher as a backend: re-matches everything on demand and
-/// emits the difference against its previous result. Functionally identical
-/// to the Rete (the property tests assert this); the cost profile is that
-/// of the paper's unoptimised Lisp baseline.
+/// The naive matcher as a backend: re-matches everything on each WM change
+/// and hands over, at the drain, the difference against what it handed over
+/// before. Functionally identical to the Rete (the property tests assert
+/// this); the cost profile is that of the paper's unoptimised Lisp baseline
+/// — one full re-match per change, however many changes a drain covers.
 pub struct NaiveMatcher {
     program: Arc<Program>,
     compiled: Arc<Vec<CompiledProduction>>,
-    prev: HashMap<(u32, Arc<[WmeId]>), Instantiation>,
-    dirty: bool,
+    /// The match as of the last drain.
+    prev: Keyed,
+    /// The match as of the last WM change, when there was one since.
+    next: Option<Keyed>,
     work: WorkCounters,
 }
+
+type Keyed = HashMap<(u32, Arc<[WmeId]>), Instantiation>;
 
 impl NaiveMatcher {
     /// Creates a naive matcher for `program`.
@@ -119,36 +133,42 @@ impl NaiveMatcher {
             program,
             compiled,
             prev: HashMap::new(),
-            dirty: false,
+            next: None,
             work: WorkCounters::default(),
         }
+    }
+
+    /// Re-matches `wm` without `gone`, the WME a removal is about to drop.
+    fn rematch(&mut self, wm: &WmStore, gone: Option<WmeId>) {
+        let matches = match_all_except(
+            &self.program,
+            &self.compiled,
+            wm,
+            gone,
+            &mut self.work.match_units,
+        );
+        self.next = Some(
+            matches
+                .into_iter()
+                .map(|i| ((i.production, i.wmes.clone()), i))
+                .collect(),
+        );
     }
 }
 
 impl Matcher for NaiveMatcher {
-    fn add_wme(&mut self, _id: WmeId, _wm: &WmStore) {
-        self.dirty = true;
+    fn add_wme(&mut self, _id: WmeId, wm: &WmStore) {
+        self.rematch(wm, None);
     }
 
-    fn remove_wme(&mut self, _id: WmeId, _wm: &WmStore) {
-        self.dirty = true;
+    fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
+        self.rematch(wm, Some(id));
     }
 
-    fn drain_events(&mut self, wm: &WmStore, events: &mut Vec<MatchEvent>) {
-        if !self.dirty {
+    fn drain_events(&mut self, _wm: &WmStore, events: &mut Vec<MatchEvent>) {
+        let Some(next) = self.next.take() else {
             return;
-        }
-        self.dirty = false;
-        let matches = match_all(
-            &self.program,
-            &self.compiled,
-            wm,
-            &mut self.work.match_units,
-        );
-        let mut next: HashMap<(u32, Arc<[WmeId]>), Instantiation> = HashMap::new();
-        for i in matches {
-            next.insert((i.production, i.wmes.clone()), i);
-        }
+        };
         // Deterministic order for reproducibility of any downstream logs.
         let mut removed: Vec<_> = self
             .prev
@@ -182,7 +202,7 @@ impl Matcher for NaiveMatcher {
 
     fn reset(&mut self) {
         self.prev.clear();
-        self.dirty = false;
+        self.next = None;
         self.work = WorkCounters::default();
     }
 

@@ -25,10 +25,23 @@ pub fn match_all(
     wm: &WmStore,
     work: &mut u64,
 ) -> Vec<Instantiation> {
+    match_all_except(program, compiled, wm, None, work)
+}
+
+/// [`match_all`] over `wm` as it will be once `gone` has left it — what a
+/// [`crate::matcher::Matcher::remove_wme`], called while the WME is still
+/// in the store, has to match against.
+pub(crate) fn match_all_except(
+    program: &Program,
+    compiled: &[CompiledProduction],
+    wm: &WmStore,
+    gone: Option<WmeId>,
+    work: &mut u64,
+) -> Vec<Instantiation> {
     let mut out = Vec::new();
     for cp in compiled {
         let prod = &program.productions[cp.prod as usize];
-        match_production(cp, prod, wm, work, &mut out);
+        match_production(cp, prod, wm, gone, work, &mut out);
     }
     out
 }
@@ -37,6 +50,7 @@ fn match_production(
     cp: &CompiledProduction,
     prod: &Production,
     wm: &WmStore,
+    gone: Option<WmeId>,
     work: &mut u64,
     out: &mut Vec<Instantiation>,
 ) {
@@ -45,7 +59,7 @@ fn match_production(
     for node in &cp.nodes {
         let mut c = Vec::new();
         for (id, wme) in wm.iter() {
-            if wme.class != node.class {
+            if wme.class != node.class || Some(id) == gone {
                 continue;
             }
             *work += node.alpha_tests.len() as u64 * cost::ALPHA_TEST + cost::ALPHA_TEST;

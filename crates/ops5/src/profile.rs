@@ -40,6 +40,13 @@ pub struct NetStats {
     /// Alpha constant-test evaluations skipped because an earlier memory
     /// of the same class already evaluated the identical shared test.
     pub shared_test_hits: u64,
+    /// Instantiations the match found satisfied: one per terminal a token
+    /// reached.
+    pub instantiations_emitted: u64,
+    /// Of those, the ones retracted before the cycle's drain — never built,
+    /// never in the conflict set. `emitted - netted` is what the conflict
+    /// set was given to rank.
+    pub instantiations_netted: u64,
 }
 
 impl NetStats {
@@ -52,6 +59,8 @@ impl NetStats {
         self.index_probes += other.index_probes;
         self.linear_scans += other.linear_scans;
         self.shared_test_hits += other.shared_test_hits;
+        self.instantiations_emitted += other.instantiations_emitted;
+        self.instantiations_netted += other.instantiations_netted;
     }
 }
 

@@ -114,10 +114,24 @@ struct TokenData {
     neg_results: Vec<WmeId>,
     /// Right-index registrations `(node, key)` to undo on deletion.
     index_keys: Vec<(u32, u64)>,
-    /// The WME list of the instantiations this token has in the conflict
-    /// set, kept so their retraction re-sends it instead of rebuilding it.
-    emitted: Option<Arc<[WmeId]>>,
+    /// `None` unless the token is active at a node where productions end.
+    emitted: Emission,
     alive: bool,
+}
+
+/// What a token at a terminal node has in the conflict set, or on its way
+/// there.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+enum Emission {
+    #[default]
+    None,
+    /// Satisfied since the last drain: its place in [`BetaState::pending`].
+    /// No instantiation exists yet; a retraction before the drain cancels
+    /// the entry and nothing ever reaches the conflict set.
+    Pending(u32),
+    /// Handed over by a drain, with the WME list its instantiations carry,
+    /// kept so their retraction re-sends it instead of rebuilding it.
+    Delivered(Arc<[WmeId]>),
 }
 
 /// One beta node of the (possibly shared) network trie: what the build
@@ -206,6 +220,11 @@ struct BetaState {
     slots: SlotCursor,
     /// WME → the tokens whose own WME it is.
     wme_tokens: Buckets<WmeId, u32>,
+    /// Tokens that reached a terminal since the last drain, in the order
+    /// they did; [`DUMMY`] where a retraction cancelled the entry. Sized by
+    /// the busiest firing.
+    pending: Vec<u32>,
+    /// Retractions of instantiations an earlier drain handed over.
     events: Vec<MatchEvent>,
     chunks: u32,
     /// Always-on sharing/indexing statistics (not part of the work model).
@@ -215,7 +234,7 @@ struct BetaState {
     profile: Option<ReteProfile>,
     /// The WMEs of the token chain an activation is working under, by node
     /// level (`None` at negative-node levels); one entry per level of the
-    /// deepest chain. See [`Activation::load_chain`].
+    /// deepest chain. See [`BetaState::load_chain`].
     chain: Vec<Option<WmeId>>,
     /// Spare token lists: index buckets, blocker lists, `wme_tokens`
     /// entries and the snapshots activations iterate.
@@ -223,6 +242,28 @@ struct BetaState {
     /// Scratch for assembling an instantiation's lists.
     inst_wmes: Vec<WmeId>,
     inst_tags: Vec<TimeTag>,
+}
+
+impl BetaState {
+    /// Writes the WMEs of token `t`'s chain into `chain[..=level]`.
+    ///
+    /// One buffer serves nested activations because the recursion only
+    /// descends: while a loop works under token `t` at level `L`, every
+    /// chain loaded beneath it belongs to a descendant of `t`, whose first
+    /// `L + 1` entries *are* `t`'s chain — so they are rewritten with the
+    /// values they already hold, and only deeper entries change. (The drain
+    /// runs under no activation.)
+    fn load_chain(&mut self, t: u32) {
+        let mut cur = t;
+        loop {
+            let td = &self.tokens[cur as usize];
+            self.chain[td.level as usize] = td.wme;
+            if td.parent == DUMMY {
+                break;
+            }
+            cur = td.parent;
+        }
+    }
 }
 
 /// Collection state for match-level profiling of one Rete instance.
@@ -416,11 +457,12 @@ impl Rete {
             t.children.clear();
             t.neg_results.clear();
             t.index_keys.clear();
-            t.emitted = None;
+            t.emitted = Emission::None;
             t.alive = false;
         }
         b.slots.restart();
         b.wme_tokens.clear_into(&mut b.pool);
+        b.pending.clear();
         b.events.clear();
         self.work = WorkCounters::default();
         b.chunks = 0;
@@ -432,15 +474,53 @@ impl Rete {
         b.profile = None;
     }
 
-    /// Drains the pending conflict-set events.
-    pub fn drain_events(&mut self) -> Vec<MatchEvent> {
-        std::mem::take(&mut self.beta.events)
+    /// Drains the conflict-set changes since the last drain
+    /// ([`Rete::drain_events_into`]) into a new list.
+    pub fn drain_events(&mut self, wm: &WmStore) -> Vec<MatchEvent> {
+        let mut out = Vec::new();
+        self.drain_events_into(wm, &mut out);
+        out
     }
 
-    /// Moves the pending conflict-set events onto the end of `out`; both
-    /// buffers keep their capacity.
-    pub fn drain_events_into(&mut self, out: &mut Vec<MatchEvent>) {
-        out.append(&mut self.beta.events);
+    /// Appends the *net* conflict-set changes since the last drain to
+    /// `out`: the retractions of instantiations an earlier drain handed
+    /// over, then one insert per terminal of every token that reached one
+    /// and is still there. A token that came and went between two drains —
+    /// a `modify` un-blocks a negated element with its remove and re-blocks
+    /// it with its add — leaves no event, and its instantiation is never
+    /// built. Retractions can go first because two live tokens never share
+    /// a `(production, wmes)` key: whatever held the key of a surviving
+    /// insert before it was retracted before it.
+    ///
+    /// `wm` is the store the WME changes were made against; every WME of a
+    /// live token is live in it. All buffers keep their capacity.
+    pub fn drain_events_into(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        let b = &mut self.beta;
+        out.append(&mut b.events);
+        let mut pending = std::mem::take(&mut b.pending);
+        for t in pending.drain(..).filter(|&t| t != DUMMY) {
+            b.load_chain(t);
+            let td = &b.tokens[t as usize];
+            let node = &self.nodes[td.node as usize];
+            b.inst_wmes.clear();
+            b.inst_wmes
+                .extend(b.chain[..=node.level as usize].iter().flatten());
+            b.inst_tags.clear();
+            b.inst_tags
+                .extend(b.inst_wmes.iter().map(|&w| wm.time_tag(w)));
+            let wmes: Arc<[WmeId]> = Arc::from(&b.inst_wmes[..]);
+            let time_tags: Arc<[TimeTag]> = Arc::from(&b.inst_tags[..]);
+            for &(prod, specificity) in &node.terminals {
+                out.push(MatchEvent::Insert(Instantiation::new(
+                    prod,
+                    Arc::clone(&wmes),
+                    Arc::clone(&time_tags),
+                    specificity,
+                )));
+            }
+            b.tokens[t as usize].emitted = Emission::Delivered(wmes);
+        }
+        b.pending = pending;
     }
 
     /// Number of independently schedulable match activations since the last
@@ -594,25 +674,6 @@ impl<'a> Activation<'a> {
         }
     }
 
-    /// Writes the WMEs of token `t`'s chain into `beta.chain[..=level]`.
-    ///
-    /// One buffer serves nested activations because the recursion only
-    /// descends: while a loop works under token `t` at level `L`, every
-    /// chain loaded beneath it belongs to a descendant of `t`, whose first
-    /// `L + 1` entries *are* `t`'s chain — so they are rewritten with the
-    /// values they already hold, and only deeper entries change.
-    fn load_chain(&mut self, t: u32) {
-        let mut cur = t;
-        loop {
-            let td = &self.beta.tokens[cur as usize];
-            self.beta.chain[td.level as usize] = td.wme;
-            if td.parent == DUMMY {
-                break;
-            }
-            cur = td.parent;
-        }
-    }
-
     /// A snapshot of the token population a right activation of `n` pairs
     /// against: the parent's residents for positive nodes, `n`'s own for
     /// negative nodes — the indexed candidates (charging the probe) when
@@ -684,7 +745,7 @@ impl<'a> Activation<'a> {
                 if !self.beta.tokens[t as usize].alive {
                     continue;
                 }
-                self.load_chain(t);
+                self.beta.load_chain(t);
                 self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
                 if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
                     let nr = &mut self.beta.tokens[t as usize].neg_results;
@@ -719,7 +780,7 @@ impl<'a> Activation<'a> {
                 if parent_negated && !td.neg_results.is_empty() {
                     continue; // blocked parents have no output
                 }
-                self.load_chain(t);
+                self.beta.load_chain(t);
                 self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
                 if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
                     self.new_token(n, t, Some(w));
@@ -745,7 +806,7 @@ impl<'a> Activation<'a> {
                 td.neg_results.remove(pos);
                 self.work.match_units += cost::TOKEN_OP;
                 if self.beta.tokens[t as usize].neg_results.is_empty() {
-                    self.load_chain(t);
+                    self.beta.load_chain(t);
                     self.propagate(n, t);
                 }
             }
@@ -788,7 +849,7 @@ impl<'a> Activation<'a> {
         if parent != DUMMY {
             b.tokens[parent as usize].children.push(id);
         }
-        self.load_chain(id);
+        self.beta.load_chain(id);
         let chain_len = node.level as usize + 1;
         if self.indexed {
             self.register_token_indexes(id, n);
@@ -949,7 +1010,7 @@ impl<'a> Activation<'a> {
         }
         let td = &mut b.tokens[id as usize];
         debug_assert!(td.children.is_empty() && td.neg_results.is_empty());
-        debug_assert!(td.index_keys.is_empty() && td.emitted.is_none());
+        debug_assert!(td.index_keys.is_empty() && td.emitted == Emission::None);
         td.parent = parent;
         td.wme = wme;
         td.node = n;
@@ -958,45 +1019,42 @@ impl<'a> Activation<'a> {
         id
     }
 
-    /// Token `t`, whose chain is loaded, satisfies the productions ending
-    /// at node `n`.
+    /// Token `t` satisfies the productions ending at node `n`: noted, and
+    /// charged, now; its instantiations are built by the drain, if it is
+    /// still satisfied then ([`Rete::drain_events_into`]).
     fn emit_insert(&mut self, n: u32, t: u32) {
-        let node = &self.nodes[n as usize];
+        let terminals = self.nodes[n as usize].terminals.len() as u64;
+        self.work.match_units += terminals * cost::CONFLICT_OP;
         let b = &mut *self.beta;
-        b.inst_wmes.clear();
-        b.inst_wmes
-            .extend(b.chain[..=node.level as usize].iter().flatten());
-        b.inst_tags.clear();
-        b.inst_tags
-            .extend(b.inst_wmes.iter().map(|&w| self.wm.time_tag(w)));
-        let wmes: Arc<[WmeId]> = Arc::from(&b.inst_wmes[..]);
-        let time_tags: Arc<[TimeTag]> = Arc::from(&b.inst_tags[..]);
-        for &(prod, specificity) in &node.terminals {
-            self.work.match_units += cost::CONFLICT_OP;
-            b.events.push(MatchEvent::Insert(Instantiation::new(
-                prod,
-                Arc::clone(&wmes),
-                Arc::clone(&time_tags),
-                specificity,
-            )));
-        }
-        b.tokens[t as usize].emitted = Some(wmes);
+        b.stats.instantiations_emitted += terminals;
+        b.tokens[t as usize].emitted = Emission::Pending(b.pending.len() as u32);
+        b.pending.push(t);
     }
 
-    /// Retracts what token `t` has in the conflict set, if anything.
+    /// Retracts what token `t` has in the conflict set, if anything, or
+    /// cancels what it has on the way there; the charge is the same.
     fn emit_retract(&mut self, t: u32) {
-        let td = &mut self.beta.tokens[t as usize];
-        let Some(wmes) = td.emitted.take() else {
-            return;
-        };
-        let n = td.node;
-        for &(production, _) in &self.nodes[n as usize].terminals {
-            self.work.match_units += cost::CONFLICT_OP;
-            self.beta.events.push(MatchEvent::Retract {
-                production,
-                wmes: Arc::clone(&wmes),
-            });
+        let b = &mut *self.beta;
+        let td = &mut b.tokens[t as usize];
+        let terminals = &self.nodes[td.node as usize].terminals;
+        match std::mem::take(&mut td.emitted) {
+            Emission::None => return,
+            Emission::Pending(at) => {
+                b.pending[at as usize] = DUMMY;
+                b.stats.instantiations_netted += terminals.len() as u64;
+            }
+            Emission::Delivered(wmes) => {
+                b.events.extend(
+                    terminals
+                        .iter()
+                        .map(|&(production, _)| MatchEvent::Retract {
+                            production,
+                            wmes: Arc::clone(&wmes),
+                        }),
+                );
+            }
         }
+        self.work.match_units += terminals.len() as u64 * cost::CONFLICT_OP;
     }
 }
 
@@ -1082,7 +1140,7 @@ mod tests {
 
         /// Net conflict-set size after applying all events.
         fn apply_events(&mut self, cs: &mut crate::conflict::ConflictSet) {
-            for e in self.rete.drain_events() {
+            for e in self.rete.drain_events(&self.wm) {
                 match e {
                     MatchEvent::Insert(i) => cs.insert(i),
                     MatchEvent::Retract { production, wmes } => {
@@ -1376,8 +1434,8 @@ mod tests {
             s_ids.push(s.add(name, &[(0, Value::Int(v))]));
             u_ids.push(u.add(name, &[(0, Value::Int(v))]));
             assert_eq!(
-                canon(s.rete.drain_events()),
-                canon(u.rete.drain_events()),
+                canon(s.rete.drain_events(&s.wm)),
+                canon(u.rete.drain_events(&u.wm)),
                 "add {name} {v}"
             );
         }
@@ -1386,8 +1444,8 @@ mod tests {
             s.remove(s_ids[i]);
             u.remove(u_ids[i]);
             assert_eq!(
-                canon(s.rete.drain_events()),
-                canon(u.rete.drain_events()),
+                canon(s.rete.drain_events(&s.wm)),
+                canon(u.rete.drain_events(&u.wm)),
                 "remove #{i}"
             );
         }
@@ -1423,7 +1481,7 @@ mod tests {
         let b = &f.rete.beta;
         assert!(b.mems.iter().any(|m| !m.blocked_by.is_empty()));
         assert!(b.mems.iter().any(|m| !m.right_index.is_empty()));
-        assert!(b.slots != SlotCursor::default() && !b.events.is_empty());
+        assert!(b.slots != SlotCursor::default() && !b.pending.is_empty());
         let slots = b.tokens.len();
 
         f.rete.reset();
@@ -1439,11 +1497,11 @@ mod tests {
         assert!(b.tokens.iter().all(|t| {
             let lists_empty =
                 t.children.is_empty() && t.neg_results.is_empty() && t.index_keys.is_empty();
-            !t.alive && t.emitted.is_none() && lists_empty
+            !t.alive && t.emitted == Emission::None && lists_empty
         }));
         assert_eq!(b.tokens.len(), slots);
         assert_eq!(b.slots, SlotCursor::default());
-        assert!(b.wme_tokens.is_empty() && b.events.is_empty());
+        assert!(b.wme_tokens.is_empty() && b.pending.is_empty() && b.events.is_empty());
         for m in 0..alpha_mems {
             assert!(f.rete.alpha.mem(m as AlphaMemId).wmes.is_empty());
         }
@@ -1506,8 +1564,8 @@ mod tests {
                     fix.add(class, &[(0, Value::Int(v))]);
                 }
                 assert_eq!(
-                    in_order(f.rete.drain_events()),
-                    in_order(new.rete.drain_events()),
+                    in_order(f.rete.drain_events(&f.wm)),
+                    in_order(new.rete.drain_events(&new.wm)),
                     "{class} {v}"
                 );
                 assert_eq!(f.rete.work, new.rete.work);

@@ -57,61 +57,126 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Applies events to a conflict set.
-fn apply(cs: &mut ConflictSet, events: Vec<MatchEvent>) {
+fn apply(cs: &mut ConflictSet, events: &[MatchEvent]) {
     for e in events {
         match e {
-            MatchEvent::Insert(i) => cs.insert(i),
+            MatchEvent::Insert(i) => cs.insert(i.clone()),
             MatchEvent::Retract { production, wmes } => {
-                cs.remove(production, &wmes);
+                cs.remove(*production, wmes);
             }
         }
     }
 }
 
+/// A conflict-set key.
+type Key = (u32, Vec<WmeId>);
+
+/// The keys a conflict set holds, sorted.
+fn keys(cs: &ConflictSet) -> Vec<Key> {
+    canonical(&cs.iter().cloned().collect::<Vec<_>>())
+}
+
+/// A bare network and the conflict set its drains feed.
+struct Fed {
+    rete: Rete,
+    cs: ConflictSet,
+}
+
+impl Fed {
+    fn new(rete: Rete) -> Fed {
+        Fed {
+            rete,
+            cs: ConflictSet::new(),
+        }
+    }
+
+    /// Drains the network into the set; the events, for comparing streams.
+    fn drain(&mut self, wm: &WmStore) -> Vec<MatchEvent> {
+        let events = self.rete.drain_events(wm);
+        apply(&mut self.cs, &events);
+        events
+    }
+}
+
+/// Applies `op` to `wm` and every network of `nets`; false when the op was
+/// a no-op (an undeclared class, nothing left to remove).
+fn apply_op(
+    op: &Op,
+    program: &Program,
+    wm: &mut WmStore,
+    live: &mut Vec<WmeId>,
+    nets: &mut [&mut Fed],
+) -> bool {
+    let classes = [sym("a"), sym("b"), sym("c")];
+    match *op {
+        Op::Add { class, x, y } => {
+            let cls = classes[class as usize % 3];
+            if program.class(cls).is_none() {
+                return false;
+            }
+            // Ids are dense and never reused: one tag per WME ever added.
+            let mut w = Wme::new(cls, 2, wm.raw_slots().len() as u64 + 1);
+            // Mix types: negative x becomes a symbol to exercise
+            // symbol/number comparisons.
+            w.set(
+                0,
+                if x < 0 {
+                    Value::symbol("water")
+                } else {
+                    Value::Int(x as i64)
+                },
+            );
+            w.set(1, Value::Int(y as i64));
+            let id = wm.add(w);
+            live.push(id);
+            nets.iter_mut().for_each(|n| n.rete.add_wme(id, wm));
+        }
+        Op::Remove(k) => {
+            if live.is_empty() {
+                return false;
+            }
+            let id = live.swap_remove(k as usize % live.len());
+            nets.iter_mut().for_each(|n| n.rete.remove_wme(id, wm));
+            wm.remove(id);
+        }
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Whatever the number of WM changes between two drains, a drain
+    /// leaves the conflict set equal to a full re-match of the WM as it
+    /// then is, and the batch is invisible in the work: the network drained
+    /// after every change does the same match units.
     #[test]
     fn rete_equals_naive_rematch(
         prog_idx in 0usize..PROGRAMS.len(),
         ops in prop::collection::vec(op_strategy(), 1..60),
+        drain_every in 1usize..9,
     ) {
         let program = Program::parse(PROGRAMS[prog_idx]).unwrap();
         let compiled = Engine::compile(&program).unwrap();
-        let mut rete = Rete::new(&program).unwrap();
+        let mut batched = Fed::new(Rete::new(&program).unwrap());
+        let mut each = Fed::new(Rete::new(&program).unwrap());
         let mut wm = WmStore::new();
-        let mut cs = ConflictSet::new();
         let mut live: Vec<WmeId> = Vec::new();
-        let mut tag = 0u64;
-        let classes = [sym("a"), sym("b"), sym("c")];
 
-        for op in ops {
-            match op {
-                Op::Add { class, x, y } => {
-                    tag += 1;
-                    let cls = classes[class as usize % 3];
-                    if program.class(cls).is_none() { continue; }
-                    let mut w = Wme::new(cls, 2, tag);
-                    // Mix types: negative x becomes a symbol to exercise
-                    // symbol/number comparisons.
-                    w.set(0, if x < 0 { Value::symbol("water") } else { Value::Int(x as i64) });
-                    w.set(1, Value::Int(y as i64));
-                    let id = wm.add(w);
-                    live.push(id);
-                    rete.add_wme(id, &wm);
-                }
-                Op::Remove(k) => {
-                    if live.is_empty() { continue; }
-                    let id = live.swap_remove(k as usize % live.len());
-                    rete.remove_wme(id, &wm);
-                    wm.remove(id);
-                }
+        let last = ops.len() - 1;
+        for (n, op) in ops.iter().enumerate() {
+            if !apply_op(op, &program, &mut wm, &mut live, &mut [&mut batched, &mut each]) {
+                continue;
             }
-            apply(&mut cs, rete.drain_events());
-            let mut work = 0;
-            let expected = match_all(&program, &compiled, &wm, &mut work);
-            let got: Vec<_> = cs.iter().cloned().collect();
-            prop_assert_eq!(canonical(&got), canonical(&expected));
+            each.drain(&wm);
+            if (n + 1) % drain_every == 0 || n == last {
+                batched.drain(&wm);
+                let mut work = 0;
+                let expected = canonical(&match_all(&program, &compiled, &wm, &mut work));
+                prop_assert_eq!(&keys(&batched.cs), &expected);
+                prop_assert_eq!(&keys(&each.cs), &expected);
+                prop_assert_eq!(batched.rete.work, each.rete.work);
+            }
         }
     }
 
@@ -245,6 +310,7 @@ proptest! {
     fn shared_and_unshared_networks_agree(
         prog_idx in 0usize..(PROGRAMS.len() + SHARING_PROGRAMS.len()),
         ops in prop::collection::vec(op_strategy(), 1..60),
+        drain_every in 1usize..9,
     ) {
         let src = if prog_idx < PROGRAMS.len() {
             PROGRAMS[prog_idx]
@@ -253,40 +319,41 @@ proptest! {
         };
         let program = Program::parse(src).unwrap();
         let compiled = Engine::compile(&program).unwrap();
-        let mut shared = Rete::from_compiled_with(&compiled, &program, ReteConfig::shared());
-        let mut unshared = Rete::from_compiled_with(&compiled, &program, ReteConfig::unshared());
+        let fed = |config| Fed::new(Rete::from_compiled_with(&compiled, &program, config));
+        // One pair drained after every operation, one every `drain_every`.
+        let (mut shared, mut unshared) = (fed(ReteConfig::shared()), fed(ReteConfig::unshared()));
+        let (mut shared_k, mut unshared_k) = (fed(ReteConfig::shared()), fed(ReteConfig::unshared()));
         let mut wm = WmStore::new();
         let mut live: Vec<WmeId> = Vec::new();
-        let mut tag = 0u64;
-        let classes = [sym("a"), sym("b"), sym("c")];
 
-        for op in ops {
-            match op {
-                Op::Add { class, x, y } => {
-                    tag += 1;
-                    let cls = classes[class as usize % 3];
-                    if program.class(cls).is_none() { continue; }
-                    let mut w = Wme::new(cls, 2, tag);
-                    w.set(0, if x < 0 { Value::symbol("water") } else { Value::Int(x as i64) });
-                    w.set(1, Value::Int(y as i64));
-                    let id = wm.add(w);
-                    live.push(id);
-                    shared.add_wme(id, &wm);
-                    unshared.add_wme(id, &wm);
-                }
-                Op::Remove(k) => {
-                    if live.is_empty() { continue; }
-                    let id = live.swap_remove(k as usize % live.len());
-                    shared.remove_wme(id, &wm);
-                    unshared.remove_wme(id, &wm);
-                    wm.remove(id);
-                }
+        let last = ops.len() - 1;
+        for (n, op) in ops.iter().enumerate() {
+            let nets = &mut [&mut shared, &mut unshared, &mut shared_k, &mut unshared_k];
+            if !apply_op(op, &program, &mut wm, &mut live, nets) {
+                continue;
             }
             prop_assert_eq!(
-                canon_events(&shared.drain_events()),
-                canon_events(&unshared.drain_events())
+                canon_events(&shared.drain(&wm)),
+                canon_events(&unshared.drain(&wm))
             );
+            if (n + 1) % drain_every == 0 || n == last {
+                // Netting makes a batch's stream differ from the per-change
+                // streams it replaces, the same way in both networks; the
+                // state it leaves does not differ.
+                prop_assert_eq!(
+                    canon_events(&shared_k.drain(&wm)),
+                    canon_events(&unshared_k.drain(&wm))
+                );
+                let mut work = 0;
+                let expected = canonical(&match_all(&program, &compiled, &wm, &mut work));
+                for net in [&shared, &unshared, &shared_k, &unshared_k] {
+                    prop_assert_eq!(&keys(&net.cs), &expected);
+                }
+                prop_assert_eq!(shared_k.rete.work, shared.rete.work);
+                prop_assert_eq!(unshared_k.rete.work, unshared.rete.work);
+            }
         }
+        let (shared, unshared) = (shared.rete, unshared.rete);
         let slack = ops5::instrument::cost::INDEX_PROBE * shared.net_stats().index_probes;
         prop_assert!(
             shared.work.match_units <= unshared.work.match_units + slack,
@@ -533,14 +600,52 @@ enum ScriptOp {
     Remove(u8),
 }
 
-fn script_strategy() -> impl Strategy<Value = Vec<ScriptOp>> {
+fn script_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<ScriptOp>> {
     prop::collection::vec(
         prop_oneof![
             4 => (0u8..3, 0i8..4, 0i8..4).prop_map(|(class, x, y)| ScriptOp::Make { class, x, y }),
             1 => (0u8..32).prop_map(ScriptOp::Remove),
         ],
-        1..14,
+        len,
     )
+}
+
+/// The classes a script addresses: whatever the program declares, by name,
+/// each with its attributes.
+fn script_classes(program: &Program) -> Vec<(String, Vec<String>)> {
+    let mut classes: Vec<(String, Vec<String>)> = program
+        .classes()
+        .map(|c| {
+            (
+                c.name.to_string(),
+                c.attrs.iter().map(|a| a.to_string()).collect(),
+            )
+        })
+        .collect();
+    classes.sort();
+    classes
+}
+
+/// Plays `script` through the engine's public WM entry points, setting the
+/// first two attributes of each made WME.
+fn load_script(e: &mut Engine, classes: &[(String, Vec<String>)], script: &[ScriptOp]) {
+    let mut made: Vec<WmeId> = Vec::new();
+    for op in script {
+        match *op {
+            ScriptOp::Make { class, x, y } => {
+                let (name, attrs) = &classes[class as usize % classes.len()];
+                let vals = [Value::Int(x as i64), Value::Int(y as i64)];
+                let sets: Vec<(&str, Value)> = attrs.iter().map(String::as_str).zip(vals).collect();
+                made.push(e.make_wme(name, &sets).unwrap());
+            }
+            ScriptOp::Remove(k) => {
+                if !made.is_empty() {
+                    let id = made.swap_remove(k as usize % made.len());
+                    e.remove_wme_id(id);
+                }
+            }
+        }
+    }
 }
 
 /// Everything a run can show: firing sequence and per-cycle costs (the
@@ -570,10 +675,10 @@ proptest! {
     fn reset_then_replay_equals_a_new_engine(
         prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 2),
         backend in 0u8..3,
-        first in script_strategy(),
+        first in script_strategy(1..14),
         first_steps in 0u64..12,
         observed_first in (0u8..2).prop_map(|b| b == 1),
-        second in script_strategy(),
+        second in script_strategy(1..14),
     ) {
         let src = if prog_idx < SHARING_PROGRAMS.len() {
             SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
@@ -604,33 +709,8 @@ proptest! {
             );
             e
         };
-        // Scripts address whatever classes the program declares, by its
-        // first two attributes.
-        let mut classes: Vec<(String, Vec<String>)> = program
-            .classes()
-            .map(|c| (c.name.to_string(), c.attrs.iter().map(|a| a.to_string()).collect()))
-            .collect();
-        classes.sort();
-        let load = |e: &mut Engine, script: &[ScriptOp]| {
-            let mut made: Vec<WmeId> = Vec::new();
-            for op in script {
-                match *op {
-                    ScriptOp::Make { class, x, y } => {
-                        let (name, attrs) = &classes[class as usize % classes.len()];
-                        let vals = [Value::Int(x as i64), Value::Int(y as i64)];
-                        let sets: Vec<(&str, Value)> =
-                            attrs.iter().map(String::as_str).zip(vals).collect();
-                        made.push(e.make_wme(name, &sets).unwrap());
-                    }
-                    ScriptOp::Remove(k) => {
-                        if !made.is_empty() {
-                            let id = made.swap_remove(k as usize % made.len());
-                            e.remove_wme_id(id);
-                        }
-                    }
-                }
-            }
-        };
+        let classes = script_classes(&program);
+        let load = |e: &mut Engine, script: &[ScriptOp]| load_script(e, &classes, script);
         let replay = |e: &mut Engine| -> Observed {
             e.enable_cycle_log();
             load(e, &second);
@@ -674,5 +754,186 @@ proptest! {
         // And again: reuse is not a one-shot.
         used.reset();
         prop_assert_eq!(&replay(&mut used), &want);
+    }
+}
+
+/// What the once-per-firing conflict feed has to be invisible to: RHSs of
+/// several WME changes over negated elements. `bump`'s `modify` removes a
+/// `b` — un-blocking `lone` for every `a` of that `x` — and adds it back,
+/// blocking them again: with `lone` unfired the pair nets, with `lone`
+/// fired the per-change feed used to bring the instantiation back for a
+/// moment; `pair` modifies two elements of its own match; `stop` halts in
+/// the middle of its RHS and `bad` fails in the middle of its own, each
+/// after a change that matters and before another.
+const FEED_PROGRAM: &str = "
+    (literalize a x y)
+    (literalize b x y)
+    (literalize c x y)
+    (p bump (b ^x <v> ^y { <n> < 3 }) --> (modify 1 ^y (compute <n> + 1)))
+    (p lone (a ^x <v>) -(b ^x <v>) --> (make c ^x <v> ^y 0))
+    (p pair (a ^x <v> ^y { <w> < 3 }) (c ^x <v> ^y 0)
+       -->
+       (modify 2 ^y 1)
+       (modify 1 ^y (compute <w> + 1)))
+    (p swap (a ^x <v> ^y 2) -(c ^y 3) --> (make c ^x <v> ^y 3) (remove 1) (make b ^x <v> ^y 3))
+    (p stop (c ^x 3 ^y 1) --> (make b ^x 3 ^y 0) (halt) (remove 1))
+    (p bad (c ^x 2 ^y 1)
+       -->
+       (modify 1 ^y 2)
+       (make a ^x 2 ^y 0)
+       (call no-such-fn)
+       (make a ^x 0 ^y 0))";
+
+/// The per-change conflict feed, as the engine did it before it fed once
+/// per firing: the set a bare network leaves when it is drained after
+/// every WME change, and the part of it the engine has been handed.
+#[derive(Default)]
+struct PerChangeFeed {
+    set: ConflictSet,
+    /// Keys of `set` as of the engine's last drain, less what fired since.
+    handed: std::collections::BTreeSet<Key>,
+}
+
+impl PerChangeFeed {
+    /// Mirrors the engine's resolve step, which the matcher cannot see.
+    fn select(&mut self, strategy: ops5::Strategy) {
+        if let Some(i) = self.set.select(strategy) {
+            self.handed.remove(&(i.production, i.wmes.to_vec()));
+        }
+    }
+}
+
+/// A match backend that keeps a [`PerChangeFeed`] and, at the engine's
+/// drain, hands over whatever turns the engine's set into it.
+struct PerChangeMatcher {
+    rete: Rete,
+    feed: Arc<std::sync::Mutex<PerChangeFeed>>,
+}
+
+impl PerChangeMatcher {
+    fn feed_change(&mut self, wm: &WmStore) {
+        let events = self.rete.drain_events(wm);
+        apply(&mut self.feed.lock().unwrap().set, &events);
+    }
+}
+
+impl ops5::matcher::Matcher for PerChangeMatcher {
+    fn add_wme(&mut self, id: WmeId, wm: &WmStore) {
+        self.rete.add_wme(id, wm);
+        self.feed_change(wm);
+    }
+    fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
+        self.rete.remove_wme(id, wm);
+        self.feed_change(wm);
+    }
+    fn drain_events(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
+        let feed = &mut *self.feed.lock().unwrap();
+        let now: std::collections::BTreeMap<Key, _> = feed
+            .set
+            .iter()
+            .map(|i| ((i.production, i.wmes.to_vec()), i))
+            .collect();
+        for (production, wmes) in feed.handed.iter().filter(|k| !now.contains_key(*k)) {
+            out.push(MatchEvent::Retract {
+                production: *production,
+                wmes: wmes[..].into(),
+            });
+        }
+        for (_, i) in now.iter().filter(|(k, _)| !feed.handed.contains(*k)) {
+            out.push(MatchEvent::Insert((*i).clone()));
+        }
+        feed.handed = now.into_keys().collect();
+    }
+    fn take_chunks(&mut self) -> u32 {
+        self.rete.take_chunks()
+    }
+    fn work(&self) -> ops5::WorkCounters {
+        self.rete.work
+    }
+    fn reset(&mut self) {
+        self.rete.reset();
+        *self.feed.lock().unwrap() = PerChangeFeed::default();
+    }
+    fn net_stats(&self) -> ops5::NetStats {
+        self.rete.net_stats()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The engine feeds its conflict set once per firing, from a network
+    /// that nets an RHS's match events first. Held against the feed it
+    /// replaced — the same engine over [`PerChangeMatcher`] — nothing a run
+    /// can show differs after any firing: which production fired (or how
+    /// the firing failed), the merged work, the snapshot bytes (WM, conflict
+    /// keys, counters, output), and at the end the cycle log and the WM
+    /// with its time tags — under LEX and MEA, through a `(halt)` in the
+    /// middle of an RHS and an RHS that errors half-way.
+    #[test]
+    fn one_feed_per_firing_equals_one_per_change(
+        // Every other case runs FEED_PROGRAM.
+        prog_idx in 0usize..2 * (SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 1),
+        strategy_mea in (0u8..2).prop_map(|b| b == 1),
+        script in script_strategy(4..24),
+        steps in 1usize..48,
+    ) {
+        let src = if prog_idx < SHARING_PROGRAMS.len() {
+            SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
+        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+            BLOCKER_PROGRAM.to_string()
+        } else {
+            FEED_PROGRAM.to_string()
+        };
+        let program = Arc::new(Program::parse(&src).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let strategy = if strategy_mea { ops5::Strategy::Mea } else { ops5::Strategy::Lex };
+        let classes = script_classes(&program);
+
+        let feed = Arc::new(std::sync::Mutex::new(PerChangeFeed::default()));
+        let reference = PerChangeMatcher {
+            rete: Rete::from_compiled(&compiled, &program),
+            feed: Arc::clone(&feed),
+        };
+        let mut per_firing = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
+        let mut per_change =
+            Engine::with_matcher(Arc::clone(&program), Arc::clone(&compiled), Box::new(reference));
+        for e in [&mut per_firing, &mut per_change] {
+            e.set_strategy(strategy);
+            e.enable_cycle_log();
+            load_script(e, &classes, &script);
+        }
+        prop_assert_eq!(per_firing.snapshot(), per_change.snapshot(), "after the load");
+
+        for step in 0..steps {
+            if !per_change.halted() {
+                feed.lock().unwrap().select(strategy);
+            }
+            let fired = per_firing.step().map_err(|e| e.to_string());
+            prop_assert_eq!(&fired, &per_change.step().map_err(|e| e.to_string()), "step {}", step);
+            prop_assert_eq!(per_firing.work(), per_change.work(), "step {}", step);
+            let image = per_firing.snapshot();
+            prop_assert_eq!(&image, &per_change.snapshot(), "step {}", step);
+            // And the set both engines hold is the per-change set itself,
+            // failed firings included.
+            let held = ops5::EngineImage::decode(&image).unwrap().conflict;
+            let held: Vec<Key> = held.into_iter().map(|(p, w)| (p, w.into_vec())).collect();
+            prop_assert_eq!(held, keys(&feed.lock().unwrap().set), "step {}", step);
+            if fired == Ok(None) {
+                break;
+            }
+        }
+        prop_assert_eq!(per_firing.take_cycle_log(), per_change.take_cycle_log());
+        prop_assert_eq!(per_firing.halted(), per_change.halted());
+        let wm = |e: &Engine| -> Vec<(WmeId, Wme)> {
+            e.wm().iter().map(|(id, w)| (id, w.clone())).collect()
+        };
+        prop_assert_eq!(wm(&per_firing), wm(&per_change));
+        // Same emissions either way; only the batch can net them.
+        let (batched, each) = (per_firing.net_stats(), per_change.net_stats());
+        prop_assert_eq!(batched.instantiations_emitted, each.instantiations_emitted);
+        prop_assert!(batched.instantiations_netted >= each.instantiations_netted);
     }
 }

@@ -3,10 +3,14 @@
 //! Production-partitioned match parallelism: `n` dedicated match workers
 //! each own a Rete network over a disjoint subset of the productions plus a
 //! private working-memory replica. Every WME delta is broadcast; workers
-//! match concurrently; [`ThreadedMatcher::drain_events`] is the per-cycle
-//! barrier that collects their conflict-set events (ParaOPS5 likewise
-//! synchronises at the resolve phase — the first limit on match parallelism
-//! the paper names in §3.1).
+//! match concurrently; [`ThreadedMatcher::drain_events`] is the flush
+//! barrier that collects their conflict-set events. The engine drains once
+//! per firing, when the RHS has run, so a cycle has one barrier however
+//! many WME changes its RHS makes — as ParaOPS5 synchronises once, at the
+//! resolve phase (the first limit on match parallelism the paper names in
+//! §3.1) — plus one per WME loaded from outside a firing. A worker found
+//! dead is found there, with every change of the RHS already in the log it
+//! is rebuilt from.
 //!
 //! Working-memory ids stay aligned across replicas because every replica
 //! sees the same add/remove stream and [`ops5::wme::WmStore`] assigns dense
@@ -338,7 +342,7 @@ impl ThreadedMatcher {
             apply_delta(&mut iw.rete, &mut iw.wm, delta);
         }
         let mut net = NetState::new();
-        fold_events(&mut net, &iw.rete.drain_events());
+        fold_events(&mut net, &iw.rete.drain_events(&iw.wm));
         (iw, net)
     }
 
@@ -509,7 +513,7 @@ impl ThreadedMatcher {
             }
         }
         for iw in &mut self.inline {
-            iw.rete.drain_events_into(events);
+            iw.rete.drain_events_into(&iw.wm, events);
             total.add(&iw.rete.work);
             self.chunks = self.chunks.saturating_add(u64::from(iw.rete.take_chunks()));
         }
@@ -672,7 +676,7 @@ fn worker_loop(
             }
             Req::Flush => {
                 let resp = Resp {
-                    events: rete.drain_events(),
+                    events: rete.drain_events(&wm),
                     work: rete.work,
                     chunks: u64::from(rete.take_chunks()),
                 };
@@ -810,12 +814,60 @@ mod tests {
         assert_eq!(err, SuperviseError::NoWorkers);
     }
 
+    /// WMEs `drive` loads through the engine's public entry points, one
+    /// flush barrier each.
+    const LOADS: u64 = 13;
+
+    /// One barrier per cycle: a run of F firings over C WME changes (here
+    /// `count`'s RHS alone makes four) flushes F times plus once per loaded
+    /// WME, not C times — and still fires what the sequential engine fires.
+    /// A single worker carries the whole network, so there the cycle log
+    /// (match units and chunks per cycle) and the work agree to the unit.
+    #[test]
+    fn one_flush_barrier_per_firing() {
+        use tlp_obs::{ObsLevel, Recorder};
+        let program = Arc::new(Program::parse(SRC).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let mut seq = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
+        seq.enable_cycle_log();
+        let seq_run = drive(&mut seq);
+        let seq_log = seq.take_cycle_log();
+        for n in [1, 3] {
+            let rec = Recorder::new(ObsLevel::Full);
+            let mut m = ThreadedMatcher::new(&program, &compiled, n).unwrap();
+            m.set_obs(rec.sink("match-pool"));
+            let mut e =
+                Engine::with_matcher(Arc::clone(&program), Arc::clone(&compiled), Box::new(m));
+            e.enable_cycle_log();
+            assert_eq!(drive(&mut e), seq_run, "workers={n}");
+            let (log, work) = (e.take_cycle_log(), e.work());
+            drop(e); // drops the matcher; its sink flushes
+            let flushes = rec
+                .events()
+                .iter()
+                .filter(|ev| ev.name == "match.flush")
+                .count() as u64;
+            assert_eq!(flushes, work.firings + LOADS, "workers={n}");
+            assert!(work.wme_adds + work.wme_removes > flushes, "{work:?}");
+            let fired = |log: &[ops5::CycleStats]| -> Vec<u32> {
+                log.iter().map(|c| c.production).collect()
+            };
+            assert_eq!(fired(&log), fired(&seq_log), "workers={n}");
+            if n == 1 {
+                assert_eq!(log, seq_log);
+                assert_eq!(work, seq.work());
+            }
+        }
+    }
+
     /// A worker killed mid-run is respawned, and the run converges to the
-    /// same result as the sequential engine.
+    /// same result as the sequential engine — at whichever barrier it dies,
+    /// those before a `count` firing included: all four WME changes of that
+    /// RHS go out to a dead worker, and the barrier after them finds it.
     #[test]
     fn respawn_after_worker_death_matches_sequential() {
         let (seq_firings, seq_wm) = run_with(None);
-        for die_after in [0u64, 1, 2, 4] {
+        for die_after in 0..=LOADS + seq_firings {
             let opts = MatchPoolOptions {
                 fault_plan: FaultPlan::seeded(11).with_worker_death(1, die_after),
                 recovery: RecoveryPolicy::Respawn,
