@@ -13,10 +13,10 @@
 //! tasks; the ratio of their deterministic work counts is the port factor.
 
 use ops5::matcher::NaiveMatcher;
-use ops5::{Engine, Value};
+use ops5::Engine;
 use spam::externals::{register, ExternalCtx};
 use spam::fragments::FragmentHypothesis;
-use spam::lcc::{decompose, LccUnit, Level};
+use spam::lcc::{decompose, lcc_engine, load_lcc_task, LccUnit, Level, LCC_ID_BASE};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use std::sync::Arc;
@@ -74,36 +74,27 @@ fn run_one(
     unit: &LccUnit,
     naive: bool,
 ) -> (u64, u64) {
-    // Rebuild the task exactly as `spam::lcc::run_lcc_unit`, but on a
-    // configurable backend. Reuse its WM assembly through a tiny shim: we
-    // run the unit through a custom engine here.
+    // The task `spam::lcc::run_lcc_unit` runs, on a chosen match backend.
     let mut e = if naive {
         let m = NaiveMatcher::new(Arc::clone(&sp.program), Arc::clone(&sp.compiled));
-        Engine::with_matcher(
+        let mut e = Engine::with_matcher(
             Arc::clone(&sp.program),
             Arc::clone(&sp.compiled),
             Box::new(m),
-        )
+        );
+        register(
+            &mut e,
+            ExternalCtx {
+                scene: Arc::clone(scene),
+                fragments: Arc::clone(fragments),
+                id_base: LCC_ID_BASE,
+            },
+        );
+        e
     } else {
-        sp.engine()
+        lcc_engine(sp, scene, fragments)
     };
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: 1 << 30,
-        },
-    );
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("lcc")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
-    spam::lcc::load_unit_wm(&mut e, scene, fragments, unit);
+    load_lcc_task(&mut e, scene, fragments, unit);
     let out = e.run(1_000_000);
     assert!(out.quiescent(), "{out:?}");
     (e.work().total_units(), out.firings)

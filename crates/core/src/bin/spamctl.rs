@@ -2,29 +2,32 @@
 //!
 //! ```sh
 //! spamctl [run] [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
-//!         [--exec real|sim]
-//!         [--machines 1|2] [--svm tuned|naive]
-//!         [--retries K] [--fault-seed S]
-//!         [--task-panic-rate P] [--topdown] [--sweep] [--quiet]
-//!         [--obs off|summary|full] [--trace-out F] [--metrics-out F]
-//!         [--serve ADDR] [--serve-linger-ms MS]
+//!         [--exec real|sim] [--machines 1|2] [--svm tuned|naive] [--retries K]
+//!         [--fault-seed S] [--task-panic-rate P] [--topdown] [--sweep]
+//!         [--quiet] [--unshared] [--obs off|summary|full] [--trace-out F]
+//!         [--metrics-out F] [--serve ADDR] [--serve-linger-ms MS]
 //!         [--metrics-snapshot F] [--traces-out F]
-//! spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K]
-//!         [--json F] [--check-band LO:HI]
+//! spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K] [--json F]
+//!         [--check-band LO:HI] [--unshared]
 //! spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
-//!         [--svm tuned|naive] [--top K]
-//!         [--json F] [--trace-out F] [--check-loss LO:HI]
-//! spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N]
-//!         [--kills K] [--interval C] [--workers N] [--retries K]
-//!         [--exec real|sim]
+//!         [--svm tuned|naive] [--top K] [--json F] [--trace-out F]
+//!         [--check-loss LO:HI] [--unshared]
+//! spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N] [--kills K]
+//!         [--interval C] [--workers N] [--retries K] [--exec real|sim]
+//!         [--unshared]
 //! spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
 //!         [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match]
-//!         [--scale PCT] [--top N] [--json F] [--unshared]
+//!         [--scale PCT] [--top K] [--json F] [--unshared]
 //! spamctl top [--url http://HOST:PORT] [--iters N]
-//! spamctl slow [--level 1|2|3|4] [--workers N] [--retries K]
-//!         [--fault-seed S] [--task-panic-rate P] [--unshared]
-//! spamctl trace <id> (--from F | --url http://HOST:PORT)
+//! spamctl slow [--level 1|2|3|4] [--workers N] [--retries K] [--fault-seed S]
+//!         [--task-panic-rate P] [--unshared] [--traces-out F]
+//! spamctl trace <id> [--from F] [--url http://HOST:PORT]
 //! ```
+//!
+//! That is `spamctl --help`, and both are the flag table (`COMMANDS`): a
+//! subcommand reads the flags of its row and no other, so a flag outside
+//! the row, a second subcommand, or a dataset where none is read is an
+//! error that names both — not something silently ignored.
 //!
 //! * default: run the full pipeline and print the interpretation summary
 //!   (`run` is an optional explicit subcommand for the same thing);
@@ -172,14 +175,174 @@ use tlp_fault::{FaultPlan, SupervisorConfig};
 use tlp_obs::json::Json;
 use tlp_obs::{
     Live, ObsLevel, Recorder, RetainedTrace, SampleVerdict, SamplerConfig, SloConfig, SloMonitor,
-    SpanKind, Tracing,
+    SpanKind, SpanRecord, Tracing,
 };
 
+/// What one invocation does. `run` is what it does when it is not told.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+enum Cmd {
+    #[default]
+    Run,
+    Profile,
+    SvmReport,
+    Chaos,
+    Whatif,
+    Top,
+    Slow,
+    Trace,
+}
+
+/// One subcommand's row of the flag table.
+struct CmdSpec {
+    cmd: Cmd,
+    name: &'static str,
+    /// How the synopsis spells the subcommand and its operand.
+    head: &'static str,
+    /// The flags it reads, in synopsis order. It accepts no other.
+    flags: &'static str,
+}
+
+impl CmdSpec {
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags.split(' ').any(|f| f == flag)
+    }
+}
+
+const DATASETS: &str = "[sf|dc|moff|suburb]";
+
+/// `--level n` is `LEVELS[n - 1]`.
+const LEVELS: [Level; 4] = [Level::L1, Level::L2, Level::L3, Level::L4];
+
+/// The flag table: subcommand → the flags it reads. The parser rejects a
+/// flag outside its subcommand's row, `--help` prints the rows
+/// ([`usage`]), and a test holds the synopses in the module doc and the
+/// README to them.
+const COMMANDS: &[CmdSpec] = &[
+    CmdSpec {
+        cmd: Cmd::Run,
+        name: "run",
+        head: "[run] [sf|dc|moff|suburb]",
+        flags: "--level --workers --exec --machines --svm --retries --fault-seed \
+                --task-panic-rate --topdown --sweep --quiet --unshared --obs --trace-out \
+                --metrics-out --serve --serve-linger-ms --metrics-snapshot --traces-out",
+    },
+    CmdSpec {
+        cmd: Cmd::Profile,
+        name: "profile",
+        head: "profile [sf|dc|moff|suburb]",
+        flags: "--level --top --json --check-band --unshared",
+    },
+    CmdSpec {
+        cmd: Cmd::SvmReport,
+        name: "svm-report",
+        head: "svm-report [sf|dc|moff|suburb]",
+        flags: "--level --workers --svm --top --json --trace-out --check-loss --unshared",
+    },
+    CmdSpec {
+        cmd: Cmd::Chaos,
+        name: "chaos",
+        head: "chaos [sf|dc|moff|suburb]",
+        flags: "--level --seed --kills --interval --workers --retries --exec --unshared",
+    },
+    CmdSpec {
+        cmd: Cmd::Whatif,
+        name: "whatif",
+        head: "whatif [sf|dc|moff|suburb]",
+        flags: "--level --workers --target --scale --top --json --unshared",
+    },
+    CmdSpec {
+        cmd: Cmd::Top,
+        name: "top",
+        head: "top",
+        flags: "--url --iters",
+    },
+    CmdSpec {
+        cmd: Cmd::Slow,
+        name: "slow",
+        head: "slow",
+        flags: "--level --workers --retries --fault-seed --task-panic-rate --unshared --traces-out",
+    },
+    CmdSpec {
+        cmd: Cmd::Trace,
+        name: "trace",
+        head: "trace <id>",
+        flags: "--from --url",
+    },
+];
+
+/// Every flag with the placeholder of its value (`""`: a switch).
+const FLAGS: &[(&str, &str)] = &[
+    ("--level", "1|2|3|4"),
+    ("--workers", "N"),
+    ("--exec", "real|sim"),
+    ("--machines", "1|2"),
+    ("--svm", "tuned|naive"),
+    ("--retries", "K"),
+    ("--fault-seed", "S"),
+    ("--task-panic-rate", "P"),
+    ("--topdown", ""),
+    ("--sweep", ""),
+    ("--quiet", ""),
+    ("--unshared", ""),
+    ("--obs", "off|summary|full"),
+    ("--trace-out", "F"),
+    ("--metrics-out", "F"),
+    ("--serve", "ADDR"),
+    ("--serve-linger-ms", "MS"),
+    ("--metrics-snapshot", "F"),
+    ("--traces-out", "F"),
+    ("--top", "K"),
+    ("--json", "F"),
+    ("--check-band", "LO:HI"),
+    ("--check-loss", "LO:HI"),
+    ("--seed", "N"),
+    ("--kills", "K"),
+    ("--interval", "C"),
+    (
+        "--target",
+        "prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match",
+    ),
+    ("--scale", "PCT"),
+    ("--url", "http://HOST:PORT"),
+    ("--iters", "N"),
+    ("--from", "F"),
+];
+
+/// What a flag is when it is not given, where that is not zero, off or
+/// nothing (`--workers` depends on the subcommand: 1, 8, 20, 3, 2).
+const DEFAULTS: &[(&str, &str)] = &[
+    ("--level", "3"),
+    ("--machines", "1"),
+    ("--svm", "tuned"),
+    ("--top", "10"),
+    ("--seed", "42"),
+    ("--kills", "3"),
+    ("--interval", "4"),
+    ("--scale", "50"),
+    ("--url", "http://127.0.0.1:9184"),
+];
+
+/// The synopsis, one line per subcommand, from [`COMMANDS`].
+fn usage() -> String {
+    let mut out = String::new();
+    for c in COMMANDS {
+        out.push_str(&format!("spamctl {}", c.head));
+        for flag in c.flags.split(' ') {
+            let (_, value) = FLAGS.iter().find(|(f, _)| *f == flag).expect("known");
+            let sep = if value.is_empty() { "" } else { " " };
+            out.push_str(&format!(" [{flag}{sep}{value}]"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[derive(Default)]
 struct Opts {
-    profile: bool,
-    svm_report: bool,
-    chaos: bool,
-    whatif: bool,
+    cmd: Cmd,
+    /// `trace`'s operand.
+    trace_id: String,
+    dataset: Option<String>,
     target: Option<String>,
     scale_pct: f64,
     chaos_seed: u64,
@@ -189,10 +352,9 @@ struct Opts {
     json_out: Option<String>,
     check_band: Option<(f64, f64)>,
     check_loss: Option<(f64, f64)>,
-    dataset: Option<String>,
     level: Level,
     workers: Option<usize>,
-    exec_mode: String,
+    exec_real: bool,
     machines: u32,
     svm_mode: String,
     retries: u32,
@@ -208,288 +370,233 @@ struct Opts {
     serve: Option<String>,
     serve_linger_ms: u64,
     metrics_snapshot: Option<String>,
-    top_cmd: bool,
-    top_url: String,
+    url: String,
     top_iters: u64,
     traces_out: Option<String>,
-    slow_cmd: bool,
-    trace_cmd: Option<String>,
     trace_from: Option<String>,
 }
 
-fn parse_args() -> Result<Opts, String> {
-    let mut o = Opts {
-        profile: false,
-        svm_report: false,
-        chaos: false,
-        whatif: false,
-        target: None,
-        scale_pct: 50.0,
-        chaos_seed: 42,
-        kills: 3,
-        ckpt_interval: 4,
-        top: 10,
-        json_out: None,
-        check_band: None,
-        check_loss: None,
-        dataset: None,
-        level: Level::L3,
-        workers: None,
-        exec_mode: "sim".into(),
-        machines: 1,
-        svm_mode: "tuned".into(),
-        retries: 0,
-        fault_seed: 0,
-        task_panic_rate: 0.0,
-        topdown: false,
-        sweep: false,
-        quiet: false,
-        unshared: false,
-        obs: ObsLevel::Off,
-        trace_out: None,
-        metrics_out: None,
-        serve: None,
-        serve_linger_ms: 0,
-        metrics_snapshot: None,
-        top_cmd: false,
-        top_url: "http://127.0.0.1:9184".into(),
-        top_iters: 0,
-        traces_out: None,
-        slow_cmd: false,
-        trace_cmd: None,
-        trace_from: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "run" => {} // explicit default subcommand
-            "profile" => o.profile = true,
-            "svm-report" => o.svm_report = true,
-            "chaos" => o.chaos = true,
-            "whatif" => o.whatif = true,
-            "top" => o.top_cmd = true,
-            "slow" => o.slow_cmd = true,
-            "trace" => {
-                o.trace_cmd = Some(args.next().ok_or("trace needs a trace id (hex)")?);
-            }
-            "--traces-out" => {
-                o.traces_out = Some(args.next().ok_or("--traces-out needs a path")?);
-            }
-            "--from" => {
-                o.trace_from = Some(args.next().ok_or("--from needs a path")?);
-            }
-            "--serve" => {
-                o.serve = Some(args.next().ok_or("--serve needs HOST:PORT")?);
-            }
-            "--serve-linger-ms" => {
-                o.serve_linger_ms = args
-                    .next()
-                    .ok_or("--serve-linger-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --serve-linger-ms: {e}"))?;
-            }
-            "--metrics-snapshot" => {
-                o.metrics_snapshot = Some(args.next().ok_or("--metrics-snapshot needs a path")?);
-            }
-            "--url" => {
-                let v = args.next().ok_or("--url needs http://HOST:PORT")?;
-                if !v.starts_with("http://") {
-                    return Err(format!("bad --url '{v}' (want http://HOST:PORT)"));
-                }
-                o.top_url = v;
-            }
-            "--iters" => {
-                o.top_iters = args
-                    .next()
-                    .ok_or("--iters needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --iters: {e}"))?;
-            }
-            "--target" => {
-                o.target = Some(args.next().ok_or("--target needs a value")?);
-            }
-            "--scale" => {
-                o.scale_pct = args
-                    .next()
-                    .ok_or("--scale needs a percentage")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-                if !(0.0..=100.0).contains(&o.scale_pct) {
-                    return Err("--scale must be in [0, 100]".into());
-                }
-            }
-            "--seed" => {
-                o.chaos_seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--kills" => {
-                o.kills = args
-                    .next()
-                    .ok_or("--kills needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --kills: {e}"))?;
-            }
-            "--interval" => {
-                o.ckpt_interval = args
-                    .next()
-                    .ok_or("--interval needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --interval: {e}"))?;
-                if o.ckpt_interval == 0 {
-                    return Err("--interval must be >= 1".into());
-                }
-            }
-            "--top" => {
-                o.top = args
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --top: {e}"))?;
-            }
-            "--json" => {
-                o.json_out = Some(args.next().ok_or("--json needs a path")?);
-            }
-            "--check-band" => {
-                let v = args.next().ok_or("--check-band needs LO:HI")?;
-                let (lo, hi) = v
-                    .split_once(':')
-                    .ok_or(format!("bad --check-band '{v}' (want LO:HI)"))?;
-                let lo: f64 = lo.parse().map_err(|e| format!("bad --check-band: {e}"))?;
-                let hi: f64 = hi.parse().map_err(|e| format!("bad --check-band: {e}"))?;
-                if !(0.0..=1.0).contains(&lo) || !(0.0..=1.0).contains(&hi) || lo > hi {
-                    return Err(format!("bad --check-band {lo}:{hi}"));
-                }
-                o.check_band = Some((lo, hi));
-            }
-            "sf" | "dc" | "moff" | "suburb" => o.dataset = Some(a),
-            "--machines" => {
-                o.machines = args
-                    .next()
-                    .ok_or("--machines needs 1 or 2")?
-                    .parse()
-                    .map_err(|e| format!("bad --machines: {e}"))?;
-                if !(1..=2).contains(&o.machines) {
-                    return Err("--machines must be 1 or 2".into());
-                }
-            }
-            "--svm" => {
-                let v = args.next().ok_or("--svm needs tuned|naive")?;
-                if v != "tuned" && v != "naive" {
-                    return Err(format!("bad --svm '{v}' (want tuned|naive)"));
-                }
-                o.svm_mode = v;
-            }
-            "--check-loss" => {
-                let v = args.next().ok_or("--check-loss needs LO:HI")?;
-                let (lo, hi) = v
-                    .split_once(':')
-                    .ok_or(format!("bad --check-loss '{v}' (want LO:HI)"))?;
-                let lo: f64 = lo.parse().map_err(|e| format!("bad --check-loss: {e}"))?;
-                let hi: f64 = hi.parse().map_err(|e| format!("bad --check-loss: {e}"))?;
-                if lo > hi {
-                    return Err(format!("bad --check-loss {lo}:{hi}"));
-                }
-                o.check_loss = Some((lo, hi));
-            }
+/// `v` as the value of `flag`.
+fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// `v` as one of `flag`'s `choices`.
+fn one_of(flag: &str, v: &str, choices: &[&str]) -> Result<String, String> {
+    if choices.contains(&v) {
+        Ok(v.to_string())
+    } else {
+        Err(format!("bad {flag} '{v}' (want {})", choices.join("|")))
+    }
+}
+
+/// `v` as `flag`'s `LO:HI`, both within `within`.
+fn bounds(flag: &str, v: &str, within: (f64, f64)) -> Result<(f64, f64), String> {
+    let (lo, hi) = v
+        .split_once(':')
+        .ok_or(format!("bad {flag} '{v}' (want LO:HI)"))?;
+    let (lo, hi): (f64, f64) = (parsed(flag, lo)?, parsed(flag, hi)?);
+    if lo > hi || lo < within.0 || hi > within.1 {
+        return Err(format!("bad {flag} {lo}:{hi}"));
+    }
+    Ok((lo, hi))
+}
+
+impl Opts {
+    /// Takes `flag`'s value `v` (empty for a switch).
+    fn set(&mut self, flag: &str, v: &str) -> Result<(), String> {
+        let path = || Some(v.to_string());
+        match flag {
             "--level" => {
-                o.level = match args.next().as_deref() {
-                    Some("1") => Level::L1,
-                    Some("2") => Level::L2,
-                    Some("3") => Level::L3,
-                    Some("4") => Level::L4,
-                    other => return Err(format!("bad --level {other:?}")),
-                }
+                let n: usize = parsed(flag, &one_of(flag, v, &["1", "2", "3", "4"])?)?;
+                self.level = LEVELS[n - 1];
             }
             "--workers" => {
-                let w: usize = args
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-                if w == 0 {
+                self.workers = Some(parsed(flag, v)?);
+                if self.workers == Some(0) {
                     return Err("--workers must be >= 1".into());
                 }
-                o.workers = Some(w);
             }
-            "--exec" => {
-                let v = args.next().ok_or("--exec needs real|sim")?;
-                if v != "real" && v != "sim" {
-                    return Err(format!("bad --exec '{v}' (want real|sim)"));
-                }
-                o.exec_mode = v;
-            }
-            "--retries" => {
-                o.retries = args
-                    .next()
-                    .ok_or("--retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --retries: {e}"))?;
-            }
-            "--fault-seed" => {
-                o.fault_seed = args
-                    .next()
-                    .ok_or("--fault-seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-seed: {e}"))?;
-            }
+            "--exec" => self.exec_real = one_of(flag, v, &["real", "sim"])? == "real",
+            "--machines" => self.machines = parsed(flag, &one_of(flag, v, &["1", "2"])?)?,
+            "--svm" => self.svm_mode = one_of(flag, v, &["tuned", "naive"])?,
+            "--retries" => self.retries = parsed(flag, v)?,
+            "--fault-seed" => self.fault_seed = parsed(flag, v)?,
             "--task-panic-rate" => {
-                o.task_panic_rate = args
-                    .next()
-                    .ok_or("--task-panic-rate needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --task-panic-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&o.task_panic_rate) {
+                self.task_panic_rate = parsed(flag, v)?;
+                if !(0.0..=1.0).contains(&self.task_panic_rate) {
                     return Err("--task-panic-rate must be in [0, 1]".into());
                 }
             }
-            "--topdown" => o.topdown = true,
-            "--sweep" => o.sweep = true,
-            "--quiet" => o.quiet = true,
-            "--unshared" => o.unshared = true,
-            "--obs" => {
-                let v = args.next().ok_or("--obs needs off|summary|full")?;
-                o.obs = ObsLevel::parse(&v).ok_or(format!("bad --obs '{v}'"))?;
+            "--topdown" => self.topdown = true,
+            "--sweep" => self.sweep = true,
+            "--quiet" => self.quiet = true,
+            "--unshared" => self.unshared = true,
+            "--obs" => self.obs = ObsLevel::parse(v).ok_or(format!("bad --obs '{v}'"))?,
+            "--trace-out" => self.trace_out = path(),
+            "--metrics-out" => self.metrics_out = path(),
+            "--serve" => self.serve = path(),
+            "--serve-linger-ms" => self.serve_linger_ms = parsed(flag, v)?,
+            "--metrics-snapshot" => self.metrics_snapshot = path(),
+            "--traces-out" => self.traces_out = path(),
+            "--top" => self.top = parsed(flag, v)?,
+            "--json" => self.json_out = path(),
+            "--check-band" => self.check_band = Some(bounds(flag, v, (0.0, 1.0))?),
+            "--check-loss" => self.check_loss = Some(bounds(flag, v, (f64::MIN, f64::MAX))?),
+            "--seed" => self.chaos_seed = parsed(flag, v)?,
+            "--kills" => self.kills = parsed(flag, v)?,
+            "--interval" => {
+                self.ckpt_interval = parsed(flag, v)?;
+                if self.ckpt_interval == 0 {
+                    return Err("--interval must be >= 1".into());
+                }
             }
-            "--trace-out" => {
-                o.trace_out = Some(args.next().ok_or("--trace-out needs a path")?);
+            "--target" => self.target = path(),
+            "--scale" => {
+                self.scale_pct = parsed(flag, v)?;
+                if !(0.0..=100.0).contains(&self.scale_pct) {
+                    return Err("--scale must be in [0, 100]".into());
+                }
             }
-            "--metrics-out" => {
-                o.metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?);
+            "--url" => {
+                if !v.starts_with("http://") {
+                    return Err(format!("bad --url '{v}' (want http://HOST:PORT)"));
+                }
+                self.url = v.to_string();
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: spamctl [run] [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N] \
-                     [--exec real|sim] \
-                     [--machines 1|2] [--svm tuned|naive] \
-                     [--retries K] [--fault-seed S] \
-                     [--task-panic-rate P] [--topdown] [--sweep] [--quiet] [--unshared] \
-                     [--obs off|summary|full] [--trace-out F] [--metrics-out F] \
-                     [--serve ADDR] [--serve-linger-ms MS] [--metrics-snapshot F] \
-                     [--traces-out F]\n\
-                     \x20      spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K] \
-                     [--json F] [--check-band LO:HI]\n\
-                     \x20      spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] \
-                     [--workers N] [--svm tuned|naive] [--top K] \
-                     [--json F] [--trace-out F] [--check-loss LO:HI]\n\
-                     \x20      spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N] \
-                     [--kills K] [--interval C] [--workers N] [--retries K]\n\
-                     \x20      spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N] \
-                     [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match] \
-                     [--scale PCT] [--top N] [--json F] [--unshared]\n\
-                     \x20      spamctl top [--url http://HOST:PORT] [--iters N]\n\
-                     \x20      spamctl slow [--level 1|2|3|4] [--workers N] [--retries K] \
-                     [--fault-seed S] [--task-panic-rate P] [--unshared]\n\
-                     \x20      spamctl trace <id> (--from F | --url http://HOST:PORT)"
-                        .into(),
-                )
+            "--iters" => self.top_iters = parsed(flag, v)?,
+            "--from" => self.trace_from = path(),
+            _ => unreachable!("{flag} is in FLAGS and has no arm here"),
+        }
+        Ok(())
+    }
+}
+
+/// Parses the command line against the flag table: at most one
+/// subcommand, and only the flags of its row.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    for (flag, v) in DEFAULTS {
+        o.set(flag, v)?;
+    }
+    let mut named: Option<&CmdSpec> = None;
+    let mut given: Vec<&str> = Vec::new();
+    while let Some(a) = args.next() {
+        if a == "--help" || a == "-h" {
+            return Err(format!("usage:\n{}", usage()));
+        }
+        if let Some(spec) = COMMANDS.iter().find(|c| c.name == a) {
+            if let Some(first) = named {
+                return Err(format!(
+                    "two subcommands, '{}' and '{}': one invocation runs one",
+                    first.name, spec.name
+                ));
             }
-            other => return Err(format!("unknown argument '{other}'")),
+            named = Some(spec);
+            if spec.cmd == Cmd::Trace {
+                o.trace_id = args.next().ok_or("trace needs a trace id (hex)")?;
+            }
+        } else if DATASETS[1..DATASETS.len() - 1].split('|').any(|d| d == a) {
+            o.dataset = Some(a);
+        } else if let Some(&(flag, value)) = FLAGS.iter().find(|(f, _)| *f == a) {
+            let v = match value {
+                "" => String::new(),
+                _ => (args.next()).ok_or(format!("{flag} needs a value ({value})"))?,
+            };
+            o.set(flag, &v)?;
+            given.push(flag);
+        } else {
+            return Err(format!("unknown argument '{a}'"));
         }
     }
+    let spec = named.unwrap_or(&COMMANDS[0]);
+    o.cmd = spec.cmd;
+    if let Some(flag) = given.iter().find(|f| !spec.accepts(f)) {
+        let takers: Vec<&str> = (COMMANDS.iter())
+            .filter(|c| c.accepts(flag))
+            .map(|c| c.name)
+            .collect();
+        return Err(format!(
+            "{flag} is not a flag of '{}' (of: {}); see spamctl --help",
+            spec.name,
+            takers.join(", ")
+        ));
+    }
+    if let (Some(d), false) = (&o.dataset, spec.head.ends_with(DATASETS)) {
+        return Err(format!("'{}' takes no dataset ('{d}')", spec.name));
+    }
     Ok(o)
+}
+
+/// Writes an output file, or says which could not be written.
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// The `{"traces": […]}` document of `--traces-out`.
+fn traces_doc(kept: &[RetainedTrace]) -> String {
+    let traces = Json::Arr(kept.iter().map(RetainedTrace::to_json).collect());
+    Json::obj(vec![("traces", traces)]).write()
+}
+
+/// A CI gate (`--check-band`, `--check-loss`): `value` must lie in
+/// `within`.
+fn gate(what: &str, value: f64, shown: String, within: Option<(f64, f64)>) -> Result<(), String> {
+    let Some((lo, hi)) = within else {
+        return Ok(());
+    };
+    if !(lo..=hi).contains(&value) {
+        return Err(format!("\ncheck  : {what} {shown} OUTSIDE [{lo}, {hi}]"));
+    }
+    println!("\ncheck  : {what} {shown} in [{lo}, {hi}] — ok");
+    Ok(())
+}
+
+/// How every report's first line names its input.
+fn input_line(o: &Opts, scene: &Scene) -> String {
+    format!(
+        "{} ({:?}), {} regions, LCC at {}",
+        scene.name,
+        scene.domain,
+        scene.len(),
+        o.level.name()
+    )
+}
+
+/// The seeded fault plan `--fault-seed` and `--task-panic-rate` describe.
+fn fault_plan(o: &Opts) -> FaultPlan {
+    let plan = FaultPlan::seeded(o.fault_seed);
+    if o.task_panic_rate > 0.0 {
+        plan.with_task_panic_rate(o.task_panic_rate)
+    } else {
+        plan
+    }
+}
+
+/// Opens a pipeline phase's `phase.<name>` span on the control thread.
+fn phase_begin(ctl: &mut tlp_obs::ThreadSink, name: &str) {
+    if ctl.enabled(ObsLevel::Summary) {
+        ctl.begin(tlp_obs::Category::Phase, name, vec![]);
+    }
+}
+
+/// Closes a pipeline phase's span, with the phase's firings if it counts.
+fn phase_end(ctl: &mut tlp_obs::ThreadSink, name: &str, firings: Option<u64>) {
+    if ctl.enabled(ObsLevel::Summary) {
+        let args = firings.map(|f| ("firings", f.into())).into_iter().collect();
+        ctl.end(tlp_obs::Category::Phase, name, args);
+    }
+}
+
+/// What the tail sampler made of a finished scene.
+fn verdict(span: &tlp_obs::SceneSpan) -> String {
+    match span.finish() {
+        SampleVerdict::Retained(r) => format!("retained ({})", r.name()),
+        SampleVerdict::Summarized => "summarized".into(),
+    }
 }
 
 fn build_scene(name: &str) -> Arc<Scene> {
@@ -501,27 +608,28 @@ fn build_scene(name: &str) -> Arc<Scene> {
     })
 }
 
-/// The `profile` subcommand: run RTF then the LCC phase under the
-/// match-level profiler and print / write the speed-up-doctor report.
-fn run_profile(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
-    println!(
-        "spamctl profile: {} ({:?}), {} regions, LCC at {}",
-        scene.name,
-        scene.domain,
-        scene.len(),
-        o.level.name(),
-    );
-    let rtf = run_rtf(sp, scene);
-    let fragments = Arc::new(rtf.fragments.clone());
+/// RTF, then the LCC phase under the match-level profiler, and the `LCC`
+/// line `profile` and `whatif` both open on.
+fn profiled_phase(
+    o: &Opts,
+    sp: &SpamProgram,
+    scene: &Arc<Scene>,
+) -> (Option<ops5::MatchProfile>, spam::lcc::LccPhaseResult) {
+    let fragments = Arc::new(run_rtf(sp, scene).fragments);
     let (row, profile, phase) = spam_psm::measure::profiled_lcc(sp, scene, &fragments, o.level);
     println!(
         "LCC    : {} tasks, {} firings, {:.0} simulated s",
         row.tasks, row.prods_fired, row.total_seconds
     );
-    let Some(profile) = profile else {
-        eprintln!("profile: the scene has no LCC tasks to profile");
-        return ExitCode::FAILURE;
-    };
+    (profile, phase)
+}
+
+/// The `profile` subcommand: run RTF then the LCC phase under the
+/// match-level profiler and print / write the speed-up-doctor report.
+fn run_profile(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
+    println!("spamctl profile: {}", input_line(o, scene));
+    let (profile, phase) = profiled_phase(o, sp, scene);
+    let profile = profile.ok_or("profile: the scene has no LCC tasks to profile")?;
     let net = profile.net;
     println!(
         "network: {} beta nodes ({} unshared, {:.2}x sharing), {} shared-node hits, \
@@ -549,79 +657,45 @@ fn run_profile(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
     print!("{report}");
 
     if let Some(path) = &o.json_out {
-        if let Err(e) = std::fs::write(path, report.to_json().write()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &report.to_json().write())?;
         println!("\nprofile: report -> {path}");
     }
-
-    if let Some((lo, hi)) = o.check_band {
-        let mf = report.match_fraction();
-        if (lo..=hi).contains(&mf) {
-            println!("\ncheck  : match fraction {mf:.3} in [{lo}, {hi}] — ok");
-        } else {
-            eprintln!("\ncheck  : match fraction {mf:.3} OUTSIDE [{lo}, {hi}]");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let mf = report.match_fraction();
+    gate("match fraction", mf, format!("{mf:.3}"), o.check_band)
 }
 
 /// The LCC level's number (for validating a `level:<n>` what-if target
 /// against the level actually recorded).
 fn level_number(level: Level) -> u32 {
-    match level {
-        Level::L1 => 1,
-        Level::L2 => 2,
-        Level::L3 => 3,
-        Level::L4 => 4,
-    }
+    1 + LEVELS.iter().position(|l| *l == level).expect("a level") as u32
 }
 
 /// The `whatif` subcommand: run the LCC phase under the profiler, then
 /// replay the recorded trace with virtual speedups applied and print the
 /// ranked "optimize this next" report (or the single `--target` one).
-fn run_whatif(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
+fn run_whatif(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
     let workers = o.workers.unwrap_or(8).max(1) as u32;
     println!(
-        "spamctl whatif: {} ({:?}), {} regions, LCC at {}, {} task processes, \
-         virtual speedup {:.0}%",
-        scene.name,
-        scene.domain,
-        scene.len(),
-        o.level.name(),
-        workers,
+        "spamctl whatif: {}, {workers} task processes, virtual speedup {:.0}%",
+        input_line(o, scene),
         o.scale_pct,
     );
-    let rtf = run_rtf(sp, scene);
-    let fragments = Arc::new(rtf.fragments.clone());
-    let (row, profile, phase) = spam_psm::measure::profiled_lcc(sp, scene, &fragments, o.level);
-    println!(
-        "LCC    : {} tasks, {} firings, {:.0} simulated s",
-        row.tasks, row.prods_fired, row.total_seconds
-    );
+    let (profile, phase) = profiled_phase(o, sp, scene);
     let trace = spam_psm::trace::lcc_trace(&phase);
     let cfg = multimax_sim::SimConfig::encore(workers);
     let level_label = format!("LCC {}", o.level.name());
+    let tag = |e| format!("whatif: {e}");
 
     let report = match &o.target {
         Some(t) => {
-            let target = match spam_psm::whatif::Target::parse(t) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("whatif: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let target = spam_psm::whatif::Target::parse(t).map_err(tag)?;
             if let spam_psm::whatif::Target::Level(n) = target {
                 if n != level_number(o.level) {
-                    eprintln!(
+                    return Err(format!(
                         "whatif: level:{n} does not name the recorded level ({}); \
                          re-run with --level {n}",
                         level_number(o.level)
-                    );
-                    return ExitCode::FAILURE;
+                    ));
                 }
             }
             spam_psm::whatif::build_report_for(
@@ -644,32 +718,14 @@ fn run_whatif(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
             o.top,
         ),
     };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("whatif: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = report.map_err(tag)?;
     println!();
     print!("{report}");
     if let Some(path) = &o.json_out {
-        if let Err(e) = std::fs::write(path, report.to_json().write()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &report.to_json().write())?;
         println!("\nwhatif : report -> {path}");
     }
-    ExitCode::SUCCESS
-}
-
-/// Resolves the SVM cost model named by `--svm`.
-fn svm_model(mode: &str) -> multimax_sim::SvmConfig {
-    if mode == "naive" {
-        multimax_sim::SvmConfig::naive()
-    } else {
-        multimax_sim::SvmConfig::tuned()
-    }
+    Ok(())
 }
 
 /// The two-machine simulation configuration: `--svm`'s netmemory, and a
@@ -677,7 +733,10 @@ fn svm_model(mode: &str) -> multimax_sim::SvmConfig {
 /// against the page-exchange latencies, so the stitcher has work to do.
 fn svm_sim_config(o: &Opts, workers: u32) -> multimax_sim::SvmSimConfig {
     let mut cfg = multimax_sim::SvmSimConfig::dual_encore(workers);
-    cfg.sim.svm = svm_model(&o.svm_mode);
+    cfg.sim.svm = match o.svm_mode.as_str() {
+        "naive" => multimax_sim::SvmConfig::naive(),
+        _ => multimax_sim::SvmConfig::tuned(),
+    };
     cfg.remote_clock = multimax_sim::ClockDomain::new(-3_500, 80.0);
     cfg
 }
@@ -709,21 +768,17 @@ fn write_svm_trace(
     doc.add_timeline(&home_tl);
     doc.add_timeline(&remote_tl);
     let events = r.home.events.len() + r.remote.events.len();
-    std::fs::write(path, doc.write()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    write_file(path, &doc.write())?;
     Ok(events)
 }
 
 /// The `svm-report` subcommand: run LCC, replay the measured trace on the
 /// two-machine SVM platform, and print the overhead accountant.
-fn run_svm_report(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
+fn run_svm_report(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
     let workers = o.workers.unwrap_or(20).max(1) as u32;
     println!(
-        "spamctl svm-report: {} ({:?}), {} regions, LCC at {}, {} task processes, {} netmemory",
-        scene.name,
-        scene.domain,
-        scene.len(),
-        o.level.name(),
-        workers,
+        "spamctl svm-report: {}, {workers} task processes, {} netmemory",
+        input_line(o, scene),
         o.svm_mode,
     );
     let rtf = run_rtf(sp, scene);
@@ -752,45 +807,29 @@ fn run_svm_report(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
     print!("{report}");
 
     if let Some(path) = &o.trace_out {
-        match write_svm_trace(path, &r, None) {
-            Ok(events) => println!(
-                "trace  : {events} events, 2 machine pids -> {path} (chrome://tracing / Perfetto)"
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let events = write_svm_trace(path, &r, None)?;
+        println!(
+            "trace  : {events} events, 2 machine pids -> {path} (chrome://tracing / Perfetto)"
+        );
     }
     if let Some(path) = &o.json_out {
-        if let Err(e) = std::fs::write(path, report.to_json().write()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &report.to_json().write())?;
         println!("svm-report: json -> {path}");
     }
-    if let Some((lo, hi)) = o.check_loss {
-        if (lo..=hi).contains(&report.lost) {
-            println!(
-                "\ncheck  : effective processors lost {:.2} in [{lo}, {hi}] — ok",
-                report.lost
-            );
-        } else {
-            eprintln!(
-                "\ncheck  : effective processors lost {:.2} OUTSIDE [{lo}, {hi}]",
-                report.lost
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let lost = report.lost;
+    gate(
+        "effective processors lost",
+        lost,
+        format!("{lost:.2}"),
+        o.check_loss,
+    )
 }
 
 /// Where `--exec` places a phase's tasks: `real` is the chunked deques (by
 /// the ParaOPS5 cost model's subtask granularity, idle workers stealing),
 /// `sim` the paper's central queue.
 fn placement(o: &Opts, workers: usize) -> ExecConfig {
-    if o.exec_mode == "real" {
+    if o.exec_real {
         ExecConfig::with_cost_model(workers, &paraops5::costmodel::CostModel::default())
     } else {
         ExecConfig::central_queue(workers)
@@ -805,19 +844,14 @@ fn placement(o: &Opts, workers: usize) -> ExecConfig {
 /// must reproduce the fault-free results exactly while replaying strictly
 /// fewer cycles than from-scratch retries would. On any failure the full
 /// fault plan (seed and schedule) is printed so the run can be replayed.
-fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
+fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
     let workers = o.workers.unwrap_or(3).max(1);
     println!(
-        "spamctl chaos: {} ({:?}), {} regions, LCC at {}, seed {}, {} kill(s), \
-         checkpoint every {} cycles, {} worker(s)",
-        scene.name,
-        scene.domain,
-        scene.len(),
-        o.level.name(),
+        "spamctl chaos: {}, seed {}, {} kill(s), checkpoint every {} cycles, {workers} worker(s)",
+        input_line(o, scene),
         o.chaos_seed,
         o.kills,
         o.ckpt_interval,
-        workers,
     );
     let rtf = run_rtf(sp, scene);
     let fragments = Arc::new(rtf.fragments.clone());
@@ -847,20 +881,15 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
         plan: plan.clone(),
         ..PhaseRun::new(placement(o, workers))
     };
-    let (par, recovery) = match spam_psm::run_parallel_lcc_recoverable(
+    let (par, recovery) = spam_psm::run_parallel_lcc_recoverable(
         sp,
         scene,
         &fragments,
         o.level,
         &how,
         &spam_psm::CheckpointConfig::every(o.ckpt_interval),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos run failed to complete: {e}\n{}", plan.describe());
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(|e| format!("chaos run failed to complete: {e}\n{}", plan.describe()))?;
     println!("recovery: {}", recovery.summary());
 
     let mut failures: Vec<String> = Vec::new();
@@ -900,19 +929,18 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> ExitCode {
         ));
     }
     if !failures.is_empty() {
-        eprintln!("\nchaos: FAILED — replay with the plan below");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        eprint!("{}", plan.describe());
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "\nchaos: FAILED — replay with the plan below\n  - {}\n{}",
+            failures.join("\n  - "),
+            plan.describe().trim_end()
+        ));
     }
     println!(
         "check   : results identical to the fault-free run; {} cycles replayed vs {} \
          from-scratch ({} saved) — ok",
         recovery.cycles_replayed, scratch_cost, recovery.cycles_saved
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,8 +1094,8 @@ fn render_top(snap: &Json, base: &str) -> String {
 /// The `top` subcommand: poll `/snapshot` on a serving `spamctl run` and
 /// redraw the dashboard until `--iters` frames are rendered or the
 /// endpoint goes away.
-fn run_top(o: &Opts) -> ExitCode {
-    let base = o.top_url.trim_end_matches('/').to_string();
+fn run_top(o: &Opts) -> Result<(), String> {
+    let base = o.url.trim_end_matches('/').to_string();
     let url = format!("{base}/snapshot");
     let timeout = Duration::from_secs(2);
     let mut frames = 0u64;
@@ -1077,27 +1105,19 @@ fn run_top(o: &Opts) -> ExitCode {
             Ok(r) => r,
             Err(e) if frames > 0 => {
                 println!("top: endpoint gone after {frames} frame(s) ({e})");
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             Err(e) => {
-                eprintln!(
+                return Err(format!(
                     "top: cannot reach {url}: {e}\n\
                      (start one with: spamctl run --serve 127.0.0.1:9184 --serve-linger-ms 60000)"
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         };
         if status != 200 {
-            eprintln!("top: {url} returned HTTP {status}");
-            return ExitCode::FAILURE;
+            return Err(format!("top: {url} returned HTTP {status}"));
         }
-        let snap = match Json::parse(&body) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("top: malformed snapshot JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let snap = Json::parse(&body).map_err(|e| format!("top: malformed snapshot JSON: {e}"))?;
         // Repaint in place when looping; a single `--iters 1` frame (the CI
         // mode) prints plainly so the output is capturable.
         if o.top_iters != 1 {
@@ -1108,25 +1128,25 @@ fn run_top(o: &Opts) -> ExitCode {
         let _ = std::io::stdout().flush();
         frames += 1;
         if o.top_iters != 0 && frames >= o.top_iters {
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
         std::thread::sleep(Duration::from_secs(1));
     }
+}
+
+/// A span's wall time, µs.
+fn wall_us(s: &SpanRecord) -> u64 {
+    s.end_us.saturating_sub(s.start_us)
 }
 
 /// One retained trace's "why slow" line: wall vs. busy, worker utilization,
 /// the longest attempt, and the residual gap (fork + queue + idle).
 fn gap_attribution(t: &RetainedTrace) -> String {
     let wall = t.duration_s();
-    let tasks: Vec<&tlp_obs::SpanRecord> = t
-        .spans
-        .iter()
+    let tasks: Vec<&SpanRecord> = (t.spans.iter())
         .filter(|s| s.kind == SpanKind::Task)
         .collect();
-    let busy: f64 = tasks
-        .iter()
-        .map(|s| s.end_us.saturating_sub(s.start_us) as f64 / 1e6)
-        .sum();
+    let busy = tasks.iter().map(|s| wall_us(s)).sum::<u64>() as f64 / 1e6;
     let workers: std::collections::BTreeSet<&str> =
         tasks.iter().map(|s| s.worker.as_str()).collect();
     let nw = workers.len().max(1);
@@ -1137,16 +1157,8 @@ fn gap_attribution(t: &RetainedTrace) -> String {
     } else {
         0.0
     };
-    let longest = tasks
-        .iter()
-        .max_by_key(|s| s.end_us.saturating_sub(s.start_us))
-        .map(|s| {
-            format!(
-                "{} {:.3}s",
-                s.name,
-                s.end_us.saturating_sub(s.start_us) as f64 / 1e6
-            )
-        })
+    let longest = (tasks.iter().max_by_key(|s| wall_us(s)))
+        .map(|s| format!("{} {:.3}s", s.name, wall_us(s) as f64 / 1e6))
         .unwrap_or_else(|| "none".into());
     let dropped = if t.dropped_spans > 0 {
         format!(" (+{} dropped)", t.dropped_spans)
@@ -1173,7 +1185,7 @@ fn gap_attribution(t: &RetainedTrace) -> String {
 /// submissions under one tail sampler, then print the retained traces
 /// ranked by wall duration with gap attribution, and the one-line
 /// summaries for the scenes the sampler declined to keep.
-fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
+fn run_slow(o: &Opts, sp: &SpamProgram) -> Result<(), String> {
     let datasets = ["sf", "dc", "moff", "suburb"];
     let workers = o.workers.unwrap_or(2);
     // Slowest-2 of four submissions: demoting the fast half to summaries
@@ -1189,10 +1201,7 @@ fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
         o.fault_seed
     );
     let cfg = SupervisorConfig::default().with_retries(o.retries);
-    let mut plan = FaultPlan::seeded(o.fault_seed);
-    if o.task_panic_rate > 0.0 {
-        plan = plan.with_task_panic_rate(o.task_panic_rate);
-    }
+    let plan = fault_plan(o);
     for name in datasets {
         let scene = build_scene(name);
         let rtf = run_rtf(sp, &scene);
@@ -1207,22 +1216,14 @@ fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
             },
             ..PhaseRun::new(ExecConfig::central_queue(workers))
         };
-        let lcc = match spam_psm::run_parallel_lcc(sp, &scene, &fragments, o.level, &how) {
-            Ok((l, _)) => l,
-            Err(e) => {
-                eprintln!("slow: {name}: supervision error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let what = match span.finish() {
-            SampleVerdict::Retained(r) => format!("retained ({})", r.name()),
-            SampleVerdict::Summarized => "summarized".into(),
-        };
+        let (lcc, _) = spam_psm::run_parallel_lcc(sp, &scene, &fragments, o.level, &how)
+            .map_err(|e| format!("slow: {name}: supervision error: {e}"))?;
         println!(
-            "  {name:<7}: {} tasks, {} firings -> {} {what}",
+            "  {name:<7}: {} tasks, {} firings -> {} {}",
             lcc.units.len(),
             lcc.firings,
-            span.trace_id()
+            span.trace_id(),
+            verdict(&span)
         );
     }
     let mut kept = tracing.retained();
@@ -1239,97 +1240,33 @@ fn run_slow(o: &Opts, sp: &SpamProgram) -> ExitCode {
         }
     }
     if let Some(path) = &o.traces_out {
-        let doc = Json::obj(vec![(
-            "traces",
-            Json::Arr(kept.iter().map(RetainedTrace::to_json).collect()),
-        )]);
-        if let Err(e) = std::fs::write(path, doc.write()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &traces_doc(&kept))?;
         println!("{} retained trace(s) -> {path}", kept.len());
     } else {
         println!("inspect one: spamctl slow --traces-out F, then spamctl trace <id> --from F");
     }
-    ExitCode::SUCCESS
-}
-
-/// A span parsed back out of trace JSON (from `/trace/<id>` or a
-/// `--traces-out` file).
-struct TSpan {
-    id: String,
-    parent: Option<String>,
-    kind: String,
-    name: String,
-    worker: String,
-    start_us: u64,
-    end_us: u64,
-    error: Option<String>,
-}
-
-fn parse_spans(t: &Json) -> Result<Vec<TSpan>, String> {
-    let Some(Json::Arr(spans)) = t.get("spans") else {
-        return Err("missing spans array".into());
-    };
-    let as_u64 = |j: Option<&Json>| j.and_then(Json::as_f64).map(|f| f.max(0.0) as u64);
-    spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Ok(TSpan {
-                id: s
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("span[{i}]: missing id"))?
-                    .to_string(),
-                parent: s
-                    .get("parent")
-                    .filter(|p| !matches!(p, Json::Null))
-                    .and_then(Json::as_str)
-                    .map(str::to_string),
-                kind: s
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("aux")
-                    .to_string(),
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                worker: s
-                    .get("worker")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                start_us: as_u64(s.get("start_us"))
-                    .ok_or(format!("span[{i}]: missing start_us"))?,
-                end_us: as_u64(s.get("end_us")).ok_or(format!("span[{i}]: missing end_us"))?,
-                error: s.get("error").and_then(Json::as_str).map(str::to_string),
-            })
-        })
-        .collect()
+    Ok(())
 }
 
 /// Renders the span tree as indented ASCII, children ordered by start.
-fn render_span_tree(spans: &[TSpan], root_start: u64) -> String {
-    let mut children: std::collections::BTreeMap<&str, Vec<usize>> = Default::default();
+fn render_span_tree(spans: &[SpanRecord], root_start: u64) -> String {
+    let mut children: std::collections::BTreeMap<tlp_obs::SpanId, Vec<usize>> = Default::default();
     let mut roots = Vec::new();
     for (i, s) in spans.iter().enumerate() {
-        match &s.parent {
-            Some(p) => children.entry(p.as_str()).or_default().push(i),
+        match s.parent {
+            Some(p) => children.entry(p).or_default().push(i),
             None => roots.push(i),
         }
     }
     for v in children.values_mut() {
-        v.sort_by_key(|&i| (spans[i].start_us, spans[i].id.clone()));
+        v.sort_by_key(|&i| (spans[i].start_us, spans[i].id));
     }
     let mut out = String::new();
     let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&i| (i, 0)).collect();
     while let Some((i, depth)) = stack.pop() {
         let s = &spans[i];
         let off_ms = s.start_us.saturating_sub(root_start) as f64 / 1e3;
-        let dur_ms = s.end_us.saturating_sub(s.start_us) as f64 / 1e3;
+        let dur_ms = wall_us(s) as f64 / 1e3;
         let worker = if s.worker.is_empty() {
             String::new()
         } else {
@@ -1345,9 +1282,9 @@ fn render_span_tree(spans: &[TSpan], root_start: u64) -> String {
             dur_ms,
             "  ".repeat(depth),
             s.name,
-            s.kind,
+            s.kind.name(),
         ));
-        if let Some(kids) = children.get(s.id.as_str()) {
+        if let Some(kids) = children.get(&s.id) {
             for &k in kids.iter().rev() {
                 stack.push((k, depth + 1));
             }
@@ -1368,118 +1305,80 @@ fn task_index(name: &str) -> Option<u32> {
 /// The `trace <id>` subcommand: reconstruct one retained trace — span
 /// tree plus the critical task chain recomputed from the recorded per-task
 /// service table — from a `--traces-out` file or a serving `/trace/<id>`.
-fn run_trace(o: &Opts, id: &str) -> ExitCode {
+fn run_trace(o: &Opts) -> Result<(), String> {
+    let id = o.trace_id.as_str();
     let text = if let Some(path) = &o.trace_from {
-        match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("trace: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        std::fs::read_to_string(path).map_err(|e| format!("trace: cannot read {path}: {e}"))?
     } else {
-        let base = o.top_url.trim_end_matches('/');
+        let base = o.url.trim_end_matches('/');
         let url = format!("{base}/trace/{id}");
         match tlp_obs::http_get(&url, Duration::from_secs(2)) {
             Ok((200, body)) => body,
-            Ok((status, _)) => {
-                eprintln!("trace: {url} returned HTTP {status}");
-                return ExitCode::FAILURE;
-            }
+            Ok((status, _)) => return Err(format!("trace: {url} returned HTTP {status}")),
             Err(e) => {
-                eprintln!(
+                return Err(format!(
                     "trace: cannot reach {url}: {e}\n\
                      (serve one with: spamctl run --serve 127.0.0.1:9184 --serve-linger-ms 60000, \
                      or read a --traces-out file with --from F)"
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
     };
-    // Structural validation first: same checker CI runs (`tracecheck --spans`).
-    if let Err(e) = tlp_obs::validate_span_tree(&text) {
-        eprintln!("trace: INVALID span tree: {e}");
-        return ExitCode::FAILURE;
+    // Decode (a `--traces-out` file holds a listing, `/trace/<id>` a single
+    // document), check every tree as CI does (`tracecheck --spans`), render.
+    let traces = tlp_obs::decode_traces(&text).map_err(|e| format!("trace: INVALID: {e}"))?;
+    for t in &traces {
+        (t.check_tree()).map_err(|e| format!("trace: INVALID span tree: {e}"))?;
     }
-    let doc = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("trace: malformed JSON: {e}");
-            return ExitCode::FAILURE;
-        }
+    let matches_id = |t: &&RetainedTrace| {
+        let tid = t.trace.to_string();
+        tid == id || (id.len() >= 4 && tid.starts_with(id))
     };
-    // A `--traces-out` file holds a listing; `/trace/<id>` a single doc.
-    let singles: Vec<&Json> = match doc.get("traces") {
-        Some(Json::Arr(list)) => list.iter().collect(),
-        _ => vec![&doc],
-    };
-    let matches_id = |t: &Json| {
-        t.get("trace_id")
-            .and_then(Json::as_str)
-            .is_some_and(|tid| tid == id || (id.len() >= 4 && tid.starts_with(id)))
-    };
-    let hits: Vec<&Json> = singles.iter().copied().filter(|t| matches_id(t)).collect();
+    let hits: Vec<&RetainedTrace> = traces.iter().filter(matches_id).collect();
     let t = match hits.as_slice() {
         [one] => *one,
         [] => {
-            eprintln!(
+            return Err(format!(
                 "trace: no retained trace matches {id:?} ({} candidate(s) in document)",
-                singles.len()
-            );
-            return ExitCode::FAILURE;
+                traces.len()
+            ));
         }
         _ => {
-            eprintln!("trace: prefix {id:?} is ambiguous ({} matches)", hits.len());
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "trace: prefix {id:?} is ambiguous ({} matches)",
+                hits.len()
+            ));
         }
     };
-    let get_s = |k: &str| t.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-    let get_n = |k: &str| t.get(k).and_then(Json::as_f64).unwrap_or(0.0);
     println!(
         "trace {} scene={} seed={} [{}]: {:.3}s, retries={} dead={} dropped={}",
-        get_s("trace_id"),
-        get_s("scene"),
-        get_n("seed"),
-        get_s("reason"),
-        get_n("duration_s"),
-        get_n("retries"),
-        get_n("dead_letters"),
-        get_n("dropped_spans"),
+        t.trace,
+        t.scene,
+        t.seed,
+        t.reason.name(),
+        t.duration_s(),
+        t.retries,
+        t.dead_letters,
+        t.dropped_spans,
     );
-    let spans = match parse_spans(t) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let root_start = spans
-        .iter()
-        .find(|s| s.parent.is_none())
-        .map(|s| s.start_us)
-        .unwrap_or(0);
-    print!("{}", render_span_tree(&spans, root_start));
+    let root_start = (t.spans.iter().find(|s| s.parent.is_none())).map_or(0, |s| s.start_us);
+    print!("{}", render_span_tree(&t.spans, root_start));
 
     // Critical task chain, recomputed from the recorded deterministic
     // service table — the same `core::attribution::critical_path_of` the
     // profiler uses, so the two reports agree.
-    let services: Vec<multimax_sim::Task> = match t.get("services") {
-        Some(Json::Arr(list)) => list
-            .iter()
-            .filter_map(|s| {
-                let task = s.get("task").and_then(Json::as_f64)? as u32;
-                let sim_s = s.get("sim_s").and_then(Json::as_f64)?;
-                let frac = s.get("match_frac").and_then(Json::as_f64)?.clamp(0.0, 1.0);
-                Some(multimax_sim::Task::with_match(task, sim_s.max(0.0), frac))
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    let services: Vec<multimax_sim::Task> = (t.services.iter())
+        .map(|s| {
+            multimax_sim::Task::with_match(s.task, s.sim_s.max(0.0), s.match_frac.clamp(0.0, 1.0))
+        })
+        .collect();
     if services.is_empty() {
         println!("critical path: no service table recorded (scene traced without attribution)");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let task_spans: Vec<&TSpan> = spans.iter().filter(|s| s.kind == "task").collect();
+    let task_spans: Vec<&SpanRecord> = (t.spans.iter())
+        .filter(|s| s.kind == SpanKind::Task)
+        .collect();
     let nw = task_spans
         .iter()
         .map(|s| s.worker.as_str())
@@ -1502,73 +1401,79 @@ fn run_trace(o: &Opts, id: &str) -> ExitCode {
     let longest_wall = task_spans
         .iter()
         .filter(|s| s.error.is_none())
-        .max_by_key(|s| s.end_us.saturating_sub(s.start_us));
+        .max_by_key(|s| wall_us(s));
     if let Some(s) = longest_wall {
-        let wall_s = s.end_us.saturating_sub(s.start_us) as f64 / 1e6;
+        let attempt = format!(
+            "cross-check: longest measured attempt {} ({:.3}s wall)",
+            s.name,
+            wall_us(s) as f64 / 1e6
+        );
         match task_index(&s.name) {
-            Some(idx) if idx == cp.task => println!(
-                "cross-check: longest measured attempt {} ({wall_s:.3}s wall) agrees with the model"
-                , s.name
-            ),
+            Some(idx) if idx == cp.task => println!("{attempt} agrees with the model"),
             Some(idx) => println!(
-                "cross-check: longest measured attempt {} ({wall_s:.3}s wall) is t{idx}, \
-                 model says t{} — wall noise or retries moved the chain",
-                s.name, cp.task
+                "{attempt} is t{idx}, model says t{} — wall noise or retries moved the chain",
+                cp.task
             ),
-            None => println!(
-                "cross-check: longest measured attempt {} ({wall_s:.3}s wall)",
-                s.name
-            ),
+            None => println!("{attempt}"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let o = match parse_args() {
-        Ok(o) => o,
+    match parse_args(std::env::args().skip(1)).and_then(|o| dispatch(&o)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(m) => {
             eprintln!("{m}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if o.top_cmd {
-        return run_top(&o);
     }
-    if let Some(id) = &o.trace_cmd {
-        return run_trace(&o, id);
+}
+
+/// Builds what the subcommand needs — nothing, the rule base, or the rule
+/// base and a scene — and runs it.
+fn dispatch(o: &Opts) -> Result<(), String> {
+    match o.cmd {
+        Cmd::Top => return run_top(o),
+        Cmd::Trace => return run_trace(o),
+        _ => {}
     }
     let mut sp = SpamProgram::build();
     if o.unshared {
         sp = sp.with_config(ops5::ReteConfig::unshared());
     }
-    if o.slow_cmd {
-        return run_slow(&o, &sp);
+    if o.cmd == Cmd::Slow {
+        return run_slow(o, &sp);
     }
     // Figure 9 is an SF result, so `svm-report` defaults to that scene.
-    let default_dataset = if o.svm_report { "sf" } else { "moff" };
+    let default_dataset = if o.cmd == Cmd::SvmReport {
+        "sf"
+    } else {
+        "moff"
+    };
     let dataset = o.dataset.as_deref().unwrap_or(default_dataset);
     let scene = build_scene(dataset);
-    if o.svm_report {
-        return run_svm_report(&o, &sp, &scene);
+    match o.cmd {
+        Cmd::SvmReport => run_svm_report(o, &sp, &scene),
+        Cmd::Chaos => run_chaos(o, &sp, &scene),
+        Cmd::Whatif => run_whatif(o, &sp, &scene),
+        Cmd::Profile => run_profile(o, &sp, &scene),
+        _ => run_pipeline(o, &sp, &scene, dataset),
     }
-    if o.chaos {
-        return run_chaos(&o, &sp, &scene);
-    }
-    if o.whatif {
-        return run_whatif(&o, &sp, &scene);
-    }
-    if o.profile {
-        return run_profile(&o, &sp, &scene);
-    }
+}
+
+/// The default subcommand: the whole RTF → LCC → FA → MODEL interpretation
+/// of one scene, with whatever outputs the flags ask for.
+fn run_pipeline(
+    o: &Opts,
+    sp: &SpamProgram,
+    scene: &Arc<Scene>,
+    dataset: &str,
+) -> Result<(), String> {
     let workers = o.workers.unwrap_or(1);
     println!(
-        "spamctl: {} ({:?}), {} regions, LCC at {}, {} worker(s), {} machine(s), obs {}",
-        scene.name,
-        scene.domain,
-        scene.len(),
-        o.level.name(),
-        workers,
+        "spamctl: {}, {workers} worker(s), {} machine(s), obs {}",
+        input_line(o, scene),
         o.machines,
         o.obs
     );
@@ -1607,38 +1512,20 @@ fn main() -> ExitCode {
     };
     let mut server = None;
     if let Some(addr) = &o.serve {
-        match tlp_obs::serve(
-            addr,
-            Arc::clone(&live),
-            slo.clone(),
-            Some(Arc::clone(&tracing)),
-        ) {
-            Ok(s) => {
-                println!(
-                    "serve  : live telemetry on http://{} \
-                     (/metrics /healthz /snapshot /traces /trace/<id>)",
-                    s.addr()
-                );
-                server = Some(s);
-            }
-            Err(e) => {
-                eprintln!("cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let traced = Some(Arc::clone(&tracing));
+        let s = tlp_obs::serve(addr, Arc::clone(&live), slo.clone(), traced)
+            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+        println!(
+            "serve  : live telemetry on http://{} \
+             (/metrics /healthz /snapshot /traces /trace/<id>)",
+            s.addr()
+        );
+        server = Some(s);
     }
 
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.begin(tlp_obs::Category::Phase, "phase.rtf", vec![]);
-    }
-    let rtf = run_rtf(&sp, &scene);
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.end(
-            tlp_obs::Category::Phase,
-            "phase.rtf",
-            vec![("firings", rtf.firings.into())],
-        );
-    }
+    phase_begin(&mut ctl, "phase.rtf");
+    let rtf = run_rtf(sp, scene);
+    phase_end(&mut ctl, "phase.rtf", Some(rtf.firings));
     println!(
         "RTF    : {} hypotheses, {} firings",
         rtf.fragments.len(),
@@ -1648,30 +1535,23 @@ fn main() -> ExitCode {
 
     // A recording run takes the supervised path so task/supervisor events
     // are emitted; the results are identical either way.
-    let exec_real = o.exec_mode == "real";
     let supervised = workers > 1
         || o.retries > 0
         || o.task_panic_rate > 0.0
         || rec.enabled(ObsLevel::Summary)
         || live_on
         || trace_on
-        || exec_real;
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.begin(tlp_obs::Category::Phase, "phase.lcc", vec![]);
-    }
+        || o.exec_real;
+    phase_begin(&mut ctl, "phase.lcc");
     // One scene submission = one trace: mint the deterministic id + root
     // span just before the LCC fan-out and close it right after.
     let scene_span = trace_on.then(|| tracing.start_scene(o.fault_seed, dataset));
     let (lcc, measured) = if supervised {
         let cfg = SupervisorConfig::default().with_retries(o.retries);
-        let mut plan = FaultPlan::seeded(o.fault_seed);
-        if o.task_panic_rate > 0.0 {
-            plan = plan.with_task_panic_rate(o.task_panic_rate);
-        }
         let how = PhaseRun {
-            exec: placement(&o, workers),
+            exec: placement(o, workers),
             cfg,
-            plan,
+            plan: fault_plan(o),
             obs: Observer {
                 rec: Arc::clone(&rec),
                 live: Arc::clone(&live),
@@ -1679,25 +1559,15 @@ fn main() -> ExitCode {
                 span: scene_span.as_ref(),
             },
         };
-        match spam_psm::run_parallel_lcc(&sp, &scene, &fragments, o.level, &how) {
-            // The measured schedule is `--exec real`'s report; `sim` keeps
-            // to the simulated one.
-            Ok((lcc, m)) => (lcc, exec_real.then_some(m)),
-            Err(e) => {
-                eprintln!("LCC supervision error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (lcc, m) = spam_psm::run_parallel_lcc(sp, scene, &fragments, o.level, &how)
+            .map_err(|e| format!("LCC supervision error: {e}"))?;
+        // The measured schedule is `--exec real`'s report; `sim` keeps to
+        // the simulated one.
+        (lcc, o.exec_real.then_some(m))
     } else {
-        (spam::lcc::run_lcc(&sp, &scene, &fragments, o.level), None)
+        (spam::lcc::run_lcc(sp, scene, &fragments, o.level), None)
     };
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.end(
-            tlp_obs::Category::Phase,
-            "phase.lcc",
-            vec![("firings", lcc.firings.into())],
-        );
-    }
+    phase_end(&mut ctl, "phase.lcc", Some(lcc.firings));
     println!(
         "LCC    : {} tasks, {} consistency records, {} firings, {:.0} simulated s",
         lcc.units.len(),
@@ -1724,22 +1594,11 @@ fn main() -> ExitCode {
         );
     }
     if let Some(span) = &scene_span {
-        let what = match span.finish() {
-            SampleVerdict::Retained(r) => format!("retained ({})", r.name()),
-            SampleVerdict::Summarized => "summarized".into(),
-        };
-        println!("trace  : {} {what}", span.trace_id());
+        println!("trace  : {} {}", span.trace_id(), verdict(span));
     }
     if let Some(path) = &o.traces_out {
         let kept = tracing.retained();
-        let doc = Json::obj(vec![(
-            "traces",
-            Json::Arr(kept.iter().map(RetainedTrace::to_json).collect()),
-        )]);
-        if let Err(e) = std::fs::write(path, doc.write()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &traces_doc(&kept))?;
         println!(
             "trace  : {} retained trace(s) -> {path} (tracecheck --spans / spamctl trace --from)",
             kept.len()
@@ -1748,17 +1607,9 @@ fn main() -> ExitCode {
     let mut fragments = Arc::new(lcc.fragments.clone());
     let mut consistents = lcc.consistents.clone();
 
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.begin(tlp_obs::Category::Phase, "phase.fa", vec![]);
-    }
-    let fa = run_fa(&sp, &scene, &fragments, &consistents);
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.end(
-            tlp_obs::Category::Phase,
-            "phase.fa",
-            vec![("firings", fa.firings.into())],
-        );
-    }
+    phase_begin(&mut ctl, "phase.fa");
+    let fa = run_fa(sp, scene, &fragments, &consistents);
+    phase_end(&mut ctl, "phase.fa", Some(fa.firings));
     println!(
         "FA     : {} areas, {} predictions, {} firings",
         fa.areas.len(),
@@ -1767,7 +1618,7 @@ fn main() -> ExitCode {
     );
 
     if o.topdown {
-        let td = run_topdown(&sp, &scene, &fragments, &fa, &fa.prediction_list);
+        let td = run_topdown(sp, scene, &fragments, &fa, &fa.prediction_list);
         println!(
             "TOPDOWN: {} predicted hypotheses, {} confirmed, {} re-entry firings",
             td.predicted.len(),
@@ -1778,13 +1629,9 @@ fn main() -> ExitCode {
         fragments = Arc::new(td.fragments);
     }
 
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.begin(tlp_obs::Category::Phase, "phase.model", vec![]);
-    }
-    let model = run_model(&sp, &scene, &fragments, &fa.areas, &fa.members);
-    if ctl.enabled(ObsLevel::Summary) {
-        ctl.end(tlp_obs::Category::Phase, "phase.model", vec![]);
-    }
+    phase_begin(&mut ctl, "phase.model");
+    let model = run_model(sp, scene, &fragments, &fa.areas, &fa.members);
+    phase_end(&mut ctl, "phase.model", None);
     println!(
         "MODEL  : {} model(s), {} areas, score {}, coverage {:.0}%, window overlap {:.1}%",
         model.models,
@@ -1827,7 +1674,7 @@ fn main() -> ExitCode {
         // dual-Encore SVM platform — the trace gets a pid lane per machine
         // and the Gantt becomes a two-machine chart.
         let svm = (o.machines == 2).then(|| {
-            let mut cfg = svm_sim_config(&o, sim_workers);
+            let mut cfg = svm_sim_config(o, sim_workers);
             cfg.level = obs_level;
             multimax_sim::simulate_svm(&cfg, &trace.tasks.tasks)
         });
@@ -1895,17 +1742,12 @@ fn main() -> ExitCode {
 
         if let Some(path) = &o.trace_out {
             if let Some(r) = &svm {
-                match write_svm_trace(path, r, Some(&rec)) {
-                    Ok(events) => println!(
-                        "trace  : {} recorder + {events} machine events, 2 pids -> {path} \
-                         (chrome://tracing / Perfetto)",
-                        rec.len()
-                    ),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let events = write_svm_trace(path, r, Some(&rec))?;
+                println!(
+                    "trace  : {} recorder + {events} machine events, 2 pids -> {path} \
+                     (chrome://tracing / Perfetto)",
+                    rec.len()
+                );
             } else {
                 let mut doc = tlp_obs::TraceDoc::new();
                 doc.add_recorder("spamctl", &rec);
@@ -1913,10 +1755,7 @@ fn main() -> ExitCode {
                 if let Some(m) = &measured {
                     doc.add_timeline(&m.timeline("exec-real"));
                 }
-                if let Err(e) = std::fs::write(path, doc.write()) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                write_file(path, &doc.write())?;
                 println!(
                     "trace  : {} events -> {path} (chrome://tracing / Perfetto)",
                     rec.len()
@@ -1930,40 +1769,26 @@ fn main() -> ExitCode {
             let reg = live.handle();
             spam_psm::trace::record_phase_metrics(&reg, "lcc", &trace, Some(&lcc.report));
             spam_psm::trace::record_sim_metrics(&reg, "lcc", &sim);
-            if let Err(e) = std::fs::write(path, live.snapshot().to_json().write()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_file(path, &live.snapshot().to_json().write())?;
             println!("metrics: snapshot -> {path}");
         }
     }
 
-    if live_on {
+    // The SLO monitor is there whenever the registry is.
+    if let Some(slo) = &slo {
         let snap = live.snapshot();
-        let health = slo
-            .as_ref()
-            .map(|m| m.health().name())
-            .unwrap_or("unconfigured");
         println!(
-            "live   : epoch {}, {} series, health {health}",
+            "live   : epoch {}, {} series, health {}",
             snap.epoch,
-            snap.series.len()
+            snap.series.len(),
+            slo.health().name()
         );
         if let Some(path) = &o.metrics_snapshot {
             let text = tlp_obs::openmetrics(&snap, Some(&tracing));
-            match tlp_obs::validate_openmetrics(&text) {
-                Ok(summary) => {
-                    if let Err(e) = std::fs::write(path, &text) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("live   : exposition ({summary}) -> {path}");
-                }
-                Err(e) => {
-                    eprintln!("live   : exposition INVALID ({e})");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let summary = tlp_obs::validate_openmetrics(&text)
+                .map_err(|e| format!("live   : exposition INVALID ({e})"))?;
+            write_file(path, &text)?;
+            println!("live   : exposition ({summary}) -> {path}");
         }
         if let Some(server) = &mut server {
             if o.serve_linger_ms > 0 {
@@ -1977,5 +1802,47 @@ fn main() -> ExitCode {
             server.shutdown();
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(s: &str) -> Vec<&str> {
+        s.split_whitespace().collect()
+    }
+
+    /// The hand-kept copies of the synopsis say what the flag table says.
+    #[test]
+    fn the_documented_synopses_are_the_flag_table() {
+        let module_doc: String = (include_str!("spamctl.rs").lines())
+            .skip_while(|l| *l != "//! ```sh")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .map(|l| l.trim_start_matches("//!").to_string() + "\n")
+            .collect();
+        assert_eq!(words(&module_doc), words(&usage()), "spamctl.rs module doc");
+        let readme = include_str!("../../../../README.md");
+        let at = readme
+            .find("spamctl [run]")
+            .expect("a synopsis in the README");
+        let block = &readme[at..at + readme[at..].find("```").expect("a fenced block")];
+        assert_eq!(words(block), words(&usage()), "README.md");
+    }
+
+    #[test]
+    fn every_flag_has_a_row_a_value_spec_and_an_arm() {
+        let mut o = parse_args(std::iter::empty()).unwrap();
+        for (flag, value) in FLAGS {
+            assert!(COMMANDS.iter().any(|c| c.accepts(flag)), "{flag}: no taker");
+            // An arm exists (no `unreachable!`), whatever it makes of "1".
+            let _ = o.set(flag, if value.is_empty() { "" } else { "1" });
+        }
+        for c in COMMANDS {
+            for flag in c.flags.split(' ') {
+                assert!(FLAGS.iter().any(|(f, _)| *f == flag), "{}: {flag}", c.name);
+            }
+        }
+    }
 }

@@ -33,18 +33,24 @@
 //!   checkpoint the torn records are subsumed by the snapshot; without
 //!   one, the tear means the crash happened before the run loop started,
 //!   so a from-scratch rebuild loses nothing.
+//!
+//! An attempt is `spam::lcc`'s task lifecycle — same wiring, set-up
+//! (`load_lcc_task`) and harvest — with its own *drive* step: kills and
+//! checkpoints land between cycles, so it steps the engine itself and
+//! ticks the attempt's [`Watch`] itself. The engine is never kept.
 
 use crate::exec::{execute, PhaseRun};
 use crate::tlp::{lcc_task_list, observe_unit};
 use ops5::snapshot::apply_record;
-use ops5::{Value, Wal, WalOp, WalRecord};
+use ops5::{Wal, WalOp, WalRecord};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, merge_lcc_units, restore_lcc_engine,
+    decompose, harvest_lcc_unit, lcc_engine, load_lcc_task, merge_lcc_units, restore_lcc_engine,
     LccPhaseResult, LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::watch::Watch;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -242,15 +248,7 @@ fn fresh_engine_with_wal(
 ) -> ops5::Engine {
     let mut e = lcc_engine(sp, scene, fragments);
     e.enable_cycle_log();
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("lcc")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
-    load_unit_wm(&mut e, scene, fragments, unit);
+    load_lcc_task(&mut e, scene, fragments, unit);
     // All of an LCC task's inputs are loaded up front, so the whole WAL is
     // cycle-0 assert records; replaying them through `insert_fields`
     // reproduces the identical ids and time tags.
@@ -404,9 +402,9 @@ pub fn run_lcc_unit_checkpointed(
             0,
         ),
     };
-    if let Some(tr) = trace.take() {
-        e.set_trace(tr);
-    }
+    // The attempt's cycle windows only: no live mirror, a restored engine's
+    // counters are not new work.
+    let mut watch = Watch::new(None, trace);
 
     // The run loop: step, checkpointing every `interval` cycles. Injected
     // kills fire exactly where the plan fates them.
@@ -450,6 +448,7 @@ pub fn run_lcc_unit_checkpointed(
             Ok(Some(_)) => {
                 steps += 1;
                 assert!(steps <= 1_000_000, "LCC task exceeded its cycle budget");
+                watch.tick(&e, 1);
             }
             Ok(None) => break,
             Err(err) => panic!("LCC task engine error: {err}"),
@@ -470,7 +469,7 @@ pub fn run_lcc_unit_checkpointed(
         );
     }
     sink.flush();
-    e.publish_trace();
+    watch.finish(&e);
     (harvest_lcc_unit(&mut e, firings), info)
 }
 

@@ -22,10 +22,11 @@ use multimax_sim::{simulate, Schedule, SimConfig};
 use ops5::WorkCounters;
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, merge_lcc_units, run_lcc_unit_traced, LccPhaseResult, LccUnit, LccUnitResult, Level,
+    decompose, merge_lcc_units, run_lcc_unit_watched, LccPhaseResult, LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::watch::Watch;
 use std::sync::Arc;
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
 use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
@@ -86,11 +87,11 @@ pub(crate) fn observe_unit(obs: &Observer<'_>, task: usize, work: &WorkCounters)
 
 /// Runs the LCC phase at `level` as `how` describes: real task-process
 /// threads on the central queue or the chunked deques, under `how`'s
-/// supervision policy and fault plan, with `how`'s observers attached —
-/// worker engines mirror their counters into the live registry and group
-/// their recognize–act cycles into `engine.cycles` spans under their
-/// attempt ([`run_lcc_unit_traced`]); completed units feed the SLO monitor
-/// and the scene trace ([`observe_unit`]).
+/// supervision policy and fault plan, with `how`'s observers looking on —
+/// each task's [`Watch`] mirrors its engine's counters into the live
+/// registry and groups its recognize–act cycles into `engine.cycles` spans
+/// under its attempt ([`run_lcc_unit_watched`]); completed units feed the
+/// SLO monitor and the scene trace ([`observe_unit`]).
 ///
 /// The phase completes with partial results: units whose every attempt
 /// failed are dead-lettered in the returned report and contribute no
@@ -121,7 +122,10 @@ pub fn run_parallel_lcc(
         labels,
         &estimates,
         |i, r: &LccUnitResult| observe_unit(obs, i, &r.work),
-        move |a| run_lcc_unit_traced(&sp, &scene, &frags, &units[a.task], &live, a.trace),
+        move |a| {
+            let watch = Watch::new(Some(&live), a.trace);
+            run_lcc_unit_watched(&sp, &scene, &frags, &units[a.task], watch).0
+        },
     )?;
     Ok((merge_lcc_units(level, fragments, slots, report), measured))
 }

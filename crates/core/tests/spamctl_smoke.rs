@@ -99,6 +99,26 @@ fn removed_and_unknown_flags_are_errors() {
         let expected = format!("unknown argument '{flag}'");
         assert!(stderr.contains(&expected), "{flag}: {stderr}");
     }
+    // A flag another subcommand reads, a second subcommand and a dataset
+    // nobody reads are errors naming both — nothing runs or is written.
+    let json = tmp("smoke_rejected.json");
+    for (args, both) in [
+        (
+            "profile chaos dc --level 4 --json",
+            ["'profile'", "'chaos'"],
+        ),
+        ("chaos dc --iters 3 --json", ["--iters", "'chaos'"]),
+        ("dc --check-band 0.3:0.5 --json", ["--check-band", "'run'"]),
+        ("slow --exec real --json", ["--exec", "'slow'"]),
+        ("slow dc --traces-out", ["'slow'", "'dc'"]),
+    ] {
+        let out = spamctl(args, &[&json]);
+        assert!(!out.status.success(), "{args} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(both.iter().all(|b| stderr.contains(b)), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args} ran something: {stderr}");
+    }
+    assert!(!std::path::Path::new(&json).exists());
 }
 
 /// `--metrics-snapshot F` is what `/metrics` serves: for one finished

@@ -15,8 +15,6 @@ pub enum Category {
     Task,
     /// Supervisor decisions: retries granted, dead-letter verdicts.
     Supervisor,
-    /// Recognize–act cycle events from an OPS5 engine.
-    Cycle,
     /// Match-worker activity (threaded matcher flushes, deaths, respawns).
     Match,
     /// Pipeline phases (RTF / LCC / FA / MODEL spans).
@@ -38,7 +36,6 @@ impl Category {
         match self {
             Category::Task => "task",
             Category::Supervisor => "supervisor",
-            Category::Cycle => "cycle",
             Category::Match => "match",
             Category::Phase => "phase",
             Category::Sim => "sim",

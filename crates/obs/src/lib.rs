@@ -24,8 +24,9 @@
 //!   publishes its burn-rate decisions into it.
 //! * **Scene traces** — [`Tracing`], a span tree per scene submission with
 //!   tail-based retention and exemplars into the latency histogram;
-//!   written as JSON ([`RetainedTrace::to_json`]), checked by
-//!   [`validate_span_tree`] (`tracecheck --spans`).
+//!   written as JSON ([`RetainedTrace::to_json`]), read back by its one
+//!   decoder ([`RetainedTrace::from_json`], [`decode_traces`]) and checked
+//!   by [`validate_span_tree`] (`tracecheck --spans`).
 //! * A dependency-free JSON [`json`] parser/writer used by all of the
 //!   above and by the round-trip tests.
 //!
@@ -74,9 +75,9 @@ pub use slo::{Health, SloConfig, SloMonitor};
 pub use stitch::{stitch, MachineLog, StitchReport, Stitched};
 pub use timeline::{multi_gantt, CounterSeries, Span, Timeline, Track};
 pub use tracectx::{
-    validate_span_tree, Exemplar, RetainReason, RetainedTrace, SampleVerdict, SamplerConfig,
-    SceneSpan, SceneSummary, SpanId, SpanKind, SpanRecord, SpanSink, SpanTreeStats, TraceContext,
-    TraceId, Tracing,
+    decode_traces, validate_span_tree, Exemplar, RetainReason, RetainedTrace, SampleVerdict,
+    SamplerConfig, SceneSpan, SceneSummary, SpanId, SpanKind, SpanRecord, SpanSink, SpanTreeStats,
+    TaskService, TraceContext, TraceId, Tracing,
 };
 
 use std::fmt;

@@ -165,7 +165,64 @@ pub struct SpanRecord {
     pub error: Option<String>,
 }
 
+/// Field `key` of object `j` as `pick` reads it; the error says whether it
+/// is missing or not `want`.
+fn field<'a, T>(
+    j: &'a Json,
+    key: &str,
+    want: &str,
+    pick: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    let v = j.get(key).ok_or_else(|| format!("missing {key}"))?;
+    pick(v).ok_or_else(|| format!("{key} is not {want}"))
+}
+
+fn text<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
+    field(j, key, "a string", Json::as_str)
+}
+
+/// A string, or `null` for none.
+fn opt_text<'a>(j: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    field(j, key, "a string or null", |v| match v {
+        Json::Null => Some(None),
+        v => v.as_str().map(Some),
+    })
+}
+
+/// A count or a time: a whole number in `0..=max`.
+fn whole(j: &Json, key: &str, max: u64) -> Result<u64, String> {
+    let ok = |f: &f64| *f >= 0.0 && f.fract() == 0.0 && *f <= max as f64;
+    let pick = |v: &Json| v.as_f64().filter(ok).map(|f| f as u64);
+    field(j, key, "a whole number in range", pick)
+}
+
+/// Array field `key`, each element through `decode`; an error names the
+/// element.
+fn each<T>(j: &Json, key: &str, decode: fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+    let elems = field(j, key, "an array", Json::as_arr)?.iter().enumerate();
+    elems
+        .map(|(i, e)| decode(e).map_err(|err| format!("{key}[{i}]: {err}")))
+        .collect()
+}
+
 impl SpanRecord {
+    fn from_json(j: &Json) -> Result<SpanRecord, String> {
+        let id = |key, s| SpanId::parse(s).ok_or_else(|| format!("{key} {s:?} is not a span id"));
+        let kind = text(j, "kind")?;
+        Ok(SpanRecord {
+            id: id("id", text(j, "id")?)?,
+            parent: opt_text(j, "parent")?
+                .map(|p| id("parent", p))
+                .transpose()?,
+            kind: SpanKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
+            name: text(j, "name")?.to_string(),
+            worker: text(j, "worker")?.to_string(),
+            start_us: whole(j, "start_us", u64::MAX)?,
+            end_us: whole(j, "end_us", u64::MAX)?,
+            error: opt_text(j, "error")?.map(str::to_string),
+        })
+    }
+
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("id", Json::str(self.id.to_string())),
@@ -206,6 +263,16 @@ pub struct TaskService {
     pub match_frac: f64,
 }
 
+impl TaskService {
+    fn from_json(j: &Json) -> Result<TaskService, String> {
+        Ok(TaskService {
+            task: whole(j, "task", u64::from(u32::MAX))? as u32,
+            sim_s: field(j, "sim_s", "a number", Json::as_f64)?,
+            match_frac: field(j, "match_frac", "a number", Json::as_f64)?,
+        })
+    }
+}
+
 /// Why a trace was retained by the tail sampler.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RetainReason {
@@ -225,6 +292,12 @@ impl RetainReason {
             RetainReason::Errored => "errored",
             RetainReason::SloBreach => "slo-breach",
         }
+    }
+
+    fn parse(s: &str) -> Option<RetainReason> {
+        [Self::Slow, Self::Errored, Self::SloBreach]
+            .into_iter()
+            .find(|r| r.name() == s)
     }
 }
 
@@ -260,6 +333,84 @@ impl RetainedTrace {
     /// Wall duration of the scene in seconds.
     pub fn duration_s(&self) -> f64 {
         (self.end_us.saturating_sub(self.start_us)) as f64 / 1e6
+    }
+
+    /// Decodes one trace document as [`RetainedTrace::to_json`] writes it —
+    /// the one decoder of the format, behind `tracecheck --spans` and
+    /// `spamctl trace`. Every field `to_json` writes must be there and be
+    /// what it should (`duration_s`, which is derived, is not read); the
+    /// error says which was not. Says nothing about the *tree*: that is
+    /// [`RetainedTrace::check_tree`].
+    pub fn from_json(j: &Json) -> Result<RetainedTrace, String> {
+        let tid = text(j, "trace_id")?;
+        let trace = TraceId::parse(tid).ok_or_else(|| format!("trace_id {tid:?} is not hex"))?;
+        let decode = || {
+            let reason = text(j, "reason")?;
+            Ok(RetainedTrace {
+                trace,
+                scene: text(j, "scene")?.to_string(),
+                seed: whole(j, "seed", u64::MAX)?,
+                reason: RetainReason::parse(reason)
+                    .ok_or_else(|| format!("unknown reason {reason:?}"))?,
+                start_us: whole(j, "start_us", u64::MAX)?,
+                end_us: whole(j, "end_us", u64::MAX)?,
+                retries: whole(j, "retries", u64::from(u32::MAX))? as u32,
+                dead_letters: whole(j, "dead_letters", u64::from(u32::MAX))? as u32,
+                spans: each(j, "spans", SpanRecord::from_json)?,
+                services: each(j, "services", TaskService::from_json)?,
+                dropped_spans: whole(j, "dropped_spans", u64::MAX)?,
+            })
+        };
+        decode().map_err(|e: String| format!("trace {trace}: {e}"))
+    }
+
+    /// Checks that the spans form a tree:
+    ///
+    /// - exactly one root span (`parent: None`),
+    /// - span ids are unique,
+    /// - every non-root span's parent exists in the same trace,
+    /// - every child's interval nests inside its parent's
+    ///   (`parent.start <= child.start && child.end <= parent.end`),
+    /// - every span has `end >= start`.
+    pub fn check_tree(&self) -> Result<(), String> {
+        let tid = self.trace;
+        if self.spans.is_empty() {
+            return Err(format!("trace {tid}: no spans"));
+        }
+        let mut ids = BTreeMap::new();
+        for s in &self.spans {
+            if s.end_us < s.start_us {
+                return Err(format!(
+                    "trace {tid}: span {}: end_us {} < start_us {}",
+                    s.id, s.end_us, s.start_us
+                ));
+            }
+            if ids.insert(s.id, (s.start_us, s.end_us)).is_some() {
+                return Err(format!("trace {tid}: duplicate span id {}", s.id));
+            }
+        }
+        let roots = self.spans.iter().filter(|s| s.parent.is_none()).count();
+        if roots != 1 {
+            return Err(format!(
+                "trace {tid}: expected exactly 1 root span, found {roots}"
+            ));
+        }
+        for s in &self.spans {
+            let Some(p) = s.parent else { continue };
+            let Some(&(ps, pe)) = ids.get(&p) else {
+                return Err(format!(
+                    "trace {tid}: span {} ({}) is orphaned: parent {p} not in trace",
+                    s.id, s.name
+                ));
+            };
+            if s.start_us < ps || s.end_us > pe {
+                return Err(format!(
+                    "trace {tid}: span {} ({}) [{}, {}] overhangs parent {p} [{ps}, {pe}]",
+                    s.id, s.name, s.start_us, s.end_us
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// JSON document for `/trace/<id>`, `--traces-out`, and `tracecheck`.
@@ -939,120 +1090,27 @@ impl std::fmt::Display for SpanTreeStats {
     }
 }
 
-/// Validates exported trace JSON: accepts either a single trace document
-/// (as produced by `/trace/<id>`) or `{"traces":[…]}` (as produced by
-/// `spamctl … --traces-out`). Checks, per trace:
-///
-/// - exactly one root span (`parent: null`) whose id matches no parent
-///   cycle,
-/// - span ids are unique,
-/// - every non-root span's parent exists in the same trace,
-/// - every child's interval nests inside its parent's
-///   (`parent.start <= child.start && child.end <= parent.end`),
-/// - every span has `end >= start`.
-pub fn validate_span_tree(text: &str) -> Result<SpanTreeStats, String> {
-    fn as_u64(j: &Json) -> Option<u64> {
-        j.as_f64().filter(|f| *f >= 0.0).map(|f| f as u64)
-    }
+/// Decodes exported trace JSON: either a single trace document (as
+/// produced by `/trace/<id>`) or `{"traces":[…]}` (as produced by
+/// `spamctl … --traces-out`), each trace through
+/// [`RetainedTrace::from_json`].
+pub fn decode_traces(text: &str) -> Result<Vec<RetainedTrace>, String> {
     let doc = Json::parse(text).map_err(|e| format!("trace JSON: {e}"))?;
-    let traces: Vec<&Json> = match doc.get("traces") {
-        Some(Json::Arr(list)) => list.iter().collect(),
-        Some(other) => return Err(format!("\"traces\" must be an array, got {other:?}")),
-        None => vec![&doc],
-    };
+    match doc.get("traces") {
+        Some(Json::Arr(list)) => list.iter().map(RetainedTrace::from_json).collect(),
+        Some(other) => Err(format!("\"traces\" must be an array, got {other:?}")),
+        None => Ok(vec![RetainedTrace::from_json(&doc)?]),
+    }
+}
+
+/// Validates exported trace JSON: [`decode_traces`], then
+/// [`RetainedTrace::check_tree`] on every trace.
+pub fn validate_span_tree(text: &str) -> Result<SpanTreeStats, String> {
     let mut stats = SpanTreeStats::default();
-    for (ti, t) in traces.iter().enumerate() {
-        let tid = t
-            .get("trace_id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("trace[{ti}]: missing trace_id"))?;
-        let spans = match t.get("spans") {
-            Some(Json::Arr(s)) => s,
-            _ => return Err(format!("trace {tid}: missing spans array")),
-        };
-        if spans.is_empty() {
-            return Err(format!("trace {tid}: no spans"));
-        }
-        struct S {
-            id: String,
-            parent: Option<String>,
-            start: u64,
-            end: u64,
-            name: String,
-        }
-        let mut parsed = Vec::with_capacity(spans.len());
-        let mut ids = BTreeMap::new();
-        for (si, s) in spans.iter().enumerate() {
-            let id = s
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("trace {tid}: span[{si}] missing id"))?
-                .to_string();
-            let parent = match s.get("parent") {
-                Some(Json::Null) | None => None,
-                Some(p) => Some(
-                    p.as_str()
-                        .ok_or_else(|| format!("trace {tid}: span {id}: bad parent"))?
-                        .to_string(),
-                ),
-            };
-            if let Some(k) = s.get("kind").and_then(Json::as_str) {
-                if SpanKind::parse(k).is_none() {
-                    return Err(format!("trace {tid}: span {id}: unknown kind {k:?}"));
-                }
-            }
-            let start = s
-                .get("start_us")
-                .and_then(as_u64)
-                .ok_or_else(|| format!("trace {tid}: span {id}: missing start_us"))?;
-            let end = s
-                .get("end_us")
-                .and_then(as_u64)
-                .ok_or_else(|| format!("trace {tid}: span {id}: missing end_us"))?;
-            if end < start {
-                return Err(format!(
-                    "trace {tid}: span {id}: end_us {end} < start_us {start}"
-                ));
-            }
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            if ids.insert(id.clone(), (start, end)).is_some() {
-                return Err(format!("trace {tid}: duplicate span id {id}"));
-            }
-            parsed.push(S {
-                id,
-                parent,
-                start,
-                end,
-                name,
-            });
-        }
-        let roots = parsed.iter().filter(|s| s.parent.is_none()).count();
-        if roots != 1 {
-            return Err(format!(
-                "trace {tid}: expected exactly 1 root span, found {roots}"
-            ));
-        }
-        for s in &parsed {
-            let Some(p) = &s.parent else { continue };
-            let Some(&(ps, pe)) = ids.get(p.as_str()) else {
-                return Err(format!(
-                    "trace {tid}: span {} ({}) is orphaned: parent {p} not in trace",
-                    s.id, s.name
-                ));
-            };
-            if s.start < ps || s.end > pe {
-                return Err(format!(
-                    "trace {tid}: span {} ({}) [{}, {}] overhangs parent {p} [{ps}, {pe}]",
-                    s.id, s.name, s.start, s.end
-                ));
-            }
-        }
+    for t in decode_traces(text)? {
+        t.check_tree()?;
         stats.traces += 1;
-        stats.spans += parsed.len();
+        stats.spans += t.spans.len();
     }
     Ok(stats)
 }
@@ -1227,40 +1285,107 @@ mod tests {
         assert_eq!(ex[0].family, "spam_live_task_latency_seconds");
     }
 
+    /// A trace document of `(id, parent, start_us, end_us)` spans, as
+    /// [`RetainedTrace::to_json`] lays one out.
+    fn doc(spans: &[(u64, Option<u64>, u64, u64)]) -> String {
+        let span = |&(id, parent, start, end): &(u64, Option<u64>, u64, u64)| {
+            let parent = parent.map_or("null".to_string(), |p| format!("\"{p:x}\""));
+            format!(
+                r#"{{"id":"{id:x}","parent":{parent},"kind":"task","name":"task.exec t{id}",
+                    "worker":"psm-task-0","start_us":{start},"end_us":{end},"error":null}}"#
+            )
+        };
+        let spans: Vec<String> = spans.iter().map(span).collect();
+        format!(
+            r#"{{"trace_id":"00ab","scene":"dc","seed":7,"reason":"slow","start_us":0,
+                "end_us":100,"duration_s":0.0001,"retries":0,"dead_letters":0,"dropped_spans":0,
+                "spans":[{}],"services":[{{"task":0,"sim_s":1.5,"match_frac":0.4}}]}}"#,
+            spans.join(",")
+        )
+    }
+
     #[test]
     fn validator_rejects_orphaned_span() {
-        let text = r#"{"trace_id":"00ab","spans":[
-            {"id":"1","parent":null,"kind":"root","name":"scene","start_us":0,"end_us":100},
-            {"id":"2","parent":"99","kind":"task","name":"task.exec t0","start_us":10,"end_us":20}
-        ]}"#;
-        let err = validate_span_tree(text).unwrap_err();
+        let text = doc(&[(1, None, 0, 100), (2, Some(0x99), 10, 20)]);
+        let err = validate_span_tree(&text).unwrap_err();
         assert!(err.contains("orphaned"), "{err}");
     }
 
     #[test]
     fn validator_rejects_overhanging_span() {
-        let text = r#"{"trace_id":"00ab","spans":[
-            {"id":"1","parent":null,"kind":"root","name":"scene","start_us":0,"end_us":100},
-            {"id":"2","parent":"1","kind":"task","name":"task.exec t0","start_us":10,"end_us":120}
-        ]}"#;
-        let err = validate_span_tree(text).unwrap_err();
+        let text = doc(&[(1, None, 0, 100), (2, Some(1), 10, 120)]);
+        let err = validate_span_tree(&text).unwrap_err();
         assert!(err.contains("overhangs"), "{err}");
     }
 
     #[test]
     fn validator_rejects_duplicate_ids_and_multiple_roots() {
-        let dup = r#"{"trace_id":"t","spans":[
-            {"id":"1","parent":null,"name":"a","start_us":0,"end_us":9},
-            {"id":"1","parent":null,"name":"b","start_us":0,"end_us":9}
-        ]}"#;
-        assert!(validate_span_tree(dup).unwrap_err().contains("duplicate"));
-        let two_roots = r#"{"trace_id":"t","spans":[
-            {"id":"1","parent":null,"name":"a","start_us":0,"end_us":9},
-            {"id":"2","parent":null,"name":"b","start_us":0,"end_us":9}
-        ]}"#;
-        assert!(validate_span_tree(two_roots)
+        let dup = doc(&[(1, None, 0, 9), (1, None, 0, 9)]);
+        assert!(validate_span_tree(&dup).unwrap_err().contains("duplicate"));
+        let two_roots = doc(&[(1, None, 0, 9), (2, None, 0, 9)]);
+        assert!(validate_span_tree(&two_roots)
             .unwrap_err()
             .contains("exactly 1 root"));
+    }
+
+    #[test]
+    fn decoder_names_what_is_missing_or_malformed_and_never_panics() {
+        let good = doc(&[(1, None, 0, 100), (2, Some(1), 10, 20)]);
+        assert_eq!(validate_span_tree(&good).unwrap().spans, 2);
+        // Every field `to_json` writes is required, but the derived one
+        // (renaming a key's first occurrence takes the field away).
+        let without = |key: &str| good.replacen(&format!("\"{key}\":"), "\"x\":", 1);
+        assert!(decode_traces(&without("duration_s")).is_ok());
+        for key in ["trace_id", "scene", "seed", "reason", "start_us", "end_us"]
+            .into_iter()
+            .chain([
+                "retries",
+                "dead_letters",
+                "dropped_spans",
+                "spans",
+                "services",
+            ])
+            .chain(["id", "parent", "kind", "name", "worker", "error"])
+            .chain(["task", "sim_s", "match_frac"])
+        {
+            let err = decode_traces(&without(key)).expect_err(key);
+            assert!(err.contains(&format!("missing {key}")), "{key}: {err}");
+        }
+        // ... and has to be what it should.
+        for (from, to, expected) in [
+            (r#""trace_id":"00ab""#, r#""trace_id":"t""#, "is not hex"),
+            (r#""trace_id":"00ab""#, r#""trace_id":3"#, "not a string"),
+            (
+                r#""reason":"slow""#,
+                r#""reason":"bored""#,
+                "unknown reason",
+            ),
+            (r#""seed":7"#, r#""seed":-7"#, "whole number"),
+            (r#""seed":7"#, r#""seed":7.5"#, "whole number"),
+            (r#""seed":7"#, r#""seed":1e300"#, "whole number"),
+            (r#""retries":0"#, r#""retries":4294967296"#, "whole number"),
+            (r#""spans":["#, r#""spans":7,"x":["#, "not an array"),
+            (
+                r#""id":"1""#,
+                r#""id":"00000000000000001""#,
+                "not a span id",
+            ),
+            (r#""parent":null"#, r#""parent":1"#, "a string or null"),
+            (
+                r#""kind":"task""#,
+                r#""kind":"leaf""#,
+                "spans[0]: unknown kind",
+            ),
+            (r#""task":0"#, r#""task":-2"#, "services[0]: task is not"),
+            (r#""sim_s":1.5"#, r#""sim_s":null"#, "not a number"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let err = decode_traces(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(expected), "{to}: {err}");
+        }
+        for text in ["", "[]", "3", r#"{"traces":7}"#, r#"{"traces":[1]}"#] {
+            assert!(decode_traces(text).is_err(), "{text:?}");
+        }
     }
 
     #[test]

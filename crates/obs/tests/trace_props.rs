@@ -1,12 +1,13 @@
 //! Property tests for the scene-trace tail sampler: memory stays within
 //! the configured bounds, and every retained trace is a complete,
-//! well-formed span tree — under random scene durations, span volumes,
-//! retries, dead letters, and task deaths.
+//! well-formed span tree that its one decoder reads back whole — under
+//! random scene durations, span volumes, retries, dead letters, and task
+//! deaths.
 
 use proptest::prelude::*;
 use tlp_obs::{
-    validate_span_tree, RetainReason, SampleVerdict, SamplerConfig, SpanId, SpanKind, SpanRecord,
-    Tracing,
+    validate_span_tree, RetainReason, RetainedTrace, SampleVerdict, SamplerConfig, SpanId,
+    SpanKind, SpanRecord, Tracing,
 };
 
 /// One simulated task attempt: aux-span count, simulated length (µs), and
@@ -84,6 +85,9 @@ fn replay_scene(tracing: &std::sync::Arc<Tracing>, seed: u64, spec: &SceneSpec) 
             end_us: end,
             error: a.dies.then(|| "injected death".to_string()),
         });
+        if !a.dies {
+            scene.record_service(t as u32, a.len_us as f64 / 1e6, 1.0 / (1 + a.aux) as f64);
+        }
     }
     for _ in 0..spec.retries {
         tracing.note_retry(scene.trace_id());
@@ -148,13 +152,19 @@ proptest! {
             // deaths/retries, every retained trace must export as a
             // well-formed tree: one root, unique ids, connected
             // parentage, nested intervals.
-            let doc = t.to_json().write();
+            let json = t.to_json();
+            let doc = json.write();
             prop_assert!(
                 validate_span_tree(&doc).is_ok(),
                 "trace {}: {:?}",
                 t.trace,
                 validate_span_tree(&doc)
             );
+            // The export decodes back to the very document: `from_json`
+            // loses nothing `to_json` writes, through text and all.
+            let reparsed = tlp_obs::json::Json::parse(&doc).unwrap();
+            let back = RetainedTrace::from_json(&reparsed).map(|b| b.to_json());
+            prop_assert_eq!(back, Ok(json));
             // Structural spans survive the cap: every recorded task
             // attempt is still present.
             let tasks = t.spans.iter().filter(|s| s.kind == SpanKind::Task).count();

@@ -7,6 +7,14 @@
 //! its add blocks again is never built or ranked. WM changes made from
 //! outside a firing (task set-up, WAL replay) each feed before they return:
 //! between calls the conflict set is always that of the current WM.
+//!
+//! The engine only counts. A run leaves plain numbers behind — the merged
+//! [`Engine::work`], and the two per-run records a caller may switch on,
+//! [`Engine::enable_cycle_log`] and [`Engine::enable_profile`] — and whoever
+//! wants to watch a run reads them from outside, between [`Engine::step`]s
+//! or [`Engine::run`] slices (`spam::watch` does, for task engines). There
+//! is no observer, sink or callback in here and this crate names no
+//! telemetry type.
 
 use crate::ast::{Action, Expr, SlotIdx};
 use crate::conflict::{ConflictSet, Instantiation, Strategy};
@@ -25,7 +33,6 @@ use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use tlp_obs::{Category, ObsLevel, ThreadSink};
 
 /// Side effects collected from an external-function call.
 ///
@@ -142,89 +149,12 @@ pub struct Engine {
     log_snapshot: WorkCounters,
     gensym: u64,
     strategy: Strategy,
-    /// Optional flight-recorder sink. Deterministic work accounting
-    /// (`base_work`, the cycle log) never flows through this — it only adds
-    /// trace events, so work totals are identical with or without it.
-    obs: Option<ThreadSink>,
-    /// Optional live-telemetry mirror. Like `obs`, strictly read-only with
-    /// respect to the deterministic counters: results are bit-identical
-    /// with the mirror attached or not.
-    live: Option<LiveMirror>,
-    /// Optional scene-trace mirror. Groups recognize–act cycles into aux
-    /// spans under the owning task attempt. Read-only with respect to the
-    /// deterministic counters, like `obs` and `live`.
-    trace: Option<TraceMirror>,
     /// Interpreter-side profiling state (per-production firings and RHS
-    /// cost, conflict-set sizes); `Some` only while profiling. Like `obs`,
-    /// it only reads the deterministic counters — work totals are identical
-    /// with profiling on or off.
+    /// cost, conflict-set sizes); `Some` only while profiling. It only
+    /// reads the deterministic counters — work totals are identical with
+    /// profiling on or off.
     profile: Option<EngineProfile>,
     scratch: Scratch,
-}
-
-/// Publish the live mirror every this many recognize–act cycles (and once
-/// more at [`Engine::publish_live`]): frequent enough that `spamctl top`
-/// sees the conflict set and WM move mid-task, rare enough that the mirror
-/// stays off the hot path.
-const LIVE_MIRROR_EVERY: u32 = 16;
-
-/// State behind [`Engine::set_live`]: the handle plus the work counters
-/// already published, so counter series are mirrored as deltas.
-struct LiveMirror {
-    handle: tlp_obs::LiveHandle,
-    published: WorkCounters,
-    cycles: u32,
-}
-
-impl LiveMirror {
-    fn publish(&mut self, work: WorkCounters, conflict_len: usize, wm_size: usize) {
-        let d = work.since(&self.published);
-        self.published = work;
-        self.cycles = 0;
-        self.handle.inc("spam_live_match_units", d.match_units);
-        self.handle.inc("spam_live_firings", d.firings);
-        self.handle.inc("spam_live_rhs_actions", d.rhs_actions);
-        self.handle
-            .gauge("spam_live_conflict_set_depth", conflict_len as f64);
-        self.handle.gauge("spam_live_wm_size", wm_size as f64);
-    }
-}
-
-/// Close the scene-trace cycle window every this many recognize–act
-/// cycles (and once more at [`Engine::publish_trace`]). Coarser than the
-/// live mirror on purpose: each window closure takes the tracer's shared
-/// mutex and allocates a span, and the tail sampler's per-trace span cap
-/// means finer windows would only be evicted anyway — 256 keeps the
-/// traced arm inside the 2 % overhead budget while still splitting a
-/// task's wall time into enough windows to see where the engine spent it.
-const TRACE_WINDOW_EVERY: u32 = 256;
-
-/// State behind [`Engine::set_trace`]: a span sink parented under the
-/// owning task-attempt span, plus the current cycle window. Every
-/// [`TRACE_WINDOW_EVERY`] cycles the window closes into one
-/// `engine.cycles` aux span, so a retained trace shows where inside the
-/// task the engine spent its wall time without paying one span per cycle.
-struct TraceMirror {
-    sink: tlp_obs::SpanSink,
-    window_start_us: u64,
-    cycles: u32,
-}
-
-impl TraceMirror {
-    fn flush(&mut self) {
-        if self.cycles == 0 {
-            return;
-        }
-        let end = self.sink.now_us();
-        self.sink.record_aux(
-            &format!("engine.cycles x{}", self.cycles),
-            self.window_start_us,
-            end,
-            None,
-        );
-        self.window_start_us = end;
-        self.cycles = 0;
-    }
 }
 
 /// Interpreter-side collection state behind [`Engine::enable_profile`].
@@ -301,9 +231,6 @@ impl Engine {
             log_snapshot: WorkCounters::default(),
             gensym: 0,
             strategy,
-            obs: None,
-            live: None,
-            trace: None,
             profile: None,
             scratch: Scratch::default(),
         }
@@ -366,9 +293,9 @@ impl Engine {
     /// counter rewinds to the `init` it was registered with, so a replay on
     /// a reset engine is indistinguishable from the same replay on a new
     /// one: same firing sequence, [`Engine::work`], [`Engine::net_stats`],
-    /// cycle log and final working memory. The cycle log and the
-    /// obs/live/trace/profile attachments belong to one run and are
-    /// detached; callers re-attach what the next run wants.
+    /// cycle log and final working memory. The cycle log and the profile
+    /// belong to one run and are detached; callers re-enable what the next
+    /// run wants.
     ///
     /// This is how a task process serves many tasks with one engine (one
     /// OPS5 instance per task process, as in the paper) instead of building
@@ -388,83 +315,12 @@ impl Engine {
         self.cycle_log = None;
         self.log_snapshot = WorkCounters::default();
         self.gensym = 0;
-        self.obs = None;
-        self.live = None;
-        self.trace = None;
         self.profile = None;
     }
 
     /// Overrides the program's conflict-resolution strategy.
     pub fn set_strategy(&mut self, s: Strategy) {
         self.strategy = s;
-    }
-
-    /// Attaches a flight-recorder sink. At [`ObsLevel::Summary`] each
-    /// [`Engine::run`] becomes one span; at [`ObsLevel::Full`] every
-    /// recognize–act cycle additionally emits a `cycle.fire` instant event.
-    /// Trace-only: work counters are unaffected at any level.
-    pub fn set_obs(&mut self, sink: ThreadSink) {
-        self.obs = Some(sink);
-    }
-
-    /// Detaches the flight-recorder sink (flushing is the caller's /
-    /// drop's job).
-    pub fn take_obs(&mut self) -> Option<ThreadSink> {
-        self.obs.take()
-    }
-
-    /// Attaches a live-telemetry handle. While attached, the engine mirrors
-    /// its deterministic counters into the sliding-window registry every
-    /// few recognize–act cycles: `spam_live_match_units` /
-    /// `spam_live_firings` / `spam_live_rhs_actions` as counter deltas,
-    /// `spam_live_conflict_set_depth` / `spam_live_wm_size` as gauges.
-    /// Mirror-only: work counters and run results are unaffected. A handle
-    /// from a disabled registry is dropped here, keeping the per-cycle cost
-    /// at a single `Option` check.
-    pub fn set_live(&mut self, handle: tlp_obs::LiveHandle) {
-        self.live = handle.enabled().then_some(LiveMirror {
-            handle,
-            published: WorkCounters::default(),
-            cycles: 0,
-        });
-    }
-
-    /// Forces a live-mirror publish of the counters accumulated since the
-    /// last one (task runners call this at task end so the tail of the run
-    /// is not lost to the every-N-cycles cadence). No-op without
-    /// [`Engine::set_live`].
-    pub fn publish_live(&mut self) {
-        if self.live.is_some() {
-            let work = self.work();
-            let conflict_len = self.conflict.len();
-            let wm_size = self.wm.len();
-            if let Some(lm) = &mut self.live {
-                lm.publish(work, conflict_len, wm_size);
-            }
-        }
-    }
-
-    /// Attaches a scene-trace span sink (normally parented under this
-    /// task's attempt span). While attached, every [`TRACE_WINDOW_EVERY`]
-    /// recognize–act cycles close into one `engine.cycles` aux span;
-    /// [`Engine::publish_trace`] flushes the tail. A sink from a disabled
-    /// tracer is dropped here, keeping the per-cycle cost at one `Option`
-    /// check. Trace-only: work counters and results are unaffected.
-    pub fn set_trace(&mut self, sink: tlp_obs::SpanSink) {
-        self.trace = sink.enabled().then(|| TraceMirror {
-            window_start_us: sink.now_us(),
-            sink,
-            cycles: 0,
-        });
-    }
-
-    /// Closes the trace mirror's open cycle window into a final
-    /// `engine.cycles` span (task runners call this at task end). No-op
-    /// without [`Engine::set_trace`].
-    pub fn publish_trace(&mut self) {
-        if let Some(tm) = &mut self.trace {
-            tm.flush();
-        }
     }
 
     /// Starts match-level profiling: per-production match cost and firing
@@ -660,29 +516,6 @@ impl Engine {
 
     /// Runs the recognize–act cycle for at most `limit` firings.
     pub fn run(&mut self, limit: u64) -> RunOutcome {
-        let tracing = self
-            .obs
-            .as_mut()
-            .filter(|s| s.enabled(ObsLevel::Summary))
-            .map(|s| s.begin(Category::Cycle, "engine.run", vec![("limit", limit.into())]))
-            .is_some();
-        let outcome = self.run_inner(limit);
-        if tracing {
-            if let Some(sink) = &mut self.obs {
-                sink.end(
-                    Category::Cycle,
-                    "engine.run",
-                    vec![
-                        ("firings", outcome.firings.into()),
-                        ("halted", u64::from(outcome.halted).into()),
-                    ],
-                );
-            }
-        }
-        outcome
-    }
-
-    fn run_inner(&mut self, limit: u64) -> RunOutcome {
         let mut firings = 0;
         while firings < limit {
             match self.step() {
@@ -763,36 +596,6 @@ impl Engine {
                 act_units: act_delta.act_units,
                 external_units: act_delta.external_units,
             });
-        }
-        // Mirror counters into the live registry every few cycles. One
-        // Option check when detached; never feeds back into the counters.
-        if let Some(lm) = &mut self.live {
-            lm.cycles += 1;
-            if lm.cycles >= LIVE_MIRROR_EVERY {
-                self.publish_live();
-            }
-        }
-        // Scene-trace mirror, at its own coarser cadence: close the cycle
-        // window into one aux span. One Option check when detached.
-        if let Some(tm) = &mut self.trace {
-            tm.cycles += 1;
-            if tm.cycles >= TRACE_WINDOW_EVERY {
-                tm.flush();
-            }
-        }
-        // Trace the cycle at Full. One Option check + one relaxed load when
-        // disabled; the deterministic counters above never depend on this.
-        if let Some(sink) = &mut self.obs {
-            if sink.enabled(ObsLevel::Full) {
-                sink.instant(
-                    Category::Cycle,
-                    "cycle.fire",
-                    vec![
-                        ("production", u64::from(prod_idx).into()),
-                        ("conflict_len", (self.conflict.len() as u64).into()),
-                    ],
-                );
-            }
         }
         Ok(Some(prod_idx))
     }
@@ -966,7 +769,7 @@ impl Engine {
     /// engine whose re-snapshot is byte-identical and whose continuation
     /// (firing sequence, work counters, output) matches a run that never
     /// stopped. The snapshot does *not* carry registered external functions
-    /// or the obs/profile/cycle-log attachments; callers re-attach those
+    /// or the profile / cycle-log attachments; callers re-enable those
     /// after restore.
     pub fn snapshot(&self) -> Vec<u8> {
         let conflict = self
@@ -1338,89 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_sink_traces_without_touching_work() {
-        let src = "(literalize count n)
-             (p up (count ^n { <n> <= 5 }) --> (modify 1 ^n (compute <n> + 1)))";
-
-        let mut plain = engine(src);
-        plain.make_wme("count", &[("n", 0.into())]).unwrap();
-        let out_plain = plain.run(100);
-
-        let rec = tlp_obs::Recorder::new(tlp_obs::ObsLevel::Full);
-        let mut traced = engine(src);
-        traced.set_obs(rec.sink("engine"));
-        traced.make_wme("count", &[("n", 0.into())]).unwrap();
-        let out_traced = traced.run(100);
-
-        // Work accounting is identical with the recorder attached.
-        assert_eq!(out_plain, out_traced);
-        assert_eq!(plain.work(), traced.work());
-
-        drop(traced.take_obs()); // flush
-        let events = rec.events();
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"engine.run"));
-        assert_eq!(
-            names.iter().filter(|n| **n == "cycle.fire").count() as u64,
-            out_traced.firings
-        );
-    }
-
-    #[test]
-    fn live_mirror_publishes_counters_without_touching_work() {
-        use tlp_obs::{Live, LiveValue};
-        let src = "(literalize count n)
-             (p up (count ^n { <n> <= 39 }) --> (modify 1 ^n (compute <n> + 1)))";
-
-        let mut plain = engine(src);
-        plain.make_wme("count", &[("n", 0.into())]).unwrap();
-        let out_plain = plain.run(100);
-
-        let live = Live::new(8);
-        let mut mirrored = engine(src);
-        mirrored.set_live(live.handle());
-        mirrored.make_wme("count", &[("n", 0.into())]).unwrap();
-        let out_mirrored = mirrored.run(100);
-
-        // Results and work accounting are identical with the mirror on.
-        assert_eq!(out_plain, out_mirrored);
-        assert_eq!(plain.work(), mirrored.work());
-
-        // 40 firings crosses the every-16-cycles cadence, so counters are
-        // already partially published; the final flush accounts the rest.
-        mirrored.publish_live();
-        let snap = live.snapshot();
-        let total = |name: &str| match snap.series.get(name) {
-            Some(LiveValue::Counter { total, .. }) => *total,
-            other => panic!("{name}: expected counter, got {other:?}"),
-        };
-        let w = mirrored.work();
-        assert_eq!(total("spam_live_match_units"), w.match_units);
-        assert_eq!(total("spam_live_firings"), w.firings);
-        assert_eq!(total("spam_live_rhs_actions"), w.rhs_actions);
-        assert_eq!(
-            snap.series.get("spam_live_wm_size"),
-            Some(&LiveValue::Gauge(mirrored.wm().len() as f64))
-        );
-        assert!(snap.series.contains_key("spam_live_conflict_set_depth"));
-    }
-
-    #[test]
-    fn disabled_live_handle_is_dropped() {
-        use tlp_obs::Live;
-        let live = Live::off();
-        let mut e = engine(
-            "(literalize count n)
-             (p up (count ^n { <n> <= 5 }) --> (modify 1 ^n (compute <n> + 1)))",
-        );
-        e.set_live(live.handle());
-        e.make_wme("count", &[("n", 0.into())]).unwrap();
-        e.run(100);
-        e.publish_live();
-        assert!(live.snapshot().series.is_empty());
-    }
-
-    #[test]
     fn profiler_never_touches_work_counters() {
         let src = "(literalize count n)
              (p up (count ^n { <n> <= 5 }) --> (modify 1 ^n (compute <n> + 1)))";
@@ -1500,20 +1220,6 @@ mod tests {
         assert!(hot_alpha.iter().any(|(_, a)| a.label.starts_with('a')
             || a.label.starts_with('b')
             || a.label.starts_with("done")));
-    }
-
-    #[test]
-    fn obs_off_emits_nothing() {
-        let rec = tlp_obs::Recorder::off();
-        let mut e = engine(
-            "(literalize count n)
-             (p up (count ^n { <n> <= 5 }) --> (modify 1 ^n (compute <n> + 1)))",
-        );
-        e.set_obs(rec.sink("engine"));
-        e.make_wme("count", &[("n", 0.into())]).unwrap();
-        e.run(100);
-        drop(e.take_obs());
-        assert!(rec.is_empty());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The FA (functional-area) phase: aggregation of consistent fragments.
 
-use crate::externals::{register, ExternalCtx};
 use crate::fragments::FragmentHypothesis;
 use crate::lcc::ConsistentRec;
-use crate::rules::SpamProgram;
+use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
 use ops5::{sym, CycleStats, Value, WorkCounters};
 use std::sync::Arc;
@@ -48,24 +47,9 @@ pub fn run_fa(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     consistents: &[ConsistentRec],
 ) -> FaResult {
-    let mut e = sp.engine();
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: 0,
-        },
-    );
+    let mut e = sp.engine_for(scene, fragments, 0);
     e.enable_cycle_log();
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("fa")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
+    enter_phase(&mut e, sym("fa"));
     for f in fragments.iter() {
         e.make_wme(
             "fragment",

@@ -14,12 +14,14 @@
 //! itself (working-memory distribution, §5.1). Results (consistency records
 //! and support increments) never cross task boundaries, which is what makes
 //! the decomposition safe to run asynchronously.
+//! A task's one lifecycle is [`run_lcc_unit_watched`].
 
 use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
-use crate::rules::{lcc_schema, LccSchema, SpamProgram};
+use crate::rules::{enter_phase, lcc_schema, LccSchema, SpamProgram};
 use crate::scene::Scene;
+use crate::watch::Watch;
 use ops5::ast::SlotIdx;
 use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
 use std::cell::RefCell;
@@ -57,12 +59,14 @@ pub fn kind_radius(subject: FragmentKind, object: FragmentKind) -> Option<f64> {
     radii[subject as usize][object as usize]
 }
 
-/// A decomposition level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// A decomposition level. Level 3 is the one the paper settles on for its
+/// headline runs, and every tool's default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Level {
     /// All constraints × one class.
     L4,
     /// All constraints × one object.
+    #[default]
     L3,
     /// One constraint × one object.
     L2,
@@ -365,69 +369,31 @@ pub fn load_unit_wm(
     }
 }
 
+/// The one LCC task set-up, behind every runner that builds one — this
+/// module's, the checkpointed one, the port-factor baseline: the `control`
+/// element that puts the rule base in its LCC phase, then [`load_unit_wm`].
+pub fn load_lcc_task(
+    e: &mut ops5::Engine,
+    scene: &Arc<Scene>,
+    fragments: &Arc<Vec<FragmentHypothesis>>,
+    unit: &LccUnit,
+) {
+    enter_phase(e, static_sym!("lcc"));
+    load_unit_wm(e, scene, fragments, unit);
+}
+
 /// Executes one LCC task on this thread's task engine — kept between
 /// units and reset, not rebuilt (DESIGN.md §21); the result is that of a
-/// fresh, independent engine.
+/// fresh, independent engine. The engine stays in the thread's slot when
+/// the unit is over: whoever loops over units calls
+/// [`release_task_engine`] when the loop is.
 pub fn run_lcc_unit(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> LccUnitResult {
-    run_unit(sp, scene, fragments, unit, Attach::default()).0
-}
-
-/// Executes one LCC task like [`run_lcc_unit`] with observers attached.
-///
-/// `live`: the engine's counters are mirrored into the sliding-window
-/// registry while the task runs (every few recognize–act cycles, plus a
-/// final flush): match units, firings and RHS actions as counters,
-/// conflict-set depth and WM size as gauges. `trace`: the engine groups its
-/// recognize–act cycles into `engine.cycles` aux spans parented under the
-/// owning task-attempt span (see [`ops5::Engine::set_trace`]), so a retained
-/// trace shows where inside the task the engine spent wall time.
-///
-/// Both only read the deterministic counters: results are bit-identical to
-/// [`run_lcc_unit`], and a disabled registry or an absent sink costs one
-/// branch per task.
-pub fn run_lcc_unit_traced(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-    live: &Arc<tlp_obs::Live>,
-    trace: Option<tlp_obs::SpanSink>,
-) -> LccUnitResult {
-    let attach = Attach {
-        live: Some(live),
-        trace,
-        profile: false,
-    };
-    run_unit(sp, scene, fragments, unit, attach).0
-}
-
-/// Executes one LCC task with match-level profiling enabled, returning the
-/// task's [`MatchProfile`] alongside its result. Work counters are
-/// bit-identical to [`run_lcc_unit`] — the profiler only reads them.
-pub fn run_lcc_unit_profiled(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-) -> (LccUnitResult, Option<MatchProfile>) {
-    let attach = Attach {
-        profile: true,
-        ..Attach::default()
-    };
-    run_unit(sp, scene, fragments, unit, attach)
-}
-
-/// What a runner variant attaches to the task engine for one unit.
-#[derive(Default)]
-struct Attach<'a> {
-    live: Option<&'a Arc<tlp_obs::Live>>,
-    trace: Option<tlp_obs::SpanSink>,
-    profile: bool,
+    run_lcc_unit_watched(sp, scene, fragments, unit, Watch::default()).0
 }
 
 /// The engine a thread keeps between LCC units, with the inputs it was
@@ -462,22 +428,32 @@ thread_local! {
     static TASK_ENGINE: RefCell<Option<TaskEngine>> = const { RefCell::new(None) };
 }
 
-/// Runs one LCC unit on this thread's task engine: the single path behind
-/// every `run_lcc_unit*` variant and [`run_lcc`]'s loop.
+/// Executes one LCC task like [`run_lcc_unit`] with `watch` looking on,
+/// returning the task's [`MatchProfile`] too if the watch asked for one.
+/// The one task lifecycle, behind [`run_lcc_unit`], [`run_lcc`]'s loop and
+/// the parallel runner's task closure:
 ///
-/// The engine is *taken out* of the thread's slot, [`ops5::Engine::reset`]
-/// if it was built for these very inputs (else replaced by a new
-/// [`lcc_engine`]), loaded, run, harvested, and only then put back. A unit
-/// that panics — tasks run under `catch_unwind` with injected faults —
-/// therefore unwinds through an empty slot and drops its half-run engine;
-/// the thread's next unit builds a new one. There is no state a failed
-/// task can leave behind for the next, and nothing to poison.
-fn run_unit(
+/// 1. **wire** — the engine is *taken out* of the thread's slot and
+///    [`ops5::Engine::reset`] if it was built for these very inputs, else
+///    replaced by a new [`lcc_engine`];
+/// 2. **watch** — the cycle log (and the profiler, if wanted) is switched
+///    on; `watch` itself stays outside the engine;
+/// 3. **load** — [`load_lcc_task`];
+/// 4. **drive** — [`Watch::drive`] to quiescence, which also
+/// 5. **publishes** what the watch's cadence had not yet;
+/// 6. **harvest** — [`harvest_lcc_unit`];
+/// 7. **put back** — only now does the engine return to the slot.
+///
+/// A unit that panics — tasks run under `catch_unwind` with injected
+/// faults — therefore unwinds through an empty slot and drops its half-run
+/// engine; the thread's next unit builds a new one. There is no state a
+/// failed task can leave behind for the next, and nothing to poison.
+pub fn run_lcc_unit_watched(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
-    attach: Attach<'_>,
+    mut watch: Watch,
 ) -> (LccUnitResult, Option<MatchProfile>) {
     let kept = TASK_ENGINE.with(|slot| slot.borrow_mut().take());
     let mut te = match kept {
@@ -494,38 +470,30 @@ fn run_unit(
         },
     };
     let e = &mut te.engine;
-    if let Some(live) = attach.live.filter(|l| l.is_enabled()) {
-        e.set_live(live.handle());
-    }
-    if let Some(sink) = attach.trace {
-        e.set_trace(sink);
-    }
     e.enable_cycle_log();
-    if attach.profile {
+    if watch.profile {
         e.enable_profile();
     }
-    let control = lcc_schema().control;
-    let phase = [
-        Value::Sym(static_sym!("lcc")),
-        Value::Sym(static_sym!("running")),
-    ];
-    e.make_wme_slots(control.class, &control.sets(phase))
-        .expect("control");
-    load_unit_wm(e, scene, fragments, unit);
+    load_lcc_task(e, scene, fragments, unit);
 
-    let out = e.run(1_000_000);
+    let out = watch.drive(e);
     debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
-    e.publish_live();
-    e.publish_trace();
-    let prof = if attach.profile {
-        e.take_profile()
-    } else {
-        None
-    };
+    // `None` unless this unit enabled it: `reset` detached the last one's.
+    let prof = e.take_profile();
     let result = harvest_lcc_unit(e, out.firings);
     TASK_ENGINE.with(|slot| *slot.borrow_mut() = Some(te));
     (result, prof)
 }
+
+/// Whether this thread keeps no task engine right now.
+#[cfg(test)]
+pub(crate) fn task_engine_is_released() -> bool {
+    TASK_ENGINE.with(|slot| slot.borrow().is_none())
+}
+
+/// Where an LCC task engine's id allocators start: clear of every id the
+/// RTF phase handed out.
+pub const LCC_ID_BASE: i64 = 1 << 30;
 
 /// Creates a fresh engine wired for LCC task execution: the SPAM program
 /// with this scene's external geometry functions registered. Working memory
@@ -536,16 +504,7 @@ pub fn lcc_engine(
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
 ) -> ops5::Engine {
-    let mut e = sp.engine();
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: 1 << 30,
-        },
-    );
-    e
+    sp.engine_for(scene, fragments, LCC_ID_BASE)
 }
 
 /// Rebuilds an LCC task engine from a checkpoint snapshot. External
@@ -569,7 +528,7 @@ pub fn restore_lcc_engine(
         ExternalCtx {
             scene: Arc::clone(scene),
             fragments: Arc::clone(fragments),
-            id_base: 1 << 30,
+            id_base: LCC_ID_BASE,
         },
     );
     Ok(e)
@@ -663,11 +622,9 @@ fn run_lcc_inner(
     // The merge pulls the units through one at a time, so each result is
     // folded in while it is still warm and stored once.
     let results = units.iter().map(|u| {
-        let attach = Attach {
-            profile,
-            ..Attach::default()
-        };
-        let (r, prof) = run_unit(sp, scene, fragments, u, attach);
+        let mut watch = Watch::default();
+        watch.profile = profile;
+        let (r, prof) = run_lcc_unit_watched(sp, scene, fragments, u, watch);
         if let Some(p) = prof {
             match &mut merged {
                 Some(m) => m.merge(&p),
@@ -736,8 +693,8 @@ pub fn merge_lcc_units(
 // The parallel runner executes LCC units under `std::panic::catch_unwind`;
 // that is only sound because a unit's engine is built from shared
 // *immutable* state and, when kept for the next unit, is out of its
-// thread's slot for as long as the unit runs (`run_unit`). Keep these
-// types unwind-safe.
+// thread's slot for as long as the unit runs (`run_lcc_unit_watched`).
+// Keep these types unwind-safe.
 const _: () = {
     const fn assert_ref_unwind_safe<T: std::panic::RefUnwindSafe>() {}
     assert_ref_unwind_safe::<SpamProgram>();
@@ -798,7 +755,8 @@ mod tests {
         let unit = LccUnit::Object(frags[0].id);
         let plain = run_lcc_unit(&sp, &scene, &frags, &unit);
         let live = Live::new(8);
-        let mirrored = run_lcc_unit_traced(&sp, &scene, &frags, &unit, &live, None);
+        let watch = Watch::new(Some(&live), None);
+        let (mirrored, _) = run_lcc_unit_watched(&sp, &scene, &frags, &unit, watch);
         assert_eq!(plain.consistents, mirrored.consistents);
         assert_eq!(plain.supports, mirrored.supports);
         assert_eq!(plain.work, mirrored.work, "mirror must not change work");
@@ -808,15 +766,25 @@ mod tests {
             Some(LiveValue::Counter { total, .. }) => *total,
             other => panic!("{name}: expected counter, got {other:?}"),
         };
-        assert_eq!(total("spam_live_match_units"), mirrored.work.match_units);
+        let w = &mirrored.work;
+        assert_eq!(total("spam_live_match_units"), w.match_units);
         assert_eq!(total("spam_live_firings"), mirrored.firings);
-        assert!(snap.series.contains_key("spam_live_wm_size"));
-        assert!(snap.series.contains_key("spam_live_conflict_set_depth"));
+        assert_eq!(total("spam_live_rhs_actions"), w.rhs_actions);
+        // The gauges are the final flush's: the quiescent engine's.
+        assert_eq!(
+            snap.series.get("spam_live_wm_size"),
+            Some(&LiveValue::Gauge((w.wme_adds - w.wme_removes) as f64))
+        );
+        assert_eq!(
+            snap.series.get("spam_live_conflict_set_depth"),
+            Some(&LiveValue::Gauge(0.0))
+        );
 
         // With a disabled registry the live runner publishes nothing and
         // still computes the same results.
         let off = Live::off();
-        let silent = run_lcc_unit_traced(&sp, &scene, &frags, &unit, &off, None);
+        let watch = Watch::new(Some(&off), None);
+        let (silent, _) = run_lcc_unit_watched(&sp, &scene, &frags, &unit, watch);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());
     }
@@ -841,7 +809,7 @@ mod tests {
         let mut damaged = frags.as_ref().clone();
         damaged[bad as usize].region = u32::MAX;
         let damaged = Arc::new(damaged);
-        let slot_is_empty = || TASK_ENGINE.with(|slot| slot.borrow().is_none());
+        let slot_is_empty = task_engine_is_released;
 
         // The thread's engine is built for the damaged table and kept.
         let before = run_lcc_unit(&sp, &scene, &damaged, good);

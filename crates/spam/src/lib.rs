@@ -28,6 +28,10 @@
 //! production systems: only 30–50 % of its time is match, the rest is
 //! task-related computation.
 //!
+//! The engine only counts; [`watch`] is how a task runner watches one from
+//! outside (live-registry mirror, scene-trace cycle windows) without the
+//! engine knowing.
+//!
 //! The three airport datasets of the paper (San Francisco International,
 //! Washington National, NASA Ames Moffett Field) are not available; the
 //! [`generate`] module synthesises airport scenes, and [`datasets`]
@@ -50,6 +54,7 @@ pub mod rtf;
 pub mod rules;
 pub mod scene;
 pub mod topdown;
+pub mod watch;
 
 pub use constraints::{Constraint, Relation, CONSTRAINTS};
 pub use datasets::{dc, moff, sf, Dataset};

@@ -1,9 +1,8 @@
 //! The MODEL phase: scene-model assembly and stereo verification.
 
-use crate::externals::{register, ExternalCtx};
 use crate::fa::FunctionalArea;
 use crate::fragments::FragmentHypothesis;
-use crate::rules::SpamProgram;
+use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
 use ops5::{sym, CycleStats, Value, WorkCounters};
 use spam_geometry::{convex_hull, intersection_area, Point, Polygon};
@@ -118,24 +117,9 @@ pub fn run_model(
     areas: &[FunctionalArea],
     members: &[(i64, u32)],
 ) -> ModelResult {
-    let mut e = sp.engine();
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: 0,
-        },
-    );
+    let mut e = sp.engine_for(scene, fragments, 0);
     e.enable_cycle_log();
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("model")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control");
+    enter_phase(&mut e, sym("model"));
     for a in areas {
         e.make_wme(
             "fa-area",

@@ -1,8 +1,7 @@
 //! The RTF (region-to-fragment) phase: heuristic classification.
 
-use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind};
-use crate::rules::SpamProgram;
+use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::{Region, Scene};
 use ops5::{sym, CycleStats, Engine, Value, WorkCounters};
 use std::sync::Arc;
@@ -37,24 +36,9 @@ pub fn region_fields(r: &Region) -> Vec<(&'static str, Value)> {
 }
 
 fn fresh_engine(sp: &SpamProgram, scene: &Arc<Scene>, id_base: i64) -> Engine {
-    let mut e = sp.engine();
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::new(Vec::new()),
-            id_base,
-        },
-    );
+    let mut e = sp.engine_for(scene, &Arc::new(Vec::new()), id_base);
     e.enable_cycle_log();
-    e.make_wme(
-        "control",
-        &[
-            ("phase", Value::symbol("rtf")),
-            ("status", Value::symbol("running")),
-        ],
-    )
-    .expect("control class");
+    enter_phase(&mut e, sym("rtf"));
     // Classification prototypes (the class envelopes live in WM; the
     // classification work is join work — see rules::rtf_rules).
     for (name, p) in crate::rules::prototypes() {

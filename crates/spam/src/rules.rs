@@ -19,10 +19,13 @@
 //! * `model` / `model-area` — scene-model assembly.
 
 use crate::constraints::CONSTRAINTS;
+use crate::externals::{register, ExternalCtx};
+use crate::fragments::FragmentHypothesis;
+use crate::scene::Scene;
 use ops5::ast::SlotIdx;
 use ops5::{sym, Symbol, Value};
 use std::fmt::Write;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The working-memory class declarations.
 pub fn declarations() -> String {
@@ -633,6 +636,14 @@ pub fn spam_source() -> String {
     s
 }
 
+/// Makes the `control` element that puts the rule base in `phase` (`rtf`,
+/// `lcc`, `fa`, `model`) — what every task's working memory starts with.
+pub fn enter_phase(e: &mut ops5::Engine, phase: Symbol) {
+    let control = lcc_schema().control;
+    let sets = control.sets([Value::Sym(phase), Value::Sym(ops5::static_sym!("running"))]);
+    e.make_wme_slots(control.class, &sets).expect("control");
+}
+
 /// The parsed and compiled SPAM program, shared (cheaply, via `Arc`) by
 /// every engine instance of a run — the full-phase engines and the hundreds
 /// of task-process engines of SPAM/PSM alike.
@@ -672,6 +683,27 @@ impl SpamProgram {
     /// Creates a fresh engine instance over the shared program.
     pub fn engine(&self) -> ops5::Engine {
         self.engine_with(self.config)
+    }
+
+    /// Creates a fresh engine with this scene's external functions
+    /// registered (see [`ExternalCtx`] for `fragments` and `id_base`) — the
+    /// one place a SPAM engine is wired, behind every phase. Its working
+    /// memory is empty.
+    pub fn engine_for(
+        &self,
+        scene: &Arc<Scene>,
+        fragments: &Arc<Vec<FragmentHypothesis>>,
+        id_base: i64,
+    ) -> ops5::Engine {
+        let mut e = self.engine();
+        let (scene, fragments) = (Arc::clone(scene), Arc::clone(fragments));
+        let ctx = ExternalCtx {
+            scene,
+            fragments,
+            id_base,
+        };
+        register(&mut e, ctx);
+        e
     }
 
     /// Creates a fresh engine with an explicit Rete sharing/indexing

@@ -1,10 +1,10 @@
 //! Task-engine reuse ≡ a fresh engine per task.
 //!
-//! Every `run_lcc_unit*` variant runs on the calling thread's kept engine,
-//! reset between units. The reference here builds a new engine for each
-//! unit from the public pieces (`lcc_engine` → control element →
-//! `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any sequence
-//! of units — any levels, any order, any observers attached along the
+//! `run_lcc_unit` and `run_lcc_unit_watched` run on the calling thread's
+//! kept engine, reset between units. The reference here builds a new
+//! engine for each unit from the public pieces (`lcc_engine` → control
+//! element → `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any
+//! sequence of units — any levels, any order, anyone watching along the
 //! way, alternating between inputs so the kept engine is also replaced —
 //! must give the same `LccUnitResult`s: consistents, supports, work,
 //! firings, RHS actions and the whole cycle log.
@@ -13,11 +13,12 @@ use ops5::Value;
 use proptest::prelude::*;
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc_unit, run_lcc_unit_profiled,
-    run_lcc_unit_traced, LccUnit, LccUnitResult, Level,
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc_unit, run_lcc_unit_watched,
+    LccUnit, LccUnitResult, Level,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::watch::Watch;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -143,15 +144,16 @@ proptest! {
             let i = &f.inputs[input];
             let unit_idx = pick % f.units[input][level].len();
             let unit = &f.units[input][level][unit_idx];
+            let watched = |w: Watch| run_lcc_unit_watched(&i.sp, &i.scene, &i.frags, unit, w);
             let got = match mode {
                 Mode::Plain => run_lcc_unit(&i.sp, &i.scene, &i.frags, unit),
-                Mode::Live => run_lcc_unit_traced(&i.sp, &i.scene, &i.frags, unit, &live, None),
+                Mode::Live => watched(Watch::new(Some(&live), None)).0,
                 Mode::Traced => {
                     let sink = span.sink_under(span.root());
-                    run_lcc_unit_traced(&i.sp, &i.scene, &i.frags, unit, &live, Some(sink))
+                    watched(Watch::new(Some(&live), Some(sink))).0
                 }
                 Mode::Profiled => {
-                    let (r, prof) = run_lcc_unit_profiled(&i.sp, &i.scene, &i.frags, unit);
+                    let (r, prof) = watched(Watch::default().with_profile());
                     let prof = prof.expect("profiling was enabled");
                     // The profile is this unit's alone, not the engine's
                     // lifetime: its totals are the unit's totals.
