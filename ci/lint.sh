@@ -13,3 +13,17 @@ if grep -rn "tlp_obs" crates/ops5/src crates/ops5/tests; then
   echo "lint: crates/ops5 names tlp_obs; the engine has no observer (see spam::watch)" >&2
   exit 1
 fi
+
+# The supervised executor is generic: what a worker keeps from task to task is
+# its caller's `S`, so `core::exec` names nothing under `spam::`.
+if grep -n "spam::" crates/core/src/exec.rs; then
+  echo "lint: crates/core/src/exec.rs names spam::; a worker's state is the caller's S" >&2
+  exit 1
+fi
+
+# A task process owns its engine as a value (`spam::task::TaskProcess`): a
+# thread-local would outlive the task that panicked in it.
+if grep -rn "thread_local!" crates/spam/src; then
+  echo "lint: crates/spam/src has a thread_local!; task state lives in a TaskProcess" >&2
+  exit 1
+fi

@@ -1,10 +1,13 @@
 //! Benchmarks of SPAM phase machinery: scene generation, RTF, single LCC
 //! tasks at the chosen decomposition grains, and the decomposition itself.
+//! A single-task bench runs on one task process, as a worker's tasks do: its
+//! engine is kept and reset between iterations, not rebuilt.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spam::lcc::{decompose, run_lcc_unit, LccUnit, Level};
-use spam::rtf::{run_rtf, run_rtf_task};
+use spam::rtf::{rtf_task_batches, run_rtf, run_rtf_task, run_rtf_tasks};
 use spam::rules::SpamProgram;
+use spam::task::TaskProcess;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,7 +27,16 @@ fn bench_spam(c: &mut Criterion) {
 
     g.bench_function("rtf_task_10_regions", |b| {
         let regions: Vec<u32> = (0..10).collect();
-        b.iter(|| run_rtf_task(&sp, &scene, &regions, 0).fragments.len())
+        let mut tp = TaskProcess::default();
+        b.iter(|| run_rtf_task(&mut tp, &sp, &scene, &regions).fragments.len())
+    });
+
+    // The paper's RTF decomposition (60-100 tasks, §4) on one task process:
+    // the sequential cost a parallel RTF has to beat.
+    g.bench_function("rtf_64_batches", |b| {
+        let batches = rtf_task_batches(&scene, scene.len().div_ceil(64));
+        assert_eq!(batches.len(), 64);
+        b.iter(|| run_rtf_tasks(&sp, &scene, &batches).0.len())
     });
 
     // A representative Level-3 task (a runway object: several constraints,
@@ -35,7 +47,8 @@ fn bench_spam(c: &mut Criterion) {
         .expect("runway hypothesis")
         .id;
     g.bench_function("lcc_unit_level3_runway", |b| {
-        b.iter(|| run_lcc_unit(&sp, &scene, &fragments, &LccUnit::Object(runway)).firings)
+        let (mut tp, unit) = (TaskProcess::default(), LccUnit::Object(runway));
+        b.iter(|| run_lcc_unit(&mut tp, &sp, &scene, &fragments, &unit).firings)
     });
 
     g.bench_function("lcc_unit_level1_pair", |b| {
@@ -43,7 +56,8 @@ fn bench_spam(c: &mut Criterion) {
             .into_iter()
             .next()
             .expect("at least one pair");
-        b.iter(|| run_lcc_unit(&sp, &scene, &fragments, &unit).firings)
+        let mut tp = TaskProcess::default();
+        b.iter(|| run_lcc_unit(&mut tp, &sp, &scene, &fragments, &unit).firings)
     });
 
     g.bench_function("decompose_all_levels", |b| {

@@ -16,9 +16,10 @@ use ops5::matcher::NaiveMatcher;
 use ops5::Engine;
 use spam::externals::{register, ExternalCtx};
 use spam::fragments::FragmentHypothesis;
-use spam::lcc::{decompose, lcc_engine, load_lcc_task, LccUnit, Level, LCC_ID_BASE};
-use spam::rules::SpamProgram;
+use spam::lcc::{decompose, load_unit_wm, run_lcc_unit, LccUnit, Level, LCC_ID_BASE};
+use spam::rules::{enter_phase, SpamProgram};
 use spam::scene::Scene;
+use spam::task::TaskProcess;
 use std::sync::Arc;
 
 /// Result of the port-factor measurement.
@@ -74,27 +75,28 @@ fn run_one(
     unit: &LccUnit,
     naive: bool,
 ) -> (u64, u64) {
-    // The task `spam::lcc::run_lcc_unit` runs, on a chosen match backend.
-    let mut e = if naive {
-        let m = NaiveMatcher::new(Arc::clone(&sp.program), Arc::clone(&sp.compiled));
-        let mut e = Engine::with_matcher(
-            Arc::clone(&sp.program),
-            Arc::clone(&sp.compiled),
-            Box::new(m),
-        );
-        register(
-            &mut e,
-            ExternalCtx {
-                scene: Arc::clone(scene),
-                fragments: Arc::clone(fragments),
-                id_base: LCC_ID_BASE,
-            },
-        );
-        e
-    } else {
-        lcc_engine(sp, scene, fragments)
-    };
-    load_lcc_task(&mut e, scene, fragments, unit);
+    if !naive {
+        let r = run_lcc_unit(&mut TaskProcess::default(), sp, scene, fragments, unit);
+        return (r.work.total_units(), r.firings);
+    }
+    // The same task on the naive matcher — an engine no task process
+    // builds, so its steps are spelt out.
+    let m = NaiveMatcher::new(Arc::clone(&sp.program), Arc::clone(&sp.compiled));
+    let mut e = Engine::with_matcher(
+        Arc::clone(&sp.program),
+        Arc::clone(&sp.compiled),
+        Box::new(m),
+    );
+    register(
+        &mut e,
+        ExternalCtx {
+            scene: Arc::clone(scene),
+            fragments: Arc::clone(fragments),
+            id_base: LCC_ID_BASE,
+        },
+    );
+    enter_phase(&mut e, ops5::static_sym!("lcc"));
+    load_unit_wm(&mut e, scene, fragments, unit);
     let out = e.run(1_000_000);
     assert!(out.quiescent(), "{out:?}");
     (e.work().total_units(), out.firings)

@@ -19,15 +19,18 @@
 //! thread the whole phase as one type-erased `Arc` — which is why the task
 //! closure and its result are `'static`: a resident thread outlives every
 //! caller's stack frame, and this crate forbids the `unsafe` that would let
-//! it borrow from one. The control process wakes its workers *before* it
-//! deals the tasks (their wake-up overlaps the deal), and when the phase is
-//! over waits on a completion latch rather than joining threads: a worker
-//! flushes its recorder sink, writes its statistics, parks itself in the
-//! registry and only then counts the latch down — so back-to-back phases
-//! reuse the same threads — and drops its thread's task engine after that,
-//! off the control process's critical path (no engine is kept for the next
-//! phase). A resident thread that died (a panic outside `catch_unwind`) is
-//! replaced at the next lease; the phase it died in fails loudly.
+//! it borrow from one. What a task process keeps from task to task — for
+//! the SPAM phases, its OPS5 engine — is a value `S: Default` the worker
+//! makes when it picks the phase up and lends to every task it runs; it
+//! does not outlive the phase. The control process wakes its workers
+//! *before* it deals the tasks (their wake-up overlaps the deal), and when
+//! the phase is over waits on a completion latch rather than joining
+//! threads: a worker flushes its recorder sink, writes its statistics,
+//! parks itself in the registry and only then counts the latch down — so
+//! back-to-back phases reuse the same threads — and drops its `S` after
+//! that, off the control process's critical path. A resident thread that
+//! died (a panic outside `catch_unwind`) is replaced at the next lease; the
+//! phase it died in fails loudly.
 //!
 //! # Placement: central FIFO vs chunked deques
 //!
@@ -106,6 +109,7 @@
 
 use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
@@ -680,8 +684,10 @@ impl Latch {
 /// A running phase as a resident task process sees it, type-erased.
 trait PhaseWork: Send + Sync {
     /// Worker `w`'s whole share of the phase: acquire jobs until the pool
-    /// closes empty, then flush and file the worker's statistics.
-    fn work(&self, w: usize);
+    /// closes empty, then flush and file the worker's statistics. Returns
+    /// the worker's per-phase state, for the worker to drop once it has
+    /// counted out.
+    fn work(&self, w: usize) -> Box<dyn Any>;
     /// Counts the worker out; `died` if it is unwinding.
     fn done(&self, died: bool);
 }
@@ -737,29 +743,27 @@ fn fork() -> mpsc::Sender<Lease> {
 
 /// The life of a resident task process: wait for a lease, work the phase,
 /// park, count out, tidy up, wait again. A panic that escapes
-/// [`PhaseWork::work`] ends the thread before it parks (whatever state it
-/// left in its thread-locals goes with it); [`CountOut`] still releases
+/// [`PhaseWork::work`] ends the thread before it parks (its per-phase
+/// state goes with the unwind); [`CountOut`] still releases
 /// the control process, and the next lease that runs short forks a
 /// replacement. Once parked a thread can be leased at any moment, so
 /// nothing after that point may end it: a lease sent to a dying thread
 /// would be lost, and its phase would wait for that worker forever.
 fn resident(leases: &mpsc::Receiver<Lease>, me: &mpsc::Sender<Lease>) {
     while let Ok((phase, w)) = leases.recv() {
-        {
+        let state = {
             let _count_out = CountOut(&*phase);
-            phase.work(w);
+            let state = phase.work(w);
             // Parked *before* the latch opens, so the control process's
             // next phase finds this thread instead of forking another.
             relock(PARKED.lock()).push(me.clone());
-        }
+            state
+        };
         // After the latch, off the control process's critical path: this
-        // thread's share of the phase goes, and so does the engine it kept
-        // between the phase's units — kept for the next phase it could
-        // not serve it, and would pin its share of the heap.
-        let _ = catch_unwind(AssertUnwindSafe(move || {
-            drop(phase);
-            spam::lcc::release_task_engine();
-        }));
+        // thread's share of the phase goes, and so does what it kept from
+        // task to task — kept for the next phase it could not serve it,
+        // and would pin its share of the heap.
+        let _ = catch_unwind(AssertUnwindSafe(move || drop((phase, state))));
     }
 }
 
@@ -774,8 +778,10 @@ impl Drop for CountOut<'_> {
 
 /// One running phase: everything its workers need, owned rather than
 /// borrowed, so a resident thread can hold it (module docs).
-struct Phase<T, F> {
+struct Phase<T, S, F> {
     task: F,
+    /// Makes a worker's per-phase state.
+    new_state: fn() -> S,
     pool: StealPool,
     tx: mpsc::Sender<Vec<ExecMsg<T>>>,
     plan: FaultPlan,
@@ -790,12 +796,13 @@ struct Phase<T, F> {
     latch: Latch,
 }
 
-impl<T, F> PhaseWork for Phase<T, F>
+impl<T, S, F> PhaseWork for Phase<T, S, F>
 where
     T: Send + 'static,
-    F: Fn(TaskAttempt) -> T + Send + Sync + 'static,
+    S: 'static,
+    F: Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
 {
-    fn work(&self, w: usize) {
+    fn work(&self, w: usize) -> Box<dyn Any> {
         // The worker's clock. Read at task boundaries only: twice per task
         // (start, finish) and once per acquired job.
         #[cfg(test)]
@@ -806,6 +813,10 @@ where
             Instant::now()
         };
         let picked_up = now();
+        // What this worker keeps from task to task. An attempt that
+        // unwinds leaves it as the task left it: a task keeps nothing in
+        // it that a half-run attempt could have damaged (`execute`).
+        let mut state = (self.new_state)();
         let scene = self.scene.as_ref();
         // The worker is `psm-task-{w}` to every observer, whichever
         // resident thread it runs on. Its sink is private to the phase and
@@ -879,7 +890,7 @@ where
                     if self.plan.task_panics(i, attempt) {
                         panic!("injected fault: task {i} attempt {attempt}");
                     }
-                    (self.task)(invocation)
+                    (self.task)(&mut state, invocation)
                 }))
                 .map_err(payload_to_string);
                 let finished = now();
@@ -971,6 +982,7 @@ where
         }
         let ready_s = picked_up.duration_since(self.start).as_secs_f64();
         *relock(self.filed[w].lock()) = (ready_s, my);
+        Box::new(state)
     }
 
     fn done(&self, died: bool) {
@@ -1026,29 +1038,32 @@ fn control_marker(
 ///
 /// `task` and its result are `'static` because the workers are resident
 /// threads, not scoped ones: a caller shares its inputs by `Arc` (every
-/// SPAM input already is one) instead of lending them.
+/// SPAM input already is one) instead of lending them. Each worker makes
+/// one `S` when it picks the phase up, lends it to every task it runs and
+/// drops it after it has counted out of the phase (module docs); a phase
+/// whose tasks keep nothing runs with `S = ()`.
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index (the [`TaskAttempt`] carries the
 /// attempt number, which is what the recovery runner needs to decide
-/// whether to restore from a checkpoint). The spam phase runners satisfy
-/// this by running every attempt on an engine in its just-built state —
-/// new, or reset and out of its thread's slot while the attempt runs, so
-/// an attempt that unwinds drops it (`spam::lcc`'s task-engine lifecycle,
-/// DESIGN.md §21) — over shared immutable inputs. That is also what makes
-/// `AssertUnwindSafe` sound here: a half-updated state cannot leak across
-/// attempts.
+/// whether to restore from a checkpoint), on whichever worker's `S`. The
+/// SPAM phase runners satisfy this by running every attempt on an engine
+/// in its just-built state — new, or reset and taken *out of* `S` while
+/// the attempt runs, so an attempt that unwinds drops it and leaves `S`
+/// empty (DESIGN.md §21) — over shared immutable inputs. That is also what
+/// makes `AssertUnwindSafe` sound here: a half-updated state cannot leak
+/// across attempts.
 ///
 /// Results are deterministic — identical to the sequential run regardless
 /// of placement, worker count, steal order or scheduling noise — because
 /// every result lands in its task's slot and merging is slot-ordered; only
 /// the *schedule* in the [`ExecReport`] is machine-dependent.
-pub fn execute<T: Send + 'static>(
+pub fn execute<T: Send + 'static, S: Default + 'static>(
     how: &PhaseRun<'_>,
     labels: Vec<String>,
     estimates: &[u64],
     on_complete: impl Fn(usize, &T),
-    task: impl Fn(TaskAttempt) -> T + Send + Sync + 'static,
+    task: impl Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
 ) -> Result<(Vec<Option<T>>, TaskReport, ExecReport), SuperviseError> {
     let PhaseRun {
         exec,
@@ -1081,6 +1096,7 @@ pub fn execute<T: Send + 'static>(
     let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
     let phase = Arc::new(Phase {
         task,
+        new_state: S::default,
         pool: StealPool::new(n_workers),
         tx,
         plan: plan.clone(),
@@ -1489,7 +1505,14 @@ mod tests {
         n: usize,
         task: impl Fn(usize) -> T + Send + Sync + 'static,
     ) -> Ran<T> {
-        execute(how, labels(n), &[], |_, _| {}, move |a| task(a.task)).unwrap()
+        execute(
+            how,
+            labels(n),
+            &[],
+            |_, _| {},
+            move |_: &mut (), a| task(a.task),
+        )
+        .unwrap()
     }
 
     fn executed(exec: &ExecReport) -> u64 {
@@ -1533,7 +1556,13 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         for (name, exec) in placements(0) {
-            let r = execute(&PhaseRun::new(exec), labels(3), &[], |_, _| {}, |a| a.task);
+            let r = execute(
+                &PhaseRun::new(exec),
+                labels(3),
+                &[],
+                |_, _| {},
+                |_: &mut (), a| a.task,
+            );
             assert_eq!(r.err(), Some(SuperviseError::NoWorkers), "{name}");
         }
     }
@@ -1811,7 +1840,7 @@ mod tests {
                 completed.fetch_add(1, Ordering::Relaxed);
             };
             let (slots, report, _) =
-                execute(&how, labels(5), &[], on_complete, |a| a.task).unwrap();
+                execute(&how, labels(5), &[], on_complete, |_: &mut (), a| a.task).unwrap();
             assert_eq!(slots.iter().flatten().count(), 4, "{name}");
             assert_eq!(report.dead_letters().len(), 1, "{name}");
             assert_eq!(completed.load(Ordering::Relaxed), 4, "{name}");
@@ -1855,7 +1884,8 @@ mod tests {
             how.obs.live = Arc::clone(&live);
             how.obs.slo = Some(Arc::clone(&slo));
             let on_complete = |_, _: &usize| slo.observe(0.5, true);
-            let (slots, _, _) = execute(&how, labels(6), &[], on_complete, |a| a.task).unwrap();
+            let (slots, _, _) =
+                execute(&how, labels(6), &[], on_complete, |_: &mut (), a| a.task).unwrap();
             assert_eq!(slots.iter().flatten().count(), 6, "{name}");
             assert_eq!(slo.health(), Health::Healthy, "{name}");
             let snap = live.snapshot();
@@ -1904,7 +1934,7 @@ mod tests {
                 labels(4),
                 &[],
                 |_, _| {},
-                |a| {
+                |_: &mut (), a| {
                     // Stand-in for the engine's cycle mirror: record one
                     // aux span through the handed sink.
                     if let Some(mut tr) = a.trace {
@@ -2141,7 +2171,7 @@ mod tests {
                     first_reported.store(true, Ordering::SeqCst);
                 }
             },
-            move |a| {
+            move |_: &mut (), a| {
                 if a.task == 3 {
                     let give_up = Instant::now() + Duration::from_secs(20);
                     while !reported.load(Ordering::SeqCst) {
@@ -2364,8 +2394,9 @@ mod tests {
     }
 
     impl<W: Fn() + Send + Sync> PhaseWork for Stunt<W> {
-        fn work(&self, _: usize) {
+        fn work(&self, _: usize) -> Box<dyn Any> {
             (self.work)();
+            Box::new(())
         }
         fn done(&self, died: bool) {
             self.latch.count_down(died);
@@ -2463,6 +2494,118 @@ mod tests {
                 assert_eq!(exec.workers.len(), 4, "{name}");
             }
         }
+    }
+
+    /// A worker's `S` is the task process's memory: made once when the
+    /// worker picks the phase up, lent to every attempt the worker runs —
+    /// across chunks, and after an attempt that panicked half-way through
+    /// using it — and dropped by the worker itself once it has counted out,
+    /// so the control process never waits for the drop.
+    #[test]
+    fn a_workers_state_spans_its_phase_and_is_dropped_after_the_latch() {
+        /// What one state was lent to, in order, and where it ended.
+        struct Ended {
+            seen: Vec<(usize, u32)>,
+            on_thread: String,
+            execute_had_returned: bool,
+        }
+        static MADE: AtomicUsize = AtomicUsize::new(0);
+        static RETURNED: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+        static ENDED: Mutex<Option<mpsc::Sender<Ended>>> = Mutex::new(None);
+
+        struct Memory(Vec<(usize, u32)>);
+        impl Default for Memory {
+            fn default() -> Memory {
+                MADE.fetch_add(1, Ordering::SeqCst);
+                Memory(Vec::new())
+            }
+        }
+        impl Drop for Memory {
+            fn drop(&mut self) {
+                // Were this drop ahead of the latch, `execute` could not
+                // return while it waits, and the wait would time out.
+                let (flag, cv) = &RETURNED;
+                let (returned, _) = cv
+                    .wait_timeout_while(relock(flag.lock()), Duration::from_secs(5), |r| !*r)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if let Some(tx) = &*relock(ENDED.lock()) {
+                    let _ = tx.send(Ended {
+                        seen: std::mem::take(&mut self.0),
+                        on_thread: std::thread::current().name().unwrap_or("").to_owned(),
+                        execute_had_returned: *returned,
+                    });
+                }
+            }
+        }
+
+        // Four chunks of two tasks on the deques, eight of one centrally.
+        let deques = ExecConfig {
+            chunk_target: 2,
+            ..ExecConfig::new(2)
+        };
+        for (name, exec) in [
+            ("central queue", ExecConfig::central_queue(2)),
+            ("deques", deques),
+        ] {
+            MADE.store(0, Ordering::SeqCst);
+            *relock(RETURNED.0.lock()) = false;
+            let (tx, ended) = mpsc::channel();
+            *relock(ENDED.lock()) = Some(tx);
+
+            let how = under(exec, retries(1), FaultPlan::none());
+            let (slots, report, measured) = execute(
+                &how,
+                labels(8),
+                &[],
+                |_, _| {},
+                |m: &mut Memory, a| {
+                    m.0.push((a.task, a.attempt));
+                    assert!((a.task, a.attempt) != (3, 0), "mid-task, state in hand");
+                    a.task
+                },
+            )
+            .unwrap();
+            *relock(RETURNED.0.lock()) = true;
+            RETURNED.1.notify_all();
+
+            assert_eq!(slots.iter().flatten().count(), 8, "{name}");
+            assert_eq!(report.total_retries(), 1, "{name}");
+            let mut ends: Vec<Ended> = (0..2)
+                .map(|_| {
+                    ended
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("dropped")
+                })
+                .collect();
+            assert_eq!(MADE.load(Ordering::SeqCst), 2, "{name}: one per worker");
+            for end in &ends {
+                assert!(
+                    end.on_thread.starts_with(WORKER_NAME),
+                    "{name}: {}",
+                    end.on_thread
+                );
+                assert!(
+                    end.execute_had_returned,
+                    "{name}: dropped ahead of the latch"
+                );
+            }
+            // Each state saw exactly its worker's attempts, in the order
+            // the worker ran them — the panicked one included.
+            let mut ran: Vec<Vec<(usize, u32)>> = (0..2)
+                .map(|w| {
+                    let mut mine: Vec<_> =
+                        measured.attempts.iter().filter(|a| a.worker == w).collect();
+                    mine.sort_by(|a, b| a.started_s.total_cmp(&b.started_s));
+                    mine.iter().map(|a| (a.task, a.attempt)).collect()
+                })
+                .collect();
+            ran.sort();
+            ends.sort_by(|a, b| a.seen.cmp(&b.seen));
+            let seen: Vec<_> = ends.into_iter().map(|e| e.seen).collect();
+            assert_eq!(seen, ran, "{name}");
+            assert!(seen.concat().contains(&(3, 0)), "{name}: {seen:?}");
+        }
+        *relock(ENDED.lock()) = None;
     }
 
     #[test]

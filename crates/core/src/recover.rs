@@ -34,10 +34,12 @@
 //!   one, the tear means the crash happened before the run loop started,
 //!   so a from-scratch rebuild loses nothing.
 //!
-//! An attempt is `spam::lcc`'s task lifecycle — same wiring, set-up
-//! (`load_lcc_task`) and harvest — with its own *drive* step: kills and
-//! checkpoints land between cycles, so it steps the engine itself and
-//! ticks the attempt's [`Watch`] itself. The engine is never kept.
+//! An attempt that starts from scratch is `spam::task`'s lifecycle on its
+//! worker's [`TaskProcess`] — same wiring, LCC load and harvest — with its
+//! own *drive* step: kills and checkpoints land between cycles, so it steps
+//! the engine itself and ticks its own [`Watch`]. It never puts the engine
+//! back: the process stays empty, as after a restored attempt, whose engine
+//! comes from a snapshot and not from the process at all.
 
 use crate::exec::{execute, PhaseRun};
 use crate::tlp::{lcc_task_list, observe_unit};
@@ -45,11 +47,12 @@ use ops5::snapshot::apply_record;
 use ops5::{Wal, WalOp, WalRecord};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_lcc_task, merge_lcc_units, restore_lcc_engine,
-    LccPhaseResult, LccUnit, LccUnitResult, Level,
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, merge_lcc_units, restore_lcc_engine,
+    LccPhaseResult, LccUnit, LccUnitResult, Level, LCC_ID_BASE,
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::task::{Attempt, TaskProcess};
 use spam::watch::Watch;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -235,25 +238,27 @@ impl RecoveryReport {
     }
 }
 
-/// Builds a fresh LCC task engine with its full working memory loaded, and
-/// persists the WAL of that load into `store` *before* returning — so a
-/// crash at any later point can rebuild the task's inputs from the log.
-fn fresh_engine_with_wal(
+/// Begins an LCC task from scratch on `tp` with its full working memory
+/// loaded, and persists the WAL of that load into `store` *before*
+/// returning — so a crash at any later point can rebuild the task's inputs
+/// from the log.
+fn fresh_attempt_with_wal<'p>(
+    tp: &'p mut TaskProcess,
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
     task: usize,
     store: &CheckpointStore,
-) -> ops5::Engine {
-    let mut e = lcc_engine(sp, scene, fragments);
-    e.enable_cycle_log();
-    load_lcc_task(&mut e, scene, fragments, unit);
+) -> Attempt<'p> {
+    let phase = ops5::static_sym!("lcc");
+    let mut fresh = tp.begin(sp, scene, fragments, LCC_ID_BASE, phase, Watch::default());
+    load_unit_wm(fresh.engine(), scene, fragments, unit);
     // All of an LCC task's inputs are loaded up front, so the whole WAL is
     // cycle-0 assert records; replaying them through `insert_fields`
     // reproduces the identical ids and time tags.
     let mut wal = Wal::new();
-    for (_, w) in e.wm().iter() {
+    for (_, w) in fresh.engine().wm().iter() {
         wal.append(&WalRecord {
             cycle: 0,
             op: WalOp::Assert {
@@ -263,7 +268,7 @@ fn fresh_engine_with_wal(
         });
     }
     store.save_wal(task, wal.into_bytes());
-    e
+    fresh
 }
 
 /// Executes one LCC task attempt under the checkpoint protocol.
@@ -282,9 +287,11 @@ fn fresh_engine_with_wal(
 /// Results are identical to an uninterrupted [`spam::lcc::run_lcc_unit`]
 /// run: the snapshot carries working memory, the conflict set, *and* the
 /// work counters across the crash, and the match network rebuild resets
-/// its counters to the recorded values.
+/// its counters to the recorded values. `tp` is the task process the
+/// attempt runs on; it is left empty (module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn run_lcc_unit_checkpointed(
+    tp: &mut TaskProcess,
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
@@ -306,7 +313,7 @@ pub fn run_lcc_unit_checkpointed(
 
     let saved = if attempt > 0 { store.load(task) } else { None };
     let restore_start_us = trace.as_ref().map(|t| t.now_us());
-    let (mut e, start_cycle) = match saved {
+    let mut restored = match saved {
         Some((mut wal_bytes, checkpoint)) => {
             if sink.enabled(ObsLevel::Summary) {
                 sink.begin(
@@ -362,13 +369,6 @@ pub fn run_lcc_unit_checkpointed(
                 // started — a fresh rebuild loses nothing.
                 _ => None,
             };
-            let pair = match built {
-                Some(pair) => pair,
-                None => (
-                    fresh_engine_with_wal(sp, scene, fragments, unit, task, store),
-                    0,
-                ),
-            };
             if sink.enabled(ObsLevel::Summary) {
                 sink.end(
                     Category::Recovery,
@@ -395,12 +395,19 @@ pub fn run_lcc_unit_checkpointed(
                     None,
                 );
             }
-            pair
+            built
         }
-        None => (
-            fresh_engine_with_wal(sp, scene, fragments, unit, task, store),
-            0,
-        ),
+        None => None,
+    };
+    // The attempt's engine: the restored one, else a task begun from
+    // scratch on `tp`.
+    let mut fresh;
+    let (e, start_cycle) = match &mut restored {
+        Some((e, cycle)) => (e, *cycle),
+        None => {
+            fresh = fresh_attempt_with_wal(tp, sp, scene, fragments, unit, task, store);
+            (fresh.engine(), 0)
+        }
     };
     // The attempt's cycle windows only: no live mirror, a restored engine's
     // counters are not new work.
@@ -448,7 +455,7 @@ pub fn run_lcc_unit_checkpointed(
             Ok(Some(_)) => {
                 steps += 1;
                 assert!(steps <= 1_000_000, "LCC task exceeded its cycle budget");
-                watch.tick(&e, 1);
+                watch.tick(e, 1);
             }
             Ok(None) => break,
             Err(err) => panic!("LCC task engine error: {err}"),
@@ -469,8 +476,8 @@ pub fn run_lcc_unit_checkpointed(
         );
     }
     sink.flush();
-    watch.finish(&e);
-    (harvest_lcc_unit(&mut e, firings), info)
+    watch.finish(e);
+    (harvest_lcc_unit(e, firings), info)
 }
 
 /// Runs the LCC phase in parallel under the checkpoint/recovery protocol:
@@ -522,9 +529,10 @@ pub fn run_parallel_lcc_recoverable(
             }
             observe_unit(obs, i, &r.work);
         },
-        move |a| {
+        move |tp: &mut TaskProcess, a| {
             let t0 = Instant::now();
             let (r, info) = run_lcc_unit_checkpointed(
+                tp,
                 &sp,
                 &scene,
                 &frags,

@@ -6,7 +6,9 @@
 //!   a complete independent OPS5 engine, pull chunks of tasks and fire
 //!   asynchronously; the control process collects the results. Both are
 //!   one call into the supervised phase runner ([`crate::exec::execute`])
-//!   with the phase's task closure — which owns `Arc` clones of its inputs,
+//!   with [`TaskProcess`] as each worker's per-phase state — the engine a
+//!   worker keeps from task to task, dropped when the phase is over — and
+//!   the phase's task closure, which owns `Arc` clones of its inputs
 //!   because a resident thread cannot borrow them; a [`PhaseRun`] says
 //!   where tasks are placed, under which policy, and who watches. Verified
 //!   to produce exactly the sequential results on either placement at any
@@ -26,6 +28,7 @@ use spam::lcc::{
 };
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::task::TaskProcess;
 use spam::watch::Watch;
 use std::sync::Arc;
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
@@ -122,9 +125,9 @@ pub fn run_parallel_lcc(
         labels,
         &estimates,
         |i, r: &LccUnitResult| observe_unit(obs, i, &r.work),
-        move |a| {
+        move |tp: &mut TaskProcess, a| {
             let watch = Watch::new(Some(&live), a.trace);
-            run_lcc_unit_watched(&sp, &scene, &frags, &units[a.task], watch).0
+            run_lcc_unit_watched(tp, &sp, &scene, &frags, &units[a.task], watch).0
         },
     )?;
     Ok((merge_lcc_units(level, fragments, slots, report), measured))
@@ -189,9 +192,9 @@ pub fn run_parallel_lcc_exec(
 }
 
 /// Runs the RTF phase as `how` describes over region batches (the paper's
-/// RTF decomposition: 60–100 tasks, §4). Fragment ids are renumbered
-/// densely in batch order, exactly as the sequential
-/// [`spam::rtf::run_rtf_tasks`] does.
+/// RTF decomposition: 60–100 tasks, §4), merged by the same
+/// [`spam::rtf::merge_rtf_batches`] as the sequential
+/// [`spam::rtf::run_rtf_tasks`].
 pub fn run_parallel_rtf(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -211,20 +214,12 @@ pub fn run_parallel_rtf(
         labels,
         &estimates,
         |_, _| {},
-        move |a| {
-            let id_base = (a.task as i64) << 20;
-            spam::rtf::run_rtf_task(&sp, &scene, &batches[a.task], id_base).fragments
+        move |tp: &mut TaskProcess, a| {
+            spam::rtf::run_rtf_task(tp, &sp, &scene, &batches[a.task]).fragments
         },
     )?;
-    let mut merged = Vec::new();
-    for s in slots.into_iter().flatten() {
-        for mut f in s {
-            f.id = merged.len() as u32;
-            merged.push(f);
-        }
-    }
     Ok(RtfParallelResult {
-        fragments: merged,
+        fragments: spam::rtf::merge_rtf_batches(slots),
         report,
         measured,
     })

@@ -157,7 +157,7 @@ proptest! {
             labels,
             &[],
             |_, _| {},
-            move |a: TaskAttempt| run_arm(src, &shared[a.task], Arm::Sequential),
+            move |_: &mut (), a: TaskAttempt| run_arm(src, &shared[a.task], Arm::Sequential),
         )
         .unwrap();
         prop_assert_eq!(report.dead_letters().len(), 0);

@@ -51,32 +51,36 @@ const DUMMY: u32 = u32::MAX;
 /// entries at any instant, and probing those would be pure overhead).
 const INDEX_MIN_POPULATION: usize = 2;
 
-/// Build-time configuration of the network.
+/// Build-time configuration of the network. There are two networks, so
+/// there are two values: [`ReteConfig::shared`] (the default) and
+/// [`ReteConfig::unshared`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReteConfig {
-    /// Share join-chain prefixes between productions and memoise alpha
-    /// constant tests across memories.
-    pub share: bool,
-    /// Hash-index alpha and beta memories on equality-join slot values.
-    pub index: bool,
+    shared: bool,
 }
 
 impl ReteConfig {
-    /// The default production network: shared and indexed.
+    /// The default production network: join-chain prefixes shared between
+    /// productions, alpha constant tests memoised across memories, alpha
+    /// and beta memories hash-indexed on equality-join slot values.
     pub fn shared() -> ReteConfig {
-        ReteConfig {
-            share: true,
-            index: true,
-        }
+        ReteConfig { shared: true }
     }
 
     /// The seed-equivalent baseline: one private chain per production,
     /// linear scans, seed-identical work accounting.
     pub fn unshared() -> ReteConfig {
-        ReteConfig {
-            share: false,
-            index: false,
-        }
+        ReteConfig { shared: false }
+    }
+
+    /// Whether chain prefixes and alpha constant tests are shared.
+    pub fn share(self) -> bool {
+        self.shared
+    }
+
+    /// Whether equality joins probe hash indexes instead of scanning.
+    pub fn index(self) -> bool {
+        self.shared
     }
 }
 
@@ -301,7 +305,7 @@ impl Rete {
     ) -> Rete {
         let mut rete = Rete {
             config,
-            alpha: AlphaNetwork::with_sharing(config.share),
+            alpha: AlphaNetwork::with_sharing(config.share()),
             nodes: Vec::new(),
             roots: Vec::new(),
             n_productions: compiled
@@ -337,7 +341,7 @@ impl Rete {
     /// new node there, registering it with the alpha network.
     fn get_or_build_node(&mut self, parent: Option<u32>, spec: &ChainNodeSpec, prod: u32) -> u32 {
         self.beta.stats.unshared_beta_nodes += 1;
-        if self.config.share {
+        if self.config.share() {
             let siblings = match parent {
                 Some(p) => &self.nodes[p as usize].children,
                 None => &self.roots,
@@ -362,7 +366,7 @@ impl Rete {
             Some(p) => self.nodes[p as usize].level + 1,
             None => 0,
         };
-        let key_test = if self.config.index {
+        let key_test = if self.config.index() {
             spec.join_tests
                 .iter()
                 .position(|t| t.predicate == Predicate::Eq)
@@ -589,7 +593,7 @@ impl Rete {
             nodes: &self.nodes,
             alpha: &self.alpha,
             wm,
-            indexed: self.config.index,
+            indexed: self.config.index(),
             work: &mut self.work,
             beta: &mut self.beta,
         }

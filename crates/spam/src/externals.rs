@@ -11,7 +11,7 @@
 
 use crate::constraints::{Relation, CONSTRAINTS};
 use crate::fragments::{FragmentHypothesis, FragmentKind};
-use crate::rules::lcc_schema;
+use crate::rules::schema;
 use crate::scene::Scene;
 use ops5::{static_sym, Effects, Engine, Value};
 use spam_geometry::{aligned, collinearity, Obb, ADJACENCY_GAP};
@@ -26,8 +26,9 @@ pub struct ExternalCtx {
     /// Fragment table indexed by fragment id (empty during RTF, which
     /// creates the fragments).
     pub fragments: Arc<Vec<FragmentHypothesis>>,
-    /// Base for ids handed out by `new-frag-id` (RTF task processes get
-    /// disjoint ranges so ids stay globally unique).
+    /// Where the engine's id allocators (`new-frag-id`, `new-check-id`,
+    /// `new-area-id`) start: 0, or clear of the fragment table's ids for an
+    /// LCC task ([`crate::lcc::LCC_ID_BASE`]).
     pub id_base: i64,
 }
 
@@ -167,7 +168,7 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
     {
         let scene = Arc::clone(&ctx.scene);
         let fragments = Arc::clone(&ctx.fragments);
-        let consistent = lcc_schema().consistent;
+        let consistent = schema().consistent;
         engine.register_external(
             "lcc-check-pair",
             Arc::new(move |args, eff| {
@@ -208,6 +209,7 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                         Value::Int(g),
                         Value::Sym(constraint.relation.symbol()),
                         Value::Int(constraint.weight),
+                        Value::Nil,
                     ]),
                 );
                 Some(Value::Sym(static_sym!("yes")))

@@ -1,10 +1,15 @@
-//! The FA (functional-area) phase: aggregation of consistent fragments.
+//! The FA (functional-area) phase: aggregation of consistent fragments. One
+//! task on the lifecycle of [`crate::task`]; this module supplies its *load*
+//! (supported fragments, consistency records) and *harvest* (areas, members,
+//! predictions).
 
-use crate::fragments::FragmentHypothesis;
-use crate::lcc::ConsistentRec;
-use crate::rules::{enter_phase, SpamProgram};
+use crate::fragments::{FragmentHypothesis, FragmentKind};
+use crate::lcc::{fragment_fields, ConsistentRec};
+use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use ops5::{sym, CycleStats, Value, WorkCounters};
+use crate::task::TaskProcess;
+use crate::watch::Watch;
+use ops5::{static_sym, CycleStats, Value, WorkCounters};
 use std::sync::Arc;
 
 /// One functional area.
@@ -21,7 +26,7 @@ pub struct FunctionalArea {
 }
 
 /// Result of the FA phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaResult {
     /// The functional areas.
     pub areas: Vec<FunctionalArea>,
@@ -29,7 +34,7 @@ pub struct FaResult {
     /// into LCC — see [`crate::topdown`]).
     pub predictions: usize,
     /// The prediction records: `(predicting area, predicted kind)`.
-    pub prediction_list: Vec<(i64, crate::fragments::FragmentKind)>,
+    pub prediction_list: Vec<(i64, FragmentKind)>,
     /// Membership records `(area id, fragment id)` (seeds included).
     pub members: Vec<(i64, u32)>,
     /// Work performed.
@@ -47,98 +52,69 @@ pub fn run_fa(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     consistents: &[ConsistentRec],
 ) -> FaResult {
-    let mut e = sp.engine_for(scene, fragments, 0);
-    e.enable_cycle_log();
-    enter_phase(&mut e, sym("fa"));
-    for f in fragments.iter() {
-        e.make_wme(
-            "fragment",
-            &[
-                ("id", Value::Int(f.id as i64)),
-                ("region", Value::Int(f.region as i64)),
-                ("kind", f.kind.value()),
-                ("conf", Value::Float(f.confidence)),
-                ("support", Value::Int(f.support)),
-                ("status", Value::symbol("hypothesised")),
-            ],
-        )
-        .expect("fragment");
-    }
-    for c in consistents {
-        e.make_wme(
-            "consistent",
-            &[
-                ("a", Value::Int(c.a as i64)),
-                ("b", Value::Int(c.b as i64)),
-                ("rel", Value::symbol(c.rel.name())),
-                ("weight", Value::Int(c.weight)),
-                ("counted", Value::symbol("yes")),
-            ],
-        )
-        .expect("consistent");
-    }
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "FA must reach quiescence: {out:?}");
+    let tp = &mut TaskProcess::default();
+    run_fa_task(tp, sp, scene, fragments, consistents)
+}
 
-    let program = e.program();
-    let area_class = sym("fa-area");
-    let slot = |attr: &str| program.slot_of(area_class, sym(attr)).expect("slot") as usize;
-    let (s_id, s_kind, s_seed, s_n) = (slot("id"), slot("kind"), slot("seed"), slot("nmembers"));
-    let mut areas: Vec<FunctionalArea> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == area_class)
-        .map(|(_, w)| FunctionalArea {
-            id: w.get(s_id).as_int().unwrap_or(-1),
-            kind: w.get(s_kind).to_string(),
-            seed: w.get(s_seed).as_int().unwrap_or(0) as u32,
-            members: w.get(s_n).as_int().unwrap_or(1),
+/// [`run_fa`] as a task on `tp`'s engine.
+pub fn run_fa_task(
+    tp: &mut TaskProcess,
+    sp: &SpamProgram,
+    scene: &Arc<Scene>,
+    fragments: &Arc<Vec<FragmentHypothesis>>,
+    consistents: &[ConsistentRec],
+) -> FaResult {
+    let s = schema();
+    let (phase, watch) = (static_sym!("fa"), Watch::default());
+    let mut task = tp.begin(sp, scene, fragments, 0, phase, watch);
+    let e = task.engine();
+    for f in fragments.iter() {
+        s.fragment.make(e, fragment_fields(f, f.support));
+    }
+    let counted = Value::Sym(static_sym!("yes"));
+    for c in consistents {
+        let (a, b) = (Value::Int(c.a as i64), Value::Int(c.b as i64));
+        let (rel, weight) = (Value::Sym(c.rel.symbol()), Value::Int(c.weight));
+        s.consistent.make(e, [a, b, rel, weight, counted]);
+    }
+    let out = task.drive();
+
+    let e = task.engine();
+    let mut areas: Vec<FunctionalArea> = (s.area.rows(e))
+        .map(|[id, kind, seed, nmembers, _]| FunctionalArea {
+            id: id.as_int().unwrap_or(-1),
+            kind: kind.to_string(),
+            seed: seed.as_int().unwrap_or(0) as u32,
+            members: nmembers.as_int().unwrap_or(1),
         })
         .collect();
     areas.sort_by_key(|a| a.id);
-    let member_class = sym("fa-member");
-    let mslot = |attr: &str| program.slot_of(member_class, sym(attr)).expect("slot") as usize;
-    let (m_area, m_frag) = (mslot("area"), mslot("frag"));
-    let mut members: Vec<(i64, u32)> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == member_class)
-        .filter_map(|(_, w)| Some((w.get(m_area).as_int()?, w.get(m_frag).as_int()? as u32)))
+    let mut members: Vec<(i64, u32)> = (s.member.rows(e))
+        .filter_map(|[area, frag]| Some((area.as_int()?, frag.as_int()? as u32)))
         .collect();
     // Seeds are members of their own areas.
-    for a in &areas {
-        members.push((a.id, a.seed));
-    }
+    members.extend(areas.iter().map(|a| (a.id, a.seed)));
     members.sort();
     members.dedup();
-
-    let pred_class = sym("prediction");
-    let pslot = |attr: &str| program.slot_of(pred_class, sym(attr)).expect("slot") as usize;
-    let (p_area, p_kind) = (pslot("area"), pslot("kind"));
-    let mut prediction_list: Vec<(i64, crate::fragments::FragmentKind)> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == pred_class)
-        .filter_map(|(_, w)| {
-            let kind = w
-                .get(p_kind)
-                .as_sym()
-                .and_then(|s| crate::fragments::FragmentKind::from_name(&s.name()))?;
-            Some((w.get(p_area).as_int()?, kind))
+    let mut prediction_list: Vec<(i64, FragmentKind)> = (s.prediction.rows(e))
+        .filter_map(|[area, kind]| {
+            let kind = FragmentKind::from_name(&kind.as_sym()?.name())?;
+            Some((area.as_int()?, kind))
         })
         .collect();
     prediction_list.sort();
-    let predictions = prediction_list.len();
 
-    FaResult {
+    let result = FaResult {
         areas,
-        predictions,
+        predictions: prediction_list.len(),
         prediction_list,
         members,
         work: e.work(),
         firings: out.firings,
         cycle_log: e.take_cycle_log(),
-    }
+    };
+    task.finish();
+    result
 }
 
 #[cfg(test)]

@@ -14,17 +14,17 @@
 //! itself (working-memory distribution, §5.1). Results (consistency records
 //! and support increments) never cross task boundaries, which is what makes
 //! the decomposition safe to run asynchronously.
-//! A task's one lifecycle is [`run_lcc_unit_watched`].
+//! A task takes the lifecycle of [`crate::task`]; this module supplies its
+//! *load* ([`load_unit_wm`]) and *harvest* ([`harvest_lcc_unit`]).
 
 use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
-use crate::rules::{enter_phase, lcc_schema, LccSchema, SpamProgram};
+use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
+use crate::task::TaskProcess;
 use crate::watch::Watch;
-use ops5::ast::SlotIdx;
 use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 use tlp_fault::TaskReport;
@@ -233,32 +233,35 @@ pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) 
     }
 }
 
-fn constraint_fields(s: &LccSchema, c: &Constraint) -> [(SlotIdx, Value); 6] {
-    s.constraint.sets([
+fn constraint_fields(c: &Constraint) -> [Value; 6] {
+    [
         Value::Int(c.id as i64),
         c.subject.value(),
         c.object.value(),
         Value::Sym(c.relation.symbol()),
         Value::Float(c.param),
         Value::Int(c.weight),
-    ])
+    ]
 }
 
-fn fragment_fields(s: &LccSchema, f: &FragmentHypothesis) -> [(SlotIdx, Value); 6] {
-    s.fragment.sets([
+/// A `fragment` element's fields for `f` with `support` — zero when a task
+/// is to accumulate it (LCC), the accumulated total downstream (FA).
+pub(crate) fn fragment_fields(f: &FragmentHypothesis, support: i64) -> [Value; 6] {
+    [
         Value::Int(f.id as i64),
         Value::Int(f.region as i64),
         f.kind.value(),
         Value::Float(f.confidence),
-        Value::Int(0),
+        Value::Int(support),
         Value::Sym(static_sym!("hypothesised")),
-    ])
+    ]
 }
 
 /// Loads one task's working memory into an engine (working-memory
 /// distribution, §5.1): the subject fragment(s), their spatial
 /// neighbourhoods, the applicable constraint records, and the task element
-/// itself. The `control` element must already be present.
+/// itself. The `control` element must already be present
+/// ([`crate::rules::enter_phase`]; [`TaskProcess::begin`] makes it).
 pub fn load_unit_wm(
     e: &mut ops5::Engine,
     scene: &Arc<Scene>,
@@ -293,14 +296,11 @@ pub fn load_unit_wm(
         }
         _ => wm_frags.extend(nbhs.iter().flatten()),
     }
-    let s = lcc_schema();
+    let s = schema();
     let pending = Value::Sym(static_sym!("pending"));
     for &fid in &wm_frags {
-        e.make_wme_slots(
-            s.fragment.class,
-            &fragment_fields(s, &fragments[fid as usize]),
-        )
-        .expect("fragment");
+        s.fragment
+            .make(e, fragment_fields(&fragments[fid as usize], 0));
     }
 
     // Spatial windows: the control process precomputes which partners lie
@@ -309,10 +309,8 @@ pub fn load_unit_wm(
     // what bounds the Level-4 class tasks).
     let mut near = |a: u32, b: u32| {
         let kind = fragments[b as usize].kind.value();
-        let sets = s
-            .near
-            .sets([Value::Int(a as i64), Value::Int(b as i64), kind]);
-        e.make_wme_slots(s.near.class, &sets).expect("near");
+        s.near
+            .make(e, [Value::Int(a as i64), Value::Int(b as i64), kind]);
     };
     match unit {
         LccUnit::Pair { frag, other, .. } => near(*frag, *other),
@@ -329,166 +327,63 @@ pub fn load_unit_wm(
     match unit {
         LccUnit::Class(_) | LccUnit::Object(_) => {
             for c in CONSTRAINTS {
-                e.make_wme_slots(s.constraint.class, &constraint_fields(s, c))
-                    .expect("constraint");
+                s.constraint.make(e, constraint_fields(c));
             }
             for &f in &subjects {
                 let id = Value::Int(f as i64);
                 let kind = fragments[f as usize].kind.value();
-                e.make_wme_slots(s.task.class, &s.task.sets([id, id, kind, pending]))
-                    .expect("lcc-task");
+                s.task.make(e, [id, id, kind, pending]);
             }
         }
         LccUnit::ObjectConstraint(f, c) => {
-            let con = &CONSTRAINTS[*c as usize];
-            e.make_wme_slots(s.constraint.class, &constraint_fields(s, con))
-                .expect("constraint");
-            let sets = s.check.sets([
-                Value::Int(((*f as i64) << 8) | *c as i64),
-                Value::Int(-1),
-                Value::Int(*f as i64),
-                Value::Int(*c as i64),
-                pending,
-            ]);
-            e.make_wme_slots(s.check.class, &sets).expect("lcc-check");
+            s.constraint
+                .make(e, constraint_fields(&CONSTRAINTS[*c as usize]));
+            let id = Value::Int(((*f as i64) << 8) | *c as i64);
+            let (frag, con) = (Value::Int(*f as i64), Value::Int(*c as i64));
+            s.check.make(e, [id, Value::Int(-1), frag, con, pending]);
         }
         LccUnit::Pair {
             frag,
             constraint,
             other,
         } => {
-            let sets = s.pair.sets([
-                Value::Int(-1),
-                Value::Int(*frag as i64),
-                Value::Int(*other as i64),
-                Value::Int(*constraint as i64),
-                pending,
-            ]);
-            e.make_wme_slots(s.pair.class, &sets).expect("lcc-pair");
+            let (frag, other) = (Value::Int(*frag as i64), Value::Int(*other as i64));
+            let con = Value::Int(*constraint as i64);
+            s.pair.make(e, [Value::Int(-1), frag, other, con, pending]);
         }
     }
 }
 
-/// The one LCC task set-up, behind every runner that builds one — this
-/// module's, the checkpointed one, the port-factor baseline: the `control`
-/// element that puts the rule base in its LCC phase, then [`load_unit_wm`].
-pub fn load_lcc_task(
-    e: &mut ops5::Engine,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-) {
-    enter_phase(e, static_sym!("lcc"));
-    load_unit_wm(e, scene, fragments, unit);
-}
-
-/// Executes one LCC task on this thread's task engine — kept between
-/// units and reset, not rebuilt (DESIGN.md §21); the result is that of a
-/// fresh, independent engine. The engine stays in the thread's slot when
-/// the unit is over: whoever loops over units calls
-/// [`release_task_engine`] when the loop is.
+/// Executes one LCC task on `tp`'s engine — kept between tasks and reset,
+/// not rebuilt ([`crate::task`]); the result is that of a fresh,
+/// independent engine.
 pub fn run_lcc_unit(
+    tp: &mut TaskProcess,
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> LccUnitResult {
-    run_lcc_unit_watched(sp, scene, fragments, unit, Watch::default()).0
-}
-
-/// The engine a thread keeps between LCC units, with the inputs it was
-/// built for. Holding the `Arc`s (not bare addresses) is what makes the
-/// pointer comparison in [`TaskEngine::serves`] sound: an address cannot be
-/// reused for other inputs while the slot still owns the old ones.
-struct TaskEngine {
-    compiled: Arc<Vec<ops5::rete::compile::CompiledProduction>>,
-    config: ops5::ReteConfig,
-    scene: Arc<Scene>,
-    fragments: Arc<Vec<FragmentHypothesis>>,
-    engine: ops5::Engine,
-}
-
-impl TaskEngine {
-    fn serves(
-        &self,
-        sp: &SpamProgram,
-        scene: &Arc<Scene>,
-        fragments: &Arc<Vec<FragmentHypothesis>>,
-    ) -> bool {
-        Arc::ptr_eq(&self.compiled, &sp.compiled)
-            && self.config == sp.config
-            && Arc::ptr_eq(&self.scene, scene)
-            && Arc::ptr_eq(&self.fragments, fragments)
-    }
-}
-
-thread_local! {
-    /// One task engine per thread — the paper's task process owns one OPS5
-    /// instance and draws tasks from the queue. Empty while a unit runs.
-    static TASK_ENGINE: RefCell<Option<TaskEngine>> = const { RefCell::new(None) };
+    run_lcc_unit_watched(tp, sp, scene, fragments, unit, Watch::default()).0
 }
 
 /// Executes one LCC task like [`run_lcc_unit`] with `watch` looking on,
-/// returning the task's [`MatchProfile`] too if the watch asked for one.
-/// The one task lifecycle, behind [`run_lcc_unit`], [`run_lcc`]'s loop and
-/// the parallel runner's task closure:
-///
-/// 1. **wire** — the engine is *taken out* of the thread's slot and
-///    [`ops5::Engine::reset`] if it was built for these very inputs, else
-///    replaced by a new [`lcc_engine`];
-/// 2. **watch** — the cycle log (and the profiler, if wanted) is switched
-///    on; `watch` itself stays outside the engine;
-/// 3. **load** — [`load_lcc_task`];
-/// 4. **drive** — [`Watch::drive`] to quiescence, which also
-/// 5. **publishes** what the watch's cadence had not yet;
-/// 6. **harvest** — [`harvest_lcc_unit`];
-/// 7. **put back** — only now does the engine return to the slot.
-///
-/// A unit that panics — tasks run under `catch_unwind` with injected
-/// faults — therefore unwinds through an empty slot and drops its half-run
-/// engine; the thread's next unit builds a new one. There is no state a
-/// failed task can leave behind for the next, and nothing to poison.
+/// returning the task's [`MatchProfile`] too if the watch asked for one:
+/// [`load_unit_wm`] and [`harvest_lcc_unit`] around the one task lifecycle.
 pub fn run_lcc_unit_watched(
+    tp: &mut TaskProcess,
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
-    mut watch: Watch,
+    watch: Watch,
 ) -> (LccUnitResult, Option<MatchProfile>) {
-    let kept = TASK_ENGINE.with(|slot| slot.borrow_mut().take());
-    let mut te = match kept {
-        Some(mut te) if te.serves(sp, scene, fragments) => {
-            te.engine.reset();
-            te
-        }
-        _ => TaskEngine {
-            compiled: Arc::clone(&sp.compiled),
-            config: sp.config,
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            engine: lcc_engine(sp, scene, fragments),
-        },
-    };
-    let e = &mut te.engine;
-    e.enable_cycle_log();
-    if watch.profile {
-        e.enable_profile();
-    }
-    load_lcc_task(e, scene, fragments, unit);
-
-    let out = watch.drive(e);
-    debug_assert!(out.quiescent(), "LCC task must reach quiescence: {out:?}");
-    // `None` unless this unit enabled it: `reset` detached the last one's.
-    let prof = e.take_profile();
-    let result = harvest_lcc_unit(e, out.firings);
-    TASK_ENGINE.with(|slot| *slot.borrow_mut() = Some(te));
-    (result, prof)
-}
-
-/// Whether this thread keeps no task engine right now.
-#[cfg(test)]
-pub(crate) fn task_engine_is_released() -> bool {
-    TASK_ENGINE.with(|slot| slot.borrow().is_none())
+    let phase = static_sym!("lcc");
+    let mut task = tp.begin(sp, scene, fragments, LCC_ID_BASE, phase, watch);
+    load_unit_wm(task.engine(), scene, fragments, unit);
+    let out = task.drive();
+    let result = harvest_lcc_unit(task.engine(), out.firings);
+    (result, task.finish())
 }
 
 /// Where an LCC task engine's id allocators start: clear of every id the
@@ -540,38 +435,21 @@ pub fn restore_lcc_engine(
 /// ([`ops5::RunOutcome::firings`], or [`ops5::Engine::work`]`.firings` for
 /// a stepped or restored engine).
 pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
-    let s = lcc_schema();
-    let cons_class = s.consistent.class;
-    let [ca, cb, crel, cw] = s.consistent.slots.map(usize::from);
-    let consistents: Vec<ConsistentRec> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == cons_class)
-        .map(|(_, w)| ConsistentRec {
-            a: w.get(ca).as_int().unwrap_or(0) as u32,
-            b: w.get(cb).as_int().unwrap_or(0) as u32,
-            rel: w
-                .get(crel)
-                .as_sym()
+    let s = schema();
+    let consistents = (s.consistent.rows(e))
+        .map(|[a, b, rel, weight, _]| ConsistentRec {
+            a: a.as_int().unwrap_or(0) as u32,
+            b: b.as_int().unwrap_or(0) as u32,
+            rel: (rel.as_sym())
                 .and_then(Relation::from_symbol)
                 .unwrap_or(Relation::Near),
-            weight: w.get(cw).as_int().unwrap_or(0),
+            weight: weight.as_int().unwrap_or(0),
         })
         .collect();
-
-    let frag_class = s.fragment.class;
-    let [fid, _, _, _, fsup, _] = s.fragment.slots.map(usize::from);
-    let supports: Vec<(u32, i64)> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == frag_class)
-        .filter_map(|(_, w)| {
-            let s = w.get(fsup).as_int()?;
-            if s > 0 {
-                Some((w.get(fid).as_int()? as u32, s))
-            } else {
-                None
-            }
+    let supports = (s.fragment.rows(e))
+        .filter_map(|[id, _, _, _, support, _]| {
+            let s = support.as_int()?;
+            (s > 0).then_some((id.as_int()? as u32, s))
         })
         .collect();
 
@@ -619,12 +497,17 @@ fn run_lcc_inner(
 ) -> (LccPhaseResult, Option<MatchProfile>) {
     let units = decompose(scene, fragments, level);
     let mut merged: Option<MatchProfile> = None;
+    // This phase's one task process: its engine goes when the phase does.
+    // Kept past it the engine would only pin its share of the heap
+    // (measured: +13 % peak RSS at Level 4) until the next phase, which
+    // brings its own fragment table and so could not reuse it anyway.
+    let mut tp = TaskProcess::default();
     // The merge pulls the units through one at a time, so each result is
     // folded in while it is still warm and stored once.
     let results = units.iter().map(|u| {
         let mut watch = Watch::default();
         watch.profile = profile;
-        let (r, prof) = run_lcc_unit_watched(sp, scene, fragments, u, watch);
+        let (r, prof) = run_lcc_unit_watched(&mut tp, sp, scene, fragments, u, watch);
         if let Some(p) = prof {
             match &mut merged {
                 Some(m) => m.merge(&p),
@@ -634,19 +517,7 @@ fn run_lcc_inner(
         Some(r)
     });
     let report = TaskReport::all_ok(units.iter().map(|u| u.label()));
-    let phase = merge_lcc_units(level, fragments, results, report);
-    release_task_engine();
-    (phase, merged)
-}
-
-/// Drops the engine this thread kept between LCC units, if any. Called
-/// when a phase is over — by [`run_lcc`] on its own thread, by a resident
-/// pool worker after it has counted out of the phase. Kept past the phase
-/// the engine would only pin its share of the heap (measured: +13 % peak
-/// RSS at Level 4) until the next phase, which brings its own fragment
-/// table and so could not reuse it anyway.
-pub fn release_task_engine() {
-    TASK_ENGINE.with(|slot| slot.borrow_mut().take());
+    (merge_lcc_units(level, fragments, results, report), merged)
 }
 
 /// Merges per-unit results, in unit order, into the phase result: the one
@@ -690,19 +561,6 @@ pub fn merge_lcc_units(
     }
 }
 
-// The parallel runner executes LCC units under `std::panic::catch_unwind`;
-// that is only sound because a unit's engine is built from shared
-// *immutable* state and, when kept for the next unit, is out of its
-// thread's slot for as long as the unit runs (`run_lcc_unit_watched`).
-// Keep these types unwind-safe.
-const _: () = {
-    const fn assert_ref_unwind_safe<T: std::panic::RefUnwindSafe>() {}
-    assert_ref_unwind_safe::<SpamProgram>();
-    assert_ref_unwind_safe::<Scene>();
-    assert_ref_unwind_safe::<FragmentHypothesis>();
-    assert_ref_unwind_safe::<LccUnit>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,7 +596,8 @@ mod tests {
             .iter()
             .find(|f| f.kind == FragmentKind::Runway)
             .expect("a runway hypothesis");
-        let r = run_lcc_unit(&sp, &scene, &frags, &LccUnit::Object(runway.id));
+        let tp = &mut TaskProcess::default();
+        let r = run_lcc_unit(tp, &sp, &scene, &frags, &LccUnit::Object(runway.id));
         assert!(r.firings >= 3, "tasks fire at least a few productions");
         assert!(
             !r.consistents.is_empty(),
@@ -753,10 +612,11 @@ mod tests {
         use tlp_obs::{Live, LiveValue};
         let (sp, scene, frags) = setup();
         let unit = LccUnit::Object(frags[0].id);
-        let plain = run_lcc_unit(&sp, &scene, &frags, &unit);
+        let tp = &mut TaskProcess::default();
+        let plain = run_lcc_unit(tp, &sp, &scene, &frags, &unit);
         let live = Live::new(8);
         let watch = Watch::new(Some(&live), None);
-        let (mirrored, _) = run_lcc_unit_watched(&sp, &scene, &frags, &unit, watch);
+        let (mirrored, _) = run_lcc_unit_watched(tp, &sp, &scene, &frags, &unit, watch);
         assert_eq!(plain.consistents, mirrored.consistents);
         assert_eq!(plain.supports, mirrored.supports);
         assert_eq!(plain.work, mirrored.work, "mirror must not change work");
@@ -784,7 +644,7 @@ mod tests {
         // still computes the same results.
         let off = Live::off();
         let watch = Watch::new(Some(&off), None);
-        let (silent, _) = run_lcc_unit_watched(&sp, &scene, &frags, &unit, watch);
+        let (silent, _) = run_lcc_unit_watched(tp, &sp, &scene, &frags, &unit, watch);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());
     }
@@ -809,24 +669,26 @@ mod tests {
         let mut damaged = frags.as_ref().clone();
         damaged[bad as usize].region = u32::MAX;
         let damaged = Arc::new(damaged);
-        let slot_is_empty = task_engine_is_released;
+        let mut tp = TaskProcess::default();
 
-        // The thread's engine is built for the damaged table and kept.
-        let before = run_lcc_unit(&sp, &scene, &damaged, good);
-        assert!(!slot_is_empty(), "a finished unit puts its engine back");
+        // The process's engine is built for the damaged table and kept.
+        let before = run_lcc_unit(&mut tp, &sp, &scene, &damaged, good);
+        assert!(tp.keeps_an_engine(), "a finished unit puts its engine back");
 
         // The same engine, reset, runs the poisoned pair and unwinds.
-        let crashed = std::panic::catch_unwind(|| run_lcc_unit(&sp, &scene, &damaged, &pairs[0]));
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_lcc_unit(&mut tp, &sp, &scene, &damaged, &pairs[0])
+        }));
         assert!(crashed.is_err(), "the external indexes a missing region");
-        assert!(slot_is_empty(), "the half-run engine was dropped, not kept");
+        assert!(!tp.keeps_an_engine(), "the half-run engine went with it");
 
-        // The next unit on this thread builds a new engine and is unaffected.
-        let after = run_lcc_unit(&sp, &scene, &damaged, good);
+        // The process's next unit builds a new engine and is unaffected.
+        let after = run_lcc_unit(&mut tp, &sp, &scene, &damaged, good);
         assert_eq!(after, before);
-        assert!(after.firings > 0 && !slot_is_empty());
+        assert!(after.firings > 0 && tp.keeps_an_engine());
         // ... and equals the unit on the undamaged inputs (the damaged
         // fragment is not in its working memory).
-        assert_eq!(after, run_lcc_unit(&sp, &scene, &frags, good));
+        assert_eq!(after, run_lcc_unit(&mut tp, &sp, &scene, &frags, good));
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! production systems: only 30–50 % of its time is match, the rest is
 //! task-related computation.
 //!
-//! The engine only counts; [`watch`] is how a task runner watches one from
-//! outside (live-registry mirror, scene-trace cycle windows) without the
-//! engine knowing.
+//! Every task of every phase runs on a [`task::TaskProcess`] — the paper's
+//! task process as a value that owns its engine. The engine only counts;
+//! [`watch`] is how a task runner watches one from outside (live-registry
+//! mirror, scene-trace cycle windows) without the engine knowing.
 //!
 //! The three airport datasets of the paper (San Francisco International,
 //! Washington National, NASA Ames Moffett Field) are not available; the
@@ -53,6 +54,7 @@ pub mod phases;
 pub mod rtf;
 pub mod rules;
 pub mod scene;
+pub mod task;
 pub mod topdown;
 pub mod watch;
 

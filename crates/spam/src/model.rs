@@ -1,10 +1,14 @@
-//! The MODEL phase: scene-model assembly and stereo verification.
+//! The MODEL phase: scene-model assembly and stereo verification. One task
+//! on the lifecycle of [`crate::task`]; this module supplies its *load* (the
+//! grown functional areas) and *harvest* (the model and its areas).
 
 use crate::fa::FunctionalArea;
 use crate::fragments::FragmentHypothesis;
-use crate::rules::{enter_phase, SpamProgram};
+use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use ops5::{sym, CycleStats, Value, WorkCounters};
+use crate::task::TaskProcess;
+use crate::watch::Watch;
+use ops5::{static_sym, CycleStats, Value, WorkCounters};
 use spam_geometry::{convex_hull, intersection_area, Point, Polygon};
 use std::sync::Arc;
 
@@ -88,7 +92,7 @@ pub fn model_metrics(
 }
 
 /// Result of the MODEL phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelResult {
     /// Number of scene models produced (the paper's runs produce 1).
     pub models: usize,
@@ -117,58 +121,58 @@ pub fn run_model(
     areas: &[FunctionalArea],
     members: &[(i64, u32)],
 ) -> ModelResult {
-    let mut e = sp.engine_for(scene, fragments, 0);
-    e.enable_cycle_log();
-    enter_phase(&mut e, sym("model"));
-    for a in areas {
-        e.make_wme(
-            "fa-area",
-            &[
-                ("id", Value::Int(a.id)),
-                ("kind", Value::symbol(&a.kind)),
-                ("seed", Value::Int(a.seed as i64)),
-                ("nmembers", Value::Int(a.members)),
-                ("status", Value::symbol("grown")),
-            ],
-        )
-        .expect("fa-area");
-    }
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "MODEL must reach quiescence: {out:?}");
+    let tp = &mut TaskProcess::default();
+    run_model_task(tp, sp, scene, fragments, areas, members)
+}
 
-    let program = e.program();
-    let model_class = sym("model");
-    let slot = |attr: &str| program.slot_of(model_class, sym(attr)).expect("slot") as usize;
-    let (s_score, s_areas) = (slot("score"), slot("areas"));
+/// [`run_model`] as a task on `tp`'s engine — the one FA kept, when it ran
+/// on the same inputs.
+pub fn run_model_task(
+    tp: &mut TaskProcess,
+    sp: &SpamProgram,
+    scene: &Arc<Scene>,
+    fragments: &Arc<Vec<FragmentHypothesis>>,
+    areas: &[FunctionalArea],
+    members: &[(i64, u32)],
+) -> ModelResult {
+    let s = schema();
+    let (phase, watch) = (static_sym!("model"), Watch::default());
+    let mut task = tp.begin(sp, scene, fragments, 0, phase, watch);
+    let e = task.engine();
+    let grown = Value::Sym(static_sym!("grown"));
+    for a in areas {
+        let (id, kind) = (Value::Int(a.id), Value::symbol(&a.kind));
+        let (seed, nmembers) = (Value::Int(a.seed as i64), Value::Int(a.members));
+        s.area.make(e, [id, kind, seed, nmembers, grown]);
+    }
+    let out = task.drive();
+
+    let e = task.engine();
     let mut models = 0;
     let mut areas_used = 0;
     let mut score = 0;
-    for (_, w) in e.wm().iter().filter(|(_, w)| w.class == model_class) {
+    for [model_score, model_areas] in s.model.rows(e) {
         models += 1;
-        areas_used = w.get(s_areas).as_int().unwrap_or(0);
-        score = w.get(s_score).as_int().unwrap_or(0);
+        areas_used = model_areas.as_int().unwrap_or(0);
+        score = model_score.as_int().unwrap_or(0);
     }
     // Selected areas: the model-area records.
-    let ma_class = sym("model-area");
-    let ma_slot = program.slot_of(ma_class, sym("area")).expect("slot") as usize;
-    let mut selected: Vec<i64> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == ma_class)
-        .filter_map(|(_, w)| w.get(ma_slot).as_int())
+    let mut selected: Vec<i64> = (s.model_area.rows(e))
+        .filter_map(|[area]| area.as_int())
         .collect();
     selected.sort_unstable();
-    let metrics = model_metrics(scene, fragments, members, &selected);
-    ModelResult {
+    let result = ModelResult {
         models,
         areas_used,
         score,
-        metrics,
+        metrics: model_metrics(scene, fragments, members, &selected),
         selected,
         work: e.work(),
         firings: out.firings,
         cycle_log: e.take_cycle_log(),
-    }
+    };
+    task.finish();
+    result
 }
 
 #[cfg(test)]

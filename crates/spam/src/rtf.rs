@@ -1,13 +1,18 @@
-//! The RTF (region-to-fragment) phase: heuristic classification.
+//! The RTF (region-to-fragment) phase: heuristic classification. An RTF
+//! task — the whole scene, or one batch of its regions — takes the lifecycle
+//! of [`crate::task`]; this module supplies its *load* (the scene domain's
+//! prototypes and the task's regions) and *harvest* (the fragments made).
 
 use crate::fragments::{FragmentHypothesis, FragmentKind};
-use crate::rules::{enter_phase, SpamProgram};
+use crate::rules::{schema, SpamProgram};
 use crate::scene::{Region, Scene};
-use ops5::{sym, CycleStats, Engine, Value, WorkCounters};
-use std::sync::Arc;
+use crate::task::TaskProcess;
+use crate::watch::Watch;
+use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
+use std::sync::{Arc, OnceLock};
 
 /// Result of an RTF run (full phase or one task).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct RtfResult {
     /// The fragment hypotheses, indexed by id.
     pub fragments: Vec<FragmentHypothesis>,
@@ -19,84 +24,64 @@ pub struct RtfResult {
     pub cycle_log: Vec<CycleStats>,
 }
 
-/// Field list for a region WME.
-pub fn region_fields(r: &Region) -> Vec<(&'static str, Value)> {
+/// The fields of a `region` element.
+fn region_fields(r: &Region) -> [Value; 9] {
     let d = &r.descriptors;
-    vec![
-        ("id", Value::Int(r.id as i64)),
-        ("status", Value::symbol("pending")),
-        ("elongation", Value::Float(d.elongation)),
-        ("length", Value::Float(d.length)),
-        ("width", Value::Float(d.width)),
-        ("compactness", Value::Float(d.compactness)),
-        ("rectangularity", Value::Float(d.rectangularity)),
-        ("intensity", Value::Float(r.intensity)),
-        ("area", Value::Float(d.area)),
+    [
+        Value::Int(r.id as i64),
+        Value::Sym(static_sym!("pending")),
+        Value::Float(d.elongation),
+        Value::Float(d.length),
+        Value::Float(d.width),
+        Value::Float(d.compactness),
+        Value::Float(d.rectangularity),
+        Value::Float(r.intensity),
+        Value::Float(d.area),
     ]
 }
 
-fn fresh_engine(sp: &SpamProgram, scene: &Arc<Scene>, id_base: i64) -> Engine {
-    let mut e = sp.engine_for(scene, &Arc::new(Vec::new()), id_base);
-    e.enable_cycle_log();
-    enter_phase(&mut e, sym("rtf"));
-    // Classification prototypes (the class envelopes live in WM; the
-    // classification work is join work — see rules::rtf_rules).
+/// The fragment table RTF engines are wired with: RTF *creates* the
+/// fragments. One per process, so that every RTF task on a scene finds the
+/// engine its task process kept for the last one.
+fn no_fragments() -> &'static Arc<Vec<FragmentHypothesis>> {
+    static NONE: OnceLock<Arc<Vec<FragmentHypothesis>>> = OnceLock::new();
+    NONE.get_or_init(Arc::default)
+}
+
+/// Loads an RTF task's working memory: the classification prototypes of
+/// the scene's domain (the class envelopes live in WM; the classification
+/// work is join work — see `rules::rtf_rules`) and the task's regions.
+fn load_rtf_task(e: &mut Engine, scene: &Scene, regions: &[u32]) {
+    let s = schema();
     for (name, p) in crate::rules::prototypes() {
         if p.domain != scene.domain {
             continue; // scene-type knowledge gates the class envelopes
         }
-        let b = p.bounds;
-        e.make_wme(
-            "proto",
-            &[
-                ("kind", Value::symbol(name)),
-                ("out", Value::symbol(p.out)),
-                ("eln", Value::Float(b[0])),
-                ("elx", Value::Float(b[1])),
-                ("lnn", Value::Float(b[2])),
-                ("lnx", Value::Float(b[3])),
-                ("wdn", Value::Float(b[4])),
-                ("wdx", Value::Float(b[5])),
-                ("inn", Value::Float(b[6])),
-                ("inx", Value::Float(b[7])),
-                ("arn", Value::Float(b[8])),
-                ("arx", Value::Float(b[9])),
-                ("cpn", Value::Float(b[10])),
-                ("rcn", Value::Float(b[11])),
-                ("conf", Value::Float(p.conf)),
-            ],
-        )
-        .expect("proto class");
+        let (kind, out, conf) = (Value::symbol(name), Value::symbol(p.out), p.conf.into());
+        let [eln, elx, lnn, lnx, wdn, wdx, inn, inx, arn, arx, cpn, rcn] =
+            p.bounds.map(Value::Float);
+        let envelope = [
+            kind, out, eln, elx, lnn, lnx, wdn, wdx, inn, inx, arn, arx, cpn, rcn, conf,
+        ];
+        s.proto.make(e, envelope);
     }
-    e
+    for &rid in regions {
+        s.region
+            .make(e, region_fields(&scene.regions[rid as usize]));
+    }
 }
 
-/// Extracts fragment hypotheses from an engine's working memory.
+/// Extracts fragment hypotheses from an engine's working memory, by id.
 pub fn collect_fragments(e: &Engine) -> Vec<FragmentHypothesis> {
-    let program = e.program();
-    let frag = sym("fragment");
-    let slot = |attr: &str| program.slot_of(frag, sym(attr)).expect("fragment slot") as usize;
-    let (s_id, s_region, s_kind, s_conf, s_support) = (
-        slot("id"),
-        slot("region"),
-        slot("kind"),
-        slot("conf"),
-        slot("support"),
-    );
-    let mut out: Vec<FragmentHypothesis> = e
-        .wm()
-        .iter()
-        .filter(|(_, w)| w.class == frag)
-        .map(|(_, w)| FragmentHypothesis {
-            id: w.get(s_id).as_int().unwrap_or(0) as u32,
-            region: w.get(s_region).as_int().unwrap_or(0) as u32,
-            kind: w
-                .get(s_kind)
-                .as_sym()
+    let mut out: Vec<FragmentHypothesis> = (schema().fragment.rows(e))
+        .map(|[id, region, kind, conf, support, _]| FragmentHypothesis {
+            id: id.as_int().unwrap_or(0) as u32,
+            region: region.as_int().unwrap_or(0) as u32,
+            kind: (kind.as_sym())
                 .and_then(|s| FragmentKind::from_name(&s.name()))
                 .unwrap_or(FragmentKind::Tarmac),
-            confidence: w.get(s_conf).as_f64().unwrap_or(0.0),
-            support: w.get(s_support).as_int().unwrap_or(0),
+            confidence: conf.as_f64().unwrap_or(0.0),
+            support: support.as_int().unwrap_or(0),
         })
         .collect();
     out.sort_by_key(|f| f.id);
@@ -106,32 +91,33 @@ pub fn collect_fragments(e: &Engine) -> Vec<FragmentHypothesis> {
 /// Runs the complete RTF phase sequentially over `scene`.
 pub fn run_rtf(sp: &SpamProgram, scene: &Arc<Scene>) -> RtfResult {
     let regions: Vec<u32> = (0..scene.len() as u32).collect();
-    run_rtf_task(sp, scene, &regions, 0)
+    run_rtf_task(&mut TaskProcess::default(), sp, scene, &regions)
 }
 
-/// Runs RTF over a subset of regions — one RTF task of the task-level
-/// decomposition (§4: "a decomposition level providing approximately 60-100
-/// tasks ... at roughly the same granularity as Level 2 of the LCC phase").
-/// `id_base` gives the task a disjoint fragment-id range.
+/// Runs RTF over a subset of regions on `tp`'s engine — one RTF task of the
+/// task-level decomposition (§4: "a decomposition level providing
+/// approximately 60-100 tasks ... at roughly the same granularity as Level 2
+/// of the LCC phase"). Every task numbers its fragments from zero;
+/// [`merge_rtf_batches`] renumbers.
 pub fn run_rtf_task(
+    tp: &mut TaskProcess,
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     regions: &[u32],
-    id_base: i64,
 ) -> RtfResult {
-    let mut e = fresh_engine(sp, scene, id_base);
-    for &rid in regions {
-        let fields = region_fields(&scene.regions[rid as usize]);
-        e.make_wme("region", &fields).expect("region class");
-    }
-    let out = e.run(1_000_000);
-    debug_assert!(out.quiescent(), "RTF must reach quiescence: {out:?}");
-    RtfResult {
-        fragments: collect_fragments(&e),
+    let (phase, watch) = (static_sym!("rtf"), Watch::default());
+    let mut task = tp.begin(sp, scene, no_fragments(), 0, phase, watch);
+    load_rtf_task(task.engine(), scene, regions);
+    let out = task.drive();
+    let e = task.engine();
+    let result = RtfResult {
+        fragments: collect_fragments(e),
         work: e.work(),
         firings: out.firings,
         cycle_log: e.take_cycle_log(),
-    }
+    };
+    task.finish();
+    result
 }
 
 /// Splits the scene's regions into RTF task batches of `batch` regions.
@@ -144,23 +130,33 @@ pub fn rtf_task_batches(scene: &Scene, batch: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Runs RTF as a sequence of tasks and merges the results (fragment ids are
-/// renumbered densely in task order, preserving per-task relative order).
+/// Merges per-batch fragments, in batch order, into the scene's fragment
+/// table: ids are renumbered densely, preserving each batch's relative
+/// order. A `None` slot is a batch that never completed (dead-lettered
+/// under supervision) and contributes nothing, as in
+/// [`crate::lcc::merge_lcc_units`].
+pub fn merge_rtf_batches(
+    slots: impl IntoIterator<Item = Option<Vec<FragmentHypothesis>>>,
+) -> Vec<FragmentHypothesis> {
+    let mut merged: Vec<FragmentHypothesis> = slots.into_iter().flatten().flatten().collect();
+    for (id, f) in merged.iter_mut().enumerate() {
+        f.id = id as u32;
+    }
+    merged
+}
+
+/// Runs RTF as a sequence of tasks on one task process and merges the
+/// results ([`merge_rtf_batches`]).
 pub fn run_rtf_tasks(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     batches: &[Vec<u32>],
 ) -> (Vec<FragmentHypothesis>, Vec<RtfResult>) {
-    let mut merged = Vec::new();
-    let mut results = Vec::new();
-    for (i, b) in batches.iter().enumerate() {
-        let r = run_rtf_task(sp, scene, b, (i as i64) << 20);
-        for mut f in r.fragments.clone() {
-            f.id = merged.len() as u32;
-            merged.push(f);
-        }
-        results.push(r);
-    }
+    let mut tp = TaskProcess::default();
+    let results: Vec<RtfResult> = (batches.iter())
+        .map(|b| run_rtf_task(&mut tp, sp, scene, b))
+        .collect();
+    let merged = merge_rtf_batches(results.iter().map(|r| Some(r.fragments.clone())));
     (merged, results)
 }
 

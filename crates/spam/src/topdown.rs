@@ -14,9 +14,10 @@
 
 use crate::fa::FaResult;
 use crate::fragments::{FragmentHypothesis, FragmentKind};
-use crate::lcc::{release_task_engine, run_lcc_unit, ConsistentRec, LccUnit};
+use crate::lcc::{run_lcc_unit, ConsistentRec, LccUnit};
 use crate::rules::SpamProgram;
 use crate::scene::Scene;
+use crate::task::TaskProcess;
 use ops5::WorkCounters;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -105,8 +106,11 @@ pub fn run_topdown(
     let mut firings = 0;
     let mut consistents = Vec::new();
     let mut supports = vec![0i64; table.len()];
+    // The re-entry's own task process: nothing downstream shares the
+    // extended table, so its engine goes with this pass.
+    let mut tp = TaskProcess::default();
     for f in &predicted {
-        let r = run_lcc_unit(sp, scene, &table, &LccUnit::Object(f.id));
+        let r = run_lcc_unit(&mut tp, sp, scene, &table, &LccUnit::Object(f.id));
         work.add(&r.work);
         firings += r.firings;
         consistents.extend(r.consistents.iter().copied());
@@ -114,8 +118,6 @@ pub fn run_topdown(
             supports[id as usize] += s;
         }
     }
-    // Nothing downstream shares the extended table: a kept engine only pins heap.
-    release_task_engine();
     for f in &mut all {
         f.support += supports[f.id as usize];
     }
@@ -182,18 +184,5 @@ mod tests {
         for (a, b) in lcc.fragments.iter().zip(&td.fragments) {
             assert!(b.support >= a.support);
         }
-    }
-
-    #[test]
-    fn the_re_entry_leaves_no_task_engine_on_the_thread() {
-        let sp = SpamProgram::build();
-        let scene = Arc::new(crate::generate_scene(&crate::datasets::dc().spec));
-        let frags = Arc::new(run_rtf(&sp, &scene).fragments);
-        let lcc = run_lcc(&sp, &scene, &frags, Level::L4);
-        let table = Arc::new(lcc.fragments.clone());
-        let fa = run_fa(&sp, &scene, &table, &lcc.consistents);
-        let td = run_topdown(&sp, &scene, &table, &fa, &fa.prediction_list);
-        assert!(td.firings > 0, "the re-entry ran units on this thread");
-        assert!(crate::lcc::task_engine_is_released());
     }
 }

@@ -1,23 +1,29 @@
 //! Task-engine reuse ≡ a fresh engine per task.
 //!
-//! `run_lcc_unit` and `run_lcc_unit_watched` run on the calling thread's
-//! kept engine, reset between units. The reference here builds a new
-//! engine for each unit from the public pieces (`lcc_engine` → control
-//! element → `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any
-//! sequence of units — any levels, any order, anyone watching along the
-//! way, alternating between inputs so the kept engine is also replaced —
-//! must give the same `LccUnitResult`s: consistents, supports, work,
-//! firings, RHS actions and the whole cycle log.
+//! `run_lcc_unit` and `run_lcc_unit_watched` run on a `TaskProcess`'s kept
+//! engine, reset between units. The reference here builds a new engine for
+//! each unit from the public pieces (`lcc_engine` → control element →
+//! `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any sequence
+//! of units — any levels, any order, anyone watching along the way,
+//! alternating between inputs so the kept engine is also replaced — must
+//! give the same `LccUnitResult`s: consistents, supports, work, firings,
+//! RHS actions and the whole cycle log. So must RTF batches, LCC units, FA
+//! and MODEL tasks interleaved on one process, against each task on a
+//! process of its own.
 
 use ops5::Value;
 use proptest::prelude::*;
+use spam::fa::{run_fa_task, FaResult};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc_unit, run_lcc_unit_watched,
-    LccUnit, LccUnitResult, Level,
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc, run_lcc_unit,
+    run_lcc_unit_watched, ConsistentRec, LccUnit, LccUnitResult, Level,
 };
+use spam::model::{run_model_task, ModelResult};
+use spam::rtf::{rtf_task_batches, run_rtf_task, RtfResult};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::task::TaskProcess;
 use spam::watch::Watch;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -140,13 +146,15 @@ proptest! {
         let live = tlp_obs::Live::new(8);
         let tracing = tlp_obs::Tracing::new(tlp_obs::SamplerConfig::default());
         let span = tracing.start_scene(7, "reuse");
+        let tp = &mut TaskProcess::default();
         for (n, &(input, level, pick, mode)) in steps.iter().enumerate() {
             let i = &f.inputs[input];
             let unit_idx = pick % f.units[input][level].len();
             let unit = &f.units[input][level][unit_idx];
-            let watched = |w: Watch| run_lcc_unit_watched(&i.sp, &i.scene, &i.frags, unit, w);
+            let mut watched =
+                |w: Watch| run_lcc_unit_watched(tp, &i.sp, &i.scene, &i.frags, unit, w);
             let got = match mode {
-                Mode::Plain => run_lcc_unit(&i.sp, &i.scene, &i.frags, unit),
+                Mode::Plain => watched(Watch::default()).0,
                 Mode::Live => watched(Watch::new(Some(&live), None)).0,
                 Mode::Traced => {
                     let sink = span.sink_under(span.root());
@@ -170,7 +178,7 @@ proptest! {
     }
 }
 
-/// A whole phase on one engine: `run_lcc` keeps the main thread's engine
+/// A whole phase on one engine: `run_lcc` keeps one task process's engine
 /// across its loop, and its per-unit results are the fresh ones at every
 /// level (Level 4's class tasks leave the most behind to reset).
 #[test]
@@ -178,11 +186,96 @@ fn run_lcc_units_equal_fresh_engines_at_every_level() {
     let f = fixture();
     let i = &f.inputs[0];
     for level in [Level::L4, Level::L3, Level::L2] {
-        let phase = spam::lcc::run_lcc(&i.sp, &i.scene, &i.frags, level);
+        let phase = run_lcc(&i.sp, &i.scene, &i.frags, level);
         let units = decompose(&i.scene, &i.frags, level);
         assert_eq!(phase.units.len(), units.len());
         for (got, unit) in phase.units.iter().zip(&units) {
             assert_eq!(got, &fresh_unit(i, unit), "{level:?} {unit:?}");
+        }
+    }
+}
+
+/// What the phases after LCC run on, per input, and every non-LCC task of
+/// the pipeline on a task process of its own.
+struct Downstream {
+    /// The Level-3 phase's fragments (support accumulated) and records.
+    supported: Arc<Vec<FragmentHypothesis>>,
+    consistents: Vec<ConsistentRec>,
+    /// Region batches of seven, and each on a fresh engine.
+    batches: Vec<Vec<u32>>,
+    rtf: Vec<RtfResult>,
+    fa: FaResult,
+    model: ModelResult,
+}
+
+fn downstream() -> &'static [Downstream; 3] {
+    static DOWNSTREAM: OnceLock<[Downstream; 3]> = OnceLock::new();
+    DOWNSTREAM.get_or_init(|| {
+        [0, 1, 2].map(|input| {
+            let i = &fixture().inputs[input];
+            let own = || TaskProcess::default();
+            let lcc = run_lcc(&i.sp, &i.scene, &i.frags, Level::L3);
+            let supported = Arc::new(lcc.fragments);
+            let batches = rtf_task_batches(&i.scene, 7);
+            let rtf = (batches.iter())
+                .map(|b| run_rtf_task(&mut own(), &i.sp, &i.scene, b))
+                .collect();
+            let fa = run_fa_task(&mut own(), &i.sp, &i.scene, &supported, &lcc.consistents);
+            let (areas, members) = (&fa.areas, &fa.members);
+            let model = run_model_task(&mut own(), &i.sp, &i.scene, &supported, areas, members);
+            Downstream {
+                supported,
+                consistents: lcc.consistents,
+                batches,
+                rtf,
+                fa,
+                model,
+            }
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// One task process through the whole pipeline's task kinds in any
+    /// order: RTF batches share an engine (the process-wide empty fragment
+    /// table), an LCC unit replaces it (other table, other id base), FA
+    /// replaces that and MODEL after FA on the same input finds FA's; a
+    /// change of input replaces whatever is kept.
+    #[test]
+    fn any_task_sequence_on_one_process_equals_a_process_per_task(
+        steps in prop::collection::vec((0usize..6, 0usize..6, 0usize..100_000), 1..14),
+    ) {
+        let f = fixture();
+        let tp = &mut TaskProcess::default();
+        for (n, &(input, kind, pick)) in steps.iter().enumerate() {
+            let input = input.saturating_sub(3);
+            let (i, d) = (&f.inputs[input], &downstream()[input]);
+            let at = format!("step {n} (kind {kind} on input {input})");
+            match kind {
+                0 | 1 => {
+                    let b = pick % d.batches.len();
+                    let got = run_rtf_task(tp, &i.sp, &i.scene, &d.batches[b]);
+                    prop_assert_eq!(&got, &d.rtf[b], "{}: batch {}", at, b);
+                }
+                2 | 3 => {
+                    let level = pick % 4;
+                    let u = (pick / 4) % f.units[input][level].len();
+                    let unit = &f.units[input][level][u];
+                    let got = run_lcc_unit(tp, &i.sp, &i.scene, &i.frags, unit);
+                    prop_assert_eq!(&got, &fresh(input, level, u), "{}: {:?}", at, unit);
+                }
+                4 => {
+                    let got = run_fa_task(tp, &i.sp, &i.scene, &d.supported, &d.consistents);
+                    prop_assert_eq!(&got, &d.fa, "{}", at);
+                }
+                _ => {
+                    let (areas, members) = (&d.fa.areas, &d.fa.members);
+                    let got = run_model_task(tp, &i.sp, &i.scene, &d.supported, areas, members);
+                    prop_assert_eq!(&got, &d.model, "{}", at);
+                }
+            }
         }
     }
 }

@@ -97,7 +97,7 @@ fn lcc_pair_memories_are_reached_by_constraint_id() {
     for sp in [programs().0, programs().1] {
         let rete = ops5::rete::Rete::from_compiled_with(&sp.compiled, &sp.program, sp.config);
         let (memories, visited) = rete
-            .alpha_fanout(spam::rules::lcc_schema().pair.class)
+            .alpha_fanout(spam::rules::schema().pair.class)
             .expect("lcc-pair is matched");
         assert!(memories > 50, "{memories} lcc-pair memories");
         assert!(visited <= 3, "a pair visits {visited} of {memories}");

@@ -7,6 +7,7 @@ use ops5::Program;
 use spam::lcc::{decompose, run_lcc_unit, Level};
 use spam::rtf::run_rtf;
 use spam::rules::SpamProgram;
+use spam::task::TaskProcess;
 use std::sync::Arc;
 
 #[test]
@@ -39,9 +40,10 @@ fn spam_rulebase_survives_print_parse_with_identical_behaviour() {
     let rtf = run_rtf(&original, &scene);
     let frags = Arc::new(rtf.fragments);
     let units = decompose(&scene, &frags, Level::L3);
+    let (mut tp_a, mut tp_b) = (TaskProcess::default(), TaskProcess::default());
     for unit in units.iter().take(12) {
-        let a = run_lcc_unit(&original, &scene, &frags, unit);
-        let b = run_lcc_unit(&reparsed, &scene, &frags, unit);
+        let a = run_lcc_unit(&mut tp_a, &original, &scene, &frags, unit);
+        let b = run_lcc_unit(&mut tp_b, &reparsed, &scene, &frags, unit);
         assert_eq!(a.firings, b.firings, "{unit:?}");
         assert_eq!(a.consistents, b.consistents, "{unit:?}");
         assert_eq!(a.supports, b.supports, "{unit:?}");
