@@ -27,3 +27,13 @@ if grep -rn "thread_local!" crates/spam/src; then
   echo "lint: crates/spam/src has a thread_local!; task state lives in a TaskProcess" >&2
   exit 1
 fi
+
+# One drive loop lives in `spam::watch` (`Watch::drive`): nothing under
+# `crates/core/src` advances an engine cycle by cycle itself, test modules
+# aside.
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+        !test && /\.step\(\)/ { print FILENAME ":" FNR ":" $0; hit = 1 }
+        END { exit !hit }' $(find crates/core/src -name '*.rs'); then
+  echo "lint: crates/core/src calls .step(); one drive loop lives in spam::watch" >&2
+  exit 1
+fi

@@ -14,6 +14,11 @@ cargo build --release -p spam-psm -p tlp-bench \
 $bin/spamctl chaos dc --seed 42 --kills 3 --interval 4
 $bin/spamctl chaos dc --seed 42 --kills 3 --interval 4 --exec real
 $bin/spamctl chaos dc --seed 1337 --kills 5 --interval 2
+# Each of those kills RTF, LCC, FA and MODEL in turn. Level 1's one-cycle
+# tasks (no kill can land past a checkpoint: the verdict must judge what can
+# be judged), and a non-default seed on another scene.
+$bin/spamctl chaos dc --level 1 --seed 42
+$bin/spamctl chaos moff --seed 7 --kills 4
 # Recovery bench (replay cost vs checkpoint interval).
 $bin/bench_recovery $out/BENCH_recovery.json
 $bin/benchdiff crates/bench/baselines/BENCH_recovery.json \

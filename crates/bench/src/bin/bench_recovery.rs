@@ -69,10 +69,6 @@ fn main() -> ExitCode {
     let mut walls = Vec::new();
     for &interval in INTERVALS {
         let plan = tlp_fault::chaos_schedule(SEED, KILLS, &task_cycles, interval);
-        let victims: Vec<usize> = (0..task_cycles.len())
-            .filter(|&t| plan.cycle_kill(t, 0).is_some())
-            .collect();
-        let scratch_cost: u64 = victims.iter().map(|&t| task_cycles[t]).sum();
         let start = Instant::now();
         let how = PhaseRun {
             cfg: cfg.clone(),
@@ -93,15 +89,12 @@ fn main() -> ExitCode {
         // The bench doubles as the acceptance check: crash + recover must
         // change nothing about what the phase computes.
         assert!(par.report.dead_letters().is_empty(), "{}", plan.describe());
-        assert_eq!(par.firings, seq.firings, "{}", plan.describe());
+        assert_eq!(par.units, seq.units, "{}", plan.describe());
         assert_eq!(par.consistents, seq.consistents, "{}", plan.describe());
         assert_eq!(par.fragments, seq.fragments, "{}", plan.describe());
-        assert!(
-            recovery.cycles_replayed < scratch_cost,
-            "interval {interval}: replayed {} >= scratch {scratch_cost}\n{}",
-            recovery.cycles_replayed,
-            plan.describe()
-        );
+        let scratch_cost = recovery
+            .check(&plan, &task_cycles, interval)
+            .unwrap_or_else(|f| panic!("interval {interval}: {f:?}\n{}", plan.describe()));
 
         println!(
             "interval {interval:>2}: {:>3} cycles replayed, {:>3} saved of {scratch_cost} \

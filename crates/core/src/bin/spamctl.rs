@@ -58,12 +58,16 @@
 //!   `--target` restricts the report to one of them. `--scale PCT` sets
 //!   the reference virtual speedup (default 50); `--json F` writes the
 //!   machine-readable report;
-//! * `chaos`: seeded crash-recovery acceptance run — a fault-free LCC run
+//! * `chaos`: seeded crash-recovery acceptance run over the whole
+//!   interpretation — RTF as the paper's 64-odd batches, LCC at `--level`,
+//!   FA and MODEL as phases of one task. For each phase a fault-free run
 //!   fixes the expected results, `chaos_schedule` derives mid-cycle kills
 //!   (plus a kill inside the checkpoint hold and a torn WAL tail), and the
 //!   checkpoint + WAL recovery path must reproduce the fault-free results
-//!   exactly while replaying strictly fewer cycles than from-scratch
-//!   retries. Exits non-zero (and prints the replayable fault plan) on any
+//!   exactly (`==`, task by task) with accounting that adds up: saved +
+//!   replayed cycles equal what from-scratch retries would cost, strictly
+//!   fewer replayed wherever a checkpoint can precede a kill. Exits
+//!   non-zero (and prints the replayable fault plan) on any
 //!   divergence; `--seed N` / `--kills K` / `--interval C` pick the
 //!   schedule and checkpoint cadence, `--exec` the placement (below);
 //! * `--machines 2` makes `run` replay the measured trace on the
@@ -159,19 +163,23 @@
 //!   file; `--url` fetches `/trace/<id>` from a serving `spamctl run`.
 //!   `<id>` may be a unique hex prefix (>= 4 chars).
 
-use spam::fa::run_fa;
+use spam::fa::{run_fa, FaTask};
 use spam::lcc::Level;
-use spam::model::run_model;
+use spam::model::{run_model, ModelTask};
 use spam::phases::MIPS;
-use spam::rtf::run_rtf;
+use spam::rtf::{run_rtf, RtfTask};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
+use spam::task::TaskProcess;
 use spam::topdown::run_topdown;
 use spam_psm::exec::{ExecConfig, Observer, PhaseRun};
+use spam_psm::recover::{
+    execute_recoverable, CheckpointConfig, Recoverable, Recovered, RecoveryInfo,
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use tlp_fault::{FaultPlan, SupervisorConfig};
+use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig};
 use tlp_obs::json::Json;
 use tlp_obs::{
     Live, ObsLevel, Recorder, RetainedTrace, SampleVerdict, SamplerConfig, SloConfig, SloMonitor,
@@ -836,98 +844,54 @@ fn placement(o: &Opts, workers: usize) -> ExecConfig {
     }
 }
 
-/// The `chaos` subcommand: a seeded crash-recovery acceptance run. A
-/// fault-free sequential LCC run fixes the expected results and the
-/// per-task cycle counts; `chaos_schedule` then derives a kill plan
-/// (mid-cycle kills at checkpointable cycles, one kill while holding the
-/// checkpoint lock, one torn WAL tail) and the recoverable parallel runner
-/// must reproduce the fault-free results exactly while replaying strictly
-/// fewer cycles than from-scratch retries would. On any failure the full
-/// fault plan (seed and schedule) is printed so the run can be replayed.
-fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
-    let workers = o.workers.unwrap_or(3).max(1);
-    println!(
-        "spamctl chaos: {}, seed {}, {} kill(s), checkpoint every {} cycles, {workers} worker(s)",
-        input_line(o, scene),
-        o.chaos_seed,
-        o.kills,
-        o.ckpt_interval,
-    );
-    let rtf = run_rtf(sp, scene);
-    let fragments = Arc::new(rtf.fragments.clone());
-
-    // Fault-free reference: fixes expected results and per-task cycles.
-    let seq = spam::lcc::run_lcc(sp, scene, &fragments, o.level);
-    let task_cycles: Vec<u64> = seq.units.iter().map(|u| u.firings).collect();
-    println!(
-        "baseline: {} tasks, {} firings, {} consistency records",
-        seq.units.len(),
-        seq.firings,
-        seq.consistents.len()
-    );
-
+/// One phase of a chaos run. `seq` is the phase's fault-free result, task by
+/// task, and fixes the per-task cycle counts (`cycles`); `chaos_schedule`
+/// then derives a kill plan from them (mid-cycle kills at checkpointable
+/// cycles, one kill while holding the checkpoint lock, one torn WAL tail),
+/// `run` executes the phase recoverably under it, and the results must come
+/// back equal to `seq` — whole values — with the recovery accounting the plan
+/// allows ([`RecoveryReport::check`]). On any failure the full fault plan
+/// (seed and schedule) is in the error so the run can be replayed.
+fn chaos_phase<T: PartialEq>(
+    o: &Opts,
+    baseline: String,
+    seq: &[T],
+    cycles: fn(&T) -> u64,
+    run: impl FnOnce(&PhaseRun<'_>, &CheckpointConfig) -> Result<Recovered<T>, SuperviseError>,
+) -> Result<(), String> {
+    let task_cycles: Vec<u64> = seq.iter().map(cycles).collect();
+    println!("baseline: {} tasks, {baseline}", seq.len());
     let plan = tlp_fault::chaos_schedule(o.chaos_seed, o.kills, &task_cycles, o.ckpt_interval);
-    let victims: Vec<usize> = (0..task_cycles.len())
-        .filter(|&t| plan.cycle_kill(t, 0).is_some())
-        .collect();
     print!("{}", plan.describe());
 
-    let retries = o.retries.max(3);
     let cfg = SupervisorConfig::default()
-        .with_retries(retries)
+        .with_retries(o.retries.max(3))
         .with_backoff(Duration::from_millis(1));
     let how = PhaseRun {
         cfg,
         plan: plan.clone(),
-        ..PhaseRun::new(placement(o, workers))
+        ..PhaseRun::new(placement(o, o.workers.unwrap_or(3).max(1)))
     };
-    let (par, recovery) = spam_psm::run_parallel_lcc_recoverable(
-        sp,
-        scene,
-        &fragments,
-        o.level,
-        &how,
-        &spam_psm::CheckpointConfig::every(o.ckpt_interval),
-    )
-    .map_err(|e| format!("chaos run failed to complete: {e}\n{}", plan.describe()))?;
+    let (slots, report, recovery) = run(&how, &CheckpointConfig::every(o.ckpt_interval))
+        .map_err(|e| format!("chaos run failed to complete: {e}\n{}", plan.describe()))?;
     println!("recovery: {}", recovery.summary());
 
     let mut failures: Vec<String> = Vec::new();
-    let dead = par.report.dead_letters();
+    let dead = report.dead_letters();
     if !dead.is_empty() {
         failures.push(format!("{} task(s) dead-lettered: {dead:?}", dead.len()));
     }
-    if par.firings != seq.firings {
-        failures.push(format!(
-            "firings diverged: chaos {} vs fault-free {}",
-            par.firings, seq.firings
-        ));
-    }
-    if par.consistents != seq.consistents {
-        failures.push("consistency records diverged from the fault-free run".into());
-    }
-    if par.fragments != seq.fragments {
-        failures.push("fragment supports diverged from the fault-free run".into());
-    }
-    for (i, (a, b)) in par.units.iter().zip(seq.units.iter()).enumerate() {
-        if a.work != b.work {
-            failures.push(format!("task {i}: work counters diverged"));
+    for (i, (got, want)) in slots.iter().zip(seq).enumerate() {
+        if got.as_ref().is_some_and(|got| got != want) {
+            failures.push(format!("task {i}: result diverged from the fault-free run"));
         }
     }
-    if recovery.recovered_tasks() < victims.len() {
-        failures.push(format!(
-            "only {} of {} killed tasks recovered",
-            recovery.recovered_tasks(),
-            victims.len()
-        ));
-    }
-    let scratch_cost: u64 = victims.iter().map(|&t| task_cycles[t]).sum();
-    if !victims.is_empty() && recovery.cycles_replayed >= scratch_cost {
-        failures.push(format!(
-            "recovery replayed {} cycles; from-scratch retries cost {scratch_cost}",
-            recovery.cycles_replayed
-        ));
-    }
+    let scratch_cost = recovery
+        .check(&plan, &task_cycles, o.ckpt_interval)
+        .unwrap_or_else(|f| {
+            failures.extend(f);
+            0
+        });
     if !failures.is_empty() {
         return Err(format!(
             "\nchaos: FAILED — replay with the plan below\n  - {}\n{}",
@@ -941,6 +905,119 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), Strin
         recovery.cycles_replayed, scratch_cost, recovery.cycles_saved
     );
     Ok(())
+}
+
+/// The `chaos` subcommand: a seeded crash-recovery acceptance run over the
+/// whole interpretation. Every phase — RTF as the paper's 64-odd batches,
+/// LCC at `--level`, FA and MODEL as phases of one task — is run fault-free
+/// first, then recoverably under its own `chaos_schedule` ([`chaos_phase`]);
+/// each feeds the next what the fault-free one would have, which is what it
+/// computed.
+fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
+    println!(
+        "spamctl chaos: {}, seed {}, {} kill(s), checkpoint every {} cycles, {} worker(s)",
+        input_line(o, scene),
+        o.chaos_seed,
+        o.kills,
+        o.ckpt_interval,
+        o.workers.unwrap_or(3).max(1),
+    );
+    // A phase of tasks that are not LCC units, through the generic runner.
+    fn phase<T: Send + 'static>(
+        labels: Vec<String>,
+        task: impl Fn(&mut TaskProcess, Recoverable<'_>) -> (T, RecoveryInfo) + Send + Sync + 'static,
+    ) -> impl FnOnce(&PhaseRun<'_>, &CheckpointConfig) -> Result<Recovered<T>, SuperviseError> {
+        move |how, ckpt| execute_recoverable(how, ckpt, labels, &[], |_, _| {}, task)
+    }
+    let owned = |fragments| (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
+
+    println!("phase RTF:");
+    let batches = spam::rtf::rtf_task_batches(scene, scene.len().div_ceil(64));
+    let (merged, seq) = spam::rtf::run_rtf_tasks(sp, scene, &batches);
+    let firings: u64 = seq.iter().map(|r| r.firings).sum();
+    let baseline = format!("{firings} firings, {} fragments", merged.len());
+    let labels = (0..batches.len()).map(|i| format!("rtf batch {i}"));
+    let (sp_, scene_) = (sp.clone(), Arc::clone(scene));
+    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
+        let (sp, scene, regions) = (&sp_, &scene_, &batches[r.task()][..]);
+        r.run(tp, &RtfTask { sp, scene, regions })
+    };
+    chaos_phase(
+        o,
+        baseline,
+        &seq,
+        |r| r.firings,
+        phase(labels.collect(), task),
+    )?;
+
+    println!("phase LCC:");
+    let fragments = Arc::new(run_rtf(sp, scene).fragments);
+    let lcc = spam::lcc::run_lcc(sp, scene, &fragments, o.level);
+    let (firings, records) = (lcc.firings, lcc.consistents.len());
+    let baseline = format!("{firings} firings, {records} consistency records");
+    chaos_phase(
+        o,
+        baseline,
+        &lcc.units,
+        |u| u.firings,
+        |how, ckpt| {
+            let (level, fragments) = (o.level, &fragments);
+            spam_psm::run_parallel_lcc_recoverable(sp, scene, fragments, level, how, ckpt).map(
+                |(phase, recovery)| {
+                    let slots = phase.units.into_iter().map(Some).collect();
+                    (slots, phase.report, recovery)
+                },
+            )
+        },
+    )?;
+
+    println!("phase FA:");
+    let fragments = Arc::new(lcc.fragments);
+    let fa = [run_fa(sp, scene, &fragments, &lcc.consistents)];
+    let baseline = format!("{} firings, {} areas", fa[0].firings, fa[0].areas.len());
+    let ((sp_, scene_, frags), consistents) = (owned(&fragments), lcc.consistents);
+    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
+        let (sp, scene, fragments, consistents) = (&sp_, &scene_, &frags, &consistents[..]);
+        let task = FaTask {
+            sp,
+            scene,
+            fragments,
+            consistents,
+        };
+        r.run(tp, &task)
+    };
+    chaos_phase(
+        o,
+        baseline,
+        &fa,
+        |r| r.firings,
+        phase(vec!["fa".into()], task),
+    )?;
+
+    println!("phase MODEL:");
+    let [fa] = fa;
+    let model = [run_model(sp, scene, &fragments, &fa.areas, &fa.members)];
+    let baseline = format!("{} firings, {} model(s)", model[0].firings, model[0].models);
+    let (sp_, scene_, frags) = owned(&fragments);
+    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
+        let (sp, scene, fragments) = (&sp_, &scene_, &frags);
+        let (areas, members) = (&fa.areas[..], &fa.members[..]);
+        let task = ModelTask {
+            sp,
+            scene,
+            fragments,
+            areas,
+            members,
+        };
+        r.run(tp, &task)
+    };
+    chaos_phase(
+        o,
+        baseline,
+        &model,
+        |r| r.firings,
+        phase(vec!["model".into()], task),
+    )
 }
 
 // ---------------------------------------------------------------------------

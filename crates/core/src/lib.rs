@@ -80,8 +80,8 @@ pub use exec::{
 };
 pub use measure::{level_rows, profiled_lcc, table8_row, LevelRowMeasured, Table8Row};
 pub use recover::{
-    run_lcc_unit_checkpointed, run_parallel_lcc_recoverable, CheckpointConfig, CheckpointStore,
-    RecoveryInfo, RecoveryReport,
+    execute_recoverable, run_parallel_lcc_recoverable, CheckpointConfig, CheckpointStore,
+    Recoverable, RecoveryInfo, RecoveryReport,
 };
 pub use supervise::TaskAttempt;
 pub use tlp::{

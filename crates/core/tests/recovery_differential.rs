@@ -1,0 +1,177 @@
+//! Differential property test of per-task crash recovery: whatever the task
+//! (an RTF batch, an LCC unit of any level, FA, MODEL — on DC and MOFF),
+//! whatever the checkpoint interval, wherever in its span the first attempt
+//! is killed and whether or not the WAL it left is torn, the retry returns
+//! the fault-free task's result as a whole value (`==`, cycle log included)
+//! and the recovery accounting is exact: the retry resumed from the last
+//! checkpoint the dead attempt can have taken, `⌊(kill − 1) / interval⌋ ·
+//! interval`, and fired the rest of the span.
+
+use proptest::prelude::*;
+use spam::fa::{run_fa, FaResult, FaTask};
+use spam::fragments::FragmentHypothesis;
+use spam::lcc::{decompose, run_lcc, LccTask, LccUnit, Level};
+use spam::model::ModelTask;
+use spam::rtf::{rtf_task_batches, run_rtf, RtfTask};
+use spam::rules::SpamProgram;
+use spam::scene::Scene;
+use spam::task::{Task, TaskProcess};
+use spam::watch::Watch;
+use spam_psm::exec::{ExecConfig, PhaseRun};
+use spam_psm::recover::{execute_recoverable, CheckpointConfig, Recoverable, RecoveryInfo};
+use std::fmt::Debug;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+use tlp_fault::{FaultPlan, SupervisorConfig};
+
+/// One scene, interpreted fault-free: the inputs of every phase's tasks.
+struct World {
+    sp: SpamProgram,
+    scene: Arc<Scene>,
+    batches: Vec<Vec<u32>>,
+    frags: Arc<Vec<FragmentHypothesis>>,
+    units: [Vec<LccUnit>; 4],
+    supported: Arc<Vec<FragmentHypothesis>>,
+    consistents: Vec<spam::lcc::ConsistentRec>,
+    fa: FaResult,
+}
+
+const LEVELS: [Level; 4] = [Level::L1, Level::L2, Level::L3, Level::L4];
+
+fn world(moff: bool) -> &'static World {
+    static WORLDS: [OnceLock<World>; 2] = [OnceLock::new(), OnceLock::new()];
+    WORLDS[usize::from(moff)].get_or_init(|| {
+        let dataset = if moff { spam::moff() } else { spam::dc() };
+        let sp = SpamProgram::build();
+        let scene = Arc::new(spam::generate_scene(&dataset.spec));
+        let batches = rtf_task_batches(&scene, scene.len().div_ceil(64));
+        let frags = Arc::new(run_rtf(&sp, &scene).fragments);
+        let units = LEVELS.map(|level| decompose(&scene, &frags, level));
+        let lcc = run_lcc(&sp, &scene, &frags, Level::L3);
+        let supported = Arc::new(lcc.fragments);
+        let fa = run_fa(&sp, &scene, &supported, &lcc.consistents);
+        World {
+            sp,
+            scene,
+            batches,
+            frags,
+            units,
+            supported,
+            consistents: lcc.consistents,
+            fa,
+        }
+    })
+}
+
+/// Where and how the first attempt dies, and how often it checkpoints.
+#[derive(Clone, Copy, Debug)]
+struct Crash {
+    interval: u64,
+    /// Mapped onto `1..=span` once the task's span is known.
+    kill: u64,
+    /// Bytes torn off the WAL tail as the retry reads it.
+    torn: Option<u32>,
+}
+
+/// `task` (built anew from `w` for each attempt, as a phase's closure does)
+/// against its fault-free self under `crash`; `firings` reads a result's span.
+fn differential<K: Task>(
+    w: &'static World,
+    crash: Crash,
+    task: impl Fn(&'static World) -> K + Send + Sync + 'static,
+    firings: fn(&K::Output) -> u64,
+) -> Result<(), TestCaseError>
+where
+    K::Output: PartialEq + Debug + Send + 'static,
+{
+    let want = TaskProcess::default().run(&task(w), Watch::default()).0;
+    let span = firings(&want);
+    if span == 0 {
+        return Ok(()); // nothing to kill
+    }
+    let kill = 1 + crash.kill % span;
+    let mut plan = FaultPlan::seeded(crash.kill).with_cycle_kill(0, 0, kill);
+    if let Some(bytes) = crash.torn {
+        plan = plan.with_torn_log(0, bytes);
+    }
+    let cfg = SupervisorConfig::default()
+        .with_retries(1)
+        .with_backoff(Duration::ZERO);
+    let how = PhaseRun {
+        cfg,
+        plan,
+        ..PhaseRun::new(ExecConfig::central_queue(1))
+    };
+    let run = move |tp: &mut TaskProcess, r: Recoverable<'_>| r.run(tp, &task(w));
+    let ckpt = CheckpointConfig::every(crash.interval);
+    let (mut slots, report, recovery) =
+        execute_recoverable(&how, &ckpt, vec!["task".into()], &[], |_, _| {}, run).unwrap();
+
+    prop_assert_eq!(
+        report.outcomes[0].attempts,
+        2,
+        "attempt 0 dies, attempt 1 returns"
+    );
+    prop_assert_eq!(
+        slots.pop().flatten(),
+        Some(want),
+        "kill at {}/{}",
+        kill,
+        span
+    );
+    let saved = (kill - 1) / crash.interval * crash.interval;
+    let info = RecoveryInfo {
+        attempt: 1,
+        recovered_from_cycle: (saved > 0).then_some(saved),
+        cycles_saved: saved,
+        cycles_replayed: span - saved,
+        ..recovery.recoveries[0].clone()
+    };
+    prop_assert_eq!(&recovery.recoveries, &[info], "kill at {}/{}", kill, span);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_killed_task_of_any_phase_resumes_into_the_fault_free_result(
+        moff in 0u8..2,
+        kind in 0usize..7,
+        pick in 0usize..1_000_000,
+        interval in (0usize..5).prop_map(|k| [1, 2, 4, 8, 1_000_000][k]),
+        kill in 0u64..u64::MAX,
+        torn in 0u32..12,
+    ) {
+        let w = world(moff == 1);
+        let crash = Crash { interval, kill, torn: (torn > 0).then_some(torn) };
+        let (sp, scene) = (&w.sp, &w.scene);
+        match kind {
+            0 => {
+                let b = pick % w.batches.len();
+                let task = move |w: &'static World| RtfTask { sp, scene, regions: &w.batches[b] };
+                differential(w, crash, task, |r| r.firings)?;
+            }
+            1..=4 => {
+                let units = &w.units[kind - 1];
+                let unit = &units[pick % units.len()];
+                let task = move |w: &'static World| LccTask { sp, scene, fragments: &w.frags, unit };
+                differential(w, crash, task, |r| r.firings)?;
+            }
+            5 => {
+                let task = |w: &'static World| {
+                    let (fragments, consistents) = (&w.supported, &w.consistents[..]);
+                    FaTask { sp: &w.sp, scene: &w.scene, fragments, consistents }
+                };
+                differential(w, crash, task, |r| r.firings)?;
+            }
+            _ => {
+                let task = |w: &'static World| {
+                    let (areas, members) = (&w.fa.areas[..], &w.fa.members[..]);
+                    ModelTask { sp: &w.sp, scene: &w.scene, fragments: &w.supported, areas, members }
+                };
+                differential(w, crash, task, |r| r.firings)?;
+            }
+        }
+    }
+}

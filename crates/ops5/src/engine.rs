@@ -373,6 +373,11 @@ impl Engine {
         self.matcher.take_chunks();
     }
 
+    /// The per-cycle statistics recorded so far (none unless logging).
+    pub fn cycle_log(&self) -> &[CycleStats] {
+        self.cycle_log.as_deref().unwrap_or(&[])
+    }
+
     /// Takes the recorded per-cycle statistics (logging stays enabled).
     pub fn take_cycle_log(&mut self) -> Vec<CycleStats> {
         match &mut self.cycle_log {

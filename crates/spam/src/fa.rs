@@ -1,15 +1,15 @@
 //! The FA (functional-area) phase: aggregation of consistent fragments. One
-//! task on the lifecycle of [`crate::task`]; this module supplies its *load*
-//! (supported fragments, consistency records) and *harvest* (areas, members,
-//! predictions).
+//! [`Task`] ([`FaTask`]) on the lifecycle of [`crate::task`]; this module
+//! supplies its *load* (supported fragments, consistency records) and
+//! *harvest* (areas, members, predictions).
 
 use crate::fragments::{FragmentHypothesis, FragmentKind};
 use crate::lcc::{fragment_fields, ConsistentRec};
 use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use crate::task::TaskProcess;
+use crate::task::{Task, TaskProcess, Wiring};
 use crate::watch::Watch;
-use ops5::{static_sym, CycleStats, Value, WorkCounters};
+use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
 use std::sync::Arc;
 
 /// One functional area.
@@ -64,57 +64,94 @@ pub fn run_fa_task(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     consistents: &[ConsistentRec],
 ) -> FaResult {
-    let s = schema();
-    let (phase, watch) = (static_sym!("fa"), Watch::default());
-    let mut task = tp.begin(sp, scene, fragments, 0, phase, watch);
-    let e = task.engine();
-    for f in fragments.iter() {
-        s.fragment.make(e, fragment_fields(f, f.support));
-    }
-    let counted = Value::Sym(static_sym!("yes"));
-    for c in consistents {
-        let (a, b) = (Value::Int(c.a as i64), Value::Int(c.b as i64));
-        let (rel, weight) = (Value::Sym(c.rel.symbol()), Value::Int(c.weight));
-        s.consistent.make(e, [a, b, rel, weight, counted]);
-    }
-    let out = task.drive();
-
-    let e = task.engine();
-    let mut areas: Vec<FunctionalArea> = (s.area.rows(e))
-        .map(|[id, kind, seed, nmembers, _]| FunctionalArea {
-            id: id.as_int().unwrap_or(-1),
-            kind: kind.to_string(),
-            seed: seed.as_int().unwrap_or(0) as u32,
-            members: nmembers.as_int().unwrap_or(1),
-        })
-        .collect();
-    areas.sort_by_key(|a| a.id);
-    let mut members: Vec<(i64, u32)> = (s.member.rows(e))
-        .filter_map(|[area, frag]| Some((area.as_int()?, frag.as_int()? as u32)))
-        .collect();
-    // Seeds are members of their own areas.
-    members.extend(areas.iter().map(|a| (a.id, a.seed)));
-    members.sort();
-    members.dedup();
-    let mut prediction_list: Vec<(i64, FragmentKind)> = (s.prediction.rows(e))
-        .filter_map(|[area, kind]| {
-            let kind = FragmentKind::from_name(&kind.as_sym()?.name())?;
-            Some((area.as_int()?, kind))
-        })
-        .collect();
-    prediction_list.sort();
-
-    let result = FaResult {
-        areas,
-        predictions: prediction_list.len(),
-        prediction_list,
-        members,
-        work: e.work(),
-        firings: out.firings,
-        cycle_log: e.take_cycle_log(),
+    let task = FaTask {
+        sp,
+        scene,
+        fragments,
+        consistents,
     };
-    task.finish();
-    result
+    tp.run(&task, Watch::default()).0
+}
+
+/// The FA phase as a [`Task`]: loads the supported fragments and the
+/// consistency records, harvests areas, members and predictions.
+pub struct FaTask<'a> {
+    /// The rule base.
+    pub sp: &'a SpamProgram,
+    /// The scene.
+    pub scene: &'a Arc<Scene>,
+    /// LCC's fragment table, supports accumulated.
+    pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    /// LCC's consistency records.
+    pub consistents: &'a [ConsistentRec],
+}
+
+impl Task for FaTask<'_> {
+    type Output = FaResult;
+
+    fn wiring(&self) -> Wiring<'_> {
+        Wiring {
+            sp: self.sp,
+            scene: self.scene,
+            fragments: self.fragments,
+            id_base: 0,
+        }
+    }
+
+    fn phase(&self) -> ops5::Symbol {
+        static_sym!("fa")
+    }
+
+    fn load(&self, e: &mut Engine) {
+        let s = schema();
+        for f in self.fragments.iter() {
+            s.fragment.make(e, fragment_fields(f, f.support));
+        }
+        let counted = Value::Sym(static_sym!("yes"));
+        for c in self.consistents {
+            let (a, b) = (Value::Int(c.a as i64), Value::Int(c.b as i64));
+            let (rel, weight) = (Value::Sym(c.rel.symbol()), Value::Int(c.weight));
+            s.consistent.make(e, [a, b, rel, weight, counted]);
+        }
+    }
+
+    fn harvest(&self, e: &mut Engine, cycle_log: Vec<CycleStats>) -> FaResult {
+        let s = schema();
+        let mut areas: Vec<FunctionalArea> = (s.area.rows(e))
+            .map(|[id, kind, seed, nmembers, _]| FunctionalArea {
+                id: id.as_int().unwrap_or(-1),
+                kind: kind.to_string(),
+                seed: seed.as_int().unwrap_or(0) as u32,
+                members: nmembers.as_int().unwrap_or(1),
+            })
+            .collect();
+        areas.sort_by_key(|a| a.id);
+        let mut members: Vec<(i64, u32)> = (s.member.rows(e))
+            .filter_map(|[area, frag]| Some((area.as_int()?, frag.as_int()? as u32)))
+            .collect();
+        // Seeds are members of their own areas.
+        members.extend(areas.iter().map(|a| (a.id, a.seed)));
+        members.sort();
+        members.dedup();
+        let mut prediction_list: Vec<(i64, FragmentKind)> = (s.prediction.rows(e))
+            .filter_map(|[area, kind]| {
+                let kind = FragmentKind::from_name(&kind.as_sym()?.name())?;
+                Some((area.as_int()?, kind))
+            })
+            .collect();
+        prediction_list.sort();
+
+        let work = e.work();
+        FaResult {
+            areas,
+            predictions: prediction_list.len(),
+            prediction_list,
+            members,
+            work,
+            firings: work.firings,
+            cycle_log,
+        }
+    }
 }
 
 #[cfg(test)]

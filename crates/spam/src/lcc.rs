@@ -14,15 +14,14 @@
 //! itself (working-memory distribution, §5.1). Results (consistency records
 //! and support increments) never cross task boundaries, which is what makes
 //! the decomposition safe to run asynchronously.
-//! A task takes the lifecycle of [`crate::task`]; this module supplies its
-//! *load* ([`load_unit_wm`]) and *harvest* ([`harvest_lcc_unit`]).
+//! A unit is a [`Task`] ([`LccTask`]) on the lifecycle of [`crate::task`]:
+//! this module supplies its *load* ([`load_unit_wm`]) and its *harvest*.
 
 use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
-use crate::externals::{register, ExternalCtx};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
 use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use crate::task::TaskProcess;
+use crate::task::{Task, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
 use std::collections::BTreeSet;
@@ -261,7 +260,7 @@ pub(crate) fn fragment_fields(f: &FragmentHypothesis, support: i64) -> [Value; 6
 /// distribution, §5.1): the subject fragment(s), their spatial
 /// neighbourhoods, the applicable constraint records, and the task element
 /// itself. The `control` element must already be present
-/// ([`crate::rules::enter_phase`]; [`TaskProcess::begin`] makes it).
+/// ([`crate::rules::enter_phase`]; the lifecycle makes it).
 pub fn load_unit_wm(
     e: &mut ops5::Engine,
     scene: &Arc<Scene>,
@@ -368,8 +367,7 @@ pub fn run_lcc_unit(
 }
 
 /// Executes one LCC task like [`run_lcc_unit`] with `watch` looking on,
-/// returning the task's [`MatchProfile`] too if the watch asked for one:
-/// [`load_unit_wm`] and [`harvest_lcc_unit`] around the one task lifecycle.
+/// returning the task's [`MatchProfile`] too if the watch asked for one.
 pub fn run_lcc_unit_watched(
     tp: &mut TaskProcess,
     sp: &SpamProgram,
@@ -378,12 +376,51 @@ pub fn run_lcc_unit_watched(
     unit: &LccUnit,
     watch: Watch,
 ) -> (LccUnitResult, Option<MatchProfile>) {
-    let phase = static_sym!("lcc");
-    let mut task = tp.begin(sp, scene, fragments, LCC_ID_BASE, phase, watch);
-    load_unit_wm(task.engine(), scene, fragments, unit);
-    let out = task.drive();
-    let result = harvest_lcc_unit(task.engine(), out.firings);
-    (result, task.finish())
+    let task = LccTask {
+        sp,
+        scene,
+        fragments,
+        unit,
+    };
+    tp.run(&task, watch)
+}
+
+/// One LCC unit as a [`Task`]: [`load_unit_wm`] and the harvest of
+/// [`harvest_lcc_unit`] on an engine allocating ids from [`LCC_ID_BASE`].
+pub struct LccTask<'a> {
+    /// The rule base.
+    pub sp: &'a SpamProgram,
+    /// The scene.
+    pub scene: &'a Arc<Scene>,
+    /// RTF's fragment table.
+    pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    /// The unit.
+    pub unit: &'a LccUnit,
+}
+
+impl Task for LccTask<'_> {
+    type Output = LccUnitResult;
+
+    fn wiring(&self) -> Wiring<'_> {
+        Wiring {
+            sp: self.sp,
+            scene: self.scene,
+            fragments: self.fragments,
+            id_base: LCC_ID_BASE,
+        }
+    }
+
+    fn phase(&self) -> ops5::Symbol {
+        static_sym!("lcc")
+    }
+
+    fn load(&self, e: &mut ops5::Engine) {
+        load_unit_wm(e, self.scene, self.fragments, self.unit);
+    }
+
+    fn harvest(&self, e: &mut ops5::Engine, cycle_log: Vec<CycleStats>) -> LccUnitResult {
+        harvest(e, e.work().firings, cycle_log)
+    }
 }
 
 /// Where an LCC task engine's id allocators start: clear of every id the
@@ -393,7 +430,7 @@ pub const LCC_ID_BASE: i64 = 1 << 30;
 /// Creates a fresh engine wired for LCC task execution: the SPAM program
 /// with this scene's external geometry functions registered. Working memory
 /// is *empty* — callers load the control element and the task's WM
-/// distribution (or restore both from a checkpoint).
+/// distribution.
 pub fn lcc_engine(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -402,39 +439,16 @@ pub fn lcc_engine(
     sp.engine_for(scene, fragments, LCC_ID_BASE)
 }
 
-/// Rebuilds an LCC task engine from a checkpoint snapshot. External
-/// functions are code, not state — snapshots cannot carry them — so they
-/// are re-registered against the live scene after the restore, exactly as
-/// [`lcc_engine`] wires a fresh engine.
-pub fn restore_lcc_engine(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    snapshot: &[u8],
-) -> ops5::Result<ops5::Engine> {
-    let mut e = ops5::Engine::restore(
-        Arc::clone(&sp.program),
-        Arc::clone(&sp.compiled),
-        sp.config,
-        snapshot,
-    )?;
-    register(
-        &mut e,
-        ExternalCtx {
-            scene: Arc::clone(scene),
-            fragments: Arc::clone(fragments),
-            id_base: LCC_ID_BASE,
-        },
-    );
-    Ok(e)
-}
-
 /// Harvests one finished LCC task's results out of its quiescent engine:
 /// consistency records and support totals from working memory, plus the
-/// work/firing accounting. `firings` is the task's total production count
-/// ([`ops5::RunOutcome::firings`], or [`ops5::Engine::work`]`.firings` for
-/// a stepped or restored engine).
+/// work/firing accounting and the engine's cycle log. `firings` is the
+/// task's total production count ([`ops5::RunOutcome::firings`]).
 pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
+    let cycle_log = e.take_cycle_log();
+    harvest(e, firings, cycle_log)
+}
+
+fn harvest(e: &ops5::Engine, firings: u64, cycle_log: Vec<CycleStats>) -> LccUnitResult {
     let s = schema();
     let consistents = (s.consistent.rows(e))
         .map(|[a, b, rel, weight, _]| ConsistentRec {
@@ -460,7 +474,7 @@ pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
         rhs_actions: work.rhs_actions,
         work,
         firings,
-        cycle_log: e.take_cycle_log(),
+        cycle_log,
     }
 }
 

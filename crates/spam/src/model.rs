@@ -1,14 +1,15 @@
-//! The MODEL phase: scene-model assembly and stereo verification. One task
-//! on the lifecycle of [`crate::task`]; this module supplies its *load* (the
-//! grown functional areas) and *harvest* (the model and its areas).
+//! The MODEL phase: scene-model assembly and stereo verification. One
+//! [`Task`] ([`ModelTask`]) on the lifecycle of [`crate::task`]; this module
+//! supplies its *load* (the grown functional areas) and *harvest* (the model
+//! and its areas).
 
 use crate::fa::FunctionalArea;
 use crate::fragments::FragmentHypothesis;
 use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use crate::task::TaskProcess;
+use crate::task::{Task, TaskProcess, Wiring};
 use crate::watch::Watch;
-use ops5::{static_sym, CycleStats, Value, WorkCounters};
+use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
 use spam_geometry::{convex_hull, intersection_area, Point, Polygon};
 use std::sync::Arc;
 
@@ -135,44 +136,84 @@ pub fn run_model_task(
     areas: &[FunctionalArea],
     members: &[(i64, u32)],
 ) -> ModelResult {
-    let s = schema();
-    let (phase, watch) = (static_sym!("model"), Watch::default());
-    let mut task = tp.begin(sp, scene, fragments, 0, phase, watch);
-    let e = task.engine();
-    let grown = Value::Sym(static_sym!("grown"));
-    for a in areas {
-        let (id, kind) = (Value::Int(a.id), Value::symbol(&a.kind));
-        let (seed, nmembers) = (Value::Int(a.seed as i64), Value::Int(a.members));
-        s.area.make(e, [id, kind, seed, nmembers, grown]);
-    }
-    let out = task.drive();
-
-    let e = task.engine();
-    let mut models = 0;
-    let mut areas_used = 0;
-    let mut score = 0;
-    for [model_score, model_areas] in s.model.rows(e) {
-        models += 1;
-        areas_used = model_areas.as_int().unwrap_or(0);
-        score = model_score.as_int().unwrap_or(0);
-    }
-    // Selected areas: the model-area records.
-    let mut selected: Vec<i64> = (s.model_area.rows(e))
-        .filter_map(|[area]| area.as_int())
-        .collect();
-    selected.sort_unstable();
-    let result = ModelResult {
-        models,
-        areas_used,
-        score,
-        metrics: model_metrics(scene, fragments, members, &selected),
-        selected,
-        work: e.work(),
-        firings: out.firings,
-        cycle_log: e.take_cycle_log(),
+    let task = ModelTask {
+        sp,
+        scene,
+        fragments,
+        areas,
+        members,
     };
-    task.finish();
-    result
+    tp.run(&task, Watch::default()).0
+}
+
+/// The MODEL phase as a [`Task`]: loads the grown functional areas,
+/// harvests the model and the areas selected into it.
+pub struct ModelTask<'a> {
+    /// The rule base.
+    pub sp: &'a SpamProgram,
+    /// The scene.
+    pub scene: &'a Arc<Scene>,
+    /// LCC's fragment table (FA's wiring: MODEL runs on FA's engine).
+    pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    /// FA's areas.
+    pub areas: &'a [FunctionalArea],
+    /// FA's membership table, for the spatial metrics (`&[]` skips them).
+    pub members: &'a [(i64, u32)],
+}
+
+impl Task for ModelTask<'_> {
+    type Output = ModelResult;
+
+    fn wiring(&self) -> Wiring<'_> {
+        Wiring {
+            sp: self.sp,
+            scene: self.scene,
+            fragments: self.fragments,
+            id_base: 0,
+        }
+    }
+
+    fn phase(&self) -> ops5::Symbol {
+        static_sym!("model")
+    }
+
+    fn load(&self, e: &mut Engine) {
+        let s = schema();
+        let grown = Value::Sym(static_sym!("grown"));
+        for a in self.areas {
+            let (id, kind) = (Value::Int(a.id), Value::symbol(&a.kind));
+            let (seed, nmembers) = (Value::Int(a.seed as i64), Value::Int(a.members));
+            s.area.make(e, [id, kind, seed, nmembers, grown]);
+        }
+    }
+
+    fn harvest(&self, e: &mut Engine, cycle_log: Vec<CycleStats>) -> ModelResult {
+        let s = schema();
+        let mut models = 0;
+        let mut areas_used = 0;
+        let mut score = 0;
+        for [model_score, model_areas] in s.model.rows(e) {
+            models += 1;
+            areas_used = model_areas.as_int().unwrap_or(0);
+            score = model_score.as_int().unwrap_or(0);
+        }
+        // Selected areas: the model-area records.
+        let mut selected: Vec<i64> = (s.model_area.rows(e))
+            .filter_map(|[area]| area.as_int())
+            .collect();
+        selected.sort_unstable();
+        let work = e.work();
+        ModelResult {
+            models,
+            areas_used,
+            score,
+            metrics: model_metrics(self.scene, self.fragments, self.members, &selected),
+            selected,
+            work,
+            firings: work.firings,
+            cycle_log,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! The RTF (region-to-fragment) phase: heuristic classification. An RTF
-//! task — the whole scene, or one batch of its regions — takes the lifecycle
-//! of [`crate::task`]; this module supplies its *load* (the scene domain's
-//! prototypes and the task's regions) and *harvest* (the fragments made).
+//! task — the whole scene, or one batch of its regions — is a [`Task`]
+//! ([`RtfTask`]) on the lifecycle of [`crate::task`]; this module supplies
+//! its *load* (the scene domain's prototypes and the task's regions) and
+//! *harvest* (the fragments made).
 
 use crate::fragments::{FragmentHypothesis, FragmentKind};
 use crate::rules::{schema, SpamProgram};
 use crate::scene::{Region, Scene};
-use crate::task::TaskProcess;
+use crate::task::{Task, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
 use std::sync::{Arc, OnceLock};
@@ -48,26 +49,64 @@ fn no_fragments() -> &'static Arc<Vec<FragmentHypothesis>> {
     NONE.get_or_init(Arc::default)
 }
 
-/// Loads an RTF task's working memory: the classification prototypes of
-/// the scene's domain (the class envelopes live in WM; the classification
-/// work is join work — see `rules::rtf_rules`) and the task's regions.
-fn load_rtf_task(e: &mut Engine, scene: &Scene, regions: &[u32]) {
-    let s = schema();
-    for (name, p) in crate::rules::prototypes() {
-        if p.domain != scene.domain {
-            continue; // scene-type knowledge gates the class envelopes
+/// One RTF task — the whole scene, or one batch of its regions — as a
+/// [`Task`]. Its *load* is the classification prototypes of the scene's
+/// domain (the class envelopes live in WM; the classification work is join
+/// work — see `rules::rtf_rules`) and the task's regions; its *harvest* the
+/// fragments made ([`collect_fragments`]).
+pub struct RtfTask<'a> {
+    /// The rule base.
+    pub sp: &'a SpamProgram,
+    /// The scene.
+    pub scene: &'a Arc<Scene>,
+    /// The regions to classify, by id.
+    pub regions: &'a [u32],
+}
+
+impl Task for RtfTask<'_> {
+    type Output = RtfResult;
+
+    fn wiring(&self) -> Wiring<'_> {
+        Wiring {
+            sp: self.sp,
+            scene: self.scene,
+            fragments: no_fragments(),
+            id_base: 0,
         }
-        let (kind, out, conf) = (Value::symbol(name), Value::symbol(p.out), p.conf.into());
-        let [eln, elx, lnn, lnx, wdn, wdx, inn, inx, arn, arx, cpn, rcn] =
-            p.bounds.map(Value::Float);
-        let envelope = [
-            kind, out, eln, elx, lnn, lnx, wdn, wdx, inn, inx, arn, arx, cpn, rcn, conf,
-        ];
-        s.proto.make(e, envelope);
     }
-    for &rid in regions {
-        s.region
-            .make(e, region_fields(&scene.regions[rid as usize]));
+
+    fn phase(&self) -> ops5::Symbol {
+        static_sym!("rtf")
+    }
+
+    fn load(&self, e: &mut Engine) {
+        let s = schema();
+        for (name, p) in crate::rules::prototypes() {
+            if p.domain != self.scene.domain {
+                continue; // scene-type knowledge gates the class envelopes
+            }
+            let (kind, out, conf) = (Value::symbol(name), Value::symbol(p.out), p.conf.into());
+            let [eln, elx, lnn, lnx, wdn, wdx, inn, inx, arn, arx, cpn, rcn] =
+                p.bounds.map(Value::Float);
+            let envelope = [
+                kind, out, eln, elx, lnn, lnx, wdn, wdx, inn, inx, arn, arx, cpn, rcn, conf,
+            ];
+            s.proto.make(e, envelope);
+        }
+        for &rid in self.regions {
+            s.region
+                .make(e, region_fields(&self.scene.regions[rid as usize]));
+        }
+    }
+
+    fn harvest(&self, e: &mut Engine, cycle_log: Vec<CycleStats>) -> RtfResult {
+        let work = e.work();
+        RtfResult {
+            fragments: collect_fragments(e),
+            work,
+            firings: work.firings,
+            cycle_log,
+        }
     }
 }
 
@@ -105,19 +144,8 @@ pub fn run_rtf_task(
     scene: &Arc<Scene>,
     regions: &[u32],
 ) -> RtfResult {
-    let (phase, watch) = (static_sym!("rtf"), Watch::default());
-    let mut task = tp.begin(sp, scene, no_fragments(), 0, phase, watch);
-    load_rtf_task(task.engine(), scene, regions);
-    let out = task.drive();
-    let e = task.engine();
-    let result = RtfResult {
-        fragments: collect_fragments(e),
-        work: e.work(),
-        firings: out.firings,
-        cycle_log: e.take_cycle_log(),
-    };
-    task.finish();
-    result
+    let task = RtfTask { sp, scene, regions };
+    tp.run(&task, Watch::default()).0
 }
 
 /// Splits the scene's regions into RTF task batches of `batch` regions.

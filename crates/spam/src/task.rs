@@ -2,19 +2,30 @@
 //! OPS5 system" that draws tasks from the queue (§5.1); a [`TaskProcess`]
 //! is that system's engine, owned by whoever runs the tasks — a phase loop
 //! on its own stack, a pool worker for the length of a phase — and every
-//! RTF, LCC, FA and MODEL task takes the same seven steps on it:
+//! RTF, LCC, FA and MODEL task is a [`Task`] — what to wire, which phase,
+//! a *load* and a *harvest* — that [`TaskProcess::run`] takes through the
+//! same seven steps:
 //!
 //! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out and
-//!    [`ops5::Engine::reset`]s it if it was built for these very inputs,
+//!    [`ops5::Engine::reset`]s it if it was built for this very [`Wiring`],
 //!    else builds one ([`SpamProgram::engine_for`]);
 //! 2. **watch** — the cycle log (and the profiler, if the [`Watch`] asks)
-//!    is switched on, and the `control` element puts the rule base in the
-//!    task's phase; the watch itself stays outside the engine;
-//! 3. **load** — the caller fills [`Attempt::engine`]'s working memory;
-//! 4. **drive** — [`Attempt::drive`] to quiescence, which also
-//! 5. **publishes** what the watch's cadence had not yet;
-//! 6. **harvest** — the caller reads the results out of the engine;
+//!    is switched on; the watch itself stays outside the engine;
+//! 3. **load** — the `control` element puts the rule base in
+//!    [`Task::phase`], [`Task::load`] fills working memory;
+//! 4. **drive** — the watch drives the engine to quiescence
+//!    ([`crate::watch`]: the one loop), handing control to a
+//!    [`DrivePolicy`] where it asks (`()` never does), and
+//! 5. **publishes** what its cadence had not yet;
+//! 6. **harvest** — [`Task::harvest`] reads the results out of the engine;
 //! 7. **put back** — [`Attempt::finish`] returns the engine to the process.
+//!
+//! Steps 2–7 are [`Attempt::run`], the only place they are written.
+//!
+//! A task that died mid-run and left a snapshot behind re-enters at step 1
+//! through [`TaskProcess::resume`] — the engine is restored, not reset — and
+//! skips step 3 ([`Attempt::run`] with `loaded`); from there it is an
+//! attempt like any other, its engine kept for the next task.
 //!
 //! Between *wire* and *put back* the engine belongs to the [`Attempt`], so
 //! a task that panics — tasks run under `catch_unwind` with injected
@@ -23,12 +34,45 @@
 //! scope drops its engine. There is no state a failed task can leave behind
 //! for the next, nothing to poison and nothing to release by hand.
 
+use crate::externals::{register, ExternalCtx};
 use crate::fragments::FragmentHypothesis;
 use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
-use crate::watch::Watch;
-use ops5::{Engine, MatchProfile, ReteConfig, RunOutcome, Symbol};
+use crate::watch::{DrivePolicy, Watch};
+use ops5::{CycleStats, Engine, MatchProfile, ReteConfig, Symbol};
 use std::sync::Arc;
+
+/// What a task's engine is wired with: the program, the scene and fragment
+/// table its externals read, and where its id allocators start.
+pub struct Wiring<'a> {
+    /// The compiled rule base.
+    pub sp: &'a SpamProgram,
+    /// The scene.
+    pub scene: &'a Arc<Scene>,
+    /// The fragment table (RTF's is empty: it makes the fragments).
+    pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    /// See [`ExternalCtx::id_base`].
+    pub id_base: i64,
+}
+
+/// One task, described to the lifecycle: everything else about running it —
+/// which engine, who watches, what interrupts, whether it starts over or
+/// resumes — is the caller's and the process's.
+pub trait Task {
+    /// What the task computes.
+    type Output;
+    /// What its engine is wired with.
+    fn wiring(&self) -> Wiring<'_>;
+    /// The phase its rules run in (`rtf`, `lcc`, `fa`, `model`).
+    fn phase(&self) -> Symbol;
+    /// Step 3: fills the working memory of an engine holding only the
+    /// `control` element.
+    fn load(&self, e: &mut Engine);
+    /// Step 6: reads the result out of the quiescent engine. `cycle_log` is
+    /// the task's whole log, the cycles of a dead attempt it resumed from
+    /// included.
+    fn harvest(&self, e: &mut Engine, cycle_log: Vec<CycleStats>) -> Self::Output;
+}
 
 /// An engine with the inputs it was wired for. Holding the `Arc`s (not
 /// bare addresses) is what makes the pointer comparison in [`Kept::serves`]
@@ -37,25 +81,17 @@ use std::sync::Arc;
 struct Kept {
     compiled: Arc<Vec<ops5::rete::compile::CompiledProduction>>,
     config: ReteConfig,
-    scene: Arc<Scene>,
-    fragments: Arc<Vec<FragmentHypothesis>>,
-    id_base: i64,
+    ctx: ExternalCtx,
     engine: Engine,
 }
 
 impl Kept {
-    fn serves(
-        &self,
-        sp: &SpamProgram,
-        scene: &Arc<Scene>,
-        fragments: &Arc<Vec<FragmentHypothesis>>,
-        id_base: i64,
-    ) -> bool {
-        Arc::ptr_eq(&self.compiled, &sp.compiled)
-            && self.config == sp.config
-            && Arc::ptr_eq(&self.scene, scene)
-            && Arc::ptr_eq(&self.fragments, fragments)
-            && self.id_base == id_base
+    fn serves(&self, w: &Wiring<'_>) -> bool {
+        Arc::ptr_eq(&self.compiled, &w.sp.compiled)
+            && self.config == w.sp.config
+            && Arc::ptr_eq(&self.ctx.scene, w.scene)
+            && Arc::ptr_eq(&self.ctx.fragments, w.fragments)
+            && self.ctx.id_base == w.id_base
     }
 }
 
@@ -63,51 +99,74 @@ impl Kept {
 #[derive(Default)]
 pub struct TaskProcess {
     kept: Option<Kept>,
-    /// Engines built so far: the *wire* steps that missed.
+    /// Engines built so far: the *wire* steps that missed, and the resumes.
     #[cfg(test)]
     pub(crate) engines_built: u32,
 }
 
 impl TaskProcess {
-    /// Steps 1–2: an engine in its just-built state, wired to these inputs
-    /// and allocating ids from `id_base`, logging its cycles, in `phase`.
-    pub fn begin<'p>(
-        &'p mut self,
-        sp: &SpamProgram,
-        scene: &Arc<Scene>,
-        fragments: &Arc<Vec<FragmentHypothesis>>,
-        id_base: i64,
-        phase: Symbol,
-        watch: Watch,
-    ) -> Attempt<'p> {
-        let mut kept = match self.kept.take() {
-            Some(mut kept) if kept.serves(sp, scene, fragments, id_base) => {
+    /// The lifecycle, whole: `task` from *wire* to *put back* under `watch`.
+    /// Returns the task's profile too if the watch asked for one.
+    pub fn run<K: Task>(&mut self, task: &K, watch: Watch) -> (K::Output, Option<MatchProfile>) {
+        let (result, _, profile) = self.begin(&task.wiring()).run(task, watch, false, &mut ());
+        (result, profile)
+    }
+
+    /// Step 1: an engine in its just-built state, wired as `w` says and
+    /// logging its cycles; its working memory is empty.
+    pub fn begin(&mut self, w: &Wiring<'_>) -> Attempt<'_> {
+        let kept = match self.kept.take() {
+            Some(mut kept) if kept.serves(w) => {
                 kept.engine.reset();
                 kept
             }
-            _ => {
-                #[cfg(test)]
-                (self.engines_built += 1);
-                Kept {
-                    compiled: Arc::clone(&sp.compiled),
-                    config: sp.config,
-                    scene: Arc::clone(scene),
-                    fragments: Arc::clone(fragments),
-                    id_base,
-                    engine: sp.engine_for(scene, fragments, id_base),
-                }
-            }
+            _ => self.wire(w, w.sp.engine()),
         };
-        let e = &mut kept.engine;
-        e.enable_cycle_log();
-        if watch.profile {
-            e.enable_profile();
+        self.attempt(kept, Vec::new())
+    }
+
+    /// Step 1 for a task that died mid-run: an engine restored from the
+    /// `snapshot` the dead attempt took, holding the working memory,
+    /// conflict set and counters of that cycle (external functions are
+    /// code, not state: they are registered again, as `w` says). `logged` is
+    /// the cycle log up to it, which the snapshot does not carry. Fails on a
+    /// damaged snapshot; the process is then as it was.
+    pub fn resume(
+        &mut self,
+        w: &Wiring<'_>,
+        snapshot: &[u8],
+        logged: Vec<CycleStats>,
+    ) -> ops5::Result<Attempt<'_>> {
+        let (program, compiled) = (Arc::clone(&w.sp.program), Arc::clone(&w.sp.compiled));
+        let engine = Engine::restore(program, compiled, w.sp.config, snapshot)?;
+        let kept = self.wire(w, engine);
+        Ok(self.attempt(kept, logged))
+    }
+
+    /// A new engine — empty, or restored — gets its externals.
+    fn wire(&mut self, w: &Wiring<'_>, mut engine: Engine) -> Kept {
+        #[cfg(test)]
+        (self.engines_built += 1);
+        let ctx = ExternalCtx {
+            scene: Arc::clone(w.scene),
+            fragments: Arc::clone(w.fragments),
+            id_base: w.id_base,
+        };
+        register(&mut engine, ctx.clone());
+        Kept {
+            compiled: Arc::clone(&w.sp.compiled),
+            config: w.sp.config,
+            ctx,
+            engine,
         }
-        enter_phase(e, phase);
+    }
+
+    fn attempt(&mut self, mut kept: Kept, logged: Vec<CycleStats>) -> Attempt<'_> {
+        kept.engine.enable_cycle_log();
         Attempt {
             home: self,
             kept,
-            watch,
+            logged,
         }
     }
 
@@ -124,25 +183,53 @@ impl TaskProcess {
 pub struct Attempt<'p> {
     home: &'p mut TaskProcess,
     kept: Kept,
-    watch: Watch,
+    /// The cycles a dead attempt logged before the snapshot this one was
+    /// resumed from; empty for an attempt begun from nothing.
+    logged: Vec<CycleStats>,
 }
 
 impl Attempt<'_> {
-    /// The task's engine, for the caller's *load* and *harvest*.
+    /// The task's engine.
     pub fn engine(&mut self) -> &mut Engine {
         &mut self.kept.engine
     }
 
-    /// Steps 4–5: runs the engine to quiescence under the attempt's watch.
-    pub fn drive(&mut self) -> RunOutcome {
-        let out = self.watch.drive(&mut self.kept.engine);
+    /// Steps 2–7 of `task`'s lifecycle on this attempt, `watch` looking on.
+    /// `loaded` says the engine already holds the task's working memory —
+    /// restored with it ([`TaskProcess::resume`]) or filled from a log — and
+    /// skips step 3. `policy` gets control between cycles where it asks to
+    /// (`&mut ()`: nowhere). Returns the result, the cycles this attempt
+    /// fired, and the profile if the watch asked for one.
+    pub fn run<K: Task>(
+        mut self,
+        task: &K,
+        mut watch: Watch,
+        loaded: bool,
+        policy: &mut impl DrivePolicy,
+    ) -> (K::Output, u64, Option<MatchProfile>) {
+        let e = &mut self.kept.engine;
+        if watch.profile {
+            e.enable_profile();
+        }
+        if !loaded {
+            enter_phase(e, task.phase());
+            task.load(e);
+        }
+        let out = watch.drive(e, policy);
         debug_assert!(out.quiescent(), "a task must reach quiescence: {out:?}");
-        out
+        let mut cycle_log = std::mem::take(&mut self.logged);
+        if cycle_log.is_empty() {
+            cycle_log = e.take_cycle_log();
+        } else {
+            cycle_log.extend(e.take_cycle_log());
+        }
+        let result = task.harvest(e, cycle_log);
+        (result, out.firings, self.finish())
     }
 
     /// Step 7: the engine goes back to its process. Returns the task's
-    /// profile if the watch asked for one (`None` otherwise: `reset`
-    /// detached the last task's).
+    /// profile if one was taken (`None` otherwise: `reset` detached the last
+    /// task's).
     pub fn finish(mut self) -> Option<MatchProfile> {
         let profile = self.kept.engine.take_profile();
         self.home.kept = Some(self.kept);
@@ -166,7 +253,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::fa::run_fa_task;
-    use crate::lcc::{run_lcc, run_lcc_unit, LccUnit, Level};
+    use crate::lcc::{run_lcc, run_lcc_unit, LccTask, LccUnit, Level};
     use crate::model::run_model_task;
     use crate::rtf::{run_rtf, run_rtf_task};
 
@@ -200,10 +287,85 @@ mod tests {
         run_model_task(tp, &sp, &dc, &supported, &fa.areas, &fa.members);
         assert_eq!(tp.engines_built, 5, "MODEL runs on FA's engine");
         // The same table under another id base is another wiring.
-        let phase = ops5::static_sym!("lcc");
-        tp.begin(&sp, &dc, &supported, 7, phase, Watch::default())
-            .finish();
+        let wiring = Wiring {
+            sp: &sp,
+            scene: &dc,
+            fragments: &supported,
+            id_base: 7,
+        };
+        tp.begin(&wiring).finish();
         assert_eq!(tp.engines_built, 6);
         assert!(tp.keeps_an_engine());
+    }
+
+    /// Takes a snapshot at cycle `at`, as a checkpoint would.
+    struct SnapshotAt {
+        at: u64,
+        taken: Option<(Vec<u8>, Vec<CycleStats>)>,
+    }
+
+    impl DrivePolicy for SnapshotAt {
+        fn due_in(&self, e: &Engine) -> u64 {
+            match self.taken {
+                None => self.at.saturating_sub(e.work().firings),
+                Some(_) => u64::MAX,
+            }
+        }
+        fn at(&mut self, e: &Engine) {
+            self.taken = Some((e.snapshot(), e.cycle_log().to_vec()));
+        }
+    }
+
+    /// Interrupted units put their engine back like any other, a resumed
+    /// attempt builds the one engine it restores, returns the uninterrupted
+    /// unit's result whole, and leaves behind an engine that, reset, is as
+    /// good as a built one.
+    #[test]
+    fn a_resumed_attempt_is_an_ordinary_one_and_its_engine_serves_the_next_task() {
+        let dc = Arc::new(crate::generate_scene(&crate::dc().spec));
+        let shared = SpamProgram::build();
+        let frags = Arc::new(run_rtf(&shared, &dc).fragments);
+        for sp in [shared.clone().with_config(ReteConfig::unshared()), shared] {
+            let units: Vec<LccUnit> = (0..4).map(LccUnit::Object).collect();
+            let task = |unit| LccTask {
+                sp: &sp,
+                scene: &dc,
+                fragments: &frags,
+                unit,
+            };
+            let fresh = |unit| run_lcc_unit(&mut TaskProcess::default(), &sp, &dc, &frags, unit);
+
+            let tp = &mut TaskProcess::default();
+            let mut snapshots = Vec::new();
+            for unit in &units {
+                let mut policy = SnapshotAt { at: 2, taken: None };
+                let (task, watch) = (task(unit), Watch::default());
+                let (r, fired, _) = tp
+                    .begin(&task.wiring())
+                    .run(&task, watch, false, &mut policy);
+                assert_eq!((&r, fired), (&fresh(unit), r.firings));
+                snapshots.push(policy.taken.expect("every unit fires past cycle 2"));
+            }
+            assert_eq!(
+                tp.engines_built, 1,
+                "a checkpointed unit puts its engine back"
+            );
+
+            let (snapshot, logged) = snapshots.swap_remove(1);
+            let (task, watch) = (task(&units[1]), Watch::default());
+            let resumed = tp.resume(&task.wiring(), &snapshot, logged).unwrap();
+            let (r, fired, _) = resumed.run(&task, watch, true, &mut ());
+            assert_eq!(r, fresh(&units[1]), "cycle log included");
+            assert_eq!(fired, r.firings - 2, "only the cycles past the snapshot");
+            assert_eq!(tp.engines_built, 2, "a restore is a construction");
+
+            let next = run_lcc_unit(tp, &sp, &dc, &frags, &units[3]);
+            assert_eq!(tp.engines_built, 2, "and the restored engine is kept");
+            assert_eq!(
+                next,
+                fresh(&units[3]),
+                "reset, it is as good as a built one"
+            );
+        }
     }
 }

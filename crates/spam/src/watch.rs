@@ -1,12 +1,15 @@
-//! Watching a task engine from outside. [`ops5::Engine`] only counts, so a
-//! task runner holds a [`Watch`] *next to* it, drives it in short slices and
-//! between slices reads its public counters into the live registry —
-//! `spam_live_match_units` / `_firings` / `_rhs_actions` as counter deltas,
-//! `spam_live_conflict_set_depth` / `_wm_size` as gauges, next to the phase
-//! runner's other `spam_live_*` series — and groups its cycles into
-//! `engine.cycles x{n}` spans under the task's attempt. All of it is reads:
-//! a watched task's results are bit-identical to an unwatched one's, and an
-//! inert watch (the default) is a plain [`ops5::Engine::run`].
+//! Driving and watching a task engine from outside. [`ops5::Engine`] only
+//! counts, so a task runner holds a [`Watch`] *next to* it and the watch owns
+//! the one loop that advances a task's engine ([`crate::task::Attempt::drive`]):
+//! short slices, and between slices it reads the engine's public counters into
+//! the live registry — `spam_live_match_units` / `_firings` / `_rhs_actions`
+//! as counter deltas, `spam_live_conflict_set_depth` / `_wm_size` as gauges,
+//! next to the phase runner's other `spam_live_*` series — groups its cycles
+//! into `engine.cycles x{n}` spans under the task's attempt, and hands
+//! control to a [`DrivePolicy`] at the cycles it asks for (checkpoints and
+//! injected kills are one: `core::recover`). All of it is reads: a watched
+//! task's results are bit-identical to an unwatched one's, and an inert watch
+//! (the default) under the unit policy is a plain [`ops5::Engine::run`].
 
 use ops5::{Engine, RunOutcome, WorkCounters};
 use std::sync::Arc;
@@ -25,6 +28,26 @@ pub const TRACE_WINDOW_EVERY: u32 = 256;
 
 /// The firing budget of one task; no SPAM task comes near it.
 const TASK_CYCLE_BUDGET: u64 = 1_000_000;
+
+/// What else wants control between the cycles of a driven engine — the
+/// checkpointing of a recoverable phase, say. It reads: the engine it is
+/// shown computes what it would have computed undisturbed. `()` is the
+/// policy that never wants any.
+pub trait DrivePolicy {
+    /// Cycles from now until the policy next wants control: `0` before the
+    /// next cycle, `u64::MAX` never.
+    fn due_in(&self, e: &Engine) -> u64;
+    /// Those cycles have fired; `e` stands between two cycles (at
+    /// quiescence too, which it has yet to find out).
+    fn at(&mut self, e: &Engine);
+}
+
+impl DrivePolicy for () {
+    fn due_in(&self, _: &Engine) -> u64 {
+        u64::MAX
+    }
+    fn at(&mut self, _: &Engine) {}
+}
 
 /// Who watches one task's engine. Made per task and dropped with it: nothing
 /// of it outlives the task in the engine or the thread.
@@ -64,16 +87,26 @@ impl Watch {
         self
     }
 
-    /// Runs `e` until it stops, as `e.run(1_000_000)` would: with anyone
-    /// watching, in slices of [`LIVE_MIRROR_EVERY`] cycles with a
-    /// [`Watch::tick`] after each, then [`Watch::finish`].
-    pub fn drive(&mut self, e: &mut Engine) -> RunOutcome {
-        if self.live.is_none() && self.trace.is_none() {
-            return e.run(TASK_CYCLE_BUDGET);
-        }
+    /// The one loop that advances a task's engine: runs `e` until it stops,
+    /// in slices. A slice ends at the nearer of the watch's cadence
+    /// ([`LIVE_MIRROR_EVERY`] cycles when anyone watches, else the whole
+    /// budget) and the cycle at which `policy` next wants control; after
+    /// each slice the watch ticks, then the policy is called if its cycle
+    /// has come. With no one watching and the unit policy that is one
+    /// `e.run(1_000_000)`.
+    pub(crate) fn drive(&mut self, e: &mut Engine, policy: &mut impl DrivePolicy) -> RunOutcome {
+        let watched = self.live.is_some() || self.trace.is_some();
         let mut firings = 0;
         loop {
-            let slice = u64::from(LIVE_MIRROR_EVERY).min(TASK_CYCLE_BUDGET - firings);
+            // To the next publish, however short the policy cut the last
+            // slice: both cadences fall on the cycles they would without it.
+            let cadence = if watched {
+                u64::from(LIVE_MIRROR_EVERY - self.unpublished)
+            } else {
+                TASK_CYCLE_BUDGET
+            };
+            let due_in = policy.due_in(e);
+            let slice = cadence.min(due_in).min(TASK_CYCLE_BUDGET - firings);
             let mut out = e.run(slice);
             firings += out.firings;
             self.tick(e, out.firings as u32);
@@ -82,13 +115,15 @@ impl Watch {
                 out.firings = firings;
                 return out;
             }
+            if out.firings == due_in {
+                policy.at(e);
+            }
         }
     }
 
     /// `e` has fired `cycles` more times: publish or close the cycle window
-    /// if its cadence is due. Public for the runner that steps the engine
-    /// itself (checkpointed recovery).
-    pub fn tick(&mut self, e: &Engine, cycles: u32) {
+    /// if its cadence is due.
+    fn tick(&mut self, e: &Engine, cycles: u32) {
         self.unpublished += cycles;
         if self.unpublished >= LIVE_MIRROR_EVERY {
             self.publish(e);
@@ -101,7 +136,7 @@ impl Watch {
 
     /// The task is over: publish what the cadence has not (the gauges
     /// always) and close the open cycle window.
-    pub fn finish(&mut self, e: &Engine) {
+    fn finish(&mut self, e: &Engine) {
         self.publish(e);
         self.close_window();
     }
@@ -159,10 +194,26 @@ mod tests {
             .collect()
     }
 
+    /// Asks for control every `every` cycles and notes the cycles it got it at.
+    struct Every {
+        every: u64,
+        seen: Vec<u64>,
+    }
+
+    impl DrivePolicy for Every {
+        fn due_in(&self, e: &Engine) -> u64 {
+            self.every - e.work().firings % self.every
+        }
+        fn at(&mut self, e: &Engine) {
+            self.seen.push(e.work().firings);
+        }
+    }
+
     /// Below, at and above a multiple of either cadence: the watch is
     /// invisible to the run, the registry ends up holding the engine's
     /// totals, and the cycles arrive as ⌈F/256⌉ windows that sum to F —
-    /// driven by the watch or stepped by the runner and ticked per cycle.
+    /// whether or not a policy cuts the slices shorter, and the policy gets
+    /// control at exactly the cycles it asked for.
     #[test]
     fn a_watched_run_is_the_plain_run_and_keeps_both_cadences() {
         for firings in [0, 1, 15, 16, 17, 255, 256, 257, 512, 600] {
@@ -170,36 +221,53 @@ mod tests {
             let want = plain.run(TASK_CYCLE_BUDGET);
             assert_eq!(want.firings, firings);
 
-            let live = Live::new(8);
-            let mut watched = counter(firings);
-            let got = windows(|sink| {
-                let out = Watch::new(Some(&live), Some(sink)).drive(&mut watched);
-                assert_eq!(out, want, "F={firings}");
-            });
-            let w = watched.work();
-            assert_eq!(w, plain.work(), "F={firings}");
-            assert_eq!(got.len() as u64, firings.div_ceil(256), "F={firings}");
-            assert_eq!(got.iter().sum::<u64>(), firings, "F={firings}");
-            assert!(got.iter().rev().skip(1).all(|&n| n == 256), "{got:?}");
+            for every in [None, Some(1), Some(3), Some(16), Some(17)] {
+                let at = format!("F={firings}, policy {every:?}");
+                let live = Live::new(8);
+                let mut watched = counter(firings);
+                let got = windows(|sink| {
+                    let mut watch = Watch::new(Some(&live), Some(sink));
+                    let out = match every {
+                        None => watch.drive(&mut watched, &mut ()),
+                        Some(every) => {
+                            let mut policy = Every {
+                                every,
+                                seen: vec![],
+                            };
+                            let out = watch.drive(&mut watched, &mut policy);
+                            let asked: Vec<u64> =
+                                (1..=firings / every).map(|k| k * every).collect();
+                            assert_eq!(policy.seen, asked, "{at}");
+                            out
+                        }
+                    };
+                    assert_eq!(out, want, "{at}");
+                });
+                let w = watched.work();
+                assert_eq!(w, plain.work(), "{at}");
+                assert_eq!(got.len() as u64, firings.div_ceil(256), "{at}");
+                assert_eq!(got.iter().sum::<u64>(), firings, "{at}");
+                assert!(got.iter().rev().skip(1).all(|&n| n == 256), "{got:?}");
 
-            let snap = live.snapshot();
-            let total = |name: &str| match snap.series.get(name) {
-                Some(LiveValue::Counter { total, .. }) => *total,
-                other => panic!("{name}: expected counter, got {other:?}"),
+                let snap = live.snapshot();
+                let total = |name: &str| match snap.series.get(name) {
+                    Some(LiveValue::Counter { total, .. }) => *total,
+                    other => panic!("{name}: expected counter, got {other:?}"),
+                };
+                assert_eq!(total("spam_live_match_units"), w.match_units);
+                assert_eq!(total("spam_live_firings"), firings);
+                assert_eq!(total("spam_live_rhs_actions"), w.rhs_actions);
+            }
+
+            // No one watching: the policy still gets its cycles.
+            let mut unwatched = counter(firings);
+            let mut policy = Every {
+                every: 17,
+                seen: vec![],
             };
-            assert_eq!(total("spam_live_match_units"), w.match_units);
-            assert_eq!(total("spam_live_firings"), firings);
-            assert_eq!(total("spam_live_rhs_actions"), w.rhs_actions);
-
-            let mut stepped = counter(firings);
-            let by_step = windows(|sink| {
-                let mut watch = Watch::new(None, Some(sink));
-                while stepped.step().unwrap().is_some() {
-                    watch.tick(&stepped, 1);
-                }
-                watch.finish(&stepped);
-            });
-            assert_eq!(by_step, got, "F={firings}");
+            let out = Watch::default().drive(&mut unwatched, &mut policy);
+            assert_eq!((out, unwatched.work()), (want, plain.work()), "F={firings}");
+            assert_eq!(policy.seen.len() as u64, firings / 17, "F={firings}");
         }
     }
 }
