@@ -17,11 +17,14 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
 # arithmetic): the allocation budget of the recognize-act cycle, the exact LCC
 # work totals of the benchmark inputs (netted instantiations included), the
 # once-per-firing conflict feed vs the per-change one and the Rete drained
-# every 1..8 changes vs a full re-match, alpha dispatch vs a linear walk and
-# hash_key vs ops_eq.
+# every 1..8 changes vs a full re-match, rollback-to-mark vs reset + replay
+# of the base (engine by engine, then task process by task process against a
+# fresh engine per task), alpha dispatch vs a linear walk and hash_key vs
+# ops_eq.
 cargo test --release -p ops5 --test alloc_budget
 cargo test --release -p spam --test work_pins
-cargo test --release -p ops5 --test properties
+cargo test --release -p ops5 --test properties --test mark
+cargo test --release -p spam --test reuse
 cargo test --release -p ops5 --lib -- \
   dispatch_agrees_with_a_linear_walk hash_key_has_no_false_negatives
 # Speedup doctor (DC Level 2, match-fraction band gate).

@@ -1,13 +1,13 @@
 //! Benchmarks of SPAM phase machinery: scene generation, RTF, single LCC
 //! tasks at the chosen decomposition grains, and the decomposition itself.
 //! A single-task bench runs on one task process, as a worker's tasks do: its
-//! engine is kept and reset between iterations, not rebuilt.
+//! engine is kept between iterations, not rebuilt.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spam::lcc::{decompose, run_lcc_unit, LccUnit, Level};
+use spam::lcc::{decompose, run_lcc_unit, LccPlan, LccUnit, Level};
 use spam::rtf::{rtf_task_batches, run_rtf, run_rtf_task, run_rtf_tasks};
 use spam::rules::SpamProgram;
-use spam::task::TaskProcess;
+use spam::task::{Task, TaskProcess};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,6 +49,24 @@ fn bench_spam(c: &mut Criterion) {
     g.bench_function("lcc_unit_level3_runway", |b| {
         let (mut tp, unit) = (TaskProcess::default(), LccUnit::Object(runway));
         b.iter(|| run_lcc_unit(&mut tp, &sp, &scene, &fragments, &unit).firings)
+    });
+
+    // Working-memory distribution alone: every Level-3 unit of the phase
+    // begun and loaded on a warm task process, none driven.
+    g.bench_function("lcc_l3_setup", |b| {
+        let plan = LccPlan::new(&scene, &fragments, Level::L3);
+        let mut tp = TaskProcess::default();
+        b.iter(|| {
+            let mut wmes = 0;
+            for i in 0..plan.units.len() {
+                let task = plan.task(&sp, &scene, &fragments, i);
+                let mut attempt = tp.begin(&task, false);
+                task.load(attempt.engine());
+                wmes += attempt.engine().wm().len();
+                attempt.finish();
+            }
+            wmes
+        })
     });
 
     g.bench_function("lcc_unit_level1_pair", |b| {

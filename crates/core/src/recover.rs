@@ -54,7 +54,7 @@ use crate::tlp::{lcc_task_list, observe_unit};
 use ops5::snapshot::apply_record;
 use ops5::{CycleStats, Engine, Wal, WalOp, WalRecord};
 use spam::fragments::FragmentHypothesis;
-use spam::lcc::{decompose, merge_lcc_units, LccPhaseResult, LccTask, LccUnitResult, Level};
+use spam::lcc::{merge_lcc_units, LccPhaseResult, LccPlan, LccUnitResult, Level};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use spam::task::{Task, TaskProcess};
@@ -430,7 +430,7 @@ impl Recoverable<'_> {
                 // No checkpoint yet, intact WAL: rebuild the initial
                 // working memory from the log.
                 (None, Some(rep)) if !rep.torn() => {
-                    let mut a = tp.begin(&wiring);
+                    let mut a = tp.begin_empty(&wiring);
                     for r in &rep.records {
                         apply_record(a.engine(), r);
                     }
@@ -460,7 +460,7 @@ impl Recoverable<'_> {
         }
         let (a, loaded) = match resumed {
             Some(a) => (a, true),
-            None => (tp.begin(&wiring), false),
+            None => (tp.begin(task, false), false),
         };
         // The attempt's cycle windows only: no live mirror, a restored
         // engine's counters are not new work.
@@ -568,19 +568,13 @@ pub fn run_parallel_lcc_recoverable(
     how: &PhaseRun<'_>,
     ckpt: &CheckpointConfig,
 ) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
-    let units = decompose(scene, fragments, level);
-    let (labels, estimates) = lcc_task_list(&units, fragments);
+    let plan = LccPlan::new(scene, fragments, level);
+    let (labels, estimates) = lcc_task_list(&plan.units, fragments);
     let obs = &how.obs;
     let (sp, scene, frags) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
     let observe = |i, r: &LccUnitResult| observe_unit(obs, i, &r.work);
     let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
-        let (sp, scene, fragments, unit) = (&sp, &scene, &frags, &units[r.task()]);
-        let task = LccTask {
-            sp,
-            scene,
-            fragments,
-            unit,
-        };
+        let task = plan.task(&sp, &scene, &frags, r.task());
         r.run(tp, &task)
     };
     let (slots, report, recovery) =

@@ -23,9 +23,7 @@ use crate::trace::PhaseTrace;
 use multimax_sim::{simulate, Schedule, SimConfig};
 use ops5::WorkCounters;
 use spam::fragments::FragmentHypothesis;
-use spam::lcc::{
-    decompose, merge_lcc_units, run_lcc_unit_watched, LccPhaseResult, LccUnit, LccUnitResult, Level,
-};
+use spam::lcc::{merge_lcc_units, LccPhaseResult, LccPlan, LccUnit, LccUnitResult, Level};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use spam::task::TaskProcess;
@@ -93,8 +91,10 @@ pub(crate) fn observe_unit(obs: &Observer<'_>, task: usize, work: &WorkCounters)
 /// supervision policy and fault plan, with `how`'s observers looking on —
 /// each task's [`Watch`] mirrors its engine's counters into the live
 /// registry and groups its recognize–act cycles into `engine.cycles` spans
-/// under its attempt ([`run_lcc_unit_watched`]); completed units feed the
-/// SLO monitor and the scene trace ([`observe_unit`]).
+/// under its attempt; completed units feed the SLO monitor and the scene
+/// trace ([`observe_unit`]). The control process plans the phase once
+/// ([`LccPlan`]: the task queue and the region index every task's working
+/// memory is partitioned through) and the task processes share the plan.
 ///
 /// The phase completes with partial results: units whose every attempt
 /// failed are dead-lettered in the returned report and contribute no
@@ -111,8 +111,8 @@ pub fn run_parallel_lcc(
     level: Level,
     how: &PhaseRun<'_>,
 ) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
-    let units = decompose(scene, fragments, level);
-    let (labels, estimates) = lcc_task_list(&units, fragments);
+    let plan = LccPlan::new(scene, fragments, level);
+    let (labels, estimates) = lcc_task_list(&plan.units, fragments);
     let obs = &how.obs;
     let (sp, scene, frags, live) = (
         sp.clone(),
@@ -127,7 +127,7 @@ pub fn run_parallel_lcc(
         |i, r: &LccUnitResult| observe_unit(obs, i, &r.work),
         move |tp: &mut TaskProcess, a| {
             let watch = Watch::new(Some(&live), a.trace);
-            run_lcc_unit_watched(tp, &sp, &scene, &frags, &units[a.task], watch).0
+            tp.run(&plan.task(&sp, &scene, &frags, a.task), watch).0
         },
     )?;
     Ok((merge_lcc_units(level, fragments, slots, report), measured))

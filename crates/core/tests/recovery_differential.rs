@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use spam::fa::{run_fa, FaResult, FaTask};
 use spam::fragments::FragmentHypothesis;
-use spam::lcc::{decompose, run_lcc, LccTask, LccUnit, Level};
+use spam::lcc::{run_lcc, LccPlan, Level};
 use spam::model::ModelTask;
 use spam::rtf::{rtf_task_batches, run_rtf, RtfTask};
 use spam::rules::SpamProgram;
@@ -30,7 +30,7 @@ struct World {
     scene: Arc<Scene>,
     batches: Vec<Vec<u32>>,
     frags: Arc<Vec<FragmentHypothesis>>,
-    units: [Vec<LccUnit>; 4],
+    plans: [LccPlan; 4],
     supported: Arc<Vec<FragmentHypothesis>>,
     consistents: Vec<spam::lcc::ConsistentRec>,
     fa: FaResult,
@@ -46,7 +46,7 @@ fn world(moff: bool) -> &'static World {
         let scene = Arc::new(spam::generate_scene(&dataset.spec));
         let batches = rtf_task_batches(&scene, scene.len().div_ceil(64));
         let frags = Arc::new(run_rtf(&sp, &scene).fragments);
-        let units = LEVELS.map(|level| decompose(&scene, &frags, level));
+        let plans = LEVELS.map(|level| LccPlan::new(&scene, &frags, level));
         let lcc = run_lcc(&sp, &scene, &frags, Level::L3);
         let supported = Arc::new(lcc.fragments);
         let fa = run_fa(&sp, &scene, &supported, &lcc.consistents);
@@ -55,7 +55,7 @@ fn world(moff: bool) -> &'static World {
             scene,
             batches,
             frags,
-            units,
+            plans,
             supported,
             consistents: lcc.consistents,
             fa,
@@ -153,9 +153,9 @@ proptest! {
                 differential(w, crash, task, |r| r.firings)?;
             }
             1..=4 => {
-                let units = &w.units[kind - 1];
-                let unit = &units[pick % units.len()];
-                let task = move |w: &'static World| LccTask { sp, scene, fragments: &w.frags, unit };
+                let plan = &w.plans[kind - 1];
+                let unit = pick % plan.units.len();
+                let task = move |w: &'static World| plan.task(sp, scene, &w.frags, unit);
                 differential(w, crash, task, |r| r.firings)?;
             }
             5 => {

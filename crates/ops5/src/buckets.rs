@@ -196,6 +196,27 @@ impl<K: Hash + Eq + Copy, T: Copy + PartialEq> Buckets<K, T> {
             give_list(pool, list);
         }
     }
+
+    /// Cuts every list back to its longest prefix of items `keep` accepts,
+    /// given the key; a list cut to nothing goes to `pool` and its key with
+    /// it. For owners whose lists are a kept prefix followed by what a
+    /// rollback drops ([`crate::rete`]'s mark). Walks the table like
+    /// [`clear_into`](Self::clear_into), and like it costs nothing on a map
+    /// with no key.
+    pub(crate) fn truncate_into(&mut self, mut keep: impl FnMut(K, T) -> bool, pool: &mut Pool<T>) {
+        if self.map.is_empty() {
+            return;
+        }
+        self.map.retain(|&key, list| {
+            while list.last().is_some_and(|&item| !keep(key, item)) {
+                list.pop();
+            }
+            if list.is_empty() {
+                give_list(pool, std::mem::take(list));
+            }
+            !list.is_empty()
+        });
+    }
 }
 
 #[cfg(test)]
@@ -268,5 +289,22 @@ mod tests {
         b.clear_into(&mut pool);
         assert!(b.is_empty());
         assert_eq!(pool.len(), 1, "key 1's list");
+    }
+
+    #[test]
+    fn truncation_keeps_each_lists_accepted_prefix() {
+        let mut pool: Pool<u32> = Vec::new();
+        let mut b: Buckets<u64, u32> = Buckets::default();
+        for (key, item) in [(1, 1), (1, 2), (1, 9), (2, 8), (2, 3), (3, 1)] {
+            b.push(key, item, &mut pool);
+        }
+        // Key 3 goes whole; elsewhere what follows the last small item.
+        b.truncate_into(|key, item| key != 3 && item < 5, &mut pool);
+        assert_eq!(b.get(1), &[1, 2]);
+        assert_eq!(b.get(2), &[8, 3], "a prefix, not a filter");
+        assert_eq!(b.get(3), &[] as &[u32]);
+        assert_eq!(pool.len(), 1, "the emptied list was recycled");
+        b.truncate_into(|_, _| false, &mut pool);
+        assert!(b.is_empty());
     }
 }

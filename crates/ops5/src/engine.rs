@@ -155,6 +155,23 @@ pub struct Engine {
     /// profiling on or off.
     profile: Option<EngineProfile>,
     scratch: Scratch,
+    /// What [`Engine::rollback`] returns to, once [`Engine::mark`] has
+    /// taken it.
+    mark: Option<Mark>,
+}
+
+/// The interpreter's side of a mark: what [`Engine::reset`] zeroes, as it
+/// stood when [`Engine::mark`] was called. (The matcher keeps its own.)
+struct Mark {
+    wm_len: usize,
+    time: TimeTag,
+    base_work: WorkCounters,
+    gensym: u64,
+    output: String,
+    /// The named external counters' values, in registration order.
+    counters: Vec<i64>,
+    log_snapshot: WorkCounters,
+    cycle_log: Option<Vec<CycleStats>>,
 }
 
 /// Interpreter-side collection state behind [`Engine::enable_profile`].
@@ -233,6 +250,7 @@ impl Engine {
             strategy,
             profile: None,
             scratch: Scratch::default(),
+            mark: None,
         }
     }
 
@@ -316,6 +334,81 @@ impl Engine {
         self.log_snapshot = WorkCounters::default();
         self.gensym = 0;
         self.profile = None;
+        self.mark = None;
+    }
+
+    /// Makes the engine's state now — working memory loaded, nothing fired
+    /// that is still to be undone — the *base* that [`Engine::rollback`]
+    /// returns to: how a task process loads the part of working memory its
+    /// tasks share once, instead of once per task. Declines (`false`, and
+    /// the engine is left unmarked) when the conflict set is not empty, the
+    /// engine has halted, or the match backend does not mark
+    /// ([`Matcher::mark`]: the Rete does, unless an instantiation is on its
+    /// way to the conflict set).
+    ///
+    /// **The mark contract.** After a rollback the engine is in the state it
+    /// was marked in — working memory (the next id and time tag follow the
+    /// base's), an empty conflict set, work counters, `gensym`, output, the
+    /// named external counters, and the cycle log as it was: enabled then,
+    /// it is enabled and holds what it held, so match work the base cost is
+    /// charged to the first cycle after it, as on an engine that loaded base
+    /// and task itself. A replay on it is therefore indistinguishable from
+    /// the same replay on a new engine that first loaded the base: same
+    /// firing sequence, [`Engine::work`], [`Engine::net_stats`], cycle log
+    /// and final working memory. Only the profile is detached, as by
+    /// [`Engine::reset`].
+    ///
+    /// Removing a base WME after the mark (or, in the Rete, deleting a
+    /// token the base made) *breaks* it: the next rollback declines and the
+    /// caller resets and loads the base again. [`Engine::reset`] and a
+    /// declined `mark` drop it.
+    pub fn mark(&mut self) -> bool {
+        self.mark = None;
+        if self.halted || !self.conflict.is_empty() || !self.matcher.mark(&self.wm) {
+            return false;
+        }
+        self.mark = Some(Mark {
+            wm_len: self.wm.next_id().0 as usize,
+            time: self.time,
+            base_work: self.base_work,
+            gensym: self.gensym,
+            output: self.output.clone(),
+            counters: (self.ext_counters.iter())
+                .map(|(_, _, c)| c.load(Ordering::Relaxed))
+                .collect(),
+            log_snapshot: self.log_snapshot,
+            cycle_log: self.cycle_log.clone(),
+        });
+        true
+    }
+
+    /// Returns the engine to its last [`Engine::mark`] (see there for what
+    /// that promises). `false` — and the engine is unmarked, in no
+    /// particular state, to be [`reset`](Engine::reset) — when there is no
+    /// mark or it is broken.
+    pub fn rollback(&mut self) -> bool {
+        let Some(mark) = &self.mark else {
+            return false;
+        };
+        if !self.matcher.rollback() {
+            self.mark = None;
+            return false;
+        }
+        self.wm.truncate(mark.wm_len);
+        self.conflict.clear();
+        self.time = mark.time;
+        self.base_work = mark.base_work;
+        self.gensym = mark.gensym;
+        self.output.clone_from(&mark.output);
+        for (i, (_, init, c)) in self.ext_counters.iter().enumerate() {
+            // One registered since starts over.
+            c.store(*mark.counters.get(i).unwrap_or(init), Ordering::Relaxed);
+        }
+        self.halted = false;
+        self.log_snapshot = mark.log_snapshot;
+        self.cycle_log.clone_from(&mark.cycle_log);
+        self.profile = None;
+        true
     }
 
     /// Overrides the program's conflict-resolution strategy.

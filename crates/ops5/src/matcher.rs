@@ -48,6 +48,21 @@ pub trait Matcher: Send {
     /// After it the backend must answer any WME stream exactly as a newly
     /// built one would — [`crate::Engine::reset`] relies on that.
     fn reset(&mut self);
+    /// Makes the backend's state now what [`Matcher::rollback`] returns to
+    /// (`wm` holds the WMEs sent so far). `false`: not supported, or not in
+    /// this state — the default, and then `rollback` declines too and the
+    /// caller resets instead.
+    fn mark(&mut self, _wm: &WmStore) -> bool {
+        false
+    }
+    /// Returns the backend to its last [`Matcher::mark`], after which it
+    /// must answer any WME stream exactly as a newly built one that had
+    /// first been sent the marked WMEs would — [`crate::Engine::rollback`]
+    /// relies on that. `false` (and nothing changed) when there is no mark
+    /// to return to or a removal since has broken it.
+    fn rollback(&mut self) -> bool {
+        false
+    }
     /// Overwrites the accumulated match-work counters. Snapshot restore
     /// rebuilds the network from the restored WM — re-doing match work the
     /// original run already paid for — then resets the counters to the
@@ -94,6 +109,12 @@ impl Matcher for Rete {
     }
     fn reset(&mut self) {
         Rete::reset(self)
+    }
+    fn mark(&mut self, wm: &WmStore) -> bool {
+        Rete::mark(self, wm)
+    }
+    fn rollback(&mut self) -> bool {
+        Rete::rollback(self)
     }
     fn set_work(&mut self, work: WorkCounters) {
         self.work = work;

@@ -157,9 +157,15 @@ impl ClassDispatch {
 pub struct AlphaNetwork {
     mems: Vec<AlphaMemory>,
     by_class: FastMap<Symbol, ClassDispatch>,
-    /// The memories a WME has entered since the last reset — what
-    /// [`reset`](Self::reset) has to empty.
+    /// The memories a WME has entered since the last reset or mark — what
+    /// [`reset`](Self::reset) has to empty and [`rollback`](Self::rollback)
+    /// to cut back.
     touched: Vec<AlphaMemId>,
+    /// The memories a WME had entered when [`mark`](Self::mark) was called:
+    /// a rollback leaves them alone, a reset empties them too.
+    base_touched: Vec<AlphaMemId>,
+    /// `shared_test_hits` at the mark.
+    marked_hits: u64,
     /// Spare bucket lists of the slot indexes.
     pool: Pool<WmeId>,
     /// Every distinct constant test in the program, shared across memories.
@@ -201,6 +207,8 @@ impl AlphaNetwork {
             mems: Vec::new(),
             by_class: FastMap::default(),
             touched: Vec::new(),
+            base_touched: Vec::new(),
+            marked_hits: 0,
             pool: Vec::new(),
             test_registry: Vec::new(),
             share_tests,
@@ -407,7 +415,7 @@ impl AlphaNetwork {
     /// Costs what the run left behind: only the memories a WME entered are
     /// visited.
     pub fn reset(&mut self) {
-        for m in self.touched.drain(..) {
+        for m in self.touched.drain(..).chain(self.base_touched.drain(..)) {
             let mem = &mut self.mems[m as usize];
             mem.touched = false;
             mem.wmes.clear();
@@ -416,6 +424,36 @@ impl AlphaNetwork {
             }
         }
         self.shared_test_hits = 0;
+        self.profile = None;
+    }
+
+    /// Makes what the memories hold now the *base* that
+    /// [`rollback`](Self::rollback) returns to. The memories touched so far
+    /// move to a list of their own, so a rollback visits only what a WME
+    /// entered after the mark.
+    pub(crate) fn mark(&mut self) {
+        for &m in &self.touched {
+            self.mems[m as usize].touched = false;
+        }
+        self.base_touched.append(&mut self.touched);
+        self.marked_hits = self.shared_test_hits;
+    }
+
+    /// Returns every memory to what it held at the [`mark`](Self::mark),
+    /// given that no WME below `base` — the first id handed out after the
+    /// mark — has left since: a memory and its index buckets keep arrival
+    /// order and ids ascend, so what came later is a suffix. Costs what the
+    /// run since the mark left behind, like [`reset`](Self::reset).
+    pub(crate) fn rollback(&mut self, base: WmeId) {
+        for m in self.touched.drain(..) {
+            let mem = &mut self.mems[m as usize];
+            mem.touched = false;
+            mem.wmes.truncate(mem.wmes.partition_point(|&w| w < base));
+            for ix in &mut mem.indexes {
+                ix.buckets.truncate_into(|_, w| w < base, &mut self.pool);
+            }
+        }
+        self.shared_test_hits = self.marked_hits;
         self.profile = None;
     }
 

@@ -121,6 +121,22 @@ struct TokenData {
     /// `None` unless the token is active at a node where productions end.
     emitted: Emission,
     alive: bool,
+    /// Alive when the network was last marked ([`Rete::mark`]): a rollback
+    /// keeps it, and deleting it breaks the mark.
+    base: bool,
+}
+
+impl TokenData {
+    /// Leaves the slot as deletion would: dead, its lists empty with their
+    /// capacity.
+    fn clean(&mut self) {
+        self.children.clear();
+        self.neg_results.clear();
+        self.index_keys.clear();
+        self.emitted = Emission::None;
+        self.alive = false;
+        self.base = false;
+    }
 }
 
 /// What a token at a terminal node has in the conflict set, or on its way
@@ -175,12 +191,13 @@ struct NodeMemory {
     /// For negative nodes: blocker WME → tokens it currently blocks.
     blocked_by: Buckets<WmeId, u32>,
     /// True once something has been put in this memory since the last
-    /// reset: the node is then on [`BetaState::touched`].
+    /// reset or mark: the node is then on [`BetaState::touched`].
     touched: bool,
 }
 
 /// Node `n`'s memory, for putting something in it: the node is noted for
-/// [`Rete::reset`], which empties the noted memories and looks at no other.
+/// [`Rete::reset`] and [`Rete::rollback`], which visit the noted memories
+/// and look at no other.
 #[inline]
 fn touch<'a>(mems: &'a mut [NodeMemory], touched: &mut Vec<u32>, n: u32) -> &'a mut NodeMemory {
     let m = &mut mems[n as usize];
@@ -205,6 +222,25 @@ pub struct Rete {
     beta: BetaState,
     /// Scratch: the alpha memories one WME change touched.
     touched: Vec<AlphaMemId>,
+    /// What [`Rete::rollback`] returns to, once [`Rete::mark`] has taken it.
+    mark: Option<Mark>,
+}
+
+/// The network's state at a [`Rete::mark`], as far as it is not in the
+/// memories themselves: there the base is a prefix of every list (lists keep
+/// arrival order) and is told from what came later by WME id and by
+/// [`TokenData::base`].
+#[derive(Clone, Debug)]
+struct Mark {
+    /// The first WME id handed out after the mark.
+    base: WmeId,
+    work: WorkCounters,
+    chunks: u32,
+    stats: NetStats,
+    slots: SlotCursor,
+    /// The node memories the base had touched: a rollback leaves them
+    /// alone, a reset empties them too.
+    touched: Vec<u32>,
 }
 
 /// Everything on the beta side that a run changes, apart from `work`:
@@ -215,8 +251,13 @@ pub struct Rete {
 struct BetaState {
     /// Parallel to `Rete::nodes`.
     mems: Vec<NodeMemory>,
-    /// The nodes whose memory may hold something (see [`touch`]).
+    /// The nodes whose memory may hold something put there since the last
+    /// reset or mark (see [`touch`]).
     touched: Vec<u32>,
+    /// Something of the base has gone since the mark — a WME, or a token
+    /// under a negated element that a later WME blocked: there is no prefix
+    /// to cut back to, and [`Rete::rollback`] declines.
+    mark_broken: bool,
     /// Token slots. Those below `slots.high_water()` have been handed out
     /// since the network was built or last reset; those above keep, empty,
     /// the lists an earlier run grew.
@@ -316,6 +357,7 @@ impl Rete {
             work: WorkCounters::default(),
             beta: BetaState::default(),
             touched: Vec::new(),
+            mark: None,
         };
         for spec in compiled.iter() {
             let specificity = program.productions[spec.prod as usize].specificity;
@@ -446,7 +488,9 @@ impl Rete {
     pub fn reset(&mut self) {
         self.alpha.reset();
         let b = &mut self.beta;
-        for n in b.touched.drain(..) {
+        let base_touched = self.mark.take().map_or_else(Vec::new, |m| m.touched);
+        b.mark_broken = false;
+        for n in b.touched.drain(..).chain(base_touched) {
             let m = &mut b.mems[n as usize];
             m.touched = false;
             m.tokens.clear();
@@ -458,11 +502,7 @@ impl Rete {
             .iter_mut()
             .filter(|t| t.alive)
         {
-            t.children.clear();
-            t.neg_results.clear();
-            t.index_keys.clear();
-            t.emitted = Emission::None;
-            t.alive = false;
+            t.clean();
         }
         b.slots.restart();
         b.wme_tokens.clear_into(&mut b.pool);
@@ -476,6 +516,125 @@ impl Rete {
             ..NetStats::default()
         };
         b.profile = None;
+    }
+
+    /// Makes the network's state now — the *base* — what
+    /// [`Rete::rollback`] returns to; `wm` is the store the WMEs so far
+    /// were made in. Declines (`false`, and the network is unmarked) unless
+    /// nothing is on its way to or in the conflict set: no pending event and
+    /// no live token at a terminal, so a rollback has no instantiation to
+    /// give back.
+    ///
+    /// **The mark contract.** After a rollback the network answers any WME
+    /// stream exactly as a newly built one that had first been sent the
+    /// base would: same events in the same order, same work, chunks and
+    /// statistics (the base's included), same token ids. That holds while
+    /// the base stays whole: removing a base WME, or blocking a base token
+    /// whose children are base tokens, *breaks* the mark, and the rollback
+    /// declines.
+    pub fn mark(&mut self, wm: &WmStore) -> bool {
+        let b = &mut self.beta;
+        let handed_out = &mut b.tokens[..b.slots.high_water()];
+        let in_flight = |t: &TokenData| t.alive && t.emitted != Emission::None;
+        if !(b.pending.is_empty() && b.events.is_empty()) || handed_out.iter().any(in_flight) {
+            // An earlier mark stays to tell `reset` which memories its base
+            // touched, but nothing rolls back to it any more.
+            b.mark_broken = true;
+            return false;
+        }
+        for t in handed_out {
+            t.base = t.alive;
+        }
+        self.alpha.mark();
+        // The memories an earlier mark's base touched are this one's too.
+        let mut touched = self.mark.take().map_or_else(Vec::new, |m| m.touched);
+        for &n in &b.touched {
+            b.mems[n as usize].touched = false;
+        }
+        touched.append(&mut b.touched);
+        b.mark_broken = false;
+        self.mark = Some(Mark {
+            base: wm.next_id(),
+            work: self.work,
+            chunks: b.chunks,
+            stats: b.stats,
+            slots: b.slots.clone(),
+            touched,
+        });
+        true
+    }
+
+    /// Returns the network to its last [`Rete::mark`] — every memory, index
+    /// bucket, blocker list and token list cut back to its base prefix, the
+    /// tokens made since cleaned, pending events dropped, the work, chunk
+    /// and [`NetStats`] counters and the slot cursor as they were, profiling
+    /// detached — or declines (`false`, nothing changed) when there is no
+    /// mark or it is broken; the caller then resets. Like [`Rete::reset`]
+    /// it visits only the memories something was put in since the mark and
+    /// the token slots handed out.
+    pub fn rollback(&mut self) -> bool {
+        let Some(mark) = &self.mark else {
+            return false;
+        };
+        if self.beta.mark_broken {
+            return false;
+        }
+        let base = mark.base;
+        self.alpha.rollback(base);
+        let BetaState {
+            mems,
+            touched,
+            tokens,
+            pool,
+            wme_tokens,
+            slots,
+            ..
+        } = &mut self.beta;
+        let is_base = |tokens: &[TokenData], t: u32| tokens[t as usize].base;
+        for n in touched.drain(..) {
+            let m = &mut mems[n as usize];
+            m.touched = false;
+            while m.tokens.last().is_some_and(|&t| !is_base(tokens, t)) {
+                m.tokens.pop();
+            }
+            m.right_index.truncate_into(|_, t| is_base(tokens, t), pool);
+            m.blocked_by
+                .truncate_into(|w, t| w < base && is_base(tokens, t), pool);
+        }
+        wme_tokens.truncate_into(|w, t| w < base && is_base(tokens, t), pool);
+        // The cursor only moves up between restarts: every slot handed out
+        // before or since the mark is below it.
+        for i in 0..slots.high_water() {
+            if !tokens[i].alive {
+                continue;
+            }
+            if !tokens[i].base {
+                tokens[i].clean();
+                continue;
+            }
+            // A base token sheds the children and blockers it has got
+            // since; nothing at a terminal was base, so it has emitted
+            // nothing.
+            let mut children = std::mem::take(&mut tokens[i].children);
+            while children.last().is_some_and(|&c| !is_base(tokens, c)) {
+                children.pop();
+            }
+            let t = &mut tokens[i];
+            t.children = children;
+            while t.neg_results.last().is_some_and(|&w| w >= base) {
+                t.neg_results.pop();
+            }
+            debug_assert_eq!(t.emitted, Emission::None);
+        }
+        let b = &mut self.beta;
+        b.slots.clone_from(&mark.slots);
+        b.pending.clear();
+        b.events.clear();
+        self.work = mark.work;
+        b.chunks = mark.chunks;
+        b.stats = mark.stats;
+        b.profile = None;
+        true
     }
 
     /// Drains the conflict-set changes since the last drain
@@ -623,6 +782,9 @@ impl Rete {
     /// `wm` (the engine removes it from the store afterwards).
     pub fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
         let wme = wm.get(id).expect("remove_wme: wme must still be live");
+        if self.mark.as_ref().is_some_and(|m| id < m.base) {
+            self.beta.mark_broken = true;
+        }
         self.beta.chunks += 1;
         let mut touched = std::mem::take(&mut self.touched);
         self.alpha
@@ -963,7 +1125,11 @@ impl<'a> Activation<'a> {
         if !self.beta.tokens[t as usize].alive {
             return;
         }
-        self.beta.tokens[t as usize].alive = false;
+        let td = &mut self.beta.tokens[t as usize];
+        td.alive = false;
+        if std::mem::take(&mut td.base) {
+            self.beta.mark_broken = true;
+        }
         if let Some(p) = &mut self.beta.profile {
             p.tokens_deleted += 1;
         }
@@ -1014,7 +1180,7 @@ impl<'a> Activation<'a> {
         }
         let td = &mut b.tokens[id as usize];
         debug_assert!(td.children.is_empty() && td.neg_results.is_empty());
-        debug_assert!(td.index_keys.is_empty() && td.emitted == Emission::None);
+        debug_assert!(td.index_keys.is_empty() && td.emitted == Emission::None && !td.base);
         td.parent = parent;
         td.wme = wme;
         td.node = n;
@@ -1582,6 +1748,97 @@ mod tests {
                 assert_eq!(f.rete.beta.slots, new.rete.beta.slots);
             }
             assert_eq!(f.rete.take_chunks(), new.rete.take_chunks());
+        }
+    }
+
+    #[test]
+    fn a_rollback_leaves_every_memory_as_a_new_network_fed_the_base_has_it() {
+        let src = "
+            (literalize a x)
+            (literalize b y)
+            (literalize c z)
+            (p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
+            (p p2 (a ^x <v>) -(c ^z <v>) (b ^y <v>) --> (halt))
+        ";
+        for config in [ReteConfig::shared(), ReteConfig::unshared()] {
+            // The base: tokens under both chains (blocked and not, none at a
+            // terminal), indexed memories, and a freed slot on the cursor.
+            let base = |f: &mut Fix| {
+                for v in [1, 2, 3] {
+                    f.add("a", &[(0, Value::Int(v))]);
+                }
+                f.add("c", &[(0, Value::Int(3))]);
+                let gone = f.add("a", &[(0, Value::Int(4))]);
+                f.remove(gone);
+            };
+            let mut f = Fix::with_config(src, config);
+            let mut new = Fix::with_config(src, config);
+            base(&mut f);
+            base(&mut new);
+            assert!(f.rete.mark(&f.wm));
+            let (marked_wm, marked_tag) = (f.wm.next_id(), f.tag);
+
+            // The task: blocks base tokens, hangs children on them, reaches
+            // terminals, removes some of its own WMEs again.
+            let mut ids = Vec::new();
+            for v in 0..40 {
+                ids.push(f.add("b", &[(0, Value::Int(v % 5))]));
+                ids.push(f.add("c", &[(0, Value::Int(v % 4))]));
+                ids.push(f.add("a", &[(0, Value::Int(v % 3))]));
+            }
+            for id in ids.into_iter().step_by(3) {
+                f.remove(id);
+            }
+            assert!(!f.rete.beta.pending.is_empty());
+            assert!(f.rete.rollback(), "only the task's own WMEs were removed");
+            f.wm.truncate(marked_wm.0 as usize);
+            f.tag = marked_tag;
+
+            let b = &f.rete.beta;
+            assert!(b.pending.is_empty() && b.events.is_empty() && b.touched.is_empty());
+            assert_eq!(f.rete.work, new.rete.work);
+            assert_eq!(f.rete.net_stats(), new.rete.net_stats());
+            assert_eq!(b.slots, new.rete.beta.slots);
+            for (n, (got, want)) in b.mems.iter().zip(&new.rete.beta.mems).enumerate() {
+                assert_eq!(got.tokens, want.tokens, "node {n}");
+                assert!(!got.touched);
+            }
+            let hw = b.slots.high_water();
+            for (t, (got, want)) in b.tokens.iter().zip(&new.rete.beta.tokens[..hw]).enumerate() {
+                assert_eq!(got.alive, want.alive, "token {t}");
+                assert_eq!(got.children, want.children, "token {t}");
+                assert_eq!(got.neg_results, want.neg_results, "token {t}");
+                assert_eq!(got.index_keys, want.index_keys, "token {t}");
+            }
+            assert!(b.tokens[hw..]
+                .iter()
+                .all(|t| !t.alive && t.children.is_empty()));
+            for m in 0..f.rete.alpha_memories() as AlphaMemId {
+                assert_eq!(f.rete.alpha.mem(m).wmes, new.rete.alpha.mem(m).wmes);
+            }
+            // And it goes on like the new one, token ids included.
+            for (class, v) in [("b", 1), ("c", 1), ("b", 3), ("a", 3)] {
+                for fix in [&mut f, &mut new] {
+                    fix.add(class, &[(0, Value::Int(v))]);
+                }
+                assert_eq!(
+                    in_order(f.rete.drain_events(&f.wm)),
+                    in_order(new.rete.drain_events(&new.wm)),
+                    "{class} {v}"
+                );
+                assert_eq!(f.rete.work, new.rete.work);
+                assert_eq!(f.rete.net_stats(), new.rete.net_stats());
+                assert_eq!(f.rete.beta.slots, new.rete.beta.slots);
+            }
+            assert_eq!(f.rete.take_chunks(), new.rete.take_chunks());
+
+            // Deleting a base token — here through its WME — breaks the mark;
+            // a reset forgets it, base flags and all.
+            f.remove(WmeId(0));
+            assert!(!f.rete.rollback());
+            f.rete.reset();
+            assert!(f.rete.beta.tokens.iter().all(|t| !t.base && !t.alive));
+            assert!(f.rete.mark.is_none() && !f.rete.rollback());
         }
     }
 

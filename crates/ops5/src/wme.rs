@@ -99,6 +99,19 @@ impl WmStore {
         self.live = 0;
     }
 
+    /// Forgets every id from `len` up, live or dead; the next id handed out
+    /// is `len` again. Ids below keep what they hold.
+    pub fn truncate(&mut self, len: usize) {
+        let len = len.min(self.slots.len());
+        self.live -= self.slots[len..].iter().filter(|s| s.is_some()).count();
+        self.slots.truncate(len);
+    }
+
+    /// One past the highest id handed out: the id the next WME gets.
+    pub fn next_id(&self) -> WmeId {
+        WmeId(self.slots.len() as u32)
+    }
+
     /// Adds a WME, returning its id.
     pub fn add(&mut self, wme: Wme) -> WmeId {
         let id = WmeId(self.slots.len() as u32);
@@ -180,6 +193,12 @@ mod tests {
         assert_eq!(ids, vec![b]);
         assert!(s.get(a).is_none());
         assert!(s.get(b).is_some());
+        // Truncation forgets ids from the cut up, dead or live.
+        let c = s.add(Wme::new(sym("z"), 1, 3));
+        assert_eq!((c, s.next_id()), (WmeId(2), WmeId(3)));
+        s.truncate(1);
+        assert_eq!((s.len(), s.next_id()), (0, WmeId(1)));
+        assert_eq!(s.add(Wme::new(sym("y"), 1, 4)), b, "ids follow the cut");
     }
 
     #[test]

@@ -593,6 +593,18 @@ const BLOCKER_PROGRAM: &str = "
     (p unblock (a ^x <v>) (b ^x <v> ^y > 0) --> (remove 2))
     (p lone (a ^x <v>) -(b ^x <v>) --> (remove 1))";
 
+/// What a mark has to survive: `a`s alone leave tokens under `m1`'s negated
+/// element, unblocked and childless — a later `b` blocks them, a later `c`
+/// hangs children on them, and the rollback has to undo both; `m2` removes
+/// a `b`, which may be one the base made (the mark breaks); a base holding
+/// a matching `a` and `c` fires `m1` before it is marked.
+const MARK_PROGRAM: &str = "
+    (literalize a x y)
+    (literalize b x y)
+    (literalize c x y)
+    (p m1 (a ^x <v>) -(b ^x <v>) (c ^x <v>) --> (remove 3))
+    (p m2 (a ^x <v>) (b ^x <v>) (c ^y <v>) --> (remove 2))";
+
 /// One engine-level WM mutation of a replay script.
 #[derive(Clone, Debug)]
 enum ScriptOp {
@@ -671,14 +683,24 @@ proptest! {
     /// first script, stopped anywhere from "never ran" to quiescence, with
     /// or without profiling), on the shared and the unshared network and
     /// on the naive matcher.
+    ///
+    /// And the contract working-memory distribution rests on: with a *base*
+    /// script loaded and run to quiescence first, `mark()` … anything …
+    /// `rollback()` leaves the engine where a new one that loaded and ran
+    /// the base stands, and replaying on it is indistinguishable from
+    /// replaying there — the base's cycles, work and statistics included.
+    /// Where the mark is declined (the naive matcher; a base that leaves a
+    /// fired instantiation's token alive) or broken (a firing removed a
+    /// base WME), the engine says so and reset + base does instead.
     #[test]
     fn reset_then_replay_equals_a_new_engine(
-        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 2),
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 3),
         backend in 0u8..3,
         first in script_strategy(1..14),
         first_steps in 0u64..12,
         profiled_first in (0u8..2).prop_map(|b| b == 1),
         second in script_strategy(1..14),
+        base in script_strategy(0..8),
     ) {
         let src = if prog_idx < SHARING_PROGRAMS.len() {
             SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
@@ -686,8 +708,10 @@ proptest! {
             RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
         } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
             STATEFUL_PROGRAM.to_string()
-        } else {
+        } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 1 {
             BLOCKER_PROGRAM.to_string()
+        } else {
+            MARK_PROGRAM.to_string()
         };
         let program = Arc::new(Program::parse(&src).unwrap());
         let compiled = Engine::compile(&program).unwrap();
@@ -711,20 +735,26 @@ proptest! {
         };
         let classes = script_classes(&program);
         let load = |e: &mut Engine, script: &[ScriptOp]| load_script(e, &classes, script);
-        let replay = |e: &mut Engine| -> Observed {
-            e.enable_cycle_log();
+        let wm_of = |e: &Engine| -> Vec<(WmeId, String)> {
+            e.wm().iter().map(|(id, w)| (id, w.to_string())).collect()
+        };
+        // The second script on an engine that is logging its cycles.
+        let replay_logging = |e: &mut Engine| -> Observed {
             load(e, &second);
             let out = e.run(200);
-            let wm = e.wm().iter().map(|(id, w)| (id, w.to_string())).collect();
             (
                 e.take_cycle_log(),
-                wm,
+                wm_of(e),
                 e.work(),
                 e.net_stats(),
                 e.output.clone(),
                 out,
                 e.conflict_len(),
             )
+        };
+        let replay = |e: &mut Engine| -> Observed {
+            e.enable_cycle_log();
+            replay_logging(e)
         };
 
         let mut fresh = build();
@@ -748,6 +778,51 @@ proptest! {
         // And again: reuse is not a one-shot.
         used.reset();
         prop_assert_eq!(&replay(&mut used), &want);
+
+        // Under a mark. The reference loads and runs the base itself.
+        let load_base = |e: &mut Engine| {
+            e.enable_cycle_log();
+            load(e, &base);
+            e.run(200)
+        };
+        let mut fresh = build();
+        let based = load_base(&mut fresh);
+        prop_assert!(based.error.is_none(), "{:?}", based);
+        let at_mark = (wm_of(&fresh), fresh.work(), fresh.net_stats(), fresh.output.clone());
+        let want = replay_logging(&mut fresh);
+
+        used.reset();
+        load_base(&mut used);
+        let marked = used.mark();
+        prop_assert!(
+            marked || backend == 2 || based.halted || used.conflict_len() > 0 || based.firings > 0,
+            "a Rete that is quiescent and has fired nothing marks"
+        );
+        for round in 0..2 {
+            if profiled_first && round == 0 {
+                used.enable_profile();
+            }
+            load(&mut used, &first);
+            used.run(first_steps);
+            if used.rollback() {
+                prop_assert!(marked);
+                let now = (wm_of(&used), used.work(), used.net_stats(), used.output.clone());
+                prop_assert_eq!(&now, &at_mark);
+                prop_assert_eq!(used.conflict_len(), 0);
+                prop_assert!(used.take_profile().is_none(), "profiling is detached");
+            } else {
+                prop_assert!(!used.rollback(), "a declined rollback drops the mark");
+                used.reset();
+                load_base(&mut used);
+                used.mark();
+            }
+            let got = replay_logging(&mut used);
+            prop_assert_eq!(
+                &got, &want,
+                "round {} (program {}, backend {}, marked {}):\n got {:?}\nwant {:?}\nbase {:?}\nfirst {:?} x{}\nsecond {:?}",
+                round, prog_idx, backend, marked, got, want, base, first, first_steps, second
+            );
+        }
     }
 }
 

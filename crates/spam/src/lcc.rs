@@ -15,7 +15,10 @@
 //! and support increments) never cross task boundaries, which is what makes
 //! the decomposition safe to run asynchronously.
 //! A unit is a [`Task`] ([`LccTask`]) on the lifecycle of [`crate::task`]:
-//! this module supplies its *load* ([`load_unit_wm`]) and its *harvest*.
+//! this module supplies its *base* and *load* (together [`load_unit_wm`])
+//! and its *harvest*. What the control process works out once per phase —
+//! the task queue and which fragments sit on which region — is the
+//! [`LccPlan`] it shares with the task processes.
 
 use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
@@ -24,7 +27,6 @@ use crate::scene::Scene;
 use crate::task::{Task, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
-use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 use tlp_fault::TaskReport;
 
@@ -172,17 +174,23 @@ pub struct LccPhaseResult {
     pub report: TaskReport,
 }
 
-/// Fragment ids in the spatial neighbourhood of `f` (excluding `f`):
-/// partners whose kind is related to `f.kind` by some constraint and whose
-/// bounding box lies within that constraint family's reach.
+/// Fragment ids in the spatial neighbourhood of `f` (excluding `f`), in id
+/// order: partners whose kind some constraint relates to `f.kind`
+/// ([`kind_radius`] is `Some` — used as that test only) and whose region's
+/// bounding box lies within [`NEIGHBOURHOOD_RADIUS`] of `f`'s, whatever the
+/// relating constraints' own reach (the external predicates guard that; every
+/// pinned count rests on the wider candidate set).
+///
+/// The definition, by a scan of the whole fragment table: the task path
+/// derives the same list from the grid query's regions through a
+/// [`RegionIndex`], and is held to this one.
 pub fn neighbourhood(
     scene: &Scene,
     fragments: &[FragmentHypothesis],
     f: &FragmentHypothesis,
 ) -> Vec<u32> {
     let bb = scene.region(f.region).polygon.bbox();
-    let mut near_regions = scene.neighbours(f.region, NEIGHBOURHOOD_RADIUS);
-    near_regions.sort_unstable();
+    let near_regions = scene.neighbours(f.region, NEIGHBOURHOOD_RADIUS);
     fragments
         .iter()
         .filter(|g| {
@@ -196,40 +204,144 @@ pub fn neighbourhood(
         .collect()
 }
 
-/// Decomposes the phase into tasks at `level` (the task queue, in order).
-pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) -> Vec<LccUnit> {
-    match level {
-        Level::L4 => ALL_KINDS
-            .iter()
-            .filter(|k| fragments.iter().any(|f| f.kind == **k))
-            .map(|&k| LccUnit::Class(k))
-            .collect(),
-        Level::L3 => fragments.iter().map(|f| LccUnit::Object(f.id)).collect(),
-        Level::L2 => fragments
-            .iter()
-            .flat_map(|f| {
-                constraints_for(f.kind).map(move |c| LccUnit::ObjectConstraint(f.id, c.id))
-            })
-            .collect(),
-        Level::L1 => {
-            let mut out = Vec::new();
-            for f in fragments {
-                let nbh = neighbourhood(scene, fragments, f);
-                for c in constraints_for(f.kind) {
-                    for &g in &nbh {
-                        if fragments[g as usize].kind == c.object {
-                            out.push(LccUnit::Pair {
-                                frag: f.id,
-                                constraint: c.id,
-                                other: g,
-                            });
+/// Which fragments are hypothesised on which region, as one flat table
+/// (compressed sparse rows): the fragment table is in id order, not region
+/// order, and a task's neighbourhood is a handful of regions' worth of it.
+/// Built in one pass over the fragments; a fragment on a region the scene
+/// does not have is on no row.
+#[derive(Clone, Debug)]
+pub struct RegionIndex {
+    /// Row `r` is `frags[starts[r]..starts[r + 1]]`, ids ascending.
+    starts: Vec<u32>,
+    frags: Vec<u32>,
+}
+
+impl RegionIndex {
+    /// Indexes `fragments` over `scene`'s regions.
+    pub fn new(scene: &Scene, fragments: &[FragmentHypothesis]) -> RegionIndex {
+        let n = scene.len();
+        let on_scene = |f: &&FragmentHypothesis| (f.region as usize) < n;
+        let mut starts = vec![0u32; n + 1];
+        for f in fragments.iter().filter(on_scene) {
+            starts[f.region as usize + 1] += 1;
+        }
+        for r in 0..n {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut frags = vec![0u32; starts[n] as usize];
+        for f in fragments.iter().filter(on_scene) {
+            let at = &mut next[f.region as usize];
+            frags[*at as usize] = f.id;
+            *at += 1;
+        }
+        RegionIndex { starts, frags }
+    }
+
+    /// The fragments hypothesised on `region`, ids ascending.
+    fn on(&self, region: u32) -> &[u32] {
+        let r = region as usize;
+        &self.frags[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+
+    /// [`neighbourhood`]`(scene, fragments, f)` for the fragment table this
+    /// index was built from, at the cost of the partners found instead of a
+    /// scan of the table.
+    pub fn neighbourhood(
+        &self,
+        scene: &Scene,
+        fragments: &[FragmentHypothesis],
+        f: &FragmentHypothesis,
+    ) -> Vec<u32> {
+        let bb = scene.region(f.region).polygon.bbox();
+        let mut out = Vec::new();
+        let partner =
+            |g: &&u32| **g != f.id && kind_radius(f.kind, fragments[**g as usize].kind).is_some();
+        let mut take = |region: u32| out.extend(self.on(region).iter().filter(partner));
+        take(f.region);
+        for r in scene.neighbours(f.region, NEIGHBOURHOOD_RADIUS) {
+            if scene.region(r).polygon.bbox().distance_to(&bb) <= NEIGHBOURHOOD_RADIUS {
+                take(r);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+/// What the control process works out once per LCC phase and shares with
+/// the task processes (working-memory distribution, §5.1: it "precomputes"
+/// each task's partition): the task queue and the [`RegionIndex`] every
+/// task derives its spatial window from. Nothing of it outlives the phase.
+#[derive(Clone, Debug)]
+pub struct LccPlan {
+    /// The task queue, in order: [`decompose`]'s list.
+    pub units: Vec<LccUnit>,
+    index: RegionIndex,
+}
+
+impl LccPlan {
+    /// Plans the phase at `level` over `fragments`: decomposes it into
+    /// tasks (the task queue, in order).
+    pub fn new(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) -> LccPlan {
+        let index = RegionIndex::new(scene, fragments);
+        let units = match level {
+            Level::L4 => ALL_KINDS
+                .iter()
+                .filter(|k| fragments.iter().any(|f| f.kind == **k))
+                .map(|&k| LccUnit::Class(k))
+                .collect(),
+            Level::L3 => fragments.iter().map(|f| LccUnit::Object(f.id)).collect(),
+            Level::L2 => fragments
+                .iter()
+                .flat_map(|f| {
+                    constraints_for(f.kind).map(move |c| LccUnit::ObjectConstraint(f.id, c.id))
+                })
+                .collect(),
+            Level::L1 => {
+                let mut out = Vec::new();
+                for f in fragments {
+                    let nbh = index.neighbourhood(scene, fragments, f);
+                    for c in constraints_for(f.kind) {
+                        for &g in &nbh {
+                            if fragments[g as usize].kind == c.object {
+                                out.push(LccUnit::Pair {
+                                    frag: f.id,
+                                    constraint: c.id,
+                                    other: g,
+                                });
+                            }
                         }
                     }
                 }
+                out
             }
-            out
+        };
+        LccPlan { units, index }
+    }
+
+    /// Unit `i` of the queue as a [`Task`] over the inputs the plan was made
+    /// for.
+    pub fn task<'a>(
+        &'a self,
+        sp: &'a SpamProgram,
+        scene: &'a Arc<Scene>,
+        fragments: &'a Arc<Vec<FragmentHypothesis>>,
+        i: usize,
+    ) -> LccTask<'a> {
+        LccTask {
+            sp,
+            scene,
+            fragments,
+            index: &self.index,
+            unit: &self.units[i],
         }
     }
+}
+
+/// Decomposes the phase into tasks at `level` (the task queue, in order).
+pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) -> Vec<LccUnit> {
+    LccPlan::new(scene, fragments, level).units
 }
 
 fn constraint_fields(c: &Constraint) -> [Value; 6] {
@@ -257,17 +369,55 @@ pub(crate) fn fragment_fields(f: &FragmentHypothesis, support: i64) -> [Value; 6
 }
 
 /// Loads one task's working memory into an engine (working-memory
-/// distribution, §5.1): the subject fragment(s), their spatial
-/// neighbourhoods, the applicable constraint records, and the task element
-/// itself. The `control` element must already be present
-/// ([`crate::rules::enter_phase`]; the lifecycle makes it).
+/// distribution, §5.1): the constraint records every task of its level
+/// applies, then its own partition — the subject fragment(s), their spatial
+/// neighbourhoods, and the task element itself. The `control` element must
+/// already be present ([`crate::rules::enter_phase`]; the lifecycle makes
+/// it). This is [`LccTask`]'s *base* and *load* in one call, for a caller
+/// with an engine of its own; a task process loads the base once
+/// ([`crate::task`]).
 pub fn load_unit_wm(
     e: &mut ops5::Engine,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) {
-    // Subjects of this task + the constraint ids it may apply.
+    load_base(e, unit);
+    load_partition(
+        e,
+        scene,
+        fragments,
+        &RegionIndex::new(scene, fragments),
+        unit,
+    );
+}
+
+/// Whether `unit` applies every constraint (Levels 4 and 3) — its base then
+/// holds the whole table — or names the one it applies (Levels 2 and 1).
+fn applies_every_constraint(unit: &LccUnit) -> bool {
+    matches!(unit, LccUnit::Class(_) | LccUnit::Object(_))
+}
+
+/// The part of a task's working memory that is the same for every task of
+/// its level: at Levels 4 and 3 the constraint table, else nothing.
+fn load_base(e: &mut ops5::Engine, unit: &LccUnit) {
+    if applies_every_constraint(unit) {
+        for c in CONSTRAINTS {
+            schema().constraint.make(e, constraint_fields(c));
+        }
+    }
+}
+
+/// The part of a task's working memory that is its own, on top of
+/// [`load_base`]'s; `index` is of `fragments` over `scene`.
+fn load_partition(
+    e: &mut ops5::Engine,
+    scene: &Scene,
+    fragments: &[FragmentHypothesis],
+    index: &RegionIndex,
+    unit: &LccUnit,
+) {
+    // Subjects of this task.
     let subjects: Vec<u32> = match unit {
         LccUnit::Class(k) => fragments
             .iter()
@@ -285,16 +435,16 @@ pub fn load_unit_wm(
         LccUnit::Pair { .. } => Vec::new(),
         _ => subjects
             .iter()
-            .map(|&s| neighbourhood(scene, fragments, &fragments[s as usize]))
+            .map(|&s| index.neighbourhood(scene, fragments, &fragments[s as usize]))
             .collect(),
     };
-    let mut wm_frags: BTreeSet<u32> = subjects.iter().copied().collect();
+    let mut wm_frags = subjects.clone();
     match unit {
-        LccUnit::Pair { other, .. } => {
-            wm_frags.insert(*other);
-        }
+        LccUnit::Pair { other, .. } => wm_frags.push(*other),
         _ => wm_frags.extend(nbhs.iter().flatten()),
     }
+    wm_frags.sort_unstable();
+    wm_frags.dedup();
     let s = schema();
     let pending = Value::Sym(static_sym!("pending"));
     for &fid in &wm_frags {
@@ -302,10 +452,11 @@ pub fn load_unit_wm(
             .make(e, fragment_fields(&fragments[fid as usize], 0));
     }
 
-    // Spatial windows: the control process precomputes which partners lie
-    // in each subject's neighbourhood ("near" elements), so pair generation
-    // stays local no matter how many subjects share the task's WM (this is
-    // what bounds the Level-4 class tasks).
+    // Spatial windows: which partners lie in each subject's neighbourhood
+    // ("near" elements, derived above through the region index the control
+    // process built for the phase: `LccPlan`), so pair generation stays
+    // local no matter how many subjects share the task's WM (this is what
+    // bounds the Level-4 class tasks).
     let mut near = |a: u32, b: u32| {
         let kind = fragments[b as usize].kind.value();
         s.near
@@ -322,12 +473,9 @@ pub fn load_unit_wm(
         }
     }
 
-    // Task elements + constraint records, per level.
+    // Task elements (and below Level 3 the one constraint record), per level.
     match unit {
         LccUnit::Class(_) | LccUnit::Object(_) => {
-            for c in CONSTRAINTS {
-                s.constraint.make(e, constraint_fields(c));
-            }
             for &f in &subjects {
                 let id = Value::Int(f as i64);
                 let kind = fragments[f as usize].kind.value();
@@ -353,9 +501,10 @@ pub fn load_unit_wm(
     }
 }
 
-/// Executes one LCC task on `tp`'s engine — kept between tasks and reset,
-/// not rebuilt ([`crate::task`]); the result is that of a fresh,
-/// independent engine.
+/// Executes one LCC task on `tp`'s engine — kept between tasks, not rebuilt
+/// ([`crate::task`]); the result is that of a fresh, independent engine. For
+/// a unit on its own: it indexes the fragment table for itself, which a
+/// phase does once ([`LccPlan`]).
 pub fn run_lcc_unit(
     tp: &mut TaskProcess,
     sp: &SpamProgram,
@@ -376,17 +525,21 @@ pub fn run_lcc_unit_watched(
     unit: &LccUnit,
     watch: Watch,
 ) -> (LccUnitResult, Option<MatchProfile>) {
+    let index = &RegionIndex::new(scene, fragments);
     let task = LccTask {
         sp,
         scene,
         fragments,
+        index,
         unit,
     };
     tp.run(&task, watch)
 }
 
-/// One LCC unit as a [`Task`]: [`load_unit_wm`] and the harvest of
-/// [`harvest_lcc_unit`] on an engine allocating ids from [`LCC_ID_BASE`].
+/// One LCC unit as a [`Task`]: [`load_unit_wm`]'s two halves and the
+/// harvest of [`harvest_lcc_unit`] on an engine allocating ids from
+/// [`LCC_ID_BASE`]. A phase makes them from its [`LccPlan`]
+/// ([`LccPlan::task`]); [`run_lcc_unit`] makes one with an index of its own.
 pub struct LccTask<'a> {
     /// The rule base.
     pub sp: &'a SpamProgram,
@@ -394,6 +547,8 @@ pub struct LccTask<'a> {
     pub scene: &'a Arc<Scene>,
     /// RTF's fragment table.
     pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    /// `fragments` by region.
+    pub index: &'a RegionIndex,
     /// The unit.
     pub unit: &'a LccUnit,
 }
@@ -414,8 +569,16 @@ impl Task for LccTask<'_> {
         static_sym!("lcc")
     }
 
+    fn base_variant(&self) -> u8 {
+        u8::from(applies_every_constraint(self.unit))
+    }
+
+    fn base(&self, e: &mut ops5::Engine) {
+        load_base(e, self.unit);
+    }
+
     fn load(&self, e: &mut ops5::Engine) {
-        load_unit_wm(e, self.scene, self.fragments, self.unit);
+        load_partition(e, self.scene, self.fragments, self.index, self.unit);
     }
 
     fn harvest(&self, e: &mut ops5::Engine, cycle_log: Vec<CycleStats>) -> LccUnitResult {
@@ -486,7 +649,15 @@ pub fn run_lcc(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
 ) -> LccPhaseResult {
-    run_lcc_inner(sp, scene, fragments, level, false).0
+    run_lcc_on(
+        &mut TaskProcess::default(),
+        sp,
+        scene,
+        fragments,
+        level,
+        false,
+    )
+    .0
 }
 
 /// Runs the whole LCC phase at `level` sequentially with match-level
@@ -499,29 +670,37 @@ pub fn run_lcc_profiled(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
-    run_lcc_inner(sp, scene, fragments, level, true)
+    run_lcc_on(
+        &mut TaskProcess::default(),
+        sp,
+        scene,
+        fragments,
+        level,
+        true,
+    )
 }
 
-fn run_lcc_inner(
+/// The sequential phase on `tp`: the control process plans, one task process
+/// drains the queue. Callers make the process for the phase and drop it
+/// with it: kept past it the engine would only pin its share of the heap
+/// (measured: +13 % peak RSS at Level 4) until the next phase, which brings
+/// its own fragment table and so could not reuse it anyway.
+pub(crate) fn run_lcc_on(
+    tp: &mut TaskProcess,
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
     profile: bool,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
-    let units = decompose(scene, fragments, level);
+    let plan = LccPlan::new(scene, fragments, level);
     let mut merged: Option<MatchProfile> = None;
-    // This phase's one task process: its engine goes when the phase does.
-    // Kept past it the engine would only pin its share of the heap
-    // (measured: +13 % peak RSS at Level 4) until the next phase, which
-    // brings its own fragment table and so could not reuse it anyway.
-    let mut tp = TaskProcess::default();
     // The merge pulls the units through one at a time, so each result is
     // folded in while it is still warm and stored once.
-    let results = units.iter().map(|u| {
+    let results = (0..plan.units.len()).map(|i| {
         let mut watch = Watch::default();
         watch.profile = profile;
-        let (r, prof) = run_lcc_unit_watched(&mut tp, sp, scene, fragments, u, watch);
+        let (r, prof) = tp.run(&plan.task(sp, scene, fragments, i), watch);
         if let Some(p) = prof {
             match &mut merged {
                 Some(m) => m.merge(&p),
@@ -530,7 +709,7 @@ fn run_lcc_inner(
         }
         Some(r)
     });
-    let report = TaskReport::all_ok(units.iter().map(|u| u.label()));
+    let report = TaskReport::all_ok(plan.units.iter().map(|u| u.label()));
     (merge_lcc_units(level, fragments, results, report), merged)
 }
 
@@ -599,7 +778,7 @@ mod tests {
         assert!(l4 <= 10, "at most one task per class: {l4}");
         assert_eq!(l3, frags.len());
         assert!(l2 > l3, "L2 ({l2}) refines L3 ({l3})");
-        assert!(l1 > l2, "L1 ({l1}) refines L2 ({l1})");
+        assert!(l1 > l2, "L1 ({l1}) refines L2 ({l2})");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The RTF (region-to-fragment) phase: heuristic classification. An RTF
 //! task — the whole scene, or one batch of its regions — is a [`Task`]
 //! ([`RtfTask`]) on the lifecycle of [`crate::task`]; this module supplies
-//! its *load* (the scene domain's prototypes and the task's regions) and
-//! *harvest* (the fragments made).
+//! its *base* (the scene domain's prototypes), *load* (the task's regions)
+//! and *harvest* (the fragments made).
 
 use crate::fragments::{FragmentHypothesis, FragmentKind};
 use crate::rules::{schema, SpamProgram};
@@ -50,10 +50,13 @@ fn no_fragments() -> &'static Arc<Vec<FragmentHypothesis>> {
 }
 
 /// One RTF task — the whole scene, or one batch of its regions — as a
-/// [`Task`]. Its *load* is the classification prototypes of the scene's
+/// [`Task`]. Its *base* is the classification prototypes of the scene's
 /// domain (the class envelopes live in WM; the classification work is join
-/// work — see `rules::rtf_rules`) and the task's regions; its *harvest* the
-/// fragments made ([`collect_fragments`]).
+/// work — see `rules::rtf_rules`), its *load* the task's regions, its
+/// *harvest* the fragments made ([`collect_fragments`]). (The base is loaded
+/// per task all the same: `control` alone satisfies `rtf-done`, so the
+/// engine declines the mark, and `rtf-done` modifies `control`, which would
+/// break one — [`crate::task`].)
 pub struct RtfTask<'a> {
     /// The rule base.
     pub sp: &'a SpamProgram,
@@ -79,7 +82,7 @@ impl Task for RtfTask<'_> {
         static_sym!("rtf")
     }
 
-    fn load(&self, e: &mut Engine) {
+    fn base(&self, e: &mut Engine) {
         let s = schema();
         for (name, p) in crate::rules::prototypes() {
             if p.domain != self.scene.domain {
@@ -93,6 +96,10 @@ impl Task for RtfTask<'_> {
             ];
             s.proto.make(e, envelope);
         }
+    }
+
+    fn load(&self, e: &mut Engine) {
+        let s = schema();
         for &rid in self.regions {
             s.region
                 .make(e, region_fields(&self.scene.regions[rid as usize]));

@@ -3,16 +3,29 @@
 //! is that system's engine, owned by whoever runs the tasks — a phase loop
 //! on its own stack, a pool worker for the length of a phase — and every
 //! RTF, LCC, FA and MODEL task is a [`Task`] — what to wire, which phase,
-//! a *load* and a *harvest* — that [`TaskProcess::run`] takes through the
-//! same seven steps:
+//! a *base*, a *load* and a *harvest* — that [`TaskProcess::run`] takes
+//! through the same seven steps:
 //!
-//! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out and
-//!    [`ops5::Engine::reset`]s it if it was built for this very [`Wiring`],
-//!    else builds one ([`SpamProgram::engine_for`]);
+//! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out if it was
+//!    built for this very [`Wiring`], else builds one
+//!    ([`SpamProgram::engine`] + [`register`]);
 //! 2. **watch** — the cycle log (and the profiler, if the [`Watch`] asks)
 //!    is switched on; the watch itself stays outside the engine;
-//! 3. **load** — the `control` element puts the rule base in
-//!    [`Task::phase`], [`Task::load`] fills working memory;
+//! 3. **base | load** — working-memory distribution (§5.1), in two parts.
+//!    The *base* is what every task of the phase starts from: the `control`
+//!    element that puts the rule base in [`Task::phase`], then
+//!    [`Task::base`] (LCC's constraint records, RTF's prototypes). It is
+//!    loaded once per process, not once per task: the engine is
+//!    [marked](ops5::Engine::mark) when it is in, and a later task of the
+//!    same phase and [`Task::base_variant`] *rolls back* to the mark
+//!    ([`ops5::Engine::rollback`]) where it would have reset and loaded it
+//!    again. The process falls back to reset + base when the engine
+//!    declines the mark (RTF's `control` alone satisfies `rtf-done`) or a
+//!    task broke it by removing a base element (RTF modifies `control`),
+//!    and whenever a profile is wanted — a profile covers the base's match
+//!    work too. Then [`Task::load`] adds the task's own part. Either way
+//!    the engine is the one a new engine that loaded base and task itself
+//!    would be;
 //! 4. **drive** — the watch drives the engine to quiescence
 //!    ([`crate::watch`]: the one loop), handing control to a
 //!    [`DrivePolicy`] where it asks (`()` never does), and
@@ -20,12 +33,15 @@
 //! 6. **harvest** — [`Task::harvest`] reads the results out of the engine;
 //! 7. **put back** — [`Attempt::finish`] returns the engine to the process.
 //!
-//! Steps 2–7 are [`Attempt::run`], the only place they are written.
+//! Steps 1, 2 and the base are [`TaskProcess::begin`], the load and steps
+//! 4–7 [`Attempt::run`]; neither is written anywhere else.
 //!
 //! A task that died mid-run and left a snapshot behind re-enters at step 1
-//! through [`TaskProcess::resume`] — the engine is restored, not reset — and
-//! skips step 3 ([`Attempt::run`] with `loaded`); from there it is an
-//! attempt like any other, its engine kept for the next task.
+//! through [`TaskProcess::resume`] — the engine is restored, not reset — or,
+//! with only its write-ahead log left, through [`TaskProcess::begin_empty`];
+//! either skips step 3 ([`Attempt::run`] with `loaded`) and from there is an
+//! attempt like any other, its engine kept for the next task (which finds
+//! no mark on it, and loads its base).
 //!
 //! Between *wire* and *put back* the engine belongs to the [`Attempt`], so
 //! a task that panics — tasks run under `catch_unwind` with injected
@@ -65,8 +81,20 @@ pub trait Task {
     fn wiring(&self) -> Wiring<'_>;
     /// The phase its rules run in (`rtf`, `lcc`, `fa`, `model`).
     fn phase(&self) -> Symbol;
-    /// Step 3: fills the working memory of an engine holding only the
-    /// `control` element.
+    /// Which of its phase's bases the task starts from, for a phase with
+    /// more than one (LCC: with the constraint records at Levels 4 and 3,
+    /// without at Levels 2 and 1).
+    fn base_variant(&self) -> u8 {
+        0
+    }
+    /// Step 3, the shared part: what every task that agrees with this one
+    /// on wiring, phase and [`base_variant`](Task::base_variant) loads
+    /// first, into an engine holding only the `control` element. It must
+    /// depend on nothing else about the task: the process loads it once and
+    /// serves all of them from it.
+    fn base(&self, _e: &mut Engine) {}
+    /// Step 3, the task's own part: fills the working memory of an engine
+    /// holding the base.
     fn load(&self, e: &mut Engine);
     /// Step 6: reads the result out of the quiescent engine. `cycle_log` is
     /// the task's whole log, the cycles of a dead attempt it resumed from
@@ -83,6 +111,9 @@ struct Kept {
     config: ReteConfig,
     ctx: ExternalCtx,
     engine: Engine,
+    /// The `(phase, base variant)` whose base the engine holds under a
+    /// mark, if any.
+    based: Option<(Symbol, u8)>,
 }
 
 impl Kept {
@@ -102,26 +133,52 @@ pub struct TaskProcess {
     /// Engines built so far: the *wire* steps that missed, and the resumes.
     #[cfg(test)]
     pub(crate) engines_built: u32,
+    /// Bases loaded so far: the tasks that found no mark to roll back to.
+    #[cfg(test)]
+    pub(crate) bases_loaded: u32,
 }
 
 impl TaskProcess {
     /// The lifecycle, whole: `task` from *wire* to *put back* under `watch`.
     /// Returns the task's profile too if the watch asked for one.
     pub fn run<K: Task>(&mut self, task: &K, watch: Watch) -> (K::Output, Option<MatchProfile>) {
-        let (result, _, profile) = self.begin(&task.wiring()).run(task, watch, false, &mut ());
+        let attempt = self.begin(task, watch.profile);
+        let (result, _, profile) = attempt.run(task, watch, false, &mut ());
         (result, profile)
     }
 
-    /// Step 1: an engine in its just-built state, wired as `w` says and
-    /// logging its cycles; its working memory is empty.
-    pub fn begin(&mut self, w: &Wiring<'_>) -> Attempt<'_> {
-        let kept = match self.kept.take() {
-            Some(mut kept) if kept.serves(w) => {
-                kept.engine.reset();
-                kept
+    /// Steps 1, 2 and the first half of 3: an engine wired as `task` says,
+    /// logging its cycles (and profiling, if `profile`), in the state of a
+    /// just-built one that loaded `task`'s base — by rolling back to the
+    /// mark the last task of the kind left, or else by loading it.
+    pub fn begin<K: Task>(&mut self, task: &K, profile: bool) -> Attempt<'_> {
+        let w = task.wiring();
+        let mut kept = self.take(&w);
+        let key = (task.phase(), task.base_variant());
+        let e = &mut kept.engine;
+        if profile || kept.based != Some(key) || !e.rollback() {
+            e.reset();
+            e.enable_cycle_log();
+            if profile {
+                e.enable_profile();
             }
-            _ => self.wire(w, w.sp.engine()),
-        };
+            enter_phase(e, key.0);
+            task.base(e);
+            kept.based = e.mark().then_some(key);
+            #[cfg(test)]
+            (self.bases_loaded += 1);
+        }
+        self.attempt(kept, Vec::new())
+    }
+
+    /// Steps 1 and 2 for an attempt whose working memory comes from a log:
+    /// an engine in its just-built state, wired as `w` says and logging its
+    /// cycles; its working memory is empty.
+    pub fn begin_empty(&mut self, w: &Wiring<'_>) -> Attempt<'_> {
+        let mut kept = self.take(w);
+        kept.engine.reset();
+        kept.based = None;
+        kept.engine.enable_cycle_log();
         self.attempt(kept, Vec::new())
     }
 
@@ -138,9 +195,18 @@ impl TaskProcess {
         logged: Vec<CycleStats>,
     ) -> ops5::Result<Attempt<'_>> {
         let (program, compiled) = (Arc::clone(&w.sp.program), Arc::clone(&w.sp.compiled));
-        let engine = Engine::restore(program, compiled, w.sp.config, snapshot)?;
+        let mut engine = Engine::restore(program, compiled, w.sp.config, snapshot)?;
+        engine.enable_cycle_log();
         let kept = self.wire(w, engine);
         Ok(self.attempt(kept, logged))
+    }
+
+    /// The kept engine if it serves `w`, else a new one.
+    fn take(&mut self, w: &Wiring<'_>) -> Kept {
+        match self.kept.take() {
+            Some(kept) if kept.serves(w) => kept,
+            _ => self.wire(w, w.sp.engine()),
+        }
     }
 
     /// A new engine — empty, or restored — gets its externals.
@@ -158,11 +224,11 @@ impl TaskProcess {
             config: w.sp.config,
             ctx,
             engine,
+            based: None,
         }
     }
 
-    fn attempt(&mut self, mut kept: Kept, logged: Vec<CycleStats>) -> Attempt<'_> {
-        kept.engine.enable_cycle_log();
+    fn attempt(&mut self, kept: Kept, logged: Vec<CycleStats>) -> Attempt<'_> {
         Attempt {
             home: self,
             kept,
@@ -194,12 +260,13 @@ impl Attempt<'_> {
         &mut self.kept.engine
     }
 
-    /// Steps 2–7 of `task`'s lifecycle on this attempt, `watch` looking on.
+    /// Steps 3–7 of `task`'s lifecycle on this attempt, `watch` looking on.
     /// `loaded` says the engine already holds the task's working memory —
-    /// restored with it ([`TaskProcess::resume`]) or filled from a log — and
-    /// skips step 3. `policy` gets control between cycles where it asks to
-    /// (`&mut ()`: nowhere). Returns the result, the cycles this attempt
-    /// fired, and the profile if the watch asked for one.
+    /// restored with it ([`TaskProcess::resume`]) or filled from a log
+    /// ([`TaskProcess::begin_empty`]) — and skips the load. `policy` gets
+    /// control between cycles where it asks to (`&mut ()`: nowhere).
+    /// Returns the result, the cycles this attempt fired, and the profile if
+    /// [`TaskProcess::begin`] was asked for one.
     pub fn run<K: Task>(
         mut self,
         task: &K,
@@ -208,11 +275,7 @@ impl Attempt<'_> {
         policy: &mut impl DrivePolicy,
     ) -> (K::Output, u64, Option<MatchProfile>) {
         let e = &mut self.kept.engine;
-        if watch.profile {
-            e.enable_profile();
-        }
         if !loaded {
-            enter_phase(e, task.phase());
             task.load(e);
         }
         let out = watch.drive(e, policy);
@@ -293,9 +356,53 @@ mod tests {
             fragments: &supported,
             id_base: 7,
         };
-        tp.begin(&wiring).finish();
+        tp.begin_empty(&wiring).finish();
         assert_eq!(tp.engines_built, 6);
         assert!(tp.keeps_an_engine());
+    }
+
+    /// What *base* saves, counted: a sequential Level-3 pass over the three
+    /// airports loads `control` + the 56 constraint records once per scene —
+    /// 3 bases, 168 constraint elements made where 630 tasks used to make
+    /// 35 280 — and every other task rolls back to the mark. A phase whose
+    /// `control` alone satisfies a rule (RTF: `rtf-done`) cannot be marked
+    /// and loads its base per task, as before.
+    #[test]
+    fn a_base_is_loaded_once_per_engine_where_the_engine_can_mark_it() {
+        let sp = SpamProgram::build();
+        let (mut bases, mut tasks) = (0, 0);
+        for d in [crate::sf(), crate::dc(), crate::moff()] {
+            let scene = Arc::new(crate::generate_scene(&d.spec));
+            let frags = Arc::new(run_rtf(&sp, &scene).fragments);
+            let tp = &mut TaskProcess::default();
+            let (phase, _) = crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L3, false);
+            assert_eq!(
+                (tp.engines_built, tp.bases_loaded),
+                (1, 1),
+                "{}",
+                d.spec.name
+            );
+            bases += tp.bases_loaded;
+            tasks += phase.units.len();
+            if d.spec.name == "DC" {
+                // Another level's tasks start from another base — once.
+                crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L2, false);
+                crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L1, false);
+                assert_eq!((tp.engines_built, tp.bases_loaded), (1, 2));
+                // A profile covers the base's match work: no mark serves it.
+                let (profiled, _) =
+                    crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L4, true);
+                assert_eq!(tp.bases_loaded, 2 + profiled.units.len() as u32);
+                run_rtf_task(tp, &sp, &scene, &[0, 1]);
+                run_rtf_task(tp, &sp, &scene, &[2, 3]);
+                assert_eq!(
+                    (tp.engines_built, tp.bases_loaded),
+                    (2, 14),
+                    "RTF: per task"
+                );
+            }
+        }
+        assert_eq!((bases, tasks), (3, 630));
     }
 
     /// Takes a snapshot at cycle `at`, as a checkpoint would.
@@ -327,10 +434,12 @@ mod tests {
         let frags = Arc::new(run_rtf(&shared, &dc).fragments);
         for sp in [shared.clone().with_config(ReteConfig::unshared()), shared] {
             let units: Vec<LccUnit> = (0..4).map(LccUnit::Object).collect();
+            let index = &crate::lcc::RegionIndex::new(&dc, &frags);
             let task = |unit| LccTask {
                 sp: &sp,
                 scene: &dc,
                 fragments: &frags,
+                index,
                 unit,
             };
             let fresh = |unit| run_lcc_unit(&mut TaskProcess::default(), &sp, &dc, &frags, unit);
@@ -340,9 +449,7 @@ mod tests {
             for unit in &units {
                 let mut policy = SnapshotAt { at: 2, taken: None };
                 let (task, watch) = (task(unit), Watch::default());
-                let (r, fired, _) = tp
-                    .begin(&task.wiring())
-                    .run(&task, watch, false, &mut policy);
+                let (r, fired, _) = tp.begin(&task, false).run(&task, watch, false, &mut policy);
                 assert_eq!((&r, fired), (&fresh(unit), r.firings));
                 snapshots.push(policy.taken.expect("every unit fires past cycle 2"));
             }

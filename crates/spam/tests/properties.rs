@@ -3,9 +3,12 @@
 use proptest::prelude::*;
 use spam::constraints::{constraints_for, Relation, CONSTRAINTS};
 use spam::externals::{eval_relation, relation_radius};
+use spam::fragments::FragmentHypothesis;
 use spam::generate::AirportSpec;
-use spam::lcc::{decompose, Level};
+use spam::lcc::{decompose, neighbourhood, LccPlan, LccUnit, Level, RegionIndex};
+use spam::scene::{Region, Scene};
 use spam_geometry::{Point, Polygon};
+use std::sync::OnceLock;
 
 fn rect() -> impl Strategy<Value = Polygon> {
     (
@@ -64,6 +67,71 @@ proptest! {
             prop_assert!(r.intensity >= 0.0 && r.intensity <= 255.0);
             prop_assert!(r.descriptors.elongation >= 1.0);
             prop_assert!(r.descriptors.compactness > 0.0 && r.descriptors.compactness <= 1.0);
+        }
+    }
+}
+
+/// DC and its RTF fragments.
+fn dc() -> &'static (Scene, Vec<FragmentHypothesis>) {
+    static DC: OnceLock<(Scene, Vec<FragmentHypothesis>)> = OnceLock::new();
+    DC.get_or_init(|| {
+        let sp = spam::rules::SpamProgram::build();
+        let scene = std::sync::Arc::new(spam::generate_scene(&spam::datasets::dc().spec));
+        let frags = spam::rtf::run_rtf(&sp, &scene).fragments;
+        (
+            std::sync::Arc::into_inner(scene).expect("RTF keeps no scene"),
+            frags,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The task path's neighbourhood — the grid query's regions looked up
+    /// in the region index — is the definition's, a scan of the fragment
+    /// table, for every fragment of DC however its regions are numbered
+    /// (the fragment table is in id order, never region order), and a
+    /// plan's queue is `decompose`'s list at every level: Level 1's, built
+    /// through the index, is the one the scan gives.
+    #[test]
+    fn the_indexed_neighbourhood_is_the_scan_under_any_region_numbering(seed in 0u64..u64::MAX) {
+        let (dc, dc_frags) = dc();
+        // A seeded shuffle of the region ids (Fisher–Yates on an LCG).
+        let n = dc.len();
+        let mut new_id: Vec<u32> = (0..n as u32).collect();
+        let mut x = seed | 1;
+        for i in (1..n).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            new_id.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let mut regions: Vec<Region> = dc.regions.clone();
+        for r in &dc.regions {
+            regions[new_id[r.id as usize] as usize] = Region { id: new_id[r.id as usize], ..r.clone() };
+        }
+        let scene = Scene::new("DC, renumbered", regions);
+        let frags: Vec<FragmentHypothesis> = (dc_frags.iter())
+            .map(|f| FragmentHypothesis { region: new_id[f.region as usize], ..f.clone() })
+            .collect();
+        prop_assert!(frags.windows(2).any(|w| w[0].region > w[1].region), "not region-sorted");
+
+        let index = RegionIndex::new(&scene, &frags);
+        let mut pairs = Vec::new();
+        for f in &frags {
+            let want = neighbourhood(&scene, &frags, f);
+            prop_assert_eq!(&index.neighbourhood(&scene, &frags, f), &want, "fragment {}", f.id);
+            for c in constraints_for(f.kind) {
+                let partners = want.iter().filter(|&&g| frags[g as usize].kind == c.object);
+                pairs.extend(partners.map(|&other| LccUnit::Pair { frag: f.id, constraint: c.id, other }));
+            }
+        }
+        let queue = |units: &[LccUnit]| -> Vec<String> { units.iter().map(LccUnit::label).collect() };
+        for level in [Level::L4, Level::L3, Level::L2, Level::L1] {
+            let plan = LccPlan::new(&scene, &frags, level);
+            prop_assert_eq!(queue(&plan.units), queue(&decompose(&scene, &frags, level)));
+            if level == Level::L1 {
+                prop_assert_eq!(queue(&plan.units), queue(&pairs));
+            }
         }
     }
 }

@@ -1,7 +1,10 @@
 //! Task-engine reuse ≡ a fresh engine per task.
 //!
 //! `run_lcc_unit` and `run_lcc_unit_watched` run on a `TaskProcess`'s kept
-//! engine, reset between units. The reference here builds a new engine for
+//! engine, rolled back between units to the mark its phase's base — the
+//! `control` element and, at Levels 4 and 3, the constraint records — was
+//! loaded under, or reset and loaded with it again where there is no mark
+//! to return to. The reference here builds a new engine for
 //! each unit from the public pieces (`lcc_engine` → control element →
 //! `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any sequence
 //! of units — any levels, any order, anyone watching along the way,
@@ -9,7 +12,10 @@
 //! give the same `LccUnitResult`s: consistents, supports, work, firings,
 //! RHS actions and the whole cycle log. So must RTF batches, LCC units, FA
 //! and MODEL tasks interleaved on one process, against each task on a
-//! process of its own.
+//! process of its own. And so must whatever follows a task that left the
+//! process without a mark: one that panicked mid-run (the engine went with
+//! it), one resumed from a snapshot (a restored engine has no mark), one
+//! that removed a base element (the mark is broken).
 
 use ops5::Value;
 use proptest::prelude::*;
@@ -23,8 +29,8 @@ use spam::model::{run_model_task, ModelResult};
 use spam::rtf::{rtf_task_batches, run_rtf_task, RtfResult};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
-use spam::task::TaskProcess;
-use spam::watch::Watch;
+use spam::task::{Task, TaskProcess, Wiring};
+use spam::watch::{DrivePolicy, Watch};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -276,6 +282,147 @@ proptest! {
                     prop_assert_eq!(&got, &d.model, "{}", at);
                 }
             }
+        }
+    }
+}
+
+/// DC's first few Level-3 units and a Level-2 one: enough for a process to
+/// load a base, lose it, and load it again.
+fn some_units() -> (&'static Inputs, Vec<(usize, usize)>) {
+    (
+        &fixture().inputs[0],
+        vec![(1, 0), (1, 1), (2, 0), (1, 2), (0, 0)],
+    )
+}
+
+#[test]
+fn the_unit_after_one_that_panicked_mid_run_loads_its_base_again() {
+    let (i, picks) = some_units();
+    // A pair whose partner sits on a region the scene does not have: loading
+    // it never looks the region up, the external does, mid-run.
+    let pairs = &fixture().units[0][3];
+    let LccUnit::Pair { other: bad, .. } = pairs[0] else {
+        panic!("Level 1 decomposes into pairs");
+    };
+    let mut damaged = i.frags.as_ref().clone();
+    damaged[bad as usize].region = u32::MAX;
+    let damaged = Inputs {
+        sp: i.sp.clone(),
+        scene: Arc::clone(&i.scene),
+        frags: Arc::new(damaged),
+    };
+    let units: Vec<&LccUnit> = (picks.iter())
+        .map(|&(level, u)| &fixture().units[0][level][u])
+        .filter(|u| !matches!(u, LccUnit::Object(f) | LccUnit::ObjectConstraint(f, _) if *f == bad))
+        .collect();
+    let tp = &mut TaskProcess::default();
+    let run = |tp: &mut TaskProcess, unit| {
+        run_lcc_unit(tp, &damaged.sp, &damaged.scene, &damaged.frags, unit)
+    };
+    for &unit in &units {
+        assert_eq!(
+            run(tp, unit),
+            fresh_unit(&damaged, unit),
+            "before: {unit:?}"
+        );
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(tp, &pairs[0])));
+        assert!(crashed.is_err(), "the external indexes a missing region");
+        assert_eq!(run(tp, unit), fresh_unit(&damaged, unit), "after: {unit:?}");
+    }
+}
+
+/// Takes a snapshot before cycle `at`, as a checkpoint would.
+struct SnapshotAt {
+    at: u64,
+    taken: Option<(Vec<u8>, Vec<ops5::CycleStats>)>,
+}
+
+impl DrivePolicy for SnapshotAt {
+    fn due_in(&self, e: &ops5::Engine) -> u64 {
+        match self.taken {
+            None => self.at.saturating_sub(e.work().firings),
+            Some(_) => u64::MAX,
+        }
+    }
+    fn at(&mut self, e: &ops5::Engine) {
+        self.taken = Some((e.snapshot(), e.cycle_log().to_vec()));
+    }
+}
+
+#[test]
+fn the_unit_after_a_resumed_one_finds_no_mark_and_loads_its_base() {
+    let (i, picks) = some_units();
+    for i in [i, &fixture().inputs[1]] {
+        let plan = spam::lcc::LccPlan::new(&i.scene, &i.frags, Level::L3);
+        let tp = &mut TaskProcess::default();
+        for &(level, u) in &picks {
+            // Unit 3 of Level 3, interrupted at cycle 2 on the marked engine…
+            let task = plan.task(&i.sp, &i.scene, &i.frags, 3);
+            let mut policy = SnapshotAt { at: 2, taken: None };
+            let whole = tp
+                .begin(&task, false)
+                .run(&task, Watch::default(), false, &mut policy);
+            assert_eq!(whole.0, fresh_unit(i, &plan.units[3]));
+            // … resumed from there on a restored one…
+            let (snapshot, logged) = policy.taken.expect("the unit fires past cycle 2");
+            let resumed = tp.resume(&task.wiring(), &snapshot, logged).unwrap();
+            let (r, fired, _) = resumed.run(&task, Watch::default(), true, &mut ());
+            assert_eq!((&r, fired), (&whole.0, whole.1 - 2), "cycle log included");
+            // … and whatever comes next is served from a new base.
+            let unit = &fixture().units[0][level][u];
+            let got = run_lcc_unit(tp, &i.sp, &i.scene, &i.frags, unit);
+            assert_eq!(got, fresh_unit(i, unit), "{unit:?}");
+        }
+    }
+}
+
+/// An LCC unit that removes the first constraint record — a base element —
+/// when its own working memory is in.
+struct Vandal<'a>(spam::lcc::LccTask<'a>);
+
+impl Task for Vandal<'_> {
+    type Output = LccUnitResult;
+    fn wiring(&self) -> Wiring<'_> {
+        self.0.wiring()
+    }
+    fn phase(&self) -> ops5::Symbol {
+        self.0.phase()
+    }
+    fn base_variant(&self) -> u8 {
+        self.0.base_variant()
+    }
+    fn base(&self, e: &mut ops5::Engine) {
+        self.0.base(e);
+    }
+    fn load(&self, e: &mut ops5::Engine) {
+        self.0.load(e);
+        e.remove_wme_id(ops5::WmeId(1));
+    }
+    fn harvest(&self, e: &mut ops5::Engine, log: Vec<ops5::CycleStats>) -> LccUnitResult {
+        self.0.harvest(e, log)
+    }
+}
+
+#[test]
+fn the_unit_after_one_that_removed_a_base_element_loads_its_base_again() {
+    let (i, picks) = some_units();
+    for i in [i, &fixture().inputs[1]] {
+        let plan = spam::lcc::LccPlan::new(&i.scene, &i.frags, Level::L3);
+        let vandal = |u| Vandal(plan.task(&i.sp, &i.scene, &i.frags, u));
+        let alone = TaskProcess::default().run(&vandal(5), Watch::default()).0;
+        assert_ne!(
+            alone,
+            fresh_unit(i, &plan.units[5]),
+            "constraint 0 mattered"
+        );
+        let tp = &mut TaskProcess::default();
+        for &(level, u) in &picks {
+            // On the marked engine the vandal is what it is on its own…
+            assert_eq!(tp.run(&vandal(5), Watch::default()).0, alone);
+            // … and the next unit has all 56 constraints again.
+            let unit = &fixture().units[0][level][u];
+            let got = run_lcc_unit(tp, &i.sp, &i.scene, &i.frags, unit);
+            assert_eq!(got, fresh_unit(i, unit), "{unit:?}");
         }
     }
 }
