@@ -20,9 +20,11 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
 # every 1..8 changes vs a full re-match, rollback-to-mark vs reset + replay
 # of the base (engine by engine, then task process by task process against a
 # fresh engine per task), alpha dispatch vs a linear walk and hash_key vs
-# ops_eq.
+# ops_eq; and the one network per program: an engine's own allocation budget
+# (alloc_budget), engines on one shared network vs one each (properties), a
+# program moved to the other config runs on that network (sharing).
 cargo test --release -p ops5 --test alloc_budget
-cargo test --release -p spam --test work_pins
+cargo test --release -p spam --test work_pins --test sharing
 cargo test --release -p ops5 --test properties --test mark
 cargo test --release -p spam --test reuse
 cargo test --release -p ops5 --lib -- \

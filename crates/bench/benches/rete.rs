@@ -97,6 +97,14 @@ fn bench_rete(c: &mut Criterion) {
         b.iter(|| Program::parse(&src).unwrap().productions.len());
     });
 
+    // What `SpamProgram::build()` pays once so that no engine has to: the
+    // trie walk, the alpha memories, their dispatch tables.
+    g.bench_function("build_spam_network", |b| {
+        let sp = spam::rules::SpamProgram::build();
+        let config = ops5::ReteConfig::default();
+        b.iter(|| ops5::Network::build(&sp.compiled, &sp.program, config).beta_nodes());
+    });
+
     g.bench_function("spawn_task_engine_from_shared_program", |b| {
         let sp = spam::rules::SpamProgram::build();
         b.iter(|| sp.engine());

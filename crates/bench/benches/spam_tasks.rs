@@ -3,8 +3,8 @@
 //! A single-task bench runs on one task process, as a worker's tasks do: its
 //! engine is kept between iterations, not rebuilt.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use spam::lcc::{decompose, run_lcc_unit, LccPlan, LccUnit, Level};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use spam::lcc::{decompose, run_lcc_unit, LccPlan, LccUnit, Level, LCC_ID_BASE};
 use spam::rtf::{rtf_task_batches, run_rtf, run_rtf_task, run_rtf_tasks};
 use spam::rules::SpamProgram;
 use spam::task::{Task, TaskProcess};
@@ -67,6 +67,14 @@ fn bench_spam(c: &mut Criterion) {
             }
             wmes
         })
+    });
+
+    // What a task process pays when its inputs change (and a phase call
+    // pays once): an engine instantiated from the program's network and
+    // wired for the scene, then dropped. The heap is warm — every iteration
+    // frees what the next allocates.
+    g.bench_function("engine_build_drop", |b| {
+        b.iter(|| drop(black_box(sp.engine_for(&scene, &fragments, LCC_ID_BASE))))
     });
 
     g.bench_function("lcc_unit_level1_pair", |b| {

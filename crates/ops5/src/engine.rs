@@ -23,7 +23,7 @@ use crate::matcher::{Matcher, NaiveMatcher};
 use crate::profile::{MatchProfile, ProductionProfile};
 use crate::program::Program;
 use crate::rete::compile::{compile_production, CompiledProduction, VarSource};
-use crate::rete::{MatchEvent, Rete, ReteConfig};
+use crate::rete::{MatchEvent, Network, Rete, ReteConfig};
 use crate::rhs::eval_expr;
 use crate::static_sym;
 use crate::symbol::{sym, Symbol};
@@ -116,8 +116,11 @@ impl RunOutcome {
 /// An OPS5 engine instance: one complete production system.
 ///
 /// SPAM/PSM runs many of these concurrently — each task process owns a full
-/// engine with its own working memory, conflict set, and Rete state, sharing
-/// only the immutable compiled program (working-memory distribution, §5.1).
+/// engine with its own working memory, conflict set, and Rete memories,
+/// sharing what is immutable: the program, its compiled chains and the
+/// [`Network`] built from them (working-memory distribution, §5.1). An
+/// engine *is* its memories: making one allocates a handful of empty lists,
+/// dropping one frees what its runs grew.
 pub struct Engine {
     program: Arc<Program>,
     compiled: Arc<Vec<CompiledProduction>>,
@@ -205,22 +208,37 @@ impl Engine {
         Self::with_compiled(program, compiled)
     }
 
-    /// Creates an engine sharing pre-compiled chains (cheap: used to spawn
-    /// the hundreds of task-process engines in a SPAM/PSM run).
+    /// Creates an engine from pre-compiled chains, building their default
+    /// network for it ([`Engine::with_compiled_config`]).
     pub fn with_compiled(program: Arc<Program>, compiled: Arc<Vec<CompiledProduction>>) -> Engine {
         Self::with_compiled_config(program, compiled, ReteConfig::default())
     }
 
-    /// Creates an engine with an explicit Rete sharing/indexing
-    /// configuration ([`ReteConfig::unshared()`] rebuilds the historical
-    /// one-chain-per-production network for baseline comparisons).
+    /// Builds the network of `compiled` under `config`
+    /// ([`ReteConfig::unshared()`] is the historical one-chain-per-production
+    /// network for baseline comparisons) and creates an engine on it. For
+    /// the one engine of a program; whoever makes many builds the network
+    /// once ([`Network::build`]) and uses [`Engine::with_network`].
     pub fn with_compiled_config(
         program: Arc<Program>,
         compiled: Arc<Vec<CompiledProduction>>,
         config: ReteConfig,
     ) -> Engine {
-        let rete = Rete::from_compiled_with(&compiled, &program, config);
-        Self::with_matcher(program, compiled, Box::new(rete))
+        let network = Arc::new(Network::build(&compiled, &program, config));
+        Self::with_network(program, compiled, network)
+    }
+
+    /// Creates an engine on a network built earlier from `compiled` (cheap:
+    /// how the hundreds of task-process engines of a SPAM/PSM run are made).
+    /// Engines on one network are independent of one another — the network
+    /// is immutable — and each is exactly the engine a privately built
+    /// network would give.
+    pub fn with_network(
+        program: Arc<Program>,
+        compiled: Arc<Vec<CompiledProduction>>,
+        network: Arc<Network>,
+    ) -> Engine {
+        Self::with_matcher(program, compiled, Box::new(Rete::instantiate(network)))
     }
 
     /// Creates an engine around an arbitrary match backend (how ParaOPS5's
@@ -301,8 +319,8 @@ impl Engine {
     }
 
     /// Returns the engine to the state [`Engine::with_matcher`] left it in,
-    /// keeping what was expensive to build: the compiled network and its
-    /// allocations (via [`Matcher::reset`]), the registered external
+    /// keeping what a new one would have to get again: the capacity its
+    /// memories grew (via [`Matcher::reset`]), the registered external
     /// functions, and the strategy override.
     ///
     /// Everything a run can observe starts over — working memory (ids and
@@ -316,8 +334,8 @@ impl Engine {
     /// run wants.
     ///
     /// This is how a task process serves many tasks with one engine (one
-    /// OPS5 instance per task process, as in the paper) instead of building
-    /// a network per task.
+    /// OPS5 instance per task process, as in the paper) instead of wiring
+    /// one per task.
     pub fn reset(&mut self) {
         self.matcher.reset();
         self.wm.clear();
@@ -899,10 +917,23 @@ impl Engine {
         .encode()
     }
 
-    /// Rebuilds an engine from [`Engine::snapshot`] bytes.
+    /// Rebuilds an engine from [`Engine::snapshot`] bytes, building the
+    /// network of `compiled` under `config` for it; a caller that has the
+    /// network uses [`Engine::restore_with_network`].
+    pub fn restore(
+        program: Arc<Program>,
+        compiled: Arc<Vec<CompiledProduction>>,
+        config: ReteConfig,
+        bytes: &[u8],
+    ) -> Result<Engine> {
+        let network = Arc::new(Network::build(&compiled, &program, config));
+        Self::restore_with_network(program, compiled, network, bytes)
+    }
+
+    /// Rebuilds an engine from [`Engine::snapshot`] bytes on `network`.
     ///
-    /// The Rete network is not serialized; it is re-derived by feeding the
-    /// restored WMEs through a fresh network. That rebuild resurrects
+    /// The Rete's memories are not serialized; they are re-derived by
+    /// feeding the restored WMEs through new ones. That rebuild resurrects
     /// instantiations that had already fired (OPS5 refraction removes them
     /// from the conflict set on selection), so the rebuilt conflict set is
     /// pruned down to the snapshot's recorded key set. Match work done by
@@ -915,10 +946,10 @@ impl Engine {
     /// one, and on a snapshot whose conflict keys the rebuild cannot
     /// reproduce (which indicates corruption that the checksum cannot see,
     /// e.g. a program recompiled with different semantics but equal shape).
-    pub fn restore(
+    pub fn restore_with_network(
         program: Arc<Program>,
         compiled: Arc<Vec<CompiledProduction>>,
-        config: ReteConfig,
+        network: Arc<Network>,
         bytes: &[u8],
     ) -> Result<Engine> {
         use std::collections::HashSet;
@@ -931,7 +962,7 @@ impl Engine {
             }
             .into());
         }
-        let mut e = Engine::with_compiled_config(program, compiled, config);
+        let mut e = Engine::with_network(program, compiled, network);
         e.strategy = img.strategy;
         e.wm = WmStore::from_slots(img.slots);
         let ids: Vec<WmeId> = e.wm.iter().map(|(id, _)| id).collect();
@@ -1514,15 +1545,54 @@ mod tests {
             .unwrap(),
         );
         let compiled = Engine::compile(&program).unwrap();
-        let mut e1 = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
-        let mut e2 = Engine::with_compiled(Arc::clone(&program), compiled);
-        e1.make_wme("a", &[("x", 1.into())]).unwrap();
-        e2.make_wme("a", &[("x", 2.into())]).unwrap();
-        assert_eq!(e1.run(10).firings, 1);
-        assert_eq!(e2.run(10).firings, 1);
-        let v1 = e1.wm().iter().next().unwrap().1.get(0);
-        let v2 = e2.wm().iter().next().unwrap().1.get(0);
-        assert_eq!(v1, Value::Int(1));
-        assert_eq!(v2, Value::Int(2));
+        for config in [ReteConfig::shared(), ReteConfig::unshared()] {
+            // Two engines on one network, their moves interleaved, and for
+            // each the engine a network of its own gives.
+            let network = Arc::new(Network::build(&compiled, &program, config));
+            let on =
+                |network| Engine::with_network(Arc::clone(&program), compiled.clone(), network);
+            let alone =
+                || Engine::with_compiled_config(Arc::clone(&program), compiled.clone(), config);
+            let (mut e1, mut e2) = (on(Arc::clone(&network)), on(Arc::clone(&network)));
+            assert_eq!(Arc::strong_count(&network), 3, "one network, three owners");
+            let (mut a1, mut a2) = (alone(), alone());
+            for e in [&mut e1, &mut e2, &mut a1, &mut a2] {
+                e.enable_cycle_log();
+            }
+            for x in [1, 3] {
+                for (e, x) in [
+                    (&mut e1, x),
+                    (&mut e2, x + 1),
+                    (&mut a1, x),
+                    (&mut a2, x + 1),
+                ] {
+                    e.make_wme("a", &[("x", x.into())]).unwrap();
+                }
+                assert_eq!(e1.step().unwrap(), Some(0));
+                assert_eq!(a1.step().unwrap(), Some(0));
+            }
+            assert_eq!(e2.run(10).firings, 2);
+            assert_eq!(a2.run(10).firings, 2);
+            let values =
+                |e: &Engine| -> Vec<Value> { e.wm().iter().map(|(_, w)| w.get(0)).collect() };
+            assert_eq!(values(&e1), [Value::Int(1), Value::Int(3)]);
+            assert_eq!(
+                values(&e2),
+                [Value::Int(4), Value::Int(2)],
+                "LEX: the later first"
+            );
+            for (on_shared, alone) in [(&e1, &a1), (&e2, &a2)] {
+                assert_eq!(on_shared.work(), alone.work());
+                assert_eq!(on_shared.net_stats(), alone.net_stats());
+                assert_eq!(on_shared.cycle_log(), alone.cycle_log());
+                assert_eq!(on_shared.snapshot(), alone.snapshot());
+            }
+            drop((e1, e2));
+            assert_eq!(
+                Arc::strong_count(&network),
+                1,
+                "an engine takes none of it along"
+            );
+        }
     }
 }

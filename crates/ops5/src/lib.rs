@@ -87,7 +87,7 @@ pub use engine::{Effects, Engine, ExternalFn, RunOutcome};
 pub use instrument::{CycleStats, WorkCounters};
 pub use profile::{AlphaMemProfile, MatchProfile, NetStats, ProductionProfile};
 pub use program::Program;
-pub use rete::ReteConfig;
+pub use rete::{Network, ReteConfig};
 pub use snapshot::{EngineImage, SnapshotError, Wal, WalOp, WalRecord, WalReplay};
 pub use symbol::{sym, sym_name, Symbol};
 pub use value::Value;

@@ -43,10 +43,12 @@ pub trait Matcher: Send {
     /// Accumulated match work.
     fn work(&self) -> WorkCounters;
     /// Forgets every WME seen so far: memories, pending events, work, chunk
-    /// and run statistics return to their just-built values and profiling
-    /// is detached, while the compiled network (and its allocations) stays.
-    /// After it the backend must answer any WME stream exactly as a newly
-    /// built one would — [`crate::Engine::reset`] relies on that.
+    /// and run statistics return to their just-made values and profiling
+    /// is detached, while the capacity the memories grew stays (the
+    /// compiled network was never the backend's own: see
+    /// [`crate::rete::Network`]). After it the backend must answer any WME
+    /// stream exactly as a newly made one would — [`crate::Engine::reset`]
+    /// relies on that.
     fn reset(&mut self);
     /// Makes the backend's state now what [`Matcher::rollback`] returns to
     /// (`wm` holds the WMEs sent so far). `false`: not supported, or not in
@@ -64,7 +66,7 @@ pub trait Matcher: Send {
         false
     }
     /// Overwrites the accumulated match-work counters. Snapshot restore
-    /// rebuilds the network from the restored WM — re-doing match work the
+    /// refills the memories from the restored WM — re-doing match work the
     /// original run already paid for — then resets the counters to the
     /// recorded value so [`crate::Engine::work`] stays identical to an
     /// uninterrupted run. Backends that do not support restore ignore it.

@@ -19,6 +19,14 @@
 //! its constant-test chain, and the failing first tests of the memories the
 //! table skips are charged in closed form — same units, same
 //! `shared_test_hits`, same per-memory profile as visiting every one.
+//!
+//! The network is in two halves. [`AlphaNetwork`] is what the build fixes —
+//! per memory its class, tests, successors and declared index slots, the
+//! dispatch tables, the test registry — and is shared, immutable, by every
+//! engine of a program (inside a [`super::Network`]). [`AlphaMemories`] is
+//! what a run changes — which WMEs each memory holds, the index buckets,
+//! the test memo, the run counters — and every engine has its own, made by
+//! [`AlphaMemories::new`] as empty lists, one per memory.
 
 use super::compile::{eval_alpha, AlphaArg, AlphaTest};
 use crate::ast::{Predicate, SlotIdx};
@@ -40,17 +48,9 @@ pub struct Successor {
     pub node: u32,
 }
 
-/// A hash index over one slot of a memory's WMEs, keyed by
-/// [`Value::hash_key`] (which collides exactly where `ops_eq` demands, so
-/// numeric coercion — `3` vs `3.0` — probes the same bucket; probers always
-/// re-verify with the full join tests).
-#[derive(Clone, Debug)]
-struct SlotIndex {
-    slot: SlotIdx,
-    buckets: Buckets<u64, WmeId>,
-}
-
-/// One alpha memory: a constant-test pattern plus the set of WMEs passing it.
+/// One alpha memory as the build fixes it: a constant-test pattern, whom it
+/// feeds and which of its slots are hash-indexed. The WMEs passing the
+/// pattern are an engine's ([`AlphaMemories`]).
 #[derive(Clone, Debug)]
 pub struct AlphaMemory {
     /// Class filter.
@@ -60,15 +60,13 @@ pub struct AlphaMemory {
     /// Ids of `tests` in the network-wide shared-test registry (parallel to
     /// `tests`).
     test_ids: Vec<u32>,
-    /// WMEs currently in the memory.
-    pub wmes: Vec<WmeId>,
     /// Beta nodes fed by this memory.
     pub successors: Vec<Successor>,
-    /// Slot indexes requested by equality-join successors.
-    indexes: Vec<SlotIndex>,
-    /// True once a WME has entered since the last reset: the memory is then
-    /// on [`AlphaNetwork::touched`].
-    touched: bool,
+    /// The slots equality-join successors asked a hash index over, keyed by
+    /// [`Value::hash_key`] (which collides exactly where `ops_eq` demands,
+    /// so numeric coercion — `3` vs `3.0` — probes the same bucket; probers
+    /// always re-verify with the full join tests).
+    index_slots: Vec<SlotIdx>,
 }
 
 /// One entry of a class's dispatch table: a memory reached by the constant
@@ -100,9 +98,7 @@ struct ClassDispatch {
     slot: SlotIdx,
     /// The keyed memories sorted by `(key, mem)`: the memories of one key —
     /// a *bucket* — are a run found by binary search, ascending like
-    /// `always`. (A sorted list, not a hash map: an engine is built per
-    /// worker per phase, and this costs one sort to build and one free to
-    /// drop.)
+    /// `always`.
     table: Vec<Keyed>,
     /// Distinct first tests among the keyed memories.
     distinct_keyed_tests: u32,
@@ -152,11 +148,42 @@ impl ClassDispatch {
     }
 }
 
-/// The alpha network.
+/// The alpha network: the half the build fixes.
 #[derive(Clone, Debug)]
 pub struct AlphaNetwork {
     mems: Vec<AlphaMemory>,
     by_class: FastMap<Symbol, ClassDispatch>,
+    /// Every distinct constant test in the program, shared across memories.
+    test_registry: Vec<AlphaTest>,
+    /// When true, classification memoises each registry test per WME and
+    /// charges its cost only on first evaluation. When false (the unshared
+    /// baseline), every memory evaluates and pays for its own tests.
+    share_tests: bool,
+}
+
+/// What a run changes at one alpha memory.
+#[derive(Clone, Debug)]
+struct MemoryState {
+    /// WMEs currently in the memory.
+    wmes: Vec<WmeId>,
+    /// Where the memory's hash indexes start in [`AlphaMemories::indexes`]
+    /// (one per entry of [`AlphaMemory::index_slots`], in that order).
+    first_index: u32,
+    /// True once a WME has entered since the last reset: the memory is then
+    /// on [`AlphaMemories::touched`].
+    touched: bool,
+}
+
+/// The alpha network's other half: what one engine's run changes. Every
+/// operation takes the [`AlphaNetwork`] it was made for.
+#[derive(Clone, Debug)]
+pub struct AlphaMemories {
+    /// Parallel to the network's memories.
+    mems: Vec<MemoryState>,
+    /// The hash indexes of all memories, back to back (see
+    /// [`MemoryState::first_index`]): one list however many memories
+    /// declared one.
+    indexes: Vec<Buckets<u64, WmeId>>,
     /// The memories a WME has entered since the last reset or mark — what
     /// [`reset`](Self::reset) has to empty and [`rollback`](Self::rollback)
     /// to cut back.
@@ -168,12 +195,6 @@ pub struct AlphaNetwork {
     marked_hits: u64,
     /// Spare bucket lists of the slot indexes.
     pool: Pool<WmeId>,
-    /// Every distinct constant test in the program, shared across memories.
-    test_registry: Vec<AlphaTest>,
-    /// When true, classification memoises each registry test per WME and
-    /// charges its cost only on first evaluation. When false (the unshared
-    /// baseline), every memory evaluates and pays for its own tests.
-    share_tests: bool,
     /// Per-registry-test memo `(generation, result)`; valid when the
     /// generation matches the current classification pass.
     memo: Vec<(u64, bool)>,
@@ -206,16 +227,8 @@ impl AlphaNetwork {
         AlphaNetwork {
             mems: Vec::new(),
             by_class: FastMap::default(),
-            touched: Vec::new(),
-            base_touched: Vec::new(),
-            marked_hits: 0,
-            pool: Vec::new(),
             test_registry: Vec::new(),
             share_tests,
-            memo: Vec::new(),
-            generation: 0,
-            shared_test_hits: 0,
-            profile: None,
         }
     }
 
@@ -275,7 +288,6 @@ impl AlphaNetwork {
                 Some(i) => i as u32,
                 None => {
                     self.test_registry.push(t.clone());
-                    self.memo.push((0, false));
                     (self.test_registry.len() - 1) as u32
                 }
             })
@@ -285,10 +297,8 @@ impl AlphaNetwork {
             class,
             tests: tests.to_vec(),
             test_ids,
-            wmes: Vec::new(),
             successors: vec![successor],
-            indexes: Vec::new(),
-            touched: false,
+            index_slots: Vec::new(),
         });
         self.by_class.entry(class).or_default().always.push(id);
         id
@@ -310,8 +320,7 @@ impl AlphaNetwork {
     /// distinct test (or once per memory without test sharing) and touches
     /// no memo entry anyone else reads.
     pub fn build_dispatch(&mut self) {
-        // Scratch lists, one set for all classes (an engine is built per
-        // worker per phase: the build is on the clock).
+        // Scratch lists, one set for all classes.
         let mut later_tests: Vec<u32> = Vec::new();
         // `(slot, constant's key, memory, first test id)`.
         let mut keyable: Vec<(SlotIdx, u64, AlphaMemId, u32)> = Vec::new();
@@ -378,49 +387,90 @@ impl AlphaNetwork {
         }
     }
 
-    /// Ensures memory `id` maintains a hash index over `slot`. Must be
-    /// called at network-build time, before any WME enters the memory.
+    /// Ensures memory `id` is hash-indexed over `slot`. The memories of an
+    /// engine are made from the finished network, so every index is
+    /// declared before a WME arrives.
     pub fn ensure_index(&mut self, id: AlphaMemId, slot: SlotIdx) {
         let mem = &mut self.mems[id as usize];
-        debug_assert!(
-            mem.wmes.is_empty(),
-            "alpha indexes are declared before WMEs arrive"
-        );
-        if !mem.indexes.iter().any(|ix| ix.slot == slot) {
-            mem.indexes.push(SlotIndex {
-                slot,
-                buckets: Buckets::default(),
-            });
+        if !mem.index_slots.contains(&slot) {
+            mem.index_slots.push(slot);
         }
+    }
+}
+
+impl AlphaMemories {
+    /// The memories of `net`, all empty: one list per memory and per
+    /// declared index, none of which has allocated yet.
+    pub fn new(net: &AlphaNetwork) -> AlphaMemories {
+        let mut n_indexes = 0;
+        let mems = (net.mems.iter())
+            .map(|mem| {
+                let first_index = n_indexes;
+                n_indexes += mem.index_slots.len() as u32;
+                MemoryState {
+                    wmes: Vec::new(),
+                    first_index,
+                    touched: false,
+                }
+            })
+            .collect();
+        AlphaMemories {
+            mems,
+            indexes: (0..n_indexes).map(|_| Buckets::default()).collect(),
+            touched: Vec::new(),
+            base_touched: Vec::new(),
+            marked_hits: 0,
+            pool: Vec::new(),
+            memo: vec![(0, false); net.test_registry.len()],
+            generation: 0,
+            shared_test_hits: 0,
+            profile: None,
+        }
+    }
+
+    /// The WMEs in memory `id`, in arrival order.
+    #[inline]
+    pub fn wmes(&self, id: AlphaMemId) -> &[WmeId] {
+        &self.mems[id as usize].wmes
     }
 
     /// The WMEs of memory `id` whose `slot` value hashes to `key` (a
     /// superset of the `ops_eq`-equal candidates; callers re-verify). The
-    /// index must have been declared with [`ensure_index`](Self::ensure_index).
-    pub fn probe(&self, id: AlphaMemId, slot: SlotIdx, key: u64) -> &[WmeId] {
-        self.mems[id as usize]
-            .indexes
-            .iter()
-            .find(|ix| ix.slot == slot)
-            .map_or(&[], |ix| ix.buckets.get(key))
+    /// index must have been declared with
+    /// [`AlphaNetwork::ensure_index`].
+    pub fn probe(&self, net: &AlphaNetwork, id: AlphaMemId, slot: SlotIdx, key: u64) -> &[WmeId] {
+        let slots = &net.mems[id as usize].index_slots;
+        let first = self.mems[id as usize].first_index as usize;
+        (slots.iter().position(|&s| s == slot)).map_or(&[], |i| self.indexes[first + i].get(key))
+    }
+
+    /// Memory `m`'s indexes, for putting something in or taking it out.
+    #[inline]
+    fn indexes_of<'a>(
+        indexes: &'a mut [Buckets<u64, WmeId>],
+        mem: &MemoryState,
+        fixed: &'a AlphaMemory,
+    ) -> impl Iterator<Item = (&'a mut Buckets<u64, WmeId>, SlotIdx)> {
+        let first = mem.first_index as usize;
+        let slots = &fixed.index_slots;
+        (indexes[first..first + slots.len()].iter_mut()).zip(slots.iter().copied())
     }
 
     /// Empties every memory and index bucket and zeroes the run counters,
-    /// keeping the memories, tests, successors, declared indexes and every
-    /// list's capacity (buckets go back to the pool). The
+    /// keeping every list's capacity (buckets go back to the pool). The
     /// test memo needs no clearing: its entries are stamped with the
     /// classification pass that wrote them, and the pass counter only moves
     /// forward, so a stale entry is never read.
     ///
     /// Costs what the run left behind: only the memories a WME entered are
     /// visited.
-    pub fn reset(&mut self) {
+    pub fn reset(&mut self, net: &AlphaNetwork) {
         for m in self.touched.drain(..).chain(self.base_touched.drain(..)) {
             let mem = &mut self.mems[m as usize];
             mem.touched = false;
             mem.wmes.clear();
-            for ix in &mut mem.indexes {
-                ix.buckets.clear_into(&mut self.pool);
+            for (ix, _) in Self::indexes_of(&mut self.indexes, mem, &net.mems[m as usize]) {
+                ix.clear_into(&mut self.pool);
             }
         }
         self.shared_test_hits = 0;
@@ -444,13 +494,13 @@ impl AlphaNetwork {
     /// mark — has left since: a memory and its index buckets keep arrival
     /// order and ids ascend, so what came later is a suffix. Costs what the
     /// run since the mark left behind, like [`reset`](Self::reset).
-    pub(crate) fn rollback(&mut self, base: WmeId) {
+    pub(crate) fn rollback(&mut self, net: &AlphaNetwork, base: WmeId) {
         for m in self.touched.drain(..) {
             let mem = &mut self.mems[m as usize];
             mem.touched = false;
             mem.wmes.truncate(mem.wmes.partition_point(|&w| w < base));
-            for ix in &mut mem.indexes {
-                ix.buckets.truncate_into(|_, w| w < base, &mut self.pool);
+            for (ix, _) in Self::indexes_of(&mut self.indexes, mem, &net.mems[m as usize]) {
+                ix.truncate_into(|_, w| w < base, &mut self.pool);
             }
         }
         self.shared_test_hits = self.marked_hits;
@@ -464,13 +514,14 @@ impl AlphaNetwork {
     /// [`WmStore`](crate::wme::WmStore) hands them out.
     pub fn classify_add(
         &mut self,
+        net: &AlphaNetwork,
         id: WmeId,
         wme: &Wme,
         work_units: &mut u64,
         hit: &mut Vec<AlphaMemId>,
     ) {
         self.generation += 1;
-        let Some(dispatch) = self.by_class.get(&wme.class) else {
+        let Some(dispatch) = net.by_class.get(&wme.class) else {
             return;
         };
         let (key, bucket) = dispatch.bucket(&wme.fields);
@@ -478,7 +529,7 @@ impl AlphaNetwork {
         // class would have evaluated the first test of each and failed it.
         let skipped = (dispatch.table.len() - bucket.len()) as u64;
         if skipped > 0 {
-            let evaluated = if self.share_tests {
+            let evaluated = if net.share_tests {
                 let in_bucket = bucket.iter().filter(|k| k.pays).count() as u64;
                 let distinct = u64::from(dispatch.distinct_keyed_tests) - in_bucket;
                 self.shared_test_hits += skipped - distinct;
@@ -489,18 +540,18 @@ impl AlphaNetwork {
             *work_units += evaluated * cost::ALPHA_TEST;
             if let Some(p) = &mut self.profile {
                 for k in &dispatch.table {
-                    if k.key != key && (k.pays || !self.share_tests) {
+                    if k.key != key && (k.pays || !net.share_tests) {
                         p[k.mem as usize].match_units += cost::ALPHA_TEST;
                     }
                 }
             }
         }
         for m in Merged(&dispatch.always, bucket) {
-            let mem = &mut self.mems[m as usize];
+            let fixed = &net.mems[m as usize];
             let mut pass = true;
             let mut mem_units = 0u64;
-            for (t, &tid) in mem.tests.iter().zip(&mem.test_ids) {
-                let ok = if self.share_tests {
+            for (t, &tid) in fixed.tests.iter().zip(&fixed.test_ids) {
+                let ok = if net.share_tests {
                     let slot = &mut self.memo[tid as usize];
                     if slot.0 == self.generation {
                         // An earlier memory of this class already evaluated
@@ -524,15 +575,16 @@ impl AlphaNetwork {
             }
             if pass {
                 mem_units += cost::ALPHA_MEM_OP;
+                let mem = &mut self.mems[m as usize];
                 debug_assert!(mem.wmes.last().is_none_or(|&last| last < id));
                 if !mem.touched {
                     mem.touched = true;
                     self.touched.push(m);
                 }
                 mem.wmes.push(id);
-                for ix in &mut mem.indexes {
-                    let key = wme.get(ix.slot as usize).hash_key();
-                    ix.buckets.push(key, id, &mut self.pool);
+                for (ix, slot) in Self::indexes_of(&mut self.indexes, mem, fixed) {
+                    let key = wme.get(slot as usize).hash_key();
+                    ix.push(key, id, &mut self.pool);
                 }
                 hit.push(m);
             }
@@ -555,12 +607,13 @@ impl AlphaNetwork {
     /// search: ids are never reused and a memory keeps arrival order.
     pub fn classify_remove(
         &mut self,
+        net: &AlphaNetwork,
         id: WmeId,
         wme: &Wme,
         work_units: &mut u64,
         hit: &mut Vec<AlphaMemId>,
     ) {
-        let Some(dispatch) = self.by_class.get(&wme.class) else {
+        let Some(dispatch) = net.by_class.get(&wme.class) else {
             return;
         };
         let (_, bucket) = dispatch.bucket(&wme.fields);
@@ -572,9 +625,10 @@ impl AlphaNetwork {
                 // memories by re-inserting live WMEs in id order, and
                 // scan costs must not change across a crash recovery.
                 mem.wmes.remove(pos);
-                for ix in &mut mem.indexes {
-                    let key = wme.get(ix.slot as usize).hash_key();
-                    ix.buckets.remove_item(key, id, &mut self.pool);
+                let fixed = &net.mems[m as usize];
+                for (ix, slot) in Self::indexes_of(&mut self.indexes, mem, fixed) {
+                    let key = wme.get(slot as usize).hash_key();
+                    ix.remove_item(key, id, &mut self.pool);
                 }
                 hit.push(m);
                 if let Some(p) = &mut self.profile {
@@ -605,10 +659,29 @@ mod tests {
     use crate::symbol::sym;
     use proptest::prelude::{prop, prop_assert, prop_oneof, proptest, ProptestConfig, Strategy};
 
-    fn added(net: &mut AlphaNetwork, id: WmeId, w: &Wme, units: &mut u64) -> Vec<AlphaMemId> {
-        let mut hit = Vec::new();
-        net.classify_add(id, w, units, &mut hit);
-        hit
+    /// A network and one set of memories over it.
+    struct Fed<'a> {
+        net: &'a AlphaNetwork,
+        mems: AlphaMemories,
+    }
+
+    impl Fed<'_> {
+        fn new(net: &AlphaNetwork) -> Fed<'_> {
+            let mems = AlphaMemories::new(net);
+            Fed { net, mems }
+        }
+
+        fn add(&mut self, id: WmeId, w: &Wme, units: &mut u64) -> Vec<AlphaMemId> {
+            let mut hit = Vec::new();
+            self.mems.classify_add(self.net, id, w, units, &mut hit);
+            hit
+        }
+
+        fn remove(&mut self, id: WmeId, w: &Wme, units: &mut u64) -> Vec<AlphaMemId> {
+            let mut hit = Vec::new();
+            self.mems.classify_remove(self.net, id, w, units, &mut hit);
+            hit
+        }
     }
 
     fn test_gt(slot: u16, v: i64) -> AlphaTest {
@@ -641,24 +714,23 @@ mod tests {
         let succ = Successor { node: 0 };
         let big = net.get_or_create(c, &[test_gt(0, 100)], succ);
         let any = net.get_or_create(c, &[], succ);
+        let mut fed = Fed::new(&net);
 
         let mut w = Wme::new(c, 1, 1);
         w.set(0, Value::Int(500));
         let mut units = 0;
-        let hit = added(&mut net, WmeId(0), &w, &mut units);
+        let hit = fed.add(WmeId(0), &w, &mut units);
         assert_eq!(hit, vec![big, any]);
         assert!(units > 0);
 
         let mut small = Wme::new(c, 1, 2);
         small.set(0, Value::Int(5));
-        let hit = added(&mut net, WmeId(1), &small, &mut units);
+        let hit = fed.add(WmeId(1), &small, &mut units);
         assert_eq!(hit, vec![any]);
 
-        let mut removed = Vec::new();
-        net.classify_remove(WmeId(0), &w, &mut units, &mut removed);
-        assert_eq!(removed, vec![big, any]);
-        assert_eq!(net.mem(big).wmes.len(), 0);
-        assert_eq!(net.mem(any).wmes, vec![WmeId(1)]);
+        assert_eq!(fed.remove(WmeId(0), &w, &mut units), vec![big, any]);
+        assert_eq!(fed.mems.wmes(big).len(), 0);
+        assert_eq!(fed.mems.wmes(any), [WmeId(1)]);
     }
 
     #[test]
@@ -668,7 +740,7 @@ mod tests {
         net.get_or_create(sym("region"), &[], succ);
         let w = Wme::new(sym("fragment"), 1, 1);
         let mut units = 0;
-        assert!(added(&mut net, WmeId(0), &w, &mut units).is_empty());
+        assert!(Fed::new(&net).add(WmeId(0), &w, &mut units).is_empty());
     }
 
     #[test]
@@ -684,25 +756,29 @@ mod tests {
             net.get_or_create(c, &[test_gt(0, 5), test_gt(1, 2)], succ);
         }
         assert_eq!(shared.distinct_tests(), 3);
+        let (mut shared, mut unshared) = (Fed::new(&shared), Fed::new(&unshared));
 
         let mut w = Wme::new(c, 2, 1);
         w.set(0, Value::Int(9));
         w.set(1, Value::Int(9));
         let (mut su, mut uu) = (0u64, 0u64);
         assert_eq!(
-            added(&mut shared, WmeId(0), &w, &mut su),
-            added(&mut unshared, WmeId(0), &w, &mut uu),
+            shared.add(WmeId(0), &w, &mut su),
+            unshared.add(WmeId(0), &w, &mut uu),
             "sharing never changes classification"
         );
-        assert_eq!(shared.shared_test_hits, 1, "`>5` memoised for memory 2");
+        assert_eq!(
+            shared.mems.shared_test_hits, 1,
+            "`>5` memoised for memory 2"
+        );
         assert_eq!(su, uu - cost::ALPHA_TEST, "one test evaluation saved");
 
         // A failing WME still short-circuits identically.
         let mut w2 = Wme::new(c, 2, 2);
         w2.set(0, Value::Int(1));
         let (mut su2, mut uu2) = (0u64, 0u64);
-        assert!(added(&mut shared, WmeId(1), &w2, &mut su2).is_empty());
-        assert!(added(&mut unshared, WmeId(1), &w2, &mut uu2).is_empty());
+        assert!(shared.add(WmeId(1), &w2, &mut su2).is_empty());
+        assert!(unshared.add(WmeId(1), &w2, &mut uu2).is_empty());
         assert_eq!(su2, uu2 - cost::ALPHA_TEST);
     }
 
@@ -713,30 +789,34 @@ mod tests {
         let m = net.get_or_create(c, &[], Successor { node: 0 });
         net.ensure_index(m, 0);
         net.ensure_index(m, 0); // idempotent
+        let mut fed = Fed::new(&net);
+        assert_eq!(fed.mems.indexes.len(), 1);
 
         let mut units = 0;
         for (i, v) in [(0u32, 7i64), (1, 7), (2, 8)] {
             let mut w = Wme::new(c, 1, i as u64 + 1);
             w.set(0, Value::Int(v));
-            added(&mut net, WmeId(i), &w, &mut units);
+            fed.add(WmeId(i), &w, &mut units);
         }
         let key7 = Value::Int(7).hash_key();
-        assert_eq!(net.probe(m, 0, key7), &[WmeId(0), WmeId(1)]);
+        let probe = |fed: &Fed, v: Value| fed.mems.probe(&net, m, 0, v.hash_key()).to_vec();
+        assert_eq!(probe(&fed, Value::Int(7)), [WmeId(0), WmeId(1)]);
         // Numeric coercion probes the same bucket.
-        assert_eq!(net.probe(m, 0, Value::Float(7.0).hash_key()).len(), 2);
-        assert_eq!(net.probe(m, 0, Value::Int(9).hash_key()), &[] as &[WmeId]);
+        assert_eq!(probe(&fed, Value::Float(7.0)).len(), 2);
+        assert_eq!(probe(&fed, Value::Int(9)), []);
+        assert_eq!(fed.mems.probe(&net, m, 1, key7), [], "no index on slot 1");
 
         let mut w = Wme::new(c, 1, 1);
         w.set(0, Value::Int(7));
-        net.classify_remove(WmeId(0), &w, &mut units, &mut Vec::new());
-        assert_eq!(net.probe(m, 0, key7), &[WmeId(1)]);
+        fed.remove(WmeId(0), &w, &mut units);
+        assert_eq!(probe(&fed, Value::Int(7)), [WmeId(1)]);
 
         // Reset empties the memory and its buckets but keeps the index.
-        net.reset();
-        assert!(net.mem(m).wmes.is_empty());
-        assert_eq!(net.probe(m, 0, key7), &[] as &[WmeId]);
-        added(&mut net, WmeId(0), &w, &mut units);
-        assert_eq!(net.probe(m, 0, key7), &[WmeId(0)]);
+        fed.mems.reset(&net);
+        assert!(fed.mems.wmes(m).is_empty());
+        assert_eq!(probe(&fed, Value::Int(7)), []);
+        fed.add(WmeId(0), &w, &mut units);
+        assert_eq!(probe(&fed, Value::Int(7)), [WmeId(0)]);
     }
 
     // -- dispatch ------------------------------------------------------------
@@ -861,6 +941,7 @@ mod tests {
     /// A dispatching network beside its specification.
     struct Pair {
         net: AlphaNetwork,
+        mems: AlphaMemories,
         spec: LinearWalk,
         units: u64,
     }
@@ -876,9 +957,11 @@ mod tests {
                 }
             }
             net.build_dispatch();
-            net.enable_profile();
+            let mut mems = AlphaMemories::new(&net);
+            mems.enable_profile();
             Pair {
                 net,
+                mems,
                 spec,
                 units: 0,
             }
@@ -887,14 +970,16 @@ mod tests {
         /// Classifies an addition on both sides; `Err` names what differs.
         fn add(&mut self, id: WmeId, wme: &Wme) -> Result<Vec<AlphaMemId>, String> {
             let mut hit = Vec::new();
-            self.net.classify_add(id, wme, &mut self.units, &mut hit);
+            self.mems
+                .classify_add(&self.net, id, wme, &mut self.units, &mut hit);
             let want = self.spec.add(id, wme);
             self.agree(hit, want, &format!("add {wme}"))
         }
 
         fn remove(&mut self, id: WmeId, wme: &Wme) -> Result<Vec<AlphaMemId>, String> {
             let mut hit = Vec::new();
-            self.net.classify_remove(id, wme, &mut self.units, &mut hit);
+            self.mems
+                .classify_remove(&self.net, id, wme, &mut self.units, &mut hit);
             let want = self.spec.remove(id);
             self.agree(hit, want, &format!("remove {wme}"))
         }
@@ -905,7 +990,7 @@ mod tests {
             want: Vec<AlphaMemId>,
             what: &str,
         ) -> Result<Vec<AlphaMemId>, String> {
-            let (net, spec) = (&self.net, &self.spec);
+            let (net, spec) = (&self.mems, &self.spec);
             if hit != want {
                 return Err(format!("{what}: hit {hit:?}, a full walk hits {want:?}"));
             }

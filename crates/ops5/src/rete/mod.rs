@@ -13,12 +13,17 @@
 //!   tests)` pattern gets one alpha memory, shared across productions.
 //! * [`compile`] — turns parsed productions into linear join chains with
 //!   variable-consistency tests resolved to `(level, slot)` references.
-//! * [`runtime`] — the beta network: token arena, join and negative nodes,
+//! * [`network`] — the compiled network: the chains folded into a trie of
+//!   join and negative nodes over the alpha network. Built once per program,
+//!   immutable, shared by every engine.
+//! * [`runtime`] — one engine's memories over the network: token arena,
 //!   incremental addition/removal, and conflict-set event generation.
 
 pub mod alpha;
 pub mod compile;
+pub mod network;
 pub mod runtime;
 
 pub use compile::{AlphaArg, AlphaTest, CompiledProduction, JoinTest, VarSource};
-pub use runtime::{MatchEvent, Rete, ReteConfig};
+pub use network::{Network, ReteConfig};
+pub use runtime::{MatchEvent, Rete};

@@ -24,21 +24,23 @@
 //! per production, linear scans, identical work-unit accounting — which is
 //! the baseline `bench_rete` and the differential tests compare against.
 //!
+//! Nodes, tests and successor lists are the [`Network`]'s, built once per
+//! program and shared; a [`Rete`] is that network plus the memories of one
+//! engine, and everything below only ever writes to the memories.
+//!
 //! Every activation (alpha classification, right/left activation of a node)
 //! is counted as one *match chunk* — the unit of parallelism ParaOPS5
 //! schedules across dedicated match processes (§3.1 of the paper: "subtasks
 //! execute only about 100 instructions").
 
-use super::alpha::{AlphaMemId, AlphaNetwork, Successor};
-use super::compile::{compile_production, ChainNodeSpec, CompiledProduction, JoinTest};
-use crate::ast::Predicate;
+use super::alpha::{AlphaMemId, AlphaMemories, AlphaNetwork};
+use super::compile::JoinTest;
+use super::network::{BetaNode, Network};
 use crate::buckets::{give_list, take_list, Buckets, Pool, SlotCursor};
 use crate::conflict::Instantiation;
 use crate::instrument::{cost, WorkCounters};
 use crate::profile::{AlphaMemProfile, ChainCounters, MatchProfile, NetStats, ProductionProfile};
-use crate::program::Program;
 use crate::wme::{TimeTag, WmStore, WmeId};
-use crate::Result;
 use std::sync::Arc;
 
 const DUMMY: u32 = u32::MAX;
@@ -50,45 +52,6 @@ const DUMMY: u32 = u32::MAX;
 /// memory trade-off; most memories in a production system hold zero or one
 /// entries at any instant, and probing those would be pure overhead).
 const INDEX_MIN_POPULATION: usize = 2;
-
-/// Build-time configuration of the network. There are two networks, so
-/// there are two values: [`ReteConfig::shared`] (the default) and
-/// [`ReteConfig::unshared`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReteConfig {
-    shared: bool,
-}
-
-impl ReteConfig {
-    /// The default production network: join-chain prefixes shared between
-    /// productions, alpha constant tests memoised across memories, alpha
-    /// and beta memories hash-indexed on equality-join slot values.
-    pub fn shared() -> ReteConfig {
-        ReteConfig { shared: true }
-    }
-
-    /// The seed-equivalent baseline: one private chain per production,
-    /// linear scans, seed-identical work accounting.
-    pub fn unshared() -> ReteConfig {
-        ReteConfig { shared: false }
-    }
-
-    /// Whether chain prefixes and alpha constant tests are shared.
-    pub fn share(self) -> bool {
-        self.shared
-    }
-
-    /// Whether equality joins probe hash indexes instead of scanning.
-    pub fn index(self) -> bool {
-        self.shared
-    }
-}
-
-impl Default for ReteConfig {
-    fn default() -> Self {
-        Self::shared()
-    }
-}
 
 /// An event produced by the match: the conflict set changed.
 #[derive(Clone, Debug)]
@@ -154,30 +117,6 @@ enum Emission {
     Delivered(Arc<[WmeId]>),
 }
 
-/// One beta node of the (possibly shared) network trie: what the build
-/// fixes. Activations read it through a shared borrow that outlives their
-/// `&mut` of the node's memory ([`NodeMemory`]), so none of it is ever
-/// copied.
-#[derive(Clone, Debug)]
-struct BetaNode {
-    negated: bool,
-    level: u16,
-    /// Parent node; `None` for level-0 roots.
-    parent: Option<u32>,
-    alpha_mem: AlphaMemId,
-    join_tests: Vec<JoinTest>,
-    /// Index into `join_tests` of the equality test the hash indexes key
-    /// on; `None` without an equality test or with indexing disabled.
-    key_test: Option<usize>,
-    children: Vec<u32>,
-    /// Productions whose chain ends here: `(production, specificity)`.
-    terminals: Vec<(u32, u32)>,
-    /// Number of productions whose chain passes through this node.
-    n_prods: u32,
-    /// Lowest production index through this node (profile attribution).
-    rep_prod: u32,
-}
-
 /// What a run changes at one beta node.
 #[derive(Clone, Debug, Default)]
 struct NodeMemory {
@@ -208,15 +147,12 @@ fn touch<'a>(mems: &'a mut [NodeMemory], touched: &mut Vec<u32>, n: u32) -> &'a 
     m
 }
 
-/// The Rete network of one engine instance.
+/// The Rete of one engine instance: the program's [`Network`], shared, and
+/// this engine's memories over it.
 #[derive(Clone, Debug)]
 pub struct Rete {
-    config: ReteConfig,
-    alpha: AlphaNetwork,
-    nodes: Vec<BetaNode>,
-    /// Level-0 nodes (children of the virtual root).
-    roots: Vec<u32>,
-    n_productions: usize,
+    net: Arc<Network>,
+    alpha: AlphaMemories,
     /// Accumulated match work.
     pub work: WorkCounters,
     beta: BetaState,
@@ -249,7 +185,7 @@ struct Mark {
 /// [`Rete::reset`].
 #[derive(Clone, Debug, Default)]
 struct BetaState {
-    /// Parallel to `Rete::nodes`.
+    /// Parallel to the network's nodes.
     mems: Vec<NodeMemory>,
     /// The nodes whose memory may hold something put there since the last
     /// reset or mark (see [`touch`]).
@@ -320,146 +256,31 @@ struct ReteProfile {
 }
 
 impl Rete {
-    /// Builds a shared+indexed network for `program`, compiling every
-    /// production.
-    pub fn new(program: &Program) -> Result<Rete> {
-        let compiled: Vec<CompiledProduction> = program
-            .productions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| compile_production(i as u32, p))
-            .collect::<Result<_>>()?;
-        Ok(Self::from_compiled(&Arc::new(compiled), program))
-    }
-
-    /// Builds a shared+indexed network from pre-compiled chains (shared
-    /// across the many task-process engines of a SPAM/PSM run).
-    pub fn from_compiled(compiled: &Arc<Vec<CompiledProduction>>, program: &Program) -> Rete {
-        Self::from_compiled_with(compiled, program, ReteConfig::default())
-    }
-
-    /// Builds a network with an explicit sharing/indexing configuration.
-    pub fn from_compiled_with(
-        compiled: &Arc<Vec<CompiledProduction>>,
-        program: &Program,
-        config: ReteConfig,
-    ) -> Rete {
-        let mut rete = Rete {
-            config,
-            alpha: AlphaNetwork::with_sharing(config.share()),
-            nodes: Vec::new(),
-            roots: Vec::new(),
-            n_productions: compiled
-                .iter()
-                .map(|s| s.prod as usize + 1)
-                .max()
-                .unwrap_or(0),
+    /// The memories of one engine over `net`, all empty: a list per node
+    /// and per alpha memory, none of which has allocated yet — no hashing,
+    /// no sorting, no walk over the chains, and dropping it frees only what
+    /// a run grew. It answers any WME stream exactly as every other
+    /// instance of `net` does, whatever those are doing meanwhile: nothing
+    /// an instance writes is in the network.
+    pub fn instantiate(net: Arc<Network>) -> Rete {
+        let beta = BetaState {
+            mems: vec![NodeMemory::default(); net.nodes.len()],
+            stats: NetStats {
+                beta_nodes: net.beta_nodes() as u32,
+                unshared_beta_nodes: net.unshared_beta_nodes(),
+                ..NetStats::default()
+            },
+            chain: vec![None; net.depth],
+            ..BetaState::default()
+        };
+        Rete {
+            alpha: AlphaMemories::new(&net.alpha),
+            net,
             work: WorkCounters::default(),
-            beta: BetaState::default(),
+            beta,
             touched: Vec::new(),
             mark: None,
-        };
-        for spec in compiled.iter() {
-            let specificity = program.productions[spec.prod as usize].specificity;
-            let mut parent: Option<u32> = None;
-            for n in &spec.nodes {
-                let id = rete.get_or_build_node(parent, n, spec.prod);
-                parent = Some(id);
-            }
-            let terminal = parent.expect("productions have at least one condition element");
-            rete.nodes[terminal as usize]
-                .terminals
-                .push((spec.prod, specificity));
         }
-        rete.alpha.build_dispatch();
-        rete.beta.stats.beta_nodes = rete.nodes.len() as u32;
-        rete.beta.mems = vec![NodeMemory::default(); rete.nodes.len()];
-        let depth = rete.nodes.iter().map(|n| n.level as usize + 1).max();
-        rete.beta.chain = vec![None; depth.unwrap_or(0)];
-        rete
-    }
-
-    /// Finds a shareable sibling matching `spec` under `parent`, or builds a
-    /// new node there, registering it with the alpha network.
-    fn get_or_build_node(&mut self, parent: Option<u32>, spec: &ChainNodeSpec, prod: u32) -> u32 {
-        self.beta.stats.unshared_beta_nodes += 1;
-        if self.config.share() {
-            let siblings = match parent {
-                Some(p) => &self.nodes[p as usize].children,
-                None => &self.roots,
-            };
-            let found = siblings.iter().copied().find(|&c| {
-                let node = &self.nodes[c as usize];
-                let mem = self.alpha.mem(node.alpha_mem);
-                node.negated == spec.negated
-                    && mem.class == spec.class
-                    && mem.tests == spec.alpha_tests
-                    && node.join_tests == spec.join_tests
-            });
-            if let Some(c) = found {
-                self.nodes[c as usize].n_prods += 1;
-                // rep_prod stays the minimum: productions build in index
-                // order, so the creator is already the lowest.
-                return c;
-            }
-        }
-        let id = self.nodes.len() as u32;
-        let level = match parent {
-            Some(p) => self.nodes[p as usize].level + 1,
-            None => 0,
-        };
-        let key_test = if self.config.index() {
-            spec.join_tests
-                .iter()
-                .position(|t| t.predicate == Predicate::Eq)
-        } else {
-            None
-        };
-        self.nodes.push(BetaNode {
-            negated: spec.negated,
-            level,
-            parent,
-            alpha_mem: 0,
-            join_tests: spec.join_tests.clone(),
-            key_test,
-            children: Vec::new(),
-            terminals: Vec::new(),
-            n_prods: 1,
-            rep_prod: prod,
-        });
-        let am = self
-            .alpha
-            .get_or_create(spec.class, &spec.alpha_tests, Successor { node: id });
-        self.nodes[id as usize].alpha_mem = am;
-        if let Some(kt) = key_test {
-            self.alpha.ensure_index(am, spec.join_tests[kt].my_slot);
-        }
-        match parent {
-            Some(p) => self.nodes[p as usize].children.push(id),
-            None => self.roots.push(id),
-        }
-        id
-    }
-
-    /// The build configuration of this network.
-    pub fn config(&self) -> ReteConfig {
-        self.config
-    }
-
-    /// Number of alpha memories (shared constant-test patterns).
-    pub fn alpha_memories(&self) -> usize {
-        self.alpha.len()
-    }
-
-    /// Alpha memories of `class`, and the most of them one WME of the class
-    /// visits (see [`AlphaNetwork::class_fanout`]).
-    pub fn alpha_fanout(&self, class: crate::Symbol) -> Option<(usize, usize)> {
-        self.alpha.class_fanout(class)
-    }
-
-    /// Number of beta nodes after prefix sharing.
-    pub fn beta_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Sharing/indexing statistics, cumulative since construction. Counted
@@ -478,7 +299,7 @@ impl Rete {
     /// buffer's capacity stay (token slots keep their lists, buckets go
     /// back to the pool). Token ids restart at 0 and no result is read out
     /// of a hash map's order, so the network then answers any WME
-    /// stream exactly as [`Rete::from_compiled_with`] on the same chains
+    /// stream exactly as a new [`Rete::instantiate`] of the same network
     /// would — same events in the same order, same work, same statistics.
     ///
     /// The cost follows what the last run left behind, not the size of the
@@ -486,7 +307,7 @@ impl Rete {
     /// and the token slots it handed out are visited; token ids then
     /// start over as in a new network ([`SlotCursor`]).
     pub fn reset(&mut self) {
-        self.alpha.reset();
+        self.alpha.reset(&self.net.alpha);
         let b = &mut self.beta;
         let base_touched = self.mark.take().map_or_else(Vec::new, |m| m.touched);
         b.mark_broken = false;
@@ -580,7 +401,7 @@ impl Rete {
             return false;
         }
         let base = mark.base;
-        self.alpha.rollback(base);
+        self.alpha.rollback(&self.net.alpha, base);
         let BetaState {
             mems,
             touched,
@@ -664,7 +485,7 @@ impl Rete {
         for t in pending.drain(..).filter(|&t| t != DUMMY) {
             b.load_chain(t);
             let td = &b.tokens[t as usize];
-            let node = &self.nodes[td.node as usize];
+            let node = &self.net.nodes[td.node as usize];
             b.inst_wmes.clear();
             b.inst_wmes
                 .extend(b.chain[..=node.level as usize].iter().flatten());
@@ -697,7 +518,7 @@ impl Rete {
     pub fn enable_profile(&mut self) {
         self.alpha.enable_profile();
         self.beta.profile = Some(ReteProfile {
-            nodes: vec![ChainCounters::default(); self.nodes.len()],
+            nodes: vec![ChainCounters::default(); self.net.nodes.len()],
             ..Default::default()
         });
     }
@@ -711,12 +532,12 @@ impl Rete {
     pub fn take_profile(&mut self) -> Option<MatchProfile> {
         let p = self.beta.profile.take()?;
         self.beta.profile = Some(ReteProfile {
-            nodes: vec![ChainCounters::default(); self.nodes.len()],
+            nodes: vec![ChainCounters::default(); self.net.nodes.len()],
             ..Default::default()
         });
         let alpha = self.alpha.take_profile().unwrap_or_default();
-        let mut productions = vec![ProductionProfile::default(); self.n_productions];
-        for (node, c) in self.nodes.iter().zip(&p.nodes) {
+        let mut productions = vec![ProductionProfile::default(); self.net.n_productions];
+        for (node, c) in self.net.nodes.iter().zip(&p.nodes) {
             let pp = &mut productions[node.rep_prod as usize];
             pp.match_units += c.match_units;
             pp.activations += c.activations;
@@ -726,7 +547,7 @@ impl Rete {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                let mem = self.alpha.mem(i as AlphaMemId);
+                let mem = self.net.alpha.mem(i as AlphaMemId);
                 AlphaMemProfile {
                     label: format!("{} ({} tests)", mem.class, mem.tests.len()),
                     tests: mem.tests.len() as u32,
@@ -749,10 +570,11 @@ impl Rete {
     /// The split borrows of one WME change (after its alpha classification).
     fn activation<'a>(&'a mut self, wm: &'a WmStore) -> Activation<'a> {
         Activation {
-            nodes: &self.nodes,
-            alpha: &self.alpha,
+            nodes: &self.net.nodes,
+            alpha: &self.net.alpha,
+            mems: &self.alpha,
             wm,
-            indexed: self.config.index(),
+            indexed: self.net.config().index(),
             work: &mut self.work,
             beta: &mut self.beta,
         }
@@ -763,8 +585,9 @@ impl Rete {
         let wme = wm.get(id).expect("add_wme: wme must be live");
         self.beta.chunks += 1;
         let mut touched = std::mem::take(&mut self.touched);
+        let units = &mut self.work.match_units;
         self.alpha
-            .classify_add(id, wme, &mut self.work.match_units, &mut touched);
+            .classify_add(&self.net.alpha, id, wme, units, &mut touched);
         let mut act = self.activation(wm);
         let alpha = act.alpha;
         for &m in &touched {
@@ -787,8 +610,9 @@ impl Rete {
         }
         self.beta.chunks += 1;
         let mut touched = std::mem::take(&mut self.touched);
+        let units = &mut self.work.match_units;
         self.alpha
-            .classify_remove(id, wme, &mut self.work.match_units, &mut touched);
+            .classify_remove(&self.net.alpha, id, wme, units, &mut touched);
         let mut act = self.activation(wm);
         let alpha = act.alpha;
         // Negative nodes first: unblock tokens whose blocker disappeared
@@ -810,14 +634,16 @@ impl Rete {
 }
 
 /// One WME change working its way through the beta network. The borrows are
-/// split so that what the build fixed (`nodes`, and `alpha` once the WME is
-/// classified) is shared for the whole activation while `beta` and `work`
-/// are exclusive: join tests, child and terminal lists, successor lists and
-/// alpha-memory candidate lists are read in place — the borrow checker, not
-/// a copy, is what guarantees nothing changes them under a loop.
+/// split so that what the build fixed (`nodes`, `alpha`) and, once the WME
+/// is classified, the alpha memories (`mems`) are shared for the whole
+/// activation while `beta` and `work` are exclusive: join tests, child and
+/// terminal lists, successor lists and alpha-memory candidate lists are read
+/// in place — the borrow checker, not a copy, is what guarantees nothing
+/// changes them under a loop.
 struct Activation<'a> {
     nodes: &'a [BetaNode],
     alpha: &'a AlphaNetwork,
+    mems: &'a AlphaMemories,
     wm: &'a WmStore,
     indexed: bool,
     work: &'a mut WorkCounters,
@@ -876,15 +702,15 @@ impl<'a> Activation<'a> {
     /// from the alpha network, which no beta activation can change.
     fn left_candidates(&mut self, n: u32, chain_len: usize) -> &'a [WmeId] {
         let node = &self.nodes[n as usize];
-        let alpha = self.alpha;
-        let mem = alpha.mem(node.alpha_mem);
+        let (alpha, mems) = (self.alpha, self.mems);
+        let wmes = mems.wmes(node.alpha_mem);
         if let Some(kt) = node.key_test {
-            if mem.wmes.len() >= INDEX_MIN_POPULATION {
+            if wmes.len() >= INDEX_MIN_POPULATION {
                 let test = node.join_tests[kt];
                 self.work.match_units += cost::INDEX_PROBE;
                 self.beta.stats.index_probes += 1;
                 return match token_side_key(&self.beta.chain[..chain_len], &test, self.wm) {
-                    Some(key) => alpha.probe(node.alpha_mem, test.my_slot, key),
+                    Some(key) => mems.probe(alpha, node.alpha_mem, test.my_slot, key),
                     // The referenced ancestor is gone; no candidate could
                     // pass the full tests either.
                     None => &[],
@@ -892,7 +718,7 @@ impl<'a> Activation<'a> {
             }
         }
         self.beta.stats.linear_scans += 1;
-        &mem.wmes
+        wmes
     }
 
     fn right_activate_add(&mut self, n: u32, w: WmeId) {
@@ -1257,6 +1083,8 @@ fn eval_tests(tests: &[JoinTest], chain: &[Option<WmeId>], w: WmeId, wm: &WmStor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Program;
+    use crate::rete::ReteConfig;
     use crate::symbol::sym;
     use crate::value::Value;
     use crate::wme::Wme;
@@ -1276,15 +1104,10 @@ mod tests {
 
         fn with_config(src: &str, config: ReteConfig) -> Fix {
             let program = Program::parse(src).unwrap();
-            let compiled: Vec<CompiledProduction> = program
-                .productions
-                .iter()
-                .enumerate()
-                .map(|(i, p)| compile_production(i as u32, p).unwrap())
-                .collect();
-            let rete = Rete::from_compiled_with(&Arc::new(compiled), &program, config);
+            let compiled = crate::Engine::compile(&program).unwrap();
+            let net = Network::build(&compiled, &program, config);
             Fix {
-                rete,
+                rete: Rete::instantiate(Arc::new(net)),
                 wm: WmStore::new(),
                 tag: 0,
                 program,
@@ -1449,7 +1272,7 @@ mod tests {
         ";
         let f = Fix::new(src);
         // p1/p2 share one memory; p3 has its own.
-        assert_eq!(f.rete.alpha_memories(), 2);
+        assert_eq!(f.rete.net.alpha_memories(), 2);
     }
 
     #[test]
@@ -1511,11 +1334,11 @@ mod tests {
         let shared = Fix::new(SHARED_PREFIX);
         // Chains are 3+3+2 = 8 specs; the trie folds the (a)(b) prefix:
         // [a], [b], [c =], [c >].
-        assert_eq!(shared.rete.beta_nodes(), 4);
+        assert_eq!(shared.rete.net.beta_nodes(), 4);
         assert_eq!(shared.rete.net_stats().unshared_beta_nodes, 8);
 
         let unshared = Fix::with_config(SHARED_PREFIX, ReteConfig::unshared());
-        assert_eq!(unshared.rete.beta_nodes(), 8);
+        assert_eq!(unshared.rete.net.beta_nodes(), 8);
         assert_eq!(unshared.rete.net_stats().unshared_beta_nodes, 8);
     }
 
@@ -1640,7 +1463,7 @@ mod tests {
         ";
         let mut f = Fix::new(src);
         let fresh_stats = f.rete.net_stats();
-        let (nodes, alpha_mems) = (f.rete.beta_nodes(), f.rete.alpha_memories());
+        let (nodes, alpha_mems) = (f.rete.net.beta_nodes(), f.rete.net.alpha_memories());
         for v in [1, 2, 1] {
             f.add("a", &[(0, Value::Int(v))]);
             f.add("b", &[(0, Value::Int(v))]);
@@ -1673,13 +1496,13 @@ mod tests {
         assert_eq!(b.slots, SlotCursor::default());
         assert!(b.wme_tokens.is_empty() && b.pending.is_empty() && b.events.is_empty());
         for m in 0..alpha_mems {
-            assert!(f.rete.alpha.mem(m as AlphaMemId).wmes.is_empty());
+            assert!(f.rete.alpha.wmes(m as AlphaMemId).is_empty());
         }
         assert_eq!(f.rete.work, WorkCounters::default());
         assert_eq!(f.rete.take_chunks(), 0);
         assert_eq!(f.rete.net_stats(), fresh_stats);
         assert_eq!(
-            (f.rete.beta_nodes(), f.rete.alpha_memories()),
+            (f.rete.net.beta_nodes(), f.rete.net.alpha_memories()),
             (nodes, alpha_mems)
         );
     }
@@ -1813,8 +1636,8 @@ mod tests {
             assert!(b.tokens[hw..]
                 .iter()
                 .all(|t| !t.alive && t.children.is_empty()));
-            for m in 0..f.rete.alpha_memories() as AlphaMemId {
-                assert_eq!(f.rete.alpha.mem(m).wmes, new.rete.alpha.mem(m).wmes);
+            for m in 0..f.rete.net.alpha_memories() as AlphaMemId {
+                assert_eq!(f.rete.alpha.wmes(m), new.rete.alpha.wmes(m));
             }
             // And it goes on like the new one, token ids included.
             for (class, v) in [("b", 1), ("c", 1), ("b", 3), ("a", 3)] {

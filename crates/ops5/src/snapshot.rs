@@ -10,8 +10,8 @@
 //!   slots with time tags, conflict-set entry keys, work counters, output,
 //!   recency/gensym counters) in a versioned binary format with a trailing
 //!   FNV-1a checksum. [`crate::Engine::snapshot`] produces the bytes;
-//!   [`crate::Engine::restore`] rebuilds a live engine — including a fresh
-//!   Rete network re-derived from the restored WM — that is *byte-identical*
+//!   [`crate::Engine::restore`] rebuilds a live engine — its Rete
+//!   memories re-derived from the restored WM — that is *byte-identical*
 //!   under re-snapshot and continues exactly like the uninterrupted run.
 //! * [`Wal`] — a write-ahead log of external WME deltas (assert / retract /
 //!   modify records with cycle stamps). Each record is length-framed and

@@ -8,8 +8,11 @@
 //! no candidate list, no event or scratch vector, no instantiation for a
 //! match that a `modify`'s remove made and its add unmade. Whatever buffers
 //! a run grew, `reset()` keeps, so replays settle.
+//!
+//! And an engine's own budget: made from a network built earlier it is a
+//! handful of empty lists, however large the network.
 
-use ops5::{CycleStats, Engine, NetStats, Program, Value, WorkCounters};
+use ops5::{CycleStats, Engine, NetStats, Network, Program, ReteConfig, Value, WorkCounters};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -248,4 +251,41 @@ fn a_failed_make_wme_keeps_the_scratch_buffer() {
         .unwrap_err();
     assert!(err.to_string().contains("no-such-attribute"), "{err}");
     assert_eq!(good(&mut e, 1), settled, "the buffer was re-grown");
+}
+
+/// An engine is its memories. Instantiating one on a built network costs
+/// the same few allocations whatever the program — the matcher's box, one
+/// list of alpha memories, one of their indexes, the test memo, one list of
+/// node memories, the chain buffer — and builds no network: no node, test
+/// list, successor list or dispatch table is made per engine (SPAM's build
+/// is ≈ 550 allocations, and a sequential round used to repeat it twelve
+/// times). Dropping it gives back what a run grew and leaves the network
+/// to its other owners.
+#[test]
+fn instantiating_an_engine_allocates_its_memories_and_builds_no_network() {
+    let program = Arc::new(Program::parse(SRC).unwrap());
+    let compiled = Engine::compile(&program).unwrap();
+    // Without indexes (and with no test shared) two of the lists are empty.
+    for (config, budget) in [(ReteConfig::shared(), 6), (ReteConfig::unshared(), 5)] {
+        let start = allocations();
+        let network = Arc::new(Network::build(&compiled, &program, config));
+        let build = allocations() - start;
+        let built = Network::built_on_this_thread();
+
+        let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+        let start = allocations();
+        let e = Engine::with_network(p, c, Arc::clone(&network));
+        let made = allocations() - start;
+        assert_eq!(
+            Arc::strong_count(&network),
+            2,
+            "the engine holds the network it was given"
+        );
+        drop(e);
+        assert_eq!(allocations() - start, made, "a drop allocates nothing");
+        assert_eq!(Arc::strong_count(&network), 1);
+        assert_eq!(Network::built_on_this_thread(), built, "and none was built");
+        assert_eq!(made, budget, "{config:?}: a build is {build}");
+        assert!(build > 5 * made, "{config:?}: a build is {build}");
+    }
 }

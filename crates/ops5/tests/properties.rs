@@ -4,7 +4,7 @@
 
 use ops5::conflict::ConflictSet;
 use ops5::naive::{canonical, match_all};
-use ops5::rete::{MatchEvent, Rete, ReteConfig};
+use ops5::rete::{CompiledProduction, MatchEvent, Network, Rete, ReteConfig};
 use ops5::wme::{WmStore, Wme};
 use ops5::{sym, Engine, Program, Value, WmeId};
 use proptest::prelude::*;
@@ -76,7 +76,12 @@ fn keys(cs: &ConflictSet) -> Vec<Key> {
     canonical(&cs.iter().cloned().collect::<Vec<_>>())
 }
 
-/// A bare network and the conflict set its drains feed.
+/// A bare Rete on a network of its own.
+fn rete_of(compiled: &[CompiledProduction], program: &Program, config: ReteConfig) -> Rete {
+    Rete::instantiate(Arc::new(Network::build(compiled, program, config)))
+}
+
+/// A bare Rete and the conflict set its drains feed.
 struct Fed {
     rete: Rete,
     cs: ConflictSet,
@@ -158,8 +163,8 @@ proptest! {
     ) {
         let program = Program::parse(PROGRAMS[prog_idx]).unwrap();
         let compiled = Engine::compile(&program).unwrap();
-        let mut batched = Fed::new(Rete::new(&program).unwrap());
-        let mut each = Fed::new(Rete::new(&program).unwrap());
+        let mut batched = Fed::new(rete_of(&compiled, &program, ReteConfig::default()));
+        let mut each = Fed::new(rete_of(&compiled, &program, ReteConfig::default()));
         let mut wm = WmStore::new();
         let mut live: Vec<WmeId> = Vec::new();
 
@@ -319,7 +324,7 @@ proptest! {
         };
         let program = Program::parse(src).unwrap();
         let compiled = Engine::compile(&program).unwrap();
-        let fed = |config| Fed::new(Rete::from_compiled_with(&compiled, &program, config));
+        let fed = |config| Fed::new(rete_of(&compiled, &program, config));
         // One pair drained after every operation, one every `drain_every`.
         let (mut shared, mut unshared) = (fed(ReteConfig::shared()), fed(ReteConfig::unshared()));
         let (mut shared_k, mut unshared_k) = (fed(ReteConfig::shared()), fed(ReteConfig::unshared()));
@@ -963,7 +968,7 @@ proptest! {
 
         let feed = Arc::new(std::sync::Mutex::new(PerChangeFeed::default()));
         let reference = PerChangeMatcher {
-            rete: Rete::from_compiled(&compiled, &program),
+            rete: rete_of(&compiled, &program, ReteConfig::default()),
             feed: Arc::clone(&feed),
         };
         let mut per_firing = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
@@ -1004,5 +1009,193 @@ proptest! {
         let (batched, each) = (per_firing.net_stats(), per_change.net_stats());
         prop_assert_eq!(batched.instantiations_emitted, each.instantiations_emitted);
         prop_assert!(batched.instantiations_netted >= each.instantiations_netted);
+    }
+}
+
+/// One engine under a script: the script's next operation per move, then a
+/// firing per move once it has run out.
+struct Driven {
+    e: Engine,
+    made: Vec<WmeId>,
+    next: usize,
+}
+
+/// What happens to the first engine of a group, beside its script.
+#[derive(Clone, Copy, Debug)]
+enum Aside {
+    Reset,
+    Mark,
+    Rollback,
+}
+
+impl Driven {
+    fn new(mut e: Engine) -> Driven {
+        let next_id = e.external_counter("next-id", 100);
+        e.register_external(
+            "next-id",
+            Arc::new(move |_, eff: &mut ops5::Effects| {
+                eff.cost = 7;
+                let id = next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Some(Value::Int(id))
+            }),
+        );
+        e.enable_cycle_log();
+        Driven {
+            e,
+            made: Vec::new(),
+            next: 0,
+        }
+    }
+
+    fn advance(&mut self, classes: &[(String, Vec<String>)], script: &[ScriptOp]) {
+        match script.get(self.next) {
+            Some(ScriptOp::Make { class, x, y }) => {
+                let (name, attrs) = &classes[*class as usize % classes.len()];
+                let vals = [Value::Int(*x as i64), Value::Int(*y as i64)];
+                let sets: Vec<(&str, Value)> = attrs.iter().map(String::as_str).zip(vals).collect();
+                self.made.push(self.e.make_wme(name, &sets).unwrap());
+            }
+            // An id made before a rollback may since have been handed out
+            // again: then this removes a base element, and breaks the mark.
+            Some(ScriptOp::Remove(k)) if !self.made.is_empty() => {
+                let id = self.made.swap_remove(*k as usize % self.made.len());
+                self.e.remove_wme_id(id);
+            }
+            Some(ScriptOp::Remove(_)) => {}
+            None => {
+                self.e.step().unwrap();
+            }
+        }
+        self.next += 1;
+    }
+
+    /// Starts the script over on an emptied engine.
+    fn start_over(&mut self) {
+        self.e.reset();
+        self.e.enable_cycle_log();
+        self.made.clear();
+        self.next = 0;
+    }
+
+    fn aside(&mut self, aside: Aside) -> bool {
+        match aside {
+            Aside::Reset => self.start_over(),
+            Aside::Mark => return self.e.mark(),
+            Aside::Rollback => {
+                let rolled_back = self.e.rollback();
+                if !rolled_back {
+                    self.start_over();
+                }
+                return rolled_back;
+            }
+        }
+        true
+    }
+
+    /// Everything the engine can show: cycle log, working memory with time
+    /// tags, work, network statistics, output, halt flag, conflict-set size.
+    fn observed(&self) -> impl PartialEq + std::fmt::Debug {
+        let e = &self.e;
+        let wm: Vec<(WmeId, String)> = (e.wm().iter())
+            .map(|(id, w)| (id, format!("{w} @{}", w.time_tag)))
+            .collect();
+        let counts = (e.work(), e.net_stats(), e.halted(), e.conflict_len());
+        (e.cycle_log().to_vec(), wm, counts, e.output.clone())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// What one network per program rests on: engines instantiated from one
+    /// `Arc<Network>` — two of them, or eight — each fed its own script, in
+    /// any interleaving, while one of them is reset, marked and rolled back
+    /// in between, are each the engine a network built for it alone would
+    /// be: same working memory, work, network statistics, output and cycle
+    /// log after every move of any of them, on both networks. Nothing an
+    /// engine does is written where another could read it. And a snapshot
+    /// taken on one of them restores onto the same network — no other is
+    /// built — and snapshots again byte for byte.
+    #[test]
+    fn engines_on_one_network_are_each_an_engine_on_its_own(
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 3),
+        shared in (0u8..2).prop_map(|b| b == 1),
+        eight in (0u8..4).prop_map(|b| b == 0),
+        scripts in prop::collection::vec(script_strategy(1..14), 8..9),
+        schedule in prop::collection::vec((0usize..8, 0u8..16), 8..120),
+    ) {
+        let src = if prog_idx < SHARING_PROGRAMS.len() {
+            SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
+        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else {
+            let rest = [STATEFUL_PROGRAM, BLOCKER_PROGRAM, MARK_PROGRAM];
+            rest[prog_idx - SHARING_PROGRAMS.len() - RECOVERY_PROGRAMS.len()].to_string()
+        };
+        let program = Arc::new(Program::parse(&src).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let config = if shared { ReteConfig::shared() } else { ReteConfig::unshared() };
+        let classes = script_classes(&program);
+        let n = if eight { 8 } else { 2 };
+
+        let network = Arc::new(Network::build(&compiled, &program, config));
+        let built = Network::built_on_this_thread();
+        let mut together: Vec<Driven> = (0..n)
+            .map(|_| {
+                let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+                Driven::new(Engine::with_network(p, c, Arc::clone(&network)))
+            })
+            .collect();
+        prop_assert_eq!(Network::built_on_this_thread(), built, "instantiating builds nothing");
+        prop_assert_eq!(Arc::strong_count(&network), 1 + n, "and every engine holds the one");
+        let mut alone: Vec<Driven> = (0..n)
+            .map(|_| {
+                let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+                Driven::new(Engine::with_compiled_config(p, c, config))
+            })
+            .collect();
+
+        for (step, &(who, what)) in schedule.iter().enumerate() {
+            let i = who % n;
+            let aside = match what {
+                0 => Some(Aside::Reset),
+                1 | 2 => Some(Aside::Mark),
+                3 | 4 => Some(Aside::Rollback),
+                _ => None,
+            };
+            match aside.filter(|_| i == 0) {
+                Some(aside) => prop_assert_eq!(
+                    together[0].aside(aside), alone[0].aside(aside), "step {}: {:?}", step, aside
+                ),
+                None => {
+                    together[i].advance(&classes, &scripts[i]);
+                    alone[i].advance(&classes, &scripts[i]);
+                }
+            }
+            // Every engine, not only the one that moved: a move must not
+            // show in another.
+            for (k, (t, a)) in together.iter().zip(&alone).enumerate() {
+                prop_assert_eq!(t.e.work(), a.e.work(), "step {}: engine {}", step, k);
+            }
+        }
+        for (k, (t, a)) in together.iter().zip(&alone).enumerate() {
+            prop_assert_eq!(&t.observed(), &a.observed(), "engine {}", k);
+        }
+
+        let built = Network::built_on_this_thread();
+        for (t, a) in together.iter_mut().zip(&mut alone) {
+            let snap = t.e.snapshot();
+            prop_assert_eq!(&snap, &a.e.snapshot());
+            let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+            let restored = Engine::restore_with_network(p, c, Arc::clone(&network), &snap);
+            let mut restored = Driven::new(restored.unwrap());
+            prop_assert_eq!(Arc::strong_count(&network), 1 + n + 1, "restored onto the same one");
+            prop_assert_eq!(restored.e.snapshot(), snap, "re-snapshot must be byte-identical");
+            restored.e.run(200);
+            a.e.run(200);
+            prop_assert_eq!(restored.e.work(), a.e.work());
+            prop_assert_eq!(restored.e.net_stats().beta_nodes, a.e.net_stats().beta_nodes);
+        }
+        prop_assert_eq!(Network::built_on_this_thread(), built, "restoring builds nothing");
     }
 }

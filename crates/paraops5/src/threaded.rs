@@ -1,8 +1,11 @@
 //! The threaded parallel matcher.
 //!
 //! Production-partitioned match parallelism: `n` dedicated match workers
-//! each own a Rete network over a disjoint subset of the productions plus a
-//! private working-memory replica. Every WME delta is broadcast; workers
+//! each own a Rete over a disjoint subset of the productions plus a private
+//! working-memory replica. The subset's network is built once, when the
+//! pool is, and kept beside the slot: a worker — the first, a replacement,
+//! an inline replica after a degrade — is an instance of it
+//! ([`Rete::instantiate`]). Every WME delta is broadcast; workers
 //! match concurrently; [`ThreadedMatcher::drain_events`] is the flush
 //! barrier that collects their conflict-set events. The engine drains once
 //! per firing, when the RHS has run, so a cycle has one barrier however
@@ -46,7 +49,7 @@ use ops5::conflict::Instantiation;
 use ops5::instrument::WorkCounters;
 use ops5::matcher::Matcher;
 use ops5::rete::compile::CompiledProduction;
-use ops5::rete::{MatchEvent, Rete};
+use ops5::rete::{MatchEvent, Network, Rete, ReteConfig};
 use ops5::wme::{WmStore, Wme, WmeId};
 use ops5::Program;
 use std::collections::HashMap;
@@ -169,7 +172,9 @@ struct WorkerSlot {
     tx: Sender<Req>,
     rx: Receiver<Resp>,
     handle: Option<JoinHandle<()>>,
-    subset: Arc<Vec<CompiledProduction>>,
+    /// The network of this slot's production subset, built once: a
+    /// replacement worker or an inline replica is another instance of it.
+    network: Arc<Network>,
     /// Net fold of every event this slot has delivered to the engine.
     delivered: NetState,
     state: SlotState,
@@ -189,7 +194,6 @@ enum Delta {
 
 /// A parallel match backend over `n` dedicated match worker threads.
 pub struct ThreadedMatcher {
-    program: Arc<Program>,
     slots: Vec<WorkerSlot>,
     inline: Vec<InlineWorker>,
     /// Full WME delta history, for replaying to replacement workers.
@@ -233,7 +237,6 @@ impl ThreadedMatcher {
             return Err(SuperviseError::NoWorkers);
         }
         let mut pool = ThreadedMatcher {
-            program: Arc::clone(program),
             slots: Vec::with_capacity(n_workers),
             inline: Vec::new(),
             log: Vec::new(),
@@ -246,36 +249,34 @@ impl ThreadedMatcher {
             obs: None,
         };
         for w in 0..n_workers {
-            let subset: Arc<Vec<CompiledProduction>> = Arc::new(
-                compiled
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % n_workers == w)
-                    .map(|(_, c)| c.clone())
-                    .collect(),
-            );
-            let slot = pool.spawn_slot(subset);
+            let subset: Vec<CompiledProduction> = compiled
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % n_workers == w)
+                .map(|(_, c)| c.clone())
+                .collect();
+            let network = Network::build(&subset, program, ReteConfig::default());
+            let slot = pool.spawn_slot(Arc::new(network));
             pool.slots.push(slot);
         }
         Ok(pool)
     }
 
-    fn spawn_slot(&mut self, subset: Arc<Vec<CompiledProduction>>) -> WorkerSlot {
+    fn spawn_slot(&mut self, network: Arc<Network>) -> WorkerSlot {
         let fault_id = self.next_fault_id;
         self.next_fault_id += 1;
         let death_after = self.opts.fault_plan.worker_death(fault_id);
         let (req_tx, req_rx) = channel::<Req>();
         let (resp_tx, resp_rx) = channel::<Resp>();
-        let prog = Arc::clone(&self.program);
-        let sub = Arc::clone(&subset);
+        let net = Arc::clone(&network);
         let handle = std::thread::spawn(move || {
-            worker_loop(req_rx, resp_tx, prog, sub, death_after);
+            worker_loop(req_rx, resp_tx, net, death_after);
         });
         WorkerSlot {
             tx: req_tx,
             rx: resp_rx,
             handle: Some(handle),
-            subset,
+            network,
             delivered: NetState::new(),
             state: SlotState::Live,
         }
@@ -333,9 +334,9 @@ impl ThreadedMatcher {
 
     /// Replays the delta log into a fresh Rete replica and returns the
     /// replica plus its net match state.
-    fn replay_inline(&self, subset: &Arc<Vec<CompiledProduction>>) -> (InlineWorker, NetState) {
+    fn replay_inline(&self, network: &Arc<Network>) -> (InlineWorker, NetState) {
         let mut iw = InlineWorker {
-            rete: Rete::from_compiled(subset, &self.program),
+            rete: Rete::instantiate(Arc::clone(network)),
             wm: WmStore::new(),
         };
         for delta in &self.log {
@@ -350,8 +351,8 @@ impl ThreadedMatcher {
     /// and return the replacement's net match state. `None` if the
     /// replacement died during replay (a fault plan can fate it too) — the
     /// failed replacement is joined before returning, never leaked.
-    fn respawn(&mut self, subset: Arc<Vec<CompiledProduction>>) -> Option<(WorkerSlot, NetState)> {
-        let slot = self.spawn_slot(Arc::clone(&subset));
+    fn respawn(&mut self, network: Arc<Network>) -> Option<(WorkerSlot, NetState)> {
+        let slot = self.spawn_slot(network);
         match replay_log(&slot, &self.log) {
             Some(resp) => {
                 let mut net = NetState::new();
@@ -379,8 +380,8 @@ impl ThreadedMatcher {
                 vec![("worker", (idx as u64).into())],
             );
         }
-        let subset = Arc::clone(&self.slots[idx].subset);
-        let n_prods = subset.len();
+        let network = Arc::clone(&self.slots[idx].network);
+        let n_prods = network.productions();
         let mut policy = self.opts.recovery;
         if policy == RecoveryPolicy::Respawn && self.report.respawns >= self.opts.max_respawns {
             self.report.warnings.push(format!(
@@ -391,7 +392,7 @@ impl ThreadedMatcher {
         }
         match policy {
             RecoveryPolicy::Respawn => {
-                if let Some((slot, net)) = self.respawn(Arc::clone(&subset)) {
+                if let Some((slot, net)) = self.respawn(network) {
                     // Charge the budget only for a replacement that took
                     // over the subset. A failed respawn falls through to
                     // degrade below; charging it too would double-count one
@@ -454,11 +455,11 @@ impl ThreadedMatcher {
                 vec![("worker", (idx as u64).into())],
             );
         }
-        let subset = Arc::clone(&self.slots[idx].subset);
-        let (iw, net) = self.replay_inline(&subset);
+        let network = Arc::clone(&self.slots[idx].network);
+        let (iw, net) = self.replay_inline(&network);
         self.report.warnings.push(format!(
             "worker {idx} died; {} productions folded into the control thread",
-            subset.len()
+            network.productions()
         ));
         let events = reconcile(&self.slots[idx].delivered, &net);
         self.inline.push(iw);
@@ -647,14 +648,13 @@ impl Drop for ThreadedMatcher {
 fn worker_loop(
     rx: Receiver<Req>,
     tx: Sender<Resp>,
-    program: Arc<Program>,
-    subset: Arc<Vec<CompiledProduction>>,
+    network: Arc<Network>,
     death_after: Option<u64>,
 ) {
     if death_after == Some(0) {
         return; // fated to die before serving anything
     }
-    let mut rete = Rete::from_compiled(&subset, &program);
+    let mut rete = Rete::instantiate(network);
     let mut wm = WmStore::new();
     let mut flushes_served = 0u64;
     while let Ok(req) = rx.recv() {

@@ -135,9 +135,7 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
                         return Some(Value::Float(preset));
                     }
                 }
-                let kind = args[1]
-                    .as_sym()
-                    .and_then(|s| FragmentKind::from_name(&s.name()));
+                let kind = args[1].as_sym().and_then(FragmentKind::from_symbol);
                 let Some(region) = scene.regions.get(r as usize) else {
                     return Some(Value::Float(0.0));
                 };
@@ -244,7 +242,7 @@ pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
         "stereo-verify",
         Arc::new(move |_, eff| {
             eff.cost = cost::STEREO;
-            Some(Value::symbol("yes"))
+            Some(Value::Sym(static_sym!("yes")))
         }),
     );
     {

@@ -135,7 +135,7 @@ impl Task for FaTask<'_> {
         members.dedup();
         let mut prediction_list: Vec<(i64, FragmentKind)> = (s.prediction.rows(e))
             .filter_map(|[area, kind]| {
-                let kind = FragmentKind::from_name(&kind.as_sym()?.name())?;
+                let kind = FragmentKind::from_symbol(kind.as_sym()?)?;
                 Some((area.as_int()?, kind))
             })
             .collect();

@@ -66,12 +66,25 @@ pub const ALL_KINDS: [FragmentKind; 16] = [
 ];
 
 impl FragmentKind {
-    /// The OPS5 symbol naming this kind. Interned once per process: every
-    /// fragment, `near` and constraint element a task loads carries one.
-    pub fn symbol(self) -> Symbol {
+    /// The OPS5 symbols naming the kinds, in `ALL_KINDS` (= declaration =
+    /// discriminant) order. Interned once per process: every fragment,
+    /// `near` and constraint element a task loads carries one, and every
+    /// `rtf-conf` call and harvested fragment is told apart by one.
+    fn symbols() -> &'static [Symbol; 16] {
         static SYMBOLS: OnceLock<[Symbol; 16]> = OnceLock::new();
-        // `ALL_KINDS` is in declaration (= discriminant) order.
-        SYMBOLS.get_or_init(|| ALL_KINDS.map(|k| sym(k.name())))[self as usize]
+        SYMBOLS.get_or_init(|| ALL_KINDS.map(|k| sym(k.name())))
+    }
+
+    /// The OPS5 symbol naming this kind.
+    pub fn symbol(self) -> Symbol {
+        Self::symbols()[self as usize]
+    }
+
+    /// The kind `symbol` names, if any — without the interner: no lock, no
+    /// string.
+    pub fn from_symbol(symbol: Symbol) -> Option<FragmentKind> {
+        let at = Self::symbols().iter().position(|&s| s == symbol)?;
+        Some(ALL_KINDS[at])
     }
 
     /// The OPS5 value naming this kind.
@@ -99,11 +112,6 @@ impl FragmentKind {
             FragmentKind::SwimmingPool => "swimming-pool",
             FragmentKind::Yard => "yard",
         }
-    }
-
-    /// Parses a kind from its rule name.
-    pub fn from_name(name: &str) -> Option<FragmentKind> {
-        ALL_KINDS.iter().copied().find(|k| k.name() == name)
     }
 }
 
@@ -136,9 +144,9 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for k in ALL_KINDS {
-            assert_eq!(FragmentKind::from_name(k.name()), Some(k));
+            assert_eq!(FragmentKind::from_symbol(sym(k.name())), Some(k));
         }
-        assert_eq!(FragmentKind::from_name("spaceport"), None);
+        assert_eq!(FragmentKind::from_symbol(sym("spaceport")), None);
     }
 
     #[test]

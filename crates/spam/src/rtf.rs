@@ -124,7 +124,7 @@ pub fn collect_fragments(e: &Engine) -> Vec<FragmentHypothesis> {
             id: id.as_int().unwrap_or(0) as u32,
             region: region.as_int().unwrap_or(0) as u32,
             kind: (kind.as_sym())
-                .and_then(|s| FragmentKind::from_name(&s.name()))
+                .and_then(FragmentKind::from_symbol)
                 .unwrap_or(FragmentKind::Tarmac),
             confidence: conf.as_f64().unwrap_or(0.0),
             support: support.as_int().unwrap_or(0),

@@ -712,43 +712,61 @@ pub fn enter_phase(e: &mut ops5::Engine, phase: Symbol) {
 
 /// The parsed and compiled SPAM program, shared (cheaply, via `Arc`) by
 /// every engine instance of a run — the full-phase engines and the hundreds
-/// of task-process engines of SPAM/PSM alike.
+/// of task-process engines of SPAM/PSM alike: as the paper's task processes
+/// are forked from one initialised OPS5 (§5.1), every engine is an instance
+/// of the one network built here.
 #[derive(Clone)]
 pub struct SpamProgram {
     /// Parsed program.
-    pub program: std::sync::Arc<ops5::Program>,
+    pub program: Arc<ops5::Program>,
     /// Compiled Rete chain specifications.
-    pub compiled: std::sync::Arc<Vec<ops5::rete::compile::CompiledProduction>>,
-    /// Rete configuration every [`SpamProgram::engine`] instance gets —
-    /// full-phase engines and task-process engines alike, so a whole
-    /// SPAM run can be replayed on the unshared network for comparison.
-    pub config: ops5::ReteConfig,
+    pub compiled: Arc<Vec<ops5::rete::compile::CompiledProduction>>,
+    /// The network built from them, which every [`SpamProgram::engine`]
+    /// runs on — full-phase engines and task-process engines alike, so a
+    /// whole SPAM run can be replayed on the unshared network for
+    /// comparison ([`SpamProgram::with_config`]).
+    pub network: Arc<ops5::Network>,
 }
 
 impl SpamProgram {
-    /// Parses and compiles the rule base.
+    /// Parses and compiles the rule base and builds its network.
     pub fn build() -> SpamProgram {
-        let program =
-            std::sync::Arc::new(ops5::Program::parse(&spam_source()).expect("SPAM rules parse"));
+        let parsed = ops5::Program::parse(&spam_source()).expect("SPAM rules parse");
+        Self::from_program(Arc::new(parsed))
+    }
+
+    /// Compiles `program` — the rule base, parsed by the caller — and
+    /// builds its default network.
+    pub fn from_program(program: Arc<ops5::Program>) -> SpamProgram {
         let compiled = ops5::Engine::compile(&program).expect("SPAM rules compile");
         schema();
+        let config = ops5::ReteConfig::default();
+        let network = Arc::new(ops5::Network::build(&compiled, &program, config));
         SpamProgram {
             program,
             compiled,
-            config: ops5::ReteConfig::default(),
+            network,
         }
     }
 
-    /// Returns this program with a different default Rete configuration
-    /// (applied to every subsequently created engine).
+    /// Returns this program on the network of `config`, built here if it is
+    /// not the one the program already has: every engine created from the
+    /// result runs on it.
     pub fn with_config(mut self, config: ops5::ReteConfig) -> SpamProgram {
-        self.config = config;
+        if self.network.config() != config {
+            let network = ops5::Network::build(&self.compiled, &self.program, config);
+            self.network = Arc::new(network);
+        }
         self
     }
 
-    /// Creates a fresh engine instance over the shared program.
+    /// Creates a fresh engine instance over the shared program and network.
     pub fn engine(&self) -> ops5::Engine {
-        self.engine_with(self.config)
+        ops5::Engine::with_network(
+            Arc::clone(&self.program),
+            Arc::clone(&self.compiled),
+            Arc::clone(&self.network),
+        )
     }
 
     /// Creates a fresh engine with this scene's external functions
@@ -770,19 +788,6 @@ impl SpamProgram {
         };
         register(&mut e, ctx);
         e
-    }
-
-    /// Creates a fresh engine with an explicit Rete sharing/indexing
-    /// configuration. [`ops5::ReteConfig::unshared()`] rebuilds the
-    /// historical one-chain-per-production, linear-scan network — the
-    /// baseline the sharing/indexing experiments compare against (see
-    /// `bench_rete` and `spamctl --unshared`).
-    pub fn engine_with(&self, config: ops5::ReteConfig) -> ops5::Engine {
-        ops5::Engine::with_compiled_config(
-            std::sync::Arc::clone(&self.program),
-            std::sync::Arc::clone(&self.compiled),
-            config,
-        )
     }
 }
 

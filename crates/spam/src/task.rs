@@ -7,8 +7,9 @@
 //! through the same seven steps:
 //!
 //! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out if it was
-//!    built for this very [`Wiring`], else builds one
-//!    ([`SpamProgram::engine`] + [`register`]);
+//!    made for this very [`Wiring`], else makes one: an instance of the
+//!    program's network ([`SpamProgram::engine`]) + [`register`] — no
+//!    network is built here, by any path;
 //! 2. **watch** — the cycle log (and the profiler, if the [`Watch`] asks)
 //!    is switched on; the watch itself stays outside the engine;
 //! 3. **base | load** — working-memory distribution (§5.1), in two parts.
@@ -55,7 +56,7 @@ use crate::fragments::FragmentHypothesis;
 use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
 use crate::watch::{DrivePolicy, Watch};
-use ops5::{CycleStats, Engine, MatchProfile, ReteConfig, Symbol};
+use ops5::{CycleStats, Engine, MatchProfile, Symbol};
 use std::sync::Arc;
 
 /// What a task's engine is wired with: the program, the scene and fragment
@@ -107,8 +108,7 @@ pub trait Task {
 /// sound: an address cannot be reused for other inputs while the old ones
 /// are still owned here.
 struct Kept {
-    compiled: Arc<Vec<ops5::rete::compile::CompiledProduction>>,
-    config: ReteConfig,
+    network: Arc<ops5::Network>,
     ctx: ExternalCtx,
     engine: Engine,
     /// The `(phase, base variant)` whose base the engine holds under a
@@ -118,8 +118,7 @@ struct Kept {
 
 impl Kept {
     fn serves(&self, w: &Wiring<'_>) -> bool {
-        Arc::ptr_eq(&self.compiled, &w.sp.compiled)
-            && self.config == w.sp.config
+        Arc::ptr_eq(&self.network, &w.sp.network)
             && Arc::ptr_eq(&self.ctx.scene, w.scene)
             && Arc::ptr_eq(&self.ctx.fragments, w.fragments)
             && self.ctx.id_base == w.id_base
@@ -195,7 +194,8 @@ impl TaskProcess {
         logged: Vec<CycleStats>,
     ) -> ops5::Result<Attempt<'_>> {
         let (program, compiled) = (Arc::clone(&w.sp.program), Arc::clone(&w.sp.compiled));
-        let mut engine = Engine::restore(program, compiled, w.sp.config, snapshot)?;
+        let network = Arc::clone(&w.sp.network);
+        let mut engine = Engine::restore_with_network(program, compiled, network, snapshot)?;
         engine.enable_cycle_log();
         let kept = self.wire(w, engine);
         Ok(self.attempt(kept, logged))
@@ -220,8 +220,7 @@ impl TaskProcess {
         };
         register(&mut engine, ctx.clone());
         Kept {
-            compiled: Arc::clone(&w.sp.compiled),
-            config: w.sp.config,
+            network: Arc::clone(&w.sp.network),
             ctx,
             engine,
             based: None,
@@ -319,6 +318,7 @@ mod tests {
     use crate::lcc::{run_lcc, run_lcc_unit, LccTask, LccUnit, Level};
     use crate::model::run_model_task;
     use crate::rtf::{run_rtf, run_rtf_task};
+    use ops5::ReteConfig;
 
     /// What *wire* compares, seen from outside: one process through a
     /// scene's pipeline builds an engine where the inputs change and
@@ -403,6 +403,58 @@ mod tests {
             }
         }
         assert_eq!((bases, tasks), (3, 630));
+    }
+
+    /// Networks built on this thread so far (`engines_built` and
+    /// `bases_loaded` are a process's; a network is a program's).
+    fn networks_built() -> u64 {
+        ops5::Network::built_on_this_thread()
+    }
+
+    /// What one network per program saves, counted so it cannot grow back:
+    /// a sequential SF+DC+MOFF interpretation — a task process per phase
+    /// call, as `run_rtf` / `run_lcc` / `run_fa` / `run_model` make them —
+    /// wires 12 engines at every LCC level and builds no network; the
+    /// program built its one.
+    #[test]
+    fn a_whole_interpretation_runs_on_the_one_network_its_program_built() {
+        let start = networks_built();
+        let sp = SpamProgram::build();
+        assert_eq!(networks_built() - start, 1);
+        let scenes = [crate::sf(), crate::dc(), crate::moff()]
+            .map(|d| Arc::new(crate::generate_scene(&d.spec)));
+        for level in [Level::L4, Level::L3, Level::L2, Level::L1] {
+            let mut engines = 0;
+            for scene in &scenes {
+                let regions: Vec<u32> = (0..scene.len() as u32).collect();
+                let [mut rtf, mut lcc, mut fa, mut model]: [TaskProcess; 4] = Default::default();
+                let frags = Arc::new(run_rtf_task(&mut rtf, &sp, scene, &regions).fragments);
+                let (phase, _) = crate::lcc::run_lcc_on(&mut lcc, &sp, scene, &frags, level, false);
+                let supported = Arc::new(phase.fragments);
+                let areas = run_fa_task(&mut fa, &sp, scene, &supported, &phase.consistents);
+                run_model_task(
+                    &mut model,
+                    &sp,
+                    scene,
+                    &supported,
+                    &areas.areas,
+                    &areas.members,
+                );
+                engines += [rtf, lcc, fa, model]
+                    .iter()
+                    .map(|tp| tp.engines_built)
+                    .sum::<u32>();
+            }
+            assert_eq!(engines, 12, "{}", level.name());
+        }
+        assert_eq!(networks_built() - start, 1, "12 engines a round, 1 network");
+        // The other network is built when a program is moved to it, once.
+        let unshared = sp.clone().with_config(ReteConfig::unshared());
+        assert_eq!(networks_built() - start, 2);
+        let tp = &mut TaskProcess::default();
+        run_rtf_task(tp, &unshared, &scenes[1], &[0, 1]);
+        run_rtf_task(tp, &sp, &scenes[1], &[0, 1]);
+        assert_eq!((tp.engines_built, networks_built() - start), (2, 2));
     }
 
     /// Takes a snapshot at cycle `at`, as a checkpoint would.

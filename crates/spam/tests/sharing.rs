@@ -95,11 +95,53 @@ fn lcc_pair_memories_are_reached_by_constraint_id() {
     // longer opens on one slot, match slows by a third and nothing else
     // would say so — work units are charged as for the full walk.
     for sp in [programs().0, programs().1] {
-        let rete = ops5::rete::Rete::from_compiled_with(&sp.compiled, &sp.program, sp.config);
-        let (memories, visited) = rete
+        let (memories, visited) = (sp.network)
             .alpha_fanout(spam::rules::schema().pair.class)
             .expect("lcc-pair is matched");
         assert!(memories > 50, "{memories} lcc-pair memories");
         assert!(visited <= 3, "a pair visits {visited} of {memories}");
     }
+}
+
+#[test]
+fn a_program_moved_to_the_other_config_runs_its_engines_on_that_network() {
+    // One network per program is only right if `with_config` swaps it: an
+    // `engine()` still instantiated from the network `build()` made would
+    // run every `--unshared` comparison on the shared network, unnoticed.
+    let (shared, unshared) = programs();
+    let beta_nodes = |sp: &SpamProgram| {
+        let stats = sp.engine().net_stats();
+        assert_eq!(stats.beta_nodes as usize, sp.network.beta_nodes());
+        (stats.beta_nodes, stats.unshared_beta_nodes)
+    };
+    let (s, chains) = beta_nodes(&shared);
+    assert_eq!(
+        beta_nodes(&unshared),
+        (chains, chains),
+        "one node per chain node"
+    );
+    assert!(s < chains, "{s} shared beta nodes of {chains}");
+    assert_eq!(unshared.network.config(), ops5::ReteConfig::unshared());
+    // Back again is the shared network again — and asking for the config a
+    // program already has keeps its network, engines and all.
+    let back = unshared.clone().with_config(ops5::ReteConfig::shared());
+    assert_eq!(beta_nodes(&back).0, s);
+    let same = shared.clone().with_config(ops5::ReteConfig::shared());
+    assert!(Arc::ptr_eq(&same.network, &shared.network));
+    // A task process told apart by network, not by rule base: the two
+    // programs share `compiled`, and an engine kept for one does not serve
+    // the other.
+    assert!(Arc::ptr_eq(&shared.compiled, &unshared.compiled));
+    let scene = Arc::new(generate_scene(&datasets::dc().spec));
+    let frags = Arc::new(run_rtf(&shared, &scene).fragments);
+    let tp = &mut spam::task::TaskProcess::default();
+    let unit = spam::lcc::LccUnit::Object(0);
+    let on = |tp: &mut _, sp: &SpamProgram| spam::lcc::run_lcc_unit(tp, sp, &scene, &frags, &unit);
+    let (s1, u, s2) = (on(tp, &shared), on(tp, &unshared), on(tp, &shared));
+    assert_eq!(s1, s2);
+    assert_eq!(s1.consistents, u.consistents);
+    assert!(
+        s1.work.match_units < u.work.match_units,
+        "the unshared run scanned"
+    );
 }

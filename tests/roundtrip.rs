@@ -31,11 +31,7 @@ fn spam_rulebase_survives_print_parse_with_identical_behaviour() {
 
     // Behavioural equivalence: run the same LCC tasks under both programs.
     let original = SpamProgram::build();
-    let reparsed = SpamProgram {
-        compiled: ops5::Engine::compile(&p2).unwrap(),
-        program: p2,
-        config: ops5::ReteConfig::default(),
-    };
+    let reparsed = SpamProgram::from_program(p2);
     let scene = Arc::new(spam::generate_scene(&spam::datasets::dc().spec));
     let rtf = run_rtf(&original, &scene);
     let frags = Arc::new(rtf.fragments);
