@@ -1,10 +1,12 @@
 //! Benchmarks of SPAM phase machinery: scene generation, RTF, single LCC
-//! tasks at the chosen decomposition grains, and the decomposition itself.
+//! tasks at the chosen decomposition grains, LCC and FA working-memory loads,
+//! engine instantiation, and the decomposition itself.
 //! A single-task bench runs on one task process, as a worker's tasks do: its
 //! engine is kept between iterations, not rebuilt.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use spam::lcc::{decompose, run_lcc_unit, LccPlan, LccUnit, Level, LCC_ID_BASE};
+use spam::fa::FaTask;
+use spam::lcc::{decompose, run_lcc, run_lcc_unit, LccPlan, LccUnit, Level, LCC_ID_BASE};
 use spam::rtf::{rtf_task_batches, run_rtf, run_rtf_task, run_rtf_tasks};
 use spam::rules::SpamProgram;
 use spam::task::{Task, TaskProcess};
@@ -51,20 +53,45 @@ fn bench_spam(c: &mut Criterion) {
         b.iter(|| run_lcc_unit(&mut tp, &sp, &scene, &fragments, &unit).firings)
     });
 
-    // Working-memory distribution alone: every Level-3 unit of the phase
-    // begun and loaded on a warm task process, none driven.
-    g.bench_function("lcc_l3_setup", |b| {
-        let plan = LccPlan::new(&scene, &fragments, Level::L3);
+    // Working-memory distribution alone: every unit of the phase begun and
+    // loaded on a warm task process, none driven. At Level 1 (1 282 pair
+    // tasks) a load is most of a task, and almost every right activation it
+    // makes meets a join of another phase's rules, with nothing to pair.
+    for (name, level) in [("lcc_l3_setup", Level::L3), ("lcc_l1_load", Level::L1)] {
+        g.bench_function(name, |b| {
+            let plan = LccPlan::new(&scene, &fragments, level);
+            let mut tp = TaskProcess::default();
+            b.iter(|| {
+                let mut wmes = 0;
+                for i in 0..plan.units.len() {
+                    let task = plan.task(&sp, &scene, &fragments, i);
+                    let mut attempt = tp.begin(&task, false);
+                    task.load(attempt.engine());
+                    wmes += attempt.engine().wm().len();
+                    attempt.finish();
+                }
+                wmes
+            })
+        });
+    }
+
+    // The FA phase's load — the supported fragments and LCC's consistency
+    // records — begun on a warm task process, not driven.
+    g.bench_function("fa_load", |b| {
+        let lcc = run_lcc(&sp, &scene, &fragments, Level::L3);
+        let supported = Arc::new(lcc.fragments);
+        let task = FaTask {
+            sp: &sp,
+            scene: &scene,
+            fragments: &supported,
+            consistents: &lcc.consistents,
+        };
         let mut tp = TaskProcess::default();
         b.iter(|| {
-            let mut wmes = 0;
-            for i in 0..plan.units.len() {
-                let task = plan.task(&sp, &scene, &fragments, i);
-                let mut attempt = tp.begin(&task, false);
-                task.load(attempt.engine());
-                wmes += attempt.engine().wm().len();
-                attempt.finish();
-            }
+            let mut attempt = tp.begin(&task, false);
+            task.load(attempt.engine());
+            let wmes = attempt.engine().wm().len();
+            attempt.finish();
             wmes
         })
     });

@@ -47,6 +47,12 @@ pub struct NetStats {
     /// never in the conflict set. `emitted - netted` is what the conflict
     /// set was given to rank.
     pub instantiations_netted: u64,
+    /// Right activations that could not pair: a WME entering the alpha
+    /// memory of a join whose token population is empty, or leaving a
+    /// negative node's alpha memory with no token blocked by it. They are
+    /// charged as if made — chunk, profile activation, shared-node hit,
+    /// scan of an empty population, no unit — and not made.
+    pub null_right_activations: u64,
 }
 
 impl NetStats {
@@ -61,6 +67,7 @@ impl NetStats {
         self.shared_test_hits += other.shared_test_hits;
         self.instantiations_emitted += other.instantiations_emitted;
         self.instantiations_netted += other.instantiations_netted;
+        self.null_right_activations += other.null_right_activations;
     }
 }
 

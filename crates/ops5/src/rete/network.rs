@@ -79,6 +79,19 @@ pub(super) struct BetaNode {
     pub(super) rep_prod: u32,
 }
 
+/// What deciding whether a right activation of one node can pair needs,
+/// apart from the node: a dense table the null path reads instead of the
+/// [`BetaNode`].
+#[derive(Clone, Copy, Debug)]
+pub(super) struct RightFacts {
+    /// The node whose tokens a right activation pairs against: the node
+    /// itself when negated, its parent when positive; `None` at a positive
+    /// level-0 node, where every WME makes a token.
+    pub(super) population: Option<u32>,
+    /// The node serves two or more productions (`shared_node_hits`).
+    pub(super) shared: bool,
+}
+
 thread_local! {
     /// See [`Network::built_on_this_thread`].
     static BUILT: Cell<u64> = const { Cell::new(0) };
@@ -91,6 +104,11 @@ pub struct Network {
     config: ReteConfig,
     pub(super) alpha: AlphaNetwork,
     pub(super) nodes: Vec<BetaNode>,
+    /// Parallel to `nodes`.
+    pub(super) right: Vec<RightFacts>,
+    /// Per alpha memory, its negated successors in successor order: the
+    /// nodes a WME leaving the memory right-activates.
+    pub(super) negated_successors: Vec<Vec<u32>>,
     /// Level-0 nodes (children of the virtual root).
     roots: Vec<u32>,
     /// One past the highest production index compiled in.
@@ -120,6 +138,8 @@ impl Network {
             config,
             alpha: AlphaNetwork::with_sharing(config.share()),
             nodes: Vec::new(),
+            right: Vec::new(),
+            negated_successors: Vec::new(),
             roots: Vec::new(),
             n_productions: (compiled.iter())
                 .map(|s| s.prod as usize + 1)
@@ -142,6 +162,26 @@ impl Network {
                 .push((spec.prod, specificity));
         }
         net.alpha.build_dispatch();
+        // Once every production is in: sharing raises `n_prods` after the
+        // node's alpha memory has listed it.
+        net.right = (net.nodes.iter().enumerate())
+            .map(|(id, node)| RightFacts {
+                population: if node.negated {
+                    Some(id as u32)
+                } else {
+                    node.parent
+                },
+                shared: node.n_prods > 1,
+            })
+            .collect();
+        net.negated_successors = (0..net.alpha.len() as AlphaMemId)
+            .map(|m| {
+                let successors = net.alpha.mem(m).successors.iter().map(|s| s.node);
+                successors
+                    .filter(|&n| net.nodes[n as usize].negated)
+                    .collect()
+            })
+            .collect();
         net
     }
 

@@ -31,11 +31,14 @@
 //! Every activation (alpha classification, right/left activation of a node)
 //! is counted as one *match chunk* — the unit of parallelism ParaOPS5
 //! schedules across dedicated match processes (§3.1 of the paper: "subtasks
-//! execute only about 100 instructions").
+//! execute only about 100 instructions"). That holds for a right activation
+//! that cannot pair, too — one whose token population is empty, or a removal
+//! that unblocks nothing: it is decided before it is made, and charged and
+//! counted as if it had been ([`NetStats::null_right_activations`]).
 
-use super::alpha::{AlphaMemId, AlphaMemories, AlphaNetwork};
+use super::alpha::{AlphaMemId, AlphaMemories};
 use super::compile::JoinTest;
-use super::network::{BetaNode, Network};
+use super::network::Network;
 use crate::buckets::{give_list, take_list, Buckets, Pool, SlotCursor};
 use crate::conflict::Instantiation;
 use crate::instrument::{cost, WorkCounters};
@@ -570,8 +573,7 @@ impl Rete {
     /// The split borrows of one WME change (after its alpha classification).
     fn activation<'a>(&'a mut self, wm: &'a WmStore) -> Activation<'a> {
         Activation {
-            nodes: &self.net.nodes,
-            alpha: &self.net.alpha,
+            net: &self.net,
             mems: &self.alpha,
             wm,
             indexed: self.net.config().index(),
@@ -589,9 +591,14 @@ impl Rete {
         self.alpha
             .classify_add(&self.net.alpha, id, wme, units, &mut touched);
         let mut act = self.activation(wm);
-        let alpha = act.alpha;
+        let net = act.net;
         for &m in &touched {
-            for s in &alpha.mem(m).successors {
+            for s in &net.alpha.mem(m).successors {
+                // Decided as the walk reaches the node: a population an
+                // earlier successor filled is paired against.
+                if act.null_right_add(s.node) {
+                    continue;
+                }
                 let before = act.work.match_units;
                 act.right_activate_add(s.node, id);
                 act.charge_node(s.node, before);
@@ -614,16 +621,14 @@ impl Rete {
         self.alpha
             .classify_remove(&self.net.alpha, id, wme, units, &mut touched);
         let mut act = self.activation(wm);
-        let alpha = act.alpha;
+        let net = act.net;
         // Negative nodes first: unblock tokens whose blocker disappeared
         // (found through the blocker→tokens map, not a token scan).
         for &m in &touched {
-            for s in &alpha.mem(m).successors {
-                if act.nodes[s.node as usize].negated {
-                    let before = act.work.match_units;
-                    act.right_activate_remove(s.node, id);
-                    act.charge_node(s.node, before);
-                }
+            for &n in &net.negated_successors[m as usize] {
+                let before = act.work.match_units;
+                act.right_activate_remove(n, id);
+                act.charge_node(n, before);
             }
         }
         // Then delete every token whose own WME is the removed one.
@@ -634,15 +639,14 @@ impl Rete {
 }
 
 /// One WME change working its way through the beta network. The borrows are
-/// split so that what the build fixed (`nodes`, `alpha`) and, once the WME
+/// split so that what the build fixed (`net`) and, once the WME
 /// is classified, the alpha memories (`mems`) are shared for the whole
 /// activation while `beta` and `work` are exclusive: join tests, child and
 /// terminal lists, successor lists and alpha-memory candidate lists are read
 /// in place — the borrow checker, not a copy, is what guarantees nothing
 /// changes them under a loop.
 struct Activation<'a> {
-    nodes: &'a [BetaNode],
-    alpha: &'a AlphaNetwork,
+    net: &'a Network,
     mems: &'a AlphaMemories,
     wm: &'a WmStore,
     indexed: bool,
@@ -666,16 +670,42 @@ impl<'a> Activation<'a> {
         }
     }
 
+    /// Decides, before making it, whether a right activation of `n` by a
+    /// WME addition can pair: not when the population it pairs against
+    /// holds no token. Such a *null* activation is charged exactly what
+    /// making it charges — one chunk and the profile's activation, a
+    /// shared-node hit if the node is shared, the linear scan of an empty
+    /// population (below
+    /// [`INDEX_MIN_POPULATION`] nothing probes), no unit — counted, and not
+    /// made (true). Doorenbos' right unlinking, without the unlinking: SPAM's
+    /// phases gate every rule on `control`, so in any task most joins a WME
+    /// reaches belong to rules of another phase and have nothing to pair with.
+    #[inline]
+    fn null_right_add(&mut self, n: u32) -> bool {
+        let facts = self.net.right[n as usize];
+        let Some(population) = facts.population else {
+            return false;
+        };
+        if !self.beta.mems[population as usize].tokens.is_empty() {
+            return false;
+        }
+        self.count_activation(n);
+        let stats = &mut self.beta.stats;
+        stats.shared_node_hits += u64::from(facts.shared);
+        stats.linear_scans += 1;
+        stats.null_right_activations += 1;
+        true
+    }
+
     /// A snapshot of the token population a right activation of `n` pairs
     /// against: the parent's residents for positive nodes, `n`'s own for
     /// negative nodes — the indexed candidates (charging the probe) when
     /// `n` has a key test, else the whole population (counted as a scan).
     /// The caller gives the list back to the pool.
     fn right_candidates(&mut self, n: u32, w: WmeId) -> Vec<u32> {
-        let node = &self.nodes[n as usize];
+        let node = &self.net.nodes[n as usize];
         let mut out = take_list(&mut self.beta.pool);
-        let resident_at = if node.negated { Some(n) } else { node.parent };
-        let Some(resident_at) = resident_at else {
+        let Some(resident_at) = self.net.right[n as usize].population else {
             return out;
         };
         let population = &self.beta.mems[resident_at as usize].tokens;
@@ -701,8 +731,8 @@ impl<'a> Activation<'a> {
     /// when possible, else the full memory (counted as a scan). Borrowed
     /// from the alpha network, which no beta activation can change.
     fn left_candidates(&mut self, n: u32, chain_len: usize) -> &'a [WmeId] {
-        let node = &self.nodes[n as usize];
-        let (alpha, mems) = (self.alpha, self.mems);
+        let node = &self.net.nodes[n as usize];
+        let (alpha, mems) = (&self.net.alpha, self.mems);
         let wmes = mems.wmes(node.alpha_mem);
         if let Some(kt) = node.key_test {
             if wmes.len() >= INDEX_MIN_POPULATION {
@@ -722,7 +752,7 @@ impl<'a> Activation<'a> {
     }
 
     fn right_activate_add(&mut self, n: u32, w: WmeId) {
-        let node = &self.nodes[n as usize];
+        let node = &self.net.nodes[n as usize];
         self.count_activation(n);
         if node.n_prods > 1 {
             self.beta.stats.shared_node_hits += 1;
@@ -762,7 +792,9 @@ impl<'a> Activation<'a> {
             debug_assert!(tests.is_empty(), "first node has no join tests");
             self.new_token(n, DUMMY, Some(w));
         } else {
-            let parent_negated = node.parent.is_some_and(|p| self.nodes[p as usize].negated);
+            let parent_negated = node
+                .parent
+                .is_some_and(|p| self.net.nodes[p as usize].negated);
             let parents = self.right_candidates(n, w);
             for &t in &parents {
                 let td = &self.beta.tokens[t as usize];
@@ -783,10 +815,12 @@ impl<'a> Activation<'a> {
     }
 
     /// WME `w` left negative node `n`'s alpha memory: unblock the tokens it
-    /// was blocking.
+    /// was blocking. Blocking none, the activation is null: charged its
+    /// chunk and counted.
     fn right_activate_remove(&mut self, n: u32, w: WmeId) {
         self.count_activation(n);
         let Some(toks) = self.beta.mems[n as usize].blocked_by.take(w) else {
+            self.beta.stats.null_right_activations += 1;
             return;
         };
         for &t in &toks {
@@ -826,7 +860,7 @@ impl<'a> Activation<'a> {
     /// Creates a token at node `n` and, when it is active (positive, or
     /// negative with no blockers), propagates it down the trie.
     fn new_token(&mut self, n: u32, parent: u32, wme: Option<WmeId>) {
-        let node = &self.nodes[n as usize];
+        let node = &self.net.nodes[n as usize];
         let id = self.alloc_token(n, parent, wme);
         self.work.match_units += cost::TOKEN_OP;
         let b = &mut *self.beta;
@@ -875,9 +909,9 @@ impl<'a> Activation<'a> {
     /// `n`'s own index when `n` is negative, and the index of every
     /// positive keyed child.
     fn register_token_indexes(&mut self, id: u32, n: u32) {
-        let node = &self.nodes[n as usize];
+        let node = &self.net.nodes[n as usize];
         let chain_len = node.level as usize + 1;
-        let nodes = self.nodes;
+        let nodes = &self.net.nodes;
         let own = node.negated.then_some(n);
         let positive_children = node
             .children
@@ -902,13 +936,13 @@ impl<'a> Activation<'a> {
     /// terminals and feed the children. (A shared node can be terminal for
     /// one production *and* a prefix of another's chain.)
     fn propagate(&mut self, n: u32, t: u32) {
-        let node = &self.nodes[n as usize];
+        let node = &self.net.nodes[n as usize];
         let chain_len = node.level as usize + 1;
         if !node.terminals.is_empty() {
             self.emit_insert(n, t);
         }
         for &c in &node.children {
-            let child = &self.nodes[c as usize];
+            let child = &self.net.nodes[c as usize];
             self.count_activation(c);
             if child.n_prods > 1 {
                 self.beta.stats.shared_node_hits += 1;
@@ -1010,7 +1044,7 @@ impl<'a> Activation<'a> {
         td.parent = parent;
         td.wme = wme;
         td.node = n;
-        td.level = self.nodes[n as usize].level;
+        td.level = self.net.nodes[n as usize].level;
         td.alive = true;
         id
     }
@@ -1019,7 +1053,7 @@ impl<'a> Activation<'a> {
     /// charged, now; its instantiations are built by the drain, if it is
     /// still satisfied then ([`Rete::drain_events_into`]).
     fn emit_insert(&mut self, n: u32, t: u32) {
-        let terminals = self.nodes[n as usize].terminals.len() as u64;
+        let terminals = self.net.nodes[n as usize].terminals.len() as u64;
         self.work.match_units += terminals * cost::CONFLICT_OP;
         let b = &mut *self.beta;
         b.stats.instantiations_emitted += terminals;
@@ -1032,7 +1066,7 @@ impl<'a> Activation<'a> {
     fn emit_retract(&mut self, t: u32) {
         let b = &mut *self.beta;
         let td = &mut b.tokens[t as usize];
-        let terminals = &self.nodes[td.node as usize].terminals;
+        let terminals = &self.net.nodes[td.node as usize].terminals;
         match std::mem::take(&mut td.emitted) {
             Emission::None => return,
             Emission::Pending(at) => {
@@ -1114,14 +1148,19 @@ mod tests {
             }
         }
 
-        fn add(&mut self, class: &str, fields: &[(usize, Value)]) -> WmeId {
+        /// A WME in the store, not yet in the network.
+        fn make(&mut self, class: &str, fields: &[(usize, Value)]) -> WmeId {
             self.tag += 1;
             let n = self.program.n_slots(sym(class)).unwrap();
             let mut w = Wme::new(sym(class), n, self.tag);
             for &(i, v) in fields {
                 w.set(i, v);
             }
-            let id = self.wm.add(w);
+            self.wm.add(w)
+        }
+
+        fn add(&mut self, class: &str, fields: &[(usize, Value)]) -> WmeId {
+            let id = self.make(class, fields);
             self.rete.add_wme(id, &self.wm);
             id
         }
@@ -1663,6 +1702,107 @@ mod tests {
             assert!(f.rete.beta.tokens.iter().all(|t| !t.base && !t.alive));
             assert!(f.rete.mark.is_none() && !f.rete.rollback());
         }
+    }
+
+    /// Two phases under `control`: `seg` joins only rules of phases nobody
+    /// is in. Its memory feeds `a1`/`a2`'s shared `(seg ^id <i>)` (level
+    /// 1, population: the empty `(control ^phase a)` memory) and `b1`'s
+    /// negated `(seg)` (population: its own empty memory).
+    const PHASED: &str = "
+        (literalize control phase)
+        (literalize seg id)
+        (literalize mark id)
+        (p a1 (control ^phase a) (seg ^id <i>) --> (halt))
+        (p a2 (control ^phase a) (seg ^id <i>) (mark ^id <i>) --> (halt))
+        (p b1 (control ^phase b) -(seg) --> (halt))
+    ";
+
+    impl Fix {
+        /// [`Rete::add_wme`] with every successor visited, null or not.
+        fn add_visiting_every_successor(
+            &mut self,
+            class: &str,
+            fields: &[(usize, Value)],
+        ) -> WmeId {
+            let id = self.make(class, fields);
+            let r = &mut self.rete;
+            r.beta.chunks += 1;
+            let (wme, units) = (self.wm.get(id).unwrap(), &mut r.work.match_units);
+            r.alpha
+                .classify_add(&r.net.alpha, id, wme, units, &mut r.touched);
+            let touched = std::mem::take(&mut r.touched);
+            let mut act = r.activation(&self.wm);
+            let net = act.net;
+            for &m in &touched {
+                for s in &net.alpha.mem(m).successors {
+                    let before = act.work.match_units;
+                    act.right_activate_add(s.node, id);
+                    act.charge_node(s.node, before);
+                }
+            }
+            id
+        }
+    }
+
+    #[test]
+    fn a_null_right_activation_is_charged_as_the_visit_it_replaces() {
+        let mut null = Fix::new(PHASED);
+        let mut visited = Fix::new(PHASED);
+        null.rete.enable_profile();
+        visited.rete.enable_profile();
+        let w = null.add("seg", &[]);
+        visited.add_visiting_every_successor("seg", &[]);
+
+        // One chunk for the classification and one per successor; the
+        // shared join is a shared-node hit; each scans an empty population.
+        let stats = null.rete.net_stats();
+        assert_eq!(null.rete.beta.chunks, 3);
+        assert_eq!((stats.linear_scans, stats.index_probes), (2, 0));
+        assert_eq!(stats.shared_node_hits, 1);
+        assert_eq!(stats.null_right_activations, 2);
+        assert_eq!(visited.rete.net_stats().null_right_activations, 0);
+        assert_eq!(
+            NetStats {
+                null_right_activations: 0,
+                ..stats
+            },
+            visited.rete.net_stats()
+        );
+        assert_eq!(null.rete.beta.chunks, visited.rete.beta.chunks);
+        assert_eq!(null.rete.work, visited.rete.work);
+        // The shared node's activation goes to its lowest production.
+        let activations = |f: &mut Fix| -> Vec<u64> {
+            let p = f.rete.take_profile().unwrap();
+            p.productions.iter().map(|p| p.activations).collect()
+        };
+        assert_eq!(activations(&mut null), [1, 0, 1]);
+        assert_eq!(activations(&mut visited), [1, 0, 1]);
+
+        // Leaving, it blocked nothing under `b1`'s negation: one chunk more
+        // than the classification's.
+        null.remove(w);
+        assert_eq!(null.rete.take_chunks(), 3 + 2);
+        assert_eq!(null.rete.net_stats().null_right_activations, 3);
+        assert_eq!(activations(&mut null), [0, 0, 1]);
+    }
+
+    #[test]
+    fn a_population_an_earlier_successor_filled_is_paired_against() {
+        // Both condition elements feed from one memory, the first one's node
+        // first: the token it makes is the population the second's right
+        // activation meets, in the same walk.
+        let src = "
+            (literalize a x)
+            (p pair (a ^x <v>) (a ^x <v>) --> (halt))
+        ";
+        let mut null = Fix::new(src);
+        let mut visited = Fix::new(src);
+        null.add("a", &[(0, Value::Int(7))]);
+        visited.add_visiting_every_successor("a", &[(0, Value::Int(7))]);
+        assert_eq!(null.rete.net_stats().null_right_activations, 0);
+        assert_eq!(null.rete.net_stats(), visited.rete.net_stats());
+        assert_eq!(null.rete.work, visited.rete.work);
+        assert_eq!(null.rete.take_chunks(), visited.rete.take_chunks());
     }
 
     #[test]

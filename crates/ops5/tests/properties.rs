@@ -1199,3 +1199,74 @@ proptest! {
         prop_assert_eq!(Network::built_on_this_thread(), built, "restoring builds nothing");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A right activation that cannot pair is decided before it is made and
+    /// charged as if it had been (`Rete::add_wme`), on one path whether the
+    /// engine is profiled or not. So an engine with `enable_profile` and one
+    /// without, fed the same script, show the same work, network statistics
+    /// (null right activations included) and whole cycle log after every
+    /// move — WM changes, firings, resets, marks, rollbacks and a snapshot
+    /// restored onto the same network — on both networks.
+    #[test]
+    fn profiling_moves_no_count(
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 3),
+        shared in (0u8..2).prop_map(|b| b == 1),
+        script in script_strategy(1..24),
+        schedule in prop::collection::vec(0u8..20, 8..80),
+    ) {
+        let src = if prog_idx < SHARING_PROGRAMS.len() {
+            SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
+        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else {
+            let rest = [STATEFUL_PROGRAM, BLOCKER_PROGRAM, MARK_PROGRAM];
+            rest[prog_idx - SHARING_PROGRAMS.len() - RECOVERY_PROGRAMS.len()].to_string()
+        };
+        let program = Arc::new(Program::parse(&src).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let config = if shared { ReteConfig::shared() } else { ReteConfig::unshared() };
+        let classes = script_classes(&program);
+        let network = Arc::new(Network::build(&compiled, &program, config));
+        let engine = || {
+            let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+            Engine::with_network(p, c, Arc::clone(&network))
+        };
+        let mut plain = Driven::new(engine());
+        let mut profiled = Driven::new(engine());
+        profiled.e.enable_profile();
+
+        for (step, &what) in schedule.iter().enumerate() {
+            let aside = match what {
+                0 => Some(Aside::Reset),
+                1 | 2 => Some(Aside::Mark),
+                3 | 4 => Some(Aside::Rollback),
+                _ => None,
+            };
+            if let Some(aside) = aside {
+                prop_assert_eq!(plain.aside(aside), profiled.aside(aside), "step {}", step);
+            } else if what == 5 {
+                for d in [&mut plain, &mut profiled] {
+                    let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+                    let e = Engine::restore_with_network(p, c, Arc::clone(&network), &d.e.snapshot());
+                    let mut restored = Driven::new(e.unwrap());
+                    restored.made = std::mem::take(&mut d.made);
+                    restored.next = d.next;
+                    *d = restored;
+                }
+            } else {
+                plain.advance(&classes, &script);
+                profiled.advance(&classes, &script);
+            }
+            // A reset, a rollback and a restore detach the profile.
+            if profiled.e.take_profile().is_none() {
+                profiled.e.enable_profile();
+            }
+            prop_assert_eq!(plain.e.work(), profiled.e.work(), "step {}", step);
+            prop_assert_eq!(plain.e.net_stats(), profiled.e.net_stats(), "step {}", step);
+            prop_assert_eq!(plain.e.cycle_log(), profiled.e.cycle_log(), "step {}", step);
+        }
+    }
+}
