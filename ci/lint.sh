@@ -37,3 +37,12 @@ if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
   echo "lint: crates/core/src calls .step(); one drive loop lives in spam::watch" >&2
   exit 1
 fi
+
+# One phase entry: `tlp::run_phase` is the only caller of the supervised
+# executor under `crates/core/src` (`exec.rs` defines it), test modules aside.
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+        !test && /(^|[^_[:alnum:]])execute\(/ { print FILENAME ":" FNR ":" $0; hit = 1 }
+        END { exit !hit }' $(find crates/core/src -name '*.rs' ! -name tlp.rs ! -name exec.rs); then
+  echo "lint: crates/core/src calls execute( outside tlp::run_phase, the one phase entry" >&2
+  exit 1
+fi

@@ -7,9 +7,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spam::fa::FaTask;
 use spam::lcc::{decompose, run_lcc, run_lcc_unit, LccPlan, LccUnit, Level, LCC_ID_BASE};
-use spam::rtf::{rtf_task_batches, run_rtf, run_rtf_task, run_rtf_tasks};
+use spam::rtf::{merge_rtf_batches, rtf_task_batches, run_rtf, RtfPhase, RtfTask};
 use spam::rules::SpamProgram;
-use spam::task::{Task, TaskProcess};
+use spam::task::{drain, Task, TaskList, TaskProcess};
+use spam::watch::Watch;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +31,9 @@ fn bench_spam(c: &mut Criterion) {
     g.bench_function("rtf_task_10_regions", |b| {
         let regions: Vec<u32> = (0..10).collect();
         let mut tp = TaskProcess::default();
-        b.iter(|| run_rtf_task(&mut tp, &sp, &scene, &regions).fragments.len())
+        let (sp, scene, regions) = (&sp, &scene, &regions);
+        let task = RtfTask { sp, scene, regions };
+        b.iter(|| tp.run(&task, Watch::default()).0.fragments.len())
     });
 
     // The paper's RTF decomposition (60-100 tasks, §4) on one task process:
@@ -38,7 +41,12 @@ fn bench_spam(c: &mut Criterion) {
     g.bench_function("rtf_64_batches", |b| {
         let batches = rtf_task_batches(&scene, scene.len().div_ceil(64));
         assert_eq!(batches.len(), 64);
-        b.iter(|| run_rtf_tasks(&sp, &scene, &batches).0.len())
+        let (sp, scene) = (sp.clone(), Arc::clone(&scene));
+        let phase = RtfPhase { sp, scene, batches };
+        b.iter(|| {
+            let tp = &mut TaskProcess::default();
+            merge_rtf_batches(drain(tp, &phase, false).map(|(r, _)| Some(r.fragments))).len()
+        })
     });
 
     // A representative Level-3 task (a runway object: several constraints,
@@ -59,12 +67,12 @@ fn bench_spam(c: &mut Criterion) {
     // makes meets a join of another phase's rules, with nothing to pair.
     for (name, level) in [("lcc_l3_setup", Level::L3), ("lcc_l1_load", Level::L1)] {
         g.bench_function(name, |b| {
-            let plan = LccPlan::new(&scene, &fragments, level);
+            let plan = LccPlan::new(&sp, &scene, &fragments, level);
             let mut tp = TaskProcess::default();
             b.iter(|| {
                 let mut wmes = 0;
                 for i in 0..plan.units.len() {
-                    let task = plan.task(&sp, &scene, &fragments, i);
+                    let task = plan.task(i);
                     let mut attempt = tp.begin(&task, false);
                     task.load(attempt.engine());
                     wmes += attempt.engine().wm().len();
@@ -81,10 +89,10 @@ fn bench_spam(c: &mut Criterion) {
         let lcc = run_lcc(&sp, &scene, &fragments, Level::L3);
         let supported = Arc::new(lcc.fragments);
         let task = FaTask {
-            sp: &sp,
-            scene: &scene,
-            fragments: &supported,
-            consistents: &lcc.consistents,
+            sp: sp.clone(),
+            scene: Arc::clone(&scene),
+            fragments: Arc::clone(&supported),
+            consistents: lcc.consistents,
         };
         let mut tp = TaskProcess::default();
         b.iter(|| {

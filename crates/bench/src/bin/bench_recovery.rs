@@ -2,8 +2,8 @@
 //! fault-free sequential LCC run (DC, Level 3) fixes the expected results
 //! and per-task cycle counts; for each checkpoint interval a seeded
 //! `chaos_schedule` kills three tasks mid-cycle (plus one kill holding the
-//! checkpoint lock and one torn WAL tail) and the recoverable parallel
-//! runner is measured: cycles replayed, cycles saved versus from-scratch
+//! checkpoint lock and one torn WAL tail) and the checkpointed parallel
+//! phase is measured: cycles replayed, cycles saved versus from-scratch
 //! retries, WAL records replayed, torn bytes dropped, and the wall-clock
 //! recovery latency. Writes `BENCH_recovery.json`.
 //!
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use spam::lcc::{run_lcc, Level};
 use spam::rules::SpamProgram;
 use spam_psm::exec::{ExecConfig, PhaseRun};
-use spam_psm::{run_parallel_lcc_recoverable, CheckpointConfig};
+use spam_psm::{run_parallel_lcc, CheckpointConfig};
 use tlp_bench::header;
 use tlp_fault::SupervisorConfig;
 use tlp_obs::json::Json;
@@ -73,17 +73,12 @@ fn main() -> ExitCode {
         let how = PhaseRun {
             cfg: cfg.clone(),
             plan: plan.clone(),
+            checkpoint: Some(CheckpointConfig::every(interval)),
             ..PhaseRun::new(ExecConfig::central_queue(WORKERS))
         };
-        let (par, recovery) = run_parallel_lcc_recoverable(
-            &sp,
-            &scene,
-            &frags,
-            Level::L3,
-            &how,
-            &CheckpointConfig::every(interval),
-        )
-        .expect("chaos run completes");
+        let (par, measured) =
+            run_parallel_lcc(&sp, &scene, &frags, Level::L3, &how).expect("chaos run completes");
+        let recovery = measured.recovery;
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
         // The bench doubles as the acceptance check: crash + recover must

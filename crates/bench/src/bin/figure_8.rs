@@ -6,7 +6,8 @@
 //! limited to ≈2.5 (match is ~60 % of RTF execution).
 
 use paraops5::costmodel::{amdahl_limit, match_speedup_curve, CostModel};
-use spam::rtf::{rtf_task_batches, run_rtf_tasks};
+use spam::rtf::{rtf_task_batches, RtfPhase, RtfResult};
+use spam::task::{drain, TaskProcess};
 use spam_psm::tlp::simulated_tlp_curve;
 use spam_psm::trace::rtf_trace;
 use tlp_bench::{curve_line, header, Prepared};
@@ -19,7 +20,11 @@ fn main() {
         // Batch size chosen for the paper's 60-100 tasks per dataset.
         let batch = (p.scene.len() / 70).max(1);
         let batches = rtf_task_batches(&p.scene, batch);
-        let (_, results) = run_rtf_tasks(&p.sp, &p.scene, &batches);
+        let (sp, scene) = (p.sp.clone(), std::sync::Arc::clone(&p.scene));
+        let phase = RtfPhase { sp, scene, batches };
+        let results: Vec<RtfResult> = (drain(&mut TaskProcess::default(), &phase, false))
+            .map(|(r, _)| r)
+            .collect();
         let trace = rtf_trace(&results);
         let tlp = simulated_tlp_curve(&trace, 14);
         let match_curve = match_speedup_curve(&trace.cycle_log, 13, &model);

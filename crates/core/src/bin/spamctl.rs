@@ -164,22 +164,20 @@
 //!   `<id>` may be a unique hex prefix (>= 4 chars).
 
 use spam::fa::{run_fa, FaTask};
-use spam::lcc::Level;
+use spam::lcc::{merge_lcc_units, LccPlan, Level};
 use spam::model::{run_model, ModelTask};
 use spam::phases::MIPS;
-use spam::rtf::{run_rtf, RtfTask};
+use spam::rtf::{run_rtf, RtfPhase};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
-use spam::task::TaskProcess;
+use spam::task::{drain, TaskList, TaskProcess};
 use spam::topdown::run_topdown;
 use spam_psm::exec::{ExecConfig, Observer, PhaseRun};
-use spam_psm::recover::{
-    execute_recoverable, CheckpointConfig, Recoverable, Recovered, RecoveryInfo,
-};
+use spam_psm::recover::CheckpointConfig;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig};
+use tlp_fault::{FaultPlan, SupervisorConfig, TaskReport};
 use tlp_obs::json::Json;
 use tlp_obs::{
     Live, ObsLevel, Recorder, RetainedTrace, SampleVerdict, SamplerConfig, SloConfig, SloMonitor,
@@ -844,23 +842,32 @@ fn placement(o: &Opts, workers: usize) -> ExecConfig {
     }
 }
 
-/// One phase of a chaos run. `seq` is the phase's fault-free result, task by
-/// task, and fixes the per-task cycle counts (`cycles`); `chaos_schedule`
-/// then derives a kill plan from them (mid-cycle kills at checkpointable
-/// cycles, one kill while holding the checkpoint lock, one torn WAL tail),
-/// `run` executes the phase recoverably under it, and the results must come
-/// back equal to `seq` — whole values — with the recovery accounting the plan
-/// allows ([`RecoveryReport::check`]). On any failure the full fault plan
-/// (seed and schedule) is in the error so the run can be replayed.
-fn chaos_phase<T: PartialEq>(
+/// One phase of a chaos run. `list` drained fault-free is the baseline
+/// (`count`: a task's firings and how many `what` it made); its per-task
+/// firings fix the kill plan of `chaos_schedule`. The phase then runs
+/// checkpointed under that plan and must return the baseline, whole values,
+/// with the recovery accounting the plan allows (`RecoveryReport::check`);
+/// a failure carries the plan, to replay it. Returns the baseline.
+fn chaos_phase<L>(
     o: &Opts,
-    baseline: String,
-    seq: &[T],
-    cycles: fn(&T) -> u64,
-    run: impl FnOnce(&PhaseRun<'_>, &CheckpointConfig) -> Result<Recovered<T>, SuperviseError>,
-) -> Result<(), String> {
-    let task_cycles: Vec<u64> = seq.iter().map(cycles).collect();
-    println!("baseline: {} tasks, {baseline}", seq.len());
+    list: L,
+    what: &str,
+    count: fn(&L::Output) -> (u64, usize),
+) -> Result<Vec<L::Output>, String>
+where
+    L: TaskList + Send + Sync + 'static,
+    L::Output: PartialEq + Send + 'static,
+{
+    let list = Arc::new(list);
+    let seq: Vec<L::Output> = (drain(&mut TaskProcess::default(), &*list, false))
+        .map(|(r, _)| r)
+        .collect();
+    let (task_cycles, made): (Vec<u64>, Vec<usize>) = seq.iter().map(count).unzip();
+    let (firings, made) = (task_cycles.iter().sum::<u64>(), made.iter().sum::<usize>());
+    println!(
+        "baseline: {} tasks, {firings} firings, {made} {what}",
+        seq.len()
+    );
     let plan = tlp_fault::chaos_schedule(o.chaos_seed, o.kills, &task_cycles, o.ckpt_interval);
     print!("{}", plan.describe());
 
@@ -870,10 +877,12 @@ fn chaos_phase<T: PartialEq>(
     let how = PhaseRun {
         cfg,
         plan: plan.clone(),
+        checkpoint: Some(CheckpointConfig::every(o.ckpt_interval)),
         ..PhaseRun::new(placement(o, o.workers.unwrap_or(3).max(1)))
     };
-    let (slots, report, recovery) = run(&how, &CheckpointConfig::every(o.ckpt_interval))
+    let (slots, report, measured) = spam_psm::run_phase(&how, &list)
         .map_err(|e| format!("chaos run failed to complete: {e}\n{}", plan.describe()))?;
+    let recovery = measured.recovery;
     println!("recovery: {}", recovery.summary());
 
     let mut failures: Vec<String> = Vec::new();
@@ -881,7 +890,7 @@ fn chaos_phase<T: PartialEq>(
     if !dead.is_empty() {
         failures.push(format!("{} task(s) dead-lettered: {dead:?}", dead.len()));
     }
-    for (i, (got, want)) in slots.iter().zip(seq).enumerate() {
+    for (i, (got, want)) in slots.iter().zip(&seq).enumerate() {
         if got.as_ref().is_some_and(|got| got != want) {
             failures.push(format!("task {i}: result diverged from the fault-free run"));
         }
@@ -904,15 +913,12 @@ fn chaos_phase<T: PartialEq>(
          from-scratch ({} saved) — ok",
         recovery.cycles_replayed, scratch_cost, recovery.cycles_saved
     );
-    Ok(())
+    Ok(seq)
 }
 
 /// The `chaos` subcommand: a seeded crash-recovery acceptance run over the
-/// whole interpretation. Every phase — RTF as the paper's 64-odd batches,
-/// LCC at `--level`, FA and MODEL as phases of one task — is run fault-free
-/// first, then recoverably under its own `chaos_schedule` ([`chaos_phase`]);
-/// each feeds the next what the fault-free one would have, which is what it
-/// computed.
+/// whole interpretation, one [`chaos_phase`] per task list — RTF's 64-odd
+/// batches, LCC at `--level`, FA, MODEL — each fed the fault-free results.
 fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
     println!(
         "spamctl chaos: {}, seed {}, {} kill(s), checkpoint every {} cycles, {} worker(s)",
@@ -922,102 +928,44 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), Strin
         o.ckpt_interval,
         o.workers.unwrap_or(3).max(1),
     );
-    // A phase of tasks that are not LCC units, through the generic runner.
-    fn phase<T: Send + 'static>(
-        labels: Vec<String>,
-        task: impl Fn(&mut TaskProcess, Recoverable<'_>) -> (T, RecoveryInfo) + Send + Sync + 'static,
-    ) -> impl FnOnce(&PhaseRun<'_>, &CheckpointConfig) -> Result<Recovered<T>, SuperviseError> {
-        move |how, ckpt| execute_recoverable(how, ckpt, labels, &[], |_, _| {}, task)
-    }
-    let owned = |fragments| (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
-
     println!("phase RTF:");
     let batches = spam::rtf::rtf_task_batches(scene, scene.len().div_ceil(64));
-    let (merged, seq) = spam::rtf::run_rtf_tasks(sp, scene, &batches);
-    let firings: u64 = seq.iter().map(|r| r.firings).sum();
-    let baseline = format!("{firings} firings, {} fragments", merged.len());
-    let labels = (0..batches.len()).map(|i| format!("rtf batch {i}"));
-    let (sp_, scene_) = (sp.clone(), Arc::clone(scene));
-    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
-        let (sp, scene, regions) = (&sp_, &scene_, &batches[r.task()][..]);
-        r.run(tp, &RtfTask { sp, scene, regions })
+    let rtf = RtfPhase {
+        sp: sp.clone(),
+        scene: Arc::clone(scene),
+        batches,
     };
-    chaos_phase(
-        o,
-        baseline,
-        &seq,
-        |r| r.firings,
-        phase(labels.collect(), task),
-    )?;
+    chaos_phase(o, rtf, "fragments", |r| (r.firings, r.fragments.len()))?;
 
     println!("phase LCC:");
     let fragments = Arc::new(run_rtf(sp, scene).fragments);
-    let lcc = spam::lcc::run_lcc(sp, scene, &fragments, o.level);
-    let (firings, records) = (lcc.firings, lcc.consistents.len());
-    let baseline = format!("{firings} firings, {records} consistency records");
-    chaos_phase(
-        o,
-        baseline,
-        &lcc.units,
-        |u| u.firings,
-        |how, ckpt| {
-            let (level, fragments) = (o.level, &fragments);
-            spam_psm::run_parallel_lcc_recoverable(sp, scene, fragments, level, how, ckpt).map(
-                |(phase, recovery)| {
-                    let slots = phase.units.into_iter().map(Some).collect();
-                    (slots, phase.report, recovery)
-                },
-            )
-        },
-    )?;
+    let lcc = LccPlan::new(sp, scene, &fragments, o.level);
+    let units = chaos_phase(o, lcc, "consistency records", |u| {
+        (u.firings, u.consistents.len())
+    })?;
+    let units = units.into_iter().map(Some);
+    let lcc = merge_lcc_units(o.level, &fragments, units, TaskReport::default());
 
     println!("phase FA:");
     let fragments = Arc::new(lcc.fragments);
-    let fa = [run_fa(sp, scene, &fragments, &lcc.consistents)];
-    let baseline = format!("{} firings, {} areas", fa[0].firings, fa[0].areas.len());
-    let ((sp_, scene_, frags), consistents) = (owned(&fragments), lcc.consistents);
-    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
-        let (sp, scene, fragments, consistents) = (&sp_, &scene_, &frags, &consistents[..]);
-        let task = FaTask {
-            sp,
-            scene,
-            fragments,
-            consistents,
-        };
-        r.run(tp, &task)
+    let fa = FaTask {
+        sp: sp.clone(),
+        scene: Arc::clone(scene),
+        fragments: Arc::clone(&fragments),
+        consistents: lcc.consistents,
     };
-    chaos_phase(
-        o,
-        baseline,
-        &fa,
-        |r| r.firings,
-        phase(vec!["fa".into()], task),
-    )?;
+    let fa = chaos_phase(o, fa, "areas", |r| (r.firings, r.areas.len()))?.remove(0);
 
     println!("phase MODEL:");
-    let [fa] = fa;
-    let model = [run_model(sp, scene, &fragments, &fa.areas, &fa.members)];
-    let baseline = format!("{} firings, {} model(s)", model[0].firings, model[0].models);
-    let (sp_, scene_, frags) = owned(&fragments);
-    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
-        let (sp, scene, fragments) = (&sp_, &scene_, &frags);
-        let (areas, members) = (&fa.areas[..], &fa.members[..]);
-        let task = ModelTask {
-            sp,
-            scene,
-            fragments,
-            areas,
-            members,
-        };
-        r.run(tp, &task)
+    let (areas, members) = (fa.areas, fa.members);
+    let model = ModelTask {
+        sp: sp.clone(),
+        scene: Arc::clone(scene),
+        fragments,
+        areas,
+        members,
     };
-    chaos_phase(
-        o,
-        baseline,
-        &model,
-        |r| r.firings,
-        phase(vec!["model".into()], task),
-    )
+    chaos_phase(o, model, "model(s)", |r| (r.firings, r.models)).map(drop)
 }
 
 // ---------------------------------------------------------------------------
@@ -1635,6 +1583,7 @@ fn run_pipeline(
                 slo: slo.clone(),
                 span: scene_span.as_ref(),
             },
+            checkpoint: None,
         };
         let (lcc, m) = spam_psm::run_parallel_lcc(sp, scene, &fragments, o.level, &how)
             .map_err(|e| format!("LCC supervision error: {e}"))?;

@@ -3,11 +3,12 @@
 //! `n` task processes (workers), each running whole OPS5 engine tasks.
 //!
 //! There is one runner, [`execute`], and it is the only place in the crate
-//! that forks task workers, catches a task's panic, or decides a retry.
-//! Everything above it (`tlp`, `recover`, `spamctl`, the benches) describes
-//! *how* a phase is to be run with one [`PhaseRun`] value — where tasks are
-//! placed, the supervision policy, the fault plan, the observers — and
-//! supplies the task closure.
+//! that forks task workers, catches a task's panic, or decides a retry. Its
+//! one product caller is [`crate::tlp::run_phase`], which supplies the task
+//! closure for any SPAM phase; everything above that (`spamctl`, the
+//! benches) describes *how* a phase is to be run with one [`PhaseRun`]
+//! value — where tasks are placed, the supervision policy, the fault plan,
+//! checkpointing, the observers.
 //!
 //! # Task processes are resident
 //!
@@ -107,6 +108,7 @@
 //! own start and finish instants, so the four accounts of a run's busy
 //! time agree (`tests/cross_source_agreement.rs` holds them within 1 %).
 
+use crate::recover::{CheckpointConfig, RecoveryReport};
 use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
 use std::any::Any;
@@ -230,9 +232,9 @@ impl Observer<'static> {
     }
 }
 
-/// How one phase is run: the single value every runner above [`execute`]
-/// takes instead of re-threading placement, policy, plan and observers.
-/// Build it with [`PhaseRun::new`] and struct-update what differs.
+/// How one phase is run: the single value [`crate::tlp::run_phase`] takes
+/// instead of re-threading placement, policy, plan and observers. Build it
+/// with [`PhaseRun::new`] and struct-update what differs.
 #[derive(Clone)]
 pub struct PhaseRun<'a> {
     /// Task placement.
@@ -243,18 +245,21 @@ pub struct PhaseRun<'a> {
     pub plan: FaultPlan,
     /// What watches the phase.
     pub obs: Observer<'a>,
+    /// Checkpoints, from which a retried task resumes ([`crate::recover`]).
+    pub checkpoint: Option<CheckpointConfig>,
 }
 
 impl PhaseRun<'static> {
     /// `exec`'s placement under the default policy (no deadline, no
-    /// retries), no injected faults, nothing observing. A panicking task is
-    /// still isolated and reported rather than tearing the phase down.
+    /// retries), no injected faults or checkpoints, nothing observing. A
+    /// panicking task is still isolated and reported, not fatal.
     pub fn new(exec: ExecConfig) -> PhaseRun<'static> {
         PhaseRun {
             exec,
             cfg: SupervisorConfig::default(),
             plan: FaultPlan::none(),
             obs: Observer::off(),
+            checkpoint: None,
         }
     }
 }
@@ -332,6 +337,8 @@ pub struct ExecReport {
     pub attempts: Vec<ExecAttempt>,
     /// Tasks that dead-lettered (never completed).
     pub lost_tasks: u32,
+    /// What a checkpointed phase recovered; empty when nothing was.
+    pub recovery: RecoveryReport,
 }
 
 impl ExecReport {
@@ -438,6 +445,9 @@ impl ExecReport {
         self.to_sim_result().timeline(name)
     }
 }
+
+/// A phase's slots in task order (`None`: dead-lettered), report, schedule.
+pub type PhaseOutcome<T> = (Vec<Option<T>>, TaskReport, ExecReport);
 
 /// Greedy dynamic chunking: consecutive tasks batch together until the
 /// chunk's summed estimate reaches `chunk_target` (zero reads as one).
@@ -1024,17 +1034,15 @@ fn control_marker(
 /// describes (module docs: resident task processes, placement,
 /// supervision, observers).
 ///
-/// Returns one `Option<T>` slot per task (in task order; `None` marks a
-/// dead-lettered task), the [`TaskReport`], and the measured
-/// [`ExecReport`]. Fails fast with [`SuperviseError::NoWorkers`] when
-/// `how.exec.workers` is zero.
+/// Returns the [`PhaseOutcome`]; fails fast with
+/// [`SuperviseError::NoWorkers`] when `how.exec.workers` is zero.
 ///
 /// `estimates` gives each task's a-priori work estimate for dynamic
 /// chunking (WME counts scaled by [`ESTIMATE_UNITS_PER_WME`], or any
-/// consistent unit); empty means uniform. `on_complete` runs on the control
-/// thread once per successful task, before the task's epoch closes —
-/// callers mirror task results (work counters, SLO latency observations)
-/// into the observers from there.
+/// consistent unit), one per task; empty means uniform, any other length
+/// is a caller's bug. `on_complete` runs on the control thread once per
+/// successful task, before the task's epoch closes — callers mirror task
+/// results (work counters, SLO latency observations) into the observers.
 ///
 /// `task` and its result are `'static` because the workers are resident
 /// threads, not scoped ones: a caller shares its inputs by `Arc` (every
@@ -1045,7 +1053,7 @@ fn control_marker(
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index (the [`TaskAttempt`] carries the
-/// attempt number, which is what the recovery runner needs to decide
+/// attempt number, which is what a checkpointed phase needs to decide
 /// whether to restore from a checkpoint), on whichever worker's `S`. The
 /// SPAM phase runners satisfy this by running every attempt on an engine
 /// in its just-built state — new, or reset and taken *out of* `S` while
@@ -1064,18 +1072,24 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     estimates: &[u64],
     on_complete: impl Fn(usize, &T),
     task: impl Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
-) -> Result<(Vec<Option<T>>, TaskReport, ExecReport), SuperviseError> {
+) -> Result<PhaseOutcome<T>, SuperviseError> {
     let PhaseRun {
         exec,
         cfg,
         plan,
         obs,
+        ..
     } = how;
     let (rec, live, slo) = (&obs.rec, &obs.live, obs.slo.as_ref());
     if exec.workers == 0 {
         return Err(SuperviseError::NoWorkers);
     }
     let n_tasks = labels.len();
+    let n_est = estimates.len();
+    debug_assert!(
+        n_est == 0 || n_est == n_tasks,
+        "{n_est} estimates for {n_tasks} tasks"
+    );
     if n_tasks == 0 {
         let report = TaskReport { outcomes: vec![] };
         return Ok((Vec::new(), report, ExecReport::default()));
@@ -1116,11 +1130,11 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     // shared overflow queue, in task order. The deal is private until it
     // is published, with one wake-up.
     let uniform;
-    let est = if estimates.len() == n_tasks {
-        estimates
-    } else {
+    let est = if estimates.is_empty() {
         uniform = vec![1u64; n_tasks];
         &uniform
+    } else {
+        estimates
     };
     let chunks = chunk_tasks(est, exec.chunk_target);
     let n_chunks = chunks.len() as u64;
@@ -1383,6 +1397,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         wall_s: phase_start.elapsed().as_secs_f64(),
         lost_tasks: outcomes.iter().filter(|o| !o.status.succeeded()).count() as u32,
         attempts: attempts_log,
+        recovery: RecoveryReport::default(),
     };
     if ctl.enabled(ObsLevel::Summary) {
         let dead = report.lost_tasks;
@@ -1497,14 +1512,12 @@ mod tests {
             .with_backoff(Duration::from_millis(1))
     }
 
-    type Ran<T> = (Vec<Option<T>>, TaskReport, ExecReport);
-
     /// `n` tasks under `how`, the task a function of its index alone.
     fn run<T: Send + 'static>(
         how: &PhaseRun<'_>,
         n: usize,
         task: impl Fn(usize) -> T + Send + Sync + 'static,
-    ) -> Ran<T> {
+    ) -> PhaseOutcome<T> {
         execute(
             how,
             labels(n),
@@ -2271,6 +2284,38 @@ mod tests {
         let chunks = chunk_tasks(&[0, 0, 0, 0], 2);
         let covered: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(covered, 4);
+    }
+
+    /// `estimates` is one per task or none: none chunks uniformly, a full
+    /// slice as [`chunk_tasks`] does (a task past the target closes a chunk).
+    #[test]
+    fn estimates_are_one_per_task_or_none() {
+        let how = PhaseRun::new(ExecConfig {
+            chunk_target: 4,
+            ..ExecConfig::new(1)
+        });
+        let chunks = |n, estimates: &[u64]| {
+            let (slots, report, exec) = execute(
+                &how,
+                labels(n),
+                estimates,
+                |_, _| {},
+                |_: &mut (), a| a.task,
+            )
+            .unwrap();
+            assert!(report.is_clean() && slots.iter().flatten().count() == n);
+            exec.chunks
+        };
+        assert_eq!(chunks(10, &[]), 3, "uniform: 4 + 4 + 2 tasks");
+        assert_eq!(chunks(4, &[1, 100, 1, 1]), 2, "weighed: 0..2, 2..4");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "2 estimates for 3 tasks")]
+    fn a_wrong_number_of_estimates_is_a_caller_bug() {
+        let how = PhaseRun::new(ExecConfig::new(1));
+        let _ = execute(&how, labels(3), &[1, 2], |_, _| {}, |_: &mut (), a| a.task);
     }
 
     #[test]

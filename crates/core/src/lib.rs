@@ -21,10 +21,10 @@
 //! * [`measure`] — the decomposition-selection methodology of §4: per-level
 //!   mean/σ/CV/task-count rows (Tables 5–7) and the baseline rows of
 //!   Table 8;
-//! * [`tlp`] — task-level parallelism itself: the LCC and RTF phases on
-//!   real task-process threads (verified equivalent to the sequential run)
-//!   and simulated speed-up curves at arbitrary processor counts
-//!   (Figures 6 and 8);
+//! * [`tlp`] — task-level parallelism itself: any phase on real
+//!   task-process threads through one entry, [`run_phase`] (verified
+//!   equivalent to the sequential run), and simulated speed-up curves at
+//!   arbitrary processor counts (Figures 6 and 8);
 //! * [`combined`] — TLP × match-parallelism combination and the
 //!   multiplicative-speed-up prediction of Table 9;
 //! * [`attribution`] — the "speedup doctor": Amdahl decomposition from
@@ -49,8 +49,8 @@
 //! * [`baseline`] — the §6 unoptimised-baseline comparison (the 10–20×
 //!   Lisp→C/ParaOPS5 port factor), via the engine's naive-match backend;
 //! * [`recover`] — crash-consistent checkpoints and deterministic replay
-//!   recovery: a retried task resumes from its last engine snapshot plus
-//!   WAL replay instead of starting over;
+//!   recovery for a phase run with checkpoints: a retried task resumes from
+//!   its last engine snapshot plus WAL replay instead of starting over;
 //! * [`taxonomy`] — Table 4 as data.
 
 #![deny(missing_docs)]
@@ -76,17 +76,15 @@ pub use attribution::{
 };
 pub use combined::{combined_grid, CombinedCell};
 pub use exec::{
-    chunk_tasks, execute, ExecAttempt, ExecConfig, ExecReport, Observer, PhaseRun, WorkerStats,
+    chunk_tasks, execute, ExecAttempt, ExecConfig, ExecReport, Observer, PhaseOutcome, PhaseRun,
+    WorkerStats,
 };
 pub use measure::{level_rows, profiled_lcc, table8_row, LevelRowMeasured, Table8Row};
-pub use recover::{
-    execute_recoverable, run_parallel_lcc_recoverable, CheckpointConfig, CheckpointStore,
-    Recoverable, RecoveryInfo, RecoveryReport,
-};
+pub use recover::{CheckpointConfig, RecoveryInfo, RecoveryReport};
 pub use supervise::TaskAttempt;
 pub use tlp::{
     attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_scene,
-    run_parallel_rtf, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,
+    run_parallel_rtf, run_phase, simulated_tlp_curve, synchronous_makespan, RtfParallelResult,
 };
 pub use trace::{lcc_trace, record_phase_metrics, record_sim_metrics, rtf_trace, PhaseTrace};
 pub use whatif::{

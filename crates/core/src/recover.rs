@@ -1,82 +1,38 @@
-//! Crash-consistent checkpointed execution and deterministic replay
-//! recovery for task processes — of any phase: recovery is per *task*.
-//!
-//! The paper's runs restarted a whole phase when a task process died; the
-//! supervisor improved on that by retrying the dead task *from scratch*.
-//! This module closes the loop with real crash recovery:
-//!
-//! * every attempt begun from nothing persists a **write-ahead log** of its
-//!   initial working-memory load (cycle-0 assert records, the `control`
-//!   element included) into the phase's [`CheckpointStore`] *before* its
-//!   first cycle;
-//! * every `interval` recognize–act cycles the attempt saves a versioned,
-//!   checksummed **engine snapshot** ([`ops5::Engine::snapshot`]) and, in
-//!   the same critical section, the cycles it has logged since the last;
-//! * when the supervisor retries a dead task, the retry *resumes*: it
-//!   restores the last snapshot, replays any WAL records past the
-//!   checkpoint cycle, and continues — re-executing only the cycles since
-//!   the last checkpoint instead of the whole task.
-//!
-//! None of that is a second way to run a task. A recoverable attempt is the
-//! lifecycle of [`spam::task`] — the same [`Task`] description RTF, LCC, FA
-//! and MODEL give the plain runners — entered through
-//! [`TaskProcess::resume`] instead of [`TaskProcess::begin`] when there is a
-//! snapshot to resume from, and driven by the one loop in [`spam::watch`]
-//! under a [`DrivePolicy`] that asks for control at the next checkpoint
-//! cycle and at the cycle the fault plan fates the attempt to die at. What
-//! is this module's own: the store, the recovery ladder (checkpoint + WAL →
-//! WAL rebuild → scratch) with its flight-recorder events, and the report.
-//!
-//! Recovery is deterministic: the restored engine is byte-identical to the
-//! never-crashed engine at the checkpoint cycle (the ops5 snapshot tests
-//! prove this), and OPS5 conflict resolution is deterministic, so the
-//! resumed attempt returns exactly the fault-free task's result — work
-//! counters (the snapshot carries them across the crash) and the whole cycle
-//! log (the store does) included. It ends like any attempt: its engine goes
-//! back to the worker's process. A retry still depends on nothing the dead
-//! attempt held — that attempt was dropped with its engine.
-//!
-//! Fault tolerance of the recovery machinery itself:
-//!
-//! * the store's mutex is poison-tolerant ([`PoisonError::into_inner`]):
-//!   a worker dying *while holding* the checkpoint lock (the
-//!   `checkpoint_hold_kill` chaos fault) does not wedge later checkpoints
-//!   or recoveries — the saved state is a plain value, never left
-//!   half-updated;
-//! * a torn WAL tail (crash mid-append) is truncated, not fatal: with a
-//!   checkpoint the torn records are subsumed by the snapshot; without
-//!   one, the tear means the crash happened before the run loop started,
-//!   so a from-scratch rebuild loses nothing.
+//! Crash-consistent checkpoints and deterministic replay recovery, per
+//! *task*, for a phase run with [`PhaseRun::checkpoint`] set (DESIGN §16).
+//! An attempt begun from nothing writes its initial working memory to a
+//! **write-ahead log** in the phase's `CheckpointStore` before its first
+//! cycle, then every `interval` cycles a checksummed **engine snapshot**
+//! with the cycles logged since the last; a retry restores the last
+//! snapshot, replays the WAL past it and re-executes only the cycles since.
+//! It is the lifecycle of [`spam::task`] all the same — entered through
+//! [`TaskProcess::resume`] or [`TaskProcess::begin_empty`], driven by the
+//! one loop in [`spam::watch`] under a [`DrivePolicy`] that stops at each
+//! checkpoint and at the fault plan's kill — so a resumed attempt returns
+//! exactly the fault-free result, whole cycle log included. This module owns
+//! the store, that policy, the recovery ladder (checkpoint + WAL → WAL
+//! rebuild → scratch) with its recorder events, and the report. The store's
+//! mutex is poison-tolerant ([`PoisonError::into_inner`]), so a kill while
+//! holding it wedges nothing, and a torn WAL tail is truncated: subsumed by
+//! a snapshot or, with none, proof the crash came before the first cycle.
 
-use crate::exec::{execute, PhaseRun};
+use crate::exec::PhaseRun;
 use crate::supervise::TaskAttempt;
-use crate::tlp::{lcc_task_list, observe_unit};
 use ops5::snapshot::apply_record;
 use ops5::{CycleStats, Engine, Wal, WalOp, WalRecord};
-use spam::fragments::FragmentHypothesis;
-use spam::lcc::{merge_lcc_units, LccPhaseResult, LccPlan, LccUnitResult, Level};
-use spam::rules::SpamProgram;
-use spam::scene::Scene;
 use spam::task::{Task, TaskProcess};
 use spam::watch::{DrivePolicy, Watch};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
-use tlp_fault::{FaultPlan, SuperviseError, TaskReport};
+use tlp_fault::FaultPlan;
 use tlp_obs::{Category, ObsLevel, Recorder, ThreadSink};
 
-/// Checkpoint policy for a recoverable phase.
+/// Checkpoint policy for a phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Cycles between snapshots; `0` disables checkpointing (recovery then
     /// falls back to WAL replay from cycle 0).
     pub interval: u64,
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        CheckpointConfig { interval: 8 }
-    }
 }
 
 impl CheckpointConfig {
@@ -88,7 +44,7 @@ impl CheckpointConfig {
 
 /// Persisted crash-recovery state of one task.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Saved {
+pub(crate) struct Saved {
     /// The write-ahead log of the task's load.
     pub wal: Vec<u8>,
     /// The most recent snapshot, with the cycle it was taken at.
@@ -97,25 +53,15 @@ pub struct Saved {
     pub logged: Vec<CycleStats>,
 }
 
-/// The durable store checkpoints and WALs survive worker death in.
-///
-/// Owned by the phase's task closure, *outside* the workers'
-/// `catch_unwind` boundary, so a dead attempt's last checkpoint is intact
-/// when the supervisor schedules the retry. Every lock acquisition
-/// recovers from poisoning: the stored state is a plain value that is
-/// never left half-updated, so a holder dying mid-save (the
-/// `checkpoint_hold_kill` chaos fault) invalidates nothing.
+/// Where checkpoints and WALs survive worker death: the phase's, outside
+/// the workers' `catch_unwind`. Every lock recovers from poisoning; the
+/// state is a plain value never left half-updated.
 #[derive(Debug, Default)]
-pub struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     state: Mutex<HashMap<usize, Saved>>,
 }
 
 impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> CheckpointStore {
-        CheckpointStore::default()
-    }
-
     fn lock(&self) -> MutexGuard<'_, HashMap<usize, Saved>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -125,14 +71,11 @@ impl CheckpointStore {
         self.lock().entry(task).or_default().wal = wal;
     }
 
-    /// Persists `task`'s snapshot taken at `cycle` (replacing any older
-    /// checkpoint) together with `logged`, the cycles logged since the
-    /// checkpoint before it — appended, so the stored log ends at `cycle`
-    /// and costs O(cycles) over the task — then runs `and_then` *while still
-    /// holding the store lock*. The chaos harness injects its
-    /// kill-while-holding-checkpoint fault there; the data is in before the
-    /// hook runs, so a panicking hook poisons the mutex but never loses the
-    /// checkpoint or parts it from its log.
+    /// Persists `task`'s snapshot taken at `cycle` with `logged`, the cycles
+    /// logged since the checkpoint before (appended: the stored log ends at
+    /// `cycle`), then runs `and_then` *still holding the lock* — where chaos
+    /// kills a holder. The data is in before, so a panicking hook poisons
+    /// the mutex but loses nothing.
     pub fn save_checkpoint_with(
         &self,
         task: usize,
@@ -155,9 +98,9 @@ impl CheckpointStore {
         self.lock().get(&task).cloned()
     }
 
-    /// Has a lock holder died while holding the store mutex? Recovery
-    /// still works when true — the accessors recover the guard.
-    pub fn is_poisoned(&self) -> bool {
+    /// Has a lock holder died while holding the store mutex?
+    #[cfg(test)]
+    fn is_poisoned(&self) -> bool {
         self.state.is_poisoned()
     }
 }
@@ -202,7 +145,7 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    fn add(&mut self, info: RecoveryInfo) {
+    pub(crate) fn add(&mut self, info: RecoveryInfo) {
         self.cycles_replayed += info.cycles_replayed;
         self.cycles_saved += info.cycles_saved;
         self.wal_records_replayed += info.wal_records_replayed;
@@ -228,14 +171,12 @@ impl RecoveryReport {
         )
     }
 
-    /// Judges the accounting against the `plan` that was injected into a
-    /// phase whose tasks take `task_cycles` fault-free: every killed task
-    /// recovered, and what their retries replayed plus what checkpoints
-    /// saved them is exactly what retries from scratch would have cost
-    /// (returned) — *strictly* less replayed only where the plan fates a
-    /// kill past a cycle a checkpoint every `interval` can have been taken at
-    /// (a kill at cycle `k` precedes the checkpoint at `k`). Whether the
-    /// results equal the fault-free ones is the caller's `==`.
+    /// Judges the accounting against the `plan` injected into a phase whose
+    /// tasks take `task_cycles` fault-free: every killed task recovered, and
+    /// replayed + saved cycles are exactly what retries from scratch would
+    /// cost (returned) — replayed *strictly* less only where a kill falls
+    /// past a checkpoint every `interval` (a kill at `k` precedes the
+    /// checkpoint at `k`). The results' `==` is the caller's.
     pub fn check(
         &self,
         plan: &FaultPlan,
@@ -274,18 +215,17 @@ impl RecoveryReport {
     }
 }
 
-/// What the attempts of one recoverable phase share.
-struct Recovery {
+/// What the attempts of one checkpointed phase share.
+pub(crate) struct Recovery {
     store: CheckpointStore,
     ckpt: CheckpointConfig,
     plan: FaultPlan,
     rec: Arc<Recorder>,
 }
 
-/// The checkpoint policy of one attempt, for the drive loop: control before
-/// the first cycle of an attempt begun from nothing (its load goes to the
-/// WAL), at every multiple of [`CheckpointConfig::interval`], and at the
-/// cycle the plan kills the attempt at.
+/// One attempt's checkpoint policy: control before the first cycle of an
+/// attempt begun from nothing (WAL), at every multiple of the interval, and
+/// at the cycle the plan kills it at.
 struct Checkpointing<'a> {
     cx: &'a Recovery,
     task: usize,
@@ -354,39 +294,30 @@ impl DrivePolicy for Checkpointing<'_> {
     }
 }
 
-/// One attempt at one task of a recoverable phase, as the phase's task
-/// closure is handed it: [`Recoverable::run`] takes it through the
-/// checkpoint protocol.
-pub struct Recoverable<'a> {
-    cx: &'a Recovery,
-    a: TaskAttempt,
-}
-
-impl Recoverable<'_> {
-    /// Task index within the phase.
-    pub fn task(&self) -> usize {
-        self.a.task
+impl Recovery {
+    /// An empty store for a phase run as `how` says.
+    pub(crate) fn new(ckpt: CheckpointConfig, how: &PhaseRun<'_>) -> Recovery {
+        Recovery {
+            store: CheckpointStore::default(),
+            ckpt,
+            plan: how.plan.clone(),
+            rec: Arc::clone(&how.obs.rec),
+        }
     }
 
-    /// Executes this attempt of `task` on `tp` under the checkpoint
-    /// protocol.
-    ///
-    /// Attempt 0 begins from nothing (persisting its WAL first, then
-    /// checkpointing every [`CheckpointConfig::interval`] cycles). A retry
-    /// resumes from the persisted state: last snapshot + WAL records past
-    /// the checkpoint cycle; WAL-only rebuild when no checkpoint exists;
-    /// from nothing again when the WAL is torn and there is no checkpoint,
-    /// or the snapshot is damaged. Whichever way it started, it is then an
-    /// attempt of the one lifecycle ([`spam::task::Attempt::run`]).
-    ///
-    /// Chaos faults from the phase's plan are honoured: `cycle_kill` panics
-    /// the attempt once the engine reaches the fated cycle;
-    /// `checkpoint_hold_kill` panics it inside the store lock at its first
-    /// checkpoint; `torn_log` chops bytes off the WAL as read by recovery.
-    ///
-    /// The result equals the uninterrupted task's, `==`.
-    pub fn run<K: Task>(self, tp: &mut TaskProcess, task: &K) -> (K::Output, RecoveryInfo) {
-        let (cx, t, attempt, mut trace) = (self.cx, self.a.task, self.a.attempt, self.a.trace);
+    /// Attempt `a` of `task` on `tp` under the checkpoint protocol. Attempt 0
+    /// begins from nothing; a retry resumes from the last snapshot + the WAL
+    /// past it, rebuilds from an intact WAL without one, or begins from
+    /// nothing. The plan's `cycle_kill`, `checkpoint_hold_kill` and
+    /// `torn_log` faults strike here. The result equals the uninterrupted
+    /// task's, `==`.
+    pub(crate) fn run<K: Task>(
+        &self,
+        tp: &mut TaskProcess,
+        task: &K,
+        a: TaskAttempt,
+    ) -> (K::Output, RecoveryInfo) {
+        let (cx, t, attempt, mut trace) = (self, a.task, a.attempt, a.trace);
         let mut sink = cx.rec.sink(format!("recover-t{t}"));
         let mut info = RecoveryInfo {
             task: t,
@@ -489,99 +420,6 @@ impl Recoverable<'_> {
     }
 }
 
-/// What a recoverable phase returns: its slots (`None`: dead-lettered), the
-/// supervision report and the recovery accounting.
-pub type Recovered<T> = (Vec<Option<T>>, TaskReport, RecoveryReport);
-
-/// Runs one phase under the checkpoint/recovery protocol: one
-/// [`execute`] — same placement, policy, plan and observers in `how` — over
-/// task processes, where `task` runs each [`Recoverable`] attempt against a
-/// phase-wide [`CheckpointStore`], so a retried task *resumes from its last
-/// checkpoint* instead of starting over. `on_complete` is [`execute`]'s.
-///
-/// The phase's results are identical to the fault-free sequential run for
-/// every plan the retry budget can absorb — including chaos plans that
-/// kill workers mid-cycle, kill them while they hold the checkpoint-store
-/// lock, and tear WAL tails.
-///
-/// With live telemetry attached, every successful attempt that recovered
-/// a previously crashed task publishes `spam_live_recoveries` and a
-/// `spam_live_recovery_latency_seconds` sample (the recovering attempt's
-/// wall time: restore + replay + remaining cycles), and an attached SLO
-/// monitor is told about each recovery ([`tlp_obs::SloMonitor::on_recovery`]
-/// pins the health ladder at *recovering* until enough clean epochs pass).
-pub fn execute_recoverable<T: Send + 'static>(
-    how: &PhaseRun<'_>,
-    ckpt: &CheckpointConfig,
-    labels: Vec<String>,
-    estimates: &[u64],
-    on_complete: impl Fn(usize, &T),
-    task: impl Fn(&mut TaskProcess, Recoverable<'_>) -> (T, RecoveryInfo) + Send + Sync + 'static,
-) -> Result<Recovered<T>, SuperviseError> {
-    let obs = &how.obs;
-    let lh = obs.live.handle();
-    // What the task closure owns: the workers are resident threads.
-    let cx = Recovery {
-        store: CheckpointStore::new(),
-        ckpt: *ckpt,
-        plan: how.plan.clone(),
-        rec: Arc::clone(&obs.rec),
-    };
-    let (slots, report, _) = execute(
-        how,
-        labels,
-        estimates,
-        |i, (r, info, attempt_s): &(T, RecoveryInfo, f64)| {
-            if info.attempt > 0 {
-                lh.inc("spam_live_recoveries", 1);
-                lh.observe("spam_live_recovery_latency_seconds", *attempt_s);
-                if let Some(slo) = &obs.slo {
-                    slo.on_recovery();
-                }
-            }
-            on_complete(i, r);
-        },
-        move |tp: &mut TaskProcess, a| {
-            let t0 = Instant::now();
-            let (r, info) = task(tp, Recoverable { cx: &cx, a });
-            (r, info, t0.elapsed().as_secs_f64())
-        },
-    )?;
-    let mut recovery = RecoveryReport::default();
-    let results = slots.into_iter().map(|slot| {
-        let (r, info, _) = slot?;
-        if info.attempt > 0 {
-            recovery.add(info);
-        }
-        Some(r)
-    });
-    Ok((results.collect(), report, recovery))
-}
-
-/// [`run_parallel_lcc`](crate::tlp::run_parallel_lcc) as a recoverable phase
-/// ([`execute_recoverable`]): same units, same merge.
-pub fn run_parallel_lcc_recoverable(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    how: &PhaseRun<'_>,
-    ckpt: &CheckpointConfig,
-) -> Result<(LccPhaseResult, RecoveryReport), SuperviseError> {
-    let plan = LccPlan::new(scene, fragments, level);
-    let (labels, estimates) = lcc_task_list(&plan.units, fragments);
-    let obs = &how.obs;
-    let (sp, scene, frags) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
-    let observe = |i, r: &LccUnitResult| observe_unit(obs, i, &r.work);
-    let task = move |tp: &mut TaskProcess, r: Recoverable<'_>| {
-        let task = plan.task(&sp, &scene, &frags, r.task());
-        r.run(tp, &task)
-    };
-    let (slots, report, recovery) =
-        execute_recoverable(how, ckpt, labels, &estimates, observe, task)?;
-    Ok((merge_lcc_units(level, fragments, slots, report), recovery))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,7 +427,7 @@ mod tests {
     #[test]
     fn checkpoint_store_is_poison_tolerant() {
         crate::supervise::install_quiet_hook();
-        let store = Arc::new(CheckpointStore::new());
+        let store = Arc::new(CheckpointStore::default());
         let s = Arc::clone(&store);
         let logged = [CycleStats::default(); 8];
         let _ = std::thread::Builder::new()

@@ -1,36 +1,115 @@
 //! Task-level parallelism: the SPAM/PSM execution model.
 //!
-//! * [`run_parallel_lcc`] / [`run_parallel_rtf`] — the real thing (§5.1):
-//!   a control process (the calling thread) builds the task queue; `n` task
-//!   processes (resident threads, forked once and leased per phase), each
-//!   a complete independent OPS5 engine, pull chunks of tasks and fire
-//!   asynchronously; the control process collects the results. Both are
-//!   one call into the supervised phase runner ([`crate::exec::execute`])
-//!   with [`TaskProcess`] as each worker's per-phase state — the engine a
-//!   worker keeps from task to task, dropped when the phase is over — and
-//!   the phase's task closure, which owns `Arc` clones of its inputs
-//!   because a resident thread cannot borrow them; a [`PhaseRun`] says
-//!   where tasks are placed, under which policy, and who watches. Verified
-//!   to produce exactly the sequential results on either placement at any
-//!   worker count.
+//! * [`run_phase`] — the real thing (§5.1), one entry for every phase: the
+//!   control process (the calling thread) queues a [`TaskList`]'s tasks;
+//!   `n` resident task processes, each keeping a [`TaskProcess`] for the
+//!   phase, pull chunks of them and fire asynchronously. A [`PhaseRun`]
+//!   says where tasks go, under which policy and checkpoints, and who
+//!   watches. [`run_parallel_lcc`] / [`run_parallel_rtf`] are plan →
+//!   [`run_phase`] → merge. The results are exactly the sequential ones
+//!   ([`spam::task::drain`]) on either placement, at any worker count.
 //! * [`simulated_tlp_curve`] — replays a measured trace on the simulated
 //!   Encore Multimax at 1..=14 task processes (Figure 6 / Figure 8): the
 //!   paper's machine and processor counts, whatever the host has.
 
 use crate::attribution::GapAttribution;
-use crate::exec::{execute, ExecConfig, ExecReport, Observer, PhaseRun, ESTIMATE_UNITS_PER_WME};
+use crate::exec::{
+    execute, ExecConfig, ExecReport, Observer, PhaseOutcome, PhaseRun, ESTIMATE_UNITS_PER_WME,
+};
+use crate::recover::{Recovery, RecoveryInfo};
 use crate::trace::PhaseTrace;
 use multimax_sim::{simulate, Schedule, SimConfig};
-use ops5::WorkCounters;
 use spam::fragments::FragmentHypothesis;
-use spam::lcc::{merge_lcc_units, LccPhaseResult, LccPlan, LccUnit, LccUnitResult, Level};
+use spam::lcc::{merge_lcc_units, LccPhaseResult, LccPlan, Level};
+use spam::rtf::{merge_rtf_batches, RtfPhase};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
-use spam::task::TaskProcess;
+use spam::task::{TaskList, TaskProcess};
 use spam::watch::Watch;
 use std::sync::Arc;
+use std::time::Instant;
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
 use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
+
+/// Runs `list` as `how` says, tasks weighed for chunking by their
+/// [estimates](TaskList::estimate). Without a checkpoint an attempt is
+/// `tp.run(&task, watch)`, the [`Watch`] mirroring its engine live and
+/// grouping its cycles under the attempt's span. With one, it runs the
+/// checkpoint protocol ([`crate::recover`]) against one store for the phase
+/// and mirrors nothing live (a restored engine's counters are not new
+/// work); a completion that recovered a crashed task publishes
+/// `spam_live_recoveries` and `spam_live_recovery_latency_seconds`, tells
+/// the SLO monitor ([`SloMonitor::on_recovery`]) and lands in
+/// [`ExecReport::recovery`]. A task whose list [observes](TaskList::observed)
+/// its work has its simulated latency (at the paper's 1.5 MIPS) judged
+/// against the scene's objective and, with its match fraction, recorded in
+/// the scene trace's service table for `spamctl trace`.
+pub fn run_phase<L>(
+    how: &PhaseRun<'_>,
+    list: &Arc<L>,
+) -> Result<PhaseOutcome<L::Output>, SuperviseError>
+where
+    L: TaskList + Send + Sync + 'static,
+    L::Output: Send + 'static,
+{
+    let estimates: Vec<u64> = (0..list.len())
+        .map(|i| list.estimate(i) * ESTIMATE_UNITS_PER_WME)
+        .collect();
+    let obs = &how.obs;
+    let observe = |i: usize, r: &L::Output| {
+        let Some(work) = list.observed(r) else { return };
+        let sim_s = work.seconds_at(spam::phases::MIPS);
+        if let Some(slo) = &obs.slo {
+            slo.observe(sim_s, true);
+        }
+        if let Some(span) = obs.span {
+            span.record_service(i as u32, sim_s, work.match_fraction());
+        }
+    };
+    let tasks = Arc::clone(list);
+    let Some(ckpt) = how.checkpoint else {
+        let live = Arc::clone(&obs.live);
+        return execute(
+            how,
+            list.labels(),
+            &estimates,
+            observe,
+            move |tp: &mut TaskProcess, a| {
+                let watch = Watch::new(Some(&live), a.trace);
+                tp.run(&tasks.task(a.task), watch).0
+            },
+        );
+    };
+    let (cx, lh) = (Recovery::new(ckpt, how), obs.live.handle());
+    let (slots, report, mut measured) = execute(
+        how,
+        list.labels(),
+        &estimates,
+        |i, (r, info, attempt_s): &(L::Output, RecoveryInfo, f64)| {
+            if info.attempt > 0 {
+                lh.inc("spam_live_recoveries", 1);
+                lh.observe("spam_live_recovery_latency_seconds", *attempt_s);
+                if let Some(slo) = &obs.slo {
+                    slo.on_recovery();
+                }
+            }
+            observe(i, r);
+        },
+        move |tp: &mut TaskProcess, a| {
+            let t0 = Instant::now();
+            let (r, info) = cx.run(tp, &tasks.task(a.task), a);
+            (r, info, t0.elapsed().as_secs_f64())
+        },
+    )?;
+    let slots = slots.into_iter().map(|slot| {
+        let (r, info, _) = slot?;
+        if info.attempt > 0 {
+            measured.recovery.add(info);
+        }
+        Some(r)
+    });
+    Ok((slots.collect(), report, measured))
+}
 
 /// Result of a supervised parallel RTF phase: the merged fragments plus the
 /// per-batch supervision outcomes.
@@ -45,65 +124,11 @@ pub struct RtfParallelResult {
     pub measured: ExecReport,
 }
 
-/// The labels and a-priori work estimates of an LCC task list, for
-/// [`execute`]. Estimates are in cost-model units and steer the dynamic
-/// chunker: class units match every fragment of their kind (the level-4
-/// "big task"); finer levels shrink toward a single candidate pair. The
-/// absolute scale does not matter — only the ratios move chunk boundaries.
-pub(crate) fn lcc_task_list(
-    units: &[LccUnit],
-    fragments: &[FragmentHypothesis],
-) -> (Vec<String>, Vec<u64>) {
-    let estimate = |unit: &LccUnit| {
-        let wmes = match unit {
-            LccUnit::Class(kind) => fragments.iter().filter(|f| f.kind == *kind).count() as u64 + 1,
-            LccUnit::Object(_) => 4,
-            LccUnit::ObjectConstraint(..) => 2,
-            LccUnit::Pair { .. } => 1,
-        };
-        wmes * ESTIMATE_UNITS_PER_WME
-    };
-    (
-        units.iter().map(LccUnit::label).collect(),
-        units.iter().map(estimate).collect(),
-    )
-}
-
-/// What a completed LCC unit tells the observers, from the control thread:
-/// its *simulated* latency (work units at the paper's 1.5 MIPS — the SLO
-/// clock stays deterministic across hosts) is judged against the scene's
-/// latency objective, and the same service time plus the unit's match
-/// fraction land in the scene trace's service table — the model `lcc_trace`
-/// feeds the simulator, keyed by task index — so `spamctl trace` can
-/// rebuild the phase's critical path.
-pub(crate) fn observe_unit(obs: &Observer<'_>, task: usize, work: &WorkCounters) {
-    let sim_s = work.seconds_at(spam::phases::MIPS);
-    if let Some(slo) = &obs.slo {
-        slo.observe(sim_s, true);
-    }
-    if let Some(span) = obs.span {
-        span.record_service(task as u32, sim_s, work.match_fraction());
-    }
-}
-
-/// Runs the LCC phase at `level` as `how` describes: real task-process
-/// threads on the central queue or the chunked deques, under `how`'s
-/// supervision policy and fault plan, with `how`'s observers looking on —
-/// each task's [`Watch`] mirrors its engine's counters into the live
-/// registry and groups its recognize–act cycles into `engine.cycles` spans
-/// under its attempt; completed units feed the SLO monitor and the scene
-/// trace ([`observe_unit`]). The control process plans the phase once
-/// ([`LccPlan`]: the task queue and the region index every task's working
-/// memory is partitioned through) and the task processes share the plan.
-///
-/// The phase completes with partial results: units whose every attempt
-/// failed are dead-lettered in the returned report and contribute no
-/// consistency records or support. Otherwise the merged result is
-/// bit-identical to the sequential run, whatever the placement, because
-/// results merge in unit order ([`merge_lcc_units`]). The
-/// [`ExecReport`] is the measured wall-clock schedule (per-worker
-/// utilization, steal and overflow counters; convertible to a simulator
-/// result for gap attribution).
+/// Runs the LCC phase at `level` as `how` describes: [`run_phase`] over its
+/// [`LccPlan`], merged in unit order ([`merge_lcc_units`]) — bit-identical
+/// to the sequential run whatever the placement, except that units whose
+/// every attempt failed are dead-lettered in the report and contribute
+/// nothing. The [`ExecReport`] is the measured wall-clock schedule.
 pub fn run_parallel_lcc(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -111,25 +136,8 @@ pub fn run_parallel_lcc(
     level: Level,
     how: &PhaseRun<'_>,
 ) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
-    let plan = LccPlan::new(scene, fragments, level);
-    let (labels, estimates) = lcc_task_list(&plan.units, fragments);
-    let obs = &how.obs;
-    let (sp, scene, frags, live) = (
-        sp.clone(),
-        Arc::clone(scene),
-        Arc::clone(fragments),
-        Arc::clone(&obs.live),
-    );
-    let (slots, report, measured) = execute(
-        how,
-        labels,
-        &estimates,
-        |i, r: &LccUnitResult| observe_unit(obs, i, &r.work),
-        move |tp: &mut TaskProcess, a| {
-            let watch = Watch::new(Some(&live), a.trace);
-            tp.run(&plan.task(&sp, &scene, &frags, a.task), watch).0
-        },
-    )?;
+    let plan = Arc::new(LccPlan::new(sp, scene, fragments, level));
+    let (slots, report, measured) = run_phase(how, &plan)?;
     Ok((merge_lcc_units(level, fragments, slots, report), measured))
 }
 
@@ -187,39 +195,24 @@ pub fn run_parallel_lcc_exec(
         cfg: cfg.clone(),
         plan: plan.clone(),
         obs,
+        checkpoint: None,
     };
     run_parallel_lcc(sp, scene, fragments, level, &how)
 }
 
-/// Runs the RTF phase as `how` describes over region batches (the paper's
-/// RTF decomposition: 60–100 tasks, §4), merged by the same
-/// [`spam::rtf::merge_rtf_batches`] as the sequential
-/// [`spam::rtf::run_rtf_tasks`].
+/// Runs the RTF phase as `how` describes over region batches: [`run_phase`]
+/// over an [`RtfPhase`], merged by [`merge_rtf_batches`].
 pub fn run_parallel_rtf(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     batches: &[Vec<u32>],
     how: &PhaseRun<'_>,
 ) -> Result<RtfParallelResult, SuperviseError> {
-    let labels: Vec<String> = (0..batches.len())
-        .map(|i| format!("rtf batch {i} ({} regions)", batches[i].len()))
-        .collect();
-    // One region is one WME of the batch's working memory.
-    let estimates: Vec<u64> = (batches.iter())
-        .map(|b| b.len() as u64 * ESTIMATE_UNITS_PER_WME)
-        .collect();
     let (sp, scene, batches) = (sp.clone(), Arc::clone(scene), batches.to_vec());
-    let (slots, report, measured) = execute(
-        how,
-        labels,
-        &estimates,
-        |_, _| {},
-        move |tp: &mut TaskProcess, a| {
-            spam::rtf::run_rtf_task(tp, &sp, &scene, &batches[a.task]).fragments
-        },
-    )?;
+    let (slots, report, measured) = run_phase(how, &Arc::new(RtfPhase { sp, scene, batches }))?;
+    let fragments = merge_rtf_batches(slots.into_iter().map(|s| s.map(|r| r.fragments)));
     Ok(RtfParallelResult {
-        fragments: spam::rtf::merge_rtf_batches(slots),
+        fragments,
         report,
         measured,
     })
@@ -295,9 +288,13 @@ pub fn asynchronous_makespan(trace: &PhaseTrace, n: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::exec::placements;
+    use crate::recover::{CheckpointConfig, RecoveryReport};
     use crate::trace::lcc_trace;
+    use spam::fa::{run_fa, FaTask};
     use spam::lcc::{run_lcc, ConsistentRec};
+    use spam::model::ModelTask;
     use spam::rtf::run_rtf;
+    use spam::task::drain;
 
     fn setup() -> (SpamProgram, Arc<Scene>, Arc<Vec<FragmentHypothesis>>) {
         let sp = SpamProgram::build();
@@ -383,11 +380,56 @@ mod tests {
         );
     }
 
+    /// `list` on either placement at 1 and 3 workers, with and without
+    /// checkpoints, fault-free: every slot is the sequential drain's result
+    /// whole (`==`, cycle log included), the report is clean, nothing was
+    /// recovered, and every task ran once. Returns the drain's results.
+    fn equals_its_drain<L>(name: &str, list: L) -> Vec<L::Output>
+    where
+        L: TaskList + Send + Sync + 'static,
+        L::Output: PartialEq + std::fmt::Debug + Send + 'static,
+    {
+        let list = Arc::new(list);
+        let seq: Vec<L::Output> = (drain(&mut TaskProcess::default(), &*list, false))
+            .map(|(r, _)| r)
+            .collect();
+        for n in [1, 3] {
+            for (place, exec) in placements(n) {
+                for checkpoint in [None, Some(CheckpointConfig::every(4))] {
+                    let at = format!("{name}, {place}, workers={n}, {checkpoint:?}");
+                    let how = PhaseRun {
+                        checkpoint,
+                        ..PhaseRun::new(exec)
+                    };
+                    let (slots, report, measured) = run_phase(&how, &list).unwrap();
+                    assert!(report.is_clean(), "{at}");
+                    assert_eq!(measured.recovery, RecoveryReport::default(), "{at}");
+                    assert_eq!(measured.attempts.len(), seq.len(), "{at}");
+                    assert_eq!(slots.len(), seq.len(), "{at}");
+                    for (i, (got, want)) in slots.iter().zip(&seq).enumerate() {
+                        assert_eq!(got.as_ref(), Some(want), "{at}: task {i}");
+                    }
+                }
+            }
+        }
+        seq
+    }
+
+    /// Every phase, as its task list, runs through [`run_phase`] into
+    /// exactly its sequential results; RTF's batches also merge, through
+    /// [`run_parallel_rtf`], into the sequential fragment table.
     #[test]
-    fn parallel_rtf_equals_sequential() {
-        let (sp, scene, _) = setup();
+    fn every_phase_on_the_pool_equals_its_sequential_drain() {
+        let (sp, scene, frags) = setup();
         let batches = spam::rtf::rtf_task_batches(&scene, 9);
-        let (seq, _) = spam::rtf::run_rtf_tasks(&sp, &scene, &batches);
+        let (sp_, scene_) = (|| sp.clone(), || Arc::clone(&scene));
+        let rtf = RtfPhase {
+            sp: sp_(),
+            scene: scene_(),
+            batches: batches.clone(),
+        };
+        let seq = equals_its_drain("RTF", rtf);
+        let seq = merge_rtf_batches(seq.into_iter().map(|r| Some(r.fragments)));
         for n in [1, 3] {
             for (name, exec) in placements(n) {
                 let par = run_parallel_rtf(&sp, &scene, &batches, &PhaseRun::new(exec)).unwrap();
@@ -396,6 +438,31 @@ mod tests {
                 assert_eq!(par.measured.attempts.len(), batches.len());
             }
         }
+        equals_its_drain("LCC L1", LccPlan::new(&sp, &scene, &frags, Level::L1));
+        let units = equals_its_drain("LCC L3", LccPlan::new(&sp, &scene, &frags, Level::L3));
+        let lcc = merge_lcc_units(
+            Level::L3,
+            &frags,
+            units.into_iter().map(Some),
+            <_>::default(),
+        );
+        let fragments = Arc::new(lcc.fragments);
+        let fa = run_fa(&sp, &scene, &fragments, &lcc.consistents);
+        let fa_phase = FaTask {
+            sp: sp_(),
+            scene: scene_(),
+            fragments: Arc::clone(&fragments),
+            consistents: lcc.consistents,
+        };
+        assert_eq!(equals_its_drain("FA", fa_phase), std::slice::from_ref(&fa));
+        let model = ModelTask {
+            sp: sp_(),
+            scene: scene_(),
+            fragments,
+            areas: fa.areas,
+            members: fa.members,
+        };
+        equals_its_drain("MODEL", model);
     }
 
     #[test]

@@ -15,10 +15,11 @@ use spam::model::ModelTask;
 use spam::rtf::{rtf_task_batches, run_rtf, RtfTask};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
-use spam::task::{Task, TaskProcess};
+use spam::task::{Task, TaskList, TaskProcess};
 use spam::watch::Watch;
 use spam_psm::exec::{ExecConfig, PhaseRun};
-use spam_psm::recover::{execute_recoverable, CheckpointConfig, Recoverable, RecoveryInfo};
+use spam_psm::recover::{CheckpointConfig, RecoveryInfo};
+use spam_psm::run_phase;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -29,7 +30,6 @@ struct World {
     sp: SpamProgram,
     scene: Arc<Scene>,
     batches: Vec<Vec<u32>>,
-    frags: Arc<Vec<FragmentHypothesis>>,
     plans: [LccPlan; 4],
     supported: Arc<Vec<FragmentHypothesis>>,
     consistents: Vec<spam::lcc::ConsistentRec>,
@@ -46,7 +46,7 @@ fn world(moff: bool) -> &'static World {
         let scene = Arc::new(spam::generate_scene(&dataset.spec));
         let batches = rtf_task_batches(&scene, scene.len().div_ceil(64));
         let frags = Arc::new(run_rtf(&sp, &scene).fragments);
-        let plans = LEVELS.map(|level| LccPlan::new(&scene, &frags, level));
+        let plans = LEVELS.map(|level| LccPlan::new(&sp, &scene, &frags, level));
         let lcc = run_lcc(&sp, &scene, &frags, Level::L3);
         let supported = Arc::new(lcc.fragments);
         let fa = run_fa(&sp, &scene, &supported, &lcc.consistents);
@@ -54,7 +54,6 @@ fn world(moff: bool) -> &'static World {
             sp,
             scene,
             batches,
-            frags,
             plans,
             supported,
             consistents: lcc.consistents,
@@ -73,7 +72,30 @@ struct Crash {
     torn: Option<u32>,
 }
 
-/// `task` (built anew from `w` for each attempt, as a phase's closure does)
+/// A phase of one task, built anew for each attempt, as a phase's tasks are.
+struct One<F>(F);
+
+impl<K: Task, F: Fn() -> K> TaskList for One<F> {
+    type Output = K::Output;
+    type Task<'a>
+        = K
+    where
+        Self: 'a;
+    fn len(&self) -> usize {
+        1
+    }
+    fn label(&self, _: usize) -> String {
+        "task".into()
+    }
+    fn estimate(&self, _: usize) -> u64 {
+        1
+    }
+    fn task(&self, _: usize) -> K {
+        (self.0)()
+    }
+}
+
+/// `task` (built anew from `w` for each attempt, as a phase's list does)
 /// against its fault-free self under `crash`; `firings` reads a result's span.
 fn differential<K: Task>(
     w: &'static World,
@@ -100,12 +122,11 @@ where
     let how = PhaseRun {
         cfg,
         plan,
+        checkpoint: Some(CheckpointConfig::every(crash.interval)),
         ..PhaseRun::new(ExecConfig::central_queue(1))
     };
-    let run = move |tp: &mut TaskProcess, r: Recoverable<'_>| r.run(tp, &task(w));
-    let ckpt = CheckpointConfig::every(crash.interval);
-    let (mut slots, report, recovery) =
-        execute_recoverable(&how, &ckpt, vec!["task".into()], &[], |_, _| {}, run).unwrap();
+    let (mut slots, report, measured) = run_phase(&how, &Arc::new(One(move || task(w)))).unwrap();
+    let recovery = measured.recovery;
 
     prop_assert_eq!(
         report.outcomes[0].attempts,
@@ -155,20 +176,21 @@ proptest! {
             1..=4 => {
                 let plan = &w.plans[kind - 1];
                 let unit = pick % plan.units.len();
-                let task = move |w: &'static World| plan.task(sp, scene, &w.frags, unit);
+                let task = move |_: &'static World| plan.task(unit);
                 differential(w, crash, task, |r| r.firings)?;
             }
             5 => {
                 let task = |w: &'static World| {
-                    let (fragments, consistents) = (&w.supported, &w.consistents[..]);
-                    FaTask { sp: &w.sp, scene: &w.scene, fragments, consistents }
+                    let (sp, scene, fragments) = (w.sp.clone(), Arc::clone(&w.scene), Arc::clone(&w.supported));
+                    FaTask { sp, scene, fragments, consistents: w.consistents.clone() }
                 };
                 differential(w, crash, task, |r| r.firings)?;
             }
             _ => {
                 let task = |w: &'static World| {
-                    let (areas, members) = (&w.fa.areas[..], &w.fa.members[..]);
-                    ModelTask { sp: &w.sp, scene: &w.scene, fragments: &w.supported, areas, members }
+                    let (sp, scene, fragments) = (w.sp.clone(), Arc::clone(&w.scene), Arc::clone(&w.supported));
+                    let (areas, members) = (w.fa.areas.clone(), w.fa.members.clone());
+                    ModelTask { sp, scene, fragments, areas, members }
                 };
                 differential(w, crash, task, |r| r.firings)?;
             }

@@ -1,9 +1,9 @@
-//! Crash-recovery scenarios, end to end through the recoverable LCC phase
-//! (`spam_psm::run_parallel_lcc_recoverable`) on DC at Level 3: a fault-free
-//! checkpointed run, a mid-cycle kill, a torn and an intact WAL with no
-//! checkpoint, a kill inside the checkpoint-store lock, the seeded chaos
-//! schedule on both placements, and what recovery tells the live registry
-//! and the flight recorder. Every scenario must return the fault-free phase,
+//! Crash-recovery scenarios, end to end through the checkpointed LCC phase
+//! (`spam_psm::run_parallel_lcc` with `PhaseRun::checkpoint` set) on DC at
+//! Level 3: a fault-free checkpointed run, a mid-cycle kill, a torn and an
+//! intact WAL with no checkpoint, a kill inside the checkpoint-store lock,
+//! the seeded chaos schedule on both placements, and what recovery tells the
+//! live registry and the flight recorder. Every scenario must return the fault-free phase,
 //! every unit whole (`==`, cycle log included). The same guarantee per task
 //! of every phase is `recovery_differential.rs`.
 
@@ -12,7 +12,7 @@ use spam::lcc::{run_lcc, LccPhaseResult, Level};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use spam_psm::exec::{ExecConfig, PhaseRun};
-use spam_psm::{run_parallel_lcc_recoverable, CheckpointConfig, RecoveryReport};
+use spam_psm::{run_parallel_lcc, CheckpointConfig, RecoveryReport};
 use std::sync::Arc;
 use std::time::Duration;
 use tlp_fault::{FaultPlan, SupervisorConfig};
@@ -53,14 +53,17 @@ impl Fixture {
         self.seq.units.iter().map(|u| u.firings).collect()
     }
 
-    /// The recoverable phase as `how` says, checkpointing every
-    /// `interval` cycles: no unit may be lost, and the phase must equal
-    /// the fault-free one — every unit whole, cycle log included.
+    /// The phase as `how` says, checkpointing every `interval` cycles: no
+    /// unit may be lost, and the phase must equal the fault-free one —
+    /// every unit whole, cycle log included.
     fn recover(&self, how: &PhaseRun<'_>, interval: u64) -> (LccPhaseResult, RecoveryReport) {
-        let (sp, ckpt) = (&self.sp, CheckpointConfig::every(interval));
-        let (par, recovery) =
-            run_parallel_lcc_recoverable(sp, &self.scene, &self.frags, Level::L3, how, &ckpt)
-                .unwrap();
+        let how = PhaseRun {
+            checkpoint: Some(CheckpointConfig::every(interval)),
+            ..how.clone()
+        };
+        let (par, measured) =
+            run_parallel_lcc(&self.sp, &self.scene, &self.frags, Level::L3, &how).unwrap();
+        let recovery = measured.recovery;
         let plan = how.plan.describe();
         assert_eq!(
             par.report.dead_letters().len(),

@@ -7,7 +7,7 @@ use crate::fragments::{FragmentHypothesis, FragmentKind};
 use crate::lcc::{fragment_fields, ConsistentRec};
 use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use crate::task::{Task, TaskProcess, Wiring};
+use crate::task::{Task, TaskList, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
 use std::sync::Arc;
@@ -52,48 +52,55 @@ pub fn run_fa(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     consistents: &[ConsistentRec],
 ) -> FaResult {
-    let tp = &mut TaskProcess::default();
-    run_fa_task(tp, sp, scene, fragments, consistents)
-}
-
-/// [`run_fa`] as a task on `tp`'s engine.
-pub fn run_fa_task(
-    tp: &mut TaskProcess,
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    consistents: &[ConsistentRec],
-) -> FaResult {
     let task = FaTask {
-        sp,
-        scene,
-        fragments,
-        consistents,
+        sp: sp.clone(),
+        scene: Arc::clone(scene),
+        fragments: Arc::clone(fragments),
+        consistents: consistents.to_vec(),
     };
-    tp.run(&task, Watch::default()).0
+    TaskProcess::default().run(&task, Watch::default()).0
 }
 
 /// The FA phase as a [`Task`]: loads the supported fragments and the
-/// consistency records, harvests areas, members and predictions.
-pub struct FaTask<'a> {
+/// consistency records, harvests areas, members and predictions. It owns its
+/// inputs and is its own [`TaskList`], of one task.
+#[derive(Clone)]
+pub struct FaTask {
     /// The rule base.
-    pub sp: &'a SpamProgram,
+    pub sp: SpamProgram,
     /// The scene.
-    pub scene: &'a Arc<Scene>,
+    pub scene: Arc<Scene>,
     /// LCC's fragment table, supports accumulated.
-    pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    pub fragments: Arc<Vec<FragmentHypothesis>>,
     /// LCC's consistency records.
-    pub consistents: &'a [ConsistentRec],
+    pub consistents: Vec<ConsistentRec>,
 }
 
-impl Task for FaTask<'_> {
+impl TaskList for FaTask {
+    type Output = FaResult;
+    type Task<'a> = FaTask;
+
+    fn len(&self) -> usize {
+        1
+    }
+
+    fn label(&self, _: usize) -> String {
+        "fa".into()
+    }
+
+    fn task(&self, _: usize) -> FaTask {
+        self.clone()
+    }
+}
+
+impl Task for FaTask {
     type Output = FaResult;
 
     fn wiring(&self) -> Wiring<'_> {
         Wiring {
-            sp: self.sp,
-            scene: self.scene,
-            fragments: self.fragments,
+            sp: &self.sp,
+            scene: &self.scene,
+            fragments: &self.fragments,
             id_base: 0,
         }
     }
@@ -108,7 +115,7 @@ impl Task for FaTask<'_> {
             s.fragment.make(e, fragment_fields(f, f.support));
         }
         let counted = Value::Sym(static_sym!("yes"));
-        for c in self.consistents {
+        for c in &self.consistents {
             let (a, b) = (Value::Int(c.a as i64), Value::Int(c.b as i64));
             let (rel, weight) = (Value::Sym(c.rel.symbol()), Value::Int(c.weight));
             s.consistent.make(e, [a, b, rel, weight, counted]);

@@ -8,23 +8,19 @@
 //! * **Level 1** — one task checks one constraint *component* (one
 //!   candidate pair).
 //!
-//! Every task is an independent OPS5 program: its working memory holds the
-//! subject fragment(s), the candidate partners from the spatial
-//! neighbourhood, the applicable constraint records, and the task element
-//! itself (working-memory distribution, §5.1). Results (consistency records
-//! and support increments) never cross task boundaries, which is what makes
-//! the decomposition safe to run asynchronously.
-//! A unit is a [`Task`] ([`LccTask`]) on the lifecycle of [`crate::task`]:
-//! this module supplies its *base* and *load* (together [`load_unit_wm`])
-//! and its *harvest*. What the control process works out once per phase —
-//! the task queue and which fragments sit on which region — is the
-//! [`LccPlan`] it shares with the task processes.
+//! Every task is an independent OPS5 program whose working memory holds the
+//! subject fragment(s), their spatial neighbourhood, the applicable
+//! constraint records and the task element (working-memory distribution,
+//! §5.1); results never cross task boundaries, so the tasks run
+//! asynchronously. A unit is an [`LccTask`] on the lifecycle of
+//! [`crate::task`] (*base* and *load*: [`load_unit_wm`]), the phase the
+//! [`LccPlan`] the control process works out once.
 
 use crate::constraints::{constraints_for, Constraint, Relation, CONSTRAINTS};
 use crate::fragments::{FragmentHypothesis, FragmentKind, ALL_KINDS};
 use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use crate::task::{Task, TaskProcess, Wiring};
+use crate::task::{drain, Task, TaskList, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, MatchProfile, Value, WorkCounters};
 use std::sync::{Arc, OnceLock};
@@ -269,79 +265,110 @@ impl RegionIndex {
     }
 }
 
-/// What the control process works out once per LCC phase and shares with
-/// the task processes (working-memory distribution, §5.1: it "precomputes"
-/// each task's partition): the task queue and the [`RegionIndex`] every
-/// task derives its spatial window from. Nothing of it outlives the phase.
-#[derive(Clone, Debug)]
+/// The LCC phase as a [`TaskList`]: what the control process works out once
+/// and shares with the task processes (§5.1: it "precomputes" each task's
+/// partition) — the task queue and the [`RegionIndex`] every task derives
+/// its spatial window from — over the inputs it owns.
 pub struct LccPlan {
     /// The task queue, in order: [`decompose`]'s list.
     pub units: Vec<LccUnit>,
     index: RegionIndex,
+    sp: SpamProgram,
+    scene: Arc<Scene>,
+    fragments: Arc<Vec<FragmentHypothesis>>,
 }
 
 impl LccPlan {
-    /// Plans the phase at `level` over `fragments`: decomposes it into
-    /// tasks (the task queue, in order).
-    pub fn new(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) -> LccPlan {
-        let index = RegionIndex::new(scene, fragments);
-        let units = match level {
-            Level::L4 => ALL_KINDS
-                .iter()
-                .filter(|k| fragments.iter().any(|f| f.kind == **k))
-                .map(|&k| LccUnit::Class(k))
-                .collect(),
-            Level::L3 => fragments.iter().map(|f| LccUnit::Object(f.id)).collect(),
-            Level::L2 => fragments
-                .iter()
-                .flat_map(|f| {
-                    constraints_for(f.kind).map(move |c| LccUnit::ObjectConstraint(f.id, c.id))
-                })
-                .collect(),
-            Level::L1 => {
-                let mut out = Vec::new();
-                for f in fragments {
-                    let nbh = index.neighbourhood(scene, fragments, f);
-                    for c in constraints_for(f.kind) {
-                        for &g in &nbh {
-                            if fragments[g as usize].kind == c.object {
-                                out.push(LccUnit::Pair {
-                                    frag: f.id,
-                                    constraint: c.id,
-                                    other: g,
-                                });
-                            }
-                        }
-                    }
-                }
-                out
-            }
-        };
-        LccPlan { units, index }
+    /// Plans the phase at `level` over `fragments`.
+    pub fn new(
+        sp: &SpamProgram,
+        scene: &Arc<Scene>,
+        fragments: &Arc<Vec<FragmentHypothesis>>,
+        level: Level,
+    ) -> LccPlan {
+        LccPlan {
+            units: decompose(scene, fragments, level),
+            index: RegionIndex::new(scene, fragments),
+            sp: sp.clone(),
+            scene: Arc::clone(scene),
+            fragments: Arc::clone(fragments),
+        }
+    }
+}
+
+impl TaskList for LccPlan {
+    type Output = LccUnitResult;
+    type Task<'a> = LccTask<'a>;
+
+    fn len(&self) -> usize {
+        self.units.len()
     }
 
-    /// Unit `i` of the queue as a [`Task`] over the inputs the plan was made
-    /// for.
-    pub fn task<'a>(
-        &'a self,
-        sp: &'a SpamProgram,
-        scene: &'a Arc<Scene>,
-        fragments: &'a Arc<Vec<FragmentHypothesis>>,
-        i: usize,
-    ) -> LccTask<'a> {
+    fn label(&self, i: usize) -> String {
+        self.units[i].label()
+    }
+
+    /// A class unit matches every fragment of its kind (the level-4 "big
+    /// task"); finer levels shrink toward a single candidate pair.
+    fn estimate(&self, i: usize) -> u64 {
+        match &self.units[i] {
+            LccUnit::Class(k) => self.fragments.iter().filter(|f| f.kind == *k).count() as u64 + 1,
+            LccUnit::Object(_) => 4,
+            LccUnit::ObjectConstraint(..) => 2,
+            LccUnit::Pair { .. } => 1,
+        }
+    }
+
+    fn task(&self, i: usize) -> LccTask<'_> {
         LccTask {
-            sp,
-            scene,
-            fragments,
+            sp: &self.sp,
+            scene: &self.scene,
+            fragments: &self.fragments,
             index: &self.index,
             unit: &self.units[i],
         }
+    }
+
+    /// A unit's work is its simulated latency and match fraction.
+    fn observed<'r>(&self, r: &'r LccUnitResult) -> Option<&'r WorkCounters> {
+        Some(&r.work)
     }
 }
 
 /// Decomposes the phase into tasks at `level` (the task queue, in order).
 pub fn decompose(scene: &Scene, fragments: &[FragmentHypothesis], level: Level) -> Vec<LccUnit> {
-    LccPlan::new(scene, fragments, level).units
+    match level {
+        Level::L4 => ALL_KINDS
+            .iter()
+            .filter(|k| fragments.iter().any(|f| f.kind == **k))
+            .map(|&k| LccUnit::Class(k))
+            .collect(),
+        Level::L3 => fragments.iter().map(|f| LccUnit::Object(f.id)).collect(),
+        Level::L2 => fragments
+            .iter()
+            .flat_map(|f| {
+                constraints_for(f.kind).map(move |c| LccUnit::ObjectConstraint(f.id, c.id))
+            })
+            .collect(),
+        Level::L1 => {
+            let (index, mut out) = (RegionIndex::new(scene, fragments), Vec::new());
+            for f in fragments {
+                let nbh = index.neighbourhood(scene, fragments, f);
+                for c in constraints_for(f.kind) {
+                    for &g in &nbh {
+                        if fragments[g as usize].kind == c.object {
+                            out.push(LccUnit::Pair {
+                                frag: f.id,
+                                constraint: c.id,
+                                other: g,
+                            });
+                        }
+                    }
+                }
+            }
+            out
+        }
+    }
 }
 
 fn constraint_fields(c: &Constraint) -> [Value; 6] {
@@ -368,14 +395,11 @@ pub(crate) fn fragment_fields(f: &FragmentHypothesis, support: i64) -> [Value; 6
     ]
 }
 
-/// Loads one task's working memory into an engine (working-memory
-/// distribution, §5.1): the constraint records every task of its level
-/// applies, then its own partition — the subject fragment(s), their spatial
-/// neighbourhoods, and the task element itself. The `control` element must
-/// already be present ([`crate::rules::enter_phase`]; the lifecycle makes
-/// it). This is [`LccTask`]'s *base* and *load* in one call, for a caller
-/// with an engine of its own; a task process loads the base once
-/// ([`crate::task`]).
+/// Loads one task's working memory into an engine that holds `control`
+/// ([`crate::rules::enter_phase`]): the constraint records its level
+/// applies, then its own partition — subject fragment(s), their spatial
+/// neighbourhoods, the task element. [`LccTask`]'s *base* and *load* in one
+/// call, for a caller with an engine of its own.
 pub fn load_unit_wm(
     e: &mut ops5::Engine,
     scene: &Arc<Scene>,
@@ -501,10 +525,8 @@ fn load_partition(
     }
 }
 
-/// Executes one LCC task on `tp`'s engine — kept between tasks, not rebuilt
-/// ([`crate::task`]); the result is that of a fresh, independent engine. For
-/// a unit on its own: it indexes the fragment table for itself, which a
-/// phase does once ([`LccPlan`]).
+/// Executes one LCC task on `tp`'s engine, indexing the fragment table for
+/// itself (a phase does that once: [`LccPlan`]).
 pub fn run_lcc_unit(
     tp: &mut TaskProcess,
     sp: &SpamProgram,
@@ -512,19 +534,6 @@ pub fn run_lcc_unit(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     unit: &LccUnit,
 ) -> LccUnitResult {
-    run_lcc_unit_watched(tp, sp, scene, fragments, unit, Watch::default()).0
-}
-
-/// Executes one LCC task like [`run_lcc_unit`] with `watch` looking on,
-/// returning the task's [`MatchProfile`] too if the watch asked for one.
-pub fn run_lcc_unit_watched(
-    tp: &mut TaskProcess,
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    unit: &LccUnit,
-    watch: Watch,
-) -> (LccUnitResult, Option<MatchProfile>) {
     let index = &RegionIndex::new(scene, fragments);
     let task = LccTask {
         sp,
@@ -533,13 +542,11 @@ pub fn run_lcc_unit_watched(
         index,
         unit,
     };
-    tp.run(&task, watch)
+    tp.run(&task, Watch::default()).0
 }
 
-/// One LCC unit as a [`Task`]: [`load_unit_wm`]'s two halves and the
-/// harvest of [`harvest_lcc_unit`] on an engine allocating ids from
-/// [`LCC_ID_BASE`]. A phase makes them from its [`LccPlan`]
-/// ([`LccPlan::task`]); [`run_lcc_unit`] makes one with an index of its own.
+/// One LCC unit as a [`Task`]: [`load_unit_wm`]'s two halves and
+/// [`harvest_lcc_unit`]'s harvest, ids from [`LCC_ID_BASE`].
 pub struct LccTask<'a> {
     /// The rule base.
     pub sp: &'a SpamProgram,
@@ -590,10 +597,8 @@ impl Task for LccTask<'_> {
 /// RTF phase handed out.
 pub const LCC_ID_BASE: i64 = 1 << 30;
 
-/// Creates a fresh engine wired for LCC task execution: the SPAM program
-/// with this scene's external geometry functions registered. Working memory
-/// is *empty* — callers load the control element and the task's WM
-/// distribution.
+/// A fresh engine wired for LCC tasks on this scene, its working memory
+/// empty.
 pub fn lcc_engine(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -602,10 +607,8 @@ pub fn lcc_engine(
     sp.engine_for(scene, fragments, LCC_ID_BASE)
 }
 
-/// Harvests one finished LCC task's results out of its quiescent engine:
-/// consistency records and support totals from working memory, plus the
-/// work/firing accounting and the engine's cycle log. `firings` is the
-/// task's total production count ([`ops5::RunOutcome::firings`]).
+/// Harvests one finished LCC task out of its quiescent engine: records and
+/// supports, work, `firings` ([`ops5::RunOutcome::firings`]) and cycle log.
 pub fn harvest_lcc_unit(e: &mut ops5::Engine, firings: u64) -> LccUnitResult {
     let cycle_log = e.take_cycle_log();
     harvest(e, firings, cycle_log)
@@ -642,22 +645,18 @@ fn harvest(e: &ops5::Engine, firings: u64, cycle_log: Vec<CycleStats>) -> LccUni
 }
 
 /// Runs the whole LCC phase at `level`, sequentially (the Table 8 BASELINE
-/// configuration: one task process draining the queue).
+/// configuration: one task process [`drain`]ing the queue).
 pub fn run_lcc(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
 ) -> LccPhaseResult {
-    run_lcc_on(
-        &mut TaskProcess::default(),
-        sp,
-        scene,
-        fragments,
-        level,
-        false,
-    )
-    .0
+    let plan = LccPlan::new(sp, scene, fragments, level);
+    let report = TaskReport::all_ok(plan.labels());
+    let tp = &mut TaskProcess::default();
+    let units = drain(tp, &plan, false).map(|(r, _)| Some(r));
+    merge_lcc_units(level, fragments, units, report)
 }
 
 /// Runs the whole LCC phase at `level` sequentially with match-level
@@ -670,37 +669,13 @@ pub fn run_lcc_profiled(
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
-    run_lcc_on(
-        &mut TaskProcess::default(),
-        sp,
-        scene,
-        fragments,
-        level,
-        true,
-    )
-}
-
-/// The sequential phase on `tp`: the control process plans, one task process
-/// drains the queue. Callers make the process for the phase and drop it
-/// with it: kept past it the engine would only pin its share of the heap
-/// (measured: +13 % peak RSS at Level 4) until the next phase, which brings
-/// its own fragment table and so could not reuse it anyway.
-pub(crate) fn run_lcc_on(
-    tp: &mut TaskProcess,
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    level: Level,
-    profile: bool,
-) -> (LccPhaseResult, Option<MatchProfile>) {
-    let plan = LccPlan::new(scene, fragments, level);
+    let plan = LccPlan::new(sp, scene, fragments, level);
+    let report = TaskReport::all_ok(plan.labels());
+    let tp = &mut TaskProcess::default();
     let mut merged: Option<MatchProfile> = None;
-    // The merge pulls the units through one at a time, so each result is
-    // folded in while it is still warm and stored once.
-    let results = (0..plan.units.len()).map(|i| {
-        let mut watch = Watch::default();
-        watch.profile = profile;
-        let (r, prof) = tp.run(&plan.task(sp, scene, fragments, i), watch);
+    // The merge pulls the units through one at a time, so each profile is
+    // folded in while it is still warm.
+    let units = drain(tp, &plan, true).map(|(r, prof)| {
         if let Some(p) = prof {
             match &mut merged {
                 Some(m) => m.merge(&p),
@@ -709,15 +684,12 @@ pub(crate) fn run_lcc_on(
         }
         Some(r)
     });
-    let report = TaskReport::all_ok(plan.units.iter().map(|u| u.label()));
-    (merge_lcc_units(level, fragments, results, report), merged)
+    (merge_lcc_units(level, fragments, units, report), merged)
 }
 
-/// Merges per-unit results, in unit order, into the phase result: the one
-/// aggregation behind [`run_lcc`] and every parallel runner. A `None` slot
-/// is a unit that never completed (dead-lettered under supervision); it
-/// contributes no records, support, work or firings, and no entry in
-/// [`LccPhaseResult::units`] — `report` is where it is named.
+/// Merges per-unit results, in unit order, into the phase result, the
+/// sequential phase's and the parallel one's alike. A `None` slot (a
+/// dead-lettered unit, named in `report`) contributes nothing.
 pub fn merge_lcc_units(
     level: Level,
     fragments: &[FragmentHypothesis],
@@ -807,9 +779,11 @@ mod tests {
         let unit = LccUnit::Object(frags[0].id);
         let tp = &mut TaskProcess::default();
         let plain = run_lcc_unit(tp, &sp, &scene, &frags, &unit);
+        let plan = LccPlan::new(&sp, &scene, &frags, Level::L3);
+        assert_eq!(plan.units[0].label(), unit.label());
         let live = Live::new(8);
         let watch = Watch::new(Some(&live), None);
-        let (mirrored, _) = run_lcc_unit_watched(tp, &sp, &scene, &frags, &unit, watch);
+        let (mirrored, _) = tp.run(&plan.task(0), watch);
         assert_eq!(plain.consistents, mirrored.consistents);
         assert_eq!(plain.supports, mirrored.supports);
         assert_eq!(plain.work, mirrored.work, "mirror must not change work");
@@ -837,7 +811,7 @@ mod tests {
         // still computes the same results.
         let off = Live::off();
         let watch = Watch::new(Some(&off), None);
-        let (silent, _) = run_lcc_unit_watched(tp, &sp, &scene, &frags, &unit, watch);
+        let (silent, _) = tp.run(&plan.task(0), watch);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());
     }

@@ -7,7 +7,7 @@ use crate::fa::FunctionalArea;
 use crate::fragments::FragmentHypothesis;
 use crate::rules::{schema, SpamProgram};
 use crate::scene::Scene;
-use crate::task::{Task, TaskProcess, Wiring};
+use crate::task::{Task, TaskList, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
 use spam_geometry::{convex_hull, intersection_area, Point, Polygon};
@@ -122,53 +122,58 @@ pub fn run_model(
     areas: &[FunctionalArea],
     members: &[(i64, u32)],
 ) -> ModelResult {
-    let tp = &mut TaskProcess::default();
-    run_model_task(tp, sp, scene, fragments, areas, members)
-}
-
-/// [`run_model`] as a task on `tp`'s engine — the one FA kept, when it ran
-/// on the same inputs.
-pub fn run_model_task(
-    tp: &mut TaskProcess,
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    fragments: &Arc<Vec<FragmentHypothesis>>,
-    areas: &[FunctionalArea],
-    members: &[(i64, u32)],
-) -> ModelResult {
     let task = ModelTask {
-        sp,
-        scene,
-        fragments,
-        areas,
-        members,
+        sp: sp.clone(),
+        scene: Arc::clone(scene),
+        fragments: Arc::clone(fragments),
+        areas: areas.to_vec(),
+        members: members.to_vec(),
     };
-    tp.run(&task, Watch::default()).0
+    TaskProcess::default().run(&task, Watch::default()).0
 }
 
 /// The MODEL phase as a [`Task`]: loads the grown functional areas,
-/// harvests the model and the areas selected into it.
-pub struct ModelTask<'a> {
+/// harvests the model and the areas selected into it. It owns its inputs and
+/// is its own [`TaskList`], of one task.
+#[derive(Clone)]
+pub struct ModelTask {
     /// The rule base.
-    pub sp: &'a SpamProgram,
+    pub sp: SpamProgram,
     /// The scene.
-    pub scene: &'a Arc<Scene>,
+    pub scene: Arc<Scene>,
     /// LCC's fragment table (FA's wiring: MODEL runs on FA's engine).
-    pub fragments: &'a Arc<Vec<FragmentHypothesis>>,
+    pub fragments: Arc<Vec<FragmentHypothesis>>,
     /// FA's areas.
-    pub areas: &'a [FunctionalArea],
-    /// FA's membership table, for the spatial metrics (`&[]` skips them).
-    pub members: &'a [(i64, u32)],
+    pub areas: Vec<FunctionalArea>,
+    /// FA's membership table, for the spatial metrics (empty skips them).
+    pub members: Vec<(i64, u32)>,
 }
 
-impl Task for ModelTask<'_> {
+impl TaskList for ModelTask {
+    type Output = ModelResult;
+    type Task<'a> = ModelTask;
+
+    fn len(&self) -> usize {
+        1
+    }
+
+    fn label(&self, _: usize) -> String {
+        "model".into()
+    }
+
+    fn task(&self, _: usize) -> ModelTask {
+        self.clone()
+    }
+}
+
+impl Task for ModelTask {
     type Output = ModelResult;
 
     fn wiring(&self) -> Wiring<'_> {
         Wiring {
-            sp: self.sp,
-            scene: self.scene,
-            fragments: self.fragments,
+            sp: &self.sp,
+            scene: &self.scene,
+            fragments: &self.fragments,
             id_base: 0,
         }
     }
@@ -180,7 +185,7 @@ impl Task for ModelTask<'_> {
     fn load(&self, e: &mut Engine) {
         let s = schema();
         let grown = Value::Sym(static_sym!("grown"));
-        for a in self.areas {
+        for a in &self.areas {
             let (id, kind) = (Value::Int(a.id), Value::symbol(&a.kind));
             let (seed, nmembers) = (Value::Int(a.seed as i64), Value::Int(a.members));
             s.area.make(e, [id, kind, seed, nmembers, grown]);
@@ -207,7 +212,7 @@ impl Task for ModelTask<'_> {
             models,
             areas_used,
             score,
-            metrics: model_metrics(self.scene, self.fragments, self.members, &selected),
+            metrics: model_metrics(&self.scene, &self.fragments, &self.members, &selected),
             selected,
             work,
             firings: work.firings,

@@ -2,12 +2,12 @@
 //! task — the whole scene, or one batch of its regions — is a [`Task`]
 //! ([`RtfTask`]) on the lifecycle of [`crate::task`]; this module supplies
 //! its *base* (the scene domain's prototypes), *load* (the task's regions)
-//! and *harvest* (the fragments made).
+//! and *harvest* (the fragments made); [`RtfPhase`] is the batched phase.
 
 use crate::fragments::{FragmentHypothesis, FragmentKind};
 use crate::rules::{schema, SpamProgram};
 use crate::scene::{Region, Scene};
-use crate::task::{Task, TaskProcess, Wiring};
+use crate::task::{Task, TaskList, TaskProcess, Wiring};
 use crate::watch::Watch;
 use ops5::{static_sym, CycleStats, Engine, Value, WorkCounters};
 use std::sync::{Arc, OnceLock};
@@ -49,14 +49,11 @@ fn no_fragments() -> &'static Arc<Vec<FragmentHypothesis>> {
     NONE.get_or_init(Arc::default)
 }
 
-/// One RTF task — the whole scene, or one batch of its regions — as a
-/// [`Task`]. Its *base* is the classification prototypes of the scene's
-/// domain (the class envelopes live in WM; the classification work is join
-/// work — see `rules::rtf_rules`), its *load* the task's regions, its
-/// *harvest* the fragments made ([`collect_fragments`]). (The base is loaded
-/// per task all the same: `control` alone satisfies `rtf-done`, so the
-/// engine declines the mark, and `rtf-done` modifies `control`, which would
-/// break one — [`crate::task`].)
+/// One RTF task — the whole scene, or one batch of its regions. Its *base*
+/// is the scene domain's class envelopes (classification is join work:
+/// `rules::rtf_rules`), loaded per task all the same: `control` alone
+/// satisfies `rtf-done`, so the engine declines the mark, and `rtf-done`
+/// modifies `control`, which would break one ([`crate::task`]).
 pub struct RtfTask<'a> {
     /// The rule base.
     pub sp: &'a SpamProgram,
@@ -136,23 +133,9 @@ pub fn collect_fragments(e: &Engine) -> Vec<FragmentHypothesis> {
 
 /// Runs the complete RTF phase sequentially over `scene`.
 pub fn run_rtf(sp: &SpamProgram, scene: &Arc<Scene>) -> RtfResult {
-    let regions: Vec<u32> = (0..scene.len() as u32).collect();
-    run_rtf_task(&mut TaskProcess::default(), sp, scene, &regions)
-}
-
-/// Runs RTF over a subset of regions on `tp`'s engine — one RTF task of the
-/// task-level decomposition (§4: "a decomposition level providing
-/// approximately 60-100 tasks ... at roughly the same granularity as Level 2
-/// of the LCC phase"). Every task numbers its fragments from zero;
-/// [`merge_rtf_batches`] renumbers.
-pub fn run_rtf_task(
-    tp: &mut TaskProcess,
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    regions: &[u32],
-) -> RtfResult {
+    let regions = &(0..scene.len() as u32).collect::<Vec<u32>>();
     let task = RtfTask { sp, scene, regions };
-    tp.run(&task, Watch::default()).0
+    TaskProcess::default().run(&task, Watch::default()).0
 }
 
 /// Splits the scene's regions into RTF task batches of `batch` regions.
@@ -165,11 +148,47 @@ pub fn rtf_task_batches(scene: &Scene, batch: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// The RTF phase as the paper decomposes it (§4: "approximately 60-100
+/// tasks"): one task per region batch, each numbering its fragments from
+/// zero until [`merge_rtf_batches`] renumbers them.
+pub struct RtfPhase {
+    /// The rule base.
+    pub sp: SpamProgram,
+    /// The scene.
+    pub scene: Arc<Scene>,
+    /// The batches ([`rtf_task_batches`]), region ids each.
+    pub batches: Vec<Vec<u32>>,
+}
+
+impl TaskList for RtfPhase {
+    type Output = RtfResult;
+    type Task<'a> = RtfTask<'a>;
+
+    fn len(&self) -> usize {
+        self.batches.len()
+    }
+
+    fn label(&self, i: usize) -> String {
+        format!("rtf batch {i} ({} regions)", self.batches[i].len())
+    }
+
+    /// One region is one WME of the batch's working memory.
+    fn estimate(&self, i: usize) -> u64 {
+        self.batches[i].len() as u64
+    }
+
+    fn task(&self, i: usize) -> RtfTask<'_> {
+        RtfTask {
+            sp: &self.sp,
+            scene: &self.scene,
+            regions: &self.batches[i],
+        }
+    }
+}
+
 /// Merges per-batch fragments, in batch order, into the scene's fragment
-/// table: ids are renumbered densely, preserving each batch's relative
-/// order. A `None` slot is a batch that never completed (dead-lettered
-/// under supervision) and contributes nothing, as in
-/// [`crate::lcc::merge_lcc_units`].
+/// table, renumbered densely; a `None` slot (a dead-lettered batch)
+/// contributes nothing.
 pub fn merge_rtf_batches(
     slots: impl IntoIterator<Item = Option<Vec<FragmentHypothesis>>>,
 ) -> Vec<FragmentHypothesis> {
@@ -178,21 +197,6 @@ pub fn merge_rtf_batches(
         f.id = id as u32;
     }
     merged
-}
-
-/// Runs RTF as a sequence of tasks on one task process and merges the
-/// results ([`merge_rtf_batches`]).
-pub fn run_rtf_tasks(
-    sp: &SpamProgram,
-    scene: &Arc<Scene>,
-    batches: &[Vec<u32>],
-) -> (Vec<FragmentHypothesis>, Vec<RtfResult>) {
-    let mut tp = TaskProcess::default();
-    let results: Vec<RtfResult> = (batches.iter())
-        .map(|b| run_rtf_task(&mut tp, sp, scene, b))
-        .collect();
-    let merged = merge_rtf_batches(results.iter().map(|r| Some(r.fragments.clone())));
-    (merged, results)
 }
 
 #[cfg(test)]
@@ -248,8 +252,13 @@ mod tests {
         let scene = dc_scene();
         let full = run_rtf(&sp, &scene);
         let batches = rtf_task_batches(&scene, 7);
-        let (merged, results) = run_rtf_tasks(&sp, &scene, &batches);
-        assert_eq!(results.len(), batches.len());
+        let (n, phase) = (batches.len(), RtfPhase { sp, scene, batches });
+        let results: Vec<RtfResult> =
+            (crate::task::drain(&mut TaskProcess::default(), &phase, false))
+                .map(|(r, _)| r)
+                .collect();
+        let merged = merge_rtf_batches(results.iter().map(|r| Some(r.fragments.clone())));
+        assert_eq!(results.len(), n);
         // Same (region, kind) multiset regardless of task decomposition —
         // RTF tasks are independent.
         let key = |f: &FragmentHypothesis| (f.region, f.kind);

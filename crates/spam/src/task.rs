@@ -1,62 +1,40 @@
-//! The task process as a value. The paper's task process is "a complete
-//! OPS5 system" that draws tasks from the queue (§5.1); a [`TaskProcess`]
-//! is that system's engine, owned by whoever runs the tasks — a phase loop
-//! on its own stack, a pool worker for the length of a phase — and every
-//! RTF, LCC, FA and MODEL task is a [`Task`] — what to wire, which phase,
-//! a *base*, a *load* and a *harvest* — that [`TaskProcess::run`] takes
-//! through the same seven steps:
+//! Tasks, phases and the task process (DESIGN §21). The paper has one
+//! mechanism for every phase (§5.1): a control process queues the phase's
+//! tasks and task processes — each "a complete OPS5 system" — draw them. A
+//! phase is a [`TaskList`]; [`drain`] runs it on one [`TaskProcess`],
+//! `core::tlp::run_phase` on a pool of them. A task is a [`Task`] — what to
+//! wire, which phase, a *base*, a *load* and a *harvest* — and
+//! [`TaskProcess::run`] takes every task through the same steps:
 //!
 //! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out if it was
-//!    made for this very [`Wiring`], else makes one: an instance of the
-//!    program's network ([`SpamProgram::engine`]) + [`register`] — no
-//!    network is built here, by any path;
-//! 2. **watch** — the cycle log (and the profiler, if the [`Watch`] asks)
-//!    is switched on; the watch itself stays outside the engine;
-//! 3. **base | load** — working-memory distribution (§5.1), in two parts.
-//!    The *base* is what every task of the phase starts from: the `control`
-//!    element that puts the rule base in [`Task::phase`], then
-//!    [`Task::base`] (LCC's constraint records, RTF's prototypes). It is
-//!    loaded once per process, not once per task: the engine is
-//!    [marked](ops5::Engine::mark) when it is in, and a later task of the
-//!    same phase and [`Task::base_variant`] *rolls back* to the mark
-//!    ([`ops5::Engine::rollback`]) where it would have reset and loaded it
-//!    again. The process falls back to reset + base when the engine
-//!    declines the mark (RTF's `control` alone satisfies `rtf-done`) or a
-//!    task broke it by removing a base element (RTF modifies `control`),
-//!    and whenever a profile is wanted — a profile covers the base's match
-//!    work too. Then [`Task::load`] adds the task's own part. Either way
-//!    the engine is the one a new engine that loaded base and task itself
-//!    would be;
-//! 4. **drive** — the watch drives the engine to quiescence
-//!    ([`crate::watch`]: the one loop), handing control to a
-//!    [`DrivePolicy`] where it asks (`()` never does), and
-//! 5. **publishes** what its cadence had not yet;
-//! 6. **harvest** — [`Task::harvest`] reads the results out of the engine;
+//!    made for this very [`Wiring`], else instantiates the program's network
+//!    ([`SpamProgram::engine`]) and [`register`]s its externals;
+//! 2. **watch** — the cycle log (and profiler, if the [`Watch`] asks) goes on;
+//! 3. **base | load** — working-memory distribution (§5.1). The *base* (the
+//!    `control` element of [`Task::phase`], then [`Task::base`]) is loaded
+//!    once per process under an [engine mark](ops5::Engine::mark) that later
+//!    tasks of the same phase and [`Task::base_variant`] roll back to; a
+//!    declined or broken mark, or a wanted profile, resets and loads it
+//!    again. [`Task::load`] adds the task's own part. Either way the engine
+//!    is the one a new engine that loaded base and task would be;
+//! 4. **drive** — the watch drives the engine to quiescence ([`crate::watch`]:
+//!    the one loop), handing control to a [`DrivePolicy`] where it asks,
+//! 5. and **publishes** what its cadence had not yet;
+//! 6. **harvest** — [`Task::harvest`] reads the results out;
 //! 7. **put back** — [`Attempt::finish`] returns the engine to the process.
 //!
-//! Steps 1, 2 and the base are [`TaskProcess::begin`], the load and steps
-//! 4–7 [`Attempt::run`]; neither is written anywhere else.
-//!
-//! A task that died mid-run and left a snapshot behind re-enters at step 1
-//! through [`TaskProcess::resume`] — the engine is restored, not reset — or,
-//! with only its write-ahead log left, through [`TaskProcess::begin_empty`];
-//! either skips step 3 ([`Attempt::run`] with `loaded`) and from there is an
-//! attempt like any other, its engine kept for the next task (which finds
-//! no mark on it, and loads its base).
-//!
-//! Between *wire* and *put back* the engine belongs to the [`Attempt`], so
-//! a task that panics — tasks run under `catch_unwind` with injected
-//! faults — drops its half-run engine with its attempt and the process is
-//! left empty; the next task builds a new one. A process that goes out of
-//! scope drops its engine. There is no state a failed task can leave behind
-//! for the next, nothing to poison and nothing to release by hand.
+//! Steps 1–3's base are [`TaskProcess::begin`], the rest [`Attempt::run`].
+//! A task that died mid-run re-enters through [`TaskProcess::resume`] (a
+//! snapshot) or [`TaskProcess::begin_empty`] (a write-ahead log) and skips
+//! step 3. Between *wire* and *put back* the engine belongs to the
+//! [`Attempt`]: a task that panics drops its half-run engine with it.
 
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::FragmentHypothesis;
 use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
 use crate::watch::{DrivePolicy, Watch};
-use ops5::{CycleStats, Engine, MatchProfile, Symbol};
+use ops5::{CycleStats, Engine, MatchProfile, Symbol, WorkCounters};
 use std::sync::Arc;
 
 /// What a task's engine is wired with: the program, the scene and fragment
@@ -72,9 +50,8 @@ pub struct Wiring<'a> {
     pub id_base: i64,
 }
 
-/// One task, described to the lifecycle: everything else about running it —
-/// which engine, who watches, what interrupts, whether it starts over or
-/// resumes — is the caller's and the process's.
+/// One task, described to the lifecycle; which engine runs it, who watches
+/// and whether it resumes are the caller's and the process's business.
 pub trait Task {
     /// What the task computes.
     type Output;
@@ -82,31 +59,75 @@ pub trait Task {
     fn wiring(&self) -> Wiring<'_>;
     /// The phase its rules run in (`rtf`, `lcc`, `fa`, `model`).
     fn phase(&self) -> Symbol;
-    /// Which of its phase's bases the task starts from, for a phase with
-    /// more than one (LCC: with the constraint records at Levels 4 and 3,
-    /// without at Levels 2 and 1).
+    /// Which of its phase's bases the task starts from (LCC: with the
+    /// constraint records at Levels 4 and 3, without at Levels 2 and 1).
     fn base_variant(&self) -> u8 {
         0
     }
-    /// Step 3, the shared part: what every task that agrees with this one
-    /// on wiring, phase and [`base_variant`](Task::base_variant) loads
-    /// first, into an engine holding only the `control` element. It must
-    /// depend on nothing else about the task: the process loads it once and
-    /// serves all of them from it.
+    /// Step 3, the shared part, loaded after `control` by every task that
+    /// agrees with this one on wiring, phase and
+    /// [`base_variant`](Task::base_variant): it may depend on nothing else.
     fn base(&self, _e: &mut Engine) {}
-    /// Step 3, the task's own part: fills the working memory of an engine
-    /// holding the base.
+    /// Step 3, the task's own part, on top of the base.
     fn load(&self, e: &mut Engine);
-    /// Step 6: reads the result out of the quiescent engine. `cycle_log` is
-    /// the task's whole log, the cycles of a dead attempt it resumed from
-    /// included.
+    /// Step 6: the result, out of the quiescent engine; `cycle_log` is the
+    /// task's whole log, a dead attempt's cycles it resumed from included.
     fn harvest(&self, e: &mut Engine, cycle_log: Vec<CycleStats>) -> Self::Output;
 }
 
-/// An engine with the inputs it was wired for. Holding the `Arc`s (not
-/// bare addresses) is what makes the pointer comparison in [`Kept::serves`]
-/// sound: an address cannot be reused for other inputs while the old ones
-/// are still owned here.
+/// A phase: its tasks in queue order. It owns its inputs — a pool's
+/// resident task processes share it and cannot borrow — and lends them to
+/// each task.
+pub trait TaskList {
+    /// What each task computes.
+    type Output;
+    /// A task, borrowing the list's inputs.
+    type Task<'a>: Task<Output = Self::Output>
+    where
+        Self: 'a;
+    /// How many tasks the phase has.
+    fn len(&self) -> usize;
+    /// Whether it has none.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Task `i`'s name in supervision reports.
+    fn label(&self, i: usize) -> String;
+    /// Task `i`'s a-priori size for a pool's chunker, in working-memory
+    /// elements it loads; only the ratios matter (default: all alike).
+    fn estimate(&self, _i: usize) -> u64 {
+        1
+    }
+    /// Task `i`.
+    fn task(&self, i: usize) -> Self::Task<'_>;
+    /// The work a completed task reports to the phase's latency objective
+    /// and trace service table; `None`: the phase feeds neither.
+    fn observed<'r>(&self, _result: &'r Self::Output) -> Option<&'r WorkCounters> {
+        None
+    }
+    /// Every task's label, in queue order.
+    fn labels(&self) -> Vec<String> {
+        (0..self.len()).map(|i| self.label(i)).collect()
+    }
+}
+
+/// A sequential phase: `tp` runs `list`'s tasks in queue order, yielding
+/// each result — with its profile if `profile` — as it finishes. Callers
+/// drop the process with the phase (kept, its engine only pins heap).
+pub fn drain<'a, L: TaskList>(
+    tp: &'a mut TaskProcess,
+    list: &'a L,
+    profile: bool,
+) -> impl Iterator<Item = (L::Output, Option<MatchProfile>)> + 'a {
+    (0..list.len()).map(move |i| {
+        let mut watch = Watch::default();
+        watch.profile = profile;
+        tp.run(&list.task(i), watch)
+    })
+}
+
+/// An engine with the inputs it was wired for; holding the `Arc`s keeps the
+/// pointer comparison in [`Kept::serves`] sound.
 struct Kept {
     network: Arc<ops5::Network>,
     ctx: ExternalCtx,
@@ -146,10 +167,9 @@ impl TaskProcess {
         (result, profile)
     }
 
-    /// Steps 1, 2 and the first half of 3: an engine wired as `task` says,
-    /// logging its cycles (and profiling, if `profile`), in the state of a
-    /// just-built one that loaded `task`'s base — by rolling back to the
-    /// mark the last task of the kind left, or else by loading it.
+    /// Steps 1, 2 and the base: an engine wired as `task` says, logging its
+    /// cycles (profiling, if `profile`), holding `task`'s base — rolled back
+    /// to, or loaded.
     pub fn begin<K: Task>(&mut self, task: &K, profile: bool) -> Attempt<'_> {
         let w = task.wiring();
         let mut kept = self.take(&w);
@@ -171,8 +191,7 @@ impl TaskProcess {
     }
 
     /// Steps 1 and 2 for an attempt whose working memory comes from a log:
-    /// an engine in its just-built state, wired as `w` says and logging its
-    /// cycles; its working memory is empty.
+    /// an engine wired as `w` says, logging, its working memory empty.
     pub fn begin_empty(&mut self, w: &Wiring<'_>) -> Attempt<'_> {
         let mut kept = self.take(w);
         kept.engine.reset();
@@ -181,12 +200,10 @@ impl TaskProcess {
         self.attempt(kept, Vec::new())
     }
 
-    /// Step 1 for a task that died mid-run: an engine restored from the
-    /// `snapshot` the dead attempt took, holding the working memory,
-    /// conflict set and counters of that cycle (external functions are
-    /// code, not state: they are registered again, as `w` says). `logged` is
-    /// the cycle log up to it, which the snapshot does not carry. Fails on a
-    /// damaged snapshot; the process is then as it was.
+    /// Step 1 for a task that died mid-run: an engine restored from its
+    /// `snapshot` (externals registered again, as `w` says), `logged` the
+    /// cycle log up to it. Fails on a damaged snapshot, leaving the process
+    /// as it was.
     pub fn resume(
         &mut self,
         w: &Wiring<'_>,
@@ -259,13 +276,10 @@ impl Attempt<'_> {
         &mut self.kept.engine
     }
 
-    /// Steps 3–7 of `task`'s lifecycle on this attempt, `watch` looking on.
-    /// `loaded` says the engine already holds the task's working memory —
-    /// restored with it ([`TaskProcess::resume`]) or filled from a log
-    /// ([`TaskProcess::begin_empty`]) — and skips the load. `policy` gets
-    /// control between cycles where it asks to (`&mut ()`: nowhere).
-    /// Returns the result, the cycles this attempt fired, and the profile if
-    /// [`TaskProcess::begin`] was asked for one.
+    /// The rest of `task`'s lifecycle on this attempt, `watch` looking on;
+    /// `loaded` (a resumed attempt) skips the load, `policy` gets control
+    /// where it asks (`&mut ()`: nowhere). Returns the result, the cycles
+    /// this attempt fired, and the profile if one was asked for.
     pub fn run<K: Task>(
         mut self,
         task: &K,
@@ -290,8 +304,7 @@ impl Attempt<'_> {
     }
 
     /// Step 7: the engine goes back to its process. Returns the task's
-    /// profile if one was taken (`None` otherwise: `reset` detached the last
-    /// task's).
+    /// profile, if one was taken.
     pub fn finish(mut self) -> Option<MatchProfile> {
         let profile = self.kept.engine.take_profile();
         self.home.kept = Some(self.kept);
@@ -314,11 +327,16 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fa::run_fa_task;
-    use crate::lcc::{run_lcc, run_lcc_unit, LccTask, LccUnit, Level};
-    use crate::model::run_model_task;
-    use crate::rtf::{run_rtf, run_rtf_task};
+    use crate::fa::FaTask;
+    use crate::lcc::{merge_lcc_units, run_lcc, run_lcc_unit, LccPlan, LccTask, LccUnit, Level};
+    use crate::model::ModelTask;
+    use crate::rtf::{run_rtf, RtfPhase, RtfTask};
     use ops5::ReteConfig;
+
+    /// An RTF task over `regions` on `tp`.
+    fn rtf(tp: &mut TaskProcess, sp: &SpamProgram, scene: &Arc<Scene>, regions: &[u32]) {
+        tp.run(&RtfTask { sp, scene, regions }, Watch::default());
+    }
 
     /// What *wire* compares, seen from outside: one process through a
     /// scene's pipeline builds an engine where the inputs change and
@@ -333,10 +351,10 @@ mod tests {
         let supported = Arc::new(lcc.fragments);
 
         let tp = &mut TaskProcess::default();
-        run_rtf_task(tp, &sp, &dc, &[0, 1]);
-        run_rtf_task(tp, &sp, &dc, &[2, 3]);
+        rtf(tp, &sp, &dc, &[0, 1]);
+        rtf(tp, &sp, &dc, &[2, 3]);
         assert_eq!(tp.engines_built, 1, "RTF batches share an engine");
-        run_rtf_task(tp, &sp, &moff, &[0, 1]);
+        rtf(tp, &sp, &moff, &[0, 1]);
         assert_eq!(tp.engines_built, 2, "another scene");
         for f in 0..3 {
             run_lcc_unit(tp, &sp, &dc, &frags, &LccUnit::Object(f));
@@ -345,9 +363,22 @@ mod tests {
         let unshared = sp.clone().with_config(ReteConfig::unshared());
         run_lcc_unit(tp, &unshared, &dc, &frags, &LccUnit::Object(0));
         assert_eq!(tp.engines_built, 4, "another network");
-        let fa = run_fa_task(tp, &sp, &dc, &supported, &lcc.consistents);
+        let fa = FaTask {
+            sp: sp.clone(),
+            scene: Arc::clone(&dc),
+            fragments: Arc::clone(&supported),
+            consistents: lcc.consistents,
+        };
+        let fa = tp.run(&fa, Watch::default()).0;
         assert_eq!(tp.engines_built, 5, "another fragment table");
-        run_model_task(tp, &sp, &dc, &supported, &fa.areas, &fa.members);
+        let model = ModelTask {
+            sp: sp.clone(),
+            scene: Arc::clone(&dc),
+            fragments: Arc::clone(&supported),
+            areas: fa.areas,
+            members: fa.members,
+        };
+        tp.run(&model, Watch::default());
         assert_eq!(tp.engines_built, 5, "MODEL runs on FA's engine");
         // The same table under another id base is another wiring.
         let wiring = Wiring {
@@ -375,7 +406,8 @@ mod tests {
             let scene = Arc::new(crate::generate_scene(&d.spec));
             let frags = Arc::new(run_rtf(&sp, &scene).fragments);
             let tp = &mut TaskProcess::default();
-            let (phase, _) = crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L3, false);
+            let plan = |level| LccPlan::new(&sp, &scene, &frags, level);
+            let units = drain(tp, &plan(Level::L3), false).count();
             assert_eq!(
                 (tp.engines_built, tp.bases_loaded),
                 (1, 1),
@@ -383,18 +415,17 @@ mod tests {
                 d.spec.name
             );
             bases += tp.bases_loaded;
-            tasks += phase.units.len();
+            tasks += units;
             if d.spec.name == "DC" {
                 // Another level's tasks start from another base — once.
-                crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L2, false);
-                crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L1, false);
+                drain(tp, &plan(Level::L2), false).count();
+                drain(tp, &plan(Level::L1), false).count();
                 assert_eq!((tp.engines_built, tp.bases_loaded), (1, 2));
                 // A profile covers the base's match work: no mark serves it.
-                let (profiled, _) =
-                    crate::lcc::run_lcc_on(tp, &sp, &scene, &frags, Level::L4, true);
-                assert_eq!(tp.bases_loaded, 2 + profiled.units.len() as u32);
-                run_rtf_task(tp, &sp, &scene, &[0, 1]);
-                run_rtf_task(tp, &sp, &scene, &[2, 3]);
+                let profiled = drain(tp, &plan(Level::L4), true).count();
+                assert_eq!(tp.bases_loaded, 2 + profiled as u32);
+                rtf(tp, &sp, &scene, &[0, 1]);
+                rtf(tp, &sp, &scene, &[2, 3]);
                 assert_eq!(
                     (tp.engines_built, tp.bases_loaded),
                     (2, 14),
@@ -426,20 +457,36 @@ mod tests {
         for level in [Level::L4, Level::L3, Level::L2, Level::L1] {
             let mut engines = 0;
             for scene in &scenes {
-                let regions: Vec<u32> = (0..scene.len() as u32).collect();
+                // Each phase as its list, drained on a process of its own.
+                let (sp_, scene_) = (|| sp.clone(), || Arc::clone(scene));
                 let [mut rtf, mut lcc, mut fa, mut model]: [TaskProcess; 4] = Default::default();
-                let frags = Arc::new(run_rtf_task(&mut rtf, &sp, scene, &regions).fragments);
-                let (phase, _) = crate::lcc::run_lcc_on(&mut lcc, &sp, scene, &frags, level, false);
-                let supported = Arc::new(phase.fragments);
-                let areas = run_fa_task(&mut fa, &sp, scene, &supported, &phase.consistents);
-                run_model_task(
-                    &mut model,
-                    &sp,
-                    scene,
-                    &supported,
-                    &areas.areas,
-                    &areas.members,
-                );
+                let batches = vec![(0..scene.len() as u32).collect()];
+                let whole = RtfPhase {
+                    sp: sp_(),
+                    scene: scene_(),
+                    batches,
+                };
+                let (r, _) = drain(&mut rtf, &whole, false).next().unwrap();
+                let frags = Arc::new(r.fragments);
+                let plan = LccPlan::new(&sp, scene, &frags, level);
+                let units = drain(&mut lcc, &plan, false);
+                let phase =
+                    merge_lcc_units(level, &frags, units.map(|(r, _)| Some(r)), <_>::default());
+                let areas = FaTask {
+                    sp: sp_(),
+                    scene: scene_(),
+                    fragments: Arc::new(phase.fragments),
+                    consistents: phase.consistents,
+                };
+                let (r, _) = drain(&mut fa, &areas, false).next().unwrap();
+                let selection = ModelTask {
+                    sp: sp_(),
+                    scene: scene_(),
+                    fragments: areas.fragments,
+                    areas: r.areas,
+                    members: r.members,
+                };
+                drain(&mut model, &selection, false).count();
                 engines += [rtf, lcc, fa, model]
                     .iter()
                     .map(|tp| tp.engines_built)
@@ -452,8 +499,8 @@ mod tests {
         let unshared = sp.clone().with_config(ReteConfig::unshared());
         assert_eq!(networks_built() - start, 2);
         let tp = &mut TaskProcess::default();
-        run_rtf_task(tp, &unshared, &scenes[1], &[0, 1]);
-        run_rtf_task(tp, &sp, &scenes[1], &[0, 1]);
+        rtf(tp, &unshared, &scenes[1], &[0, 1]);
+        rtf(tp, &sp, &scenes[1], &[0, 1]);
         assert_eq!((tp.engines_built, networks_built() - start), (2, 2));
     }
 

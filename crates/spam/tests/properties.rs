@@ -8,7 +8,7 @@ use spam::generate::AirportSpec;
 use spam::lcc::{decompose, neighbourhood, LccPlan, LccUnit, Level, RegionIndex};
 use spam::scene::{Region, Scene};
 use spam_geometry::{Point, Polygon};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn rect() -> impl Strategy<Value = Polygon> {
     (
@@ -126,8 +126,9 @@ proptest! {
             }
         }
         let queue = |units: &[LccUnit]| -> Vec<String> { units.iter().map(LccUnit::label).collect() };
+        let (sp, scene, frags) = (spam::rules::SpamProgram::build(), Arc::new(scene), Arc::new(frags));
         for level in [Level::L4, Level::L3, Level::L2, Level::L1] {
-            let plan = LccPlan::new(&scene, &frags, level);
+            let plan = LccPlan::new(&sp, &scene, &frags, level);
             prop_assert_eq!(queue(&plan.units), queue(&decompose(&scene, &frags, level)));
             if level == Level::L1 {
                 prop_assert_eq!(queue(&plan.units), queue(&pairs));

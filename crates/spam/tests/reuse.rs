@@ -1,7 +1,7 @@
 //! Task-engine reuse ≡ a fresh engine per task.
 //!
-//! `run_lcc_unit` and `run_lcc_unit_watched` run on a `TaskProcess`'s kept
-//! engine, rolled back between units to the mark its phase's base — the
+//! `run_lcc_unit` and `tp.run(&LccTask { .. }, watch)` run on a
+//! `TaskProcess`'s kept engine, rolled back between units to the mark its phase's base — the
 //! `control` element and, at Levels 4 and 3, the constraint records — was
 //! loaded under, or reset and loaded with it again where there is no mark
 //! to return to. The reference here builds a new engine for
@@ -19,17 +19,17 @@
 
 use ops5::Value;
 use proptest::prelude::*;
-use spam::fa::{run_fa_task, FaResult};
+use spam::fa::{FaResult, FaTask};
 use spam::fragments::FragmentHypothesis;
 use spam::lcc::{
-    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc, run_lcc_unit,
-    run_lcc_unit_watched, ConsistentRec, LccUnit, LccUnitResult, Level,
+    decompose, harvest_lcc_unit, lcc_engine, load_unit_wm, run_lcc, run_lcc_unit, ConsistentRec,
+    LccTask, LccUnit, LccUnitResult, Level, RegionIndex,
 };
-use spam::model::{run_model_task, ModelResult};
-use spam::rtf::{rtf_task_batches, run_rtf_task, RtfResult};
+use spam::model::{ModelResult, ModelTask};
+use spam::rtf::{rtf_task_batches, RtfResult, RtfTask};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
-use spam::task::{Task, TaskProcess, Wiring};
+use spam::task::{Task, TaskList, TaskProcess, Wiring};
 use spam::watch::{DrivePolicy, Watch};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -157,8 +157,10 @@ proptest! {
             let i = &f.inputs[input];
             let unit_idx = pick % f.units[input][level].len();
             let unit = &f.units[input][level][unit_idx];
-            let mut watched =
-                |w: Watch| run_lcc_unit_watched(tp, &i.sp, &i.scene, &i.frags, unit, w);
+            let index = &RegionIndex::new(&i.scene, &i.frags);
+            let (sp, scene, fragments) = (&i.sp, &i.scene, &i.frags);
+            let task = LccTask { sp, scene, fragments, index, unit };
+            let mut watched = |w: Watch| tp.run(&task, w);
             let got = match mode {
                 Mode::Plain => watched(Watch::default()).0,
                 Mode::Live => watched(Watch::new(Some(&live), None)).0,
@@ -219,16 +221,38 @@ fn downstream() -> &'static [Downstream; 3] {
     DOWNSTREAM.get_or_init(|| {
         [0, 1, 2].map(|input| {
             let i = &fixture().inputs[input];
-            let own = || TaskProcess::default();
+            let own = TaskProcess::default;
             let lcc = run_lcc(&i.sp, &i.scene, &i.frags, Level::L3);
             let supported = Arc::new(lcc.fragments);
             let batches = rtf_task_batches(&i.scene, 7);
+            let (sp, scene, fragments) = (&i.sp, &i.scene, &supported);
             let rtf = (batches.iter())
-                .map(|b| run_rtf_task(&mut own(), &i.sp, &i.scene, b))
+                .map(|regions| {
+                    own()
+                        .run(&RtfTask { sp, scene, regions }, Watch::default())
+                        .0
+                })
                 .collect();
-            let fa = run_fa_task(&mut own(), &i.sp, &i.scene, &supported, &lcc.consistents);
-            let (areas, members) = (&fa.areas, &fa.members);
-            let model = run_model_task(&mut own(), &i.sp, &i.scene, &supported, areas, members);
+            let (sp, scene, fragments) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
+            let consistents = lcc.consistents.clone();
+            let fa = FaTask {
+                sp,
+                scene,
+                fragments,
+                consistents,
+            };
+            let fa = own().run(&fa, Watch::default()).0;
+            let (sp, scene, fragments) =
+                (i.sp.clone(), Arc::clone(&i.scene), Arc::clone(&supported));
+            let (areas, members) = (fa.areas.clone(), fa.members.clone());
+            let model = ModelTask {
+                sp,
+                scene,
+                fragments,
+                areas,
+                members,
+            };
+            let model = own().run(&model, Watch::default()).0;
             Downstream {
                 supported,
                 consistents: lcc.consistents,
@@ -258,11 +282,13 @@ proptest! {
         for (n, &(input, kind, pick)) in steps.iter().enumerate() {
             let input = input.saturating_sub(3);
             let (i, d) = (&f.inputs[input], &downstream()[input]);
+            let (sp, scene, fragments) = (&i.sp, &i.scene, &d.supported);
             let at = format!("step {n} (kind {kind} on input {input})");
             match kind {
                 0 | 1 => {
                     let b = pick % d.batches.len();
-                    let got = run_rtf_task(tp, &i.sp, &i.scene, &d.batches[b]);
+                    let regions = &d.batches[b];
+                    let got = tp.run(&RtfTask { sp, scene, regions }, Watch::default()).0;
                     prop_assert_eq!(&got, &d.rtf[b], "{}: batch {}", at, b);
                 }
                 2 | 3 => {
@@ -273,12 +299,16 @@ proptest! {
                     prop_assert_eq!(&got, &fresh(input, level, u), "{}: {:?}", at, unit);
                 }
                 4 => {
-                    let got = run_fa_task(tp, &i.sp, &i.scene, &d.supported, &d.consistents);
+                    let (sp, scene, fragments) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
+                    let consistents = d.consistents.clone();
+                    let got = tp.run(&FaTask { sp, scene, fragments, consistents }, Watch::default()).0;
                     prop_assert_eq!(&got, &d.fa, "{}", at);
                 }
                 _ => {
-                    let (areas, members) = (&d.fa.areas, &d.fa.members);
-                    let got = run_model_task(tp, &i.sp, &i.scene, &d.supported, areas, members);
+                    let (sp, scene, fragments) = (sp.clone(), Arc::clone(scene), Arc::clone(fragments));
+                    let (areas, members) = (d.fa.areas.clone(), d.fa.members.clone());
+                    let model = ModelTask { sp, scene, fragments, areas, members };
+                    let got = tp.run(&model, Watch::default()).0;
                     prop_assert_eq!(&got, &d.model, "{}", at);
                 }
             }
@@ -353,11 +383,11 @@ impl DrivePolicy for SnapshotAt {
 fn the_unit_after_a_resumed_one_finds_no_mark_and_loads_its_base() {
     let (i, picks) = some_units();
     for i in [i, &fixture().inputs[1]] {
-        let plan = spam::lcc::LccPlan::new(&i.scene, &i.frags, Level::L3);
+        let plan = spam::lcc::LccPlan::new(&i.sp, &i.scene, &i.frags, Level::L3);
         let tp = &mut TaskProcess::default();
         for &(level, u) in &picks {
             // Unit 3 of Level 3, interrupted at cycle 2 on the marked engine…
-            let task = plan.task(&i.sp, &i.scene, &i.frags, 3);
+            let task = plan.task(3);
             let mut policy = SnapshotAt { at: 2, taken: None };
             let whole = tp
                 .begin(&task, false)
@@ -407,8 +437,8 @@ impl Task for Vandal<'_> {
 fn the_unit_after_one_that_removed_a_base_element_loads_its_base_again() {
     let (i, picks) = some_units();
     for i in [i, &fixture().inputs[1]] {
-        let plan = spam::lcc::LccPlan::new(&i.scene, &i.frags, Level::L3);
-        let vandal = |u| Vandal(plan.task(&i.sp, &i.scene, &i.frags, u));
+        let plan = spam::lcc::LccPlan::new(&i.sp, &i.scene, &i.frags, Level::L3);
+        let vandal = |u| Vandal(plan.task(u));
         let alone = TaskProcess::default().run(&vandal(5), Watch::default()).0;
         assert_ne!(
             alone,

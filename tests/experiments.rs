@@ -7,7 +7,8 @@
 use paraops5::costmodel::{amdahl_limit, match_speedup, match_speedup_curve, CostModel};
 use paraops5::suites::{rubik, suite_engine, tourney, weaver};
 use spam::lcc::Level;
-use spam::rtf::{rtf_task_batches, run_rtf_tasks};
+use spam::rtf::{merge_rtf_batches, rtf_task_batches, RtfPhase, RtfResult};
+use spam::task::{drain, TaskProcess};
 use spam_psm::baseline::port_factor;
 use spam_psm::combined::combined_cell;
 use spam_psm::trace::{lcc_trace, rtf_trace};
@@ -61,7 +62,12 @@ fn figure_8_rtf_profile() {
     let p = Prepared::new(spam::datasets::dc());
     let batch = (p.scene.len() / 70).max(1);
     let batches = rtf_task_batches(&p.scene, batch);
-    let (merged, results) = run_rtf_tasks(&p.sp, &p.scene, &batches);
+    let (sp, scene) = (p.sp.clone(), std::sync::Arc::clone(&p.scene));
+    let phase = RtfPhase { sp, scene, batches };
+    let results: Vec<RtfResult> = (drain(&mut TaskProcess::default(), &phase, false))
+        .map(|(r, _)| r)
+        .collect();
+    let merged = merge_rtf_batches(results.iter().map(|r| Some(r.fragments.clone())));
     assert!(!merged.is_empty());
     let trace = rtf_trace(&results);
     // 60-100ish tasks, low CV (paper: ~0.3).
