@@ -10,12 +10,17 @@ cargo build --release -p spam-psm -p tlp-bench \
   --bin spamctl --bin tracecheck --bin bench_whatif --bin benchdiff
 
 # Overhead accountant (SF Level 3): effective processors lost in [1, 2]; the
-# stitched trace covers >= 99% with no causal inversions.
+# two-machine trace covers >= 99% and every page exchange's legs are in
+# causal order.
 $bin/spamctl svm-report --check-loss 1.0:2.0 \
   --json $out/BENCH_svm.json --trace-out $out/svm_trace.json
 $bin/tracecheck $out/svm_trace.json --min-coverage 0.99
 $bin/benchdiff crates/bench/baselines/BENCH_svm.json \
   $out/BENCH_svm.json --threshold 5
+# The documented `run --machines 2` walkthrough (EXPERIMENTS.md).
+$bin/spamctl run sf --workers 20 --machines 2 --obs full \
+  --trace-out $out/svm_run.json
+$bin/tracecheck $out/svm_run.json --min-coverage 0.99
 
 # What-if bench (predicted vs measured Rete win within +/-15%).
 $bin/bench_whatif $out/BENCH_whatif.json --check-tolerance 15

@@ -6,13 +6,13 @@
 //! ```
 //!
 //! Both files are parsed with the crate's own JSON parser, flattened to
-//! dotted numeric leaf paths (`components.3.seconds`, `stitch.offset_us`,
-//! …), and every leaf present in *both* is compared. A leaf whose relative
-//! change exceeds the threshold (default 10 %) in either direction is a
-//! regression and the exit code is non-zero — the deterministic simulator
-//! means any drift is a code change, not noise. Leaves that appear in only
-//! one file are reported but do not fail the run (reports are allowed to
-//! grow). `--ignore PREFIX` skips leaves under a path prefix (repeatable),
+//! dotted numeric leaf paths (`components.warmup.seconds`,
+//! `hot_pages.20.faults`, …), and every leaf present in *both* is compared.
+//! A leaf whose relative change exceeds the threshold (default 10 %) in
+//! either direction is a regression and the exit code is non-zero — the
+//! deterministic simulator means any drift is a code change, not noise.
+//! Leaves that appear in only one file are reported but do not fail the
+//! run (reports are allowed to grow). `--ignore PREFIX` skips leaves under a path prefix (repeatable),
 //! for fields that are expected to move.
 //!
 //! `--list` prints one file's flattened leaves (`path = value`, sorted) —

@@ -25,7 +25,6 @@ use paraops5::costmodel::CostModel;
 use spam::phases::MIPS;
 use std::fmt;
 use tlp_obs::json::Json;
-use tlp_obs::stitch::{stitch, StitchReport};
 
 /// Amdahl's law: overall speed-up when a `parallel_fraction` of the work is
 /// sped up by `component_speedup` and the rest is untouched (§3.1: with the
@@ -155,166 +154,81 @@ impl GapAttribution {
 /// "overhead accountant" behind `spamctl svm-report` (§7: remote processors
 /// cost "about 1.5 processors" of throughput).
 ///
-/// Same contract as [`GapAttribution`], with the SVM traffic split out:
-/// all components are processor-seconds against a capacity of
-/// `workers × stitched_makespan`, and they sum to [`Self::gap`] **exactly**
-/// because `idle` is defined as the remainder. `busy_net` is execution time
-/// *net* of the charged SVM overhead (the simulator folds per-task fault
-/// service into busy time; the accountant takes it back out so page traffic
-/// cannot hide inside "useful work").
+/// [`GapAttribution`] of the same run with the SVM traffic split out of it:
+/// warmup out of `fork`, page-wait and transfer out of `busy` (the
+/// simulator folds per-task fault service into busy time; the accountant
+/// takes it back out so page traffic cannot hide inside "useful work").
+/// Capacity, queue-wait, dequeue, fault and idle are the plain
+/// attribution's, so the eight components still sum to [`Self::gap`]
+/// **exactly**.
 #[derive(Clone, Copy, Debug)]
 pub struct SvmGapAttribution {
-    /// Worker (task-process) count across both machines.
-    pub workers: u32,
+    /// The one-machine attribution of the underlying run, against the
+    /// one-worker pure-TLP baseline.
+    pub sim: GapAttribution,
     /// Workers placed on the remote cluster.
     pub remote_workers: u32,
-    /// One-worker pure-TLP baseline makespan (seconds).
-    pub base_makespan: f64,
-    /// True simulated makespan at `workers` (seconds).
-    pub makespan: f64,
-    /// Makespan an observer of the *stitched* two-machine trace measures
-    /// (seconds): the home-clock end of run, or later if aligned remote
-    /// events spill past it. Equals `makespan` when no trace was stitched.
-    pub stitched_makespan: f64,
-    /// Processor-seconds executing tasks, net of SVM fault service.
-    pub busy_net: f64,
-    /// Fork / task-process start-up, excluding SVM warmup.
-    pub fork: f64,
-    /// Waiting on the task-queue lock.
-    pub queue_wait: f64,
-    /// Inside dequeue critical sections.
-    pub dequeue: f64,
-    /// Worker deaths + detection windows (zero without fault injection).
-    pub fault: f64,
     /// One-time SVM warmup paid by each remote worker at fork.
     pub warmup: f64,
     /// Request + directory-service share of remote page-fault service.
     pub page_wait: f64,
     /// Data-wire share of remote page-fault service.
     pub transfer: f64,
-    /// What clock-domain stitching adds to the observed makespan beyond
-    /// truth: `workers × (stitched_makespan − makespan)`. Zero when the
-    /// home clock is the reference and alignment is clean.
-    pub skew_residual: f64,
-    /// Remaining idle processor-seconds (load imbalance, tail-end effect).
-    /// Defined as the remainder, so the component sum is exact.
-    pub idle: f64,
 }
 
 impl SvmGapAttribution {
     /// Attributes one two-machine run. `base_makespan` is the one-worker
-    /// pure-TLP baseline; `stitched_makespan` is the makespan measured from
-    /// the stitched trace (pass `None` when the recorder was off).
-    pub fn attribute(
-        base_makespan: f64,
-        r: &SvmSimResult,
-        stitched_makespan: Option<f64>,
-    ) -> SvmGapAttribution {
-        let sim = &r.sim;
-        let workers = r.cfg.sim.task_processes;
-        let busy: f64 = sim.busy.iter().sum();
-        let page_wait = r.overheads.page_wait_s;
-        let transfer = r.overheads.transfer_s;
-        let busy_net = busy - page_wait - transfer;
-        let warmup = r.overheads.warmup_s;
-        let fork = sim.fork_ready.iter().sum::<f64>() - warmup;
-        let queue_wait: f64 = sim
-            .executions
-            .iter()
-            .map(|e| e.acquired - e.queued_at)
-            .sum();
-        let dequeue: f64 = sim.executions.iter().map(|e| e.started - e.acquired).sum();
-        let fault: f64 = sim
-            .deaths
-            .iter()
-            .map(|d| d.detected - d.acquired)
-            .sum::<f64>()
-            + 0.0;
-        let stitched_makespan = stitched_makespan.unwrap_or(sim.makespan);
-        let skew_residual = workers as f64 * (stitched_makespan - sim.makespan);
-        let idle = workers as f64 * sim.makespan
-            - busy_net
-            - fork
-            - queue_wait
-            - dequeue
-            - fault
-            - warmup
-            - page_wait
-            - transfer;
+    /// pure-TLP baseline.
+    pub fn attribute(base_makespan: f64, r: &SvmSimResult) -> SvmGapAttribution {
         SvmGapAttribution {
-            workers,
+            sim: GapAttribution::attribute(base_makespan, &r.sim, r.cfg.sim.task_processes),
             remote_workers: r.remote_workers(),
-            base_makespan,
-            makespan: sim.makespan,
-            stitched_makespan,
-            busy_net,
-            fork,
-            queue_wait,
-            dequeue,
-            fault,
-            warmup,
-            page_wait,
-            transfer,
-            skew_residual,
-            idle,
+            warmup: r.overheads.warmup_s,
+            page_wait: r.overheads.page_wait_s,
+            transfer: r.overheads.transfer_s,
         }
     }
 
-    /// Processor-seconds of capacity as the stitched-trace observer sees
-    /// it: `workers × stitched_makespan`.
-    pub fn capacity(&self) -> f64 {
-        self.workers as f64 * self.stitched_makespan
+    /// Processor-seconds executing tasks, net of SVM fault service.
+    pub fn busy_net(&self) -> f64 {
+        self.sim.busy - self.page_wait - self.transfer
     }
 
-    /// The cross-machine gap: observed capacity not spent on net task
-    /// execution.
+    /// Fork / task-process start-up, excluding SVM warmup.
+    pub fn fork(&self) -> f64 {
+        self.sim.fork - self.warmup
+    }
+
+    /// The cross-machine gap: capacity not spent on net task execution.
     pub fn gap(&self) -> f64 {
-        self.capacity() - self.busy_net
+        self.sim.capacity() - self.busy_net()
     }
 
     /// The named components, in report order. Sums to [`Self::gap`]
     /// exactly (up to float rounding).
-    pub fn components(&self) -> [(&'static str, f64); 9] {
+    pub fn components(&self) -> [(&'static str, f64); 8] {
+        let s = &self.sim;
         [
-            ("fork", self.fork),
-            ("queue-wait", self.queue_wait),
-            ("dequeue", self.dequeue),
-            ("fault", self.fault),
+            ("fork", self.fork()),
+            ("queue-wait", s.queue_wait),
+            ("dequeue", s.dequeue),
+            ("fault", s.fault),
             ("warmup", self.warmup),
             ("page-wait", self.page_wait),
             ("transfer", self.transfer),
-            ("skew-residual", self.skew_residual),
-            ("idle/tail", self.idle),
+            ("idle/tail", s.idle),
         ]
     }
 
-    /// The SVM-specific components (warmup + page-wait + transfer +
-    /// skew-residual) expressed as processors over the makespan — the part
-    /// of the gap a one-machine run would not have paid. This is the
-    /// accountant's decomposition of the headline processors-lost figure.
+    /// The SVM-specific components (warmup + page-wait + transfer)
+    /// expressed as processors over the makespan — the part of the gap a
+    /// one-machine run would not have paid. This is the accountant's
+    /// decomposition of the headline processors-lost figure.
     pub fn svm_processors(&self) -> f64 {
-        if self.makespan <= 0.0 {
+        if self.sim.makespan <= 0.0 {
             return 0.0;
         }
-        (self.warmup + self.page_wait + self.transfer + self.skew_residual) / self.makespan
-    }
-
-    /// Ideal speed-up: the worker count.
-    pub fn ideal_speedup(&self) -> f64 {
-        self.workers as f64
-    }
-
-    /// Measured speed-up over the one-worker pure-TLP baseline.
-    pub fn measured_speedup(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.base_makespan / self.makespan
-    }
-
-    /// Parallel efficiency, measured / ideal.
-    pub fn efficiency(&self) -> f64 {
-        self.measured_speedup() / self.ideal_speedup()
+        (self.warmup + self.page_wait + self.transfer) / self.sim.makespan
     }
 }
 
@@ -386,8 +300,8 @@ pub fn pure_tlp_config(svm_sim: &SimConfig, n: u32) -> SimConfig {
 }
 
 /// The full SVM accountant report behind `spamctl svm-report`: gap
-/// decomposition, coherence traffic, clock-stitch fit, and
-/// the headline effective-processors-lost figure. `Display` renders the
+/// decomposition, coherence traffic, and the headline
+/// effective-processors-lost figure. `Display` renders the
 /// text report; [`SvmReport::to_json`] the machine-readable one.
 #[derive(Clone, Debug)]
 pub struct SvmReport {
@@ -403,8 +317,6 @@ pub struct SvmReport {
     pub totals: PageStats,
     /// Hottest pages by fault count (page id, stats), most faults first.
     pub top_pages: Vec<(u64, PageStats)>,
-    /// Clock-domain stitch fit, when the run recorded events.
-    pub stitch: Option<StitchReport>,
     /// The pure-TLP reference curve at 1..=workers processors.
     pub pure_curve: Vec<SpeedupPoint>,
     /// Fractional pure-TLP processor count matching the measured speed-up.
@@ -414,9 +326,8 @@ pub struct SvmReport {
 }
 
 /// Builds the [`SvmReport`] for one two-machine run: computes the pure-TLP
-/// reference curve on the same task set, stitches the per-machine event
-/// logs when present, and attributes the gap. `top` bounds the hot-page
-/// table.
+/// reference curve on the same task set and attributes the gap. `top`
+/// bounds the hot-page table.
 pub fn build_svm_report(
     dataset: impl Into<String>,
     level: impl Into<String>,
@@ -429,19 +340,8 @@ pub fn build_svm_report(
     let pure_curve = speedup_curve(|n| pure_tlp_config(&r.cfg.sim, n), tasks, workers.max(1));
     let base = simulate(&pure_tlp_config(&r.cfg.sim, 1), &tasks.tasks).makespan;
 
-    let stitched = if r.home.events.is_empty() || r.remote.events.is_empty() {
-        None
-    } else {
-        stitch(r.home.clone(), r.remote.clone()).ok()
-    };
-    let stitched_makespan = stitched.as_ref().map(|s| {
-        let last_remote = s.remote.events.iter().map(|e| e.wall_us).max().unwrap_or(0);
-        let home_end = r.cfg.home_clock.local_us(r.sim.makespan);
-        home_end.max(last_remote) as f64 / 1e6
-    });
-
-    let attribution = SvmGapAttribution::attribute(base, r, stitched_makespan);
-    let measured = attribution.measured_speedup();
+    let attribution = SvmGapAttribution::attribute(base, r);
+    let measured = attribution.sim.measured_speedup();
     let equivalent = equivalent_processors(measured, &pure_curve);
     let mut top_pages: Vec<(u64, PageStats)> = r.pages.iter().map(|(&p, &s)| (p, s)).collect();
     top_pages.sort_by(|a, b| b.1.faults.cmp(&a.1.faults).then(a.0.cmp(&b.0)));
@@ -453,7 +353,6 @@ pub fn build_svm_report(
         attribution,
         totals: r.totals,
         top_pages,
-        stitch: stitched.map(|s| s.report),
         pure_curve,
         equivalent,
         lost: workers as f64 - equivalent,
@@ -465,6 +364,7 @@ impl SvmReport {
     /// one as `BENCH_svm.json`).
     pub fn to_json(&self) -> Json {
         let a = &self.attribution;
+        let s = &a.sim;
         let comps: Vec<Json> = a
             .components()
             .iter()
@@ -497,22 +397,21 @@ impl SvmReport {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        Json::obj(vec![
             ("dataset", Json::str(self.dataset.clone())),
             ("level", Json::str(self.level.clone())),
             ("svm_mode", Json::str(self.mode.clone())),
-            ("workers", Json::Num(a.workers as f64)),
+            ("workers", Json::Num(s.workers as f64)),
             ("remote_workers", Json::Num(a.remote_workers as f64)),
-            ("base_makespan_s", Json::Num(a.base_makespan)),
-            ("makespan_s", Json::Num(a.makespan)),
-            ("stitched_makespan_s", Json::Num(a.stitched_makespan)),
-            ("measured_speedup", Json::Num(a.measured_speedup())),
-            ("ideal_speedup", Json::Num(a.ideal_speedup())),
-            ("efficiency", Json::Num(a.efficiency())),
+            ("base_makespan_s", Json::Num(s.base_makespan)),
+            ("makespan_s", Json::Num(s.makespan)),
+            ("measured_speedup", Json::Num(s.measured_speedup())),
+            ("ideal_speedup", Json::Num(s.ideal_speedup())),
+            ("efficiency", Json::Num(s.efficiency())),
             ("equivalent_processors", Json::Num(self.equivalent)),
             ("effective_processors_lost", Json::Num(self.lost)),
             ("svm_processors", Json::Num(a.svm_processors())),
-            ("busy_net_s", Json::Num(a.busy_net)),
+            ("busy_net_s", Json::Num(a.busy_net())),
             ("gap_s", Json::Num(a.gap())),
             ("components", Json::Arr(comps)),
             ("page_faults", Json::Num(self.totals.faults as f64)),
@@ -521,46 +420,33 @@ impl SvmReport {
             ("invalidations", Json::Num(self.totals.invalidations as f64)),
             ("hot_pages", Json::Arr(pages)),
             ("pure_tlp_curve", Json::Arr(curve)),
-        ];
-        if let Some(s) = &self.stitch {
-            fields.push((
-                "stitch",
-                Json::obj(vec![
-                    ("pairs", Json::Num(s.pairs as f64)),
-                    ("offset_us", Json::Num(s.offset_us)),
-                    ("drift_ppm", Json::Num(s.drift_ppm)),
-                    ("residual_us", Json::Num(s.residual_us)),
-                    ("rms_residual_us", Json::Num(s.rms_residual_us)),
-                    ("inversions", Json::Num(s.inversions as f64)),
-                ]),
-            ));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
 impl fmt::Display for SvmReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let a = &self.attribution;
+        let s = &a.sim;
         writeln!(
             f,
             "svm accountant — {} {}, {} netmemory, {} task processes ({} local + {} remote)",
             self.dataset,
             self.level,
             self.mode,
-            a.workers,
-            a.workers - a.remote_workers,
+            s.workers,
+            s.workers - a.remote_workers,
             a.remote_workers,
         )?;
         writeln!(f)?;
         writeln!(
             f,
             "speed-up : base {:.2}s -> makespan {:.2}s = {:.2}x of ideal {:.0}x ({:.0}% efficient)",
-            a.base_makespan,
-            a.makespan,
-            a.measured_speedup(),
-            a.ideal_speedup(),
-            a.efficiency() * 100.0,
+            s.base_makespan,
+            s.makespan,
+            s.measured_speedup(),
+            s.ideal_speedup(),
+            s.efficiency() * 100.0,
         )?;
         writeln!(
             f,
@@ -572,21 +458,21 @@ impl fmt::Display for SvmReport {
             f,
             "gap decomposition ({:.2} proc-s over {} x {:.2}s observed capacity; sums exactly):",
             a.gap(),
-            a.workers,
-            a.stitched_makespan,
+            s.workers,
+            s.makespan,
         )?;
-        let cap = a.capacity();
+        let cap = s.capacity();
         for (name, v) in a.components() {
             writeln!(
                 f,
                 "  {name:<14} {v:>10.2} proc-s  ({:>5.1}%)  = {:>5.2} processors",
                 100.0 * v / cap,
-                v / a.makespan,
+                v / s.makespan,
             )?;
         }
         writeln!(
             f,
-            "  svm-specific subtotal (warmup + page-wait + transfer + skew-residual): {:.2} processors",
+            "  svm-specific subtotal (warmup + page-wait + transfer): {:.2} processors",
             a.svm_processors(),
         )?;
         writeln!(f)?;
@@ -611,14 +497,6 @@ impl fmt::Display for SvmReport {
                     s.faults, s.transfers, s.bytes, s.invalidations
                 )?;
             }
-        }
-        match &self.stitch {
-            Some(s) => writeln!(
-                f,
-                "stitch   : {} exchanges, offset {:.1} us, drift {:.1} ppm, residual {:.1} us (rms {:.1}), {} inversions",
-                s.pairs, s.offset_us, s.drift_ppm, s.residual_us, s.rms_residual_us, s.inversions,
-            )?,
-            None => writeln!(f, "stitch   : no event logs recorded (recorder off)")?,
         }
         Ok(())
     }
@@ -1200,7 +1078,7 @@ mod tests {
 
     #[test]
     fn tuned_svm_report_brackets_the_papers_loss() {
-        use multimax_sim::{simulate_svm, ClockDomain, SvmSimConfig};
+        use multimax_sim::{simulate_svm, SvmSimConfig};
         // The paper's Figure 9 platform: SF at Level 3, 13 + 7 processes.
         let sp = SpamProgram::build();
         let scene = Arc::new(spam::generate_scene(&spam::datasets::sf().spec));
@@ -1208,10 +1086,7 @@ mod tests {
         let frags = Arc::new(rtf.fragments);
         let lcc = spam::lcc::run_lcc(&sp, &scene, &frags, Level::L3);
         let trace = lcc_trace(&lcc);
-        let mut cfg = SvmSimConfig::dual_encore(20);
-        cfg.remote_clock = ClockDomain::new(-3_500, 80.0);
-        cfg.level = tlp_obs::ObsLevel::Full;
-        let r = simulate_svm(&cfg, &trace.tasks.tasks);
+        let r = simulate_svm(&SvmSimConfig::dual_encore(20), &trace.tasks.tasks);
         let report = build_svm_report("SF", "LCC L3", "tuned", &r, &trace.tasks, 5);
         // The acceptance criterion: effective processors lost brackets the
         // paper's ≈1.5 figure.
@@ -1221,17 +1096,12 @@ mod tests {
             report.lost,
             report.equivalent
         );
-        // The stitch succeeded and is causally clean under ±5 ms skew.
-        let s = report.stitch.expect("stitched");
-        assert_eq!(s.inversions, 0);
-        assert!(s.pairs > 50, "pairs {}", s.pairs);
         // Text + JSON render and carry the headline.
         let text = report.to_string();
         assert!(text.contains("effective processors lost"), "{text}");
         assert!(text.contains("svm accountant"), "{text}");
         let json = report.to_json();
         assert!(json.get("effective_processors_lost").is_some());
-        assert!(json.get("stitch").is_some());
     }
 
     #[test]

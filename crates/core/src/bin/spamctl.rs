@@ -42,11 +42,11 @@
 //!   (dataset defaults to `sf`, the paper's Figure 9 scene; 20 task
 //!   processes = 13 local + 7 remote) and print the **overhead
 //!   accountant** — the exact gap decomposition (fork / queue / warmup /
-//!   page-wait / transfer / skew-residual / idle), page-coherence
-//!   counters, the clock-stitch fit, and the headline effective-
-//!   processors-lost figure (paper §7: ≈1.5). `--check-loss LO:HI` exits
-//!   non-zero unless the figure lies in `[LO, HI]` (the CI gate);
-//!   `--trace-out F` writes the stitched two-machine Chrome trace;
+//!   page-wait / transfer / idle), page-coherence counters, and the
+//!   headline effective-processors-lost figure (paper §7: ≈1.5).
+//!   `--check-loss LO:HI` exits non-zero unless the figure lies in
+//!   `[LO, HI]` (the CI gate); `--trace-out F` writes the two-machine
+//!   Chrome trace;
 //! * `whatif`: the causal what-if profiler — replay the recorded LCC trace
 //!   (and its match profile) with a **virtual speedup** applied to a
 //!   target, re-simulate under the Encore cost model, and print the ranked
@@ -73,12 +73,10 @@
 //! * `--machines 2` makes `run` replay the measured trace on the
 //!   dual-Encore SVM platform instead of one Encore: the Gantt chart
 //!   (at `--obs full`) becomes a two-machine chart, the Chrome trace
-//!   carries one `pid` lane per machine (clock domains stitched from the
-//!   page-fault exchanges), and coherence/stitch summaries are printed;
+//!   carries one `pid` lane per machine, and a coherence summary is
+//!   printed;
 //! * `--svm` picks the netmemory cost model (`tuned`, the paper's final
-//!   system, or `naive`, the pre-layout-fix one; default `tuned`). The
-//!   remote machine's clock runs −3.5 ms / 80 ppm off the home clock, which
-//!   exercises the stitcher;
+//!   system, or `naive`, the pre-layout-fix one; default `tuned`);
 //! * `--level` selects the LCC decomposition level (default 3);
 //! * `--workers N` runs LCC with N real task-process threads (SPAM/PSM);
 //! * `--exec real|sim` picks where the one phase runner (`spam_psm::exec`)
@@ -734,21 +732,18 @@ fn run_whatif(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), Stri
     Ok(())
 }
 
-/// The two-machine simulation configuration: `--svm`'s netmemory, and a
-/// remote clock −3.5 ms / 80 ppm off the home one (the reference) — large
-/// against the page-exchange latencies, so the stitcher has work to do.
+/// The two-machine simulation configuration: `--svm`'s netmemory.
 fn svm_sim_config(o: &Opts, workers: u32) -> multimax_sim::SvmSimConfig {
     let mut cfg = multimax_sim::SvmSimConfig::dual_encore(workers);
     cfg.sim.svm = match o.svm_mode.as_str() {
         "naive" => multimax_sim::SvmConfig::naive(),
         _ => multimax_sim::SvmConfig::tuned(),
     };
-    cfg.remote_clock = multimax_sim::ClockDomain::new(-3_500, 80.0);
     cfg
 }
 
-/// Writes the stitched two-machine Chrome trace: one `pid` lane per
-/// machine (remote clock aligned to home) plus both simulated timelines.
+/// Writes the two-machine Chrome trace: one `pid` lane per machine plus
+/// both simulated timelines.
 fn write_svm_trace(
     path: &str,
     r: &multimax_sim::SvmSimResult,
@@ -758,18 +753,8 @@ fn write_svm_trace(
     if let Some(rec) = rec {
         doc.add_recorder("spamctl", rec);
     }
-    match tlp_obs::stitch(r.home.clone(), r.remote.clone()) {
-        Ok(s) => {
-            doc.add_machine(&s.home);
-            doc.add_machine(&s.remote);
-        }
-        // No exchanges to align on (e.g. no remote workers): emit the raw
-        // logs; each machine still gets its own pid lane.
-        Err(_) => {
-            doc.add_machine(&r.home);
-            doc.add_machine(&r.remote);
-        }
-    }
+    doc.add_machine(&r.home);
+    doc.add_machine(&r.remote);
     let (home_tl, remote_tl) = r.timelines();
     doc.add_timeline(&home_tl);
     doc.add_timeline(&remote_tl);
@@ -1721,17 +1706,6 @@ fn run_pipeline(
                 r.totals.invalidations,
                 o.svm_mode
             );
-            match tlp_obs::stitch(r.home.clone(), r.remote.clone()) {
-                Ok(s) => println!(
-                    "stitch : {} exchange pairs, offset {:.0} us, drift {:.1} ppm, residual +/-{:.0} us, {} inversions",
-                    s.report.pairs,
-                    s.report.offset_us,
-                    s.report.drift_ppm,
-                    s.report.residual_us,
-                    s.report.inversions
-                ),
-                Err(e) => println!("stitch : not possible ({e})"),
-            }
         }
 
         if o.obs == ObsLevel::Full {

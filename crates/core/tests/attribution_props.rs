@@ -111,36 +111,40 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The SVM accountant's acceptance identity: the nine cross-machine gap
-    /// components sum to the observed-capacity-vs-net-busy difference
-    /// exactly, for arbitrary workloads, worker counts, clock skews, and
-    /// recorder levels.
+    /// The SVM accountant's acceptance identity: the eight cross-machine gap
+    /// components sum to the capacity-vs-net-busy difference exactly, for
+    /// arbitrary workloads, worker counts and recorder levels, and the
+    /// components it shares with the one-machine attribution are that
+    /// attribution's.
     #[test]
     fn svm_gap_components_sum_exactly(
         services in prop::collection::vec(0.2f64..6.0, 20..120),
         workers in 2u32..26,
-        skew_us in -5_000i64..5_000,
-        drift in -150.0f64..150.0,
         full in 0u8..2,
     ) {
-        use multimax_sim::{simulate_svm, ClockDomain, SvmSimConfig};
+        use multimax_sim::{simulate_svm, SvmSimConfig};
         use spam_psm::attribution::build_svm_report;
         let ts = TaskSet::from_services(&services);
         let mut cfg = SvmSimConfig::dual_encore(workers);
-        cfg.remote_clock = ClockDomain::new(skew_us, drift);
         cfg.level = if full == 1 { tlp_obs::ObsLevel::Full } else { tlp_obs::ObsLevel::Off };
         let r = simulate_svm(&cfg, &ts.tasks);
         let report = build_svm_report("prop", "L?", "tuned", &r, &ts, 3);
         let a = &report.attribution;
         let sum: f64 = a.components().iter().map(|(_, v)| v).sum();
         prop_assert!(
-            (sum - a.gap()).abs() < 1e-9 * a.capacity().max(1.0),
+            (sum - a.gap()).abs() < 1e-9 * a.sim.capacity().max(1.0),
             "components {} != gap {}", sum, a.gap()
         );
+        // Queue-wait, dequeue, fault and idle/tail are the plain ones.
+        let plain = GapAttribution::attribute(a.sim.base_makespan, &r.sim, workers);
+        for (name, v) in plain.components().into_iter().filter(|(n, _)| *n != "fork") {
+            let svm = a.components().into_iter().find(|(n, _)| *n == name);
+            prop_assert_eq!(svm, Some((name, v)));
+        }
         // The pieces the accountant pulls out of busy/fork stay
         // non-negative, and net busy never exceeds raw busy.
-        prop_assert!(a.busy_net <= r.sim.busy.iter().sum::<f64>() + 1e-9);
-        prop_assert!(a.fork >= -1e-9 && a.warmup >= -1e-9);
+        prop_assert!(a.busy_net() <= r.sim.busy.iter().sum::<f64>() + 1e-9);
+        prop_assert!(a.fork() >= -1e-9 && a.warmup >= -1e-9);
         prop_assert!(a.page_wait >= 0.0 && a.transfer >= 0.0);
         // Equivalent processors never exceeds the worker count (the SVM
         // run cannot beat the pure-TLP run it is compared against).

@@ -57,8 +57,7 @@ pub use schedule::Schedule;
 pub use sim::{simulate, simulate_with_faults, DeathEvent, SimConfig, SimResult, TaskExec};
 pub use svm::SvmConfig;
 pub use svm_sim::{
-    simulate_svm, simulate_svm_with_faults, ClockDomain, PageStats, SvmOverheads, SvmSimConfig,
-    SvmSimResult,
+    simulate_svm, simulate_svm_with_faults, PageStats, SvmOverheads, SvmSimConfig, SvmSimResult,
 };
 pub use task::{Task, TaskId};
 pub use tlp_fault::FaultPlan;

@@ -1,4 +1,4 @@
-//! The two-machine SVM simulation with distinct clock domains.
+//! The two-machine SVM simulation.
 //!
 //! [`crate::svm::SvmConfig`] is a *closed-form* cost model: remote workers
 //! pay a fixed overhead per task and a warmup at fork, and that is all the
@@ -7,14 +7,12 @@
 //! netmemory server — so the observability stack can see *where* the
 //! ≈1.5-processor translational cost goes:
 //!
-//! * Each machine has its **own wall clock** ([`ClockDomain`]: configurable
-//!   skew and drift), exactly the situation of real cluster tracing. Events
-//!   are stamped in machine-local microseconds; `tlp_obs::stitch` aligns
-//!   the domains afterwards from the matched page-fault exchanges.
+//! * Each machine keeps its own event log, one Chrome process each, and
+//!   both are stamped in the simulator's one clock (microseconds).
 //! * Every remote page fault becomes a **four-leg exchange**: `page.fault`
-//!   (request leaves, remote clock) → `page.req` (request arrives, home
-//!   clock) → `page.send` (data leaves, home clock) → `page.recv` (data
-//!   arrives, remote clock), correlated by an `xfer` id. One fault of cost
+//!   (request leaves the remote machine) → `page.req` (request arrives
+//!   home) → `page.send` (data leaves home) → `page.recv` (data arrives
+//!   remote), correlated by an `xfer` id. One fault of cost
 //!   `c` splits 0.2c request wire, 0.1c directory service, 0.7c data wire —
 //!   the data leg dominates because pages are big and requests are not.
 //! * A deterministic **page directory** tracks per-page coherence traffic:
@@ -37,11 +35,10 @@ use crate::sim::{simulate_with_faults, SimConfig, SimResult};
 use crate::task::Task;
 use std::collections::{BTreeMap, BTreeSet};
 use tlp_fault::FaultPlan;
-use tlp_obs::stitch::{
-    MachineLog, EV_PAGE_FAULT, EV_PAGE_RECV, EV_PAGE_REQ, EV_PAGE_SEND, XFER_ARG,
-};
+use tlp_obs::export::{EV_PAGE_FAULT, EV_PAGE_RECV, EV_PAGE_REQ, EV_PAGE_SEND, XFER_ARG};
 use tlp_obs::{
-    ArgValue, Category, CounterSeries, EventKind, ObsLevel, Recorder, Span, Timeline, Track,
+    ArgValue, Category, CounterSeries, EventKind, MachineLog, ObsLevel, Recorder, Span, Timeline,
+    Track,
 };
 
 /// Event name of a directory invalidation (home machine).
@@ -57,50 +54,11 @@ const SERVICE_LEG: f64 = 0.1;
 /// request packet: the data leg dominates).
 const WIRE_LEG: f64 = 0.7;
 
-/// One machine's wall clock, as an affine map from true simulated time.
-///
-/// `local_us(t) = t·(1 + drift_ppm·10⁻⁶)·10⁶ + skew_us`. True time is the
-/// simulator's internal clock, which no machine can observe — each log is
-/// stamped only in its own local microseconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClockDomain {
-    /// Offset of this clock from true time at t = 0 (microseconds).
-    pub skew_us: i64,
-    /// Rate error in parts per million (positive runs fast).
-    pub drift_ppm: f64,
-}
-
-impl ClockDomain {
-    /// The reference clock: no skew, no drift.
-    pub fn identity() -> ClockDomain {
-        ClockDomain {
-            skew_us: 0,
-            drift_ppm: 0.0,
-        }
-    }
-
-    /// A skewed, drifting clock.
-    pub fn new(skew_us: i64, drift_ppm: f64) -> ClockDomain {
-        ClockDomain { skew_us, drift_ppm }
-    }
-
-    /// Maps true simulated seconds to this machine's local microseconds
-    /// (clamped at zero; monotone for any sane drift).
-    pub fn local_us(&self, true_s: f64) -> u64 {
-        let t = true_s * 1e6 * (1.0 + self.drift_ppm * 1e-6) + self.skew_us as f64;
-        t.round().max(0.0) as u64
-    }
-}
-
 /// Configuration of the two-machine SVM simulation.
 #[derive(Clone, Copy, Debug)]
 pub struct SvmSimConfig {
     /// The underlying simulation (machine, workers, schedule, SVM costs).
     pub sim: SimConfig,
-    /// The home machine's clock (holds the task queue and page directory).
-    pub home_clock: ClockDomain,
-    /// The remote machine's clock.
-    pub remote_clock: ClockDomain,
     /// Page size in bytes (the Encores used 8 KB pages).
     pub page_bytes: u64,
     /// Size of the shared page space the deterministic page map hashes
@@ -111,13 +69,11 @@ pub struct SvmSimConfig {
 }
 
 impl SvmSimConfig {
-    /// The §7 dual-Encore platform with `n` task processes, reference
-    /// clocks, and the recorder off.
+    /// The §7 dual-Encore platform with `n` task processes and the
+    /// recorder off.
     pub fn dual_encore(n: u32) -> SvmSimConfig {
         SvmSimConfig {
             sim: SimConfig::dual_encore(n),
-            home_clock: ClockDomain::identity(),
-            remote_clock: ClockDomain::identity(),
             page_bytes: 8192,
             page_table: 4096,
             level: ObsLevel::Off,
@@ -161,7 +117,7 @@ impl SvmOverheads {
 
 /// Result of one two-machine run: the plain simulation result plus the
 /// derived coherence counters, overhead decomposition, and per-machine
-/// event logs stamped in each machine's local clock.
+/// event logs.
 #[derive(Clone, Debug)]
 pub struct SvmSimResult {
     /// The configuration that produced this run.
@@ -175,9 +131,9 @@ pub struct SvmSimResult {
     pub totals: PageStats,
     /// Per-page coherence counters (page id → stats).
     pub pages: BTreeMap<u64, PageStats>,
-    /// Home machine's event log (local clock). Empty below `Summary`.
+    /// Home machine's event log. Empty below `Summary`.
     pub home: MachineLog,
-    /// Remote machine's event log (local clock). Empty below `Summary`.
+    /// Remote machine's event log. Empty below `Summary`.
     pub remote: MachineLog,
     /// Per-execution fault overhead (seconds), parallel to
     /// `sim.executions`; zero for local workers, storm-adjusted for
@@ -185,7 +141,7 @@ pub struct SvmSimResult {
     pub fault_overheads: Vec<f64>,
 }
 
-/// A page operation in true simulated time, derived from the schedule.
+/// A page operation in simulated time, derived from the schedule.
 enum PageOp {
     /// A remote worker faults on `page`; the exchange occupies `dur`
     /// seconds starting at `t`. `sample` marks the last fault of a task
@@ -222,7 +178,7 @@ fn page_of(task: u32, k: u64, page_table: u64) -> u64 {
         % page_table.max(1)
 }
 
-/// Pending event: (true time, tiebreak ordinal, name, kind, args).
+/// Pending event: (simulated seconds, tiebreak ordinal, name, kind, args).
 type Pending = (
     f64,
     u64,
@@ -231,10 +187,10 @@ type Pending = (
     Vec<(&'static str, ArgValue)>,
 );
 
-fn emit_sorted(sink: &mut tlp_obs::ThreadSink, clock: &ClockDomain, mut pending: Vec<Pending>) {
+fn emit_sorted(sink: &mut tlp_obs::ThreadSink, mut pending: Vec<Pending>) {
     pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     for (t, _, name, kind, args) in pending {
-        sink.emit_at(clock.local_us(t), Category::Svm, name, kind, args);
+        sink.emit_at((t * 1e6).round() as u64, Category::Svm, name, kind, args);
     }
 }
 
@@ -257,7 +213,7 @@ pub fn simulate_svm_with_faults(
     let svm = cfg.sim.svm;
     let machine = cfg.sim.machine;
 
-    // ---- derive page operations in true time (pure) ----
+    // ---- derive page operations in simulated time (pure) ----
     let mut ops: Vec<PageOp> = Vec::new();
     let mut warmup_s = 0.0f64;
     let mut fault_overheads: Vec<f64> = Vec::with_capacity(sim.executions.len());
@@ -470,13 +426,13 @@ pub fn simulate_svm_with_faults(
     // assigned exactly as a live recorder would.
     let mut control = home_rec.sink("control");
     let mut server = home_rec.sink("svm-server");
-    emit_sorted(&mut control, &cfg.home_clock, control_pending);
-    emit_sorted(&mut server, &cfg.home_clock, server_pending);
+    emit_sorted(&mut control, control_pending);
+    emit_sorted(&mut server, server_pending);
     drop(control);
     drop(server);
     for (w, pending) in pager_pending {
         let mut pager = remote_rec.sink(format!("pager {w}"));
-        emit_sorted(&mut pager, &cfg.remote_clock, pending);
+        emit_sorted(&mut pager, pending);
     }
 
     let home = MachineLog {
@@ -507,7 +463,7 @@ pub fn simulate_svm_with_faults(
 }
 
 impl SvmSimResult {
-    /// Reconstructs one simulated-time [`Timeline`] per machine, in true
+    /// Reconstructs one simulated-time [`Timeline`] per machine, in
     /// seconds and with SVM activity split out: remote workers show
     /// `warmup` and per-task `page t<N>` spans before each `exec` span.
     /// Both timelines share the run's makespan, so every simulated instant
@@ -729,44 +685,43 @@ mod tests {
     }
 
     #[test]
-    fn event_logs_are_well_formed_and_stitchable_under_skew() {
-        use tlp_obs::stitch::stitch;
+    fn every_xfer_has_its_four_legs_in_order() {
         let tasks = uniform_tasks(160, 2.0);
-        for skew_us in [-5_000i64, 0, 5_000] {
-            let mut c = cfg(20, ObsLevel::Full);
-            c.remote_clock = ClockDomain::new(skew_us, 150.0);
-            let r = simulate_svm(&c, &tasks);
-            assert!(!r.home.events.is_empty());
-            assert!(!r.remote.events.is_empty());
-            // Migration instants appear for remote dispatches only.
-            assert!(r.home.events.iter().any(|e| e.name == EV_TASK_MIGRATE));
-            let s = stitch(r.home.clone(), r.remote.clone()).unwrap();
-            assert!(s.report.pairs > 100, "pairs {}", s.report.pairs);
-            assert_eq!(s.report.inversions, 0, "skew {skew_us}");
-            // The fitted offset recovers the injected skew to within the
-            // asymmetric-leg bias (a fraction of one fault).
-            let fault_us = 1e6 * c.sim.svm.per_task_overhead() / c.sim.svm.faults_per_task;
-            assert!(
-                (s.report.offset_us + skew_us as f64).abs() < fault_us,
-                "skew {skew_us}: offset {}",
-                s.report.offset_us
-            );
+        let r = simulate_svm(&cfg(20, ObsLevel::Full), &tasks);
+        // Migration instants appear for remote dispatches only.
+        assert!(r.home.events.iter().any(|e| e.name == EV_TASK_MIGRATE));
+        // xfer id -> [page.fault, page.req, page.send, page.recv] stamps.
+        let mut legs: BTreeMap<u64, [Option<u64>; 4]> = BTreeMap::new();
+        for e in r.home.events.iter().chain(&r.remote.events) {
+            let leg = [EV_PAGE_FAULT, EV_PAGE_REQ, EV_PAGE_SEND, EV_PAGE_RECV]
+                .iter()
+                .position(|n| e.name == *n);
+            let id = e.args.iter().find_map(|(k, v)| match (*k, v) {
+                (XFER_ARG, ArgValue::U64(id)) => Some(*id),
+                _ => None,
+            });
+            if let (Some(leg), Some(id)) = (leg, id) {
+                assert!(legs.entry(id).or_default()[leg]
+                    .replace(e.wall_us)
+                    .is_none());
+            }
+        }
+        assert_eq!(legs.len() as u64, r.totals.faults);
+        for (id, l) in &legs {
+            let [f, q, s, v] = l.map(|t| t.expect("all four legs"));
+            assert!(f <= q && q <= s && s <= v, "xfer {id}: {l:?}");
         }
     }
 
     #[test]
-    fn stitched_chrome_trace_validates_with_high_coverage() {
-        use tlp_obs::stitch::stitch;
+    fn two_machine_chrome_trace_validates_with_high_coverage() {
         use tlp_obs::{validate_chrome_trace, TraceDoc};
         let tasks = uniform_tasks(160, 2.0);
-        let mut c = cfg(20, ObsLevel::Full);
-        c.remote_clock = ClockDomain::new(-3_500, 80.0);
-        let r = simulate_svm(&c, &tasks);
-        let s = stitch(r.home.clone(), r.remote.clone()).unwrap();
+        let r = simulate_svm(&cfg(20, ObsLevel::Full), &tasks);
         let (home_tl, remote_tl) = r.timelines();
         let mut doc = TraceDoc::new();
-        doc.add_machine(&s.home);
-        doc.add_machine(&s.remote);
+        doc.add_machine(&r.home);
+        doc.add_machine(&r.remote);
         doc.add_timeline(&home_tl);
         doc.add_timeline(&remote_tl);
         let sum = validate_chrome_trace(&doc.write()).unwrap();
@@ -795,19 +750,6 @@ mod tests {
             .collect();
         assert!(names.contains(&"warmup"), "{names:?}");
         assert!(names.iter().any(|n| n.starts_with("page t")), "{names:?}");
-    }
-
-    #[test]
-    fn clock_domain_maps_are_monotone_and_clamped() {
-        let d = ClockDomain::new(-5_000, 100.0);
-        assert_eq!(d.local_us(0.0), 0); // clamped
-        let a = d.local_us(1.0);
-        let b = d.local_us(2.0);
-        assert!(b > a);
-        // Drift: 100 ppm over 1 s is 100 µs.
-        let i = ClockDomain::new(0, 100.0);
-        assert_eq!(i.local_us(1.0), 1_000_100);
-        assert_eq!(ClockDomain::identity().local_us(1.0), 1_000_000);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 use crate::event::{ArgValue, Event, EventKind};
 use crate::json::Json;
 use crate::recorder::Recorder;
-use crate::stitch::{MachineLog, EV_PAGE_FAULT, EV_PAGE_RECV, EV_PAGE_REQ, EV_PAGE_SEND, XFER_ARG};
 use crate::timeline::{union_coverage, Timeline};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,19 +25,37 @@ const US_PER_S: f64 = 1e6;
 /// Metadata event name carrying a timeline's makespan for validators.
 const MAKESPAN_META: &str = "tlp_makespan_us";
 
-fn args_json(args: &[(&'static str, ArgValue)]) -> Json {
-    Json::Obj(
-        args.iter()
-            .map(|(k, v)| {
-                let jv = match v {
-                    ArgValue::U64(n) => Json::Num(*n as f64),
-                    ArgValue::F64(n) => Json::Num(*n),
-                    ArgValue::Str(s) => Json::str(s.clone()),
-                };
-                (k.to_string(), jv)
-            })
-            .collect(),
-    )
+/// Page-fault exchange leg: the request leaves the faulting machine.
+pub const EV_PAGE_FAULT: &str = "page.fault";
+/// Page-fault exchange leg: the request arrives at the home machine.
+pub const EV_PAGE_REQ: &str = "page.req";
+/// Page-fault exchange leg: the page data leaves the home machine.
+pub const EV_PAGE_SEND: &str = "page.send";
+/// Page-fault exchange leg: the page data arrives at the faulting machine.
+pub const EV_PAGE_RECV: &str = "page.recv";
+/// Argument key carrying the exchange correlation id.
+pub const XFER_ARG: &str = "xfer";
+
+/// One machine's event log (a Chrome process of its own).
+#[derive(Clone, Debug)]
+pub struct MachineLog {
+    /// Machine name (becomes the Chrome process name).
+    pub name: String,
+    /// Thread names, indexed by event `thread` ordinal.
+    pub threads: Vec<String>,
+    /// Events in flush order (per-thread `seq` monotone).
+    pub events: Vec<Event>,
+}
+
+fn arg_fields<'a>(args: &'a [(&str, ArgValue)]) -> impl Iterator<Item = (String, Json)> + 'a {
+    args.iter().map(|(k, v)| {
+        let jv = match v {
+            ArgValue::U64(n) => Json::Num(*n as f64),
+            ArgValue::F64(n) => Json::Num(*n),
+            ArgValue::Str(s) => Json::str(s.clone()),
+        };
+        (k.to_string(), jv)
+    })
 }
 
 /// A Chrome `trace_event` document under construction: wall-time recorder
@@ -105,36 +122,17 @@ impl TraceDoc {
                 ("cat", Json::str(ev.cat.name())),
                 ("name", Json::str(ev.name.clone())),
             ];
-            match ev.kind {
-                EventKind::Counter(v) => {
-                    // Carry the event's own args (e.g. a `unit` declaration)
-                    // alongside the sample value.
-                    let mut args = vec![("value", Json::Num(v))];
-                    if let Json::Obj(extra) = args_json(&ev.args) {
-                        fields.push((
-                            "args",
-                            Json::Obj(
-                                args.drain(..)
-                                    .map(|(k, j)| (k.to_string(), j))
-                                    .chain(extra.into_iter().filter(|(k, _)| k != "value"))
-                                    .collect(),
-                            ),
-                        ));
-                    } else {
-                        fields.push(("args", Json::obj(args)));
-                    }
-                }
-                EventKind::Instant => {
-                    fields.push(("s", Json::str("t")));
-                    if !ev.args.is_empty() {
-                        fields.push(("args", args_json(&ev.args)));
-                    }
-                }
-                _ => {
-                    if !ev.args.is_empty() {
-                        fields.push(("args", args_json(&ev.args)));
-                    }
-                }
+            if matches!(ev.kind, EventKind::Instant) {
+                fields.push(("s", Json::str("t")));
+            }
+            if let EventKind::Counter(v) = ev.kind {
+                // Carry the event's own args (e.g. a `unit` declaration)
+                // alongside the sample value.
+                let mut args = vec![("value".to_string(), Json::Num(v))];
+                args.extend(arg_fields(&ev.args).filter(|(k, _)| k != "value"));
+                fields.push(("args", Json::Obj(args)));
+            } else if !ev.args.is_empty() {
+                fields.push(("args", Json::Obj(arg_fields(&ev.args).collect())));
             }
             self.events.push(Json::obj(fields));
         }
@@ -246,11 +244,10 @@ impl fmt::Display for TraceSummary {
 /// when makespan metadata is present, union-of-spans coverage of each
 /// declared makespan.
 ///
-/// Stitched multi-machine traces get one extra check: for every page-fault
-/// exchange (events correlated by an `args.xfer` id), the send leg must not
-/// come after its receive leg (`page.fault ≤ page.req`,
-/// `page.send ≤ page.recv`). A violated pair means the clock alignment
-/// produced a causally inverted trace, which is rejected.
+/// Multi-machine traces get one extra check: for every page-fault exchange
+/// (events correlated by an `args.xfer` id), the send leg must not come
+/// after its receive leg (`page.fault ≤ page.req`, `page.send ≤ page.recv`).
+/// A file whose pair is violated is causally inverted and rejected.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let doc = Json::parse(text)?;
     let events = doc
@@ -639,14 +636,14 @@ mod tests {
             cat: Category::Svm,
             name: name.into(),
             kind: EventKind::Instant,
-            args: vec![(crate::stitch::XFER_ARG, ArgValue::U64(xfer))],
+            args: vec![(XFER_ARG, ArgValue::U64(xfer))],
         }
     }
 
     #[test]
     fn chrome_rejects_causally_inverted_send_recv_pair() {
-        // A stitched trace in which xfer 7's page.recv lands *before* its
-        // page.send is causally impossible: the alignment failed.
+        // A trace in which xfer 7's page.recv lands *before* its page.send
+        // is causally impossible.
         let m0 = machine("m0", "svm-server", vec![inst(1, 2_000, EV_PAGE_SEND, 7)]);
         let m1 = machine("m1", "pager", vec![inst(1, 1_400, EV_PAGE_RECV, 7)]);
         let mut doc = TraceDoc::new();

@@ -121,10 +121,15 @@ impl Json {
     }
 
     /// Parses JSON text (the whole input must be one value plus optional
-    /// trailing whitespace).
+    /// trailing whitespace). Arrays and objects nested deeper than
+    /// `MAX_DEPTH` are an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -167,9 +172,16 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts. Every document the
+/// repository writes nests under 10 levels; the bound keeps the recursive
+/// descent off the end of the stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -207,8 +219,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                let at = self.pos;
+                Err(format!("nesting deeper than {MAX_DEPTH} at offset {at}"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -216,6 +232,14 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -384,6 +408,25 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let text = open.repeat(1_000_000);
+            let err = Json::parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+            let err = crate::validate_chrome_trace(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(Json::parse(&past).unwrap_err().contains("at offset 128"));
     }
 
     #[test]

@@ -59,12 +59,11 @@ pub mod live;
 pub mod metrics;
 pub mod recorder;
 pub mod slo;
-pub mod stitch;
 pub mod timeline;
 pub mod tracectx;
 
 pub use event::{ArgValue, Category, Event, EventKind};
-pub use export::{validate_chrome_trace, TraceDoc, TraceSummary};
+pub use export::{validate_chrome_trace, MachineLog, TraceDoc, TraceSummary};
 pub use expose::{http_get, openmetrics, serve, validate_openmetrics, ExpoSummary, MetricsServer};
 pub use live::{
     series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW, TASK_LATENCY_FAMILY,
@@ -72,7 +71,6 @@ pub use live::{
 pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};
 pub use slo::{Health, SloConfig, SloMonitor};
-pub use stitch::{stitch, MachineLog, StitchReport, Stitched};
 pub use timeline::{multi_gantt, CounterSeries, Span, Timeline, Track};
 pub use tracectx::{
     decode_traces, validate_span_tree, Exemplar, RetainReason, RetainedTrace, SampleVerdict,

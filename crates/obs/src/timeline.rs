@@ -197,8 +197,7 @@ pub(crate) fn union_coverage(spans: impl Iterator<Item = (f64, f64)>, horizon: f
 /// Renders several machines' timelines as one Gantt chart sharing a single
 /// time axis: all tracks are scaled to the *longest* makespan so columns
 /// line up across machines, with a machine-name rule between sections.
-/// Call after stitching (each timeline already in the common clock
-/// domain).
+/// Every timeline must be in the same clock.
 pub fn multi_gantt(machines: &[(&str, &Timeline)], width: usize) -> String {
     let width = width.max(8);
     let horizon = machines
