@@ -31,13 +31,21 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
 # every move, through reset / mark / rollback / restore; the --lib tests
 # hold one null activation against the visit, count by count, and a
 # population an earlier successor filled mid-walk as paired, not null.
+# An alpha memory's hash index is built by the first probe and unbuilt when
+# the memory empties: work_pins pins the index insertions of the LCC phase;
+# properties holds every probe to the memory it indexes after every move,
+# built before the move or during it; the --lib test holds the build /
+# unbuild cycle.
 cargo test --release -p ops5 --test alloc_budget
 cargo test --release -p spam --test work_pins --test sharing
 cargo test --release -p ops5 --test properties --test mark
+cargo test --release -p ops5 --test properties -- alpha_index_probes_equal_the_memory_after_every_move
 cargo test --release -p spam --test reuse
 cargo test --release -p ops5 --lib -- \
   dispatch_agrees_with_a_linear_walk hash_key_has_no_false_negatives \
   a_null_right_activation_is_charged_as_the_visit_it_replaces \
-  a_population_an_earlier_successor_filled_is_paired_against
+  a_population_an_earlier_successor_filled_is_paired_against \
+  slot_index_is_built_by_a_probe_and_unbuilt_when_its_memory_empties
+cargo test --release -p spam --test work_pins -- alpha_index_insertions_are_counted
 # Speedup doctor (DC Level 2, match-fraction band gate).
 $bin/spamctl profile dc --level 2 --check-band 0.30:0.50 --json $out/profile.json

@@ -1030,7 +1030,37 @@ fn control_marker(
     });
 }
 
-/// Runs `labels.len()` tasks as supervised jobs on the pool `how`
+/// A phase's tasks as [`execute`] counts and names them. A label is
+/// formatted only once its task's outcome stops being clean — retried or
+/// dead-lettered — the only outcomes a [`TaskReport`] prints one for.
+pub trait TaskLabels {
+    /// How many tasks.
+    fn count(&self) -> usize;
+    /// Task `i`'s label.
+    fn label(&self, i: usize) -> String;
+}
+
+/// Labels formatted up front.
+impl TaskLabels for Vec<String> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn label(&self, i: usize) -> String {
+        self[i].clone()
+    }
+}
+
+/// A task count and the function that formats task `i`'s label.
+impl<F: Fn(usize) -> String> TaskLabels for (usize, F) {
+    fn count(&self) -> usize {
+        self.0
+    }
+    fn label(&self, i: usize) -> String {
+        (self.1)(i)
+    }
+}
+
+/// Runs `labels.count()` tasks as supervised jobs on the pool `how`
 /// describes (module docs: resident task processes, placement,
 /// supervision, observers).
 ///
@@ -1068,7 +1098,7 @@ fn control_marker(
 /// the *schedule* in the [`ExecReport`] is machine-dependent.
 pub fn execute<T: Send + 'static, S: Default + 'static>(
     how: &PhaseRun<'_>,
-    labels: Vec<String>,
+    labels: impl TaskLabels,
     estimates: &[u64],
     on_complete: impl Fn(usize, &T),
     task: impl Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
@@ -1084,7 +1114,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     if exec.workers == 0 {
         return Err(SuperviseError::NoWorkers);
     }
-    let n_tasks = labels.len();
+    let n_tasks = labels.count();
     let n_est = estimates.len();
     debug_assert!(
         n_est == 0 || n_est == n_tasks,
@@ -1180,12 +1210,10 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
 
     // The control process's own books, set up while the workers start.
     let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
-    let mut outcomes: Vec<TaskOutcome> = labels
-        .into_iter()
-        .enumerate()
-        .map(|(task, label)| TaskOutcome {
+    let mut outcomes: Vec<TaskOutcome> = (0..n_tasks)
+        .map(|task| TaskOutcome {
             task,
-            label,
+            label: String::new(),
             status: TaskStatus::Ok,
             attempts: 0,
             elapsed: Duration::ZERO,
@@ -1319,6 +1347,9 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         attempts_log.push(attempt_rec);
         if let Some(err) = failure {
             o.error = Some(err);
+            if o.label.is_empty() {
+                o.label = labels.label(i);
+            }
             if msg.attempt < cfg.max_retries {
                 // The retry re-enters at the back of the shared overflow
                 // queue (cold by definition) once its linear backoff is

@@ -71,7 +71,7 @@ where
         let live = Arc::clone(&obs.live);
         return execute(
             how,
-            list.labels(),
+            (list.len(), |i| list.label(i)),
             &estimates,
             observe,
             move |tp: &mut TaskProcess, a| {
@@ -83,7 +83,7 @@ where
     let (cx, lh) = (Recovery::new(ckpt, how), obs.live.handle());
     let (slots, report, mut measured) = execute(
         how,
-        list.labels(),
+        (list.len(), |i| list.label(i)),
         &estimates,
         |i, (r, info, attempt_s): &(L::Output, RecoveryInfo, f64)| {
             if info.attempt > 0 {
@@ -494,6 +494,7 @@ mod tests {
         let n_units = seq.units.len();
         assert!(n_units > 2, "need a few units for the scenario");
         let victim = 1usize;
+        let plan = LccPlan::new(&sp, &scene, &frags, Level::L3);
         for (name, exec) in placements(3) {
             let how = PhaseRun {
                 plan: FaultPlan::none().with_task_panic(victim, u32::MAX),
@@ -504,7 +505,7 @@ mod tests {
             let dead = par.report.dead_letters();
             assert_eq!(dead.len(), 1, "{name}");
             assert_eq!(dead[0].task, victim, "{name}");
-            assert_eq!(dead[0].label, seq.report.outcomes[victim].label, "{name}");
+            assert_eq!(dead[0].label, plan.label(victim), "{name}");
             assert!(dead[0].error.as_deref().unwrap().contains("injected fault"));
             assert_eq!(measured.lost_tasks, 1, "{name}");
             // Exactly the victim's share is missing.

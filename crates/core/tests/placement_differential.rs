@@ -50,7 +50,7 @@ proptest! {
             .with_backoff(Duration::from_millis(backoff_ms));
         let run = |exec: ExecConfig| {
             let how = PhaseRun { cfg: cfg.clone(), plan: plan.clone(), ..PhaseRun::new(exec) };
-            let labels = (0..n_tasks).map(|i| format!("t{i}")).collect();
+            let labels = (n_tasks, |i| format!("t{i}"));
             execute(&how, labels, &[], |_, _| {}, move |_: &mut (), a| seed ^ (a.task as u64).wrapping_mul(0x9E37_79B9))
                 .unwrap()
         };

@@ -479,7 +479,9 @@ fn plural_y(n: u32) -> &'static str {
 pub struct TaskOutcome {
     /// Task index within the phase (submission order).
     pub task: usize,
-    /// Human-readable task label (e.g. the LCC unit description).
+    /// Human-readable task label (e.g. the LCC unit description). A
+    /// supervised phase formats it only for a task that retried or was
+    /// dead-lettered, the tasks a report prints it for; empty otherwise.
     pub label: String,
     /// Final status.
     pub status: TaskStatus,
@@ -506,8 +508,15 @@ pub struct TaskReport {
 }
 
 impl TaskReport {
-    /// A report marking `labels` tasks as cleanly succeeded (used by the
-    /// sequential path, which cannot fail partially).
+    /// A report marking `n` tasks as cleanly succeeded (used by the
+    /// sequential path, which cannot fail partially). Their labels stay
+    /// empty: the report prints a label only for a task that retried or was
+    /// dead-lettered.
+    pub fn clean(n: usize) -> TaskReport {
+        TaskReport::all_ok(std::iter::repeat_n("", n))
+    }
+
+    /// A report marking `labels` tasks as cleanly succeeded, labelled.
     pub fn all_ok<S: Into<String>, I: IntoIterator<Item = S>>(labels: I) -> TaskReport {
         TaskReport {
             outcomes: labels

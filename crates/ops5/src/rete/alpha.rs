@@ -10,6 +10,17 @@
 //! slots, so the beta network's equality joins probe candidates by value
 //! instead of scanning the whole memory.
 //!
+//! An index is declared when the network is built but exists only where a
+//! join probes it: the first probe of a memory builds it from the memory's
+//! WMEs in arrival order ([`AlphaMemories::probe`]), later additions and
+//! removals keep it up, and it is unbuilt — its table kept for the next
+//! build — whenever the memory empties. Probes are gated on the memory's
+//! population, not on whether an index exists, and keeping an index up was
+//! never charged, so when an index is built reaches no count: it decides
+//! only what the upkeep costs in wall time. Most declared indexes are never
+//! probed in a task, since most joins a WME reaches have nothing to pair
+//! with.
+//!
 //! Classification is *discriminated*: a class whose memories mostly open
 //! with `^slot = constant` on one slot (SPAM's `lcc-pair` has one memory
 //! per constraint id) keeps those memories in a table keyed by the
@@ -35,8 +46,14 @@ use crate::instrument::cost;
 use crate::profile::AlphaMemCounters;
 use crate::symbol::Symbol;
 use crate::value::Value;
-use crate::wme::{Wme, WmeId};
+use crate::wme::{WmStore, Wme, WmeId};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Reverse;
+
+thread_local! {
+    /// See [`AlphaMemories::index_insertions_on_this_thread`].
+    static INDEXED: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Identifier of an alpha memory.
 pub type AlphaMemId = u32;
@@ -67,6 +84,13 @@ pub struct AlphaMemory {
     /// so numeric coercion — `3` vs `3.0` — probes the same bucket; probers
     /// always re-verify with the full join tests).
     index_slots: Vec<SlotIdx>,
+}
+
+impl AlphaMemory {
+    /// The slots its hash indexes are declared over.
+    pub fn index_slots(&self) -> &[SlotIdx] {
+        &self.index_slots
+    }
 }
 
 /// One entry of a class's dispatch table: a memory reached by the constant
@@ -174,6 +198,27 @@ struct MemoryState {
     touched: bool,
 }
 
+/// One declared hash index of one memory: unbuilt until a join probes it.
+#[derive(Clone, Debug, Default)]
+struct SlotIndex {
+    /// The memory's WMEs under [`Value::hash_key`] of the slot, in arrival
+    /// order — set by the first probe since the memory last emptied.
+    built: OnceCell<Buckets<u64, WmeId>>,
+    /// The table while the index is unbuilt, empty, kept for the next
+    /// build (a shared borrow takes it).
+    spare: RefCell<Buckets<u64, WmeId>>,
+}
+
+impl SlotIndex {
+    /// Back to unbuilt: the buckets go to `pool`, the table to `spare`.
+    fn unbuild(&mut self, pool: &mut Pool<WmeId>) {
+        if let Some(mut table) = self.built.take() {
+            table.clear_into(pool);
+            *self.spare.get_mut() = table;
+        }
+    }
+}
+
 /// The alpha network's other half: what one engine's run changes. Every
 /// operation takes the [`AlphaNetwork`] it was made for.
 #[derive(Clone, Debug)]
@@ -183,7 +228,7 @@ pub struct AlphaMemories {
     /// The hash indexes of all memories, back to back (see
     /// [`MemoryState::first_index`]): one list however many memories
     /// declared one.
-    indexes: Vec<Buckets<u64, WmeId>>,
+    indexes: Vec<SlotIndex>,
     /// The memories a WME has entered since the last reset or mark — what
     /// [`reset`](Self::reset) has to empty and [`rollback`](Self::rollback)
     /// to cut back.
@@ -193,8 +238,9 @@ pub struct AlphaMemories {
     base_touched: Vec<AlphaMemId>,
     /// `shared_test_hits` at the mark.
     marked_hits: u64,
-    /// Spare bucket lists of the slot indexes.
-    pool: Pool<WmeId>,
+    /// Spare bucket lists of the slot indexes (an index build under a
+    /// shared borrow takes them too).
+    pool: RefCell<Pool<WmeId>>,
     /// Per-registry-test memo `(generation, result)`; valid when the
     /// generation matches the current classification pass.
     memo: Vec<(u64, bool)>,
@@ -416,11 +462,11 @@ impl AlphaMemories {
             .collect();
         AlphaMemories {
             mems,
-            indexes: (0..n_indexes).map(|_| Buckets::default()).collect(),
+            indexes: (0..n_indexes).map(|_| SlotIndex::default()).collect(),
             touched: Vec::new(),
             base_touched: Vec::new(),
             marked_hits: 0,
-            pool: Vec::new(),
+            pool: RefCell::default(),
             memo: vec![(0, false); net.test_registry.len()],
             generation: 0,
             shared_test_hits: 0,
@@ -434,33 +480,92 @@ impl AlphaMemories {
         &self.mems[id as usize].wmes
     }
 
-    /// The WMEs of memory `id` whose `slot` value hashes to `key` (a
-    /// superset of the `ops_eq`-equal candidates; callers re-verify). The
-    /// index must have been declared with
-    /// [`AlphaNetwork::ensure_index`].
-    pub fn probe(&self, net: &AlphaNetwork, id: AlphaMemId, slot: SlotIdx, key: u64) -> &[WmeId] {
-        let slots = &net.mems[id as usize].index_slots;
-        let first = self.mems[id as usize].first_index as usize;
-        (slots.iter().position(|&s| s == slot)).map_or(&[], |i| self.indexes[first + i].get(key))
+    /// The WMEs of memory `id` whose `slot` value hashes to `key`, in
+    /// arrival order (a superset of the `ops_eq`-equal candidates; callers
+    /// re-verify). The index must have been declared with
+    /// [`AlphaNetwork::ensure_index`]. The first probe since the memory
+    /// last emptied builds it from the memory's WMEs, read in `wm`.
+    pub fn probe(
+        &self,
+        net: &AlphaNetwork,
+        wm: &WmStore,
+        id: AlphaMemId,
+        slot: SlotIdx,
+        key: u64,
+    ) -> &[WmeId] {
+        let Some(index) = self.slot_index(net, id, slot) else {
+            return &[];
+        };
+        let table = index.built.get_or_init(|| {
+            let wmes = &self.mems[id as usize].wmes;
+            let (mut table, mut pool) = (index.spare.take(), self.pool.borrow_mut());
+            for &w in wmes {
+                let wme = wm.get(w).expect("a memory holds live WMEs");
+                table.push(wme.get(slot as usize).hash_key(), w, &mut pool);
+            }
+            INDEXED.with(|n| n.set(n.get() + wmes.len() as u64));
+            table
+        });
+        table.get(key)
     }
 
-    /// Memory `m`'s indexes, for putting something in or taking it out.
+    /// What [`probe`](Self::probe) answers while memory `id`'s index over
+    /// `slot` is built; `None` while it is not. Builds nothing.
+    pub fn built_probe(
+        &self,
+        net: &AlphaNetwork,
+        id: AlphaMemId,
+        slot: SlotIdx,
+        key: u64,
+    ) -> Option<&[WmeId]> {
+        Some(self.slot_index(net, id, slot)?.built.get()?.get(key))
+    }
+
+    /// Memory `id`'s declared index over `slot`.
+    fn slot_index(&self, net: &AlphaNetwork, id: AlphaMemId, slot: SlotIdx) -> Option<&SlotIndex> {
+        let i = (net.mems[id as usize].index_slots.iter()).position(|&s| s == slot)?;
+        self.indexes
+            .get(self.mems[id as usize].first_index as usize + i)
+    }
+
+    /// How many WMEs the calling thread has put into alpha-memory hash
+    /// indexes so far: an index's upkeep, which the work-unit model does
+    /// not charge. Tests take the difference over a stretch of work (per
+    /// thread, so tests running beside them do not count).
+    pub fn index_insertions_on_this_thread() -> u64 {
+        INDEXED.with(Cell::get)
+    }
+
+    /// Memory `mem`'s declared indexes.
     #[inline]
     fn indexes_of<'a>(
-        indexes: &'a mut [Buckets<u64, WmeId>],
+        indexes: &'a mut [SlotIndex],
+        mem: &MemoryState,
+        fixed: &AlphaMemory,
+    ) -> &'a mut [SlotIndex] {
+        let first = mem.first_index as usize;
+        &mut indexes[first..first + fixed.index_slots.len()]
+    }
+
+    /// Memory `mem`'s built indexes, for putting something in or taking it
+    /// out.
+    #[inline]
+    fn built_indexes<'a>(
+        indexes: &'a mut [SlotIndex],
         mem: &MemoryState,
         fixed: &'a AlphaMemory,
     ) -> impl Iterator<Item = (&'a mut Buckets<u64, WmeId>, SlotIdx)> {
-        let first = mem.first_index as usize;
-        let slots = &fixed.index_slots;
-        (indexes[first..first + slots.len()].iter_mut()).zip(slots.iter().copied())
+        (Self::indexes_of(indexes, mem, fixed).iter_mut())
+            .zip(fixed.index_slots.iter().copied())
+            .filter_map(|(ix, slot)| Some((ix.built.get_mut()?, slot)))
     }
 
-    /// Empties every memory and index bucket and zeroes the run counters,
-    /// keeping every list's capacity (buckets go back to the pool). The
-    /// test memo needs no clearing: its entries are stamped with the
-    /// classification pass that wrote them, and the pass counter only moves
-    /// forward, so a stale entry is never read.
+    /// Empties every memory, unbuilds its indexes and zeroes the run
+    /// counters, keeping every list's capacity (buckets go back to the pool,
+    /// tables stay for the next build). The test memo needs no clearing: its
+    /// entries are stamped with the classification pass that wrote them,
+    /// and the pass counter only moves forward, so a stale entry is never
+    /// read.
     ///
     /// Costs what the run left behind: only the memories a WME entered are
     /// visited.
@@ -469,8 +574,8 @@ impl AlphaMemories {
             let mem = &mut self.mems[m as usize];
             mem.touched = false;
             mem.wmes.clear();
-            for (ix, _) in Self::indexes_of(&mut self.indexes, mem, &net.mems[m as usize]) {
-                ix.clear_into(&mut self.pool);
+            for ix in Self::indexes_of(&mut self.indexes, mem, &net.mems[m as usize]) {
+                ix.unbuild(self.pool.get_mut());
             }
         }
         self.shared_test_hits = 0;
@@ -497,10 +602,18 @@ impl AlphaMemories {
     pub(crate) fn rollback(&mut self, net: &AlphaNetwork, base: WmeId) {
         for m in self.touched.drain(..) {
             let mem = &mut self.mems[m as usize];
+            let fixed = &net.mems[m as usize];
             mem.touched = false;
             mem.wmes.truncate(mem.wmes.partition_point(|&w| w < base));
-            for (ix, _) in Self::indexes_of(&mut self.indexes, mem, &net.mems[m as usize]) {
-                ix.truncate_into(|_, w| w < base, &mut self.pool);
+            if mem.wmes.is_empty() {
+                for ix in Self::indexes_of(&mut self.indexes, mem, fixed) {
+                    ix.unbuild(self.pool.get_mut());
+                }
+                continue;
+            }
+            let pool = self.pool.get_mut();
+            for (ix, _) in Self::built_indexes(&mut self.indexes, mem, fixed) {
+                ix.truncate_into(|_, w| w < base, pool);
             }
         }
         self.shared_test_hits = self.marked_hits;
@@ -582,9 +695,10 @@ impl AlphaMemories {
                     self.touched.push(m);
                 }
                 mem.wmes.push(id);
-                for (ix, slot) in Self::indexes_of(&mut self.indexes, mem, fixed) {
+                for (ix, slot) in Self::built_indexes(&mut self.indexes, mem, fixed) {
                     let key = wme.get(slot as usize).hash_key();
-                    ix.push(key, id, &mut self.pool);
+                    ix.push(key, id, self.pool.get_mut());
+                    INDEXED.with(|n| n.set(n.get() + 1));
                 }
                 hit.push(m);
             }
@@ -626,9 +740,15 @@ impl AlphaMemories {
                 // scan costs must not change across a crash recovery.
                 mem.wmes.remove(pos);
                 let fixed = &net.mems[m as usize];
-                for (ix, slot) in Self::indexes_of(&mut self.indexes, mem, fixed) {
-                    let key = wme.get(slot as usize).hash_key();
-                    ix.remove_item(key, id, &mut self.pool);
+                if mem.wmes.is_empty() {
+                    for ix in Self::indexes_of(&mut self.indexes, mem, fixed) {
+                        ix.unbuild(self.pool.get_mut());
+                    }
+                } else {
+                    for (ix, slot) in Self::built_indexes(&mut self.indexes, mem, fixed) {
+                        let key = wme.get(slot as usize).hash_key();
+                        ix.remove_item(key, id, self.pool.get_mut());
+                    }
                 }
                 hit.push(m);
                 if let Some(p) = &mut self.profile {
@@ -783,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_index_tracks_membership() {
+    fn slot_index_is_built_by_a_probe_and_unbuilt_when_its_memory_empties() {
         let mut net = AlphaNetwork::new();
         let c = sym("fragment");
         let m = net.get_or_create(c, &[], Successor { node: 0 });
@@ -791,32 +911,55 @@ mod tests {
         net.ensure_index(m, 0); // idempotent
         let mut fed = Fed::new(&net);
         assert_eq!(fed.mems.indexes.len(), 1);
+        let built = |fed: &Fed| fed.mems.indexes[0].built.get().is_some();
+        let probe = |fed: &Fed, wm: &WmStore, v: Value| {
+            fed.mems.probe(&net, wm, m, 0, v.hash_key()).to_vec()
+        };
 
-        let mut units = 0;
-        for (i, v) in [(0u32, 7i64), (1, 7), (2, 8)] {
-            let mut w = Wme::new(c, 1, i as u64 + 1);
+        let mut wm = WmStore::new();
+        let add = |fed: &mut Fed, wm: &mut WmStore, v: i64| {
+            let mut w = Wme::new(c, 1, wm.next_id().0 as u64 + 1);
             w.set(0, Value::Int(v));
-            fed.add(WmeId(i), &w, &mut units);
-        }
-        let key7 = Value::Int(7).hash_key();
-        let probe = |fed: &Fed, v: Value| fed.mems.probe(&net, m, 0, v.hash_key()).to_vec();
-        assert_eq!(probe(&fed, Value::Int(7)), [WmeId(0), WmeId(1)]);
+            let id = wm.add(w.clone());
+            fed.add(id, &w, &mut 0);
+            (id, w)
+        };
+        let (w0, wme0) = add(&mut fed, &mut wm, 7);
+        let (w1, _) = add(&mut fed, &mut wm, 7);
+        add(&mut fed, &mut wm, 8);
+        assert!(!built(&fed), "nothing has probed it");
+        let inserted = AlphaMemories::index_insertions_on_this_thread();
+        assert_eq!(probe(&fed, &wm, Value::Int(7)), [w0, w1]);
+        assert!(built(&fed));
+        assert_eq!(
+            AlphaMemories::index_insertions_on_this_thread() - inserted,
+            3
+        );
         // Numeric coercion probes the same bucket.
-        assert_eq!(probe(&fed, Value::Float(7.0)).len(), 2);
-        assert_eq!(probe(&fed, Value::Int(9)), []);
-        assert_eq!(fed.mems.probe(&net, m, 1, key7), [], "no index on slot 1");
+        assert_eq!(probe(&fed, &wm, Value::Float(7.0)).len(), 2);
+        assert_eq!(probe(&fed, &wm, Value::Int(9)), []);
+        let key7 = Value::Int(7).hash_key();
+        assert_eq!(
+            fed.mems.probe(&net, &wm, m, 1, key7),
+            [],
+            "no index on slot 1"
+        );
 
-        let mut w = Wme::new(c, 1, 1);
-        w.set(0, Value::Int(7));
-        fed.remove(WmeId(0), &w, &mut units);
-        assert_eq!(probe(&fed, Value::Int(7)), [WmeId(1)]);
+        // Built, it is kept up.
+        let (w3, _) = add(&mut fed, &mut wm, 7);
+        fed.remove(w0, &wme0, &mut 0);
+        assert_eq!(probe(&fed, &wm, Value::Int(7)), [w1, w3]);
 
-        // Reset empties the memory and its buckets but keeps the index.
+        // Reset empties the memory and unbuilds the index; the next probe
+        // builds it again from what the memory holds then.
         fed.mems.reset(&net);
-        assert!(fed.mems.wmes(m).is_empty());
-        assert_eq!(probe(&fed, Value::Int(7)), []);
-        fed.add(WmeId(0), &w, &mut units);
-        assert_eq!(probe(&fed, Value::Int(7)), [WmeId(0)]);
+        assert!(fed.mems.wmes(m).is_empty() && !built(&fed));
+        let (w4, wme4) = add(&mut fed, &mut wm, 7);
+        assert!(!built(&fed));
+        assert_eq!(probe(&fed, &wm, Value::Int(7)), [w4]);
+        // A removal that empties the memory unbuilds it too.
+        fed.remove(w4, &wme4, &mut 0);
+        assert!(!built(&fed));
     }
 
     // -- dispatch ------------------------------------------------------------

@@ -12,10 +12,10 @@
 //! unblock without scanning.
 //!
 //! With [`ReteConfig::index`] the equality joins stop scanning: each alpha
-//! memory keeps hash indexes over the slots its successors join on, and
-//! each beta node keeps a hash index over the token population its right
-//! activations pair against, keyed by the token-side value of its first
-//! equality test. Probes are charged [`cost::INDEX_PROBE`]; retrieved
+//! memory has hash indexes over the slots its successors join on, built by
+//! the first probe ([`AlphaMemories::probe`]), and each beta node keeps a
+//! hash index over the token population its right activations pair
+//! against, keyed by the token-side value of its first equality test. Probes are charged [`cost::INDEX_PROBE`]; retrieved
 //! candidates still pay the full per-candidate join-test cost (the index is
 //! a prefilter — `Value::hash_key` collides exactly where `ops_eq` demands,
 //! and every candidate is re-verified).
@@ -36,7 +36,7 @@
 //! that unblocks nothing: it is decided before it is made, and charged and
 //! counted as if it had been ([`NetStats::null_right_activations`]).
 
-use super::alpha::{AlphaMemId, AlphaMemories};
+use super::alpha::{AlphaMemId, AlphaMemories, AlphaNetwork};
 use super::compile::JoinTest;
 use super::network::Network;
 use crate::buckets::{give_list, take_list, Buckets, Pool, SlotCursor};
@@ -53,7 +53,10 @@ const DUMMY: u32 = u32::MAX;
 /// join-test evaluation per resident — no dearer than the probe itself —
 /// so small memories stay on the scan path (the classic list-vs-hashed
 /// memory trade-off; most memories in a production system hold zero or one
-/// entries at any instant, and probing those would be pure overhead).
+/// entries at any instant, and probing those would be pure overhead). The
+/// same argument prices the upkeep: an alpha memory's index is built by
+/// the first probe that passes this gate, so a memory no join probes keeps
+/// none up.
 const INDEX_MIN_POPULATION: usize = 2;
 
 /// An event produced by the match: the conflict set changed.
@@ -293,6 +296,12 @@ impl Rete {
         let mut s = self.beta.stats;
         s.shared_test_hits = self.alpha.shared_test_hits;
         s
+    }
+
+    /// This engine's alpha memories, and the half of the alpha network the
+    /// build fixed that they are read through.
+    pub fn alpha(&self) -> (&AlphaNetwork, &AlphaMemories) {
+        (&self.net.alpha, &self.alpha)
     }
 
     /// Empties the network without rebuilding it: every token, memory,
@@ -740,7 +749,7 @@ impl<'a> Activation<'a> {
                 self.work.match_units += cost::INDEX_PROBE;
                 self.beta.stats.index_probes += 1;
                 return match token_side_key(&self.beta.chain[..chain_len], &test, self.wm) {
-                    Some(key) => mems.probe(alpha, node.alpha_mem, test.my_slot, key),
+                    Some(key) => mems.probe(alpha, self.wm, node.alpha_mem, test.my_slot, key),
                     // The referenced ancestor is gone; no candidate could
                     // pass the full tests either.
                     None => &[],

@@ -1270,3 +1270,159 @@ proptest! {
         }
     }
 }
+
+/// One move of a network's life, for the alpha-index property.
+#[derive(Clone, Debug)]
+enum Move {
+    Op(Op),
+    /// Removes the `n`-th live WME (modulo how many there are) and adds it
+    /// back with `^x` changed, as a `modify` does.
+    Modify(u8, i8),
+    Reset,
+    Mark,
+    Rollback,
+    /// A new instance of the network fed the live WMEs in id order, as a
+    /// snapshot restore rebuilds its matcher.
+    Restore,
+}
+
+fn move_strategy() -> impl Strategy<Value = Move> {
+    prop_oneof![
+        8 => op_strategy().prop_map(Move::Op),
+        2 => (0u8..64, -2i8..3).prop_map(|(k, x)| Move::Modify(k, x)),
+        6 => (0usize..6).prop_map(|k| {
+            [Move::Reset, Move::Mark, Move::Mark, Move::Rollback, Move::Rollback, Move::Restore][k]
+                .clone()
+        }),
+    ]
+}
+
+/// Holds every declared index of `rete`'s alpha memories to its oracle —
+/// the memory's WMEs, in arrival order, whose slot value has the probed key
+/// — for the key of every live WME's slot and one no value has. With
+/// `build` every index is probed, and built if it was not; without, only
+/// the built ones are read.
+fn indexes_agree(rete: &Rete, wm: &WmStore, build: bool) -> Result<(), String> {
+    let (net, mems) = rete.alpha();
+    let absent = Value::symbol("nowhere").hash_key();
+    for m in 0..net.len() as u32 {
+        for &slot in net.mem(m).index_slots() {
+            let key_of = |w: WmeId| wm.get(w).expect("live").get(slot as usize).hash_key();
+            let keys = wm.iter().map(|(id, _)| key_of(id)).chain([absent]);
+            for key in keys {
+                let got = if build {
+                    Some(mems.probe(net, wm, m, slot, key))
+                } else {
+                    mems.built_probe(net, m, slot, key)
+                };
+                let Some(got) = got else { continue };
+                let want: Vec<WmeId> = (mems.wmes(m).iter().copied())
+                    .filter(|&w| key_of(w) == key)
+                    .collect();
+                if got != want {
+                    return Err(format!(
+                        "memory {m} slot {slot} key {key:#x}: {got:?}, holds {want:?}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// An alpha memory's hash index is built by the first probe since the
+    /// memory last emptied and kept up after that (`AlphaMemories::probe`).
+    /// Whatever the program, the network and the moves — additions,
+    /// removals, modifies, resets, marks, rollbacks, restores — after every
+    /// move every probe answers what the memory holds: its WMEs in arrival
+    /// order whose slot has the probed key. One network has every index
+    /// probed after every move, so the next move finds them built and has
+    /// to keep them up; the other is only read where its own joins built an
+    /// index, during the move or before it. The two show the same work and
+    /// statistics: when an index is built reaches no count.
+    #[test]
+    fn alpha_index_probes_equal_the_memory_after_every_move(
+        prog_idx in 0usize..(PROGRAMS.len() + SHARING_PROGRAMS.len() + 2),
+        shared in (0u8..2).prop_map(|b| b == 1),
+        moves in prop::collection::vec(move_strategy(), 1..80),
+    ) {
+        let src = if prog_idx < PROGRAMS.len() {
+            PROGRAMS[prog_idx]
+        } else if prog_idx < PROGRAMS.len() + SHARING_PROGRAMS.len() {
+            SHARING_PROGRAMS[prog_idx - PROGRAMS.len()]
+        } else {
+            [BLOCKER_PROGRAM, MARK_PROGRAM][prog_idx - PROGRAMS.len() - SHARING_PROGRAMS.len()]
+        };
+        let program = Program::parse(src).unwrap();
+        let compiled = Engine::compile(&program).unwrap();
+        let config = if shared { ReteConfig::shared() } else { ReteConfig::unshared() };
+        let network = Arc::new(Network::build(&compiled, &program, config));
+        let mut probed = Fed::new(Rete::instantiate(Arc::clone(&network)));
+        let mut read = Fed::new(Rete::instantiate(Arc::clone(&network)));
+        let (mut wm, mut live) = (WmStore::new(), Vec::new());
+        // The first id after the standing mark.
+        let mut mark: Option<WmeId> = None;
+        for (step, mv) in moves.iter().enumerate() {
+            match *mv {
+                Move::Op(ref op) => {
+                    let nets = &mut [&mut probed, &mut read];
+                    apply_op(op, &program, &mut wm, &mut live, nets);
+                }
+                Move::Modify(_, _) if live.is_empty() => {}
+                Move::Modify(k, x) => {
+                    let id = live.swap_remove(k as usize % live.len());
+                    [&mut probed, &mut read].into_iter().for_each(|f| f.rete.remove_wme(id, &wm));
+                    let mut w = wm.remove(id).unwrap();
+                    w.set(0, Value::Int(x as i64));
+                    w.time_tag = wm.raw_slots().len() as u64 + 1;
+                    let id = wm.add(w);
+                    live.push(id);
+                    for f in [&mut probed, &mut read] {
+                        f.rete.add_wme(id, &wm);
+                    }
+                }
+                Move::Mark => {
+                    let marked = [&mut probed, &mut read].map(|f| f.rete.mark(&wm));
+                    prop_assert_eq!(marked[0], marked[1]);
+                    mark = marked[0].then(|| wm.next_id());
+                }
+                Move::Rollback if mark.is_some() && probed.rete.rollback() => {
+                    prop_assert!(read.rete.rollback(), "step {}: only one rolled back", step);
+                    let base = mark.unwrap();
+                    wm.truncate(base.0 as usize);
+                    live.retain(|&w| w < base);
+                }
+                // A declined rollback resets, like a reset.
+                Move::Reset | Move::Rollback => {
+                    let declined = matches!(mv, Move::Rollback) && read.rete.rollback();
+                    prop_assert!(!declined, "step {}: only one rolled back", step);
+                    [&mut probed, &mut read].into_iter().for_each(|f| f.rete.reset());
+                    (wm, mark) = (WmStore::new(), None);
+                    live.clear();
+                }
+                Move::Restore => {
+                    for f in [&mut probed, &mut read] {
+                        let mut fresh = Rete::instantiate(Arc::clone(&network));
+                        for (id, _) in wm.iter() {
+                            fresh.add_wme(id, &wm);
+                        }
+                        fresh.drain_events(&wm);
+                        f.rete = fresh;
+                    }
+                    mark = None;
+                }
+            }
+            probed.drain(&wm);
+            read.drain(&wm);
+            let agree = indexes_agree(&probed.rete, &wm, true);
+            prop_assert!(agree.is_ok(), "step {} {:?}, probed: {}", step, mv, agree.unwrap_err());
+            let agree = indexes_agree(&read.rete, &wm, false);
+            prop_assert!(agree.is_ok(), "step {} {:?}, read: {}", step, mv, agree.unwrap_err());
+            prop_assert_eq!(probed.rete.work, read.rete.work, "step {}", step);
+            prop_assert_eq!(probed.rete.net_stats(), read.rete.net_stats(), "step {}", step);
+        }
+    }
+}

@@ -653,7 +653,7 @@ pub fn run_lcc(
     level: Level,
 ) -> LccPhaseResult {
     let plan = LccPlan::new(sp, scene, fragments, level);
-    let report = TaskReport::all_ok(plan.labels());
+    let report = TaskReport::clean(plan.len());
     let tp = &mut TaskProcess::default();
     let units = drain(tp, &plan, false).map(|(r, _)| Some(r));
     merge_lcc_units(level, fragments, units, report)
@@ -670,7 +670,7 @@ pub fn run_lcc_profiled(
     level: Level,
 ) -> (LccPhaseResult, Option<MatchProfile>) {
     let plan = LccPlan::new(sp, scene, fragments, level);
-    let report = TaskReport::all_ok(plan.labels());
+    let report = TaskReport::clean(plan.len());
     let tp = &mut TaskProcess::default();
     let mut merged: Option<MatchProfile> = None;
     // The merge pulls the units through one at a time, so each profile is

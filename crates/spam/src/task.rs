@@ -105,10 +105,6 @@ pub trait TaskList {
     fn observed<'r>(&self, _result: &'r Self::Output) -> Option<&'r WorkCounters> {
         None
     }
-    /// Every task's label, in queue order.
-    fn labels(&self) -> Vec<String> {
-        (0..self.len()).map(|i| self.label(i)).collect()
-    }
 }
 
 /// A sequential phase: `tp` runs `list`'s tasks in queue order, yielding
