@@ -36,8 +36,8 @@ use std::time::Instant;
 use tlp_bench::{header, median, quantile, Prepared};
 use tlp_obs::json::Json;
 use tlp_obs::{
-    Live, LiveSnapshot, LiveValue, ObsLevel, Recorder, SamplerConfig, SloConfig, SloMonitor,
-    SpanKind, TraceId, Tracing,
+    Live, LiveSnapshot, LiveValue, ObsLevel, Recorder, SloConfig, SloMonitor, SpanKind, TraceId,
+    Tracing,
 };
 
 const WORKERS: usize = 4;
@@ -82,7 +82,7 @@ fn recorded(p: &Prepared, level: ObsLevel, kept: &mut Kept) -> Identity {
 type Arm = fn(&Prepared, &mut Kept) -> Identity;
 
 /// The arms, `off` first. An arm builds its observers anew for every scene
-/// — creating them (and the tail sampler's verdict) is part of what they
+/// — creating them (and keeping the finished trace) is part of what they
 /// cost; *reading* them afterwards is the consumer's business and happens
 /// outside the clock.
 const ARMS: [(&str, Arm); 5] = [
@@ -103,7 +103,7 @@ const ARMS: [(&str, Arm); 5] = [
         scene(p, &how)
     }),
     ("tracing", |p, kept| {
-        let tracing = Tracing::new(SamplerConfig::default());
+        let tracing = Tracing::new();
         let span = tracing.start_scene(SEED, "dc");
         let mut how = central();
         how.obs.span = Some(&span);
@@ -246,11 +246,9 @@ fn main() -> ExitCode {
     let task_spans = (trace.spans.iter())
         .filter(|s| s.kind == SpanKind::Task)
         .count();
-    let exemplars = tracing.exemplars().len();
     println!(
-        "trace   : {} [{}], {} spans ({task_spans} task attempts), {} services, {exemplars} exemplar(s)",
+        "trace   : {}, {} spans ({task_spans} task attempts), {} services",
         trace.trace,
-        trace.reason.name(),
         trace.spans.len(),
         trace.services.len(),
     );
@@ -313,12 +311,10 @@ fn main() -> ExitCode {
             "trace",
             Json::obj(vec![
                 ("trace_id", Json::str(trace.trace.to_string())),
-                ("reason", Json::str(trace.reason.name())),
                 ("task_spans", num(task_spans as f64)),
                 ("services", num(trace.services.len() as f64)),
                 ("retries", num(f64::from(trace.retries))),
                 ("dead_letters", num(f64::from(trace.dead_letters))),
-                ("exemplars", num(exemplars as f64)),
                 ("critical_task", num(f64::from(derived.task))),
                 ("critical_len_s", num(derived.length)),
                 ("critical_gap_pct", num(gap_pct)),

@@ -19,8 +19,6 @@
 //!         [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match]
 //!         [--scale PCT] [--top K] [--json F] [--unshared]
 //! spamctl top [--url http://HOST:PORT] [--iters N]
-//! spamctl slow [--level 1|2|3|4] [--workers N] [--retries K] [--fault-seed S]
-//!         [--task-panic-rate P] [--unshared] [--traces-out F]
 //! spamctl trace <id> [--from F] [--url http://HOST:PORT]
 //! ```
 //!
@@ -119,9 +117,8 @@
 //!   after the pipeline finishes, so a scraper or `spamctl top` can
 //!   observe the final state (default 0: shut down immediately);
 //! * `--metrics-snapshot F` writes the final OpenMetrics exposition to
-//!   `F` — the same bytes `/metrics` serves once the run has finished,
-//!   exemplars included — so CI can validate the exposition without
-//!   scraping a port;
+//!   `F` — the same bytes `/metrics` serves once the run has finished —
+//!   so CI can validate the exposition without scraping a port;
 //! * `top`: a live terminal dashboard. Polls `/snapshot` on a serving
 //!   `spamctl run --serve ...` process and renders per-worker utilization
 //!   bars, queue/conflict-set/WM depths, match-units and task throughput,
@@ -137,22 +134,14 @@
 //!   (`tlp-obs::tracectx`): the scene submission mints a deterministic
 //!   trace id (from `--fault-seed` + the dataset name) and a root span,
 //!   and the supervisor propagates the trace context through task spawn,
-//!   retry, dead-letter, recovery, and per-cycle engine emissions. The
-//!   tail sampler decides at completion whether to keep full span detail
-//!   (errored / SLO-breaching / slowest-N) or a one-line summary. With
-//!   `--serve`, retained traces are browsable at `/traces` and
-//!   `/trace/<id>`, and the task-latency histogram carries OpenMetrics
-//!   exemplars linking its tail bucket to a retained trace. Results are
-//!   bit-identical with tracing on or off;
+//!   retry, dead-letter, recovery, and per-cycle engine emissions; the
+//!   finished scene's trace is kept with full span detail and its id
+//!   printed (`trace  : <id>`). With `--serve` it is browsable at
+//!   `/traces` and `/trace/<id>`. Results are bit-identical with tracing
+//!   on or off;
 //! * `--traces-out F` writes the retained
 //!   traces as a `{"traces": […]}` JSON document (feed to
 //!   `tracecheck --spans` or `spamctl trace <id> --from F`);
-//! * `slow`: "why was this scene slow?" in one command — runs all four
-//!   datasets as traced scene submissions under the tail sampler, then
-//!   prints the retained traces ranked by wall duration with a per-scene
-//!   gap attribution (busy vs. wall, worker utilization, longest task
-//!   attempt, retry/dead-letter counts) and the one-line summaries for
-//!   everything the sampler declined to keep;
 //! * `trace <id>`: reconstructs one retained trace — the ASCII span tree
 //!   (workers, durations, errors) plus the critical task chain recomputed
 //!   from the trace's recorded per-task service table via
@@ -178,8 +167,7 @@ use std::time::Duration;
 use tlp_fault::{FaultPlan, SupervisorConfig, TaskReport};
 use tlp_obs::json::Json;
 use tlp_obs::{
-    Live, ObsLevel, Recorder, RetainedTrace, SampleVerdict, SamplerConfig, SloConfig, SloMonitor,
-    SpanKind, SpanRecord, Tracing,
+    Live, ObsLevel, Recorder, RetainedTrace, SloConfig, SloMonitor, SpanKind, SpanRecord, Tracing,
 };
 
 /// What one invocation does. `run` is what it does when it is not told.
@@ -192,7 +180,6 @@ enum Cmd {
     Chaos,
     Whatif,
     Top,
-    Slow,
     Trace,
 }
 
@@ -259,12 +246,6 @@ const COMMANDS: &[CmdSpec] = &[
         name: "top",
         head: "top",
         flags: "--url --iters",
-    },
-    CmdSpec {
-        cmd: Cmd::Slow,
-        name: "slow",
-        head: "slow",
-        flags: "--level --workers --retries --fault-seed --task-panic-rate --unshared --traces-out",
     },
     CmdSpec {
         cmd: Cmd::Trace,
@@ -592,14 +573,6 @@ fn phase_end(ctl: &mut tlp_obs::ThreadSink, name: &str, firings: Option<u64>) {
     if ctl.enabled(ObsLevel::Summary) {
         let args = firings.map(|f| ("firings", f.into())).into_iter().collect();
         ctl.end(tlp_obs::Category::Phase, name, args);
-    }
-}
-
-/// What the tail sampler made of a finished scene.
-fn verdict(span: &tlp_obs::SceneSpan) -> String {
-    match span.finish() {
-        SampleVerdict::Retained(r) => format!("retained ({})", r.name()),
-        SampleVerdict::Summarized => "summarized".into(),
     }
 }
 
@@ -1051,11 +1024,7 @@ fn render_top(snap: &Json, base: &str) -> String {
 
     match gauge("spam_slo_health") {
         Some(code) => {
-            let health = match code as i64 {
-                0 => "healthy",
-                1 => "recovering",
-                _ => "degraded",
-            };
+            let health = if code == 0.0 { "healthy" } else { "degraded" };
             out.push_str(&format!(
                 "slo    : {health} | burn fast {:.2} / slow {:.2} | budget {:.0}% left | \
                  target {} s at {:.0}%\n",
@@ -1147,115 +1116,6 @@ fn run_top(o: &Opts) -> Result<(), String> {
 /// A span's wall time, µs.
 fn wall_us(s: &SpanRecord) -> u64 {
     s.end_us.saturating_sub(s.start_us)
-}
-
-/// One retained trace's "why slow" line: wall vs. busy, worker utilization,
-/// the longest attempt, and the residual gap (fork + queue + idle).
-fn gap_attribution(t: &RetainedTrace) -> String {
-    let wall = t.duration_s();
-    let tasks: Vec<&SpanRecord> = (t.spans.iter())
-        .filter(|s| s.kind == SpanKind::Task)
-        .collect();
-    let busy = tasks.iter().map(|s| wall_us(s)).sum::<u64>() as f64 / 1e6;
-    let workers: std::collections::BTreeSet<&str> =
-        tasks.iter().map(|s| s.worker.as_str()).collect();
-    let nw = workers.len().max(1);
-    let ideal = busy / nw as f64;
-    let gap = (wall - ideal).max(0.0);
-    let util = if wall > 0.0 {
-        busy / (wall * nw as f64)
-    } else {
-        0.0
-    };
-    let longest = (tasks.iter().max_by_key(|s| wall_us(s)))
-        .map(|s| format!("{} {:.3}s", s.name, wall_us(s) as f64 / 1e6))
-        .unwrap_or_else(|| "none".into());
-    let dropped = if t.dropped_spans > 0 {
-        format!(" (+{} dropped)", t.dropped_spans)
-    } else {
-        String::new()
-    };
-    format!(
-        "{} scene={} [{}] dur={:.3}s: busy {:.3}s on {nw} worker(s) (util {:.0}%), \
-         ideal {ideal:.3}s, gap {gap:.3}s fork+queue+idle; longest {longest}; \
-         retries={} dead={} spans={}{dropped}",
-        t.trace,
-        t.scene,
-        t.reason.name(),
-        wall,
-        busy,
-        100.0 * util,
-        t.retries,
-        t.dead_letters,
-        t.spans.len(),
-    )
-}
-
-/// The `slow` subcommand: run all four datasets as traced scene
-/// submissions under one tail sampler, then print the retained traces
-/// ranked by wall duration with gap attribution, and the one-line
-/// summaries for the scenes the sampler declined to keep.
-fn run_slow(o: &Opts, sp: &SpamProgram) -> Result<(), String> {
-    let datasets = ["sf", "dc", "moff", "suburb"];
-    let workers = o.workers.unwrap_or(2);
-    // Slowest-2 of four submissions: demoting the fast half to summaries
-    // is the point of the demo, not an accident of ring capacity.
-    let tracing = Tracing::new(SamplerConfig {
-        slowest_n: 2,
-        ..SamplerConfig::default()
-    });
-    println!(
-        "spamctl slow: {} scene submissions, LCC at {}, {workers} worker(s), fault seed {}",
-        datasets.len(),
-        o.level.name(),
-        o.fault_seed
-    );
-    let cfg = SupervisorConfig::default().with_retries(o.retries);
-    let plan = fault_plan(o);
-    for name in datasets {
-        let scene = build_scene(name);
-        let rtf = run_rtf(sp, &scene);
-        let fragments = Arc::new(rtf.fragments.clone());
-        let span = tracing.start_scene(o.fault_seed, name);
-        let how = PhaseRun {
-            cfg: cfg.clone(),
-            plan: plan.clone(),
-            obs: Observer {
-                span: Some(&span),
-                ..Observer::off()
-            },
-            ..PhaseRun::new(ExecConfig::central_queue(workers))
-        };
-        let (lcc, _) = spam_psm::run_parallel_lcc(sp, &scene, &fragments, o.level, &how)
-            .map_err(|e| format!("slow: {name}: supervision error: {e}"))?;
-        println!(
-            "  {name:<7}: {} tasks, {} firings -> {} {}",
-            lcc.units.len(),
-            lcc.firings,
-            span.trace_id(),
-            verdict(&span)
-        );
-    }
-    let mut kept = tracing.retained();
-    kept.sort_by(|a, b| b.duration_s().total_cmp(&a.duration_s()));
-    println!("\nslowest retained traces (full span detail, ranked):");
-    for t in &kept {
-        println!("  {}", gap_attribution(t));
-    }
-    let sums = tracing.summaries();
-    if !sums.is_empty() {
-        println!("summarized (spans not kept by the tail sampler):");
-        for s in &sums {
-            println!("  {}", s.one_line());
-        }
-    }
-    if let Some(path) = &o.traces_out {
-        write_file(path, &traces_doc(&kept))?;
-        println!("{} retained trace(s) -> {path}", kept.len());
-    } else {
-        println!("inspect one: spamctl slow --traces-out F, then spamctl trace <id> --from F");
-    }
-    Ok(())
 }
 
 /// Renders the span tree as indented ASCII, children ordered by start.
@@ -1361,11 +1221,10 @@ fn run_trace(o: &Opts) -> Result<(), String> {
         }
     };
     println!(
-        "trace {} scene={} seed={} [{}]: {:.3}s, retries={} dead={} dropped={}",
+        "trace {} scene={} seed={}: {:.3}s, retries={} dead={} dropped={}",
         t.trace,
         t.scene,
         t.seed,
-        t.reason.name(),
         t.duration_s(),
         t.retries,
         t.dead_letters,
@@ -1452,9 +1311,6 @@ fn dispatch(o: &Opts) -> Result<(), String> {
     if o.unshared {
         sp = sp.with_config(ops5::ReteConfig::unshared());
     }
-    if o.cmd == Cmd::Slow {
-        return run_slow(o, &sp);
-    }
     // Figure 9 is an SF result, so `svm-report` defaults to that scene.
     let default_dataset = if o.cmd == Cmd::SvmReport {
         "sf"
@@ -1512,11 +1368,11 @@ fn run_pipeline(
         ))
     });
     // Scene tracing is on for `--traces-out`, and for `--serve` so that
-    // `/traces`, `/trace/<id>`, and the histogram exemplars are live.
-    // Results are bit-identical either way.
+    // `/traces` and `/trace/<id>` are live. Results are bit-identical
+    // either way.
     let trace_on = o.traces_out.is_some() || o.serve.is_some();
     let tracing = if trace_on {
-        Tracing::new(SamplerConfig::default())
+        Tracing::new()
     } else {
         Tracing::off()
     };
@@ -1605,7 +1461,8 @@ fn run_pipeline(
         );
     }
     if let Some(span) = &scene_span {
-        println!("trace  : {} {}", span.trace_id(), verdict(span));
+        span.finish();
+        println!("trace  : {}", span.trace_id());
     }
     if let Some(path) = &o.traces_out {
         let kept = tracing.retained();
@@ -1784,7 +1641,7 @@ fn run_pipeline(
             slo.health().name()
         );
         if let Some(path) = &o.metrics_snapshot {
-            let text = tlp_obs::openmetrics(&snap, Some(&tracing));
+            let text = tlp_obs::openmetrics(&snap);
             let summary = tlp_obs::validate_openmetrics(&text)
                 .map_err(|e| format!("live   : exposition INVALID ({e})"))?;
             write_file(path, &text)?;

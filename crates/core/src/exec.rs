@@ -1314,7 +1314,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
                 _ => {
                     if ctl_live.enabled() {
                         ctl_live.inc("spam_live_tasks_completed", 1);
-                        ctl_live.observe(tlp_obs::TASK_LATENCY_FAMILY, elapsed.as_secs_f64());
+                        ctl_live.observe("spam_live_task_latency_seconds", elapsed.as_secs_f64());
                     }
                     // Mirror the task's result before its epoch closes,
                     // so caller-side series land in the window of the
@@ -1915,7 +1915,10 @@ mod tests {
     }
 
     fn slo_on(live: &Arc<Live>) -> Arc<SloMonitor> {
-        let cfg = SloConfig::for_scene("test").with_target(10.0);
+        let cfg = SloConfig {
+            latency_target_s: 10.0,
+            ..SloConfig::for_scene("test")
+        };
         Arc::new(SloMonitor::new(cfg, live.handle()))
     }
 
@@ -1963,9 +1966,9 @@ mod tests {
 
     #[test]
     fn a_scene_span_yields_a_wellformed_span_tree() {
-        use tlp_obs::{validate_span_tree, RetainReason, SampleVerdict, SamplerConfig, Tracing};
+        use tlp_obs::{validate_span_tree, Tracing};
         for (name, exec) in placements(2) {
-            let tracing = Tracing::new(SamplerConfig::default());
+            let tracing = Tracing::new();
             let scene = tracing.start_scene(42, "dc");
             // Task 1 fails once and recovers; task 2 dies for good.
             let plan = FaultPlan::none()
@@ -1991,11 +1994,7 @@ mod tests {
             .unwrap();
             assert_eq!(slots.iter().flatten().count(), 3, "{name}");
             assert_eq!(report.dead_letters().len(), 1, "{name}");
-            assert_eq!(
-                scene.finish(),
-                SampleVerdict::Retained(RetainReason::Errored),
-                "{name}: a scene with retries and dead letters must be retained"
-            );
+            scene.finish();
             let retained = tracing.retained();
             assert_eq!(retained.len(), 1, "{name}");
             let t = &retained[0];

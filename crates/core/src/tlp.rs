@@ -38,9 +38,8 @@ use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
 /// checkpoint protocol ([`crate::recover`]) against one store for the phase
 /// and mirrors nothing live (a restored engine's counters are not new
 /// work); a completion that recovered a crashed task publishes
-/// `spam_live_recoveries` and `spam_live_recovery_latency_seconds`, tells
-/// the SLO monitor ([`SloMonitor::on_recovery`]) and lands in
-/// [`ExecReport::recovery`]. A task whose list [observes](TaskList::observed)
+/// `spam_live_recoveries` and `spam_live_recovery_latency_seconds` and
+/// lands in [`ExecReport::recovery`]. A task whose list [observes](TaskList::observed)
 /// its work has its simulated latency (at the paper's 1.5 MIPS) judged
 /// against the scene's objective and, with its match fraction, recorded in
 /// the scene trace's service table for `spamctl trace`.
@@ -89,9 +88,6 @@ where
             if info.attempt > 0 {
                 lh.inc("spam_live_recoveries", 1);
                 lh.observe("spam_live_recovery_latency_seconds", *attempt_s);
-                if let Some(slo) = &obs.slo {
-                    slo.on_recovery();
-                }
             }
             observe(i, r);
         },

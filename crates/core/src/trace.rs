@@ -184,6 +184,6 @@ mod tests {
             Some(LiveValue::Counter { total, .. }) if *total == lcc.firings
         ));
         // Legal OpenMetrics: the file `--metrics-snapshot` writes validates.
-        tlp_obs::validate_openmetrics(&tlp_obs::openmetrics(&snap, None)).unwrap();
+        tlp_obs::validate_openmetrics(&tlp_obs::openmetrics(&snap)).unwrap();
     }
 }

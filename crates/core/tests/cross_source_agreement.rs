@@ -11,9 +11,7 @@ use spam::lcc::Level;
 use spam_psm::exec::{ExecConfig, PhaseRun};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tlp_obs::{
-    EventKind, Live, LiveValue, ObsLevel, Recorder, SamplerConfig, SpanKind, TraceId, Tracing,
-};
+use tlp_obs::{EventKind, Live, LiveValue, ObsLevel, Recorder, SpanKind, TraceId, Tracing};
 
 const WORKERS: usize = 2;
 const TOLERANCE: f64 = 0.01;
@@ -31,7 +29,7 @@ fn the_five_accounts_of_busy_time_agree_within_one_percent() {
         for (placement, exec) in placements {
             let rec = Recorder::new(ObsLevel::Full);
             let live = Live::new(tlp_obs::DEFAULT_WINDOW);
-            let tracing = Tracing::new(SamplerConfig::default());
+            let tracing = Tracing::new();
             let span = tracing.start_scene(0, "dc");
             let mut how = PhaseRun::new(exec);
             how.obs.rec = Arc::clone(&rec);

@@ -145,8 +145,7 @@ fn live_recoverable_runner_publishes_recovery_series() {
         Some(LiveValue::Counter { total, .. }) => assert_eq!(*total, 1),
         other => panic!("retry counter missing: {other:?}"),
     }
-    // One crash absorbed by recovery must never read as degraded; it
-    // either healed (enough clean epochs followed) or is recovering.
+    // One crash absorbed by recovery must never read as degraded.
     assert_ne!(slo.health(), Health::Degraded);
 }
 

@@ -1,21 +1,17 @@
 //! `expocheck` — validate an OpenMetrics text exposition.
 //!
 //! ```sh
-//! expocheck metrics.om [--require FAMILY]... [--require-exemplars FAMILY]...
+//! expocheck metrics.om [--require FAMILY]...
 //! ```
 //!
 //! Checks a file produced by the `/metrics` endpoint or by
 //! `spamctl run --metrics-snapshot`: metadata syntax (`# TYPE` / `# UNIT` /
-//! `# HELP`), metric-name charset, family contiguity, sample suffixes
-//! consistent with each family's declared type, non-negative counters,
-//! summary quantiles in `[0, 1]`, monotone `le` buckets ending at `+Inf`,
-//! no duplicate samples, exemplar syntax (only on histogram buckets and
-//! counter totals, `trace_id` label present, value inside the annotated
-//! bucket), and the `# EOF` terminator. `--require` asserts a family is
-//! present (CI uses it to pin the `spam_live_*`/`spam_slo_*` contract);
-//! `--require-exemplars` additionally asserts the family carries at least
-//! one exemplar, so CI can prove the metrics→trace link is live. Exits
-//! non-zero on any violation.
+//! `# HELP`), metric-name charset, family contiguity, `counter` / `gauge` /
+//! `summary` families with the sample suffixes of their type, non-negative
+//! counters, summary quantiles in `[0, 1]`, no duplicate samples, no
+//! exemplars, and the `# EOF` terminator. `--require` asserts a family is
+//! present (CI uses it to pin the `spam_live_*`/`spam_slo_*` contract).
+//! Exits non-zero on any violation.
 
 use std::process::ExitCode;
 use tlp_obs::validate_openmetrics;
@@ -23,7 +19,6 @@ use tlp_obs::validate_openmetrics;
 fn main() -> ExitCode {
     let mut file = None;
     let mut required: Vec<String> = Vec::new();
-    let mut required_exemplars: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -34,18 +29,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--require-exemplars" => match args.next() {
-                Some(f) => required_exemplars.push(f),
-                None => {
-                    eprintln!("--require-exemplars needs a family name");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: expocheck <metrics.om> [--require FAMILY]... \
-                     [--require-exemplars FAMILY]..."
-                );
+                eprintln!("usage: expocheck <metrics.om> [--require FAMILY]...");
                 return ExitCode::FAILURE;
             }
             other if other.starts_with('-') => {
@@ -84,18 +69,6 @@ fn main() -> ExitCode {
                 .is_some_and(|rest| rest.split(' ').next() == Some(fam.as_str()))
         }) {
             eprintln!("expocheck: {file}: required family {fam:?} is missing");
-            return ExitCode::FAILURE;
-        }
-    }
-    for fam in &required_exemplars {
-        // The validator has already proven every `#`-annotated sample is a
-        // well-formed exemplar on a legal sample type, so presence is a
-        // plain text scan over the family's samples.
-        if !text
-            .lines()
-            .any(|l| l.starts_with(fam.as_str()) && l.contains(" # {"))
-        {
-            eprintln!("expocheck: {file}: family {fam:?} carries no exemplars");
             return ExitCode::FAILURE;
         }
     }

@@ -5,11 +5,11 @@
 //! metric *family* gets `# TYPE` (and `# UNIT` / `# HELP` where known)
 //! metadata followed by its samples, the whole document terminated by
 //! `# EOF`. Everything is hand-rolled — the workspace builds offline with
-//! zero new dependencies — and [`validate_openmetrics`] checks the
-//! renderer's output the way `tracecheck` checks Chrome traces: metadata
-//! syntax, name charset, family contiguity, type-consistent sample
-//! suffixes, quantile ranges, `le` bucket monotonicity, and the `# EOF`
-//! terminator.
+//! zero new dependencies — and [`validate_openmetrics`] accepts exactly
+//! what the renderer writes, the way `tracecheck` checks Chrome traces:
+//! metadata syntax, name charset, family contiguity, `counter` / `gauge` /
+//! `summary` types with their sample suffixes, quantile ranges, no
+//! exemplars, and the `# EOF` terminator.
 //!
 //! Mapping from [`LiveSnapshot`] values:
 //!
@@ -18,9 +18,7 @@
 //! * gauges → `gauge` families;
 //! * windowed histograms → `summary` families (q50/q90/q99 quantile
 //!   samples plus `_count`/`_sum`), which keeps the exposition compact
-//!   instead of shipping all 258 log-scale buckets — except a family the
-//!   tail sampler holds exemplars for, which is a real `histogram` with a
-//!   few cumulative `le` buckets for the exemplars to hang off.
+//!   instead of shipping all 258 log-scale buckets.
 //!
 //! The HTTP listener is deliberately tiny: one blocking accept loop on a
 //! [`std::net::TcpListener`], `Connection: close`, five routes —
@@ -32,12 +30,12 @@
 //! dropped when that is up: a client that trickles its request, or never
 //! reads its response, costs the next scraper (and `shutdown`) at most
 //! that long. `--metrics-snapshot` file mode writes the same `/metrics`
-//! body to disk ([`openmetrics`] of the same snapshot and tracer) so CI
-//! can validate the exposition without scraping a port.
+//! body to disk ([`openmetrics`] of the same snapshot) so CI can validate
+//! the exposition without scraping a port.
 
 use crate::live::{Live, LiveSnapshot, LiveValue};
 use crate::slo::SloMonitor;
-use crate::tracectx::{Exemplar, Tracing};
+use crate::tracectx::Tracing;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -80,11 +78,10 @@ fn family_help(family: &str) -> Option<&'static str> {
         "spam_live_recovery_latency_seconds" => "Wall seconds spent restoring crashed tasks.",
         "spam_live_task_latency_seconds" => "Per-task simulated service time.",
         "spam_slo_breaches" => "Tasks that missed the latency objective.",
-        "spam_slo_recoveries" => "Recovery-ladder runs observed by the SLO monitor.",
         "spam_slo_burn_rate_fast" => "Error-budget burn rate over the fast window.",
         "spam_slo_burn_rate_slow" => "Error-budget burn rate over the slow window.",
         "spam_slo_error_budget_remaining_ratio" => "Fraction of the error budget left.",
-        "spam_slo_health" => "Health ladder: 0 healthy, 1 recovering, 2 degraded.",
+        "spam_slo_health" => "Health: 0 healthy, 1 degraded.",
         "spam_slo_latency_seconds" => "Observed per-task latency distribution.",
         "spam_slo_latency_target_seconds" => "Configured per-task latency objective.",
         "spam_slo_objective_ratio" => "Configured success-fraction objective.",
@@ -126,30 +123,8 @@ fn sample_line(out: &mut String, name: &str, labels: &str, extra: &[(&str, Strin
     out.push('\n');
 }
 
-/// Appends an OpenMetrics exemplar annotation to the current sample line
-/// (which must not yet be newline-terminated).
-fn exemplar_suffix(out: &mut String, ex: &Exemplar) {
-    out.push_str(&format!(
-        " # {{trace_id=\"{}\"}} {} {}",
-        ex.trace,
-        fmt_value(ex.value),
-        fmt_value(ex.ts_s)
-    ));
-}
-
-/// How many `le` buckets an exemplar-bearing histogram family exposes
-/// (plus the `+Inf` bucket). Coarse on purpose: the full 258-bucket
-/// log-scale shape stays internal; the exposition only needs enough
-/// resolution to hang exemplars off the tail.
-const EXPO_BUCKETS: usize = 8;
-
-/// Renders a snapshot as OpenMetrics text (terminated by `# EOF`),
-/// attaching exemplars from the tail sampler where `tracing` has any. A
-/// histogram family with at least one exemplar is rendered as a real
-/// OpenMetrics `histogram` (cumulative `le` buckets, exemplar-annotated);
-/// families without exemplars keep the compact `summary` rendering.
-pub fn openmetrics(snap: &LiveSnapshot, tracing: Option<&Tracing>) -> String {
-    let exemplars = tracing.map(Tracing::exemplars).unwrap_or_default();
+/// Renders a snapshot as OpenMetrics text (terminated by `# EOF`).
+pub fn openmetrics(snap: &LiveSnapshot) -> String {
     // Group series by family so labeled variants stay contiguous.
     let mut families: BTreeMap<String, Vec<(String, &LiveValue)>> = BTreeMap::new();
     for (key, value) in &snap.series {
@@ -166,12 +141,9 @@ pub fn openmetrics(snap: &LiveSnapshot, tracing: Option<&Tracing>) -> String {
     }
     let mut out = String::new();
     for (family, entries) in &families {
-        let fam_exemplars: Vec<&Exemplar> =
-            exemplars.iter().filter(|e| &e.family == family).collect();
         let ftype = match entries[0].1 {
             LiveValue::Counter { .. } => "counter",
             LiveValue::Gauge(_) => "gauge",
-            LiveValue::Histogram(_) if !fam_exemplars.is_empty() => "histogram",
             LiveValue::Histogram(_) => "summary",
         };
         out.push_str(&format!("# TYPE {family} {ftype}\n"));
@@ -193,51 +165,6 @@ pub fn openmetrics(snap: &LiveSnapshot, tracing: Option<&Tracing>) -> String {
                     );
                 }
                 LiveValue::Gauge(g) => sample_line(&mut out, family, labels, &[], *g),
-                LiveValue::Histogram(h) if ftype == "histogram" => {
-                    // Exemplar-linked exposition: real cumulative buckets,
-                    // each annotated with the latest exemplar it contains.
-                    let mut prev = f64::NEG_INFINITY;
-                    let buckets = h.le_buckets(EXPO_BUCKETS);
-                    for (le, cum) in &buckets {
-                        sample_line(
-                            &mut out,
-                            &format!("{family}_bucket"),
-                            labels,
-                            &[("le", fmt_value(*le))],
-                            *cum as f64,
-                        );
-                        if let Some(ex) = fam_exemplars
-                            .iter()
-                            .rev()
-                            .find(|e| e.value > prev && e.value <= *le)
-                        {
-                            out.truncate(out.len() - 1); // reopen the line
-                            exemplar_suffix(&mut out, ex);
-                            out.push('\n');
-                        }
-                        prev = *le;
-                    }
-                    sample_line(
-                        &mut out,
-                        &format!("{family}_bucket"),
-                        labels,
-                        &[("le", "+Inf".to_string())],
-                        h.count() as f64,
-                    );
-                    if let Some(ex) = fam_exemplars.iter().rev().find(|e| e.value > prev) {
-                        out.truncate(out.len() - 1);
-                        exemplar_suffix(&mut out, ex);
-                        out.push('\n');
-                    }
-                    sample_line(
-                        &mut out,
-                        &format!("{family}_count"),
-                        labels,
-                        &[],
-                        h.count() as f64,
-                    );
-                    sample_line(&mut out, &format!("{family}_sum"), labels, &[], h.sum());
-                }
                 LiveValue::Histogram(h) => {
                     for q in [0.5, 0.9, 0.99] {
                         let v = h.quantile(q).unwrap_or(f64::NAN);
@@ -287,15 +214,16 @@ fn valid_name(s: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// Allowed sample-name suffixes for a declared family type.
+/// The family types [`openmetrics`] writes; any other is an error.
+const TYPES: &[&str] = &["counter", "gauge", "summary"];
+
+/// Sample-name suffixes of each type in [`TYPES`], as [`openmetrics`]
+/// writes them.
 fn allowed_suffixes(ftype: &str) -> &'static [&'static str] {
     match ftype {
-        "counter" => &["_total", "_created"],
-        "summary" => &["", "_count", "_sum", "_created"],
-        "histogram" => &["_bucket", "_count", "_sum", "_created"],
-        "gaugehistogram" => &["_bucket", "_gcount", "_gsum"],
-        "info" => &["_info"],
-        _ => &[""], // gauge, unknown, stateset
+        "counter" => &["_total"],
+        "summary" => &["", "_count", "_sum"],
+        _ => &[""], // gauge
     }
 }
 
@@ -312,13 +240,6 @@ fn parse_value(tok: &str) -> Result<f64, String> {
 
 struct Sample {
     name: String,
-    labels: Vec<(String, String)>,
-    value: f64,
-    exemplar: Option<SampleExemplar>,
-}
-
-/// A parsed exemplar annotation (`# {labels} value [ts]`).
-struct SampleExemplar {
     labels: Vec<(String, String)>,
     value: f64,
 }
@@ -389,25 +310,8 @@ fn parse_labelset(
     Ok(labels)
 }
 
-/// Parses `value [timestamp]` from whitespace-separated tokens.
-fn parse_value_ts(toks: &[&str], what: &str, line: &str) -> Result<f64, String> {
-    if toks.is_empty() {
-        return Err(format!("{what} in line {line:?} has no value"));
-    }
-    if toks.len() > 2 {
-        return Err(format!("{what} in line {line:?} has trailing tokens"));
-    }
-    let value = parse_value(toks[0])?;
-    if toks.len() == 2 {
-        toks[1]
-            .parse::<f64>()
-            .map_err(|_| format!("unparseable {what} timestamp in line {line:?}"))?;
-    }
-    Ok(value)
-}
-
-/// Parses one sample line:
-/// `name[{labels}] value [timestamp] [# {exemplar-labels} value [timestamp]]`.
+/// Parses one sample line: `name[{labels}] value [timestamp]`. A `#` after
+/// the value (an exemplar) is an error: the renderer writes none.
 fn parse_sample(line: &str) -> Result<Sample, String> {
     let bytes: Vec<char> = line.chars().collect();
     let mut i = 0;
@@ -425,40 +329,26 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
         labels = parse_labelset(&bytes, &mut i, line)?;
     }
     let rest: String = bytes[i..].iter().collect();
-    // An exemplar is introduced by a '#' after the value: split it off
-    // before tokenizing the value/timestamp part.
-    let (value_part, exemplar_part) = match rest.find('#') {
-        Some(h) => (
-            rest[..h].to_string(),
-            Some(rest[h + 1..].trim().to_string()),
-        ),
-        None => (rest, None),
+    if rest.contains('#') {
+        return Err(format!(
+            "'#' after the sample value (an exemplar?) in {line:?}"
+        ));
+    }
+    let toks: Vec<&str> = rest.split_whitespace().collect();
+    let Some(first) = toks.first() else {
+        return Err(format!("sample in line {line:?} has no value"));
     };
-    let toks: Vec<&str> = value_part.split_whitespace().collect();
-    let value = parse_value_ts(&toks, "sample", line)?;
-    let exemplar = match exemplar_part {
-        None => None,
-        Some(ex) => {
-            let exb: Vec<char> = ex.chars().collect();
-            let mut j = 0;
-            if exb.first() != Some(&'{') {
-                return Err(format!("exemplar must start with a label set in {line:?}"));
-            }
-            let ex_labels = parse_labelset(&exb, &mut j, line)?;
-            let ex_rest: String = exb[j..].iter().collect();
-            let ex_toks: Vec<&str> = ex_rest.split_whitespace().collect();
-            let ex_value = parse_value_ts(&ex_toks, "exemplar", line)?;
-            Some(SampleExemplar {
-                labels: ex_labels,
-                value: ex_value,
-            })
-        }
-    };
+    if toks.len() > 2 {
+        return Err(format!("sample in line {line:?} has trailing tokens"));
+    }
+    let value = parse_value(first)?;
+    if let Some(ts) = toks.get(1) {
+        (ts.parse::<f64>()).map_err(|_| format!("unparseable timestamp in line {line:?}"))?;
+    }
     Ok(Sample {
         name,
         labels,
         value,
-        exemplar,
     })
 }
 
@@ -466,9 +356,6 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 struct FamilyState {
     ftype: String,
     has_samples: bool,
-    /// For histogram-ish families: per label-set (minus `le`) bucket series
-    /// in appearance order, `(le, cumulative count, exemplar value)`.
-    buckets: BTreeMap<String, Vec<(f64, f64, Option<f64>)>>,
 }
 
 /// Validates an OpenMetrics text exposition. Returns family/sample counts,
@@ -537,18 +424,11 @@ pub fn validate_openmetrics(text: &str) -> Result<ExpoSummary, String> {
                     if fam.has_samples {
                         return Err(at(format!("TYPE for {name:?} after its samples")));
                     }
-                    const TYPES: &[&str] = &[
-                        "counter",
-                        "gauge",
-                        "histogram",
-                        "gaugehistogram",
-                        "summary",
-                        "info",
-                        "stateset",
-                        "unknown",
-                    ];
                     if !TYPES.contains(&arg) {
-                        return Err(at(format!("unknown metric type {arg:?}")));
+                        return Err(at(format!(
+                            "metric type {arg:?} is not one the renderer writes ({})",
+                            TYPES.join(", ")
+                        )));
                     }
                     fam.ftype = arg.to_string();
                 }
@@ -602,31 +482,8 @@ pub fn validate_openmetrics(text: &str) -> Result<ExpoSummary, String> {
         }
         let fam = families.get_mut(&family).unwrap();
         fam.has_samples = true;
-        if let Some(ex) = &sample.exemplar {
-            // Exemplars are legal only on histogram buckets and counter
-            // totals, and this repo's contract is that they carry the
-            // trace id of a retained scene trace.
-            let allowed = (matches!(fam.ftype.as_str(), "histogram" | "gaugehistogram")
-                && suffix == "_bucket")
-                || (fam.ftype == "counter" && suffix == "_total");
-            if !allowed {
-                return Err(at(format!(
-                    "exemplar not allowed on {} sample {:?}",
-                    fam.ftype, sample.name
-                )));
-            }
-            if !ex.labels.iter().any(|(k, _)| k == "trace_id") {
-                return Err(at(format!(
-                    "exemplar on {:?} is missing a trace_id label",
-                    sample.name
-                )));
-            }
-            if ex.value.is_nan() {
-                return Err(at(format!("exemplar on {:?} has NaN value", sample.name)));
-            }
-        }
         match fam.ftype.as_str() {
-            "counter" if suffix == "_total" && (sample.value.is_nan() || sample.value < 0.0) => {
+            "counter" if sample.value.is_nan() || sample.value < 0.0 => {
                 return Err(at(format!(
                     "counter {:?} has negative or NaN value {}",
                     sample.name, sample.value
@@ -650,27 +507,6 @@ pub fn validate_openmetrics(text: &str) -> Result<ExpoSummary, String> {
                     return Err(at(format!("quantile {qv} outside [0, 1]")));
                 }
             }
-            "histogram" | "gaugehistogram" if suffix.starts_with("_b") => {
-                let le = sample
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "le")
-                    .ok_or_else(|| {
-                        at(format!("bucket sample {:?} is missing 'le'", sample.name))
-                    })?;
-                let lev = parse_value(&le.1).map_err(at)?;
-                let series: Vec<String> = sample
-                    .labels
-                    .iter()
-                    .filter(|(k, _)| k != "le")
-                    .map(|(k, v)| format!("{k}={v:?}"))
-                    .collect();
-                fam.buckets.entry(series.join(",")).or_default().push((
-                    lev,
-                    sample.value,
-                    sample.exemplar.as_ref().map(|e| e.value),
-                ));
-            }
             _ => {}
         }
     }
@@ -678,42 +514,6 @@ pub fn validate_openmetrics(text: &str) -> Result<ExpoSummary, String> {
     for (name, fam) in &families {
         if fam.ftype.is_empty() {
             return Err(format!("family {name:?} has metadata but no # TYPE"));
-        }
-        for (series, buckets) in &fam.buckets {
-            for pair in buckets.windows(2) {
-                if pair[1].0 < pair[0].0 {
-                    return Err(format!(
-                        "family {name:?} bucket 'le' values not monotone in series {{{series}}}"
-                    ));
-                }
-                if pair[1].1 < pair[0].1 {
-                    return Err(format!(
-                        "family {name:?} cumulative bucket counts decrease in series {{{series}}}"
-                    ));
-                }
-            }
-            match buckets.last() {
-                Some((le, _, _)) if le.is_infinite() && *le > 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "family {name:?} bucket series {{{series}}} does not end with le=\"+Inf\""
-                    ))
-                }
-            }
-            // An exemplar must lie within its bucket: greater than the
-            // previous boundary, at most this one.
-            let mut prev = f64::NEG_INFINITY;
-            for (le, _, ex) in buckets {
-                if let Some(ev) = ex {
-                    if *ev <= prev || *ev > *le {
-                        return Err(format!(
-                            "family {name:?} series {{{series}}}: exemplar value {ev} \
-                             outside its bucket ({prev}, {le}]"
-                        ));
-                    }
-                }
-                prev = *le;
-            }
         }
     }
 
@@ -740,8 +540,7 @@ pub struct MetricsServer {
 /// pick — [`MetricsServer::addr`] reports the bound address). Routes:
 /// `/metrics`, `/healthz`, `/snapshot`, and — answering 404 without a
 /// tracer — `/traces` (retained-trace listing) and `/trace/<id>` (full
-/// span tree for a retained trace, by id or unique prefix). With a tracer
-/// `/metrics` carries the tail sampler's exemplars.
+/// span tree for a retained trace, by id or unique prefix).
 pub fn serve(
     addr: &str,
     live: Arc<Live>,
@@ -855,7 +654,7 @@ fn handle_conn(
             "/metrics" => (
                 200,
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
-                openmetrics(&live.snapshot(), tracing),
+                openmetrics(&live.snapshot()),
             ),
             "/healthz" => match slo {
                 Some(mon) => {
@@ -997,7 +796,7 @@ mod tests {
 
     #[test]
     fn rendered_exposition_validates() {
-        let text = openmetrics(&sample_snapshot(), None);
+        let text = openmetrics(&sample_snapshot());
         let summary = validate_openmetrics(&text).expect(&text);
         assert_eq!(summary.families, 4);
         assert!(text.ends_with("# EOF\n"));
@@ -1059,20 +858,19 @@ mod tests {
     }
 
     #[test]
-    fn validator_checks_bucket_monotonicity() {
-        let ok = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 3\nh_count 3\nh_sum 2.5\n# EOF\n";
-        validate_openmetrics(ok).unwrap();
-        let bad_le = "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 3\n# EOF\n";
-        assert!(validate_openmetrics(bad_le)
-            .unwrap_err()
-            .contains("monotone"));
-        let no_inf = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\n# EOF\n";
-        assert!(validate_openmetrics(no_inf).unwrap_err().contains("+Inf"));
-        let shrinking =
-            "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n# EOF\n";
-        assert!(validate_openmetrics(shrinking)
-            .unwrap_err()
-            .contains("decrease"));
+    fn validator_rejects_histograms_and_exemplars_naming_the_line() {
+        let histogram = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n# EOF\n";
+        let err = validate_openmetrics(histogram).unwrap_err();
+        assert!(
+            err.starts_with("line 1:") && err.contains("\"histogram\""),
+            "{err}"
+        );
+        let exemplar = "# TYPE c counter\nc_total 9 # {trace_id=\"ab\"} 1\n# EOF\n";
+        let err = validate_openmetrics(exemplar).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("exemplar"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1084,8 +882,8 @@ mod tests {
     }
 
     fn retained_tracer() -> Arc<Tracing> {
-        use crate::tracectx::{SamplerConfig, SpanId, SpanKind, SpanRecord};
-        let tr = Tracing::new(SamplerConfig::default());
+        use crate::tracectx::{SpanId, SpanKind, SpanRecord};
+        let tr = Tracing::new();
         let scene = tr.start_scene(42, "dc");
         scene.record_span(SpanRecord {
             id: SpanId::derive(scene.trace_id(), "task.exec", 0, 0),
@@ -1099,86 +897,6 @@ mod tests {
         });
         scene.finish();
         tr
-    }
-
-    #[test]
-    fn exemplar_rendering_validates_and_links_trace() {
-        let tr = retained_tracer();
-        // Make the live histogram contain the exemplar value so the bucket
-        // exists.
-        let live = Live::new(4);
-        let h = live.handle();
-        h.observe("spam_live_task_latency_seconds", 0.25);
-        h.observe("spam_live_task_latency_seconds", 0.01);
-        h.observe("spam_live_task_latency_seconds", 2.0);
-        let text = openmetrics(&live.snapshot(), Some(&tr));
-        validate_openmetrics(&text).expect(&text);
-        assert!(text.contains("# TYPE spam_live_task_latency_seconds histogram"));
-        assert!(text.contains("spam_live_task_latency_seconds_bucket"));
-        let want = format!("# {{trace_id=\"{}\"}} 0.25", tr.retained()[0].trace);
-        assert!(text.contains(&want), "missing exemplar in:\n{text}");
-        // Without a tracer the family renders as a summary, as before.
-        let plain = openmetrics(&live.snapshot(), None);
-        assert!(plain.contains("# TYPE spam_live_task_latency_seconds summary"));
-        validate_openmetrics(&plain).unwrap();
-    }
-
-    #[test]
-    fn validator_accepts_wellformed_exemplars() {
-        let text = "# TYPE h histogram\n\
-                    h_bucket{le=\"1\"} 1 # {trace_id=\"00ff\"} 0.5 12.0\n\
-                    h_bucket{le=\"+Inf\"} 3 # {trace_id=\"00aa\"} 2.5\n\
-                    h_count 3\nh_sum 4.0\n# EOF\n";
-        validate_openmetrics(text).expect(text);
-        let counter = "# TYPE c counter\nc_total 9 # {trace_id=\"ab\"} 1\n# EOF\n";
-        validate_openmetrics(counter).expect(counter);
-    }
-
-    #[test]
-    fn validator_rejects_exemplar_on_wrong_sample_types() {
-        let gauge = "# TYPE g gauge\ng 1 # {trace_id=\"ab\"} 1\n# EOF\n";
-        assert!(validate_openmetrics(gauge)
-            .unwrap_err()
-            .contains("exemplar not allowed"));
-        let summary = "# TYPE s summary\ns_count 1 # {trace_id=\"ab\"} 1\n# EOF\n";
-        assert!(validate_openmetrics(summary)
-            .unwrap_err()
-            .contains("exemplar not allowed"));
-    }
-
-    #[test]
-    fn validator_rejects_exemplar_without_trace_id() {
-        let text = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {span=\"x\"} 0.5\n# EOF\n";
-        assert!(validate_openmetrics(text).unwrap_err().contains("trace_id"));
-    }
-
-    #[test]
-    fn validator_rejects_exemplar_outside_its_bucket() {
-        let text = "# TYPE h histogram\n\
-                    h_bucket{le=\"1\"} 1 # {trace_id=\"ab\"} 3.0\n\
-                    h_bucket{le=\"+Inf\"} 2\n# EOF\n";
-        assert!(validate_openmetrics(text)
-            .unwrap_err()
-            .contains("outside its bucket"));
-        let below = "# TYPE h histogram\n\
-                     h_bucket{le=\"1\"} 1\n\
-                     h_bucket{le=\"2\"} 2 # {trace_id=\"ab\"} 0.5\n\
-                     h_bucket{le=\"+Inf\"} 2\n# EOF\n";
-        assert!(validate_openmetrics(below)
-            .unwrap_err()
-            .contains("outside its bucket"));
-    }
-
-    #[test]
-    fn validator_rejects_malformed_exemplar_syntax() {
-        let no_labels = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # 0.5\n# EOF\n";
-        assert!(validate_openmetrics(no_labels)
-            .unwrap_err()
-            .contains("label set"));
-        let no_value = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {trace_id=\"a\"}\n# EOF\n";
-        assert!(validate_openmetrics(no_value)
-            .unwrap_err()
-            .contains("no value"));
     }
 
     #[test]
@@ -1305,7 +1023,6 @@ mod tests {
             fast_window: 2,
             slow_window: 4,
             burn_threshold: 2.0,
-            recovery_epochs: 2,
         };
         let mon = Arc::new(SloMonitor::new(cfg, live.handle()));
         for _ in 0..4 {

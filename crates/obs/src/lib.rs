@@ -22,11 +22,11 @@
 //!   text ([`openmetrics`]) to a file or over the [`serve`] listener,
 //!   checked by [`validate_openmetrics`] (`expocheck`). [`SloMonitor`]
 //!   publishes its burn-rate decisions into it.
-//! * **Scene traces** — [`Tracing`], a span tree per scene submission with
-//!   tail-based retention and exemplars into the latency histogram;
-//!   written as JSON ([`RetainedTrace::to_json`]), read back by its one
-//!   decoder ([`RetainedTrace::from_json`], [`decode_traces`]) and checked
-//!   by [`validate_span_tree`] (`tracecheck --spans`).
+//! * **Scene traces** — [`Tracing`], a span tree per scene submission,
+//!   the last [`MAX_RETAINED`] finished ones kept in a ring; written as
+//!   JSON ([`RetainedTrace::to_json`]), read back by its one decoder
+//!   ([`RetainedTrace::from_json`], [`decode_traces`]) and checked by
+//!   [`validate_span_tree`] (`tracecheck --spans`).
 //! * A dependency-free JSON [`json`] parser/writer used by all of the
 //!   above and by the round-trip tests.
 //!
@@ -65,17 +65,14 @@ pub mod tracectx;
 pub use event::{ArgValue, Category, Event, EventKind};
 pub use export::{validate_chrome_trace, MachineLog, TraceDoc, TraceSummary};
 pub use expose::{http_get, openmetrics, serve, validate_openmetrics, ExpoSummary, MetricsServer};
-pub use live::{
-    series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW, TASK_LATENCY_FAMILY,
-};
+pub use live::{series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW};
 pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};
 pub use slo::{Health, SloConfig, SloMonitor};
 pub use timeline::{multi_gantt, CounterSeries, Span, Timeline, Track};
 pub use tracectx::{
-    decode_traces, validate_span_tree, Exemplar, RetainReason, RetainedTrace, SampleVerdict,
-    SamplerConfig, SceneSpan, SceneSummary, SpanId, SpanKind, SpanRecord, SpanSink, SpanTreeStats,
-    TaskService, TraceContext, TraceId, Tracing,
+    decode_traces, validate_span_tree, RetainedTrace, SceneSpan, SpanId, SpanKind, SpanRecord,
+    SpanSink, SpanTreeStats, TaskService, TraceContext, TraceId, Tracing, MAX_RETAINED, MAX_SPANS,
 };
 
 use std::fmt;

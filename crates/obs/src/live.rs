@@ -45,13 +45,6 @@ use std::time::Instant;
 /// Default window width, in epochs.
 pub const DEFAULT_WINDOW: usize = 8;
 
-/// The supervisor's wall-clock task-latency histogram family. Named in one
-/// place because three layers must agree on it: the supervisor observes
-/// into it, the tail sampler ties its exemplars to it
-/// ([`crate::tracectx::Tracing`]), and the exposition layer renders those
-/// exemplars onto its buckets ([`crate::expose::openmetrics`]).
-pub const TASK_LATENCY_FAMILY: &str = "spam_live_task_latency_seconds";
-
 /// Builds a series key with an encoded OpenMetrics label set:
 /// `series_key("x", &[("worker", "3")])` is `x{worker="3"}`. With no labels
 /// the bare name is returned. The exposition layer splits the key back into

@@ -148,41 +148,6 @@ impl Histogram {
         self.quantile_bounds(q).map(|(_, hi)| hi)
     }
 
-    /// Cumulative `le` buckets for OpenMetrics histogram exposition: up to
-    /// `max` `(le, cumulative_count)` pairs at exact internal bucket
-    /// boundaries spanning every non-empty finite bucket, in increasing
-    /// `le` order with non-decreasing counts. The caller appends the
-    /// `le="+Inf"` bucket (cumulative = [`Histogram::count`]). Empty when
-    /// no finite-bucket samples exist.
-    pub fn le_buckets(&self, max: usize) -> Vec<(f64, u64)> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let finite = &self.buckets[1..=N_BUCKETS];
-        let lo = match finite.iter().position(|&c| c > 0) {
-            Some(k) => k,
-            None => return Vec::new(),
-        };
-        let hi = finite.iter().rposition(|&c| c > 0).unwrap_or(lo);
-        // Candidate boundaries are the upper bounds of buckets lo..=hi;
-        // pick up to `max` of them, always ending at bound(hi + 1) so the
-        // last finite bucket is fully covered.
-        let span = hi - lo + 1;
-        let n = span.min(max);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            // Evenly spaced, final pick is exactly hi + 1.
-            let k = hi + 1 - (n - 1 - i) * span / n;
-            let le = bucket_bound(k as i32);
-            let cum: u64 = self.buckets[..=k].iter().sum();
-            if out.last().is_some_and(|(prev, _)| *prev >= le) {
-                continue;
-            }
-            out.push((le, cum));
-        }
-        out
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -263,27 +228,5 @@ mod tests {
         assert_eq!(h.quantile_bounds(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn le_buckets_are_monotone_and_cover_all_finite_samples() {
-        let mut h = Histogram::new();
-        for v in [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0] {
-            h.record(v);
-        }
-        for max in [1usize, 3, 8, 64] {
-            let b = h.le_buckets(max);
-            assert!(!b.is_empty());
-            assert!(b.len() <= max);
-            for w in b.windows(2) {
-                assert!(w[1].0 > w[0].0, "le not increasing: {b:?}");
-                assert!(w[1].1 >= w[0].1, "cumulative decreasing: {b:?}");
-            }
-            // The last boundary sits above the largest finite sample.
-            let (last_le, last_cum) = *b.last().unwrap();
-            assert!(last_le > 30.0);
-            assert_eq!(last_cum, h.count());
-        }
-        assert!(Histogram::new().le_buckets(8).is_empty());
     }
 }

@@ -16,13 +16,8 @@
 //! allows". The monitor alerts only when *both* a fast and a slow window
 //! exceed the threshold (the standard multi-window trick: the slow window
 //! suppresses blips, the fast window makes the alert reset quickly once the
-//! problem stops). Health is a three-state ladder surfaced by `/healthz`:
-//!
-//! * **Degraded** — both windows over threshold right now.
-//! * **Recovering** — either the alert recently cleared (fewer than
-//!   `recovery_epochs` clean epochs since) or the PR 6 recovery ladder
-//!   restored a task from checkpoint/WAL this window.
-//! * **Healthy** — everything else.
+//! problem stops). Health, surfaced by `/healthz`, is **Degraded** while
+//! both windows are over threshold and **Healthy** otherwise.
 //!
 //! All decisions are published as `spam_slo_*` gauges/counters through a
 //! [`LiveHandle`], so the exposition endpoint and `spamctl top` see the
@@ -48,48 +43,34 @@ pub struct SloConfig {
     pub slow_window: usize,
     /// Burn rate above which a window is considered on fire.
     pub burn_threshold: f64,
-    /// Clean epochs required to climb from Recovering back to Healthy.
-    pub recovery_epochs: u64,
 }
 
+/// The per-task latency target of [`SloConfig::for_scene`], in simulated
+/// seconds.
+const LATENCY_TARGET_S: f64 = 420.0;
+
 impl SloConfig {
-    /// Default objectives per scene. Latency targets are set near the
-    /// measured p90 task service time of the Level-4 decomposition, so a
-    /// healthy run breaches occasionally (the budget absorbs it) and a
+    /// The default objective for a scene. The latency target is set near
+    /// the measured p90 task service time of the Level-4 decomposition, so
+    /// a healthy run breaches occasionally (the budget absorbs it) and a
     /// pathological run pushes both windows over threshold.
     pub fn for_scene(scene: &str) -> SloConfig {
-        let latency_target_s = match scene {
-            "sf" => 420.0,
-            "dc" => 420.0,
-            "suburb" => 420.0,
-            "moff" => 420.0,
-            _ => 420.0,
-        };
         SloConfig {
             scene: scene.to_string(),
-            latency_target_s,
+            latency_target_s: LATENCY_TARGET_S,
             objective: 0.90,
             fast_window: 8,
             slow_window: 32,
             burn_threshold: 2.0,
-            recovery_epochs: 8,
         }
-    }
-
-    /// Overrides the latency target, keeping everything else.
-    pub fn with_target(mut self, latency_target_s: f64) -> SloConfig {
-        self.latency_target_s = latency_target_s;
-        self
     }
 }
 
-/// The three-state health ladder reported by `/healthz`.
+/// The health reported by `/healthz`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Health {
-    /// Within objective; no active or recently cleared alert.
+    /// Within objective.
     Healthy,
-    /// An alert cleared recently, or the recovery ladder just ran.
-    Recovering,
     /// Fast and slow burn-rate windows are both over threshold.
     Degraded,
 }
@@ -99,18 +80,16 @@ impl Health {
     pub fn name(&self) -> &'static str {
         match self {
             Health::Healthy => "healthy",
-            Health::Recovering => "recovering",
             Health::Degraded => "degraded",
         }
     }
 
     /// Numeric encoding for the `spam_slo_health` gauge
-    /// (0 healthy / 1 recovering / 2 degraded).
+    /// (0 healthy / 1 degraded).
     pub fn code(&self) -> f64 {
         match self {
             Health::Healthy => 0.0,
-            Health::Recovering => 1.0,
-            Health::Degraded => 2.0,
+            Health::Degraded => 1.0,
         }
     }
 }
@@ -135,10 +114,8 @@ struct State {
     total_good: u64,
     total_bad: u64,
     health: Health,
-    clean_epochs: u64,
     burn_fast: f64,
     burn_slow: f64,
-    recoveries: u64,
 }
 
 /// The monitor: feed it per-task outcomes ([`SloMonitor::observe`]) and the
@@ -163,10 +140,8 @@ impl SloMonitor {
                 total_good: 0,
                 total_bad: 0,
                 health: Health::Healthy,
-                clean_epochs: 0,
                 burn_fast: 0.0,
                 burn_slow: 0.0,
-                recoveries: 0,
             }),
             cfg,
         }
@@ -203,25 +178,9 @@ impl SloMonitor {
         }
     }
 
-    /// Notifies the monitor that the recovery ladder ran (a task was
-    /// restored from checkpoint/WAL or restarted from scratch). Forces at
-    /// least the Recovering state until `recovery_epochs` clean epochs
-    /// pass.
-    pub fn on_recovery(&self) {
-        {
-            let mut st = self.state.lock().unwrap();
-            st.recoveries += 1;
-            if st.health == Health::Healthy {
-                st.health = Health::Recovering;
-            }
-            st.clean_epochs = 0;
-        }
-        self.handle.inc("spam_slo_recoveries", 1);
-    }
-
     /// Advances the monitor to `epoch` (the supervisor calls this after
-    /// `Live::advance_epoch`), re-evaluating burn rates and the health
-    /// ladder, and republishing the `spam_slo_*` gauges.
+    /// `Live::advance_epoch`), re-evaluating burn rates and health, and
+    /// republishing the `spam_slo_*` gauges.
     pub fn advance(&self, epoch: u64) {
         let mut st = self.state.lock().unwrap();
         let slow = self.cfg.slow_window.max(1);
@@ -252,17 +211,11 @@ impl SloMonitor {
         st.burn_slow = frac(&st, self.cfg.slow_window) / budget;
         let alert =
             st.burn_fast > self.cfg.burn_threshold && st.burn_slow > self.cfg.burn_threshold;
-        if alert {
-            st.health = Health::Degraded;
-            st.clean_epochs = 0;
-        } else if st.health != Health::Healthy {
-            st.clean_epochs += 1;
-            st.health = if st.clean_epochs >= self.cfg.recovery_epochs {
-                Health::Healthy
-            } else {
-                Health::Recovering
-            };
-        }
+        st.health = if alert {
+            Health::Degraded
+        } else {
+            Health::Healthy
+        };
         let total = st.total_good + st.total_bad;
         let consumed = if total == 0 {
             0.0
@@ -311,7 +264,6 @@ impl SloMonitor {
             ),
             ("tasks_ok", Json::Num(st.total_good as f64)),
             ("tasks_breached", Json::Num(st.total_bad as f64)),
-            ("recoveries", Json::Num(st.recoveries as f64)),
         ]);
         (body, st.health != Health::Degraded)
     }
@@ -331,7 +283,6 @@ mod tests {
             fast_window: 4,
             slow_window: 16,
             burn_threshold: 2.0,
-            recovery_epochs: 3,
         };
         let mon = SloMonitor::new(cfg, live.handle());
         (live, mon)
@@ -361,17 +312,17 @@ mod tests {
         assert_eq!(mon.health(), Health::Degraded);
         let (_, ok) = mon.healthz_json();
         assert!(!ok, "degraded must report unhealthy");
-        // Clean epochs: alert clears once the fast window drains, passing
-        // through Recovering before Healthy.
-        let mut saw_recovering = false;
+        // Clean epochs: the alert clears once the fast window's burn drops
+        // under the threshold, and health with it.
+        let mut epochs_degraded = 0;
         for _ in 0..24 {
             mon.observe(1.0, true);
             mon.advance(live.advance_epoch());
-            if mon.health() == Health::Recovering {
-                saw_recovering = true;
+            if mon.health() == Health::Degraded {
+                epochs_degraded += 1;
             }
         }
-        assert!(saw_recovering, "must pass through Recovering");
+        assert!(epochs_degraded < 4, "the fast window is 4 epochs");
         assert_eq!(mon.health(), Health::Healthy);
     }
 
@@ -383,21 +334,6 @@ mod tests {
             mon.advance(live.advance_epoch());
         }
         assert_eq!(mon.health(), Health::Degraded);
-    }
-
-    #[test]
-    fn recovery_ladder_forces_recovering() {
-        let (live, mon) = monitor(10.0, 0.9);
-        mon.observe(1.0, true);
-        mon.advance(live.advance_epoch());
-        assert_eq!(mon.health(), Health::Healthy);
-        mon.on_recovery();
-        assert_eq!(mon.health(), Health::Recovering);
-        for _ in 0..4 {
-            mon.observe(1.0, true);
-            mon.advance(live.advance_epoch());
-        }
-        assert_eq!(mon.health(), Health::Healthy);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Scene-scoped request tracing: trace-context propagation + tail sampling.
+//! Scene-scoped request tracing: trace-context propagation and a bounded
+//! ring of finished scene traces.
 //!
 //! The unit of work in the paper is the *scene*: one interpretation fans
 //! out as a tree of match/fire tasks across workers. The fleet-level
 //! telemetry ([`crate::live`], [`crate::slo`]) answers rate/quantile
-//! questions; this module answers "why was **this** scene slow?".
+//! questions; this module answers "where did **this** scene's time go?".
 //!
 //! Every scene submission mints a deterministic [`TraceId`] (derived from
 //! the run seed + scene label, so reruns are benchdiff-comparable) and a
@@ -13,13 +14,10 @@
 //! well-formed span tree exists per scene even when tasks hop workers or
 //! die mid-cycle.
 //!
-//! Retention is **tail-based**: the verdict is made at scene *completion*,
-//! when the outcome is known. Scenes that errored/retried, breached the
-//! SLO target, or rank among the slowest-N seen keep full span detail in a
-//! bounded ring; everything else collapses to a one-line summary. Retained
-//! traces also feed OpenMetrics exemplars (`# {trace_id="…"}`) attached to
-//! the live latency histograms, so a scraped p99 bucket links straight to
-//! a retained trace.
+//! Every scene an enabled [`Tracing`] finishes is kept with full span
+//! detail in a FIFO ring of [`MAX_RETAINED`] traces; the oldest falls out
+//! when it is full. A trace holds at most [`MAX_SPANS`] spans besides its
+//! root and task spans: past that, aux leaves are evicted oldest first.
 
 use crate::json::Json;
 use std::collections::{BTreeMap, VecDeque};
@@ -273,35 +271,7 @@ impl TaskService {
     }
 }
 
-/// Why a trace was retained by the tail sampler.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RetainReason {
-    /// Among the slowest-N scenes observed.
-    Slow,
-    /// At least one retry, dead letter, or failed span.
-    Errored,
-    /// Scene duration exceeded the SLO target.
-    SloBreach,
-}
-
-impl RetainReason {
-    /// Stable lower-case name used in the JSON export.
-    pub fn name(self) -> &'static str {
-        match self {
-            RetainReason::Slow => "slow",
-            RetainReason::Errored => "errored",
-            RetainReason::SloBreach => "slo-breach",
-        }
-    }
-
-    fn parse(s: &str) -> Option<RetainReason> {
-        [Self::Slow, Self::Errored, Self::SloBreach]
-            .into_iter()
-            .find(|r| r.name() == s)
-    }
-}
-
-/// A fully retained trace: the span tree plus scene-level attribution.
+/// A finished scene's trace: the span tree plus scene-level attribution.
 #[derive(Clone, Debug)]
 pub struct RetainedTrace {
     /// Trace id.
@@ -310,8 +280,6 @@ pub struct RetainedTrace {
     pub scene: String,
     /// Run seed the id was derived from.
     pub seed: u64,
-    /// Why the tail sampler kept it.
-    pub reason: RetainReason,
     /// Root start, µs since tracer epoch.
     pub start_us: u64,
     /// Root end, µs since tracer epoch.
@@ -345,13 +313,10 @@ impl RetainedTrace {
         let tid = text(j, "trace_id")?;
         let trace = TraceId::parse(tid).ok_or_else(|| format!("trace_id {tid:?} is not hex"))?;
         let decode = || {
-            let reason = text(j, "reason")?;
             Ok(RetainedTrace {
                 trace,
                 scene: text(j, "scene")?.to_string(),
                 seed: whole(j, "seed", u64::MAX)?,
-                reason: RetainReason::parse(reason)
-                    .ok_or_else(|| format!("unknown reason {reason:?}"))?,
                 start_us: whole(j, "start_us", u64::MAX)?,
                 end_us: whole(j, "end_us", u64::MAX)?,
                 retries: whole(j, "retries", u64::from(u32::MAX))? as u32,
@@ -430,7 +395,6 @@ impl RetainedTrace {
             ("trace_id", Json::str(self.trace.to_string())),
             ("scene", Json::str(&*self.scene)),
             ("seed", Json::Num(self.seed as f64)),
-            ("reason", Json::str(self.reason.name())),
             ("start_us", Json::Num(self.start_us as f64)),
             ("end_us", Json::Num(self.end_us as f64)),
             ("duration_s", Json::Num(self.duration_s())),
@@ -446,95 +410,14 @@ impl RetainedTrace {
     }
 }
 
-/// One-line record of a scene the tail sampler decided *not* to keep.
-#[derive(Clone, Debug)]
-pub struct SceneSummary {
-    /// Trace id (spans are gone; the id still correlates with logs).
-    pub trace: TraceId,
-    /// Scene label.
-    pub scene: String,
-    /// Wall duration in seconds.
-    pub duration_s: f64,
-    /// Retries observed.
-    pub retries: u32,
-    /// Dead letters observed.
-    pub dead_letters: u32,
-}
+/// Capacity of the ring of finished traces: the oldest falls out when a
+/// scene finishes into a full ring.
+pub const MAX_RETAINED: usize = 16;
 
-impl SceneSummary {
-    /// The one-line rendering used by `/traces` and `spamctl slow`.
-    pub fn one_line(&self) -> String {
-        format!(
-            "{} scene={} dur={:.3}s retries={} dead={}",
-            self.trace, self.scene, self.duration_s, self.retries, self.dead_letters
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("trace_id", Json::str(self.trace.to_string())),
-            ("scene", Json::str(&*self.scene)),
-            ("duration_s", Json::Num(self.duration_s)),
-            ("retries", Json::Num(f64::from(self.retries))),
-            ("dead_letters", Json::Num(f64::from(self.dead_letters))),
-        ])
-    }
-}
-
-/// An exemplar candidate: links a latency observation to a retained trace.
-#[derive(Clone, Debug)]
-pub struct Exemplar {
-    /// Metric family the observation belongs to.
-    pub family: String,
-    /// Observed value (seconds).
-    pub value: f64,
-    /// Trace it came from.
-    pub trace: TraceId,
-    /// Timestamp, seconds since the tracer's epoch.
-    pub ts_s: f64,
-}
-
-/// Tail-sampler policy knobs. All bounds are hard.
-#[derive(Clone, Debug)]
-pub struct SamplerConfig {
-    /// Retain scenes ranking among the slowest `slowest_n` seen so far.
-    pub slowest_n: usize,
-    /// Ring capacity for fully retained traces (oldest demoted to a
-    /// summary when full).
-    pub max_retained: usize,
-    /// Per-trace span cap. Aux spans are evicted oldest-first once a
-    /// trace reaches this bound; root/task spans are always kept, so the
-    /// true per-trace bound is `max_spans + 1 + task-attempt spans`.
-    pub max_spans: usize,
-    /// Ring capacity for one-line summaries.
-    pub max_summaries: usize,
-    /// Retain any scene slower than this (seconds), regardless of rank.
-    pub slo_target_s: Option<f64>,
-    /// Ring capacity for exemplar candidates.
-    pub max_exemplars: usize,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        SamplerConfig {
-            slowest_n: 4,
-            max_retained: 16,
-            max_spans: 4096,
-            max_summaries: 64,
-            slo_target_s: None,
-            max_exemplars: 16,
-        }
-    }
-}
-
-/// Verdict returned by [`Tracing::finish_scene`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SampleVerdict {
-    /// Full span detail kept.
-    Retained(RetainReason),
-    /// Collapsed to a one-line summary.
-    Summarized,
-}
+/// Per-trace span cap. Aux spans are evicted oldest first once a trace
+/// reaches it; root and task spans are always kept, so the true per-trace
+/// bound is `MAX_SPANS + 1 + task-attempt spans`.
+pub const MAX_SPANS: usize = 4096;
 
 struct ActiveTrace {
     scene: String,
@@ -551,14 +434,10 @@ struct ActiveTrace {
 struct Inner {
     active: BTreeMap<u64, ActiveTrace>,
     retained: VecDeque<RetainedTrace>,
-    summaries: VecDeque<SceneSummary>,
-    /// Durations of the current slowest-N qualifiers (ascending).
-    slow_floor: Vec<f64>,
-    exemplars: VecDeque<Exemplar>,
     finished: u64,
 }
 
-/// The scene-scoped trace collector + tail sampler.
+/// The scene-scoped trace collector.
 ///
 /// Shared as `Arc<Tracing>`; recording is mutex-protected but cheap (one
 /// lock per span, and spans are emitted at coarse granularity — per task
@@ -566,28 +445,25 @@ struct Inner {
 pub struct Tracing {
     enabled: bool,
     epoch: Instant,
-    cfg: SamplerConfig,
     inner: Mutex<Inner>,
 }
 
 impl Tracing {
-    /// An enabled tracer with the given sampling policy.
-    pub fn new(cfg: SamplerConfig) -> Arc<Tracing> {
-        Arc::new(Tracing {
-            enabled: true,
-            epoch: Instant::now(),
-            cfg,
-            inner: Mutex::new(Inner::default()),
-        })
+    /// An enabled tracer.
+    pub fn new() -> Arc<Tracing> {
+        Self::with(true)
     }
 
     /// A disabled tracer: every operation is a cheap no-op. Lets call
     /// sites hold an unconditional handle.
     pub fn off() -> Arc<Tracing> {
+        Self::with(false)
+    }
+
+    fn with(enabled: bool) -> Arc<Tracing> {
         Arc::new(Tracing {
-            enabled: false,
+            enabled,
             epoch: Instant::now(),
-            cfg: SamplerConfig::default(),
             inner: Mutex::new(Inner::default()),
         })
     }
@@ -595,11 +471,6 @@ impl Tracing {
     /// Whether spans are being collected.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The sampling policy.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
     }
 
     /// Microseconds since this tracer's epoch.
@@ -658,12 +529,11 @@ impl Tracing {
         if !self.enabled {
             return;
         }
-        let max_spans = self.cfg.max_spans;
         let mut g = self.lock();
         let Some(t) = g.active.get_mut(&trace.0) else {
             return;
         };
-        if t.spans.len() >= max_spans {
+        if t.spans.len() >= MAX_SPANS {
             match span.kind {
                 // Aux detail is droppable — it is always a leaf.
                 SpanKind::Aux => {
@@ -683,7 +553,7 @@ impl Tracing {
         t.spans.push(span);
     }
 
-    /// Notes a supervisor retry on the trace (drives retention).
+    /// Notes a supervisor retry on the trace.
     pub fn note_retry(&self, trace: TraceId) {
         if !self.enabled {
             return;
@@ -693,7 +563,7 @@ impl Tracing {
         }
     }
 
-    /// Notes a dead-lettered task on the trace (drives retention).
+    /// Notes a dead-lettered task on the trace.
     pub fn note_dead_letter(&self, trace: TraceId) {
         if !self.enabled {
             return;
@@ -713,67 +583,23 @@ impl Tracing {
         }
     }
 
-    /// Closes the scene: records the root span and applies the tail
-    /// sampling verdict. Retention happens *here*, when the outcome is
-    /// known — that is what makes the sampler tail-based.
-    pub fn finish_scene(&self, trace: TraceId, root: SpanId) -> SampleVerdict {
+    /// Closes the scene: records the root span and keeps the trace in the
+    /// ring, dropping the oldest if it is full.
+    pub fn finish_scene(&self, trace: TraceId, root: SpanId) {
         if !self.enabled {
-            return SampleVerdict::Summarized;
+            return;
         }
         let mut end_us = self.now_us();
-        let cfg = self.cfg.clone();
         let mut g = self.lock();
         let Some(mut t) = g.active.remove(&trace.0) else {
-            return SampleVerdict::Summarized;
+            return;
         };
         // The root must enclose every child: a worker's clock read can
         // land a hair after the control thread's, so clamp outward.
         if let Some(max_child) = t.spans.iter().map(|s| s.end_us).max() {
             end_us = end_us.max(max_child);
         }
-        let errored =
-            t.retries > 0 || t.dead_letters > 0 || t.spans.iter().any(|s| s.error.is_some());
-        let duration_s = (end_us.saturating_sub(t.start_us)) as f64 / 1e6;
         g.finished += 1;
-
-        // Slowest-N floor: retain if we have fewer than N qualifiers, or
-        // this scene is slower than the current floor.
-        let slow = if g.slow_floor.len() < cfg.slowest_n {
-            g.slow_floor.push(duration_s);
-            g.slow_floor.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            true
-        } else if g.slow_floor.first().is_some_and(|f| duration_s > *f) {
-            g.slow_floor[0] = duration_s;
-            g.slow_floor.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            true
-        } else {
-            false
-        };
-        let breach = cfg.slo_target_s.is_some_and(|tgt| duration_s > tgt);
-
-        let reason = if errored {
-            Some(RetainReason::Errored)
-        } else if breach {
-            Some(RetainReason::SloBreach)
-        } else if slow {
-            Some(RetainReason::Slow)
-        } else {
-            None
-        };
-
-        let summary = SceneSummary {
-            trace,
-            scene: t.scene.clone(),
-            duration_s,
-            retries: t.retries,
-            dead_letters: t.dead_letters,
-        };
-
-        let Some(reason) = reason else {
-            push_bounded(&mut g.summaries, summary, cfg.max_summaries);
-            return SampleVerdict::Summarized;
-        };
-
         t.spans.push(SpanRecord {
             id: root,
             parent: None,
@@ -784,31 +610,13 @@ impl Tracing {
             end_us,
             error: None,
         });
-        // Exemplar candidate: the slowest successful task attempt links
-        // the task-latency histogram's tail bucket to this trace.
-        let slowest_task = t
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Task && s.error.is_none())
-            .map(|s| (s.end_us.saturating_sub(s.start_us)) as f64 / 1e6)
-            .fold(0.0f64, f64::max);
-        if slowest_task > 0.0 {
-            push_bounded(
-                &mut g.exemplars,
-                Exemplar {
-                    family: crate::live::TASK_LATENCY_FAMILY.to_string(),
-                    value: slowest_task,
-                    trace,
-                    ts_s: end_us as f64 / 1e6,
-                },
-                cfg.max_exemplars,
-            );
+        if g.retained.len() >= MAX_RETAINED {
+            g.retained.pop_front();
         }
-        let retained = RetainedTrace {
+        g.retained.push_back(RetainedTrace {
             trace,
             scene: t.scene,
             seed: t.seed,
-            reason,
             start_us: t.start_us,
             end_us,
             retries: t.retries,
@@ -816,21 +624,7 @@ impl Tracing {
             spans: t.spans,
             services: t.services,
             dropped_spans: t.dropped,
-        };
-        if g.retained.len() >= cfg.max_retained {
-            if let Some(old) = g.retained.pop_front() {
-                let demoted = SceneSummary {
-                    trace: old.trace,
-                    duration_s: old.duration_s(),
-                    scene: old.scene,
-                    retries: old.retries,
-                    dead_letters: old.dead_letters,
-                };
-                push_bounded(&mut g.summaries, demoted, cfg.max_summaries);
-            }
-        }
-        g.retained.push_back(retained);
-        SampleVerdict::Retained(reason)
+        });
     }
 
     /// Snapshot of the retained traces, oldest first.
@@ -839,14 +633,6 @@ impl Tracing {
             return Vec::new();
         }
         self.lock().retained.iter().cloned().collect()
-    }
-
-    /// Snapshot of the one-line summaries, oldest first.
-    pub fn summaries(&self) -> Vec<SceneSummary> {
-        if !self.enabled {
-            return Vec::new();
-        }
-        self.lock().summaries.iter().cloned().collect()
     }
 
     /// Total scenes that have completed under this tracer.
@@ -876,15 +662,7 @@ impl Tracing {
         hit.cloned()
     }
 
-    /// Current exemplar candidates, oldest first.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        if !self.enabled {
-            return Vec::new();
-        }
-        self.lock().exemplars.iter().cloned().collect()
-    }
-
-    /// JSON listing for `/traces`: retained trace headers + summaries.
+    /// JSON listing for `/traces`: retained trace headers.
     pub fn listing_json(&self) -> Json {
         let g = self.lock();
         let retained = g
@@ -894,7 +672,6 @@ impl Tracing {
                 Json::obj(vec![
                     ("trace_id", Json::str(t.trace.to_string())),
                     ("scene", Json::str(&*t.scene)),
-                    ("reason", Json::str(t.reason.name())),
                     ("duration_s", Json::Num(t.duration_s())),
                     ("spans", Json::Num(t.spans.len() as f64)),
                     ("retries", Json::Num(f64::from(t.retries))),
@@ -904,23 +681,9 @@ impl Tracing {
             .collect();
         Json::obj(vec![
             ("retained", Json::Arr(retained)),
-            (
-                "summaries",
-                Json::Arr(g.summaries.iter().map(SceneSummary::to_json).collect()),
-            ),
             ("finished", Json::Num(g.finished as f64)),
         ])
     }
-}
-
-fn push_bounded<T>(dq: &mut VecDeque<T>, v: T, cap: usize) {
-    if cap == 0 {
-        return;
-    }
-    while dq.len() >= cap {
-        dq.pop_front();
-    }
-    dq.push_back(v);
 }
 
 /// Handle for one open scene: the root of the trace. Lent to the
@@ -1003,9 +766,9 @@ impl SceneSpan {
         );
     }
 
-    /// Closes the root span and applies the tail-sampling verdict.
-    pub fn finish(&self) -> SampleVerdict {
-        self.tracing.finish_scene(self.trace, self.root)
+    /// Closes the root span and keeps the trace ([`Tracing::finish_scene`]).
+    pub fn finish(&self) {
+        self.tracing.finish_scene(self.trace, self.root);
     }
 }
 
@@ -1159,25 +922,19 @@ mod tests {
         let scene = tr.start_scene(1, "dc");
         assert!(!scene.enabled());
         scene.record_span(task_span(&scene, 0, 0, None));
-        assert_eq!(scene.finish(), SampleVerdict::Summarized);
+        scene.finish();
         assert!(tr.retained().is_empty());
-        assert!(tr.summaries().is_empty());
+        assert_eq!(tr.finished(), 0);
     }
 
     #[test]
-    fn errored_scene_is_retained_with_reason() {
-        let tr = Tracing::new(SamplerConfig {
-            slowest_n: 0,
-            ..SamplerConfig::default()
-        });
+    fn a_finished_scene_is_kept_with_its_retries() {
+        let tr = Tracing::new();
         let scene = tr.start_scene(9, "dc");
         scene.record_span(task_span(&scene, 0, 0, Some("boom")));
         tr.note_retry(scene.trace_id());
         scene.record_span(task_span(&scene, 0, 1, None));
-        assert_eq!(
-            scene.finish(),
-            SampleVerdict::Retained(RetainReason::Errored)
-        );
+        scene.finish();
         let kept = tr.retained();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].retries, 1);
@@ -1187,31 +944,13 @@ mod tests {
     }
 
     #[test]
-    fn fast_clean_scene_collapses_to_summary_once_floor_is_full() {
-        let tr = Tracing::new(SamplerConfig {
-            slowest_n: 0,
-            ..SamplerConfig::default()
-        });
-        let scene = tr.start_scene(5, "dc");
-        scene.record_span(task_span(&scene, 0, 0, None));
-        assert_eq!(scene.finish(), SampleVerdict::Summarized);
-        assert!(tr.retained().is_empty());
-        let sums = tr.summaries();
-        assert_eq!(sums.len(), 1);
-        assert!(sums[0].one_line().contains("scene=dc"));
-    }
-
-    #[test]
     fn span_cap_evicts_aux_first_and_keeps_tree_connected() {
-        let tr = Tracing::new(SamplerConfig {
-            max_spans: 3,
-            ..SamplerConfig::default()
-        });
+        let tr = Tracing::new();
         let scene = tr.start_scene(3, "dc");
         let attempt = SpanId::derive(scene.trace_id(), "task.exec", 0, 0);
         let attempt_start = scene.now_us();
         let mut sink = scene.sink_under(attempt);
-        for _ in 0..10 {
+        for _ in 0..MAX_SPANS + 10 {
             let now = sink.now_us();
             sink.record_aux("engine.cycles", now, now, None);
         }
@@ -1225,64 +964,41 @@ mod tests {
             end_us: scene.now_us(),
             error: Some("late fail".into()),
         });
-        assert!(matches!(scene.finish(), SampleVerdict::Retained(_)));
+        scene.finish();
         let kept = tr.retained();
         assert_eq!(kept.len(), 1);
-        assert!(kept[0].dropped_spans >= 7);
+        // Ten aux spans over the cap, then one evicted for the task span.
+        assert_eq!(kept[0].dropped_spans, 11);
+        assert_eq!(kept[0].spans.len(), MAX_SPANS + 1);
         // Tree must still validate: root + task always present.
         validate_span_tree(&kept[0].to_json().write()).unwrap();
         assert!(kept[0].spans.iter().any(|s| s.kind == SpanKind::Task));
     }
 
     #[test]
-    fn retained_ring_is_bounded_and_demotes_oldest() {
-        let tr = Tracing::new(SamplerConfig {
-            max_retained: 2,
-            slowest_n: 0,
-            ..SamplerConfig::default()
-        });
-        for i in 0..5 {
+    fn retained_ring_is_bounded_and_drops_the_oldest() {
+        let tr = Tracing::new();
+        let scenes = MAX_RETAINED as u64 + 3;
+        for i in 0..scenes {
             let scene = tr.start_scene(i, "dc");
-            scene.record_span(task_span(&scene, 0, 0, Some("x")));
+            scene.record_span(task_span(&scene, 0, 0, None));
             scene.finish();
         }
-        assert_eq!(tr.retained().len(), 2);
-        assert!(tr.summaries().len() >= 3);
+        let seeds: Vec<u64> = tr.retained().iter().map(|t| t.seed).collect();
+        assert_eq!(seeds, (3..scenes).collect::<Vec<_>>());
+        assert_eq!(tr.finished(), scenes);
     }
 
     #[test]
     fn find_matches_full_id_and_unique_prefix() {
-        let tr = Tracing::new(SamplerConfig::default());
+        let tr = Tracing::new();
         let scene = tr.start_scene(11, "dc");
         scene.record_span(task_span(&scene, 0, 0, None));
-        scene.finish(); // retained: slowest-N floor not yet full
+        scene.finish();
         let id = TraceId::derive(11, "dc").to_string();
         assert!(tr.find(&id).is_some());
         assert!(tr.find(&id[..8]).is_some());
         assert!(tr.find("zzzz").is_none());
-    }
-
-    #[test]
-    fn exemplar_links_slowest_task_to_retained_trace() {
-        let tr = Tracing::new(SamplerConfig::default());
-        let scene = tr.start_scene(2, "dc");
-        let id = SpanId::derive(scene.trace_id(), "task.exec", 4, 0);
-        scene.record_span(SpanRecord {
-            id,
-            parent: Some(scene.root()),
-            kind: SpanKind::Task,
-            name: "task.exec t4 a0".into(),
-            worker: "psm-task-1".into(),
-            start_us: 0,
-            end_us: 250_000,
-            error: None,
-        });
-        scene.finish();
-        let ex = tr.exemplars();
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].trace, scene.trace_id());
-        assert!((ex[0].value - 0.25).abs() < 1e-9);
-        assert_eq!(ex[0].family, "spam_live_task_latency_seconds");
     }
 
     /// A trace document of `(id, parent, start_us, end_us)` spans, as
@@ -1297,7 +1013,7 @@ mod tests {
         };
         let spans: Vec<String> = spans.iter().map(span).collect();
         format!(
-            r#"{{"trace_id":"00ab","scene":"dc","seed":7,"reason":"slow","start_us":0,
+            r#"{{"trace_id":"00ab","scene":"dc","seed":7,"start_us":0,
                 "end_us":100,"duration_s":0.0001,"retries":0,"dead_letters":0,"dropped_spans":0,
                 "spans":[{}],"services":[{{"task":0,"sim_s":1.5,"match_frac":0.4}}]}}"#,
             spans.join(",")
@@ -1336,7 +1052,7 @@ mod tests {
         // (renaming a key's first occurrence takes the field away).
         let without = |key: &str| good.replacen(&format!("\"{key}\":"), "\"x\":", 1);
         assert!(decode_traces(&without("duration_s")).is_ok());
-        for key in ["trace_id", "scene", "seed", "reason", "start_us", "end_us"]
+        for key in ["trace_id", "scene", "seed", "start_us", "end_us"]
             .into_iter()
             .chain([
                 "retries",
@@ -1355,11 +1071,6 @@ mod tests {
         for (from, to, expected) in [
             (r#""trace_id":"00ab""#, r#""trace_id":"t""#, "is not hex"),
             (r#""trace_id":"00ab""#, r#""trace_id":3"#, "not a string"),
-            (
-                r#""reason":"slow""#,
-                r#""reason":"bored""#,
-                "unknown reason",
-            ),
             (r#""seed":7"#, r#""seed":-7"#, "whole number"),
             (r#""seed":7"#, r#""seed":7.5"#, "whole number"),
             (r#""seed":7"#, r#""seed":1e300"#, "whole number"),
@@ -1390,7 +1101,7 @@ mod tests {
 
     #[test]
     fn validator_accepts_trace_list_documents() {
-        let tr = Tracing::new(SamplerConfig::default());
+        let tr = Tracing::new();
         for i in 0..2 {
             let scene = tr.start_scene(i, &format!("s{i}"));
             scene.record_span(task_span(&scene, 0, 0, None));

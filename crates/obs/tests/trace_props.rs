@@ -1,13 +1,14 @@
-//! Property tests for the scene-trace tail sampler: memory stays within
-//! the configured bounds, and every retained trace is a complete,
+//! Property test for scene-trace retention: the ring keeps the last
+//! [`MAX_RETAINED`] finished scenes, a trace stays within [`MAX_SPANS`]
+//! plus its root and task spans, and every kept trace is a complete,
 //! well-formed span tree that its one decoder reads back whole — under
-//! random scene durations, span volumes, retries, dead letters, and task
-//! deaths.
+//! random scene counts, span volumes (bursts past the cap included),
+//! retries, dead letters, and task deaths.
 
 use proptest::prelude::*;
 use tlp_obs::{
-    validate_span_tree, RetainReason, RetainedTrace, SampleVerdict, SamplerConfig, SpanId,
-    SpanKind, SpanRecord, Tracing,
+    validate_span_tree, RetainedTrace, SpanId, SpanKind, SpanRecord, Tracing, MAX_RETAINED,
+    MAX_SPANS,
 };
 
 /// One simulated task attempt: aux-span count, simulated length (µs), and
@@ -27,10 +28,22 @@ struct SceneSpec {
     dead_letters: u32,
 }
 
+/// Mostly a handful of aux spans; now and then a burst that alone crosses
+/// the per-trace cap.
+fn aux_strategy() -> impl Strategy<Value = usize> {
+    (0u32..20, 0usize..12, MAX_SPANS + 1..MAX_SPANS + 40).prop_map(|(roll, few, burst)| {
+        if roll == 0 {
+            burst
+        } else {
+            few
+        }
+    })
+}
+
 fn scene_strategy() -> impl Strategy<Value = SceneSpec> {
     (
         prop::collection::vec(
-            (0usize..12, 0u64..100_000, 0u32..4).prop_map(|(aux, len_us, die_roll)| Attempt {
+            (aux_strategy(), 0u64..100_000, 0u32..4).prop_map(|(aux, len_us, die_roll)| Attempt {
                 aux,
                 len_us,
                 dies: die_roll == 0,
@@ -47,24 +60,10 @@ fn scene_strategy() -> impl Strategy<Value = SceneSpec> {
         })
 }
 
-fn config_strategy() -> impl Strategy<Value = SamplerConfig> {
-    (1usize..5, 2usize..40, 1usize..8, 0usize..3, 1usize..4).prop_map(
-        |(max_retained, max_spans, max_summaries, slowest_n, max_exemplars)| SamplerConfig {
-            slowest_n,
-            max_retained,
-            max_spans,
-            max_summaries,
-            slo_target_s: None,
-            max_exemplars,
-        },
-    )
-}
-
 /// Replays one scene through the tracer the way the supervisor does:
 /// deterministic attempt span ids, aux leaves recorded through a sink
-/// parented under the attempt, errors on dying attempts. Returns the
-/// number of task spans recorded.
-fn replay_scene(tracing: &std::sync::Arc<Tracing>, seed: u64, spec: &SceneSpec) -> usize {
+/// parented under the attempt, errors on dying attempts.
+fn replay_scene(tracing: &std::sync::Arc<Tracing>, seed: u64, spec: &SceneSpec) {
     let scene = tracing.start_scene(seed, &format!("scene-{seed}"));
     for (t, a) in spec.attempts.iter().enumerate() {
         let attempt = SpanId::derive(scene.trace_id(), "task.exec", t as u64, 0);
@@ -95,63 +94,38 @@ fn replay_scene(tracing: &std::sync::Arc<Tracing>, seed: u64, spec: &SceneSpec) 
     for _ in 0..spec.dead_letters {
         tracing.note_dead_letter(scene.trace_id());
     }
-    let errored = spec.retries > 0 || spec.dead_letters > 0 || spec.attempts.iter().any(|a| a.dies);
-    let verdict = scene.finish();
-    // Tail-based retention: the verdict is decided at completion, and an
-    // errored outcome always keeps full detail.
-    if errored {
-        assert_eq!(verdict, SampleVerdict::Retained(RetainReason::Errored));
-    }
-    spec.attempts.len()
+    scene.finish();
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn sampler_memory_stays_within_bounds(
-        scenes in prop::collection::vec(scene_strategy(), 1..24),
-        cfg in config_strategy(),
+    fn the_ring_keeps_the_last_scenes_as_complete_span_trees(
+        scenes in prop::collection::vec(scene_strategy(), 1..MAX_RETAINED + 8),
     ) {
-        let tracing = Tracing::new(cfg.clone());
-        let mut max_tasks = 0usize;
-        for (i, spec) in scenes.iter().enumerate() {
-            max_tasks = max_tasks.max(replay_scene(&tracing, i as u64, spec));
-        }
-        prop_assert_eq!(tracing.finished(), scenes.len() as u64);
-        let retained = tracing.retained();
-        prop_assert!(retained.len() <= cfg.max_retained);
-        prop_assert!(tracing.summaries().len() <= cfg.max_summaries);
-        prop_assert!(tracing.exemplars().len() <= cfg.max_exemplars);
-        for t in &retained {
-            // The documented per-trace bound: the span cap plus the root
-            // plus the structural task spans the cap never evicts.
-            prop_assert!(
-                t.spans.len() <= cfg.max_spans + 1 + max_tasks,
-                "{} spans exceeds cap {} (+1 root +{} tasks)",
-                t.spans.len(), cfg.max_spans, max_tasks
-            );
-        }
-        for ex in tracing.exemplars() {
-            prop_assert_eq!(ex.family.as_str(), tlp_obs::TASK_LATENCY_FAMILY);
-            prop_assert!(ex.value > 0.0);
-        }
-    }
-
-    #[test]
-    fn retained_traces_are_complete_span_trees(
-        scenes in prop::collection::vec(scene_strategy(), 1..24),
-        cfg in config_strategy(),
-    ) {
-        let tracing = Tracing::new(cfg);
+        let tracing = Tracing::new();
         for (i, spec) in scenes.iter().enumerate() {
             replay_scene(&tracing, i as u64, spec);
         }
-        for t in tracing.retained() {
-            // Even under an aggressive span cap (aux eviction) and random
-            // deaths/retries, every retained trace must export as a
-            // well-formed tree: one root, unique ids, connected
-            // parentage, nested intervals.
+        prop_assert_eq!(tracing.finished(), scenes.len() as u64);
+        // The last `MAX_RETAINED` finished scenes, in finish order.
+        let retained = tracing.retained();
+        let seeds: Vec<u64> = retained.iter().map(|t| t.seed).collect();
+        let first = scenes.len().saturating_sub(MAX_RETAINED) as u64;
+        prop_assert_eq!(seeds, (first..scenes.len() as u64).collect::<Vec<_>>());
+        for t in &retained {
+            // The span cap plus the root plus the task spans it never
+            // evicts: every recorded attempt is still present.
+            let tasks = t.spans.iter().filter(|s| s.kind == SpanKind::Task).count();
+            prop_assert_eq!(tasks, scenes[usize::try_from(t.seed).unwrap()].attempts.len());
+            prop_assert!(
+                t.spans.len() <= MAX_SPANS + 1 + tasks,
+                "{} spans exceeds cap {} (+1 root +{} tasks)",
+                t.spans.len(), MAX_SPANS, tasks
+            );
+            // Aux eviction leaves a well-formed tree: one root, unique
+            // ids, connected parentage, nested intervals.
             let json = t.to_json();
             let doc = json.write();
             prop_assert!(
@@ -165,10 +139,6 @@ proptest! {
             let reparsed = tlp_obs::json::Json::parse(&doc).unwrap();
             let back = RetainedTrace::from_json(&reparsed).map(|b| b.to_json());
             prop_assert_eq!(back, Ok(json));
-            // Structural spans survive the cap: every recorded task
-            // attempt is still present.
-            let tasks = t.spans.iter().filter(|s| s.kind == SpanKind::Task).count();
-            prop_assert_eq!(tasks, scenes[usize::try_from(t.seed).unwrap()].attempts.len());
         }
     }
 }

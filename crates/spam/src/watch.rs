@@ -169,7 +169,7 @@ impl Watch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlp_obs::{LiveValue, SamplerConfig, Tracing};
+    use tlp_obs::{LiveValue, Tracing};
 
     /// An engine that fires exactly `firings` times and stops.
     fn counter(firings: u64) -> Engine {
@@ -185,7 +185,7 @@ mod tests {
     /// The `x{n}` of every `engine.cycles` span recorded through the sink
     /// `run` was handed, in order.
     fn windows(run: impl FnOnce(SpanSink)) -> Vec<u64> {
-        let tracing = Tracing::new(SamplerConfig::default());
+        let tracing = Tracing::new();
         let scene = tracing.start_scene(1, "watch");
         run(scene.sink_under(scene.root()));
         scene.finish();

@@ -150,7 +150,7 @@ proptest! {
     ) {
         let f = fixture();
         let live = tlp_obs::Live::new(8);
-        let tracing = tlp_obs::Tracing::new(tlp_obs::SamplerConfig::default());
+        let tracing = tlp_obs::Tracing::new();
         let span = tracing.start_scene(7, "reuse");
         let tp = &mut TaskProcess::default();
         for (n, &(input, level, pick, mode)) in steps.iter().enumerate() {
