@@ -18,36 +18,20 @@ $bin/spamctl run dc --exec real --workers 4 --obs full \
   --trace-out $out/exec_trace.json --quiet
 $bin/tracecheck $out/exec_trace.json --min-coverage 0.99
 
-# A scene under the live telemetry endpoint: one `spamctl top` frame, then
-# /metrics + /healthz scraped and the exposition validated, scrape and file.
-$bin/spamctl run dc --workers 4 --serve 127.0.0.1:9184 \
-  --serve-linger-ms 30000 --metrics-snapshot $out/expo.txt --quiet &
-served=$! && sleep 5
-$bin/spamctl top --url http://127.0.0.1:9184 --iters 1
-curl -sf http://127.0.0.1:9184/metrics -o $out/scraped.txt
-curl -sf http://127.0.0.1:9184/healthz
-$bin/expocheck $out/scraped.txt
+# A scene's final metrics as OpenMetrics text, through the exposition
+# validator.
+$bin/spamctl run dc --workers 4 --metrics-snapshot $out/expo.txt --quiet
 $bin/expocheck $out/expo.txt
-kill $served && wait $served || true
 
-# A chaotic scene traced + served: follow the retained trace listed at
-# /traces to its span tree, then validate the exposition and the trace file.
+# A chaotic scene traced to a file: the span trees checked, then the first
+# retained trace (traces[0].trace_id) followed to its span tree.
 $bin/spamctl run dc --workers 4 --retries 1 \
   --task-panic-rate 0.08 --fault-seed 42 \
-  --serve 127.0.0.1:9185 --serve-linger-ms 30000 \
-  --traces-out $out/traces.json --quiet &
-served=$! && sleep 5
-curl -sf http://127.0.0.1:9185/metrics -o $out/scraped.om
-curl -sf http://127.0.0.1:9185/traces -o $out/listing.json
-# retained[0].trace_id: the listing's first `trace_id` field.
-TID=$(grep -m1 -o '"trace_id":"[0-9a-f]*"' $out/listing.json | cut -d'"' -f4)
-test -n "$TID"
-curl -sf "http://127.0.0.1:9185/trace/$TID" -o $out/one_trace.json
-$bin/tracecheck --spans $out/one_trace.json
-$bin/spamctl trace "$TID" --url http://127.0.0.1:9185
-kill $served && wait $served || true
-$bin/expocheck $out/scraped.om
+  --traces-out $out/traces.json --quiet
 $bin/tracecheck --spans $out/traces.json
+TID=$(grep -m1 -o '"trace_id":"[0-9a-f]*"' $out/traces.json | cut -d'"' -f4)
+test -n "$TID"
+$bin/spamctl trace "$TID" --from $out/traces.json
 
 # Every observer's overhead against `off` (budget 2%; a FAIL needs a resolved
 # difference), and its deterministic sections against the committed baseline.

@@ -95,7 +95,7 @@ const ARMS: [(&str, Arm); 5] = [
         let live = Live::new(tlp_obs::DEFAULT_WINDOW);
         let mut how = central();
         how.obs.slo = Some(Arc::new(SloMonitor::new(
-            SloConfig::for_scene("dc"),
+            SloConfig::default(),
             live.handle(),
         )));
         how.obs.live = Arc::clone(&live);
@@ -240,8 +240,8 @@ fn main() -> ExitCode {
     // Deterministic ids: the retained trace is the derived function of
     // (seed, scene), not of wall time.
     let tracing = kept.tracing.expect("a traced round");
-    let trace = tracing
-        .find(&TraceId::derive(SEED, "dc").to_string())
+    let trace = (tracing.retained().into_iter())
+        .find(|t| t.trace == TraceId::derive(SEED, "dc"))
         .expect("the scene's trace is retained");
     let task_spans = (trace.spans.iter())
         .filter(|s| s.kind == SpanKind::Task)

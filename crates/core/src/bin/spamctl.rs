@@ -5,8 +5,7 @@
 //!         [--exec real|sim] [--machines 1|2] [--svm tuned|naive] [--retries K]
 //!         [--fault-seed S] [--task-panic-rate P] [--topdown] [--sweep]
 //!         [--quiet] [--unshared] [--obs off|summary|full] [--trace-out F]
-//!         [--metrics-out F] [--serve ADDR] [--serve-linger-ms MS]
-//!         [--metrics-snapshot F] [--traces-out F]
+//!         [--metrics-out F] [--metrics-snapshot F] [--traces-out F]
 //! spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K] [--json F]
 //!         [--check-band LO:HI] [--unshared]
 //! spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
@@ -18,8 +17,7 @@
 //! spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
 //!         [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match]
 //!         [--scale PCT] [--top K] [--json F] [--unshared]
-//! spamctl top [--url http://HOST:PORT] [--iters N]
-//! spamctl trace <id> [--from F] [--url http://HOST:PORT]
+//! spamctl trace <id> [--from F]
 //! ```
 //!
 //! That is `spamctl --help`, and both are the flag table (`COMMANDS`): a
@@ -98,57 +96,42 @@
 //! * `--trace-out F` writes a Chrome `trace_event` file (open in
 //!   `chrome://tracing` or Perfetto) with the recorded events plus the
 //!   simulated Encore timeline of the LCC phase;
-//! * `--metrics-out F`, `--metrics-snapshot F` and `--serve ADDR` each turn
-//!   on the metrics registry (`tlp-obs::live`): the supervisor, the
-//!   per-worker engines, and the SLO monitor publish `spam_live_*` /
-//!   `spam_slo_*` sliding-window series while the run executes. Results
-//!   are bit-identical with it on or off;
-//! * `--metrics-out F` writes the run's final registry snapshot as JSON
-//!   (the `/snapshot` wire format), after adding the finished LCC phase's
-//!   per-task distributions to it (`spam_phase_*`: service-time,
-//!   queue-wait, match-fraction histograms, totals) and those of its
-//!   simulated replay (`spam_sim_*`);
-//! * `--serve ADDR` starts the blocking HTTP exposition endpoint on `ADDR`
-//!   (e.g. `127.0.0.1:9184`; port 0 picks a free port) with routes
-//!   `/metrics` (OpenMetrics text), `/healthz` (SLO health JSON, HTTP 503
-//!   when degraded), `/snapshot` (windowed JSON for `spamctl top`),
-//!   `/traces` and `/trace/<id>`;
-//! * `--serve-linger-ms MS` keeps the endpoint up for `MS` milliseconds
-//!   after the pipeline finishes, so a scraper or `spamctl top` can
-//!   observe the final state (default 0: shut down immediately);
-//! * `--metrics-snapshot F` writes the final OpenMetrics exposition to
-//!   `F` — the same bytes `/metrics` serves once the run has finished —
-//!   so CI can validate the exposition without scraping a port;
-//! * `top`: a live terminal dashboard. Polls `/snapshot` on a serving
-//!   `spamctl run --serve ...` process and renders per-worker utilization
-//!   bars, queue/conflict-set/WM depths, match-units and task throughput,
-//!   retry/recovery counters, and the SLO burn-rate gauges. `--iters N`
-//!   stops after N frames (default 0 = poll once a second until the
-//!   endpoint goes away).
+//! * `--metrics-out F` and `--metrics-snapshot F` each turn on the metrics
+//!   registry (`tlp-obs::live`): the supervisor, the per-worker engines,
+//!   and the SLO monitor publish `spam_live_*` / `spam_slo_*`
+//!   sliding-window series while the run executes, and the run prints
+//!   their final state on its `live   :` line (epoch, series, SLO
+//!   health). Results are bit-identical with it on or off. A run's
+//!   telemetry is the files it writes when it ends: a whole run is over
+//!   before anything could poll it;
+//! * `--metrics-out F` writes the run's final registry snapshot as JSON,
+//!   after adding the finished LCC phase's per-task distributions to it
+//!   (`spam_phase_*`: service-time, queue-wait, match-fraction histograms,
+//!   totals) and those of its simulated replay (`spam_sim_*`);
+//! * `--metrics-snapshot F` writes the same final registry as OpenMetrics
+//!   text (check it with `expocheck F`); its `spam_slo_health` gauge is
+//!   the run's SLO health (0 healthy, 1 degraded);
 //! * `--unshared` (any subcommand) runs every engine on the historical
 //!   one-chain-per-production, linear-scan Rete instead of the shared +
 //!   indexed network — the baseline for the sharing experiments. Results
 //!   are identical; only the match work (and anything derived from it)
 //!   changes.
-//! * `--traces-out F` and `--serve` turn on scene-scoped request tracing
+//! * `--traces-out F` turns on scene-scoped request tracing
 //!   (`tlp-obs::tracectx`): the scene submission mints a deterministic
 //!   trace id (from `--fault-seed` + the dataset name) and a root span,
 //!   and the supervisor propagates the trace context through task spawn,
 //!   retry, dead-letter, recovery, and per-cycle engine emissions; the
-//!   finished scene's trace is kept with full span detail and its id
-//!   printed (`trace  : <id>`). With `--serve` it is browsable at
-//!   `/traces` and `/trace/<id>`. Results are bit-identical with tracing
-//!   on or off;
-//! * `--traces-out F` writes the retained
-//!   traces as a `{"traces": […]}` JSON document (feed to
-//!   `tracecheck --spans` or `spamctl trace <id> --from F`);
-//! * `trace <id>`: reconstructs one retained trace — the ASCII span tree
-//!   (workers, durations, errors) plus the critical task chain recomputed
-//!   from the trace's recorded per-task service table via
-//!   `core::attribution::critical_path_of`, cross-checked against the
-//!   longest measured task attempt. `--from F` reads a `--traces-out`
-//!   file; `--url` fetches `/trace/<id>` from a serving `spamctl run`.
-//!   `<id>` may be a unique hex prefix (>= 4 chars).
+//!   finished scene's trace is kept with full span detail, its id printed
+//!   (`trace  : <id>`), and the retained traces written to `F` as a
+//!   `{"traces": […]}` JSON document (feed to `tracecheck --spans` or
+//!   `spamctl trace <id> --from F`). Results are bit-identical with
+//!   tracing on or off;
+//! * `trace <id>`: reconstructs one retained trace from a `--traces-out`
+//!   file (`--from F`) — the ASCII span tree (workers, durations, errors)
+//!   plus the critical task chain recomputed from the trace's recorded
+//!   per-task service table via `core::attribution::critical_path_of`,
+//!   cross-checked against the longest measured task attempt. `<id>` may
+//!   be a unique hex prefix (>= 4 chars).
 
 use spam::fa::{run_fa, FaTask};
 use spam::lcc::{merge_lcc_units, LccPlan, Level};
@@ -170,6 +153,29 @@ use tlp_obs::{
     Live, ObsLevel, Recorder, RetainedTrace, SloConfig, SloMonitor, SpanKind, SpanRecord, Tracing,
 };
 
+/// This binary's `print!`: a write that finds stdout closed (`spamctl … |
+/// head -1`) ends the process quietly and successfully — the reader has
+/// what it wanted — where std's macro panics.
+macro_rules! print {
+    ($($arg:tt)*) => { out(format_args!($($arg)*)) };
+}
+
+/// This binary's `println!`, as `print!` above.
+macro_rules! println {
+    () => { out(format_args!("\n")) };
+    ($($arg:tt)*) => { out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes to stdout, and exits on a closed one.
+fn out(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 /// What one invocation does. `run` is what it does when it is not told.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 enum Cmd {
@@ -179,7 +185,6 @@ enum Cmd {
     SvmReport,
     Chaos,
     Whatif,
-    Top,
     Trace,
 }
 
@@ -215,7 +220,7 @@ const COMMANDS: &[CmdSpec] = &[
         head: "[run] [sf|dc|moff|suburb]",
         flags: "--level --workers --exec --machines --svm --retries --fault-seed \
                 --task-panic-rate --topdown --sweep --quiet --unshared --obs --trace-out \
-                --metrics-out --serve --serve-linger-ms --metrics-snapshot --traces-out",
+                --metrics-out --metrics-snapshot --traces-out",
     },
     CmdSpec {
         cmd: Cmd::Profile,
@@ -242,16 +247,10 @@ const COMMANDS: &[CmdSpec] = &[
         flags: "--level --workers --target --scale --top --json --unshared",
     },
     CmdSpec {
-        cmd: Cmd::Top,
-        name: "top",
-        head: "top",
-        flags: "--url --iters",
-    },
-    CmdSpec {
         cmd: Cmd::Trace,
         name: "trace",
         head: "trace <id>",
-        flags: "--from --url",
+        flags: "--from",
     },
 ];
 
@@ -272,8 +271,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--obs", "off|summary|full"),
     ("--trace-out", "F"),
     ("--metrics-out", "F"),
-    ("--serve", "ADDR"),
-    ("--serve-linger-ms", "MS"),
     ("--metrics-snapshot", "F"),
     ("--traces-out", "F"),
     ("--top", "K"),
@@ -288,8 +285,6 @@ const FLAGS: &[(&str, &str)] = &[
         "prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match",
     ),
     ("--scale", "PCT"),
-    ("--url", "http://HOST:PORT"),
-    ("--iters", "N"),
     ("--from", "F"),
 ];
 
@@ -304,7 +299,6 @@ const DEFAULTS: &[(&str, &str)] = &[
     ("--kills", "3"),
     ("--interval", "4"),
     ("--scale", "50"),
-    ("--url", "http://127.0.0.1:9184"),
 ];
 
 /// The synopsis, one line per subcommand, from [`COMMANDS`].
@@ -352,11 +346,7 @@ struct Opts {
     obs: ObsLevel,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    serve: Option<String>,
-    serve_linger_ms: u64,
     metrics_snapshot: Option<String>,
-    url: String,
-    top_iters: u64,
     traces_out: Option<String>,
     trace_from: Option<String>,
 }
@@ -423,8 +413,6 @@ impl Opts {
             "--obs" => self.obs = ObsLevel::parse(v).ok_or(format!("bad --obs '{v}'"))?,
             "--trace-out" => self.trace_out = path(),
             "--metrics-out" => self.metrics_out = path(),
-            "--serve" => self.serve = path(),
-            "--serve-linger-ms" => self.serve_linger_ms = parsed(flag, v)?,
             "--metrics-snapshot" => self.metrics_snapshot = path(),
             "--traces-out" => self.traces_out = path(),
             "--top" => self.top = parsed(flag, v)?,
@@ -446,13 +434,6 @@ impl Opts {
                     return Err("--scale must be in [0, 100]".into());
                 }
             }
-            "--url" => {
-                if !v.starts_with("http://") {
-                    return Err(format!("bad --url '{v}' (want http://HOST:PORT)"));
-                }
-                self.url = v.to_string();
-            }
-            "--iters" => self.top_iters = parsed(flag, v)?,
             "--from" => self.trace_from = path(),
             _ => unreachable!("{flag} is in FLAGS and has no arm here"),
         }
@@ -926,193 +907,6 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), Strin
     chaos_phase(o, model, "model(s)", |r| (r.firings, r.models)).map(drop)
 }
 
-// ---------------------------------------------------------------------------
-// `top`: the live terminal dashboard
-// ---------------------------------------------------------------------------
-
-/// A numeric field of a JSON object, defaulting to zero.
-fn num(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-/// Compact human form for large counts (`1.2M`, `34.5k`).
-fn human(v: f64) -> String {
-    let a = v.abs();
-    if a >= 1e9 {
-        format!("{:.1}G", v / 1e9)
-    } else if a >= 1e6 {
-        format!("{:.1}M", v / 1e6)
-    } else if a >= 1e4 {
-        format!("{:.1}k", v / 1e3)
-    } else if v.fract() == 0.0 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.2}")
-    }
-}
-
-/// An ASCII utilization bar: `frac` of `width` cells filled.
-fn bar(frac: f64, width: usize) -> String {
-    let filled = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
-    (0..width)
-        .map(|i| if i < filled { '#' } else { '.' })
-        .collect()
-}
-
-/// Renders one dashboard frame from a parsed `/snapshot` body.
-fn render_top(snap: &Json, base: &str) -> String {
-    let series = snap
-        .get("series")
-        .and_then(Json::as_map)
-        .unwrap_or_default();
-    let get = |name: &str| series.get(name).copied();
-    // Counter fields `(total, windowed, rate)`; missing series read as zero.
-    let counter = |name: &str| {
-        get(name)
-            .map(|j| (num(j, "total"), num(j, "windowed"), num(j, "rate")))
-            .unwrap_or((0.0, 0.0, 0.0))
-    };
-    let gauge = |name: &str| get(name).map(|j| num(j, "value"));
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "spamctl top — {base}  |  epoch {} (window {})  |  up {:.1} s\n",
-        num(snap, "epoch"),
-        num(snap, "window"),
-        num(snap, "uptime_us") / 1e6,
-    ));
-
-    let (tasks, _, task_rate) = counter("spam_live_tasks_completed");
-    let (retries, _, _) = counter("spam_live_task_retries");
-    let (dead, _, _) = counter("spam_live_dead_letters");
-    let (recov, _, _) = counter("spam_live_recoveries");
-    out.push_str(&format!(
-        "tasks  : {} done ({}/epoch) | retries {} | dead letters {} | recoveries {}\n",
-        human(tasks),
-        human(task_rate),
-        human(retries),
-        human(dead),
-        human(recov),
-    ));
-
-    let (mu, _, mu_rate) = counter("spam_live_match_units");
-    let (firings, _, _) = counter("spam_live_firings");
-    let (rhs, _, _) = counter("spam_live_rhs_actions");
-    out.push_str(&format!(
-        "engine : match units {} ({}/epoch) | firings {} | rhs actions {}\n",
-        human(mu),
-        human(mu_rate),
-        human(firings),
-        human(rhs),
-    ));
-    out.push_str(&format!(
-        "depth  : queue {} | conflict set {} | wm {}\n",
-        human(gauge("spam_live_queue_depth").unwrap_or(0.0)),
-        human(gauge("spam_live_conflict_set_depth").unwrap_or(0.0)),
-        human(gauge("spam_live_wm_size").unwrap_or(0.0)),
-    ));
-
-    if let Some(h) = get("spam_live_task_latency_seconds") {
-        out.push_str(&format!(
-            "latency: task p50 {:.3} p90 {:.3} p99 {:.3} s (n={})\n",
-            num(h, "p50"),
-            num(h, "p90"),
-            num(h, "p99"),
-            num(h, "count"),
-        ));
-    }
-
-    match gauge("spam_slo_health") {
-        Some(code) => {
-            let health = if code == 0.0 { "healthy" } else { "degraded" };
-            out.push_str(&format!(
-                "slo    : {health} | burn fast {:.2} / slow {:.2} | budget {:.0}% left | \
-                 target {} s at {:.0}%\n",
-                gauge("spam_slo_burn_rate_fast").unwrap_or(0.0),
-                gauge("spam_slo_burn_rate_slow").unwrap_or(0.0),
-                100.0 * gauge("spam_slo_error_budget_remaining_ratio").unwrap_or(1.0),
-                human(gauge("spam_slo_latency_target_seconds").unwrap_or(0.0)),
-                100.0 * gauge("spam_slo_objective_ratio").unwrap_or(0.0),
-            ));
-        }
-        None => out.push_str("slo    : unconfigured\n"),
-    }
-
-    // Per-worker bars: windowed busy microseconds, normalised to the
-    // busiest worker in the window.
-    let mut workers: Vec<(usize, f64, f64)> = Vec::new();
-    for (key, j) in &series {
-        if let Some(rest) = key.strip_prefix("spam_live_worker_busy_us{worker=\"") {
-            if let Some(id) = rest
-                .strip_suffix("\"}")
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                let tasks = get(&format!("spam_live_worker_tasks{{worker=\"{id}\"}}"))
-                    .map(|t| num(t, "total"))
-                    .unwrap_or(0.0);
-                workers.push((id, num(j, "windowed"), tasks));
-            }
-        }
-    }
-    workers.sort_unstable_by_key(|&(id, _, _)| id);
-    if !workers.is_empty() {
-        let peak = workers.iter().map(|&(_, b, _)| b).fold(1.0, f64::max);
-        out.push_str("workers (windowed busy, relative):\n");
-        for (id, busy, tasks) in &workers {
-            out.push_str(&format!(
-                "  w{id:<3} [{}] {} us | {} task(s)\n",
-                bar(busy / peak, 24),
-                human(*busy),
-                human(*tasks),
-            ));
-        }
-    }
-    out
-}
-
-/// The `top` subcommand: poll `/snapshot` on a serving `spamctl run` and
-/// redraw the dashboard until `--iters` frames are rendered or the
-/// endpoint goes away.
-fn run_top(o: &Opts) -> Result<(), String> {
-    let base = o.url.trim_end_matches('/').to_string();
-    let url = format!("{base}/snapshot");
-    let timeout = Duration::from_secs(2);
-    let mut frames = 0u64;
-    loop {
-        let polled = tlp_obs::http_get(&url, timeout);
-        let (status, body) = match polled {
-            Ok(r) => r,
-            Err(e) if frames > 0 => {
-                println!("top: endpoint gone after {frames} frame(s) ({e})");
-                return Ok(());
-            }
-            Err(e) => {
-                return Err(format!(
-                    "top: cannot reach {url}: {e}\n\
-                     (start one with: spamctl run --serve 127.0.0.1:9184 --serve-linger-ms 60000)"
-                ));
-            }
-        };
-        if status != 200 {
-            return Err(format!("top: {url} returned HTTP {status}"));
-        }
-        let snap = Json::parse(&body).map_err(|e| format!("top: malformed snapshot JSON: {e}"))?;
-        // Repaint in place when looping; a single `--iters 1` frame (the CI
-        // mode) prints plainly so the output is capturable.
-        if o.top_iters != 1 {
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{}", render_top(&snap, &base));
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        frames += 1;
-        if o.top_iters != 0 && frames >= o.top_iters {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_secs(1));
-    }
-}
-
 /// A span's wall time, µs.
 fn wall_us(s: &SpanRecord) -> u64 {
     s.end_us.saturating_sub(s.start_us)
@@ -1174,28 +968,14 @@ fn task_index(name: &str) -> Option<u32> {
 
 /// The `trace <id>` subcommand: reconstruct one retained trace — span
 /// tree plus the critical task chain recomputed from the recorded per-task
-/// service table — from a `--traces-out` file or a serving `/trace/<id>`.
+/// service table — from a `--traces-out` file.
 fn run_trace(o: &Opts) -> Result<(), String> {
     let id = o.trace_id.as_str();
-    let text = if let Some(path) = &o.trace_from {
-        std::fs::read_to_string(path).map_err(|e| format!("trace: cannot read {path}: {e}"))?
-    } else {
-        let base = o.url.trim_end_matches('/');
-        let url = format!("{base}/trace/{id}");
-        match tlp_obs::http_get(&url, Duration::from_secs(2)) {
-            Ok((200, body)) => body,
-            Ok((status, _)) => return Err(format!("trace: {url} returned HTTP {status}")),
-            Err(e) => {
-                return Err(format!(
-                    "trace: cannot reach {url}: {e}\n\
-                     (serve one with: spamctl run --serve 127.0.0.1:9184 --serve-linger-ms 60000, \
-                     or read a --traces-out file with --from F)"
-                ));
-            }
-        }
-    };
-    // Decode (a `--traces-out` file holds a listing, `/trace/<id>` a single
-    // document), check every tree as CI does (`tracecheck --spans`), render.
+    let path =
+        (o.trace_from.as_deref()).ok_or("trace: which file? (--from F, a --traces-out file)")?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("trace: cannot read {path}: {e}"))?;
+    // Decode, check every tree as CI does (`tracecheck --spans`), render.
     let traces = tlp_obs::decode_traces(&text).map_err(|e| format!("trace: INVALID: {e}"))?;
     for t in &traces {
         (t.check_tree()).map_err(|e| format!("trace: INVALID span tree: {e}"))?;
@@ -1302,10 +1082,8 @@ fn main() -> ExitCode {
 /// Builds what the subcommand needs — nothing, the rule base, or the rule
 /// base and a scene — and runs it.
 fn dispatch(o: &Opts) -> Result<(), String> {
-    match o.cmd {
-        Cmd::Top => return run_top(o),
-        Cmd::Trace => return run_trace(o),
-        _ => {}
+    if o.cmd == Cmd::Trace {
+        return run_trace(o);
     }
     let mut sp = SpamProgram::build();
     if o.unshared {
@@ -1353,41 +1131,23 @@ fn run_pipeline(
     let rec = Recorder::new(obs_level);
     let mut ctl = rec.sink("control");
 
-    // The metrics registry is on for whichever output needs it; with none
-    // of the three, `Live::off()` keeps every emitter inert.
-    let live_on = o.serve.is_some() || o.metrics_snapshot.is_some() || o.metrics_out.is_some();
+    // The metrics registry is on for whichever output needs it; with
+    // neither, `Live::off()` keeps every emitter inert.
+    let live_on = o.metrics_snapshot.is_some() || o.metrics_out.is_some();
     let live = if live_on {
         Live::new(tlp_obs::DEFAULT_WINDOW)
     } else {
         Live::off()
     };
-    let slo = live_on.then(|| {
-        Arc::new(SloMonitor::new(
-            SloConfig::for_scene(dataset),
-            live.handle(),
-        ))
-    });
-    // Scene tracing is on for `--traces-out`, and for `--serve` so that
-    // `/traces` and `/trace/<id>` are live. Results are bit-identical
+    let slo = live_on.then(|| Arc::new(SloMonitor::new(SloConfig::default(), live.handle())));
+    // Scene tracing is on for `--traces-out`. Results are bit-identical
     // either way.
-    let trace_on = o.traces_out.is_some() || o.serve.is_some();
+    let trace_on = o.traces_out.is_some();
     let tracing = if trace_on {
         Tracing::new()
     } else {
         Tracing::off()
     };
-    let mut server = None;
-    if let Some(addr) = &o.serve {
-        let traced = Some(Arc::clone(&tracing));
-        let s = tlp_obs::serve(addr, Arc::clone(&live), slo.clone(), traced)
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        println!(
-            "serve  : live telemetry on http://{} \
-             (/metrics /healthz /snapshot /traces /trace/<id>)",
-            s.addr()
-        );
-        server = Some(s);
-    }
 
     phase_begin(&mut ctl, "phase.rtf");
     let rtf = run_rtf(sp, scene);
@@ -1646,17 +1406,6 @@ fn run_pipeline(
                 .map_err(|e| format!("live   : exposition INVALID ({e})"))?;
             write_file(path, &text)?;
             println!("live   : exposition ({summary}) -> {path}");
-        }
-        if let Some(server) = &mut server {
-            if o.serve_linger_ms > 0 {
-                println!(
-                    "serve  : lingering {} ms on http://{} (ctrl-c to stop early)",
-                    o.serve_linger_ms,
-                    server.addr()
-                );
-                std::thread::sleep(Duration::from_millis(o.serve_linger_ms));
-            }
-            server.shutdown();
         }
     }
     Ok(())

@@ -15,10 +15,11 @@
 //! violation, so CI can gate on it.
 //!
 //! `--spans` switches to scene-trace mode: the file is a retained-trace
-//! document (from `/trace/<id>` or `spamctl … --traces-out`) or a
-//! `{"traces": […]}` listing, and every span tree must be well-formed —
-//! unique span ids, exactly one root, every parent present in the same
-//! trace, and every child interval nested inside its parent's.
+//! document or a `{"traces": […]}` listing (`spamctl … --traces-out`),
+//! and every span tree must be well-formed — unique span ids, exactly one
+//! root, every parent present in the same trace, every span reaching the
+//! root through its parents, and every child interval nested inside its
+//! parent's.
 
 use std::process::ExitCode;
 use tlp_obs::{validate_chrome_trace, validate_span_tree};

@@ -1917,7 +1917,7 @@ mod tests {
     fn slo_on(live: &Arc<Live>) -> Arc<SloMonitor> {
         let cfg = SloConfig {
             latency_target_s: 10.0,
-            ..SloConfig::for_scene("test")
+            ..SloConfig::default()
         };
         Arc::new(SloMonitor::new(cfg, live.handle()))
     }
@@ -1959,8 +1959,6 @@ mod tests {
                 Health::Degraded,
                 "{name}: a phase of pure failures must trip the burn-rate alert"
             );
-            let (_, ok) = slo.healthz_json();
-            assert!(!ok, "{name}: healthz reports not-ok while degraded");
         }
     }
 

@@ -575,7 +575,7 @@ mod tests {
         let seq = run_lcc(&sp, &scene, &frags, Level::L3);
         for (name, exec) in placements(3) {
             let live = Live::new(8);
-            let slo = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
+            let slo = Arc::new(SloMonitor::new(SloConfig::default(), live.handle()));
             let mut how = PhaseRun::new(exec);
             how.obs.live = Arc::clone(&live);
             how.obs.slo = Some(Arc::clone(&slo));

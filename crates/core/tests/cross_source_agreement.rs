@@ -68,8 +68,8 @@ fn the_five_accounts_of_busy_time_agree_within_one_percent() {
                 })
                 .sum();
 
-            let trace = tracing
-                .find(&TraceId::derive(0, "dc").to_string())
+            let trace = (tracing.retained().into_iter())
+                .find(|t| t.trace == TraceId::derive(0, "dc"))
                 .expect("the first scene is retained");
             let tasks = trace.spans.iter().filter(|s| s.kind == SpanKind::Task);
             let (n_spans, span_us) =

@@ -125,7 +125,7 @@ fn live_recoverable_runner_publishes_recovery_series() {
     let fx = fixture();
     let plan = FaultPlan::seeded(11).with_cycle_kill(fx.victim, 0, fx.span - 1);
     let live = Live::new(8);
-    let slo = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
+    let slo = Arc::new(SloMonitor::new(SloConfig::default(), live.handle()));
     let mut how = central(3, plan);
     how.obs.live = Arc::clone(&live);
     how.obs.slo = Some(Arc::clone(&slo));

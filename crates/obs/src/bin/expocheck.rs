@@ -4,8 +4,7 @@
 //! expocheck metrics.om [--require FAMILY]...
 //! ```
 //!
-//! Checks a file produced by the `/metrics` endpoint or by
-//! `spamctl run --metrics-snapshot`: metadata syntax (`# TYPE` / `# UNIT` /
+//! Checks a file produced by `spamctl run --metrics-snapshot`: metadata syntax (`# TYPE` / `# UNIT` /
 //! `# HELP`), metric-name charset, family contiguity, `counter` / `gauge` /
 //! `summary` families with the sample suffixes of their type, non-negative
 //! counters, summary quantiles in `[0, 1]`, no duplicate samples, no

@@ -1,5 +1,5 @@
-//! OpenMetrics text exposition, a minimal blocking HTTP endpoint, and the
-//! exposition validator behind the `expocheck` binary.
+//! OpenMetrics text exposition and the exposition validator behind the
+//! `expocheck` binary.
 //!
 //! The wire format is the OpenMetrics / Prometheus text exposition: each
 //! metric *family* gets `# TYPE` (and `# UNIT` / `# HELP` where known)
@@ -14,35 +14,19 @@
 //! Mapping from [`LiveSnapshot`] values:
 //!
 //! * counters → `counter` families (`name_total` samples, windowed rate is
-//!   left to the scraper — totals are the contract);
+//!   left to the reader — totals are the contract);
 //! * gauges → `gauge` families;
 //! * windowed histograms → `summary` families (q50/q90/q99 quantile
 //!   samples plus `_count`/`_sum`), which keeps the exposition compact
 //!   instead of shipping all 258 log-scale buckets.
 //!
-//! The HTTP listener is deliberately tiny: one blocking accept loop on a
-//! [`std::net::TcpListener`], `Connection: close`, five routes —
-//! `/metrics` (OpenMetrics text), `/healthz` (SLO health JSON, HTTP 503
-//! when degraded), `/snapshot` (windowed JSON consumed by `spamctl top`),
-//! `/traces` and `/trace/<id>` (retained scene traces). It serves one
-//! connection at a time, so every connection gets `CONN_DEADLINE` (2 s) for
-//! its whole exchange — request read *and* response written — and is
-//! dropped when that is up: a client that trickles its request, or never
-//! reads its response, costs the next scraper (and `shutdown`) at most
-//! that long. `--metrics-snapshot` file mode writes the same `/metrics`
-//! body to disk ([`openmetrics`] of the same snapshot) so CI can validate
-//! the exposition without scraping a port.
+//! The exposition is a file a run writes when it ends (`spamctl run
+//! --metrics-snapshot F`, [`openmetrics`] of the registry's last
+//! snapshot); there is no listener. A run is shorter than any useful
+//! polling interval, so its telemetry is read after it ends.
 
-use crate::live::{Live, LiveSnapshot, LiveValue};
-use crate::slo::SloMonitor;
-use crate::tracectx::Tracing;
+use crate::live::{LiveSnapshot, LiveValue};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Rendering
@@ -523,258 +507,10 @@ pub fn validate_openmetrics(text: &str) -> Result<ExpoSummary, String> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// HTTP endpoint
-// ---------------------------------------------------------------------------
-
-/// A running metrics endpoint. Dropping (or [`MetricsServer::shutdown`])
-/// stops the listener thread.
-#[derive(Debug)]
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<thread::JoinHandle<()>>,
-}
-
-/// Starts the blocking HTTP listener on `addr` (use port 0 to let the OS
-/// pick — [`MetricsServer::addr`] reports the bound address). Routes:
-/// `/metrics`, `/healthz`, `/snapshot`, and — answering 404 without a
-/// tracer — `/traces` (retained-trace listing) and `/trace/<id>` (full
-/// span tree for a retained trace, by id or unique prefix).
-pub fn serve(
-    addr: &str,
-    live: Arc<Live>,
-    slo: Option<Arc<SloMonitor>>,
-    tracing: Option<Arc<Tracing>>,
-) -> io::Result<MetricsServer> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let join = thread::Builder::new()
-        .name("spam-metrics".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Ok(stream) = conn {
-                    let _ = handle_conn(stream, &live, slo.as_deref(), tracing.as_deref());
-                }
-            }
-        })?;
-    Ok(MetricsServer {
-        addr: bound,
-        stop,
-        join: Some(join),
-    })
-}
-
-impl MetricsServer {
-    /// The bound socket address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the listener thread and waits for it to exit.
-    pub fn shutdown(&mut self) {
-        if let Some(join) = self.join.take() {
-            self.stop.store(true, Ordering::Relaxed);
-            // Unblock the accept loop with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// A JSON error body (`{"error": …, "path": …}`), newline-terminated.
-fn json_error(error: &str, path: &str) -> String {
-    let mut body = crate::json::Json::obj(vec![
-        ("error", crate::json::Json::str(error)),
-        ("path", crate::json::Json::str(path)),
-    ])
-    .write();
-    body.push('\n');
-    body
-}
-
-/// What one connection gets for its whole exchange (module docs).
-const CONN_DEADLINE: Duration = Duration::from_secs(2);
-
-/// Time until `deadline`, as a socket timeout; `TimedOut` once it is past
-/// (a zero socket timeout would mean "none").
-fn time_left(deadline: Instant) -> io::Result<Duration> {
-    match deadline.checked_duration_since(Instant::now()) {
-        Some(left) if !left.is_zero() => Ok(left),
-        _ => Err(io::ErrorKind::TimedOut.into()),
-    }
-}
-
-fn handle_conn(
-    mut stream: TcpStream,
-    live: &Arc<Live>,
-    slo: Option<&SloMonitor>,
-    tracing: Option<&Tracing>,
-) -> io::Result<()> {
-    let deadline = Instant::now() + CONN_DEADLINE;
-    let mut buf = [0u8; 4096];
-    let mut req = Vec::new();
-    loop {
-        stream.set_read_timeout(Some(time_left(deadline)?))?;
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        req.extend_from_slice(&buf[..n]);
-        if req.windows(4).any(|w| w == b"\r\n\r\n") || req.len() > 16 * 1024 {
-            break;
-        }
-    }
-    let head = String::from_utf8_lossy(&req);
-    let mut request_line = head.lines().next().unwrap_or("").split_whitespace();
-    let method = request_line.next().unwrap_or("GET").to_string();
-    let path = request_line.next().unwrap_or("/").to_string();
-    let path = path.split('?').next().unwrap_or("/").to_string();
-    let (status, ctype, body) = if method != "GET" {
-        // The endpoint is read-only: anything but GET is a 405 with the
-        // allowed method advertised.
-        (
-            405,
-            "application/json",
-            json_error("method not allowed; only GET is supported", &path),
-        )
-    } else {
-        match path.as_str() {
-            "/metrics" => (
-                200,
-                "application/openmetrics-text; version=1.0.0; charset=utf-8",
-                openmetrics(&live.snapshot()),
-            ),
-            "/healthz" => match slo {
-                Some(mon) => {
-                    let (json, ok) = mon.healthz_json();
-                    let mut body = json.write();
-                    body.push('\n');
-                    (if ok { 200 } else { 503 }, "application/json", body)
-                }
-                None => (
-                    200,
-                    "application/json",
-                    "{\"status\":\"healthy\",\"slo\":\"unconfigured\"}\n".to_string(),
-                ),
-            },
-            "/snapshot" => {
-                let mut body = live.snapshot().to_json().write();
-                body.push('\n');
-                (200, "application/json", body)
-            }
-            "/traces" => match tracing {
-                Some(tr) => {
-                    let mut body = tr.listing_json().write();
-                    body.push('\n');
-                    (200, "application/json", body)
-                }
-                None => (
-                    404,
-                    "application/json",
-                    json_error("tracing is not enabled on this server", &path),
-                ),
-            },
-            p if p.starts_with("/trace/") => {
-                let id = &p["/trace/".len()..];
-                match tracing.and_then(|tr| tr.find(id)) {
-                    Some(t) => {
-                        let mut body = t.to_json().write();
-                        body.push('\n');
-                        (200, "application/json", body)
-                    }
-                    None => (
-                        404,
-                        "application/json",
-                        json_error("no retained trace with that id", &path),
-                    ),
-                }
-            }
-            "/" => (
-                200,
-                "text/plain",
-                "spam live telemetry: /metrics /healthz /snapshot /traces /trace/<id>\n"
-                    .to_string(),
-            ),
-            _ => (404, "application/json", json_error("no route", &path)),
-        }
-    };
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        503 => "Service Unavailable",
-        _ => "Error",
-    };
-    let allow = if status == 405 { "Allow: GET\r\n" } else { "" };
-    let resp = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\n{allow}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let mut unsent = resp.as_bytes();
-    while !unsent.is_empty() {
-        stream.set_write_timeout(Some(time_left(deadline)?))?;
-        match stream.write(unsent)? {
-            0 => return Err(io::ErrorKind::WriteZero.into()),
-            n => unsent = &unsent[n..],
-        }
-    }
-    Ok(())
-}
-
-/// A tiny blocking HTTP GET (the `spamctl top` client and the tests'
-/// scraper). Accepts `http://host:port/path` URLs only; returns
-/// `(status, body)`.
-pub fn http_get(url: &str, timeout: Duration) -> io::Result<(u16, String)> {
-    let rest = url
-        .strip_prefix("http://")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "only http:// supported"))?;
-    let (hostport, path) = match rest.find('/') {
-        Some(i) => (&rest[..i], &rest[i..]),
-        None => (rest, "/"),
-    };
-    let addr = hostport
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: {hostport}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status = raw
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response"))?;
-    let body = match raw.find("\r\n\r\n") {
-        Some(i) => raw[i + 4..].to_string(),
-        None => String::new(),
-    };
-    Ok((status, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use crate::live::Live;
-    use crate::slo::{SloConfig, SloMonitor};
 
     fn sample_snapshot() -> LiveSnapshot {
         let live = Live::new(4);
@@ -879,212 +615,5 @@ mod tests {
         assert!(validate_openmetrics(text)
             .unwrap_err()
             .contains("duplicate sample"));
-    }
-
-    fn retained_tracer() -> Arc<Tracing> {
-        use crate::tracectx::{SpanId, SpanKind, SpanRecord};
-        let tr = Tracing::new();
-        let scene = tr.start_scene(42, "dc");
-        scene.record_span(SpanRecord {
-            id: SpanId::derive(scene.trace_id(), "task.exec", 0, 0),
-            parent: Some(scene.root()),
-            kind: SpanKind::Task,
-            name: "task.exec t0 a0".into(),
-            worker: "psm-task-0".into(),
-            start_us: scene.now_us(),
-            end_us: scene.now_us() + 250_000,
-            error: None,
-        });
-        scene.finish();
-        tr
-    }
-
-    #[test]
-    fn non_get_methods_are_405_with_allow_header() {
-        let live = Live::new(4);
-        let server = serve("127.0.0.1:0", Arc::clone(&live), None, None).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")
-            .unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
-        assert!(raw.contains("Allow: GET"), "{raw}");
-        let body = &raw[raw.find("\r\n\r\n").unwrap() + 4..];
-        let json = Json::parse(body).expect(body);
-        assert!(json
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("method not allowed"));
-    }
-
-    #[test]
-    fn unknown_path_returns_json_error_body() {
-        let live = Live::new(4);
-        let server = serve("127.0.0.1:0", Arc::clone(&live), None, None).unwrap();
-        let (status, body) = http_get(
-            &format!("http://{}/definitely-not-a-route", server.addr()),
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        assert_eq!(status, 404);
-        let json = Json::parse(&body).expect(&body);
-        assert_eq!(json.get("error").and_then(Json::as_str), Some("no route"));
-        assert_eq!(
-            json.get("path").and_then(Json::as_str),
-            Some("/definitely-not-a-route")
-        );
-    }
-
-    #[test]
-    fn trace_routes_serve_retained_traces() {
-        let tr = retained_tracer();
-        let live = Live::new(4);
-        let server = serve("127.0.0.1:0", Arc::clone(&live), None, Some(tr)).unwrap();
-        let base = format!("http://{}", server.addr());
-        let t = Duration::from_secs(5);
-
-        let (status, body) = http_get(&format!("{base}/traces"), t).unwrap();
-        assert_eq!(status, 200);
-        let listing = Json::parse(&body).expect(&body);
-        let retained = listing.get("retained").and_then(Json::as_arr).unwrap();
-        assert_eq!(retained.len(), 1);
-        let id = retained[0]
-            .get("trace_id")
-            .and_then(Json::as_str)
-            .unwrap()
-            .to_string();
-
-        let (status, body) = http_get(&format!("{base}/trace/{id}"), t).unwrap();
-        assert_eq!(status, 200);
-        crate::tracectx::validate_span_tree(&body).expect(&body);
-
-        // Prefix lookup works; a bogus id is a JSON 404.
-        let (status, _) = http_get(&format!("{base}/trace/{}", &id[..8]), t).unwrap();
-        assert_eq!(status, 200);
-        let (status, body) = http_get(&format!("{base}/trace/ffffffffffffffff"), t).unwrap();
-        assert_eq!(status, 404);
-        assert!(Json::parse(&body).is_ok());
-
-        // Without tracing, /traces is a JSON 404.
-        let plain = serve("127.0.0.1:0", Arc::clone(&live), None, None).unwrap();
-        let (status, body) = http_get(&format!("http://{}/traces", plain.addr()), t).unwrap();
-        assert_eq!(status, 404);
-        assert!(body.contains("tracing is not enabled"));
-    }
-
-    #[test]
-    fn server_serves_metrics_healthz_snapshot() {
-        let live = Live::new(4);
-        let h = live.handle();
-        h.inc("spam_live_tasks_completed", 3);
-        let mon = Arc::new(SloMonitor::new(SloConfig::for_scene("dc"), live.handle()));
-        mon.observe(1.0, true);
-        mon.advance(live.advance_epoch());
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::clone(&live),
-            Some(Arc::clone(&mon)),
-            None,
-        )
-        .unwrap();
-        let base = format!("http://{}", server.addr());
-        let t = Duration::from_secs(5);
-
-        let (status, body) = http_get(&format!("{base}/metrics"), t).unwrap();
-        assert_eq!(status, 200);
-        validate_openmetrics(&body).expect(&body);
-        assert!(body.contains("spam_live_tasks_completed_total 3"));
-        assert!(body.contains("spam_slo_burn_rate_fast"));
-
-        let (status, body) = http_get(&format!("{base}/healthz"), t).unwrap();
-        assert_eq!(status, 200);
-        let json = Json::parse(&body).unwrap();
-        assert_eq!(json.get("status").and_then(Json::as_str), Some("healthy"));
-
-        let (status, body) = http_get(&format!("{base}/snapshot"), t).unwrap();
-        assert_eq!(status, 200);
-        let json = Json::parse(&body).unwrap();
-        assert!(json.get("series").is_some());
-
-        let (status, _) = http_get(&format!("{base}/nope"), t).unwrap();
-        assert_eq!(status, 404);
-    }
-
-    #[test]
-    fn degraded_healthz_is_503() {
-        let live = Live::new(4);
-        let cfg = SloConfig {
-            scene: "t".into(),
-            latency_target_s: 1.0,
-            objective: 0.9,
-            fast_window: 2,
-            slow_window: 4,
-            burn_threshold: 2.0,
-        };
-        let mon = Arc::new(SloMonitor::new(cfg, live.handle()));
-        for _ in 0..4 {
-            mon.observe(100.0, true);
-            mon.advance(live.advance_epoch());
-        }
-        let server = serve("127.0.0.1:0", Arc::clone(&live), Some(mon), None).unwrap();
-        let (status, body) = http_get(
-            &format!("http://{}/healthz", server.addr()),
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        assert_eq!(status, 503);
-        assert!(body.contains("degraded"));
-    }
-
-    /// A 200 from `/healthz` inside one deadline (plus slack for a loaded
-    /// box), then a `shutdown` that returns: what a wedged accept loop
-    /// cannot give.
-    fn assert_listener_is_free(server: &mut MetricsServer) {
-        let t0 = Instant::now();
-        let url = format!("http://{}/healthz", server.addr());
-        let (status, _) = http_get(&url, 3 * CONN_DEADLINE).expect("the next client is served");
-        assert_eq!(status, 200);
-        server.shutdown();
-        let held = t0.elapsed();
-        assert!(held < 2 * CONN_DEADLINE, "listener held for {held:?}");
-    }
-
-    #[test]
-    fn a_trickled_request_is_dropped_at_the_connection_deadline() {
-        let live = Live::new(4);
-        let mut server = serve("127.0.0.1:0", live, None, None).unwrap();
-        // Connected (and so accepted) first; then a byte every 300 ms, each
-        // well inside any per-read timeout, for four deadlines.
-        let mut slow = TcpStream::connect(server.addr()).unwrap();
-        slow.write_all(b"G").unwrap();
-        let trickle = thread::spawn(move || {
-            let t0 = Instant::now();
-            while t0.elapsed() < 4 * CONN_DEADLINE && slow.write_all(b"E").is_ok() {
-                thread::sleep(Duration::from_millis(300));
-            }
-        });
-        assert_listener_is_free(&mut server);
-        trickle.join().unwrap();
-    }
-
-    #[test]
-    fn a_client_that_never_reads_is_dropped_at_the_connection_deadline() {
-        // A `/metrics` body several times what loopback sockets buffer
-        // (4 MB of send buffer at most), so the write must block.
-        let live = Live::new(4);
-        let h = live.handle();
-        let pad = "x".repeat(4096);
-        for i in 0..4096 {
-            let v = format!("{pad}{i}");
-            h.inc(&crate::live::series_key("big", &[("pad", &v)]), 1);
-        }
-        let mut server = serve("127.0.0.1:0", live, None, None).unwrap();
-        let mut deaf = TcpStream::connect(server.addr()).unwrap();
-        deaf.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
-        assert_listener_is_free(&mut server);
-        drop(deaf);
     }
 }

@@ -19,9 +19,9 @@
 //!   windowed log-scale [`Histogram`]s in per-thread shards, rotated on a
 //!   logical epoch. A phase's final metrics are its last snapshot
 //!   ([`LiveSnapshot::to_json`]); the same snapshot renders as OpenMetrics
-//!   text ([`openmetrics`]) to a file or over the [`serve`] listener,
-//!   checked by [`validate_openmetrics`] (`expocheck`). [`SloMonitor`]
-//!   publishes its burn-rate decisions into it.
+//!   text ([`openmetrics`]), checked by [`validate_openmetrics`]
+//!   (`expocheck`). [`SloMonitor`] publishes its burn-rate decisions into
+//!   it.
 //! * **Scene traces** — [`Tracing`], a span tree per scene submission,
 //!   the last [`MAX_RETAINED`] finished ones kept in a ring; written as
 //!   JSON ([`RetainedTrace::to_json`]), read back by its one decoder
@@ -29,6 +29,10 @@
 //!   [`validate_span_tree`] (`tracecheck --spans`).
 //! * A dependency-free JSON [`json`] parser/writer used by all of the
 //!   above and by the round-trip tests.
+//!
+//! Every artefact is a file a run writes when it ends, and is read after
+//! it: there is no listener. A whole run is shorter than any interval a
+//! poller could usefully sample at.
 //!
 //! ## Cost model
 //!
@@ -64,7 +68,7 @@ pub mod tracectx;
 
 pub use event::{ArgValue, Category, Event, EventKind};
 pub use export::{validate_chrome_trace, MachineLog, TraceDoc, TraceSummary};
-pub use expose::{http_get, openmetrics, serve, validate_openmetrics, ExpoSummary, MetricsServer};
+pub use expose::{openmetrics, validate_openmetrics, ExpoSummary};
 pub use live::{series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW};
 pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};

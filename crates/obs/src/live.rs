@@ -412,8 +412,8 @@ pub struct LiveSnapshot {
 }
 
 impl LiveSnapshot {
-    /// Renders the snapshot as JSON (the `/snapshot` endpoint body and the
-    /// `spamctl top` wire format).
+    /// Renders the snapshot as JSON (what `spamctl run --metrics-out`
+    /// writes).
     pub fn to_json(&self) -> Json {
         let series = Json::Obj(
             self.series

@@ -16,14 +16,14 @@
 //! allows". The monitor alerts only when *both* a fast and a slow window
 //! exceed the threshold (the standard multi-window trick: the slow window
 //! suppresses blips, the fast window makes the alert reset quickly once the
-//! problem stops). Health, surfaced by `/healthz`, is **Degraded** while
-//! both windows are over threshold and **Healthy** otherwise.
+//! problem stops). Health is **Degraded** while both windows are over
+//! threshold and **Healthy** otherwise.
 //!
 //! All decisions are published as `spam_slo_*` gauges/counters through a
-//! [`LiveHandle`], so the exposition endpoint and `spamctl top` see the
-//! same numbers the health endpoint acts on.
+//! [`LiveHandle`], so the registry's files (`--metrics-out`,
+//! `--metrics-snapshot`) carry the same numbers health is decided on, the
+//! decision itself as the `spam_slo_health` gauge.
 
-use crate::json::Json;
 use crate::live::LiveHandle;
 use std::fmt;
 use std::sync::Mutex;
@@ -31,8 +31,6 @@ use std::sync::Mutex;
 /// A scene's service-level objective and the alerting windows.
 #[derive(Clone, Debug)]
 pub struct SloConfig {
-    /// Scene label reported by `/healthz`.
-    pub scene: String,
     /// Per-task latency target in simulated seconds.
     pub latency_target_s: f64,
     /// Fraction of tasks that must meet the target (e.g. `0.95`).
@@ -45,18 +43,17 @@ pub struct SloConfig {
     pub burn_threshold: f64,
 }
 
-/// The per-task latency target of [`SloConfig::for_scene`], in simulated
+/// The per-task latency target of the default [`SloConfig`], in simulated
 /// seconds.
 const LATENCY_TARGET_S: f64 = 420.0;
 
-impl SloConfig {
-    /// The default objective for a scene. The latency target is set near
-    /// the measured p90 task service time of the Level-4 decomposition, so
-    /// a healthy run breaches occasionally (the budget absorbs it) and a
+impl Default for SloConfig {
+    /// The objective of a scene. The latency target is set near the
+    /// measured p90 task service time of the Level-4 decomposition, so a
+    /// healthy run breaches occasionally (the budget absorbs it) and a
     /// pathological run pushes both windows over threshold.
-    pub fn for_scene(scene: &str) -> SloConfig {
+    fn default() -> SloConfig {
         SloConfig {
-            scene: scene.to_string(),
             latency_target_s: LATENCY_TARGET_S,
             objective: 0.90,
             fast_window: 8,
@@ -66,7 +63,7 @@ impl SloConfig {
     }
 }
 
-/// The health reported by `/healthz`.
+/// A scene's SLO health (the `spam_slo_health` gauge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Health {
     /// Within objective.
@@ -120,7 +117,7 @@ struct State {
 
 /// The monitor: feed it per-task outcomes ([`SloMonitor::observe`]) and the
 /// logical clock ([`SloMonitor::advance`]); read health from
-/// [`SloMonitor::health`] / [`SloMonitor::healthz_json`].
+/// [`SloMonitor::health`].
 #[derive(Debug)]
 pub struct SloMonitor {
     cfg: SloConfig,
@@ -238,35 +235,6 @@ impl SloMonitor {
     pub fn health(&self) -> Health {
         self.state.lock().unwrap().health
     }
-
-    /// The `/healthz` body and whether the process should report HTTP 200
-    /// (`false` only when Degraded).
-    pub fn healthz_json(&self) -> (Json, bool) {
-        let st = self.state.lock().unwrap();
-        let total = st.total_good + st.total_bad;
-        let budget = (1.0 - self.cfg.objective).max(1e-9);
-        let consumed = if total == 0 {
-            0.0
-        } else {
-            (st.total_bad as f64 / total as f64) / budget
-        };
-        let body = Json::obj(vec![
-            ("status", Json::str(st.health.name())),
-            ("scene", Json::Str(self.cfg.scene.clone())),
-            ("epoch", Json::Num(st.epoch as f64)),
-            ("objective", Json::Num(self.cfg.objective)),
-            ("latency_target_s", Json::Num(self.cfg.latency_target_s)),
-            ("burn_rate_fast", Json::Num(st.burn_fast)),
-            ("burn_rate_slow", Json::Num(st.burn_slow)),
-            (
-                "error_budget_remaining",
-                Json::Num((1.0 - consumed).clamp(0.0, 1.0)),
-            ),
-            ("tasks_ok", Json::Num(st.total_good as f64)),
-            ("tasks_breached", Json::Num(st.total_bad as f64)),
-        ]);
-        (body, st.health != Health::Degraded)
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +245,6 @@ mod tests {
     fn monitor(target: f64, objective: f64) -> (std::sync::Arc<Live>, SloMonitor) {
         let live = Live::new(8);
         let cfg = SloConfig {
-            scene: "test".into(),
             latency_target_s: target,
             objective,
             fast_window: 4,
@@ -296,9 +263,6 @@ mod tests {
             mon.advance(live.advance_epoch());
         }
         assert_eq!(mon.health(), Health::Healthy);
-        let (body, ok) = mon.healthz_json();
-        assert!(ok);
-        assert_eq!(body.get("status").and_then(Json::as_str), Some("healthy"));
     }
 
     #[test]
@@ -310,8 +274,6 @@ mod tests {
             mon.advance(live.advance_epoch());
         }
         assert_eq!(mon.health(), Health::Degraded);
-        let (_, ok) = mon.healthz_json();
-        assert!(!ok, "degraded must report unhealthy");
         // Clean epochs: the alert clears once the fast window's burn drops
         // under the threshold, and health with it.
         let mut epochs_degraded = 0;

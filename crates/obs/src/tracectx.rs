@@ -20,7 +20,7 @@
 //! root and task spans: past that, aux leaves are evicted oldest first.
 
 use crate::json::Json;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -336,7 +336,9 @@ impl RetainedTrace {
     /// - every non-root span's parent exists in the same trace,
     /// - every child's interval nests inside its parent's
     ///   (`parent.start <= child.start && child.end <= parent.end`),
-    /// - every span has `end >= start`.
+    /// - every span has `end >= start`,
+    /// - every span reaches the root by following its parents (no span is
+    ///   its own parent, no cycle hangs apart from the root).
     pub fn check_tree(&self) -> Result<(), String> {
         let tid = self.trace;
         if self.spans.is_empty() {
@@ -350,7 +352,7 @@ impl RetainedTrace {
                     s.id, s.end_us, s.start_us
                 ));
             }
-            if ids.insert(s.id, (s.start_us, s.end_us)).is_some() {
+            if ids.insert(s.id, (s.start_us, s.end_us, s.parent)).is_some() {
                 return Err(format!("trace {tid}: duplicate span id {}", s.id));
             }
         }
@@ -362,7 +364,7 @@ impl RetainedTrace {
         }
         for s in &self.spans {
             let Some(p) = s.parent else { continue };
-            let Some(&(ps, pe)) = ids.get(&p) else {
+            let Some(&(ps, pe, _)) = ids.get(&p) else {
                 return Err(format!(
                     "trace {tid}: span {} ({}) is orphaned: parent {p} not in trace",
                     s.id, s.name
@@ -375,10 +377,28 @@ impl RetainedTrace {
                 ));
             }
         }
+        // Walk up from every span, through spans not yet known to reach the
+        // root; a walk longer than the span count has gone round a cycle.
+        let mut rooted = BTreeSet::new();
+        for s in &self.spans {
+            let mut walked = Vec::new();
+            let mut at = s.id;
+            while let (false, Some(p)) = (rooted.contains(&at), ids[&at].2) {
+                if walked.len() == self.spans.len() {
+                    return Err(format!(
+                        "trace {tid}: span {} ({}) does not reach the root: its parents cycle",
+                        s.id, s.name
+                    ));
+                }
+                walked.push(at);
+                at = p;
+            }
+            rooted.extend(walked);
+        }
         Ok(())
     }
 
-    /// JSON document for `/trace/<id>`, `--traces-out`, and `tracecheck`.
+    /// JSON document for `--traces-out` and `tracecheck`.
     pub fn to_json(&self) -> Json {
         let services = self
             .services
@@ -639,51 +659,6 @@ impl Tracing {
     pub fn finished(&self) -> u64 {
         self.lock().finished
     }
-
-    /// Looks up a retained trace by full id or unique hex prefix.
-    pub fn find(&self, id: &str) -> Option<RetainedTrace> {
-        if !self.enabled {
-            return None;
-        }
-        let g = self.lock();
-        let mut hit: Option<&RetainedTrace> = None;
-        for t in &g.retained {
-            let s = t.trace.to_string();
-            if s == id {
-                return Some(t.clone());
-            }
-            if id.len() >= 4 && s.starts_with(id) {
-                if hit.is_some() {
-                    return None; // ambiguous prefix
-                }
-                hit = Some(t);
-            }
-        }
-        hit.cloned()
-    }
-
-    /// JSON listing for `/traces`: retained trace headers.
-    pub fn listing_json(&self) -> Json {
-        let g = self.lock();
-        let retained = g
-            .retained
-            .iter()
-            .map(|t| {
-                Json::obj(vec![
-                    ("trace_id", Json::str(t.trace.to_string())),
-                    ("scene", Json::str(&*t.scene)),
-                    ("duration_s", Json::Num(t.duration_s())),
-                    ("spans", Json::Num(t.spans.len() as f64)),
-                    ("retries", Json::Num(f64::from(t.retries))),
-                    ("dead_letters", Json::Num(f64::from(t.dead_letters))),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("retained", Json::Arr(retained)),
-            ("finished", Json::Num(g.finished as f64)),
-        ])
-    }
 }
 
 /// Handle for one open scene: the root of the trace. Lent to the
@@ -853,8 +828,8 @@ impl std::fmt::Display for SpanTreeStats {
     }
 }
 
-/// Decodes exported trace JSON: either a single trace document (as
-/// produced by `/trace/<id>`) or `{"traces":[…]}` (as produced by
+/// Decodes exported trace JSON: either a single trace document
+/// ([`RetainedTrace::to_json`]) or `{"traces":[…]}` (as produced by
 /// `spamctl … --traces-out`), each trace through
 /// [`RetainedTrace::from_json`].
 pub fn decode_traces(text: &str) -> Result<Vec<RetainedTrace>, String> {
@@ -989,18 +964,6 @@ mod tests {
         assert_eq!(tr.finished(), scenes);
     }
 
-    #[test]
-    fn find_matches_full_id_and_unique_prefix() {
-        let tr = Tracing::new();
-        let scene = tr.start_scene(11, "dc");
-        scene.record_span(task_span(&scene, 0, 0, None));
-        scene.finish();
-        let id = TraceId::derive(11, "dc").to_string();
-        assert!(tr.find(&id).is_some());
-        assert!(tr.find(&id[..8]).is_some());
-        assert!(tr.find("zzzz").is_none());
-    }
-
     /// A trace document of `(id, parent, start_us, end_us)` spans, as
     /// [`RetainedTrace::to_json`] lays one out.
     fn doc(spans: &[(u64, Option<u64>, u64, u64)]) -> String {
@@ -1032,6 +995,20 @@ mod tests {
         let text = doc(&[(1, None, 0, 100), (2, Some(1), 10, 120)]);
         let err = validate_span_tree(&text).unwrap_err();
         assert!(err.contains("overhangs"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_spans_that_do_not_reach_the_root() {
+        let self_parent = doc(&[(1, None, 0, 100), (2, Some(2), 10, 20)]);
+        let err = validate_span_tree(&self_parent).unwrap_err();
+        assert!(err.contains("does not reach the root"), "{err}");
+        let detached = doc(&[
+            (1, None, 0, 100),
+            (2, Some(3), 10, 20),
+            (3, Some(2), 10, 20),
+        ]);
+        let err = validate_span_tree(&detached).unwrap_err();
+        assert!(err.contains("does not reach the root"), "{err}");
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! plus its root and task spans, and every kept trace is a complete,
 //! well-formed span tree that its one decoder reads back whole — under
 //! random scene counts, span volumes (bursts past the cap included),
-//! retries, dead letters, and task deaths.
+//! retries, dead letters, and task deaths. And the decoder, which reads
+//! trace files back in: a truncated or corrupted document is an `Err`,
+//! never a panic.
 
 use proptest::prelude::*;
 use tlp_obs::{
-    validate_span_tree, RetainedTrace, SpanId, SpanKind, SpanRecord, Tracing, MAX_RETAINED,
-    MAX_SPANS,
+    decode_traces, validate_span_tree, RetainedTrace, SpanId, SpanKind, SpanRecord, Tracing,
+    MAX_RETAINED, MAX_SPANS,
 };
 
 /// One simulated task attempt: aux-span count, simulated length (µs), and
@@ -139,6 +141,41 @@ proptest! {
             let reparsed = tlp_obs::json::Json::parse(&doc).unwrap();
             let back = RetainedTrace::from_json(&reparsed).map(|b| b.to_json());
             prop_assert_eq!(back, Ok(json));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_truncated_or_corrupted_trace_file_is_an_error_not_a_panic(
+        spec in scene_strategy(),
+        flips in prop::collection::vec((0.0f64..1.0, 1u8..255), 0..4),
+    ) {
+        // A burst past the span cap would make every prefix a long decode.
+        let mut spec = spec;
+        for a in &mut spec.attempts {
+            a.aux %= 3;
+        }
+        let tracing = Tracing::new();
+        replay_scene(&tracing, 7, &spec);
+        let kept = tracing.retained().iter().map(RetainedTrace::to_json).collect();
+        let doc = tlp_obs::json::Json::obj(vec![("traces", tlp_obs::json::Json::Arr(kept))]);
+        let mut bytes = doc.write().into_bytes();
+        for (at, mask) in flips {
+            let i = (at * bytes.len() as f64) as usize;
+            bytes[i] ^= mask;
+        }
+        // Every prefix, the whole document included: decoded and, where
+        // that succeeds, checked. Returning at all is the property.
+        for len in 0..=bytes.len() {
+            let text = String::from_utf8_lossy(&bytes[..len]);
+            if let Ok(traces) = decode_traces(&text) {
+                for t in &traces {
+                    let _ = t.check_tree();
+                }
+            }
         }
     }
 }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use tlp_obs::{Live, LiveHandle, SpanSink};
 
 /// Cycles between live-registry publishes, and the slice a watched engine is
-/// driven in: often enough that `spamctl top` sees the conflict set and WM
-/// move mid-task, rarely enough to stay off the hot path.
+/// driven in: often enough that the registry's conflict-set and WM gauges
+/// follow a task mid-run, rarely enough to stay off the hot path.
 pub const LIVE_MIRROR_EVERY: u32 = 16;
 
 /// Cycles per `engine.cycles` span. Coarser on purpose: closing a window
