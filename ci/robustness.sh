@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI job `robustness`: crash recovery under chaos on both placements, and the
+# CI job `robustness`: mid-cycle kills under chaos on both placements, and the
 # real pool's phase-boundary protocol under load. Artefacts: ci-out/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,22 +7,17 @@ export CARGO_NET_OFFLINE=true
 out=ci-out && mkdir -p $out && bin=target/release
 
 cargo build --release -p spam-psm -p tlp-bench \
-  --bin spamctl --bin bench_recovery --bin bench_exec --bin benchdiff
+  --bin spamctl --bin bench_exec --bin benchdiff
 
-# Chaos runs: seed 42 (3 mid-cycle kills + lock-hold kill + torn WAL), the
+# Chaos runs: seed 42 (3 mid-cycle kills, each retried from scratch), the
 # same on the chunked deques with stealing, then a second seed with more kills.
-$bin/spamctl chaos dc --seed 42 --kills 3 --interval 4
-$bin/spamctl chaos dc --seed 42 --kills 3 --interval 4 --exec real
-$bin/spamctl chaos dc --seed 1337 --kills 5 --interval 2
+$bin/spamctl chaos dc --seed 42 --kills 3
+$bin/spamctl chaos dc --seed 42 --kills 3 --exec real
+$bin/spamctl chaos dc --seed 1337 --kills 5
 # Each of those kills RTF, LCC, FA and MODEL in turn. Level 1's one-cycle
-# tasks (no kill can land past a checkpoint: the verdict must judge what can
-# be judged), and a non-default seed on another scene.
+# tasks, and a non-default seed on another scene.
 $bin/spamctl chaos dc --level 1 --seed 42
 $bin/spamctl chaos moff --seed 7 --kills 4
-# Recovery bench (replay cost vs checkpoint interval).
-$bin/bench_recovery $out/BENCH_recovery.json
-$bin/benchdiff crates/bench/baselines/BENCH_recovery.json \
-  $out/BENCH_recovery.json --threshold 5 --ignore wall_ms
 
 # Pool unit tests, ten times over, 16 test threads.
 for i in $(seq 1 10); do

@@ -12,8 +12,7 @@
 //!         [--svm tuned|naive] [--top K] [--json F] [--trace-out F]
 //!         [--check-loss LO:HI] [--unshared]
 //! spamctl chaos [sf|dc|moff|suburb] [--level 1|2|3|4] [--seed N] [--kills K]
-//!         [--interval C] [--workers N] [--retries K] [--exec real|sim]
-//!         [--unshared]
+//!         [--workers N] [--exec real|sim] [--unshared]
 //! spamctl whatif [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
 //!         [--target prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match]
 //!         [--scale PCT] [--top K] [--json F] [--unshared]
@@ -57,15 +56,13 @@
 //! * `chaos`: seeded crash-recovery acceptance run over the whole
 //!   interpretation — RTF as the paper's 64-odd batches, LCC at `--level`,
 //!   FA and MODEL as phases of one task. For each phase a fault-free run
-//!   fixes the expected results, `chaos_schedule` derives mid-cycle kills
-//!   (plus a kill inside the checkpoint hold and a torn WAL tail), and the
-//!   checkpoint + WAL recovery path must reproduce the fault-free results
-//!   exactly (`==`, task by task) with accounting that adds up: saved +
-//!   replayed cycles equal what from-scratch retries would cost, strictly
-//!   fewer replayed wherever a checkpoint can precede a kill. Exits
-//!   non-zero (and prints the replayable fault plan) on any
-//!   divergence; `--seed N` / `--kills K` / `--interval C` pick the
-//!   schedule and checkpoint cadence, `--exec` the placement (below);
+//!   fixes the expected results and `chaos_schedule` kills the first
+//!   attempt of some tasks mid-cycle. A killed task is an ordinary panic
+//!   that one retry recovers from scratch: the phase must reproduce the
+//!   fault-free results exactly (`==`, task by task), every killed task on
+//!   its second attempt and every other on its first. Exits non-zero (and
+//!   prints the replayable fault plan) on any divergence; `--seed N` /
+//!   `--kills K` pick the schedule, `--exec` the placement (below);
 //! * `--machines 2` makes `run` replay the measured trace on the
 //!   dual-Encore SVM platform instead of one Encore: the Gantt chart
 //!   (at `--obs full`) becomes a two-machine chart, the Chrome trace
@@ -120,7 +117,7 @@
 //!   (`tlp-obs::tracectx`): the scene submission mints a deterministic
 //!   trace id (from `--fault-seed` + the dataset name) and a root span,
 //!   and the supervisor propagates the trace context through task spawn,
-//!   retry, dead-letter, recovery, and per-cycle engine emissions; the
+//!   retry, dead-letter and per-cycle engine emissions; the
 //!   finished scene's trace is kept with full span detail, its id printed
 //!   (`trace  : <id>`), and the retained traces written to `F` as a
 //!   `{"traces": […]}` JSON document (feed to `tracecheck --spans` or
@@ -143,7 +140,6 @@ use spam::scene::Scene;
 use spam::task::{drain, TaskList, TaskProcess};
 use spam::topdown::run_topdown;
 use spam_psm::exec::{ExecConfig, Observer, PhaseRun};
-use spam_psm::recover::CheckpointConfig;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -238,7 +234,7 @@ const COMMANDS: &[CmdSpec] = &[
         cmd: Cmd::Chaos,
         name: "chaos",
         head: "chaos [sf|dc|moff|suburb]",
-        flags: "--level --seed --kills --interval --workers --retries --exec --unshared",
+        flags: "--level --seed --kills --workers --exec --unshared",
     },
     CmdSpec {
         cmd: Cmd::Whatif,
@@ -279,7 +275,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--check-loss", "LO:HI"),
     ("--seed", "N"),
     ("--kills", "K"),
-    ("--interval", "C"),
     (
         "--target",
         "prod:<name>|task:<id>|level:<n>|component:<fork|dequeue>|match",
@@ -297,7 +292,6 @@ const DEFAULTS: &[(&str, &str)] = &[
     ("--top", "10"),
     ("--seed", "42"),
     ("--kills", "3"),
-    ("--interval", "4"),
     ("--scale", "50"),
 ];
 
@@ -326,7 +320,6 @@ struct Opts {
     scale_pct: f64,
     chaos_seed: u64,
     kills: u32,
-    ckpt_interval: u64,
     top: usize,
     json_out: Option<String>,
     check_band: Option<(f64, f64)>,
@@ -421,12 +414,6 @@ impl Opts {
             "--check-loss" => self.check_loss = Some(bounds(flag, v, (f64::MIN, f64::MAX))?),
             "--seed" => self.chaos_seed = parsed(flag, v)?,
             "--kills" => self.kills = parsed(flag, v)?,
-            "--interval" => {
-                self.ckpt_interval = parsed(flag, v)?;
-                if self.ckpt_interval == 0 {
-                    return Err("--interval must be >= 1".into());
-                }
-            }
             "--target" => self.target = path(),
             "--scale" => {
                 self.scale_pct = parsed(flag, v)?;
@@ -783,10 +770,10 @@ fn placement(o: &Opts, workers: usize) -> ExecConfig {
 
 /// One phase of a chaos run. `list` drained fault-free is the baseline
 /// (`count`: a task's firings and how many `what` it made); its per-task
-/// firings fix the kill plan of `chaos_schedule`. The phase then runs
-/// checkpointed under that plan and must return the baseline, whole values,
-/// with the recovery accounting the plan allows (`RecoveryReport::check`);
-/// a failure carries the plan, to replay it. Returns the baseline.
+/// firings fix the kill plan of `chaos_schedule`. The phase then runs under
+/// that plan with one retry and must return the baseline, whole values,
+/// each killed task on its second attempt and every other task on its
+/// first; a failure carries the plan, to replay it. Returns the baseline.
 fn chaos_phase<L>(
     o: &Opts,
     list: L,
@@ -807,39 +794,46 @@ where
         "baseline: {} tasks, {firings} firings, {made} {what}",
         seq.len()
     );
-    let plan = tlp_fault::chaos_schedule(o.chaos_seed, o.kills, &task_cycles, o.ckpt_interval);
+    let plan = tlp_fault::chaos_schedule(o.chaos_seed, o.kills, &task_cycles);
     print!("{}", plan.describe());
 
     let cfg = SupervisorConfig::default()
-        .with_retries(o.retries.max(3))
+        .with_retries(1)
         .with_backoff(Duration::from_millis(1));
     let how = PhaseRun {
         cfg,
         plan: plan.clone(),
-        checkpoint: Some(CheckpointConfig::every(o.ckpt_interval)),
         ..PhaseRun::new(placement(o, o.workers.unwrap_or(3).max(1)))
     };
-    let (slots, report, measured) = spam_psm::run_phase(&how, &list)
+    let (slots, report, _) = spam_psm::run_phase(&how, &list)
         .map_err(|e| format!("chaos run failed to complete: {e}\n{}", plan.describe()))?;
-    let recovery = measured.recovery;
-    println!("recovery: {}", recovery.summary());
+    let killed = |t: usize| plan.cycle_kill(t, 0).is_some();
+    let victims = (0..seq.len()).filter(|&t| killed(t)).count();
+    println!(
+        "attempts: {victims} killed task(s) ran 2, {} other task(s) ran 1",
+        seq.len() - victims
+    );
 
     let mut failures: Vec<String> = Vec::new();
     let dead = report.dead_letters();
     if !dead.is_empty() {
         failures.push(format!("{} task(s) dead-lettered: {dead:?}", dead.len()));
     }
+    for o in &report.outcomes {
+        let want = if killed(o.task) { 2 } else { 1 };
+        if o.attempts != want {
+            let task = o.task;
+            failures.push(format!(
+                "task {task}: {} attempt(s), not {want}",
+                o.attempts
+            ));
+        }
+    }
     for (i, (got, want)) in slots.iter().zip(&seq).enumerate() {
         if got.as_ref().is_some_and(|got| got != want) {
             failures.push(format!("task {i}: result diverged from the fault-free run"));
         }
     }
-    let scratch_cost = recovery
-        .check(&plan, &task_cycles, o.ckpt_interval)
-        .unwrap_or_else(|f| {
-            failures.extend(f);
-            0
-        });
     if !failures.is_empty() {
         return Err(format!(
             "\nchaos: FAILED — replay with the plan below\n  - {}\n{}",
@@ -847,11 +841,7 @@ where
             plan.describe().trim_end()
         ));
     }
-    println!(
-        "check   : results identical to the fault-free run; {} cycles replayed vs {} \
-         from-scratch ({} saved) — ok",
-        recovery.cycles_replayed, scratch_cost, recovery.cycles_saved
-    );
+    println!("check   : results identical to the fault-free run — ok");
     Ok(seq)
 }
 
@@ -860,11 +850,10 @@ where
 /// batches, LCC at `--level`, FA, MODEL — each fed the fault-free results.
 fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), String> {
     println!(
-        "spamctl chaos: {}, seed {}, {} kill(s), checkpoint every {} cycles, {} worker(s)",
+        "spamctl chaos: {}, seed {}, {} kill(s), {} worker(s)",
         input_line(o, scene),
         o.chaos_seed,
         o.kills,
-        o.ckpt_interval,
         o.workers.unwrap_or(3).max(1),
     );
     println!("phase RTF:");
@@ -1184,7 +1173,6 @@ fn run_pipeline(
                 slo: slo.clone(),
                 span: scene_span.as_ref(),
             },
-            checkpoint: None,
         };
         let (lcc, m) = spam_psm::run_parallel_lcc(sp, scene, &fragments, o.level, &how)
             .map_err(|e| format!("LCC supervision error: {e}"))?;

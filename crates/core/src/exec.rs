@@ -8,7 +8,7 @@
 //! closure for any SPAM phase; everything above that (`spamctl`, the
 //! benches) describes *how* a phase is to be run with one [`PhaseRun`]
 //! value — where tasks are placed, the supervision policy, the fault plan,
-//! checkpointing, the observers.
+//! the observers.
 //!
 //! # Task processes are resident
 //!
@@ -108,7 +108,6 @@
 //! own start and finish instants, so the four accounts of a run's busy
 //! time agree (`tests/cross_source_agreement.rs` holds them within 1 %).
 
-use crate::recover::{CheckpointConfig, RecoveryReport};
 use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
 use std::any::Any;
@@ -245,13 +244,11 @@ pub struct PhaseRun<'a> {
     pub plan: FaultPlan,
     /// What watches the phase.
     pub obs: Observer<'a>,
-    /// Checkpoints, from which a retried task resumes ([`crate::recover`]).
-    pub checkpoint: Option<CheckpointConfig>,
 }
 
 impl PhaseRun<'static> {
     /// `exec`'s placement under the default policy (no deadline, no
-    /// retries), no injected faults or checkpoints, nothing observing. A
+    /// retries), no injected faults, nothing observing. A
     /// panicking task is still isolated and reported, not fatal.
     pub fn new(exec: ExecConfig) -> PhaseRun<'static> {
         PhaseRun {
@@ -259,7 +256,6 @@ impl PhaseRun<'static> {
             cfg: SupervisorConfig::default(),
             plan: FaultPlan::none(),
             obs: Observer::off(),
-            checkpoint: None,
         }
     }
 }
@@ -337,8 +333,6 @@ pub struct ExecReport {
     pub attempts: Vec<ExecAttempt>,
     /// Tasks that dead-lettered (never completed).
     pub lost_tasks: u32,
-    /// What a checkpointed phase recovered; empty when nothing was.
-    pub recovery: RecoveryReport,
 }
 
 impl ExecReport {
@@ -882,7 +876,7 @@ where
             };
             for i in job.tasks {
                 // Derive this attempt's span id up front: the sink handed
-                // to the task parents engine/recovery spans under it, and
+                // to the task parents engine spans under it, and
                 // the span itself is recorded below once the outcome is
                 // known.
                 let attempt_span = scene.map(|sc| {
@@ -1083,14 +1077,14 @@ impl<F: Fn(usize) -> String> TaskLabels for (usize, F) {
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index (the [`TaskAttempt`] carries the
-/// attempt number, which is what a checkpointed phase needs to decide
-/// whether to restore from a checkpoint), on whichever worker's `S`. The
-/// SPAM phase runners satisfy this by running every attempt on an engine
-/// in its just-built state — new, or reset and taken *out of* `S` while
-/// the attempt runs, so an attempt that unwinds drops it and leaves `S`
-/// empty (DESIGN.md §21) — over shared immutable inputs. That is also what
-/// makes `AssertUnwindSafe` sound here: a half-updated state cannot leak
-/// across attempts.
+/// attempt number, which is what a fault plan keys a kill on), on whichever
+/// worker's `S`. The SPAM phase runners satisfy this by running every
+/// attempt on an engine in its just-built state — new, or reset and taken
+/// *out of* `S` while the attempt runs, so an attempt that unwinds (a task
+/// killed mid-run among them) drops it and leaves `S` empty (DESIGN.md §21)
+/// — over shared immutable inputs. That is also what makes
+/// `AssertUnwindSafe` sound here: a half-updated state cannot leak across
+/// attempts.
 ///
 /// Results are deterministic — identical to the sequential run regardless
 /// of placement, worker count, steal order or scheduling noise — because
@@ -1428,7 +1422,6 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         wall_s: phase_start.elapsed().as_secs_f64(),
         lost_tasks: outcomes.iter().filter(|o| !o.status.succeeded()).count() as u32,
         attempts: attempts_log,
-        recovery: RecoveryReport::default(),
     };
     if ctl.enabled(ObsLevel::Summary) {
         let dead = report.lost_tasks;

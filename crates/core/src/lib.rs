@@ -48,9 +48,6 @@
 //!   summary);
 //! * [`baseline`] — the §6 unoptimised-baseline comparison (the 10–20×
 //!   Lisp→C/ParaOPS5 port factor), via the engine's naive-match backend;
-//! * [`recover`] — crash-consistent checkpoints and deterministic replay
-//!   recovery for a phase run with checkpoints: a retried task resumes from
-//!   its last engine snapshot plus WAL replay instead of starting over;
 //! * [`taxonomy`] — Table 4 as data.
 
 #![deny(missing_docs)]
@@ -61,7 +58,6 @@ pub mod baseline;
 pub mod combined;
 pub mod exec;
 pub mod measure;
-pub mod recover;
 pub mod supervise;
 pub mod taxonomy;
 pub mod tlp;
@@ -80,7 +76,6 @@ pub use exec::{
     WorkerStats,
 };
 pub use measure::{level_rows, profiled_lcc, table8_row, LevelRowMeasured, Table8Row};
-pub use recover::{CheckpointConfig, RecoveryInfo, RecoveryReport};
 pub use supervise::TaskAttempt;
 pub use tlp::{
     attributed_tlp_curve, run_parallel_lcc, run_parallel_lcc_exec, run_parallel_lcc_scene,

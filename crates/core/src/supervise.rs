@@ -45,8 +45,7 @@ pub(crate) fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> Strin
 /// the structural coordinates the supervisor knows — which task, which
 /// attempt — plus, when a scene trace is active, a [`SpanSink`] whose
 /// children parent under this attempt's `task.exec` span. The attempt
-/// number lets recovery paths distinguish a fresh run from a re-run
-/// without keeping their own counters.
+/// number lets a fault plan fate one attempt of a task and not its retry.
 pub struct TaskAttempt {
     /// Task index within the phase.
     pub task: usize,

@@ -4,8 +4,9 @@
 //!   control process (the calling thread) queues a [`TaskList`]'s tasks;
 //!   `n` resident task processes, each keeping a [`TaskProcess`] for the
 //!   phase, pull chunks of them and fire asynchronously. A [`PhaseRun`]
-//!   says where tasks go, under which policy and checkpoints, and who
-//!   watches. [`run_parallel_lcc`] / [`run_parallel_rtf`] are plan →
+//!   says where tasks go, under which policy and fault plan, and who
+//!   watches. A task killed mid-run is a panic like any other: the
+//!   supervisor retries it from scratch. [`run_parallel_lcc`] / [`run_parallel_rtf`] are plan →
 //!   [`run_phase`] → merge. The results are exactly the sequential ones
 //!   ([`spam::task::drain`]) on either placement, at any worker count.
 //! * [`simulated_tlp_curve`] — replays a measured trace on the simulated
@@ -16,7 +17,6 @@ use crate::attribution::GapAttribution;
 use crate::exec::{
     execute, ExecConfig, ExecReport, Observer, PhaseOutcome, PhaseRun, ESTIMATE_UNITS_PER_WME,
 };
-use crate::recover::{Recovery, RecoveryInfo};
 use crate::trace::PhaseTrace;
 use multimax_sim::{simulate, Schedule, SimConfig};
 use spam::fragments::FragmentHypothesis;
@@ -27,22 +27,17 @@ use spam::scene::Scene;
 use spam::task::{TaskList, TaskProcess};
 use spam::watch::Watch;
 use std::sync::Arc;
-use std::time::Instant;
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
 use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
 
 /// Runs `list` as `how` says, tasks weighed for chunking by their
-/// [estimates](TaskList::estimate). Without a checkpoint an attempt is
-/// `tp.run(&task, watch)`, the [`Watch`] mirroring its engine live and
-/// grouping its cycles under the attempt's span. With one, it runs the
-/// checkpoint protocol ([`crate::recover`]) against one store for the phase
-/// and mirrors nothing live (a restored engine's counters are not new
-/// work); a completion that recovered a crashed task publishes
-/// `spam_live_recoveries` and `spam_live_recovery_latency_seconds` and
-/// lands in [`ExecReport::recovery`]. A task whose list [observes](TaskList::observed)
-/// its work has its simulated latency (at the paper's 1.5 MIPS) judged
-/// against the scene's objective and, with its match fraction, recorded in
-/// the scene trace's service table for `spamctl trace`.
+/// [estimates](TaskList::estimate). An attempt is `tp.run(&task, watch)`,
+/// the [`Watch`] mirroring its engine live, grouping its cycles under the
+/// attempt's span, and delivering the fault plan's mid-cycle kill of that
+/// attempt, if any. A task whose list [observes](TaskList::observed) its
+/// work has its simulated latency (at the paper's 1.5 MIPS) judged against
+/// the scene's objective and, with its match fraction, recorded in the
+/// scene trace's service table for `spamctl trace`.
 pub fn run_phase<L>(
     how: &PhaseRun<'_>,
     list: &Arc<L>,
@@ -65,46 +60,18 @@ where
             span.record_service(i as u32, sim_s, work.match_fraction());
         }
     };
-    let tasks = Arc::clone(list);
-    let Some(ckpt) = how.checkpoint else {
-        let live = Arc::clone(&obs.live);
-        return execute(
-            how,
-            (list.len(), |i| list.label(i)),
-            &estimates,
-            observe,
-            move |tp: &mut TaskProcess, a| {
-                let watch = Watch::new(Some(&live), a.trace);
-                tp.run(&tasks.task(a.task), watch).0
-            },
-        );
-    };
-    let (cx, lh) = (Recovery::new(ckpt, how), obs.live.handle());
-    let (slots, report, mut measured) = execute(
+    let (tasks, live, plan) = (Arc::clone(list), Arc::clone(&obs.live), how.plan.clone());
+    execute(
         how,
         (list.len(), |i| list.label(i)),
         &estimates,
-        |i, (r, info, attempt_s): &(L::Output, RecoveryInfo, f64)| {
-            if info.attempt > 0 {
-                lh.inc("spam_live_recoveries", 1);
-                lh.observe("spam_live_recovery_latency_seconds", *attempt_s);
-            }
-            observe(i, r);
-        },
+        observe,
         move |tp: &mut TaskProcess, a| {
-            let t0 = Instant::now();
-            let (r, info) = cx.run(tp, &tasks.task(a.task), a);
-            (r, info, t0.elapsed().as_secs_f64())
+            let kill_at = plan.cycle_kill(a.task, a.attempt);
+            let watch = Watch::new(Some(&live), a.trace).with_kill_at(kill_at);
+            tp.run(&tasks.task(a.task), watch).0
         },
-    )?;
-    let slots = slots.into_iter().map(|slot| {
-        let (r, info, _) = slot?;
-        if info.attempt > 0 {
-            measured.recovery.add(info);
-        }
-        Some(r)
-    });
-    Ok((slots.collect(), report, measured))
+    )
 }
 
 /// Result of a supervised parallel RTF phase: the merged fragments plus the
@@ -191,7 +158,6 @@ pub fn run_parallel_lcc_exec(
         cfg: cfg.clone(),
         plan: plan.clone(),
         obs,
-        checkpoint: None,
     };
     run_parallel_lcc(sp, scene, fragments, level, &how)
 }
@@ -284,7 +250,6 @@ pub fn asynchronous_makespan(trace: &PhaseTrace, n: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::exec::placements;
-    use crate::recover::{CheckpointConfig, RecoveryReport};
     use crate::trace::lcc_trace;
     use spam::fa::{run_fa, FaTask};
     use spam::lcc::{run_lcc, ConsistentRec};
@@ -376,10 +341,10 @@ mod tests {
         );
     }
 
-    /// `list` on either placement at 1 and 3 workers, with and without
-    /// checkpoints, fault-free: every slot is the sequential drain's result
-    /// whole (`==`, cycle log included), the report is clean, nothing was
-    /// recovered, and every task ran once. Returns the drain's results.
+    /// `list` on either placement at 1 and 3 workers, fault-free: every slot
+    /// is the sequential drain's result whole (`==`, cycle log included),
+    /// the report is clean, and every task ran once. Returns the drain's
+    /// results.
     fn equals_its_drain<L>(name: &str, list: L) -> Vec<L::Output>
     where
         L: TaskList + Send + Sync + 'static,
@@ -391,20 +356,13 @@ mod tests {
             .collect();
         for n in [1, 3] {
             for (place, exec) in placements(n) {
-                for checkpoint in [None, Some(CheckpointConfig::every(4))] {
-                    let at = format!("{name}, {place}, workers={n}, {checkpoint:?}");
-                    let how = PhaseRun {
-                        checkpoint,
-                        ..PhaseRun::new(exec)
-                    };
-                    let (slots, report, measured) = run_phase(&how, &list).unwrap();
-                    assert!(report.is_clean(), "{at}");
-                    assert_eq!(measured.recovery, RecoveryReport::default(), "{at}");
-                    assert_eq!(measured.attempts.len(), seq.len(), "{at}");
-                    assert_eq!(slots.len(), seq.len(), "{at}");
-                    for (i, (got, want)) in slots.iter().zip(&seq).enumerate() {
-                        assert_eq!(got.as_ref(), Some(want), "{at}: task {i}");
-                    }
+                let at = format!("{name}, {place}, workers={n}");
+                let (slots, report, measured) = run_phase(&PhaseRun::new(exec), &list).unwrap();
+                assert!(report.is_clean(), "{at}");
+                assert_eq!(measured.attempts.len(), seq.len(), "{at}");
+                assert_eq!(slots.len(), seq.len(), "{at}");
+                for (i, (got, want)) in slots.iter().zip(&seq).enumerate() {
+                    assert_eq!(got.as_ref(), Some(want), "{at}: task {i}");
                 }
             }
         }
@@ -513,9 +471,10 @@ mod tests {
         }
     }
 
-    /// Acceptance scenario: the same single-task fault with one retry
-    /// allowed recovers completely — the phase equals the sequential run —
-    /// and is deterministic under the fixed plan.
+    /// Acceptance scenario: the same single-task fault, and another task
+    /// killed mid-run, with one retry allowed recover completely — the
+    /// phase equals the sequential run — and are deterministic under the
+    /// fixed plan.
     #[test]
     fn retry_recovers_injected_fault_deterministically() {
         let (sp, scene, frags) = setup();
@@ -525,7 +484,9 @@ mod tests {
                 cfg: SupervisorConfig::default()
                     .with_retries(1)
                     .with_backoff(std::time::Duration::from_millis(1)),
-                plan: FaultPlan::seeded(42).with_task_panic(1, 1),
+                plan: FaultPlan::seeded(42)
+                    .with_task_panic(1, 1)
+                    .with_cycle_kill(2, 0, 2),
                 ..PhaseRun::new(exec)
             };
             let run = || {
@@ -541,12 +502,12 @@ mod tests {
                 "{name}"
             );
             assert_eq!(a.report.dead_letters().len(), 0, "{name}");
-            assert_eq!(a.report.total_retries(), 1, "{name}");
-            assert_eq!(
-                a.report.outcomes[1].status,
-                tlp_fault::TaskStatus::Retried(1),
-                "{name}"
-            );
+            assert_eq!(a.units, seq.units, "{name}: cycle logs included");
+            assert_eq!(a.report.total_retries(), 2, "{name}");
+            for t in [1, 2] {
+                let status = &a.report.outcomes[t].status;
+                assert_eq!(*status, tlp_fault::TaskStatus::Retried(1), "{name}");
+            }
             let b = run();
             let statuses = |r: &LccPhaseResult| {
                 r.report

@@ -136,6 +136,22 @@ fn removed_and_unknown_flags_are_errors() {
     }
 }
 
+/// `chaos` runs every killed task with exactly one retry, so it reads no
+/// `--retries` (a flag of `run` only); `--interval` is no flag at all.
+#[test]
+fn chaos_takes_no_retries_and_no_interval() {
+    for (args, named) in [
+        ("chaos dc --retries 1", "--retries is not a flag of 'chaos'"),
+        ("chaos dc --interval 4", "unknown argument '--interval'"),
+    ] {
+        let out = spamctl(args, &[]);
+        assert!(!out.status.success(), "{args} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args} ran something: {stderr}");
+    }
+}
+
 /// A reader that stops reading (`spamctl … | head -1`) ends the run
 /// quietly: no panic on the write that finds stdout closed.
 #[test]

@@ -21,7 +21,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -77,13 +77,6 @@ pub struct FaultPlan {
     /// which the attempt panics (counted in firings the engine has done;
     /// the kill fires once the count reaches the value).
     cycle_kills: BTreeMap<(usize, u32), u64>,
-    /// `(task, attempt)` pairs that panic *while holding* the
-    /// checkpoint-store lock, at their first checkpoint of that attempt —
-    /// the lock-poisoning fault the recovery path must tolerate.
-    checkpoint_hold_kills: BTreeSet<(usize, u32)>,
-    /// Tasks whose write-ahead log has this many bytes torn off its tail
-    /// before recovery reads it (simulates a crash mid-append).
-    torn_logs: BTreeMap<usize, u32>,
 }
 
 impl FaultPlan {
@@ -117,8 +110,6 @@ impl FaultPlan {
             && self.message_loss_rate == 0.0
             && self.page_storm_rate == 0.0
             && self.cycle_kills.is_empty()
-            && self.checkpoint_hold_kills.is_empty()
-            && self.torn_logs.is_empty()
     }
 
     /// Explicitly panic `task` on its first `attempts` attempts. With
@@ -175,8 +166,8 @@ impl FaultPlan {
 
     /// Kill `task`'s attempt number `attempt` mid-run, once its engine has
     /// completed `cycle` recognize–act cycles. Unlike [`with_task_panic`]
-    /// (which panics *before* any work), a mid-cycle kill leaves behind a
-    /// half-finished engine — exactly what checkpointed recovery exists for.
+    /// (which panics *before* any work), a mid-cycle kill panics with a
+    /// half-finished engine, which the attempt drops; a retry starts over.
     ///
     /// [`with_task_panic`]: FaultPlan::with_task_panic
     pub fn with_cycle_kill(mut self, task: usize, attempt: u32, cycle: u64) -> Self {
@@ -185,37 +176,10 @@ impl FaultPlan {
         self
     }
 
-    /// Kill `task`'s attempt number `attempt` while it holds the shared
-    /// checkpoint-store lock (at its first checkpoint of that attempt),
-    /// poisoning the mutex for every later checkpoint and recovery.
-    pub fn with_checkpoint_hold_kill(mut self, task: usize, attempt: u32) -> Self {
-        self.checkpoint_hold_kills.insert((task, attempt));
-        self
-    }
-
-    /// Tear `bytes` off the tail of `task`'s write-ahead log before
-    /// recovery replays it, simulating a crash mid-append. Recovery must
-    /// truncate the torn record and carry on rather than reject the log.
-    pub fn with_torn_log(mut self, task: usize, bytes: u32) -> Self {
-        assert!(bytes > 0, "tearing zero bytes is not a fault");
-        self.torn_logs.insert(task, bytes);
-        self
-    }
-
     /// The cycle at which `(task, attempt)` is fated to be killed mid-run,
     /// if any.
     pub fn cycle_kill(&self, task: usize, attempt: u32) -> Option<u64> {
         self.cycle_kills.get(&(task, attempt)).copied()
-    }
-
-    /// Is `(task, attempt)` fated to die holding the checkpoint lock?
-    pub fn checkpoint_hold_kill(&self, task: usize, attempt: u32) -> bool {
-        self.checkpoint_hold_kills.contains(&(task, attempt))
-    }
-
-    /// Bytes to tear off the tail of `task`'s write-ahead log, if any.
-    pub fn torn_log(&self, task: usize) -> Option<u32> {
-        self.torn_logs.get(&task).copied()
     }
 
     /// A human-readable dump of every fault this plan schedules, for
@@ -239,15 +203,6 @@ impl FaultPlan {
                 s,
                 "  task {task} attempt {attempt}: killed mid-run at cycle {cycle}"
             );
-        }
-        for &(task, attempt) in &self.checkpoint_hold_kills {
-            let _ = writeln!(
-                s,
-                "  task {task} attempt {attempt}: killed holding the checkpoint lock"
-            );
-        }
-        for (&task, &bytes) in &self.torn_logs {
-            let _ = writeln!(s, "  task {task}: WAL tail torn by {bytes} byte(s)");
         }
         for (&worker, &after) in &self.worker_deaths {
             let _ = writeln!(s, "  worker {worker}: dies after {after} flush(es)");
@@ -339,20 +294,11 @@ impl FaultPlan {
 /// Picks `kills` distinct victim tasks (hash-probed from `seed`) and fates
 /// each one's first attempt to a mid-cycle kill somewhere inside its
 /// fault-free cycle span, so every kill lands on a genuinely half-finished
-/// engine. Two flavour faults ride along, derived from the same seed:
-///
-/// * the first victim's write-ahead log is torn by a few bytes, exercising
-///   torn-tail truncation on recovery;
-/// * with two or more kills, the last victim *also* dies holding the
-///   checkpoint-store lock on its recovery attempt (attempt 1) — provided
-///   its span is long enough (`>= 2 * interval + 2` cycles) for that
-///   attempt to reach a post-restore checkpoint. Surviving this requires
-///   both a poison-tolerant store and a second retry, so drivers should
-///   allow at least two retries.
+/// engine. Only attempt 0 is killed: one retry recovers every victim.
 ///
 /// The schedule is a pure function of its arguments: the same seed against
 /// the same baseline replays the identical fault sequence.
-pub fn chaos_schedule(seed: u64, kills: u32, task_cycles: &[u64], interval: u64) -> FaultPlan {
+pub fn chaos_schedule(seed: u64, kills: u32, task_cycles: &[u64]) -> FaultPlan {
     let mut plan = FaultPlan::seeded(seed);
     let n = task_cycles.len();
     if n == 0 || kills == 0 {
@@ -372,13 +318,6 @@ pub fn chaos_schedule(seed: u64, kills: u32, task_cycles: &[u64], interval: u64)
         let cycle = 1 + mix(seed ^ 0x5EED ^ ((t as u64) << 8)) % span;
         plan = plan.with_cycle_kill(t, 0, cycle);
         victims.push(t);
-    }
-    plan = plan.with_torn_log(victims[0], 3 + (mix(seed ^ 0x7094) % 6) as u32);
-    if kills >= 2 {
-        let t = *victims.last().expect("kills >= 2 implies victims");
-        if interval > 0 && task_cycles[t] >= 2 * interval + 2 {
-            plan = plan.with_checkpoint_hold_kill(t, 1);
-        }
     }
     plan
 }
@@ -730,19 +669,12 @@ mod tests {
     }
 
     #[test]
-    fn chaos_fault_kinds_are_recorded_and_queried() {
-        let plan = FaultPlan::seeded(11)
-            .with_cycle_kill(3, 0, 17)
-            .with_checkpoint_hold_kill(3, 1)
-            .with_torn_log(5, 4);
+    fn cycle_kills_are_recorded_and_queried() {
+        let plan = FaultPlan::seeded(11).with_cycle_kill(3, 0, 17);
         assert!(!plan.is_benign());
         assert_eq!(plan.cycle_kill(3, 0), Some(17));
         assert_eq!(plan.cycle_kill(3, 1), None);
         assert_eq!(plan.cycle_kill(2, 0), None);
-        assert!(plan.checkpoint_hold_kill(3, 1));
-        assert!(!plan.checkpoint_hold_kill(3, 0));
-        assert_eq!(plan.torn_log(5), Some(4));
-        assert_eq!(plan.torn_log(3), None);
     }
 
     #[test]
@@ -750,8 +682,6 @@ mod tests {
         let plan = FaultPlan::seeded(42)
             .with_task_panic(1, 2)
             .with_cycle_kill(3, 0, 17)
-            .with_checkpoint_hold_kill(3, 1)
-            .with_torn_log(3, 5)
             .with_worker_death(0, 2)
             .with_message_loss(0.1);
         let text = plan.describe();
@@ -759,14 +689,6 @@ mod tests {
         assert!(text.contains("task 1: panics on its first 2"), "{text}");
         assert!(
             text.contains("task 3 attempt 0: killed mid-run at cycle 17"),
-            "{text}"
-        );
-        assert!(
-            text.contains("task 3 attempt 1: killed holding the checkpoint lock"),
-            "{text}"
-        );
-        assert!(
-            text.contains("task 3: WAL tail torn by 5 byte(s)"),
             "{text}"
         );
         assert!(text.contains("worker 0: dies after 2"), "{text}");
@@ -780,10 +702,10 @@ mod tests {
     #[test]
     fn chaos_schedule_is_deterministic_and_well_formed() {
         let cycles = [40u64, 25, 60, 10, 35, 50];
-        let a = chaos_schedule(7, 3, &cycles, 8);
-        let b = chaos_schedule(7, 3, &cycles, 8);
+        let a = chaos_schedule(7, 3, &cycles);
+        let b = chaos_schedule(7, 3, &cycles);
         assert_eq!(a, b, "same seed, same schedule");
-        assert_ne!(a, chaos_schedule(8, 3, &cycles, 8), "seed matters");
+        assert_ne!(a, chaos_schedule(8, 3, &cycles), "seed matters");
 
         // Exactly 3 distinct victims, each killed inside its cycle span.
         let victims: Vec<usize> = (0..cycles.len())
@@ -793,38 +715,17 @@ mod tests {
         for &t in &victims {
             let c = a.cycle_kill(t, 0).unwrap();
             assert!(c >= 1 && c <= cycles[t], "kill at {c} outside span");
+            assert_eq!(a.cycle_kill(t, 1), None, "only attempt 0 is killed");
         }
-        // Exactly one torn log, on a victim.
-        let torn: Vec<usize> = (0..cycles.len())
-            .filter(|&t| a.torn_log(t).is_some())
-            .collect();
-        assert_eq!(torn.len(), 1);
-        assert!(victims.contains(&torn[0]));
     }
 
     #[test]
     fn chaos_schedule_caps_kills_and_handles_empty_phases() {
-        assert!(chaos_schedule(1, 3, &[], 8).is_benign());
-        assert!(chaos_schedule(1, 0, &[10, 10], 8).is_benign());
-        let plan = chaos_schedule(1, 99, &[10, 10, 10], 8);
+        assert!(chaos_schedule(1, 3, &[]).is_benign());
+        assert!(chaos_schedule(1, 0, &[10, 10]).is_benign());
+        let plan = chaos_schedule(1, 99, &[10, 10, 10]);
         let victims = (0..3).filter(|&t| plan.cycle_kill(t, 0).is_some()).count();
         assert_eq!(victims, 3, "kills are capped at the task count");
-    }
-
-    #[test]
-    fn chaos_schedule_hold_kill_needs_room_for_a_checkpoint() {
-        // Spans far exceeding 2*interval+2: the last victim gets a
-        // hold-kill on its recovery attempt.
-        let long = [100u64; 4];
-        let plan = chaos_schedule(3, 3, &long, 8);
-        let held = (0..4).filter(|&t| plan.checkpoint_hold_kill(t, 1)).count();
-        assert_eq!(held, 1);
-        // Tiny spans: no attempt can reach a post-restore checkpoint, so
-        // no hold-kill is scheduled.
-        let short = [3u64; 4];
-        let plan = chaos_schedule(3, 3, &short, 8);
-        let held = (0..4).filter(|&t| plan.checkpoint_hold_kill(t, 1)).count();
-        assert_eq!(held, 0);
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub enum Category {
     /// Shared-virtual-memory traffic: page faults, page transfers,
     /// invalidations, cross-machine task migration.
     Svm,
-    /// Crash recovery: checkpoint saves, snapshot restores, WAL replay.
-    Recovery,
 }
 
 impl Category {
@@ -41,7 +39,6 @@ impl Category {
             Category::Sim => "sim",
             Category::Queue => "queue",
             Category::Svm => "svm",
-            Category::Recovery => "recovery",
         }
     }
 }

@@ -58,8 +58,6 @@ fn family_help(family: &str) -> Option<&'static str> {
         "spam_live_wm_size" => "Working-memory elements resident.",
         "spam_live_worker_busy_us" => "Wall microseconds each worker spent executing tasks.",
         "spam_live_worker_tasks" => "Tasks completed per worker.",
-        "spam_live_recoveries" => "Recovery-ladder restorations performed.",
-        "spam_live_recovery_latency_seconds" => "Wall seconds spent restoring crashed tasks.",
         "spam_live_task_latency_seconds" => "Per-task simulated service time.",
         "spam_slo_breaches" => "Tasks that missed the latency objective.",
         "spam_slo_burn_rate_fast" => "Error-budget burn rate over the fast window.",

@@ -10,7 +10,7 @@
 //! the run seed + scene label, so reruns are benchdiff-comparable) and a
 //! root span. A [`TraceContext`] — trace id plus parent span id — is
 //! explicitly propagated through the supervisor → task spawn → retry →
-//! dead-letter → recovery path and into per-cycle engine emissions, so a
+//! dead-letter path and into per-cycle engine emissions, so a
 //! well-formed span tree exists per scene even when tasks hop workers or
 //! die mid-cycle.
 //!
@@ -78,7 +78,7 @@ pub struct SpanId(pub u64);
 
 impl SpanId {
     /// Derives a span id from its structural position: `name` is the span
-    /// kind ("task.exec", "recover.restore", …), `a`/`b` are coordinates
+    /// kind ("task.exec", "supervisor.retry", …), `a`/`b` are coordinates
     /// such as (task, attempt).
     pub fn derive(trace: TraceId, name: &str, a: u64, b: u64) -> SpanId {
         let h = mix_str(splitmix64(trace.0), name);
@@ -107,8 +107,8 @@ pub struct TraceContext {
     pub parent: SpanId,
 }
 
-/// Structural role of a span. Aux spans (engine emissions, recovery
-/// restores, supervisor markers) are leaves and are the only spans the
+/// Structural role of a span. Aux spans (engine emissions, supervisor
+/// markers) are leaves and are the only spans the
 /// per-trace span cap evicts, which keeps capped trees connected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpanKind {
@@ -116,8 +116,7 @@ pub enum SpanKind {
     Root,
     /// One task attempt (`task.exec`).
     Task,
-    /// Leaf detail: engine cycles, recovery restores, retry/dead-letter
-    /// markers.
+    /// Leaf detail: engine cycles, retry/dead-letter markers.
     Aux,
 }
 
@@ -717,7 +716,7 @@ impl SceneSpan {
     }
 
     /// A sink whose children parent under `parent` (e.g. a task-attempt
-    /// span id), for handing into the engine or the recovery path.
+    /// span id), for handing to whoever watches the task's engine.
     pub fn sink_under(&self, parent: SpanId) -> SpanSink {
         SpanSink {
             tracing: Arc::clone(&self.tracing),
@@ -747,8 +746,7 @@ impl SceneSpan {
     }
 }
 
-/// A single-owner sink for aux spans under one parent (an engine run, a
-/// recovery path). Ids are derived from an internal sequence number, so
+/// A single-owner sink for aux spans under one parent (an engine run). Ids are derived from an internal sequence number, so
 /// they are deterministic given a deterministic emission cadence. Not
 /// `Clone` on purpose: two clones would mint colliding ids.
 pub struct SpanSink {
@@ -873,7 +871,7 @@ mod tests {
         assert_eq!(a, SpanId::derive(t, "task.exec", 0, 0));
         assert_ne!(a, SpanId::derive(t, "task.exec", 0, 1));
         assert_ne!(a, SpanId::derive(t, "task.exec", 1, 0));
-        assert_ne!(a, SpanId::derive(t, "recover.restore", 0, 0));
+        assert_ne!(a, SpanId::derive(t, "supervisor.retry", 0, 0));
     }
 
     fn task_span(scene: &SceneSpan, task: u64, attempt: u64, err: Option<&str>) -> SpanRecord {

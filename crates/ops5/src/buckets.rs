@@ -161,9 +161,11 @@ impl<K: Hash + Eq + Copy, T: Copy + PartialEq> Buckets<K, T> {
             .push(item);
     }
 
-    /// Removes the first `item` under `key`, keeping the others in order
-    /// (scans over what is left must cost what they would after a snapshot
-    /// restore re-inserted the survivors in arrival order).
+    /// Removes the first `item` under `key`, keeping the others in arrival
+    /// order: `truncate_into` rolls back to a mark by popping
+    /// what came later off the end, and scans over what is left visit it in
+    /// the order the match counts pinned in `spam/tests/work_pins.rs` were
+    /// taken in.
     pub(crate) fn remove_item(&mut self, key: K, item: T, pool: &mut Pool<T>) {
         let Some(list) = self.map.get_mut(&key) else {
             return;

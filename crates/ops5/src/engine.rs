@@ -5,7 +5,7 @@
 //! conflict set is fed once, from one [`Matcher::drain_events`], when the
 //! RHS has run — so an instantiation that a `modify`'s remove satisfies and
 //! its add blocks again is never built or ranked. WM changes made from
-//! outside a firing (task set-up, WAL replay) each feed before they return:
+//! outside a firing (task set-up) each feed before they return:
 //! between calls the conflict set is always that of the current WM.
 //!
 //! The engine only counts. A run leaves plain numbers behind — the merged
@@ -134,14 +134,10 @@ pub struct Engine {
     externals: HashMap<Symbol, ExternalFn>,
     /// Named counters behind stateful external functions (id allocators),
     /// registered via [`Engine::external_counter`]. They are engine state in
-    /// disguise — snapshots carry their values so a restored run allocates
-    /// the same ids the uninterrupted run would have. Each keeps its `init`
-    /// so [`Engine::reset`] can rewind it.
+    /// disguise — the ids they hand out land in working memory — so each
+    /// keeps its `init` for [`Engine::reset`] to rewind it to, and
+    /// [`Engine::image`] carries their values.
     ext_counters: Vec<(String, i64, Arc<AtomicI64>)>,
-    /// Counter values stashed by [`Engine::restore`]; consumed when the
-    /// external environment re-registers its counters (restore necessarily
-    /// runs before the caller can re-attach external functions).
-    restored_counters: HashMap<String, i64>,
     halted: bool,
     /// Accumulated `write` output.
     pub output: String,
@@ -259,7 +255,6 @@ impl Engine {
             base_work: WorkCounters::default(),
             externals: HashMap::new(),
             ext_counters: Vec::new(),
-            restored_counters: HashMap::new(),
             halted: false,
             output: String::new(),
             cycle_log: None,
@@ -300,19 +295,16 @@ impl Engine {
     /// Returns a named shared counter for stateful external functions (id
     /// allocators), creating it at `init` on first registration.
     ///
-    /// Idempotent by name: re-registering returns the existing counter.
-    /// Counter values travel in snapshots, so on an engine built by
-    /// [`Engine::restore`] the first registration of a name the snapshot
-    /// knew resumes from the snapshotted value, not `init` — without this,
-    /// a recovered run would re-allocate ids from the base and its
-    /// intermediate working memory (and match work) would diverge from the
-    /// uninterrupted run's.
+    /// Idempotent by name: re-registering returns the existing counter. The
+    /// engine owns it because [`Engine::reset`] must rewind it: a kept
+    /// engine that serves another task must allocate the ids a new engine
+    /// would, or the task's working memory (and match work) would differ
+    /// from a fresh run's.
     pub fn external_counter(&mut self, name: &str, init: i64) -> Arc<AtomicI64> {
         if let Some((_, _, c)) = self.ext_counters.iter().find(|(n, _, _)| n == name) {
             return Arc::clone(c);
         }
-        let start = self.restored_counters.remove(name).unwrap_or(init);
-        let c = Arc::new(AtomicI64::new(start));
+        let c = Arc::new(AtomicI64::new(init));
         self.ext_counters
             .push((name.to_string(), init, Arc::clone(&c)));
         c
@@ -345,7 +337,6 @@ impl Engine {
         for (_, init, c) in &self.ext_counters {
             c.store(*init, Ordering::Relaxed);
         }
-        self.restored_counters.clear();
         self.halted = false;
         self.output.clear();
         self.cycle_log = None;
@@ -876,25 +867,21 @@ impl Engine {
         }
     }
 
-    /// Serializes the complete engine state — working memory (exact slot
-    /// layout, time tags), conflict-set entry keys, recency/gensym counters,
-    /// work counters, halt flag, and accumulated output — into the
-    /// versioned, checksummed [`crate::snapshot`] format.
-    ///
-    /// Restoring via [`Engine::restore`] with the same program yields an
-    /// engine whose re-snapshot is byte-identical and whose continuation
-    /// (firing sequence, work counters, output) matches a run that never
-    /// stopped. The snapshot does *not* carry registered external functions
-    /// or the profile / cycle-log attachments; callers re-enable those
-    /// after restore.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let conflict = self
-            .conflict
-            .iter()
+    /// The complete engine state, canonically ordered: working memory (exact
+    /// slot layout, time tags), conflict-set entry keys, recency/gensym
+    /// counters, work counters, named external counters, halt flag, and
+    /// accumulated output. The property tests compare engines by it,
+    /// through [`Engine::snapshot`].
+    pub fn image(&self) -> crate::snapshot::EngineImage {
+        let mut conflict: Vec<_> = (self.conflict.iter())
             .map(|i| (i.production, Box::from(&*i.wmes)))
             .collect();
+        conflict.sort();
+        let mut counters: Vec<_> = (self.ext_counters.iter())
+            .map(|(n, _, c)| (n.clone(), c.load(Ordering::Relaxed)))
+            .collect();
+        counters.sort();
         crate::snapshot::EngineImage {
-            fingerprint: crate::snapshot::program_fingerprint(&self.program),
             strategy: self.strategy,
             halted: self.halted,
             time: self.time,
@@ -904,100 +891,14 @@ impl Engine {
             match_work: self.matcher.work(),
             slots: self.wm.raw_slots().to_vec(),
             conflict,
-            // Live counters, plus any restored values whose counter has not
-            // been re-registered yet — dropping those would make a
-            // restore-then-resnapshot lose state.
-            counters: self
-                .ext_counters
-                .iter()
-                .map(|(n, _, c)| (n.clone(), c.load(Ordering::Relaxed)))
-                .chain(self.restored_counters.iter().map(|(n, v)| (n.clone(), *v)))
-                .collect(),
+            counters,
         }
-        .encode()
     }
 
-    /// Rebuilds an engine from [`Engine::snapshot`] bytes, building the
-    /// network of `compiled` under `config` for it; a caller that has the
-    /// network uses [`Engine::restore_with_network`].
-    pub fn restore(
-        program: Arc<Program>,
-        compiled: Arc<Vec<CompiledProduction>>,
-        config: ReteConfig,
-        bytes: &[u8],
-    ) -> Result<Engine> {
-        let network = Arc::new(Network::build(&compiled, &program, config));
-        Self::restore_with_network(program, compiled, network, bytes)
-    }
-
-    /// Rebuilds an engine from [`Engine::snapshot`] bytes on `network`.
-    ///
-    /// The Rete's memories are not serialized; they are re-derived by
-    /// feeding the restored WMEs through new ones. That rebuild resurrects
-    /// instantiations that had already fired (OPS5 refraction removes them
-    /// from the conflict set on selection), so the rebuilt conflict set is
-    /// pruned down to the snapshot's recorded key set. Match work done by
-    /// the rebuild is then reset to the recorded counters, making the
-    /// restored engine's [`Engine::work`] — and its re-snapshot bytes —
-    /// identical to the uninterrupted run's.
-    ///
-    /// Fails on checksum/format damage, on a program whose
-    /// [`crate::snapshot::program_fingerprint`] differs from the embedded
-    /// one, and on a snapshot whose conflict keys the rebuild cannot
-    /// reproduce (which indicates corruption that the checksum cannot see,
-    /// e.g. a program recompiled with different semantics but equal shape).
-    pub fn restore_with_network(
-        program: Arc<Program>,
-        compiled: Arc<Vec<CompiledProduction>>,
-        network: Arc<Network>,
-        bytes: &[u8],
-    ) -> Result<Engine> {
-        use std::collections::HashSet;
-        let img = crate::snapshot::EngineImage::decode(bytes)?;
-        let expected = crate::snapshot::program_fingerprint(&program);
-        if img.fingerprint != expected {
-            return Err(crate::snapshot::SnapshotError::ProgramMismatch {
-                expected,
-                found: img.fingerprint,
-            }
-            .into());
-        }
-        let mut e = Engine::with_network(program, compiled, network);
-        e.strategy = img.strategy;
-        e.wm = WmStore::from_slots(img.slots);
-        let ids: Vec<WmeId> = e.wm.iter().map(|(id, _)| id).collect();
-        for id in ids {
-            e.matcher.add_wme(id, &e.wm);
-        }
-        e.sync_conflict();
-        // Refraction pruning: drop rebuilt entries the snapshot no longer
-        // held (they fired before the snapshot was taken).
-        let keep: HashSet<(u32, &[WmeId])> =
-            img.conflict.iter().map(|(p, w)| (*p, &w[..])).collect();
-        let fired: Vec<(u32, Arc<[WmeId]>)> = e
-            .conflict
-            .iter()
-            .filter(|i| !keep.contains(&(i.production, &i.wmes[..])))
-            .map(|i| (i.production, Arc::clone(&i.wmes)))
-            .collect();
-        for (production, wmes) in fired {
-            e.conflict.remove(production, &wmes);
-        }
-        if e.conflict.len() != keep.len() {
-            return Err(crate::snapshot::SnapshotError::Corrupt(
-                "recorded conflict entries missing after Rete rebuild".into(),
-            )
-            .into());
-        }
-        e.time = img.time;
-        e.gensym = img.gensym;
-        e.halted = img.halted;
-        e.output = img.output;
-        e.base_work = img.base_work;
-        e.restored_counters = img.counters.into_iter().collect();
-        e.matcher.set_work(img.match_work);
-        e.matcher.take_chunks();
-        Ok(e)
+    /// [`Engine::image`] as bytes: the canonical encoding tests compare
+    /// engines by. Equal bytes, equal state.
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.image().encode()
     }
 
     fn call_external(&mut self, name: Symbol, args: &[Value]) -> Result<Value> {
@@ -1349,189 +1250,6 @@ mod tests {
         assert!(hot_alpha.iter().any(|(_, a)| a.label.starts_with('a')
             || a.label.starts_with('b')
             || a.label.starts_with("done")));
-    }
-
-    #[test]
-    fn snapshot_restore_mid_run_continues_identically() {
-        let src = "(literalize count n)
-             (literalize log n)
-             (p up (count ^n { <n> <= 6 })
-                -->
-                (modify 1 ^n (compute <n> + 1))
-                (make log ^n <n>)
-                (write |tick| <n> (crlf)))";
-        // Reference: never interrupted.
-        let mut a = engine(src);
-        a.make_wme("count", &[("n", 0.into())]).unwrap();
-        let out_a = a.run(100);
-        assert!(out_a.quiescent());
-
-        // Interrupted: 3 cycles, snapshot, restore, continue.
-        let mut b = engine(src);
-        b.make_wme("count", &[("n", 0.into())]).unwrap();
-        for _ in 0..3 {
-            b.step().unwrap().expect("mid-run cycle fires");
-        }
-        let snap = b.snapshot();
-        let mut c = Engine::restore(
-            Arc::clone(b.program()),
-            b.compiled(),
-            ReteConfig::default(),
-            &snap,
-        )
-        .unwrap();
-        // Byte-identical under re-snapshot.
-        assert_eq!(c.snapshot(), snap);
-        let out_c = c.run(100);
-        assert_eq!(out_a.firings, 3 + out_c.firings);
-        assert_eq!(a.work(), c.work(), "work counters continue identically");
-        assert_eq!(a.output, c.output, "output continues identically");
-        let wm = |e: &Engine| -> Vec<(WmeId, Wme)> {
-            e.wm().iter().map(|(id, w)| (id, w.clone())).collect()
-        };
-        assert_eq!(wm(&a), wm(&c), "final WM identical, time tags included");
-    }
-
-    #[test]
-    fn external_counters_survive_snapshot_restore() {
-        let src = "(literalize item id)
-             (literalize seed n)
-             (p alloc (seed ^n { <n> > 0 })
-                -->
-                (modify 1 ^n (compute <n> - 1))
-                (make item ^id (call next-id)))";
-        let register = |e: &mut Engine| {
-            let c = e.external_counter("next-id", 100);
-            e.register_external(
-                "next-id",
-                Arc::new(move |_, _: &mut crate::engine::Effects| {
-                    Some(Value::Int(
-                        c.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                    ))
-                }),
-            );
-        };
-        // Reference: never interrupted.
-        let mut a = engine(src);
-        register(&mut a);
-        a.make_wme("seed", &[("n", 5.into())]).unwrap();
-        assert!(a.run(100).quiescent());
-
-        // Interrupted after two allocations.
-        let mut b = engine(src);
-        register(&mut b);
-        b.make_wme("seed", &[("n", 5.into())]).unwrap();
-        for _ in 0..2 {
-            b.step().unwrap().unwrap();
-        }
-        let snap = b.snapshot();
-        let mut c = Engine::restore(
-            Arc::clone(b.program()),
-            b.compiled(),
-            ReteConfig::default(),
-            &snap,
-        )
-        .unwrap();
-        // Stashed counters keep re-snapshot byte-identical even before the
-        // external environment re-registers.
-        assert_eq!(c.snapshot(), snap);
-        register(&mut c);
-        assert_eq!(c.snapshot(), snap, "registration consumes the stash");
-        assert!(c.run(100).quiescent());
-        let ids = |e: &Engine| -> Vec<Value> {
-            e.wm()
-                .iter()
-                .filter(|(_, w)| w.class == sym("item"))
-                .map(|(_, w)| w.get(0))
-                .collect()
-        };
-        assert_eq!(
-            ids(&a),
-            vec![
-                Value::Int(100),
-                Value::Int(101),
-                Value::Int(102),
-                Value::Int(103),
-                Value::Int(104)
-            ]
-        );
-        assert_eq!(ids(&a), ids(&c), "restored run allocates the same ids");
-        assert_eq!(a.work(), c.work());
-        // Re-registering by name returns the same counter, not a reset one.
-        let again = c.external_counter("next-id", 100);
-        assert_eq!(again.load(std::sync::atomic::Ordering::Relaxed), 105);
-    }
-
-    #[test]
-    fn restore_preserves_refraction() {
-        // `note` has fired; a naive Rete rebuild would resurrect its
-        // instantiation and fire it again. Restore must prune it.
-        let mut e = engine(
-            "(literalize a x)
-             (literalize log n)
-             (p note (a ^x <x>) --> (make log ^n <x>))",
-        );
-        e.make_wme("a", &[("x", 1.into())]).unwrap();
-        assert_eq!(e.run(100).firings, 1);
-        let snap = e.snapshot();
-        let mut r = Engine::restore(
-            Arc::clone(e.program()),
-            e.compiled(),
-            ReteConfig::default(),
-            &snap,
-        )
-        .unwrap();
-        assert_eq!(r.conflict_len(), 0, "fired instantiation stays fired");
-        assert_eq!(r.run(100).firings, 0);
-    }
-
-    #[test]
-    fn restore_rejects_a_different_program() {
-        let mut e = engine(
-            "(literalize a x)
-             (p one (a ^x <x>) --> (make a ^x 0))",
-        );
-        e.make_wme("a", &[("x", 1.into())]).unwrap();
-        let snap = e.snapshot();
-        let other = Arc::new(
-            Program::parse(
-                "(literalize a x y)
-                 (p one (a ^x <x>) --> (make a ^x 0))",
-            )
-            .unwrap(),
-        );
-        let compiled = Engine::compile(&other).unwrap();
-        let Err(err) = Engine::restore(other, compiled, ReteConfig::default(), &snap) else {
-            panic!("restore against a different program must fail");
-        };
-        assert!(err.to_string().contains("different program"), "got: {err}");
-    }
-
-    #[test]
-    fn restore_works_on_the_unshared_network_too() {
-        let src = "(literalize count n)
-             (p up (count ^n { <n> <= 4 }) --> (modify 1 ^n (compute <n> + 1)))";
-        let program = Arc::new(Program::parse(src).unwrap());
-        let compiled = Engine::compile(&program).unwrap();
-        let mut e = Engine::with_compiled_config(
-            Arc::clone(&program),
-            Arc::clone(&compiled),
-            ReteConfig::unshared(),
-        );
-        e.make_wme("count", &[("n", 0.into())]).unwrap();
-        e.step().unwrap();
-        let snap = e.snapshot();
-        let mut r = Engine::restore(program, compiled, ReteConfig::unshared(), &snap).unwrap();
-        assert_eq!(r.snapshot(), snap);
-        let out = r.run(100);
-        assert_eq!(out.firings, 4);
-        // Work equals the uninterrupted unshared run's.
-        let program2 = Arc::new(Program::parse(src).unwrap());
-        let compiled2 = Engine::compile(&program2).unwrap();
-        let mut g = Engine::with_compiled_config(program2, compiled2, ReteConfig::unshared());
-        g.make_wme("count", &[("n", 0.into())]).unwrap();
-        g.run(100);
-        assert_eq!(r.work(), g.work());
     }
 
     #[test]

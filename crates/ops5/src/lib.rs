@@ -88,7 +88,7 @@ pub use instrument::{CycleStats, WorkCounters};
 pub use profile::{AlphaMemProfile, MatchProfile, NetStats, ProductionProfile};
 pub use program::Program;
 pub use rete::{Network, ReteConfig};
-pub use snapshot::{EngineImage, SnapshotError, Wal, WalOp, WalRecord, WalReplay};
+pub use snapshot::EngineImage;
 pub use symbol::{sym, sym_name, Symbol};
 pub use value::Value;
 pub use wme::{TimeTag, Wme, WmeId};

@@ -65,12 +65,6 @@ pub trait Matcher: Send {
     fn rollback(&mut self) -> bool {
         false
     }
-    /// Overwrites the accumulated match-work counters. Snapshot restore
-    /// refills the memories from the restored WM — re-doing match work the
-    /// original run already paid for — then resets the counters to the
-    /// recorded value so [`crate::Engine::work`] stays identical to an
-    /// uninterrupted run. Backends that do not support restore ignore it.
-    fn set_work(&mut self, _work: WorkCounters) {}
     /// A terminal failure inside the match backend (e.g. a parallel pool
     /// that lost workers under a fail-fast policy). The engine checks this
     /// each cycle and stops with `RunOutcome::error` instead of panicking.
@@ -117,9 +111,6 @@ impl Matcher for Rete {
     }
     fn rollback(&mut self) -> bool {
         Rete::rollback(self)
-    }
-    fn set_work(&mut self, work: WorkCounters) {
-        self.work = work;
     }
     fn net_stats(&self) -> crate::profile::NetStats {
         Rete::net_stats(self)
@@ -227,10 +218,6 @@ impl Matcher for NaiveMatcher {
         self.prev.clear();
         self.next = None;
         self.work = WorkCounters::default();
-    }
-
-    fn set_work(&mut self, work: WorkCounters) {
-        self.work = work;
     }
 }
 

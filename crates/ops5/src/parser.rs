@@ -96,14 +96,25 @@ pub fn parse_program(src: &str) -> Result<Program> {
 
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of value forms (`compute`, `call`, …) the parser
+/// accepts. SPAM's rules nest under 5; the bound keeps the recursive descent
+/// off the end of the stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
 struct Cursor<'a> {
     toks: &'a [Spanned],
     pos: usize,
+    /// Value forms currently open.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(toks: &'a [Spanned]) -> Self {
-        Cursor { toks, pos: 0 }
+        Cursor {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn at_end(&self) -> bool {
@@ -622,57 +633,68 @@ fn parse_expr(c: &mut Cursor, ctx: &mut ProdCtx) -> Result<Expr> {
             Ok(Expr::Var(vid))
         }
         Token::LParen => {
-            let head = c.expect_sym()?;
-            match head.as_str() {
-                "compute" => {
-                    let first = parse_expr(c, ctx)?;
-                    let mut rest = Vec::new();
-                    while !c.peek_rparen() {
-                        let op = match c.next()? {
-                            Token::Sym(s) if s == "+" => ArithOp::Add,
-                            Token::Minus => ArithOp::Sub,
-                            Token::Sym(s) if s == "*" => ArithOp::Mul,
-                            Token::Sym(s) if s == "//" || s == "/" => ArithOp::Div,
-                            Token::Sym(s) if s == "mod" => ArithOp::Mod,
-                            t => {
-                                return Err(Error::Parse(format!(
-                                    "compute: expected operator, found {t:?}"
-                                )))
-                            }
-                        };
-                        let e = parse_expr(c, ctx)?;
-                        rest.push((op, e));
-                    }
-                    c.expect_rparen()?;
-                    Ok(Expr::Compute(Box::new(first), rest))
-                }
-                "crlf" | "tabto" => {
-                    // `(crlf)` / `(tabto n)` in `write`: formatting directives.
-                    while !c.peek_rparen() {
-                        c.next()?;
-                    }
-                    c.expect_rparen()?;
-                    Ok(Expr::Const(Value::symbol(&head)))
-                }
-                "call" | "genatom" | "accept" | "acceptline" | "litval" | "substr" => {
-                    // `(call f args...)` in value position, plus OPS5
-                    // builtins we route through the external mechanism.
-                    let name = if head == "call" {
-                        sym(&c.expect_sym()?)
-                    } else {
-                        sym(&head)
-                    };
-                    let mut args = Vec::new();
-                    while !c.peek_rparen() {
-                        args.push(parse_expr(c, ctx)?);
-                    }
-                    c.expect_rparen()?;
-                    Ok(Expr::Call(name, args))
-                }
-                other => Err(Error::Parse(format!("unknown value form '({other} ...)'"))),
+            if c.depth == MAX_DEPTH {
+                return Err(c.err(&format!("value forms nested deeper than {MAX_DEPTH}")));
             }
+            c.depth += 1;
+            let form = parse_form(c, ctx);
+            c.depth -= 1;
+            form
         }
         t => Err(Error::Parse(format!("bad expression token {t:?}"))),
+    }
+}
+
+/// A value form, its `(` consumed.
+fn parse_form(c: &mut Cursor, ctx: &mut ProdCtx) -> Result<Expr> {
+    let head = c.expect_sym()?;
+    match head.as_str() {
+        "compute" => {
+            let first = parse_expr(c, ctx)?;
+            let mut rest = Vec::new();
+            while !c.peek_rparen() {
+                let op = match c.next()? {
+                    Token::Sym(s) if s == "+" => ArithOp::Add,
+                    Token::Minus => ArithOp::Sub,
+                    Token::Sym(s) if s == "*" => ArithOp::Mul,
+                    Token::Sym(s) if s == "//" || s == "/" => ArithOp::Div,
+                    Token::Sym(s) if s == "mod" => ArithOp::Mod,
+                    t => {
+                        return Err(Error::Parse(format!(
+                            "compute: expected operator, found {t:?}"
+                        )))
+                    }
+                };
+                let e = parse_expr(c, ctx)?;
+                rest.push((op, e));
+            }
+            c.expect_rparen()?;
+            Ok(Expr::Compute(Box::new(first), rest))
+        }
+        "crlf" | "tabto" => {
+            // `(crlf)` / `(tabto n)` in `write`: formatting directives.
+            while !c.peek_rparen() {
+                c.next()?;
+            }
+            c.expect_rparen()?;
+            Ok(Expr::Const(Value::symbol(&head)))
+        }
+        "call" | "genatom" | "accept" | "acceptline" | "litval" | "substr" => {
+            // `(call f args...)` in value position, plus OPS5
+            // builtins we route through the external mechanism.
+            let name = if head == "call" {
+                sym(&c.expect_sym()?)
+            } else {
+                sym(&head)
+            };
+            let mut args = Vec::new();
+            while !c.peek_rparen() {
+                args.push(parse_expr(c, ctx)?);
+            }
+            c.expect_rparen()?;
+            Ok(Expr::Call(name, args))
+        }
+        other => Err(Error::Parse(format!("unknown value form '({other} ...)'"))),
     }
 }
 
@@ -812,6 +834,27 @@ mod tests {
             },
             other => panic!("expected make, got {other:?}"),
         }
+    }
+
+    /// Value forms nest up to `MAX_DEPTH` and no deeper: one more is a parse
+    /// error naming its line, not a stack overflow.
+    #[test]
+    fn value_forms_nest_to_the_cap_and_no_deeper() {
+        let nested = |depth: usize| {
+            let open = "(compute ".repeat(depth);
+            let close = " + 1)".repeat(depth);
+            format!("(p r1 (region ^area <a>)\n--> (make region ^area {open}<a>{close}))")
+        };
+        let deepest = parse_ok(&nested(MAX_DEPTH));
+        assert_eq!(deepest.productions[0].actions.len(), 1);
+        let err = Program::parse(&format!("{DECLS}\n{}", nested(MAX_DEPTH + 1))).unwrap_err();
+        let Error::Parse(msg) = &err else {
+            panic!("expected a parse error, got {err:?}");
+        };
+        assert!(
+            msg.contains("line 6: value forms nested deeper than 128"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -735,9 +735,9 @@ impl AlphaMemories {
             let mem = &mut self.mems[m as usize];
             if let Ok(pos) = mem.wmes.binary_search(&id) {
                 *work_units += cost::ALPHA_MEM_OP;
-                // Order-preserving on purpose: snapshot restore rebuilds
-                // memories by re-inserting live WMEs in id order, and
-                // scan costs must not change across a crash recovery.
+                // Order-preserving on purpose: a memory stays sorted by id
+                // (arrival order), which the `binary_search` above and
+                // `rollback`'s `partition_point` rely on.
                 mem.wmes.remove(pos);
                 let fixed = &net.mems[m as usize];
                 if mem.wmes.is_empty() {

@@ -1007,11 +1007,10 @@ impl<'a> Activation<'a> {
         let b = &mut *self.beta;
         let td = &mut b.tokens[t as usize];
         let n = td.node as usize;
-        // Removals here (and in every memory below) must preserve order:
-        // snapshot restore rebuilds the network by re-inserting live WMEs
-        // in id order, so surviving entries have to sit in arrival order or
-        // order-sensitive scans would cost different match work after a
-        // crash recovery than in the uninterrupted run.
+        // Removals here (and in every memory below) preserve arrival order:
+        // a rollback pops the tokens made since the mark off the end of each
+        // memory, and order-sensitive scans cost the match work pinned in
+        // `spam/tests/work_pins.rs` only in that order.
         let toks = &mut b.mems[n].tokens;
         if let Some(pos) = toks.iter().position(|&x| x == t) {
             toks.remove(pos);

@@ -155,15 +155,6 @@ impl WmStore {
         &self.slots
     }
 
-    /// Rebuilds a store from an exact slot layout (snapshot restore). Dead
-    /// slots must be preserved so surviving ids keep their indices — a
-    /// `WmeId` is a slot index, and conflict keys / WAL retract records
-    /// hold ids across the restore boundary.
-    pub fn from_slots(slots: Vec<Option<Wme>>) -> WmStore {
-        let live = slots.iter().filter(|s| s.is_some()).count();
-        WmStore { slots, live }
-    }
-
     /// Iterates over live `(id, wme)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (WmeId, &Wme)> {
         self.slots

@@ -99,11 +99,8 @@ fn removing_a_base_wme_breaks_the_mark() {
 }
 
 #[test]
-fn a_snapshot_of_a_marked_engine_restores_and_resnapshots_identically() {
-    for (mut e, config) in engines()
-        .into_iter()
-        .zip([ReteConfig::shared(), ReteConfig::unshared()])
-    {
+fn a_snapshot_reads_a_marked_engine_only() {
+    for mut e in engines() {
         make(&mut e, "a", 1);
         make(&mut e, "a", 2);
         assert!(e.mark());
@@ -111,13 +108,7 @@ fn a_snapshot_of_a_marked_engine_restores_and_resnapshots_identically() {
         make(&mut e, "c", 1);
         make(&mut e, "c", 2);
         let snap = e.snapshot();
-        let mut restored =
-            Engine::restore(Arc::clone(e.program()), e.compiled(), config, &snap).unwrap();
-        assert_eq!(restored.snapshot(), snap);
-        assert!(!restored.rollback(), "a mark is not part of a snapshot");
-        assert_eq!(restored.run(10), e.run(10));
-        assert_eq!(restored.work(), e.work());
-        // And the original still rolls back, the snapshot having read it only.
+        assert_eq!(e.snapshot(), snap);
         assert!(e.rollback() && e.wm().len() == 2);
     }
 }

@@ -415,9 +415,9 @@ proptest! {
     }
 }
 
-/// Non-halting programs (they run to quiescence) for the crash-recovery
-/// differential below: firing work, modifies, removes, makes, negation.
-const RECOVERY_PROGRAMS: &[&str] = &[
+/// Non-halting programs (they run to quiescence): firing work, modifies,
+/// removes, makes, negation.
+const QUIESCENT_PROGRAMS: &[&str] = &[
     "(literalize item kind count)
      (literalize done kind)
      (p consume (item ^kind <k> ^count { <n> > 0 })
@@ -434,112 +434,6 @@ const RECOVERY_PROGRAMS: &[&str] = &[
         (modify 2 ^v (compute <s> + <a>))
         (remove 1))",
 ];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The crash-recovery differential: for any seed working memory and any
-    /// crash point, (initial-load WAL → snapshot at cycle k → crash →
-    /// restore + continue) produces *exactly* the uninterrupted run — same
-    /// firing sequence, same final WM (time tags included), same work
-    /// counters, same output — and the restored engine's re-snapshot is
-    /// byte-identical. Recovery with no checkpoint (WAL replay from the
-    /// cycle-0 records alone) must reach the same end state too.
-    #[test]
-    fn snapshot_restore_replay_equals_uninterrupted_run(
-        prog_idx in 0usize..RECOVERY_PROGRAMS.len(),
-        seeds in prop::collection::vec((0u8..3, 0i8..4), 1..10),
-        crash_at in 0u64..24,
-    ) {
-        use ops5::snapshot::{apply_record, Wal, WalOp, WalRecord};
-
-        let program = Arc::new(Program::parse(RECOVERY_PROGRAMS[prog_idx]).unwrap());
-        let compiled = Engine::compile(&program).unwrap();
-        let needs_sum = prog_idx == 1;
-        let seed_engine = |e: &mut Engine, wal: Option<&mut Wal>| {
-            e.enable_cycle_log();
-            let mut recs = Vec::new();
-            if needs_sum {
-                e.make_wme("sum", &[("v", 0.into())]).unwrap();
-                recs.push((sym("sum"), vec![Value::Int(0)]));
-            }
-            for &(k, n) in &seeds {
-                let kind = Value::symbol(&format!("k{k}"));
-                e.make_wme("item", &[("kind", kind), ("count", (n as i64).into())]).unwrap();
-                recs.push((sym("item"), vec![kind, Value::Int(n as i64)]));
-            }
-            if let Some(wal) = wal {
-                for (class, fields) in recs {
-                    wal.append(&WalRecord { cycle: 0, op: WalOp::Assert { class, fields } });
-                }
-            }
-        };
-        let finish = |mut e: Engine| {
-            let out = e.run(10_000);
-            prop_assert!(out.quiescent());
-            let seq: Vec<u32> = e.take_cycle_log().iter().map(|c| c.production).collect();
-            let wm: Vec<(WmeId, String)> =
-                e.wm().iter().map(|(id, w)| (id, format!("{w} @{}", w.time_tag))).collect();
-            Ok((seq, wm, e.work(), e.output.clone()))
-        };
-
-        // Reference: never interrupted.
-        let mut a = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
-        seed_engine(&mut a, None);
-        let (ref_seq, ref_wm, ref_work, ref_out) = finish(a)?;
-
-        // Interrupted: initial load goes to a WAL, `crash_at` cycles run,
-        // a snapshot is taken, then the engine is dropped on the floor.
-        let mut wal = Wal::new();
-        let mut b = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
-        seed_engine(&mut b, Some(&mut wal));
-        let mut pre_seq: Vec<u32> = Vec::new();
-        for _ in 0..crash_at {
-            // Stop *before* a quiescent step: stepping an empty conflict
-            // set charges an extra resolve check that the uninterrupted
-            // run only pays once, inside its own final `run` call.
-            if b.conflict_len() == 0 {
-                break;
-            }
-            match b.step().unwrap() {
-                Some(production) => pre_seq.push(production),
-                None => break,
-            }
-        }
-        b.take_cycle_log();
-        let snap = b.snapshot();
-        drop(b);
-
-        // Recover from checkpoint: restore, re-snapshot byte-identity,
-        // continue to quiescence. (Records with cycle > checkpoint would
-        // replay here; the initial load is cycle 0, so none apply.)
-        let mut c = Engine::restore(
-            Arc::clone(&program), Arc::clone(&compiled), ReteConfig::default(), &snap).unwrap();
-        prop_assert_eq!(c.snapshot(), snap, "re-snapshot must be byte-identical");
-        c.enable_cycle_log();
-        let (post_seq, c_wm, c_work, c_out) = finish(c)?;
-        let mut full_seq = pre_seq;
-        full_seq.extend(post_seq);
-        prop_assert_eq!(&full_seq, &ref_seq, "firing sequence diverged after restore");
-        prop_assert_eq!(&c_wm, &ref_wm, "final WM diverged after restore");
-        prop_assert_eq!(c_work, ref_work, "work counters diverged after restore");
-        prop_assert_eq!(&c_out, &ref_out, "output diverged after restore");
-
-        // Recover with no checkpoint at all: round-trip the WAL through its
-        // framed byte format and rebuild from the cycle-0 records alone.
-        let replay = ops5::snapshot::Wal::replay(wal.as_bytes()).unwrap();
-        prop_assert!(!replay.torn());
-        let mut d = Engine::with_compiled(Arc::clone(&program), Arc::clone(&compiled));
-        d.enable_cycle_log();
-        for rec in &replay.records {
-            apply_record(&mut d, rec);
-        }
-        let (d_seq, d_wm, _, d_out) = finish(d)?;
-        prop_assert_eq!(&d_seq, &ref_seq, "firing sequence diverged after WAL rebuild");
-        prop_assert_eq!(&d_wm, &ref_wm, "final WM diverged after WAL rebuild");
-        prop_assert_eq!(&d_out, &ref_out, "output diverged after WAL rebuild");
-    }
-}
 
 /// At realistic working-memory sizes the incremental Rete does far less
 /// match work than naive re-matching — the substance of the paper's 10–20×
@@ -699,7 +593,7 @@ proptest! {
     /// base WME), the engine says so and reset + base does instead.
     #[test]
     fn reset_then_replay_equals_a_new_engine(
-        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 3),
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() + 3),
         backend in 0u8..3,
         first in script_strategy(1..14),
         first_steps in 0u64..12,
@@ -709,11 +603,11 @@ proptest! {
     ) {
         let src = if prog_idx < SHARING_PROGRAMS.len() {
             SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
-        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
-            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
-        } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+        } else if prog_idx < SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
+            QUIESCENT_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else if prog_idx == SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
             STATEFUL_PROGRAM.to_string()
-        } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 1 {
+        } else if prog_idx == SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() + 1 {
             BLOCKER_PROGRAM.to_string()
         } else {
             MARK_PROGRAM.to_string()
@@ -947,16 +841,16 @@ proptest! {
     #[test]
     fn one_feed_per_firing_equals_one_per_change(
         // Every other case runs FEED_PROGRAM.
-        prog_idx in 0usize..2 * (SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 1),
+        prog_idx in 0usize..2 * (SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() + 1),
         strategy_mea in (0u8..2).prop_map(|b| b == 1),
         script in script_strategy(4..24),
         steps in 1usize..48,
     ) {
         let src = if prog_idx < SHARING_PROGRAMS.len() {
             SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
-        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
-            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
-        } else if prog_idx == SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
+        } else if prog_idx < SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
+            QUIESCENT_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else if prog_idx == SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
             BLOCKER_PROGRAM.to_string()
         } else {
             FEED_PROGRAM.to_string()
@@ -988,11 +882,11 @@ proptest! {
             let fired = per_firing.step().map_err(|e| e.to_string());
             prop_assert_eq!(&fired, &per_change.step().map_err(|e| e.to_string()), "step {}", step);
             prop_assert_eq!(per_firing.work(), per_change.work(), "step {}", step);
-            let image = per_firing.snapshot();
-            prop_assert_eq!(&image, &per_change.snapshot(), "step {}", step);
+            let image = per_firing.image();
+            prop_assert_eq!(image.encode(), per_change.snapshot(), "step {}", step);
             // And the set both engines hold is the per-change set itself,
             // failed firings included.
-            let held = ops5::EngineImage::decode(&image).unwrap().conflict;
+            let held = image.conflict;
             let held: Vec<Key> = held.into_iter().map(|(p, w)| (p, w.into_vec())).collect();
             prop_assert_eq!(held, keys(&feed.lock().unwrap().set), "step {}", step);
             if fired == Ok(None) {
@@ -1113,12 +1007,10 @@ proptest! {
     /// in between, are each the engine a network built for it alone would
     /// be: same working memory, work, network statistics, output and cycle
     /// log after every move of any of them, on both networks. Nothing an
-    /// engine does is written where another could read it. And a snapshot
-    /// taken on one of them restores onto the same network — no other is
-    /// built — and snapshots again byte for byte.
+    /// engine does is written where another could read it.
     #[test]
     fn engines_on_one_network_are_each_an_engine_on_its_own(
-        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 3),
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() + 3),
         shared in (0u8..2).prop_map(|b| b == 1),
         eight in (0u8..4).prop_map(|b| b == 0),
         scripts in prop::collection::vec(script_strategy(1..14), 8..9),
@@ -1126,11 +1018,11 @@ proptest! {
     ) {
         let src = if prog_idx < SHARING_PROGRAMS.len() {
             SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
-        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
-            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else if prog_idx < SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
+            QUIESCENT_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
         } else {
             let rest = [STATEFUL_PROGRAM, BLOCKER_PROGRAM, MARK_PROGRAM];
-            rest[prog_idx - SHARING_PROGRAMS.len() - RECOVERY_PROGRAMS.len()].to_string()
+            rest[prog_idx - SHARING_PROGRAMS.len() - QUIESCENT_PROGRAMS.len()].to_string()
         };
         let program = Arc::new(Program::parse(&src).unwrap());
         let compiled = Engine::compile(&program).unwrap();
@@ -1180,23 +1072,8 @@ proptest! {
         }
         for (k, (t, a)) in together.iter().zip(&alone).enumerate() {
             prop_assert_eq!(&t.observed(), &a.observed(), "engine {}", k);
+            prop_assert_eq!(t.e.snapshot(), a.e.snapshot(), "engine {}", k);
         }
-
-        let built = Network::built_on_this_thread();
-        for (t, a) in together.iter_mut().zip(&mut alone) {
-            let snap = t.e.snapshot();
-            prop_assert_eq!(&snap, &a.e.snapshot());
-            let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
-            let restored = Engine::restore_with_network(p, c, Arc::clone(&network), &snap);
-            let mut restored = Driven::new(restored.unwrap());
-            prop_assert_eq!(Arc::strong_count(&network), 1 + n + 1, "restored onto the same one");
-            prop_assert_eq!(restored.e.snapshot(), snap, "re-snapshot must be byte-identical");
-            restored.e.run(200);
-            a.e.run(200);
-            prop_assert_eq!(restored.e.work(), a.e.work());
-            prop_assert_eq!(restored.e.net_stats().beta_nodes, a.e.net_stats().beta_nodes);
-        }
-        prop_assert_eq!(Network::built_on_this_thread(), built, "restoring builds nothing");
     }
 }
 
@@ -1208,22 +1085,22 @@ proptest! {
     /// engine is profiled or not. So an engine with `enable_profile` and one
     /// without, fed the same script, show the same work, network statistics
     /// (null right activations included) and whole cycle log after every
-    /// move — WM changes, firings, resets, marks, rollbacks and a snapshot
-    /// restored onto the same network — on both networks.
+    /// move — WM changes, firings, resets, marks and rollbacks — on both
+    /// networks.
     #[test]
     fn profiling_moves_no_count(
-        prog_idx in 0usize..(SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() + 3),
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() + 3),
         shared in (0u8..2).prop_map(|b| b == 1),
         script in script_strategy(1..24),
         schedule in prop::collection::vec(0u8..20, 8..80),
     ) {
         let src = if prog_idx < SHARING_PROGRAMS.len() {
             SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
-        } else if prog_idx < SHARING_PROGRAMS.len() + RECOVERY_PROGRAMS.len() {
-            RECOVERY_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else if prog_idx < SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
+            QUIESCENT_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
         } else {
             let rest = [STATEFUL_PROGRAM, BLOCKER_PROGRAM, MARK_PROGRAM];
-            rest[prog_idx - SHARING_PROGRAMS.len() - RECOVERY_PROGRAMS.len()].to_string()
+            rest[prog_idx - SHARING_PROGRAMS.len() - QUIESCENT_PROGRAMS.len()].to_string()
         };
         let program = Arc::new(Program::parse(&src).unwrap());
         let compiled = Engine::compile(&program).unwrap();
@@ -1247,20 +1124,11 @@ proptest! {
             };
             if let Some(aside) = aside {
                 prop_assert_eq!(plain.aside(aside), profiled.aside(aside), "step {}", step);
-            } else if what == 5 {
-                for d in [&mut plain, &mut profiled] {
-                    let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
-                    let e = Engine::restore_with_network(p, c, Arc::clone(&network), &d.e.snapshot());
-                    let mut restored = Driven::new(e.unwrap());
-                    restored.made = std::mem::take(&mut d.made);
-                    restored.next = d.next;
-                    *d = restored;
-                }
             } else {
                 plain.advance(&classes, &script);
                 profiled.advance(&classes, &script);
             }
-            // A reset, a rollback and a restore detach the profile.
+            // A reset and a rollback detach the profile.
             if profiled.e.take_profile().is_none() {
                 profiled.e.enable_profile();
             }
@@ -1281,9 +1149,8 @@ enum Move {
     Reset,
     Mark,
     Rollback,
-    /// A new instance of the network fed the live WMEs in id order, as a
-    /// snapshot restore rebuilds its matcher.
-    Restore,
+    /// A new instance of the network fed the live WMEs in id order.
+    Rebuild,
 }
 
 fn move_strategy() -> impl Strategy<Value = Move> {
@@ -1291,7 +1158,7 @@ fn move_strategy() -> impl Strategy<Value = Move> {
         8 => op_strategy().prop_map(Move::Op),
         2 => (0u8..64, -2i8..3).prop_map(|(k, x)| Move::Modify(k, x)),
         6 => (0usize..6).prop_map(|k| {
-            [Move::Reset, Move::Mark, Move::Mark, Move::Rollback, Move::Rollback, Move::Restore][k]
+            [Move::Reset, Move::Mark, Move::Mark, Move::Rollback, Move::Rollback, Move::Rebuild][k]
                 .clone()
         }),
     ]
@@ -1336,7 +1203,7 @@ proptest! {
     /// An alpha memory's hash index is built by the first probe since the
     /// memory last emptied and kept up after that (`AlphaMemories::probe`).
     /// Whatever the program, the network and the moves — additions,
-    /// removals, modifies, resets, marks, rollbacks, restores — after every
+    /// removals, modifies, resets, marks, rollbacks, rebuilds — after every
     /// move every probe answers what the memory holds: its WMEs in arrival
     /// order whose slot has the probed key. One network has every index
     /// probed after every move, so the next move finds them built and has
@@ -1403,7 +1270,7 @@ proptest! {
                     (wm, mark) = (WmStore::new(), None);
                     live.clear();
                 }
-                Move::Restore => {
+                Move::Rebuild => {
                     for f in [&mut probed, &mut read] {
                         let mut fresh = Rete::instantiate(Arc::clone(&network));
                         for (id, _) in wm.iter() {
@@ -1423,6 +1290,52 @@ proptest! {
             prop_assert!(agree.is_ok(), "step {} {:?}, read: {}", step, mv, agree.unwrap_err());
             prop_assert_eq!(probed.rete.work, read.rete.work, "step {}", step);
             prop_assert_eq!(probed.rete.net_stats(), read.rete.net_stats(), "step {}", step);
+        }
+    }
+}
+
+/// What the source fuzz below substitutes: OPS5's punctuation, digits, the
+/// characters of a float, whitespace.
+const FUZZ_ALPHABET: &[u8] = b"()<>{}^-=|0123456789.e \n\t";
+
+/// `PROGRAMS[k]`, or for `k == PROGRAMS.len()` a production whose RHS nests
+/// `compute` 50 000 deep (≈ 0.45 MB): far past the parser's depth cap.
+fn fuzz_source(k: usize) -> String {
+    if k < PROGRAMS.len() {
+        return PROGRAMS[k].to_string();
+    }
+    let (open, close) = ("(compute ".repeat(50_000), " + 1)".repeat(50_000));
+    format!("(literalize b c)\n(p deep (b) --> (make b ^c {open}1{close}))")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// OPS5 source is bytes we did not produce. Cut anywhere and with any
+    /// characters swapped for OPS5-ish ones, a program goes through every
+    /// stage that reads it — parse, compile, both networks' build, engine
+    /// construction — to `Ok` or `Err`, never a panic or a stack overflow.
+    #[test]
+    fn damaged_source_is_refused_or_built_never_a_panic(
+        k in 0usize..PROGRAMS.len() + 1,
+        cut in 0usize..usize::MAX,
+        subs in prop::collection::vec((0usize..usize::MAX, 0..FUZZ_ALPHABET.len()), 0..8),
+    ) {
+        let mut chars: Vec<char> = fuzz_source(k).chars().collect();
+        chars.truncate(cut % (chars.len() + 1));
+        for (at, c) in subs {
+            if !chars.is_empty() {
+                let at = at % chars.len();
+                chars[at] = char::from(FUZZ_ALPHABET[c]);
+            }
+        }
+        let src: String = chars.into_iter().collect();
+        let Ok(program) = Program::parse(&src) else { return Ok(()) };
+        let program = Arc::new(program);
+        let Ok(compiled) = Engine::compile(&program) else { return Ok(()) };
+        for config in [ReteConfig::shared(), ReteConfig::unshared()] {
+            let network = Arc::new(Network::build(&compiled, &program, config));
+            Engine::with_network(Arc::clone(&program), Arc::clone(&compiled), network);
         }
     }
 }

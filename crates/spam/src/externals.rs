@@ -66,9 +66,8 @@ fn int(v: &Value) -> i64 {
 
 /// Registers the full external-function suite on an engine.
 pub fn register(engine: &mut Engine, ctx: ExternalCtx) {
-    // Engine-registered named counters: their values ride in snapshots, so
-    // a restored engine resumes id allocation where the crashed run left
-    // off instead of restarting at `id_base`.
+    // Engine-registered named counters: `Engine::reset` rewinds them to
+    // `id_base`, so a kept engine allocates the ids a new one would.
     let frag_counter = engine.external_counter("frag-id", ctx.id_base);
     let check_counter = engine.external_counter("check-id", ctx.id_base);
     let area_counter = engine.external_counter("area-id", ctx.id_base);

@@ -18,22 +18,22 @@
 //!    again. [`Task::load`] adds the task's own part. Either way the engine
 //!    is the one a new engine that loaded base and task would be;
 //! 4. **drive** — the watch drives the engine to quiescence ([`crate::watch`]:
-//!    the one loop), handing control to a [`DrivePolicy`] where it asks,
+//!    the one loop), or to the cycle a fault plan kills it at,
 //! 5. and **publishes** what its cadence had not yet;
 //! 6. **harvest** — [`Task::harvest`] reads the results out;
 //! 7. **put back** — [`Attempt::finish`] returns the engine to the process.
 //!
 //! Steps 1–3's base are [`TaskProcess::begin`], the rest [`Attempt::run`].
-//! A task that died mid-run re-enters through [`TaskProcess::resume`] (a
-//! snapshot) or [`TaskProcess::begin_empty`] (a write-ahead log) and skips
-//! step 3. Between *wire* and *put back* the engine belongs to the
-//! [`Attempt`]: a task that panics drops its half-run engine with it.
+//! Between *wire* and *put back* the engine belongs to the [`Attempt`]: a
+//! task that panics — killed mid-run, say — drops its half-run engine with
+//! it, and its retry wires a new one and starts from step 1. A task's
+//! working memory is its input, so a retry from scratch is the task.
 
 use crate::externals::{register, ExternalCtx};
 use crate::fragments::FragmentHypothesis;
 use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
-use crate::watch::{DrivePolicy, Watch};
+use crate::watch::Watch;
 use ops5::{CycleStats, Engine, MatchProfile, Symbol, WorkCounters};
 use std::sync::Arc;
 
@@ -50,8 +50,8 @@ pub struct Wiring<'a> {
     pub id_base: i64,
 }
 
-/// One task, described to the lifecycle; which engine runs it, who watches
-/// and whether it resumes are the caller's and the process's business.
+/// One task, described to the lifecycle; which engine runs it and who
+/// watches are the caller's and the process's business.
 pub trait Task {
     /// What the task computes.
     type Output;
@@ -71,7 +71,7 @@ pub trait Task {
     /// Step 3, the task's own part, on top of the base.
     fn load(&self, e: &mut Engine);
     /// Step 6: the result, out of the quiescent engine; `cycle_log` is the
-    /// task's whole log, a dead attempt's cycles it resumed from included.
+    /// task's whole cycle log.
     fn harvest(&self, e: &mut Engine, cycle_log: Vec<CycleStats>) -> Self::Output;
 }
 
@@ -146,7 +146,7 @@ impl Kept {
 #[derive(Default)]
 pub struct TaskProcess {
     kept: Option<Kept>,
-    /// Engines built so far: the *wire* steps that missed, and the resumes.
+    /// Engines built so far: the *wire* steps that missed.
     #[cfg(test)]
     pub(crate) engines_built: u32,
     /// Bases loaded so far: the tasks that found no mark to roll back to.
@@ -158,9 +158,7 @@ impl TaskProcess {
     /// The lifecycle, whole: `task` from *wire* to *put back* under `watch`.
     /// Returns the task's profile too if the watch asked for one.
     pub fn run<K: Task>(&mut self, task: &K, watch: Watch) -> (K::Output, Option<MatchProfile>) {
-        let attempt = self.begin(task, watch.profile);
-        let (result, _, profile) = attempt.run(task, watch, false, &mut ());
-        (result, profile)
+        self.begin(task, watch.profile).run(task, watch)
     }
 
     /// Steps 1, 2 and the base: an engine wired as `task` says, logging its
@@ -183,47 +181,20 @@ impl TaskProcess {
             #[cfg(test)]
             (self.bases_loaded += 1);
         }
-        self.attempt(kept, Vec::new())
-    }
-
-    /// Steps 1 and 2 for an attempt whose working memory comes from a log:
-    /// an engine wired as `w` says, logging, its working memory empty.
-    pub fn begin_empty(&mut self, w: &Wiring<'_>) -> Attempt<'_> {
-        let mut kept = self.take(w);
-        kept.engine.reset();
-        kept.based = None;
-        kept.engine.enable_cycle_log();
-        self.attempt(kept, Vec::new())
-    }
-
-    /// Step 1 for a task that died mid-run: an engine restored from its
-    /// `snapshot` (externals registered again, as `w` says), `logged` the
-    /// cycle log up to it. Fails on a damaged snapshot, leaving the process
-    /// as it was.
-    pub fn resume(
-        &mut self,
-        w: &Wiring<'_>,
-        snapshot: &[u8],
-        logged: Vec<CycleStats>,
-    ) -> ops5::Result<Attempt<'_>> {
-        let (program, compiled) = (Arc::clone(&w.sp.program), Arc::clone(&w.sp.compiled));
-        let network = Arc::clone(&w.sp.network);
-        let mut engine = Engine::restore_with_network(program, compiled, network, snapshot)?;
-        engine.enable_cycle_log();
-        let kept = self.wire(w, engine);
-        Ok(self.attempt(kept, logged))
+        Attempt { home: self, kept }
     }
 
     /// The kept engine if it serves `w`, else a new one.
     fn take(&mut self, w: &Wiring<'_>) -> Kept {
         match self.kept.take() {
             Some(kept) if kept.serves(w) => kept,
-            _ => self.wire(w, w.sp.engine()),
+            _ => self.wire(w),
         }
     }
 
-    /// A new engine — empty, or restored — gets its externals.
-    fn wire(&mut self, w: &Wiring<'_>, mut engine: Engine) -> Kept {
+    /// A new engine, its externals registered.
+    fn wire(&mut self, w: &Wiring<'_>) -> Kept {
+        let mut engine = w.sp.engine();
         #[cfg(test)]
         (self.engines_built += 1);
         let ctx = ExternalCtx {
@@ -240,14 +211,6 @@ impl TaskProcess {
         }
     }
 
-    fn attempt(&mut self, kept: Kept, logged: Vec<CycleStats>) -> Attempt<'_> {
-        Attempt {
-            home: self,
-            kept,
-            logged,
-        }
-    }
-
     /// Whether the process keeps an engine right now.
     #[cfg(test)]
     pub(crate) fn keeps_an_engine(&self) -> bool {
@@ -261,9 +224,6 @@ impl TaskProcess {
 pub struct Attempt<'p> {
     home: &'p mut TaskProcess,
     kept: Kept,
-    /// The cycles a dead attempt logged before the snapshot this one was
-    /// resumed from; empty for an attempt begun from nothing.
-    logged: Vec<CycleStats>,
 }
 
 impl Attempt<'_> {
@@ -272,31 +232,16 @@ impl Attempt<'_> {
         &mut self.kept.engine
     }
 
-    /// The rest of `task`'s lifecycle on this attempt, `watch` looking on;
-    /// `loaded` (a resumed attempt) skips the load, `policy` gets control
-    /// where it asks (`&mut ()`: nowhere). Returns the result, the cycles
-    /// this attempt fired, and the profile if one was asked for.
-    pub fn run<K: Task>(
-        mut self,
-        task: &K,
-        mut watch: Watch,
-        loaded: bool,
-        policy: &mut impl DrivePolicy,
-    ) -> (K::Output, u64, Option<MatchProfile>) {
+    /// The rest of `task`'s lifecycle on this attempt, `watch` looking on.
+    /// Returns the result and the profile if one was asked for.
+    pub fn run<K: Task>(mut self, task: &K, mut watch: Watch) -> (K::Output, Option<MatchProfile>) {
         let e = &mut self.kept.engine;
-        if !loaded {
-            task.load(e);
-        }
-        let out = watch.drive(e, policy);
+        task.load(e);
+        let out = watch.drive(e);
         debug_assert!(out.quiescent(), "a task must reach quiescence: {out:?}");
-        let mut cycle_log = std::mem::take(&mut self.logged);
-        if cycle_log.is_empty() {
-            cycle_log = e.take_cycle_log();
-        } else {
-            cycle_log.extend(e.take_cycle_log());
-        }
+        let cycle_log = e.take_cycle_log();
         let result = task.harvest(e, cycle_log);
-        (result, out.firings, self.finish())
+        (result, self.finish())
     }
 
     /// Step 7: the engine goes back to its process. Returns the task's
@@ -324,7 +269,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::fa::FaTask;
-    use crate::lcc::{merge_lcc_units, run_lcc, run_lcc_unit, LccPlan, LccTask, LccUnit, Level};
+    use crate::lcc::{merge_lcc_units, run_lcc, run_lcc_unit, LccPlan, LccUnit, Level};
     use crate::model::ModelTask;
     use crate::rtf::{run_rtf, RtfPhase, RtfTask};
     use ops5::ReteConfig;
@@ -377,15 +322,30 @@ mod tests {
         tp.run(&model, Watch::default());
         assert_eq!(tp.engines_built, 5, "MODEL runs on FA's engine");
         // The same table under another id base is another wiring.
-        let wiring = Wiring {
+        let idle = Idle(Wiring {
             sp: &sp,
             scene: &dc,
             fragments: &supported,
             id_base: 7,
-        };
-        tp.begin_empty(&wiring).finish();
+        });
+        tp.begin(&idle, false).finish();
         assert_eq!(tp.engines_built, 6);
         assert!(tp.keeps_an_engine());
+    }
+
+    /// A task that loads nothing, on the wiring it is given.
+    struct Idle<'a>(Wiring<'a>);
+
+    impl Task for Idle<'_> {
+        type Output = ();
+        fn wiring(&self) -> Wiring<'_> {
+            Wiring { ..self.0 }
+        }
+        fn phase(&self) -> Symbol {
+            ops5::sym("fa")
+        }
+        fn load(&self, _: &mut Engine) {}
+        fn harvest(&self, _: &mut Engine, _: Vec<CycleStats>) {}
     }
 
     /// What *base* saves, counted: a sequential Level-3 pass over the three
@@ -500,74 +460,34 @@ mod tests {
         assert_eq!((tp.engines_built, networks_built() - start), (2, 2));
     }
 
-    /// Takes a snapshot at cycle `at`, as a checkpoint would.
-    struct SnapshotAt {
-        at: u64,
-        taken: Option<(Vec<u8>, Vec<CycleStats>)>,
-    }
-
-    impl DrivePolicy for SnapshotAt {
-        fn due_in(&self, e: &Engine) -> u64 {
-            match self.taken {
-                None => self.at.saturating_sub(e.work().firings),
-                Some(_) => u64::MAX,
-            }
-        }
-        fn at(&mut self, e: &Engine) {
-            self.taken = Some((e.snapshot(), e.cycle_log().to_vec()));
-        }
-    }
-
-    /// Interrupted units put their engine back like any other, a resumed
-    /// attempt builds the one engine it restores, returns the uninterrupted
-    /// unit's result whole, and leaves behind an engine that, reset, is as
-    /// good as a built one.
+    /// A kill drops the attempt's engine with it: the process keeps none,
+    /// the retry wires one more, and returns the uninterrupted task's
+    /// result whole, cycle log included — on either network.
     #[test]
-    fn a_resumed_attempt_is_an_ordinary_one_and_its_engine_serves_the_next_task() {
+    fn a_killed_attempt_takes_its_engine_and_the_retry_builds_another() {
         let dc = Arc::new(crate::generate_scene(&crate::dc().spec));
         let shared = SpamProgram::build();
         let frags = Arc::new(run_rtf(&shared, &dc).fragments);
         for sp in [shared.clone().with_config(ReteConfig::unshared()), shared] {
-            let units: Vec<LccUnit> = (0..4).map(LccUnit::Object).collect();
-            let index = &crate::lcc::RegionIndex::new(&dc, &frags);
-            let task = |unit| LccTask {
-                sp: &sp,
-                scene: &dc,
-                fragments: &frags,
-                index,
-                unit,
-            };
-            let fresh = |unit| run_lcc_unit(&mut TaskProcess::default(), &sp, &dc, &frags, unit);
-
+            let plan = LccPlan::new(&sp, &dc, &frags, Level::L3);
+            let want: Vec<_> = drain(&mut TaskProcess::default(), &plan, false)
+                .map(|(r, _)| r)
+                .take(4)
+                .collect();
             let tp = &mut TaskProcess::default();
-            let mut snapshots = Vec::new();
-            for unit in &units {
-                let mut policy = SnapshotAt { at: 2, taken: None };
-                let (task, watch) = (task(unit), Watch::default());
-                let (r, fired, _) = tp.begin(&task, false).run(&task, watch, false, &mut policy);
-                assert_eq!((&r, fired), (&fresh(unit), r.firings));
-                snapshots.push(policy.taken.expect("every unit fires past cycle 2"));
+            tp.run(&plan.task(0), Watch::default());
+            for (i, want) in want.iter().enumerate() {
+                let (task, built) = (plan.task(i), tp.engines_built);
+                let watch = Watch::default().with_kill_at(Some(want.firings));
+                let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    tp.run(&task, watch);
+                }));
+                assert!(killed.is_err(), "unit {i} is killed at its last cycle");
+                assert!(!tp.keeps_an_engine(), "the engine went with the attempt");
+                let (got, _) = tp.run(&task, Watch::default());
+                assert_eq!(tp.engines_built, built + 1, "the retry wires one more");
+                assert_eq!(&got, want, "unit {i}");
             }
-            assert_eq!(
-                tp.engines_built, 1,
-                "a checkpointed unit puts its engine back"
-            );
-
-            let (snapshot, logged) = snapshots.swap_remove(1);
-            let (task, watch) = (task(&units[1]), Watch::default());
-            let resumed = tp.resume(&task.wiring(), &snapshot, logged).unwrap();
-            let (r, fired, _) = resumed.run(&task, watch, true, &mut ());
-            assert_eq!(r, fresh(&units[1]), "cycle log included");
-            assert_eq!(fired, r.firings - 2, "only the cycles past the snapshot");
-            assert_eq!(tp.engines_built, 2, "a restore is a construction");
-
-            let next = run_lcc_unit(tp, &sp, &dc, &frags, &units[3]);
-            assert_eq!(tp.engines_built, 2, "and the restored engine is kept");
-            assert_eq!(
-                next,
-                fresh(&units[3]),
-                "reset, it is as good as a built one"
-            );
         }
     }
 }

@@ -1,15 +1,16 @@
 //! Driving and watching a task engine from outside. [`ops5::Engine`] only
 //! counts, so a task runner holds a [`Watch`] *next to* it and the watch owns
-//! the one loop that advances a task's engine ([`crate::task::Attempt::drive`]):
+//! the one loop that advances a task's engine ([`crate::task::Attempt::run`]):
 //! short slices, and between slices it reads the engine's public counters into
 //! the live registry — `spam_live_match_units` / `_firings` / `_rhs_actions`
 //! as counter deltas, `spam_live_conflict_set_depth` / `_wm_size` as gauges,
-//! next to the phase runner's other `spam_live_*` series — groups its cycles
-//! into `engine.cycles x{n}` spans under the task's attempt, and hands
-//! control to a [`DrivePolicy`] at the cycles it asks for (checkpoints and
-//! injected kills are one: `core::recover`). All of it is reads: a watched
-//! task's results are bit-identical to an unwatched one's, and an inert watch
-//! (the default) under the unit policy is a plain [`ops5::Engine::run`].
+//! next to the phase runner's other `spam_live_*` series — and groups its
+//! cycles into `engine.cycles x{n}` spans under the task's attempt. A watch
+//! may also carry a fault plan's mid-cycle kill ([`Watch::with_kill_at`]):
+//! the loop stops at that cycle and panics, as a task process that died
+//! mid-run would, and the supervisor's retry starts the task over. All else
+//! is reads: a watched task's results are bit-identical to an unwatched
+//! one's, and an inert watch (the default) is a plain [`ops5::Engine::run`].
 
 use ops5::{Engine, RunOutcome, WorkCounters};
 use std::sync::Arc;
@@ -29,26 +30,6 @@ pub const TRACE_WINDOW_EVERY: u32 = 256;
 /// The firing budget of one task; no SPAM task comes near it.
 const TASK_CYCLE_BUDGET: u64 = 1_000_000;
 
-/// What else wants control between the cycles of a driven engine — the
-/// checkpointing of a recoverable phase, say. It reads: the engine it is
-/// shown computes what it would have computed undisturbed. `()` is the
-/// policy that never wants any.
-pub trait DrivePolicy {
-    /// Cycles from now until the policy next wants control: `0` before the
-    /// next cycle, `u64::MAX` never.
-    fn due_in(&self, e: &Engine) -> u64;
-    /// Those cycles have fired; `e` stands between two cycles (at
-    /// quiescence too, which it has yet to find out).
-    fn at(&mut self, e: &Engine);
-}
-
-impl DrivePolicy for () {
-    fn due_in(&self, _: &Engine) -> u64 {
-        u64::MAX
-    }
-    fn at(&mut self, _: &Engine) {}
-}
-
 /// Who watches one task's engine. Made per task and dropped with it: nothing
 /// of it outlives the task in the engine or the thread.
 #[derive(Default)]
@@ -65,6 +46,8 @@ pub struct Watch {
     window_cycles: u32,
     /// Whether the task's runner should switch the engine's profiler on.
     pub(crate) profile: bool,
+    /// The cycle at which the drive panics, if a fault plan kills the task.
+    kill_at: Option<u64>,
 }
 
 impl Watch {
@@ -87,26 +70,32 @@ impl Watch {
         self
     }
 
+    /// Panics once the engine has fired `kill_at` cycles, if it gets that
+    /// far: a fault plan's mid-cycle kill.
+    pub fn with_kill_at(mut self, kill_at: Option<u64>) -> Watch {
+        self.kill_at = kill_at;
+        self
+    }
+
     /// The one loop that advances a task's engine: runs `e` until it stops,
     /// in slices. A slice ends at the nearer of the watch's cadence
     /// ([`LIVE_MIRROR_EVERY`] cycles when anyone watches, else the whole
-    /// budget) and the cycle at which `policy` next wants control; after
-    /// each slice the watch ticks, then the policy is called if its cycle
-    /// has come. With no one watching and the unit policy that is one
-    /// `e.run(1_000_000)`.
-    pub(crate) fn drive(&mut self, e: &mut Engine, policy: &mut impl DrivePolicy) -> RunOutcome {
+    /// budget) and the kill cycle; after each slice the watch ticks, then
+    /// panics if the kill cycle has come. With no one watching and no kill
+    /// that is one `e.run(1_000_000)`.
+    pub(crate) fn drive(&mut self, e: &mut Engine) -> RunOutcome {
         let watched = self.live.is_some() || self.trace.is_some();
         let mut firings = 0;
         loop {
-            // To the next publish, however short the policy cut the last
+            // To the next publish, however short the kill cut the last
             // slice: both cadences fall on the cycles they would without it.
             let cadence = if watched {
                 u64::from(LIVE_MIRROR_EVERY - self.unpublished)
             } else {
                 TASK_CYCLE_BUDGET
             };
-            let due_in = policy.due_in(e);
-            let slice = cadence.min(due_in).min(TASK_CYCLE_BUDGET - firings);
+            let kill_in = self.kill_at.map_or(u64::MAX, |k| k.saturating_sub(firings));
+            let slice = cadence.min(kill_in).min(TASK_CYCLE_BUDGET - firings);
             let mut out = e.run(slice);
             firings += out.firings;
             self.tick(e, out.firings as u32);
@@ -115,8 +104,8 @@ impl Watch {
                 out.firings = firings;
                 return out;
             }
-            if out.firings == due_in {
-                policy.at(e);
+            if self.kill_at == Some(firings) {
+                panic!("injected mid-cycle kill at cycle {firings}");
             }
         }
     }
@@ -194,26 +183,10 @@ mod tests {
             .collect()
     }
 
-    /// Asks for control every `every` cycles and notes the cycles it got it at.
-    struct Every {
-        every: u64,
-        seen: Vec<u64>,
-    }
-
-    impl DrivePolicy for Every {
-        fn due_in(&self, e: &Engine) -> u64 {
-            self.every - e.work().firings % self.every
-        }
-        fn at(&mut self, e: &Engine) {
-            self.seen.push(e.work().firings);
-        }
-    }
-
     /// Below, at and above a multiple of either cadence: the watch is
     /// invisible to the run, the registry ends up holding the engine's
     /// totals, and the cycles arrive as ⌈F/256⌉ windows that sum to F —
-    /// whether or not a policy cuts the slices shorter, and the policy gets
-    /// control at exactly the cycles it asked for.
+    /// whether or not a kill past the end cuts the slices.
     #[test]
     fn a_watched_run_is_the_plain_run_and_keeps_both_cadences() {
         for firings in [0, 1, 15, 16, 17, 255, 256, 257, 512, 600] {
@@ -221,26 +194,13 @@ mod tests {
             let want = plain.run(TASK_CYCLE_BUDGET);
             assert_eq!(want.firings, firings);
 
-            for every in [None, Some(1), Some(3), Some(16), Some(17)] {
-                let at = format!("F={firings}, policy {every:?}");
+            for kill_at in [None, Some(firings + 1), Some(firings + 17)] {
+                let at = format!("F={firings}, kill at {kill_at:?}");
                 let live = Live::new(8);
                 let mut watched = counter(firings);
                 let got = windows(|sink| {
-                    let mut watch = Watch::new(Some(&live), Some(sink));
-                    let out = match every {
-                        None => watch.drive(&mut watched, &mut ()),
-                        Some(every) => {
-                            let mut policy = Every {
-                                every,
-                                seen: vec![],
-                            };
-                            let out = watch.drive(&mut watched, &mut policy);
-                            let asked: Vec<u64> =
-                                (1..=firings / every).map(|k| k * every).collect();
-                            assert_eq!(policy.seen, asked, "{at}");
-                            out
-                        }
-                    };
+                    let watch = Watch::new(Some(&live), Some(sink));
+                    let out = watch.with_kill_at(kill_at).drive(&mut watched);
                     assert_eq!(out, want, "{at}");
                 });
                 let w = watched.work();
@@ -258,16 +218,35 @@ mod tests {
                 assert_eq!(total("spam_live_firings"), firings);
                 assert_eq!(total("spam_live_rhs_actions"), w.rhs_actions);
             }
+        }
+    }
 
-            // No one watching: the policy still gets its cycles.
-            let mut unwatched = counter(firings);
-            let mut policy = Every {
-                every: 17,
-                seen: vec![],
-            };
-            let out = Watch::default().drive(&mut unwatched, &mut policy);
-            assert_eq!((out, unwatched.work()), (want, plain.work()), "F={firings}");
-            assert_eq!(policy.seen.len() as u64, firings / 17, "F={firings}");
+    /// A kill at cycle `k` of a run of `F` cycles, `k <= F`, stops the engine
+    /// after exactly `k` cycles, watched or not, and panics; what the watch
+    /// published by then is in the registry.
+    #[test]
+    fn a_kill_stops_the_engine_at_its_cycle_and_panics() {
+        for firings in [1, 15, 16, 17, 300] {
+            for kill in (1..=firings).filter(|k| [1, 3, 16, 17, 256, firings].contains(k)) {
+                for live in [Live::new(8), Live::off()] {
+                    let mut e = counter(firings);
+                    let mut watch = Watch::new(Some(&live), None).with_kill_at(Some(kill));
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        watch.drive(&mut e)
+                    }));
+                    let at = format!("F={firings}, kill at {kill}");
+                    assert!(run.is_err(), "{at}");
+                    assert_eq!(e.work().firings, kill, "{at}");
+                    if live.is_enabled() {
+                        let snap = live.snapshot();
+                        let published = match snap.series.get("spam_live_firings") {
+                            Some(LiveValue::Counter { total, .. }) => *total,
+                            _ => 0,
+                        };
+                        assert_eq!(published, kill / 16 * 16, "{at}");
+                    }
+                }
+            }
         }
     }
 }

@@ -14,8 +14,8 @@
 //! and MODEL tasks interleaved on one process, against each task on a
 //! process of its own. And so must whatever follows a task that left the
 //! process without a mark: one that panicked mid-run (the engine went with
-//! it), one resumed from a snapshot (a restored engine has no mark), one
-//! that removed a base element (the mark is broken).
+//! it), one a fault plan killed mid-cycle (likewise), one that removed a
+//! base element (the mark is broken).
 
 use ops5::Value;
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ use spam::rtf::{rtf_task_batches, RtfResult, RtfTask};
 use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use spam::task::{Task, TaskList, TaskProcess, Wiring};
-use spam::watch::{DrivePolicy, Watch};
+use spam::watch::Watch;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -361,44 +361,24 @@ fn the_unit_after_one_that_panicked_mid_run_loads_its_base_again() {
     }
 }
 
-/// Takes a snapshot before cycle `at`, as a checkpoint would.
-struct SnapshotAt {
-    at: u64,
-    taken: Option<(Vec<u8>, Vec<ops5::CycleStats>)>,
-}
-
-impl DrivePolicy for SnapshotAt {
-    fn due_in(&self, e: &ops5::Engine) -> u64 {
-        match self.taken {
-            None => self.at.saturating_sub(e.work().firings),
-            Some(_) => u64::MAX,
-        }
-    }
-    fn at(&mut self, e: &ops5::Engine) {
-        self.taken = Some((e.snapshot(), e.cycle_log().to_vec()));
-    }
-}
-
 #[test]
-fn the_unit_after_a_resumed_one_finds_no_mark_and_loads_its_base() {
+fn the_unit_after_a_killed_one_loads_its_base_again() {
     let (i, picks) = some_units();
     for i in [i, &fixture().inputs[1]] {
         let plan = spam::lcc::LccPlan::new(&i.sp, &i.scene, &i.frags, Level::L3);
         let tp = &mut TaskProcess::default();
         for &(level, u) in &picks {
-            // Unit 3 of Level 3, interrupted at cycle 2 on the marked engine…
+            // Unit 3 of Level 3, killed at cycle 2 on the marked engine…
             let task = plan.task(3);
-            let mut policy = SnapshotAt { at: 2, taken: None };
-            let whole = tp
-                .begin(&task, false)
-                .run(&task, Watch::default(), false, &mut policy);
-            assert_eq!(whole.0, fresh_unit(i, &plan.units[3]));
-            // … resumed from there on a restored one…
-            let (snapshot, logged) = policy.taken.expect("the unit fires past cycle 2");
-            let resumed = tp.resume(&task.wiring(), &snapshot, logged).unwrap();
-            let (r, fired, _) = resumed.run(&task, Watch::default(), true, &mut ());
-            assert_eq!((&r, fired), (&whole.0, whole.1 - 2), "cycle log included");
-            // … and whatever comes next is served from a new base.
+            let killed = Watch::default().with_kill_at(Some(2));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                tp.run(&task, killed);
+            }));
+            assert!(run.is_err(), "the unit fires past cycle 2");
+            // … run again from scratch…
+            let (r, _) = tp.run(&task, Watch::default());
+            assert_eq!(r, fresh_unit(i, &plan.units[3]), "cycle log included");
+            // … and whatever comes next is served from its base.
             let unit = &fixture().units[0][level][u];
             let got = run_lcc_unit(tp, &i.sp, &i.scene, &i.frags, unit);
             assert_eq!(got, fresh_unit(i, unit), "{unit:?}");
