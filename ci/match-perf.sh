@@ -14,7 +14,14 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
   $out/BENCH_rete.json --threshold 5 \
   --ignore shared.wall_ms --ignore unshared.wall_ms
 # As the benchmark builds them (release: no debug assertions, wrapping
-# arithmetic): the allocation budget of the recognize-act cycle, the exact LCC
+# arithmetic): a warm firing allocates nothing - the Rete writes an
+# instantiation's lists once into the engine's one event batch, the conflict
+# set copies them into a slot's own buffers, a made WME takes a departed
+# one's field box - so alloc_budget pins the cycle's allocations exactly and
+# alloc_pins the LCC phase's (the benchmark's seq arm) at Levels 4, 3 and 1;
+# the conflict set's ranking, with each slot's primary tag carried inline in
+# the rank list, is held against a linear scan under compare across LEX / MEA
+# switches (ranking_agrees_with_a_linear_scan_under_compare); the exact LCC
 # work totals of the benchmark inputs (netted instantiations included), the
 # once-per-firing conflict feed vs the per-change one and the Rete drained
 # every 1..8 changes vs a full re-match, rollback-to-mark vs reset + replay
@@ -37,6 +44,8 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
 # built before the move or during it; the --lib test holds the build /
 # unbuild cycle.
 cargo test --release -p ops5 --test alloc_budget
+cargo test --release -p spam --test alloc_pins
+cargo test --release -p ops5 --lib -- conflict::tests::ranking_agrees_with_a_linear_scan_under_compare
 cargo test --release -p spam --test work_pins --test sharing
 cargo test --release -p ops5 --test properties --test mark
 cargo test --release -p ops5 --test properties -- alpha_index_probes_equal_the_memory_after_every_move

@@ -325,17 +325,23 @@ impl Parser<'_> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let mut code = self.hex4()?;
+                            // A high surrogate escaped right before a low
+                            // one is one character, written as its UTF-16
+                            // pair; a lone surrogate is U+FFFD.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..])
+                            {
+                                let high_end = self.pos;
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if (0xdc00..0xe000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                } else {
+                                    self.pos = high_end;
+                                }
+                            }
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
                         }
                         _ => return Err(format!("bad escape at offset {}", self.pos)),
                     }
@@ -344,6 +350,26 @@ impl Parser<'_> {
                 _ => return Err("unterminated string".to_string()),
             }
         }
+    }
+
+    /// The four hex digits after the `u` at `pos`, as a UTF-16 code unit;
+    /// leaves `pos` on the last digit. Only ASCII hex digits are digits
+    /// (`u32::from_str_radix` would also take a sign).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let at = self.pos;
+        let digits = self
+            .bytes
+            .get(at + 1..at + 5)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &d in digits {
+            let digit = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at offset {at}"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -357,9 +383,12 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
+        // A number too large for an `f64` parses to infinity, which JSON
+        // cannot hold and `write` would turn into 0: it is an error.
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|t| t.parse::<f64>().ok())
+            .filter(|n| n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| format!("bad number at offset {start}"))
     }
@@ -433,5 +462,32 @@ mod tests {
     fn unicode_escapes_parse() {
         let v = Json::parse("\"a\\u0041\\n\"").unwrap();
         assert_eq!(v.as_str(), Some("aA\n"));
+    }
+
+    #[test]
+    fn a_surrogate_pair_is_one_character() {
+        let v = Json::parse(r#""\ud83d\ude00!""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f600}!"));
+        // Unpaired halves stay replacement characters, and a high
+        // surrogate before an escape that is not a low one leaves it be.
+        let v = Json::parse(r#""\ud83d \ude00 \ud83d\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd} \u{fffd} \u{fffd}A"));
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_hex_digits_only() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        assert!(Json::parse(r#""\ud83d\u+e00""#).is_err());
+    }
+
+    #[test]
+    fn a_number_out_of_f64_range_is_an_error() {
+        for bad in ["1e999", "-1e999", "[1, 1e400]"] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
     }
 }

@@ -9,23 +9,30 @@
 //!
 //! That boundary is the only place the set is written from the match: the
 //! engine feeds it once per firing, when the RHS has run, with the matcher's
-//! net changes ([`crate::matcher::Matcher::drain_events`]) — an
-//! instantiation that came and went inside one RHS is never inserted, so
-//! everything ranked here was in the match when a resolve step could have
-//! picked it.
+//! net changes ([`crate::matcher::Matcher::drain_events`], applied by
+//! [`ConflictSet::apply`]) — an instantiation that came and went inside one
+//! RHS is never inserted, so everything ranked here was in the match when a
+//! resolve step could have picked it.
 //!
-//! The set is indexed rather than scanned, and an instantiation is stored
-//! once: entries live in a slab whose slots keep their buffers when reused,
-//! a list of slot numbers kept sorted by [`compare`] under the active
-//! strategy makes `select`/`peek` a pop of its last element, and a hash of
-//! `(production, wmes)` finds the slot to retract. In OPS5 the newest
-//! instantiation usually dominates, so insertions land at or near the end
-//! of the sorted list.
+//! The set is indexed rather than scanned, and it owns what it holds: an
+//! instantiation's WME list, time tags and LEX recency key are copied from
+//! the event batch into the buffers of a slab slot, which keeps them when
+//! the slot is vacated and reuses them for the next occupant, so a warm set
+//! inserts, retracts and selects without allocating. A list of
+//! `(primary tag, slot)` pairs kept sorted by [`compare`] under the active
+//! strategy makes `select`/`peek` a pop of its last element; the primary
+//! tag — the newest time tag under LEX, the first condition element's under
+//! MEA — is the strategy's first criterion, carried inline so that most
+//! steps of the binary search that places an insertion never read the slab.
+//! In OPS5 the newest instantiation usually dominates, so insertions land at
+//! or near the end of the sorted list. A hash of `(production, wmes)`,
+//! computed once per insertion and kept in the slot, finds the slot to
+//! retract.
 
 use crate::buckets::{hash_words, Buckets, Pool, SlotCursor};
+use crate::matcher::{MatchEvent, MatchEvents};
 use crate::wme::{TimeTag, WmeId};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Conflict-resolution strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,18 +46,19 @@ pub enum Strategy {
 }
 
 /// An instantiation: a production plus the WMEs matching its positive
-/// condition elements, in condition-element order.
-///
-/// The two lists are shared, not copied: a Rete token that reaches several
-/// terminals emits them all, and later their retractions, from one pair.
+/// condition elements, in condition-element order — owned, for whoever
+/// keeps a match of its own (the naive matcher's result, the threaded
+/// matcher's record of what it delivered). The engine's path never makes
+/// one: events and the conflict set hand out [`InstRef`]s into their own
+/// buffers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Instantiation {
     /// Index of the production in the program.
     pub production: u32,
     /// Matched WMEs (positive condition elements, in order).
-    pub wmes: Arc<[WmeId]>,
+    pub wmes: Vec<WmeId>,
     /// Time tags of `wmes`, same order.
-    pub time_tags: Arc<[TimeTag]>,
+    pub time_tags: Vec<TimeTag>,
     /// The production's specificity (number of LHS tests).
     pub specificity: u32,
 }
@@ -59,8 +67,8 @@ impl Instantiation {
     /// Builds an instantiation.
     pub fn new(
         production: u32,
-        wmes: Arc<[WmeId]>,
-        time_tags: Arc<[TimeTag]>,
+        wmes: Vec<WmeId>,
+        time_tags: Vec<TimeTag>,
         specificity: u32,
     ) -> Instantiation {
         Instantiation {
@@ -71,39 +79,99 @@ impl Instantiation {
         }
     }
 
-    /// The MEA dominance key: the time tag of the WME matching the first
-    /// condition element. A tagless instantiation (a production whose LHS
-    /// binds no positive WMEs) uses tag 0, which is *older than every real
-    /// WME* — live time tags start at 1 — so under MEA it loses recency to
-    /// any tagged rival and competes with other tagless instantiations on
-    /// the remaining criteria (specificity, then the deterministic
-    /// tie-breaks). This matches LEX, where its empty tag list loses the
-    /// length comparison the same way.
-    fn mea_tag(&self) -> TimeTag {
-        self.time_tags.first().copied().unwrap_or(0)
+    /// The instantiation borrowed.
+    pub fn view(&self) -> InstRef<'_> {
+        InstRef {
+            production: self.production,
+            wmes: &self.wmes,
+            time_tags: &self.time_tags,
+            specificity: self.specificity,
+        }
     }
 }
 
-/// One slab slot. A free slot has no instantiation; its `recency` buffer
-/// stays for the next occupant.
+/// An instantiation borrowed from where it is kept: a conflict-set slot, an
+/// event batch, an [`Instantiation`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InstRef<'a> {
+    /// Index of the production in the program.
+    pub production: u32,
+    /// Matched WMEs (positive condition elements, in order).
+    pub wmes: &'a [WmeId],
+    /// Time tags of `wmes`, same order.
+    pub time_tags: &'a [TimeTag],
+    /// The production's specificity (number of LHS tests).
+    pub specificity: u32,
+}
+
+impl From<InstRef<'_>> for Instantiation {
+    fn from(i: InstRef<'_>) -> Instantiation {
+        Instantiation::new(
+            i.production,
+            i.wmes.to_vec(),
+            i.time_tags.to_vec(),
+            i.specificity,
+        )
+    }
+}
+
+/// One slab slot: an occupant's lists, or — vacated — the buffers the next
+/// occupant is copied into.
 #[derive(Clone, Debug, Default)]
 struct Entry {
-    inst: Option<Instantiation>,
+    occupied: bool,
+    production: u32,
+    specificity: u32,
+    /// [`key_hash`] of the occupant, computed once on insertion.
+    hash: u64,
+    wmes: Vec<WmeId>,
+    time_tags: Vec<TimeTag>,
     /// The occupant's time tags sorted descending — the LEX recency key,
     /// computed once on insertion so comparisons are slice compares.
     recency: Vec<TimeTag>,
 }
 
 impl Entry {
-    fn fill(&mut self, inst: Instantiation) {
+    fn fill(&mut self, inst: InstRef<'_>, hash: u64) {
+        self.occupied = true;
+        self.production = inst.production;
+        self.specificity = inst.specificity;
+        self.hash = hash;
+        self.wmes.clear();
+        self.wmes.extend_from_slice(inst.wmes);
+        self.time_tags.clear();
+        self.time_tags.extend_from_slice(inst.time_tags);
         self.recency.clear();
-        self.recency.extend_from_slice(&inst.time_tags);
+        self.recency.extend_from_slice(inst.time_tags);
         self.recency.sort_unstable_by(|a, b| b.cmp(a));
-        self.inst = Some(inst);
     }
 
-    fn inst(&self) -> &Instantiation {
-        self.inst.as_ref().expect("ranked slot is occupied")
+    fn view(&self) -> InstRef<'_> {
+        debug_assert!(self.occupied, "ranked slot is occupied");
+        InstRef {
+            production: self.production,
+            wmes: &self.wmes,
+            time_tags: &self.time_tags,
+            specificity: self.specificity,
+        }
+    }
+
+    /// The strategy's first criterion, which orders entries exactly where
+    /// it differs ([`compare`] decides ties): the newest time tag under
+    /// LEX, whose recency key is a slice compare that starts there, and
+    /// the MEA dominance tag. A tagless instantiation (a production whose
+    /// LHS binds no positive WMEs) has tag 0, which is *older than every
+    /// real WME* — live time tags start at 1 — so under MEA it loses
+    /// recency to any tagged rival and competes with other tagless
+    /// instantiations on the remaining criteria (specificity, then the
+    /// deterministic tie-breaks), as under LEX, where its empty tag list
+    /// loses the length comparison the same way.
+    fn primary(&self, strategy: Strategy) -> TimeTag {
+        let tags = match strategy {
+            Strategy::Lex => &self.recency,
+            Strategy::Mea => &self.time_tags,
+        };
+        tags.first().copied().unwrap_or(0)
     }
 }
 
@@ -115,10 +183,11 @@ pub struct ConflictSet {
     /// buffers.
     slab: Vec<Entry>,
     slots: SlotCursor,
-    /// Occupied slots, ascending under [`compare`] with `rank_strategy`:
-    /// the last one is the dominant instantiation. Re-sorted when a
-    /// different strategy is requested (engines use one for a whole run).
-    rank: Vec<u32>,
+    /// Occupied slots with their [`Entry::primary`] tag under
+    /// `rank_strategy`, ascending under [`compare`]: the last one is the
+    /// dominant instantiation. Re-keyed and re-sorted when a different
+    /// strategy is requested (engines use one for a whole run).
+    rank: Vec<(TimeTag, u32)>,
     rank_strategy: Strategy,
     /// [`key_hash`] → the slots whose key hashes there (one, but for
     /// collisions, which the lookup resolves against the slab).
@@ -142,7 +211,7 @@ impl ConflictSet {
     /// set ([`SlotCursor`]).
     pub fn clear(&mut self) {
         for e in &mut self.slab[..self.slots.high_water()] {
-            e.inst = None;
+            e.occupied = false;
         }
         self.slots.restart();
         self.rank.clear();
@@ -159,107 +228,137 @@ impl ConflictSet {
         self.rank.is_empty()
     }
 
-    fn find(&self, production: u32, wmes: &[WmeId]) -> Option<u32> {
-        let slots = self.by_key.get(key_hash(production, wmes));
+    fn find(&self, hash: u64, production: u32, wmes: &[WmeId]) -> Option<u32> {
+        let slots = self.by_key.get(hash);
         slots.iter().copied().find(|&s| {
-            let i = self.slab[s as usize].inst();
-            i.production == production && *i.wmes == *wmes
+            let e = &self.slab[s as usize];
+            e.production == production && e.wmes == wmes
         })
     }
 
-    /// Where `slot` sits (or belongs) in `rank`: the order is total —
+    /// Where `(tag, slot)` sits (or belongs) in `rank`: the order is total —
     /// `(production, wmes)` is the last tie-break and the set's key — so
     /// the partition point is the entry itself when it is ranked.
-    fn rank_position(&self, slot: u32) -> usize {
-        let e = &self.slab[slot as usize];
-        self.rank.partition_point(|&s| {
-            compare(self.rank_strategy, &self.slab[s as usize], e) == Ordering::Less
+    fn rank_position(&self, (tag, slot): (TimeTag, u32)) -> usize {
+        let (strategy, slab) = (self.rank_strategy, &self.slab);
+        let e = &slab[slot as usize];
+        self.rank.partition_point(|&(t, s)| {
+            t < tag || t == tag && compare(strategy, &slab[s as usize], e) == Ordering::Less
         })
     }
 
-    /// Vacates `slot`, returning its instantiation; the caller has already
-    /// taken it out of `rank`.
-    fn release(&mut self, slot: u32) -> Instantiation {
-        let inst = self.slab[slot as usize]
-            .inst
-            .take()
-            .expect("ranked slot is occupied");
-        let hash = key_hash(inst.production, &inst.wmes);
-        self.by_key.remove_item(hash, slot, &mut self.pool);
+    /// Vacates `slot`; the caller has already taken it out of `rank`.
+    fn release(&mut self, slot: u32) {
+        let e = &mut self.slab[slot as usize];
+        debug_assert!(e.occupied, "ranked slot is occupied");
+        e.occupied = false;
+        self.by_key.remove_item(e.hash, slot, &mut self.pool);
         self.slots.give(slot);
-        inst
     }
 
-    /// Adds an instantiation (idempotent for identical keys).
-    pub fn insert(&mut self, inst: Instantiation) {
-        self.remove(inst.production, &inst.wmes);
-        let hash = key_hash(inst.production, &inst.wmes);
+    /// Adds an instantiation, copying its lists into a slot (idempotent for
+    /// identical keys).
+    pub fn insert(&mut self, inst: InstRef<'_>) {
+        let hash = key_hash(inst.production, inst.wmes);
+        self.remove_hashed(hash, inst.production, inst.wmes);
         let slot = self.slots.take();
         if slot as usize == self.slab.len() {
             self.slab.push(Entry::default());
         }
-        self.slab[slot as usize].fill(inst);
+        let e = &mut self.slab[slot as usize];
+        e.fill(inst, hash);
+        let key = (e.primary(self.rank_strategy), slot);
         self.by_key.push(hash, slot, &mut self.pool);
-        let at = self.rank_position(slot);
-        self.rank.insert(at, slot);
+        let at = self.rank_position(key);
+        self.rank.insert(at, key);
     }
 
     /// Removes an instantiation by key; returns true when present.
     pub fn remove(&mut self, production: u32, wmes: &[WmeId]) -> bool {
-        let Some(slot) = self.find(production, wmes) else {
+        self.remove_hashed(key_hash(production, wmes), production, wmes)
+    }
+
+    fn remove_hashed(&mut self, hash: u64, production: u32, wmes: &[WmeId]) -> bool {
+        let Some(slot) = self.find(hash, production, wmes) else {
             return false;
         };
-        let at = self.rank_position(slot);
-        debug_assert_eq!(self.rank[at], slot);
+        let key = (self.slab[slot as usize].primary(self.rank_strategy), slot);
+        let at = self.rank_position(key);
+        debug_assert_eq!(self.rank[at], key);
         self.rank.remove(at);
         self.release(slot);
         true
     }
 
+    /// Applies a batch of match events in order: inserts and retractions.
+    pub fn apply(&mut self, events: &MatchEvents) {
+        for e in events.iter() {
+            match e {
+                MatchEvent::Insert(i) => self.insert(i),
+                MatchEvent::Retract { production, wmes } => {
+                    self.remove(production, wmes);
+                }
+            }
+        }
+    }
+
     /// Iterates over the instantiations (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
+    pub fn iter(&self) -> impl Iterator<Item = InstRef<'_>> {
         self.slab[..self.slots.high_water()]
             .iter()
-            .filter_map(|e| e.inst.as_ref())
+            .filter(|e| e.occupied)
+            .map(Entry::view)
     }
 
     /// Selects the dominant instantiation under `strategy` and removes it
-    /// from the set (OPS5 refraction). Returns `None` at quiescence.
-    pub fn select(&mut self, strategy: Strategy) -> Option<Instantiation> {
+    /// from the set (OPS5 refraction): its WMEs are copied into `wmes`
+    /// (replacing what it held) and its production is returned. `None` at
+    /// quiescence, `wmes` untouched.
+    pub fn select(&mut self, strategy: Strategy, wmes: &mut Vec<WmeId>) -> Option<u32> {
         if strategy != self.rank_strategy {
             self.rank_strategy = strategy;
             let slab = &self.slab;
-            self.rank
-                .sort_unstable_by(|&a, &b| compare(strategy, &slab[a as usize], &slab[b as usize]));
+            for (tag, slot) in &mut self.rank {
+                *tag = slab[*slot as usize].primary(strategy);
+            }
+            self.rank.sort_unstable_by(|&(ta, a), &(tb, b)| {
+                ta.cmp(&tb)
+                    .then_with(|| compare(strategy, &slab[a as usize], &slab[b as usize]))
+            });
         }
-        let slot = self.rank.pop()?;
-        Some(self.release(slot))
+        let (_, slot) = self.rank.pop()?;
+        let e = &self.slab[slot as usize];
+        wmes.clear();
+        wmes.extend_from_slice(&e.wmes);
+        let production = e.production;
+        self.release(slot);
+        Some(production)
     }
 
-    /// Like [`select`](Self::select) but leaves the instantiation in place.
-    /// When `strategy` differs from the one the set is currently ranked
-    /// by, this falls back to a linear maximum under [`compare`]; `select`
-    /// re-ranks instead.
-    pub fn peek(&self, strategy: Strategy) -> Option<&Instantiation> {
+    /// The instantiation [`select`](Self::select) would take, left in
+    /// place. When `strategy` differs from the one the set is currently
+    /// ranked by, this falls back to a linear maximum under [`compare`];
+    /// `select` re-ranks instead.
+    pub fn peek(&self, strategy: Strategy) -> Option<InstRef<'_>> {
         let top = if strategy == self.rank_strategy {
-            self.rank.last().map(|&s| &self.slab[s as usize])
+            self.rank.last().map(|&(_, s)| &self.slab[s as usize])
         } else {
             self.slab[..self.slots.high_water()]
                 .iter()
-                .filter(|e| e.inst.is_some())
+                .filter(|e| e.occupied)
                 .max_by(|a, b| compare(strategy, a, b))
         };
-        top.map(Entry::inst)
+        top.map(Entry::view)
     }
 }
 
 /// Total order used for resolution; `Greater` means "dominates". The
-/// executable specification: the ranking is kept with it, and
-/// strategy-mismatched `peek`s scan with it.
+/// executable specification: the ranking is kept with it (after the inline
+/// [`Entry::primary`] tag, which agrees with it wherever the tags differ),
+/// and strategy-mismatched `peek`s scan with it.
 fn compare(strategy: Strategy, a: &Entry, b: &Entry) -> Ordering {
-    let (ia, ib) = (a.inst(), b.inst());
     if strategy == Strategy::Mea {
-        match ia.mea_tag().cmp(&ib.mea_tag()) {
+        match a.primary(Strategy::Mea).cmp(&b.primary(Strategy::Mea)) {
             Ordering::Equal => {}
             other => return other,
         }
@@ -271,22 +370,22 @@ fn compare(strategy: Strategy, a: &Entry, b: &Entry) -> Ordering {
         Ordering::Equal => {}
         other => return other,
     }
-    match ia.specificity.cmp(&ib.specificity) {
+    match a.specificity.cmp(&b.specificity) {
         Ordering::Equal => {}
         other => return other,
     }
     // Deterministic final tie-break: lower production index, then wmes.
-    match ib.production.cmp(&ia.production) {
+    match b.production.cmp(&a.production) {
         Ordering::Equal => {}
         other => return other,
     }
-    ib.wmes.cmp(&ia.wmes)
+    b.wmes.cmp(&a.wmes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::{prop, prop_assert_eq, prop_oneof, proptest};
+    use proptest::prelude::{prop, prop_assert, prop_assert_eq, prop_oneof, proptest};
     use proptest::Strategy as Generator;
 
     fn inst(prod: u32, tags: &[TimeTag], spec: u32) -> Instantiation {
@@ -298,36 +397,43 @@ mod tests {
         )
     }
 
+    fn insert(cs: &mut ConflictSet, prod: u32, tags: &[TimeTag], spec: u32) {
+        cs.insert(inst(prod, tags, spec).view());
+    }
+
+    fn select(cs: &mut ConflictSet, s: Strategy) -> Option<u32> {
+        cs.select(s, &mut Vec::new())
+    }
+
     #[test]
     fn lex_prefers_recency() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[1, 2], 1));
-        cs.insert(inst(1, &[1, 5], 1));
-        let w = cs.select(Strategy::Lex).unwrap();
-        assert_eq!(w.production, 1);
+        insert(&mut cs, 0, &[1, 2], 1);
+        insert(&mut cs, 1, &[1, 5], 1);
+        let mut wmes = vec![WmeId(9)];
+        assert_eq!(cs.select(Strategy::Lex, &mut wmes), Some(1));
+        assert_eq!(wmes, [WmeId(1), WmeId(5)], "the winner's WMEs, replacing");
         assert_eq!(cs.len(), 1, "selection removes (refraction)");
     }
 
     #[test]
     fn lex_ties_break_on_length_then_specificity() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[5], 1));
-        cs.insert(inst(1, &[5, 3], 1)); // longer with equal prefix wins
+        insert(&mut cs, 0, &[5], 1);
+        insert(&mut cs, 1, &[5, 3], 1); // longer with equal prefix wins
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
 
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[5, 3], 1));
-        cs.insert(inst(1, &[5, 3], 9)); // higher specificity wins
+        insert(&mut cs, 0, &[5, 3], 1);
+        insert(&mut cs, 1, &[5, 3], 9); // higher specificity wins
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
     }
 
     #[test]
     fn mea_dominates_on_first_ce_tag() {
-        let a = inst(0, &[9, 1], 1); // first CE tag 9
-        let b = inst(1, &[2, 100], 1); // more recent overall, older first CE
         let mut cs = ConflictSet::new();
-        cs.insert(a);
-        cs.insert(b);
+        insert(&mut cs, 0, &[9, 1], 1); // first CE tag 9
+        insert(&mut cs, 1, &[2, 100], 1); // more recent overall, older first CE
         assert_eq!(cs.peek(Strategy::Mea).unwrap().production, 0);
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
     }
@@ -339,36 +445,38 @@ mod tests {
         // (tags start at 1) — it must lose to ANY tagged rival, even one
         // with tag 1, under both strategies.
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[], 9)); // tagless, more specific
-        cs.insert(inst(1, &[1], 1)); // oldest possible real tag
+        insert(&mut cs, 0, &[], 9); // tagless, more specific
+        insert(&mut cs, 1, &[1], 1); // oldest possible real tag
         assert_eq!(cs.peek(Strategy::Mea).unwrap().production, 1);
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
 
         // Two tagless instantiations fall through to specificity and the
         // production-index tie-break, deterministically.
         let mut cs = ConflictSet::new();
-        cs.insert(inst(3, &[], 2));
-        cs.insert(inst(4, &[], 5));
-        assert_eq!(cs.select(Strategy::Mea).unwrap().production, 4);
-        assert_eq!(cs.select(Strategy::Mea).unwrap().production, 3);
+        insert(&mut cs, 3, &[], 2);
+        insert(&mut cs, 4, &[], 5);
+        assert_eq!(select(&mut cs, Strategy::Mea), Some(4));
+        assert_eq!(select(&mut cs, Strategy::Mea), Some(3));
     }
 
     #[test]
     fn selection_is_deterministic_under_full_ties() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(2, &[5, 3], 4));
-        cs.insert(inst(1, &[5, 3], 4));
+        insert(&mut cs, 2, &[5, 3], 4);
+        insert(&mut cs, 1, &[5, 3], 4);
         // Lower production index dominates as the final tie-break.
-        assert_eq!(cs.select(Strategy::Lex).unwrap().production, 1);
-        assert_eq!(cs.select(Strategy::Lex).unwrap().production, 2);
-        assert!(cs.select(Strategy::Lex).is_none());
+        assert_eq!(select(&mut cs, Strategy::Lex), Some(1));
+        assert_eq!(select(&mut cs, Strategy::Lex), Some(2));
+        let mut wmes = vec![WmeId(7)];
+        assert_eq!(cs.select(Strategy::Lex, &mut wmes), None);
+        assert_eq!(wmes, [WmeId(7)], "quiescence leaves the buffer alone");
     }
 
     #[test]
     fn insert_is_idempotent() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[1], 1));
-        cs.insert(inst(0, &[1], 1));
+        insert(&mut cs, 0, &[1], 1);
+        insert(&mut cs, 0, &[1], 1);
         assert_eq!(cs.len(), 1);
         assert!(cs.remove(0, &[WmeId(1)]));
         assert!(!cs.remove(0, &[WmeId(1)]));
@@ -377,29 +485,31 @@ mod tests {
     #[test]
     fn strategy_switch_rekeys_the_rank_index() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[9, 1], 1));
-        cs.insert(inst(1, &[2, 100], 1));
+        insert(&mut cs, 0, &[9, 1], 1);
+        insert(&mut cs, 1, &[2, 100], 1);
         // LEX first (default index), then MEA (forces a rebuild), then LEX.
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
-        assert_eq!(cs.select(Strategy::Mea).unwrap().production, 0);
-        assert_eq!(cs.select(Strategy::Lex).unwrap().production, 1);
+        assert_eq!(select(&mut cs, Strategy::Mea), Some(0));
+        assert_eq!(select(&mut cs, Strategy::Lex), Some(1));
         assert!(cs.is_empty());
     }
 
     #[test]
     fn clear_keeps_the_slots_and_hands_them_out_from_the_start() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[1, 2], 1));
-        cs.insert(inst(1, &[3], 1));
-        cs.select(Strategy::Mea);
+        insert(&mut cs, 0, &[1, 2], 1);
+        insert(&mut cs, 1, &[3], 1);
+        select(&mut cs, Strategy::Mea);
         cs.clear();
         assert!(cs.is_empty() && cs.iter().next().is_none());
         assert_eq!(cs.peek(Strategy::Mea), None);
         assert_eq!(cs.slab.len(), 2);
-        cs.insert(inst(2, &[7], 1));
-        assert!(cs.slab[0].inst.is_some(), "slot 0 first, as in a new set");
+        let kept = cs.slab[0].wmes.capacity();
+        insert(&mut cs, 2, &[7], 1);
+        assert!(cs.slab[0].occupied, "slot 0 first, as in a new set");
+        assert_eq!(cs.slab[0].wmes.capacity(), kept, "into its old buffers");
         assert!(!cs.remove(0, &[WmeId(1), WmeId(2)]), "old keys are gone");
-        assert_eq!(cs.select(Strategy::Lex).unwrap().production, 2);
+        assert_eq!(select(&mut cs, Strategy::Lex), Some(2));
     }
 
     /// One step of a random conflict-set history.
@@ -419,7 +529,7 @@ mod tests {
         let inst = (0u32..4, prop::collection::vec(1u64..6, 0..4), 0u32..3).prop_map(
             |(production, tags, specificity)| {
                 let wmes: Vec<WmeId> = tags.iter().map(|&t| WmeId((t % 4) as u32)).collect();
-                Instantiation::new(production, wmes.into(), tags.into(), specificity)
+                Instantiation::new(production, wmes, tags, specificity)
             },
         );
         let strategy = (0usize..2).prop_map(|m| [Strategy::Lex, Strategy::Mea][m]);
@@ -434,47 +544,68 @@ mod tests {
         /// The order proof: the set against a plain list searched with
         /// `compare`. Whatever the history — re-inserted keys, removals of
         /// absent keys, the strategy switching between selections — both
-        /// hold the same instantiations and name the same winner.
+        /// hold the same instantiations and name the same winner, and every
+        /// rank entry carries its slot's primary tag under the strategy the
+        /// set is ranked by, in strictly ascending order.
         #[test]
         fn ranking_agrees_with_a_linear_scan_under_compare(
             ops in prop::collection::vec(op(), 1..48),
         ) {
+            let entry = |i: &Instantiation| {
+                let mut e = Entry::default();
+                e.fill(i.view(), key_hash(i.production, &i.wmes));
+                e
+            };
             let best = |model: &[Entry], s| {
                 (0..model.len()).max_by(|&a, &b| compare(s, &model[a], &model[b]))
             };
-            let drop_key = |model: &mut Vec<Entry>, k: &Instantiation| {
+            let drop_key = |model: &mut Vec<Entry>, production: u32, wmes: &[WmeId]| {
                 let before = model.len();
-                model.retain(|e| (e.inst().production, &e.inst().wmes) != (k.production, &k.wmes));
+                model.retain(|e| (e.production, &e.wmes[..]) != (production, wmes));
                 model.len() < before
             };
-            let key = |i: &Instantiation| (i.production, i.wmes.to_vec());
+            let key = |i: InstRef<'_>| (i.production, i.wmes.to_vec());
             let (mut cs, mut model, mut seen) = (ConflictSet::new(), Vec::new(), Vec::new());
+            let mut picked = Vec::new();
             for op in ops {
                 match op {
                     Op::Insert(i) => {
-                        drop_key(&mut model, &i);
-                        model.push(Entry::default());
-                        model.last_mut().unwrap().fill(i.clone());
-                        seen.push(i.clone());
-                        cs.insert(i);
+                        drop_key(&mut model, i.production, &i.wmes);
+                        model.push(entry(&i));
+                        cs.insert(i.view());
+                        seen.push(i);
                     }
                     Op::Remove(n) if !seen.is_empty() => {
                         let k: &Instantiation = &seen[n % seen.len()];
-                        prop_assert_eq!(cs.remove(k.production, &k.wmes), drop_key(&mut model, k));
+                        let dropped = drop_key(&mut model, k.production, &k.wmes);
+                        prop_assert_eq!(cs.remove(k.production, &k.wmes), dropped);
                     }
                     Op::Remove(_) => {}
                     Op::Select(s) => {
                         let want = best(&model, s).map(|at| model.swap_remove(at));
-                        let got = cs.select(s);
-                        prop_assert_eq!(got.as_ref(), want.as_ref().map(Entry::inst));
+                        let got = cs.select(s, &mut picked);
+                        let want = want.map(|e| (e.production, e.wmes));
+                        prop_assert_eq!(got.map(|p| (p, picked.clone())), want);
                     }
                 }
                 // One of the two is the ranked strategy, the other scans.
                 for s in [Strategy::Lex, Strategy::Mea] {
-                    prop_assert_eq!(cs.peek(s), best(&model, s).map(|at| model[at].inst()));
+                    prop_assert_eq!(cs.peek(s), best(&model, s).map(|at| model[at].view()));
+                }
+                let ranked = cs.rank_strategy;
+                for &(tag, slot) in &cs.rank {
+                    let e = &cs.slab[slot as usize];
+                    prop_assert!(e.occupied);
+                    prop_assert_eq!(tag, e.primary(ranked));
+                }
+                for pair in cs.rank.windows(2) {
+                    let [(ta, a), (tb, b)] = [pair[0], pair[1]];
+                    let (ea, eb) = (&cs.slab[a as usize], &cs.slab[b as usize]);
+                    prop_assert!(ta <= tb);
+                    prop_assert_eq!(compare(ranked, ea, eb), Ordering::Less);
                 }
                 let mut have: Vec<_> = cs.iter().map(key).collect();
-                let mut want: Vec<_> = model.iter().map(|e| key(e.inst())).collect();
+                let mut want: Vec<_> = model.iter().map(|e| key(e.view())).collect();
                 have.sort();
                 want.sort();
                 prop_assert_eq!(have, want);

@@ -17,13 +17,13 @@
 //! telemetry type.
 
 use crate::ast::{Action, Expr, SlotIdx};
-use crate::conflict::{ConflictSet, Instantiation, Strategy};
+use crate::conflict::{ConflictSet, Strategy};
 use crate::instrument::{cost, CycleStats, WorkCounters};
-use crate::matcher::{Matcher, NaiveMatcher};
+use crate::matcher::{MatchEvents, Matcher, NaiveMatcher};
 use crate::profile::{MatchProfile, ProductionProfile};
 use crate::program::Program;
 use crate::rete::compile::{compile_production, CompiledProduction, VarSource};
-use crate::rete::{MatchEvent, Network, Rete, ReteConfig};
+use crate::rete::{Network, Rete, ReteConfig};
 use crate::rhs::eval_expr;
 use crate::static_sym;
 use crate::symbol::{sym, Symbol};
@@ -75,12 +75,15 @@ impl Effects {
 }
 
 /// Buffers the recognize–act cycle fills on every firing, kept between
-/// firings (and over [`Engine::reset`]) so a firing allocates only what it
-/// leaves behind in working memory and the conflict set.
+/// firings (and over [`Engine::reset`]) so that, once they and the
+/// matcher's, conflict set's and working memory's buffers have grown, a
+/// firing allocates nothing.
 #[derive(Default)]
 struct Scratch {
-    /// The matcher's pending conflict-set changes.
-    events: Vec<MatchEvent>,
+    /// The matcher's net conflict-set changes of one drain.
+    events: MatchEvents,
+    /// The WMEs of the selected instantiation.
+    selected: Vec<WmeId>,
     /// Variable bindings of the firing instantiation.
     vals: Vec<Value>,
     /// Evaluated call arguments; nested calls stack theirs on top.
@@ -88,6 +91,25 @@ struct Scratch {
     /// Evaluated `modify` assignments / resolved `make_wme` slots.
     sets: Vec<(SlotIdx, Value)>,
     effects: Effects,
+}
+
+/// The engine's fields a WME change or an RHS writes, borrowed apart from
+/// the program and its compiled chains, which they only read — in place:
+/// every engine of a program holds the same two `Arc`s, so cloning them
+/// per firing would be atomic read-modify-writes on cache lines all of a
+/// phase's workers write.
+struct Act<'a> {
+    program: &'a Program,
+    compiled: &'a [CompiledProduction],
+    matcher: &'a mut dyn Matcher,
+    wm: &'a mut WmStore,
+    time: &'a mut TimeTag,
+    work: &'a mut WorkCounters,
+    externals: &'a HashMap<Symbol, ExternalFn>,
+    halted: &'a mut bool,
+    output: &'a mut String,
+    gensym: &'a mut u64,
+    effects: &'a mut Effects,
 }
 
 /// An external (RHS) function.
@@ -542,83 +564,52 @@ impl Engine {
     /// the same few classes should hold on to instead of their names. Slots
     /// not mentioned are nil; a later assignment to a slot wins.
     pub fn make_wme_slots(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) -> Result<WmeId> {
-        let made = self.make_slots(class, sets);
+        let made = self.act().make_slots(class, sets);
         self.sync_conflict();
         made
-    }
-
-    /// [`Engine::make_wme_slots`] without the conflict-set feed, for WMEs
-    /// made inside a firing.
-    fn make_slots(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) -> Result<WmeId> {
-        let n = self
-            .program
-            .n_slots(class)
-            .ok_or_else(|| Error::Runtime(format!("make: unknown class '{class}'")))?;
-        let mut fields = vec![Value::Nil; n].into_boxed_slice();
-        for &(slot, v) in sets {
-            *fields.get_mut(slot as usize).ok_or_else(|| {
-                Error::Runtime(format!("class '{class}' has no slot {slot} (of {n})"))
-            })? = v;
-        }
-        Ok(self.insert_wme(class, fields))
     }
 
     /// Inserts a WME from raw slot values (working-memory distribution path:
     /// the PSM control process copies WMEs into task engines this way).
     /// A fresh local time tag is assigned.
     pub fn insert_fields(&mut self, class: Symbol, fields: Vec<Value>) -> WmeId {
-        let id = self.insert_wme(class, fields.into_boxed_slice());
+        let id = self.act().insert_wme(class, fields.into_boxed_slice());
         self.sync_conflict();
-        id
-    }
-
-    /// Adds a WME to the store and the matcher; the conflict set hears of
-    /// it at the next [`Engine::sync_conflict`].
-    fn insert_wme(&mut self, class: Symbol, fields: Box<[Value]>) -> WmeId {
-        self.time += 1;
-        let wme = Wme {
-            class,
-            fields,
-            time_tag: self.time,
-        };
-        let id = self.wm.add(wme);
-        self.base_work.wme_adds += 1;
-        self.matcher.add_wme(id, &self.wm);
         id
     }
 
     /// Removes a WME by id (no-op on dead ids).
     pub fn remove_wme_id(&mut self, id: WmeId) {
-        if self.take_wme(id).is_some() {
+        if let Some(wme) = self.act().take_wme(id) {
+            self.wm.recycle(wme);
             self.sync_conflict();
         }
     }
 
-    /// Removes a WME by id from the store and the matcher and returns it
-    /// (`None` for a dead id); the conflict set hears of it at the next
-    /// [`Engine::sync_conflict`].
-    fn take_wme(&mut self, id: WmeId) -> Option<Wme> {
-        self.wm.get(id)?;
-        self.matcher.remove_wme(id, &self.wm);
-        let wme = self.wm.remove(id);
-        self.base_work.wme_removes += 1;
-        wme
+    /// The engine's fields a WME change or an RHS writes, borrowed apart.
+    fn act(&mut self) -> Act<'_> {
+        Act {
+            program: &self.program,
+            compiled: &self.compiled,
+            matcher: &mut *self.matcher,
+            wm: &mut self.wm,
+            time: &mut self.time,
+            work: &mut self.base_work,
+            externals: &self.externals,
+            halted: &mut self.halted,
+            output: &mut self.output,
+            gensym: &mut self.gensym,
+            effects: &mut self.scratch.effects,
+        }
     }
 
     /// The cycle's one synchronisation with the matcher: drains its net
     /// changes since the last call into the conflict set.
     fn sync_conflict(&mut self) {
-        let mut events = std::mem::take(&mut self.scratch.events);
-        self.matcher.drain_events(&self.wm, &mut events);
-        for e in events.drain(..) {
-            match e {
-                MatchEvent::Insert(i) => self.conflict.insert(i),
-                MatchEvent::Retract { production, wmes } => {
-                    self.conflict.remove(production, &wmes);
-                }
-            }
-        }
-        self.scratch.events = events;
+        let events = &mut self.scratch.events;
+        self.matcher.drain_events(&self.wm, events);
+        self.conflict.apply(events);
+        events.clear();
     }
 
     /// Runs the recognize–act cycle for at most `limit` firings.
@@ -670,13 +661,13 @@ impl Engine {
         };
         let conflict_len = self.conflict.len();
         self.base_work.resolve_units += cost::resolve_cost(conflict_len);
-        let Some(inst) = self.conflict.select(self.strategy) else {
+        let selected = &mut self.scratch.selected;
+        let Some(prod_idx) = self.conflict.select(self.strategy, selected) else {
             return Ok(None);
         };
-        let prod_idx = inst.production;
         let act_before = self.base_work;
         // Act.
-        self.fire(&inst)?;
+        self.fire(prod_idx)?;
         self.base_work.firings += 1;
         if let Some(p) = &mut self.profile {
             let d = self.base_work.since(&act_before);
@@ -707,16 +698,21 @@ impl Engine {
         Ok(Some(prod_idx))
     }
 
-    /// Executes the RHS of `inst`, with the engine's scratch buffers taken
-    /// out for the duration (an error leaves them emptied, not lost), then
-    /// feeds the conflict set what the RHS's WME changes — all of them, or
-    /// those made before an error — amount to.
-    fn fire(&mut self, inst: &Instantiation) -> Result<()> {
+    /// Executes the RHS of `production` instantiated with the selected
+    /// WMEs, with the engine's scratch buffers taken out for the duration
+    /// (an error leaves them emptied, not lost), then feeds the conflict set
+    /// what the RHS's WME changes — all of them, or those made before an
+    /// error — amount to.
+    fn fire(&mut self, production: u32) -> Result<()> {
+        let selected = std::mem::take(&mut self.scratch.selected);
         let mut vals = std::mem::take(&mut self.scratch.vals);
         let mut argv = std::mem::take(&mut self.scratch.argv);
         let mut sets = std::mem::take(&mut self.scratch.sets);
         argv.clear();
-        let fired = self.fire_with(inst, &mut vals, &mut argv, &mut sets);
+        let fired = self
+            .act()
+            .fire(production, &selected, &mut vals, &mut argv, &mut sets);
+        self.scratch.selected = selected;
         self.scratch.vals = vals;
         self.scratch.argv = argv;
         self.scratch.sets = sets;
@@ -724,32 +720,113 @@ impl Engine {
         fired
     }
 
-    fn fire_with(
+    /// The complete engine state, canonically ordered: working memory (exact
+    /// slot layout, time tags), conflict-set entry keys, recency/gensym
+    /// counters, work counters, named external counters, halt flag, and
+    /// accumulated output. The property tests compare engines by it,
+    /// through [`Engine::snapshot`].
+    pub fn image(&self) -> crate::snapshot::EngineImage {
+        let mut conflict: Vec<_> = (self.conflict.iter())
+            .map(|i| (i.production, Box::from(i.wmes)))
+            .collect();
+        conflict.sort();
+        let mut counters: Vec<_> = (self.ext_counters.iter())
+            .map(|(n, _, c)| (n.clone(), c.load(Ordering::Relaxed)))
+            .collect();
+        counters.sort();
+        crate::snapshot::EngineImage {
+            strategy: self.strategy,
+            halted: self.halted,
+            time: self.time,
+            gensym: self.gensym,
+            output: self.output.clone(),
+            base_work: self.base_work,
+            match_work: self.matcher.work(),
+            slots: self.wm.raw_slots().to_vec(),
+            conflict,
+            counters,
+        }
+    }
+
+    /// [`Engine::image`] as bytes: the canonical encoding tests compare
+    /// engines by. Equal bytes, equal state.
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.image().encode()
+    }
+}
+
+impl Act<'_> {
+    /// [`Engine::make_wme_slots`] without the conflict-set feed, for WMEs
+    /// made inside a firing too. The fields go into a buffer a departed WME
+    /// of the class's length left behind ([`WmStore::fields`]), when there
+    /// is one.
+    fn make_slots(&mut self, class: Symbol, sets: &[(SlotIdx, Value)]) -> Result<WmeId> {
+        let n = self
+            .program
+            .n_slots(class)
+            .ok_or_else(|| Error::Runtime(format!("make: unknown class '{class}'")))?;
+        if let Some(&(slot, _)) = sets.iter().find(|&&(slot, _)| slot as usize >= n) {
+            let msg = format!("class '{class}' has no slot {slot} (of {n})");
+            return Err(Error::Runtime(msg));
+        }
+        let mut fields = self.wm.fields(n);
+        for &(slot, v) in sets {
+            fields[slot as usize] = v;
+        }
+        Ok(self.insert_wme(class, fields))
+    }
+
+    /// Adds a WME to the store and the matcher; the conflict set hears of
+    /// it at the next [`Engine::sync_conflict`].
+    fn insert_wme(&mut self, class: Symbol, fields: Box<[Value]>) -> WmeId {
+        *self.time += 1;
+        let wme = Wme {
+            class,
+            fields,
+            time_tag: *self.time,
+        };
+        let id = self.wm.add(wme);
+        self.work.wme_adds += 1;
+        self.matcher.add_wme(id, self.wm);
+        id
+    }
+
+    /// Removes a WME by id from the store and the matcher and returns it
+    /// (`None` for a dead id); the conflict set hears of it at the next
+    /// [`Engine::sync_conflict`].
+    fn take_wme(&mut self, id: WmeId) -> Option<Wme> {
+        self.wm.get(id)?;
+        self.matcher.remove_wme(id, self.wm);
+        let wme = self.wm.remove(id);
+        self.work.wme_removes += 1;
+        wme
+    }
+
+    fn fire(
         &mut self,
-        inst: &Instantiation,
+        production: u32,
+        wmes: &[WmeId],
         vals: &mut Vec<Value>,
         argv: &mut Vec<Value>,
         sets: &mut Vec<(SlotIdx, Value)>,
     ) -> Result<()> {
-        let compiled = Arc::clone(&self.compiled);
-        let cp = &compiled[inst.production as usize];
-        let program = Arc::clone(&self.program);
-        let prod = &program.productions[inst.production as usize];
+        let cp = &self.compiled[production as usize];
+        let prod = &self.program.productions[production as usize];
 
         // Extract variable bindings from the matched WMEs.
         vals.clear();
         vals.resize(prod.n_vars as usize, Value::Nil);
         for (val, src) in vals.iter_mut().zip(&cp.var_sources) {
             if let VarSource::Lhs { slot, pos, .. } = *src {
-                if let Some(w) = self.wm.get(inst.wmes[pos as usize]) {
+                if let Some(w) = self.wm.get(wmes[pos as usize]) {
                     *val = w.get(slot as usize);
                 }
             }
         }
 
         for action in &prod.actions {
-            self.base_work.rhs_actions += 1;
-            self.base_work.act_units += cost::RHS_ACTION;
+            self.work.rhs_actions += 1;
+            self.work.act_units += cost::RHS_ACTION;
             match action {
                 Action::Make { class, sets: exprs } => {
                     sets.clear();
@@ -761,7 +838,7 @@ impl Engine {
                 Action::Modify { ce, sets: exprs } => {
                     let pos = cp.ce_to_positive[(*ce - 1) as usize]
                         .expect("modify target is positive") as usize;
-                    let id = inst.wmes[pos];
+                    let id = wmes[pos];
                     if self.wm.get(id).is_none() {
                         // Already removed earlier in this RHS; OPS5 would
                         // signal an error — we skip, deterministically.
@@ -786,7 +863,9 @@ impl Engine {
                 Action::Remove { ce } => {
                     let pos = cp.ce_to_positive[(*ce - 1) as usize]
                         .expect("remove target is positive") as usize;
-                    self.take_wme(inst.wmes[pos]);
+                    if let Some(wme) = self.take_wme(wmes[pos]) {
+                        self.wm.recycle(wme);
+                    }
                 }
                 Action::Bind { var, expr } => {
                     let v = self.eval(expr, vals, argv)?;
@@ -815,7 +894,7 @@ impl Engine {
                     self.eval_call(*name, args, vals, argv)?;
                 }
                 Action::Halt => {
-                    self.halted = true;
+                    *self.halted = true;
                 }
             }
         }
@@ -844,7 +923,7 @@ impl Engine {
     /// Evaluates an RHS expression, dispatching `(call ...)` sub-expressions
     /// to the external registry.
     fn eval(&mut self, expr: &Expr, vals: &[Value], argv: &mut Vec<Value>) -> Result<Value> {
-        self.base_work.act_units += cost::RHS_EXPR;
+        self.work.act_units += cost::RHS_EXPR;
         match expr {
             Expr::Call(name, args) => self.eval_call(*name, args, vals, argv),
             Expr::Compute(first, rest) => {
@@ -861,61 +940,27 @@ impl Engine {
                 };
                 let mut work = 0;
                 let v = eval_expr(other, vals, &mut nocall, &mut work);
-                self.base_work.act_units += work;
+                self.work.act_units += work;
                 v
             }
         }
     }
 
-    /// The complete engine state, canonically ordered: working memory (exact
-    /// slot layout, time tags), conflict-set entry keys, recency/gensym
-    /// counters, work counters, named external counters, halt flag, and
-    /// accumulated output. The property tests compare engines by it,
-    /// through [`Engine::snapshot`].
-    pub fn image(&self) -> crate::snapshot::EngineImage {
-        let mut conflict: Vec<_> = (self.conflict.iter())
-            .map(|i| (i.production, Box::from(&*i.wmes)))
-            .collect();
-        conflict.sort();
-        let mut counters: Vec<_> = (self.ext_counters.iter())
-            .map(|(n, _, c)| (n.clone(), c.load(Ordering::Relaxed)))
-            .collect();
-        counters.sort();
-        crate::snapshot::EngineImage {
-            strategy: self.strategy,
-            halted: self.halted,
-            time: self.time,
-            gensym: self.gensym,
-            output: self.output.clone(),
-            base_work: self.base_work,
-            match_work: self.matcher.work(),
-            slots: self.wm.raw_slots().to_vec(),
-            conflict,
-            counters,
-        }
-    }
-
-    /// [`Engine::image`] as bytes: the canonical encoding tests compare
-    /// engines by. Equal bytes, equal state.
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.image().encode()
-    }
-
     fn call_external(&mut self, name: Symbol, args: &[Value]) -> Result<Value> {
         // Builtin: genatom — a fresh unique symbol.
         if name == static_sym!("genatom") {
-            self.gensym += 1;
+            *self.gensym += 1;
             return Ok(Value::Sym(sym(&format!("g#{}", self.gensym))));
         }
-        let Some(f) = self.externals.get(&name).cloned() else {
+        let Some(f) = self.externals.get(&name) else {
             return Err(Error::Runtime(format!(
                 "unknown external function '{name}'"
             )));
         };
-        let mut eff = std::mem::take(&mut self.scratch.effects);
+        let mut eff = std::mem::take(self.effects);
         eff.clear();
         let ret = f(args, &mut eff);
-        self.base_work.external_units += eff.cost;
+        self.work.external_units += eff.cost;
         self.output.push_str(&eff.output);
         let mut made = Ok(());
         let mut sets = &eff.sets[..];
@@ -928,9 +973,9 @@ impl Engine {
             }
         }
         if eff.halt {
-            self.halted = true;
+            *self.halted = true;
         }
-        self.scratch.effects = eff;
+        *self.effects = eff;
         made.map(|()| ret.unwrap_or(Value::Nil))
     }
 }

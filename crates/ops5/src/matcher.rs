@@ -11,18 +11,184 @@
 //! `remove_wme` and drains once, when the RHS has run — ParaOPS5's one
 //! barrier per cycle, at the resolve step (§3.1). A backend is free to do
 //! its matching at the change or at the drain; what it hands over is the
-//! *net* change since the previous drain.
+//! *net* change since the previous drain, written into the engine's one
+//! [`MatchEvents`] batch: a list of changes over one WME buffer and one
+//! time-tag buffer, which the engine empties and refills every firing, so
+//! a warm cycle's events cost no allocation. The Rete writes into it in
+//! place; the naive matcher keeps its match in an owned map and copies the
+//! difference in at the drain.
 
-use crate::conflict::Instantiation;
+use crate::conflict::{InstRef, Instantiation};
 use crate::instrument::WorkCounters;
 use crate::naive::match_all_except;
 use crate::profile::MatchProfile;
 use crate::program::Program;
 use crate::rete::compile::CompiledProduction;
-use crate::rete::{MatchEvent, Rete};
-use crate::wme::{WmStore, WmeId};
+use crate::rete::Rete;
+use crate::wme::{TimeTag, WmStore, WmeId};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// One conflict-set change, borrowed from its [`MatchEvents`] batch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MatchEvent<'a> {
+    /// A production instantiation became satisfied.
+    Insert(InstRef<'a>),
+    /// A previously satisfied instantiation is no longer satisfied.
+    Retract {
+        /// Production index.
+        production: u32,
+        /// The WMEs of the retracted instantiation, as its insert had them.
+        wmes: &'a [WmeId],
+    },
+}
+
+/// A batch of conflict-set changes, flat: a change list over one WME
+/// buffer and one time-tag buffer. Several changes may read the same
+/// stretch of the buffers — a Rete token that reaches several terminals
+/// writes its lists once. [`clear`](Self::clear) keeps every buffer's
+/// capacity.
+#[derive(Clone, Debug, Default)]
+pub struct MatchEvents {
+    changes: Vec<Change>,
+    wmes: Vec<WmeId>,
+    time_tags: Vec<TimeTag>,
+}
+
+/// One change of a [`MatchEvents`]: where its lists are in the buffers.
+#[derive(Clone, Copy, Debug)]
+struct Change {
+    production: u32,
+    specificity: u32,
+    /// The change's WMEs are `wmes[at..at + len]`.
+    at: u32,
+    len: u32,
+    /// An insertion's time tags are `time_tags[tags..tags + len]`; `None`
+    /// for a retraction.
+    tags: Option<u32>,
+}
+
+impl MatchEvents {
+    /// An empty batch.
+    pub fn new() -> MatchEvents {
+        MatchEvents::default()
+    }
+
+    /// Number of changes.
+    pub fn len(&self) -> usize {
+        self.changes.len()
+    }
+
+    /// True when the batch holds no change.
+    pub fn is_empty(&self) -> bool {
+        self.changes.is_empty()
+    }
+
+    /// Forgets every change, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.changes.clear();
+        self.wmes.clear();
+        self.time_tags.clear();
+    }
+
+    /// The changes, in the order they were written.
+    pub fn iter(&self) -> impl Iterator<Item = MatchEvent<'_>> + '_ {
+        self.changes.iter().map(|c| {
+            let wmes = &self.wmes[c.at as usize..(c.at + c.len) as usize];
+            match c.tags {
+                Some(t) => MatchEvent::Insert(InstRef {
+                    production: c.production,
+                    wmes,
+                    time_tags: &self.time_tags[t as usize..(t + c.len) as usize],
+                    specificity: c.specificity,
+                }),
+                None => MatchEvent::Retract {
+                    production: c.production,
+                    wmes,
+                },
+            }
+        })
+    }
+
+    /// Appends an insertion, copying its lists.
+    pub fn push_insert(&mut self, inst: InstRef<'_>) {
+        self.push_inserts(
+            &[(inst.production, inst.specificity)],
+            inst.wmes.iter().copied(),
+            inst.time_tags.iter().copied(),
+        );
+    }
+
+    /// Appends a retraction, copying its WME list.
+    pub fn push_retract(&mut self, production: u32, wmes: &[WmeId]) {
+        self.push_retracts(&[(production, 0)], wmes.iter().rev().copied());
+    }
+
+    /// Appends one insertion per `(production, specificity)` of
+    /// `terminals`, all over one copy of `wmes` and `time_tags` (same
+    /// length).
+    pub(crate) fn push_inserts(
+        &mut self,
+        terminals: &[(u32, u32)],
+        wmes: impl IntoIterator<Item = WmeId>,
+        time_tags: impl IntoIterator<Item = TimeTag>,
+    ) {
+        let (at, tags) = (self.wmes.len(), self.time_tags.len());
+        self.wmes.extend(wmes);
+        self.time_tags.extend(time_tags);
+        let len = self.wmes.len() - at;
+        debug_assert_eq!(self.time_tags.len() - tags, len);
+        self.changes
+            .extend(terminals.iter().map(|&(production, specificity)| Change {
+                production,
+                specificity,
+                at: at as u32,
+                len: len as u32,
+                tags: Some(tags as u32),
+            }));
+    }
+
+    /// Appends one retraction per production of `terminals`, all over one
+    /// copy of the WME list given *last element first* — the order a walk
+    /// from a Rete token up its parent chain meets them in.
+    pub(crate) fn push_retracts(
+        &mut self,
+        terminals: &[(u32, u32)],
+        reversed_wmes: impl IntoIterator<Item = WmeId>,
+    ) {
+        let at = self.wmes.len();
+        self.wmes.extend(reversed_wmes);
+        self.wmes[at..].reverse();
+        let len = self.wmes.len() - at;
+        self.changes
+            .extend(terminals.iter().map(|&(production, _)| Change {
+                production,
+                specificity: 0,
+                at: at as u32,
+                len: len as u32,
+                tags: None,
+            }));
+    }
+
+    /// Moves every change of `other` to the end of this batch, leaving
+    /// `other` empty with its buffers.
+    pub fn append(&mut self, other: &mut MatchEvents) {
+        if self.is_empty() {
+            self.clear();
+            std::mem::swap(self, other);
+            return;
+        }
+        let (at, tags) = (self.wmes.len() as u32, self.time_tags.len() as u32);
+        self.changes.extend(other.changes.iter().map(|c| Change {
+            at: c.at + at,
+            tags: c.tags.map(|t| t + tags),
+            ..*c
+        }));
+        self.wmes.extend_from_slice(&other.wmes);
+        self.time_tags.extend_from_slice(&other.time_tags);
+        other.clear();
+    }
+}
 
 /// A match backend: maintains the conflict set incrementally as working
 /// memory changes.
@@ -33,10 +199,10 @@ pub trait Matcher: Send {
     /// it afterwards).
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore);
     /// Appends the conflict-set changes accumulated since the last call to
-    /// `out` (the caller's buffer, so a cycle's events cost no allocation).
+    /// `out` (the caller's batch, so a cycle's events cost no allocation).
     /// `wm` holds the changes sent since then. An instantiation that became
     /// satisfied and stopped being so between two calls need not appear.
-    fn drain_events(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>);
+    fn drain_events(&mut self, wm: &WmStore, out: &mut MatchEvents);
     /// Number of independently schedulable match activations since the last
     /// call (the ParaOPS5 subtask count).
     fn take_chunks(&mut self) -> u32;
@@ -94,7 +260,7 @@ impl Matcher for Rete {
     fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
         Rete::remove_wme(self, id, wm)
     }
-    fn drain_events(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>) {
+    fn drain_events(&mut self, wm: &WmStore, out: &mut MatchEvents) {
         Rete::drain_events_into(self, wm, out)
     }
     fn take_chunks(&mut self) -> u32 {
@@ -138,7 +304,7 @@ pub struct NaiveMatcher {
     work: WorkCounters,
 }
 
-type Keyed = HashMap<(u32, Arc<[WmeId]>), Instantiation>;
+type Keyed = HashMap<(u32, Vec<WmeId>), Instantiation>;
 
 impl NaiveMatcher {
     /// Creates a naive matcher for `program`.
@@ -179,29 +345,24 @@ impl Matcher for NaiveMatcher {
         self.rematch(wm, Some(id));
     }
 
-    fn drain_events(&mut self, _wm: &WmStore, events: &mut Vec<MatchEvent>) {
+    fn drain_events(&mut self, _wm: &WmStore, events: &mut MatchEvents) {
         let Some(next) = self.next.take() else {
             return;
         };
         // Deterministic order for reproducibility of any downstream logs.
-        let mut removed: Vec<_> = self
-            .prev
-            .keys()
+        let mut removed: Vec<_> = (self.prev.keys())
             .filter(|k| !next.contains_key(*k))
-            .cloned()
             .collect();
         removed.sort();
         for (production, wmes) in removed {
-            events.push(MatchEvent::Retract { production, wmes });
+            events.push_retract(*production, wmes);
         }
-        let mut added: Vec<_> = next
-            .keys()
-            .filter(|k| !self.prev.contains_key(*k))
-            .cloned()
+        let mut added: Vec<_> = (next.iter())
+            .filter(|(k, _)| !self.prev.contains_key(*k))
             .collect();
-        added.sort();
-        for k in added {
-            events.push(MatchEvent::Insert(next[&k].clone()));
+        added.sort_by(|a, b| a.0.cmp(b.0));
+        for (_, i) in added {
+            events.push_insert(i.view());
         }
         self.prev = next;
     }
@@ -247,9 +408,11 @@ mod tests {
         let id1 = wm.add(w1);
         m.add_wme(id1, &wm);
         let drain = |m: &mut NaiveMatcher, wm: &WmStore| {
-            let mut ev = Vec::new();
+            let mut ev = MatchEvents::new();
             m.drain_events(wm, &mut ev);
-            ev
+            ev.iter()
+                .map(|e| matches!(e, MatchEvent::Insert(_)))
+                .collect::<Vec<_>>()
         };
         assert!(drain(&mut m, &wm).is_empty(), "no join partner yet");
 
@@ -258,14 +421,12 @@ mod tests {
         let id2 = wm.add(w2);
         m.add_wme(id2, &wm);
         let ev = drain(&mut m, &wm);
-        assert_eq!(ev.len(), 1);
-        assert!(matches!(ev[0], MatchEvent::Insert(_)));
+        assert_eq!(ev, [true], "one insert");
 
         m.remove_wme(id1, &wm);
         wm.remove(id1);
         let ev = drain(&mut m, &wm);
-        assert_eq!(ev.len(), 1);
-        assert!(matches!(ev[0], MatchEvent::Retract { .. }));
+        assert_eq!(ev, [false], "one retraction");
 
         // No change → no events.
         assert!(drain(&mut m, &wm).is_empty());

@@ -88,12 +88,7 @@ fn backtrack(
     if level == cp.nodes.len() {
         let wmes: Vec<WmeId> = partial.iter().copied().flatten().collect();
         let tags: Vec<u64> = wmes.iter().map(|&w| wm.time_tag(w)).collect();
-        out.push(Instantiation::new(
-            cp.prod,
-            wmes.into(),
-            tags.into(),
-            prod.specificity,
-        ));
+        out.push(Instantiation::new(cp.prod, wmes, tags, prod.specificity));
         return;
     }
     let node = &cp.nodes[level];
@@ -210,8 +205,8 @@ mod tests {
 
     #[test]
     fn canonical_sorts_and_dedups() {
-        let a = Instantiation::new(1, vec![WmeId(2)].into(), vec![2].into(), 0);
-        let b = Instantiation::new(0, vec![WmeId(1)].into(), vec![1].into(), 0);
+        let a = Instantiation::new(1, vec![WmeId(2)], vec![2], 0);
+        let b = Instantiation::new(0, vec![WmeId(1)], vec![1], 0);
         let c = canonical(&[a.clone(), b.clone(), a]);
         assert_eq!(c.len(), 2);
         assert_eq!(c[0].0, 0);

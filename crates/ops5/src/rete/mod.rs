@@ -26,4 +26,4 @@ pub mod runtime;
 
 pub use compile::{AlphaArg, AlphaTest, CompiledProduction, JoinTest, VarSource};
 pub use network::{Network, ReteConfig};
-pub use runtime::{MatchEvent, Rete};
+pub use runtime::Rete;

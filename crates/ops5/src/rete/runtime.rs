@@ -40,10 +40,10 @@ use super::alpha::{AlphaMemId, AlphaMemories, AlphaNetwork};
 use super::compile::JoinTest;
 use super::network::Network;
 use crate::buckets::{give_list, take_list, Buckets, Pool, SlotCursor};
-use crate::conflict::Instantiation;
 use crate::instrument::{cost, WorkCounters};
+use crate::matcher::MatchEvents;
 use crate::profile::{AlphaMemProfile, ChainCounters, MatchProfile, NetStats, ProductionProfile};
-use crate::wme::{TimeTag, WmStore, WmeId};
+use crate::wme::{WmStore, WmeId};
 use std::sync::Arc;
 
 const DUMMY: u32 = u32::MAX;
@@ -58,21 +58,6 @@ const DUMMY: u32 = u32::MAX;
 /// the first probe that passes this gate, so a memory no join probes keeps
 /// none up.
 const INDEX_MIN_POPULATION: usize = 2;
-
-/// An event produced by the match: the conflict set changed.
-#[derive(Clone, Debug)]
-pub enum MatchEvent {
-    /// A production instantiation became satisfied.
-    Insert(Instantiation),
-    /// A previously satisfied instantiation is no longer satisfied.
-    Retract {
-        /// Production index.
-        production: u32,
-        /// The WMEs of the retracted instantiation (the list its
-        /// [`MatchEvent::Insert`] carried, shared).
-        wmes: Arc<[WmeId]>,
-    },
-}
 
 #[derive(Clone, Debug, Default)]
 struct TokenData {
@@ -110,7 +95,7 @@ impl TokenData {
 
 /// What a token at a terminal node has in the conflict set, or on its way
 /// there.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Emission {
     #[default]
     None,
@@ -118,9 +103,9 @@ enum Emission {
     /// No instantiation exists yet; a retraction before the drain cancels
     /// the entry and nothing ever reaches the conflict set.
     Pending(u32),
-    /// Handed over by a drain, with the WME list its instantiations carry,
-    /// kept so their retraction re-sends it instead of rebuilding it.
-    Delivered(Arc<[WmeId]>),
+    /// Handed over by a drain. Its retraction rebuilds the key from the
+    /// token's parent chain ([`Activation::emit_retract`]).
+    Delivered,
 }
 
 /// What a run changes at one beta node.
@@ -212,7 +197,7 @@ struct BetaState {
     /// the busiest firing.
     pending: Vec<u32>,
     /// Retractions of instantiations an earlier drain handed over.
-    events: Vec<MatchEvent>,
+    events: MatchEvents,
     chunks: u32,
     /// Always-on sharing/indexing statistics (not part of the work model).
     stats: NetStats,
@@ -226,9 +211,6 @@ struct BetaState {
     /// Spare token lists: index buckets, blocker lists, `wme_tokens`
     /// entries and the snapshots activations iterate.
     pool: Pool<u32>,
-    /// Scratch for assembling an instantiation's lists.
-    inst_wmes: Vec<WmeId>,
-    inst_tags: Vec<TimeTag>,
 }
 
 impl BetaState {
@@ -471,9 +453,9 @@ impl Rete {
     }
 
     /// Drains the conflict-set changes since the last drain
-    /// ([`Rete::drain_events_into`]) into a new list.
-    pub fn drain_events(&mut self, wm: &WmStore) -> Vec<MatchEvent> {
-        let mut out = Vec::new();
+    /// ([`Rete::drain_events_into`]) into a new batch.
+    pub fn drain_events(&mut self, wm: &WmStore) -> MatchEvents {
+        let mut out = MatchEvents::new();
         self.drain_events_into(wm, &mut out);
         out
     }
@@ -481,42 +463,33 @@ impl Rete {
     /// Appends the *net* conflict-set changes since the last drain to
     /// `out`: the retractions of instantiations an earlier drain handed
     /// over, then one insert per terminal of every token that reached one
-    /// and is still there. A token that came and went between two drains —
+    /// and is still there, its lists written into `out` once for all its
+    /// terminals. A token that came and went between two drains —
     /// a `modify` un-blocks a negated element with its remove and re-blocks
     /// it with its add — leaves no event, and its instantiation is never
-    /// built. Retractions can go first because two live tokens never share
+    /// written. Retractions can go first because two live tokens never share
     /// a `(production, wmes)` key: whatever held the key of a surviving
     /// insert before it was retracted before it.
     ///
     /// `wm` is the store the WME changes were made against; every WME of a
     /// live token is live in it. All buffers keep their capacity.
-    pub fn drain_events_into(&mut self, wm: &WmStore, out: &mut Vec<MatchEvent>) {
+    pub fn drain_events_into(&mut self, wm: &WmStore, out: &mut MatchEvents) {
         let b = &mut self.beta;
         out.append(&mut b.events);
-        let mut pending = std::mem::take(&mut b.pending);
-        for t in pending.drain(..).filter(|&t| t != DUMMY) {
-            b.load_chain(t);
-            let td = &b.tokens[t as usize];
-            let node = &self.net.nodes[td.node as usize];
-            b.inst_wmes.clear();
-            b.inst_wmes
-                .extend(b.chain[..=node.level as usize].iter().flatten());
-            b.inst_tags.clear();
-            b.inst_tags
-                .extend(b.inst_wmes.iter().map(|&w| wm.time_tag(w)));
-            let wmes: Arc<[WmeId]> = Arc::from(&b.inst_wmes[..]);
-            let time_tags: Arc<[TimeTag]> = Arc::from(&b.inst_tags[..]);
-            for &(prod, specificity) in &node.terminals {
-                out.push(MatchEvent::Insert(Instantiation::new(
-                    prod,
-                    Arc::clone(&wmes),
-                    Arc::clone(&time_tags),
-                    specificity,
-                )));
+        for i in 0..b.pending.len() {
+            let t = b.pending[i];
+            if t == DUMMY {
+                continue;
             }
-            b.tokens[t as usize].emitted = Emission::Delivered(wmes);
+            b.load_chain(t);
+            let td = &mut b.tokens[t as usize];
+            td.emitted = Emission::Delivered;
+            let node = &self.net.nodes[td.node as usize];
+            let wmes = b.chain[..=node.level as usize].iter().flatten();
+            let tags = wmes.clone().map(|&w| wm.time_tag(w));
+            out.push_inserts(&node.terminals, wmes.copied(), tags);
         }
-        b.pending = pending;
+        b.pending.clear();
     }
 
     /// Number of independently schedulable match activations since the last
@@ -1071,25 +1044,38 @@ impl<'a> Activation<'a> {
 
     /// Retracts what token `t` has in the conflict set, if anything, or
     /// cancels what it has on the way there; the charge is the same.
+    ///
+    /// A retraction's key is rebuilt by walking `t`'s parent chain, not
+    /// kept: the walk is sound because every path here runs before any
+    /// slot of the chain is given back — [`delete_token`] deletes a token's
+    /// descendants, which retracts them, before it gives its own slot back,
+    /// and [`block_token`] retracts a live token — and a slot's `parent`
+    /// and `wme` stay as they are until the slot is taken again.
+    ///
+    /// [`delete_token`]: Activation::delete_token
+    /// [`block_token`]: Activation::block_token
     fn emit_retract(&mut self, t: u32) {
-        let b = &mut *self.beta;
-        let td = &mut b.tokens[t as usize];
+        let BetaState {
+            tokens,
+            pending,
+            events,
+            stats,
+            ..
+        } = &mut *self.beta;
+        let td = &mut tokens[t as usize];
         let terminals = &self.net.nodes[td.node as usize].terminals;
         match std::mem::take(&mut td.emitted) {
             Emission::None => return,
             Emission::Pending(at) => {
-                b.pending[at as usize] = DUMMY;
-                b.stats.instantiations_netted += terminals.len() as u64;
+                pending[at as usize] = DUMMY;
+                stats.instantiations_netted += terminals.len() as u64;
             }
-            Emission::Delivered(wmes) => {
-                b.events.extend(
-                    terminals
-                        .iter()
-                        .map(|&(production, _)| MatchEvent::Retract {
-                            production,
-                            wmes: Arc::clone(&wmes),
-                        }),
-                );
+            Emission::Delivered => {
+                let chain = std::iter::successors(Some(t), |&c| {
+                    let p = tokens[c as usize].parent;
+                    (p != DUMMY).then_some(p)
+                });
+                events.push_retracts(terminals, chain.filter_map(|c| tokens[c as usize].wme));
             }
         }
         self.work.match_units += terminals.len() as u64 * cost::CONFLICT_OP;
@@ -1125,6 +1111,7 @@ fn eval_tests(tests: &[JoinTest], chain: &[Option<WmeId>], w: WmeId, wm: &WmStor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::MatchEvent;
     use crate::program::Program;
     use crate::rete::ReteConfig;
     use crate::symbol::sym;
@@ -1180,14 +1167,7 @@ mod tests {
 
         /// Net conflict-set size after applying all events.
         fn apply_events(&mut self, cs: &mut crate::conflict::ConflictSet) {
-            for e in self.rete.drain_events(&self.wm) {
-                match e {
-                    MatchEvent::Insert(i) => cs.insert(i),
-                    MatchEvent::Retract { production, wmes } => {
-                        cs.remove(production, &wmes);
-                    }
-                }
-            }
+            cs.apply(&self.rete.drain_events(&self.wm));
         }
     }
 
@@ -1437,7 +1417,7 @@ mod tests {
     /// is unspecified (trie traversal vs per-chain traversal), so compare
     /// as sorted multisets. The engine's conflict resolution is
     /// insertion-order independent, so firing sequences are unaffected.
-    fn canon(events: Vec<MatchEvent>) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
+    fn canon(events: MatchEvents) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
         let mut v = in_order(events);
         v.sort();
         v
@@ -1555,9 +1535,9 @@ mod tests {
     }
 
     /// One operation's events as they were emitted, in order.
-    fn in_order(events: Vec<MatchEvent>) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
+    fn in_order(events: MatchEvents) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
         events
-            .into_iter()
+            .iter()
             .map(|e| match e {
                 MatchEvent::Insert(i) => (0, i.production, i.wmes.to_vec(), i.time_tags.to_vec()),
                 MatchEvent::Retract { production, wmes } => {

@@ -81,10 +81,18 @@ impl fmt::Display for Wme {
 ///
 /// Ids are never reused within one engine lifetime, so a `WmeId` held by a
 /// token or conflict-set entry is stable; removed slots read as `None`.
+///
+/// The store also keeps the field buffers of WMEs that leave it —
+/// [`recycle`](Self::recycle)d, cut off by [`truncate`](Self::truncate),
+/// dropped by [`clear`](Self::clear) — and hands them out again through
+/// [`fields`](Self::fields) for the next WME of the same length, so a warm
+/// engine makes WMEs without allocating.
 #[derive(Clone, Debug, Default)]
 pub struct WmStore {
     slots: Vec<Option<Wme>>,
     live: usize,
+    /// Spare field buffers by length.
+    spare: Vec<Vec<Box<[Value]>>>,
 }
 
 impl WmStore {
@@ -93,18 +101,50 @@ impl WmStore {
         Self::default()
     }
 
-    /// Empties the store, keeping its allocation; ids restart at 0.
+    /// Empties the store, keeping its allocation and its WMEs' field
+    /// buffers; ids restart at 0.
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.live = 0;
+        self.truncate(0);
     }
 
-    /// Forgets every id from `len` up, live or dead; the next id handed out
-    /// is `len` again. Ids below keep what they hold.
+    /// Forgets every id from `len` up, live or dead, keeping their field
+    /// buffers; the next id handed out is `len` again. Ids below keep what
+    /// they hold.
     pub fn truncate(&mut self, len: usize) {
         let len = len.min(self.slots.len());
-        self.live -= self.slots[len..].iter().filter(|s| s.is_some()).count();
-        self.slots.truncate(len);
+        for wme in self.slots.drain(len..).flatten() {
+            self.live -= 1;
+            Self::keep(&mut self.spare, wme.fields);
+        }
+    }
+
+    /// `n` nil slots: the field buffer of a WME that left the store when
+    /// there is one of that length, else a new one.
+    pub fn fields(&mut self, n: usize) -> Box<[Value]> {
+        match self.spare.get_mut(n).and_then(Vec::pop) {
+            Some(mut fields) => {
+                fields.fill(Value::Nil);
+                fields
+            }
+            None => vec![Value::Nil; n].into_boxed_slice(),
+        }
+    }
+
+    /// Keeps the field buffer of `wme`, which has left the store, for
+    /// [`fields`](Self::fields) to hand out again.
+    pub fn recycle(&mut self, wme: Wme) {
+        Self::keep(&mut self.spare, wme.fields);
+    }
+
+    fn keep(spare: &mut Vec<Vec<Box<[Value]>>>, fields: Box<[Value]>) {
+        let n = fields.len();
+        if n == 0 {
+            return; // an empty box owns no allocation
+        }
+        if spare.len() <= n {
+            spare.resize_with(n + 1, Vec::new);
+        }
+        spare[n].push(fields);
     }
 
     /// One past the highest id handed out: the id the next WME gets.
@@ -190,6 +230,29 @@ mod tests {
         s.truncate(1);
         assert_eq!((s.len(), s.next_id()), (0, WmeId(1)));
         assert_eq!(s.add(Wme::new(sym("y"), 1, 4)), b, "ids follow the cut");
+    }
+
+    #[test]
+    fn departed_field_buffers_are_handed_out_again_as_nil() {
+        let mut s = WmStore::new();
+        let mut w = Wme::new(sym("x"), 3, 1);
+        w.set(1, Value::Int(7));
+        let a = s.add(w);
+        let b = s.add(Wme::new(sym("y"), 2, 2));
+        let kept = s.get(a).unwrap().fields.as_ptr();
+        let gone = s.remove(a).unwrap();
+        s.recycle(gone);
+        let fields = s.fields(3);
+        assert_eq!((fields.as_ptr(), &fields[..]), (kept, &[Value::Nil; 3][..]));
+        let other = s.fields(3);
+        assert_ne!(other.as_ptr(), kept, "one buffer, handed out once");
+        // A cut keeps what it cuts off, by length.
+        let kept = s.get(b).unwrap().fields.as_ptr();
+        s.clear();
+        assert_eq!(s.fields(3).len(), 3, "a new one: none of that length");
+        let reused = s.fields(2);
+        assert_eq!(reused.as_ptr(), kept);
+        assert!(s.fields(0).is_empty());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! the naive full re-match after any sequence of WM additions and removals,
 //! and the full engine must behave identically on both backends.
 
-use ops5::conflict::ConflictSet;
+use ops5::conflict::{ConflictSet, Instantiation};
+use ops5::matcher::{MatchEvent, MatchEvents};
 use ops5::naive::{canonical, match_all};
-use ops5::rete::{CompiledProduction, MatchEvent, Network, Rete, ReteConfig};
+use ops5::rete::{CompiledProduction, Network, Rete, ReteConfig};
 use ops5::wme::{WmStore, Wme};
 use ops5::{sym, Engine, Program, Value, WmeId};
 use proptest::prelude::*;
@@ -56,24 +57,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies events to a conflict set.
-fn apply(cs: &mut ConflictSet, events: &[MatchEvent]) {
-    for e in events {
-        match e {
-            MatchEvent::Insert(i) => cs.insert(i.clone()),
-            MatchEvent::Retract { production, wmes } => {
-                cs.remove(*production, wmes);
-            }
-        }
-    }
-}
-
 /// A conflict-set key.
 type Key = (u32, Vec<WmeId>);
 
 /// The keys a conflict set holds, sorted.
 fn keys(cs: &ConflictSet) -> Vec<Key> {
-    canonical(&cs.iter().cloned().collect::<Vec<_>>())
+    canonical(&cs.iter().map(Instantiation::from).collect::<Vec<_>>())
 }
 
 /// A bare Rete on a network of its own.
@@ -96,9 +85,9 @@ impl Fed {
     }
 
     /// Drains the network into the set; the events, for comparing streams.
-    fn drain(&mut self, wm: &WmStore) -> Vec<MatchEvent> {
+    fn drain(&mut self, wm: &WmStore) -> MatchEvents {
         let events = self.rete.drain_events(wm);
-        apply(&mut self.cs, &events);
+        self.cs.apply(&events);
         events
     }
 }
@@ -287,13 +276,13 @@ const SHARING_PROGRAMS: &[&str] = &[
 /// (per-chain traversal) networks, so batches compare as sorted multisets;
 /// the conflict set's resolution order is insertion-order independent, so
 /// firing behaviour is unaffected (the engine property below proves it).
-fn canon_events(events: &[MatchEvent]) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
+fn canon_events(events: &MatchEvents) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
     let mut v: Vec<_> = events
         .iter()
         .map(|e| match e {
             MatchEvent::Insert(i) => (0u8, i.production, i.wmes.to_vec(), i.time_tags.to_vec()),
             MatchEvent::Retract { production, wmes } => {
-                (1u8, *production, wmes.to_vec(), Vec::new())
+                (1u8, production, wmes.to_vec(), Vec::new())
             }
         })
         .collect();
@@ -765,8 +754,9 @@ struct PerChangeFeed {
 impl PerChangeFeed {
     /// Mirrors the engine's resolve step, which the matcher cannot see.
     fn select(&mut self, strategy: ops5::Strategy) {
-        if let Some(i) = self.set.select(strategy) {
-            self.handed.remove(&(i.production, i.wmes.to_vec()));
+        let mut wmes = Vec::new();
+        if let Some(production) = self.set.select(strategy, &mut wmes) {
+            self.handed.remove(&(production, wmes));
         }
     }
 }
@@ -781,7 +771,7 @@ struct PerChangeMatcher {
 impl PerChangeMatcher {
     fn feed_change(&mut self, wm: &WmStore) {
         let events = self.rete.drain_events(wm);
-        apply(&mut self.feed.lock().unwrap().set, &events);
+        self.feed.lock().unwrap().set.apply(&events);
     }
 }
 
@@ -794,7 +784,7 @@ impl ops5::matcher::Matcher for PerChangeMatcher {
         self.rete.remove_wme(id, wm);
         self.feed_change(wm);
     }
-    fn drain_events(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
+    fn drain_events(&mut self, _wm: &WmStore, out: &mut MatchEvents) {
         let feed = &mut *self.feed.lock().unwrap();
         let now: std::collections::BTreeMap<Key, _> = feed
             .set
@@ -802,13 +792,10 @@ impl ops5::matcher::Matcher for PerChangeMatcher {
             .map(|i| ((i.production, i.wmes.to_vec()), i))
             .collect();
         for (production, wmes) in feed.handed.iter().filter(|k| !now.contains_key(*k)) {
-            out.push(MatchEvent::Retract {
-                production: *production,
-                wmes: wmes[..].into(),
-            });
+            out.push_retract(*production, wmes);
         }
         for (_, i) in now.iter().filter(|(k, _)| !feed.handed.contains(*k)) {
-            out.push(MatchEvent::Insert((*i).clone()));
+            out.push_insert(*i);
         }
         feed.handed = now.into_keys().collect();
     }

@@ -47,9 +47,9 @@
 
 use ops5::conflict::Instantiation;
 use ops5::instrument::WorkCounters;
-use ops5::matcher::Matcher;
+use ops5::matcher::{MatchEvent, MatchEvents, Matcher};
 use ops5::rete::compile::CompiledProduction;
-use ops5::rete::{MatchEvent, Network, Rete, ReteConfig};
+use ops5::rete::{Network, Rete, ReteConfig};
 use ops5::wme::{WmStore, Wme, WmeId};
 use ops5::Program;
 use std::collections::HashMap;
@@ -68,7 +68,7 @@ enum Req {
 }
 
 struct Resp {
-    events: Vec<MatchEvent>,
+    events: MatchEvents,
     work: WorkCounters,
     /// Widened from the Rete's per-flush `u32`: long streaming runs
     /// aggregate these across millions of flush barriers, and the pool's
@@ -124,16 +124,16 @@ pub struct MatchPoolReport {
 }
 
 /// Net match state: the fold of a worker's delivered events.
-type NetState = HashMap<(u32, Arc<[WmeId]>), Instantiation>;
+type NetState = HashMap<(u32, Vec<WmeId>), Instantiation>;
 
-fn fold_events(net: &mut NetState, events: &[MatchEvent]) {
-    for e in events {
+fn fold_events(net: &mut NetState, events: &MatchEvents) {
+    for e in events.iter() {
         match e {
             MatchEvent::Insert(inst) => {
-                net.insert((inst.production, inst.wmes.clone()), inst.clone());
+                net.insert((inst.production, inst.wmes.to_vec()), inst.into());
             }
             MatchEvent::Retract { production, wmes } => {
-                net.remove(&(*production, wmes.clone()));
+                net.remove(&(production, wmes.to_vec()));
             }
         }
     }
@@ -143,19 +143,16 @@ fn fold_events(net: &mut NetState, events: &[MatchEvent]) {
 /// inserts for instantiations the replacement found that were never
 /// delivered, retracts for delivered instantiations the replacement no
 /// longer has.
-fn reconcile(have: &NetState, want: &NetState) -> Vec<MatchEvent> {
-    let mut out = Vec::new();
+fn reconcile(have: &NetState, want: &NetState) -> MatchEvents {
+    let mut out = MatchEvents::new();
     for (key, inst) in want {
         if !have.contains_key(key) {
-            out.push(MatchEvent::Insert(inst.clone()));
+            out.push_insert(inst.view());
         }
     }
-    for (production, wmes) in have.keys() {
-        if !want.contains_key(&(*production, wmes.clone())) {
-            out.push(MatchEvent::Retract {
-                production: *production,
-                wmes: wmes.clone(),
-            });
+    for key in have.keys() {
+        if !want.contains_key(key) {
+            out.push_retract(key.0, &key.1);
         }
     }
     out
@@ -371,7 +368,7 @@ impl ThreadedMatcher {
 
     /// Recovers one dead slot per the policy, returning the reconciliation
     /// events to forward to the engine.
-    fn recover(&mut self, idx: usize) -> Vec<MatchEvent> {
+    fn recover(&mut self, idx: usize) -> MatchEvents {
         self.report.deaths += 1;
         if let Some(s) = self.obs.as_mut().filter(|s| s.enabled(ObsLevel::Full)) {
             s.instant(
@@ -441,12 +438,12 @@ impl ThreadedMatcher {
                     .warnings
                     .push(format!("worker {idx} died; failing the match pool"));
                 self.retire_slot(idx);
-                Vec::new()
+                MatchEvents::new()
             }
         }
     }
 
-    fn degrade_slot(&mut self, idx: usize) -> Vec<MatchEvent> {
+    fn degrade_slot(&mut self, idx: usize) -> MatchEvents {
         self.report.degraded += 1;
         if let Some(s) = self.obs.as_mut().filter(|s| s.enabled(ObsLevel::Full)) {
             s.instant(
@@ -476,12 +473,12 @@ impl ThreadedMatcher {
     }
 
     /// The flush barrier: appends every replica's pending events to
-    /// `events`. A pool that has failed (or fails here) appends nothing.
-    fn flush(&mut self, events: &mut Vec<MatchEvent>) {
+    /// `out`. A pool that has failed (or fails here) appends nothing.
+    fn flush(&mut self, out: &mut MatchEvents) {
         if self.failure.is_some() {
             return;
         }
-        let start = events.len();
+        let mut events = MatchEvents::new();
         for slot in &mut self.slots {
             if slot.state == SlotState::Live && slot.tx.send(Req::Flush).is_err() {
                 slot.state = SlotState::Dead;
@@ -493,9 +490,9 @@ impl ThreadedMatcher {
                 continue;
             }
             match slot.rx.recv() {
-                Ok(resp) => {
+                Ok(mut resp) => {
                     fold_events(&mut slot.delivered, &resp.events);
-                    events.extend(resp.events);
+                    events.append(&mut resp.events);
                     total.add(&resp.work);
                     self.chunks = self.chunks.saturating_add(resp.chunks);
                 }
@@ -505,16 +502,15 @@ impl ThreadedMatcher {
         // Dead-worker recovery, at the barrier where absence is provable.
         for idx in 0..self.slots.len() {
             if self.slots[idx].state == SlotState::Dead {
-                let recovered = self.recover(idx);
-                events.extend(recovered);
+                let mut recovered = self.recover(idx);
+                events.append(&mut recovered);
                 if self.failure.is_some() {
-                    events.truncate(start);
                     return;
                 }
             }
         }
         for iw in &mut self.inline {
-            iw.rete.drain_events_into(&iw.wm, events);
+            iw.rete.drain_events_into(&iw.wm, &mut events);
             total.add(&iw.rete.work);
             self.chunks = self.chunks.saturating_add(u64::from(iw.rete.take_chunks()));
         }
@@ -530,11 +526,12 @@ impl ThreadedMatcher {
                 Category::Match,
                 "match.flush",
                 vec![
-                    ("events", ((events.len() - start) as u64).into()),
+                    ("events", (events.len() as u64).into()),
                     ("workers", (live as u64).into()),
                 ],
             );
         }
+        out.append(&mut events);
     }
 }
 
@@ -589,7 +586,7 @@ impl Matcher for ThreadedMatcher {
         self.broadcast(Delta::Remove(id));
     }
 
-    fn drain_events(&mut self, _wm: &WmStore, out: &mut Vec<MatchEvent>) {
+    fn drain_events(&mut self, _wm: &WmStore, out: &mut MatchEvents) {
         self.flush(out)
     }
 
@@ -992,7 +989,7 @@ mod tests {
         for tag in 1..=3u64 {
             let id = wm.add(Wme::new(class, n_slots, tag));
             m.add_wme(id, &wm);
-            m.drain_events(&wm, &mut Vec::new());
+            m.drain_events(&wm, &mut MatchEvents::new());
         }
         assert_eq!(m.report().deaths, 2);
         // Flush 2: worker 1's failed respawn degrades without charging the
@@ -1022,14 +1019,14 @@ mod tests {
         let n_slots = program.n_slots(class).unwrap();
         let id = wm.add(Wme::new(class, n_slots, 1));
         m.add_wme(id, &wm);
-        m.drain_events(&wm, &mut Vec::new());
+        m.drain_events(&wm, &mut MatchEvents::new());
         assert!(m.chunks > 0, "matching a WME must produce chunks");
         // Pretend a long streaming run already drove the total to the top:
         // the next flush's aggregation must saturate, not wrap or panic.
         m.chunks = u64::MAX;
         let id2 = wm.add(Wme::new(class, n_slots, 2));
         m.add_wme(id2, &wm);
-        m.drain_events(&wm, &mut Vec::new());
+        m.drain_events(&wm, &mut MatchEvents::new());
         assert_eq!(m.chunks, u64::MAX);
         assert_eq!(m.take_chunks(), u32::MAX, "trait boundary clamps");
         assert_eq!(m.chunks, 0, "take_chunks drains the counter");
@@ -1055,10 +1052,10 @@ mod tests {
         // flush 1 and dies; flush 2 detects and respawns it.
         let id = wm.add(Wme::new(class, n_slots, 1));
         m.add_wme(id, &wm);
-        m.drain_events(&wm, &mut Vec::new());
+        m.drain_events(&wm, &mut MatchEvents::new());
         let id2 = wm.add(Wme::new(class, n_slots, 2));
         m.add_wme(id2, &wm);
-        m.drain_events(&wm, &mut Vec::new());
+        m.drain_events(&wm, &mut MatchEvents::new());
         assert_eq!(m.report().deaths, 1);
         assert_eq!(m.report().respawns, 1);
         assert!(!m.report().warnings.is_empty());
