@@ -43,6 +43,16 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
 # properties holds every probe to the memory it indexes after every move,
 # built before the move or during it; the --lib test holds the build /
 # unbuild cycle.
+# A right-index entry carries a fingerprint of its token's other equality
+# keys, and a candidate skipped on its fingerprint is charged as the
+# evaluation it replaces: every event, work total and pinned count is
+# unchanged. work_pins pins the skips themselves (fingerprint_skips); the
+# --lib test holds a skipping network against one that evaluates every
+# candidate, unit by unit and chunk by chunk, each skip counted once;
+# properties holds joins on two and three equality keys - over equal
+# values of different representation and unequal values of one key - to
+# the naive re-match after every move, through mark, rollback and reset,
+# and a twin fed the other representations to the same work and skips.
 cargo test --release -p ops5 --test alloc_budget
 cargo test --release -p spam --test alloc_pins
 cargo test --release -p ops5 --lib -- conflict::tests::ranking_agrees_with_a_linear_scan_under_compare
@@ -54,7 +64,11 @@ cargo test --release -p ops5 --lib -- \
   dispatch_agrees_with_a_linear_walk hash_key_has_no_false_negatives \
   a_null_right_activation_is_charged_as_the_visit_it_replaces \
   a_population_an_earlier_successor_filled_is_paired_against \
-  slot_index_is_built_by_a_probe_and_unbuilt_when_its_memory_empties
+  slot_index_is_built_by_a_probe_and_unbuilt_when_its_memory_empties \
+  a_fingerprint_skip_is_charged_as_the_evaluation_it_replaces \
+  two_integers_compare_exactly_above_two_to_the_53
+cargo test --release -p ops5 --test properties -- \
+  fingerprinted_joins_equal_the_naive_match_after_every_move
 cargo test --release -p spam --test work_pins -- alpha_index_insertions_are_counted
 # Speedup doctor (DC Level 2, match-fraction band gate).
 $bin/spamctl profile dc --level 2 --check-band 0.30:0.50 --json $out/profile.json

@@ -53,6 +53,11 @@ pub struct NetStats {
     /// charged as if made — chunk, profile activation, shared-node hit,
     /// scan of an empty population, no unit — and not made.
     pub null_right_activations: u64,
+    /// Right-activation candidates an index probe retrieved whose entry's
+    /// fingerprint of the node's other equality keys differed from the
+    /// arriving WME's: each fails an equality test, so it is charged its
+    /// join tests, as if evaluated, and its chain is never loaded.
+    pub fingerprint_skips: u64,
 }
 
 impl NetStats {
@@ -68,6 +73,7 @@ impl NetStats {
         self.instantiations_emitted += other.instantiations_emitted;
         self.instantiations_netted += other.instantiations_netted;
         self.null_right_activations += other.null_right_activations;
+        self.fingerprint_skips += other.fingerprint_skips;
     }
 }
 

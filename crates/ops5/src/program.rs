@@ -1,6 +1,7 @@
 //! Programs: `literalize` declarations plus compiled productions.
 
 use crate::ast::{Production, SlotIdx};
+use crate::buckets::FastMap;
 use crate::conflict::Strategy;
 use crate::symbol::{sym, Symbol};
 use crate::{Error, Result};
@@ -41,7 +42,9 @@ impl ClassInfo {
 /// A parsed OPS5 program: class declarations and productions.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
-    classes: HashMap<Symbol, ClassInfo>,
+    /// Looked up for every made WME (`n_slots`), so on the match path's
+    /// hasher; nothing reads its iteration order.
+    classes: FastMap<Symbol, ClassInfo>,
     /// Compiled productions in source order.
     pub productions: Vec<Production>,
     /// Conflict-resolution strategy (`(strategy lex)` / `(strategy mea)`;

@@ -70,6 +70,10 @@ pub(super) struct BetaNode {
     /// Index into `join_tests` of the equality test the hash indexes key
     /// on; `None` without an equality test or with indexing disabled.
     pub(super) key_test: Option<usize>,
+    /// The node's equality tests other than `key_test`, in test order:
+    /// what the fingerprint of a right-index entry covers. Empty without a
+    /// key test, and then no candidate is skipped on a fingerprint.
+    pub(super) fingerprint_tests: Vec<JoinTest>,
     pub(super) children: Vec<u32>,
     /// Productions whose chain ends here: `(production, specificity)`.
     pub(super) terminals: Vec<(u32, u32)>,
@@ -222,6 +226,13 @@ impl Network {
         } else {
             None
         };
+        let fingerprint_tests = match key_test {
+            Some(kt) => (spec.join_tests.iter().enumerate())
+                .filter(|&(i, t)| i != kt && t.predicate == Predicate::Eq)
+                .map(|(_, &t)| t)
+                .collect(),
+            None => Vec::new(),
+        };
         self.nodes.push(BetaNode {
             negated: spec.negated,
             level,
@@ -229,6 +240,7 @@ impl Network {
             alpha_mem: 0,
             join_tests: spec.join_tests.clone(),
             key_test,
+            fingerprint_tests,
             children: Vec::new(),
             terminals: Vec::new(),
             n_prods: 1,

@@ -15,10 +15,14 @@
 //! memory has hash indexes over the slots its successors join on, built by
 //! the first probe ([`AlphaMemories::probe`]), and each beta node keeps a
 //! hash index over the token population its right activations pair
-//! against, keyed by the token-side value of its first equality test. Probes are charged [`cost::INDEX_PROBE`]; retrieved
-//! candidates still pay the full per-candidate join-test cost (the index is
-//! a prefilter — `Value::hash_key` collides exactly where `ops_eq` demands,
-//! and every candidate is re-verified).
+//! against, keyed by the token-side value of its first equality test.
+//! Probes are charged [`cost::INDEX_PROBE`]. The index is a prefilter:
+//! `Value::hash_key` collides wherever `ops_eq` holds, and a retrieved
+//! candidate either runs its join tests or, when the fingerprint of its
+//! node's *other* equality keys differs from the arriving WME's, is
+//! skipped unloaded — a mismatch proves an equality test fails. Either way
+//! it is charged its full join tests ([`NetStats::fingerprint_skips`]
+//! counts the skips).
 //!
 //! [`ReteConfig::unshared()`] rebuilds the seed network — one private chain
 //! per production, linear scans, identical work-unit accounting — which is
@@ -39,11 +43,12 @@
 use super::alpha::{AlphaMemId, AlphaMemories, AlphaNetwork};
 use super::compile::JoinTest;
 use super::network::Network;
-use crate::buckets::{give_list, take_list, Buckets, Pool, SlotCursor};
+use crate::buckets::{give_list, take_list, Buckets, MulHasher, Pool, SlotCursor};
 use crate::instrument::{cost, WorkCounters};
 use crate::matcher::MatchEvents;
 use crate::profile::{AlphaMemProfile, ChainCounters, MatchProfile, NetStats, ProductionProfile};
 use crate::wme::{WmStore, WmeId};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 const DUMMY: u32 = u32::MAX;
@@ -70,8 +75,9 @@ struct TokenData {
     children: Vec<u32>,
     /// For tokens resident at a negative node: WMEs currently blocking.
     neg_results: Vec<WmeId>,
-    /// Right-index registrations `(node, key)` to undo on deletion.
-    index_keys: Vec<(u32, u64)>,
+    /// Right-index registrations `(node, fingerprint, key)` to undo on
+    /// deletion.
+    index_keys: Vec<(u32, u32, u64)>,
     /// `None` unless the token is active at a node where productions end.
     emitted: Emission,
     alive: bool,
@@ -117,12 +123,22 @@ struct NodeMemory {
     /// pair against (the parent's residents for positive nodes, this node's
     /// own residents for negative nodes), keyed by the token-side value of
     /// `join_tests[key_test]`.
-    right_index: Buckets<u64, u32>,
+    right_index: Buckets<u64, Entry>,
     /// For negative nodes: blocker WME → tokens it currently blocks.
     blocked_by: Buckets<WmeId, u32>,
     /// True once something has been put in this memory since the last
     /// reset or mark: the node is then on [`BetaState::touched`].
     touched: bool,
+}
+
+/// A right-index entry: a token, and the fingerprint of the values its
+/// chain brings to the node's other equality tests (the node's
+/// `fingerprint_tests`). Eight bytes: an index costs twice a bare token
+/// list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    token: u32,
+    fingerprint: u32,
 }
 
 /// Node `n`'s memory, for putting something in it: the node is noted for
@@ -208,9 +224,11 @@ struct BetaState {
     /// level (`None` at negative-node levels); one entry per level of the
     /// deepest chain. See [`BetaState::load_chain`].
     chain: Vec<Option<WmeId>>,
-    /// Spare token lists: index buckets, blocker lists, `wme_tokens`
-    /// entries and the snapshots activations iterate.
+    /// Spare token lists: blocker lists and `wme_tokens` entries.
     pool: Pool<u32>,
+    /// Spare entry lists: right-index buckets and the candidate snapshots
+    /// right activations iterate.
+    entries: Pool<Entry>,
 }
 
 impl BetaState {
@@ -309,7 +327,7 @@ impl Rete {
             let m = &mut b.mems[n as usize];
             m.touched = false;
             m.tokens.clear();
-            m.right_index.clear_into(&mut b.pool);
+            m.right_index.clear_into(&mut b.entries);
             m.blocked_by.clear_into(&mut b.pool);
         }
         // Deletion leaves a slot clean; these are the tokens still alive.
@@ -401,6 +419,7 @@ impl Rete {
             touched,
             tokens,
             pool,
+            entries,
             wme_tokens,
             slots,
             ..
@@ -412,7 +431,8 @@ impl Rete {
             while m.tokens.last().is_some_and(|&t| !is_base(tokens, t)) {
                 m.tokens.pop();
             }
-            m.right_index.truncate_into(|_, t| is_base(tokens, t), pool);
+            m.right_index
+                .truncate_into(|_, e| is_base(tokens, e.token), entries);
             m.blocked_by
                 .truncate_into(|w, t| w < base && is_base(tokens, t), pool);
         }
@@ -679,33 +699,57 @@ impl<'a> Activation<'a> {
         true
     }
 
-    /// A snapshot of the token population a right activation of `n` pairs
-    /// against: the parent's residents for positive nodes, `n`'s own for
-    /// negative nodes — the indexed candidates (charging the probe) when
-    /// `n` has a key test, else the whole population (counted as a scan).
-    /// The caller gives the list back to the pool.
-    fn right_candidates(&mut self, n: u32, w: WmeId) -> Vec<u32> {
+    /// A snapshot of the token population a right activation of `n` by
+    /// `w` pairs against: the parent's residents for positive nodes, `n`'s
+    /// own for negative nodes — the indexed candidates (charging the probe)
+    /// when `n` has a key test, else the whole population (counted as a
+    /// scan). With the indexed candidates comes `w`'s fingerprint of `n`'s
+    /// other equality keys, when `n` has any: a candidate whose entry
+    /// carries another fails a test. The caller gives the list back to the
+    /// pool.
+    fn right_candidates(&mut self, n: u32, w: WmeId) -> (Vec<Entry>, Option<u32>) {
         let node = &self.net.nodes[n as usize];
-        let mut out = take_list(&mut self.beta.pool);
+        let mut out = take_list(&mut self.beta.entries);
         let Some(resident_at) = self.net.right[n as usize].population else {
-            return out;
+            return (out, None);
         };
         let population = &self.beta.mems[resident_at as usize].tokens;
         if let (Some(kt), true) = (node.key_test, population.len() >= INDEX_MIN_POPULATION) {
-            let my_slot = node.join_tests[kt].my_slot;
-            let key = self
-                .wm
-                .get(w)
-                .map(|wme| wme.get(my_slot as usize).hash_key())
+            let wme = self.wm.get(w);
+            let key = wme
+                .map(|wme| wme.get(node.join_tests[kt].my_slot as usize).hash_key())
                 .unwrap_or_default();
+            let wanted = wme
+                .filter(|_| !node.fingerprint_tests.is_empty())
+                .map(|wme| {
+                    let keys = node.fingerprint_tests.iter();
+                    fingerprint(keys.map(|t| wme.get(t.my_slot as usize).hash_key()))
+                });
             self.work.match_units += cost::INDEX_PROBE;
             self.beta.stats.index_probes += 1;
             out.extend_from_slice(self.beta.mems[n as usize].right_index.get(key));
-            return out;
+            return (out, wanted);
         }
         self.beta.stats.linear_scans += 1;
-        out.extend_from_slice(population);
-        out
+        out.extend(population.iter().map(|&token| Entry {
+            token,
+            fingerprint: 0,
+        }));
+        (out, None)
+    }
+
+    /// Charges the join tests of a candidate that passed its checks and
+    /// tells whether to evaluate it: not when its entry's fingerprint
+    /// differs from the arriving WME's `wanted` one. A skip is charged what
+    /// the evaluation it replaces charges, and counted.
+    #[inline]
+    fn charge_candidate(&mut self, tests: usize, wanted: Option<u32>, e: Entry) -> bool {
+        self.work.match_units += tests as u64 * cost::JOIN_TEST;
+        if wanted.is_some_and(|f| f != e.fingerprint) {
+            self.beta.stats.fingerprint_skips += 1;
+            return false;
+        }
+        true
     }
 
     /// Candidate WMEs for pairing the loaded chain (of a token at level
@@ -744,13 +788,16 @@ impl<'a> Activation<'a> {
         if node.negated {
             // The blocked tokens' descendants go, but they live at deeper
             // nodes: `n`'s own population is what the snapshot says.
-            let toks = self.right_candidates(n, w);
-            for &t in &toks {
+            let (toks, wanted) = self.right_candidates(n, w);
+            for &e in &toks {
+                let t = e.token;
                 if !self.beta.tokens[t as usize].alive {
                     continue;
                 }
+                if !self.charge_candidate(tests.len(), wanted, e) {
+                    continue;
+                }
                 self.beta.load_chain(t);
-                self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
                 if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
                     let nr = &mut self.beta.tokens[t as usize].neg_results;
                     // The token may already hold `w` when it was created
@@ -769,7 +816,7 @@ impl<'a> Activation<'a> {
                     }
                 }
             }
-            give_list(&mut self.beta.pool, toks);
+            give_list(&mut self.beta.entries, toks);
         } else if node.level == 0 {
             debug_assert!(tests.is_empty(), "first node has no join tests");
             self.new_token(n, DUMMY, Some(w));
@@ -777,8 +824,9 @@ impl<'a> Activation<'a> {
             let parent_negated = node
                 .parent
                 .is_some_and(|p| self.net.nodes[p as usize].negated);
-            let parents = self.right_candidates(n, w);
-            for &t in &parents {
+            let (parents, wanted) = self.right_candidates(n, w);
+            for &e in &parents {
+                let t = e.token;
                 let td = &self.beta.tokens[t as usize];
                 if !td.alive {
                     continue;
@@ -786,13 +834,15 @@ impl<'a> Activation<'a> {
                 if parent_negated && !td.neg_results.is_empty() {
                     continue; // blocked parents have no output
                 }
+                if !self.charge_candidate(tests.len(), wanted, e) {
+                    continue;
+                }
                 self.beta.load_chain(t);
-                self.work.match_units += tests.len() as u64 * cost::JOIN_TEST;
                 if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
                     self.new_token(n, t, Some(w));
                 }
             }
-            give_list(&mut self.beta.pool, parents);
+            give_list(&mut self.beta.entries, parents);
         }
     }
 
@@ -889,7 +939,10 @@ impl<'a> Activation<'a> {
     /// Registers a fresh token at `n`, whose chain is loaded, into the
     /// right-activation hash indexes that cover `n`'s resident population:
     /// `n`'s own index when `n` is negative, and the index of every
-    /// positive keyed child.
+    /// positive keyed child — each entry with the token's fingerprint of
+    /// that node's other equality keys. (A key whose ancestor is gone
+    /// counts as 0: such a token fails the full tests against every WME,
+    /// so no fingerprint can make a skip wrong.)
     fn register_token_indexes(&mut self, id: u32, n: u32) {
         let node = &self.net.nodes[n as usize];
         let chain_len = node.level as usize + 1;
@@ -904,12 +957,21 @@ impl<'a> Activation<'a> {
             let keyed = &nodes[nd as usize];
             let Some(kt) = keyed.key_test else { continue };
             let b = &mut *self.beta;
-            if let Some(key) = token_side_key(&b.chain[..chain_len], &keyed.join_tests[kt], self.wm)
-            {
+            let chain = &b.chain[..chain_len];
+            if let Some(key) = token_side_key(chain, &keyed.join_tests[kt], self.wm) {
+                let keys = keyed.fingerprint_tests.iter();
+                let fingerprint =
+                    fingerprint(keys.map(|t| token_side_key(chain, t, self.wm).unwrap_or(0)));
+                let entry = Entry {
+                    token: id,
+                    fingerprint,
+                };
                 touch(&mut b.mems, &mut b.touched, nd)
                     .right_index
-                    .push(key, id, &mut b.pool);
-                b.tokens[id as usize].index_keys.push((nd, key));
+                    .push(key, entry, &mut b.entries);
+                b.tokens[id as usize]
+                    .index_keys
+                    .push((nd, fingerprint, key));
             }
         }
     }
@@ -989,10 +1051,14 @@ impl<'a> Activation<'a> {
             toks.remove(pos);
         }
         // Undo index and blocker registrations.
-        for (nd, key) in td.index_keys.drain(..) {
+        for (nd, fingerprint, key) in td.index_keys.drain(..) {
+            let entry = Entry {
+                token: t,
+                fingerprint,
+            };
             b.mems[nd as usize]
                 .right_index
-                .remove_item(key, t, &mut b.pool);
+                .remove_item(key, entry, &mut b.entries);
         }
         for w in td.neg_results.drain(..) {
             b.mems[n].blocked_by.remove_item(w, t, &mut b.pool);
@@ -1090,6 +1156,16 @@ fn token_side_key(chain: &[Option<WmeId>], test: &JoinTest, wm: &WmStore) -> Opt
     let their = chain.get(test.their_level as usize).copied().flatten()?;
     let wme = wm.get(their)?;
     Some(wme.get(test.their_slot as usize).hash_key())
+}
+
+/// The fingerprint of a sequence of hash keys: equal sequences, equal
+/// fingerprints. Both sides of a node's other equality tests fold their
+/// keys in test order, so — `ops_eq` implying equal keys — a candidate that
+/// passes every test has the arriving WME's fingerprint.
+fn fingerprint(keys: impl Iterator<Item = u64>) -> u32 {
+    let mut h = MulHasher::default();
+    keys.for_each(|k| h.write_u64(k));
+    h.finish() as u32
 }
 
 fn eval_tests(tests: &[JoinTest], chain: &[Option<WmeId>], w: WmeId, wm: &WmStore) -> bool {
@@ -1791,6 +1867,84 @@ mod tests {
         assert_eq!(null.rete.net_stats(), visited.rete.net_stats());
         assert_eq!(null.rete.work, visited.rete.work);
         assert_eq!(null.rete.take_chunks(), visited.rete.take_chunks());
+    }
+
+    /// A positive and a negated join on two equality keys, `^x` the one
+    /// the right indexes key on and `^y` the one the fingerprint covers;
+    /// the productions share the `(a ...)` node.
+    const TWO_KEYS: &str = "
+        (literalize a x y)
+        (literalize b x y)
+        (p both (a ^x <v> ^y <u>) (b ^x <v> ^y <u>) --> (halt))
+        (p neither (a ^x <v> ^y <u>) -(b ^x <v> ^y <u>) --> (halt))
+    ";
+
+    impl Fix {
+        /// `src` on a network whose nodes have no fingerprint tests: every
+        /// candidate a probe retrieves is evaluated.
+        fn evaluating_every_candidate(src: &str) -> Fix {
+            let mut f = Fix::new(src);
+            let compiled = crate::Engine::compile(&f.program).unwrap();
+            let mut net = Network::build(&compiled, &f.program, ReteConfig::default());
+            net.nodes
+                .iter_mut()
+                .for_each(|n| n.fingerprint_tests.clear());
+            f.rete = Rete::instantiate(Arc::new(net));
+            f
+        }
+    }
+
+    #[test]
+    fn a_fingerprint_skip_is_charged_as_the_evaluation_it_replaces() {
+        let mut skipping = Fix::new(TWO_KEYS);
+        let mut evaluating = Fix::evaluating_every_candidate(TWO_KEYS);
+        skipping.rete.enable_profile();
+        evaluating.rete.enable_profile();
+        // Both see the same change; then everything but the skip count is
+        // the same, and that counts each skipped candidate once.
+        let mut step = |change: &dyn Fn(&mut Fix), skips: u64| {
+            change(&mut skipping);
+            change(&mut evaluating);
+            let stats = skipping.rete.net_stats();
+            assert_eq!(stats.fingerprint_skips, skips);
+            let stats = NetStats {
+                fingerprint_skips: 0,
+                ..stats
+            };
+            assert_eq!(stats, evaluating.rete.net_stats());
+            assert_eq!(skipping.rete.work, evaluating.rete.work);
+            assert_eq!(skipping.rete.take_chunks(), evaluating.rete.take_chunks());
+            assert_eq!(
+                in_order(skipping.rete.drain_events(&skipping.wm)),
+                in_order(evaluating.rete.drain_events(&evaluating.wm))
+            );
+        };
+        let add = |class: &'static str, x: Value, y: Value| {
+            move |f: &mut Fix| {
+                f.add(class, &[(0, x), (1, y)]);
+            }
+        };
+        // Three `a`s share `^x 1`: a `b` with `^x 1` retrieves all three at
+        // the join and at the negation, and only an `a` with its `^y` can
+        // pass there — two skips at each.
+        for y in 1..=3 {
+            step(&add("a", Value::Int(1), Value::Int(y)), 0);
+        }
+        step(&add("b", Value::Int(1), Value::Int(2)), 4);
+        // `2.0` is `2`: a number's fingerprint is its value's, not its
+        // representation's.
+        step(&add("b", Value::Int(1), Value::Float(2.0)), 8);
+        // `a (1 2)` leaves, and its entries leave both indexes with it.
+        step(&|f: &mut Fix| f.remove(WmeId(1)), 8);
+        step(&add("b", Value::Int(1), Value::Int(3)), 10);
+        assert_eq!(skipping.rete.net_stats().index_probes, 6);
+
+        // Per production, the same units.
+        let units = |f: &mut Fix| -> Vec<u64> {
+            let p = f.rete.take_profile().unwrap();
+            p.productions.iter().map(|p| p.match_units).collect()
+        };
+        assert_eq!(units(&mut skipping), units(&mut evaluating));
     }
 
     #[test]

@@ -63,12 +63,14 @@ impl Value {
     }
 
     /// OPS5 equality: symbols by id, numbers numerically (`3 = 3.0`),
-    /// `nil` only equals `nil`.
+    /// `nil` only equals `nil`. Two integers compare exactly, as `i64`s;
+    /// an integer and a float compare as `f64`s.
     #[inline]
     pub fn ops_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Nil, Value::Nil) => true,
             (Value::Sym(a), Value::Sym(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
             _ => match (self.as_f64(), other.as_f64()) {
                 (Some(a), Some(b)) => a == b,
                 _ => false,
@@ -76,9 +78,13 @@ impl Value {
         }
     }
 
-    /// OPS5 ordering for `< <= > >=`: defined only between two numbers.
+    /// OPS5 ordering for `< <= > >=`: defined only between two numbers,
+    /// exact between two integers (as [`Value::ops_eq`]).
     #[inline]
     pub fn ops_cmp(&self, other: &Value) -> Option<Ordering> {
+        if let (Value::Int(a), Value::Int(b)) = (self, other) {
+            return Some(a.cmp(b));
+        }
         match (self.as_f64(), other.as_f64()) {
             (Some(a), Some(b)) => a.partial_cmp(&b),
             _ => None,
@@ -102,7 +108,9 @@ impl Value {
     /// A stable hash key for use in alpha-memory indexing and alpha
     /// discrimination. The contract both rely on is *no false negatives*:
     /// `a.ops_eq(b)` implies `a.hash_key() == b.hash_key()`. Numbers hash by
-    /// the `f64` bit pattern of the widened value so `3` and `3.0` collide,
+    /// the `f64` bit pattern of the widened value so `3` and `3.0` collide
+    /// (and so do integers above 2^53 that widen to one float, which
+    /// `ops_eq` tells apart),
     /// with the zero sign normalised (`0 = -0.0` numerically, but the two
     /// zeros differ in their sign bit). NaN never `ops_eq`s anything, itself
     /// included, so whichever key it gets is only ever a wasted probe.
@@ -202,6 +210,28 @@ mod tests {
     }
 
     #[test]
+    fn two_integers_compare_exactly_above_two_to_the_53() {
+        let (big, next) = (
+            Value::Int(9_007_199_254_740_992),
+            Value::Int(9_007_199_254_740_993),
+        );
+        assert!(!big.ops_eq(&next) && !next.ops_eq(&big));
+        assert!(big.ops_eq(&big));
+        assert_eq!(big.ops_cmp(&next), Some(Ordering::Less));
+        assert_eq!(next.ops_cmp(&big), Some(Ordering::Greater));
+        assert_eq!(
+            Value::Int(i64::MAX).ops_cmp(&Value::Int(i64::MAX - 1)),
+            Some(Ordering::Greater)
+        );
+        // An integer and a float still widen: both integers equal 2^53 as
+        // an f64, and share its key.
+        let float = Value::Float(9_007_199_254_740_992.0);
+        assert!(big.ops_eq(&float) && next.ops_eq(&float));
+        assert_eq!(next.ops_cmp(&float), Some(Ordering::Equal));
+        assert_eq!(big.hash_key(), next.hash_key());
+    }
+
+    #[test]
     fn same_type_matrix() {
         assert!(Value::Int(1).same_type(&Value::Float(1.5)));
         assert!(Value::symbol("a").same_type(&Value::symbol("b")));
@@ -234,11 +264,13 @@ mod tests {
     }
 
     /// Values drawn from small pools around the places `ops_eq` coerces:
-    /// both zeros, whole-number floats beside the same ints, the 2^53
-    /// neighbourhood where distinct ints widen to one float, NaN, symbols
-    /// and nil — so equal pairs of different representation are common.
+    /// both zeros, whole-number floats beside the same ints, the 2^53 and
+    /// 2^62 neighbourhoods and the top of `i64`, where distinct ints widen
+    /// to one float, NaN, symbols and nil — so equal pairs of different
+    /// representation, and unequal pairs of one key, are common.
     fn value() -> impl Strategy<Value = Value> {
         const TWO_53: i64 = 1 << 53;
+        const TWO_62: i64 = 1 << 62;
         const FLOATS: [f64; 7] = [
             0.0,
             -0.0,
@@ -252,6 +284,8 @@ mod tests {
             -3i64..4,
             (TWO_53 - 2)..(TWO_53 + 3),
             (-TWO_53 - 2)..(-TWO_53 + 3),
+            (TWO_62 - 2)..(TWO_62 + 3),
+            (0i64..4).prop_map(|i| i64::MAX - i),
             (0i64..2).prop_map(|i| [i64::MIN, i64::MAX][i as usize]),
         ];
         let float = prop_oneof![
@@ -259,6 +293,7 @@ mod tests {
             (-3i64..4).prop_map(|i| i as f64),
             (-6i64..7).prop_map(|i| i as f64 / 2.0),
             ((TWO_53 - 2)..(TWO_53 + 3)).prop_map(|i| i as f64),
+            ((TWO_62 - 2)..(TWO_62 + 3)).prop_map(|i| i as f64),
             // Negative subnormals: their bit patterns are symbol keys.
             (1u64..4).prop_map(|b| f64::from_bits(0x8000_0000_0000_0000 | b)),
         ];
@@ -282,6 +317,15 @@ mod tests {
         fn hash_key_has_no_false_negatives(a in value(), b in value()) {
             if a.ops_eq(&b) {
                 prop_assert_eq!(a.hash_key(), b.hash_key(), "{:?} = {:?}", a, b);
+            }
+        }
+
+        /// `=` and the orderings agree: two numbers compare `Equal` exactly
+        /// when `ops_eq` holds, whatever their representations.
+        #[test]
+        fn ordering_is_equal_exactly_when_ops_eq(a in value(), b in value()) {
+            if a.as_f64().is_some() && b.as_f64().is_some() {
+                prop_assert_eq!(a.ops_cmp(&b) == Some(Ordering::Equal), a.ops_eq(&b), "{:?} {:?}", a, b);
             }
         }
     }

@@ -186,20 +186,20 @@ fn a_firing_allocates_only_what_it_leaves_behind() {
     e.reset();
     let third = replay(&mut e);
 
-    // (a) Per firing, exactly: 24 allocations over 208 firings, 0.12 per
-    // firing, none of them a firing's own. Eight are the cycle log's
-    // doublings (the log is taken, so every replay grows a new one); the
-    // rest are spare token lists growing to the snapshots they are lent
-    // for (4 in the third replay). Two lists per surviving instantiation
-    // and a new `fields` box per made WME would make it 511 (2.3 more per
-    // firing), one copied test list per node activation 1.8 more, building
-    // `orphan`'s instantiation at every `total` 0.9 more. Loading is the
-    // same cycle without the RHS and allocates nothing.
+    // (a) Per firing, exactly: 16 allocations over 208 firings, 0.08 per
+    // firing, none of them a firing's own. Seven are the cycle log's
+    // doublings (the log is taken, so every replay grows a new one, 4 to
+    // 256 entries); the rest are spare lists growing to what they are lent
+    // for, which the third replay no longer does. Two lists per surviving
+    // instantiation and a new `fields` box per made WME would make it 511
+    // (2.3 more per firing), one copied test list per node activation 1.8
+    // more, building `orphan`'s instantiation at every `total` 0.9 more.
+    // Loading is the same cycle without the RHS and allocates nothing.
     assert_eq!(second.net.instantiations_netted as i64, TASKS * ITEMS);
     let per_firing = second.run_allocations as f64 / second.firings as f64;
     assert_eq!(
         (second.load_allocations, second.run_allocations),
-        (0, 24),
+        (0, 16),
         "{per_firing:.2} per firing"
     );
 

@@ -1281,6 +1281,217 @@ proptest! {
     }
 }
 
+/// Joins on two and three equality keys, for the fingerprints of the
+/// right indexes: `^x` is every join's indexed key, the others are what a
+/// fingerprint covers. Positive joins, negations, a negation with an
+/// ordering test beside its keys, and a third join whose keys cross.
+const FINGERPRINT_PROGRAMS: &[&str] = &[
+    "(literalize a x y z)
+     (literalize b x y z)
+     (p two (a ^x <v> ^y <u>) (b ^x <v> ^y <u>) --> (halt))
+     (p not-two (a ^x <v> ^y <u>) -(b ^x <v> ^y <u>) --> (halt))",
+    "(literalize a x y z)
+     (literalize b x y z)
+     (literalize c x y z)
+     (p three (a ^x <v> ^y <u> ^z <w>) (b ^x <v> ^y <u> ^z <w>) (c ^x <v> ^y <w> ^z <u>)
+        --> (halt))
+     (p guarded (a ^x <v> ^y <u>) -(b ^x <v> ^z <u> ^y > <u>) (c ^x <v> ^y <u>) --> (halt))",
+];
+
+/// What the fingerprinted keys take: equal values of different
+/// representation (`3` / `3.0`, `0` / `-0.0`, `1` / `1.0`); unequal
+/// values of one hash key, hence one fingerprint (the integers 2^53 and
+/// 2^53 + 1, NaN and itself, a symbol and the float whose bits are its
+/// key); and 2^53 as a float, which both of those integers equal.
+fn fingerprint_values() -> [Value; 12] {
+    let water = Value::symbol("water");
+    [
+        Value::Int(3),
+        Value::Float(3.0),
+        Value::Int(0),
+        Value::Float(-0.0),
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Float(f64::NAN),
+        Value::Int(1 << 53),
+        Value::Int((1 << 53) + 1),
+        Value::Float((1u64 << 53) as f64),
+        water,
+        Value::Float(f64::from_bits(water.hash_key())),
+    ]
+}
+
+/// The same value in its other representation, where it has one exactly:
+/// `ops_eq` and every ordering between two of [`fingerprint_values`] come
+/// out the same after the swap.
+fn other_representation(v: Value) -> Value {
+    match v {
+        Value::Int(i @ (0 | 1 | 3)) => Value::Float(if i == 0 { -0.0 } else { i as f64 }),
+        Value::Float(f) if f == 0.0 || f == 1.0 || f == 3.0 => Value::Int(f as i64),
+        v => v,
+    }
+}
+
+/// One move of the fingerprint property.
+#[derive(Clone, Debug)]
+enum KeyMove {
+    /// A WME of class `a`, `b` or `c`: `^x` from a pool of three (two of
+    /// them equal) so that indexed populations fill, `^y` and `^z` from
+    /// [`fingerprint_values`].
+    Add([u8; 4]),
+    /// A WME of class `a`, `b` or `c` with the values of the `n`-th live
+    /// WME: its `^y` and `^z` crossed over, and each value in its other
+    /// representation, as the flags say — so that joins on every key pass.
+    Echo(u8, u8, bool, bool),
+    Remove(u8),
+    /// Removes the `n`-th live WME and adds it back with another `^y`.
+    Modify(u8, u8),
+    Mark,
+    Rollback,
+    Reset,
+}
+
+fn key_move_strategy() -> impl Strategy<Value = KeyMove> {
+    prop_oneof![
+        10 => (0u8..3, 0u8..3, 0u8..12, 0u8..12).prop_map(|(c, x, y, z)| KeyMove::Add([c, x, y, z])),
+        6 => (0u8..64, 0u8..3, 0u8..4)
+            .prop_map(|(k, c, flags)| KeyMove::Echo(k, c, flags & 1 == 1, flags & 2 == 2)),
+        2 => (0u8..64).prop_map(KeyMove::Remove),
+        2 => (0u8..64, 0u8..12).prop_map(|(k, y)| KeyMove::Modify(k, y)),
+        2 => (0usize..3).prop_map(|k| [KeyMove::Mark, KeyMove::Rollback, KeyMove::Reset][k].clone()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A right activation skips, unloaded, a candidate whose fingerprint of
+    /// its node's other equality keys differs from the arriving WME's: a
+    /// mismatch proves an equality test fails, and a shared fingerprint
+    /// (a collision, or values of one key that `ops_eq` tells apart) falls
+    /// through to the tests. After every move — additions, removals,
+    /// modifies, marks, rollbacks, resets — the conflict set is the naive
+    /// matcher's re-match of the WM. A twin network is fed the same moves
+    /// with every value that has one in its other representation: a
+    /// fingerprint is of values, not of representations, so the twin shows
+    /// the same instantiations, work, chunks and statistics, skips included.
+    #[test]
+    fn fingerprinted_joins_equal_the_naive_match_after_every_move(
+        prog_idx in 0usize..FINGERPRINT_PROGRAMS.len(),
+        moves in prop::collection::vec(key_move_strategy(), 1..120),
+    ) {
+        let program = Program::parse(FINGERPRINT_PROGRAMS[prog_idx]).unwrap();
+        let compiled = Engine::compile(&program).unwrap();
+        let network = Arc::new(Network::build(&compiled, &program, ReteConfig::shared()));
+        let values = fingerprint_values();
+        let xs = [Value::Int(1), Value::Float(1.0), Value::Int(2)];
+        let classes = [sym("a"), sym("b"), sym("c")];
+        let mut sides = [(); 2].map(|_| {
+            (Fed::new(Rete::instantiate(Arc::clone(&network))), WmStore::new())
+        });
+        let mut live: Vec<WmeId> = Vec::new();
+        let mut mark: Option<WmeId> = None;
+        for (step, mv) in moves.iter().enumerate() {
+            // Puts `w`, as the first side has it, into both sides.
+            let add = |sides: &mut [(Fed, WmStore); 2], w: Wme| {
+                let mut twin = w.clone();
+                twin.fields.iter_mut().for_each(|v| *v = other_representation(*v));
+                let [one, other] = sides;
+                let ids = [(one, w), (other, twin)].map(|((f, wm), w)| {
+                    let id = wm.add(w);
+                    f.rete.add_wme(id, wm);
+                    id
+                });
+                assert_eq!(ids[0], ids[1]);
+                ids[0]
+            };
+            let remove = |sides: &mut [(Fed, WmStore); 2], id: WmeId| {
+                let [w, _] = sides.each_mut().map(|(f, wm)| {
+                    f.rete.remove_wme(id, wm);
+                    wm.remove(id).unwrap()
+                });
+                w
+            };
+            match *mv {
+                KeyMove::Add([c, x, y, z]) => {
+                    let class = classes[c as usize];
+                    if program.class(class).is_none() {
+                        continue;
+                    }
+                    let mut w = Wme::new(class, 3, sides[0].1.raw_slots().len() as u64 + 1);
+                    w.set(0, xs[x as usize]);
+                    w.set(1, values[y as usize]);
+                    w.set(2, values[z as usize]);
+                    live.push(add(&mut sides, w));
+                }
+                KeyMove::Remove(_) | KeyMove::Modify(..) | KeyMove::Echo(..) if live.is_empty() => {}
+                KeyMove::Echo(k, c, cross, swap) => {
+                    let class = classes[c as usize];
+                    if program.class(class).is_none() {
+                        continue;
+                    }
+                    let of = sides[0].1.get(live[k as usize % live.len()]).unwrap();
+                    let mut fields = of.fields.clone();
+                    if cross {
+                        fields.swap(1, 2);
+                    }
+                    if swap {
+                        fields.iter_mut().for_each(|v| *v = other_representation(*v));
+                    }
+                    let time_tag = sides[0].1.raw_slots().len() as u64 + 1;
+                    live.push(add(&mut sides, Wme { class, fields, time_tag }));
+                }
+                KeyMove::Remove(k) => {
+                    let id = live.swap_remove(k as usize % live.len());
+                    remove(&mut sides, id);
+                }
+                KeyMove::Modify(k, y) => {
+                    let id = live.swap_remove(k as usize % live.len());
+                    let mut w = remove(&mut sides, id);
+                    w.set(1, values[y as usize]);
+                    w.time_tag = sides[0].1.raw_slots().len() as u64 + 1;
+                    live.push(add(&mut sides, w));
+                }
+                KeyMove::Mark => {
+                    let marked = sides.each_mut().map(|(f, wm)| f.rete.mark(wm));
+                    prop_assert_eq!(marked[0], marked[1], "step {}", step);
+                    mark = marked[0].then(|| sides[0].1.next_id());
+                }
+                KeyMove::Rollback if mark.is_some() && sides[0].0.rete.rollback() => {
+                    prop_assert!(sides[1].0.rete.rollback(), "step {}: one rolled back", step);
+                    let base = mark.unwrap();
+                    for (f, wm) in &mut sides {
+                        wm.truncate(base.0 as usize);
+                        f.cs = ConflictSet::new();
+                    }
+                    live.retain(|&w| w < base);
+                }
+                // A declined rollback resets, like a reset.
+                KeyMove::Reset | KeyMove::Rollback => {
+                    let declined = matches!(mv, KeyMove::Rollback) && sides[1].0.rete.rollback();
+                    prop_assert!(!declined, "step {}: one rolled back", step);
+                    for (f, wm) in &mut sides {
+                        f.rete.reset();
+                        (f.cs, *wm) = (ConflictSet::new(), WmStore::new());
+                    }
+                    (live, mark) = (Vec::new(), None);
+                }
+            }
+            for (f, wm) in &mut sides {
+                f.drain(wm);
+            }
+            let [(one, wm), (twin, _)] = &mut sides;
+            let mut work = 0;
+            let naive = canonical(&match_all(&program, &compiled, wm, &mut work));
+            prop_assert_eq!(&keys(&one.cs), &naive, "step {} {:?}", step, mv);
+            prop_assert_eq!(&keys(&twin.cs), &naive, "step {} {:?}", step, mv);
+            prop_assert_eq!(one.rete.work, twin.rete.work, "step {}", step);
+            prop_assert_eq!(one.rete.net_stats(), twin.rete.net_stats(), "step {}", step);
+            prop_assert_eq!(one.rete.take_chunks(), twin.rete.take_chunks(), "step {}", step);
+        }
+    }
+}
+
 /// What the source fuzz below substitutes: OPS5's punctuation, digits, the
 /// characters of a float, whitespace.
 const FUZZ_ALPHABET: &[u8] = b"()<>{}^-=|0123456789.e \n\t";

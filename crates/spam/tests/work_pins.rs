@@ -21,6 +21,13 @@
 //! re-blocks it) and never reach the conflict set; the decomposition moves
 //! neither count. At Level 1 a task is a firing or so and nothing nets.
 //!
+//! `fingerprint_skips` counts the candidates a right-index probe retrieved
+//! and a fingerprint of their node's other equality keys ruled out: at
+//! Levels 4 and 3 they are the 116 652 that fail `lcc-gen-pair`'s and
+//! `lcc-gen-check`'s negated second key, each charged its join tests as if
+//! evaluated, so no count beside it moves; at Level 1 no probe retrieves
+//! one.
+//!
 //! The `NetStats` pins above read a profiled run. The ParaOPS5 model reads
 //! Σ `match_chunks` of the cycle logs, which the benchmark's unprofiled
 //! `seq` arm produces, so that is pinned too, with the unprofiled phase held
@@ -77,6 +84,7 @@ fn level_4_counts_are_exact() {
     assert_eq!(net.shared_test_hits, 16_303);
     assert_eq!(net.instantiations_emitted, 47_961);
     assert_eq!(net.instantiations_netted, 14_139);
+    assert_eq!(net.fingerprint_skips, 116_652);
 }
 
 #[test]
@@ -97,6 +105,7 @@ fn level_3_counts_are_exact() {
     assert_eq!(net.shared_test_hits, 18_556);
     assert_eq!(net.instantiations_emitted, 47_961);
     assert_eq!(net.instantiations_netted, 14_139);
+    assert_eq!(net.fingerprint_skips, 116_652);
 }
 
 #[test]
@@ -115,6 +124,7 @@ fn level_1_counts_on_dc_are_exact() {
     assert_eq!(net.shared_test_hits, 4_699);
     assert_eq!(net.instantiations_emitted, 1_536);
     assert_eq!(net.instantiations_netted, 0);
+    assert_eq!(net.fingerprint_skips, 0);
 }
 
 /// Σ `match_chunks` over cycle logs: the ParaOPS5 model's input, one chunk
