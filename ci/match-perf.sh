@@ -70,5 +70,26 @@ cargo test --release -p ops5 --lib -- \
 cargo test --release -p ops5 --test properties -- \
   fingerprinted_joins_equal_the_naive_match_after_every_move
 cargo test --release -p spam --test work_pins -- alpha_index_insertions_are_counted
+# The conflict set finds an instantiation by the name its matcher gave it,
+# not by hashing (production, wmes). The contract (ops5::matcher): an insert
+# carries a name no other live instantiation from that matcher holds for its
+# production; a retraction carries its insert's name and still its key; a
+# name may be reused once its retraction is written, later in the same batch
+# or in a later one; a retraction of a name the set does not hold (one
+# `select` took) is a no-op; reset and rollback free every name. The Rete
+# names by terminal token slot, the naive matcher and the threaded pool take
+# names from a SlotCursor. properties folds every drain of the Rete (shared
+# and unshared), the naive matcher and the per-change feed into name -> key
+# through WM changes, firings, reset, mark and rollback; the --lib proptest
+# holds the set, by name, against a linear scan under compare, retractions
+# of selected names included; the paraops5 cases retract, after a respawn
+# and after a degrade, what a dead worker delivered.
+cargo test --release -p ops5 --test properties -- every_matcher_keeps_the_naming_contract
+cargo test --release -p ops5 --lib -- \
+  conflict::tests::ranking_agrees_with_a_linear_scan_under_compare \
+  conflict::tests::a_retraction_of_a_fired_name_is_a_no_op
+cargo test --release -p paraops5 --lib -- \
+  a_retraction_after_a_respawn_names_what_the_dead_worker_delivered \
+  a_retraction_after_a_degrade_names_what_the_dead_worker_delivered
 # Speedup doctor (DC Level 2, match-fraction band gate).
 $bin/spamctl profile dc --level 2 --check-band 0.30:0.50 --json $out/profile.json

@@ -7,9 +7,13 @@
 //! The file may end with `(startup ...)` forms: each `(make class ^attr
 //! value ...)` inside builds the initial working memory.
 
-use ops5::{Engine, Program, Strategy, Value};
+use ops5::{Engine, Program, Strategy, Value, Wme};
+use std::fmt::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+const USAGE: &str =
+    "usage: ops5run PROGRAM.ops [--limit N] [--wm] [--stats] [--trace] [--strategy lex|mea]";
 
 struct Opts {
     path: String,
@@ -49,15 +53,13 @@ fn parse_args() -> Result<Opts, String> {
                     other => return Err(format!("bad --strategy {other:?}")),
                 });
             }
-            "--help" | "-h" => {
-                return Err("usage: ops5run PROGRAM.ops [--limit N] [--wm] [--stats] [--trace] [--strategy lex|mea]".into());
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             p if opts.path.is_empty() && !p.starts_with('-') => opts.path = p.to_owned(),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
     if opts.path.is_empty() {
-        return Err("usage: ops5run PROGRAM.ops [--limit N] [--wm] [--stats] [--trace]".into());
+        return Err(USAGE.into());
     }
     Ok(opts)
 }
@@ -150,6 +152,23 @@ fn apply_make(e: &mut Engine, form: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A WME as a program writes it, `(class ^attr value ...) @tag`: the
+/// attribute names come from the program's class table (a slot the table
+/// does not name prints as its number).
+fn show_wme(program: &Program, w: &Wme) -> String {
+    let attrs = program.class(w.class).map_or(&[][..], |c| &c.attrs[..]);
+    let mut out = format!("({}", w.class);
+    for (i, v) in w.fields.iter().enumerate().filter(|(_, v)| !v.is_nil()) {
+        match attrs.get(i) {
+            Some(a) => write!(out, " ^{a} {v}"),
+            None => write!(out, " ^{i} {v}"),
+        }
+        .expect("a String takes any write");
+    }
+    write!(out, ") @{}", w.time_tag).expect("a String takes any write");
+    out
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -228,7 +247,7 @@ fn main() -> ExitCode {
     if opts.show_wm {
         eprintln!("-- final working memory:");
         for (_, w) in engine.wm().iter() {
-            eprintln!("   {w}");
+            eprintln!("   {}", show_wme(engine.program(), w));
         }
     }
     if opts.stats {

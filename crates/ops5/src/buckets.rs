@@ -2,8 +2,8 @@
 //! key → list map that recycles its lists, and the slot cursor of the
 //! arenas that are reset between tasks.
 //!
-//! Every map on the match path ([`crate::rete`]'s token and WME indexes, the
-//! conflict set's key index) is probed by key and never iterated to produce
+//! Every map on the match path ([`crate::rete`]'s token and WME indexes) is
+//! probed by key and never iterated to produce
 //! a result, so neither the hash function nor the table layout can reach an
 //! event order, a work counter or a firing sequence — only how long a probe
 //! takes. That is what makes it safe to trade SipHash for one multiply: the
@@ -48,13 +48,6 @@ impl Hasher for MulHasher {
     }
 }
 
-/// [`MulHasher`] over a sequence of words, for a key that is not one value.
-pub(crate) fn hash_words(words: impl IntoIterator<Item = u32>) -> u64 {
-    let mut h = MulHasher::default();
-    words.into_iter().for_each(|w| h.write_u32(w));
-    h.finish()
-}
-
 /// A `HashMap` on [`MulHasher`].
 pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
@@ -80,7 +73,8 @@ pub(crate) fn give_list<T>(pool: &mut Pool<T>, mut list: Vec<T>) {
 }
 
 /// Slot numbers for an arena that is emptied and refilled many times (token
-/// slots, conflict-set slots): the last slot given back is handed out
+/// slots, conflict-set slots, the names a matcher gives its instantiations:
+/// see [`crate::matcher`]): the last slot given back is handed out
 /// first, else the next never-used one. A new arena allocates slot `len`
 /// when nothing is free; the `fresh` cursor plays that length, so after
 /// [`restart`](Self::restart) the numbers come exactly as from a new arena
@@ -89,7 +83,7 @@ pub(crate) fn give_list<T>(pool: &mut Pool<T>, mut list: Vec<T>) {
 /// costs nothing, and only slots below [`high_water`](Self::high_water) can
 /// hold anything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct SlotCursor {
+pub struct SlotCursor {
     free: Vec<u32>,
     fresh: u32,
 }
@@ -98,7 +92,7 @@ impl SlotCursor {
     /// The next slot. When it equals the arena's length the caller grows
     /// the arena by one.
     #[inline]
-    pub(crate) fn take(&mut self) -> u32 {
+    pub fn take(&mut self) -> u32 {
         self.free.pop().unwrap_or_else(|| {
             self.fresh += 1;
             self.fresh - 1
@@ -107,18 +101,18 @@ impl SlotCursor {
 
     /// Gives `slot` back.
     #[inline]
-    pub(crate) fn give(&mut self, slot: u32) {
+    pub fn give(&mut self, slot: u32) {
         self.free.push(slot);
     }
 
     /// One past the highest slot handed out since the last restart.
     #[inline]
-    pub(crate) fn high_water(&self) -> usize {
+    pub fn high_water(&self) -> usize {
         self.fresh as usize
     }
 
     /// Starts over as for a new arena.
-    pub(crate) fn restart(&mut self) {
+    pub fn restart(&mut self) {
         self.free.clear();
         self.fresh = 0;
     }

@@ -25,11 +25,17 @@
 //! MEA — is the strategy's first criterion, carried inline so that most
 //! steps of the binary search that places an insertion never read the slab.
 //! In OPS5 the newest instantiation usually dominates, so insertions land at
-//! or near the end of the sorted list. A hash of `(production, wmes)`,
-//! computed once per insertion and kept in the slot, finds the slot to
-//! retract.
+//! or near the end of the sorted list.
+//!
+//! A retraction finds its slot by the name the matcher gave the
+//! instantiation ([`crate::matcher`]'s naming contract), not by its
+//! `(production, wmes)` key: a dense list indexed by name holds the first
+//! slot of each name, and a slot links to the next slot of the same name —
+//! a Rete token that reaches several terminals names one instantiation per
+//! production. A retraction of a name the set does not hold removes
+//! nothing: most name an instantiation `select` has already taken.
 
-use crate::buckets::{hash_words, Buckets, Pool, SlotCursor};
+use crate::buckets::SlotCursor;
 use crate::matcher::{MatchEvent, MatchEvents};
 use crate::wme::{TimeTag, WmeId};
 use std::cmp::Ordering;
@@ -115,6 +121,9 @@ impl From<InstRef<'_>> for Instantiation {
     }
 }
 
+/// The end of a name's slot list.
+const NONE: u32 = u32::MAX;
+
 /// One slab slot: an occupant's lists, or — vacated — the buffers the next
 /// occupant is copied into.
 #[derive(Clone, Debug, Default)]
@@ -122,8 +131,10 @@ struct Entry {
     occupied: bool,
     production: u32,
     specificity: u32,
-    /// [`key_hash`] of the occupant, computed once on insertion.
-    hash: u64,
+    /// The matcher's name for the occupant.
+    name: u32,
+    /// The next slot whose occupant has the same name, or [`NONE`].
+    next: u32,
     wmes: Vec<WmeId>,
     time_tags: Vec<TimeTag>,
     /// The occupant's time tags sorted descending — the LEX recency key,
@@ -132,11 +143,11 @@ struct Entry {
 }
 
 impl Entry {
-    fn fill(&mut self, inst: InstRef<'_>, hash: u64) {
+    fn fill(&mut self, name: u32, inst: InstRef<'_>) {
         self.occupied = true;
         self.production = inst.production;
         self.specificity = inst.specificity;
-        self.hash = hash;
+        self.name = name;
         self.wmes.clear();
         self.wmes.extend_from_slice(inst.wmes);
         self.time_tags.clear();
@@ -189,15 +200,9 @@ pub struct ConflictSet {
     /// strategy is requested (engines use one for a whole run).
     rank: Vec<(TimeTag, u32)>,
     rank_strategy: Strategy,
-    /// [`key_hash`] → the slots whose key hashes there (one, but for
-    /// collisions, which the lookup resolves against the slab).
-    by_key: Buckets<u64, u32>,
-    pool: Pool<u32>,
-}
-
-/// Hash of an entry key, `(production, wmes)`.
-fn key_hash(production: u32, wmes: &[WmeId]) -> u64 {
-    hash_words(std::iter::once(production).chain(wmes.iter().map(|w| w.0)))
+    /// Name → the first occupied slot of that name, or [`NONE`]; as long as
+    /// the highest name inserted since the set was created.
+    by_name: Vec<u32>,
 }
 
 impl ConflictSet {
@@ -208,14 +213,15 @@ impl ConflictSet {
 
     /// Empties the set, keeping its allocations, at the cost of the slots
     /// handed out since the last clear. Slot numbers start over as in a new
-    /// set ([`SlotCursor`]).
+    /// set ([`SlotCursor`]), and every name is free.
     pub fn clear(&mut self) {
         for e in &mut self.slab[..self.slots.high_water()] {
-            e.occupied = false;
+            if std::mem::take(&mut e.occupied) {
+                self.by_name[e.name as usize] = NONE;
+            }
         }
         self.slots.restart();
         self.rank.clear();
-        self.by_key.clear_into(&mut self.pool);
     }
 
     /// Number of instantiations present.
@@ -228,12 +234,28 @@ impl ConflictSet {
         self.rank.is_empty()
     }
 
-    fn find(&self, hash: u64, production: u32, wmes: &[WmeId]) -> Option<u32> {
-        let slots = self.by_key.get(hash);
-        slots.iter().copied().find(|&s| {
-            let e = &self.slab[s as usize];
-            e.production == production && e.wmes == wmes
-        })
+    /// The slot of the instantiation of `production` named `name`.
+    fn find(&self, name: u32, production: u32) -> Option<u32> {
+        let mut slot = *self.by_name.get(name as usize)?;
+        while slot != NONE {
+            let e = &self.slab[slot as usize];
+            if e.production == production {
+                return Some(slot);
+            }
+            slot = e.next;
+        }
+        None
+    }
+
+    /// Takes `slot` off its name's list.
+    fn unlink(&mut self, slot: u32) {
+        let Entry { name, next, .. } = self.slab[slot as usize];
+        let mut at = &mut self.by_name[name as usize];
+        while *at != slot {
+            let s = *at as usize;
+            at = &mut self.slab[s].next;
+        }
+        *at = next;
     }
 
     /// Where `(tag, slot)` sits (or belongs) in `rank`: the order is total —
@@ -249,37 +271,42 @@ impl ConflictSet {
 
     /// Vacates `slot`; the caller has already taken it out of `rank`.
     fn release(&mut self, slot: u32) {
-        let e = &mut self.slab[slot as usize];
-        debug_assert!(e.occupied, "ranked slot is occupied");
-        e.occupied = false;
-        self.by_key.remove_item(e.hash, slot, &mut self.pool);
+        debug_assert!(self.slab[slot as usize].occupied, "ranked slot is occupied");
+        self.unlink(slot);
+        self.slab[slot as usize].occupied = false;
         self.slots.give(slot);
     }
 
-    /// Adds an instantiation, copying its lists into a slot (idempotent for
-    /// identical keys).
-    pub fn insert(&mut self, inst: InstRef<'_>) {
-        let hash = key_hash(inst.production, inst.wmes);
-        self.remove_hashed(hash, inst.production, inst.wmes);
+    /// Adds an instantiation under the matcher's name for it, copying its
+    /// lists into a slot. No instantiation of the same production may hold
+    /// `name` ([`crate::matcher`]'s naming contract).
+    pub fn insert(&mut self, name: u32, inst: InstRef<'_>) {
+        debug_assert!(
+            self.find(name, inst.production).is_none(),
+            "name {name} is live for production {}",
+            inst.production
+        );
         let slot = self.slots.take();
         if slot as usize == self.slab.len() {
             self.slab.push(Entry::default());
         }
+        if name as usize >= self.by_name.len() {
+            self.by_name.resize(name as usize + 1, NONE);
+        }
+        let head = &mut self.by_name[name as usize];
         let e = &mut self.slab[slot as usize];
-        e.fill(inst, hash);
+        e.fill(name, inst);
+        e.next = std::mem::replace(head, slot);
         let key = (e.primary(self.rank_strategy), slot);
-        self.by_key.push(hash, slot, &mut self.pool);
         let at = self.rank_position(key);
         self.rank.insert(at, key);
     }
 
-    /// Removes an instantiation by key; returns true when present.
-    pub fn remove(&mut self, production: u32, wmes: &[WmeId]) -> bool {
-        self.remove_hashed(key_hash(production, wmes), production, wmes)
-    }
-
-    fn remove_hashed(&mut self, hash: u64, production: u32, wmes: &[WmeId]) -> bool {
-        let Some(slot) = self.find(hash, production, wmes) else {
+    /// Removes the instantiation of `production` named `name`; returns
+    /// true when it was present. One that is not — most often one
+    /// [`select`](Self::select) has already taken — is left alone.
+    pub fn remove(&mut self, name: u32, production: u32) -> bool {
+        let Some(slot) = self.find(name, production) else {
             return false;
         };
         let key = (self.slab[slot as usize].primary(self.rank_strategy), slot);
@@ -294,9 +321,11 @@ impl ConflictSet {
     pub fn apply(&mut self, events: &MatchEvents) {
         for e in events.iter() {
             match e {
-                MatchEvent::Insert(i) => self.insert(i),
-                MatchEvent::Retract { production, wmes } => {
-                    self.remove(production, wmes);
+                MatchEvent::Insert { name, inst } => self.insert(name, inst),
+                MatchEvent::Retract {
+                    name, production, ..
+                } => {
+                    self.remove(name, production);
                 }
             }
         }
@@ -397,8 +426,8 @@ mod tests {
         )
     }
 
-    fn insert(cs: &mut ConflictSet, prod: u32, tags: &[TimeTag], spec: u32) {
-        cs.insert(inst(prod, tags, spec).view());
+    fn insert(cs: &mut ConflictSet, name: u32, prod: u32, tags: &[TimeTag], spec: u32) {
+        cs.insert(name, inst(prod, tags, spec).view());
     }
 
     fn select(cs: &mut ConflictSet, s: Strategy) -> Option<u32> {
@@ -408,8 +437,8 @@ mod tests {
     #[test]
     fn lex_prefers_recency() {
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[1, 2], 1);
-        insert(&mut cs, 1, &[1, 5], 1);
+        insert(&mut cs, 0, 0, &[1, 2], 1);
+        insert(&mut cs, 1, 1, &[1, 5], 1);
         let mut wmes = vec![WmeId(9)];
         assert_eq!(cs.select(Strategy::Lex, &mut wmes), Some(1));
         assert_eq!(wmes, [WmeId(1), WmeId(5)], "the winner's WMEs, replacing");
@@ -419,21 +448,21 @@ mod tests {
     #[test]
     fn lex_ties_break_on_length_then_specificity() {
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[5], 1);
-        insert(&mut cs, 1, &[5, 3], 1); // longer with equal prefix wins
+        insert(&mut cs, 0, 0, &[5], 1);
+        insert(&mut cs, 1, 1, &[5, 3], 1); // longer with equal prefix wins
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
 
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[5, 3], 1);
-        insert(&mut cs, 1, &[5, 3], 9); // higher specificity wins
+        insert(&mut cs, 0, 0, &[5, 3], 1);
+        insert(&mut cs, 1, 1, &[5, 3], 9); // higher specificity wins
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
     }
 
     #[test]
     fn mea_dominates_on_first_ce_tag() {
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[9, 1], 1); // first CE tag 9
-        insert(&mut cs, 1, &[2, 100], 1); // more recent overall, older first CE
+        insert(&mut cs, 0, 0, &[9, 1], 1); // first CE tag 9
+        insert(&mut cs, 1, 1, &[2, 100], 1); // more recent overall, older first CE
         assert_eq!(cs.peek(Strategy::Mea).unwrap().production, 0);
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
     }
@@ -445,25 +474,26 @@ mod tests {
         // (tags start at 1) — it must lose to ANY tagged rival, even one
         // with tag 1, under both strategies.
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[], 9); // tagless, more specific
-        insert(&mut cs, 1, &[1], 1); // oldest possible real tag
+        insert(&mut cs, 0, 0, &[], 9); // tagless, more specific
+        insert(&mut cs, 1, 1, &[1], 1); // oldest possible real tag
         assert_eq!(cs.peek(Strategy::Mea).unwrap().production, 1);
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
 
         // Two tagless instantiations fall through to specificity and the
         // production-index tie-break, deterministically.
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 3, &[], 2);
-        insert(&mut cs, 4, &[], 5);
+        insert(&mut cs, 0, 3, &[], 2);
+        insert(&mut cs, 1, 4, &[], 5);
         assert_eq!(select(&mut cs, Strategy::Mea), Some(4));
         assert_eq!(select(&mut cs, Strategy::Mea), Some(3));
     }
 
     #[test]
     fn selection_is_deterministic_under_full_ties() {
+        // One name for both: a Rete token at two terminals.
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 2, &[5, 3], 4);
-        insert(&mut cs, 1, &[5, 3], 4);
+        insert(&mut cs, 0, 2, &[5, 3], 4);
+        insert(&mut cs, 0, 1, &[5, 3], 4);
         // Lower production index dominates as the final tie-break.
         assert_eq!(select(&mut cs, Strategy::Lex), Some(1));
         assert_eq!(select(&mut cs, Strategy::Lex), Some(2));
@@ -473,20 +503,31 @@ mod tests {
     }
 
     #[test]
-    fn insert_is_idempotent() {
+    fn a_retraction_of_a_fired_name_is_a_no_op() {
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[1], 1);
-        insert(&mut cs, 0, &[1], 1);
-        assert_eq!(cs.len(), 1);
-        assert!(cs.remove(0, &[WmeId(1)]));
-        assert!(!cs.remove(0, &[WmeId(1)]));
+        insert(&mut cs, 4, 0, &[1], 1);
+        assert_eq!(select(&mut cs, Strategy::Lex), Some(0));
+        assert!(!cs.remove(4, 0), "fired: nothing to remove");
+        assert!(!cs.remove(9, 0), "a name never given: nothing either");
+        // Retracted, the name may name the next instantiation.
+        insert(&mut cs, 4, 0, &[2], 1);
+        // A name shared by two productions loses only the fired one.
+        insert(&mut cs, 7, 1, &[3], 1);
+        insert(&mut cs, 7, 2, &[1, 3], 1);
+        assert_eq!(select(&mut cs, Strategy::Lex), Some(2));
+        assert!(!cs.remove(7, 2));
+        assert_eq!(cs.len(), 2);
+        assert!(cs.remove(7, 1));
+        assert!(cs.remove(4, 0));
+        assert!(cs.is_empty());
+        assert!(cs.by_name.iter().all(|&s| s == NONE), "{:?}", cs.by_name);
     }
 
     #[test]
     fn strategy_switch_rekeys_the_rank_index() {
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[9, 1], 1);
-        insert(&mut cs, 1, &[2, 100], 1);
+        insert(&mut cs, 0, 0, &[9, 1], 1);
+        insert(&mut cs, 1, 1, &[2, 100], 1);
         // LEX first (default index), then MEA (forces a rebuild), then LEX.
         assert_eq!(cs.peek(Strategy::Lex).unwrap().production, 1);
         assert_eq!(select(&mut cs, Strategy::Mea), Some(0));
@@ -497,35 +538,38 @@ mod tests {
     #[test]
     fn clear_keeps_the_slots_and_hands_them_out_from_the_start() {
         let mut cs = ConflictSet::new();
-        insert(&mut cs, 0, &[1, 2], 1);
-        insert(&mut cs, 1, &[3], 1);
+        insert(&mut cs, 0, 0, &[1, 2], 1);
+        insert(&mut cs, 1, 1, &[3], 1);
         select(&mut cs, Strategy::Mea);
         cs.clear();
         assert!(cs.is_empty() && cs.iter().next().is_none());
         assert_eq!(cs.peek(Strategy::Mea), None);
         assert_eq!(cs.slab.len(), 2);
         let kept = cs.slab[0].wmes.capacity();
-        insert(&mut cs, 2, &[7], 1);
+        assert_eq!(cs.by_name, [NONE, NONE], "every name is free");
+        insert(&mut cs, 2, 2, &[7], 1);
         assert!(cs.slab[0].occupied, "slot 0 first, as in a new set");
         assert_eq!(cs.slab[0].wmes.capacity(), kept, "into its old buffers");
-        assert!(!cs.remove(0, &[WmeId(1), WmeId(2)]), "old keys are gone");
+        assert!(!cs.remove(1, 1), "old names are gone");
         assert_eq!(select(&mut cs, Strategy::Lex), Some(2));
     }
 
-    /// One step of a random conflict-set history.
+    /// One step of a random conflict-set history, as a matcher writes it.
     #[derive(Clone, Debug)]
     enum Op {
-        Insert(Instantiation),
-        /// Remove the key of the `n`-th instantiation inserted so far
-        /// (present or not).
+        /// Insert under a name; skipped where the naming contract forbids
+        /// it (the name is live for the production, or the key is live).
+        Insert(u32, Instantiation),
+        /// Retract the `n`-th live instantiation (ranked, or selected).
         Remove(usize),
         Select(Strategy),
     }
 
     fn op() -> impl Generator<Value = Op> {
-        // Few distinct WMEs, tags and productions, so histories are full of
-        // ties, re-inserted keys, equal tag multisets in different orders
-        // and one WME matching several condition elements.
+        // Few distinct names, WMEs, tags and productions, so histories are
+        // full of ties, reused names, names shared between productions,
+        // equal tag multisets in different orders and one WME matching
+        // several condition elements.
         let inst = (0u32..4, prop::collection::vec(1u64..6, 0..4), 0u32..3).prop_map(
             |(production, tags, specificity)| {
                 let wmes: Vec<WmeId> = tags.iter().map(|&t| WmeId((t % 4) as u32)).collect();
@@ -534,7 +578,7 @@ mod tests {
         );
         let strategy = (0usize..2).prop_map(|m| [Strategy::Lex, Strategy::Mea][m]);
         prop_oneof![
-            5 => inst.prop_map(Op::Insert),
+            5 => (0u32..6, inst).prop_map(|(name, i)| Op::Insert(name, i)),
             2 => (0usize..64).prop_map(Op::Remove),
             2 => strategy.prop_map(Op::Select),
         ]
@@ -542,43 +586,48 @@ mod tests {
 
     proptest! {
         /// The order proof: the set against a plain list searched with
-        /// `compare`. Whatever the history — re-inserted keys, removals of
-        /// absent keys, the strategy switching between selections — both
-        /// hold the same instantiations and name the same winner, and every
-        /// rank entry carries its slot's primary tag under the strategy the
-        /// set is ranked by, in strictly ascending order.
+        /// `compare`, fed a history that keeps the naming contract. Whatever
+        /// the history — reused names, one name on several productions,
+        /// retractions of selected instantiations, the strategy switching
+        /// between selections — both hold the same instantiations and name
+        /// the same winner, every rank entry carries its slot's primary tag
+        /// under the strategy the set is ranked by, in strictly ascending
+        /// order, and every occupied slot is on its name's list once.
         #[test]
         fn ranking_agrees_with_a_linear_scan_under_compare(
             ops in prop::collection::vec(op(), 1..48),
         ) {
-            let entry = |i: &Instantiation| {
+            let entry = |name: u32, i: &Instantiation| {
                 let mut e = Entry::default();
-                e.fill(i.view(), key_hash(i.production, &i.wmes));
+                e.fill(name, i.view());
                 e
             };
             let best = |model: &[Entry], s| {
                 (0..model.len()).max_by(|&a, &b| compare(s, &model[a], &model[b]))
             };
-            let drop_key = |model: &mut Vec<Entry>, production: u32, wmes: &[WmeId]| {
-                let before = model.len();
-                model.retain(|e| (e.production, &e.wmes[..]) != (production, wmes));
-                model.len() < before
-            };
             let key = |i: InstRef<'_>| (i.production, i.wmes.to_vec());
-            let (mut cs, mut model, mut seen) = (ConflictSet::new(), Vec::new(), Vec::new());
+            let (mut cs, mut model) = (ConflictSet::new(), Vec::new());
+            // What the matcher has inserted and not retracted: `model`, and
+            // what `select` took.
+            let mut live: Vec<(u32, u32, Vec<WmeId>)> = Vec::new();
             let mut picked = Vec::new();
             for op in ops {
                 match op {
-                    Op::Insert(i) => {
-                        drop_key(&mut model, i.production, &i.wmes);
-                        model.push(entry(&i));
-                        cs.insert(i.view());
-                        seen.push(i);
+                    Op::Insert(name, i) => {
+                        let clash = |&(n, p, ref w): &(u32, u32, Vec<WmeId>)| {
+                            p == i.production && (n == name || *w == i.wmes)
+                        };
+                        if !live.iter().any(clash) {
+                            model.push(entry(name, &i));
+                            cs.insert(name, i.view());
+                            live.push((name, i.production, i.wmes));
+                        }
                     }
-                    Op::Remove(n) if !seen.is_empty() => {
-                        let k: &Instantiation = &seen[n % seen.len()];
-                        let dropped = drop_key(&mut model, k.production, &k.wmes);
-                        prop_assert_eq!(cs.remove(k.production, &k.wmes), dropped);
+                    Op::Remove(n) if !live.is_empty() => {
+                        let (name, production, _) = live.swap_remove(n % live.len());
+                        let before = model.len();
+                        model.retain(|e| (e.name, e.production) != (name, production));
+                        prop_assert_eq!(cs.remove(name, production), model.len() < before);
                     }
                     Op::Remove(_) => {}
                     Op::Select(s) => {
@@ -604,6 +653,18 @@ mod tests {
                     prop_assert!(ta <= tb);
                     prop_assert_eq!(compare(ranked, ea, eb), Ordering::Less);
                 }
+                let mut linked = 0;
+                for (name, &head) in cs.by_name.iter().enumerate() {
+                    let mut slot = head;
+                    while slot != NONE {
+                        let e = &cs.slab[slot as usize];
+                        prop_assert!(e.occupied);
+                        prop_assert_eq!(e.name as usize, name);
+                        linked += 1;
+                        slot = e.next;
+                    }
+                }
+                prop_assert_eq!(linked, cs.len());
                 let mut have: Vec<_> = cs.iter().map(key).collect();
                 let mut want: Vec<_> = model.iter().map(|e| key(e.view())).collect();
                 have.sort();

@@ -17,7 +17,37 @@
 //! a warm cycle's events cost no allocation. The Rete writes into it in
 //! place; the naive matcher keeps its match in an owned map and copies the
 //! difference in at the drain.
+//!
+//! # Names
+//!
+//! Every change carries a `u32` *name* the matcher chose, and the conflict
+//! set finds an instantiation by it ([`crate::ConflictSet::remove`]), not
+//! by hashing its `(production, wmes)` key. The contract:
+//!
+//! - An `Insert` carries a name that no other live instantiation of its
+//!   production from the same matcher holds, and a key no other live
+//!   instantiation holds. Live means inserted and not yet retracted: the
+//!   matcher does not see which instantiations the engine fires, so a fired
+//!   one stays live until its `Retract` is written.
+//! - A `Retract` carries the name its `Insert` gave. It still carries its
+//!   `(production, wmes)` key, for the consumers that fold by key (the
+//!   threaded matcher, the property tests).
+//! - A name may be reused once a `Retract` of it has been written, whether
+//!   later in the same batch or in a later batch.
+//! - So live instantiations share a name only across productions: the Rete
+//!   names an instantiation by its terminal token's slot, and a token that
+//!   reaches k terminals gives k inserts under one name.
+//! - [`Matcher::reset`] frees every name, and a [`Matcher::rollback`] every
+//!   name given since the mark: the engine empties its conflict set with
+//!   them.
+//!
+//! The conflict set treats a `Retract` of a name it does not hold as a
+//! no-op: that is an instantiation it has already selected. A matcher with
+//! no names of its own (the naive matcher, a pool of Retes whose token
+//! slots collide) takes them from a [`SlotCursor`] and gives each back when
+//! it writes the retraction.
 
+pub use crate::buckets::SlotCursor;
 use crate::conflict::{InstRef, Instantiation};
 use crate::instrument::WorkCounters;
 use crate::naive::match_all_except;
@@ -33,9 +63,16 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatchEvent<'a> {
     /// A production instantiation became satisfied.
-    Insert(InstRef<'a>),
+    Insert {
+        /// The matcher's name for it (see the module doc).
+        name: u32,
+        /// The instantiation.
+        inst: InstRef<'a>,
+    },
     /// A previously satisfied instantiation is no longer satisfied.
     Retract {
+        /// The name its insert gave.
+        name: u32,
         /// Production index.
         production: u32,
         /// The WMEs of the retracted instantiation, as its insert had them.
@@ -58,6 +95,7 @@ pub struct MatchEvents {
 /// One change of a [`MatchEvents`]: where its lists are in the buffers.
 #[derive(Clone, Copy, Debug)]
 struct Change {
+    name: u32,
     production: u32,
     specificity: u32,
     /// The change's WMEs are `wmes[at..at + len]`.
@@ -96,13 +134,17 @@ impl MatchEvents {
         self.changes.iter().map(|c| {
             let wmes = &self.wmes[c.at as usize..(c.at + c.len) as usize];
             match c.tags {
-                Some(t) => MatchEvent::Insert(InstRef {
-                    production: c.production,
-                    wmes,
-                    time_tags: &self.time_tags[t as usize..(t + c.len) as usize],
-                    specificity: c.specificity,
-                }),
+                Some(t) => MatchEvent::Insert {
+                    name: c.name,
+                    inst: InstRef {
+                        production: c.production,
+                        wmes,
+                        time_tags: &self.time_tags[t as usize..(t + c.len) as usize],
+                        specificity: c.specificity,
+                    },
+                },
                 None => MatchEvent::Retract {
+                    name: c.name,
                     production: c.production,
                     wmes,
                 },
@@ -110,25 +152,28 @@ impl MatchEvents {
         })
     }
 
-    /// Appends an insertion, copying its lists.
-    pub fn push_insert(&mut self, inst: InstRef<'_>) {
+    /// Appends an insertion named `name`, copying its lists.
+    pub fn push_insert(&mut self, name: u32, inst: InstRef<'_>) {
         self.push_inserts(
+            name,
             &[(inst.production, inst.specificity)],
             inst.wmes.iter().copied(),
             inst.time_tags.iter().copied(),
         );
     }
 
-    /// Appends a retraction, copying its WME list.
-    pub fn push_retract(&mut self, production: u32, wmes: &[WmeId]) {
-        self.push_retracts(&[(production, 0)], wmes.iter().rev().copied());
+    /// Appends a retraction of the instantiation named `name`, copying its
+    /// WME list.
+    pub fn push_retract(&mut self, name: u32, production: u32, wmes: &[WmeId]) {
+        self.push_retracts(name, &[(production, 0)], wmes.iter().rev().copied());
     }
 
     /// Appends one insertion per `(production, specificity)` of
-    /// `terminals`, all over one copy of `wmes` and `time_tags` (same
-    /// length).
+    /// `terminals`, all named `name` and over one copy of `wmes` and
+    /// `time_tags` (same length).
     pub(crate) fn push_inserts(
         &mut self,
+        name: u32,
         terminals: &[(u32, u32)],
         wmes: impl IntoIterator<Item = WmeId>,
         time_tags: impl IntoIterator<Item = TimeTag>,
@@ -140,6 +185,7 @@ impl MatchEvents {
         debug_assert_eq!(self.time_tags.len() - tags, len);
         self.changes
             .extend(terminals.iter().map(|&(production, specificity)| Change {
+                name,
                 production,
                 specificity,
                 at: at as u32,
@@ -148,11 +194,13 @@ impl MatchEvents {
             }));
     }
 
-    /// Appends one retraction per production of `terminals`, all over one
-    /// copy of the WME list given *last element first* — the order a walk
-    /// from a Rete token up its parent chain meets them in.
+    /// Appends one retraction per production of `terminals`, all named
+    /// `name` and over one copy of the WME list given *last element first*
+    /// — the order a walk from a Rete token up its parent chain meets them
+    /// in.
     pub(crate) fn push_retracts(
         &mut self,
+        name: u32,
         terminals: &[(u32, u32)],
         reversed_wmes: impl IntoIterator<Item = WmeId>,
     ) {
@@ -162,6 +210,7 @@ impl MatchEvents {
         let len = self.wmes.len() - at;
         self.changes
             .extend(terminals.iter().map(|&(production, _)| Change {
+                name,
                 production,
                 specificity: 0,
                 at: at as u32,
@@ -202,6 +251,7 @@ pub trait Matcher: Send {
     /// `out` (the caller's batch, so a cycle's events cost no allocation).
     /// `wm` holds the changes sent since then. An instantiation that became
     /// satisfied and stopped being so between two calls need not appear.
+    /// Every change is named as the module doc says.
     fn drain_events(&mut self, wm: &WmStore, out: &mut MatchEvents);
     /// Number of independently schedulable match activations since the last
     /// call (the ParaOPS5 subtask count).
@@ -297,14 +347,17 @@ impl Matcher for Rete {
 pub struct NaiveMatcher {
     program: Arc<Program>,
     compiled: Arc<Vec<CompiledProduction>>,
-    /// The match as of the last drain.
-    prev: Keyed,
+    /// The match as of the last drain: each key with the name it was handed
+    /// over under.
+    prev: HashMap<Key, u32>,
+    /// Where those names come from.
+    names: SlotCursor,
     /// The match as of the last WM change, when there was one since.
-    next: Option<Keyed>,
+    next: Option<HashMap<Key, Instantiation>>,
     work: WorkCounters,
 }
 
-type Keyed = HashMap<(u32, Vec<WmeId>), Instantiation>;
+type Key = (u32, Vec<WmeId>);
 
 impl NaiveMatcher {
     /// Creates a naive matcher for `program`.
@@ -313,6 +366,7 @@ impl NaiveMatcher {
             program,
             compiled,
             prev: HashMap::new(),
+            names: SlotCursor::default(),
             next: None,
             work: WorkCounters::default(),
         }
@@ -350,21 +404,25 @@ impl Matcher for NaiveMatcher {
             return;
         };
         // Deterministic order for reproducibility of any downstream logs.
-        let mut removed: Vec<_> = (self.prev.keys())
+        let mut removed: Vec<Key> = (self.prev.keys())
             .filter(|k| !next.contains_key(*k))
+            .cloned()
             .collect();
         removed.sort();
-        for (production, wmes) in removed {
-            events.push_retract(*production, wmes);
+        for key in removed {
+            let name = self.prev.remove(&key).expect("a handed-over key");
+            events.push_retract(name, key.0, &key.1);
+            self.names.give(name);
         }
-        let mut added: Vec<_> = (next.iter())
-            .filter(|(k, _)| !self.prev.contains_key(*k))
+        let mut added: Vec<_> = (next.into_iter())
+            .filter(|(k, _)| !self.prev.contains_key(k))
             .collect();
-        added.sort_by(|a, b| a.0.cmp(b.0));
-        for (_, i) in added {
-            events.push_insert(i.view());
+        added.sort_by(|a, b| a.0.cmp(&b.0));
+        for (key, i) in added {
+            let name = self.names.take();
+            events.push_insert(name, i.view());
+            self.prev.insert(key, name);
         }
-        self.prev = next;
     }
 
     fn take_chunks(&mut self) -> u32 {
@@ -377,6 +435,7 @@ impl Matcher for NaiveMatcher {
 
     fn reset(&mut self) {
         self.prev.clear();
+        self.names.restart();
         self.next = None;
         self.work = WorkCounters::default();
     }
@@ -411,7 +470,10 @@ mod tests {
             let mut ev = MatchEvents::new();
             m.drain_events(wm, &mut ev);
             ev.iter()
-                .map(|e| matches!(e, MatchEvent::Insert(_)))
+                .map(|e| match e {
+                    MatchEvent::Insert { name, .. } => (true, name),
+                    MatchEvent::Retract { name, .. } => (false, name),
+                })
                 .collect::<Vec<_>>()
         };
         assert!(drain(&mut m, &wm).is_empty(), "no join partner yet");
@@ -421,14 +483,22 @@ mod tests {
         let id2 = wm.add(w2);
         m.add_wme(id2, &wm);
         let ev = drain(&mut m, &wm);
-        assert_eq!(ev, [true], "one insert");
+        assert_eq!(ev, [(true, 0)], "one insert, the first name");
 
         m.remove_wme(id1, &wm);
         wm.remove(id1);
         let ev = drain(&mut m, &wm);
-        assert_eq!(ev, [false], "one retraction");
+        assert_eq!(ev, [(false, 0)], "one retraction, of that name");
 
         // No change → no events.
         assert!(drain(&mut m, &wm).is_empty());
+
+        // The name was given back with the retraction: the next insert
+        // takes it.
+        let mut w3 = Wme::new(sym("a"), 1, 3);
+        w3.set(0, Value::Int(1));
+        let id3 = wm.add(w3);
+        m.add_wme(id3, &wm);
+        assert_eq!(drain(&mut m, &wm), [(true, 0)]);
     }
 }

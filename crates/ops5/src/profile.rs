@@ -47,6 +47,10 @@ pub struct NetStats {
     /// never in the conflict set. `emitted - netted` is what the conflict
     /// set was given to rank.
     pub instantiations_netted: u64,
+    /// Retractions of instantiations a drain had handed over: one per
+    /// terminal of a delivered token that was deleted or blocked. Each
+    /// names an instantiation that is either still ranked or already fired.
+    pub retractions_delivered: u64,
     /// Right activations that could not pair: a WME entering the alpha
     /// memory of a join whose token population is empty, or leaving a
     /// negative node's alpha memory with no token blocked by it. They are
@@ -72,6 +76,7 @@ impl NetStats {
         self.shared_test_hits += other.shared_test_hits;
         self.instantiations_emitted += other.instantiations_emitted;
         self.instantiations_netted += other.instantiations_netted;
+        self.retractions_delivered += other.retractions_delivered;
         self.null_right_activations += other.null_right_activations;
         self.fingerprint_skips += other.fingerprint_skips;
     }

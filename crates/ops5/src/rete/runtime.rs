@@ -109,8 +109,9 @@ enum Emission {
     /// No instantiation exists yet; a retraction before the drain cancels
     /// the entry and nothing ever reaches the conflict set.
     Pending(u32),
-    /// Handed over by a drain. Its retraction rebuilds the key from the
-    /// token's parent chain ([`Activation::emit_retract`]).
+    /// Handed over by a drain, named by the token's slot. Its retraction
+    /// carries that name and rebuilds the key from the token's parent chain
+    /// ([`Activation::emit_retract`]).
     Delivered,
 }
 
@@ -491,6 +492,13 @@ impl Rete {
     /// a `(production, wmes)` key: whatever held the key of a surviving
     /// insert before it was retracted before it.
     ///
+    /// Every instantiation is named by its token's slot
+    /// ([`crate::matcher`]'s naming contract). A slot is a live token's
+    /// alone, and a token's retraction is written before its slot is given
+    /// back ([`Activation::emit_retract`]); so when a slot is named again —
+    /// by a token that reached a terminal since — the retraction of its
+    /// last holder is already in `out`, ahead of the insert.
+    ///
     /// `wm` is the store the WME changes were made against; every WME of a
     /// live token is live in it. All buffers keep their capacity.
     pub fn drain_events_into(&mut self, wm: &WmStore, out: &mut MatchEvents) {
@@ -507,7 +515,7 @@ impl Rete {
             let node = &self.net.nodes[td.node as usize];
             let wmes = b.chain[..=node.level as usize].iter().flatten();
             let tags = wmes.clone().map(|&w| wm.time_tag(w));
-            out.push_inserts(&node.terminals, wmes.copied(), tags);
+            out.push_inserts(t, &node.terminals, wmes.copied(), tags);
         }
         b.pending.clear();
     }
@@ -838,7 +846,12 @@ impl<'a> Activation<'a> {
                     continue;
                 }
                 self.beta.load_chain(t);
-                if eval_tests(tests, &self.beta.chain[..chain_len], w, self.wm) {
+                let chain = &self.beta.chain[..chain_len];
+                // A parent whose chain holds `w` was made during this very
+                // addition, when `w` was already in `n`'s alpha memory: its
+                // left activation made this pair. A second token would be
+                // a second live instantiation of one key.
+                if eval_tests(tests, chain, w, self.wm) && !chain.contains(&Some(w)) {
                     self.new_token(n, t, Some(w));
                 }
             }
@@ -1111,12 +1124,13 @@ impl<'a> Activation<'a> {
     /// Retracts what token `t` has in the conflict set, if anything, or
     /// cancels what it has on the way there; the charge is the same.
     ///
-    /// A retraction's key is rebuilt by walking `t`'s parent chain, not
-    /// kept: the walk is sound because every path here runs before any
-    /// slot of the chain is given back — [`delete_token`] deletes a token's
-    /// descendants, which retracts them, before it gives its own slot back,
-    /// and [`block_token`] retracts a live token — and a slot's `parent`
-    /// and `wme` stay as they are until the slot is taken again.
+    /// A retraction is named `t`, as its insert was. Its key is rebuilt by
+    /// walking `t`'s parent chain, not kept: the walk is sound because
+    /// every path here runs before any slot of the chain is given back —
+    /// [`delete_token`] deletes a token's descendants, which retracts them,
+    /// before it gives its own slot back, and [`block_token`] retracts a
+    /// live token — and a slot's `parent` and `wme` stay as they are until
+    /// the slot is taken again.
     ///
     /// [`delete_token`]: Activation::delete_token
     /// [`block_token`]: Activation::block_token
@@ -1137,11 +1151,12 @@ impl<'a> Activation<'a> {
                 stats.instantiations_netted += terminals.len() as u64;
             }
             Emission::Delivered => {
+                stats.retractions_delivered += terminals.len() as u64;
                 let chain = std::iter::successors(Some(t), |&c| {
                     let p = tokens[c as usize].parent;
                     (p != DUMMY).then_some(p)
                 });
-                events.push_retracts(terminals, chain.filter_map(|c| tokens[c as usize].wme));
+                events.push_retracts(t, terminals, chain.filter_map(|c| tokens[c as usize].wme));
             }
         }
         self.work.match_units += terminals.len() as u64 * cost::CONFLICT_OP;
@@ -1493,8 +1508,12 @@ mod tests {
     /// is unspecified (trie traversal vs per-chain traversal), so compare
     /// as sorted multisets. The engine's conflict resolution is
     /// insertion-order independent, so firing sequences are unaffected.
+    /// Names are left out: they are token slots, which the two networks
+    /// hand out in their own orders.
     fn canon(events: MatchEvents) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
-        let mut v = in_order(events);
+        let mut v: Vec<_> = (in_order(events).into_iter())
+            .map(|(kind, _, production, wmes, tags)| (kind, production, wmes, tags))
+            .collect();
         v.sort();
         v
     }
@@ -1610,15 +1629,24 @@ mod tests {
         );
     }
 
-    /// One operation's events as they were emitted, in order.
-    fn in_order(events: MatchEvents) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
+    /// An event owned: kind (0 insert, 1 retract), name, production, WMEs,
+    /// time tags.
+    type Owned = (u8, u32, u32, Vec<WmeId>, Vec<u64>);
+
+    /// One operation's events as they were emitted, in order, names
+    /// included.
+    fn in_order(events: MatchEvents) -> Vec<Owned> {
         events
             .iter()
             .map(|e| match e {
-                MatchEvent::Insert(i) => (0, i.production, i.wmes.to_vec(), i.time_tags.to_vec()),
-                MatchEvent::Retract { production, wmes } => {
-                    (1, production, wmes.to_vec(), Vec::new())
+                MatchEvent::Insert { name, inst: i } => {
+                    (0, name, i.production, i.wmes.to_vec(), i.time_tags.to_vec())
                 }
+                MatchEvent::Retract {
+                    name,
+                    production,
+                    wmes,
+                } => (1, name, production, wmes.to_vec(), Vec::new()),
             })
             .collect()
     }

@@ -3,7 +3,7 @@
 //! and the full engine must behave identically on both backends.
 
 use ops5::conflict::{ConflictSet, Instantiation};
-use ops5::matcher::{MatchEvent, MatchEvents};
+use ops5::matcher::{MatchEvent, MatchEvents, SlotCursor};
 use ops5::naive::{canonical, match_all};
 use ops5::rete::{CompiledProduction, Network, Rete, ReteConfig};
 use ops5::wme::{WmStore, Wme};
@@ -276,14 +276,17 @@ const SHARING_PROGRAMS: &[&str] = &[
 /// (per-chain traversal) networks, so batches compare as sorted multisets;
 /// the conflict set's resolution order is insertion-order independent, so
 /// firing behaviour is unaffected (the engine property below proves it).
+/// Names are left out: each network names by its own token slots.
 fn canon_events(events: &MatchEvents) -> Vec<(u8, u32, Vec<WmeId>, Vec<u64>)> {
     let mut v: Vec<_> = events
         .iter()
         .map(|e| match e {
-            MatchEvent::Insert(i) => (0u8, i.production, i.wmes.to_vec(), i.time_tags.to_vec()),
-            MatchEvent::Retract { production, wmes } => {
-                (1u8, production, wmes.to_vec(), Vec::new())
+            MatchEvent::Insert { inst: i, .. } => {
+                (0u8, i.production, i.wmes.to_vec(), i.time_tags.to_vec())
             }
+            MatchEvent::Retract {
+                production, wmes, ..
+            } => (1u8, production, wmes.to_vec(), Vec::new()),
         })
         .collect();
     v.sort();
@@ -747,8 +750,11 @@ const FEED_PROGRAM: &str = "
 #[derive(Default)]
 struct PerChangeFeed {
     set: ConflictSet,
-    /// Keys of `set` as of the engine's last drain, less what fired since.
-    handed: std::collections::BTreeSet<Key>,
+    /// Keys of `set` as of the engine's last drain, less what fired since,
+    /// each with the name it was handed over under. A fired key's name is
+    /// never retracted, so never given back.
+    handed: std::collections::BTreeMap<Key, u32>,
+    names: SlotCursor,
 }
 
 impl PerChangeFeed {
@@ -785,19 +791,26 @@ impl ops5::matcher::Matcher for PerChangeMatcher {
         self.feed_change(wm);
     }
     fn drain_events(&mut self, _wm: &WmStore, out: &mut MatchEvents) {
-        let feed = &mut *self.feed.lock().unwrap();
-        let now: std::collections::BTreeMap<Key, _> = feed
-            .set
+        let PerChangeFeed { set, handed, names } = &mut *self.feed.lock().unwrap();
+        let now: std::collections::BTreeMap<Key, _> = set
             .iter()
             .map(|i| ((i.production, i.wmes.to_vec()), i))
             .collect();
-        for (production, wmes) in feed.handed.iter().filter(|k| !now.contains_key(*k)) {
-            out.push_retract(*production, wmes);
+        handed.retain(|(production, wmes), &mut name| {
+            let kept = now.contains_key(&(*production, wmes.clone()));
+            if !kept {
+                out.push_retract(name, *production, wmes);
+                names.give(name);
+            }
+            kept
+        });
+        for (key, i) in now {
+            handed.entry(key).or_insert_with(|| {
+                let name = names.take();
+                out.push_insert(name, i);
+                name
+            });
         }
-        for (_, i) in now.iter().filter(|(k, _)| !feed.handed.contains(*k)) {
-            out.push_insert(*i);
-        }
-        feed.handed = now.into_keys().collect();
     }
     fn take_chunks(&mut self) -> u32 {
         self.rete.take_chunks()
@@ -890,6 +903,156 @@ proptest! {
         let (batched, each) = (per_firing.net_stats(), per_change.net_stats());
         prop_assert_eq!(batched.instantiations_emitted, each.instantiations_emitted);
         prop_assert!(batched.instantiations_netted >= each.instantiations_netted);
+    }
+}
+
+/// One WME can match both condition elements: a Rete that made the pair
+/// once per condition element would hold two live instantiations of one
+/// key.
+const SELF_JOIN_PROGRAM: &str = "
+    (literalize a x y)
+    (p twice (a ^x <v>) (a ^y <v>) --> (remove 1))";
+
+/// A match backend that holds the one it wraps to the naming contract of
+/// `ops5::matcher` at every drain, folding every change into the live
+/// `(name, production) → wmes`: a retraction names a live instantiation and
+/// carries its key, an insert names none that is live for its production,
+/// and no two live instantiations share a key. A reset frees every name; a
+/// mark is taken only with nothing live, so a rollback frees them too.
+struct Named {
+    inner: Box<dyn ops5::matcher::Matcher>,
+    live: std::collections::BTreeMap<(u32, u32), Vec<WmeId>>,
+}
+
+impl ops5::matcher::Matcher for Named {
+    fn add_wme(&mut self, id: WmeId, wm: &WmStore) {
+        self.inner.add_wme(id, wm);
+    }
+    fn remove_wme(&mut self, id: WmeId, wm: &WmStore) {
+        self.inner.remove_wme(id, wm);
+    }
+    fn drain_events(&mut self, wm: &WmStore, out: &mut MatchEvents) {
+        let before = out.len();
+        self.inner.drain_events(wm, out);
+        for e in out.iter().skip(before) {
+            match e {
+                MatchEvent::Insert { name, inst } => {
+                    let key = (inst.production, inst.wmes);
+                    assert!(
+                        !self.live.iter().any(|(&(_, p), w)| (p, &w[..]) == key),
+                        "key {key:?} inserted twice"
+                    );
+                    let held = self
+                        .live
+                        .insert((name, inst.production), inst.wmes.to_vec());
+                    assert_eq!(held, None, "name {name} inserted while live: {key:?}");
+                }
+                MatchEvent::Retract {
+                    name,
+                    production,
+                    wmes,
+                } => {
+                    let held = self.live.remove(&(name, production));
+                    assert_eq!(held.as_deref(), Some(wmes), "retraction of {name}");
+                }
+            }
+        }
+    }
+    fn take_chunks(&mut self) -> u32 {
+        self.inner.take_chunks()
+    }
+    fn work(&self) -> ops5::WorkCounters {
+        self.inner.work()
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.live.clear();
+    }
+    fn mark(&mut self, wm: &WmStore) -> bool {
+        let marked = self.inner.mark(wm);
+        assert!(
+            !marked || self.live.is_empty(),
+            "marked with {:?} live",
+            self.live
+        );
+        marked
+    }
+    fn rollback(&mut self) -> bool {
+        let rolled_back = self.inner.rollback();
+        if rolled_back {
+            self.live.clear();
+        }
+        rolled_back
+    }
+    fn net_stats(&self) -> ops5::NetStats {
+        self.inner.net_stats()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The naming contract the conflict set finds instantiations by, kept
+    /// by every matcher — the Rete on the shared and the unshared network,
+    /// the naive matcher and [`PerChangeMatcher`] — through WM changes,
+    /// firings (`modify`s among them), resets, marks and rollbacks. The
+    /// checks are invisible: the engine fires as over the bare backend.
+    #[test]
+    fn every_matcher_keeps_the_naming_contract(
+        prog_idx in 0usize..(SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() + 4),
+        backend in 0u8..4,
+        script in script_strategy(1..24),
+        schedule in prop::collection::vec(0u8..20, 8..80),
+    ) {
+        let src = if prog_idx < SHARING_PROGRAMS.len() {
+            SHARING_PROGRAMS[prog_idx].replace("(halt)", "(remove 1)")
+        } else if prog_idx < SHARING_PROGRAMS.len() + QUIESCENT_PROGRAMS.len() {
+            QUIESCENT_PROGRAMS[prog_idx - SHARING_PROGRAMS.len()].to_string()
+        } else {
+            let rest = [STATEFUL_PROGRAM, BLOCKER_PROGRAM, MARK_PROGRAM, SELF_JOIN_PROGRAM];
+            rest[prog_idx - SHARING_PROGRAMS.len() - QUIESCENT_PROGRAMS.len()].to_string()
+        };
+        let program = Arc::new(Program::parse(&src).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let classes = script_classes(&program);
+        let matcher = || -> Box<dyn ops5::matcher::Matcher> {
+            let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+            match backend {
+                0 => Box::new(rete_of(&compiled, &program, ReteConfig::shared())),
+                1 => Box::new(rete_of(&compiled, &program, ReteConfig::unshared())),
+                2 => Box::new(ops5::matcher::NaiveMatcher::new(p, c)),
+                _ => Box::new(PerChangeMatcher {
+                    rete: rete_of(&compiled, &program, ReteConfig::shared()),
+                    feed: Arc::default(),
+                }),
+            }
+        };
+        let engine = |m: Box<dyn ops5::matcher::Matcher>| {
+            let (p, c) = (Arc::clone(&program), Arc::clone(&compiled));
+            Driven::new(Engine::with_matcher(p, c, m))
+        };
+        let named = Named { inner: matcher(), live: Default::default() };
+        let mut checked = engine(Box::new(named));
+        let mut plain = engine(matcher());
+        for (step, &what) in schedule.iter().enumerate() {
+            let aside = match what {
+                0 => Some(Aside::Reset),
+                1 | 2 => Some(Aside::Mark),
+                3 | 4 => Some(Aside::Rollback),
+                _ => None,
+            };
+            if let Some(aside) = aside {
+                prop_assert_eq!(checked.aside(aside), plain.aside(aside), "step {}", step);
+            } else {
+                checked.advance(&classes, &script);
+                plain.advance(&classes, &script);
+            }
+            let fired = |d: &Driven| -> Vec<u32> {
+                d.e.cycle_log().iter().map(|c| c.production).collect()
+            };
+            prop_assert_eq!(fired(&checked), fired(&plain), "step {}", step);
+            prop_assert_eq!(checked.e.conflict_len(), plain.e.conflict_len(), "step {}", step);
+        }
     }
 }
 
@@ -1243,17 +1406,23 @@ proptest! {
                     prop_assert_eq!(marked[0], marked[1]);
                     mark = marked[0].then(|| wm.next_id());
                 }
+                // The set goes with a rollback or a reset, as the engine's
+                // does: the names it holds are free again.
                 Move::Rollback if mark.is_some() && probed.rete.rollback() => {
                     prop_assert!(read.rete.rollback(), "step {}: only one rolled back", step);
                     let base = mark.unwrap();
                     wm.truncate(base.0 as usize);
                     live.retain(|&w| w < base);
+                    [&mut probed, &mut read].into_iter().for_each(|f| f.cs.clear());
                 }
                 // A declined rollback resets, like a reset.
                 Move::Reset | Move::Rollback => {
                     let declined = matches!(mv, Move::Rollback) && read.rete.rollback();
                     prop_assert!(!declined, "step {}: only one rolled back", step);
-                    [&mut probed, &mut read].into_iter().for_each(|f| f.rete.reset());
+                    for f in [&mut probed, &mut read] {
+                        f.rete.reset();
+                        f.cs.clear();
+                    }
                     (wm, mark) = (WmStore::new(), None);
                     live.clear();
                 }
@@ -1263,8 +1432,7 @@ proptest! {
                         for (id, _) in wm.iter() {
                             fresh.add_wme(id, &wm);
                         }
-                        fresh.drain_events(&wm);
-                        f.rete = fresh;
+                        *f = Fed::new(fresh);
                     }
                     mark = None;
                 }

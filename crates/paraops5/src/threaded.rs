@@ -44,10 +44,24 @@
 //! Deterministic worker deaths can be injected through a
 //! [`tlp_fault::FaultPlan`] for testing: a fated worker exits after serving
 //! its planned number of flush barriers.
+//!
+//! # Names
+//!
+//! A worker's Rete names its instantiations by its own token slots
+//! ([`ops5::matcher`]'s naming contract), and two workers — or a worker and
+//! the replacement that replayed its log — hand out the same slots, so no
+//! worker name reaches the engine. Every event the pool hands over goes
+//! through one map per production subset, key → the pool's name for it,
+//! the same map that folds what the subset has delivered: an insert takes
+//! a name from the pool's [`SlotCursor`], a retraction finds the insert's
+//! name by key and gives it back. That covers worker batches, inline
+//! replicas and `reconcile`'s events alike; across a respawn or a
+//! degrade a delivered instantiation keeps its name, and
+//! [`Matcher::reset`] frees them all.
 
 use ops5::conflict::Instantiation;
 use ops5::instrument::WorkCounters;
-use ops5::matcher::{MatchEvent, MatchEvents, Matcher};
+use ops5::matcher::{MatchEvent, MatchEvents, Matcher, SlotCursor};
 use ops5::rete::compile::CompiledProduction;
 use ops5::rete::{Network, Rete, ReteConfig};
 use ops5::wme::{WmStore, Wme, WmeId};
@@ -123,39 +137,85 @@ pub struct MatchPoolReport {
     pub warnings: Vec<String>,
 }
 
-/// Net match state: the fold of a worker's delivered events.
-type NetState = HashMap<(u32, Vec<WmeId>), Instantiation>;
+/// A production subset's key.
+type Key = (u32, Vec<WmeId>);
+
+/// Net match state: the fold of a replayed Rete's events.
+type NetState = HashMap<Key, Instantiation>;
+
+/// What a production subset has delivered to the engine, net: each live
+/// key with the pool's name for it.
+type Delivered = HashMap<Key, u32>;
 
 fn fold_events(net: &mut NetState, events: &MatchEvents) {
     for e in events.iter() {
         match e {
-            MatchEvent::Insert(inst) => {
+            MatchEvent::Insert { inst, .. } => {
                 net.insert((inst.production, inst.wmes.to_vec()), inst.into());
             }
-            MatchEvent::Retract { production, wmes } => {
+            MatchEvent::Retract {
+                production, wmes, ..
+            } => {
                 net.remove(&(production, wmes.to_vec()));
             }
         }
     }
 }
 
-/// Events turning delivered state `have` into replayed state `want`:
-/// inserts for instantiations the replacement found that were never
-/// delivered, retracts for delivered instantiations the replacement no
-/// longer has.
-fn reconcile(have: &NetState, want: &NetState) -> MatchEvents {
-    let mut out = MatchEvents::new();
-    for (key, inst) in want {
-        if !have.contains_key(key) {
-            out.push_insert(inst.view());
+/// Hands a subset's `events` to `out` under the pool's names, folding them
+/// into what the subset has `delivered`: an insert takes a name, a
+/// retraction carries and gives back the one its insert took.
+fn deliver(
+    delivered: &mut Delivered,
+    names: &mut SlotCursor,
+    events: &MatchEvents,
+    out: &mut MatchEvents,
+) {
+    for e in events.iter() {
+        match e {
+            MatchEvent::Insert { inst, .. } => {
+                let name = names.take();
+                delivered.insert((inst.production, inst.wmes.to_vec()), name);
+                out.push_insert(name, inst);
+            }
+            MatchEvent::Retract {
+                production, wmes, ..
+            } => {
+                if let Some(name) = delivered.remove(&(production, wmes.to_vec())) {
+                    out.push_retract(name, production, wmes);
+                    names.give(name);
+                }
+            }
         }
     }
-    for key in have.keys() {
-        if !want.contains_key(key) {
-            out.push_retract(key.0, &key.1);
-        }
+}
+
+/// Events turning delivered state `have` into replayed state `want`,
+/// appended to `out`: retracts for delivered instantiations the
+/// replacement no longer has, then inserts for instantiations it found
+/// that were never delivered. `have` becomes `want`'s keys; what both hold
+/// keeps its name.
+fn reconcile(have: &mut Delivered, want: &NetState, names: &mut SlotCursor, out: &mut MatchEvents) {
+    let mut gone: Vec<Key> = (have.keys())
+        .filter(|k| !want.contains_key(*k))
+        .cloned()
+        .collect();
+    gone.sort();
+    for key in gone {
+        let name = have.remove(&key).expect("a delivered key");
+        out.push_retract(name, key.0, &key.1);
+        names.give(name);
     }
-    out
+    let mut found: Vec<(&Key, &Instantiation)> = want
+        .iter()
+        .filter(|(k, _)| !have.contains_key(*k))
+        .collect();
+    found.sort_by(|a, b| a.0.cmp(b.0));
+    for (key, inst) in found {
+        let name = names.take();
+        out.push_insert(name, inst.view());
+        have.insert(key.clone(), name);
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -173,7 +233,7 @@ struct WorkerSlot {
     /// replacement worker or an inline replica is another instance of it.
     network: Arc<Network>,
     /// Net fold of every event this slot has delivered to the engine.
-    delivered: NetState,
+    delivered: Delivered,
     state: SlotState,
 }
 
@@ -181,6 +241,8 @@ struct WorkerSlot {
 struct InlineWorker {
     rete: Rete,
     wm: WmStore,
+    /// Net fold of every event this subset has delivered to the engine.
+    delivered: Delivered,
 }
 
 #[derive(Clone)]
@@ -195,6 +257,8 @@ pub struct ThreadedMatcher {
     inline: Vec<InlineWorker>,
     /// Full WME delta history, for replaying to replacement workers.
     log: Vec<Delta>,
+    /// The names of the instantiations delivered to the engine.
+    names: SlotCursor,
     opts: MatchPoolOptions,
     /// Fault-plan identity handed to the next spawned worker.
     next_fault_id: usize,
@@ -237,6 +301,7 @@ impl ThreadedMatcher {
             slots: Vec::with_capacity(n_workers),
             inline: Vec::new(),
             log: Vec::new(),
+            names: SlotCursor::default(),
             opts,
             next_fault_id: 0,
             report: MatchPoolReport::default(),
@@ -274,7 +339,7 @@ impl ThreadedMatcher {
             rx: resp_rx,
             handle: Some(handle),
             network,
-            delivered: NetState::new(),
+            delivered: Delivered::new(),
             state: SlotState::Live,
         }
     }
@@ -330,11 +395,12 @@ impl ThreadedMatcher {
     }
 
     /// Replays the delta log into a fresh Rete replica and returns the
-    /// replica plus its net match state.
+    /// replica, which has delivered nothing yet, plus its net match state.
     fn replay_inline(&self, network: &Arc<Network>) -> (InlineWorker, NetState) {
         let mut iw = InlineWorker {
             rete: Rete::instantiate(Arc::clone(network)),
             wm: WmStore::new(),
+            delivered: Delivered::new(),
         };
         for delta in &self.log {
             apply_delta(&mut iw.rete, &mut iw.wm, delta);
@@ -411,13 +477,15 @@ impl ThreadedMatcher {
                         "worker {idx} died; respawned and replayed {} deltas ({n_prods} productions)",
                         self.log.len()
                     ));
-                    let events = reconcile(&self.slots[idx].delivered, &net);
+                    let mut events = MatchEvents::new();
+                    let mut delivered = std::mem::take(&mut self.slots[idx].delivered);
+                    reconcile(&mut delivered, &net, &mut self.names, &mut events);
                     let old = std::mem::replace(&mut self.slots[idx], slot);
                     drop(old.tx);
                     if let Some(h) = { old.handle } {
                         let _ = h.join();
                     }
-                    self.slots[idx].delivered = net;
+                    self.slots[idx].delivered = delivered;
                     events
                 } else {
                     // The replacement died too (fated). Degrade now to
@@ -453,12 +521,14 @@ impl ThreadedMatcher {
             );
         }
         let network = Arc::clone(&self.slots[idx].network);
-        let (iw, net) = self.replay_inline(&network);
+        let (mut iw, net) = self.replay_inline(&network);
         self.report.warnings.push(format!(
             "worker {idx} died; {} productions folded into the control thread",
             network.productions()
         ));
-        let events = reconcile(&self.slots[idx].delivered, &net);
+        let mut events = MatchEvents::new();
+        iw.delivered = std::mem::take(&mut self.slots[idx].delivered);
+        reconcile(&mut iw.delivered, &net, &mut self.names, &mut events);
         self.inline.push(iw);
         self.retire_slot(idx);
         events
@@ -466,7 +536,7 @@ impl ThreadedMatcher {
 
     fn retire_slot(&mut self, idx: usize) {
         self.slots[idx].state = SlotState::Retired;
-        self.slots[idx].delivered = NetState::new();
+        self.slots[idx].delivered = Delivered::new();
         if let Some(h) = self.slots[idx].handle.take() {
             let _ = h.join();
         }
@@ -490,9 +560,13 @@ impl ThreadedMatcher {
                 continue;
             }
             match slot.rx.recv() {
-                Ok(mut resp) => {
-                    fold_events(&mut slot.delivered, &resp.events);
-                    events.append(&mut resp.events);
+                Ok(resp) => {
+                    deliver(
+                        &mut slot.delivered,
+                        &mut self.names,
+                        &resp.events,
+                        &mut events,
+                    );
                     total.add(&resp.work);
                     self.chunks = self.chunks.saturating_add(resp.chunks);
                 }
@@ -509,8 +583,11 @@ impl ThreadedMatcher {
                 }
             }
         }
+        let mut drained = MatchEvents::new();
         for iw in &mut self.inline {
-            iw.rete.drain_events_into(&iw.wm, &mut events);
+            iw.rete.drain_events_into(&iw.wm, &mut drained);
+            deliver(&mut iw.delivered, &mut self.names, &drained, &mut events);
+            drained.clear();
             total.add(&iw.rete.work);
             self.chunks = self.chunks.saturating_add(u64::from(iw.rete.take_chunks()));
         }
@@ -604,11 +681,13 @@ impl Matcher for ThreadedMatcher {
 
     /// Every live replica (thread or control-inlined) forgets its WMEs and
     /// the replay log empties with them, so a worker found dead later is
-    /// rebuilt from the deltas sent *after* the reset only. What the pool
+    /// rebuilt from the deltas sent *after* the reset only; every delivered
+    /// name is free again, as the engine empties its set. What the pool
     /// has survived stays: retired slots stay retired, a failed pool stays
     /// failed, and [`ThreadedMatcher::report`] keeps its history.
     fn reset(&mut self) {
         self.log.clear();
+        self.names.restart();
         for slot in &mut self.slots {
             slot.delivered.clear();
             if slot.state == SlotState::Live && slot.tx.send(Req::Reset).is_err() {
@@ -619,6 +698,7 @@ impl Matcher for ThreadedMatcher {
         for iw in &mut self.inline {
             iw.rete.reset();
             iw.wm.clear();
+            iw.delivered.clear();
         }
         self.work = WorkCounters::default();
         self.chunks = 0;
@@ -692,7 +772,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{Engine, Value};
+    use ops5::{ConflictSet, Engine, Value};
 
     const SRC: &str = "
         (literalize region id kind)
@@ -1005,6 +1085,96 @@ mod tests {
         let (par_firings, par_wm) = run_with_options(Some(3), opts);
         assert_eq!(par_firings, seq_firings);
         assert_eq!(par_wm, seq_wm);
+    }
+
+    /// Three joins, one per worker of a pool of three: worker 1 carries
+    /// `ac`.
+    const JOINS: &str = "
+        (literalize a x)
+        (literalize b x)
+        (literalize c x)
+        (p ab (a ^x <v>) (b ^x <v>) --> (halt))
+        (p ac (a ^x <v>) (c ^x <v>) --> (halt))
+        (p bc (b ^x <v>) (c ^x <v>) --> (halt))
+    ";
+
+    /// An instantiation delivered before a worker death and retracted after
+    /// the recovery: worker 1 delivers `ac`'s `(a1, c1)` at barrier 2,
+    /// serves barrier 3 and dies; barrier 4 finds it dead and recovers by
+    /// `recovery`, which leaves the subset's delivered names as they were;
+    /// barrier 5 removes `a1`, and the retraction the recovered subset
+    /// writes must name what the dead worker delivered. After every barrier
+    /// the set the pool feeds equals the one a sequential Rete feeds.
+    fn retraction_after_recovery(recovery: RecoveryPolicy) {
+        let program = Arc::new(Program::parse(JOINS).unwrap());
+        let compiled = Engine::compile(&program).unwrap();
+        let opts = MatchPoolOptions {
+            fault_plan: FaultPlan::seeded(23).with_worker_death(1, 3),
+            recovery,
+            ..MatchPoolOptions::default()
+        };
+        let mut pool = ThreadedMatcher::with_options(&program, &compiled, 3, opts).unwrap();
+        let network = Network::build(&compiled, &program, ReteConfig::default());
+        let mut seq = Rete::instantiate(Arc::new(network));
+        let (mut pool_set, mut seq_set) = (ConflictSet::new(), ConflictSet::new());
+        let keys = |cs: &ConflictSet| {
+            let mut v: Vec<_> = cs.iter().map(|i| (i.production, i.wmes.to_vec())).collect();
+            v.sort();
+            v
+        };
+        let mut wm = WmStore::new();
+        let mut made = Vec::new();
+        let mut delivered_at_death = Delivered::new();
+        let steps = [("a", 1), ("c", 1), ("b", 1), ("a", 2), ("-", 0), ("a", 1)];
+        for (barrier, (class, x)) in (1..).zip(steps) {
+            if class == "-" {
+                let id = made.remove(0);
+                pool.remove_wme(id, &wm);
+                seq.remove_wme(id, &wm);
+                wm.remove(id);
+            } else {
+                let class = ops5::symbol::sym(class);
+                let mut w = Wme::new(class, program.n_slots(class).unwrap(), barrier);
+                w.set(0, x.into());
+                let id = wm.add(w);
+                made.push(id);
+                pool.add_wme(id, &wm);
+                seq.add_wme(id, &wm);
+            }
+            let mut events = MatchEvents::new();
+            pool.drain_events(&wm, &mut events);
+            pool_set.apply(&events);
+            seq_set.apply(&seq.drain_events(&wm));
+            assert_eq!(keys(&pool_set), keys(&seq_set), "barrier {barrier}");
+            assert_eq!(pool_set.len(), seq_set.len(), "barrier {barrier}");
+            // What worker 1's subset has delivered, wherever it now runs.
+            let subset = match (barrier, recovery) {
+                (4.., RecoveryPolicy::Degrade) => &pool.inline[0].delivered,
+                _ => &pool.slots[1].delivered,
+            };
+            match barrier {
+                3 => delivered_at_death = subset.clone(),
+                4 => {
+                    assert_eq!(subset, &delivered_at_death, "names survive the recovery");
+                    assert_eq!(subset.len(), 1, "{subset:?}");
+                }
+                5 => assert!(subset.is_empty(), "the retraction freed {subset:?}"),
+                _ => {}
+            }
+        }
+        let report = pool.report();
+        assert_eq!((report.deaths, report.respawns + report.degraded), (1, 1));
+        assert_eq!(pool_set.len(), 3, "ab, ac and bc over a1, b1, c1");
+    }
+
+    #[test]
+    fn a_retraction_after_a_respawn_names_what_the_dead_worker_delivered() {
+        retraction_after_recovery(RecoveryPolicy::Respawn);
+    }
+
+    #[test]
+    fn a_retraction_after_a_degrade_names_what_the_dead_worker_delivered() {
+        retraction_after_recovery(RecoveryPolicy::Degrade);
     }
 
     /// Regression: the pool's lifetime chunk counter is `u64` and

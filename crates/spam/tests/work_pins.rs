@@ -21,6 +21,19 @@
 //! re-blocks it) and never reach the conflict set; the decomposition moves
 //! neither count. At Level 1 a task is a firing or so and nothing nets.
 //!
+//! `retractions_delivered` counts the other way out of the conflict set:
+//! the retractions the Rete writes of instantiations a drain handed over,
+//! each naming its instantiation by the token's slot. With the pins above
+//! it splits the set's traffic exactly. An instantiation the set was given
+//! is fired or not, and retracted or not, so the 33 822 insertions
+//! (47 961 − 14 139) are A (fired, then retracted) + B (retracted while
+//! ranked) + C (fired, never retracted) + D (never either), the 24 111
+//! firings are A + C, and the 33 822 retractions are A + B. Retractions
+//! equal insertions, so C = D = 0: every firing's instantiation is
+//! retracted later, 24 111 retractions name one `select` has already taken
+//! (the set's no-op), and 9 711 remove a ranked one. At Level 1 the 1 536
+//! retractions equal the 1 536 firings: each names a fired instantiation.
+//!
 //! `fingerprint_skips` counts the candidates a right-index probe retrieved
 //! and a fingerprint of their node's other equality keys ruled out: at
 //! Levels 4 and 3 they are the 116 652 that fail `lcc-gen-pair`'s and
@@ -85,6 +98,7 @@ fn level_4_counts_are_exact() {
     assert_eq!(net.instantiations_emitted, 47_961);
     assert_eq!(net.instantiations_netted, 14_139);
     assert_eq!(net.fingerprint_skips, 116_652);
+    assert_eq!(net.retractions_delivered, 33_822);
 }
 
 #[test]
@@ -106,6 +120,7 @@ fn level_3_counts_are_exact() {
     assert_eq!(net.instantiations_emitted, 47_961);
     assert_eq!(net.instantiations_netted, 14_139);
     assert_eq!(net.fingerprint_skips, 116_652);
+    assert_eq!(net.retractions_delivered, 33_822);
 }
 
 #[test]
@@ -125,6 +140,7 @@ fn level_1_counts_on_dc_are_exact() {
     assert_eq!(net.instantiations_emitted, 1_536);
     assert_eq!(net.instantiations_netted, 0);
     assert_eq!(net.fingerprint_skips, 0);
+    assert_eq!(net.retractions_delivered, 1_536);
 }
 
 /// Σ `match_chunks` over cycle logs: the ParaOPS5 model's input, one chunk
