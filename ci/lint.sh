@@ -46,3 +46,12 @@ if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
   echo "lint: crates/core/src calls execute( outside tlp::run_phase, the one phase entry" >&2
   exit 1
 fi
+
+# A run's metrics are one JSON file (`--metrics-out`), and a task's watch
+# publishes its engine's work once, when the run ends: no second format, no
+# mid-run mirror.
+if git grep -n "openmetrics\|expocheck\|metrics-snapshot\|LIVE_MIRROR_EVERY" -- \
+  crates README.md EXPERIMENTS.md DESIGN.md .claude .github; then
+  echo "lint: the OpenMetrics exposition and the live mirror are gone; metrics are --metrics-out JSON" >&2
+  exit 1
+fi

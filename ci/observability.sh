@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 out=ci-out && mkdir -p $out && bin=target/release
 
-cargo build --release -p spam-psm -p tlp-obs -p tlp-bench \
-  --bin spamctl --bin tracecheck --bin expocheck --bin bench_overhead --bin benchdiff
+cargo build --release -p spam-psm -p tlp-bench \
+  --bin spamctl --bin tracecheck --bin bench_overhead --bin benchdiff
 
 # Flight-recorder trace (small scene), coverage >= 99%: central queue, then
 # measured on the real work-stealing pool.
@@ -17,11 +17,6 @@ $bin/tracecheck $out/trace.json --min-coverage 0.99
 $bin/spamctl run dc --exec real --workers 4 --obs full \
   --trace-out $out/exec_trace.json --quiet
 $bin/tracecheck $out/exec_trace.json --min-coverage 0.99
-
-# A scene's final metrics as OpenMetrics text, through the exposition
-# validator.
-$bin/spamctl run dc --workers 4 --metrics-snapshot $out/expo.txt --quiet
-$bin/expocheck $out/expo.txt
 
 # A chaotic scene traced to a file: the span trees checked, then the first
 # retained trace (traces[0].trace_id) followed to its span tree.
@@ -34,7 +29,8 @@ test -n "$TID"
 $bin/spamctl trace "$TID" --from $out/traces.json
 
 # Every observer's overhead against `off` (budget 2%; a FAIL needs a resolved
-# difference), and its deterministic sections against the committed baseline.
+# difference), and its deterministic sections against the committed baseline,
+# exactly: they are counts of the same run, not timings.
 $bin/bench_overhead $out/BENCH_overhead.json --check-overhead 2
 $bin/benchdiff crates/bench/baselines/BENCH_overhead.json \
-  $out/BENCH_overhead.json --threshold 5 --ignore wall
+  $out/BENCH_overhead.json --threshold 0 --ignore wall

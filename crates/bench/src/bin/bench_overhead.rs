@@ -8,7 +8,7 @@
 //!   against `off`, the overhead, Δ µs per scene and the pairs lost and won.
 //!   Machine-dependent; `benchdiff --ignore wall` skips it.
 //! * `"recorder"`, `"live"`, `"trace"` — the deterministic shape of what
-//!   the observers saw: event and thread counts, the totals mirrored
+//!   the observers saw: event and thread counts, the totals published
 //!   through the registry, the retained trace and the critical task chain
 //!   recomputed from its service table. Any drift is a code change. The
 //!   critical-path cross-check (trace-derived vs. phase-derived, within
@@ -229,7 +229,7 @@ fn main() -> ExitCode {
 
     let snap = kept.live.expect("a live round").snapshot();
     println!(
-        "live    : epoch {}, {} series; {} tasks, {} match units, {} firings mirrored",
+        "live    : epoch {}, {} series; {} tasks, {} match units, {} firings published",
         snap.epoch,
         snap.series.len(),
         total(&snap, "spam_live_tasks_completed"),

@@ -11,9 +11,11 @@
 //! A leaf whose relative change exceeds the threshold (default 10 %) in
 //! either direction is a regression and the exit code is non-zero — the
 //! deterministic simulator means any drift is a code change, not noise.
-//! Leaves that appear in only one file are reported but do not fail the
-//! run (reports are allowed to grow). `--ignore PREFIX` skips leaves under a path prefix (repeatable),
-//! for fields that are expected to move.
+//! A leaf only in the current file is reported and allowed (reports may
+//! grow); a leaf only in the baseline fails the run, as does a comparison of
+//! no leaves at all, so a gate cannot pass on a bench that stopped writing
+//! its keys. `--ignore PREFIX` skips leaves under a path prefix
+//! (repeatable), for fields that are expected to move or go.
 //!
 //! `--list` prints one file's flattened leaves (`path = value`, sorted) —
 //! the exact key space the comparison runs over — so regenerating or
@@ -145,13 +147,13 @@ fn main() -> ExitCode {
         base.iter().map(|(k, v)| (k.as_str(), *v)).collect();
 
     println!("benchdiff: {base_path} -> {cur_path} (threshold {threshold}%)");
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
+    let (mut regressions, mut missing, mut compared) = (0usize, 0usize, 0usize);
     for (key, old) in &base_map {
         if ignored(key) {
             continue;
         }
         let Some(new) = cur_map.get(key) else {
+            missing += 1;
             println!("  - {key} (only in baseline: {old})");
             continue;
         };
@@ -177,6 +179,14 @@ fn main() -> ExitCode {
     }
     if regressions > 0 {
         eprintln!("benchdiff: {regressions}/{compared} leaves drifted beyond {threshold}%");
+    }
+    if missing > 0 {
+        eprintln!("benchdiff: {missing} baseline leaves missing from {cur_path}");
+    }
+    if compared == 0 {
+        eprintln!("benchdiff: no leaves compared");
+    }
+    if regressions > 0 || missing > 0 || compared == 0 {
         return ExitCode::FAILURE;
     }
     println!("benchdiff: {compared} leaves compared, all within {threshold}%");

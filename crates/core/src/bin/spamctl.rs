@@ -5,7 +5,7 @@
 //!         [--exec real|sim] [--machines 1|2] [--svm tuned|naive] [--retries K]
 //!         [--fault-seed S] [--task-panic-rate P] [--topdown] [--sweep]
 //!         [--quiet] [--unshared] [--obs off|summary|full] [--trace-out F]
-//!         [--metrics-out F] [--metrics-snapshot F] [--traces-out F]
+//!         [--metrics-out F] [--traces-out F]
 //! spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K] [--json F]
 //!         [--check-band LO:HI] [--unshared]
 //! spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
@@ -93,21 +93,19 @@
 //! * `--trace-out F` writes a Chrome `trace_event` file (open in
 //!   `chrome://tracing` or Perfetto) with the recorded events plus the
 //!   simulated Encore timeline of the LCC phase;
-//! * `--metrics-out F` and `--metrics-snapshot F` each turn on the metrics
-//!   registry (`tlp-obs::live`): the supervisor, the per-worker engines,
-//!   and the SLO monitor publish `spam_live_*` / `spam_slo_*`
-//!   sliding-window series while the run executes, and the run prints
-//!   their final state on its `live   :` line (epoch, series, SLO
-//!   health). Results are bit-identical with it on or off. A run's
-//!   telemetry is the files it writes when it ends: a whole run is over
-//!   before anything could poll it;
-//! * `--metrics-out F` writes the run's final registry snapshot as JSON,
-//!   after adding the finished LCC phase's per-task distributions to it
-//!   (`spam_phase_*`: service-time, queue-wait, match-fraction histograms,
-//!   totals) and those of its simulated replay (`spam_sim_*`);
-//! * `--metrics-snapshot F` writes the same final registry as OpenMetrics
-//!   text (check it with `expocheck F`); its `spam_slo_health` gauge is
-//!   the run's SLO health (0 healthy, 1 degraded);
+//! * `--metrics-out F` turns on the metrics registry (`tlp-obs::live`):
+//!   the supervisor, the SLO monitor and each task's watch publish
+//!   `spam_live_*` / `spam_slo_*` series (a task's engine work once, when
+//!   its run ends), and the run prints their final state on its
+//!   `live   :` line (epoch, series, SLO health). It then writes the
+//!   run's final registry snapshot to `F` as JSON, after adding the
+//!   finished LCC phase's per-task distributions to it (`spam_phase_*`:
+//!   service-time, queue-wait, match-fraction histograms, totals) and
+//!   those of its simulated replay (`spam_sim_*`); its `spam_slo_health`
+//!   gauge is the run's SLO health (0 healthy, 1 degraded). Results are
+//!   bit-identical with it on or off. A run's telemetry is the files it
+//!   writes when it ends: a whole run is over before anything could poll
+//!   it;
 //! * `--unshared` (any subcommand) runs every engine on the historical
 //!   one-chain-per-production, linear-scan Rete instead of the shared +
 //!   indexed network — the baseline for the sharing experiments. Results
@@ -216,7 +214,7 @@ const COMMANDS: &[CmdSpec] = &[
         head: "[run] [sf|dc|moff|suburb]",
         flags: "--level --workers --exec --machines --svm --retries --fault-seed \
                 --task-panic-rate --topdown --sweep --quiet --unshared --obs --trace-out \
-                --metrics-out --metrics-snapshot --traces-out",
+                --metrics-out --traces-out",
     },
     CmdSpec {
         cmd: Cmd::Profile,
@@ -267,7 +265,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--obs", "off|summary|full"),
     ("--trace-out", "F"),
     ("--metrics-out", "F"),
-    ("--metrics-snapshot", "F"),
     ("--traces-out", "F"),
     ("--top", "K"),
     ("--json", "F"),
@@ -339,7 +336,6 @@ struct Opts {
     obs: ObsLevel,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    metrics_snapshot: Option<String>,
     traces_out: Option<String>,
     trace_from: Option<String>,
 }
@@ -406,7 +402,6 @@ impl Opts {
             "--obs" => self.obs = ObsLevel::parse(v).ok_or(format!("bad --obs '{v}'"))?,
             "--trace-out" => self.trace_out = path(),
             "--metrics-out" => self.metrics_out = path(),
-            "--metrics-snapshot" => self.metrics_snapshot = path(),
             "--traces-out" => self.traces_out = path(),
             "--top" => self.top = parsed(flag, v)?,
             "--json" => self.json_out = path(),
@@ -1120,9 +1115,9 @@ fn run_pipeline(
     let rec = Recorder::new(obs_level);
     let mut ctl = rec.sink("control");
 
-    // The metrics registry is on for whichever output needs it; with
-    // neither, `Live::off()` keeps every emitter inert.
-    let live_on = o.metrics_snapshot.is_some() || o.metrics_out.is_some();
+    // The metrics registry is on for `--metrics-out`; without it,
+    // `Live::off()` keeps every emitter inert.
+    let live_on = o.metrics_out.is_some();
     let live = if live_on {
         Live::new(tlp_obs::DEFAULT_WINDOW)
     } else {
@@ -1388,13 +1383,6 @@ fn run_pipeline(
             snap.series.len(),
             slo.health().name()
         );
-        if let Some(path) = &o.metrics_snapshot {
-            let text = tlp_obs::openmetrics(&snap);
-            let summary = tlp_obs::validate_openmetrics(&text)
-                .map_err(|e| format!("live   : exposition INVALID ({e})"))?;
-            write_file(path, &text)?;
-            println!("live   : exposition ({summary}) -> {path}");
-        }
     }
     Ok(())
 }

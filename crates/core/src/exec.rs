@@ -1973,7 +1973,7 @@ mod tests {
                 &[],
                 |_, _| {},
                 |_: &mut (), a| {
-                    // Stand-in for the engine's cycle mirror: record one
+                    // Stand-in for the watch's cycle windows: record one
                     // aux span through the handed sink.
                     if let Some(mut tr) = a.trace {
                         let t0 = tr.now_us();

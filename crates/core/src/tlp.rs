@@ -32,8 +32,8 @@ use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
 
 /// Runs `list` as `how` says, tasks weighed for chunking by their
 /// [estimates](TaskList::estimate). An attempt is `tp.run(&task, watch)`,
-/// the [`Watch`] mirroring its engine live, grouping its cycles under the
-/// attempt's span, and delivering the fault plan's mid-cycle kill of that
+/// the [`Watch`] publishing its engine's work when the run ends, grouping its
+/// cycles under the attempt's span, and delivering the fault plan's mid-cycle kill of that
 /// attempt, if any. A task whose list [observes](TaskList::observed) its
 /// work has its simulated latency (at the paper's 1.5 MIPS) judged against
 /// the scene's objective and, with its match fraction, recorded in the
@@ -527,7 +527,7 @@ mod tests {
 
     /// Acceptance scenario: with live telemetry attached the runner
     /// produces exactly the sequential results while publishing the full
-    /// series set — engine mirrors, supervisor counters, and SLO health —
+    /// series set — engine work, supervisor counters, and SLO health —
     /// into one registry.
     #[test]
     fn live_runner_matches_sequential_and_publishes_everything() {
@@ -556,7 +556,7 @@ mod tests {
                 Some(LiveValue::Counter { total, .. }) => *total,
                 other => panic!("{name}: expected counter, got {other:?}"),
             };
-            // Engine mirrors add up to the phase totals.
+            // Engine work adds up to the phase totals.
             assert_eq!(total("spam_live_match_units"), par.work.match_units);
             assert_eq!(total("spam_live_firings"), par.firings);
             assert_eq!(total("spam_live_rhs_actions"), par.work.rhs_actions);

@@ -3,7 +3,8 @@
 //! wherever in its span the first attempt is killed, and on either
 //! placement, the kill is a panic the supervisor retries from scratch, and
 //! the retry returns the fault-free task's result as a whole value (`==`,
-//! cycle log included).
+//! cycle log included), and the registry counts the task's work once: the
+//! killed attempt published nothing.
 
 use proptest::prelude::*;
 use spam::fa::{run_fa, FaResult, FaTask};
@@ -15,12 +16,13 @@ use spam::rules::SpamProgram;
 use spam::scene::Scene;
 use spam::task::{Task, TaskList, TaskProcess};
 use spam::watch::Watch;
-use spam_psm::exec::{ExecConfig, PhaseRun};
+use spam_psm::exec::{ExecConfig, Observer, PhaseRun};
 use spam_psm::run_phase;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tlp_fault::{FaultPlan, SupervisorConfig};
+use tlp_obs::{Live, LiveValue};
 
 /// One scene, interpreted fault-free: the inputs of every phase's tasks.
 struct World {
@@ -103,9 +105,14 @@ where
     let cfg = SupervisorConfig::default()
         .with_retries(1)
         .with_backoff(Duration::ZERO);
+    let live = Live::new(8);
     let how = PhaseRun {
         cfg,
         plan: FaultPlan::seeded(kill).with_cycle_kill(0, 0, at),
+        obs: Observer {
+            live: Arc::clone(&live),
+            ..Observer::off()
+        },
         ..PhaseRun::new(exec)
     };
     let (mut slots, report, _) = run_phase(&how, &Arc::new(One(move || task(w)))).unwrap();
@@ -115,6 +122,11 @@ where
         "attempt 0 dies, attempt 1 returns"
     );
     prop_assert_eq!(slots.pop().flatten(), Some(want), "kill at {}/{}", at, span);
+    let published = match live.snapshot().series.get("spam_live_firings") {
+        Some(LiveValue::Counter { total, .. }) => *total,
+        other => panic!("spam_live_firings: expected a counter, got {other:?}"),
+    };
+    prop_assert_eq!(published, span, "kill at {}/{}", at, span);
     Ok(())
 }
 

@@ -17,11 +17,11 @@
 //!   checked by [`validate_chrome_trace`] (`tracecheck`).
 //! * **Metrics** — [`Live`], the one registry: counters, gauges and
 //!   windowed log-scale [`Histogram`]s in per-thread shards, rotated on a
-//!   logical epoch. A phase's final metrics are its last snapshot
-//!   ([`LiveSnapshot::to_json`]); the same snapshot renders as OpenMetrics
-//!   text ([`openmetrics`]), checked by [`validate_openmetrics`]
-//!   (`expocheck`). [`SloMonitor`] publishes its burn-rate decisions into
-//!   it.
+//!   logical epoch. A phase's final metrics are its last snapshot,
+//!   written as JSON ([`LiveSnapshot::to_json`]) and read back by
+//!   [`json::Json::parse`]. A task's engine work is published into it
+//!   once, when the task's run ends. [`SloMonitor`] publishes its
+//!   burn-rate decisions into it.
 //! * **Scene traces** — [`Tracing`], a span tree per scene submission,
 //!   the last [`MAX_RETAINED`] finished ones kept in a ring; written as
 //!   JSON ([`RetainedTrace::to_json`]), read back by its one decoder
@@ -57,7 +57,6 @@
 
 pub mod event;
 pub mod export;
-pub mod expose;
 pub mod json;
 pub mod live;
 pub mod metrics;
@@ -68,7 +67,6 @@ pub mod tracectx;
 
 pub use event::{ArgValue, Category, Event, EventKind};
 pub use export::{validate_chrome_trace, MachineLog, TraceDoc, TraceSummary};
-pub use expose::{openmetrics, validate_openmetrics, ExpoSummary};
 pub use live::{series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW};
 pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};

@@ -1,15 +1,13 @@
 //! The metrics registry: lock-light sliding-window aggregators.
 //!
-//! The flight recorder ([`crate::Recorder`]) answers *what happened* after a
-//! run exits; this module answers *what is happening now* while a
-//! long-running engine process is still working — and, because a phase's
-//! final metrics are simply its last snapshot, *how much overall* once it
-//! has (`spamctl --metrics-out`). It is the only registry: every counter,
-//! gauge and histogram the workspace publishes is a series here. Emitting
-//! threads own
-//! private shards (one mutex per shard, never contended on the hot path
-//! because only the owning thread and the occasional snapshotter touch it),
-//! and every windowed series is a ring of `N` fixed buckets rotated on a
+//! The flight recorder ([`crate::Recorder`]) answers *what happened*; this
+//! module answers *how much*. A run's metrics are the registry's last
+//! snapshot, written once when the run ends (`spamctl --metrics-out`).
+//! It is the only registry: every counter, gauge and histogram the
+//! workspace publishes is a series here. Emitting threads own private
+//! shards (one mutex per shard, never contended on the hot path because
+//! only the owning thread and the occasional snapshotter touch it), and
+//! every windowed series is a ring of `N` fixed buckets rotated on a
 //! **logical-time epoch** — in the SPAM supervisor one epoch is one
 //! completed task, so windows are deterministic and survive wall-clock
 //! noise. Three series kinds:
@@ -23,7 +21,7 @@
 //!   ±one-bucket guarantee as the unwindowed math (property-tested in
 //!   `tests/live_props.rs`).
 //!
-//! Series names follow the OpenMetrics convention used by [`crate::expose`]:
+//! Series names follow the OpenMetrics naming convention:
 //! `spam_live_*` for engine/supervisor series, `spam_slo_*` for the SLO
 //! monitor, `spam_phase_*` / `spam_sim_*` for a finished phase's per-task
 //! distributions, with an optional label set encoded in the key itself
@@ -31,8 +29,8 @@
 //!
 //! Cost model: a disabled registry ([`Live::off`]) reduces every emit to one
 //! branch on a plain bool. An enabled emit is one uncontended mutex lock and
-//! a map lookup; emitters batch (e.g. the LCC unit runner mirrors engine
-//! counters once every few cycles), and `bench_overhead`'s `live` arm holds
+//! a map lookup; emitters batch (a task's watch publishes its engine's work
+//! once, when the task's run ends), and `bench_overhead`'s `live` arm holds
 //! the end-to-end overhead to its 2 % budget.
 
 use crate::json::Json;
@@ -47,8 +45,8 @@ pub const DEFAULT_WINDOW: usize = 8;
 
 /// Builds a series key with an encoded OpenMetrics label set:
 /// `series_key("x", &[("worker", "3")])` is `x{worker="3"}`. With no labels
-/// the bare name is returned. The exposition layer splits the key back into
-/// family + labels, so one flat `BTreeMap` holds the whole series space.
+/// the bare name is returned, so one flat `BTreeMap` holds the whole series
+/// space.
 pub fn series_key(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();

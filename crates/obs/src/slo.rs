@@ -20,9 +20,9 @@
 //! threshold and **Healthy** otherwise.
 //!
 //! All decisions are published as `spam_slo_*` gauges/counters through a
-//! [`LiveHandle`], so the registry's files (`--metrics-out`,
-//! `--metrics-snapshot`) carry the same numbers health is decided on, the
-//! decision itself as the `spam_slo_health` gauge.
+//! [`LiveHandle`], so the registry's file (`--metrics-out`) carries the
+//! same numbers health is decided on, the decision itself as the
+//! `spam_slo_health` gauge.
 
 use crate::live::LiveHandle;
 use std::fmt;

@@ -460,7 +460,7 @@ struct Inner {
 ///
 /// Shared as `Arc<Tracing>`; recording is mutex-protected but cheap (one
 /// lock per span, and spans are emitted at coarse granularity — per task
-/// attempt and per engine publish cadence, not per cycle).
+/// attempt and per 256-cycle engine window, not per cycle).
 pub struct Tracing {
     enabled: bool,
     epoch: Instant,

@@ -773,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn live_unit_matches_plain_unit_and_mirrors_work() {
+    fn live_unit_matches_plain_unit_and_publishes_work() {
         use tlp_obs::{Live, LiveValue};
         let (sp, scene, frags) = setup();
         let unit = LccUnit::Object(frags[0].id);
@@ -783,21 +783,21 @@ mod tests {
         assert_eq!(plan.units[0].label(), unit.label());
         let live = Live::new(8);
         let watch = Watch::new(Some(&live), None);
-        let (mirrored, _) = tp.run(&plan.task(0), watch);
-        assert_eq!(plain.consistents, mirrored.consistents);
-        assert_eq!(plain.supports, mirrored.supports);
-        assert_eq!(plain.work, mirrored.work, "mirror must not change work");
-        assert_eq!(plain.firings, mirrored.firings);
+        let (watched, _) = tp.run(&plan.task(0), watch);
+        assert_eq!(plain.consistents, watched.consistents);
+        assert_eq!(plain.supports, watched.supports);
+        assert_eq!(plain.work, watched.work, "a watch must not change work");
+        assert_eq!(plain.firings, watched.firings);
         let snap = live.snapshot();
         let total = |name: &str| match snap.series.get(name) {
             Some(LiveValue::Counter { total, .. }) => *total,
             other => panic!("{name}: expected counter, got {other:?}"),
         };
-        let w = &mirrored.work;
+        let w = &watched.work;
         assert_eq!(total("spam_live_match_units"), w.match_units);
-        assert_eq!(total("spam_live_firings"), mirrored.firings);
+        assert_eq!(total("spam_live_firings"), watched.firings);
         assert_eq!(total("spam_live_rhs_actions"), w.rhs_actions);
-        // The gauges are the final flush's: the quiescent engine's.
+        // The gauges are read once, from the quiescent engine.
         assert_eq!(
             snap.series.get("spam_live_wm_size"),
             Some(&LiveValue::Gauge((w.wme_adds - w.wme_removes) as f64))

@@ -19,7 +19,7 @@
 //!    is the one a new engine that loaded base and task would be;
 //! 4. **drive** — the watch drives the engine to quiescence ([`crate::watch`]:
 //!    the one loop), or to the cycle a fault plan kills it at,
-//! 5. and **publishes** what its cadence had not yet;
+//! 5. and **publishes** the engine's work, once;
 //! 6. **harvest** — [`Task::harvest`] reads the results out;
 //! 7. **put back** — [`Attempt::finish`] returns the engine to the process.
 //!

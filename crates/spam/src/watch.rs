@@ -1,25 +1,21 @@
 //! Driving and watching a task engine from outside. [`ops5::Engine`] only
 //! counts, so a task runner holds a [`Watch`] *next to* it and the watch owns
-//! the one loop that advances a task's engine ([`crate::task::Attempt::run`]):
-//! short slices, and between slices it reads the engine's public counters into
-//! the live registry — `spam_live_match_units` / `_firings` / `_rhs_actions`
-//! as counter deltas, `spam_live_conflict_set_depth` / `_wm_size` as gauges,
-//! next to the phase runner's other `spam_live_*` series — and groups its
-//! cycles into `engine.cycles x{n}` spans under the task's attempt. A watch
+//! the one loop that advances a task's engine ([`crate::task::Attempt::run`]).
+//! It groups the engine's cycles into `engine.cycles x{n}` spans under the
+//! task's attempt and, once, when the run ends, reads the engine's public
+//! counters into the live registry — `spam_live_match_units` / `_firings` /
+//! `_rhs_actions` as counters, `spam_live_conflict_set_depth` / `_wm_size` as
+//! gauges, next to the phase runner's other `spam_live_*` series. A watch
 //! may also carry a fault plan's mid-cycle kill ([`Watch::with_kill_at`]):
 //! the loop stops at that cycle and panics, as a task process that died
-//! mid-run would, and the supervisor's retry starts the task over. All else
+//! mid-run would, having published nothing, and the supervisor's retry starts
+//! the task over, so the registry counts each task's work once. All else
 //! is reads: a watched task's results are bit-identical to an unwatched
 //! one's, and an inert watch (the default) is a plain [`ops5::Engine::run`].
 
-use ops5::{Engine, RunOutcome, WorkCounters};
+use ops5::{Engine, RunOutcome};
 use std::sync::Arc;
 use tlp_obs::{Live, LiveHandle, SpanSink};
-
-/// Cycles between live-registry publishes, and the slice a watched engine is
-/// driven in: often enough that the registry's conflict-set and WM gauges
-/// follow a task mid-run, rarely enough to stay off the hot path.
-pub const LIVE_MIRROR_EVERY: u32 = 16;
 
 /// Cycles per `engine.cycles` span. Coarser on purpose: closing a window
 /// takes the tracer's shared mutex and allocates a span, and the sampler's
@@ -36,10 +32,6 @@ const TASK_CYCLE_BUDGET: u64 = 1_000_000;
 pub struct Watch {
     /// `None` when the registry is off.
     live: Option<LiveHandle>,
-    /// The work already published (counters go out as deltas) and the cycles
-    /// since. From zero: a task's engine starts reset, its WM load is work.
-    published: WorkCounters,
-    unpublished: u32,
     /// `None` when tracing is off; else the open cycle window follows.
     trace: Option<SpanSink>,
     window_start_us: u64,
@@ -51,7 +43,7 @@ pub struct Watch {
 }
 
 impl Watch {
-    /// Mirrors into `live`, groups cycles under `trace`; `None`, or a
+    /// Publishes into `live`, groups cycles under `trace`; `None`, or a
     /// disabled registry or tracer, leaves that half off. The first cycle
     /// window opens now, so it covers the task's WM load.
     pub fn new(live: Option<&Arc<Live>>, trace: Option<SpanSink>) -> Watch {
@@ -78,27 +70,26 @@ impl Watch {
     }
 
     /// The one loop that advances a task's engine: runs `e` until it stops,
-    /// in slices. A slice ends at the nearer of the watch's cadence
-    /// ([`LIVE_MIRROR_EVERY`] cycles when anyone watches, else the whole
-    /// budget) and the kill cycle; after each slice the watch ticks, then
-    /// panics if the kill cycle has come. With no one watching and no kill
-    /// that is one `e.run(1_000_000)`.
+    /// in slices. A slice ends at the nearer of the next cycle window's end
+    /// ([`TRACE_WINDOW_EVERY`] cycles when traced, else the whole budget) and
+    /// the kill cycle; after each slice the watch ticks, then panics if the
+    /// kill cycle has come. Untraced and with no kill that is one
+    /// `e.run(1_000_000)`.
     pub(crate) fn drive(&mut self, e: &mut Engine) -> RunOutcome {
-        let watched = self.live.is_some() || self.trace.is_some();
         let mut firings = 0;
         loop {
-            // To the next publish, however short the kill cut the last
-            // slice: both cadences fall on the cycles they would without it.
-            let cadence = if watched {
-                u64::from(LIVE_MIRROR_EVERY - self.unpublished)
+            // To the window's end, however short the kill cut the last
+            // slice: windows fall on the cycles they would without it.
+            let window = if self.trace.is_some() {
+                u64::from(TRACE_WINDOW_EVERY - self.window_cycles)
             } else {
                 TASK_CYCLE_BUDGET
             };
             let kill_in = self.kill_at.map_or(u64::MAX, |k| k.saturating_sub(firings));
-            let slice = cadence.min(kill_in).min(TASK_CYCLE_BUDGET - firings);
+            let slice = window.min(kill_in).min(TASK_CYCLE_BUDGET - firings);
             let mut out = e.run(slice);
             firings += out.firings;
-            self.tick(e, out.firings as u32);
+            self.tick(out.firings as u32);
             if !out.limit_reached || firings == TASK_CYCLE_BUDGET {
                 self.finish(e);
                 out.firings = firings;
@@ -110,37 +101,28 @@ impl Watch {
         }
     }
 
-    /// `e` has fired `cycles` more times: publish or close the cycle window
-    /// if its cadence is due.
-    fn tick(&mut self, e: &Engine, cycles: u32) {
-        self.unpublished += cycles;
-        if self.unpublished >= LIVE_MIRROR_EVERY {
-            self.publish(e);
-        }
+    /// The engine has fired `cycles` more times: close the cycle window if
+    /// it is full.
+    fn tick(&mut self, cycles: u32) {
         self.window_cycles += cycles;
         if self.window_cycles >= TRACE_WINDOW_EVERY {
             self.close_window();
         }
     }
 
-    /// The task is over: publish what the cadence has not (the gauges
-    /// always) and close the open cycle window.
+    /// The task's run is over: publish the engine's work (all of it: a
+    /// task's engine starts reset, its WM load is work) and close the open
+    /// cycle window.
     fn finish(&mut self, e: &Engine) {
-        self.publish(e);
+        if let Some(live) = &self.live {
+            let work = e.work();
+            live.inc("spam_live_match_units", work.match_units);
+            live.inc("spam_live_firings", work.firings);
+            live.inc("spam_live_rhs_actions", work.rhs_actions);
+            live.gauge("spam_live_conflict_set_depth", e.conflict_len() as f64);
+            live.gauge("spam_live_wm_size", e.wm().len() as f64);
+        }
         self.close_window();
-    }
-
-    fn publish(&mut self, e: &Engine) {
-        self.unpublished = 0;
-        let Some(live) = &self.live else { return };
-        let work = e.work();
-        let d = work.since(&self.published);
-        self.published = work;
-        live.inc("spam_live_match_units", d.match_units);
-        live.inc("spam_live_firings", d.firings);
-        live.inc("spam_live_rhs_actions", d.rhs_actions);
-        live.gauge("spam_live_conflict_set_depth", e.conflict_len() as f64);
-        live.gauge("spam_live_wm_size", e.wm().len() as f64);
     }
 
     fn close_window(&mut self) {
@@ -183,12 +165,12 @@ mod tests {
             .collect()
     }
 
-    /// Below, at and above a multiple of either cadence: the watch is
-    /// invisible to the run, the registry ends up holding the engine's
-    /// totals, and the cycles arrive as ⌈F/256⌉ windows that sum to F —
-    /// whether or not a kill past the end cuts the slices.
+    /// Below, at and above a multiple of the window: the watch is invisible
+    /// to the run, the registry ends up holding the engine's totals, and the
+    /// cycles arrive as ⌈F/256⌉ windows that sum to F — whether or not a kill
+    /// past the end cuts the slices.
     #[test]
-    fn a_watched_run_is_the_plain_run_and_keeps_both_cadences() {
+    fn a_watched_run_is_the_plain_run_and_keeps_its_window_cadence() {
         for firings in [0, 1, 15, 16, 17, 255, 256, 257, 512, 600] {
             let mut plain = counter(firings);
             let want = plain.run(TASK_CYCLE_BUDGET);
@@ -222,29 +204,29 @@ mod tests {
     }
 
     /// A kill at cycle `k` of a run of `F` cycles, `k <= F`, stops the engine
-    /// after exactly `k` cycles, watched or not, and panics; what the watch
-    /// published by then is in the registry.
+    /// after exactly `k` cycles, traced or not, and panics having published
+    /// nothing: the retry publishes the task's work. Only the windows it
+    /// filled before the kill were closed.
     #[test]
     fn a_kill_stops_the_engine_at_its_cycle_and_panics() {
         for firings in [1, 15, 16, 17, 300] {
             for kill in (1..=firings).filter(|k| [1, 3, 16, 17, 256, firings].contains(k)) {
-                for live in [Live::new(8), Live::off()] {
+                for traced in [false, true] {
+                    let at = format!("F={firings}, kill at {kill}, traced {traced}");
+                    let live = Live::new(8);
                     let mut e = counter(firings);
-                    let mut watch = Watch::new(Some(&live), None).with_kill_at(Some(kill));
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        watch.drive(&mut e)
-                    }));
-                    let at = format!("F={firings}, kill at {kill}");
-                    assert!(run.is_err(), "{at}");
+                    let got = windows(|sink| {
+                        let watch = Watch::new(Some(&live), traced.then_some(sink));
+                        let mut watch = watch.with_kill_at(Some(kill));
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            watch.drive(&mut e)
+                        }));
+                        assert!(run.is_err(), "{at}");
+                    });
                     assert_eq!(e.work().firings, kill, "{at}");
-                    if live.is_enabled() {
-                        let snap = live.snapshot();
-                        let published = match snap.series.get("spam_live_firings") {
-                            Some(LiveValue::Counter { total, .. }) => *total,
-                            _ => 0,
-                        };
-                        assert_eq!(published, kill / 16 * 16, "{at}");
-                    }
+                    assert!(live.snapshot().series.is_empty(), "{at}");
+                    let full = if traced { kill / 256 } else { 0 };
+                    assert_eq!(got, vec![256; full as usize], "{at}");
                 }
             }
         }
