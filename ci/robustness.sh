@@ -13,6 +13,10 @@ cargo build --release -p spam-psm -p tlp-bench \
 # same on the chunked deques with stealing, then a second seed with more kills.
 $bin/spamctl chaos dc --seed 42 --kills 3
 $bin/spamctl chaos dc --seed 42 --kills 3 --exec real
+# The calling thread is task process 0: at one worker no resident is leased
+# and every attempt, killed or not, runs on it; at two it shares the pool.
+$bin/spamctl chaos dc --seed 42 --kills 3 --exec real --workers 1
+$bin/spamctl chaos dc --seed 42 --kills 3 --exec real --workers 2
 $bin/spamctl chaos dc --seed 1337 --kills 5
 # Each of those kills RTF, LCC, FA and MODEL in turn. Level 1's one-cycle
 # tasks, and a non-default seed on another scene.

@@ -7,12 +7,14 @@
 //! The JSON splits into two sections so the CI gate can be precise:
 //!
 //! * `"wall"` — the host's `nproc`, and per worker count the median wall
-//!   milliseconds, measured speed-up over the one-worker arm, pool
-//!   utilization, `fork_ms` (the workers' summed pick-up latency per
-//!   phase, `ExecReport::spawn_ready_s`), and steal / overflow counters.
-//!   Machine-dependent (steal counts are scheduling noise, and a curve
-//!   recorded on fewer cores than workers is flat); `benchdiff --ignore
-//!   wall` skips it.
+//!   milliseconds, measured speed-up over the one-worker arm, and the
+//!   per-phase medians of pool utilization, `fork_ms` (the workers' summed
+//!   pick-up latency, `ExecReport::spawn_ready_s`), steal / overflow
+//!   counters and `control_blocked_ms` (how long the calling thread was
+//!   blocked, `ExecReport::control_blocked_s`); then each worker's pick-up
+//!   p50 / p90 over all phases (`pickup_ms`). Machine-dependent (steal
+//!   counts are scheduling noise, and a curve recorded on fewer cores than
+//!   workers is flat); `benchdiff --ignore wall` skips it.
 //! * `"exec"` — the deterministic shape: task and chunk counts, phase
 //!   firings and total work units, and the simulated Encore speed-up at
 //!   the matched worker counts. Any drift is a code change.
@@ -22,10 +24,10 @@
 //! ```
 
 use spam::lcc::Level;
-use spam_psm::exec::{ExecConfig, PhaseRun};
+use spam_psm::exec::{ExecConfig, ExecReport, PhaseRun};
 use std::process::ExitCode;
 use std::time::Instant;
-use tlp_bench::{header, median, Prepared};
+use tlp_bench::{header, median, quantile, Prepared};
 use tlp_obs::json::Json;
 
 /// Worker counts swept; the first is the speed-up baseline.
@@ -36,7 +38,7 @@ const INNER: usize = 3;
 
 /// One executor run at `workers`; returns the phase identity tuple and the
 /// measured report.
-fn one_run(p: &Prepared, workers: usize) -> ((u64, u64, usize), spam_psm::exec::ExecReport) {
+fn one_run(p: &Prepared, workers: usize) -> ((u64, u64, usize), ExecReport) {
     let exec = ExecConfig::with_cost_model(workers, &paraops5::CostModel::default());
     let (phase, measured) = spam_psm::run_parallel_lcc(
         &p.sp,
@@ -103,8 +105,9 @@ fn main() -> ExitCode {
     // (thermal, scheduler) spreads across all arms.
     let _ = one_run(&p, SWEEP[0]);
     let mut wall_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); SWEEP.len()];
-    let mut fork_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(reps * INNER); SWEEP.len()];
-    let mut last_report: Vec<Option<spam_psm::exec::ExecReport>> = vec![None; SWEEP.len()];
+    // Every phase's report, per worker count: the per-phase figures below
+    // are medians over all of them, never one phase's reading.
+    let mut phases: Vec<Vec<ExecReport>> = vec![Vec::with_capacity(reps * INNER); SWEEP.len()];
     for rep in 0..reps {
         for (i, &w) in SWEEP.iter().enumerate() {
             let t0 = Instant::now();
@@ -114,8 +117,7 @@ fn main() -> ExitCode {
                     got, reference,
                     "results drifted at {w} workers; the executor must be schedule-independent"
                 );
-                fork_ms[i].push(measured.spawn_ready_s.iter().sum::<f64>() * 1e3);
-                last_report[i] = Some(measured);
+                phases[i].push(measured);
             }
             wall_ms[i].push(t0.elapsed().as_secs_f64() * 1e3 / INNER as f64);
         }
@@ -129,10 +131,10 @@ fn main() -> ExitCode {
 
     let medians: Vec<f64> = wall_ms.iter().map(|xs| median(xs)).collect();
     let base = medians[0];
-    let reports: Vec<spam_psm::exec::ExecReport> = last_report
-        .into_iter()
-        .map(|r| r.expect("one rep"))
-        .collect();
+    // The median over a worker count's phases of one per-phase figure.
+    let per_phase = |i: usize, f: &dyn Fn(&ExecReport) -> f64| {
+        median(&phases[i].iter().map(f).collect::<Vec<_>>())
+    };
 
     // The simulated Encore curve at the matched worker counts — the
     // deterministic twin the measured curve sits next to.
@@ -151,36 +153,68 @@ fn main() -> ExitCode {
 
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     println!("\n  host: {nproc} processor(s), {reps} rep(s) of {INNER} phases per worker count");
-    println!("  workers   measured-ms  speedup  util  fork-ms  steals  overflow | simulated");
+    println!(
+        "  workers   measured-ms  speedup  util  fork-ms  blocked-ms  steals  overflow | simulated"
+    );
     let mut wall_rows = Vec::new();
+    let mut pickup_lines = Vec::new();
     for (i, &w) in SWEEP.iter().enumerate() {
-        let m = &reports[i];
         let speedup = base / medians[i];
-        let fork = median(&fork_ms[i]);
+        let util = per_phase(i, &ExecReport::utilization);
+        let fork = per_phase(i, &|m| m.spawn_ready_s.iter().sum::<f64>() * 1e3);
+        let blocked = per_phase(i, &|m| m.control_blocked_s * 1e3);
+        let steals = per_phase(i, &|m| m.steals() as f64);
+        let overflow = per_phase(i, &|m| m.overflow_taken() as f64);
         println!(
-            "  {w:>7}   {:>11.1}  {speedup:>7.2}  {:>3.0}%  {fork:>7.3}  {:>6}  {:>8} | {:>9.2}",
+            "  {w:>7}   {:>11.1}  {speedup:>7.2}  {:>3.0}%  {fork:>7.3}  {blocked:>10.3}  {steals:>6}  {overflow:>8} | {:>9.2}",
             medians[i],
-            100.0 * m.utilization(),
-            m.steals(),
-            m.overflow_taken(),
+            100.0 * util,
             sim_curve[i].1,
         );
+        // Worker k's pick-up latency over every phase that leased it.
+        let pickups: Vec<(f64, f64)> = (0..w)
+            .map(|k| {
+                let ms: Vec<f64> = (phases[i].iter())
+                    .filter_map(|m| m.spawn_ready_s.get(k).map(|s| s * 1e3))
+                    .collect();
+                (quantile(&ms, 0.5), quantile(&ms, 0.9))
+            })
+            .collect();
+        let cells: Vec<String> = (pickups.iter().enumerate())
+            .map(|(k, (p50, p90))| format!("w{k} {p50:.3}/{p90:.3}"))
+            .collect();
+        pickup_lines.push(format!("  {w:>7}   {}", cells.join("  ")));
         wall_rows.push(Json::obj(vec![
             ("workers", Json::Num(w as f64)),
             ("median_ms", Json::Num(medians[i])),
             ("speedup", Json::Num(speedup)),
-            ("utilization", Json::Num(m.utilization())),
+            ("utilization", Json::Num(util)),
             ("fork_ms", Json::Num(fork)),
-            ("steals", Json::Num(m.steals() as f64)),
-            ("overflow", Json::Num(m.overflow_taken() as f64)),
+            ("control_blocked_ms", Json::Num(blocked)),
+            ("steals", Json::Num(steals)),
+            ("overflow", Json::Num(overflow)),
+            (
+                "pickup_ms",
+                Json::Arr(
+                    (pickups.iter())
+                        .map(|&(p50, p90)| {
+                            Json::obj(vec![("p50", Json::Num(p50)), ("p90", Json::Num(p90))])
+                        })
+                        .collect(),
+                ),
+            ),
         ]));
+    }
+    println!("\n  pick-up ms per worker, p50/p90 over all phases:");
+    for line in &pickup_lines {
+        println!("{line}");
     }
 
     // Chunking is a pure function of the estimates and the cost model's
     // granularity, so the chunk count is worker-independent and gates.
-    let chunks = reports[0].chunks;
+    let chunks = phases[0][0].chunks;
     assert!(
-        reports.iter().all(|r| r.chunks == chunks),
+        phases.iter().flatten().all(|r| r.chunks == chunks),
         "chunk count must not depend on the worker count"
     );
 

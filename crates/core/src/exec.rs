@@ -1,6 +1,8 @@
 //! The supervised phase runner — the paper's execution model (§5.1) on
 //! real threads: a control process (the calling thread), a task queue, and
-//! `n` task processes (workers), each running whole OPS5 engine tasks.
+//! `n` task processes (workers), each running whole OPS5 engine tasks. The
+//! control process is task process 0 itself, so `n` task processes run on
+//! the calling thread and `n − 1` resident threads.
 //!
 //! There is one runner, [`execute`], and it is the only place in the crate
 //! that forks task workers, catches a task's panic, or decides a retry. Its
@@ -14,8 +16,8 @@
 //!
 //! The paper forks its task processes once, outside the measured region.
 //! So does this module: `psm-task-*` threads live in a process-wide
-//! registry, parked between phases, and [`execute`] *leases* as many as the
-//! phase has workers. The registry grows on demand to the largest
+//! registry, parked between phases, and [`execute`] *leases* workers
+//! 1..`n` of a phase of `n`. The registry grows on demand to the largest
 //! concurrent lease and is sized by nothing else. A lease hands a parked
 //! thread the whole phase as one type-erased `Arc` — which is why the task
 //! closure and its result are `'static`: a resident thread outlives every
@@ -23,15 +25,29 @@
 //! it borrow from one. What a task process keeps from task to task — for
 //! the SPAM phases, its OPS5 engine — is a value `S: Default` the worker
 //! makes when it picks the phase up and lends to every task it runs; it
-//! does not outlive the phase. The control process wakes its workers
+//! does not outlive the phase. The control process wakes its residents
 //! *before* it deals the tasks (their wake-up overlaps the deal), and when
 //! the phase is over waits on a completion latch rather than joining
-//! threads: a worker flushes its recorder sink, writes its statistics,
+//! threads: a resident flushes its recorder sink, writes its statistics,
 //! parks itself in the registry and only then counts the latch down — so
 //! back-to-back phases reuse the same threads — and drops its `S` after
 //! that, off the control process's critical path. A resident thread that
 //! died (a panic outside `catch_unwind`) is replaced at the next lease; the
 //! phase it died in fails loudly.
+//!
+//! Worker 0 is the calling thread. The paper's control process had a
+//! processor of its own; here it would otherwise block while the residents
+//! work, a third thread on a two-core box, and a phase whose resident was
+//! slow to wake (a halted core takes milliseconds) would wait for it while
+//! the one thread surely running did nothing. So after the deal the
+//! control process works the pool like any worker — own deque, overflow,
+//! steal — one job at a time, through the same per-job step the residents
+//! run, and between jobs it does its control duties: re-enqueue the retries
+//! that are due, take completions, decide retries and dead letters. It
+//! blocks only when a sweep finds nothing to run. A phase of one worker
+//! leases no resident and runs on the caller with no hand-off at all.
+//! Worker 0's `S` is made on the calling thread after the lease and dropped
+//! there once the pool is closed, while the residents count out.
 //!
 //! # Placement: central FIFO vs chunked deques
 //!
@@ -72,7 +88,7 @@
 //! # Supervision
 //!
 //! The paper's runs simply died when a task process did. Here the control
-//! process is a *supervisor*:
+//! process is a *supervisor* (and, between its duties, task process 0):
 //!
 //! * every attempt runs under [`std::panic::catch_unwind`], so a panicking
 //!   task is isolated — the phase completes with the surviving results;
@@ -81,8 +97,11 @@
 //!   control loop keeps the retries that are not yet due and never waits
 //!   for a completion past the earliest of them. No worker ever sleeps
 //!   through a backoff, so it reads as queue time, never as a stalled pool
-//!   slot. Tasks that exhaust their budget go to the dead-letter list in
-//!   the [`TaskReport`];
+//!   slot. The control process re-enqueues between jobs, so a due retry
+//!   (or the decision on a failure the caller ran itself) may also wait
+//!   for the one chunk in the caller's hand: that too is queue time. Tasks
+//!   that exhaust their budget go to the dead-letter list in the
+//!   [`TaskReport`];
 //! * an optional *soft* deadline is enforced post-hoc: task threads cannot
 //!   be preempted, so an attempt that returns after the deadline has its
 //!   result discarded and is treated as a failure;
@@ -108,7 +127,7 @@
 //! own start and finish instants, so the four accounts of a run's busy
 //! time agree (`tests/cross_source_agreement.rs` holds them within 1 %).
 
-use crate::supervise::{install_quiet_hook, payload_to_string, TaskAttempt, WORKER_NAME};
+use crate::supervise::{catch_attempt, install_quiet_hook, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
 use std::any::Any;
 use std::cmp::Reverse;
@@ -120,8 +139,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskOutcome, TaskReport, TaskStatus};
 use tlp_obs::{
-    series_key, Category, EventKind, Live, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanId,
-    SpanKind, SpanRecord, Timeline,
+    series_key, Category, EventKind, Live, LiveHandle, ObsLevel, Recorder, SceneSpan, SloMonitor,
+    SpanId, SpanKind, SpanRecord, ThreadSink, Timeline,
 };
 
 /// Nominal work units per WME a task loads, used to put caller-side task
@@ -132,7 +151,8 @@ pub const ESTIMATE_UNITS_PER_WME: u64 = 10;
 /// Where a phase's tasks are placed: worker count, chunking, deque bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Task processes leased for the phase (capped at the task count).
+    /// Task processes in the phase (capped at the task count): the calling
+    /// thread and `workers − 1` leased residents.
     pub workers: usize,
     /// Estimated work units per scheduling chunk: consecutive tasks are
     /// batched until their summed estimate reaches this target. Zero
@@ -320,7 +340,10 @@ pub struct ExecReport {
     /// Seconds from phase start until worker *w* picked the phase up: the
     /// wake-up latency of a parked task process (or, for the first phase
     /// that needs it, its fork). The workers are woken before the tasks
-    /// are dealt, so none of the distribution is charged here.
+    /// are dealt, so none of the distribution is charged here. Worker 0 is
+    /// the calling thread, ready as soon as it has leased the others (≈ 0;
+    /// its deal reads as its first task's queue wait), so the fork term
+    /// counts `n − 1` pick-ups.
     pub spawn_ready_s: Vec<f64>,
     /// Scheduling chunks formed at distribution.
     pub chunks: u64,
@@ -329,6 +352,9 @@ pub struct ExecReport {
     pub overflowed: u64,
     /// Phase wall-clock seconds (lease to the last worker counted out).
     pub wall_s: f64,
+    /// Seconds the calling thread spent blocked: waiting for a batch of
+    /// completions (or the next retry's due time), and on the latch.
+    pub control_blocked_s: f64,
     /// Every attempt, in completion order.
     pub attempts: Vec<ExecAttempt>,
     /// Tasks that dead-lettered (never completed).
@@ -362,7 +388,9 @@ impl ExecReport {
     /// [`multimax_sim::SimResult::timeline`] then work on measured runs
     /// unchanged. Fork is each worker's pick-up latency
     /// ([`ExecReport::spawn_ready_s`]: waking a parked task process, not
-    /// creating one, and none of the distribution). Queue-wait is the
+    /// creating one, and none of the distribution; ≈ 0 for worker 0, the
+    /// calling thread, whose control duties between jobs read as its queue
+    /// wait). Queue-wait is the
     /// workers' job-search time (incl. steal sweeps, idle parking between
     /// jobs, and retry backoff — the re-enqueue is delayed, so the backoff
     /// is queue time on otherwise idle workers, never a stalled pool
@@ -584,6 +612,14 @@ impl StealPool {
         None
     }
 
+    /// One sweep for worker `w` that takes the job it finds off the
+    /// `pending` count.
+    fn take(&self, w: usize) -> Option<(Job, Source)> {
+        let got = self.sweep(w)?;
+        relock(self.sync.lock()).0 -= 1;
+        Some(got)
+    }
+
     /// Blocks until a job is acquirable or the pool closes empty. Returns
     /// `None` to terminate the worker. The number of failed full sweeps is
     /// added to `misses`; `before_wait` runs after each of them, before
@@ -597,8 +633,7 @@ impl StealPool {
         mut before_wait: impl FnMut(),
     ) -> Option<(Job, Source)> {
         loop {
-            if let Some(got) = self.sweep(w) {
-                relock(self.sync.lock()).0 -= 1;
+            if let Some(got) = self.take(w) {
                 return Some(got);
             }
             *misses += 1;
@@ -630,29 +665,31 @@ struct ExecMsg<T> {
     finished: Instant,
 }
 
-/// Most completions a worker holds before handing them to the control
-/// loop. Every hand-over wakes the control thread, which on a small box
-/// preempts a worker (~20 µs of worker time each); at SPAM's finest
-/// decomposition a task is about as long as that, so workers report in
+/// Most completions a resident worker holds before handing them to the
+/// control loop. Every hand-over wakes the calling thread, which on a small
+/// box preempts a worker (~20 µs of worker time each); at SPAM's finest
+/// decomposition a task is about as long as that, so residents report in
 /// batches. A batch also goes early whenever waiting could matter: on a
 /// failed attempt (its retry must re-enter the pool now) and before the
 /// worker sleeps. Small enough that live telemetry and the SLO clock,
 /// which advance per completion on the control side, lag by well under a
-/// millisecond of fine-grained work.
+/// millisecond of fine-grained work. Worker 0 is the calling thread itself:
+/// it takes its own completions after every job, never through the
+/// channel, so the bound is a resident's.
 const COMPLETION_BATCH: usize = 32;
 
 /// Sends a worker's held completions, if any, to the control loop as one
-/// message. The control process keeps the receiver until every worker has
-/// counted the latch down, so the send cannot fail while a worker runs.
+/// message. The control process keeps the receiver until every resident
+/// has counted the latch down, so the send cannot fail while a worker runs.
 fn hand_over<T>(tx: &mpsc::Sender<Vec<ExecMsg<T>>>, held: &mut Vec<ExecMsg<T>>) {
     if !held.is_empty() {
         let _ = tx.send(std::mem::take(held));
     }
 }
 
-/// Counts a phase's workers out: the control process waits here, where
-/// `thread::scope` used to join. `died` remembers a worker that unwound
-/// out of its loop instead of finishing it.
+/// Counts a phase's resident workers out: the control process waits here,
+/// where `thread::scope` used to join. `died` remembers a worker that
+/// unwound out of its loop instead of finishing it.
 struct Latch {
     left: Mutex<(usize, bool)>,
     cv: Condvar,
@@ -702,23 +739,25 @@ type Lease = (Arc<dyn PhaseWork>, usize);
 
 /// The parked task processes, each by the sender of its private channel.
 /// Grown by [`lease`] when it runs short, never shrunk: its size is the
-/// largest number of workers ever leased at once.
+/// largest number of residents ever leased at once.
 static PARKED: Mutex<Vec<mpsc::Sender<Lease>>> = Mutex::new(Vec::new());
 
 /// Task processes forked so far (names them).
 static FORKED: AtomicUsize = AtomicUsize::new(0);
 
-/// Leases `n` task processes to `phase`, waking each with its worker
-/// index. Parked threads are taken first and the shortfall is forked —
-/// which is also how a thread that died is replaced: it never parked
-/// again ([`resident`]).
-fn lease(phase: &Arc<dyn PhaseWork>, n: usize) {
+/// Leases one task process to `phase` per worker index in `workers`, waking
+/// each with its index. Parked threads are taken first and the shortfall
+/// is forked — which is also how a thread that died is replaced: it never
+/// parked again ([`resident`]).
+fn lease(phase: &Arc<dyn PhaseWork>, workers: Range<usize>) {
+    #[cfg(test)]
+    census::note_lease(workers.len());
     let mut parked = {
         let mut all = relock(PARKED.lock());
-        let keep = all.len().saturating_sub(n);
+        let keep = all.len().saturating_sub(workers.len());
         all.split_off(keep)
     };
-    for w in 0..n {
+    for w in workers {
         let process = parked.pop().unwrap_or_else(fork);
         let sent = process.send((Arc::clone(phase), w));
         assert!(sent.is_ok(), "a parked task process is alive");
@@ -780,6 +819,17 @@ impl Drop for CountOut<'_> {
     }
 }
 
+/// Closes a phase's pool when the control process leaves [`execute`] —
+/// also by unwinding, so that its residents finish, park and count out
+/// instead of waiting for jobs that will never come.
+struct CloseOnDrop<'a>(&'a StealPool);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// One running phase: everything its workers need, owned rather than
 /// borrowed, so a resident thread can hold it (module docs).
 struct Phase<T, S, F> {
@@ -797,7 +847,241 @@ struct Phase<T, S, F> {
     /// Per worker: seconds until it picked the phase up, and its final
     /// statistics. Written once, before the worker counts out.
     filed: Vec<Mutex<(f64, WorkerStats)>>,
+    /// Counts the residents — workers 1.. — out.
     latch: Latch,
+}
+
+/// One worker's side of a phase between jobs: what it keeps from task to
+/// task, its private observers, its statistics and the completions it has
+/// not handed over. A resident makes one when it picks the phase up, the
+/// calling thread (worker 0) when it has leased the residents; both run
+/// every job through [`Phase::step`].
+struct Worker<S, T> {
+    w: usize,
+    /// What this worker keeps from task to task. An attempt that unwinds
+    /// leaves it as the task left it: a task keeps nothing in it that a
+    /// half-run attempt could have damaged (`execute`).
+    state: S,
+    /// `psm-task-{w}`, to every observer, whichever thread runs it.
+    name: String,
+    sink: ThreadSink,
+    live: LiveHandle,
+    /// Series keys, built once — the per-attempt emits must not allocate.
+    busy_key: String,
+    tasks_key: String,
+    steals_key: String,
+    overflow_key: String,
+    my: WorkerStats,
+    /// Busy nanoseconds the live counter has not been told of yet: it
+    /// gets the whole microseconds once per job, the rest carries over.
+    unpublished_ns: u64,
+    picked_up: Instant,
+    /// When this worker last became free: the next task's `queued`.
+    free: Instant,
+    /// Completions not yet handed to the control loop.
+    held: Vec<ExecMsg<T>>,
+}
+
+impl<S, T> Worker<S, T> {
+    /// The worker's clock. Read at task boundaries only: twice per task
+    /// (start, finish) and once per acquired job — besides the pick-up
+    /// read in [`Phase::worker`].
+    fn now(&mut self) -> Instant {
+        #[cfg(test)]
+        {
+            self.my.clock_reads += 1;
+        }
+        Instant::now()
+    }
+}
+
+impl<T, S, F> Phase<T, S, F>
+where
+    T: Send + 'static,
+    S: 'static,
+    F: Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
+{
+    /// Worker `w` picks the phase up: its state, a recorder sink and a live
+    /// shard private to the phase (the sink flushes on drop, before the
+    /// worker counts out).
+    fn worker(&self, w: usize) -> Worker<S, T> {
+        let picked_up = Instant::now();
+        let state = (self.new_state)();
+        let name = format!("{WORKER_NAME}-{w}");
+        let mut sink = self.rec.sink(name.as_str());
+        if let Some(sc) = &self.scene {
+            // Tag recorder events with the scene's trace id so
+            // flight-recorder output joins against the retained span trees.
+            sink.set_trace(sc.trace_id());
+        }
+        let worker = w.to_string();
+        let key = |family: &str| series_key(family, &[("worker", &worker)]);
+        Worker {
+            w,
+            state,
+            name,
+            sink,
+            live: self.live.handle(),
+            busy_key: key("spam_live_worker_busy_us"),
+            tasks_key: key("spam_live_worker_tasks"),
+            steals_key: key("spam_live_worker_steals"),
+            overflow_key: key("spam_live_worker_overflow"),
+            my: WorkerStats {
+                // The pick-up read above.
+                #[cfg(test)]
+                clock_reads: 1,
+                ..WorkerStats::default()
+            },
+            unpublished_ns: 0,
+            picked_up,
+            free: picked_up,
+            held: Vec::new(),
+        }
+    }
+
+    /// Runs one acquired job on worker `wk`, task by task, each attempt
+    /// under `catch_unwind`; the completions land in `wk.held`. A resident
+    /// hands them over on a failure and at the batch bound; worker 0, the
+    /// control process, takes them itself once the job is done.
+    fn step(&self, wk: &mut Worker<S, T>, job: Job, source: Source) {
+        let w = wk.w;
+        let scene = self.scene.as_ref();
+        // Inside a chunk, a task's `acquired` is the previous finish.
+        let mut acquired = wk.now();
+        let wh = &wk.live;
+        let n = job.tasks.len() as u64;
+        let attempt = job.attempt;
+        let stolen_from = match source {
+            Source::Own => None,
+            Source::Overflow => {
+                wk.my.overflow_taken += n;
+                if wh.enabled() {
+                    wh.inc(&wk.overflow_key, n);
+                }
+                None
+            }
+            Source::Stolen(victim) => {
+                wk.my.stolen += n;
+                if wh.enabled() {
+                    wh.inc(&wk.steals_key, n);
+                }
+                Some(victim)
+            }
+        };
+        for i in job.tasks {
+            // Derive this attempt's span id up front: the sink handed to
+            // the task parents engine spans under it, and the span itself
+            // is recorded below once the outcome is known.
+            let attempt_span = scene
+                .map(|sc| SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt)));
+            let invocation = TaskAttempt {
+                task: i,
+                attempt,
+                trace: scene
+                    .zip(attempt_span)
+                    .map(|(sc, span)| sc.sink_under(span)),
+            };
+            let started = wk.now();
+            let state = &mut wk.state;
+            let result = catch_attempt(|| {
+                if self.plan.task_panics(i, attempt) {
+                    panic!("injected fault: task {i} attempt {attempt}");
+                }
+                (self.task)(state, invocation)
+            });
+            let finished = wk.now();
+            let elapsed = finished.duration_since(started);
+            // One clock per attempt: every record of it — the recorder's
+            // span, the scene trace's, the live busy counter, the
+            // `ExecAttempt` — is stamped from `started` / `finished` /
+            // `acquired`, never from a clock read of its own, so no two of
+            // them can disagree about how long the task ran.
+            let sink = &mut wk.sink;
+            if sink.enabled(ObsLevel::Full) {
+                let rec = &self.rec;
+                if let Some(victim) = stolen_from {
+                    sink.emit_at(
+                        rec.us_at(acquired),
+                        Category::Task,
+                        "task.steal",
+                        EventKind::Instant,
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("victim", (victim as u64).into()),
+                            ("thief", (w as u64).into()),
+                        ],
+                    );
+                }
+                let exec_span = format!("task.exec t{i}");
+                sink.emit_at(
+                    rec.us_at(started),
+                    Category::Task,
+                    exec_span.as_str(),
+                    EventKind::SpanBegin,
+                    vec![
+                        ("task", (i as u64).into()),
+                        ("attempt", (attempt as u64).into()),
+                        ("stolen", u64::from(stolen_from.is_some()).into()),
+                    ],
+                );
+                sink.emit_at(
+                    rec.us_at(finished),
+                    Category::Task,
+                    exec_span,
+                    EventKind::SpanEnd,
+                    vec![("ok", u64::from(result.is_ok()).into())],
+                );
+            }
+            if let (Some(sc), Some(span)) = (scene, attempt_span) {
+                sc.record_span(SpanRecord {
+                    id: span,
+                    parent: Some(sc.root()),
+                    kind: SpanKind::Task,
+                    name: format!("task.exec t{i} a{attempt}"),
+                    worker: wk.name.clone(),
+                    start_us: sc.us_at(started),
+                    end_us: sc.us_at(finished),
+                    error: result.as_ref().err().cloned(),
+                });
+            }
+            wk.my.executed += 1;
+            wk.my.busy_s += elapsed.as_secs_f64();
+            wk.unpublished_ns += elapsed.as_nanos() as u64;
+            // What the control loop will rule a failure: its retry (or
+            // dead letter) must not wait for the batch to fill.
+            let failed = result.is_err() || self.deadline.is_some_and(|d| elapsed > d);
+            wk.held.push(ExecMsg {
+                task: i,
+                attempt,
+                worker: w,
+                stolen: stolen_from.is_some(),
+                result,
+                queued: wk.free,
+                acquired,
+                started,
+                finished,
+            });
+            if w > 0 && (failed || wk.held.len() >= COMPLETION_BATCH) {
+                hand_over(&self.tx, &mut wk.held);
+            }
+            wk.free = finished;
+            acquired = finished;
+        }
+        let wh = &wk.live;
+        if wh.enabled() {
+            wh.inc(&wk.busy_key, wk.unpublished_ns / 1_000);
+            wk.unpublished_ns %= 1_000;
+            wh.inc(&wk.tasks_key, n);
+        }
+    }
+
+    /// Files worker `wk`'s pick-up and statistics and flushes its sink;
+    /// returns its state, for its thread to drop.
+    fn file(&self, wk: Worker<S, T>) -> S {
+        let ready_s = wk.picked_up.duration_since(self.start).as_secs_f64();
+        *relock(self.filed[wk.w].lock()) = (ready_s, wk.my);
+        wk.state
+    }
 }
 
 impl<T, S, F> PhaseWork for Phase<T, S, F>
@@ -807,186 +1091,13 @@ where
     F: Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
 {
     fn work(&self, w: usize) -> Box<dyn Any> {
-        // The worker's clock. Read at task boundaries only: twice per task
-        // (start, finish) and once per acquired job.
-        #[cfg(test)]
-        let reads = std::cell::Cell::new(0u64);
-        let now = || {
-            #[cfg(test)]
-            reads.set(reads.get() + 1);
-            Instant::now()
-        };
-        let picked_up = now();
-        // What this worker keeps from task to task. An attempt that
-        // unwinds leaves it as the task left it: a task keeps nothing in
-        // it that a half-run attempt could have damaged (`execute`).
-        let mut state = (self.new_state)();
-        let scene = self.scene.as_ref();
-        // The worker is `psm-task-{w}` to every observer, whichever
-        // resident thread it runs on. Its sink is private to the phase and
-        // flushes on drop, before the worker counts out.
-        let name = format!("{WORKER_NAME}-{w}");
-        let mut sink = self.rec.sink(name.as_str());
-        if let Some(sc) = scene {
-            // Tag recorder events with the scene's trace id so
-            // flight-recorder output joins against the retained span trees.
-            sink.set_trace(sc.trace_id());
+        let mut wk = self.worker(w);
+        while let Some((job, source)) = self.pool.acquire(w, &mut wk.my.steal_misses, || {
+            hand_over(&self.tx, &mut wk.held)
+        }) {
+            self.step(&mut wk, job, source);
         }
-        // And a private live shard, with its series keys built once — the
-        // per-attempt emits must not allocate.
-        let wh = self.live.handle();
-        let worker = w.to_string();
-        let key = |family: &str| series_key(family, &[("worker", &worker)]);
-        let busy_key = key("spam_live_worker_busy_us");
-        let tasks_key = key("spam_live_worker_tasks");
-        let steals_key = key("spam_live_worker_steals");
-        let overflow_key = key("spam_live_worker_overflow");
-        let mut my = WorkerStats::default();
-        // Busy nanoseconds the live counter has not been told of yet: it
-        // gets the whole microseconds once per job, the rest carries over.
-        let mut unpublished_ns = 0u64;
-        // When this worker last became free: the next task's `queued`.
-        let mut free = picked_up;
-        // Completions not yet handed to the control loop.
-        let mut held: Vec<ExecMsg<T>> = Vec::new();
-        while let Some((job, source)) = self
-            .pool
-            .acquire(w, &mut my.steal_misses, || hand_over(&self.tx, &mut held))
-        {
-            // Inside a chunk, a task's `acquired` is the previous finish.
-            let mut acquired = now();
-            let n = job.tasks.len() as u64;
-            let attempt = job.attempt;
-            let stolen_from = match source {
-                Source::Own => None,
-                Source::Overflow => {
-                    my.overflow_taken += n;
-                    if wh.enabled() {
-                        wh.inc(&overflow_key, n);
-                    }
-                    None
-                }
-                Source::Stolen(victim) => {
-                    my.stolen += n;
-                    if wh.enabled() {
-                        wh.inc(&steals_key, n);
-                    }
-                    Some(victim)
-                }
-            };
-            for i in job.tasks {
-                // Derive this attempt's span id up front: the sink handed
-                // to the task parents engine spans under it, and
-                // the span itself is recorded below once the outcome is
-                // known.
-                let attempt_span = scene.map(|sc| {
-                    SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt))
-                });
-                let invocation = TaskAttempt {
-                    task: i,
-                    attempt,
-                    trace: scene
-                        .zip(attempt_span)
-                        .map(|(sc, span)| sc.sink_under(span)),
-                };
-                let started = now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if self.plan.task_panics(i, attempt) {
-                        panic!("injected fault: task {i} attempt {attempt}");
-                    }
-                    (self.task)(&mut state, invocation)
-                }))
-                .map_err(payload_to_string);
-                let finished = now();
-                let elapsed = finished.duration_since(started);
-                // One clock per attempt: every record of it — the recorder's
-                // span, the scene trace's, the live busy counter, the
-                // `ExecAttempt` — is stamped from `started` / `finished` /
-                // `acquired`, never from a clock read of its own, so no two
-                // of them can disagree about how long the task ran.
-                if sink.enabled(ObsLevel::Full) {
-                    let rec = &self.rec;
-                    if let Some(victim) = stolen_from {
-                        sink.emit_at(
-                            rec.us_at(acquired),
-                            Category::Task,
-                            "task.steal",
-                            EventKind::Instant,
-                            vec![
-                                ("task", (i as u64).into()),
-                                ("victim", (victim as u64).into()),
-                                ("thief", (w as u64).into()),
-                            ],
-                        );
-                    }
-                    let exec_span = format!("task.exec t{i}");
-                    sink.emit_at(
-                        rec.us_at(started),
-                        Category::Task,
-                        exec_span.as_str(),
-                        EventKind::SpanBegin,
-                        vec![
-                            ("task", (i as u64).into()),
-                            ("attempt", (attempt as u64).into()),
-                            ("stolen", u64::from(stolen_from.is_some()).into()),
-                        ],
-                    );
-                    sink.emit_at(
-                        rec.us_at(finished),
-                        Category::Task,
-                        exec_span,
-                        EventKind::SpanEnd,
-                        vec![("ok", u64::from(result.is_ok()).into())],
-                    );
-                }
-                if let (Some(sc), Some(span)) = (scene, attempt_span) {
-                    sc.record_span(SpanRecord {
-                        id: span,
-                        parent: Some(sc.root()),
-                        kind: SpanKind::Task,
-                        name: format!("task.exec t{i} a{attempt}"),
-                        worker: name.clone(),
-                        start_us: sc.us_at(started),
-                        end_us: sc.us_at(finished),
-                        error: result.as_ref().err().cloned(),
-                    });
-                }
-                my.executed += 1;
-                my.busy_s += elapsed.as_secs_f64();
-                unpublished_ns += elapsed.as_nanos() as u64;
-                // What the control loop will rule a failure: its retry (or
-                // dead letter) must not wait for the batch to fill.
-                let failed = result.is_err() || self.deadline.is_some_and(|d| elapsed > d);
-                held.push(ExecMsg {
-                    task: i,
-                    attempt,
-                    worker: w,
-                    stolen: stolen_from.is_some(),
-                    result,
-                    queued: free,
-                    acquired,
-                    started,
-                    finished,
-                });
-                if failed || held.len() >= COMPLETION_BATCH {
-                    hand_over(&self.tx, &mut held);
-                }
-                free = finished;
-                acquired = finished;
-            }
-            if wh.enabled() {
-                wh.inc(&busy_key, unpublished_ns / 1_000);
-                unpublished_ns %= 1_000;
-                wh.inc(&tasks_key, n);
-            }
-        }
-        #[cfg(test)]
-        {
-            my.clock_reads = reads.get();
-        }
-        let ready_s = picked_up.duration_since(self.start).as_secs_f64();
-        *relock(self.filed[w].lock()) = (ready_s, my);
-        Box::new(state)
+        Box::new(self.file(wk))
     }
 
     fn done(&self, died: bool) {
@@ -1068,12 +1179,14 @@ impl<F: Fn(usize) -> String> TaskLabels for (usize, F) {
 /// successful task, before the task's epoch closes — callers mirror task
 /// results (work counters, SLO latency observations) into the observers.
 ///
-/// `task` and its result are `'static` because the workers are resident
+/// `task` and its result are `'static` because workers 1.. are resident
 /// threads, not scoped ones: a caller shares its inputs by `Arc` (every
-/// SPAM input already is one) instead of lending them. Each worker makes
-/// one `S` when it picks the phase up, lends it to every task it runs and
-/// drops it after it has counted out of the phase (module docs); a phase
-/// whose tasks keep nothing runs with `S = ()`.
+/// SPAM input already is one) instead of lending them. Worker 0 is the
+/// calling thread: `task` runs on it too, as does `S::default()`. Each
+/// worker makes one `S` when it picks the phase up, lends it to every task
+/// it runs and drops it — a resident after it has counted out of the
+/// phase, the calling thread before `execute` returns (module docs); a
+/// phase whose tasks keep nothing runs with `S = ()`.
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index (the [`TaskAttempt`] carries the
@@ -1125,11 +1238,11 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     let phase_start = Instant::now();
     let n_workers = exec.workers.min(n_tasks);
     #[cfg(test)]
-    let _demand = census::Demand::enter(n_workers);
+    let _demand = census::Demand::enter(n_workers - 1);
 
     // The control process registers with the recorder first, then wakes
-    // the task processes: their wake-up (or fork) overlaps the chunking and
-    // the deal below.
+    // the resident task processes — workers 1.., it is worker 0 itself:
+    // their wake-up (or fork) overlaps the chunking and the deal below.
     let mut ctl = rec.sink("executor");
     let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
     let phase = Arc::new(Phase {
@@ -1144,10 +1257,12 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         scene: scene.cloned(),
         start: phase_start,
         filed: (0..n_workers).map(|_| Mutex::default()).collect(),
-        latch: Latch::new(n_workers),
+        latch: Latch::new(n_workers - 1),
     });
-    lease(&(Arc::clone(&phase) as Arc<dyn PhaseWork>), n_workers);
+    lease(&(Arc::clone(&phase) as Arc<dyn PhaseWork>), 1..n_workers);
     let pool = &phase.pool;
+    let closing = CloseOnDrop(pool);
+    let mut me = phase.worker(0);
 
     // Dynamic chunking + round-robin distribution: contiguous chunks of
     // tasks dealt whole across the bounded deques; spill goes to the
@@ -1231,18 +1346,16 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         }
     };
 
-    // Control process: collect attempts (workers report them in batches,
-    // `COMPLETION_BATCH`), decide retries, fill slots.
+    // The control process is task process 0. Between jobs it does its
+    // control duties: re-enqueue the retries that are due, take the
+    // completions residents have handed over (in batches,
+    // `COMPLETION_BATCH`) or it made itself, decide retries and fill
+    // slots. It blocks only when there is nothing it could run.
     let mut inbox = Vec::new().into_iter();
+    let mut blocked = Duration::ZERO;
     while remaining > 0 {
         let Some(msg) = inbox.next() else {
-            // Between batches: re-enqueue the retries that are due, then
-            // wait for the next batch — no longer than until the next
-            // retry is. The phase holds a sender, so the channel cannot
-            // disconnect under the wait.
-            let batch = if backing_off.is_empty() {
-                rx.recv().ok()
-            } else {
+            if !backing_off.is_empty() {
                 let now = Instant::now();
                 while let Some(&Reverse((due, i, next))) = backing_off.peek() {
                     if due > now {
@@ -1251,11 +1364,28 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
                     backing_off.pop();
                     pool.push_overflow(Job::retry(i, next));
                 }
-                match backing_off.peek() {
-                    Some(&Reverse((due, ..))) => rx.recv_timeout(due - now).ok(),
-                    None => rx.recv().ok(),
+            }
+            if let Ok(batch) = rx.try_recv() {
+                inbox = batch.into_iter();
+                continue;
+            }
+            if let Some((job, source)) = pool.take(0) {
+                phase.step(&mut me, job, source);
+                inbox = std::mem::take(&mut me.held).into_iter();
+                continue;
+            }
+            // Nothing to run: wait for the next batch — no longer than
+            // until the next retry is due. The phase holds a sender, so the
+            // channel cannot disconnect under the wait.
+            me.my.steal_misses += 1;
+            let t0 = Instant::now();
+            let batch = match backing_off.peek() {
+                Some(&Reverse((due, ..))) => {
+                    rx.recv_timeout(due.saturating_duration_since(t0)).ok()
                 }
+                None => rx.recv().ok(),
             };
+            blocked += t0.elapsed();
             inbox = batch.unwrap_or_default().into_iter();
             continue;
         };
@@ -1405,10 +1535,15 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         }
         ctl_live.gauge("spam_live_queue_depth", remaining as f64);
     }
-    pool.close();
-    // Every worker has flushed its sink and filed its statistics once the
-    // latch opens — what joining the scoped threads used to guarantee.
+    drop(closing);
+    // Worker 0 files its statistics and drops its state here, on the
+    // calling thread, while the residents count out.
+    drop(phase.file(me));
+    // Every resident has flushed its sink and filed its statistics once
+    // the latch opens — what joining the scoped threads used to guarantee.
+    let t0 = Instant::now();
     let died = phase.latch.wait();
+    blocked += t0.elapsed();
     assert!(!died, "a task process died outside supervision");
 
     let (spawn_ready_s, workers) = (phase.filed.iter())
@@ -1420,6 +1555,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         chunks: n_chunks,
         overflowed,
         wall_s: phase_start.elapsed().as_secs_f64(),
+        control_blocked_s: blocked.as_secs_f64(),
         lost_tasks: outcomes.iter().filter(|o| !o.status.succeeded()).count() as u32,
         attempts: attempts_log,
     };
@@ -1450,6 +1586,8 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
 mod census {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    use std::cell::Cell;
+
     static ALIVE: AtomicUsize = AtomicUsize::new(0);
     static DEMAND: AtomicUsize = AtomicUsize::new(0);
     static PEAK_DEMAND: AtomicUsize = AtomicUsize::new(0);
@@ -1460,6 +1598,19 @@ mod census {
 
     pub(super) fn peak_demand() -> usize {
         PEAK_DEMAND.load(Ordering::SeqCst)
+    }
+
+    thread_local! {
+        static LEASED_HERE: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Residents this thread has leased so far.
+    pub(super) fn leased_here() -> usize {
+        LEASED_HERE.get()
+    }
+
+    pub(super) fn note_lease(n: usize) {
+        LEASED_HERE.set(LEASED_HERE.get() + n);
     }
 
     /// A resident thread, from fork to exit (also by panic).
@@ -1478,7 +1629,8 @@ mod census {
         }
     }
 
-    /// One phase's workers, from before its lease until after its latch.
+    /// One phase's leased residents, from before its lease until after
+    /// its latch.
     pub(super) struct Demand(usize);
 
     impl Demand {
@@ -2019,16 +2171,19 @@ mod tests {
 
     #[test]
     fn phases_around_the_batch_bound_terminate() {
-        // One worker, so every completion of the phase goes through one
-        // held batch: a single task (handed over before the worker
-        // sleeps), exactly one full batch, and one more than that.
-        for (name, exec) in placements(1) {
-            for n in [1, COMPLETION_BATCH, COMPLETION_BATCH + 1] {
-                let (slots, report, exec) = run(&PhaseRun::new(exec), n, |i| i);
-                assert!(report.is_clean(), "{name}");
-                assert_eq!(slots.into_iter().flatten().count(), n, "{name}");
-                assert_eq!(exec.attempts.len(), n, "{name}");
-                assert_eq!(exec.workers[0].executed, n as u64, "{name}");
+        // A single task, exactly one full batch, and one more than that. At
+        // one worker the calling thread runs them all and takes its own
+        // completions; at two, what the resident runs goes through its
+        // held batch (handed over when full, and before it sleeps).
+        for workers in [1, 2] {
+            for (name, exec) in placements(workers) {
+                for n in [1, COMPLETION_BATCH, COMPLETION_BATCH + 1] {
+                    let (slots, report, exec) = run(&PhaseRun::new(exec), n, |i| i);
+                    assert!(report.is_clean(), "{name}");
+                    assert_eq!(slots.into_iter().flatten().count(), n, "{name}");
+                    assert_eq!(exec.attempts.len(), n, "{name}");
+                    assert_eq!(executed(&exec), n as u64, "{name}");
+                }
             }
         }
     }
@@ -2185,36 +2340,55 @@ mod tests {
 
     #[test]
     fn a_failure_inside_a_batch_is_reported_at_once_and_retried_via_overflow() {
-        // One worker, six tasks in one chunk: it runs them in order. The
-        // batch bound is never reached, so without the early hand-over
-        // nothing would reach the control loop before the worker runs dry.
-        // t2's first attempt panics; t3, which runs next on the same
-        // worker, waits until the control loop has processed t0's
+        // Two workers, twelve tasks in two chunks of six: chunk 0 (t0..t5)
+        // is dealt to the calling thread, chunk 1 (t6..t11) to the
+        // resident, which runs it in order. t0 holds the calling thread
+        // until the resident has started chunk 1, so chunk 1 cannot be
+        // stolen. The batch bound is never reached, so without the early
+        // hand-over nothing of the resident's would reach the control loop
+        // before it runs dry. t8's first attempt panics; t9, which runs next
+        // on the resident, waits until the control loop has processed t6's
         // completion — which travels in the batch the failure pushed out.
-        let first_reported = Arc::new(AtomicBool::new(false));
+        let chunk_1_started = Arc::new(AtomicBool::new(false));
+        let sixth_reported = Arc::new(AtomicBool::new(false));
         let waited_in_vain = Arc::new(AtomicBool::new(false));
-        let plan = FaultPlan::none().with_task_panic(2, 1);
+        let plan = FaultPlan::none().with_task_panic(8, 1);
         let cfg = SupervisorConfig::default().with_retries(1);
-        let (reported, in_vain) = (Arc::clone(&first_reported), Arc::clone(&waited_in_vain));
+        let exec = ExecConfig {
+            workers: 2,
+            chunk_target: 6,
+            deque_capacity: 64,
+        };
+        let (started, reported, in_vain) = (
+            Arc::clone(&chunk_1_started),
+            Arc::clone(&sixth_reported),
+            Arc::clone(&waited_in_vain),
+        );
         let (slots, report, exec) = execute(
-            &under(ExecConfig::new(1), cfg, plan),
-            labels(6),
+            &under(exec, cfg, plan),
+            labels(12),
             &[],
             |i, _: &usize| {
-                if i == 0 {
-                    first_reported.store(true, Ordering::SeqCst);
+                if i == 6 {
+                    sixth_reported.store(true, Ordering::SeqCst);
                 }
             },
             move |_: &mut (), a| {
-                if a.task == 3 {
+                let wait_for = |flag: &AtomicBool| {
                     let give_up = Instant::now() + Duration::from_secs(20);
-                    while !reported.load(Ordering::SeqCst) {
+                    while !flag.load(Ordering::SeqCst) {
                         if Instant::now() > give_up {
                             in_vain.store(true, Ordering::SeqCst);
                             break;
                         }
                         std::thread::yield_now();
                     }
+                };
+                match (a.task, a.attempt) {
+                    (0, _) => wait_for(&started),
+                    (6, _) => started.store(true, Ordering::SeqCst),
+                    (9, _) => wait_for(&reported),
+                    _ => {}
                 }
                 a.task
             },
@@ -2224,11 +2398,20 @@ mod tests {
             !waited_in_vain.load(Ordering::SeqCst),
             "the failed attempt must hand its batch over without waiting for the bound"
         );
-        assert_eq!(exec.chunks, 1, "six unit estimates make one chunk");
-        assert_eq!(slots.iter().flatten().count(), 6);
-        assert_eq!(report.outcomes[2].status, TaskStatus::Retried(1));
+        assert_eq!(exec.chunks, 2, "twelve unit estimates make two chunks");
+        for a in exec.attempts.iter().filter(|a| a.attempt == 0) {
+            let (w, stolen) = (usize::from(a.task >= 6), false);
+            assert_eq!(
+                (a.worker, a.stolen),
+                (w, stolen),
+                "t{} ran where dealt",
+                a.task
+            );
+        }
+        assert_eq!(slots.iter().flatten().count(), 12);
+        assert_eq!(report.outcomes[8].status, TaskStatus::Retried(1));
         let retry = (exec.attempts.iter())
-            .find(|a| a.task == 2 && a.attempt == 1)
+            .find(|a| a.task == 8 && a.attempt == 1)
             .expect("the retry ran");
         assert!(retry.ok);
         assert_eq!(
@@ -2236,7 +2419,7 @@ mod tests {
             1,
             "the retry re-entered via overflow"
         );
-        assert_eq!(exec.attempts.len(), 7);
+        assert_eq!(exec.attempts.len(), 13);
     }
 
     #[test]
@@ -2287,6 +2470,119 @@ mod tests {
         let stolen_chunks = [c0, c1, c2].iter().filter(|c| c.1).count() as u64;
         assert_eq!(exec.steals(), 4 * stolen_chunks);
         assert_attempts_are_ordered(&exec);
+    }
+
+    #[test]
+    fn one_worker_leases_no_resident_and_runs_on_the_calling_thread() {
+        // N = 1 is no handoff at all: the phase runs where `execute` was
+        // called, the retry of t2 included.
+        let caller = std::thread::current().id();
+        for (name, exec) in placements(1) {
+            let leased = census::leased_here();
+            let plan = FaultPlan::none().with_task_panic(2, 1);
+            let how = under(exec, retries(1), plan);
+            let (slots, report, measured) = run(&how, 6, |_| std::thread::current().id());
+            assert_eq!(
+                census::leased_here(),
+                leased,
+                "{name}: a resident was leased"
+            );
+            assert_eq!(report.total_retries(), 1, "{name}");
+            assert!(slots.iter().all(|s| *s == Some(caller)), "{name}");
+            assert_eq!(measured.attempts.len(), 7, "{name}");
+            assert!(measured.attempts.iter().all(|a| a.worker == 0), "{name}");
+            assert_eq!(measured.spawn_ready_s.len(), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_phase_completes_on_the_caller_while_its_resident_is_held_up() {
+        // The calling thread works the pool, so a phase never waits for a
+        // resident to pick up. Here the leased resident is held up making
+        // its state until every task has completed: the phase — its retry
+        // of t5 included — runs on the caller alone, and the resident,
+        // once it gets there, finds the pool closed and runs nothing.
+        static RELEASED: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+        struct HeldUp;
+        impl Default for HeldUp {
+            fn default() -> HeldUp {
+                let here = std::thread::current();
+                if here.name().is_some_and(|n| n.starts_with(WORKER_NAME)) {
+                    let (flag, cv) = &RELEASED;
+                    let timeout = Duration::from_secs(20);
+                    let _ = cv.wait_timeout_while(relock(flag.lock()), timeout, |r| !*r);
+                }
+                HeldUp
+            }
+        }
+        for (name, exec) in placements(2) {
+            *relock(RELEASED.0.lock()) = false;
+            let n = 12;
+            let completed = AtomicUsize::new(0);
+            let on_complete = |_, _: &usize| {
+                if completed.fetch_add(1, Ordering::SeqCst) + 1 == n {
+                    *relock(RELEASED.0.lock()) = true;
+                    RELEASED.1.notify_all();
+                }
+            };
+            let plan = FaultPlan::none().with_task_panic(5, 1);
+            let how = under(exec, retries(1), plan);
+            let (slots, report, measured) =
+                execute(&how, labels(n), &[], on_complete, |_: &mut HeldUp, a| {
+                    a.task
+                })
+                .unwrap();
+            assert_eq!(slots.iter().flatten().count(), n, "{name}");
+            assert_eq!(report.outcomes[5].status, TaskStatus::Retried(1), "{name}");
+            assert_eq!(measured.attempts.len(), n + 1, "{name}");
+            assert!(
+                measured.attempts.iter().all(|a| a.worker == 0),
+                "{name}: {:?}",
+                measured.attempts
+            );
+            assert_eq!(measured.workers.len(), 2, "{name}");
+            assert_eq!(measured.workers[1].executed, 0, "{name}");
+            assert_eq!(measured.workers[0].executed, n as u64 + 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_caller_that_unwinds_still_releases_its_residents() {
+        // `on_complete` panics on the calling thread, outside any attempt,
+        // so `execute` unwinds mid-phase. The two residents it leased must
+        // still finish, park and drop their state — the pool closes as the
+        // caller leaves — rather than wait for jobs forever.
+        static DROPPED: Mutex<Option<mpsc::Sender<()>>> = Mutex::new(None);
+        #[derive(Default)]
+        struct Noted;
+        impl Drop for Noted {
+            fn drop(&mut self) {
+                let here = std::thread::current();
+                if here.name().is_some_and(|n| n.starts_with(WORKER_NAME)) {
+                    if let Some(tx) = &*relock(DROPPED.lock()) {
+                        let _ = tx.send(());
+                    }
+                }
+            }
+        }
+        let (tx, dropped) = mpsc::channel();
+        *relock(DROPPED.lock()) = Some(tx);
+        let how = PhaseRun::new(ExecConfig::central_queue(3));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            execute(
+                &how,
+                labels(6),
+                &[],
+                |_, _: &usize| panic!("injected: on_complete panics"),
+                |_: &mut Noted, a| a.task,
+            )
+        }));
+        assert!(unwound.is_err());
+        for k in 0..2 {
+            let released = dropped.recv_timeout(Duration::from_secs(10));
+            assert!(released.is_ok(), "resident {k} of 2 never left the phase");
+        }
+        *relock(DROPPED.lock()) = None;
     }
 
     #[test]
@@ -2485,7 +2781,7 @@ mod tests {
             },
             latch: Arc::clone(&latch),
         });
-        lease(&stunt, 1);
+        lease(&stunt, 1..2);
         drop(stunt);
         drop(let_go);
         latch.wait()
@@ -2497,9 +2793,10 @@ mod tests {
         // phases back to back, cycling worker counts over both placements,
         // one in seven with a retry — while two more threads run phases
         // of their own. Every slot is filled, every attempt accounted for,
-        // and the registry never holds more threads than the most workers
-        // the process has wanted at once: a worker is parked again before
-        // its phase's latch opens, so the next lease finds it.
+        // and the registry never holds more threads than the most residents
+        // the process has leased at once — N − 1 per phase of N workers,
+        // the calling thread being worker 0: a worker is parked again
+        // before its phase's latch opens, so the next lease finds it.
         fn churn(phases: usize) {
             for k in 0..phases {
                 let exec = placements(1 + k % 5)[k % 2].1;
@@ -2519,7 +2816,7 @@ mod tests {
             churn(2000);
         });
         let (threads, wanted) = (census::resident_threads(), census::peak_demand());
-        assert!(wanted >= 3, "this test alone wants three workers at once");
+        assert!(wanted >= 2, "this test alone leases two residents at once");
         assert!(
             threads <= wanted,
             "{threads} resident task processes, but never more than {wanted} wanted at once"
@@ -2565,10 +2862,12 @@ mod tests {
     /// A worker's `S` is the task process's memory: made once when the
     /// worker picks the phase up, lent to every attempt the worker runs —
     /// across chunks, and after an attempt that panicked half-way through
-    /// using it — and dropped by the worker itself once it has counted out,
-    /// so the control process never waits for the drop.
+    /// using it — and dropped by the thread that ran it. A resident drops
+    /// its own once it has counted out, so the control process never waits
+    /// for that drop; worker 0's is the calling thread's, dropped by it
+    /// inside `execute` once the pool is closed, before the latch.
     #[test]
-    fn a_workers_state_spans_its_phase_and_is_dropped_after_the_latch() {
+    fn a_workers_state_spans_its_phase_and_is_dropped_by_its_own_thread() {
         /// What one state was lent to, in order, and where it ended.
         struct Ended {
             seen: Vec<(usize, u32)>,
@@ -2588,17 +2887,25 @@ mod tests {
         }
         impl Drop for Memory {
             fn drop(&mut self) {
-                // Were this drop ahead of the latch, `execute` could not
-                // return while it waits, and the wait would time out.
+                // Were a resident's drop ahead of the latch, `execute`
+                // could not return while it waits, and the wait would time
+                // out. The calling thread's cannot wait for `execute`.
+                let here = std::thread::current().name().unwrap_or("").to_owned();
                 let (flag, cv) = &RETURNED;
-                let (returned, _) = cv
-                    .wait_timeout_while(relock(flag.lock()), Duration::from_secs(5), |r| !*r)
-                    .unwrap_or_else(PoisonError::into_inner);
+                let returned = if here.starts_with(WORKER_NAME) {
+                    let timeout = Duration::from_secs(5);
+                    let (returned, _) = cv
+                        .wait_timeout_while(relock(flag.lock()), timeout, |r| !*r)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    *returned
+                } else {
+                    *relock(flag.lock())
+                };
                 if let Some(tx) = &*relock(ENDED.lock()) {
                     let _ = tx.send(Ended {
                         seen: std::mem::take(&mut self.0),
-                        on_thread: std::thread::current().name().unwrap_or("").to_owned(),
-                        execute_had_returned: *returned,
+                        on_thread: here,
+                        execute_had_returned: returned,
                     });
                 }
             }
@@ -2644,20 +2951,35 @@ mod tests {
                 })
                 .collect();
             assert_eq!(MADE.load(Ordering::SeqCst), 2, "{name}: one per worker");
+            // One state per thread: the resident's dropped on it after
+            // `execute` returned, worker 0's on this thread before.
+            let caller = std::thread::current().name().unwrap_or("").to_owned();
+            let (mut on_resident, mut on_caller) = (0, 0);
             for end in &ends {
-                assert!(
-                    end.on_thread.starts_with(WORKER_NAME),
-                    "{name}: {}",
-                    end.on_thread
-                );
-                assert!(
-                    end.execute_had_returned,
-                    "{name}: dropped ahead of the latch"
-                );
+                if end.on_thread == caller {
+                    on_caller += 1;
+                    assert!(
+                        !end.execute_had_returned,
+                        "{name}: worker 0's state outlived execute"
+                    );
+                } else {
+                    on_resident += 1;
+                    assert!(
+                        end.on_thread.starts_with(WORKER_NAME),
+                        "{name}: {}",
+                        end.on_thread
+                    );
+                    assert!(
+                        end.execute_had_returned,
+                        "{name}: dropped ahead of the latch"
+                    );
+                }
             }
+            assert_eq!((on_caller, on_resident), (1, 1), "{name}");
             // Each state saw exactly its worker's attempts, in the order
-            // the worker ran them — the panicked one included.
-            let mut ran: Vec<Vec<(usize, u32)>> = (0..2)
+            // the worker ran them — the panicked one included; the one this
+            // thread dropped, worker 0's.
+            let ran: Vec<Vec<(usize, u32)>> = (0..2)
                 .map(|w| {
                     let mut mine: Vec<_> =
                         measured.attempts.iter().filter(|a| a.worker == w).collect();
@@ -2665,8 +2987,7 @@ mod tests {
                     mine.iter().map(|a| (a.task, a.attempt)).collect()
                 })
                 .collect();
-            ran.sort();
-            ends.sort_by(|a, b| a.seen.cmp(&b.seen));
+            ends.sort_by_key(|e| e.on_thread != caller);
             let seen: Vec<_> = ends.into_iter().map(|e| e.seen).collect();
             assert_eq!(seen, ran, "{name}");
             assert!(seen.concat().contains(&(3, 0)), "{name}: {seen:?}");

@@ -5,6 +5,8 @@
 //! workers, `catch_unwind`, retry, deadline, dead letter — lives in `exec`
 //! and nowhere else.
 
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use tlp_obs::SpanSink;
 
@@ -12,18 +14,26 @@ use tlp_obs::SpanSink;
 /// hook uses it to keep injected/caught panics out of test output.
 pub(crate) const WORKER_NAME: &str = "psm-task";
 
+thread_local! {
+    /// Whether this thread is inside a supervised attempt ([`catch_attempt`]).
+    static IN_ATTEMPT: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Installs (once) a panic hook that suppresses default printing for
-/// panics on supervised worker threads — those panics are caught and
-/// reported through the [`tlp_fault::TaskReport`], so the default stderr
-/// dump is noise. Other threads keep the previous hook behaviour.
+/// panics on supervised worker threads and inside any supervised attempt
+/// (the calling thread is task process 0 and runs attempts too) — those
+/// panics are caught and reported through the [`tlp_fault::TaskReport`],
+/// so the default stderr dump is noise. Other panics keep the previous
+/// hook behaviour.
 pub(crate) fn install_quiet_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let suppress = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_NAME));
+            let suppress = IN_ATTEMPT.get()
+                || std::thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with(WORKER_NAME));
             if !suppress {
                 prev(info);
             }
@@ -31,7 +41,17 @@ pub(crate) fn install_quiet_hook() {
     });
 }
 
-pub(crate) fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Runs one supervised attempt under [`catch_unwind`], its panic (the
+/// payload as a string) kept out of stderr by the quiet hook on whichever
+/// thread it runs.
+pub(crate) fn catch_attempt<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    let outer = IN_ATTEMPT.replace(true);
+    let result = catch_unwind(AssertUnwindSafe(f)).map_err(payload_to_string);
+    IN_ATTEMPT.set(outer);
+    result
+}
+
+fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -2,8 +2,9 @@
 //!
 //! * [`run_phase`] — the real thing (§5.1), one entry for every phase: the
 //!   control process (the calling thread) queues a [`TaskList`]'s tasks;
-//!   `n` resident task processes, each keeping a [`TaskProcess`] for the
-//!   phase, pull chunks of them and fire asynchronously. A [`PhaseRun`]
+//!   `n` task processes — the calling thread itself and `n − 1` resident
+//!   threads, each keeping a [`TaskProcess`] for the phase — pull chunks
+//!   of them and fire asynchronously. A [`PhaseRun`]
 //!   says where tasks go, under which policy and fault plan, and who
 //!   watches. A task killed mid-run is a panic like any other: the
 //!   supervisor retries it from scratch. [`run_parallel_lcc`] / [`run_parallel_rtf`] are plan →
