@@ -55,3 +55,12 @@ if git grep -n "openmetrics\|expocheck\|metrics-snapshot\|LIVE_MIRROR_EVERY" -- 
   echo "lint: the OpenMetrics exposition and the live mirror are gone; metrics are --metrics-out JSON" >&2
   exit 1
 fi
+
+# The registry keeps whole-run totals and histograms: no sliding windows, no
+# logical epochs (a run's metrics file once reported the last 8 tasks'
+# latencies as the run's).
+if git grep -n "advance_epoch\|DEFAULT_WINDOW\|windowed" -- \
+  crates README.md EXPERIMENTS.md DESIGN.md; then
+  echo "lint: the registry's windows and epochs are gone; a series covers the whole run" >&2
+  exit 1
+fi

@@ -92,7 +92,7 @@ const ARMS: [(&str, Arm); 5] = [
     }),
     ("rec-full", |p, kept| recorded(p, ObsLevel::Full, kept)),
     ("live", |p, kept| {
-        let live = Live::new(tlp_obs::DEFAULT_WINDOW);
+        let live = Live::new(0);
         let mut how = central();
         how.obs.slo = Some(Arc::new(SloMonitor::new(
             SloConfig::default(),
@@ -117,7 +117,7 @@ const ARMS: [(&str, Arm); 5] = [
 /// A counter's lifetime total from a snapshot (0 if absent).
 fn total(snap: &LiveSnapshot, name: &str) -> f64 {
     match snap.series.get(name) {
-        Some(LiveValue::Counter { total, .. }) => *total as f64,
+        Some(LiveValue::Counter(total)) => *total as f64,
         _ => 0.0,
     }
 }
@@ -228,11 +228,12 @@ fn main() -> ExitCode {
     println!("recorder: {events} events across {threads} threads at full");
 
     let snap = kept.live.expect("a live round").snapshot();
+    let completed = total(&snap, "spam_live_tasks_completed");
     println!(
-        "live    : epoch {}, {} series; {} tasks, {} match units, {} firings published",
-        snap.epoch,
+        "live    : {} tasks, {} series; {completed} completed, {} match units, {} firings \
+         published",
+        completed + total(&snap, "spam_live_dead_letters"),
         snap.series.len(),
-        total(&snap, "spam_live_tasks_completed"),
         total(&snap, "spam_live_match_units"),
         total(&snap, "spam_live_firings"),
     );
@@ -294,7 +295,6 @@ fn main() -> ExitCode {
         (
             "live",
             Json::obj(vec![
-                ("epoch", num(snap.epoch as f64)),
                 (
                     "tasks_completed",
                     num(total(&snap, "spam_live_tasks_completed")),

@@ -1118,11 +1118,7 @@ fn run_pipeline(
     // The metrics registry is on for `--metrics-out`; without it,
     // `Live::off()` keeps every emitter inert.
     let live_on = o.metrics_out.is_some();
-    let live = if live_on {
-        Live::new(tlp_obs::DEFAULT_WINDOW)
-    } else {
-        Live::off()
-    };
+    let live = if live_on { Live::new(0) } else { Live::off() };
     let slo = live_on.then(|| Arc::new(SloMonitor::new(SloConfig::default(), live.handle())));
     // Scene tracing is on for `--traces-out`. Results are bit-identical
     // either way.
@@ -1378,8 +1374,8 @@ fn run_pipeline(
     if let Some(slo) = &slo {
         let snap = live.snapshot();
         println!(
-            "live   : epoch {}, {} series, health {}",
-            snap.epoch,
+            "live   : {} tasks, {} series, health {}",
+            lcc.report.outcomes.len(),
             snap.series.len(),
             slo.health().name()
         );

@@ -28,8 +28,8 @@
 //! does not outlive the phase. The control process wakes its residents
 //! *before* it deals the tasks (their wake-up overlaps the deal), and when
 //! the phase is over waits on a completion latch rather than joining
-//! threads: a resident flushes its recorder sink, writes its statistics,
-//! parks itself in the registry and only then counts the latch down — so
+//! threads: a resident hands over its last completions, writes its
+//! statistics, parks itself in the registry and only then counts the latch down — so
 //! back-to-back phases reuse the same threads — and drops its `S` after
 //! that, off the control process's critical path. A resident thread that
 //! died (a panic outside `catch_unwind`) is replaced at the next lease; the
@@ -110,22 +110,23 @@
 //!
 //! # Observability, attribution
 //!
-//! The flight recorder sees one `exec.phase` span, `task.exec` spans on
-//! each worker's track, `task.steal` instants and every control decision;
-//! live telemetry gets task/queue health and per-worker series; scene
-//! traces get derived `task.exec` span ids (see [`Observer`]). Sinks and
-//! live shards are per phase, not per thread: nothing a worker recorded in
-//! one phase can surface in the next. The measured schedule comes back as
-//! an [`ExecReport`], which converts to a [`multimax_sim::SimResult`]
-//! ([`ExecReport::to_sim_result`]) — so the gap accountant
-//! ([`crate::attribution::GapAttribution`]) and the Gantt timeline work on
-//! measured runs exactly as on simulated ones. A worker reads the clock at
-//! task boundaries only: a task's finish instant is the next one's
-//! `queued` (and, inside a chunk, its `acquired`). And it reads *one*
-//! clock: the recorder's `task.exec` span, the scene trace's, the live
-//! busy counter and the [`ExecAttempt`] are all stamped from the attempt's
-//! own start and finish instants, so the four accounts of a run's busy
-//! time agree (`tests/cross_source_agreement.rs` holds them within 1 %).
+//! A task attempt is recorded once: a worker writes its [`ExecAttempt`]
+//! (where its job came from, its four instants, its panic text) into the
+//! completion it hands the control process, and counts its empty sweeps —
+//! nothing else. Its per-attempt path has no telemetry. When the phase is
+//! over, the control process derives every other account from the
+//! [`ExecReport`] ([`ExecReport::render`]): the flight recorder's
+//! `task.exec` spans and `task.steal` instants on each worker's track, the
+//! live registry's per-worker series, the scene trace's `task.exec` spans,
+//! and the [`WorkerStats`] themselves — so they agree by construction
+//! (`tests/one_account.rs`). The control process's own decisions
+//! (completions, retries, dead letters, queue depth) it records as it
+//! makes them (see [`Observer`]). The measured schedule converts to a
+//! [`multimax_sim::SimResult`] ([`ExecReport::to_sim_result`]) — so the
+//! gap accountant ([`crate::attribution::GapAttribution`]) and the Gantt
+//! timeline work on measured runs exactly as on simulated ones. A worker
+//! reads the clock at task boundaries only: a task's finish instant is the
+//! next one's `queued` (and, inside a chunk, its `acquired`).
 
 use crate::supervise::{catch_attempt, install_quiet_hook, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
@@ -139,8 +140,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskOutcome, TaskReport, TaskStatus};
 use tlp_obs::{
-    series_key, Category, EventKind, Live, LiveHandle, ObsLevel, Recorder, SceneSpan, SloMonitor,
-    SpanId, SpanKind, SpanRecord, ThreadSink, Timeline,
+    series_key, Category, EventKind, Live, ObsLevel, Recorder, SceneSpan, SloMonitor, SpanId,
+    SpanKind, SpanRecord, Timeline,
 };
 
 /// Nominal work units per WME a task loads, used to put caller-side task
@@ -200,40 +201,38 @@ impl ExecConfig {
 /// disabled one costs a branch per emit.
 ///
 /// * `rec` — the flight recorder. The control process registers an
-///   `executor` sink and every worker its own `psm-task-{w}` sink; at
-///   `Summary` level the phase is one `exec.phase` span, at `Full` level
-///   each attempt is a `task.exec` span on its worker's track and every
-///   control decision (spill, steal, retry, deadline rejection, dead
-///   letter, completion) is an instant event.
-/// * `live` — the sliding-window registry. The control process publishes
+///   `executor` sink; at `Summary` level the phase is one `exec.phase`
+///   span, at `Full` level every control decision (spill, retry, deadline
+///   rejection, dead letter, completion) is an instant event, and the
+///   phase's end renders each attempt as a `task.exec` span (and each
+///   stolen one as a `task.steal` instant) on its worker's `psm-task-{w}`
+///   track ([`ExecReport::render`]).
+/// * `live` — the metrics registry. The control process publishes
 ///   `spam_live_tasks_completed` / `spam_live_task_retries` /
 ///   `spam_live_dead_letters`, the `spam_live_task_latency_seconds`
 ///   histogram of successful attempts and the `spam_live_queue_depth`
-///   gauge of tasks still outstanding; each worker publishes
-///   `spam_live_worker_{busy_us,tasks,steals,overflow}{worker="w"}` from
-///   its own shard, once per job (busy time is kept in nanoseconds and
-///   published in whole microseconds, so nothing is rounded away per
-///   task). Logical time advances one epoch per *terminal* task
-///   (success or dead letter), so window widths read as "the last N
-///   finished tasks".
-/// * `slo` — advanced on the same clock; a dead-lettered task is charged
-///   to it as a breach (failed work burns error budget even though no
-///   latency sample exists for it).
-/// * `span` — an enabled [`SceneSpan`] makes each attempt a `task.exec`
-///   span under the scene root (recorded by the worker that ran it, so
-///   worker hops are visible), retries and dead letters marker spans
-///   recorded by the control thread, and hands the task closure a
+///   gauge of tasks still outstanding as it decides; the phase's end
+///   renders `spam_live_worker_{busy_us,tasks,steals,overflow}{worker="w"}`
+///   (busy time summed in nanoseconds and published in whole
+///   microseconds, so nothing is rounded away per task).
+/// * `slo` — its clock advances once per *terminal* task (success or dead
+///   letter); a dead-lettered task is charged to it as a breach (failed
+///   work burns error budget) with no latency sample, for none exists.
+/// * `span` — an enabled [`SceneSpan`] hands the task closure a
 ///   [`tlp_obs::SpanSink`] parented under its attempt
-///   ([`TaskAttempt::trace`]). Span ids are derived from
-///   `(trace, task, attempt)`, so both sides of the channel agree on them
-///   without coordination.
+///   ([`TaskAttempt::trace`]), records retries and dead letters as marker
+///   spans when the control process decides them, and at the phase's end
+///   gets each attempt as a `task.exec` span under the scene root, named
+///   for the worker that ran it, so worker hops are visible. Span ids are
+///   derived from `(trace, task, attempt)`, so the sink handed to an
+///   attempt and its rendered span agree without coordination.
 #[derive(Clone)]
 pub struct Observer<'a> {
     /// Flight recorder.
     pub rec: Arc<Recorder>,
     /// Live telemetry registry.
     pub live: Arc<Live>,
-    /// SLO monitor driven by the phase's logical clock.
+    /// SLO monitor, advanced once per terminal task.
     pub slo: Option<Arc<SloMonitor>>,
     /// Scene-scoped trace the phase's attempts record under.
     pub span: Option<&'a SceneSpan>,
@@ -280,7 +279,8 @@ impl PhaseRun<'static> {
     }
 }
 
-/// Per-worker scheduling statistics.
+/// Per-worker scheduling statistics. All but `steal_misses` are sums over
+/// the worker's [`ExecAttempt`]s, taken when the phase ends.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerStats {
     /// Attempts this worker executed.
@@ -300,10 +300,23 @@ pub struct WorkerStats {
     pub(crate) clock_reads: u64,
 }
 
-/// One measured task attempt: the four schedule timestamps (seconds from
-/// phase start) mirror [`multimax_sim::TaskExec`] so the measured run
-/// converts losslessly into the simulator's result shape.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// How a worker acquired an attempt's job.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Source {
+    /// Popped from the worker's own deque.
+    Own,
+    /// Taken from the shared overflow queue.
+    Overflow,
+    /// Stolen from the deque of the worker it names.
+    Stolen(usize),
+}
+
+/// One measured task attempt, the one record of it: the four schedule
+/// timestamps (seconds from phase start) mirror [`multimax_sim::TaskExec`]
+/// so the measured run converts losslessly into the simulator's result
+/// shape, and every other account of the attempt is rendered from it
+/// ([`ExecReport::render`]).
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExecAttempt {
     /// Task index.
     pub task: usize,
@@ -311,8 +324,8 @@ pub struct ExecAttempt {
     pub attempt: u32,
     /// Worker that ran it.
     pub worker: usize,
-    /// Whether the task's chunk was stolen from another worker's deque.
-    pub stolen: bool,
+    /// Where the worker took the attempt's job from.
+    pub source: Source,
     /// When the worker became free for this task: its previous task's
     /// finish, or its pick-up of the phase.
     pub queued_s: f64,
@@ -330,11 +343,23 @@ pub struct ExecAttempt {
     /// slot): false for panics, deadline rejections, and retried
     /// attempts.
     pub ok: bool,
+    /// The attempt's panic text, if it panicked.
+    pub error: Option<String>,
+}
+
+impl ExecAttempt {
+    /// Nanoseconds the task body ran.
+    pub fn busy_ns(&self) -> u64 {
+        ((self.finished_s - self.started_s) * 1e9).round() as u64
+    }
 }
 
 /// The measured schedule of one executed phase.
 #[derive(Clone, Debug, Default)]
 pub struct ExecReport {
+    /// The instant the phase started, which every `_s` offset counts from
+    /// (`None` for a phase of no tasks).
+    pub start: Option<Instant>,
     /// Per-worker scheduling statistics, indexed by worker.
     pub workers: Vec<WorkerStats>,
     /// Seconds from phase start until worker *w* picked the phase up: the
@@ -466,6 +491,82 @@ impl ExecReport {
     pub fn timeline(&self, name: &str) -> Timeline {
         self.to_sim_result().timeline(name)
     }
+
+    /// Renders the phase's attempts into `obs`, worker by worker, each
+    /// stamped with the instants its [`ExecAttempt`] holds: at `Full`
+    /// level, a `task.exec t{i}` span per attempt (and a `task.steal`
+    /// instant per stolen one) on the worker's `psm-task-{w}` recorder
+    /// track; the worker's `spam_live_worker_{busy_us,tasks,steals,overflow}`
+    /// counters; and a `task.exec t{i} a{k}` span per attempt under the
+    /// scene root, carrying its panic text. [`execute`] calls this once the
+    /// phase is over; it is the only writer of these records.
+    pub fn render(&self, obs: &Observer<'_>) {
+        let Some(start) = self.start else { return };
+        let at = |s: f64| start + Duration::from_secs_f64(s);
+        let (rec, scene) = (&obs.rec, obs.span.filter(|sc| sc.enabled()));
+        let live = obs.live.handle();
+        for (w, my) in self.workers.iter().enumerate() {
+            let name = format!("{WORKER_NAME}-{w}");
+            let mut sink = rec.enabled(ObsLevel::Full).then(|| {
+                let mut sink = rec.sink(name.as_str());
+                if let Some(sc) = scene {
+                    // Recorder events join the retained span trees by trace id.
+                    sink.set_trace(sc.trace_id());
+                }
+                sink
+            });
+            let mut busy_ns = 0;
+            for a in self.attempts.iter().filter(|a| a.worker == w) {
+                busy_ns += a.busy_ns();
+                let (i, k) = (a.task as u64, u64::from(a.attempt));
+                if let Some(sink) = &mut sink {
+                    if let Source::Stolen(victim) = a.source {
+                        let args = vec![
+                            ("task", i.into()),
+                            ("victim", (victim as u64).into()),
+                            ("thief", (w as u64).into()),
+                        ];
+                        let us = rec.us_at(at(a.acquired_s));
+                        sink.emit_at(us, Category::Task, "task.steal", EventKind::Instant, args);
+                    }
+                    let span = format!("task.exec t{i}");
+                    let stolen = matches!(a.source, Source::Stolen(_));
+                    let args = vec![
+                        ("task", i.into()),
+                        ("attempt", k.into()),
+                        ("stolen", u64::from(stolen).into()),
+                    ];
+                    let (begin, end) = (rec.us_at(at(a.started_s)), rec.us_at(at(a.finished_s)));
+                    sink.emit_at(begin, Category::Task, &span, EventKind::SpanBegin, args);
+                    let args = vec![("ok", u64::from(a.error.is_none()).into())];
+                    sink.emit_at(end, Category::Task, span, EventKind::SpanEnd, args);
+                }
+                if let Some(sc) = scene {
+                    sc.record_span(SpanRecord {
+                        id: SpanId::derive(sc.trace_id(), "task.exec", i, k),
+                        parent: Some(sc.root()),
+                        kind: SpanKind::Task,
+                        name: format!("task.exec t{i} a{k}"),
+                        worker: name.clone(),
+                        start_us: sc.us_at(at(a.started_s)),
+                        end_us: sc.us_at(at(a.finished_s)),
+                        error: a.error.clone(),
+                    });
+                }
+            }
+            if live.enabled() && my.executed > 0 {
+                let worker = w.to_string();
+                let key = |family: &str| series_key(family, &[("worker", &worker)]);
+                live.inc(&key("spam_live_worker_busy_us"), busy_ns / 1_000);
+                live.inc(&key("spam_live_worker_tasks"), my.executed);
+                for (family, n) in [("steals", my.stolen), ("overflow", my.overflow_taken)] {
+                    if n > 0 {
+                        live.inc(&key(&format!("spam_live_worker_{family}")), n);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A phase's slots in task order (`None`: dead-lettered), report, schedule.
@@ -510,14 +611,6 @@ impl Job {
             attempt,
         }
     }
-}
-
-/// How a worker acquired a job — drives the steal/overflow counters.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Own,
-    Overflow,
-    Stolen(usize),
 }
 
 /// The work-stealing pool: per-worker deques (owner back, thieves
@@ -656,7 +749,7 @@ struct ExecMsg<T> {
     task: usize,
     attempt: u32,
     worker: usize,
-    stolen: bool,
+    source: Source,
     result: Result<T, String>,
     /// Worker-side schedule instants.
     queued: Instant,
@@ -671,9 +764,9 @@ struct ExecMsg<T> {
 /// decomposition a task is about as long as that, so residents report in
 /// batches. A batch also goes early whenever waiting could matter: on a
 /// failed attempt (its retry must re-enter the pool now) and before the
-/// worker sleeps. Small enough that live telemetry and the SLO clock,
-/// which advance per completion on the control side, lag by well under a
-/// millisecond of fine-grained work. Worker 0 is the calling thread itself:
+/// worker sleeps. Small enough that the control process's decisions — and
+/// the series and SLO clock they advance — lag a completion by well under
+/// a millisecond of fine-grained work. Worker 0 is the calling thread itself:
 /// it takes its own completions after every job, never through the
 /// channel, so the bound is a resident's.
 const COMPLETION_BATCH: usize = 32;
@@ -725,7 +818,7 @@ impl Latch {
 /// A running phase as a resident task process sees it, type-erased.
 trait PhaseWork: Send + Sync {
     /// Worker `w`'s whole share of the phase: acquire jobs until the pool
-    /// closes empty, then flush and file the worker's statistics. Returns
+    /// closes empty, then file the worker's statistics. Returns
     /// the worker's per-phase state, for the worker to drop once it has
     /// counted out.
     fn work(&self, w: usize) -> Box<dyn Any>;
@@ -840,8 +933,7 @@ struct Phase<T, S, F> {
     tx: mpsc::Sender<Vec<ExecMsg<T>>>,
     plan: FaultPlan,
     deadline: Option<Duration>,
-    rec: Arc<Recorder>,
-    live: Arc<Live>,
+    /// Parents each attempt's [`TaskAttempt::trace`] sink.
     scene: Option<SceneSpan>,
     start: Instant,
     /// Per worker: seconds until it picked the phase up, and its final
@@ -852,29 +944,19 @@ struct Phase<T, S, F> {
 }
 
 /// One worker's side of a phase between jobs: what it keeps from task to
-/// task, its private observers, its statistics and the completions it has
-/// not handed over. A resident makes one when it picks the phase up, the
-/// calling thread (worker 0) when it has leased the residents; both run
-/// every job through [`Phase::step`].
+/// task, its sweep statistics and the completions it has not handed over.
+/// A resident makes one when it picks the phase up, the calling thread
+/// (worker 0) when it has leased the residents; both run every job through
+/// [`Phase::step`].
 struct Worker<S, T> {
     w: usize,
     /// What this worker keeps from task to task. An attempt that unwinds
     /// leaves it as the task left it: a task keeps nothing in it that a
     /// half-run attempt could have damaged (`execute`).
     state: S,
-    /// `psm-task-{w}`, to every observer, whichever thread runs it.
-    name: String,
-    sink: ThreadSink,
-    live: LiveHandle,
-    /// Series keys, built once — the per-attempt emits must not allocate.
-    busy_key: String,
-    tasks_key: String,
-    steals_key: String,
-    overflow_key: String,
+    /// Its empty sweeps (and, under test, clock reads); the rest of its
+    /// statistics are sums over its attempts, taken when the phase ends.
     my: WorkerStats,
-    /// Busy nanoseconds the live counter has not been told of yet: it
-    /// gets the whole microseconds once per job, the rest carries over.
-    unpublished_ns: u64,
     picked_up: Instant,
     /// When this worker last became free: the next task's `queued`.
     free: Instant,
@@ -901,38 +983,18 @@ where
     S: 'static,
     F: Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
 {
-    /// Worker `w` picks the phase up: its state, a recorder sink and a live
-    /// shard private to the phase (the sink flushes on drop, before the
-    /// worker counts out).
+    /// Worker `w` picks the phase up and makes its state.
     fn worker(&self, w: usize) -> Worker<S, T> {
         let picked_up = Instant::now();
-        let state = (self.new_state)();
-        let name = format!("{WORKER_NAME}-{w}");
-        let mut sink = self.rec.sink(name.as_str());
-        if let Some(sc) = &self.scene {
-            // Tag recorder events with the scene's trace id so
-            // flight-recorder output joins against the retained span trees.
-            sink.set_trace(sc.trace_id());
-        }
-        let worker = w.to_string();
-        let key = |family: &str| series_key(family, &[("worker", &worker)]);
         Worker {
             w,
-            state,
-            name,
-            sink,
-            live: self.live.handle(),
-            busy_key: key("spam_live_worker_busy_us"),
-            tasks_key: key("spam_live_worker_tasks"),
-            steals_key: key("spam_live_worker_steals"),
-            overflow_key: key("spam_live_worker_overflow"),
+            state: (self.new_state)(),
             my: WorkerStats {
                 // The pick-up read above.
                 #[cfg(test)]
                 clock_reads: 1,
                 ..WorkerStats::default()
             },
-            unpublished_ns: 0,
             picked_up,
             free: picked_up,
             held: Vec::new(),
@@ -942,44 +1004,25 @@ where
     /// Runs one acquired job on worker `wk`, task by task, each attempt
     /// under `catch_unwind`; the completions land in `wk.held`. A resident
     /// hands them over on a failure and at the batch bound; worker 0, the
-    /// control process, takes them itself once the job is done.
+    /// control process, takes them itself once the job is done. The
+    /// completion is the attempt's one record: nothing here writes to an
+    /// observer.
     fn step(&self, wk: &mut Worker<S, T>, job: Job, source: Source) {
-        let w = wk.w;
         let scene = self.scene.as_ref();
         // Inside a chunk, a task's `acquired` is the previous finish.
         let mut acquired = wk.now();
-        let wh = &wk.live;
-        let n = job.tasks.len() as u64;
         let attempt = job.attempt;
-        let stolen_from = match source {
-            Source::Own => None,
-            Source::Overflow => {
-                wk.my.overflow_taken += n;
-                if wh.enabled() {
-                    wh.inc(&wk.overflow_key, n);
-                }
-                None
-            }
-            Source::Stolen(victim) => {
-                wk.my.stolen += n;
-                if wh.enabled() {
-                    wh.inc(&wk.steals_key, n);
-                }
-                Some(victim)
-            }
-        };
         for i in job.tasks {
-            // Derive this attempt's span id up front: the sink handed to
-            // the task parents engine spans under it, and the span itself
-            // is recorded below once the outcome is known.
-            let attempt_span = scene
-                .map(|sc| SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt)));
+            // The sink handed to the task parents engine spans under the
+            // attempt's derived span id, the one its rendered span gets.
+            let trace = scene.map(|sc| {
+                let span = SpanId::derive(sc.trace_id(), "task.exec", i as u64, u64::from(attempt));
+                sc.sink_under(span)
+            });
             let invocation = TaskAttempt {
                 task: i,
                 attempt,
-                trace: scene
-                    .zip(attempt_span)
-                    .map(|(sc, span)| sc.sink_under(span)),
+                trace,
             };
             let started = wk.now();
             let state = &mut wk.state;
@@ -990,93 +1033,31 @@ where
                 (self.task)(state, invocation)
             });
             let finished = wk.now();
-            let elapsed = finished.duration_since(started);
-            // One clock per attempt: every record of it — the recorder's
-            // span, the scene trace's, the live busy counter, the
-            // `ExecAttempt` — is stamped from `started` / `finished` /
-            // `acquired`, never from a clock read of its own, so no two of
-            // them can disagree about how long the task ran.
-            let sink = &mut wk.sink;
-            if sink.enabled(ObsLevel::Full) {
-                let rec = &self.rec;
-                if let Some(victim) = stolen_from {
-                    sink.emit_at(
-                        rec.us_at(acquired),
-                        Category::Task,
-                        "task.steal",
-                        EventKind::Instant,
-                        vec![
-                            ("task", (i as u64).into()),
-                            ("victim", (victim as u64).into()),
-                            ("thief", (w as u64).into()),
-                        ],
-                    );
-                }
-                let exec_span = format!("task.exec t{i}");
-                sink.emit_at(
-                    rec.us_at(started),
-                    Category::Task,
-                    exec_span.as_str(),
-                    EventKind::SpanBegin,
-                    vec![
-                        ("task", (i as u64).into()),
-                        ("attempt", (attempt as u64).into()),
-                        ("stolen", u64::from(stolen_from.is_some()).into()),
-                    ],
-                );
-                sink.emit_at(
-                    rec.us_at(finished),
-                    Category::Task,
-                    exec_span,
-                    EventKind::SpanEnd,
-                    vec![("ok", u64::from(result.is_ok()).into())],
-                );
-            }
-            if let (Some(sc), Some(span)) = (scene, attempt_span) {
-                sc.record_span(SpanRecord {
-                    id: span,
-                    parent: Some(sc.root()),
-                    kind: SpanKind::Task,
-                    name: format!("task.exec t{i} a{attempt}"),
-                    worker: wk.name.clone(),
-                    start_us: sc.us_at(started),
-                    end_us: sc.us_at(finished),
-                    error: result.as_ref().err().cloned(),
-                });
-            }
-            wk.my.executed += 1;
-            wk.my.busy_s += elapsed.as_secs_f64();
-            wk.unpublished_ns += elapsed.as_nanos() as u64;
             // What the control loop will rule a failure: its retry (or
             // dead letter) must not wait for the batch to fill.
-            let failed = result.is_err() || self.deadline.is_some_and(|d| elapsed > d);
+            let failed = result.is_err()
+                || (self.deadline).is_some_and(|d| finished.duration_since(started) > d);
             wk.held.push(ExecMsg {
                 task: i,
                 attempt,
-                worker: w,
-                stolen: stolen_from.is_some(),
+                worker: wk.w,
+                source,
                 result,
                 queued: wk.free,
                 acquired,
                 started,
                 finished,
             });
-            if w > 0 && (failed || wk.held.len() >= COMPLETION_BATCH) {
+            if wk.w > 0 && (failed || wk.held.len() >= COMPLETION_BATCH) {
                 hand_over(&self.tx, &mut wk.held);
             }
             wk.free = finished;
             acquired = finished;
         }
-        let wh = &wk.live;
-        if wh.enabled() {
-            wh.inc(&wk.busy_key, wk.unpublished_ns / 1_000);
-            wk.unpublished_ns %= 1_000;
-            wh.inc(&wk.tasks_key, n);
-        }
     }
 
-    /// Files worker `wk`'s pick-up and statistics and flushes its sink;
-    /// returns its state, for its thread to drop.
+    /// Files worker `wk`'s pick-up and statistics; returns its state, for
+    /// its thread to drop.
     fn file(&self, wk: Worker<S, T>) -> S {
         let ready_s = wk.picked_up.duration_since(self.start).as_secs_f64();
         *relock(self.filed[wk.w].lock()) = (ready_s, wk.my);
@@ -1176,8 +1157,9 @@ impl<F: Fn(usize) -> String> TaskLabels for (usize, F) {
 /// chunking (WME counts scaled by [`ESTIMATE_UNITS_PER_WME`], or any
 /// consistent unit), one per task; empty means uniform, any other length
 /// is a caller's bug. `on_complete` runs on the control thread once per
-/// successful task, before the task's epoch closes — callers mirror task
-/// results (work counters, SLO latency observations) into the observers.
+/// successful task, before the SLO clock advances past it — callers mirror
+/// task results (work counters, SLO latency observations) into the
+/// observers.
 ///
 /// `task` and its result are `'static` because workers 1.. are resident
 /// threads, not scoped ones: a caller shares its inputs by `Arc` (every
@@ -1217,7 +1199,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         obs,
         ..
     } = how;
-    let (rec, live, slo) = (&obs.rec, &obs.live, obs.slo.as_ref());
+    let slo = obs.slo.as_ref();
     if exec.workers == 0 {
         return Err(SuperviseError::NoWorkers);
     }
@@ -1243,7 +1225,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     // The control process registers with the recorder first, then wakes
     // the resident task processes — workers 1.., it is worker 0 itself:
     // their wake-up (or fork) overlaps the chunking and the deal below.
-    let mut ctl = rec.sink("executor");
+    let mut ctl = obs.rec.sink("executor");
     let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
     let phase = Arc::new(Phase {
         task,
@@ -1252,8 +1234,6 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         tx,
         plan: plan.clone(),
         deadline: cfg.deadline,
-        rec: Arc::clone(rec),
-        live: Arc::clone(live),
         scene: scene.cloned(),
         start: phase_start,
         filed: (0..n_workers).map(|_| Mutex::default()).collect(),
@@ -1337,12 +1317,11 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     let mut attempts_log: Vec<ExecAttempt> = Vec::with_capacity(n_tasks);
     // Retries whose backoff is not over yet, earliest due first.
     let mut backing_off: BinaryHeap<Reverse<(Instant, usize, u32)>> = BinaryHeap::new();
-    let ctl_live = live.handle();
-    // A terminal decision (success or dead letter) closes the task's epoch.
-    let close_epoch = || {
-        let epoch = live.advance_epoch();
+    let ctl_live = obs.live.handle();
+    // A terminal decision (success or dead letter) ticks the SLO clock.
+    let tick_slo = || {
         if let Some(slo) = slo {
-            slo.advance(epoch);
+            slo.advance();
         }
     };
 
@@ -1402,12 +1381,13 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
             task: i,
             attempt: msg.attempt,
             worker: msg.worker,
-            stolen: msg.stolen,
+            source: msg.source,
             queued_s: off(msg.queued),
             acquired_s: off(msg.acquired),
             started_s: off(msg.started),
             finished_s: off(msg.finished),
             ok: false,
+            error: msg.result.as_ref().err().cloned(),
         };
         let o = &mut outcomes[i];
         o.attempts = msg.attempt + 1;
@@ -1440,11 +1420,10 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
                         ctl_live.inc("spam_live_tasks_completed", 1);
                         ctl_live.observe("spam_live_task_latency_seconds", elapsed.as_secs_f64());
                     }
-                    // Mirror the task's result before its epoch closes,
-                    // so caller-side series land in the window of the
-                    // task that produced them.
+                    // Mirror the task's result before the SLO clock
+                    // ticks, so its latency lands in the task's epoch.
                     on_complete(i, &value);
-                    close_epoch();
+                    tick_slo();
                     slots[i] = Some(value);
                     o.status = if msg.attempt == 0 {
                         TaskStatus::Ok
@@ -1517,9 +1496,9 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
                 if let Some(slo) = slo {
                     // A dead letter is a breach: the work never
                     // completed, so it burns error budget.
-                    slo.observe(elapsed.as_secs_f64(), false);
+                    slo.dead_letter();
                 }
-                close_epoch();
+                tick_slo();
                 remaining -= 1;
                 if ctl.enabled(ObsLevel::Full) {
                     ctl.instant(
@@ -1539,17 +1518,25 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     // Worker 0 files its statistics and drops its state here, on the
     // calling thread, while the residents count out.
     drop(phase.file(me));
-    // Every resident has flushed its sink and filed its statistics once
-    // the latch opens — what joining the scoped threads used to guarantee.
+    // Every resident has handed over its completions and filed its
+    // statistics once the latch opens.
     let t0 = Instant::now();
     let died = phase.latch.wait();
     blocked += t0.elapsed();
     assert!(!died, "a task process died outside supervision");
 
-    let (spawn_ready_s, workers) = (phase.filed.iter())
+    let (spawn_ready_s, mut workers): (_, Vec<WorkerStats>) = (phase.filed.iter())
         .map(|cell| *relock(cell.lock()))
         .unzip();
+    for a in &attempts_log {
+        let my = &mut workers[a.worker];
+        my.executed += 1;
+        my.busy_s += a.finished_s - a.started_s;
+        my.stolen += u64::from(matches!(a.source, Source::Stolen(_)));
+        my.overflow_taken += u64::from(a.source == Source::Overflow);
+    }
     let report = ExecReport {
+        start: Some(phase_start),
         workers,
         spawn_ready_s,
         chunks: n_chunks,
@@ -1559,6 +1546,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         lost_tasks: outcomes.iter().filter(|o| !o.status.succeeded()).count() as u32,
         attempts: attempts_log,
     };
+    report.render(obs);
     if ctl.enabled(ObsLevel::Summary) {
         let dead = report.lost_tasks;
         let retries: u32 = outcomes.iter().map(|o| o.attempts.saturating_sub(1)).sum();
@@ -1710,7 +1698,7 @@ mod tests {
 
     fn counter(snap: &tlp_obs::LiveSnapshot, name: &str) -> u64 {
         match snap.series.get(name) {
-            Some(LiveValue::Counter { total, .. }) => *total,
+            Some(LiveValue::Counter(total)) => *total,
             other => panic!("{name}: expected counter, got {other:?}"),
         }
     }
@@ -2018,7 +2006,7 @@ mod tests {
     #[test]
     fn live_series_are_published() {
         for (name, exec) in placements(2) {
-            let live = Live::new(8);
+            let live = Live::new(0);
             let plan = FaultPlan::none()
                 .with_task_panic(1, 1)
                 .with_task_panic(2, u32::MAX);
@@ -2033,8 +2021,6 @@ mod tests {
             assert_eq!(slots.iter().flatten().count(), 4, "{name}");
             assert_eq!(report.dead_letters().len(), 1, "{name}");
             assert_eq!(completed.load(Ordering::Relaxed), 4, "{name}");
-            // Logical time: one epoch per terminal task, dead letters included.
-            assert_eq!(live.epoch(), 5, "{name}");
             let snap = live.snapshot();
             assert_eq!(counter(&snap, "spam_live_tasks_completed"), 4, "{name}");
             assert_eq!(counter(&snap, "spam_live_task_retries"), 2, "{name}");
@@ -2044,8 +2030,8 @@ mod tests {
                 Some(&LiveValue::Gauge(0.0)),
                 "{name}: phase ended with nothing outstanding"
             );
-            // Worker shards published busy time and per-attempt counts;
-            // total attempts = 5 first attempts + 2 retries.
+            // The rendered per-worker series: busy time and attempt counts,
+            // 5 first attempts + 2 retries.
             assert!((snap.series.keys()).any(|k| k.starts_with("spam_live_worker_busy_us{")));
             let attempts: u64 = (snap.series.keys())
                 .filter(|k| k.starts_with("spam_live_worker_tasks{"))
@@ -2070,12 +2056,12 @@ mod tests {
     #[test]
     fn the_slo_clock_is_driven_by_completions() {
         for (name, exec) in placements(2) {
-            let live = Live::new(8);
+            let live = Live::new(0);
             let slo = slo_on(&live);
             let mut how = PhaseRun::new(exec);
             how.obs.live = Arc::clone(&live);
             how.obs.slo = Some(Arc::clone(&slo));
-            let on_complete = |_, _: &usize| slo.observe(0.5, true);
+            let on_complete = |_, _: &usize| slo.observe(0.5);
             let (slots, _, _) =
                 execute(&how, labels(6), &[], on_complete, |_: &mut (), a| a.task).unwrap();
             assert_eq!(slots.iter().flatten().count(), 6, "{name}");
@@ -2089,7 +2075,7 @@ mod tests {
     #[test]
     fn dead_letters_burn_slo_budget() {
         for (name, exec) in placements(4) {
-            let live = Live::new(8);
+            let live = Live::new(0);
             let slo = slo_on(&live);
             let plan = (0..40).fold(FaultPlan::none(), |p, i| p.with_task_panic(i, u32::MAX));
             let mut how = under(exec, retries(0), plan);
@@ -2098,7 +2084,10 @@ mod tests {
             let (slots, report, _) = run(&how, 40, |i| i);
             assert_eq!(slots.iter().flatten().count(), 0, "{name}");
             assert_eq!(report.dead_letters().len(), 40, "{name}");
-            assert_eq!(live.epoch(), 40, "{name}: dead letters advance the clock");
+            // Each is a breach with no latency sample.
+            let snap = live.snapshot();
+            assert_eq!(counter(&snap, "spam_slo_breaches"), 40, "{name}");
+            assert!(!snap.series.contains_key("spam_slo_latency_seconds"));
             assert_eq!(
                 slo.health(),
                 Health::Degraded,
@@ -2166,6 +2155,60 @@ mod tests {
             // Deterministic ids: a rerun of the same seed + scene yields
             // the same trace id.
             assert_eq!(t.trace, tlp_obs::TraceId::derive(42, "dc"), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_step_writes_to_no_observer() {
+        // An attempt is recorded once, in the completion its worker holds.
+        // A phase has no recorder or registry for a step to write to, and
+        // its scene only parents the sinks handed to its tasks: a step of a
+        // stolen chunk with a panicking task in it leaves the scene's trace
+        // as it found it.
+        let tracing = tlp_obs::Tracing::new();
+        let scene = tracing.start_scene(7, "dc");
+        let (tx, _rx) = mpsc::channel();
+        let phase = Phase {
+            task: |_: &mut (), a: TaskAttempt| a.task,
+            new_state: || (),
+            pool: StealPool::new(2),
+            tx,
+            plan: FaultPlan::none().with_task_panic(1, 1),
+            deadline: None,
+            scene: Some(scene.clone()),
+            start: Instant::now(),
+            filed: Vec::new(),
+            latch: Latch::new(0),
+        };
+        let (mut wk, stolen) = (phase.worker(0), Source::Stolen(1));
+        for task in [0, 1] {
+            phase.step(&mut wk, Job::retry(task, 0), stolen);
+        }
+        let held: Vec<_> = (wk.held.iter())
+            .map(|m| (m.task, m.source, m.result.is_ok()))
+            .collect();
+        assert_eq!(held, [(0, stolen, true), (1, stolen, false)]);
+        scene.finish();
+        let spans = &tracing.retained()[0].spans;
+        assert!(spans.iter().all(|s| s.kind == SpanKind::Root), "{spans:?}");
+
+        // And while a whole phase runs, with every observer on, no worker
+        // has a recorder track or a registry series: both are rendered
+        // once the phase is over.
+        for (name, exec) in placements(2) {
+            let (rec, live) = (Recorder::new(ObsLevel::Full), Live::new(0));
+            let mut how = PhaseRun::new(exec);
+            (how.obs.rec, how.obs.live) = (Arc::clone(&rec), Arc::clone(&live));
+            let (r, l) = (Arc::clone(&rec), Arc::clone(&live));
+            let (slots, _, _) = run(&how, 6, move |_| {
+                let series = l.snapshot().series;
+                let mut keys = series.keys();
+                r.threads().iter().any(|t| t.starts_with(WORKER_NAME))
+                    || keys.any(|k| k.starts_with("spam_live_worker"))
+            });
+            assert_eq!(slots, [Some(false); 6], "{name}: a worker recorded");
+            let track = format!("{WORKER_NAME}-0");
+            assert!(rec.threads().contains(&track), "{name}");
         }
     }
 
@@ -2400,13 +2443,9 @@ mod tests {
         );
         assert_eq!(exec.chunks, 2, "twelve unit estimates make two chunks");
         for a in exec.attempts.iter().filter(|a| a.attempt == 0) {
-            let (w, stolen) = (usize::from(a.task >= 6), false);
-            assert_eq!(
-                (a.worker, a.stolen),
-                (w, stolen),
-                "t{} ran where dealt",
-                a.task
-            );
+            let w = usize::from(a.task >= 6);
+            let ran = (a.worker, a.source);
+            assert_eq!(ran, (w, Source::Own), "t{} ran where dealt", a.task);
         }
         assert_eq!(slots.iter().flatten().count(), 12);
         assert_eq!(report.outcomes[8].status, TaskStatus::Retried(1));
@@ -2459,9 +2498,9 @@ mod tests {
                     first.worker,
                     "t{task}: a chunk is not split"
                 );
-                assert_eq!(of(task).stolen, first.stolen, "t{task} rode with its chunk");
+                assert_eq!(of(task).source, first.source, "t{task} rode with its chunk");
             }
-            (first.worker, first.stolen)
+            (first.worker, matches!(first.source, Source::Stolen(_)))
         };
         let (c0, c1, c2) = (ran(0), ran(1), ran(2));
         assert_ne!(c0.0, c2.0, "worker 0's two chunks ran side by side");

@@ -73,7 +73,7 @@ pub use attribution::{
 pub use combined::{combined_grid, CombinedCell};
 pub use exec::{
     chunk_tasks, execute, ExecAttempt, ExecConfig, ExecReport, Observer, PhaseOutcome, PhaseRun,
-    WorkerStats,
+    Source, WorkerStats,
 };
 pub use measure::{level_rows, profiled_lcc, table8_row, LevelRowMeasured, Table8Row};
 pub use supervise::TaskAttempt;

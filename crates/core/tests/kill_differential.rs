@@ -105,7 +105,7 @@ where
     let cfg = SupervisorConfig::default()
         .with_retries(1)
         .with_backoff(Duration::ZERO);
-    let live = Live::new(8);
+    let live = Live::new(0);
     let how = PhaseRun {
         cfg,
         plan: FaultPlan::seeded(kill).with_cycle_kill(0, 0, at),
@@ -123,7 +123,7 @@ where
     );
     prop_assert_eq!(slots.pop().flatten(), Some(want), "kill at {}/{}", at, span);
     let published = match live.snapshot().series.get("spam_live_firings") {
-        Some(LiveValue::Counter { total, .. }) => *total,
+        Some(LiveValue::Counter(total)) => *total,
         other => panic!("spam_live_firings: expected a counter, got {other:?}"),
     };
     prop_assert_eq!(published, span, "kill at {}/{}", at, span);

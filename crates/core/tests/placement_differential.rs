@@ -10,7 +10,7 @@
 //! counters count tasks: they must add up per task whatever the chunking.
 
 use proptest::prelude::*;
-use spam_psm::exec::{chunk_tasks, execute, ExecConfig, ExecReport, PhaseRun};
+use spam_psm::exec::{chunk_tasks, execute, ExecConfig, ExecReport, PhaseRun, Source};
 use std::time::Duration;
 use tlp_fault::{FaultPlan, SupervisorConfig, TaskReport, TaskStatus};
 
@@ -79,7 +79,9 @@ proptest! {
         let retries = u64::from(d_report.total_retries());
         prop_assert_eq!(d_exec.chunks as usize, chunk_tasks(&vec![1; n_tasks], chunk_target).len());
         prop_assert_eq!(d_exec.overflow_taken(), d_exec.overflowed + retries);
-        let stolen: Vec<_> = d_exec.attempts.iter().filter(|a| a.stolen).collect();
+        let stolen: Vec<_> = (d_exec.attempts.iter())
+            .filter(|a| matches!(a.source, Source::Stolen(_)))
+            .collect();
         prop_assert_eq!(d_exec.steals(), stolen.len() as u64);
         prop_assert!(stolen.iter().all(|a| a.attempt == 0));
         prop_assert!(d_exec.steals() + d_exec.overflowed <= n_tasks as u64);

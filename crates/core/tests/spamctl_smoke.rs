@@ -41,31 +41,59 @@ fn a_real_exec_trace_passes_tracecheck() {
     assert_ok("tracecheck", &check);
 }
 
-#[test]
-fn the_metrics_file_of_a_run_holds_the_phase() {
-    let json = tmp("smoke_metrics.json");
+/// The `series` of the metrics file `spamctl <args> --metrics-out` writes
+/// to `name`.
+fn metrics_of(args: &str, name: &str) -> Json {
+    let json = tmp(name);
     assert_ok(
         "run",
-        &spamctl("run dc --workers 2 --quiet --metrics-out", &[&json]),
+        &spamctl(&format!("{args} --quiet --metrics-out"), &[&json]),
     );
     let snap = Json::parse(&std::fs::read_to_string(&json).unwrap()).expect("JSON parses");
-    let series = snap.get("series").expect("a registry snapshot");
-    let field = |name: &str, field: &str| {
-        let s = series.get(name).unwrap_or_else(|| panic!("{name} missing"));
-        s.get(field).and_then(Json::as_f64).expect("numeric field")
-    };
+    snap.get("series").expect("a registry snapshot").clone()
+}
+
+/// `field` of series `name`, as a number.
+fn field(series: &Json, name: &str, field: &str) -> f64 {
+    let s = series.get(name).unwrap_or_else(|| panic!("{name} missing"));
+    s.get(field).and_then(Json::as_f64).expect("numeric field")
+}
+
+#[test]
+fn the_metrics_file_of_a_run_holds_the_phase() {
+    let series = metrics_of("run dc --workers 2", "smoke_metrics.json");
+    let field = |name: &str, f: &str| field(&series, name, f);
     let tasks = field("spam_phase_tasks{phase=\"lcc\"}", "total");
     assert!(tasks > 0.0);
     let service_time = "spam_phase_service_time_seconds{phase=\"lcc\"}";
     assert_eq!(field(service_time, "count"), tasks, "one sample per task");
     assert_eq!(field("spam_live_tasks_completed", "total"), tasks);
-    let latency = series
-        .get("spam_live_task_latency_seconds")
-        .expect("latency");
+    let latency = "spam_live_task_latency_seconds";
     assert_eq!(
-        latency.get("kind").and_then(Json::as_str),
+        series.get(latency).and_then(|l| l.get("kind")?.as_str()),
         Some("histogram")
     );
+    // The whole run's latencies, one per completed task — not the last few.
+    assert_eq!(field(latency, "count"), tasks);
+}
+
+/// A dead letter burns SLO budget as a breach, but has no latency: the SLO
+/// histogram holds the simulated latency of every task that succeeded and
+/// nothing else.
+#[test]
+fn a_dead_letter_is_a_breach_with_no_latency_sample() {
+    let run = "run dc --retries 0 --task-panic-rate 0.15 --fault-seed 7";
+    let series = metrics_of(run, "smoke_dead_letters.json");
+    let field = |name: &str, f: &str| field(&series, name, f);
+    let dead = field("spam_live_dead_letters", "total");
+    assert!(dead > 0.0, "the plan kills some tasks");
+    let succeeded = field("spam_live_tasks_completed", "total");
+    assert_eq!(field("spam_slo_latency_seconds", "count"), succeeded);
+    // No completed task misses the 420 s target, so every breach is a
+    // dead letter.
+    let target = field("spam_slo_latency_target_seconds", "value");
+    assert!(field("spam_slo_latency_seconds", "max") < target);
+    assert_eq!(field("spam_slo_breaches", "total"), dead);
 }
 
 #[test]

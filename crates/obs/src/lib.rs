@@ -15,9 +15,9 @@
 //!   event carries the logical clock *and* wall time. Written as Chrome
 //!   `trace_event` JSON ([`TraceDoc`], next to simulated [`Timeline`]s),
 //!   checked by [`validate_chrome_trace`] (`tracecheck`).
-//! * **Metrics** — [`Live`], the one registry: counters, gauges and
-//!   windowed log-scale [`Histogram`]s in per-thread shards, rotated on a
-//!   logical epoch. A phase's final metrics are its last snapshot,
+//! * **Metrics** — [`Live`], the one registry: counter totals, gauges and
+//!   log-scale [`Histogram`]s of the whole run in per-thread shards. A
+//!   phase's final metrics are its last snapshot,
 //!   written as JSON ([`LiveSnapshot::to_json`]) and read back by
 //!   [`json::Json::parse`]. A task's engine work is published into it
 //!   once, when the task's run ends. [`SloMonitor`] publishes its
@@ -67,14 +67,14 @@ pub mod tracectx;
 
 pub use event::{ArgValue, Category, Event, EventKind};
 pub use export::{validate_chrome_trace, MachineLog, TraceDoc, TraceSummary};
-pub use live::{series_key, Live, LiveHandle, LiveSnapshot, LiveValue, DEFAULT_WINDOW};
+pub use live::{series_key, Live, LiveHandle, LiveSnapshot, LiveValue};
 pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};
 pub use slo::{Health, SloConfig, SloMonitor};
 pub use timeline::{multi_gantt, CounterSeries, Span, Timeline, Track};
 pub use tracectx::{
     decode_traces, validate_span_tree, RetainedTrace, SceneSpan, SpanId, SpanKind, SpanRecord,
-    SpanSink, SpanTreeStats, TaskService, TraceContext, TraceId, Tracing, MAX_RETAINED, MAX_SPANS,
+    SpanSink, SpanTreeStats, TaskService, TraceId, Tracing, MAX_RETAINED, MAX_SPANS,
 };
 
 use std::fmt;

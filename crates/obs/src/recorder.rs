@@ -138,11 +138,6 @@ pub struct ThreadSink {
 }
 
 impl ThreadSink {
-    /// The owning recorder.
-    pub fn recorder(&self) -> &Arc<Recorder> {
-        &self.rec
-    }
-
     /// This sink's thread ordinal.
     pub fn thread(&self) -> u32 {
         self.thread

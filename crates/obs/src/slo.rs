@@ -1,8 +1,9 @@
 //! SLO health monitor: latency objectives, error budgets, and multi-window
 //! burn-rate alerts over logical time.
 //!
-//! Classic SRE burn-rate alerting, transplanted onto the supervisor's
-//! logical clock (one epoch per completed task) so the math is
+//! Classic SRE burn-rate alerting, transplanted onto a logical clock the
+//! monitor keeps itself (one epoch per finished task: the supervisor
+//! advances it once per success or dead letter) so the math is
 //! deterministic: a scene declares a per-task latency objective ("95 % of
 //! tasks finish within `latency_target_s` simulated seconds"); every task
 //! that misses the target — or dies outright — burns error budget. The
@@ -111,12 +112,11 @@ struct State {
     total_good: u64,
     total_bad: u64,
     health: Health,
-    burn_fast: f64,
-    burn_slow: f64,
 }
 
-/// The monitor: feed it per-task outcomes ([`SloMonitor::observe`]) and the
-/// logical clock ([`SloMonitor::advance`]); read health from
+/// The monitor: feed it per-task outcomes ([`SloMonitor::observe`],
+/// [`SloMonitor::dead_letter`]) and advance its clock
+/// ([`SloMonitor::advance`]); read health from
 /// [`SloMonitor::health`].
 #[derive(Debug)]
 pub struct SloMonitor {
@@ -137,91 +137,68 @@ impl SloMonitor {
                 total_good: 0,
                 total_bad: 0,
                 health: Health::Healthy,
-                burn_fast: 0.0,
-                burn_slow: 0.0,
             }),
             cfg,
         }
     }
 
-    /// The configured objective.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
+    /// Records one completed task's latency in simulated seconds: a sample
+    /// of `spam_slo_latency_seconds`, and a breach if it missed the target.
+    pub fn observe(&self, latency_s: f64) {
+        self.tally(latency_s > self.cfg.latency_target_s);
+        self.handle.observe("spam_slo_latency_seconds", latency_s);
     }
 
-    /// Records one finished task: its latency in simulated seconds and
-    /// whether it succeeded at all. A failed task always burns budget.
-    pub fn observe(&self, latency_s: f64, ok: bool) {
-        let breach = !ok || latency_s > self.cfg.latency_target_s;
-        {
-            let mut st = self.state.lock().unwrap();
-            let slow = self.cfg.slow_window.max(1);
-            let idx = (st.epoch % slow as u64) as usize;
-            let t = &mut st.ring[idx];
-            if breach {
-                t.bad += 1;
-            } else {
-                t.good += 1;
-            }
-            if breach {
-                st.total_bad += 1;
-            } else {
-                st.total_good += 1;
-            }
-        }
-        self.handle.observe("spam_slo_latency_seconds", latency_s);
+    /// Records a task that never completed (a dead letter): always a
+    /// breach, and no latency sample, for it has no latency.
+    pub fn dead_letter(&self) {
+        self.tally(true);
+    }
+
+    fn tally(&self, breach: bool) {
+        let mut st = self.state.lock().unwrap();
+        let idx = (st.epoch % st.ring.len() as u64) as usize;
+        let (bad, good) = (u64::from(breach), u64::from(!breach));
+        st.ring[idx].bad += bad;
+        st.ring[idx].good += good;
+        st.total_bad += bad;
+        st.total_good += good;
+        drop(st);
         if breach {
             self.handle.inc("spam_slo_breaches", 1);
         }
     }
 
-    /// Advances the monitor to `epoch` (the supervisor calls this after
-    /// `Live::advance_epoch`), re-evaluating burn rates and health, and
+    /// Advances the monitor's clock by one epoch (the supervisor calls this
+    /// once per finished task), re-evaluating burn rates and health, and
     /// republishing the `spam_slo_*` gauges.
-    pub fn advance(&self, epoch: u64) {
+    pub fn advance(&self) {
         let mut st = self.state.lock().unwrap();
-        let slow = self.cfg.slow_window.max(1);
-        if epoch > st.epoch {
-            let steps = (epoch - st.epoch).min(slow as u64);
-            for i in 1..=steps {
-                let idx = ((st.epoch + i) % slow as u64) as usize;
-                st.ring[idx] = Tally::default();
-            }
-            st.epoch = epoch;
-        }
+        let slow = st.ring.len() as u64;
+        st.epoch += 1;
+        let idx = (st.epoch % slow) as usize;
+        st.ring[idx] = Tally::default();
         let budget = (1.0 - self.cfg.objective).max(1e-9);
-        let frac = |st: &State, window: usize| -> f64 {
-            let w = window.min(slow) as u64;
-            let (mut good, mut bad) = (0u64, 0u64);
-            for i in 0..w.min(st.epoch + 1) {
-                let idx = ((st.epoch - i) % slow as u64) as usize;
-                good += st.ring[idx].good;
-                bad += st.ring[idx].bad;
-            }
-            if good + bad == 0 {
-                0.0
-            } else {
-                bad as f64 / (good + bad) as f64
-            }
+        // No tasks, no breaches: a ratio of 0.
+        let ratio = |bad: u64, all: u64| bad as f64 / all.max(1) as f64;
+        // Burn over the last `window` epochs, the current one included.
+        let burn = |window: usize| {
+            let last = (0..(window as u64).min(slow).min(st.epoch + 1))
+                .map(|i| st.ring[((st.epoch - i) % slow) as usize]);
+            let (good, bad) = last.fold((0, 0), |(g, b), t| (g + t.good, b + t.bad));
+            ratio(bad, good + bad) / budget
         };
-        st.burn_fast = frac(&st, self.cfg.fast_window) / budget;
-        st.burn_slow = frac(&st, self.cfg.slow_window) / budget;
-        let alert =
-            st.burn_fast > self.cfg.burn_threshold && st.burn_slow > self.cfg.burn_threshold;
+        let (burn_fast, burn_slow) = (burn(self.cfg.fast_window), burn(self.cfg.slow_window));
+        let alert = burn_fast > self.cfg.burn_threshold && burn_slow > self.cfg.burn_threshold;
         st.health = if alert {
             Health::Degraded
         } else {
             Health::Healthy
         };
-        let total = st.total_good + st.total_bad;
-        let consumed = if total == 0 {
-            0.0
-        } else {
-            (st.total_bad as f64 / total as f64) / budget
-        };
+        let consumed = ratio(st.total_bad, st.total_good + st.total_bad) / budget;
         let remaining = (1.0 - consumed).clamp(0.0, 1.0);
-        self.handle.gauge("spam_slo_burn_rate_fast", st.burn_fast);
-        self.handle.gauge("spam_slo_burn_rate_slow", st.burn_slow);
+        self.handle.gauge("spam_slo_burn_rate_fast", burn_fast);
+        self.handle.gauge("spam_slo_burn_rate_slow", burn_slow);
         self.handle
             .gauge("spam_slo_error_budget_remaining_ratio", remaining);
         self.handle.gauge("spam_slo_health", st.health.code());
@@ -243,7 +220,7 @@ mod tests {
     use crate::live::Live;
 
     fn monitor(target: f64, objective: f64) -> (std::sync::Arc<Live>, SloMonitor) {
-        let live = Live::new(8);
+        let live = Live::new(0);
         let cfg = SloConfig {
             latency_target_s: target,
             objective,
@@ -257,29 +234,29 @@ mod tests {
 
     #[test]
     fn healthy_run_stays_healthy() {
-        let (live, mon) = monitor(10.0, 0.9);
+        let (_live, mon) = monitor(10.0, 0.9);
         for _ in 0..20 {
-            mon.observe(1.0, true);
-            mon.advance(live.advance_epoch());
+            mon.observe(1.0);
+            mon.advance();
         }
         assert_eq!(mon.health(), Health::Healthy);
     }
 
     #[test]
     fn sustained_breaches_degrade_then_recover() {
-        let (live, mon) = monitor(10.0, 0.9);
+        let (_live, mon) = monitor(10.0, 0.9);
         // Every task breaches: burn = 1/0.1 = 10 > threshold on both windows.
         for _ in 0..8 {
-            mon.observe(100.0, true);
-            mon.advance(live.advance_epoch());
+            mon.observe(100.0);
+            mon.advance();
         }
         assert_eq!(mon.health(), Health::Degraded);
         // Clean epochs: the alert clears once the fast window's burn drops
         // under the threshold, and health with it.
         let mut epochs_degraded = 0;
         for _ in 0..24 {
-            mon.observe(1.0, true);
-            mon.advance(live.advance_epoch());
+            mon.observe(1.0);
+            mon.advance();
             if mon.health() == Health::Degraded {
                 epochs_degraded += 1;
             }
@@ -289,28 +266,31 @@ mod tests {
     }
 
     #[test]
-    fn failed_tasks_burn_budget_even_when_fast() {
+    fn dead_letters_burn_budget_without_a_latency_sample() {
         let (live, mon) = monitor(10.0, 0.9);
         for _ in 0..6 {
-            mon.observe(0.1, false);
-            mon.advance(live.advance_epoch());
+            mon.dead_letter();
+            mon.advance();
         }
         assert_eq!(mon.health(), Health::Degraded);
+        // Each is a breach, and none is a latency sample.
+        let snap = live.snapshot();
+        assert!(!snap.series.contains_key("spam_slo_latency_seconds"));
+        let breaches = &snap.series["spam_slo_breaches"];
+        assert_eq!(*breaches, crate::live::LiveValue::Counter(6));
     }
 
     #[test]
     fn slo_series_published_to_live() {
         let (live, mon) = monitor(10.0, 0.9);
-        mon.observe(1.0, true);
-        mon.observe(100.0, true);
-        mon.advance(live.advance_epoch());
+        mon.observe(1.0);
+        mon.observe(100.0);
+        mon.advance();
         let snap = live.snapshot();
         assert!(snap.series.contains_key("spam_slo_burn_rate_fast"));
         assert!(snap.series.contains_key("spam_slo_health"));
         assert!(snap.series.contains_key("spam_slo_latency_seconds"));
-        match &snap.series["spam_slo_breaches"] {
-            crate::live::LiveValue::Counter { total, .. } => assert_eq!(*total, 1),
-            other => panic!("expected counter, got {other:?}"),
-        }
+        let breaches = &snap.series["spam_slo_breaches"];
+        assert_eq!(*breaches, crate::live::LiveValue::Counter(1));
     }
 }

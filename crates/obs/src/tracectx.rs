@@ -8,7 +8,7 @@
 //!
 //! Every scene submission mints a deterministic [`TraceId`] (derived from
 //! the run seed + scene label, so reruns are benchdiff-comparable) and a
-//! root span. A [`TraceContext`] — trace id plus parent span id — is
+//! root span. A trace id plus a parent span id ([`SpanSink`]) is
 //! explicitly propagated through the supervisor → task spawn → retry →
 //! dead-letter path and into per-cycle engine emissions, so a
 //! well-formed span tree exists per scene even when tasks hop workers or
@@ -95,16 +95,6 @@ impl fmt::Display for SpanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
     }
-}
-
-/// The propagated context: which trace, and which span is the parent of
-/// anything recorded under this context.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceContext {
-    /// The scene's trace id.
-    pub trace: TraceId,
-    /// Parent span for anything recorded under this context.
-    pub parent: SpanId,
 }
 
 /// Structural role of a span. Aux spans (engine emissions, supervisor
@@ -687,14 +677,6 @@ impl SceneSpan {
         self.root
     }
 
-    /// The context under which direct children of the root record.
-    pub fn ctx(&self) -> TraceContext {
-        TraceContext {
-            trace: self.trace,
-            parent: self.root,
-        }
-    }
-
     /// The shared tracer.
     pub fn tracing(&self) -> &Arc<Tracing> {
         &self.tracing
@@ -720,10 +702,8 @@ impl SceneSpan {
     pub fn sink_under(&self, parent: SpanId) -> SpanSink {
         SpanSink {
             tracing: Arc::clone(&self.tracing),
-            ctx: TraceContext {
-                trace: self.trace,
-                parent,
-            },
+            trace: self.trace,
+            parent,
             seq: 0,
         }
     }
@@ -751,7 +731,9 @@ impl SceneSpan {
 /// `Clone` on purpose: two clones would mint colliding ids.
 pub struct SpanSink {
     tracing: Arc<Tracing>,
-    ctx: TraceContext,
+    trace: TraceId,
+    /// Parent of every span recorded through the sink.
+    parent: SpanId,
     seq: u64,
 }
 
@@ -759,11 +741,6 @@ impl SpanSink {
     /// Whether recording through this sink does anything.
     pub fn enabled(&self) -> bool {
         self.tracing.is_enabled()
-    }
-
-    /// The sink's context (trace + parent span).
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
     }
 
     /// Microseconds since the tracer's epoch.
@@ -781,16 +758,16 @@ impl SpanSink {
         error: Option<String>,
     ) -> SpanId {
         self.seq += 1;
-        let id = SpanId::derive(self.ctx.trace, name, self.ctx.parent.0, self.seq);
+        let id = SpanId::derive(self.trace, name, self.parent.0, self.seq);
         let worker = std::thread::current()
             .name()
             .unwrap_or_default()
             .to_string();
         self.tracing.record_span(
-            self.ctx.trace,
+            self.trace,
             SpanRecord {
                 id,
-                parent: Some(self.ctx.parent),
+                parent: Some(self.parent),
                 kind: SpanKind::Aux,
                 name: name.to_string(),
                 worker,

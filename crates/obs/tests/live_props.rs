@@ -1,6 +1,6 @@
-//! Property tests for the live sliding-window aggregators: a windowed
-//! histogram read through a rotating epoch ring must behave exactly like an
-//! unwindowed histogram fed only the samples that fall inside the window.
+//! Property tests for the registry's merge: samples and increments spread
+//! over several shards must read back exactly as one histogram fed every
+//! sample, and one counter fed every increment.
 
 use proptest::prelude::*;
 use tlp_obs::{Histogram, Live, LiveValue};
@@ -13,121 +13,47 @@ fn true_quantile(samples: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// A run of samples, each tagged with how many epochs to advance *before*
-/// recording it (0..=3, so runs regularly span several window widths).
-fn run_strategy() -> impl Strategy<Value = Vec<(u64, f64)>> {
-    prop::collection::vec(
-        (0u64..4, (-7.0f64..5.0).prop_map(|e| 10f64.powf(e))),
-        1..200,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn windowed_quantiles_match_unwindowed_reference(
-        run in run_strategy(),
-        window in 1usize..12,
+    fn shards_merge_into_the_whole_runs_series(
+        run in prop::collection::vec(
+            (0usize..4, (-7.0f64..5.0).prop_map(|e| 10f64.powf(e)), 1u64..100),
+            1..200,
+        ),
         q in 0.01f64..1.0,
-        extra_advances in 0u64..4,
     ) {
-        let live = Live::new(window);
-        let h = live.handle();
-        // Replay the run through the ring, remembering which epoch each
-        // sample landed in.
-        let mut tagged: Vec<(u64, f64)> = Vec::new();
-        for &(advance, sample) in &run {
-            for _ in 0..advance {
-                live.advance_epoch();
-            }
-            h.observe("lat", sample);
-            tagged.push((live.epoch(), sample));
-        }
-        for _ in 0..extra_advances {
-            live.advance_epoch();
-        }
-        // The reference: an unwindowed histogram fed exactly the samples
-        // whose epoch is still inside the window at snapshot time.
-        let epoch = live.epoch();
-        let lo_epoch = (epoch + 1).saturating_sub(window as u64);
-        let in_window: Vec<f64> = tagged
-            .iter()
-            .filter(|(e, _)| *e >= lo_epoch)
-            .map(|&(_, s)| s)
-            .collect();
+        let live = Live::new(0);
+        let shards: Vec<_> = (0..4).map(|_| live.handle()).collect();
         let mut reference = Histogram::new();
-        for &s in &in_window {
-            reference.record(s);
-        }
-
-        let snap = live.snapshot();
-        match snap.series.get("lat") {
-            None => prop_assert!(in_window.is_empty(), "window dropped live samples"),
-            Some(LiveValue::Histogram(windowed)) => {
-                // Rotation must neither lose nor double-count samples. The
-                // sum may differ in the last ulp (the ring merge adds
-                // per-epoch partials in a different order), so it gets a
-                // relative tolerance; everything else is exact.
-                prop_assert_eq!(windowed.count(), reference.count());
-                prop_assert_eq!(windowed.min(), reference.min());
-                prop_assert_eq!(windowed.max(), reference.max());
-                prop_assert!(
-                    (windowed.sum() - reference.sum()).abs()
-                        <= 1e-12 * reference.sum().abs().max(1.0)
-                );
-                if !in_window.is_empty() {
-                    // And the windowed quantile bounds bracket the true
-                    // sample quantile of the window's samples — the same
-                    // guarantee the unwindowed histogram gives.
-                    let truth = true_quantile(&in_window, q);
-                    let (lo, hi) = windowed.quantile_bounds(q).expect("non-empty window");
-                    prop_assert!(
-                        lo <= truth && truth <= hi,
-                        "q={} truth={} not in [{}, {}]", q, truth, lo, hi
-                    );
-                    let (rlo, rhi) = reference.quantile_bounds(q).unwrap();
-                    prop_assert_eq!((lo, hi), (rlo, rhi));
-                }
-            }
-            Some(other) => prop_assert!(false, "expected histogram, got {:?}", other),
-        }
-    }
-
-    #[test]
-    fn windowed_counters_match_reference_sum(
-        run in prop::collection::vec((0u64..4, 1u64..100), 1..200),
-        window in 1usize..12,
-        extra_advances in 0u64..4,
-    ) {
-        let live = Live::new(window);
-        let h = live.handle();
-        let mut tagged: Vec<(u64, u64)> = Vec::new();
         let mut total = 0u64;
-        for &(advance, n) in &run {
-            for _ in 0..advance {
-                live.advance_epoch();
-            }
-            h.inc("c", n);
-            tagged.push((live.epoch(), n));
+        for &(shard, sample, n) in &run {
+            shards[shard].observe("lat", sample);
+            shards[shard].inc("c", n);
+            reference.record(sample);
             total += n;
         }
-        for _ in 0..extra_advances {
-            live.advance_epoch();
-        }
-        let epoch = live.epoch();
-        let lo_epoch = (epoch + 1).saturating_sub(window as u64);
-        let expect_windowed: u64 = tagged
-            .iter()
-            .filter(|(e, _)| *e >= lo_epoch)
-            .map(|&(_, n)| n)
-            .sum();
-        match live.snapshot().series.get("c") {
-            Some(LiveValue::Counter { total: t, windowed, .. }) => {
-                prop_assert_eq!(*t, total, "totals are lifetime, never windowed");
-                prop_assert_eq!(*windowed, expect_windowed);
-            }
-            other => prop_assert!(false, "expected counter, got {:?}", other),
-        }
+        let snap = live.snapshot();
+        prop_assert_eq!(snap.series.get("c"), Some(&LiveValue::Counter(total)));
+        let Some(LiveValue::Histogram(merged)) = snap.series.get("lat") else {
+            return Err(TestCaseError::fail("lat is not a histogram"));
+        };
+        // Nothing lost or counted twice. The sum may differ in the last ulp
+        // (the merge adds per-shard partials in a different order), so it
+        // gets a relative tolerance; everything else is exact.
+        prop_assert_eq!(merged.count(), reference.count());
+        prop_assert_eq!(merged.min(), reference.min());
+        prop_assert_eq!(merged.max(), reference.max());
+        prop_assert!(
+            (merged.sum() - reference.sum()).abs() <= 1e-12 * reference.sum().abs().max(1.0)
+        );
+        // And the merged quantile bounds bracket the true sample quantile —
+        // the same guarantee a single histogram gives.
+        let samples: Vec<f64> = run.iter().map(|r| r.1).collect();
+        let truth = true_quantile(&samples, q);
+        let (lo, hi) = merged.quantile_bounds(q).expect("non-empty");
+        prop_assert!(lo <= truth && truth <= hi, "q={} truth={} not in [{}, {}]", q, truth, lo, hi);
+        prop_assert_eq!((lo, hi), reference.quantile_bounds(q).unwrap());
     }
 }

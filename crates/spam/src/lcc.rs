@@ -781,7 +781,7 @@ mod tests {
         let plain = run_lcc_unit(tp, &sp, &scene, &frags, &unit);
         let plan = LccPlan::new(&sp, &scene, &frags, Level::L3);
         assert_eq!(plan.units[0].label(), unit.label());
-        let live = Live::new(8);
+        let live = Live::new(0);
         let watch = Watch::new(Some(&live), None);
         let (watched, _) = tp.run(&plan.task(0), watch);
         assert_eq!(plain.consistents, watched.consistents);
@@ -790,7 +790,7 @@ mod tests {
         assert_eq!(plain.firings, watched.firings);
         let snap = live.snapshot();
         let total = |name: &str| match snap.series.get(name) {
-            Some(LiveValue::Counter { total, .. }) => *total,
+            Some(LiveValue::Counter(total)) => *total,
             other => panic!("{name}: expected counter, got {other:?}"),
         };
         let w = &watched.work;

@@ -178,7 +178,7 @@ mod tests {
 
             for kill_at in [None, Some(firings + 1), Some(firings + 17)] {
                 let at = format!("F={firings}, kill at {kill_at:?}");
-                let live = Live::new(8);
+                let live = Live::new(0);
                 let mut watched = counter(firings);
                 let got = windows(|sink| {
                     let watch = Watch::new(Some(&live), Some(sink));
@@ -193,7 +193,7 @@ mod tests {
 
                 let snap = live.snapshot();
                 let total = |name: &str| match snap.series.get(name) {
-                    Some(LiveValue::Counter { total, .. }) => *total,
+                    Some(LiveValue::Counter(total)) => *total,
                     other => panic!("{name}: expected counter, got {other:?}"),
                 };
                 assert_eq!(total("spam_live_match_units"), w.match_units);
@@ -213,7 +213,7 @@ mod tests {
             for kill in (1..=firings).filter(|k| [1, 3, 16, 17, 256, firings].contains(k)) {
                 for traced in [false, true] {
                     let at = format!("F={firings}, kill at {kill}, traced {traced}");
-                    let live = Live::new(8);
+                    let live = Live::new(0);
                     let mut e = counter(firings);
                     let got = windows(|sink| {
                         let watch = Watch::new(Some(&live), traced.then_some(sink));

@@ -149,7 +149,7 @@ proptest! {
         steps in prop::collection::vec(step(), 1..10),
     ) {
         let f = fixture();
-        let live = tlp_obs::Live::new(8);
+        let live = tlp_obs::Live::new(0);
         let tracing = tlp_obs::Tracing::new();
         let span = tracing.start_scene(7, "reuse");
         let tp = &mut TaskProcess::default();
