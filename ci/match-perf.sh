@@ -82,14 +82,14 @@ cargo test --release -p spam --test work_pins -- alpha_index_insertions_are_coun
 # and unshared), the naive matcher and the per-change feed into name -> key
 # through WM changes, firings, reset, mark and rollback; the --lib proptest
 # holds the set, by name, against a linear scan under compare, retractions
-# of selected names included; the paraops5 cases retract, after a respawn
-# and after a degrade, what a dead worker delivered.
+# of selected names included; the paraops5 case holds the threaded pool's
+# names against a sequential Rete after every barrier, and a retraction
+# frees the name its worker's insert took.
 cargo test --release -p ops5 --test properties -- every_matcher_keeps_the_naming_contract
 cargo test --release -p ops5 --lib -- \
   conflict::tests::ranking_agrees_with_a_linear_scan_under_compare \
   conflict::tests::a_retraction_of_a_fired_name_is_a_no_op
 cargo test --release -p paraops5 --lib -- \
-  a_retraction_after_a_respawn_names_what_the_dead_worker_delivered \
-  a_retraction_after_a_degrade_names_what_the_dead_worker_delivered
+  a_retraction_names_what_its_worker_delivered
 # Speedup doctor (DC Level 2, match-fraction band gate).
 $bin/spamctl profile dc --level 2 --check-band 0.30:0.50 --json $out/profile.json

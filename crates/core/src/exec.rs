@@ -102,9 +102,6 @@
 //!   for the one chunk in the caller's hand: that too is queue time. Tasks
 //!   that exhaust their budget go to the dead-letter list in the
 //!   [`TaskReport`];
-//! * an optional *soft* deadline is enforced post-hoc: task threads cannot
-//!   be preempted, so an attempt that returns after the deadline has its
-//!   result discarded and is treated as a failure;
 //! * a [`FaultPlan`] can fate specific `(task, attempt)` pairs to panic,
 //!   making the whole retry machinery reproducible under test.
 //!
@@ -202,8 +199,8 @@ impl ExecConfig {
 ///
 /// * `rec` — the flight recorder. The control process registers an
 ///   `executor` sink; at `Summary` level the phase is one `exec.phase`
-///   span, at `Full` level every control decision (spill, retry, deadline
-///   rejection, dead letter, completion) is an instant event, and the
+///   span, at `Full` level every control decision (spill, retry, dead
+///   letter, completion) is an instant event, and the
 ///   phase's end renders each attempt as a `task.exec` span (and each
 ///   stolen one as a `task.steal` instant) on its worker's `psm-task-{w}`
 ///   track ([`ExecReport::render`]).
@@ -257,7 +254,7 @@ impl Observer<'static> {
 pub struct PhaseRun<'a> {
     /// Task placement.
     pub exec: ExecConfig,
-    /// Supervision policy (retries, backoff, soft deadline).
+    /// Supervision policy (retries, backoff).
     pub cfg: SupervisorConfig,
     /// Deterministic fault injection.
     pub plan: FaultPlan,
@@ -266,8 +263,8 @@ pub struct PhaseRun<'a> {
 }
 
 impl PhaseRun<'static> {
-    /// `exec`'s placement under the default policy (no deadline, no
-    /// retries), no injected faults, nothing observing. A
+    /// `exec`'s placement under the default policy (no retries), no
+    /// injected faults, nothing observing. A
     /// panicking task is still isolated and reported, not fatal.
     pub fn new(exec: ExecConfig) -> PhaseRun<'static> {
         PhaseRun {
@@ -340,8 +337,7 @@ pub struct ExecAttempt {
     /// When the task body returned or panicked.
     pub finished_s: f64,
     /// Whether this attempt terminally succeeded (filled its task's
-    /// slot): false for panics, deadline rejections, and retried
-    /// attempts.
+    /// slot): false for panics.
     pub ok: bool,
     /// The attempt's panic text, if it panicked.
     pub error: Option<String>,
@@ -932,7 +928,6 @@ struct Phase<T, S, F> {
     pool: StealPool,
     tx: mpsc::Sender<Vec<ExecMsg<T>>>,
     plan: FaultPlan,
-    deadline: Option<Duration>,
     /// Parents each attempt's [`TaskAttempt::trace`] sink.
     scene: Option<SceneSpan>,
     start: Instant,
@@ -1033,10 +1028,9 @@ where
                 (self.task)(state, invocation)
             });
             let finished = wk.now();
-            // What the control loop will rule a failure: its retry (or
-            // dead letter) must not wait for the batch to fill.
-            let failed = result.is_err()
-                || (self.deadline).is_some_and(|d| finished.duration_since(started) > d);
+            // A failure's retry (or dead letter) must not wait for the
+            // batch to fill.
+            let failed = result.is_err();
             wk.held.push(ExecMsg {
                 task: i,
                 attempt,
@@ -1084,13 +1078,6 @@ where
     fn done(&self, died: bool) {
         self.latch.count_down(died);
     }
-}
-
-/// Why the last attempt of a task failed.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FailKind {
-    Panic,
-    Deadline,
 }
 
 /// Records a control-side marker span (a retry or dead-letter decision
@@ -1233,7 +1220,6 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         pool: StealPool::new(n_workers),
         tx,
         plan: plan.clone(),
-        deadline: cfg.deadline,
         scene: scene.cloned(),
         start: phase_start,
         filed: (0..n_workers).map(|_| Mutex::default()).collect(),
@@ -1311,7 +1297,6 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
             error: None,
         })
         .collect();
-    let mut last_fail: Vec<Option<FailKind>> = vec![None; n_tasks];
     let mut first_start: Vec<Option<Instant>> = vec![None; n_tasks];
     let mut remaining = n_tasks;
     let mut attempts_log: Vec<ExecAttempt> = Vec::with_capacity(n_tasks);
@@ -1393,58 +1378,36 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         o.attempts = msg.attempt + 1;
         o.elapsed = elapsed;
         let failure = match msg.result {
-            Err(err) => {
-                last_fail[i] = Some(FailKind::Panic);
-                Some(err)
+            Err(err) => Some(err),
+            Ok(value) => {
+                if ctl_live.enabled() {
+                    ctl_live.inc("spam_live_tasks_completed", 1);
+                    ctl_live.observe("spam_live_task_latency_seconds", elapsed.as_secs_f64());
+                }
+                // Mirror the task's result before the SLO clock
+                // ticks, so its latency lands in the task's epoch.
+                on_complete(i, &value);
+                tick_slo();
+                slots[i] = Some(value);
+                o.status = if msg.attempt == 0 {
+                    TaskStatus::Ok
+                } else {
+                    TaskStatus::Retried(msg.attempt)
+                };
+                o.error = None;
+                remaining -= 1;
+                if ctl.enabled(ObsLevel::Full) {
+                    ctl.instant(
+                        Category::Task,
+                        "task.complete",
+                        vec![
+                            ("task", (i as u64).into()),
+                            ("attempts", ((msg.attempt + 1) as u64).into()),
+                        ],
+                    );
+                }
+                None
             }
-            Ok(value) => match cfg.deadline {
-                Some(d) if elapsed > d => {
-                    last_fail[i] = Some(FailKind::Deadline);
-                    if ctl.enabled(ObsLevel::Full) {
-                        ctl.instant(
-                            Category::Supervisor,
-                            "task.deadline",
-                            vec![
-                                ("task", (i as u64).into()),
-                                ("attempt", (msg.attempt as u64).into()),
-                                ("elapsed_s", elapsed.as_secs_f64().into()),
-                            ],
-                        );
-                    }
-                    Some(format!(
-                        "deadline exceeded: {elapsed:.1?} > {d:.1?}; result discarded"
-                    ))
-                }
-                _ => {
-                    if ctl_live.enabled() {
-                        ctl_live.inc("spam_live_tasks_completed", 1);
-                        ctl_live.observe("spam_live_task_latency_seconds", elapsed.as_secs_f64());
-                    }
-                    // Mirror the task's result before the SLO clock
-                    // ticks, so its latency lands in the task's epoch.
-                    on_complete(i, &value);
-                    tick_slo();
-                    slots[i] = Some(value);
-                    o.status = if msg.attempt == 0 {
-                        TaskStatus::Ok
-                    } else {
-                        TaskStatus::Retried(msg.attempt)
-                    };
-                    o.error = None;
-                    remaining -= 1;
-                    if ctl.enabled(ObsLevel::Full) {
-                        ctl.instant(
-                            Category::Task,
-                            "task.complete",
-                            vec![
-                                ("task", (i as u64).into()),
-                                ("attempts", ((msg.attempt + 1) as u64).into()),
-                            ],
-                        );
-                    }
-                    None
-                }
-            },
         };
         attempt_rec.ok = failure.is_none();
         attempts_log.push(attempt_rec);
@@ -1483,10 +1446,7 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
                     );
                 }
             } else {
-                o.status = match last_fail[i] {
-                    Some(FailKind::Deadline) => TaskStatus::TimedOut,
-                    _ => TaskStatus::Panicked,
-                };
+                o.status = TaskStatus::Panicked;
                 ctl_live.inc("spam_live_dead_letters", 1);
                 if let Some(sc) = scene {
                     sc.tracing().note_dead_letter(sc.trace_id());
@@ -1802,22 +1762,6 @@ mod tests {
             assert!(slots[0].is_none(), "{name}");
             assert_eq!(report.outcomes[0].status, TaskStatus::Panicked, "{name}");
             assert_eq!(report.outcomes[0].attempts, 3, "{name}: initial + 2");
-        }
-    }
-
-    #[test]
-    fn soft_deadline_times_out_slow_tasks() {
-        for (name, exec) in placements(2) {
-            let cfg = SupervisorConfig::default().with_deadline(Duration::from_millis(20));
-            let (slots, report, _) = run(&under(exec, cfg, FaultPlan::none()), 4, |i| {
-                if i == 2 {
-                    std::thread::sleep(Duration::from_millis(80));
-                }
-                i
-            });
-            assert!(slots[2].is_none(), "{name}: late result must be discarded");
-            assert_eq!(report.outcomes[2].status, TaskStatus::TimedOut, "{name}");
-            assert_eq!(slots.iter().flatten().count(), 3, "{name}");
         }
     }
 
@@ -2174,7 +2118,6 @@ mod tests {
             pool: StealPool::new(2),
             tx,
             plan: FaultPlan::none().with_task_panic(1, 1),
-            deadline: None,
             scene: Some(scene.clone()),
             start: Instant::now(),
             filed: Vec::new(),

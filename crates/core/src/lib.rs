@@ -40,7 +40,7 @@
 //!   cores"): control process + worker task processes around a pool whose
 //!   placement is either the paper's central FIFO queue or per-worker
 //!   Chase–Lev-style deques with cost-model-driven dynamic chunking;
-//!   panic isolation, retry, soft deadline and dead letters; measured
+//!   panic isolation, retry and dead letters; measured
 //!   wall-clock schedules that convert into the simulator's result shape
 //!   for gap attribution and Gantt timelines;
 //! * [`supervise`] — the vocabulary that runner shares with its callers

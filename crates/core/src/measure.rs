@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(row.rhs_actions, plain.rhs_actions);
         assert!((row.total_seconds - plain.total_seconds).abs() < 1e-12);
         assert_eq!(phase.units.len(), row.tasks);
-        // Profiler firings reconcile with the row.
+        // Profiler firings agree with the row.
         let profile = profile.expect("the phase has tasks");
         let fired: u64 = profile.productions.iter().map(|x| x.firings).sum();
         assert_eq!(fired, row.prods_fired);

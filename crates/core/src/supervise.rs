@@ -2,7 +2,7 @@
 //! ([`crate::exec::execute`]) and the runners above it: the
 //! [`TaskAttempt`] a task closure receives and the quiet panic hook that
 //! keeps caught worker panics out of stderr. The supervised loop itself —
-//! workers, `catch_unwind`, retry, deadline, dead letter — lives in `exec`
+//! workers, `catch_unwind`, retry, dead letter — lives in `exec`
 //! and nowhere else.
 
 use std::cell::Cell;

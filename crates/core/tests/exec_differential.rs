@@ -4,15 +4,17 @@
 //! programs, working-memory seeds, and worker counts — with and without
 //! seeded kills — all three must produce **identical firing sequences**
 //! (the recognize–act cycle log) and **bit-identical work totals**; only
-//! the wall-clock schedule is allowed to differ.
+//! the wall-clock schedule is allowed to differ. A kill fails the attempt
+//! it lands in, and the supervisor's retry recovers it.
 
 use ops5::{sym, Engine, Program, Value, WorkCounters};
-use paraops5::threaded::{MatchPoolOptions, RecoveryPolicy, ThreadedMatcher};
+use paraops5::ThreadedMatcher;
 use proptest::prelude::*;
 use spam_psm::exec::{ExecConfig, PhaseRun};
 use spam_psm::TaskAttempt;
 use std::sync::Arc;
-use tlp_fault::{FaultPlan, SupervisorConfig};
+use std::time::Duration;
+use tlp_fault::{FaultPlan, SupervisorConfig, TaskStatus};
 
 /// Quiescing programs over a common `(item kind count)` seed class, so one
 /// seed strategy drives them all. Each exercises a different control shape:
@@ -48,31 +50,30 @@ const PROGRAMS: &[&str] = &[
 enum Arm {
     Sequential,
     /// Threaded matcher at `workers` match processes; `kill` optionally
-    /// fates one worker to die after a number of chunks (Respawn policy).
+    /// fates worker `w` to die after `k` flush barriers.
     Threaded {
         workers: usize,
         kill: Option<(usize, u64)>,
     },
 }
 
-/// Runs one engine over `seeds` and returns the observable identity: the
-/// firing sequence (cycle-log production ids), the work counters, and the
-/// sorted final working memory.
-fn run_arm(src: &str, seeds: &[(u8, i8)], arm: Arm) -> (Vec<u32>, WorkCounters, Vec<String>) {
+/// What a run shows: the firing sequence (cycle-log production ids), the
+/// work counters, and the sorted final working memory.
+type Observed = (Vec<u32>, WorkCounters, Vec<String>);
+
+/// Runs one engine over `seeds` and returns what it shows. A run that ends
+/// in an error — a dead match worker — panics, failing its attempt.
+fn run_arm(src: &str, seeds: &[(u8, i8)], arm: Arm) -> Observed {
     let program = Arc::new(Program::parse(src).unwrap());
     let compiled = Engine::compile(&program).unwrap();
     let mut e = match arm {
         Arm::Sequential => Engine::with_compiled(Arc::clone(&program), compiled),
         Arm::Threaded { workers, kill } => {
-            let opts = MatchPoolOptions {
-                fault_plan: match kill {
-                    Some((w, after)) => FaultPlan::seeded(9).with_worker_death(w, after),
-                    None => FaultPlan::none(),
-                },
-                recovery: RecoveryPolicy::Respawn,
-                ..MatchPoolOptions::default()
+            let plan = match kill {
+                Some((w, after)) => FaultPlan::none().with_worker_death(w, after),
+                None => FaultPlan::none(),
             };
-            let m = ThreadedMatcher::with_options(&program, &compiled, workers, opts).unwrap();
+            let m = ThreadedMatcher::with_fault_plan(&program, &compiled, workers, &plan).unwrap();
             Engine::with_matcher(Arc::clone(&program), compiled, Box::new(m))
         }
     };
@@ -90,19 +91,70 @@ fn run_arm(src: &str, seeds: &[(u8, i8)], arm: Arm) -> (Vec<u32>, WorkCounters, 
         )
         .unwrap();
     }
-    e.run(10_000);
+    let out = e.run(10_000);
+    if let Some(err) = out.error {
+        panic!("{err}");
+    }
     let firing_seq: Vec<u32> = e.take_cycle_log().iter().map(|c| c.production).collect();
     let mut wm: Vec<String> = e.wm().iter().map(|(_, w)| w.to_string()).collect();
     wm.sort();
     (firing_seq, e.work(), wm)
 }
 
+/// Runs the threaded arm as one task under `execute`, retried once with
+/// no backoff: attempt 0 runs on a pool that `kill` fates, the retry on a
+/// fresh, healthy one. Returns the task's slot and status.
+fn run_threaded_task(
+    src: &'static str,
+    seeds: Vec<(u8, i8)>,
+    workers: usize,
+    kill: Option<(usize, u64)>,
+) -> (Observed, TaskStatus) {
+    let cfg = SupervisorConfig {
+        max_retries: 1,
+        backoff: Duration::ZERO,
+    };
+    let (slots, report, _) = spam_psm::exec::execute(
+        &PhaseRun {
+            cfg,
+            ..PhaseRun::new(ExecConfig::new(1))
+        },
+        vec!["threaded".to_string()],
+        &[],
+        |_, _| {},
+        move |_: &mut (), a: TaskAttempt| {
+            let kill = kill.filter(|_| a.attempt == 0);
+            run_arm(src, &seeds, Arm::Threaded { workers, kill })
+        },
+    )
+    .unwrap();
+    let status = report.outcomes[0].status.clone();
+    let slot = slots.into_iter().next().flatten();
+    (
+        slot.unwrap_or_else(|| panic!("dead-lettered: {:?}", report.outcomes[0])),
+        status,
+    )
+}
+
+/// A kill that fires fails attempt 0 — worker 1 dies after the first of
+/// the run's barriers — and the retry fills the slot with the sequential
+/// engine's result.
+#[test]
+fn a_killed_match_worker_is_recovered_by_the_retry() {
+    let (src, seeds) = (PROGRAMS[0], vec![(0, 3), (1, 2), (2, 4)]);
+    let seq = run_arm(src, &seeds, Arm::Sequential);
+    let (par, status) = run_threaded_task(src, seeds, 3, Some((1, 1)));
+    assert_eq!(status, TaskStatus::Retried(1));
+    assert_eq!(par, seq);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One engine, three substrates: the threaded matcher — healthy or
-    /// with a fated worker respawning mid-run — must reproduce the
-    /// sequential engine's firing sequence, work total, and final WM.
+    /// One engine, three substrates: the threaded matcher — healthy, or
+    /// with a fated worker failing the first attempt and the supervisor
+    /// retrying it — must reproduce the sequential engine's firing
+    /// sequence, work total, and final WM.
     #[test]
     fn threaded_matcher_equals_sequential(
         prog_idx in 0usize..PROGRAMS.len(),
@@ -112,8 +164,10 @@ proptest! {
     ) {
         let src = PROGRAMS[prog_idx];
         let seq = run_arm(src, &seeds, Arm::Sequential);
-        let kill = (do_kill == 1).then_some((kill_w % workers.max(1), kill_after));
-        let par = run_arm(src, &seeds, Arm::Threaded { workers, kill });
+        let kill = (do_kill == 1).then_some((kill_w % workers, kill_after));
+        let (par, status) = run_threaded_task(src, seeds, workers, kill);
+        prop_assert!(status.succeeded(), "{:?}", status);
+        prop_assert!(kill.is_some() || status == TaskStatus::Ok, "{:?}", status);
         prop_assert_eq!(&par.0, &seq.0, "firing sequences must be identical");
         prop_assert_eq!(&par.1, &seq.1, "work totals must be bit-identical");
         prop_assert_eq!(&par.2, &seq.2, "final WM must be identical");

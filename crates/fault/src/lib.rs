@@ -13,8 +13,8 @@
 //!   thread interleaving — so two runs under the same plan inject exactly
 //!   the same faults.
 //! - [`TaskReport`] / [`TaskOutcome`] / [`TaskStatus`]: per-task result of
-//!   a supervised phase (ok, retried, timed out, panicked, dead-lettered).
-//! - [`SupervisorConfig`]: deadline, bounded retry, and backoff policy.
+//!   a supervised phase (ok, retried, or panicked and dead-lettered).
+//! - [`SupervisorConfig`]: bounded retry and backoff policy.
 //! - [`SuperviseError`]: typed configuration errors (e.g. zero workers)
 //!   replacing `assert!` panics.
 
@@ -333,11 +333,6 @@ fn check_rate(rate: f64) -> f64 {
 /// Supervision policy for a parallel phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Soft per-task deadline. Tasks cannot be preempted (they run on
-    /// ordinary threads), so a deadline is detected *after* the task
-    /// returns; an over-deadline result is discarded and the task retried
-    /// or dead-lettered.
-    pub deadline: Option<Duration>,
     /// Retries allowed per task after its first attempt fails.
     pub max_retries: u32,
     /// Base backoff before a retry; attempt `k` waits `k * backoff`.
@@ -347,7 +342,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            deadline: None,
             max_retries: 0,
             backoff: Duration::from_millis(5),
         }
@@ -358,12 +352,6 @@ impl SupervisorConfig {
     /// Policy allowing `max_retries` retries per task.
     pub fn with_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Policy with a soft per-task deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -381,8 +369,6 @@ pub enum TaskStatus {
     Ok,
     /// Succeeded after this many retries.
     Retried(u32),
-    /// All attempts exceeded the deadline; dead-lettered.
-    TimedOut,
     /// All attempts panicked; dead-lettered.
     Panicked,
 }
@@ -399,7 +385,6 @@ impl fmt::Display for TaskStatus {
         match self {
             TaskStatus::Ok => write!(f, "ok"),
             TaskStatus::Retried(n) => write!(f, "ok after {n} retr{}", plural_y(*n)),
-            TaskStatus::TimedOut => write!(f, "timed out"),
             TaskStatus::Panicked => write!(f, "panicked"),
         }
     }
@@ -434,7 +419,7 @@ pub struct TaskOutcome {
     /// Extra latency attributable to retries: time from the first attempt's
     /// start until the last attempt's start (zero when `attempts == 1`).
     pub retry_latency: Duration,
-    /// Panic payload or deadline diagnostic from the last failed attempt.
+    /// Panic payload from the last failed attempt.
     pub error: Option<String>,
 }
 

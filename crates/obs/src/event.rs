@@ -11,12 +11,10 @@ use std::fmt;
 /// What subsystem emitted an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Category {
-    /// Task lifecycle: enqueue, dequeue, start, retry, deadline, complete.
+    /// Task lifecycle: enqueue, dequeue, start, retry, complete.
     Task,
     /// Supervisor decisions: retries granted, dead-letter verdicts.
     Supervisor,
-    /// Match-worker activity (threaded matcher flushes, deaths, respawns).
-    Match,
     /// Pipeline phases (RTF / LCC / FA / MODEL spans).
     Phase,
     /// Simulator schedule/steal/fault events.
@@ -34,7 +32,6 @@ impl Category {
         match self {
             Category::Task => "task",
             Category::Supervisor => "supervisor",
-            Category::Match => "match",
             Category::Phase => "phase",
             Category::Sim => "sim",
             Category::Queue => "queue",

@@ -264,7 +264,9 @@ pub trait Matcher: Send {
     /// compiled network was never the backend's own: see
     /// [`crate::rete::Network`]). After it the backend must answer any WME
     /// stream exactly as a newly made one would — [`crate::Engine::reset`]
-    /// relies on that.
+    /// relies on that. A backend that has failed ([`Matcher::failure`])
+    /// stays failed: its run is over, and a fresh backend is what runs
+    /// again.
     fn reset(&mut self);
     /// Makes the backend's state now what [`Matcher::rollback`] returns to
     /// (`wm` holds the WMEs sent so far). `false`: not supported, or not in
@@ -281,8 +283,8 @@ pub trait Matcher: Send {
     fn rollback(&mut self) -> bool {
         false
     }
-    /// A terminal failure inside the match backend (e.g. a parallel pool
-    /// that lost workers under a fail-fast policy). The engine checks this
+    /// A terminal failure inside the match backend (a parallel pool that
+    /// lost a worker). The engine checks this
     /// each cycle and stops with `RunOutcome::error` instead of panicking.
     /// In-process matchers never fail.
     fn failure(&self) -> Option<String> {

@@ -630,7 +630,7 @@ proptest! {
             e.wm().iter().map(|(id, w)| (id, w.to_string())).collect()
         };
         // The second script on an engine that is logging its cycles.
-        let replay_logging = |e: &mut Engine| -> Observed {
+        let run_second_logged = |e: &mut Engine| -> Observed {
             load(e, &second);
             let out = e.run(200);
             (
@@ -645,7 +645,7 @@ proptest! {
         };
         let replay = |e: &mut Engine| -> Observed {
             e.enable_cycle_log();
-            replay_logging(e)
+            run_second_logged(e)
         };
 
         let mut fresh = build();
@@ -680,7 +680,7 @@ proptest! {
         let based = load_base(&mut fresh);
         prop_assert!(based.error.is_none(), "{:?}", based);
         let at_mark = (wm_of(&fresh), fresh.work(), fresh.net_stats(), fresh.output.clone());
-        let want = replay_logging(&mut fresh);
+        let want = run_second_logged(&mut fresh);
 
         used.reset();
         load_base(&mut used);
@@ -707,7 +707,7 @@ proptest! {
                 load_base(&mut used);
                 used.mark();
             }
-            let got = replay_logging(&mut used);
+            let got = run_second_logged(&mut used);
             prop_assert_eq!(
                 &got, &want,
                 "round {} (program {}, backend {}, marked {}):\n got {:?}\nwant {:?}\nbase {:?}\nfirst {:?} x{}\nsecond {:?}",
