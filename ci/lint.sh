@@ -6,6 +6,8 @@ export CARGO_NET_OFFLINE=true
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Every intra-doc link resolves and points at something public.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The interpreter only counts: whoever watches an engine reads it from outside
 # (`spam::watch`), so nothing under `crates/ops5` may name a telemetry type.
@@ -62,5 +64,15 @@ fi
 if git grep -n "advance_epoch\|DEFAULT_WINDOW\|windowed" -- \
   crates README.md EXPERIMENTS.md DESIGN.md; then
   echo "lint: the registry's windows and epochs are gone; a series covers the whole run" >&2
+  exit 1
+fi
+
+# A run writes one trace: a scene's trace is the Chrome trace's events under
+# its id, so the span store, its JSON file and its checker stay gone (the
+# smoke test names the flag only to see it rejected).
+if git grep -n -E "traces-out|tracecheck --spans|RetainedTrace|SpanSink|TRACE_WINDOW_EVERY|validate_span_tree" -- \
+  crates README.md EXPERIMENTS.md DESIGN.md .claude ci \
+  ':!ci/lint.sh' ':!crates/core/tests/spamctl_smoke.rs'; then
+  echo "lint: scene traces are Chrome trace events under a trace id; the span store and --traces-out are gone" >&2
   exit 1
 fi

@@ -18,15 +18,16 @@ $bin/spamctl run dc --exec real --workers 4 --obs full \
   --trace-out $out/exec_trace.json --quiet
 $bin/tracecheck $out/exec_trace.json --min-coverage 0.99
 
-# A chaotic scene traced to a file: the span trees checked, then the first
-# retained trace (traces[0].trace_id) followed to its span tree.
+# A chaotic scene traced to a file: the trace checked, then the scene's id
+# (the first "trace_id" argument in it) followed to its attempts.
 $bin/spamctl run dc --workers 4 --retries 1 \
   --task-panic-rate 0.08 --fault-seed 42 \
-  --traces-out $out/traces.json --quiet
-$bin/tracecheck --spans $out/traces.json
-TID=$(grep -m1 -o '"trace_id":"[0-9a-f]*"' $out/traces.json | cut -d'"' -f4)
+  --trace-out $out/chaos_trace.json --quiet
+$bin/tracecheck $out/chaos_trace.json
+TID=$(awk -F'"trace_id":"' 'NF > 1 { split($2, id, "\""); print id[1]; exit }' \
+  $out/chaos_trace.json)
 test -n "$TID"
-$bin/spamctl trace "$TID" --from $out/traces.json
+$bin/spamctl trace "$TID" --from $out/chaos_trace.json
 
 # Every observer's overhead against `off` (budget 2%; a FAIL needs a resolved
 # difference), and its deterministic sections against the committed baseline,

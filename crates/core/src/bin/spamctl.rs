@@ -5,7 +5,7 @@
 //!         [--exec real|sim] [--machines 1|2] [--svm tuned|naive] [--retries K]
 //!         [--fault-seed S] [--task-panic-rate P] [--topdown] [--sweep]
 //!         [--quiet] [--unshared] [--obs off|summary|full] [--trace-out F]
-//!         [--metrics-out F] [--traces-out F]
+//!         [--metrics-out F]
 //! spamctl profile [sf|dc|moff|suburb] [--level 1|2|3|4] [--top K] [--json F]
 //!         [--check-band LO:HI] [--unshared]
 //! spamctl svm-report [sf|dc|moff|suburb] [--level 1|2|3|4] [--workers N]
@@ -92,7 +92,12 @@
 //!   prints the simulated per-processor Gantt chart);
 //! * `--trace-out F` writes a Chrome `trace_event` file (open in
 //!   `chrome://tracing` or Perfetto) with the recorded events plus the
-//!   simulated Encore timeline of the LCC phase;
+//!   simulated Encore timeline of the LCC phase. The scene's LCC phase runs
+//!   under a deterministic trace id (from `--fault-seed` + the dataset
+//!   name), printed as `trace  : <id>`: every event its workers and
+//!   supervisor record carries it as a `trace_id` argument (feed the file
+//!   to `tracecheck`, or to `spamctl trace <id> --from F`). Results are
+//!   bit-identical with it on or off;
 //! * `--metrics-out F` turns on the metrics registry (`tlp-obs::live`):
 //!   the supervisor, the SLO monitor and each task's watch publish
 //!   `spam_live_*` / `spam_slo_*` series (a task's engine work once, when
@@ -111,22 +116,12 @@
 //!   indexed network — the baseline for the sharing experiments. Results
 //!   are identical; only the match work (and anything derived from it)
 //!   changes.
-//! * `--traces-out F` turns on scene-scoped request tracing
-//!   (`tlp-obs::tracectx`): the scene submission mints a deterministic
-//!   trace id (from `--fault-seed` + the dataset name) and a root span,
-//!   and the supervisor propagates the trace context through task spawn,
-//!   retry, dead-letter and per-cycle engine emissions; the
-//!   finished scene's trace is kept with full span detail, its id printed
-//!   (`trace  : <id>`), and the retained traces written to `F` as a
-//!   `{"traces": […]}` JSON document (feed to `tracecheck --spans` or
-//!   `spamctl trace <id> --from F`). Results are bit-identical with
-//!   tracing on or off;
-//! * `trace <id>`: reconstructs one retained trace from a `--traces-out`
-//!   file (`--from F`) — the ASCII span tree (workers, durations, errors)
-//!   plus the critical task chain recomputed from the trace's recorded
-//!   per-task service table via `core::attribution::critical_path_of`,
-//!   cross-checked against the longest measured task attempt. `<id>` may
-//!   be a unique hex prefix (>= 4 chars).
+//! * `trace <id>`: one scene out of a `--trace-out` file (`--from F`),
+//!   checked as `tracecheck` checks it: the events under that trace id,
+//!   listed in start order — each task attempt (offset, duration, worker
+//!   track, panic text) and each retry and dead letter the supervisor
+//!   decided — under a header counting them. `<id>` may be a unique hex
+//!   prefix (>= 4 chars). The critical task chain is `profile`'s.
 
 use spam::fa::{run_fa, FaTask};
 use spam::lcc::{merge_lcc_units, LccPlan, Level};
@@ -143,9 +138,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tlp_fault::{FaultPlan, SupervisorConfig, TaskReport};
 use tlp_obs::json::Json;
-use tlp_obs::{
-    Live, ObsLevel, Recorder, RetainedTrace, SloConfig, SloMonitor, SpanKind, SpanRecord, Tracing,
-};
+use tlp_obs::{Live, ObsLevel, Recorder, SloConfig, SloMonitor, TraceId};
 
 /// This binary's `print!`: a write that finds stdout closed (`spamctl … |
 /// head -1`) ends the process quietly and successfully — the reader has
@@ -214,7 +207,7 @@ const COMMANDS: &[CmdSpec] = &[
         head: "[run] [sf|dc|moff|suburb]",
         flags: "--level --workers --exec --machines --svm --retries --fault-seed \
                 --task-panic-rate --topdown --sweep --quiet --unshared --obs --trace-out \
-                --metrics-out --traces-out",
+                --metrics-out",
     },
     CmdSpec {
         cmd: Cmd::Profile,
@@ -265,7 +258,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--obs", "off|summary|full"),
     ("--trace-out", "F"),
     ("--metrics-out", "F"),
-    ("--traces-out", "F"),
     ("--top", "K"),
     ("--json", "F"),
     ("--check-band", "LO:HI"),
@@ -336,7 +328,6 @@ struct Opts {
     obs: ObsLevel,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    traces_out: Option<String>,
     trace_from: Option<String>,
 }
 
@@ -402,7 +393,6 @@ impl Opts {
             "--obs" => self.obs = ObsLevel::parse(v).ok_or(format!("bad --obs '{v}'"))?,
             "--trace-out" => self.trace_out = path(),
             "--metrics-out" => self.metrics_out = path(),
-            "--traces-out" => self.traces_out = path(),
             "--top" => self.top = parsed(flag, v)?,
             "--json" => self.json_out = path(),
             "--check-band" => self.check_band = Some(bounds(flag, v, (0.0, 1.0))?),
@@ -482,12 +472,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
 /// Writes an output file, or says which could not be written.
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// The `{"traces": […]}` document of `--traces-out`.
-fn traces_doc(kept: &[RetainedTrace]) -> String {
-    let traces = Json::Arr(kept.iter().map(RetainedTrace::to_json).collect());
-    Json::obj(vec![("traces", traces)]).write()
 }
 
 /// A CI gate (`--check-band`, `--check-loss`): `value` must lie in
@@ -891,90 +875,52 @@ fn run_chaos(o: &Opts, sp: &SpamProgram, scene: &Arc<Scene>) -> Result<(), Strin
     chaos_phase(o, model, "model(s)", |r| (r.firings, r.models)).map(drop)
 }
 
-/// A span's wall time, µs.
-fn wall_us(s: &SpanRecord) -> u64 {
-    s.end_us.saturating_sub(s.start_us)
+/// Argument `key` of a Chrome trace event.
+fn arg<'a>(e: &'a Json, key: &str) -> Option<&'a Json> {
+    e.get("args")?.get(key)
 }
 
-/// Renders the span tree as indented ASCII, children ordered by start.
-fn render_span_tree(spans: &[SpanRecord], root_start: u64) -> String {
-    let mut children: std::collections::BTreeMap<tlp_obs::SpanId, Vec<usize>> = Default::default();
-    let mut roots = Vec::new();
-    for (i, s) in spans.iter().enumerate() {
-        match s.parent {
-            Some(p) => children.entry(p).or_default().push(i),
-            None => roots.push(i),
-        }
-    }
-    for v in children.values_mut() {
-        v.sort_by_key(|&i| (spans[i].start_us, spans[i].id));
-    }
-    let mut out = String::new();
-    let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&i| (i, 0)).collect();
-    while let Some((i, depth)) = stack.pop() {
-        let s = &spans[i];
-        let off_ms = s.start_us.saturating_sub(root_start) as f64 / 1e3;
-        let dur_ms = wall_us(s) as f64 / 1e3;
-        let worker = if s.worker.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", s.worker)
-        };
-        let err = match &s.error {
-            Some(e) => format!(" ERROR: {e}"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "  {:>9.2}ms +{:>9.2}ms  {}{} ({}){worker}{err}\n",
-            off_ms,
-            dur_ms,
-            "  ".repeat(depth),
-            s.name,
-            s.kind.name(),
-        ));
-        if let Some(kids) = children.get(&s.id) {
-            for &k in kids.iter().rev() {
-                stack.push((k, depth + 1));
-            }
-        }
-    }
-    out
+/// Field `key` of a Chrome trace event, as text (`""` if absent).
+fn text_of<'a>(e: &'a Json, key: &str) -> &'a str {
+    e.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
-/// Task index embedded in a `task.exec t<N> a<M>` span name.
-fn task_index(name: &str) -> Option<u32> {
-    name.strip_prefix("task.exec t")?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()
+/// Field `key` of a Chrome trace event, as a number (0 if absent).
+fn num_of(e: &Json, key: &str) -> f64 {
+    e.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// The `trace <id>` subcommand: reconstruct one retained trace — span
-/// tree plus the critical task chain recomputed from the recorded per-task
-/// service table — from a `--traces-out` file.
+/// Argument `key` of a Chrome trace event, as a count (0 if absent).
+fn count_arg(e: &Json, key: &str) -> u64 {
+    arg(e, key).and_then(Json::as_f64).unwrap_or(0.0) as u64
+}
+
+/// The `trace <id>` subcommand: one scene's events out of a `--trace-out`
+/// file — every task attempt and supervisor decision tagged with its id,
+/// in start order.
 fn run_trace(o: &Opts) -> Result<(), String> {
     let id = o.trace_id.as_str();
     let path =
-        (o.trace_from.as_deref()).ok_or("trace: which file? (--from F, a --traces-out file)")?;
+        (o.trace_from.as_deref()).ok_or("trace: which file? (--from F, a --trace-out file)")?;
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("trace: cannot read {path}: {e}"))?;
-    // Decode, check every tree as CI does (`tracecheck --spans`), render.
-    let traces = tlp_obs::decode_traces(&text).map_err(|e| format!("trace: INVALID: {e}"))?;
-    for t in &traces {
-        (t.check_tree()).map_err(|e| format!("trace: INVALID span tree: {e}"))?;
-    }
-    let matches_id = |t: &&RetainedTrace| {
-        let tid = t.trace.to_string();
-        tid == id || (id.len() >= 4 && tid.starts_with(id))
-    };
-    let hits: Vec<&RetainedTrace> = traces.iter().filter(matches_id).collect();
-    let t = match hits.as_slice() {
+    // Checked as CI checks it (`tracecheck`), then read.
+    tlp_obs::validate_chrome_trace(&text).map_err(|e| format!("trace: INVALID: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("trace: INVALID: {e}"))?;
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap_or(&[]);
+    let tagged = |e| arg(e, "trace_id").and_then(Json::as_str);
+    let mut ids: Vec<&str> = events.iter().filter_map(tagged).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let hits: Vec<&str> = (ids.iter().copied())
+        .filter(|t| *t == id || (id.len() >= 4 && t.starts_with(id)))
+        .collect();
+    let trace = match hits.as_slice() {
         [one] => *one,
         [] => {
             return Err(format!(
-                "trace: no retained trace matches {id:?} ({} candidate(s) in document)",
-                traces.len()
+                "trace: no trace id in {path} matches {id:?} ({} in the file)",
+                ids.len()
             ));
         }
         _ => {
@@ -984,71 +930,78 @@ fn run_trace(o: &Opts) -> Result<(), String> {
             ));
         }
     };
-    println!(
-        "trace {} scene={} seed={}: {:.3}s, retries={} dead={} dropped={}",
-        t.trace,
-        t.scene,
-        t.seed,
-        t.duration_s(),
-        t.retries,
-        t.dead_letters,
-        t.dropped_spans,
-    );
-    let root_start = (t.spans.iter().find(|s| s.parent.is_none())).map_or(0, |s| s.start_us);
-    print!("{}", render_span_tree(&t.spans, root_start));
 
-    // Critical task chain, recomputed from the recorded deterministic
-    // service table — the same `core::attribution::critical_path_of` the
-    // profiler uses, so the two reports agree.
-    let services: Vec<multimax_sim::Task> = (t.services.iter())
-        .map(|s| {
-            multimax_sim::Task::with_match(s.task, s.sim_s.max(0.0), s.match_frac.clamp(0.0, 1.0))
+    let track = |e: &Json| (num_of(e, "pid") as u64, num_of(e, "tid") as u64);
+    let names: std::collections::BTreeMap<_, &str> = (events.iter())
+        .filter(|e| text_of(e, "ph") == "M" && text_of(e, "name") == "thread_name")
+        .map(|e| {
+            (
+                track(e),
+                arg(e, "name").and_then(Json::as_str).unwrap_or("?"),
+            )
         })
         .collect();
-    if services.is_empty() {
-        println!("critical path: no service table recorded (scene traced without attribution)");
-        return Ok(());
-    }
-    let task_spans: Vec<&SpanRecord> = (t.spans.iter())
-        .filter(|s| s.kind == SpanKind::Task)
-        .collect();
-    let nw = task_spans
+    let mine: Vec<&Json> = events.iter().filter(|e| tagged(e) == Some(trace)).collect();
+    let t0 = mine
         .iter()
-        .map(|s| s.worker.as_str())
-        .collect::<std::collections::BTreeSet<_>>()
-        .len()
-        .max(1);
-    let cfg = multimax_sim::SimConfig::encore(nw as u32);
-    let cp = spam_psm::attribution::critical_path_of(&services, &cfg);
-    println!(
-        "critical path (core::attribution, {} tasks, {nw} worker(s)): task t{}, {:.2} sim s \
-         (fork {} + dequeue {} + service)",
-        services.len(),
-        cp.task,
-        cp.length,
-        cfg.fork_overhead,
-        cfg.dequeue_overhead,
-    );
-    // Cross-check against the measured wall spans: the longest successful
-    // attempt should be the same task the model says is critical.
-    let longest_wall = task_spans
-        .iter()
-        .filter(|s| s.error.is_none())
-        .max_by_key(|s| wall_us(s));
-    if let Some(s) = longest_wall {
-        let attempt = format!(
-            "cross-check: longest measured attempt {} ({:.3}s wall)",
-            s.name,
-            wall_us(s) as f64 / 1e6
-        );
-        match task_index(&s.name) {
-            Some(idx) if idx == cp.task => println!("{attempt} agrees with the model"),
-            Some(idx) => println!(
-                "{attempt} is t{idx}, model says t{} — wall noise or retries moved the chain",
-                cp.task
-            ),
-            None => println!("{attempt}"),
+        .map(|e| num_of(e, "ts"))
+        .fold(f64::INFINITY, f64::min);
+    let ms = |us: f64| us / 1e3;
+    // A `task.exec` begin waits on its track for its end; the validator
+    // has held the file to well-nested spans.
+    let mut open: std::collections::BTreeMap<_, Vec<&Json>> = Default::default();
+    let mut rows: Vec<(f64, String)> = Vec::new();
+    let (mut attempts, mut retries, mut dead) = (0, 0, 0);
+    let mut workers = std::collections::BTreeSet::new();
+    for e in &mine {
+        let (ts, name) = (num_of(e, "ts"), text_of(e, "name"));
+        let at = format!("{:>9.2}ms", ms(ts - t0));
+        match (text_of(e, "ph"), name) {
+            ("B", _) if name.starts_with("task.exec") => open.entry(track(e)).or_default().push(*e),
+            ("E", _) if name.starts_with("task.exec") => {
+                let Some(b) = open.get_mut(&track(e)).and_then(Vec::pop) else {
+                    continue;
+                };
+                let begin = num_of(b, "ts");
+                let attempt = count_arg(b, "attempt");
+                let worker = names.get(&track(e)).copied().unwrap_or("?");
+                let error = arg(e, "error").and_then(Json::as_str);
+                let error = error.map_or(String::new(), |m| format!("  ERROR: {m}"));
+                let line = format!(
+                    "{:>9.2}ms +{:>8.2}ms  {name} a{attempt}  [{worker}]{error}",
+                    ms(begin - t0),
+                    ms(ts - begin)
+                );
+                rows.push((begin, line));
+                workers.insert(worker);
+                attempts += 1;
+            }
+            ("i", "supervisor.retry") => {
+                let (task, next) = (count_arg(e, "task"), count_arg(e, "next_attempt"));
+                rows.push((ts, format!("{at} {:>11}  {name} t{task} -> a{next}", "")));
+                retries += 1;
+            }
+            ("i", "supervisor.dead_letter") => {
+                let (task, n) = (count_arg(e, "task"), count_arg(e, "attempts"));
+                let line = format!("{at} {:>11}  {name} t{task} after {n} attempt(s)", "");
+                rows.push((ts, line));
+                dead += 1;
+            }
+            _ => {}
         }
+    }
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let end = mine.iter().map(|e| num_of(e, "ts")).fold(t0, f64::max);
+    println!(
+        "trace {trace}: {attempts} attempt(s) on {} worker track(s), {retries} retr{}, \
+         {dead} dead letter{}, {:.3} ms",
+        workers.len(),
+        if retries == 1 { "y" } else { "ies" },
+        if dead == 1 { "" } else { "s" },
+        ms(end - t0),
+    );
+    for (_, line) in &rows {
+        println!("{line}");
     }
     Ok(())
 }
@@ -1120,14 +1073,8 @@ fn run_pipeline(
     let live_on = o.metrics_out.is_some();
     let live = if live_on { Live::new(0) } else { Live::off() };
     let slo = live_on.then(|| Arc::new(SloMonitor::new(SloConfig::default(), live.handle())));
-    // Scene tracing is on for `--traces-out`. Results are bit-identical
-    // either way.
-    let trace_on = o.traces_out.is_some();
-    let tracing = if trace_on {
-        Tracing::new()
-    } else {
-        Tracing::off()
-    };
+    // A trace file tags the scene's LCC events with its deterministic id.
+    let trace = (o.trace_out.is_some()).then(|| TraceId::derive(o.fault_seed, dataset));
 
     phase_begin(&mut ctl, "phase.rtf");
     let rtf = run_rtf(sp, scene);
@@ -1146,12 +1093,8 @@ fn run_pipeline(
         || o.task_panic_rate > 0.0
         || rec.enabled(ObsLevel::Summary)
         || live_on
-        || trace_on
         || o.exec_real;
     phase_begin(&mut ctl, "phase.lcc");
-    // One scene submission = one trace: mint the deterministic id + root
-    // span just before the LCC fan-out and close it right after.
-    let scene_span = trace_on.then(|| tracing.start_scene(o.fault_seed, dataset));
     let (lcc, measured) = if supervised {
         let cfg = SupervisorConfig::default().with_retries(o.retries);
         let how = PhaseRun {
@@ -1162,7 +1105,7 @@ fn run_pipeline(
                 rec: Arc::clone(&rec),
                 live: Arc::clone(&live),
                 slo: slo.clone(),
-                span: scene_span.as_ref(),
+                trace,
             },
         };
         let (lcc, m) = spam_psm::run_parallel_lcc(sp, scene, &fragments, o.level, &how)
@@ -1199,17 +1142,8 @@ fn run_pipeline(
             lcc.units.len(),
         );
     }
-    if let Some(span) = &scene_span {
-        span.finish();
-        println!("trace  : {}", span.trace_id());
-    }
-    if let Some(path) = &o.traces_out {
-        let kept = tracing.retained();
-        write_file(path, &traces_doc(&kept))?;
-        println!(
-            "trace  : {} retained trace(s) -> {path} (tracecheck --spans / spamctl trace --from)",
-            kept.len()
-        );
+    if let Some(id) = trace {
+        println!("trace  : {id}");
     }
     let mut fragments = Arc::new(lcc.fragments.clone());
     let mut consistents = lcc.consistents.clone();

@@ -2,7 +2,6 @@
 //!
 //! ```sh
 //! tracecheck trace.json [--min-coverage 0.99]
-//! tracecheck --spans traces.json
 //! ```
 //!
 //! Checks a Chrome `trace_event` file produced by `spamctl --trace-out`:
@@ -13,31 +12,21 @@
 //! the union of spans must cover at least `--min-coverage` of each
 //! declared simulated makespan (default 0.99). Exits non-zero on any
 //! violation, so CI can gate on it.
-//!
-//! `--spans` switches to scene-trace mode: the file is a retained-trace
-//! document or a `{"traces": […]}` listing (`spamctl … --traces-out`),
-//! and every span tree must be well-formed — unique span ids, exactly one
-//! root, every parent present in the same trace, every span reaching the
-//! root through its parents, and every child interval nested inside its
-//! parent's.
 
 use std::process::ExitCode;
-use tlp_obs::{validate_chrome_trace, validate_span_tree};
+use tlp_obs::validate_chrome_trace;
 
 struct Opts {
     trace: String,
     min_coverage: f64,
-    spans: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut trace = None;
     let mut min_coverage = 0.99;
-    let mut spans = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--spans" => spans = true,
             "--min-coverage" => {
                 min_coverage = args
                     .next()
@@ -49,9 +38,7 @@ fn parse_args() -> Result<Opts, String> {
                 }
             }
             "--help" | "-h" => {
-                return Err("usage: tracecheck <trace.json> [--min-coverage C]\n\
-                     \x20      tracecheck --spans <traces.json>"
-                    .into())
+                return Err("usage: tracecheck <trace.json> [--min-coverage C]".into())
             }
             other if other.starts_with('-') => return Err(format!("unknown argument '{other}'")),
             _ => {
@@ -64,7 +51,6 @@ fn parse_args() -> Result<Opts, String> {
     Ok(Opts {
         trace: trace.ok_or("usage: tracecheck <trace.json> [--min-coverage C]")?,
         min_coverage,
-        spans,
     })
 }
 
@@ -84,19 +70,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if o.spans {
-        match validate_span_tree(&text) {
-            Ok(s) => {
-                println!("tracecheck: {}: {s}", o.trace);
-                println!("tracecheck: OK");
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("tracecheck: {}: INVALID: {e}", o.trace);
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let summary = match validate_chrome_trace(&text) {
         Ok(s) => s,
         Err(e) => {

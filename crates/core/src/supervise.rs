@@ -8,7 +8,6 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
-use tlp_obs::SpanSink;
 
 /// Name prefix of task worker threads (`psm-task-{w}`); the quiet panic
 /// hook uses it to keep injected/caught panics out of test output.
@@ -61,16 +60,12 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One scheduled execution of a task, handed to the task closure. Carries
-/// the structural coordinates the supervisor knows — which task, which
-/// attempt — plus, when a scene trace is active, a [`SpanSink`] whose
-/// children parent under this attempt's `task.exec` span. The attempt
-/// number lets a fault plan fate one attempt of a task and not its retry.
+/// One scheduled execution of a task, handed to the task closure: which
+/// task, which attempt. The attempt number lets a fault plan fate one
+/// attempt of a task and not its retry.
 pub struct TaskAttempt {
     /// Task index within the phase.
     pub task: usize,
     /// Zero-based attempt number (0 = first execution, >0 = retry).
     pub attempt: u32,
-    /// Aux-span sink parented under this attempt's span, when tracing.
-    pub trace: Option<SpanSink>,
 }

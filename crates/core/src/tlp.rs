@@ -29,18 +29,17 @@ use spam::task::{TaskList, TaskProcess};
 use spam::watch::Watch;
 use std::sync::Arc;
 use tlp_fault::{FaultPlan, SuperviseError, SupervisorConfig, TaskReport};
-use tlp_obs::{Live, Recorder, SceneSpan, SloMonitor};
+use tlp_obs::{Live, Recorder, SloMonitor, TraceId};
 
 /// Runs `list` as `how` says, tasks weighed for chunking by their
 /// [estimates](TaskList::estimate). An attempt is `tp.run(&task, watch)`,
-/// the [`Watch`] publishing its engine's work when the run ends, grouping its
-/// cycles under the attempt's span, and delivering the fault plan's mid-cycle kill of that
-/// attempt, if any. A task whose list [observes](TaskList::observed) its
-/// work has its simulated latency (at the paper's 1.5 MIPS) judged against
-/// the scene's objective and, with its match fraction, recorded in the
-/// scene trace's service table for `spamctl trace`.
+/// the [`Watch`] publishing its engine's work when the run ends and
+/// delivering the fault plan's mid-cycle kill of that attempt, if any. A
+/// task whose list [observes](TaskList::observed) its work has its
+/// simulated latency (at the paper's 1.5 MIPS) judged against the scene's
+/// objective.
 pub fn run_phase<L>(
-    how: &PhaseRun<'_>,
+    how: &PhaseRun,
     list: &Arc<L>,
 ) -> Result<PhaseOutcome<L::Output>, SuperviseError>
 where
@@ -51,14 +50,9 @@ where
         .map(|i| list.estimate(i) * ESTIMATE_UNITS_PER_WME)
         .collect();
     let obs = &how.obs;
-    let observe = |i: usize, r: &L::Output| {
-        let Some(work) = list.observed(r) else { return };
-        let sim_s = work.seconds_at(spam::phases::MIPS);
-        if let Some(slo) = &obs.slo {
-            slo.observe(sim_s);
-        }
-        if let Some(span) = obs.span {
-            span.record_service(i as u32, sim_s, work.match_fraction());
+    let observe = |_: usize, r: &L::Output| {
+        if let (Some(work), Some(slo)) = (list.observed(r), &obs.slo) {
+            slo.observe(work.seconds_at(spam::phases::MIPS));
         }
     };
     let (tasks, live, plan) = (Arc::clone(list), Arc::clone(&obs.live), how.plan.clone());
@@ -69,7 +63,7 @@ where
         observe,
         move |tp: &mut TaskProcess, a| {
             let kill_at = plan.cycle_kill(a.task, a.attempt);
-            let watch = Watch::new(Some(&live), a.trace).with_kill_at(kill_at);
+            let watch = Watch::new(Some(&live)).with_kill_at(kill_at);
             tp.run(&tasks.task(a.task), watch).0
         },
     )
@@ -98,7 +92,7 @@ pub fn run_parallel_lcc(
     scene: &Arc<Scene>,
     fragments: &Arc<Vec<FragmentHypothesis>>,
     level: Level,
-    how: &PhaseRun<'_>,
+    how: &PhaseRun,
 ) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
     let plan = Arc::new(LccPlan::new(sp, scene, fragments, level));
     let (slots, report, measured) = run_phase(how, &plan)?;
@@ -121,11 +115,11 @@ pub fn run_parallel_lcc_scene(
     rec: &Arc<Recorder>,
     live: &Arc<Live>,
     slo: Option<&Arc<SloMonitor>>,
-    span: Option<&SceneSpan>,
+    trace: Option<TraceId>,
 ) -> Result<LccPhaseResult, SuperviseError> {
     let exec = ExecConfig::central_queue(n_workers);
     run_parallel_lcc_exec(
-        sp, scene, fragments, level, &exec, cfg, plan, rec, live, slo, span,
+        sp, scene, fragments, level, &exec, cfg, plan, rec, live, slo, trace,
     )
     .map(|(phase, _)| phase)
 }
@@ -146,13 +140,13 @@ pub fn run_parallel_lcc_exec(
     rec: &Arc<Recorder>,
     live: &Arc<Live>,
     slo: Option<&Arc<SloMonitor>>,
-    span: Option<&SceneSpan>,
+    trace: Option<TraceId>,
 ) -> Result<(LccPhaseResult, ExecReport), SuperviseError> {
     let obs = Observer {
         rec: Arc::clone(rec),
         live: Arc::clone(live),
         slo: slo.cloned(),
-        span,
+        trace,
     };
     let how = PhaseRun {
         exec: *exec,
@@ -169,7 +163,7 @@ pub fn run_parallel_rtf(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
     batches: &[Vec<u32>],
-    how: &PhaseRun<'_>,
+    how: &PhaseRun,
 ) -> Result<RtfParallelResult, SuperviseError> {
     let (sp, scene, batches) = (sp.clone(), Arc::clone(scene), batches.to_vec());
     let (slots, report, measured) = run_phase(how, &Arc::new(RtfPhase { sp, scene, batches }))?;

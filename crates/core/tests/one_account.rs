@@ -1,18 +1,16 @@
 //! One account of a run's attempts. A worker records each attempt once, as
 //! an `ExecAttempt`; the `WorkerStats`, the flight recorder's `task.exec` /
-//! `task.steal` events, the registry's per-worker counters and the scene
-//! trace's task spans are all derived from the `ExecReport`. This test holds
-//! each to the attempts exactly, with the report rendered into fresh
-//! observers.
+//! `task.steal` events (a failed attempt's with its panic text) and the
+//! registry's per-worker counters are all derived from the `ExecReport`, and
+//! a phase run under a scene's trace id tags every event it records with it.
+//! This test holds each to the attempts exactly.
 
 use spam::lcc::Level;
 use spam_psm::exec::{ExecAttempt, ExecConfig, Observer, PhaseRun, Source};
 use std::sync::Arc;
 use std::time::Duration;
 use tlp_fault::{FaultPlan, SupervisorConfig};
-use tlp_obs::{
-    ArgValue, EventKind, Live, LiveValue, ObsLevel, Recorder, SpanId, SpanKind, Tracing,
-};
+use tlp_obs::{ArgValue, EventKind, Live, LiveValue, ObsLevel, Recorder, TraceId};
 
 #[test]
 fn every_account_is_rendered_from_the_attempts() {
@@ -26,8 +24,16 @@ fn every_account_is_rendered_from_the_attempts() {
     for level in [Level::L1, Level::L3, Level::L4] {
         for (placement, exec) in placements {
             let at = format!("{} on the {placement}", level.name());
+            let id = TraceId::derive(0, "dc");
+            let obs = Observer {
+                rec: Recorder::new(ObsLevel::Full),
+                live: Live::new(0),
+                slo: None,
+                trace: Some(id),
+            };
             // Task 1 fails once and recovers; task 2 dies for good.
             let how = PhaseRun {
+                obs: obs.clone(),
                 cfg: SupervisorConfig::default()
                     .with_retries(1)
                     .with_backoff(Duration::ZERO),
@@ -40,24 +46,26 @@ fn every_account_is_rendered_from_the_attempts() {
                 spam_psm::run_parallel_lcc(&sp, &scene, &frags, level, &how).unwrap();
             assert_eq!(phase.report.total_retries(), 2, "{at}");
             assert_eq!(phase.report.dead_letters().len(), 1, "{at}");
-
-            let tracing = Tracing::new();
-            let span = tracing.start_scene(0, "dc");
-            let obs = Observer {
-                rec: Recorder::new(ObsLevel::Full),
-                live: Live::new(0),
-                slo: None,
-                span: Some(&span),
-            };
-            measured.render(&obs);
-            let (trace_id, root) = (span.trace_id(), span.root());
-            span.finish();
             let start = measured.start.expect("a phase of tasks has a start");
             let instant = |s: f64| start + Duration::from_secs_f64(s);
             let us = |s: f64| obs.rec.us_at(instant(s));
             let (threads, events) = (obs.rec.threads(), obs.rec.events());
             let snap = obs.live.snapshot();
-            let trace = tracing.retained().pop().expect("the scene is retained");
+
+            // The scene's id is on every event of the control process and
+            // the workers, retries and dead letters among them.
+            let tag = ("trace_id", ArgValue::Str(id.to_string()));
+            let executor = threads
+                .iter()
+                .position(|t| t == "executor")
+                .expect("a track") as u32;
+            let decided = |name: &str| {
+                let mine = events.iter().filter(|e| e.thread == executor);
+                mine.filter(|e| e.name == name).count()
+            };
+            assert_eq!(decided("supervisor.retry"), 2, "{at}");
+            assert_eq!(decided("supervisor.dead_letter"), 1, "{at}");
+            assert!(events.iter().all(|e| e.args.contains(&tag)), "{at}");
 
             for (w, stats) in measured.workers.iter().enumerate() {
                 let mine: Vec<&ExecAttempt> =
@@ -79,21 +87,29 @@ fn every_account_is_rendered_from_the_attempts() {
 
                 // The recorder: on the worker's track, a `task.steal`
                 // instant per stolen attempt at its acquisition, then a B/E
-                // pair at its start and finish, in the order it ran them.
+                // pair at its start and finish, in the order it ran them,
+                // the end carrying a failed attempt's panic text.
                 let name = format!("psm-task-{w}");
                 let track = threads.iter().position(|t| *t == name).expect("a track") as u32;
                 let mine_ev = events.iter().filter(|e| e.thread == track);
+                let error = |e: &tlp_obs::Event| {
+                    e.args.iter().find_map(|(k, v)| match (k, v) {
+                        (&"error", ArgValue::Str(text)) => Some(text.clone()),
+                        _ => None,
+                    })
+                };
                 let got: Vec<_> = (mine_ev.clone())
-                    .map(|e| (e.name.clone(), e.kind, e.wall_us))
+                    .map(|e| (e.name.clone(), e.kind, e.wall_us, error(e)))
                     .collect();
                 let mut want = Vec::new();
                 for a in &mine {
                     let exec = format!("task.exec t{}", a.task);
                     if matches!(a.source, Source::Stolen(_)) {
-                        want.push(("task.steal".into(), EventKind::Instant, us(a.acquired_s)));
+                        let at = us(a.acquired_s);
+                        want.push(("task.steal".into(), EventKind::Instant, at, None));
                     }
-                    want.push((exec.clone(), EventKind::SpanBegin, us(a.started_s)));
-                    want.push((exec, EventKind::SpanEnd, us(a.finished_s)));
+                    want.push((exec.clone(), EventKind::SpanBegin, us(a.started_s), None));
+                    want.push((exec, EventKind::SpanEnd, us(a.finished_s), a.error.clone()));
                 }
                 assert_eq!(got, want, "{at}");
                 let ok: Vec<bool> = (mine_ev.filter(|e| e.kind == EventKind::SpanEnd))
@@ -113,29 +129,6 @@ fn every_account_is_rendered_from_the_attempts() {
                 let got = ["busy_us", "tasks", "steals", "overflow"]
                     .map(|f| counter(&format!("spam_live_worker_{f}")));
                 assert_eq!(got, [busy_us, mine.len() as u64, stolen, overflow], "{at}");
-
-                // The scene trace: one task span per attempt, under the root,
-                // named for the worker, at its instants, with its panic text.
-                let mut got: Vec<_> = (trace.spans.iter())
-                    .filter(|s| s.kind == SpanKind::Task && s.worker == name)
-                    .map(|s| {
-                        let record = (s.id.0, s.parent, s.name.clone(), s.start_us, s.end_us);
-                        (record, s.error.clone())
-                    })
-                    .collect();
-                let mut want: Vec<_> = (mine.iter())
-                    .map(|a| {
-                        let (i, k) = (a.task as u64, u64::from(a.attempt));
-                        let id = SpanId::derive(trace_id, "task.exec", i, k).0;
-                        let name = format!("task.exec t{i} a{k}");
-                        let (start, end) = (instant(a.started_s), instant(a.finished_s));
-                        let when = (tracing.us_at(start), tracing.us_at(end));
-                        ((id, Some(root), name, when.0, when.1), a.error.clone())
-                    })
-                    .collect();
-                got.sort_by_key(|s| s.0 .0);
-                want.sort_by_key(|s| s.0 .0);
-                assert_eq!(got, want, "{at}");
             }
             let panicked = measured.attempts.iter().filter(|a| a.error.is_some());
             assert_eq!(panicked.count(), 3, "{at}: t1 a0, t2 a0 and t2 a1");

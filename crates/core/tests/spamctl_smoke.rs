@@ -96,15 +96,81 @@ fn a_dead_letter_is_a_breach_with_no_latency_sample() {
     assert_eq!(field("spam_slo_breaches", "total"), dead);
 }
 
+/// A chaotic run's trace file, followed by a prefix of the id the run
+/// printed: `spamctl trace` lists exactly the attempts the run's task
+/// report counts, each failed one with its panic text.
 #[test]
-fn a_retained_trace_round_trips_through_trace_from() {
-    let traces = tmp("smoke_traces.json");
-    let run = "run dc --workers 2 --quiet --traces-out";
-    assert_ok("run", &spamctl(run, &[&traces]));
-    let doc = Json::parse(&std::fs::read_to_string(&traces).unwrap()).unwrap();
-    let first = &doc.get("traces").and_then(Json::as_arr).expect("traces")[0];
-    let id = first.get("trace_id").and_then(Json::as_str).expect("an id");
-    assert_ok("trace", &spamctl("trace", &[id, "--from", &traces]));
+fn a_traced_scene_lists_the_task_reports_attempts() {
+    let trace = tmp("smoke_chaos_trace.json");
+    let run = "run dc --workers 2 --retries 1 --task-panic-rate 0.08 --fault-seed 42 --trace-out";
+    let out = spamctl(run, &[&trace]);
+    assert_ok("run", &out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let id = (stdout.lines())
+        .filter_map(|l| l.strip_prefix("trace  : "))
+        .find(|id| id.len() == 16)
+        .expect("the run prints its trace id");
+
+    // The report: `task report: OK/N ok, …`, then one line per task that
+    // was not clean, `task i [label]: ok after k retr…` or `: panicked (e)`.
+    let header = (stdout.lines())
+        .find_map(|l| l.strip_prefix("task report: "))
+        .expect("a task report");
+    let n: usize = header.split(['/', ' ']).nth(1).unwrap().parse().unwrap();
+    let mut attempts = vec![(1, None); n];
+    for line in stdout.lines().filter_map(|l| l.strip_prefix("  task ")) {
+        let (task, status) = line.split_once(" [").unwrap();
+        let status = status.split_once("]: ").unwrap().1;
+        let task: usize = task.parse().unwrap();
+        attempts[task] = match status.strip_prefix("ok after ") {
+            Some(k) => (
+                1 + k.split(' ').next().unwrap().parse::<u32>().unwrap(),
+                None,
+            ),
+            // `--retries 1`: a dead letter ran two attempts.
+            None => {
+                let error = status.strip_prefix("panicked (").unwrap().strip_suffix(')');
+                (2, Some(error.unwrap().to_string()))
+            }
+        };
+    }
+    let mut want = Vec::new();
+    for (task, (k, dead)) in attempts.iter().enumerate() {
+        for a in 0..*k {
+            let failed = a + 1 < *k || dead.is_some();
+            let error = failed.then(|| format!("injected fault: task {task} attempt {a}"));
+            want.push((task, a, error));
+        }
+        if let Some(last) = dead {
+            assert_eq!(want.last().unwrap().2.as_ref(), Some(last));
+        }
+    }
+    assert!(
+        want.iter().any(|w| w.2.is_some()),
+        "the plan fails some attempts"
+    );
+
+    let listed = spamctl("trace", &[&id[..4], "--from", &trace]);
+    assert_ok("trace", &listed);
+    let listed = String::from_utf8_lossy(&listed.stdout);
+    let mut got: Vec<(usize, u32, Option<String>)> = (listed.lines())
+        .filter_map(|l| l.split_once("task.exec t"))
+        .map(|(_, rest)| {
+            let (task, rest) = rest.split_once(" a").unwrap();
+            let (attempt, rest) = rest.split_once(' ').unwrap();
+            let error = rest.split_once("ERROR: ").map(|(_, e)| e.to_string());
+            (task.parse().unwrap(), attempt.parse().unwrap(), error)
+        })
+        .collect();
+    got.sort();
+    assert_eq!(got, want, "{listed}");
+    let retries = want.len() - n;
+    let head = listed.lines().next().unwrap();
+    assert!(
+        head.starts_with(&format!("trace {id}: {} attempt(s)", want.len())),
+        "{head}"
+    );
+    assert!(head.contains(&format!(" {retries} retries,")), "{head}");
 }
 
 #[test]
@@ -121,6 +187,7 @@ fn removed_and_unknown_flags_are_errors() {
         "--skew-ms",
         "--drift-ppm",
         "--trace-sample",
+        "--traces-out",
         "--live",
         "--serve",
         "--serve-linger-ms",
@@ -151,6 +218,14 @@ fn removed_and_unknown_flags_are_errors() {
         assert!(out.stdout.is_empty(), "{args} ran something: {stderr}");
     }
     assert!(!std::path::Path::new(&json).exists());
+    // `tracecheck` reads Chrome traces only.
+    let spans = Command::new(env!("CARGO_BIN_EXE_tracecheck"))
+        .args(["--spans", &json])
+        .output()
+        .expect("tracecheck runs");
+    assert!(!spans.status.success(), "--spans must be rejected");
+    let stderr = String::from_utf8_lossy(&spans.stderr);
+    assert!(stderr.contains("unknown argument '--spans'"), "{stderr}");
     // A word that is no subcommand, dataset or flag, or a flag of none,
     // is rejected as such.
     for (args, word) in [

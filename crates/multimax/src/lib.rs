@@ -20,10 +20,10 @@
 //!
 //! ## Model
 //!
-//! * A [`Machine`](machine::Machine) is one or two clusters ("Encores") of
+//! * A [`Machine`] is one or two clusters ("Encores") of
 //!   processors; the kernel reserves some per cluster (§7: "the MACH kernel
 //!   and the shared virtual memory system tend to occupy 2 processors").
-//! * Task processes pull [`Task`](task::Task)s from a central queue guarded
+//! * Task processes pull [`Task`]s from a central queue guarded
 //!   by a lock; dequeueing costs time and serialises (§6.2 measures this
 //!   overhead at "less than 25 seconds ... less than .1 %").
 //! * Workers on the remote cluster pay SVM costs per task

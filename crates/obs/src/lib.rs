@@ -22,11 +22,10 @@
 //!   [`json::Json::parse`]. A task's engine work is published into it
 //!   once, when the task's run ends. [`SloMonitor`] publishes its
 //!   burn-rate decisions into it.
-//! * **Scene traces** — [`Tracing`], a span tree per scene submission,
-//!   the last [`MAX_RETAINED`] finished ones kept in a ring; written as
-//!   JSON ([`RetainedTrace::to_json`]), read back by its one decoder
-//!   ([`RetainedTrace::from_json`], [`decode_traces`]) and checked by
-//!   [`validate_span_tree`] (`tracecheck --spans`).
+//! * **Scene traces** are not a format of their own: a scene's
+//!   [`TraceId`] is a `trace_id` argument on the events its phase records,
+//!   so one scene's attempts, retries and dead letters are the Chrome
+//!   trace's events under its id.
 //! * A dependency-free JSON [`json`] parser/writer used by all of the
 //!   above and by the round-trip tests.
 //!
@@ -39,12 +38,12 @@
 //! Observability must never distort what it observes:
 //!
 //! 1. **Runtime level**: [`ObsLevel::Off`] reduces an emit site to one
-//!    relaxed atomic load and a branch; a disabled [`Live`] or [`Tracing`]
-//!    to a branch on a plain bool.
+//!    relaxed atomic load and a branch; a disabled [`Live`] to a branch on
+//!    a plain bool.
 //! 2. **One clock**: an emitter that has timed something stamps its events
-//!    and spans with the instants it already holds ([`Recorder::us_at`],
-//!    [`Tracing::us_at`]) — two records of one interval never read two
-//!    clocks, so they cannot disagree.
+//!    with the instants it already holds ([`Recorder::us_at`]) — a record
+//!    of an interval never reads a second clock, so it cannot disagree
+//!    with the measurement.
 //! 3. **Deterministic accounting is separate**: the engine's work-unit
 //!    counters (`ops5::instrument`) never flow through the recorder, so
 //!    work totals are bit-identical at any level.
@@ -72,10 +71,7 @@ pub use metrics::Histogram;
 pub use recorder::{Recorder, ThreadSink};
 pub use slo::{Health, SloConfig, SloMonitor};
 pub use timeline::{multi_gantt, CounterSeries, Span, Timeline, Track};
-pub use tracectx::{
-    decode_traces, validate_span_tree, RetainedTrace, SceneSpan, SpanId, SpanKind, SpanRecord,
-    SpanSink, SpanTreeStats, TaskService, TraceId, Tracing, MAX_RETAINED, MAX_SPANS,
-};
+pub use tracectx::TraceId;
 
 use std::fmt;
 

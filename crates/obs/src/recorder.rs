@@ -132,8 +132,8 @@ pub struct ThreadSink {
     seq: u64,
     buf: Vec<Event>,
     /// Sticky scene-trace annotation: while set, every emitted event
-    /// carries a `trace_id` argument, so flight-recorder output can be
-    /// joined against the retained traces of [`crate::tracectx::Tracing`].
+    /// carries a `trace_id` argument, so one scene's events can be picked
+    /// out of the run's trace.
     trace: Option<TraceId>,
 }
 
@@ -157,10 +157,9 @@ impl ThreadSink {
     }
 
     /// Sets the sticky scene-trace annotation: every subsequent event from
-    /// this sink carries a `trace_id` argument. Workers set this when they
-    /// start executing inside a traced scene (their sink lives as long as
-    /// the phase), so recorder events and retained span trees share a join
-    /// key.
+    /// this sink carries a `trace_id` argument. The phase runner sets it on
+    /// its control and worker sinks when the phase runs under a scene's
+    /// id (see `spamctl trace`).
     pub fn set_trace(&mut self, trace: TraceId) {
         self.trace = Some(trace);
     }

@@ -19,7 +19,7 @@
 //! the event batch into the buffers of a slab slot, which keeps them when
 //! the slot is vacated and reuses them for the next occupant, so a warm set
 //! inserts, retracts and selects without allocating. A list of
-//! `(primary tag, slot)` pairs kept sorted by [`compare`] under the active
+//! `(primary tag, slot)` pairs kept sorted by `compare` under the active
 //! strategy makes `select`/`peek` a pop of its last element; the primary
 //! tag — the newest time tag under LEX, the first condition element's under
 //! MEA — is the strategy's first criterion, carried inline so that most
@@ -366,7 +366,7 @@ impl ConflictSet {
 
     /// The instantiation [`select`](Self::select) would take, left in
     /// place. When `strategy` differs from the one the set is currently
-    /// ranked by, this falls back to a linear maximum under [`compare`];
+    /// ranked by, this falls back to a linear maximum under `compare`;
     /// `select` re-ranks instead.
     pub fn peek(&self, strategy: Strategy) -> Option<InstRef<'_>> {
         let top = if strategy == self.rank_strategy {

@@ -624,7 +624,7 @@ impl AlphaMemories {
     /// memory ids to `hit` (in ascending order — the order a walk over the
     /// whole class would find them in) and accumulating the match cost in
     /// `work_units`. Ids must arrive in ascending order, as a
-    /// [`WmStore`](crate::wme::WmStore) hands them out.
+    /// [`WmStore`] hands them out.
     pub fn classify_add(
         &mut self,
         net: &AlphaNetwork,

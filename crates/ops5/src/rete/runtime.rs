@@ -28,6 +28,9 @@
 //! per production, linear scans, identical work-unit accounting — which is
 //! the baseline `bench_rete` and the differential tests compare against.
 //!
+//! [`ReteConfig::index`]: crate::ReteConfig::index
+//! [`ReteConfig::unshared()`]: crate::ReteConfig::unshared
+//!
 //! Nodes, tests and successor lists are the [`Network`]'s, built once per
 //! program and shared; a [`Rete`] is that network plus the memories of one
 //! engine, and everything below only ever writes to the memories.
@@ -495,7 +498,7 @@ impl Rete {
     /// Every instantiation is named by its token's slot
     /// ([`crate::matcher`]'s naming contract). A slot is a live token's
     /// alone, and a token's retraction is written before its slot is given
-    /// back ([`Activation::emit_retract`]); so when a slot is named again —
+    /// back (`Activation::emit_retract`); so when a slot is named again —
     /// by a token that reached a terminal since — the retraction of its
     /// last holder is already in `out`, ahead of the insert.
     ///

@@ -782,7 +782,7 @@ mod tests {
         let plan = LccPlan::new(&sp, &scene, &frags, Level::L3);
         assert_eq!(plan.units[0].label(), unit.label());
         let live = Live::new(0);
-        let watch = Watch::new(Some(&live), None);
+        let watch = Watch::new(Some(&live));
         let (watched, _) = tp.run(&plan.task(0), watch);
         assert_eq!(plain.consistents, watched.consistents);
         assert_eq!(plain.supports, watched.supports);
@@ -810,7 +810,7 @@ mod tests {
         // With a disabled registry the live runner publishes nothing and
         // still computes the same results.
         let off = Live::off();
-        let watch = Watch::new(Some(&off), None);
+        let watch = Watch::new(Some(&off));
         let (silent, _) = tp.run(&plan.task(0), watch);
         assert_eq!(plain.consistents, silent.consistents);
         assert!(off.snapshot().series.is_empty());

@@ -31,7 +31,7 @@
 //! Every task of every phase runs on a [`task::TaskProcess`] — the paper's
 //! task process as a value that owns its engine. The engine only counts;
 //! [`watch`] is how a task runner watches one from outside (one registry
-//! publish per task, scene-trace cycle windows) without the engine knowing.
+//! publish per task) without the engine knowing.
 //!
 //! The three airport datasets of the paper (San Francisco International,
 //! Washington National, NASA Ames Moffett Field) are not available; the

@@ -100,8 +100,8 @@ pub trait TaskList {
     }
     /// Task `i`.
     fn task(&self, i: usize) -> Self::Task<'_>;
-    /// The work a completed task reports to the phase's latency objective
-    /// and trace service table; `None`: the phase feeds neither.
+    /// The work a completed task reports to the phase's latency objective;
+    /// `None`: the phase feeds none.
     fn observed<'r>(&self, _result: &'r Self::Output) -> Option<&'r WorkCounters> {
         None
     }
@@ -234,7 +234,7 @@ impl Attempt<'_> {
 
     /// The rest of `task`'s lifecycle on this attempt, `watch` looking on.
     /// Returns the result and the profile if one was asked for.
-    pub fn run<K: Task>(mut self, task: &K, mut watch: Watch) -> (K::Output, Option<MatchProfile>) {
+    pub fn run<K: Task>(mut self, task: &K, watch: Watch) -> (K::Output, Option<MatchProfile>) {
         let e = &mut self.kept.engine;
         task.load(e);
         let out = watch.drive(e);

@@ -124,19 +124,18 @@ fn fresh(input: usize, level: usize, unit: usize) -> LccUnitResult {
 enum Mode {
     Plain,
     Live,
-    Traced,
     Profiled,
 }
 
 /// `(input, level, unit pick, mode)`.
 fn step() -> impl Strategy<Value = (usize, usize, usize, Mode)> {
-    (0usize..6, 0usize..4, 0usize..100_000, 0usize..6).prop_map(|(input, level, pick, mode)| {
+    (0usize..6, 0usize..4, 0usize..100_000, 0usize..5).prop_map(|(input, level, pick, mode)| {
         (
             // Mostly the first input, so runs of units share one engine.
             input.saturating_sub(3),
             level,
             pick,
-            [Mode::Plain, Mode::Live, Mode::Traced, Mode::Profiled][mode.saturating_sub(2)],
+            [Mode::Plain, Mode::Live, Mode::Profiled][mode.saturating_sub(2)],
         )
     })
 }
@@ -150,8 +149,6 @@ proptest! {
     ) {
         let f = fixture();
         let live = tlp_obs::Live::new(0);
-        let tracing = tlp_obs::Tracing::new();
-        let span = tracing.start_scene(7, "reuse");
         let tp = &mut TaskProcess::default();
         for (n, &(input, level, pick, mode)) in steps.iter().enumerate() {
             let i = &f.inputs[input];
@@ -163,11 +160,7 @@ proptest! {
             let mut watched = |w: Watch| tp.run(&task, w);
             let got = match mode {
                 Mode::Plain => watched(Watch::default()).0,
-                Mode::Live => watched(Watch::new(Some(&live), None)).0,
-                Mode::Traced => {
-                    let sink = span.sink_under(span.root());
-                    watched(Watch::new(Some(&live), Some(sink))).0
-                }
+                Mode::Live => watched(Watch::new(Some(&live))).0,
                 Mode::Profiled => {
                     let (r, prof) = watched(Watch::default().with_profile());
                     let prof = prof.expect("profiling was enabled");
