@@ -31,3 +31,18 @@ done
 $bin/bench_exec $out/BENCH_exec.json --reps 3
 $bin/benchdiff crates/bench/baselines/BENCH_exec.json \
   $out/BENCH_exec.json --ignore wall --ignore reps
+
+# A thread keeps its OPS5 engine for good (DESIGN §21), so what the engine
+# retains must not grow with the rounds it reruns: `coarse_l4`'s peak RSS
+# over a 24 s run may exceed a 4 s run's by 5 % at most.
+peak_rss() {
+  bash benchmarks/e2e/run.sh --workload coarse_l4 --seconds "$1" --trace 0 | tail -1 |
+    sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p'
+}
+short=$(peak_rss 4)
+long=$(peak_rss 24)
+echo "coarse_l4 peak_rss_mb: ${short} MB at 4 s, ${long} MB at 24 s"
+if ! awk -v s="$short" -v l="$long" 'BEGIN { exit !(s > 0 && l <= 1.05 * s) }'; then
+  echo "robustness: coarse_l4 peak RSS grew from ${short} MB (4 s) to ${long} MB (24 s), more than 5 %" >&2
+  exit 1
+fi

@@ -76,7 +76,7 @@ fn run_one(
     naive: bool,
 ) -> (u64, u64) {
     if !naive {
-        let r = run_lcc_unit(&mut TaskProcess::default(), sp, scene, fragments, unit);
+        let r = TaskProcess::with_thread(|tp| run_lcc_unit(tp, sp, scene, fragments, unit));
         return (r.work.total_units(), r.firings);
     }
     // The same task on the naive matcher — an engine no task process

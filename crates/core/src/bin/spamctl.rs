@@ -764,9 +764,8 @@ where
     L::Output: PartialEq + Send + 'static,
 {
     let list = Arc::new(list);
-    let seq: Vec<L::Output> = (drain(&mut TaskProcess::default(), &*list, false))
-        .map(|(r, _)| r)
-        .collect();
+    let seq: Vec<L::Output> =
+        TaskProcess::with_thread(|tp| drain(tp, &*list, false).map(|(r, _)| r).collect());
     let (task_cycles, made): (Vec<u64>, Vec<usize>) = seq.iter().map(count).unzip();
     let (firings, made) = (task_cycles.iter().sum::<u64>(), made.iter().sum::<usize>());
     println!(

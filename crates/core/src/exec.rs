@@ -23,17 +23,19 @@
 //! closure and its result are `'static`: a resident thread outlives every
 //! caller's stack frame, and this crate forbids the `unsafe` that would let
 //! it borrow from one. What a task process keeps from task to task — for
-//! the SPAM phases, its OPS5 engine — is a value `S: Default` the worker
-//! makes when it picks the phase up and lends to every task it runs; it
-//! does not outlive the phase. The control process wakes its residents
-//! *before* it deals the tasks (their wake-up overlaps the deal), and when
-//! the phase is over waits on a completion latch rather than joining
-//! threads: a resident hands over its last completions, writes its
-//! statistics, parks itself in the registry and only then counts the latch down — so
-//! back-to-back phases reuse the same threads — and drops its `S` after
-//! that, off the control process's critical path. A resident thread that
-//! died (a panic outside `catch_unwind`) is replaced at the next lease; the
-//! phase it died in fails loudly.
+//! the SPAM phases, its OPS5 engine — belongs to its *thread*, not to the
+//! phase: the task closure finds it there (`TaskProcess::with_thread`, in
+//! the `spam` crate), so a resident's engine outlives the phase and serves
+//! the next one it is leased to, and the calling thread's serves its
+//! sequential phases too.
+//! This module keeps nothing per worker beyond its statistics. The control
+//! process wakes its residents *before* it deals the tasks (their wake-up
+//! overlaps the deal), and when the phase is over waits on a completion
+//! latch rather than joining threads: a resident hands over its last
+//! completions, writes its statistics, parks itself in the registry and
+//! only then counts the latch down — so back-to-back phases reuse the same
+//! threads. A resident thread that died (a panic outside `catch_unwind`)
+//! is replaced at the next lease; the phase it died in fails loudly.
 //!
 //! Worker 0 is the calling thread. The paper's control process had a
 //! processor of its own; here it would otherwise block while the residents
@@ -46,8 +48,6 @@
 //! that are due, take completions, decide retries and dead letters. It
 //! blocks only when a sweep finds nothing to run. A phase of one worker
 //! leases no resident and runs on the caller with no hand-off at all.
-//! Worker 0's `S` is made on the calling thread after the lease and dropped
-//! there once the pool is closed, while the residents count out.
 //!
 //! # Placement: central FIFO vs chunked deques
 //!
@@ -128,7 +128,6 @@
 
 use crate::supervise::{catch_attempt, install_quiet_hook, TaskAttempt, WORKER_NAME};
 use multimax_sim::{SimResult, TaskExec};
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
@@ -801,10 +800,8 @@ impl Latch {
 /// A running phase as a resident task process sees it, type-erased.
 trait PhaseWork: Send + Sync {
     /// Worker `w`'s whole share of the phase: acquire jobs until the pool
-    /// closes empty, then file the worker's statistics. Returns
-    /// the worker's per-phase state, for the worker to drop once it has
-    /// counted out.
-    fn work(&self, w: usize) -> Box<dyn Any>;
+    /// closes empty, then file the worker's statistics.
+    fn work(&self, w: usize);
     /// Counts the worker out; `died` if it is unwinding.
     fn done(&self, died: bool);
 }
@@ -862,27 +859,24 @@ fn fork() -> mpsc::Sender<Lease> {
 
 /// The life of a resident task process: wait for a lease, work the phase,
 /// park, count out, tidy up, wait again. A panic that escapes
-/// [`PhaseWork::work`] ends the thread before it parks (its per-phase
-/// state goes with the unwind); [`CountOut`] still releases
+/// [`PhaseWork::work`] ends the thread before it parks (what it kept from
+/// task to task goes with the unwind); [`CountOut`] still releases
 /// the control process, and the next lease that runs short forks a
 /// replacement. Once parked a thread can be leased at any moment, so
 /// nothing after that point may end it: a lease sent to a dying thread
 /// would be lost, and its phase would wait for that worker forever.
 fn resident(leases: &mpsc::Receiver<Lease>, me: &mpsc::Sender<Lease>) {
     while let Ok((phase, w)) = leases.recv() {
-        let state = {
+        {
             let _count_out = CountOut(&*phase);
-            let state = phase.work(w);
+            phase.work(w);
             // Parked *before* the latch opens, so the control process's
             // next phase finds this thread instead of forking another.
             relock(PARKED.lock()).push(me.clone());
-            state
-        };
+        }
         // After the latch, off the control process's critical path: this
-        // thread's share of the phase goes, and so does what it kept from
-        // task to task — kept for the next phase it could not serve it,
-        // and would pin its share of the heap.
-        let _ = catch_unwind(AssertUnwindSafe(move || drop((phase, state))));
+        // thread's share of the phase goes.
+        let _ = catch_unwind(AssertUnwindSafe(move || drop(phase)));
     }
 }
 
@@ -908,10 +902,8 @@ impl Drop for CloseOnDrop<'_> {
 
 /// One running phase: everything its workers need, owned rather than
 /// borrowed, so a resident thread can hold it (module docs).
-struct Phase<T, S, F> {
+struct Phase<T, F> {
     task: F,
-    /// Makes a worker's per-phase state.
-    new_state: fn() -> S,
     pool: StealPool,
     tx: mpsc::Sender<Vec<ExecMsg<T>>>,
     plan: FaultPlan,
@@ -923,17 +915,12 @@ struct Phase<T, S, F> {
     latch: Latch,
 }
 
-/// One worker's side of a phase between jobs: what it keeps from task to
-/// task, its sweep statistics and the completions it has not handed over.
-/// A resident makes one when it picks the phase up, the calling thread
-/// (worker 0) when it has leased the residents; both run every job through
-/// [`Phase::step`].
-struct Worker<S, T> {
+/// One worker's side of a phase between jobs: its sweep statistics and
+/// the completions it has not handed over. A resident makes one when it
+/// picks the phase up, the calling thread (worker 0) when it has leased the
+/// residents; both run every job through [`Phase::step`].
+struct Worker<T> {
     w: usize,
-    /// What this worker keeps from task to task. An attempt that unwinds
-    /// leaves it as the task left it: a task keeps nothing in it that a
-    /// half-run attempt could have damaged (`execute`).
-    state: S,
     /// Its empty sweeps (and, under test, clock reads); the rest of its
     /// statistics are sums over its attempts, taken when the phase ends.
     my: WorkerStats,
@@ -944,7 +931,7 @@ struct Worker<S, T> {
     held: Vec<ExecMsg<T>>,
 }
 
-impl<S, T> Worker<S, T> {
+impl<T> Worker<T> {
     /// The worker's clock. Read at task boundaries only: twice per task
     /// (start, finish) and once per acquired job — besides the pick-up
     /// read in [`Phase::worker`].
@@ -957,18 +944,16 @@ impl<S, T> Worker<S, T> {
     }
 }
 
-impl<T, S, F> Phase<T, S, F>
+impl<T, F> Phase<T, F>
 where
     T: Send + 'static,
-    S: 'static,
-    F: Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
+    F: Fn(TaskAttempt) -> T + Send + Sync + 'static,
 {
-    /// Worker `w` picks the phase up and makes its state.
-    fn worker(&self, w: usize) -> Worker<S, T> {
+    /// Worker `w` picks the phase up.
+    fn worker(&self, w: usize) -> Worker<T> {
         let picked_up = Instant::now();
         Worker {
             w,
-            state: (self.new_state)(),
             my: WorkerStats {
                 // The pick-up read above.
                 #[cfg(test)]
@@ -987,19 +972,18 @@ where
     /// control process, takes them itself once the job is done. The
     /// completion is the attempt's one record: nothing here writes to an
     /// observer.
-    fn step(&self, wk: &mut Worker<S, T>, job: Job, source: Source) {
+    fn step(&self, wk: &mut Worker<T>, job: Job, source: Source) {
         // Inside a chunk, a task's `acquired` is the previous finish.
         let mut acquired = wk.now();
         let attempt = job.attempt;
         for i in job.tasks {
             let invocation = TaskAttempt { task: i, attempt };
             let started = wk.now();
-            let state = &mut wk.state;
             let result = catch_attempt(|| {
                 if self.plan.task_panics(i, attempt) {
                     panic!("injected fault: task {i} attempt {attempt}");
                 }
-                (self.task)(state, invocation)
+                (self.task)(invocation)
             });
             let finished = wk.now();
             // A failure's retry (or dead letter) must not wait for the
@@ -1024,29 +1008,28 @@ where
         }
     }
 
-    /// Files worker `wk`'s pick-up and statistics; returns its state, for
-    /// its thread to drop.
-    fn file(&self, wk: Worker<S, T>) -> S {
+    /// Files worker `wk`'s pick-up and statistics.
+    fn file(&self, wk: Worker<T>) {
         let ready_s = wk.picked_up.duration_since(self.start).as_secs_f64();
         *relock(self.filed[wk.w].lock()) = (ready_s, wk.my);
-        wk.state
     }
 }
 
-impl<T, S, F> PhaseWork for Phase<T, S, F>
+impl<T, F> PhaseWork for Phase<T, F>
 where
     T: Send + 'static,
-    S: 'static,
-    F: Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
+    F: Fn(TaskAttempt) -> T + Send + Sync + 'static,
 {
-    fn work(&self, w: usize) -> Box<dyn Any> {
+    fn work(&self, w: usize) {
+        #[cfg(test)]
+        census::pick_up::<T>();
         let mut wk = self.worker(w);
         while let Some((job, source)) = self.pool.acquire(w, &mut wk.my.steal_misses, || {
             hand_over(&self.tx, &mut wk.held)
         }) {
             self.step(&mut wk, job, source);
         }
-        Box::new(self.file(wk))
+        self.file(wk);
     }
 
     fn done(&self, died: bool) {
@@ -1102,33 +1085,30 @@ impl<F: Fn(usize) -> String> TaskLabels for (usize, F) {
 /// `task` and its result are `'static` because workers 1.. are resident
 /// threads, not scoped ones: a caller shares its inputs by `Arc` (every
 /// SPAM input already is one) instead of lending them. Worker 0 is the
-/// calling thread: `task` runs on it too, as does `S::default()`. Each
-/// worker makes one `S` when it picks the phase up, lends it to every task
-/// it runs and drops it — a resident after it has counted out of the
-/// phase, the calling thread before `execute` returns (module docs); a
-/// phase whose tasks keep nothing runs with `S = ()`.
+/// calling thread: `task` runs on it too. What a task keeps from task to
+/// task is its thread's, not the phase's (module docs).
 ///
 /// `task` must be pure with respect to retries: attempt `k+1` re-runs the
 /// same closure with the same index (the [`TaskAttempt`] carries the
 /// attempt number, which is what a fault plan keys a kill on), on whichever
-/// worker's `S`. The SPAM phase runners satisfy this by running every
-/// attempt on an engine in its just-built state — new, or reset and taken
-/// *out of* `S` while the attempt runs, so an attempt that unwinds (a task
-/// killed mid-run among them) drops it and leaves `S` empty (DESIGN.md §21)
-/// — over shared immutable inputs. That is also what makes
-/// `AssertUnwindSafe` sound here: a half-updated state cannot leak across
-/// attempts.
+/// worker. The SPAM phase runners satisfy this by running every attempt on
+/// an engine in its just-built state — new, or reset and taken *out of*
+/// the thread's task process while the attempt runs, so an attempt that
+/// unwinds (a task killed mid-run among them) drops it and leaves that
+/// thread with none (DESIGN.md §21) — over shared immutable inputs. That is
+/// also what makes `AssertUnwindSafe` sound here: a half-updated engine
+/// cannot leak across attempts.
 ///
 /// Results are deterministic — identical to the sequential run regardless
 /// of placement, worker count, steal order or scheduling noise — because
 /// every result lands in its task's slot and merging is slot-ordered; only
 /// the *schedule* in the [`ExecReport`] is machine-dependent.
-pub fn execute<T: Send + 'static, S: Default + 'static>(
+pub fn execute<T: Send + 'static>(
     how: &PhaseRun,
     labels: impl TaskLabels,
     estimates: &[u64],
     on_complete: impl Fn(usize, &T),
-    task: impl Fn(&mut S, TaskAttempt) -> T + Send + Sync + 'static,
+    task: impl Fn(TaskAttempt) -> T + Send + Sync + 'static,
 ) -> Result<PhaseOutcome<T>, SuperviseError> {
     let PhaseRun {
         exec,
@@ -1167,7 +1147,6 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
     let (tx, rx) = mpsc::channel::<Vec<ExecMsg<T>>>();
     let phase = Arc::new(Phase {
         task,
-        new_state: S::default,
         pool: StealPool::new(n_workers),
         tx,
         plan: plan.clone(),
@@ -1415,9 +1394,8 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
         ctl_live.gauge("spam_live_queue_depth", remaining as f64);
     }
     drop(closing);
-    // Worker 0 files its statistics and drops its state here, on the
-    // calling thread, while the residents count out.
-    drop(phase.file(me));
+    // Worker 0 files its statistics here, while the residents count out.
+    phase.file(me);
     // Every resident has handed over its completions and filed its
     // statistics once the latch opens.
     let t0 = Instant::now();
@@ -1472,9 +1450,12 @@ pub fn execute<T: Send + 'static, S: Default + 'static>(
 /// for — the bound the registry must never outgrow.
 #[cfg(test)]
 mod census {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
+    use super::relock;
+    use std::any::TypeId;
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     static ALIVE: AtomicUsize = AtomicUsize::new(0);
     static DEMAND: AtomicUsize = AtomicUsize::new(0);
@@ -1534,6 +1515,39 @@ mod census {
             DEMAND.fetch_sub(self.0, Ordering::SeqCst);
         }
     }
+
+    /// The result type whose phases' residents are held up at pick-up.
+    static HELD: (Mutex<Option<TypeId>>, Condvar) = (Mutex::new(None), Condvar::new());
+
+    /// Holds up the residents of every phase whose results are `T`s at
+    /// pick-up ([`pick_up`]), until [`HoldUp::release`] or the guard's drop
+    /// (20 s at most).
+    pub(super) struct HoldUp;
+
+    impl HoldUp {
+        pub(super) fn of<T: 'static>() -> HoldUp {
+            *relock(HELD.0.lock()) = Some(TypeId::of::<T>());
+            HoldUp
+        }
+
+        pub(super) fn release() {
+            *relock(HELD.0.lock()) = None;
+            HELD.1.notify_all();
+        }
+    }
+
+    impl Drop for HoldUp {
+        fn drop(&mut self) {
+            HoldUp::release();
+        }
+    }
+
+    /// A resident picks up a phase whose results are `T`s.
+    pub(super) fn pick_up<T: 'static>() {
+        let (held, cv) = &HELD;
+        let me = Some(TypeId::of::<T>());
+        let _ = cv.wait_timeout_while(relock(held.lock()), Duration::from_secs(20), |h| *h == me);
+    }
 }
 
 /// Both placements at `workers` threads, named, for tests that hold the
@@ -1582,14 +1596,7 @@ mod tests {
         n: usize,
         task: impl Fn(usize) -> T + Send + Sync + 'static,
     ) -> PhaseOutcome<T> {
-        execute(
-            how,
-            labels(n),
-            &[],
-            |_, _| {},
-            move |_: &mut (), a| task(a.task),
-        )
-        .unwrap()
+        execute(how, labels(n), &[], |_, _| {}, move |a| task(a.task)).unwrap()
     }
 
     fn executed(exec: &ExecReport) -> u64 {
@@ -1633,13 +1640,7 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         for (name, exec) in placements(0) {
-            let r = execute(
-                &PhaseRun::new(exec),
-                labels(3),
-                &[],
-                |_, _| {},
-                |_: &mut (), a| a.task,
-            );
+            let r = execute(&PhaseRun::new(exec), labels(3), &[], |_, _| {}, |a| a.task);
             assert_eq!(r.err(), Some(SuperviseError::NoWorkers), "{name}");
         }
     }
@@ -1910,7 +1911,7 @@ mod tests {
                 completed.fetch_add(1, Ordering::Relaxed);
             };
             let (slots, report, _) =
-                execute(&how, labels(5), &[], on_complete, |_: &mut (), a| a.task).unwrap();
+                execute(&how, labels(5), &[], on_complete, |a| a.task).unwrap();
             assert_eq!(slots.iter().flatten().count(), 4, "{name}");
             assert_eq!(report.dead_letters().len(), 1, "{name}");
             assert_eq!(completed.load(Ordering::Relaxed), 4, "{name}");
@@ -1955,8 +1956,7 @@ mod tests {
             how.obs.live = Arc::clone(&live);
             how.obs.slo = Some(Arc::clone(&slo));
             let on_complete = |_, _: &usize| slo.observe(0.5);
-            let (slots, _, _) =
-                execute(&how, labels(6), &[], on_complete, |_: &mut (), a| a.task).unwrap();
+            let (slots, _, _) = execute(&how, labels(6), &[], on_complete, |a| a.task).unwrap();
             assert_eq!(slots.iter().flatten().count(), 6, "{name}");
             assert_eq!(slo.health(), Health::Healthy, "{name}");
             let snap = live.snapshot();
@@ -1995,8 +1995,7 @@ mod tests {
         // a phase has no recorder or registry for a step to write to.
         let (tx, _rx) = mpsc::channel();
         let phase = Phase {
-            task: |_: &mut (), a: TaskAttempt| a.task,
-            new_state: || (),
+            task: |a: TaskAttempt| a.task,
             pool: StealPool::new(2),
             tx,
             plan: FaultPlan::none().with_task_panic(1, 1),
@@ -2237,7 +2236,7 @@ mod tests {
                     sixth_reported.store(true, Ordering::SeqCst);
                 }
             },
-            move |_: &mut (), a| {
+            move |a| {
                 let wait_for = |flag: &AtomicBool| {
                     let give_up = Instant::now() + Duration::from_secs(20);
                     while !flag.load(Ordering::SeqCst) {
@@ -2358,40 +2357,24 @@ mod tests {
     #[test]
     fn a_phase_completes_on_the_caller_while_its_resident_is_held_up() {
         // The calling thread works the pool, so a phase never waits for a
-        // resident to pick up. Here the leased resident is held up making
-        // its state until every task has completed: the phase — its retry
+        // resident to pick up. Here the leased resident is held up at its
+        // pick-up until every task has completed: the phase — its retry
         // of t5 included — runs on the caller alone, and the resident,
         // once it gets there, finds the pool closed and runs nothing.
-        static RELEASED: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
-        struct HeldUp;
-        impl Default for HeldUp {
-            fn default() -> HeldUp {
-                let here = std::thread::current();
-                if here.name().is_some_and(|n| n.starts_with(WORKER_NAME)) {
-                    let (flag, cv) = &RELEASED;
-                    let timeout = Duration::from_secs(20);
-                    let _ = cv.wait_timeout_while(relock(flag.lock()), timeout, |r| !*r);
-                }
-                HeldUp
-            }
-        }
+        struct Held;
         for (name, exec) in placements(2) {
-            *relock(RELEASED.0.lock()) = false;
+            let _hold = census::HoldUp::of::<Held>();
             let n = 12;
             let completed = AtomicUsize::new(0);
-            let on_complete = |_, _: &usize| {
+            let on_complete = |_, _: &Held| {
                 if completed.fetch_add(1, Ordering::SeqCst) + 1 == n {
-                    *relock(RELEASED.0.lock()) = true;
-                    RELEASED.1.notify_all();
+                    census::HoldUp::release();
                 }
             };
             let plan = FaultPlan::none().with_task_panic(5, 1);
             let how = under(exec, retries(1), plan);
             let (slots, report, measured) =
-                execute(&how, labels(n), &[], on_complete, |_: &mut HeldUp, a| {
-                    a.task
-                })
-                .unwrap();
+                execute(&how, labels(n), &[], on_complete, |_| Held).unwrap();
             assert_eq!(slots.iter().flatten().count(), n, "{name}");
             assert_eq!(report.outcomes[5].status, TaskStatus::Retried(1), "{name}");
             assert_eq!(measured.attempts.len(), n + 1, "{name}");
@@ -2410,23 +2393,18 @@ mod tests {
     fn a_caller_that_unwinds_still_releases_its_residents() {
         // `on_complete` panics on the calling thread, outside any attempt,
         // so `execute` unwinds mid-phase. The two residents it leased must
-        // still finish, park and drop their state — the pool closes as the
-        // caller leaves — rather than wait for jobs forever.
-        static DROPPED: Mutex<Option<mpsc::Sender<()>>> = Mutex::new(None);
-        #[derive(Default)]
-        struct Noted;
+        // still finish, park and let go of the phase — the pool closes as
+        // the caller leaves — rather than wait for jobs forever: the task
+        // closure, which the phase owns, is dropped once the last of them
+        // has.
+        struct Noted(mpsc::Sender<()>);
         impl Drop for Noted {
             fn drop(&mut self) {
-                let here = std::thread::current();
-                if here.name().is_some_and(|n| n.starts_with(WORKER_NAME)) {
-                    if let Some(tx) = &*relock(DROPPED.lock()) {
-                        let _ = tx.send(());
-                    }
-                }
+                let _ = self.0.send(());
             }
         }
         let (tx, dropped) = mpsc::channel();
-        *relock(DROPPED.lock()) = Some(tx);
+        let noted = Noted(tx);
         let how = PhaseRun::new(ExecConfig::central_queue(3));
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             execute(
@@ -2434,15 +2412,15 @@ mod tests {
                 labels(6),
                 &[],
                 |_, _: &usize| panic!("injected: on_complete panics"),
-                |_: &mut Noted, a| a.task,
+                move |a| {
+                    let _ = &noted;
+                    a.task
+                },
             )
         }));
         assert!(unwound.is_err());
-        for k in 0..2 {
-            let released = dropped.recv_timeout(Duration::from_secs(10));
-            assert!(released.is_ok(), "resident {k} of 2 never left the phase");
-        }
-        *relock(DROPPED.lock()) = None;
+        let released = dropped.recv_timeout(Duration::from_secs(10));
+        assert!(released.is_ok(), "a resident never left the phase");
     }
 
     #[test]
@@ -2472,14 +2450,8 @@ mod tests {
             ..ExecConfig::new(1)
         });
         let chunks = |n, estimates: &[u64]| {
-            let (slots, report, exec) = execute(
-                &how,
-                labels(n),
-                estimates,
-                |_, _| {},
-                |_: &mut (), a| a.task,
-            )
-            .unwrap();
+            let (slots, report, exec) =
+                execute(&how, labels(n), estimates, |_, _| {}, |a| a.task).unwrap();
             assert!(report.is_clean() && slots.iter().flatten().count() == n);
             exec.chunks
         };
@@ -2492,7 +2464,7 @@ mod tests {
     #[should_panic(expected = "2 estimates for 3 tasks")]
     fn a_wrong_number_of_estimates_is_a_caller_bug() {
         let how = PhaseRun::new(ExecConfig::new(1));
-        let _ = execute(&how, labels(3), &[1, 2], |_, _| {}, |_: &mut (), a| a.task);
+        let _ = execute(&how, labels(3), &[1, 2], |_, _| {}, |a| a.task);
     }
 
     #[test]
@@ -2616,9 +2588,8 @@ mod tests {
     }
 
     impl<W: Fn() + Send + Sync> PhaseWork for Stunt<W> {
-        fn work(&self, _: usize) -> Box<dyn Any> {
+        fn work(&self, _: usize) {
             (self.work)();
-            Box::new(())
         }
         fn done(&self, died: bool) {
             self.latch.count_down(died);
@@ -2717,142 +2688,6 @@ mod tests {
                 assert_eq!(exec.workers.len(), 4, "{name}");
             }
         }
-    }
-
-    /// A worker's `S` is the task process's memory: made once when the
-    /// worker picks the phase up, lent to every attempt the worker runs —
-    /// across chunks, and after an attempt that panicked half-way through
-    /// using it — and dropped by the thread that ran it. A resident drops
-    /// its own once it has counted out, so the control process never waits
-    /// for that drop; worker 0's is the calling thread's, dropped by it
-    /// inside `execute` once the pool is closed, before the latch.
-    #[test]
-    fn a_workers_state_spans_its_phase_and_is_dropped_by_its_own_thread() {
-        /// What one state was lent to, in order, and where it ended.
-        struct Ended {
-            seen: Vec<(usize, u32)>,
-            on_thread: String,
-            execute_had_returned: bool,
-        }
-        static MADE: AtomicUsize = AtomicUsize::new(0);
-        static RETURNED: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
-        static ENDED: Mutex<Option<mpsc::Sender<Ended>>> = Mutex::new(None);
-
-        struct Memory(Vec<(usize, u32)>);
-        impl Default for Memory {
-            fn default() -> Memory {
-                MADE.fetch_add(1, Ordering::SeqCst);
-                Memory(Vec::new())
-            }
-        }
-        impl Drop for Memory {
-            fn drop(&mut self) {
-                // Were a resident's drop ahead of the latch, `execute`
-                // could not return while it waits, and the wait would time
-                // out. The calling thread's cannot wait for `execute`.
-                let here = std::thread::current().name().unwrap_or("").to_owned();
-                let (flag, cv) = &RETURNED;
-                let returned = if here.starts_with(WORKER_NAME) {
-                    let timeout = Duration::from_secs(5);
-                    let (returned, _) = cv
-                        .wait_timeout_while(relock(flag.lock()), timeout, |r| !*r)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    *returned
-                } else {
-                    *relock(flag.lock())
-                };
-                if let Some(tx) = &*relock(ENDED.lock()) {
-                    let _ = tx.send(Ended {
-                        seen: std::mem::take(&mut self.0),
-                        on_thread: here,
-                        execute_had_returned: returned,
-                    });
-                }
-            }
-        }
-
-        // Four chunks of two tasks on the deques, eight of one centrally.
-        let deques = ExecConfig {
-            chunk_target: 2,
-            ..ExecConfig::new(2)
-        };
-        for (name, exec) in [
-            ("central queue", ExecConfig::central_queue(2)),
-            ("deques", deques),
-        ] {
-            MADE.store(0, Ordering::SeqCst);
-            *relock(RETURNED.0.lock()) = false;
-            let (tx, ended) = mpsc::channel();
-            *relock(ENDED.lock()) = Some(tx);
-
-            let how = under(exec, retries(1), FaultPlan::none());
-            let (slots, report, measured) = execute(
-                &how,
-                labels(8),
-                &[],
-                |_, _| {},
-                |m: &mut Memory, a| {
-                    m.0.push((a.task, a.attempt));
-                    assert!((a.task, a.attempt) != (3, 0), "mid-task, state in hand");
-                    a.task
-                },
-            )
-            .unwrap();
-            *relock(RETURNED.0.lock()) = true;
-            RETURNED.1.notify_all();
-
-            assert_eq!(slots.iter().flatten().count(), 8, "{name}");
-            assert_eq!(report.total_retries(), 1, "{name}");
-            let mut ends: Vec<Ended> = (0..2)
-                .map(|_| {
-                    ended
-                        .recv_timeout(Duration::from_secs(10))
-                        .expect("dropped")
-                })
-                .collect();
-            assert_eq!(MADE.load(Ordering::SeqCst), 2, "{name}: one per worker");
-            // One state per thread: the resident's dropped on it after
-            // `execute` returned, worker 0's on this thread before.
-            let caller = std::thread::current().name().unwrap_or("").to_owned();
-            let (mut on_resident, mut on_caller) = (0, 0);
-            for end in &ends {
-                if end.on_thread == caller {
-                    on_caller += 1;
-                    assert!(
-                        !end.execute_had_returned,
-                        "{name}: worker 0's state outlived execute"
-                    );
-                } else {
-                    on_resident += 1;
-                    assert!(
-                        end.on_thread.starts_with(WORKER_NAME),
-                        "{name}: {}",
-                        end.on_thread
-                    );
-                    assert!(
-                        end.execute_had_returned,
-                        "{name}: dropped ahead of the latch"
-                    );
-                }
-            }
-            assert_eq!((on_caller, on_resident), (1, 1), "{name}");
-            // Each state saw exactly its worker's attempts, in the order
-            // the worker ran them — the panicked one included; the one this
-            // thread dropped, worker 0's.
-            let ran: Vec<Vec<(usize, u32)>> = (0..2)
-                .map(|w| {
-                    let mut mine: Vec<_> =
-                        measured.attempts.iter().filter(|a| a.worker == w).collect();
-                    mine.sort_by(|a, b| a.started_s.total_cmp(&b.started_s));
-                    mine.iter().map(|a| (a.task, a.attempt)).collect()
-                })
-                .collect();
-            ends.sort_by_key(|e| e.on_thread != caller);
-            let seen: Vec<_> = ends.into_iter().map(|e| e.seen).collect();
-            assert_eq!(seen, ran, "{name}");
-            assert!(seen.concat().contains(&(3, 0)), "{name}: {seen:?}");
-        }
-        *relock(ENDED.lock()) = None;
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! * [`run_phase`] — the real thing (§5.1), one entry for every phase: the
 //!   control process (the calling thread) queues a [`TaskList`]'s tasks;
 //!   `n` task processes — the calling thread itself and `n − 1` resident
-//!   threads, each keeping a [`TaskProcess`] for the phase — pull chunks
+//!   threads, each running its tasks on its thread's [`TaskProcess`] and
+//!   so on the engine it kept from its last task, of any phase — pull chunks
 //!   of them and fire asynchronously. A [`PhaseRun`]
 //!   says where tasks go, under which policy and fault plan, and who
 //!   watches. A task killed mid-run is a panic like any other: the
@@ -61,10 +62,10 @@ where
         (list.len(), |i| list.label(i)),
         &estimates,
         observe,
-        move |tp: &mut TaskProcess, a| {
+        move |a| {
             let kill_at = plan.cycle_kill(a.task, a.attempt);
             let watch = Watch::new(Some(&live)).with_kill_at(kill_at);
-            tp.run(&tasks.task(a.task), watch).0
+            TaskProcess::with_thread(|tp| tp.run(&tasks.task(a.task), watch).0)
         },
     )
 }
@@ -346,9 +347,8 @@ mod tests {
         L::Output: PartialEq + std::fmt::Debug + Send + 'static,
     {
         let list = Arc::new(list);
-        let seq: Vec<L::Output> = (drain(&mut TaskProcess::default(), &*list, false))
-            .map(|(r, _)| r)
-            .collect();
+        let seq: Vec<L::Output> =
+            TaskProcess::with_thread(|tp| drain(tp, &*list, false).map(|(r, _)| r).collect());
         for n in [1, 3] {
             for (place, exec) in placements(n) {
                 let at = format!("{name}, {place}, workers={n}");
@@ -472,6 +472,7 @@ mod tests {
     /// fixed plan.
     #[test]
     fn retry_recovers_injected_fault_deterministically() {
+        let _kills = serial_kills();
         let (sp, scene, frags) = setup();
         let seq = run_lcc(&sp, &scene, &frags, Level::L3);
         for (name, exec) in placements(3) {
@@ -517,6 +518,97 @@ mod tests {
                 canonical(&b.consistents),
                 "{name}"
             );
+        }
+    }
+
+    /// The tests that kill an attempt on a resident, one at a time: a kill
+    /// empties its thread's task process, and
+    /// [`a_threads_task_process_outlives_its_phase_and_a_kill_empties_it`]
+    /// reads the residents' processes across two phases.
+    fn serial_kills() -> std::sync::MutexGuard<'static, ()> {
+        static KILLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        KILLS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A task process is its thread's (DESIGN §21), whoever leases the
+    /// thread. A resident's engine — and the calling thread's — outlives
+    /// its phase: a thread's first task of the next phase finds it. An
+    /// attempt killed mid-run takes its thread's engine with it: the next
+    /// task on that thread finds none, wires one from nothing, and every
+    /// result — the retry's included — equals the fault-free drain, cycle
+    /// log and all. Each attempt notes, from inside the task closure,
+    /// whether its thread's process held an engine when it began.
+    #[test]
+    fn a_threads_task_process_outlives_its_phase_and_a_kill_empties_it() {
+        use crate::supervise::TaskAttempt;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        type Notes = Vec<(ThreadId, usize, u32, bool)>;
+        let _kills = serial_kills();
+        let (sp, scene, frags) = setup();
+        let list = Arc::new(LccPlan::new(&sp, &scene, &frags, Level::L3));
+        let want: Vec<_> = drain(&mut TaskProcess::default(), &*list, false)
+            .map(|(r, _)| r)
+            .collect();
+        let phase = |exec: ExecConfig, plan: FaultPlan| -> Notes {
+            let notes = Arc::new(Mutex::new(Notes::new()));
+            let (list, noted, kills) = (Arc::clone(&list), Arc::clone(&notes), plan.clone());
+            let how = PhaseRun {
+                cfg: SupervisorConfig::default().with_retries(1),
+                plan,
+                ..PhaseRun::new(exec)
+            };
+            let labels = (list.len(), |i| format!("t{i}"));
+            let (slots, report, _) = execute(
+                &how,
+                labels,
+                &[],
+                |_, _| {},
+                move |a: TaskAttempt| {
+                    let watch = Watch::default().with_kill_at(kills.cycle_kill(a.task, a.attempt));
+                    TaskProcess::with_thread(|tp| {
+                        let here = std::thread::current().id();
+                        let warm = tp.keeps_an_engine();
+                        noted.lock().unwrap().push((here, a.task, a.attempt, warm));
+                        tp.run(&list.task(a.task), watch).0
+                    })
+                },
+            )
+            .unwrap();
+            assert_eq!(report.dead_letters().len(), 0);
+            let got: Vec<_> = slots.into_iter().map(Option::unwrap).collect();
+            assert!(got == want, "a result differs from the drain's");
+            let notes = notes.lock().unwrap().clone();
+            notes
+        };
+        let first_on = |notes: &Notes, t: ThreadId| notes.iter().find(|n| n.0 == t).map(|n| n.3);
+        for (name, exec) in placements(2) {
+            let before = phase(exec, FaultPlan::none());
+            let after = phase(exec, FaultPlan::none());
+            let again: Vec<bool> = (before.iter())
+                .map(|n| n.0)
+                .filter_map(|t| first_on(&after, t))
+                .collect();
+            assert!(!again.is_empty(), "{name}: no thread ran in both phases");
+            assert!(again.iter().all(|&w| w), "{name}: {after:?}");
+            for n in [1, 2] {
+                let notes = phase(
+                    ExecConfig { workers: n, ..exec },
+                    FaultPlan::none().with_cycle_kill(2, 0, 2),
+                );
+                let killed = (notes.iter())
+                    .position(|&(_, t, a, _)| (t, a) == (2, 0))
+                    .unwrap();
+                let next = notes[killed + 1..].iter().find(|m| m.0 == notes[killed].0);
+                if n == 1 {
+                    assert!(next.is_some(), "{name}: the caller ran on");
+                }
+                if let Some(next) = next {
+                    assert!(!next.3, "{name}, workers={n}: {next:?} found an engine");
+                }
+            }
         }
     }
 

@@ -122,7 +122,7 @@ fn run_threaded_task(
         vec!["threaded".to_string()],
         &[],
         |_, _| {},
-        move |_: &mut (), a: TaskAttempt| {
+        move |a: TaskAttempt| {
             let kill = kill.filter(|_| a.attempt == 0);
             run_arm(src, &seeds, Arm::Threaded { workers, kill })
         },
@@ -211,7 +211,7 @@ proptest! {
             labels,
             &[],
             |_, _| {},
-            move |_: &mut (), a: TaskAttempt| run_arm(src, &shared[a.task], Arm::Sequential),
+            move |a: TaskAttempt| run_arm(src, &shared[a.task], Arm::Sequential),
         )
         .unwrap();
         prop_assert_eq!(report.dead_letters().len(), 0);

@@ -51,7 +51,7 @@ proptest! {
         let run = |exec: ExecConfig| {
             let how = PhaseRun { cfg: cfg.clone(), plan: plan.clone(), ..PhaseRun::new(exec) };
             let labels = (n_tasks, |i| format!("t{i}"));
-            execute(&how, labels, &[], |_, _| {}, move |_: &mut (), a| seed ^ (a.task as u64).wrapping_mul(0x9E37_79B9))
+            execute(&how, labels, &[], |_, _| {}, move |a| seed ^ (a.task as u64).wrapping_mul(0x9E37_79B9))
                 .unwrap()
         };
         let (c_slots, c_report, c_exec) = run(ExecConfig::central_queue(workers));

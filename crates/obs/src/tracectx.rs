@@ -40,14 +40,6 @@ impl TraceId {
     pub fn derive(seed: u64, scene: &str) -> TraceId {
         TraceId(splitmix64(mix_str(splitmix64(seed), scene)))
     }
-
-    /// Parses the 16-hex-digit form produced by [`fmt::Display`].
-    pub fn parse(s: &str) -> Option<TraceId> {
-        if s.is_empty() || s.len() > 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(TraceId)
-    }
 }
 
 impl fmt::Display for TraceId {
@@ -65,11 +57,6 @@ mod tests {
         assert_eq!(TraceId::derive(42, "dc"), TraceId::derive(42, "dc"));
         assert_ne!(TraceId::derive(42, "dc"), TraceId::derive(43, "dc"));
         assert_ne!(TraceId::derive(42, "dc"), TraceId::derive(42, "dc2"));
-        let id = TraceId::derive(7, "scene");
-        assert_eq!(TraceId::parse(&id.to_string()), Some(id));
         assert_eq!(TraceId(0xab).to_string(), "00000000000000ab");
-        for bad in ["", "xyz", "-1", "00000000000000000", "12 4"] {
-            assert_eq!(TraceId::parse(bad), None, "{bad:?}");
-        }
     }
 }

@@ -315,15 +315,20 @@ impl Engine {
     }
 
     /// Returns a named shared counter for stateful external functions (id
-    /// allocators), creating it at `init` on first registration.
+    /// allocators), set to `init`: created on first registration, rebound on
+    /// a later one.
     ///
-    /// Idempotent by name: re-registering returns the existing counter. The
-    /// engine owns it because [`Engine::reset`] must rewind it: a kept
-    /// engine that serves another task must allocate the ids a new engine
-    /// would, or the task's working memory (and match work) would differ
-    /// from a fresh run's.
+    /// Re-registering a name returns the existing counter with `init` as its
+    /// new start — stored now, and what [`Engine::reset`] rewinds it to from
+    /// then on — so an engine re-wired for tasks whose ids start elsewhere
+    /// hands out theirs. The engine owns it because [`Engine::reset`] must
+    /// rewind it: a kept engine that serves another task must allocate the
+    /// ids a new engine would, or the task's working memory (and match work)
+    /// would differ from a fresh run's.
     pub fn external_counter(&mut self, name: &str, init: i64) -> Arc<AtomicI64> {
-        if let Some((_, _, c)) = self.ext_counters.iter().find(|(n, _, _)| n == name) {
+        if let Some((_, start, c)) = self.ext_counters.iter_mut().find(|(n, _, _)| n == name) {
+            *start = init;
+            c.store(init, Ordering::Relaxed);
             return Arc::clone(c);
         }
         let c = Arc::new(AtomicI64::new(init));
@@ -366,6 +371,15 @@ impl Engine {
         self.gensym = 0;
         self.profile = None;
         self.mark = None;
+    }
+
+    /// Drops the spare capacity the match memories keep for reuse
+    /// ([`Matcher::release_spares`]; the Rete's pooled lists), for an engine
+    /// that turns to other tasks: what it then retains is what those tasks
+    /// grow, not the union of every list it ever grew. Changes nothing a run
+    /// can observe.
+    pub fn release_spares(&mut self) {
+        self.matcher.release_spares();
     }
 
     /// Makes the engine's state now — working memory loaded, nothing fired
@@ -1196,6 +1210,21 @@ mod tests {
         assert!(log.iter().all(|c| c.match_units > 0));
         assert!(log.iter().all(|c| c.match_chunks > 0));
         assert!(log.iter().all(|c| c.act_units > 0));
+    }
+
+    /// A counter registered again under its name is the same counter, set
+    /// to the new start, and a reset rewinds it there — not to the first.
+    #[test]
+    fn a_re_registered_counter_starts_where_it_is_told() {
+        let mut e = engine("(literalize a x)");
+        let first = e.external_counter("id", 0);
+        first.fetch_add(5, Ordering::Relaxed);
+        let again = e.external_counter("id", 1 << 30);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(again.load(Ordering::Relaxed), 1 << 30);
+        again.fetch_add(3, Ordering::Relaxed);
+        e.reset();
+        assert_eq!(first.load(Ordering::Relaxed), 1 << 30);
     }
 
     #[test]

@@ -268,6 +268,10 @@ pub trait Matcher: Send {
     /// stays failed: its run is over, and a fresh backend is what runs
     /// again.
     fn reset(&mut self);
+    /// Drops the spare capacity the backend keeps for reuse between runs —
+    /// nothing a run can observe, and no memory that holds anything. The
+    /// default keeps none to drop.
+    fn release_spares(&mut self) {}
     /// Makes the backend's state now what [`Matcher::rollback`] returns to
     /// (`wm` holds the WMEs sent so far). `false`: not supported, or not in
     /// this state — the default, and then `rollback` declines too and the
@@ -323,6 +327,9 @@ impl Matcher for Rete {
     }
     fn reset(&mut self) {
         Rete::reset(self)
+    }
+    fn release_spares(&mut self) {
+        Rete::release_spares(self)
     }
     fn mark(&mut self, wm: &WmStore) -> bool {
         Rete::mark(self, wm)

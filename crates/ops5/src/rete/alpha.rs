@@ -582,6 +582,11 @@ impl AlphaMemories {
         self.profile = None;
     }
 
+    /// Drops the spare bucket lists (see [`crate::rete::Rete::release_spares`]).
+    pub(crate) fn release_spares(&mut self) {
+        *self.pool.get_mut() = Pool::new();
+    }
+
     /// Makes what the memories hold now the *base* that
     /// [`rollback`](Self::rollback) returns to. The memories touched so far
     /// move to a list of their own, so a rollback visits only what a WME

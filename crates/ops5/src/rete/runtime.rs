@@ -355,6 +355,28 @@ impl Rete {
         b.profile = None;
     }
 
+    /// Drops the spare lists: the token and entry pools beside the beta
+    /// memories and the bucket pool beside the alpha indexes, and — when
+    /// no token has been made since a reset, so that every token slot is
+    /// spare — the token slots with the child, blocker and index-key lists
+    /// they grew, and the WME → tokens table. Memories keep theirs. A pooled
+    /// list goes to whichever key next needs one, and a slot to whichever
+    /// token comes next, so over many runs each drifts up to the largest
+    /// anything ever put in it: kept for good, they grow with the tasks an
+    /// engine reruns. Dropped whenever an engine turns to other tasks, they
+    /// hold only what its current tasks grew. Nothing a run can observe
+    /// changes: slots are handed out from 0 either way.
+    pub fn release_spares(&mut self) {
+        let b = &mut self.beta;
+        b.pool = Pool::new();
+        b.entries = Pool::new();
+        if b.slots.high_water() == 0 {
+            b.tokens = Vec::new();
+            b.wme_tokens = Buckets::default();
+        }
+        self.alpha.release_spares();
+    }
+
     /// Makes the network's state now — the *base* — what
     /// [`Rete::rollback`] returns to; `wm` is the store the WMEs so far
     /// were made in. Declines (`false`, and the network is unmarked) unless

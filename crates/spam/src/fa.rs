@@ -58,7 +58,7 @@ pub fn run_fa(
         fragments: Arc::clone(fragments),
         consistents: consistents.to_vec(),
     };
-    TaskProcess::default().run(&task, Watch::default()).0
+    TaskProcess::with_thread(|tp| tp.run(&task, Watch::default()).0)
 }
 
 /// The FA phase as a [`Task`]: loads the supported fragments and the

@@ -41,9 +41,14 @@ pub const NEIGHBOURHOOD_RADIUS: f64 = 700.0;
 /// fragment of every subject, and the answer is a property of the
 /// constraint table alone.
 pub fn kind_radius(subject: FragmentKind, object: FragmentKind) -> Option<f64> {
+    radii()[subject as usize][object as usize]
+}
+
+/// [`kind_radius`]'s table, subject kind by object kind.
+fn radii() -> &'static [[Option<f64>; 16]; 16] {
     static RADII: OnceLock<[[Option<f64>; 16]; 16]> = OnceLock::new();
     // `ALL_KINDS` is in declaration (= discriminant) order.
-    let radii = RADII.get_or_init(|| {
+    RADII.get_or_init(|| {
         ALL_KINDS.map(|s| {
             ALL_KINDS.map(|o| {
                 constraints_for(s)
@@ -52,8 +57,7 @@ pub fn kind_radius(subject: FragmentKind, object: FragmentKind) -> Option<f64> {
                     .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
             })
         })
-    });
-    radii[subject as usize][object as usize]
+    })
 }
 
 /// A decomposition level. Level 3 is the one the paper settles on for its
@@ -178,8 +182,8 @@ pub struct LccPhaseResult {
 /// pinned count rests on the wider candidate set).
 ///
 /// The definition, by a scan of the whole fragment table: the task path
-/// derives the same list from the grid query's regions through a
-/// [`RegionIndex`], and is held to this one.
+/// derives the same list from one pass over the scene's region boxes through
+/// a [`RegionIndex`], and is held to this one.
 pub fn neighbourhood(
     scene: &Scene,
     fragments: &[FragmentHypothesis],
@@ -241,8 +245,9 @@ impl RegionIndex {
     }
 
     /// [`neighbourhood`]`(scene, fragments, f)` for the fragment table this
-    /// index was built from, at the cost of the partners found instead of a
-    /// scan of the table.
+    /// index was built from, at the cost of one pass over the scene's
+    /// cached region boxes — `f`'s own is at distance 0 — and the partners
+    /// found, instead of a scan of the table.
     pub fn neighbourhood(
         &self,
         scene: &Scene,
@@ -250,14 +255,13 @@ impl RegionIndex {
         f: &FragmentHypothesis,
     ) -> Vec<u32> {
         let bb = scene.region(f.region).polygon.bbox();
-        let mut out = Vec::new();
+        let reach = &radii()[f.kind as usize];
         let partner =
-            |g: &&u32| **g != f.id && kind_radius(f.kind, fragments[**g as usize].kind).is_some();
-        let mut take = |region: u32| out.extend(self.on(region).iter().filter(partner));
-        take(f.region);
-        for r in scene.neighbours(f.region, NEIGHBOURHOOD_RADIUS) {
-            if scene.region(r).polygon.bbox().distance_to(&bb) <= NEIGHBOURHOOD_RADIUS {
-                take(r);
+            |g: &&u32| **g != f.id && reach[fragments[**g as usize].kind as usize].is_some();
+        let mut out = Vec::new();
+        for (r, region) in scene.regions.iter().enumerate() {
+            if region.polygon.bbox().distance_to(&bb) <= NEIGHBOURHOOD_RADIUS {
+                out.extend(self.on(r as u32).iter().filter(partner));
             }
         }
         out.sort_unstable();
@@ -645,7 +649,8 @@ fn harvest(e: &ops5::Engine, firings: u64, cycle_log: Vec<CycleStats>) -> LccUni
 }
 
 /// Runs the whole LCC phase at `level`, sequentially (the Table 8 BASELINE
-/// configuration: one task process [`drain`]ing the queue).
+/// configuration: one task process — the calling thread's — [`drain`]ing
+/// the queue).
 pub fn run_lcc(
     sp: &SpamProgram,
     scene: &Arc<Scene>,
@@ -654,9 +659,10 @@ pub fn run_lcc(
 ) -> LccPhaseResult {
     let plan = LccPlan::new(sp, scene, fragments, level);
     let report = TaskReport::clean(plan.len());
-    let tp = &mut TaskProcess::default();
-    let units = drain(tp, &plan, false).map(|(r, _)| Some(r));
-    merge_lcc_units(level, fragments, units, report)
+    TaskProcess::with_thread(|tp| {
+        let units = drain(tp, &plan, false).map(|(r, _)| Some(r));
+        merge_lcc_units(level, fragments, units, report)
+    })
 }
 
 /// Runs the whole LCC phase at `level` sequentially with match-level
@@ -671,20 +677,22 @@ pub fn run_lcc_profiled(
 ) -> (LccPhaseResult, Option<MatchProfile>) {
     let plan = LccPlan::new(sp, scene, fragments, level);
     let report = TaskReport::clean(plan.len());
-    let tp = &mut TaskProcess::default();
     let mut merged: Option<MatchProfile> = None;
-    // The merge pulls the units through one at a time, so each profile is
-    // folded in while it is still warm.
-    let units = drain(tp, &plan, true).map(|(r, prof)| {
-        if let Some(p) = prof {
-            match &mut merged {
-                Some(m) => m.merge(&p),
-                None => merged = Some(p),
+    let phase = TaskProcess::with_thread(|tp| {
+        // The merge pulls the units through one at a time, so each profile
+        // is folded in while it is still warm.
+        let units = drain(tp, &plan, true).map(|(r, prof)| {
+            if let Some(p) = prof {
+                match &mut merged {
+                    Some(m) => m.merge(&p),
+                    None => merged = Some(p),
+                }
             }
-        }
-        Some(r)
+            Some(r)
+        });
+        merge_lcc_units(level, fragments, units, report)
     });
-    (merge_lcc_units(level, fragments, units, report), merged)
+    (phase, merged)
 }
 
 /// Merges per-unit results, in unit order, into the phase result, the

@@ -129,7 +129,7 @@ pub fn run_model(
         areas: areas.to_vec(),
         members: members.to_vec(),
     };
-    TaskProcess::default().run(&task, Watch::default()).0
+    TaskProcess::with_thread(|tp| tp.run(&task, Watch::default()).0)
 }
 
 /// The MODEL phase as a [`Task`]: loads the grown functional areas,

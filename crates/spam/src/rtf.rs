@@ -135,7 +135,7 @@ pub fn collect_fragments(e: &Engine) -> Vec<FragmentHypothesis> {
 pub fn run_rtf(sp: &SpamProgram, scene: &Arc<Scene>) -> RtfResult {
     let regions = &(0..scene.len() as u32).collect::<Vec<u32>>();
     let task = RtfTask { sp, scene, regions };
-    TaskProcess::default().run(&task, Watch::default()).0
+    TaskProcess::with_thread(|tp| tp.run(&task, Watch::default()).0)
 }
 
 /// Splits the scene's regions into RTF task batches of `batch` regions.
@@ -253,10 +253,11 @@ mod tests {
         let full = run_rtf(&sp, &scene);
         let batches = rtf_task_batches(&scene, 7);
         let (n, phase) = (batches.len(), RtfPhase { sp, scene, batches });
-        let results: Vec<RtfResult> =
-            (crate::task::drain(&mut TaskProcess::default(), &phase, false))
+        let results: Vec<RtfResult> = TaskProcess::with_thread(|tp| {
+            (crate::task::drain(tp, &phase, false))
                 .map(|(r, _)| r)
-                .collect();
+                .collect()
+        });
         let merged = merge_rtf_batches(results.iter().map(|r| Some(r.fragments.clone())));
         assert_eq!(results.len(), n);
         // Same (region, kind) multiset regardless of task decomposition —

@@ -2,13 +2,20 @@
 //! mechanism for every phase (§5.1): a control process queues the phase's
 //! tasks and task processes — each "a complete OPS5 system" — draw them. A
 //! phase is a [`TaskList`]; [`drain`] runs it on one [`TaskProcess`],
-//! `core::tlp::run_phase` on a pool of them. A task is a [`Task`] — what to
-//! wire, which phase, a *base*, a *load* and a *harvest* — and
-//! [`TaskProcess::run`] takes every task through the same steps:
+//! `core::tlp::run_phase` on a pool of them. A task process is its
+//! thread's: [`TaskProcess::with_thread`] lends the calling thread's, which
+//! keeps its engine from phase to phase, scene to scene and round to round,
+//! as the paper's task processes each keep "a complete OPS5 system". A task
+//! is a [`Task`] — what to wire, which phase, a *base*, a *load* and a
+//! *harvest* — and [`TaskProcess::run`] takes every task through the same
+//! steps:
 //!
-//! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out if it was
-//!    made for this very [`Wiring`], else instantiates the program's network
-//!    ([`SpamProgram::engine`]) and [`register`]s its externals;
+//! 1. **wire** — [`TaskProcess::begin`] takes the kept engine out: as it is
+//!    if it was wired for this very [`Wiring`]; *re-wired* — reset, its
+//!    externals [`register`]ed again over the new scene, fragment table and
+//!    id base — if it runs on the same network; else it instantiates the
+//!    program's network ([`SpamProgram::engine`]) and registers the
+//!    externals on that;
 //! 2. **watch** — the cycle log (and profiler, if the [`Watch`] asks) goes on;
 //! 3. **base | load** — working-memory distribution (§5.1). The *base* (the
 //!    `control` element of [`Task::phase`], then [`Task::base`]) is loaded
@@ -35,6 +42,7 @@ use crate::rules::{enter_phase, SpamProgram};
 use crate::scene::Scene;
 use crate::watch::Watch;
 use ops5::{CycleStats, Engine, MatchProfile, Symbol, WorkCounters};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// What a task's engine is wired with: the program, the scene and fragment
@@ -108,8 +116,9 @@ pub trait TaskList {
 }
 
 /// A sequential phase: `tp` runs `list`'s tasks in queue order, yielding
-/// each result — with its profile if `profile` — as it finishes. Callers
-/// drop the process with the phase (kept, its engine only pins heap).
+/// each result — with its profile if `profile` — as it finishes. The
+/// product's sequential runners drain on their thread's process
+/// ([`TaskProcess::with_thread`]).
 pub fn drain<'a, L: TaskList>(
     tp: &'a mut TaskProcess,
     list: &'a L,
@@ -123,7 +132,7 @@ pub fn drain<'a, L: TaskList>(
 }
 
 /// An engine with the inputs it was wired for; holding the `Arc`s keeps the
-/// pointer comparison in [`Kept::serves`] sound.
+/// pointer comparisons in [`Kept::serves`] and [`TaskProcess::take`] sound.
 struct Kept {
     network: Arc<ops5::Network>,
     ctx: ExternalCtx,
@@ -131,6 +140,16 @@ struct Kept {
     /// The `(phase, base variant)` whose base the engine holds under a
     /// mark, if any.
     based: Option<(Symbol, u8)>,
+}
+
+impl ExternalCtx {
+    fn of(w: &Wiring<'_>) -> ExternalCtx {
+        ExternalCtx {
+            scene: Arc::clone(w.scene),
+            fragments: Arc::clone(w.fragments),
+            id_base: w.id_base,
+        }
+    }
 }
 
 impl Kept {
@@ -146,15 +165,39 @@ impl Kept {
 #[derive(Default)]
 pub struct TaskProcess {
     kept: Option<Kept>,
-    /// Engines built so far: the *wire* steps that missed.
+    /// Engines built so far: the *wire* steps that found no engine on the
+    /// task's network.
     #[cfg(test)]
     pub(crate) engines_built: u32,
+    /// Engines re-wired so far: the *wire* steps that found one on the
+    /// task's network, wired for other inputs.
+    #[cfg(test)]
+    pub(crate) rewires: u32,
     /// Bases loaded so far: the tasks that found no mark to roll back to.
     #[cfg(test)]
     pub(crate) bases_loaded: u32,
 }
 
+thread_local! {
+    /// This thread's task process, while no call has it out.
+    static MINE: Cell<TaskProcess> = Cell::default();
+}
+
 impl TaskProcess {
+    /// Runs `f` on the calling thread's task process — the one every phase
+    /// runner and pool worker on this thread shares, so its engine outlives
+    /// the call. The process is taken out of the thread for the call and
+    /// put back after it: a nested call on the same thread is lent an empty
+    /// process (and what it keeps is replaced by the outer call's), and a
+    /// call that unwinds drops the process, engine and all, so the thread's
+    /// next task wires a new one — as a retry must (module docs).
+    pub fn with_thread<R>(f: impl FnOnce(&mut TaskProcess) -> R) -> R {
+        let mut tp = MINE.take();
+        let out = f(&mut tp);
+        MINE.set(tp);
+        out
+    }
+
     /// The lifecycle, whole: `task` from *wire* to *put back* under `watch`.
     /// Returns the task's profile too if the watch asked for one.
     pub fn run<K: Task>(&mut self, task: &K, watch: Watch) -> (K::Output, Option<MatchProfile>) {
@@ -184,36 +227,48 @@ impl TaskProcess {
         Attempt { home: self, kept }
     }
 
-    /// The kept engine if it serves `w`, else a new one.
+    /// The kept engine if it serves `w`; re-wired for `w` if it runs on
+    /// `w`'s network; else a new one.
     fn take(&mut self, w: &Wiring<'_>) -> Kept {
         match self.kept.take() {
             Some(kept) if kept.serves(w) => kept,
+            Some(kept) if Arc::ptr_eq(&kept.network, &w.sp.network) => self.rewire(kept, w),
             _ => self.wire(w),
         }
     }
 
     /// A new engine, its externals registered.
     fn wire(&mut self, w: &Wiring<'_>) -> Kept {
-        let mut engine = w.sp.engine();
         #[cfg(test)]
         (self.engines_built += 1);
-        let ctx = ExternalCtx {
-            scene: Arc::clone(w.scene),
-            fragments: Arc::clone(w.fragments),
-            id_base: w.id_base,
-        };
-        register(&mut engine, ctx.clone());
-        Kept {
+        let mut kept = Kept {
             network: Arc::clone(&w.sp.network),
-            ctx,
-            engine,
+            ctx: ExternalCtx::of(w),
+            engine: w.sp.engine(),
             based: None,
-        }
+        };
+        register(&mut kept.engine, kept.ctx.clone());
+        kept
+    }
+
+    /// `kept`, reset — which drops its mark and the base under it — and its
+    /// externals registered again for `w`: the engine a new one wired for
+    /// `w` would be, with the capacity its memories grew. Its spare lists go
+    /// ([`Engine::release_spares`]), so a thread's engine retains what its
+    /// current tasks grow, not what every task it ever ran did.
+    fn rewire(&mut self, mut kept: Kept, w: &Wiring<'_>) -> Kept {
+        #[cfg(test)]
+        (self.rewires += 1);
+        kept.engine.reset();
+        kept.engine.release_spares();
+        kept.ctx = ExternalCtx::of(w);
+        kept.based = None;
+        register(&mut kept.engine, kept.ctx.clone());
+        kept
     }
 
     /// Whether the process keeps an engine right now.
-    #[cfg(test)]
-    pub(crate) fn keeps_an_engine(&self) -> bool {
+    pub fn keeps_an_engine(&self) -> bool {
         self.kept.is_some()
     }
 }
@@ -269,9 +324,9 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::fa::FaTask;
-    use crate::lcc::{merge_lcc_units, run_lcc, run_lcc_unit, LccPlan, LccUnit, Level};
+    use crate::lcc::{run_lcc, run_lcc_unit, LccPlan, LccUnit, Level};
     use crate::model::ModelTask;
-    use crate::rtf::{run_rtf, RtfPhase, RtfTask};
+    use crate::rtf::{run_rtf, RtfTask};
     use ops5::ReteConfig;
 
     /// An RTF task over `regions` on `tp`.
@@ -280,10 +335,11 @@ mod tests {
     }
 
     /// What *wire* compares, seen from outside: one process through a
-    /// scene's pipeline builds an engine where the inputs change and
-    /// nowhere else.
+    /// scene's pipeline builds an engine where the network changes, re-wires
+    /// the one it keeps where another input does, and does neither where
+    /// nothing does.
     #[test]
-    fn a_process_builds_an_engine_only_when_its_inputs_change() {
+    fn a_process_builds_an_engine_only_when_the_network_changes() {
         let sp = SpamProgram::build();
         let scene = |d: crate::Dataset| Arc::new(crate::generate_scene(&d.spec));
         let (dc, moff) = (scene(crate::dc()), scene(crate::moff()));
@@ -292,18 +348,19 @@ mod tests {
         let supported = Arc::new(lcc.fragments);
 
         let tp = &mut TaskProcess::default();
+        let counts = |tp: &TaskProcess| (tp.engines_built, tp.rewires);
         rtf(tp, &sp, &dc, &[0, 1]);
         rtf(tp, &sp, &dc, &[2, 3]);
-        assert_eq!(tp.engines_built, 1, "RTF batches share an engine");
+        assert_eq!(counts(tp), (1, 0), "RTF batches share an engine");
         rtf(tp, &sp, &moff, &[0, 1]);
-        assert_eq!(tp.engines_built, 2, "another scene");
+        assert_eq!(counts(tp), (1, 1), "another scene");
         for f in 0..3 {
             run_lcc_unit(tp, &sp, &dc, &frags, &LccUnit::Object(f));
         }
-        assert_eq!(tp.engines_built, 3, "LCC units share one, not RTF's");
+        assert_eq!(counts(tp), (1, 2), "LCC units share RTF's, re-wired");
         let unshared = sp.clone().with_config(ReteConfig::unshared());
         run_lcc_unit(tp, &unshared, &dc, &frags, &LccUnit::Object(0));
-        assert_eq!(tp.engines_built, 4, "another network");
+        assert_eq!(counts(tp), (2, 2), "another network");
         let fa = FaTask {
             sp: sp.clone(),
             scene: Arc::clone(&dc),
@@ -311,7 +368,7 @@ mod tests {
             consistents: lcc.consistents,
         };
         let fa = tp.run(&fa, Watch::default()).0;
-        assert_eq!(tp.engines_built, 5, "another fragment table");
+        assert_eq!(counts(tp), (3, 2), "back on the shared network");
         let model = ModelTask {
             sp: sp.clone(),
             scene: Arc::clone(&dc),
@@ -320,7 +377,9 @@ mod tests {
             members: fa.members,
         };
         tp.run(&model, Watch::default());
-        assert_eq!(tp.engines_built, 5, "MODEL runs on FA's engine");
+        assert_eq!(counts(tp), (3, 2), "MODEL runs on FA's engine");
+        run_lcc_unit(tp, &sp, &dc, &frags, &LccUnit::Object(0));
+        assert_eq!(counts(tp), (3, 3), "another fragment table");
         // The same table under another id base is another wiring.
         let idle = Idle(Wiring {
             sp: &sp,
@@ -329,7 +388,7 @@ mod tests {
             id_base: 7,
         });
         tp.begin(&idle, false).finish();
-        assert_eq!(tp.engines_built, 6);
+        assert_eq!(counts(tp), (3, 4));
         assert!(tp.keeps_an_engine());
     }
 
@@ -383,9 +442,9 @@ mod tests {
                 rtf(tp, &sp, &scene, &[0, 1]);
                 rtf(tp, &sp, &scene, &[2, 3]);
                 assert_eq!(
-                    (tp.engines_built, tp.bases_loaded),
-                    (2, 14),
-                    "RTF: per task"
+                    (tp.engines_built, tp.rewires, tp.bases_loaded),
+                    (1, 1, 14),
+                    "RTF: per task, on LCC's engine re-wired"
                 );
             }
         }
@@ -398,66 +457,48 @@ mod tests {
         ops5::Network::built_on_this_thread()
     }
 
-    /// What one network per program saves, counted so it cannot grow back:
-    /// a sequential SF+DC+MOFF interpretation — a task process per phase
-    /// call, as `run_rtf` / `run_lcc` / `run_fa` / `run_model` make them —
-    /// wires 12 engines at every LCC level and builds no network; the
-    /// program built its one.
+    /// What one network per program and one process per thread save,
+    /// counted so they cannot grow back: sequential SF+DC+MOFF rounds at
+    /// every LCC level — `run_rtf` / `run_lcc` / `run_fa` / `run_model`, on
+    /// a fresh thread's process — build one engine and no network (the
+    /// program built its one), and re-wire the engine at each change of
+    /// wiring: RTF → LCC → FA (MODEL shares FA's) per scene, 3 × 3 a round,
+    /// less the first one, which builds.
     #[test]
     fn a_whole_interpretation_runs_on_the_one_network_its_program_built() {
-        let start = networks_built();
-        let sp = SpamProgram::build();
-        assert_eq!(networks_built() - start, 1);
-        let scenes = [crate::sf(), crate::dc(), crate::moff()]
-            .map(|d| Arc::new(crate::generate_scene(&d.spec)));
-        for level in [Level::L4, Level::L3, Level::L2, Level::L1] {
-            let mut engines = 0;
-            for scene in &scenes {
-                // Each phase as its list, drained on a process of its own.
-                let (sp_, scene_) = (|| sp.clone(), || Arc::clone(scene));
-                let [mut rtf, mut lcc, mut fa, mut model]: [TaskProcess; 4] = Default::default();
-                let batches = vec![(0..scene.len() as u32).collect()];
-                let whole = RtfPhase {
-                    sp: sp_(),
-                    scene: scene_(),
-                    batches,
-                };
-                let (r, _) = drain(&mut rtf, &whole, false).next().unwrap();
-                let frags = Arc::new(r.fragments);
-                let plan = LccPlan::new(&sp, scene, &frags, level);
-                let units = drain(&mut lcc, &plan, false);
-                let phase =
-                    merge_lcc_units(level, &frags, units.map(|(r, _)| Some(r)), <_>::default());
-                let areas = FaTask {
-                    sp: sp_(),
-                    scene: scene_(),
-                    fragments: Arc::new(phase.fragments),
-                    consistents: phase.consistents,
-                };
-                let (r, _) = drain(&mut fa, &areas, false).next().unwrap();
-                let selection = ModelTask {
-                    sp: sp_(),
-                    scene: scene_(),
-                    fragments: areas.fragments,
-                    areas: r.areas,
-                    members: r.members,
-                };
-                drain(&mut model, &selection, false).count();
-                engines += [rtf, lcc, fa, model]
-                    .iter()
-                    .map(|tp| tp.engines_built)
-                    .sum::<u32>();
+        std::thread::spawn(|| {
+            let start = networks_built();
+            let sp = SpamProgram::build();
+            assert_eq!(networks_built() - start, 1);
+            let scenes = [crate::sf(), crate::dc(), crate::moff()]
+                .map(|d| Arc::new(crate::generate_scene(&d.spec)));
+            let counts = || TaskProcess::with_thread(|tp| (tp.engines_built, tp.rewires));
+            for (round, level) in [Level::L4, Level::L3, Level::L2, Level::L1]
+                .into_iter()
+                .enumerate()
+            {
+                for scene in &scenes {
+                    let frags = Arc::new(run_rtf(&sp, scene).fragments);
+                    let lcc = run_lcc(&sp, scene, &frags, level);
+                    let supported = Arc::new(lcc.fragments);
+                    let fa = crate::fa::run_fa(&sp, scene, &supported, &lcc.consistents);
+                    crate::model::run_model(&sp, scene, &supported, &fa.areas, &fa.members);
+                }
+                let rewires = 9 * (round as u32 + 1) - 1;
+                assert_eq!(counts(), (1, rewires), "{}", level.name());
             }
-            assert_eq!(engines, 12, "{}", level.name());
-        }
-        assert_eq!(networks_built() - start, 1, "12 engines a round, 1 network");
-        // The other network is built when a program is moved to it, once.
-        let unshared = sp.clone().with_config(ReteConfig::unshared());
-        assert_eq!(networks_built() - start, 2);
-        let tp = &mut TaskProcess::default();
-        rtf(tp, &unshared, &scenes[1], &[0, 1]);
-        rtf(tp, &sp, &scenes[1], &[0, 1]);
-        assert_eq!((tp.engines_built, networks_built() - start), (2, 2));
+            assert_eq!(networks_built() - start, 1, "1 engine, 1 network");
+            // The other network is built when a program is moved to it,
+            // once.
+            let unshared = sp.clone().with_config(ReteConfig::unshared());
+            assert_eq!(networks_built() - start, 2);
+            let tp = &mut TaskProcess::default();
+            rtf(tp, &unshared, &scenes[1], &[0, 1]);
+            rtf(tp, &sp, &scenes[1], &[0, 1]);
+            assert_eq!((tp.engines_built, networks_built() - start), (2, 2));
+        })
+        .join()
+        .unwrap();
     }
 
     /// A kill drops the attempt's engine with it: the process keeps none,

@@ -106,18 +106,19 @@ pub fn run_topdown(
     let mut firings = 0;
     let mut consistents = Vec::new();
     let mut supports = vec![0i64; table.len()];
-    // The re-entry's own task process: nothing downstream shares the
-    // extended table, so its engine goes with this pass.
-    let mut tp = TaskProcess::default();
-    for f in &predicted {
-        let r = run_lcc_unit(&mut tp, sp, scene, &table, &LccUnit::Object(f.id));
-        work.add(&r.work);
-        firings += r.firings;
-        consistents.extend(r.consistents.iter().copied());
-        for &(id, s) in &r.supports {
-            supports[id as usize] += s;
+    // On the thread's task process, its engine re-wired for the extended
+    // table.
+    TaskProcess::with_thread(|tp| {
+        for f in &predicted {
+            let r = run_lcc_unit(tp, sp, scene, &table, &LccUnit::Object(f.id));
+            work.add(&r.work);
+            firings += r.firings;
+            consistents.extend(r.consistents.iter().copied());
+            for &(id, s) in &r.supports {
+                supports[id as usize] += s;
+            }
         }
-    }
+    });
     for f in &mut all {
         f.support += supports[f.id as usize];
     }

@@ -7,6 +7,8 @@ use spam::fragments::FragmentHypothesis;
 use spam::generate::AirportSpec;
 use spam::lcc::{decompose, neighbourhood, LccPlan, LccUnit, Level, RegionIndex};
 use spam::scene::{Region, Scene};
+use spam::task::TaskProcess;
+use spam::watch::Watch;
 use spam_geometry::{Point, Polygon};
 use std::sync::{Arc, OnceLock};
 
@@ -77,7 +79,18 @@ fn dc() -> &'static (Scene, Vec<FragmentHypothesis>) {
     DC.get_or_init(|| {
         let sp = spam::rules::SpamProgram::build();
         let scene = std::sync::Arc::new(spam::generate_scene(&spam::datasets::dc().spec));
-        let frags = spam::rtf::run_rtf(&sp, &scene).fragments;
+        // On a process of its own, which goes with the statement: the
+        // thread's would keep the scene for its next task.
+        let regions = &(0..scene.len() as u32).collect::<Vec<_>>();
+        let rtf = spam::rtf::RtfTask {
+            sp: &sp,
+            scene: &scene,
+            regions,
+        };
+        let frags = TaskProcess::default()
+            .run(&rtf, Watch::default())
+            .0
+            .fragments;
         (
             std::sync::Arc::into_inner(scene).expect("RTF keeps no scene"),
             frags,
@@ -88,8 +101,9 @@ fn dc() -> &'static (Scene, Vec<FragmentHypothesis>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The task path's neighbourhood — the grid query's regions looked up
-    /// in the region index — is the definition's, a scan of the fragment
+    /// The task path's neighbourhood — one pass over the region boxes, each
+    /// near one's fragments looked up in the region index — is the
+    /// definition's, a scan of the fragment
     /// table, for every fragment of DC however its regions are numbered
     /// (the fragment table is in id order, never region order), and a
     /// plan's queue is `decompose`'s list at every level: Level 1's, built

@@ -8,7 +8,8 @@
 //! each unit from the public pieces (`lcc_engine` → control element →
 //! `load_unit_wm` → `Engine::run` → `harvest_lcc_unit`), and any sequence
 //! of units — any levels, any order, anyone watching along the way,
-//! alternating between inputs so the kept engine is also replaced — must
+//! alternating between inputs so the kept engine is also re-wired (another
+//! scene) or replaced (another network) — must
 //! give the same `LccUnitResult`s: consistents, supports, work, firings,
 //! RHS actions and the whole cycle log. So must RTF batches, LCC units, FA
 //! and MODEL tasks interleaved on one process, against each task on a
@@ -262,10 +263,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// One task process through the whole pipeline's task kinds in any
-    /// order: RTF batches share an engine (the process-wide empty fragment
-    /// table), an LCC unit replaces it (other table, other id base), FA
-    /// replaces that and MODEL after FA on the same input finds FA's; a
-    /// change of input replaces whatever is kept.
+    /// order, which is what a thread's process sees: RTF batches share an
+    /// engine (the process-wide empty fragment table), an LCC unit re-wires
+    /// it (other table, other id base — its id counters rebound), FA
+    /// re-wires that and MODEL after FA on the same input finds FA's; a
+    /// change of scene re-wires whatever is kept, and a change of network
+    /// (input 1 is DC unshared) builds another engine.
     #[test]
     fn any_task_sequence_on_one_process_equals_a_process_per_task(
         steps in prop::collection::vec((0usize..6, 0usize..6, 0usize..100_000), 1..14),
