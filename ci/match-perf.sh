@@ -18,7 +18,10 @@ $bin/benchdiff crates/bench/baselines/BENCH_rete.json \
 # instantiation's lists once into the engine's one event batch, the conflict
 # set copies them into a slot's own buffers, a made WME takes a departed
 # one's field box - so alloc_budget pins the cycle's allocations exactly and
-# alloc_pins the LCC phase's (the benchmark's seq arm) at Levels 4, 3 and 1;
+# alloc_pins the LCC phase's (the benchmark's seq arm) at Levels 4, 3 and 1,
+# and set-up's: the OPS5 lexer makes its token list and nothing else (tokens
+# borrow the source), and the parse and SpamProgram::build are pinned
+# exactly, so a per-token or per-name allocation cannot come back;
 # the conflict set's ranking, with each slot's primary tag carried inline in
 # the rank list, is held against a linear scan under compare across LEX / MEA
 # switches (ranking_agrees_with_a_linear_scan_under_compare); the exact LCC

@@ -7,13 +7,15 @@
 //! is RHS-heavy, MODEL is small.
 
 use spam::phases::run_pipeline;
+use spam::rules::SpamProgram;
 use tlp_bench::{header, paper_f, paper_u};
 
 fn main() {
+    let sp = SpamProgram::build();
     for dataset in spam::datasets::all() {
         let name = dataset.spec.name;
         let paper = dataset.paper.clone();
-        let r = run_pipeline(&dataset);
+        let r = run_pipeline(&sp, &dataset);
         header(&format!(
             "Table {} — {name}",
             match name {

@@ -8,6 +8,14 @@
 //! * `(external name...)` — external-function declaration (recorded).
 //!
 //! Declarations are collected in a first pass, so order does not matter.
+//!
+//! The parser walks the lexer's tokens, which borrow the source, and
+//! allocates only the [`Program`] it returns (its working tables, a
+//! production's variables, are reused from production to production).
+//! Names are interned as they are met — the declarations in the first
+//! pass, then each production in source order — so a program's
+//! [`Symbol`](crate::Symbol) ids depend only on its text and on what the
+//! process interned before.
 
 use crate::ast::{
     Action, ArithOp, CondElem, Expr, Predicate, Production, SlotIdx, SlotTest, TestArg, VarId,
@@ -18,7 +26,7 @@ use crate::program::{ClassInfo, Program};
 use crate::symbol::sym;
 use crate::value::Value;
 use crate::{Error, Result};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Parses a complete program.
 pub fn parse_program(src: &str) -> Result<Program> {
@@ -30,13 +38,12 @@ pub fn parse_program(src: &str) -> Result<Program> {
         let mut c = Cursor::new(&toks);
         while !c.at_end() {
             c.expect_lparen()?;
-            let head = c.expect_sym()?;
-            match head.as_str() {
+            match c.expect_sym()? {
                 "literalize" => {
-                    let class = sym(&c.expect_sym()?);
+                    let class = sym(c.expect_sym()?);
                     let mut attrs = Vec::new();
                     while !c.peek_rparen() {
-                        attrs.push(sym(&c.expect_sym()?));
+                        attrs.push(sym(c.expect_sym()?));
                     }
                     c.expect_rparen()?;
                     if attrs.is_empty() {
@@ -47,8 +54,7 @@ pub fn parse_program(src: &str) -> Result<Program> {
                     program.insert_class(ClassInfo::new(class, attrs))?;
                 }
                 "strategy" => {
-                    let s = c.expect_sym()?;
-                    program.strategy = match s.as_str() {
+                    program.strategy = match c.expect_sym()? {
                         "lex" => Strategy::Lex,
                         "mea" => Strategy::Mea,
                         other => return Err(Error::Parse(format!("unknown strategy '{other}'"))),
@@ -57,7 +63,7 @@ pub fn parse_program(src: &str) -> Result<Program> {
                 }
                 "external" => {
                     while !c.peek_rparen() {
-                        let name = sym(&c.expect_sym()?);
+                        let name = sym(c.expect_sym()?);
                         program.externals.push(name);
                     }
                     c.expect_rparen()?;
@@ -74,23 +80,30 @@ pub fn parse_program(src: &str) -> Result<Program> {
     }
 
     // Pass 2: productions.
+    let mut productions: Vec<Production> = Vec::new();
+    let mut ctx = ProdCtx {
+        program: &program,
+        ids: HashMap::new(),
+        vars: Vec::new(),
+        n_tests: 0,
+    };
     let mut c = Cursor::new(&toks);
     while !c.at_end() {
         c.expect_lparen()?;
-        let head = c.expect_sym()?;
-        if head == "p" {
-            let prod = parse_production(&mut c, &program)?;
-            if program.productions.iter().any(|p| p.name == prod.name) {
+        if c.expect_sym()? == "p" {
+            let prod = parse_production(&mut c, &mut ctx)?;
+            if productions.iter().any(|p| p.name == prod.name) {
                 return Err(Error::Semantic(format!(
                     "production '{}' defined twice",
                     prod.name
                 )));
             }
-            program.productions.push(prod);
+            productions.push(prod);
         } else {
             c.skip_rest_of_form()?;
         }
     }
+    program.productions = productions;
     Ok(program)
 }
 
@@ -102,14 +115,14 @@ pub fn parse_program(src: &str) -> Result<Program> {
 const MAX_DEPTH: usize = 128;
 
 struct Cursor<'a> {
-    toks: &'a [Spanned],
+    toks: &'a [Spanned<'a>],
     pos: usize,
     /// Value forms currently open.
     depth: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(toks: &'a [Spanned]) -> Self {
+    fn new(toks: &'a [Spanned<'a>]) -> Self {
         Cursor {
             toks,
             pos: 0,
@@ -128,17 +141,16 @@ impl<'a> Cursor<'a> {
             .unwrap_or(0)
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.toks.get(self.pos).map(|s| s.tok)
     }
 
-    fn next(&mut self) -> Result<&'a Token> {
+    fn next(&mut self) -> Result<Token<'a>> {
         let t = self
-            .toks
-            .get(self.pos)
+            .peek()
             .ok_or_else(|| Error::Parse("unexpected end of input".into()))?;
         self.pos += 1;
-        Ok(&t.tok)
+        Ok(t)
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -163,16 +175,16 @@ impl<'a> Cursor<'a> {
         matches!(self.peek(), Some(Token::RParen))
     }
 
-    fn expect_sym(&mut self) -> Result<String> {
+    fn expect_sym(&mut self) -> Result<&'a str> {
         match self.next()? {
-            Token::Sym(s) => Ok(s.clone()),
+            Token::Sym(s) => Ok(s),
             t => Err(self.err(&format!("expected symbol, found {t:?}"))),
         }
     }
 
     fn expect_int(&mut self) -> Result<i64> {
         match self.next()? {
-            Token::Int(i) => Ok(*i),
+            Token::Int(i) => Ok(i),
             t => Err(self.err(&format!("expected integer, found {t:?}"))),
         }
     }
@@ -194,33 +206,53 @@ impl<'a> Cursor<'a> {
 
 // ---------------------------------------------------------------------------
 
-struct ProdCtx<'p> {
-    program: &'p Program,
-    /// name → id, across the whole production.
-    vars: HashMap<String, VarId>,
-    /// Variables bound by a positive CE (usable in later CEs and the RHS).
-    bound: HashSet<VarId>,
-    /// Variables introduced by `bind` on the RHS.
-    rhs_bound: HashSet<VarId>,
+/// What the parse of a production knows; one per program, cleared for each
+/// production, so its tables are allocated once.
+struct ProdCtx<'a> {
+    program: &'a Program,
+    /// Each variable's id, by name.
+    ids: HashMap<&'a str, VarId>,
+    /// What is known of each variable, indexed by id.
+    vars: Vec<Var>,
     n_tests: u32,
 }
 
-impl<'p> ProdCtx<'p> {
-    fn var_id(&mut self, name: &str) -> VarId {
-        let next = self.vars.len() as VarId;
-        *self.vars.entry(name.to_owned()).or_insert(next)
+/// A variable of the production being parsed.
+#[derive(Default)]
+struct Var {
+    /// Bound by a positive CE (usable in later CEs and the RHS).
+    bound: bool,
+    /// Introduced by `bind` on the RHS.
+    rhs_bound: bool,
+    /// Bound in the CE being parsed.
+    local: bool,
+}
+
+impl<'a> ProdCtx<'a> {
+    /// `name`'s id, the next one if it is new. Ids must fit a `VarId` and
+    /// their count too (`Production::n_vars`).
+    fn var_id(&mut self, name: &'a str) -> Result<VarId> {
+        if let Some(&id) = self.ids.get(name) {
+            return Ok(id);
+        }
+        let id = self.vars.len() as VarId;
+        if id == VarId::MAX {
+            return Err(Error::Semantic(format!(
+                "more than {} variables",
+                VarId::MAX
+            )));
+        }
+        self.ids.insert(name, id);
+        self.vars.push(Var::default());
+        Ok(id)
     }
 }
 
-fn parse_production(c: &mut Cursor, program: &Program) -> Result<Production> {
-    let name = sym(&c.expect_sym()?);
-    let mut ctx = ProdCtx {
-        program,
-        vars: HashMap::new(),
-        bound: HashSet::new(),
-        rhs_bound: HashSet::new(),
-        n_tests: 0,
-    };
+fn parse_production<'a>(c: &mut Cursor<'a>, ctx: &mut ProdCtx<'a>) -> Result<Production> {
+    let name = sym(c.expect_sym()?);
+    ctx.ids.clear();
+    ctx.vars.clear();
+    ctx.n_tests = 0;
 
     // --- LHS: condition elements until `-->`.
     let mut ces: Vec<CondElem> = Vec::new();
@@ -233,13 +265,13 @@ fn parse_production(c: &mut Cursor, program: &Program) -> Result<Production> {
             Some(Token::Minus) => {
                 c.next()?;
                 c.expect_lparen()?;
-                let ce = parse_ce(c, &mut ctx, true)
+                let ce = parse_ce(c, ctx, true)
                     .map_err(|e| Error::Parse(format!("in production '{name}': {e}")))?;
                 ces.push(ce);
             }
             Some(Token::LParen) => {
                 c.next()?;
-                let ce = parse_ce(c, &mut ctx, false)
+                let ce = parse_ce(c, ctx, false)
                     .map_err(|e| Error::Parse(format!("in production '{name}': {e}")))?;
                 ces.push(ce);
             }
@@ -265,69 +297,64 @@ fn parse_production(c: &mut Cursor, program: &Program) -> Result<Production> {
     let mut actions = Vec::new();
     while !c.peek_rparen() {
         c.expect_lparen()?;
-        let act = parse_action(c, &mut ctx, &ces)
+        parse_action(c, ctx, &ces, &mut actions)
             .map_err(|e| Error::Parse(format!("in production '{name}': {e}")))?;
-        actions.extend(act);
     }
     c.expect_rparen()?;
 
-    let specificity = ctx.n_tests;
     Ok(Production {
         name,
         ces,
         actions,
         n_vars: ctx.vars.len() as u16,
-        specificity,
+        specificity: ctx.n_tests,
     })
 }
 
 /// Parses one condition element (the opening paren already consumed).
-fn parse_ce(c: &mut Cursor, ctx: &mut ProdCtx, negated: bool) -> Result<CondElem> {
+fn parse_ce<'a>(c: &mut Cursor<'a>, ctx: &mut ProdCtx<'a>, negated: bool) -> Result<CondElem> {
     let class_name = c.expect_sym()?;
-    let class = sym(&class_name);
-    let cinfo = ctx
-        .program
-        .class(class)
-        .ok_or_else(|| {
-            Error::Semantic(format!(
-                "unknown class '{class_name}' (missing literalize?)"
-            ))
-        })?
-        .clone();
+    let class = sym(class_name);
+    let cinfo = ctx.program.class(class).ok_or_else(|| {
+        Error::Semantic(format!(
+            "unknown class '{class_name}' (missing literalize?)"
+        ))
+    })?;
 
     let mut tests = Vec::new();
     let mut bindings = Vec::new();
-    // Variables bound locally inside a negated CE.
-    let mut local_bound: HashSet<VarId> = HashSet::new();
+    for v in &mut ctx.vars {
+        v.local = false;
+    }
 
     while !c.peek_rparen() {
         let attr_name = match c.next()? {
-            Token::Attr(a) => a.clone(),
+            Token::Attr(a) => a,
             t => return Err(Error::Parse(format!("expected ^attribute, found {t:?}"))),
         };
-        let slot = cinfo.slot_of(sym(&attr_name)).ok_or_else(|| {
+        let slot = cinfo.slot_of(sym(attr_name)).ok_or_else(|| {
             Error::Semantic(format!(
                 "class '{class_name}' has no attribute '{attr_name}'"
             ))
         })?;
 
         // One value spec: scalar / { conjunction } / << disjunction >>.
-        parse_value_spec(
-            c,
-            ctx,
-            slot,
-            negated,
-            &mut tests,
-            &mut bindings,
-            &mut local_bound,
-        )?;
+        if c.peek() == Some(Token::LBrace) {
+            c.next()?;
+            while c.peek() != Some(Token::RBrace) {
+                parse_single_test(c, ctx, slot, &mut tests, &mut bindings)?;
+            }
+            c.next()?; // consume }
+        } else {
+            parse_single_test(c, ctx, slot, &mut tests, &mut bindings)?;
+        }
     }
     c.expect_rparen()?;
 
     if !negated {
         // Positive-CE bindings become visible to later CEs and the RHS.
         for &(_, v) in &bindings {
-            ctx.bound.insert(v);
+            ctx.vars[v as usize].bound = true;
         }
     }
     ctx.n_tests += (tests.len() + bindings.len()) as u32;
@@ -340,43 +367,16 @@ fn parse_ce(c: &mut Cursor, ctx: &mut ProdCtx, negated: bool) -> Result<CondElem
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn parse_value_spec(
-    c: &mut Cursor,
-    ctx: &mut ProdCtx,
+fn parse_single_test<'a>(
+    c: &mut Cursor<'a>,
+    ctx: &mut ProdCtx<'a>,
     slot: SlotIdx,
-    negated: bool,
     tests: &mut Vec<SlotTest>,
     bindings: &mut Vec<(SlotIdx, VarId)>,
-    local_bound: &mut HashSet<VarId>,
-) -> Result<()> {
-    match c.peek() {
-        Some(Token::LBrace) => {
-            c.next()?;
-            while !matches!(c.peek(), Some(Token::RBrace)) {
-                parse_single_test(c, ctx, slot, negated, tests, bindings, local_bound)?;
-            }
-            c.next()?; // consume }
-            Ok(())
-        }
-        _ => parse_single_test(c, ctx, slot, negated, tests, bindings, local_bound),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn parse_single_test(
-    c: &mut Cursor,
-    ctx: &mut ProdCtx,
-    slot: SlotIdx,
-    negated: bool,
-    tests: &mut Vec<SlotTest>,
-    bindings: &mut Vec<(SlotIdx, VarId)>,
-    local_bound: &mut HashSet<VarId>,
 ) -> Result<()> {
     // Optional predicate, default '='.
     let pred = match c.peek() {
         Some(Token::Pred(p)) => {
-            let p = *p;
             c.next()?;
             match p {
                 "=" => Predicate::Eq,
@@ -391,57 +391,37 @@ fn parse_single_test(
         }
         _ => Predicate::Eq,
     };
+    let constant = |arg| SlotTest {
+        slot,
+        predicate: pred,
+        arg: TestArg::Const(arg),
+    };
 
     match c.next()? {
-        Token::Int(i) => tests.push(SlotTest {
-            slot,
-            predicate: pred,
-            arg: TestArg::Const(Value::Int(*i)),
-        }),
-        Token::Float(f) => tests.push(SlotTest {
-            slot,
-            predicate: pred,
-            arg: TestArg::Const(Value::Float(*f)),
-        }),
-        Token::Sym(s) => {
-            let v = if s == "nil" {
-                Value::Nil
-            } else {
-                Value::symbol(s)
-            };
-            tests.push(SlotTest {
-                slot,
-                predicate: pred,
-                arg: TestArg::Const(v),
-            });
-        }
-        Token::Text(t) => tests.push(SlotTest {
-            slot,
-            predicate: pred,
-            arg: TestArg::Const(Value::symbol(t)),
-        }),
+        Token::Int(i) => tests.push(constant(Value::Int(i))),
+        Token::Float(f) => tests.push(constant(Value::Float(f))),
+        Token::Sym(s) => tests.push(constant(if s == "nil" {
+            Value::Nil
+        } else {
+            Value::symbol(s)
+        })),
+        Token::Text(t) => tests.push(constant(Value::symbol(t))),
         Token::Var(name) => {
-            let vid = ctx.var_id(name);
-            let already = ctx.bound.contains(&vid) || local_bound.contains(&vid);
-            if pred == Predicate::Eq && !already {
-                // Binding occurrence.
-                bindings.push((slot, vid));
-                if negated {
-                    local_bound.insert(vid);
-                }
-                // Positive-CE bindings are published after the whole CE is
-                // parsed (so `^a <x> ^b <x>` makes the second occurrence a
-                // test); make the first occurrence visible immediately for
-                // intra-CE consistency instead:
-                if !negated {
-                    local_bound.insert(vid);
-                }
-            } else if already {
+            let vid = ctx.var_id(name)?;
+            let var = &mut ctx.vars[vid as usize];
+            if var.bound || var.local {
                 tests.push(SlotTest {
                     slot,
                     predicate: pred,
                     arg: TestArg::Var(vid),
                 });
+            } else if pred == Predicate::Eq {
+                // Binding occurrence. Positive-CE bindings are published
+                // after the whole CE is parsed; the first occurrence is
+                // visible inside the CE at once, so `^a <x> ^b <x>` makes
+                // the second occurrence a test.
+                bindings.push((slot, vid));
+                var.local = true;
             } else {
                 return Err(Error::Semantic(format!(
                     "variable '<{name}>' used with a non-'=' predicate before being bound"
@@ -458,8 +438,8 @@ fn parse_single_test(
             loop {
                 match c.next()? {
                     Token::RDisj => break,
-                    Token::Int(i) => opts.push(Value::Int(*i)),
-                    Token::Float(f) => opts.push(Value::Float(*f)),
+                    Token::Int(i) => opts.push(Value::Int(i)),
+                    Token::Float(f) => opts.push(Value::Float(f)),
                     Token::Sym(s) => opts.push(if s == "nil" {
                         Value::Nil
                     } else {
@@ -488,58 +468,59 @@ fn parse_single_test(
 
 // ---------------------------------------------------------------------------
 
-/// Parses one action form (opening paren consumed); may expand to several
-/// actions (`(remove 1 2)`).
-fn parse_action(c: &mut Cursor, ctx: &mut ProdCtx, ces: &[CondElem]) -> Result<Vec<Action>> {
-    let head = c.expect_sym()?;
-    match head.as_str() {
+/// Parses one action form (opening paren consumed) onto `actions`; one
+/// form may be several actions (`(remove 1 2)`).
+fn parse_action<'a>(
+    c: &mut Cursor<'a>,
+    ctx: &mut ProdCtx<'a>,
+    ces: &[CondElem],
+    actions: &mut Vec<Action>,
+) -> Result<()> {
+    let action = match c.expect_sym()? {
         "make" => {
             let class_name = c.expect_sym()?;
-            let class = sym(&class_name);
+            let class = sym(class_name);
             let cinfo = ctx
                 .program
                 .class(class)
-                .ok_or_else(|| Error::Semantic(format!("make: unknown class '{class_name}'")))?
-                .clone();
-            let sets = parse_slot_sets(c, ctx, &cinfo)?;
-            c.expect_rparen()?;
-            Ok(vec![Action::Make { class, sets }])
+                .ok_or_else(|| Error::Semantic(format!("make: unknown class '{class_name}'")))?;
+            let sets = parse_slot_sets(c, ctx, cinfo)?;
+            Action::Make { class, sets }
         }
         "modify" => {
             let k = c.expect_int()?;
             let ce = validate_ce_index(k, ces, "modify")?;
             let class = ces[(ce - 1) as usize].class;
-            let cinfo = ctx.program.class(class).expect("CE class exists").clone();
-            let sets = parse_slot_sets(c, ctx, &cinfo)?;
-            c.expect_rparen()?;
+            let cinfo = ctx.program.class(class).expect("CE class exists");
+            let sets = parse_slot_sets(c, ctx, cinfo)?;
             if sets.is_empty() {
                 return Err(Error::Semantic("modify with no slot changes".into()));
             }
-            Ok(vec![Action::Modify { ce, sets }])
+            Action::Modify { ce, sets }
         }
         "remove" => {
-            let mut out = Vec::new();
+            let before = actions.len();
             while !c.peek_rparen() {
                 let k = c.expect_int()?;
                 let ce = validate_ce_index(k, ces, "remove")?;
-                out.push(Action::Remove { ce });
+                actions.push(Action::Remove { ce });
             }
             c.expect_rparen()?;
-            if out.is_empty() {
+            if actions.len() == before {
                 return Err(Error::Semantic("remove with no element index".into()));
             }
-            Ok(out)
+            return Ok(());
         }
         "bind" => {
             let vname = match c.next()? {
-                Token::Var(v) => v.clone(),
+                Token::Var(v) => v,
                 t => {
                     return Err(Error::Parse(format!(
                         "bind: expected variable, found {t:?}"
                     )))
                 }
             };
-            let vid = ctx.var_id(&vname);
+            let vid = ctx.var_id(vname)?;
             let expr = if c.peek_rparen() {
                 // `(bind <x>)` generates a fresh symbol at run time.
                 Expr::Call(sym("genatom"), Vec::new())
@@ -547,32 +528,28 @@ fn parse_action(c: &mut Cursor, ctx: &mut ProdCtx, ces: &[CondElem]) -> Result<V
                 parse_expr(c, ctx)?
             };
             c.expect_rparen()?;
-            ctx.rhs_bound.insert(vid);
-            Ok(vec![Action::Bind { var: vid, expr }])
+            ctx.vars[vid as usize].rhs_bound = true;
+            actions.push(Action::Bind { var: vid, expr });
+            return Ok(());
         }
-        "write" => {
-            let mut parts = Vec::new();
-            while !c.peek_rparen() {
-                parts.push(parse_expr(c, ctx)?);
-            }
-            c.expect_rparen()?;
-            Ok(vec![Action::Write { parts }])
-        }
+        "write" => Action::Write {
+            parts: parse_args(c, ctx)?,
+        },
         "call" => {
-            let name = sym(&c.expect_sym()?);
-            let mut args = Vec::new();
-            while !c.peek_rparen() {
-                args.push(parse_expr(c, ctx)?);
+            let name = sym(c.expect_sym()?);
+            Action::Call {
+                name,
+                args: parse_args(c, ctx)?,
             }
-            c.expect_rparen()?;
-            Ok(vec![Action::Call { name, args }])
         }
         "halt" => {
             c.expect_rparen()?;
-            Ok(vec![Action::Halt])
+            Action::Halt
         }
-        other => Err(Error::Parse(format!("unknown action '({other} ...)'"))),
-    }
+        other => return Err(Error::Parse(format!("unknown action '({other} ...)'"))),
+    };
+    actions.push(action);
+    Ok(())
 }
 
 fn validate_ce_index(k: i64, ces: &[CondElem], what: &str) -> Result<u16> {
@@ -590,18 +567,19 @@ fn validate_ce_index(k: i64, ces: &[CondElem], what: &str) -> Result<u16> {
     Ok(k as u16)
 }
 
-fn parse_slot_sets(
-    c: &mut Cursor,
-    ctx: &mut ProdCtx,
+/// `^attr expr` pairs up to and including the form's `)`.
+fn parse_slot_sets<'a>(
+    c: &mut Cursor<'a>,
+    ctx: &mut ProdCtx<'a>,
     cinfo: &ClassInfo,
 ) -> Result<Vec<(SlotIdx, Expr)>> {
     let mut sets = Vec::new();
     while !c.peek_rparen() {
         let attr_name = match c.next()? {
-            Token::Attr(a) => a.clone(),
+            Token::Attr(a) => a,
             t => return Err(Error::Parse(format!("expected ^attribute, found {t:?}"))),
         };
-        let slot = cinfo.slot_of(sym(&attr_name)).ok_or_else(|| {
+        let slot = cinfo.slot_of(sym(attr_name)).ok_or_else(|| {
             Error::Semantic(format!(
                 "class '{}' has no attribute '{attr_name}'",
                 cinfo.name
@@ -610,22 +588,34 @@ fn parse_slot_sets(
         let expr = parse_expr(c, ctx)?;
         sets.push((slot, expr));
     }
+    c.expect_rparen()?;
     Ok(sets)
 }
 
-fn parse_expr(c: &mut Cursor, ctx: &mut ProdCtx) -> Result<Expr> {
+/// Expressions up to and including the form's `)`.
+fn parse_args<'a>(c: &mut Cursor<'a>, ctx: &mut ProdCtx<'a>) -> Result<Vec<Expr>> {
+    let mut args = Vec::new();
+    while !c.peek_rparen() {
+        args.push(parse_expr(c, ctx)?);
+    }
+    c.expect_rparen()?;
+    Ok(args)
+}
+
+fn parse_expr<'a>(c: &mut Cursor<'a>, ctx: &mut ProdCtx<'a>) -> Result<Expr> {
     match c.next()? {
-        Token::Int(i) => Ok(Expr::Const(Value::Int(*i))),
-        Token::Float(f) => Ok(Expr::Const(Value::Float(*f))),
-        Token::Text(t) => Ok(Expr::Text(t.clone())),
+        Token::Int(i) => Ok(Expr::Const(Value::Int(i))),
+        Token::Float(f) => Ok(Expr::Const(Value::Float(f))),
+        Token::Text(t) => Ok(Expr::Text(t.to_owned())),
         Token::Sym(s) => Ok(if s == "nil" {
             Expr::Const(Value::Nil)
         } else {
             Expr::Const(Value::symbol(s))
         }),
         Token::Var(name) => {
-            let vid = ctx.var_id(name);
-            if !ctx.bound.contains(&vid) && !ctx.rhs_bound.contains(&vid) {
+            let vid = ctx.var_id(name)?;
+            let var = &ctx.vars[vid as usize];
+            if !var.bound && !var.rhs_bound {
                 return Err(Error::Semantic(format!(
                     "variable '<{name}>' is not bound by a positive condition element or 'bind'"
                 )));
@@ -646,19 +636,19 @@ fn parse_expr(c: &mut Cursor, ctx: &mut ProdCtx) -> Result<Expr> {
 }
 
 /// A value form, its `(` consumed.
-fn parse_form(c: &mut Cursor, ctx: &mut ProdCtx) -> Result<Expr> {
+fn parse_form<'a>(c: &mut Cursor<'a>, ctx: &mut ProdCtx<'a>) -> Result<Expr> {
     let head = c.expect_sym()?;
-    match head.as_str() {
+    match head {
         "compute" => {
             let first = parse_expr(c, ctx)?;
             let mut rest = Vec::new();
             while !c.peek_rparen() {
                 let op = match c.next()? {
-                    Token::Sym(s) if s == "+" => ArithOp::Add,
+                    Token::Sym("+") => ArithOp::Add,
                     Token::Minus => ArithOp::Sub,
-                    Token::Sym(s) if s == "*" => ArithOp::Mul,
-                    Token::Sym(s) if s == "//" || s == "/" => ArithOp::Div,
-                    Token::Sym(s) if s == "mod" => ArithOp::Mod,
+                    Token::Sym("*") => ArithOp::Mul,
+                    Token::Sym("//" | "/") => ArithOp::Div,
+                    Token::Sym("mod") => ArithOp::Mod,
                     t => {
                         return Err(Error::Parse(format!(
                             "compute: expected operator, found {t:?}"
@@ -677,22 +667,17 @@ fn parse_form(c: &mut Cursor, ctx: &mut ProdCtx) -> Result<Expr> {
                 c.next()?;
             }
             c.expect_rparen()?;
-            Ok(Expr::Const(Value::symbol(&head)))
+            Ok(Expr::Const(Value::symbol(head)))
         }
         "call" | "genatom" | "accept" | "acceptline" | "litval" | "substr" => {
             // `(call f args...)` in value position, plus OPS5
             // builtins we route through the external mechanism.
             let name = if head == "call" {
-                sym(&c.expect_sym()?)
+                sym(c.expect_sym()?)
             } else {
-                sym(&head)
+                sym(head)
             };
-            let mut args = Vec::new();
-            while !c.peek_rparen() {
-                args.push(parse_expr(c, ctx)?);
-            }
-            c.expect_rparen()?;
-            Ok(Expr::Call(name, args))
+            Ok(Expr::Call(name, parse_args(c, ctx)?))
         }
         other => Err(Error::Parse(format!("unknown value form '({other} ...)'"))),
     }
@@ -886,6 +871,48 @@ mod tests {
         ))
         .unwrap_err();
         assert!(format!("{err}").contains("twice"));
+    }
+
+    /// Names are interned in the order the parser meets them first:
+    /// declarations, then each production in source order. The interner
+    /// is append-only, so names no other test uses get increasing ids.
+    #[test]
+    fn names_are_interned_in_first_occurrence_order() {
+        Program::parse(
+            "(literalize fo-a fo-x fo-y)
+             (external fo-f)
+             (p fo-r (fo-a ^fo-y << fo-c1 fo-c2 >> ^fo-x fo-c3)
+                 --> (make fo-a ^fo-x fo-c4) (call fo-g fo-c5))
+             (literalize fo-b fo-z)",
+        )
+        .unwrap();
+        let ids: Vec<u32> = [
+            "fo-a", "fo-x", "fo-y", "fo-f", "fo-b", "fo-z", "fo-r", "fo-c1", "fo-c2", "fo-c3",
+            "fo-c4", "fo-g", "fo-c5",
+        ]
+        .map(|name| sym(name).0)
+        .to_vec();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    }
+
+    /// A `VarId` names at most 65 535 variables, so `n_vars` counts them;
+    /// one more is an error, not a wrapped id.
+    #[test]
+    fn a_production_holds_at_most_65535_variables() {
+        let program = Program::default();
+        let names: Vec<String> = (0..VarId::MAX).map(|i| format!("v{i}")).collect();
+        let mut ctx = ProdCtx {
+            program: &program,
+            ids: HashMap::new(),
+            vars: Vec::new(),
+            n_tests: 0,
+        };
+        for name in &names {
+            ctx.var_id(name).unwrap();
+        }
+        assert_eq!(ctx.var_id("v65534").unwrap(), 65_534);
+        let err = ctx.var_id("one-more").unwrap_err();
+        assert_eq!(err.to_string(), "semantic error: more than 65535 variables");
     }
 
     #[test]

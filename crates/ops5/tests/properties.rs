@@ -1660,9 +1660,14 @@ proptest! {
     }
 }
 
-/// What the source fuzz below substitutes: OPS5's punctuation, digits, the
-/// characters of a float, whitespace.
-const FUZZ_ALPHABET: &[u8] = b"()<>{}^-=|0123456789.e \n\t";
+/// What the source fuzz below substitutes: OPS5's punctuation, the
+/// comment and modulus characters, the operators, digits, the characters of
+/// a float, whitespace (CR, and two non-ASCII spaces), and a non-ASCII
+/// letter — so a damaged source reaches every branch of the lexer.
+const FUZZ_ALPHABET: &[char] = &[
+    '(', ')', '<', '>', '{', '}', '^', '-', '=', '|', ';', '\\', '+', '*', '/', '0', '1', '2', '3',
+    '4', '5', '6', '7', '8', '9', '.', 'e', ' ', '\n', '\t', '\r', '\u{a0}', '\u{2028}', 'é',
+];
 
 /// `PROGRAMS[k]`, or for `k == PROGRAMS.len()` a production whose RHS nests
 /// `compute` 50 000 deep (≈ 0.45 MB): far past the parser's depth cap.
@@ -1692,7 +1697,7 @@ proptest! {
         for (at, c) in subs {
             if !chars.is_empty() {
                 let at = at % chars.len();
-                chars[at] = char::from(FUZZ_ALPHABET[c]);
+                chars[at] = FUZZ_ALPHABET[c];
             }
         }
         let src: String = chars.into_iter().collect();

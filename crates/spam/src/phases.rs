@@ -91,23 +91,23 @@ impl PipelineResult {
 }
 
 /// Runs the complete SPAM pipeline (RTF → LCC → FA → MODEL) on a dataset.
-pub fn run_pipeline(dataset: &Dataset) -> PipelineResult {
-    run_pipeline_scene(Arc::new(generate_scene(&dataset.spec)))
+pub fn run_pipeline(sp: &SpamProgram, dataset: &Dataset) -> PipelineResult {
+    run_pipeline_scene(sp, Arc::new(generate_scene(&dataset.spec)))
 }
 
 /// Runs the pipeline on an already-built scene (any domain: the same rule
 /// base interprets airports and suburban housing developments, §2.2).
-pub fn run_pipeline_scene(scene: Arc<Scene>) -> PipelineResult {
-    let sp = SpamProgram::build();
-
-    let rtf = run_rtf(&sp, &scene);
+/// Every phase runs on the calling thread's task process, which keeps its
+/// engine from call to call as long as `sp` is the same program.
+pub fn run_pipeline_scene(sp: &SpamProgram, scene: Arc<Scene>) -> PipelineResult {
+    let rtf = run_rtf(sp, &scene);
     let rtf_frags = Arc::new(rtf.fragments.clone());
 
-    let lcc = run_lcc(&sp, &scene, &rtf_frags, Level::L3);
+    let lcc = run_lcc(sp, &scene, &rtf_frags, Level::L3);
     let fragments = Arc::new(lcc.fragments.clone());
 
-    let fa = run_fa(&sp, &scene, &fragments, &lcc.consistents);
-    let model = run_model(&sp, &scene, &fragments, &fa.areas, &fa.members);
+    let fa = run_fa(sp, &scene, &fragments, &lcc.consistents);
+    let model = run_model(sp, &scene, &fragments, &fa.areas, &fa.members);
 
     let stats = [
         PhaseStats::of(&rtf.work, rtf.firings, Some(rtf.fragments.len() as u64)),
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn pipeline_runs_end_to_end_on_dc() {
-        let r = run_pipeline(&datasets::dc());
+        let r = run_pipeline(&SpamProgram::build(), &datasets::dc());
         assert!(r.stats[0].firings > 0, "RTF fired");
         assert!(r.stats[1].firings > 0, "LCC fired");
         assert!(r.stats[2].firings > 0, "FA fired");

@@ -807,6 +807,26 @@ mod tests {
         );
     }
 
+    /// 64-bit FNV-1a.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The rule base parses to the same program, pinned by its printed
+    /// text and by every production's full `Debug` (variable ids, counts,
+    /// specificity), as length and digest.
+    #[test]
+    fn the_parsed_rule_base_is_pinned() {
+        let p = &SpamProgram::build().program;
+        let printed = ops5::printer::print_program(p);
+        let debug = format!("{:?}", p.productions);
+        let pin = |text: &str| (text.len(), fnv1a(text));
+        assert_eq!(pin(&printed), (33_814, 0x8e3a_bfd5_2a1f_d970));
+        assert_eq!(pin(&debug), (88_795, 0xaa0d_3285_9c8c_3f18));
+    }
+
     #[test]
     fn every_constraint_has_an_eval_production() {
         let p = Program::parse(&spam_source()).unwrap();

@@ -501,6 +501,25 @@ mod tests {
         .unwrap();
     }
 
+    /// The pipeline runs on the program it is given, so on one program a
+    /// thread's second `run_pipeline_scene` finds its engine, and the two
+    /// calls build one network (the program's) and one engine between them.
+    #[test]
+    fn pipeline_calls_on_one_program_build_one_network_and_one_engine() {
+        std::thread::spawn(|| {
+            let start = networks_built();
+            let sp = SpamProgram::build();
+            let scene = Arc::new(crate::generate_scene(&crate::dc().spec));
+            let first = crate::run_pipeline_scene(&sp, Arc::clone(&scene));
+            let second = crate::run_pipeline_scene(&sp, scene);
+            assert_eq!(networks_built() - start, 1);
+            assert_eq!(TaskProcess::with_thread(|tp| tp.engines_built), 1);
+            assert_eq!(first.stats, second.stats);
+        })
+        .join()
+        .unwrap();
+    }
+
     /// A kill drops the attempt's engine with it: the process keeps none,
     /// the retry wires one more, and returns the uninterrupted task's
     /// result whole, cycle log included — on either network.

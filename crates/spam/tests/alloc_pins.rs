@@ -177,6 +177,26 @@ fn serial_phase_allocations_are_pinned() {
     assert_eq!(model, (1_773, 1_045, 49));
 }
 
+/// The allocations `f` makes on this thread.
+fn counted(f: impl FnOnce()) -> u64 {
+    let before = allocations();
+    f();
+    allocations() - before
+}
+
+/// Set-up, counted on a warm interner (the first parse interns every name;
+/// the second is counted): the lexer makes its token list and nothing
+/// else, the parser the program it returns, and `SpamProgram::build` adds
+/// the rule base's source, the compiled chains and the network.
+#[test]
+fn set_up_allocations_are_pinned() {
+    let src = spam::rules::spam_source();
+    drop(SpamProgram::build());
+    assert_eq!(counted(|| drop(ops5::lexer::lex(&src).unwrap())), 1);
+    assert_eq!(counted(|| drop(ops5::Program::parse(&src).unwrap())), 1_111);
+    assert_eq!(counted(|| drop(SpamProgram::build())), 2_818);
+}
+
 /// The live bytes a thread holds after each of its first `rounds`
 /// sequential rounds over `scenes` (RTF, LCC at Level 3, FA, MODEL, each
 /// round's results dropped), and what each round allocated.

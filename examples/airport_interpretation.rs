@@ -18,7 +18,7 @@ fn main() {
         "interpreting {} ({} expected-structure airport, seed {:#x})",
         dataset.spec.name, dataset.spec.runways, dataset.spec.seed
     );
-    let r = run_pipeline(&dataset);
+    let r = run_pipeline(&spam::rules::SpamProgram::build(), &dataset);
     println!(
         "scene: {} segmented regions over {:.1} km²",
         r.scene.len(),

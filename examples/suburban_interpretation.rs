@@ -22,7 +22,7 @@ fn main() {
         scene.name,
         scene.len()
     );
-    let r = run_pipeline_scene(Arc::clone(&scene));
+    let r = run_pipeline_scene(&spam::rules::SpamProgram::build(), Arc::clone(&scene));
 
     println!("\nRTF: {} fragment hypotheses", r.rtf.fragments.len());
     for kind in [

@@ -2,13 +2,21 @@
 //! reproduce the paper's workload shape (Tables 1–3).
 
 use spam::phases::run_pipeline;
+use spam::rules::SpamProgram;
+use std::sync::OnceLock;
+
+/// The one rule base every test here interprets with.
+fn program() -> &'static SpamProgram {
+    static PROGRAM: OnceLock<SpamProgram> = OnceLock::new();
+    PROGRAM.get_or_init(SpamProgram::build)
+}
 
 #[test]
 fn all_three_airports_interpret_with_the_papers_shape() {
     for dataset in spam::datasets::all() {
         let name = dataset.spec.name;
         let paper_rtf_hyps = dataset.paper.hypotheses_rtf;
-        let r = run_pipeline(&dataset);
+        let r = run_pipeline(program(), &dataset);
 
         // One scene model, several functional areas.
         assert_eq!(r.model.models, 1, "{name}: one scene model");
@@ -87,8 +95,8 @@ fn all_three_airports_interpret_with_the_papers_shape() {
 
 #[test]
 fn pipeline_is_deterministic_across_runs() {
-    let a = run_pipeline(&spam::datasets::dc());
-    let b = run_pipeline(&spam::datasets::dc());
+    let a = run_pipeline(program(), &spam::datasets::dc());
+    let b = run_pipeline(program(), &spam::datasets::dc());
     assert_eq!(a.total_firings(), b.total_firings());
     assert_eq!(a.rtf.fragments, b.rtf.fragments);
     assert_eq!(a.lcc.consistents.len(), b.lcc.consistents.len());
@@ -103,7 +111,7 @@ fn suburban_domain_interprets_with_the_same_architecture() {
     // different scene-type knowledge.
     use spam::fragments::FragmentKind;
     let scene = std::sync::Arc::new(spam::generate_suburb(&spam::generate::SuburbSpec::demo()));
-    let r = spam::run_pipeline_scene(std::sync::Arc::clone(&scene));
+    let r = spam::run_pipeline_scene(program(), std::sync::Arc::clone(&scene));
     assert_eq!(r.model.models, 1);
     // Every true street must be hypothesised as a street and end up
     // well-supported (streets anchor the suburban constraint web).
